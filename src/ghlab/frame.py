@@ -127,12 +127,16 @@ class IntegrabilityResidual:
         return self.second / max(self.second_scale, 1e-300)
 
 
-def _second_identity_matrix(field, p: BasePoint, h_rel: float) -> tuple[np.ndarray, float]:
-    """d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy and its scale."""
-    N = p.N
+def _stencil_jets(field, p: BasePoint, h_rel: float) -> tuple[list, float]:
+    """Gradient jets on the Richardson stencil over every coordinate; row 0
+    is the centre point itself."""
     scale_pt = max(1.0, float(np.max(np.abs(p.as_vector()))))
     h = h_rel * scale_pt
-    jets = field.jet(_stencil(p, h, list(range(N + 2))), want_gradient=True)
+    return field.jet(_stencil(p, h, list(range(p.N + 2))), want_gradient=True), h
+
+
+def _second_identity_matrix(jets, N: int, h: float) -> tuple[np.ndarray, float]:
+    """d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy and its scale."""
     hessW = np.zeros((N, N))
     for k in range(N):
         col = _second_from_jets(jets, k, lambda j: j.dW[:N], h)
@@ -151,12 +155,14 @@ def integrability_residual(field, p: BasePoint, h_rel: float = 2e-2
 
     The first identity uses the field's analytic mu-gradient of V directly;
     the second differences the analytic gradients once (Richardson), with a
-    step balancing quadrature noise against truncation.
+    step balancing quadrature noise against truncation.  The centre jet is
+    row 0 of the stencil.
     """
-    jet = field.at(p, want_gradient=True)
+    jets, h = _stencil_jets(field, p, h_rel)
+    jet = jets[0]
     first = float(np.max(np.abs(jet.dV - np.transpose(jet.dV, (0, 2, 1)))))
     first_scale = max(float(np.max(np.abs(jet.dV))), 1e-300)
-    expr, scale = _second_identity_matrix(field, p, h_rel)
+    expr, scale = _second_identity_matrix(jets, p.N, h)
     return IntegrabilityResidual(first, float(np.max(np.abs(expr))),
                                  first_scale, scale, p)
 
@@ -181,11 +187,12 @@ class CurvatureSample:
 
 def curvature_F(field, p: BasePoint, h_rel: float = 2e-2) -> CurvatureSample:
     """Curvature coefficients and their closure defect."""
-    jet = field.at(p, want_gradient=True)
+    jets, h = _stencil_jets(field, p, h_rel)
+    jet = jets[0]
     N = p.N
     coeff1 = 0.5 * jet.dW[:N]
     coeff2 = jet.dV_eta.copy()
-    expr, scale = _second_identity_matrix(field, p, h_rel)
+    expr, scale = _second_identity_matrix(jets, N, h)
     return CurvatureSample(coeff1, coeff2, float(np.max(np.abs(expr))), scale, p)
 
 

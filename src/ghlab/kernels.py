@@ -399,13 +399,10 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
 
     # frame adapted to the singular sheet: first axis crosses it transversally
     if i == 0:
-        U = np.eye(N)
         sheet_axis = j - 1
-        special = -bump.center[j - 1]  # y offset where mu_j = 0
-        Uo = np.eye(N)
-        Uo[:, [0, sheet_axis]] = Uo[:, [sheet_axis, 0]]
-        U = Uo
-        special_axis0 = special
+        U = np.eye(N)
+        U[:, [0, sheet_axis]] = U[:, [sheet_axis, 0]]
+        special_axis0 = -bump.center[j - 1]  # y offset where mu_j = 0
     else:
         v1 = np.zeros(N)
         v1[i - 1] = 1.0 / math.sqrt(2.0)
@@ -468,14 +465,14 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     charge = -2.0 * math.pi * math.sqrt(A.det)
     if i == 0:
         free = [k for k in range(1, N + 1) if k != j]
-        rhs = charge * _cone_integral(bump, free, shift=None, order=order)
+        rhs = charge * _cone_integral(bump, free, order=order)
     else:
         rhs = charge * _pair_cone_integral(bump, i, j, N, order=order)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return WeakCheckResult(lhs, rhs, abs(lhs - rhs) / denom, evals)
 
 
-def _cone_integral(bump: RadialBump, free: list[int], shift, order: int) -> float:
+def _cone_integral(bump: RadialBump, free: list[int], order: int) -> float:
     """bump(iota(t), 0) over t >= 0, the axis stratum cone."""
     axes = []
     for lab in free:

@@ -8,14 +8,35 @@ an anisotropic distance,
 optionally together with its derivatives with respect to b and the two real
 components hidden in E = c |eta|^2.  The integrand is smooth but sharply
 peaked where the affine sheet {b - M tau} passes closest to the origin, and
-it decays like |tau|^(-p) with p - d = 1, so the tail carries mass ~ 1/T.
+it decays like |tau|^(-p) with p > d, so the tail carries mass ~ T^(d-p).
 
-The engine is a fixed-construction panel scheme: per-axis Gauss-Legendre
-panels geometrically graded around the orthant-projected closest point and
-geometrically growing out to an analytically chosen truncation radius.  The
-construction depends only on the inputs, never on timing or thread count,
-so results are bit-reproducible.  The error estimate compares two Gauss
-orders on the same panels and adds the analytic tail bound.
+The last cone column m is integrated in closed form.  With
+X0 = b - M' tau' for the first d - 1 parameters, the integrand along m is
+(a t^2 - 2 beta t + gamma)^(-p/2) with a = m^T Q m, beta = m^T Q X0 and
+gamma = X0^T Q X0 + E.  With D = a gamma - beta^2 the substitution
+t = beta / a + sqrt(D) / a tan(theta) gives
+
+    J_p = a^((p-2)/2) D^((1-p)/2) integral_{theta0}^{pi/2} cos^(p-2),
+
+theta0 = atan2(-beta, sqrt(D)).  ``half_line_integrals`` evaluates the
+angle integral over the complementary angle phi0 = pi/2 - theta0 without
+cancellation: an all-positive Wallis recursion where beta >= 0, the
+incomplete beta function of sin^2 phi0 where beta < 0 and phi0 is small.  D is formed as a
+times the Q-distance from X0 to the line along m (plus aE), never as the
+difference a gamma - beta^2.  The gradient needs J_(p+2) only: the first
+moment along m integrates by parts to the boundary value gamma^(-p/2).
+
+The remaining d - 1 parameters are swept by a fixed-construction panel
+scheme: per-axis Gauss-Legendre panels geometrically graded around the
+orthant-projected closest point and geometrically growing out to an
+analytically chosen truncation radius T.  The construction depends only on
+the inputs, never on timing or thread count, so results are
+bit-reproducible.  The error estimate compares two Gauss orders on the same
+panels and adds the analytic bound on the mass beyond |tau| > T; it covers
+the truncated region {tau' outside [0, T]^(d-1)} x [0, inf), which lies
+inside {|tau| > T}.  At d = 1 nothing is swept and the value is a closed
+form.  An integral that misses its tolerance after the refinement passes
+raises QuadratureError; no unconverged value is returned.
 
 A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
 provided as an independent oracle; it is never the primary path.
@@ -29,6 +50,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+from scipy import special
 
 from .geometry import ball_volume
 
@@ -37,6 +59,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "SingularityProximity",
+    "half_line_integrals",
     "nonneg_argmin",
     "power_kernel_integral",
     "qmc_power_kernel_integral",
@@ -58,14 +81,18 @@ class QuadratureSpec:
     """Tolerances and knobs for the panel engine.
 
     abs_tol/rel_tol apply to the final (prefactor-scaled) kernel value;
-    tail_radius overrides the analytic truncation radius when set;
-    max_evals bounds grid nodes per batch element.
+    the error they bound is the two-order Gauss difference on the swept
+    d - 1 parameters plus the analytic tail bound beyond the truncation
+    radius (the last cone parameter is integrated exactly, so it adds no
+    error).  tail_radius overrides the analytic truncation radius when
+    set; max_evals bounds grid nodes of the swept parameters per batch
+    element; refine_levels is the number of extra, finer passes tried
+    before QuadratureError is raised.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_evals: int = 4_000_000
-    method: str = "adaptive-nested"
     tail_radius: float | None = None
     order: int = 16
     order_low: int = 8
@@ -76,8 +103,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_evals < 1000:
             raise ValueError("max_evals must be at least 1000")
-        if self.method not in ("adaptive-nested", "quasi-monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -85,8 +110,8 @@ class QuadResult:
     value: np.ndarray          # (B,) raw integral values, no prefactor
     error: np.ndarray          # (B,) error estimates, raw units
     gradient: np.ndarray | None  # (B, dim+2) d/d(b, Re eta, Im eta), raw
-    evals: int
-    converged: bool
+    evals: int                 # swept grid nodes times batch rows
+    converged: bool            # always True: a miss raises QuadratureError
     r_star: float              # distance from the sheet to the first point
 
 
@@ -170,40 +195,131 @@ def _axis_breakpoints(center: float, width: float, T: float,
     return breaks[keep]
 
 
-def _tensor_pass(axes_nodes: list[np.ndarray], axes_wts: list[np.ndarray],
-                 Q: np.ndarray, E: np.ndarray, b: np.ndarray, M: np.ndarray,
-                 power: int, want_gradient: bool, ceta: float,
-                 eta_xy: np.ndarray, chunk: int
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One full tensor-product sweep.  b is (B, m), eta_xy is (B, 2)."""
-    B, m = b.shape
-    d = len(axes_nodes)
-    sizes = [len(n) for n in axes_nodes]
-    ntot = int(np.prod(sizes))
+# ---------------------------------------------------------------------------
+# the closed-form axis
+
+# below this sin^2(phi0), with beta < 0, the Wallis recursion would lose
+# digits to cancellation; the incomplete beta function takes over there
+_BETAINC_X = 0.25
+
+
+def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
+                        qs: tuple[int, ...]) -> list[np.ndarray]:
+    """J_q = integral_0^inf (a t^2 - 2 beta t + gamma)^(-q/2) dt, for q in qs.
+
+    h = gamma - beta^2 / a = D / a > 0 is the minimum of the quadratic over
+    the real line; it is passed in directly because forming it from gamma
+    cancels near the singular sheet.  The qs ascend in steps of 2 from at
+    least 2.  J_q = a^(-1/2) h^((1-q)/2) S_(q-2)(phi0), where
+    S_k(phi0) = integral_0^phi0 sin^k and phi0 = atan2(sqrt(D), -beta).
+    """
+    beta = np.asarray(beta, dtype=float)
+    h = np.asarray(h, dtype=float)
+    minus_beta = -beta
+    a_gamma = a * h + beta * beta
+    x = a * h / a_gamma                     # sin^2(phi0) = D / (a gamma)
+    c = minus_beta / np.sqrt(a_gamma)       # cos(phi0)
+    ks = [q - 2 for q in qs]
+    kmin, kmax = min(ks), max(ks)
+    # upward Wallis recursion S_k = ((k-1) S_(k-2) - sin^(k-1) cos) / k:
+    # both terms are positive where beta >= 0 (phi0 >= pi/2), and above
+    # sin^2(phi0) = 1/4 the cancellation costs a few bits at most
+    k = kmin % 2
+    S_k = np.arctan2(np.sqrt(a * h), minus_beta) if k == 0 else 1.0 - c
+    s_pow = np.sqrt(x) if k == 0 else x     # sin^(k+1)(phi0)
+    S = {k: S_k}
+    while k < kmax:
+        k += 2
+        S_k = ((k - 1) * S_k - s_pow * c) / k
+        s_pow = s_pow * x
+        S[k] = S_k
+    # small phi0 with beta < 0: substituting x = sin^2 gives
+    # S_k = B((k+1)/2, 1/2) I_x((k+1)/2, 1/2) / 2 for phi0 <= pi/2
+    small = (beta < 0.0) & (x < _BETAINC_X)
+    if np.any(small):
+        xs = x[small]
+        for k in {kmin, kmax}:
+            ak = 0.5 * (k + 1)
+            half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
+            S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
+    scale = h ** (0.5 * (1 - qs[0])) / math.sqrt(a)
+    out = []
+    for q in qs:
+        out.append(S[q - 2] * scale)
+        scale = scale / h
+    return out
+
+
+@dataclass(frozen=True)
+class _Line:
+    """Data of the quadratic along the last cone column, per batch row.
+
+    beta and Z = L X0 are affine in the swept parameters tau':
+    beta = beta0 - u . tau' and Z = z0 - G tau'.  L^T L = Q - Q m m^T Q / a,
+    so |Z|^2 is the squared Q-distance from X0 to the line along m.
+    """
+
+    a: float              # m^T Q m
+    Qm: np.ndarray        # (m,)
+    L: np.ndarray         # (m-1, m)
+    beta0: np.ndarray     # (B,)
+    u: np.ndarray         # (d-1,)
+    z0: np.ndarray        # (m-1, B)
+    G: np.ndarray         # (m-1, d-1)
+    E: np.ndarray         # (B,)
+
+    @classmethod
+    def build(cls, Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+              E: np.ndarray) -> "_Line":
+        m_col = M[:, -1]
+        Mp = M[:, :-1]
+        Qm = Q @ m_col
+        a = float(m_col @ Qm)
+        # the projected form has one null direction (m itself), sorted first
+        lam, vec = np.linalg.eigh(Q - np.outer(Qm, Qm) / a)
+        L = vec[:, 1:].T * np.sqrt(np.maximum(lam[1:], 0.0))[:, None]
+        return cls(a, Qm, L, b @ Qm, Mp.T @ Qm, L @ b.T, L @ Mp, E)
+
+
+def _tensor_grid(axes: list[tuple[np.ndarray, np.ndarray]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product nodes (len(axes), n) and weights (n,)."""
+    wts = np.ones(())
+    for _, wt in axes:
+        wts = np.multiply.outer(wts, wt)
+    if not axes:
+        return np.zeros((0, 1)), wts.reshape(1)
+    grids = np.meshgrid(*[nd for nd, _ in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids]), wts.ravel()
+
+
+def _sweep(line: _Line, axes: list[tuple[np.ndarray, np.ndarray]],
+           power: int, want_gradient: bool, ceta_xy: np.ndarray, chunk: int
+           ) -> tuple[np.ndarray, np.ndarray | None]:
+    """One sweep over the first d - 1 parameters, the last one exact."""
+    B, m = line.beta0.shape[0], line.L.shape[1]
     val = np.zeros(B)
     grad = np.zeros((B, m + 2)) if want_gradient else None
-    p2 = -0.5 * (power + 2)
-    for start in range(0, ntot, chunk):
-        stop = min(start + chunk, ntot)
-        flat = np.arange(start, stop)
-        multi = np.unravel_index(flat, sizes)
-        tau = np.empty((stop - start, d))
-        wts = np.ones(stop - start)
-        for k in range(d):
-            tau[:, k] = axes_nodes[k][multi[k]]
-            wts *= axes_wts[k][multi[k]]
-        # X has shape (B, nodes, m)
-        X = b[:, None, :] - tau[None, :, :] @ M.T
-        QX = X @ Q
-        dist2 = np.einsum("bnm,bnm->bn", QX, X) + E[:, None]
-        F = dist2 ** (-0.5 * power)
-        val += F @ wts
+    qs = (power, power + 2) if want_gradient else (power,)
+    nodes, weights = _tensor_grid(axes)
+    for start in range(0, len(weights), chunk):
+        tau = nodes[:, start:start + chunk]
+        wts = weights[start:start + chunk]
+        # component-major (m-1, B, n): long inner loops for numpy
+        beta = line.beta0[:, None] - line.u @ tau               # (B, n)
+        Z = line.z0[:, :, None] - (line.G @ tau)[:, None, :]
+        h = np.einsum("kbn,kbn->bn", Z, Z) + line.E[:, None]
+        J = half_line_integrals(line.a, beta, h, qs)
+        val += J[0] @ wts
         if want_gradient:
-            core = dist2 ** p2 * wts[None, :]
-            grad[:, :m] += -power * np.einsum("bn,bnm->bm", core, QX)
-            s = core.sum(axis=1)
-            grad[:, m] += -power * ceta * eta_xy[:, 0] * s
-            grad[:, m + 1] += -power * ceta * eta_xy[:, 1] * s
+            # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))]
+            # with Q Y = L^T Z the part of Q X0 across m; the first moment
+            # K obeys a K - beta J = gamma^(-p/2) / p
+            Jw = J[1] * wts
+            bound = (h + beta * beta / line.a) ** (-0.5 * power) @ wts
+            grad[:, :m] += (-power * np.einsum("bn,kbn->bk", Jw, Z) @ line.L
+                            + np.outer(bound, line.Qm / line.a))
+            grad[:, m:] += -power * ceta_xy * Jw.sum(axis=1)[:, None]
     return val, grad
 
 
@@ -217,6 +333,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     derived from the first row; extra rows are meant for nearby stencil
     points sharing the same geometry.  ``prefactor`` only converts the
     spec tolerances into raw-integral units; the returned values are raw.
+    Raises QuadratureError when the grid exceeds the node budget or the
+    refinement passes miss the tolerance.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
@@ -228,9 +346,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     # closest sheet point for the leading row
     P = M.T @ Q @ M
     q0 = M.T @ (Q @ b[0])
-    tau_star, qp_min = nonneg_argmin(P, q0)
-    r2 = float(b[0] @ Q @ b[0]) - 2.0 * q0 @ tau_star + tau_star @ P @ tau_star + E[0]
-    r_star = math.sqrt(max(r2, 0.0))
+    tau_star, _ = nonneg_argmin(P, q0)
+    x_star = b[0] - M @ tau_star
+    r_star = math.sqrt(float(x_star @ Q @ x_star) + E[0])
 
     if d == 0:
         dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
@@ -247,6 +365,13 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     if r_star <= 0.0:
         raise SingularityProximity("point lies on the kernel's singular sheet")
 
+    line = _Line.build(Q, M, b, E)
+    ceta_xy = c_eta * eta_xy
+    if d == 1:
+        # nothing is left to sweep: the closed form is the whole integral
+        val, grad = _sweep(line, [], power, want_gradient, ceta_xy, 1)
+        return QuadResult(val, np.zeros(B), grad, B, True, r_star)
+
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
     lamP = float(np.linalg.eigvalsh(P)[0])
     surf = d * ball_volume(d) / 2.0 ** d
@@ -262,46 +387,43 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     tail_bound = (surf * 2.0 ** power * lamP ** (-0.5 * power)
                   * T ** (d - power) / (power - d))
 
-    def build_axes(extra_split: int) -> tuple[list[np.ndarray], list[np.ndarray], int, int]:
-        axes_breaks = []
-        for k in range(d):
+    def build_axes(extra_split: int, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        axes = []
+        for k in range(d - 1):
             w_k = max(r_star / math.sqrt(max(P[k, k], 1e-300)), 1e-8)
             br = _axis_breakpoints(float(tau_star[k]), w_k, T,
                                    fine_levels=3 + extra_split)
             if extra_split:
                 mids = 0.5 * (br[:-1] + br[1:])
                 br = np.sort(np.concatenate([br, mids]))
-            axes_breaks.append(br)
-        hi, lo = [], []
-        n_hi = n_lo = 1
-        for br in axes_breaks:
-            nh = panel_nodes(br, spec.order)
-            nl = panel_nodes(br, spec.order_low)
-            hi.append(nh)
-            lo.append(nl)
-            n_hi *= len(nh[0])
-            n_lo *= len(nl[0])
-        return hi, lo, n_hi, n_lo
+            axes.append(panel_nodes(br, order))
+        return axes
 
-    chunk = max(1 << 13, (1 << 18) // max(B, 1))
+    # about 2^14 elements per temporary array, so a chunk stays in cache
+    chunk = max(1 << 10, (1 << 14) // max(B, 1))
     evals = 0
     for attempt in range(spec.refine_levels + 1):
-        hi, lo, n_hi, n_lo = build_axes(attempt)
+        hi = build_axes(attempt, spec.order)
+        lo = build_axes(attempt, spec.order_low)
+        n_hi = math.prod(len(nd) for nd, _ in hi)
+        n_lo = math.prod(len(nd) for nd, _ in lo)
         if n_hi + n_lo > spec.max_evals:
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {spec.max_evals}")
-        v_hi, g_hi = _tensor_pass([n for n, _ in hi], [w for _, w in hi],
-                                  Q, E, b, M, power, want_gradient, c_eta,
-                                  eta_xy, chunk)
-        v_lo, _ = _tensor_pass([n for n, _ in lo], [w for _, w in lo],
-                               Q, E, b, M, power, False, c_eta, eta_xy, chunk)
+        v_hi, g_hi = _sweep(line, hi, power, want_gradient, ceta_xy, chunk)
+        v_lo, _ = _sweep(line, lo, power, False, ceta_xy, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo) + tail_bound
         tol = np.maximum(abs_raw, spec.rel_tol * np.abs(v_hi))
         if np.all(err <= tol):
             return QuadResult(v_hi, err, g_hi, evals, True, r_star)
-    return QuadResult(v_hi, err, g_hi, evals, False, r_star)
+    row = int(np.argmax(err / tol))
+    shape = " x ".join(str(len(nd)) for nd, _ in hi)
+    raise QuadratureError(
+        f"no convergence after {spec.refine_levels + 1} passes: r* = "
+        f"{r_star:.3e}, grid {shape}, row {row} error {err[row]:.3e} "
+        f"(tail bound {tail_bound:.3e}) against tolerance {tol[row]:.3e}")
 
 
 def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,

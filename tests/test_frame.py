@@ -5,6 +5,8 @@ import pytest
 
 from ghlab.geometry import BasePoint, QuadForm
 from ghlab.ansatz import FirstOrderField, FlatModelField, PerturbedField
+from ghlab.kernels import KernelSpec, alpha_grad
+from ghlab.locus import dist_locus
 from ghlab.frame import (
     curvature_F,
     cy_residual,
@@ -75,6 +77,44 @@ def test_integrability_residual_small():
     res = integrability_residual(fld, p)
     assert res.first_relative < 1e-10
     assert res.second_relative < 1e-4
+
+
+def test_n4_field_identities():
+    # reach: the N = 4 first-order field holds the identities of criteria 12
+    # and 04 at their tolerance, at one off-locus point
+    rng = np.random.default_rng(404)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    A = QuadForm(q @ np.diag(rng.uniform(0.5, 2.5, 4)) @ q.T)
+    while True:
+        r, th = rng.uniform(0.3, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+        p = BasePoint(rng.uniform(-2.0, 2.0, 4), r * complex(math.cos(th), math.sin(th)))
+        if dist_locus(A, p) > 0.5:
+            break
+    res = integrability_residual(FirstOrderField(A, QUAD), p)
+    assert res.first_relative <= 1e-3
+    assert res.second_relative <= 1e-3
+
+    N = 4
+    g = {(i, j): alpha_grad(KernelSpec(A, (i, j)), QUAD, p).gradient
+         for i in range(N + 1) for j in range(i + 1, N + 1)}
+    scale = max(float(np.max(np.abs(v[:N]))) for v in g.values())
+    worst = 0.0
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                continue
+            # axis family: d alpha_0i / d mu_j = d alpha_0j / d mu_i
+            #              = - sum_t d alpha_ij / d mu_t
+            lhs, mid = g[(0, i)][j - 1], g[(0, j)][i - 1]
+            rhs = -float(np.sum(g[(min(i, j), max(i, j))][:N]))
+            worst = max(worst, abs(lhs - mid) / scale, abs(lhs - rhs) / scale)
+            # pair family: d alpha_ij / d mu_k symmetric under j <-> k
+            for k in range(1, N + 1):
+                if k not in (i, j):
+                    a = g[(min(i, j), max(i, j))][k - 1]
+                    b = g[(min(i, k), max(i, k))][j - 1]
+                    worst = max(worst, abs(a - b) / scale)
+    assert worst <= 1e-3
 
 
 def test_perturbed_field_breaks_first_identity():

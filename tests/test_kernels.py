@@ -8,6 +8,7 @@ import pytest
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
+    _alpha_exact_n2,
     RadialBump,
     alpha,
     alpha_batch,
@@ -109,6 +110,20 @@ def test_full_kernels_match_arctan_oracle():
             want = arctan_oracle(A, labels, p)
             assert got.value == pytest.approx(want, rel=1e-7)
             assert abs(got.value - want) <= 10.0 * got.error + 1e-12
+
+
+def test_engine_is_exact_at_n2():
+    # at N = 2 the one cone parameter is integrated in closed form, so the
+    # engine agrees with the weak check's arctan kernel to roundoff
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        A = random_spd(rng, 2)
+        p = BasePoint(rng.uniform(-2, 2, 2), complex(*rng.uniform(-1.0, 1.0, 2)))
+        for labels in [(0, 1), (0, 2), (1, 2)]:
+            got = alpha(KernelSpec(A, labels), QUAD, p)
+            want = _alpha_exact_n2(A, labels, p.mu, np.array([abs(p.eta)]))[0]
+            assert got.value == pytest.approx(want, rel=1e-12)
+            assert got.error == 0.0
 
 
 def test_three_dim_kernel_against_qmc():

@@ -7,7 +7,8 @@ a t^2 - 2 b t + c with discriminant D = a c - b^2 > 0,
         = (pi/2 + arctan(b / sqrt(D))) / sqrt(D).
 
 That formula, derived by hand and frozen here, plus a scrambled-Sobol
-estimator, are the two independent routes the adaptive engine must match.
+estimator and 50-digit mpmath quadrature of the half-line integrals, are
+the independent routes the engine must match.
 """
 
 import math
@@ -20,6 +21,7 @@ from ghlab.quadrature import (
     QuadratureSpec,
     SingularityProximity,
     gauss_rule,
+    half_line_integrals,
     nonneg_argmin,
     panel_nodes,
     power_kernel_integral,
@@ -135,6 +137,90 @@ def test_budget_error():
     with pytest.raises(QuadratureError):
         power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0]]), 0.5 + 0j,
                               M, 3, QuadratureSpec(max_evals=1000))
+
+
+def test_unconverged_integral_raises():
+    # N = 3 axis kernel geometry: the tail beyond a truncation radius this
+    # small carries far more mass than the tolerance allows
+    A = np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]])
+    M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[0.8, -0.5, 0.4]])
+    det_a = float(np.linalg.det(A))
+    power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3, QuadratureSpec())
+    with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance"):
+        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3,
+                              QuadratureSpec(tail_radius=1.0))
+
+
+# beta / sqrt(D) from on-axis through both far sides of the half line
+RATIOS = [0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0, 1e4, -1e4, 1e8, -1e8]
+
+
+@pytest.fixture
+def mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        yield mp
+
+
+def mp_half_line(mpmath, a, beta, gamma, q, moment=0):
+    """50-digit int_0^inf t^moment (a t^2 - 2 beta t + gamma)^(-q/2) dt,
+    split at the peak and at multiples of its width on both sides."""
+    peak = max(beta / a, 0)
+    width = mpmath.sqrt(a * gamma - beta ** 2) / a
+    scale = max(abs(beta) / a, width)
+    pts = {mpmath.mpf(0), peak}
+    for k in (1, 10, 100):
+        pts |= {peak - k * width, peak + k * width, k * scale}
+    pts = sorted(x for x in pts if x >= 0) + [mpmath.inf]
+    return mpmath.quad(lambda t: t ** moment
+                       * (a * t * t - 2 * beta * t + gamma) ** (-mpmath.mpf(q) / 2),
+                       pts)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_half_line_integrals_match_mpmath(q, mpmath):
+    a, D = mpmath.mpf("1.7"), mpmath.mpf("0.9")
+    for ratio in RATIOS:
+        beta = mpmath.mpf(ratio) * mpmath.sqrt(D)
+        want = mp_half_line(mpmath, a, beta, (D + beta ** 2) / a, q)
+        # D enters as h = D / a, never through a gamma - beta^2
+        got = half_line_integrals(1.7, np.array([float(beta)]),
+                                  np.array([float(D / a)]), (q,))[0][0]
+        assert got == pytest.approx(float(want), rel=1e-13), ratio
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_closed_form_axis_gradient_matches_mpmath(p, mpmath):
+    # d = 1: the engine is the closed form alone.  Its gradient along the
+    # cone column m is -p (beta J - a K) with the first moment K = K_(p+2);
+    # across m and in eta it is a multiple of J = J_(p+2)
+    Q = np.array([[1.4, 0.3], [0.3, 0.8]])
+    m_col = np.array([0.0, 1.0])
+    c_eta, eta = 0.7, 0.5 - 0.4j
+    a = float(m_col @ Q @ m_col)
+    across = np.array([1.0, -Q[0, 1] / Q[1, 1]])      # Q-orthogonal to m
+    h = float(across @ Q @ across) + c_eta * abs(eta) ** 2
+    Qmp = mpmath.matrix(Q.tolist())
+    E = mpmath.mpf(c_eta) * (mpmath.mpf(eta.real) ** 2 + mpmath.mpf(eta.imag) ** 2)
+    # a float b resolves its part across m only to eps |b|, so the engine
+    # cannot see the 1e8 ratios at rel 1e-12; the helper test covers them
+    for ratio in RATIOS[:-2]:
+        b = across + ratio * math.sqrt(h / a) * m_col
+        res = power_kernel_integral(Q, c_eta, b, eta, m_col[:, None], p,
+                                    QuadratureSpec(), want_gradient=True)
+        bm = mpmath.matrix(b.tolist())
+        beta = (Qmp * bm)[1]
+        gamma = (bm.T * Qmp * bm)[0] + E
+        J = mp_half_line(mpmath, Qmp[1, 1], beta, gamma, p + 2)
+        K = mp_half_line(mpmath, Qmp[1, 1], beta, gamma, p + 2, moment=1)
+        along = -p * (beta * J - Qmp[1, 1] * K)
+        perp = -p * (mpmath.matrix(across.tolist()).T * Qmp * bm)[0] * J
+        g = res.gradient[0]
+        assert float(g[:2] @ m_col) == pytest.approx(float(along), rel=1e-12), ratio
+        assert float(g[:2] @ across) == pytest.approx(float(perp), rel=1e-12), ratio
+        assert g[2] == pytest.approx(float(-p * c_eta * eta.real * J), rel=1e-12), ratio
+        assert g[3] == pytest.approx(float(-p * c_eta * eta.imag * J), rel=1e-12), ratio
 
 
 def test_nonneg_argmin_against_scipy():
