@@ -11,7 +11,6 @@ size is the sigma-expansion tail computed here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

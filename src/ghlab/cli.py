@@ -231,19 +231,10 @@ def _laplace_of_kernel(spec: kernels.KernelSpec, quad: QuadratureSpec,
     A = spec.A
     N = A.n
     h = h_rel * max(1.0, float(np.max(np.abs(p.as_vector()))))
-    pts = [p]
-    for k in range(N + 2):
-        for s in (h, -h, h / 2, -h / 2):
-            vec = p.as_vector()
-            vec[k] += s
-            pts.append(BasePoint.from_vector(vec))
+    pts = frame._stencil(p, h, list(range(N + 2)))
     _, grads, _ = kernels.alpha_batch(spec, quad, pts, want_gradient=True)
-    hess = np.zeros((N + 2, N + 2))
-    for k in range(N + 2):
-        i0 = 1 + 4 * k
-        d1 = (grads[i0] - grads[i0 + 1]) / (2.0 * h)
-        d2 = (grads[i0 + 2] - grads[i0 + 3]) / h
-        hess[:, k] = (4.0 * d2 - d1) / 3.0
+    hess = np.column_stack([frame._second_from_jets(grads, k, lambda g: g, h)
+                            for k in range(N + 2)])
     hess = 0.5 * (hess + hess.T)
     mu_part = float(np.sum(A.inv * hess[:N, :N]))
     eta_part = (hess[N, N] + hess[N + 1, N + 1]) / A.det

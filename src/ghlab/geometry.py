@@ -23,6 +23,7 @@ __all__ = [
     "ScalarField",
     "anorm",
     "schur_complement",
+    "schur_blocks",
     "laplace_A",
     "ball_volume",
     "block",
@@ -55,7 +56,7 @@ class QuadForm:
         (``lambda_min > 1e-12 * lambda_max``).
     """
 
-    __slots__ = ("entries", "n", "lambda_min", "lambda_max", "det", "inv", "_chol")
+    __slots__ = ("entries", "n", "lambda_min", "lambda_max", "det", "inv", "_derived")
 
     def __init__(self, entries) -> None:
         M = np.array(entries, dtype=float)
@@ -78,7 +79,7 @@ class QuadForm:
         inv = 0.5 * (inv + inv.T)
         inv.flags.writeable = False
         self.inv = inv
-        self._chol = None
+        self._derived: dict = {}
 
     @classmethod
     def identity(cls, n: int) -> "QuadForm":
@@ -88,10 +89,15 @@ class QuadForm:
     def condition(self) -> float:
         return self.lambda_max / self.lambda_min
 
+    def derived(self, key, build: Callable[[], object]):
+        """Data computed from this read-only form, built on first use and
+        kept with it; threads racing on one key at worst build it twice."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def cholesky(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol = np.linalg.cholesky(self.entries)
-        return self._chol
+        return self.derived("cholesky", lambda: np.linalg.cholesky(self.entries))
 
     def quad(self, x: np.ndarray) -> np.ndarray:
         """x^T A x, broadcast over the leading axes of ``x``."""
@@ -129,10 +135,6 @@ class BasePoint:
     def from_vector(cls, v: Sequence[float]) -> "BasePoint":
         v = np.asarray(v, dtype=float)
         return cls(v[:-2], complex(v[-2], v[-1]))
-
-    def shifted(self, dmu=None, deta: complex = 0.0) -> "BasePoint":
-        mu = self.mu if dmu is None else self.mu + np.asarray(dmu, dtype=float)
-        return BasePoint(mu, self.eta + deta)
 
 
 class IndexSet:
@@ -185,30 +187,22 @@ class IndexSet:
         """Complement inside {1, ..., N}."""
         return tuple(m for m in range(1, N + 1) if m not in self.members)
 
-    def union(self, other: "IndexSet | Iterable[int]") -> "IndexSet":
-        return IndexSet(tuple(self.members) + tuple(other))
-
     def issubset(self, other: "IndexSet") -> bool:
         return set(self.members) <= set(other.members)
 
 
 # -- finite differences -------------------------------------------------
 
-def _fd_steps(x: np.ndarray, h_rel: float) -> np.ndarray:
-    h = h_rel * np.maximum(1.0, np.abs(x))
-    # keep the step exactly representable
-    return (x + h) - x if np.ndim(x) else float((x + h) - x)
-
-
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
                 h_rel: float | None = None, richardson: bool = True) -> np.ndarray:
-    """Central-difference gradient with one optional Richardson level."""
+    """Central-difference gradient with one optional Richardson level; for
+    a vector-valued ``f``, the Jacobian with one column per coordinate."""
     x = np.asarray(x, dtype=float)
     h_rel = _EPS ** (1.0 / 3.0) if h_rel is None else h_rel
     if h_rel < 16 * _EPS:
         raise ArithmeticError("finite-difference step underflow")
     h = h_rel * np.maximum(1.0, np.abs(x))
-    g = np.empty_like(x)
+    cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h[i]
@@ -216,8 +210,8 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
         if richardson:
             d2 = (f(x + 0.5 * e) - f(x - 0.5 * e)) / h[i]
             d1 = (4 * d2 - d1) / 3.0
-        g[i] = d1
-    return g
+        cols.append(d1)
+    return np.array(cols, dtype=float).T
 
 
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -288,25 +282,10 @@ class ScalarField:
             return np.asarray(self._hessian(p), dtype=float)
         if self._gradient is not None:
             # one differencing level on top of the analytic gradient
-            x = p.as_vector()
-            h_rel = (self.h_rel if self.h_rel is not None
-                     else _EPS ** (1.0 / 3.0))
-            h = h_rel * np.maximum(1.0, np.abs(x))
-            n = x.size
-            cols = np.empty((n, n))
-            for i in range(n):
-                e = np.zeros_like(x)
-                e[i] = h[i]
-                gp = self._gradient(BasePoint.from_vector(x + e))
-                gm = self._gradient(BasePoint.from_vector(x - e))
-                d1 = (np.asarray(gp) - np.asarray(gm)) / (2 * h[i])
-                if self.richardson:
-                    gp2 = self._gradient(BasePoint.from_vector(x + 0.5 * e))
-                    gm2 = self._gradient(BasePoint.from_vector(x - 0.5 * e))
-                    d2 = (np.asarray(gp2) - np.asarray(gm2)) / h[i]
-                    d1 = (4 * d2 - d1) / 3.0
-                cols[:, i] = d1
-            return 0.5 * (cols + cols.T)
+            J = fd_gradient(lambda v: np.asarray(
+                self._gradient(BasePoint.from_vector(v)), dtype=float),
+                p.as_vector(), h_rel=self.h_rel, richardson=self.richardson)
+            return 0.5 * (J + J.T)
         return fd_hessian(self._value_vec, p.as_vector(),
                           h_rel=self.h_rel, richardson=self.richardson)
 
@@ -329,27 +308,33 @@ def anorm_diff(A: QuadForm, p: BasePoint, q: BasePoint) -> float:
     return anorm(A, BasePoint(p.mu - q.mu, p.eta - q.eta))
 
 
+def schur_blocks(M: np.ndarray, S: Sequence[int], Sc: Sequence[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(P, G) for the label lists S and Sc of a symmetric matrix M:
+    P = M_{Sc}^{-1} M_{Sc S} and the Schur block G = M_S - M_{S Sc} P."""
+    M_SSc = block(M, S, Sc)   # empty when Sc is
+    P = np.linalg.solve(block(M, Sc, Sc), M_SSc.T)
+    return P, block(M, S, S) - M_SSc @ P
+
+
 def schur_complement(A: QuadForm, I: IndexSet) -> QuadForm:
     """Effective transverse form of ``A`` for the index set ``I``.
 
     The label 0 is dropped; with ``S`` the active labels of ``I`` and ``S'``
     the remaining labels, returns A_S - A_{SS'} A_{S'}^{-1} A_{S'S}.
-    All eigenvalues lie in [lambda (lambda/Lambda)^(N-1), Lambda].
+    All eigenvalues lie in [lambda (lambda/Lambda)^(N-1), Lambda].  Built
+    once per form and active label set.
     """
-    S = list(I.active)
+    S = I.active
     if not S:
         raise ValueError("index set has no active labels")
     if max(S) > A.n:
         raise ValueError("index label exceeds the form's dimension")
+
+    if len(S) == A.n:
+        return A   # nothing to eliminate
     Sc = [j for j in range(1, A.n + 1) if j not in S]
-    M = A.entries
-    A_S = block(M, S, S)
-    if not Sc:
-        return QuadForm(A_S)
-    A_SSc = block(M, S, Sc)
-    A_Sc = block(M, Sc, Sc)
-    G = A_S - A_SSc @ np.linalg.solve(A_Sc, A_SSc.T)
-    return QuadForm(G)
+    return A.derived(("schur", S), lambda: QuadForm(schur_blocks(A.entries, S, Sc)[1]))
 
 
 def laplace_A(A: QuadForm, u: ScalarField, p: BasePoint) -> float:

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm
-from .locus import RegionConstants, _hull_data, zero_swap
+from .locus import RegionConstants, _locate, _rho
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -117,61 +119,30 @@ def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
     every factor is one.  With enforce_domain the point must lie in the
     subset's covering region with a boundary collar of width c_prime.
     """
-    from .locus import dist_boundary, dist_closed_stratum
-
     chi = profile if profile is not None else _default_cutoff()
-    A2, I2, p2, _ = zero_swap(A, I, p)
-    nu, hull, comp, _ = _hull_data(A2, I2, p2)
+    at, i = _locate(A, I, p)
+    hull = float(at.d[i])
     args: dict[tuple[int, ...], float] = {}
     value = 1.0
-    pos = {lab: i for i, lab in enumerate(comp)}
-    A_cc = None
-    for K in _nonempty_subsets(comp):
-        kk = [pos[m] for m in K]
-        rr = [pos[m] for m in comp if m not in K]
-        if A_cc is None:
-            from .geometry import block
-            A_cc = block(A2.entries, comp, comp)
-        if rr:
-            red = (A_cc[np.ix_(kk, kk)]
-                   - A_cc[np.ix_(kk, rr)] @ np.linalg.solve(
-                       A_cc[np.ix_(rr, rr)], A_cc[np.ix_(rr, kk)]))
+    comp = at.table.comp[i]
+    for K in (K for k in range(1, len(comp) + 1) for K in combinations(comp, k)):
+        rho = _rho(at, i, K)
+        # a vanishing rho puts the hull itself at 0 and any other point at inf
+        if rho <= 1e-300:
+            args[K] = math.inf if hull > 1e-300 else 0.0
         else:
-            red = A_cc[np.ix_(kk, kk)]
-        nu_K = nu[kk]
-        rho = float(np.sqrt(max(nu_K @ red @ nu_K, 0.0)))
-        tiny = 1e-300
-        if rho <= tiny:
-            factor = 1.0 if hull <= tiny else 0.0
-            args[K] = math.inf if hull > tiny else 0.0
-        else:
-            arg = consts.c0 * hull / rho
-            factor = float(chi(arg))
-            args[K] = arg
-        value *= factor
-    d = dist_closed_stratum(A2, I2, p2)
-    b = dist_boundary(A2, I2, p2)
+            args[K] = consts.c0 * hull / rho
+        value *= float(chi(args[K]))
+    d, b = float(at.closed[i]), float(at.boundary[i])
     in_domain = bool(consts.c0 * d < b and b > consts.cprime())
     if enforce_domain and not in_domain:
         raise ValueError("point outside the gluing domain for this subset")
     return GlueWeight(value, hull, args, in_domain)
 
 
-_CUTOFF_CACHE: CutoffProfile | None = None
-
-
+@lru_cache(maxsize=None)
 def _default_cutoff() -> CutoffProfile:
-    global _CUTOFF_CACHE
-    if _CUTOFF_CACHE is None:
-        _CUTOFF_CACHE = CutoffProfile()
-    return _CUTOFF_CACHE
-
-
-def _nonempty_subsets(labels: tuple[int, ...]):
-    from itertools import combinations
-
-    for k in range(1, len(labels) + 1):
-        yield from combinations(labels, k)
+    return CutoffProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +204,6 @@ class ExtensionProfile:
         # f constants: continuous at the bridge ends
         nodes, wts = panel_nodes(np.linspace(M - 1.0, M + 1.0, 9), 32)
         self._f_left_end = K * (M - 1.0)
-        self._f_bridge_int = None  # computed lazily per query
         bridge_H = self._H_bridge(nodes)
         f_at_right = self._f_left_end + float(np.sum(wts * bridge_H / nodes))
         lg = math.log(3.0)

@@ -30,6 +30,7 @@ from .quadrature import (
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
+    sheet_distance,
 )
 
 __all__ = [
@@ -206,8 +207,18 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
     eta = np.array([q.eta for q in points])
     res = power_kernel_integral(Q, c_eta, b, eta, M, power, quad,
                                 want_gradient=want_gradient, prefactor=pref)
-    if res.r_star < _floor(quad, N):
-        raise SingularityProximity("stencil too close to the singular stratum")
+    # the sheet distance is 1-Lipschitz in the (Q, c_eta) norm, so row 0's
+    # r* less the widest row offset bounds every row; solve rows below that
+    db = b - b[0]
+    spread = ((db @ Q) * db).sum(axis=1) + c_eta * np.abs(eta - eta[0]) ** 2
+    r_min = res.r_star - math.sqrt(float(np.max(spread)))
+    if r_min < _floor(quad, N):
+        r_min = min(sheet_distance(Q, M, bk, c_eta * abs(ek) ** 2)[1]
+                    for bk, ek in zip(b, eta))
+    if r_min < _floor(quad, N):
+        raise SingularityProximity(
+            f"stencil row at distance {r_min:.3e} from the singular stratum "
+            f"is below the resolution floor {_floor(quad, N):.3e}")
     grads = None
     if want_gradient:
         grads = np.zeros((len(points), N + 2))
@@ -321,7 +332,7 @@ class RadialBump:
         w = np.asarray(r, dtype=float) ** 2 / self.r_eta ** 2
         pu, pu1, pu2 = self._psi(u)
         pw, pw1, pw2 = self._psi(w)
-        quad_inv = np.einsum("ni,ij,nj->n", d, A.inv, d)
+        quad_inv = ((d @ A.inv) * d).sum(axis=1)
         mu_part = (4.0 / self.r_mu ** 4 * pu2 * quad_inv
                    + 2.0 / self.r_mu ** 2 * pu1 * np.trace(A.inv))
         eta_part = 4.0 / self.r_eta ** 2 * (w * pw2 + pw1) / A.det
@@ -357,8 +368,8 @@ def _alpha_exact_n2(A: QuadForm, labels: tuple[int, int], mu: np.ndarray,
     else:
         direction = -np.ones(2)
     a = float(direction @ Ae @ direction)
-    bq = np.einsum("i,ij,nj->n", direction, Ae, mu)
-    c = np.einsum("ni,ij,nj->n", mu, Ae, mu) + E
+    bq = mu @ (Ae @ direction)
+    c = ((mu @ Ae) * mu).sum(axis=1) + E
     D = a * c - bq ** 2
     D = np.maximum(D, 1e-300)
     integral = (0.5 * math.pi + np.arctan(bq / np.sqrt(D))) / np.sqrt(D)

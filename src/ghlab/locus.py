@@ -11,16 +11,27 @@ Subsets not containing the label 0 are handled through the involutive
 change of basis that swaps label 0 with the smallest member; the change
 preserves A-distances and determinants, so every formula below is stated
 for subsets containing 0 and applied after the swap.
+
+Only the point changes between queries.  Each subset's swap S_J, labels
+and supersets depend on N alone and are laid out once per N; each form
+keeps one stratum table, built on first use, with the solves
+P_J = A_cc^{-1} A_cI and Schur blocks G_J.  A query makes one pass over
+the table per point for every stratum's foot coordinates and hull
+distance, which the distances, projections and region tests all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_complement
+from .geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_blocks
+from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
     "Projection",
@@ -100,11 +111,17 @@ class RegionConstants:
 def all_strata(N: int, min_size: int = 2, max_size: int | None = None) -> list[IndexSet]:
     """Every stratum index subset of {0..N} within the given size range."""
     hi = N + 1 if max_size is None else max_size
-    out = []
-    for k in range(min_size, hi + 1):
-        for members in combinations(range(N + 1), k):
-            out.append(IndexSet(members))
-    return out
+    return [IndexSet(members) for k in range(min_size, hi + 1)
+            for members in combinations(range(N + 1), k)]
+
+
+def _swap_labels(N: int, I: IndexSet) -> tuple[IndexSet, np.ndarray]:
+    """(I', S) for the swap of label 0 with I's smallest member."""
+    S = np.eye(N)
+    if I.contains_zero:
+        return I, S
+    S[:, I.members[0] - 1] = -1.0
+    return IndexSet((0,) + I.members[1:]), S
 
 
 def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
@@ -115,37 +132,117 @@ def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
     mu' = S mu, A' = S^T A S and I' containing 0.  Distances to strata and
     det A are preserved; S is the identity when 0 is already a member.
     """
-    N = A.n
-    I.require_stratum(N)
-    if p.N != N:
+    I.require_stratum(A.n)
+    if p.N != A.n:
         raise ValueError("point dimension does not match the form")
-    S = np.eye(N)
-    if I.contains_zero:
-        return A, I, p, S
-    i1 = I.members[0]
-    S[:, i1 - 1] = -1.0
-    A2 = QuadForm(S.T @ A.entries @ S)
-    members = (0,) + tuple(m for m in I.members if m != i1)
-    p2 = BasePoint(S @ p.mu, p.eta)
-    return A2, IndexSet(members), p2, S
+    I2, S = _swap_labels(A.n, I)
+    A2 = A if I2 is I else QuadForm(S.T @ A.entries @ S)
+    return A2, I2, BasePoint(S @ p.mu, p.eta), S
 
 
-def _hull_data(A: QuadForm, I: IndexSet, p: BasePoint
-               ) -> tuple[np.ndarray, float, tuple[int, ...], QuadForm]:
-    """nu, hull distance, transverse labels; assumes 0 in I."""
-    N = A.n
-    act = I.active
-    comp = I.active_complement(N)
-    G = schur_complement(A, I)
-    mu_I = p.mu[[a - 1 for a in act]]
-    if comp:
-        A_cc = block(A.entries, comp, comp)
-        A_cI = block(A.entries, comp, act)
-        nu = p.mu[[c - 1 for c in comp]] + np.linalg.solve(A_cc, A_cI @ mu_I)
-    else:
-        nu = np.zeros(0)
-    d2 = float(mu_I @ G.entries @ mu_I) + A.det * abs(p.eta) ** 2
-    return nu, float(np.sqrt(max(d2, 0.0))), comp, G
+@lru_cache(maxsize=None)
+def _layout(N: int) -> SimpleNamespace:
+    """The rows of every stratum table on N coordinates; no form changes them.
+
+    Row j is the subset strata[j], with frames[j] = (J', S) and, in the
+    swapped frame, transverse labels comp[j].  CI and Cc stack the rows'
+    selections of S mu on the active and transverse labels; groups lists
+    each subset size's adjacent (rows, CI slice, Cc slice).  above[k, j]
+    says that strata[j] contains strata[k]; proper excludes equality.
+    """
+    L = SimpleNamespace(strata=all_strata(N, 2))
+    L.row = {J.members: j for j, J in enumerate(L.strata)}
+    L.size = np.array([len(J) for J in L.strata])
+    L.frames = [_swap_labels(N, J) for J in L.strata]
+    L.comp = [J2.active_complement(N) for J2, _ in L.frames]
+    L.CI = np.vstack([S[[a - 1 for a in J2.active]] for J2, S in L.frames])
+    L.Cc = np.vstack([S[[c - 1 for c in comp]] for (_, S), comp in zip(L.frames, L.comp)])
+    r_off = np.searchsorted(L.size, np.arange(2, N + 3))
+    a_off = np.concatenate([[0], np.cumsum(L.size - 1)])
+    L.comp_off = np.concatenate([[0], np.cumsum(N + 1 - L.size)])
+    L.groups = [(slice(r0, r1), slice(a_off[r0], a_off[r1]),
+                 slice(L.comp_off[r0], L.comp_off[r1])) for r0, r1 in zip(r_off, r_off[1:])]
+    bits = np.array([sum(1 << m for m in J) for J in L.strata])
+    L.above = (bits[:, None] & bits[None, :]) == bits[:, None]
+    L.proper = L.above & ~np.eye(len(bits), dtype=bool)
+    return L
+
+
+def _table(A: QuadForm) -> SimpleNamespace:
+    """A's stratum table: the layout of its N, plus per row the transverse
+    block A_cc and per subset size the stacked solves P = A_cc^{-1} A_cI
+    and Schur blocks G, symmetrized as QuadForm would."""
+    T = SimpleNamespace(**vars(_layout(A.n)), A_cc=[])
+    P, G = [], []
+    for (J2, S), comp in zip(T.frames, T.comp):
+        M = S.T @ A.entries @ S
+        M = 0.5 * (M + M.T)
+        P_J, G_J = schur_blocks(M, J2.active, comp)
+        P.append(P_J)
+        G.append(0.5 * (G_J + G_J.T))
+        T.A_cc.append(block(M, comp, comp))
+    T.P = [np.stack(P[rows]) for rows, _, _ in T.groups]
+    T.G = [np.stack(G[rows]) for rows, _, _ in T.groups]
+    return T
+
+
+class _Pass(NamedTuple):
+    """A point's pass over a stratum table: each row's transverse
+    coordinates nu (row j at comp_off[j]:comp_off[j + 1]), hull distance d
+    and least d over its interior supersets (closed) and proper ones."""
+
+    table: SimpleNamespace
+    nu: np.ndarray
+    d: np.ndarray
+    closed: np.ndarray
+    boundary: np.ndarray
+
+
+def _pass(A: QuadForm, p: BasePoint) -> _Pass:
+    """Hull data of every stratum at p, from the form's table.
+
+    nu_J = (S_J mu)_c + P_J (S_J mu)_I and d_J^2 = (S_J mu)_I^T G_J
+    (S_J mu)_I + det A |eta|^2; a foot is interior when its nu clears
+    -1e-12 (1 + max |nu|).  The closure of a stratum is a convex cone
+    inside its hull, so the distance to the closed stratum is the smallest
+    hull distance among the supersets with an interior foot.
+    """
+    if p.N != A.n:
+        raise ValueError("point dimension does not match the form")
+    T = A.derived("strata", lambda: _table(A))
+    yI, nu, quad = T.CI @ p.mu, T.Cc @ p.mu, []
+    for (_, a, c), P, G in zip(T.groups, T.P, T.G):
+        y = yI[a].reshape(len(G), -1, 1)
+        nu[c] += (P @ y).ravel()
+        # batched, each row rounds as (S mu)_I @ G @ (S mu)_I alone would
+        quad.append((y.transpose(0, 2, 1) @ G @ y)[:, 0, 0])
+    d = np.sqrt(np.maximum(np.concatenate(quad) + A.det * abs(p.eta) ** 2, 0.0))
+    # a trailing +inf keeps the full set, without transverse labels, interior
+    pad, cut = np.append(nu, np.inf), T.comp_off[:-1]
+    interior = (np.minimum.reduceat(pad, cut)
+                > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut)))
+    reach = np.where(interior, d, np.inf)
+    return _Pass(T, nu, d, np.where(T.above, reach, np.inf).min(axis=1),
+                 np.where(T.proper, reach, np.inf).min(axis=1))
+
+
+def _locate(A: QuadForm, I: IndexSet, p: BasePoint) -> tuple[_Pass, int]:
+    """The pass at p and the table row of the stratum I."""
+    I.require_stratum(A.n)
+    at = _pass(A, p)
+    return at, at.table.row[I.members]
+
+
+def _rho(at: _Pass, i: int, K: tuple[int, ...]) -> float:
+    """Separation scale of the transverse labels K of row i at the pass's
+    foot coordinates: the K block of the transverse form, reduced by the
+    other transverse directions, on nu_K."""
+    T = at.table
+    pos = [T.comp[i].index(m) + 1 for m in K]   # labels of the A_cc rows
+    rest = [k for k in range(1, len(T.comp[i]) + 1) if k not in pos]
+    nu_K = at.nu[T.comp_off[i]:T.comp_off[i + 1]][[k - 1 for k in pos]]
+    red = schur_blocks(T.A_cc[i], pos, rest)[1]
+    return float(np.sqrt(max(nu_K @ red @ nu_K, 0.0)))
 
 
 def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
@@ -158,45 +255,19 @@ def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
     >>> pr.interior, pr.nu.tolist(), round(pr.dist, 12)
     (True, [2.0, 3.0], 1.0)
     """
-    A2, I2, p2, S = zero_swap(A, I, p)
-    nu, dist, comp, _ = _hull_data(A2, I2, p2)
-    mu_foot = np.zeros(A.n)
-    for lab, v in zip(comp, nu):
-        mu_foot[lab - 1] = v
-    foot = BasePoint(S @ mu_foot, 0j)
-    interior = bool(nu.size == 0 or np.min(nu) > 0.0)
-    return Projection(foot, interior, nu, dist, I)
-
-
-def _interior_candidates(A: QuadForm, base: IndexSet, p: BasePoint,
-                         proper_only: bool) -> float:
-    """Min distance over supersets of ``base`` whose foot is interior.
-
-    Works in a frame where 0 is a member of ``base``; enumerates every
-    superset within {0..N}.
-    """
-    N = A.n
-    comp = base.active_complement(N)
-    best = np.inf
-    sizes = range(1, len(comp) + 1) if proper_only else range(len(comp) + 1)
-    for k in sizes:
-        for extra in combinations(comp, k):
-            J = base.union(IndexSet(base.members + extra))
-            nu, dist, _, _ = _hull_data(A, J, p)
-            if nu.size == 0 or np.min(nu) > -1e-12 * (1.0 + np.max(np.abs(nu))):
-                best = min(best, dist)
-    return best
+    at, j = _locate(A, I, p)
+    T = at.table
+    nu = at.nu[T.comp_off[j]:T.comp_off[j + 1]]
+    # the foot has nu on the transverse labels and 0 on the active ones
+    foot = BasePoint(T.frames[j][1][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
+    interior = bool(np.all(nu > 0.0))
+    return Projection(foot, interior, nu, float(at.d[j]), I)
 
 
 def dist_closed_stratum(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
-    """Distance to the closed stratum (the stratum plus its boundary).
-
-    The closure is a convex cone inside the affine hull, so the exact
-    distance is the smallest hull distance among the supersets whose foot
-    has nonnegative transverse coordinates.
-    """
-    A2, I2, p2, _ = zero_swap(A, I, p)
-    return _interior_candidates(A2, I2, p2, proper_only=False)
+    """Distance to the closed stratum (the stratum plus its boundary)."""
+    at, j = _locate(A, I, p)
+    return float(at.closed[j])
 
 
 def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
@@ -204,19 +275,17 @@ def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
 
     Top-dimensional corners (|I| = N + 1) have empty boundary: +inf.
     """
-    A2, I2, p2, _ = zero_swap(A, I, p)
-    if len(I2) == A.n + 1:
-        return np.inf
-    return _interior_candidates(A2, I2, p2, proper_only=True)
+    at, j = _locate(A, I, p)
+    return float(at.boundary[j])
 
 
 def dist_locus(A: QuadForm, p: BasePoint) -> float:
     """Distance to the whole degeneration locus.
 
-    Every stratum lies in the closure of a two-element one, so the minimum
-    over |I| = 2 closed strata suffices.
+    Every stratum lies in the closure of a two-element one, so this is the
+    smallest closed-stratum distance.
     """
-    return min(dist_closed_stratum(A, I, p) for I in all_strata(A.n, 2, 2))
+    return float(_pass(A, p).closed.min())
 
 
 def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
@@ -230,27 +299,12 @@ def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
     """
     if not (I.issubset(J) and len(I) < len(J)):
         raise ValueError("need I strictly contained in J")
-    A2, I2, p2, _ = zero_swap(A, I, p)
-    # map J through the same relabeling
-    if not I.contains_zero:
-        i1 = I.members[0]
-        J = IndexSet(tuple(0 if m == i1 else (i1 if m == 0 else m) for m in J.members))
-    nu, _, comp, _ = _hull_data(A2, I2, p2)
-    K = tuple(m for m in J.members if m not in I2.members)
-    if not K:
-        raise ValueError("J adds no new labels after normalization")
-    rest = tuple(c for c in comp if c not in K)
-    A_cc = block(A2.entries, comp, comp)
-    pos = {lab: i for i, lab in enumerate(comp)}
-    kk = [pos[m] for m in K]
-    rr = [pos[m] for m in rest]
-    if rr:
-        red = (A_cc[np.ix_(kk, kk)]
-               - A_cc[np.ix_(kk, rr)] @ np.linalg.solve(A_cc[np.ix_(rr, rr)], A_cc[np.ix_(rr, kk)]))
-    else:
-        red = A_cc[np.ix_(kk, kk)]
-    nu_K = nu[kk]
-    return float(np.sqrt(max(nu_K @ red @ nu_K, 0.0)))
+    J.require_stratum(A.n)
+    at, i = _locate(A, I, p)
+    # J's labels in I's frame, where label 0 and I's smallest member trade
+    swap = {} if I.contains_zero else {0: I.members[0], I.members[0]: 0}
+    K = tuple(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i])
+    return _rho(at, i, K)
 
 
 @dataclass
@@ -290,36 +344,19 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     B_I with (B_K minus the intermediate wide regions).
     """
     N = A.n
-    chat = consts.chat(A)
     rep = RegionReport(point=p)
-    dist_b: dict[IndexSet, float] = {}
-    for I in all_strata(N, 2, N):
-        dI = dist_closed_stratum(A, I, p)
-        bI = dist_boundary(A, I, p)
-        rep.distances[I] = dI
-        dist_b[I] = bI
-        if consts.c0 * dI < bI:
-            rep.near.append(I)
-        if 2.0 * consts.c0 * dI < bI:
-            rep.near_wide.append(I)
-        if 4.0 * chat * consts.c0 * dI < bI:
-            rep.near_core.append(I)
-    rep.generic = 2.0 * consts.c0 ** (N - 1) * dist_locus(A, p) > anorm(A, p)
-    for s in range(1, N):
-        depth = s + 2
-        strata = all_strata(N, depth, depth)
-        if strata and all(dist_closed_stratum(A, I, p) > consts.level(s) for I in strata):
-            rep.far_levels.append(s)
-    near_set = {I.members for I in rep.near}
-    wide_set = {I.members for I in rep.near_wide}
-    for I in rep.near:
-        for K in rep.near:
-            if K.members == I.members or not K.issubset(I):
-                continue
-            blocked = any(
-                K.issubset(J) and J.issubset(I)
-                and len(K) < len(J) < len(I) and J.members in wide_set
-                for J in all_strata(N, len(K) + 1, len(I) - 1))
-            if not blocked and K.members in near_set:
-                rep.corridors.append((K, I))
+    T, _, _, closed, bound = _pass(A, p)
+    inner = T.size <= N
+    near, wide, core = (np.flatnonzero(inner & (c * consts.c0 * closed < bound))
+                        for c in (1.0, 2.0, 4.0 * consts.chat(A)))
+    rep.near, rep.near_wide, rep.near_core = (
+        [T.strata[j] for j in rows] for rows in (near, wide, core))
+    rep.distances = {T.strata[j]: float(closed[j]) for j in np.flatnonzero(inner)}
+    rep.generic = 2.0 * consts.c0 ** (N - 1) * float(closed.min()) > anorm(A, p)
+    rep.far_levels = [s for s in range(1, N)
+                      if np.all(closed[T.size == s + 2] > consts.level(s))]
+    for i in near:
+        for k in near:
+            if T.proper[k, i] and not np.any(T.proper[k, wide] & T.proper[wide, i]):
+                rep.corridors.append((T.strata[k], T.strata[i]))
     return rep

@@ -63,6 +63,7 @@ __all__ = [
     "nonneg_argmin",
     "power_kernel_integral",
     "qmc_power_kernel_integral",
+    "sheet_distance",
     "gauss_rule",
     "panel_nodes",
 ]
@@ -167,6 +168,15 @@ def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
                 best = (val, tau)
     assert best is not None  # free = all indices always yields a candidate
     return best[1], best[0]
+
+
+def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+                   E: float) -> tuple[np.ndarray, float]:
+    """Closest sheet parameter tau* >= 0 and the distance
+    r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet."""
+    tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
+    x = b - M @ tau
+    return tau, math.sqrt(float(x @ Q @ x) + E)
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
@@ -345,10 +355,7 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
 
     # closest sheet point for the leading row
     P = M.T @ Q @ M
-    q0 = M.T @ (Q @ b[0])
-    tau_star, _ = nonneg_argmin(P, q0)
-    x_star = b[0] - M @ tau_star
-    r_star = math.sqrt(float(x_star @ Q @ x_star) + E[0])
+    tau_star, r_star = sheet_distance(Q, M, b[0], E[0])
 
     if d == 0:
         dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E

@@ -122,6 +122,29 @@ def test_schur_complement_frozen_example():
     assert G.entries[0, 0] == pytest.approx(1.5)
 
 
+def test_schur_complement_is_built_once_per_active_set():
+    A = spd([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.1]])
+    G = schur_complement(A, IndexSet((0, 2)))
+    # the label 0 is dropped, so (2, 3) and (0, 2, 3) name different sets
+    assert schur_complement(A, IndexSet((2,))) is G
+    assert schur_complement(A, IndexSet((0, 2, 3))) is not G
+    # a form with equal entries has its own cache, with equal values
+    np.testing.assert_array_equal(
+        schur_complement(spd(A.entries), IndexSet((0, 2))).entries, G.entries)
+
+
+def test_hessian_from_analytic_gradient():
+    # one differencing level on top of an analytic gradient: exact on a
+    # quadratic up to roundoff, and symmetric
+    H0 = np.array([[2.0, 1.0, 0.0, 0.5], [1.0, 4.0, -1.0, 0.0],
+                   [0.0, -1.0, 6.0, 0.0], [0.5, 0.0, 0.0, -2.0]])
+    u = ScalarField(lambda p: 0.5 * p.as_vector() @ H0 @ p.as_vector(),
+                    gradient=lambda p: H0 @ p.as_vector())
+    H = u.hessian(BasePoint(np.array([0.3, -0.8]), 0.2 + 0.9j))
+    np.testing.assert_allclose(H, H0, atol=1e-8)
+    np.testing.assert_array_equal(H, H.T)
+
+
 @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_schur_eigenvalues_in_interval(n, seed):

@@ -239,6 +239,17 @@ def test_on_sheet_raises():
         alpha(spec, QUAD, BasePoint(np.array([0.0, 1.0]), 0j))
 
 
+def test_batch_checks_every_row_against_the_floor():
+    # row 0 sits clear of the sheet, row 1 within the resolution floor
+    # (1e-4 here): the batch must refuse the stencil, not only row 0
+    spec = KernelSpec(QuadForm.identity(2), (0, 1))
+    clear = BasePoint(np.array([0.5, 1.0]), 0.1 + 0j)
+    close = BasePoint(np.array([1e-6, 1.0]), 0j)
+    alpha_batch(spec, QUAD, [clear, BasePoint(np.array([0.4, 1.1]), 0.1j)])
+    with pytest.raises(SingularityProximity):
+        alpha_batch(spec, QUAD, [clear, close])
+
+
 def test_harmonicity_of_kernel_n2():
     # Hessian by differencing analytic gradients; the anisotropic
     # Laplacian must vanish away from the sheet

@@ -6,7 +6,10 @@ distance the module reports is re-derived here with scipy's bounded
 L-BFGS-B on that explicit parametrization.
 """
 
+import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from ghlab import locus
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm_diff
 from ghlab.locus import (
     RegionConstants,
@@ -209,21 +213,98 @@ def test_chat_for_identity_form():
     assert RegionConstants().chat(QuadForm.identity(3)) == pytest.approx(2.0)
 
 
+# sha256 over repr(sorted(tags)) of the 2000 points below, as the
+# superset-by-superset implementation gave them
+COVERING_TAGS_SHA256 = "f730634563e3196ab5fd59047a676e492e3a09cc49c765c127f9e3ded627b334"
+
+
+def region_point(rng, N):
+    scale = 10.0 ** rng.uniform(-1, 3)
+    return BasePoint(rng.normal(size=N) * scale,
+                     complex(*rng.normal(size=2)) * scale)
+
+
 def test_region_covering_and_tags():
     # every sampled point lands in at least one region of the decomposition
     rng = np.random.default_rng(41)
     A = random_spd(rng, 3)
     consts = RegionConstants()
     uncovered = 0
+    digest = hashlib.sha256()
     for _ in range(2000):
-        scale = 10.0 ** rng.uniform(-1, 3)
-        p = BasePoint(rng.normal(size=3) * scale,
-                      complex(*rng.normal(size=2)) * scale)
-        rep = region_membership(A, consts, p)
+        rep = region_membership(A, consts, region_point(rng, 3))
         if not rep.covered:
             uncovered += 1
         assert isinstance(rep.tags(), set)
+        digest.update(repr(sorted(rep.tags())).encode())
     assert uncovered == 0
+    assert digest.hexdigest() == COVERING_TAGS_SHA256
+
+
+def test_region_covering_n4():
+    rng = np.random.default_rng(43)
+    consts = RegionConstants()
+    for _ in range(4):
+        A = random_spd(rng, 4)
+        for _ in range(250):
+            assert region_membership(A, consts, region_point(rng, 4)).covered
+
+
+def test_boundary_distance_against_scipy():
+    # the boundary is the union of the closed strata of the proper supersets
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for t in range(60):
+        N = 2 + t % 3
+        A = random_spd(rng, N)
+        p = BasePoint(rng.normal(size=N) * 2.5, complex(*rng.normal(size=2)))
+        I = all_strata(N, 2, N)[int(rng.integers(len(all_strata(N, 2, N))))]
+        want = min(oracle_closed_dist(A, J, p) for J in all_strata(N, len(I) + 1)
+                   if I.issubset(J))
+        got = dist_boundary(A, I, p)
+        worst = max(worst, abs(got - want) / max(1.0, want))
+    assert worst < 1e-9
+
+
+def test_stratum_table_is_built_once(monkeypatch):
+    calls = []
+    blocks = locus.schur_blocks
+    monkeypatch.setattr(locus, "schur_blocks",
+                        lambda *args: calls.append(args) or blocks(*args))
+    rng = np.random.default_rng(29)
+    A = random_spd(rng, 4)
+    consts = RegionConstants()
+    region_membership(A, consts, region_point(rng, 4))
+    assert len(calls) == len(all_strata(4, 2))
+    # later distance queries on the same form add no Schur work
+    p = region_point(rng, 4)
+    region_membership(A, consts, p)
+    dist_locus(A, p)
+    dist_boundary(A, IndexSet((1, 3)), p)
+    project(A, IndexSet((1, 3)), p)
+    assert len(calls) == len(all_strata(4, 2))
+
+
+def test_table_shared_across_threads():
+    # threads racing to build one form's table at worst build it twice;
+    # every result matches a serial run on a form with equal entries
+    rng = np.random.default_rng(37)
+    entries = random_spd(rng, 4).entries
+    pts = [region_point(rng, 4) for _ in range(64)]
+    consts = RegionConstants()
+    serial = QuadForm(entries)
+    want = [region_membership(serial, consts, p).distances for p in pts]
+    shared = QuadForm(entries)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(
+                lambda p: region_membership(shared, consts, p).distances, pts,
+                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_dist_boundary_full_set_infinite():
