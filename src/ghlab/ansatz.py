@@ -19,7 +19,8 @@ from scipy.optimize import brentq
 
 from .geometry import BasePoint, IndexSet, QuadForm, anorm
 from .kernels import KernelSpec, alpha_batch
-from .locus import all_strata, dist_closed_stratum
+from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
+from .locus import dist_locus
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -112,6 +113,9 @@ class FieldJet:
 
     dV has layout [i, j, k] = d V_ij / d mu_k; dV_eta is the complex
     eta-derivative taken entrywise; dW runs over (mu_1..mu_N, Re, Im).
+    quad_error is the largest prefactor-scaled error estimate of the
+    kernel batches; converged is always True, because an integral that
+    misses its tolerance raises QuadratureError instead.
     """
 
     point: BasePoint
@@ -140,58 +144,52 @@ def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
 
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
           points: list[BasePoint], want_gradient: bool) -> list[FieldJet]:
-    """Assemble field jets at a stencil of nearby points, one kernel sweep
-    per kernel."""
+    """Assemble field jets at many points, one kernel batch per kernel;
+    every quantity is stacked over the points until the jets are built."""
     N = A.n
     B = len(points)
+    v = np.zeros((B, N, N))
+    dv = np.zeros((B, N, N, N))
+    dv_eta = np.zeros((B, N, N), dtype=complex)
     vals: dict[tuple[int, int], np.ndarray] = {}
     grads: dict[tuple[int, int], np.ndarray] = {}
     err = 0.0
-    ok = True
     for spec in _kernel_list(A, restriction):
-        v, g, res = alpha_batch(spec, quad, points, want_gradient=want_gradient)
-        vals[spec.labels] = v
+        val, g, e = alpha_batch(spec, quad, points, want_gradient=want_gradient)
+        vals[spec.labels], grads[spec.labels] = val, g
+        err = max(err, float(np.max(e)))
+    for i in range(1, N + 1):
+        diag = vals[(0, i)].copy()
+        diag_g = grads[(0, i)]
+        for j in range(1, N + 1):
+            if j == i:
+                continue
+            key = (min(i, j), max(i, j))
+            v[:, i - 1, j - 1] = -vals[key]
+            diag += vals[key]
+            if want_gradient:
+                g = grads[key]
+                dv[:, i - 1, j - 1, :] = -g[:, :N]
+                dv_eta[:, i - 1, j - 1] = 0.5 * (-g[:, N] + 1j * g[:, N + 1])
+                diag_g = diag_g + g
+        v[:, i - 1, i - 1] = diag
         if want_gradient:
-            grads[spec.labels] = g
-        if res is not None:
-            pref = v[0] / res.value[0] if res.value[0] != 0 else 1.0
-            err = max(err, float(np.max(res.error)) * abs(pref))
-            ok = ok and res.converged
+            dv[:, i - 1, i - 1, :] = diag_g[:, :N]
+            dv_eta[:, i - 1, i - 1] = 0.5 * (diag_g[:, N] - 1j * diag_g[:, N + 1])
+    # each point's sums reduce one contiguous row, as a lone point's would
+    w = A.det * (A.inv * v).reshape(B, -1).sum(axis=1)
+    V = A.entries + v
+    W = A.det + w
+    spd = (np.linalg.eigvalsh(V)[:, 0] > 0.0) & (W > 0.0)
+    if want_gradient:
+        dw_mu = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
+        dw_eta = A.det * (A.inv * dv_eta).reshape(B, -1).sum(axis=1)
+        dW = np.column_stack([dw_mu, 2.0 * dw_eta.real, -2.0 * dw_eta.imag])
     out = []
     for t in range(B):
-        v = np.zeros((N, N))
-        dv = np.zeros((N, N, N))
-        dv_eta = np.zeros((N, N), dtype=complex)
-        for i in range(1, N + 1):
-            diag = vals[(0, i)][t]
-            diag_g = grads[(0, i)][t] if want_gradient else None
-            for j in range(1, N + 1):
-                if j == i:
-                    continue
-                key = (min(i, j), max(i, j))
-                v[i - 1, j - 1] = -vals[key][t]
-                diag += vals[key][t]
-                if want_gradient:
-                    g = grads[key][t]
-                    dv[i - 1, j - 1, :] = -g[:N]
-                    dv_eta[i - 1, j - 1] = 0.5 * (-g[N] + 1j * g[N + 1])
-                    diag_g = diag_g + g
-            v[i - 1, i - 1] = diag
-            if want_gradient:
-                dv[i - 1, i - 1, :] = diag_g[:N]
-                dv_eta[i - 1, i - 1] = 0.5 * (diag_g[N] - 1j * diag_g[N + 1])
-        w = A.det * float(np.sum(A.inv * v))
-        V = A.entries + v
-        W = A.det + w
-        eig = np.linalg.eigvalsh(V)
-        spd = bool(eig[0] > 0.0 and W > 0.0)
-        if want_gradient:
-            dw_mu = A.det * np.einsum("ij,ijk->k", A.inv, dv)
-            dw_eta = A.det * complex(np.sum(A.inv * dv_eta))
-            dW = np.concatenate([dw_mu, [2.0 * dw_eta.real, -2.0 * dw_eta.imag]])
-        else:
-            dv = dv_eta = dW = None
-        out.append(FieldJet(points[t], V, W, v, w, dv, dv_eta, dW, spd, err, ok))
+        jet_d = (dv[t], dv_eta[t], dW[t]) if want_gradient else (None, None, None)
+        out.append(FieldJet(points[t], V[t], float(W[t]), v[t], float(w[t]),
+                            *jet_d, bool(spd[t]), err, True))
     return out
 
 
@@ -436,5 +434,4 @@ def weight_ell(A: QuadForm, i: int, p: BasePoint) -> float:
     """
     if not 1 <= i <= A.n:
         raise ValueError("depth out of range")
-    return 1.0 + min(dist_closed_stratum(A, J, p)
-                     for J in all_strata(A.n, i + 1, i + 1))
+    return 1.0 + dist_locus(A, p, i + 1)

@@ -466,8 +466,7 @@ def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
     I1 = IndexSet((0, 1))
     G = geometry.schur_complement(A, I1).entries[0, 0]
     comp = I1.active_complement(N)
-    idx = [c - 1 for c in comp]
-    D = float(np.linalg.det(A.entries[np.ix_(idx, idx)])) if idx else 1.0
+    D = float(np.linalg.det(geometry.block(A.entries, comp, comp))) if comp else 1.0
     worst_prod = 0.0
     for _ in range(cfg.params.get("points_n1", 10)):
         p = _random_point(rng, N)

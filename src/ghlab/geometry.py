@@ -40,9 +40,9 @@ def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray
     Index lists use 1-based coordinate labels (the label of ``mu_i`` is ``i``),
     so label ``i`` addresses row ``i-1``.
     """
-    r = [i - 1 for i in rows]
-    c = [j - 1 for j in cols]
-    return M[np.ix_(r, c)]
+    r = np.array(rows, dtype=np.intp) - 1
+    c = np.array(cols, dtype=np.intp) - 1
+    return M[r[:, None], c]
 
 
 class QuadForm:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, schur_complement
+from .geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
 from .kernels import KernelSpec, alpha_grad, _assemble, _active_mu
 from .quadrature import QuadratureSpec, panel_nodes, power_kernel_integral
 
@@ -154,11 +154,7 @@ def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex
     if i not in (0, lab):
         raise ValueError("label outside the subset")
     comp = I.active_complement(A.n)
-    if comp:
-        idx = [c - 1 for c in comp]
-        D = float(np.linalg.det(A.entries[np.ix_(idx, idx)]))
-    else:
-        D = 1.0
+    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
     mu = p.mu[lab - 1]
     r = math.sqrt(mu ** 2 + D * abs(p.eta) ** 2)
     sign = 1.0 if i == 0 else -1.0
@@ -192,28 +188,28 @@ class LogZResult:
     path: list[BasePoint]
 
 
-def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, q: BasePoint,
-              need_gamma: bool, G: QuadForm) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of d log|z_j| at q: mu rows (n+1, n) and gammas (n+1,)."""
+def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
+              nodes: list[BasePoint], need_gamma: bool, G: QuadForm
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of d log|z_j| at every node of a leg: mu rows
+    (B, n+1, n) from one restricted field jet, and gammas (B, n+1)."""
     from .ansatz import RestrictedField
 
     act = I.active
     n = len(act)
-    jet = RestrictedField(A, I, quad).at(q)
+    jets = RestrictedField(A, I, quad).jet(nodes, want_gradient=False)
     idx = [a - 1 for a in act]
-    P = G.entries + jet.v[np.ix_(idx, idx)]
-    rows = np.zeros((n + 1, n))
-    rows[1:, :] = P
-    rows[0, :] = -P.sum(axis=0)
-    gam = np.zeros(n + 1, dtype=complex)
+    P = G.entries + np.stack([j.v for j in jets])[:, idx][:, :, idx]
+    rows = np.empty((len(nodes), n + 1, n))
+    rows[:, 1:, :] = P
+    rows[:, 0, :] = -P.sum(axis=1)
+    gam = np.zeros((len(nodes), n + 1), dtype=complex)
     if need_gamma:
-        if n == 1:
-            gam[0] = gamma_closed_form(A, I, 0, q)
-            gam[1] = gamma_closed_form(A, I, act[0], q)
-        else:
-            spec = GammaSpec(A, I, quad)
-            for a, lab in enumerate((0,) + act):
-                gam[a] = gamma(spec, lab, q)
+        # at n >= 2 each gamma sweeps a grid of its own, one call per node
+        spec = GammaSpec(A, I, quad) if n > 1 else None
+        for t, q in enumerate(nodes):
+            gam[t] = [gamma(spec, lab, q) if spec else gamma_closed_form(A, I, lab, q)
+                      for lab in (0,) + act]
     return rows, gam
 
 
@@ -227,8 +223,10 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     the restricted perturbation (row sums negated for label 0) and eta-part
     Re(gamma_j d eta).  The path is piecewise linear through ``basepath``
     (default: one mu-leg from a generic positive reference at p's eta);
-    ``gauge`` fixes the log moduli at the path start.  Every path node must
-    keep eta nonzero.
+    ``gauge`` fixes the log moduli at the path start.  Each leg takes
+    ``panels`` Gauss panels of ``order`` nodes, and all its nodes go
+    through one restricted field jet call.  Every path node must keep eta
+    nonzero.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")
@@ -248,23 +246,25 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         raise ValueError("gauge must give one value per subset label")
     G = schur_complement(A, I)
     x, w = np.polynomial.legendre.leggauss(order)
+    lo = np.arange(panels) / panels
+    hi = np.arange(1, panels + 1) / panels
+    ss = (lo[:, None] + 0.5 * (hi - lo)[:, None] * (x + 1.0)).ravel()
+    ww = (0.5 * (hi - lo)[:, None] * w).ravel()
     for q0, q1 in zip(basepath, basepath[1:]):
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
         need_gamma = d_eta != 0
-        for pk in range(panels):
-            lo, hi = pk / panels, (pk + 1) / panels
-            ss = lo + 0.5 * (hi - lo) * (x + 1.0)
-            ww = 0.5 * (hi - lo) * w
-            for s_node, w_node in zip(ss, ww):
-                q = BasePoint(q0.mu + s_node * d_mu_full, q0.eta + s_node * d_eta)
-                if q.eta == 0:
-                    raise ValueError("path crosses eta = 0")
-                rows, gam = _one_form(A, I, quad, q, need_gamma, G)
-                vals += w_node * (rows @ d_mu)
-                if need_gamma:
-                    vals += w_node * (gam * d_eta).real
+        nodes = [BasePoint(q0.mu + s * d_mu_full, q0.eta + s * d_eta) for s in ss]
+        if any(q.eta == 0 for q in nodes):
+            raise ValueError("path crosses eta = 0")
+        rows, gam = _one_form(A, I, quad, nodes, need_gamma, G)
+        # added node by node in path order; a pairwise sum would round
+        # otherwise and a leg's value would depend on its batching
+        for w_node, form, g in zip(ww, rows @ d_mu, gam):
+            vals += w_node * form
+            if need_gamma:
+                vals += w_node * (g * d_eta).real
     return LogZResult((0,) + act, vals, basepath)
 
 

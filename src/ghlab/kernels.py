@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, schur_complement
+from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, schur_complement
 from .quadrature import (
-    QuadResult,
     QuadratureSpec,
     SingularityProximity,
     panel_nodes,
@@ -187,46 +186,97 @@ def _evaluate(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
                        res.converged, res.evals, res.r_star, grad)
 
 
+def _closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+                            E: np.ndarray) -> np.ndarray:
+    """Every row's sheet distance when the sheet has at most one cone
+    column m: tau* = max(0, m^T Q b / m^T Q m) in closed form."""
+    if M.shape[1]:
+        m = M[:, 0]
+        Qm = Q @ m
+        b = b - np.outer(np.maximum(b @ Qm / float(m @ Qm), 0.0), m)
+    return np.sqrt(((b @ Q) * b).sum(axis=1) + E)
+
+
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
                 points: list[BasePoint], want_gradient: bool = False
-                ) -> tuple[np.ndarray, np.ndarray | None, QuadResult]:
-    """Evaluate one kernel at a cluster of nearby points in a single sweep.
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Evaluate one kernel at many points in as few engine calls as honest.
 
-    All points share the panel construction derived from the first one, so
-    this is intended for finite-difference stencils, where it amortizes the
-    grid cost across the whole stencil.  Returns (values, gradients, raw
-    engine result); gradients rows are (mu..., Re eta, Im eta).
+    A kernel with at most one cone column is a closed form, so its rows
+    go to one call at any distance from each other, and each row's sheet
+    distance is exact.  With d >= 2 cone columns the engine sweeps every
+    row of a call on a panel grid built for the call's first row; a row
+    shares that grid only while its (Q, c_eta) offset from the first row
+    is within half the first row's sheet distance (a finite-difference
+    stencil always is), and farther rows start calls of their own.
+    Returns (values, gradients, prefactor-scaled error estimates), one row
+    per point; gradient rows are (mu..., Re eta, Im eta).
     """
     N = spec.A.n
+    B = len(points)
     if spec.vanishes:
-        B = len(points)
         g = np.zeros((B, N + 2)) if want_gradient else None
-        return np.zeros(B), g, None
+        return np.zeros(B), g, np.zeros(B)
     Q, c_eta, S, M, power, pref = _assemble(spec)
     b = np.stack([_active_mu(S, q) for q in points])
     eta = np.array([q.eta for q in points])
-    res = power_kernel_integral(Q, c_eta, b, eta, M, power, quad,
-                                want_gradient=want_gradient, prefactor=pref)
-    # the sheet distance is 1-Lipschitz in the (Q, c_eta) norm, so row 0's
-    # r* less the widest row offset bounds every row; solve rows below that
-    db = b - b[0]
-    spread = ((db @ Q) * db).sum(axis=1) + c_eta * np.abs(eta - eta[0]) ** 2
-    r_min = res.r_star - math.sqrt(float(np.max(spread)))
-    if r_min < _floor(quad, N):
-        r_min = min(sheet_distance(Q, M, bk, c_eta * abs(ek) ** 2)[1]
-                    for bk, ek in zip(b, eta))
-    if r_min < _floor(quad, N):
+    E = c_eta * np.abs(eta) ** 2
+    floor = _floor(quad, N)
+    if M.shape[1] <= 1:
+        groups = [(np.arange(B), None)]
+        r_min = float(np.min(_closed_sheet_distances(Q, M, b, E)))
+    else:
+        groups, r_min = _grid_groups(Q, c_eta, M, b, eta, E, floor)
+    if r_min < floor:
         raise SingularityProximity(
-            f"stencil row at distance {r_min:.3e} from the singular stratum "
-            f"is below the resolution floor {_floor(quad, N):.3e}")
-    grads = None
-    if want_gradient:
-        grads = np.zeros((len(points), N + 2))
-        for k, lab in enumerate(S):
-            grads[:, lab - 1] = pref * res.gradient[:, k]
-        grads[:, N] = pref * res.gradient[:, len(S)]
-        grads[:, N + 1] = pref * res.gradient[:, len(S) + 1]
-    return pref * res.value, grads, res
+            f"batch row at distance {r_min:.3e} from the singular stratum "
+            f"is below the resolution floor {floor:.3e}")
+    vals = np.empty(B)
+    errs = np.empty(B)
+    grads = np.zeros((B, N + 2)) if want_gradient else None
+    cols = [lab - 1 for lab in S] + [N, N + 1]   # engine gradient columns
+    for rows, sheet in groups:
+        res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M, power,
+                                    quad, want_gradient=want_gradient,
+                                    prefactor=pref, sheet=sheet)
+        vals[rows] = pref * res.value
+        errs[rows] = pref * res.error
+        if want_gradient:
+            grads[rows[:, None], cols] = pref * res.gradient
+    return vals, grads, errs
+
+
+def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
+                 eta: np.ndarray, E: np.ndarray, floor: float
+                 ) -> tuple[list[tuple[np.ndarray, tuple]], float]:
+    """Rows that may share one panel grid, each group with its first row's
+    sheet solution (tau*, r*), and a lower bound on every row's sheet
+    distance that is exact wherever it is below ``floor``.
+
+    Each group is the first unplaced row plus every unplaced row whose
+    (Q, c_eta) offset from it is within half its sheet distance r*.  The
+    sheet distance is 1-Lipschitz in that norm, so r* less the group's
+    widest offset bounds the group; only below the floor is each row
+    solved exactly.
+    """
+    todo = np.arange(len(b))
+    groups, r_min = [], math.inf
+    while todo.size:
+        k = todo[0]
+        sheet = sheet_distance(Q, M, b[k], E[k])
+        r_k = sheet[1]
+        db = b[todo] - b[k]
+        off = np.sqrt(((db @ Q) * db).sum(axis=1)
+                      + c_eta * np.abs(eta[todo] - eta[k]) ** 2)
+        near = off <= 0.5 * r_k
+        rows = todo[near]
+        bound = r_k - float(np.max(off[near]))
+        if bound < floor:
+            bound = min(sheet_distance(Q, M, b[j], E[j])[1] for j in rows)
+        groups.append((rows, sheet))
+        r_min = min(r_min, bound)
+        todo = todo[~near]
+    return groups, r_min
 
 
 def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
@@ -261,11 +311,7 @@ def closed_form_axis(A: QuadForm, i: int, p: BasePoint,
         if restriction.active != (i,):
             raise ValueError("restriction must have i as its only active label")
         comp = restriction.active_complement(N)
-    if comp:
-        idx = [c - 1 for c in comp]
-        D = float(np.linalg.det(A.entries[np.ix_(idx, idx)]))
-    else:
-        D = 1.0
+    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
     mu_i = p.mu[i - 1]
     return 1.0 / (2.0 * math.sqrt(mu_i ** 2 + D * abs(p.eta) ** 2))
 

@@ -279,13 +279,15 @@ def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
     return float(at.boundary[j])
 
 
-def dist_locus(A: QuadForm, p: BasePoint) -> float:
-    """Distance to the whole degeneration locus.
+def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
+    """Distance to the union of the strata with at least ``min_size``
+    labels; the default 2 gives the whole degeneration locus.
 
-    Every stratum lies in the closure of a two-element one, so this is the
-    smallest closed-stratum distance.
+    The closed strata cover that union, so this is the smallest of their
+    closed-stratum distances, all read from one pass.
     """
-    return float(_pass(A, p).closed.min())
+    at = _pass(A, p)
+    return float(at.closed[at.table.size >= min_size].min())
 
 
 def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:

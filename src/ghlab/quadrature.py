@@ -336,15 +336,22 @@ def _sweep(line: _Line, axes: list[tuple[np.ndarray, np.ndarray]],
 def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                           eta: complex | np.ndarray, M: np.ndarray, power: int,
                           spec: QuadratureSpec, want_gradient: bool = False,
-                          prefactor: float = 1.0) -> QuadResult:
+                          prefactor: float = 1.0,
+                          sheet: tuple[np.ndarray, float] | None = None
+                          ) -> QuadResult:
     """Evaluate the orthant power integral, batched over base points.
 
-    b may be (m,) or (B, m); eta scalar or (B,).  The panel construction is
-    derived from the first row; extra rows are meant for nearby stencil
-    points sharing the same geometry.  ``prefactor`` only converts the
-    spec tolerances into raw-integral units; the returned values are raw.
-    Raises QuadratureError when the grid exceeds the node budget or the
-    refinement passes miss the tolerance.
+    b may be (m,) or (B, m); eta scalar or (B,).  At d <= 1 every row is a
+    closed form, so rows may lie at any distance from each other.  At
+    d >= 2 the panel construction is derived from the first row and every
+    row is swept on it, which holds only for rows within half the first
+    row's sheet distance r* of it; ``kernels.alpha_batch`` splits its
+    batches so.  ``sheet`` passes the first row's (tau*, r*) from
+    ``sheet_distance`` when the caller has solved it already.
+    ``prefactor`` only converts the spec tolerances into raw-integral
+    units; the returned values are raw.  Raises QuadratureError when the
+    grid exceeds the node budget or the refinement passes miss the
+    tolerance.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
@@ -355,7 +362,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
 
     # closest sheet point for the leading row
     P = M.T @ Q @ M
-    tau_star, r_star = sheet_distance(Q, M, b[0], E[0])
+    if sheet is None:
+        sheet = sheet_distance(Q, M, b[0], E[0])
+    tau_star, r_star = sheet
 
     if d == 0:
         dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E

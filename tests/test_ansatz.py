@@ -16,6 +16,7 @@ from ghlab.ansatz import (
     sigma_expansion,
     weight_ell,
 )
+from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
@@ -112,6 +113,50 @@ def test_restricted_field_ignores_complement():
     assert j1.W == pytest.approx(j2.W, rel=1e-11)
 
 
+def _leg_nodes(q0, q1, order=16, panels=8):
+    """Gauss nodes of a path leg, laid out as log_z lays them out."""
+    x, _ = np.polynomial.legendre.leggauss(order)
+    out = []
+    for k in range(panels):
+        lo, hi = k / panels, (k + 1) / panels
+        for s in lo + 0.5 * (hi - lo) * (x + 1.0):
+            out.append(BasePoint(q0.mu + s * (q1.mu - q0.mu),
+                                 q0.eta + s * (q1.eta - q0.eta)))
+    return out
+
+
+@pytest.mark.parametrize("N, members", [(2, (0, 1)), (2, (0, 1, 2)),
+                                        (3, (0, 1, 2, 3))])
+def test_leg_jet_matches_pointwise(N, members, monkeypatch):
+    # one batched jet over a whole constant-eta leg equals a jet per node;
+    # at N = 3 every kernel sweeps (d = 2), so the leg is split into
+    # groups that each sweep on their own first row's grid
+    import ghlab.kernels as kernels
+
+    rng = np.random.default_rng(31 + N)
+    A = random_spd(rng, N)
+    fld = RestrictedField(A, IndexSet(members), QuadratureSpec(abs_tol=1e-11))
+    q1 = BasePoint(rng.uniform(-1.0, 1.0, N), 0.8 + 0.3j)
+    q0 = BasePoint(q1.mu + 2.5, q1.eta)
+    nodes = _leg_nodes(q0, q1)
+    calls = []
+    engine = kernels.power_kernel_integral
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    jets = fld.jet(nodes, want_gradient=False)
+    monkeypatch.undo()
+    live = 1 if members == (0, 1) else len(members) * (len(members) - 1) // 2
+    if N == 3:
+        assert live < len(calls) < live * len(nodes)
+    else:
+        assert len(calls) == live
+    for q, jet in zip(nodes, jets):
+        want = fld.at(q)
+        np.testing.assert_allclose(jet.v, want.v, rtol=1e-15,
+                                   atol=1e-15 * float(np.max(np.abs(want.v))))
+        assert jet.w == pytest.approx(want.w, rel=1e-15)
+
+
 def test_restricted_remainders_small_near_stratum():
     rng = np.random.default_rng(13)
     A = random_spd(rng, 3)
@@ -177,3 +222,17 @@ class TestWeightExponents:
         A = QuadForm.identity(3)
         p = BasePoint(np.array([0.0, 0.0, 3.0]), 0j)
         assert weight_ell(A, 1, p) == pytest.approx(1.0)
+
+    def test_one_pass_equals_per_stratum_minimum(self):
+        # the depth weight reads one stratum-table pass; it must equal
+        # the minimum over the depth's strata taken one at a time
+        rng = np.random.default_rng(29)
+        for N in (2, 3, 4):
+            for _ in range(10):
+                A = random_spd(rng, N)
+                p = BasePoint(rng.normal(size=N) * 2.0,
+                              complex(*rng.normal(size=2)))
+                for i in range(1, N + 1):
+                    want = min(dist_closed_stratum(A, J, p)
+                               for J in all_strata(N, i + 1, i + 1))
+                    assert weight_ell(A, i, p) == 1.0 + want

@@ -117,6 +117,9 @@ def test_log_z_matches_taubnut_model():
     w0, w1 = taubnut_moduli(G, D, 0.0, p.mu[0], p.eta)
     assert res.values[0] == pytest.approx(math.log(w0), abs=1e-10)
     assert res.values[1] == pytest.approx(math.log(w1), abs=1e-10)
+    # pinned bit for bit: evaluating a leg in one batch must not change
+    # its rounding
+    assert res.values.tolist() == [-1.4068419400339456, 1.2391055718898822]
 
 
 def test_log_z_path_independence():
@@ -141,6 +144,9 @@ def test_log_z_full_subset_sum_tracks_fiber():
     got = float(np.sum(res.values))
     want = math.log(abs(p.eta)) - math.log(abs(ref.eta))
     assert got == pytest.approx(want, abs=1e-8)
+    # pinned bit for bit, as for the one-slot model above
+    assert res.values.tolist() == [5.2549281728531, -2.5725190204253585,
+                                   -2.6532746983657636]
 
 
 def test_log_z_rejects_zero_fiber():

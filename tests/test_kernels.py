@@ -232,6 +232,35 @@ def test_alpha_batch_matches_pointwise():
                                    rtol=1e-6, atol=1e-10)
 
 
+def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
+    # rows far apart on a d = 2 kernel: none may be swept on another
+    # row's panel grid, and each must equal its own alpha
+    import ghlab.kernels as kernels
+
+    rng = np.random.default_rng(47)
+    A = random_spd(rng, 3)
+    quad = QuadratureSpec(abs_tol=1e-11)
+    pts = [BasePoint(np.array([0.9, 0.5, -0.7]), 0.6 + 0.4j),
+           BasePoint(np.array([-1.2, 1.6, 0.4]), 1.1 - 0.2j),
+           BasePoint(np.array([2.5, -0.8, 1.9]), 0.3 + 0.9j),
+           BasePoint(np.array([-0.4, -2.2, -1.5]), -0.7 + 0.5j)]
+    for labels in [(0, 2), (1, 3)]:
+        spec = KernelSpec(A, labels)
+        calls = []
+        engine = kernels.power_kernel_integral
+        monkeypatch.setattr(kernels, "power_kernel_integral",
+                            lambda *a, **k: calls.append(1) or engine(*a, **k))
+        vals, grads, errs = alpha_batch(spec, quad, pts, want_gradient=True)
+        monkeypatch.undo()
+        assert len(calls) == len(pts)
+        for t, p in enumerate(pts):
+            one = alpha_grad(spec, quad, p)
+            assert vals[t] == pytest.approx(one.value, rel=1e-12)
+            assert errs[t] == pytest.approx(one.error, rel=1e-12)
+            np.testing.assert_allclose(grads[t], one.gradient, rtol=1e-12,
+                                       atol=1e-12 * float(np.max(np.abs(one.gradient))))
+
+
 def test_on_sheet_raises():
     A = QuadForm.identity(2)
     spec = KernelSpec(A, (0, 1))
