@@ -225,12 +225,12 @@ def run_kernel_closedform(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def _laplace_of_kernel(spec: kernels.KernelSpec, quad: QuadratureSpec,
-                       p: BasePoint, h_rel: float = 2e-2) -> tuple[float, float]:
+                       p: BasePoint) -> tuple[float, float]:
     """Anisotropic Laplacian via one differencing level on analytic
     gradients; returns (laplacian, scale of constituents)."""
     A = spec.A
     N = A.n
-    h = h_rel * max(1.0, float(np.max(np.abs(p.as_vector()))))
+    h = frame._fd_step(p)
     pts = frame._stencil(p, h, list(range(N + 2)))
     _, grads, _ = kernels.alpha_batch(spec, quad, pts, want_gradient=True)
     hess = np.column_stack([frame._second_from_jets(grads, k, lambda g: g, h)

@@ -127,11 +127,23 @@ class IntegrabilityResidual:
         return self.second / max(self.second_scale, 1e-300)
 
 
-def _stencil_jets(field, p: BasePoint, h_rel: float) -> tuple[list, float]:
+# Richardson step over the point's largest coordinate.  The stencil's
+# truncation error is O(h^4): at this step the second identity's residual
+# stays below 1e-5 on 768 field-n3 points (7.7e-6 at the worst, 2.0e-3 at
+# 4x the step), far under criterion 12's 1e-3, while the quadrature error
+# divided by h stays far smaller still.
+_FD_STEP_REL = 5e-3
+
+
+def _fd_step(p: BasePoint) -> float:
+    """The one step of every Richardson stencil on analytic gradients."""
+    return _FD_STEP_REL * max(1.0, float(np.max(np.abs(p.as_vector()))))
+
+
+def _stencil_jets(field, p: BasePoint) -> tuple[list, float]:
     """Gradient jets on the Richardson stencil over every coordinate; row 0
     is the centre point itself."""
-    scale_pt = max(1.0, float(np.max(np.abs(p.as_vector()))))
-    h = h_rel * scale_pt
+    h = _fd_step(p)
     return field.jet(_stencil(p, h, list(range(p.N + 2))), want_gradient=True), h
 
 
@@ -149,16 +161,14 @@ def _second_identity_matrix(jets, N: int, h: float) -> tuple[np.ndarray, float]:
     return expr, scale
 
 
-def integrability_residual(field, p: BasePoint, h_rel: float = 2e-2
-                           ) -> IntegrabilityResidual:
+def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     """Evaluate both integrability identities at a point.
 
     The first identity uses the field's analytic mu-gradient of V directly;
-    the second differences the analytic gradients once (Richardson), with a
-    step balancing quadrature noise against truncation.  The centre jet is
-    row 0 of the stencil.
+    the second differences the analytic gradients once (Richardson), with
+    the step of ``_fd_step``.  The centre jet is row 0 of the stencil.
     """
-    jets, h = _stencil_jets(field, p, h_rel)
+    jets, h = _stencil_jets(field, p)
     jet = jets[0]
     first = float(np.max(np.abs(jet.dV - np.transpose(jet.dV, (0, 2, 1)))))
     first_scale = max(float(np.max(np.abs(jet.dV))), 1e-300)
@@ -185,9 +195,9 @@ class CurvatureSample:
     point: BasePoint
 
 
-def curvature_F(field, p: BasePoint, h_rel: float = 2e-2) -> CurvatureSample:
+def curvature_F(field, p: BasePoint) -> CurvatureSample:
     """Curvature coefficients and their closure defect."""
-    jets, h = _stencil_jets(field, p, h_rel)
+    jets, h = _stencil_jets(field, p)
     jet = jets[0]
     N = p.N
     coeff1 = 0.5 * jet.dW[:N]

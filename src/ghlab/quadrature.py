@@ -28,15 +28,25 @@ moment along m integrates by parts to the boundary value gamma^(-p/2).
 
 The remaining d - 1 parameters are swept by a fixed-construction panel
 scheme: per-axis Gauss-Legendre panels geometrically graded around the
-orthant-projected closest point and geometrically growing out to an
-analytically chosen truncation radius T.  The construction depends only on
-the inputs, never on timing or thread count, so results are
-bit-reproducible.  The error estimate compares two Gauss orders on the same
-panels and adds the analytic bound on the mass beyond |tau| > T; it covers
-the truncated region {tau' outside [0, T]^(d-1)} x [0, inf), which lies
-inside {|tau| > T}.  At d = 1 nothing is swept and the value is a closed
-form.  An integral that misses its tolerance after the refinement passes
-raises QuadratureError; no unconverged value is returned.
+orthant-projected closest point.  The construction depends only on the
+inputs, never on timing or thread count, so results are bit-reproducible.
+The error estimate compares two Gauss orders on the same panels.
+
+At d = 2 (one swept parameter) nothing is truncated.  The graded panels
+cover [0, R], with R a fixed multiple of the larger of tau*_0 + w_0 and
+the moduli of the complex zeros of h and gamma along the swept axis, and
+one more panel covers [R, inf) under tau = R / s, s in (0, 1], weight
+R / s^2.  The mapped integrand is R^(2-p) s^(p-3) g(s) with g analytic
+for |s| < R / (those moduli), so the same two Gauss orders integrate the
+whole half line and the error estimate is the two-order difference alone.
+
+At d >= 3 the corner |tau'| -> inf stays singular under such a map, so
+the panels grow geometrically out to an analytically chosen truncation
+radius T and the estimate adds the bound on the mass beyond |tau| > T; it
+covers the truncated region {tau' outside [0, T]^(d-1)} x [0, inf), which
+lies inside {|tau| > T}.  At d = 1 nothing is swept and the value is a
+closed form.  An integral that misses its tolerance after the refinement
+passes raises QuadratureError; no unconverged value is returned.
 
 A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
 provided as an independent oracle; it is never the primary path.
@@ -83,10 +93,10 @@ class QuadratureSpec:
 
     abs_tol/rel_tol apply to the final (prefactor-scaled) kernel value;
     the error they bound is the two-order Gauss difference on the swept
-    d - 1 parameters plus the analytic tail bound beyond the truncation
-    radius (the last cone parameter is integrated exactly, so it adds no
-    error).  tail_radius overrides the analytic truncation radius when
-    set; max_evals bounds grid nodes of the swept parameters per batch
+    d - 1 parameters, plus, at d >= 3 only, the analytic tail bound beyond
+    the truncation radius.  The last cone parameter is integrated exactly,
+    and at d = 2 the mapped tail panel reaches infinity, so neither adds
+    error.  max_evals bounds grid nodes of the swept parameters per batch
     element; refine_levels is the number of extra, finer passes tried
     before QuadratureError is raised.
     """
@@ -94,7 +104,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_evals: int = 4_000_000
-    tail_radius: float | None = None
     order: int = 16
     order_low: int = 8
     refine_levels: int = 1
@@ -137,13 +146,34 @@ def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize tau^T P tau - 2 q^T tau over tau >= 0, exactly.
 
-    P must be SPD.  Enumerates active sets (d is at most 4 or 5 here, so the
-    2^d candidates are cheap) and checks the KKT sign conditions.
+    P must be SPD.  At d <= 2 the minimizer is a closed form: the free
+    minimizer P^-1 q when it lies in the orthant, else the better of the
+    minimizers along the two edges.  Larger d enumerates active sets.
     Returns (tau*, minimum value).
     """
     d = P.shape[0]
     if d == 0:
         return np.zeros(0), 0.0
+    if d == 1:
+        t = max(float(q[0]) / float(P[0, 0]), 0.0)
+        return np.array([t]), -float(q[0]) * t
+    if d == 2:
+        p00, p01, p11 = float(P[0, 0]), float(P[0, 1]), float(P[1, 1])
+        q0, q1 = float(q[0]), float(q[1])
+        det = p00 * p11 - p01 * p01
+        t0, t1 = (p11 * q0 - p01 * q1) / det, (p00 * q1 - p01 * q0) / det
+        if t0 < 0.0 or t1 < 0.0:
+            # the minimum lies on an edge; along each, tau_k = max(q_k / P_kk, 0)
+            e0, e1 = max(q0 / p00, 0.0), max(q1 / p11, 0.0)
+            t0, t1 = (e0, 0.0) if q0 * e0 >= q1 * e1 else (0.0, e1)
+        return np.array([t0, t1]), -(q0 * t0 + q1 * t1)
+    return _enumerate_argmin(P, q)
+
+
+def _enumerate_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """nonneg_argmin by enumerating the 2^d active sets and checking the
+    KKT sign conditions (d is at most 4 or 5 here)."""
+    d = P.shape[0]
     scale = max(float(np.max(np.abs(q))), float(np.max(np.abs(P))), 1.0)
     best: tuple[float, np.ndarray] | None = None
     idx = list(range(d))
@@ -201,8 +231,17 @@ def _axis_breakpoints(center: float, width: float, T: float,
         if j > 0 and not added:
             break
     breaks = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(breaks) > 1e-13 * max(T, 1.0)])
+    # drop near-duplicates only, relative to the break itself: a threshold
+    # relative to T would merge the peak's fine panels once T is large
+    keep = np.concatenate([[True], np.diff(breaks) > 1e-13 * breaks[1:]])
     return breaks[keep]
+
+
+# at d = 2 the graded panels end at this multiple of the swept axis's
+# largest length scale, where the mapped tail panel takes over: the
+# integrand's singularities then sit at |s| >= 4, so an n-point Gauss rule
+# on (0, 1] errs by about 18^(-2n) there
+_TAIL_START = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +428,48 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         return QuadResult(val, np.zeros(B), grad, B, True, r_star)
 
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
-    lamP = float(np.linalg.eigvalsh(P)[0])
-    surf = d * ball_volume(d) / 2.0 ** d
-    if spec.tail_radius is not None:
-        T = float(spec.tail_radius)
+    widths = [max(r_star / math.sqrt(max(P[k, k], 1e-300)), 1e-8)
+              for k in range(d - 1)]
+    if d == 2:
+        # graded panels on [0, T], then tau = T / s maps [T, inf) onto one
+        # panel s in (0, 1]: the mapped integrand is T^(2-p) s^(p-3) g(s)
+        # with g analytic, so nothing is truncated.  g is singular only at
+        # the complex zeros of h and gamma along the swept axis; T keeps
+        # them at |s| >= _TAIL_START
+        z0, g = line.z0[:, 0], line.G[:, 0]
+        h0 = float(z0 @ z0) + float(E[0])
+        gamma0 = h0 + float(line.beta0[0]) ** 2 / line.a
+        rho = math.sqrt(max(h0 / float(g @ g), gamma0 / float(P[0, 0])))
+        T = _TAIL_START * max(float(tau_star[0]) + widths[0], rho)
+        tail_bound = 0.0
     else:
-        # integrand <= (lamP (|tau| - |tau*|)^2)^(-p/2) out there; the mass
-        # beyond radius T is below surf 2^p lamP^(-p/2) T^(d-p) / (p - d)
-        tail_target = 0.5 * abs_raw
+        # the corner |tau'| -> inf stays singular under such a map, so the
+        # sweep is truncated at T.  The integrand is below
+        # (lamP (|tau| - |tau*|)^2)^(-p/2) out there, and the mass beyond
+        # radius T is below surf 2^p lamP^(-p/2) T^(d-p) / (p - d)
+        lamP = float(np.linalg.eigvalsh(P)[0])
+        surf = d * ball_volume(d) / 2.0 ** d
         T = (surf * 2.0 ** power * lamP ** (-0.5 * power)
-             / ((power - d) * tail_target)) ** (1.0 / (power - d))
-    T = max(T, 4.0 * (float(np.linalg.norm(tau_star)) + 1.0), 8.0 * r_star)
-    tail_bound = (surf * 2.0 ** power * lamP ** (-0.5 * power)
-                  * T ** (d - power) / (power - d))
+             / ((power - d) * 0.5 * abs_raw)) ** (1.0 / (power - d))
+        T = max(T, 4.0 * (float(np.linalg.norm(tau_star)) + 1.0), 8.0 * r_star)
+        tail_bound = (surf * 2.0 ** power * lamP ** (-0.5 * power)
+                      * T ** (d - power) / (power - d))
 
     def build_axes(extra_split: int, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
         axes = []
         for k in range(d - 1):
-            w_k = max(r_star / math.sqrt(max(P[k, k], 1e-300)), 1e-8)
-            br = _axis_breakpoints(float(tau_star[k]), w_k, T,
+            br = _axis_breakpoints(float(tau_star[k]), widths[k], T,
                                    fine_levels=3 + extra_split)
             if extra_split:
                 mids = 0.5 * (br[:-1] + br[1:])
                 br = np.sort(np.concatenate([br, mids]))
-            axes.append(panel_nodes(br, order))
+            nodes, wts = panel_nodes(br, order)
+            if d == 2:
+                s, ws = panel_nodes(np.array([0.0, 0.5, 1.0] if extra_split
+                                             else [0.0, 1.0]), order)
+                nodes = np.concatenate([nodes, T / s])
+                wts = np.concatenate([wts, ws * T / (s * s)])
+            axes.append((nodes, wts))
         return axes
 
     # about 2^14 elements per temporary array, so a chunk stays in cache

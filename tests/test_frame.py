@@ -79,6 +79,22 @@ def test_integrability_residual_small():
     assert res.second_relative < 1e-4
 
 
+def test_second_identity_at_steep_point():
+    # criterion 12's tolerance at the field-n3 point (seed 941, pool entry
+    # 91) where a Richardson step four times larger left a residual of
+    # 1.99e-3: the truncation error is O(h^4), the quadrature noise far less
+    A = QuadForm(np.array([
+        [1.308218426976135, -0.37032655691394134, 0.10135071913064905],
+        [-0.37032655691394134, 1.766972205417877, -0.1313999995645675],
+        [0.10135071913064905, -0.1313999995645675, 1.5446463876643632]]))
+    p = BasePoint(np.array([1.9397654457940865, 1.5692390520581516,
+                            -0.3243191926934874]),
+                  -0.23275574166144897 - 0.21821198594112826j)
+    res = integrability_residual(FirstOrderField(A, QUAD), p)
+    assert res.first_relative <= 1e-3
+    assert res.second_relative <= 1e-3
+
+
 def test_n4_field_identities():
     # reach: the N = 4 first-order field holds the identities of criteria 12
     # and 04 at their tolerance, at one off-locus point

@@ -261,6 +261,43 @@ def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
                                        atol=1e-12 * float(np.max(np.abs(one.gradient))))
 
 
+def test_pair_kernels_converge_at_tight_tolerance():
+    # an ordinary N = 3 point: the pair kernels converge at a tight
+    # tolerance too, where a truncated sweep needs T > 1e12
+    A = QuadForm(np.array([
+        [1.29359001604945, -0.18717469008463872, 0.29165339585813627],
+        [-0.18717469008463872, 1.2151395269648109, -0.18511226256092206],
+        [0.29165339585813627, -0.18511226256092206, 1.4640004241197238]]))
+    p = BasePoint(np.array([-0.10584517983239694, -0.3322239400399196,
+                            -0.8447839567256432]),
+                  0.4825003710273061 + 0.07661154265700386j)
+    tight = QuadratureSpec(abs_tol=1e-12)
+    for labels in ((1, 2), (1, 3), (2, 3)):
+        kv = alpha(KernelSpec(A, labels), tight, p)
+        assert kv.error <= max(1e-12, 1e-8 * kv.value)
+        assert kv.value == pytest.approx(alpha(KernelSpec(A, labels), QUAD, p).value,
+                                         rel=1e-8)
+
+
+def test_work_counters_are_pinned():
+    # grid nodes per kernel call are deterministic, so they gate regressions:
+    # at N = 3 one axis is swept (graded panels plus the mapped tail), at
+    # N = 4 two axes are swept out to the truncation radius
+    A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
+    p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
+    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 192
+    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 192
+    A4 = QuadForm(np.array([
+        [1.276341995534779, -0.0065205115731539545, 0.017418387685633682, -0.09057612264627342],
+        [-0.0065205115731539545, 1.3118126399967247, -0.031852740053687024, 0.0823851601100817],
+        [0.017418387685633682, -0.031852740053687024, 1.2780640128632168, 0.12116987701153403],
+        [-0.09057612264627342, 0.0823851601100817, 0.12116987701153403, 0.9440881500969842]]))
+    p4 = BasePoint(np.array([-0.4305473056064981, -0.7928433222219473,
+                             -0.6542161649648368, 1.9371148657881885]),
+                   0.13944050602891173 - 0.6978434856523438j)
+    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 486_720
+
+
 def test_on_sheet_raises():
     A = QuadForm.identity(2)
     spec = KernelSpec(A, (0, 1))

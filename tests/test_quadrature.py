@@ -6,7 +6,13 @@ a t^2 - 2 b t + c with discriminant D = a c - b^2 > 0,
     int_0^inf dt / (a t^2 - 2 b t + c)
         = (pi/2 + arctan(b / sqrt(D))) / sqrt(D).
 
-That formula, derived by hand and frozen here, plus a scrambled-Sobol
+At p = 3 with Q = I and two cone columns, the integral over a quadrant
+whose corner sits at offsets (a, b) from the foot of a point at height c
+is elementary too,
+
+    [pi/2 - atan(a/c) - atan(b/c) + atan(a b / (c sqrt(a^2 + b^2 + c^2)))] / c.
+
+Those formulas, derived by hand and frozen here, plus a scrambled-Sobol
 estimator and 50-digit mpmath quadrature of the half-line integrals, are
 the independent routes the engine must match.
 """
@@ -20,6 +26,8 @@ from ghlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
     SingularityProximity,
+    _axis_breakpoints,
+    _enumerate_argmin,
     gauss_rule,
     half_line_integrals,
     nonneg_argmin,
@@ -132,16 +140,18 @@ def test_singularity_raises():
 
 
 def test_budget_error():
-    A = np.eye(3)
-    M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # three cone columns: two swept axes of graded panels out to the
+    # truncation radius need far more than 1000 nodes
+    A = np.eye(4)
+    M = np.eye(4)[:, 1:]
     with pytest.raises(QuadratureError):
-        power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0]]), 0.5 + 0j,
-                              M, 3, QuadratureSpec(max_evals=1000))
+        power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0, 1.0]]), 0.5 + 0j,
+                              M, 4, QuadratureSpec(max_evals=1000))
 
 
 def test_unconverged_integral_raises():
-    # N = 3 axis kernel geometry: the tail beyond a truncation radius this
-    # small carries far more mass than the tolerance allows
+    # N = 3 axis kernel geometry: Gauss orders this coarse miss the
+    # tolerance even after the refinement pass
     A = np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]])
     M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([[0.8, -0.5, 0.4]])
@@ -149,7 +159,47 @@ def test_unconverged_integral_raises():
     power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3, QuadratureSpec())
     with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance"):
         power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3,
-                              QuadratureSpec(tail_radius=1.0))
+                              QuadratureSpec(order=4, order_low=2))
+
+
+def quadrant_oracle(a: float, b: float, c: float) -> float:
+    root = math.sqrt(a * a + b * b + c * c)
+    return (0.5 * math.pi - math.atan(a / c) - math.atan(b / c)
+            + math.atan(a * b / (c * root))) / c
+
+
+@pytest.mark.parametrize("a,b,c", [
+    (0.7, 0.4, 0.6),            # corner in front of the foot
+    (-0.8, -1.3, 0.6),          # foot inside the quadrant
+    (-0.5, 0.9, 1.3),           # foot beside one edge
+    (0.0, 0.0, 1e-3),           # corner at the foot, close to the sheet
+    (30.0, 50.0, 0.8),          # far in front
+    (-40.0, -25.0, 0.5),        # far behind
+    (-3e3, 2.0, 0.3),           # far along one edge
+])
+def test_engine_matches_quadrant_oracle(a, b, c):
+    # d = 2, p = 3: one swept axis, graded panels and the mapped tail panel,
+    # so nothing is truncated and the value is exact to rounding
+    M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    res = power_kernel_integral(np.eye(3), 1.0, np.array([c, -a, -b]), 0j, M,
+                                3, QuadratureSpec())
+    want = quadrant_oracle(a, b, c)
+    assert res.value[0] == pytest.approx(want, rel=1e-12)
+    assert res.error[0] <= 1e-8 * want
+
+
+def test_fine_panels_survive_large_radius():
+    # a truncation radius this large (d >= 3 at tight tolerances) keeps the
+    # peak's fine panels: near-duplicates are judged against each break,
+    # not against T
+    c, w = 0.5, 0.1
+    for T in (1e2, 4e13):
+        br = _axis_breakpoints(c, w, T)
+        for j in range(-3, 3):
+            for x in (c - w * 2.0 ** j, c + w * 2.0 ** j):
+                assert np.min(np.abs(br - x)) <= 1e-15, (T, x)
+        assert br[0] == 0.0 and br[-1] == T
+        assert np.all(np.diff(br) > 0.0)
 
 
 # beta / sqrt(D) from on-axis through both far sides of the half line
@@ -240,3 +290,27 @@ def test_nonneg_argmin_against_scipy():
             bounds=[(0.0, None)] * d, method="L-BFGS-B",
             options={"ftol": 1e-15, "gtol": 1e-12})
         assert val <= ref.fun + 1e-9 * (1.0 + abs(ref.fun))
+
+
+def test_nonneg_argmin_closed_form_matches_enumeration():
+    # d <= 2 has a closed form; the enumeration of active sets is its
+    # reference, with q inside, on the boundary of and outside the cone
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        d = int(rng.integers(1, 3))
+        root = rng.normal(size=(d, d))
+        P = root @ root.T + 0.05 * np.eye(d)
+        q = 3.0 * rng.normal(size=d)
+        kind = int(rng.integers(0, 4))
+        if kind == 1:
+            q = -np.abs(q)                      # minimum at the origin
+        elif kind == 2 and d == 2:
+            q = P @ np.array([abs(q[0]), 0.0])  # free minimizer on an edge
+        elif kind == 3:
+            q[0] = 0.0
+        tau, val = nonneg_argmin(P, q)
+        ref_tau, ref_val = _enumerate_argmin(P, q)
+        scale = 1.0 + float(np.max(np.abs(ref_tau)))
+        assert np.all(tau >= 0.0)
+        np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-12 * scale)
+        assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12 * scale ** 2)
