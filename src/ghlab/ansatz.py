@@ -114,8 +114,8 @@ class FieldJet:
     dV has layout [i, j, k] = d V_ij / d mu_k; dV_eta is the complex
     eta-derivative taken entrywise; dW runs over (mu_1..mu_N, Re, Im).
     quad_error is the largest prefactor-scaled error estimate of the
-    kernel batches; converged is always True, because an integral that
-    misses its tolerance raises QuadratureError instead.
+    kernel batches; an integral that misses its tolerance raises
+    QuadratureError instead of returning a jet.
     """
 
     point: BasePoint
@@ -128,7 +128,6 @@ class FieldJet:
     dW: np.ndarray
     spd: bool
     quad_error: float
-    converged: bool
 
 
 def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
@@ -189,7 +188,7 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     for t in range(B):
         jet_d = (dv[t], dv_eta[t], dW[t]) if want_gradient else (None, None, None)
         out.append(FieldJet(points[t], V[t], float(W[t]), v[t], float(w[t]),
-                            *jet_d, bool(spd[t]), err, True))
+                            *jet_d, bool(spd[t]), err))
     return out
 
 
@@ -313,7 +312,7 @@ class FlatModelField:
             dV_eta = 0.5 * (dV_xy[:, :, 0] - 1j * dV_xy[:, :, 1])
         eig = np.linalg.eigvalsh(V)
         return FieldJet(p, V, W, V, W, dV, dV_eta, dW,
-                        bool(eig[0] > 0 and W > 0), 0.0, True)
+                        bool(eig[0] > 0 and W > 0), 0.0)
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,

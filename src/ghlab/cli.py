@@ -32,6 +32,12 @@ from .quadrature import QuadratureSpec
 
 SCHEMA_VERSION = 1
 
+# experiment name -> runner, and the params keys each runner reads; both
+# are filled by @_experiment next to the runner
+EXPERIMENTS: dict = {}
+EXPERIMENT_PARAMS: dict[str, frozenset[str]] = {}
+CONFIG_KEYS = frozenset({"schema_version", "seed", "n", "params"})
+
 
 @dataclass
 class ExperimentConfig:
@@ -50,6 +56,17 @@ class ExperimentConfig:
                 data = json.load(fh)
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise SystemExit(f"unsupported config schema_version in {path}")
+        # a misspelt key would otherwise fall back to its default silently
+        # while still changing the config hash
+        unknown = sorted(set(data) - CONFIG_KEYS)
+        if unknown:
+            raise SystemExit(f"unknown config key(s) {', '.join(unknown)} in {path}; "
+                             f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
+        accepted = EXPERIMENT_PARAMS.get(experiment, frozenset())
+        unknown = sorted(set(data.get("params", {})) - accepted)
+        if unknown:
+            raise SystemExit(f"unknown param(s) {', '.join(unknown)} for {experiment} "
+                             f"in {path}; accepted: {', '.join(sorted(accepted))}")
         cfg = cls(experiment=experiment,
                   seed=data.get("seed", 20240817),
                   n=data.get("n"),
@@ -157,6 +174,16 @@ def _off_locus_point(rng: np.random.Generator, A: QuadForm, floor: float = 0.3,
 # experiments
 
 
+def _experiment(name: str, *params: str):
+    """Register a runner under ``name`` with the params keys it reads."""
+    def register(fn):
+        EXPERIMENTS[name] = fn
+        EXPERIMENT_PARAMS[name] = frozenset(params)
+        return fn
+    return register
+
+
+@_experiment("flat-cy", "dims", "tol")
 def run_flat_cy(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     dims = cfg.params.get("dims", [1, 2, 3, 4, 5])
@@ -174,6 +201,7 @@ def run_flat_cy(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("taubnut-exact", "a", "tol")
 def run_taubnut_exact(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 100
@@ -199,6 +227,7 @@ def run_taubnut_exact(cfg: ExperimentConfig) -> list[ResultRow]:
     ]
 
 
+@_experiment("kernel-closedform", "dims", "rel_tol")
 def run_kernel_closedform(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     dims = cfg.params.get("dims", [2, 3, 4])
@@ -243,6 +272,7 @@ def _laplace_of_kernel(spec: kernels.KernelSpec, quad: QuadratureSpec,
     return mu_part + eta_part, scale
 
 
+@_experiment("harmonicity", "abs_tol", "dims", "rel_tol")
 def run_harmonicity(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     dims = cfg.params.get("dims", [3])
@@ -267,6 +297,7 @@ def run_harmonicity(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("commutativity", "dim", "rel_tol")
 def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     N = cfg.params.get("dim", 3)
@@ -312,6 +343,7 @@ def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
     ]
 
 
+@_experiment("weak-chern", "A", "placements", "rel_tol")
 def run_weak_chern(cfg: ExperimentConfig) -> list[ResultRow]:
     tol = cfg.params.get("rel_tol", 1e-2)
     a_entries = cfg.params.get("A", [[1.3, 0.2], [0.2, 0.9]])
@@ -334,6 +366,7 @@ def run_weak_chern(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("pythagoras", "tol")
 def run_pythagoras(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 500
@@ -362,6 +395,7 @@ def run_pythagoras(cfg: ExperimentConfig) -> list[ResultRow]:
                       worst <= tol, cfg.hash)]
 
 
+@_experiment("eigen-interval", "dim")
 def run_eigen_interval(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 100
@@ -390,6 +424,7 @@ def run_eigen_interval(cfg: ExperimentConfig) -> list[ResultRow]:
                       detail=f"min margin {worst_margin:.3e}")]
 
 
+@_experiment("decay-scan", "A", "dim")
 def run_decay_scan(cfg: ExperimentConfig) -> list[ResultRow]:
     N = cfg.params.get("dim", 3)
     a_entries = cfg.params.get("A")
@@ -414,6 +449,7 @@ def run_decay_scan(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("beta-bounds", "C_max", "dims")
 def run_beta_bounds(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 40
@@ -434,6 +470,7 @@ def run_beta_bounds(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("gamma-sum", "cases")
 def run_gamma_sum(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -455,6 +492,7 @@ def run_gamma_sum(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("logz-growth", "dim", "points_n1", "points_n2", "tol_product", "tol_sum")
 def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     N = cfg.params.get("dim", 2)
@@ -510,6 +548,7 @@ def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("glue-regions", "A", "covering_points", "dim", "subset")
 def run_glue_regions(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 1000
@@ -562,6 +601,7 @@ def run_glue_regions(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("extension-profile", "eps", "piece_tol", "seam_tol", "shoulder", "slope")
 def run_extension_profile(cfg: ExperimentConfig) -> list[ResultRow]:
     K = cfg.params.get("slope", 1.0)
     M = cfg.params.get("shoulder", 10.0)
@@ -602,24 +642,6 @@ def run_extension_profile(cfg: ExperimentConfig) -> list[ResultRow]:
                           rep_bad.min_loggap, -1.0, 0.0, not rep_bad.positive,
                           cfg.hash))
     return rows
-
-
-EXPERIMENTS = {
-    "flat-cy": run_flat_cy,
-    "taubnut-exact": run_taubnut_exact,
-    "kernel-closedform": run_kernel_closedform,
-    "commutativity": run_commutativity,
-    "harmonicity": run_harmonicity,
-    "weak-chern": run_weak_chern,
-    "pythagoras": run_pythagoras,
-    "eigen-interval": run_eigen_interval,
-    "decay-scan": run_decay_scan,
-    "beta-bounds": run_beta_bounds,
-    "gamma-sum": run_gamma_sum,
-    "logz-growth": run_logz_growth,
-    "glue-regions": run_glue_regions,
-    "extension-profile": run_extension_profile,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -83,8 +83,11 @@ def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
 
     The primitive of the eta-derivative along the defining ray becomes,
     after swapping the ray parameter into the cone, an orthant integral of
-    the squared-distance power n + 2; the engine's tail bound then covers
-    the whole ray with no truncation error beyond the reported estimate.
+    the squared-distance power n + 2 with one more cone column.  The engine
+    integrates its last two columns in closed form, so a two-slot gamma
+    (two columns) is exact, a three-slot one sweeps one axis out to
+    infinity on the mapped tail panel, and only from four slots on does a
+    truncation radius enter, with its tail bound in the estimate.
     """
     if p.eta == 0:
         return 0j
@@ -205,7 +208,7 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
     rows[:, 0, :] = -P.sum(axis=1)
     gam = np.zeros((len(nodes), n + 1), dtype=complex)
     if need_gamma:
-        # at n >= 2 each gamma sweeps a grid of its own, one call per node
+        # at n >= 2 each gamma is an engine call of its own per node
         spec = GammaSpec(A, I, quad) if n > 1 else None
         for t, q in enumerate(nodes):
             gam[t] = [gamma(spec, lab, q) if spec else gamma_closed_form(A, I, lab, q)

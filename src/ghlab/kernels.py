@@ -26,6 +26,7 @@ from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, schur_c
 from .quadrature import (
     QuadratureSpec,
     SingularityProximity,
+    nonneg_argmin_rows,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
@@ -91,7 +92,6 @@ class KernelSpec:
 class KernelValue:
     value: float
     error: float
-    converged: bool
     evals: int
     sheet_distance: float
     gradient: np.ndarray | None = None   # d/d(mu_1..mu_N, Re eta, Im eta)
@@ -166,7 +166,7 @@ def _evaluate(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
         raise ValueError("point dimension mismatch")
     if spec.vanishes:
         g = np.zeros(N + 2) if want_gradient else None
-        return KernelValue(0.0, 0.0, True, 0, math.inf, g)
+        return KernelValue(0.0, 0.0, 0, math.inf, g)
     Q, c_eta, S, M, power, pref = _assemble(spec)
     b = _active_mu(S, p)
     res = power_kernel_integral(Q, c_eta, b, p.eta, M, power, quad,
@@ -183,17 +183,16 @@ def _evaluate(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
         grad[N] = pref * res.gradient[0, len(S)]
         grad[N + 1] = pref * res.gradient[0, len(S) + 1]
     return KernelValue(pref * float(res.value[0]), pref * float(res.error[0]),
-                       res.converged, res.evals, res.r_star, grad)
+                       res.evals, res.r_star, grad)
 
 
 def _closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                             E: np.ndarray) -> np.ndarray:
-    """Every row's sheet distance when the sheet has at most one cone
-    column m: tau* = max(0, m^T Q b / m^T Q m) in closed form."""
+    """Every row's sheet distance when the sheet has at most two cone
+    columns, where the closest sheet parameter tau* is a closed form."""
     if M.shape[1]:
-        m = M[:, 0]
-        Qm = Q @ m
-        b = b - np.outer(np.maximum(b @ Qm / float(m @ Qm), 0.0), m)
+        QM = Q @ M
+        b = b - nonneg_argmin_rows(M.T @ QM, b @ QM) @ M.T
     return np.sqrt(((b @ Q) * b).sum(axis=1) + E)
 
 
@@ -202,9 +201,9 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Evaluate one kernel at many points in as few engine calls as honest.
 
-    A kernel with at most one cone column is a closed form, so its rows
+    A kernel with at most two cone columns is a closed form, so its rows
     go to one call at any distance from each other, and each row's sheet
-    distance is exact.  With d >= 2 cone columns the engine sweeps every
+    distance is exact.  With d >= 3 cone columns the engine sweeps every
     row of a call on a panel grid built for the call's first row; a row
     shares that grid only while its (Q, c_eta) offset from the first row
     is within half the first row's sheet distance (a finite-difference
@@ -218,11 +217,11 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
         g = np.zeros((B, N + 2)) if want_gradient else None
         return np.zeros(B), g, np.zeros(B)
     Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = np.stack([_active_mu(S, q) for q in points])
+    b = np.array([q.mu for q in points])[:, [lab - 1 for lab in S]]
     eta = np.array([q.eta for q in points])
     E = c_eta * np.abs(eta) ** 2
     floor = _floor(quad, N)
-    if M.shape[1] <= 1:
+    if M.shape[1] <= 2:
         groups = [(np.arange(B), None)]
         r_min = float(np.min(_closed_sheet_distances(Q, M, b, E)))
     else:
@@ -231,10 +230,17 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
         raise SingularityProximity(
             f"batch row at distance {r_min:.3e} from the singular stratum "
             f"is below the resolution floor {floor:.3e}")
+    cols = [lab - 1 for lab in S] + [N, N + 1]   # engine gradient columns
+    grads = np.zeros((B, N + 2)) if want_gradient else None
+    if len(groups) == 1:
+        res = power_kernel_integral(Q, c_eta, b, eta, M, power, quad,
+                                    want_gradient=want_gradient,
+                                    prefactor=pref, sheet=groups[0][1])
+        if want_gradient:
+            grads[:, cols] = pref * res.gradient
+        return pref * res.value, grads, pref * res.error
     vals = np.empty(B)
     errs = np.empty(B)
-    grads = np.zeros((B, N + 2)) if want_gradient else None
-    cols = [lab - 1 for lab in S] + [N, N + 1]   # engine gradient columns
     for rows, sheet in groups:
         res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M, power,
                                     quad, want_gradient=want_gradient,
@@ -289,7 +295,6 @@ def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
     full = alpha(KernelSpec(A, (i, j)), quad, p)
     part = alpha(KernelSpec(A, (i, j), restriction=I), quad, p)
     return KernelValue(full.value - part.value, full.error + part.error,
-                       full.converged and part.converged,
                        full.evals + part.evals,
                        min(full.sheet_distance, part.sheet_distance))
 

@@ -10,43 +10,74 @@ components hidden in E = c |eta|^2.  The integrand is smooth but sharply
 peaked where the affine sheet {b - M tau} passes closest to the origin, and
 it decays like |tau|^(-p) with p > d, so the tail carries mass ~ T^(d-p).
 
-The last cone column m is integrated in closed form.  With
-X0 = b - M' tau' for the first d - 1 parameters, the integrand along m is
-(a t^2 - 2 beta t + gamma)^(-p/2) with a = m^T Q m, beta = m^T Q X0 and
-gamma = X0^T Q X0 + E.  With D = a gamma - beta^2 the substitution
-t = beta / a + sqrt(D) / a tan(theta) gives
+The last two cone columns m1, m2 are integrated in closed form.  With
+X0 = b - M' tau' for the first d - 2 parameters, Q-orthonormal coordinates
+of the plane of m1 and m2 turn the quadrant {t1 m1 + t2 m2} into a planar
+wedge W with apex 0 and opening phi, cos phi = G12 / sqrt(G11 G22) with
+G = M^T Q M on those columns, and the integrand into
+(H^2 + |y - y0|^2)^(-p/2) dA / sqrt(det G): y0 is the Q-foot of X0 in the
+plane and H^2 its squared Q-height above the plane plus E, formed from the
+transverse part of X0, never as a difference.  With
+Phi(rho) = [H^(2-p) - (H^2 + rho^2)^((2-p)/2)] / (p - 2), the divergence of
+Phi(|y - y0|) (y - y0) / |y - y0|^2 is the integrand, so (the analytic
+potential of a planar polygon in boundary elements: Wilton et al. 1984,
+IEEE Trans. Antennas Propag. 32:276; Newman 1986, J. Eng. Math. 20:113)
 
-    J_p = a^((p-2)/2) D^((1-p)/2) integral_{theta0}^{pi/2} cos^(p-2),
+    int_W = phi H^(2-p) / (p - 2) + sum_k sign(l_k) A_k,
 
-theta0 = atan2(-beta, sqrt(D)).  ``half_line_integrals`` evaluates the
-angle integral over the complementary angle phi0 = pi/2 - theta0 without
-cancellation: an all-positive Wallis recursion where beta >= 0, the
-incomplete beta function of sin^2 phi0 where beta < 0 and phi0 is small.  D is formed as a
-times the Q-distance from X0 to the line along m (plus aE), never as the
-difference a gamma - beta^2.  The gradient needs J_(p+2) only: the first
-moment along m integrates by parts to the boundary value gamma^(-p/2).
+where A_k >= 0 integrates Phi over the angle Theta_k that edge k subtends
+at y0, and l_k is the signed distance from y0 to edge k's line, positive
+on the wedge's side.  ``wedge_integrals`` uses this form where y0 lies in
+W: every term is positive.  Per edge, with c^2 = H^2 + l^2, kappa = H / c
+and n = p - 2, the scaled term (p - 2) H^n A_k grows from n to n + 2 by
+(|l| / c) kappa^n times the Wallis integral of sin^n from 0 to
+atan2(c, -s0), s0 the foot's position along the edge, starting from 0
+(n even) or an arctangent (n odd).  Outside W the terms of size H^(2-p)
+add up to the winding angle 0, so they are dropped and
+int_W = -sum_k sign(l_k) B_k with
 
-The remaining d - 1 parameters are swept by a fixed-construction panel
+    B_k = integral_0^Theta_k (H^2 + l_k^2 / sin^2 chi)^((2-p)/2) d chi / (p - 2)
+        = Theta_k H^(2-p) / (p - 2) - A_k.
+
+The difference is used only where H > |l_k|, so it loses a few bits at
+most; elsewhere a Gauss rule in chi evaluates B_k to rounding, because the
+integrand's poles chi = +-i asinh(|l_k| / H) then lie outside the rule's
+Bernstein ellipse.  The worst conditioning left is about 1/phi, for thin
+wedges seen from the side.
+
+The gradient needs no new integral.  Along the plane, by the divergence
+theorem in y, it is minus the sum over the edges of the outward normal
+times the half-line integral J_p along the edge; across the plane and in
+eta it is a multiple of the wedge integral at p + 2.  For one cone column
+(d = 1) the integrand along m is (a t^2 - 2 beta t + gamma)^(-p/2), and
+``half_line_integrals`` evaluates J_p = a^((p-2)/2) D^((1-p)/2) times an
+angle integral of cos^(p-2) without cancellation (an all-positive Wallis
+recursion where beta >= 0, the incomplete beta function where beta < 0
+and the angle is small), D formed as a times a Q-distance to the line.
+
+So at d <= 2 nothing is swept and every row is a closed form with error
+0.  The remaining d - 2 parameters are swept by a fixed-construction panel
 scheme: per-axis Gauss-Legendre panels geometrically graded around the
 orthant-projected closest point.  The construction depends only on the
 inputs, never on timing or thread count, so results are bit-reproducible.
 The error estimate compares two Gauss orders on the same panels.
 
-At d = 2 (one swept parameter) nothing is truncated.  The graded panels
+At d = 3 (one swept parameter) nothing is truncated.  The graded panels
 cover [0, R], with R a fixed multiple of the larger of tau*_0 + w_0 and
-the moduli of the complex zeros of h and gamma along the swept axis, and
-one more panel covers [R, inf) under tau = R / s, s in (0, 1], weight
-R / s^2.  The mapped integrand is R^(2-p) s^(p-3) g(s) with g analytic
-for |s| < R / (those moduli), so the same two Gauss orders integrate the
-whole half line and the error estimate is the two-order difference alone.
+the moduli of the complex zeros, along the swept axis, of the squared
+distances from X0 to the plane, to both edge lines and to the apex; one
+more panel covers [R, inf) under tau = R / s, s in (0, 1], weight
+R / s^2.  The mapped integrand is R^(3-p) s^(p-4) g(s) with g analytic for
+|s| < R / (those moduli), so the same two Gauss orders integrate the whole
+half line and the error estimate is the two-order difference alone.
 
-At d >= 3 the corner |tau'| -> inf stays singular under such a map, so
+At d >= 4 the corner |tau'| -> inf stays singular under such a map, so
 the panels grow geometrically out to an analytically chosen truncation
 radius T and the estimate adds the bound on the mass beyond |tau| > T; it
-covers the truncated region {tau' outside [0, T]^(d-1)} x [0, inf), which
-lies inside {|tau| > T}.  At d = 1 nothing is swept and the value is a
-closed form.  An integral that misses its tolerance after the refinement
-passes raises QuadratureError; no unconverged value is returned.
+covers the truncated region {tau' outside [0, T]^(d-2)} x [0, inf)^2,
+which lies inside {|tau| > T}.  An integral that misses its tolerance
+after the refinement passes raises QuadratureError; no unconverged value
+is returned.
 
 A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
 provided as an independent oracle; it is never the primary path.
@@ -61,6 +92,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import special
+from scipy.linalg import lapack
 
 from .geometry import ball_volume
 
@@ -70,7 +102,9 @@ __all__ = [
     "QuadratureError",
     "SingularityProximity",
     "half_line_integrals",
+    "wedge_integrals",
     "nonneg_argmin",
+    "nonneg_argmin_rows",
     "power_kernel_integral",
     "qmc_power_kernel_integral",
     "sheet_distance",
@@ -93,12 +127,13 @@ class QuadratureSpec:
 
     abs_tol/rel_tol apply to the final (prefactor-scaled) kernel value;
     the error they bound is the two-order Gauss difference on the swept
-    d - 1 parameters, plus, at d >= 3 only, the analytic tail bound beyond
-    the truncation radius.  The last cone parameter is integrated exactly,
-    and at d = 2 the mapped tail panel reaches infinity, so neither adds
-    error.  max_evals bounds grid nodes of the swept parameters per batch
-    element; refine_levels is the number of extra, finer passes tried
-    before QuadratureError is raised.
+    d - 2 parameters, plus, at d >= 4 only, the analytic tail bound beyond
+    the truncation radius.  The last two cone parameters are integrated
+    exactly, so at d <= 2 the error is 0, and at d = 3 the mapped tail
+    panel reaches infinity, so it adds no error either.  max_evals bounds
+    grid nodes of the swept parameters per batch element; refine_levels is
+    the number of extra, finer passes tried before QuadratureError is
+    raised.
     """
 
     rel_tol: float = 1e-8
@@ -120,8 +155,10 @@ class QuadResult:
     value: np.ndarray          # (B,) raw integral values, no prefactor
     error: np.ndarray          # (B,) error estimates, raw units
     gradient: np.ndarray | None  # (B, dim+2) d/d(b, Re eta, Im eta), raw
-    evals: int                 # swept grid nodes times batch rows
+    evals: int                 # swept grid nodes times batch rows (rows
+                               # alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
+                               # (perfbench/tracing.py reads it)
     r_star: float              # distance from the sheet to the first point
 
 
@@ -146,28 +183,41 @@ def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize tau^T P tau - 2 q^T tau over tau >= 0, exactly.
 
-    P must be SPD.  At d <= 2 the minimizer is a closed form: the free
-    minimizer P^-1 q when it lies in the orthant, else the better of the
-    minimizers along the two edges.  Larger d enumerates active sets.
-    Returns (tau*, minimum value).
+    P must be SPD.  At d <= 2 the minimizer is the closed form of
+    ``nonneg_argmin_rows``; larger d enumerates active sets.  Returns
+    (tau*, minimum value).
     """
     d = P.shape[0]
     if d == 0:
         return np.zeros(0), 0.0
-    if d == 1:
-        t = max(float(q[0]) / float(P[0, 0]), 0.0)
-        return np.array([t]), -float(q[0]) * t
-    if d == 2:
-        p00, p01, p11 = float(P[0, 0]), float(P[0, 1]), float(P[1, 1])
-        q0, q1 = float(q[0]), float(q[1])
-        det = p00 * p11 - p01 * p01
-        t0, t1 = (p11 * q0 - p01 * q1) / det, (p00 * q1 - p01 * q0) / det
-        if t0 < 0.0 or t1 < 0.0:
-            # the minimum lies on an edge; along each, tau_k = max(q_k / P_kk, 0)
-            e0, e1 = max(q0 / p00, 0.0), max(q1 / p11, 0.0)
-            t0, t1 = (e0, 0.0) if q0 * e0 >= q1 * e1 else (0.0, e1)
-        return np.array([t0, t1]), -(q0 * t0 + q1 * t1)
+    if d <= 2:
+        tau = nonneg_argmin_rows(P, q[None, :])[0]
+        return tau, -float(q @ tau)
     return _enumerate_argmin(P, q)
+
+
+def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The minimizers of tau^T P tau - 2 q_b^T tau over tau >= 0, one per
+    row q_b of q (B, d), for d <= 2 in closed form.
+
+    At d = 1 tau = max(q / P, 0).  At d = 2 it is the free minimizer
+    P^-1 q_b when that lies in the orthant, else the better of the
+    minimizers along the two edges, tau_k = max(q_k / P_kk, 0), whose
+    minimum is -q_k tau_k.
+    """
+    if P.shape[0] == 1:
+        return np.maximum(q / float(P[0, 0]), 0.0)
+    p00, p01, p11 = float(P[0, 0]), float(P[0, 1]), float(P[1, 1])
+    det = p00 * p11 - p01 * p01
+    tau = q @ np.array([[p11, -p01], [-p01, p00]]) / det
+    edge = (tau < 0.0).any(axis=1)
+    if edge.any():
+        q0, q1 = q[edge, 0], q[edge, 1]
+        e0, e1 = np.maximum(q0 / p00, 0.0), np.maximum(q1 / p11, 0.0)
+        first = q0 * e0 >= q1 * e1
+        tau[edge] = np.stack([np.where(first, e0, 0.0),
+                              np.where(first, 0.0, e1)], axis=1)
+    return tau
 
 
 def _enumerate_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -237,7 +287,7 @@ def _axis_breakpoints(center: float, width: float, T: float,
     return breaks[keep]
 
 
-# at d = 2 the graded panels end at this multiple of the swept axis's
+# at d = 3 the graded panels end at this multiple of the swept axis's
 # largest length scale, where the mapped tail panel takes over: the
 # integrand's singularities then sit at |s| >= 4, so an n-point Gauss rule
 # on (0, 1] errs by about 18^(-2n) there
@@ -245,7 +295,7 @@ _TAIL_START = 4.0
 
 
 # ---------------------------------------------------------------------------
-# the closed-form axis
+# the closed forms: one cone column (a half line) and two (a wedge)
 
 # below this sin^2(phi0), with beta < 0, the Wallis recursion would lose
 # digits to cancellation; the incomplete beta function takes over there
@@ -301,75 +351,355 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
 
 @dataclass(frozen=True)
 class _Line:
-    """Data of the quadratic along the last cone column, per batch row.
+    """One cone column m, per batch row: along m the quadratic is
+    a t^2 - 2 beta t + gamma with a = m^T Q m and beta = m^T Q b, and
+    h = gamma - beta^2 / a = |Z|^2 + E with Z = L b, L^T L = Q - Q m m^T Q / a,
+    so h is a Q-distance to the line along m, never a difference."""
 
-    beta and Z = L X0 are affine in the swept parameters tau':
-    beta = beta0 - u . tau' and Z = z0 - G tau'.  L^T L = Q - Q m m^T Q / a,
-    so |Z|^2 is the squared Q-distance from X0 to the line along m.
-    """
-
-    a: float              # m^T Q m
+    a: float
     Qm: np.ndarray        # (m,)
     L: np.ndarray         # (m-1, m)
-    beta0: np.ndarray     # (B,)
-    u: np.ndarray         # (d-1,)
-    z0: np.ndarray        # (m-1, B)
-    G: np.ndarray         # (m-1, d-1)
-    E: np.ndarray         # (B,)
+    beta: np.ndarray      # (B,)
+    Z: np.ndarray         # (B, m-1)
+    h: np.ndarray         # (B,)
 
     @classmethod
-    def build(cls, Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+    def build(cls, Q: np.ndarray, m_col: np.ndarray, b: np.ndarray,
               E: np.ndarray) -> "_Line":
-        m_col = M[:, -1]
-        Mp = M[:, :-1]
         Qm = Q @ m_col
         a = float(m_col @ Qm)
         # the projected form has one null direction (m itself), sorted first
         lam, vec = np.linalg.eigh(Q - np.outer(Qm, Qm) / a)
         L = vec[:, 1:].T * np.sqrt(np.maximum(lam[1:], 0.0))[:, None]
-        return cls(a, Qm, L, b @ Qm, Mp.T @ Qm, L @ b.T, L @ Mp, E)
+        Z = b @ L.T
+        return cls(a, Qm, L, b @ Qm, Z, np.einsum("bk,bk->b", Z, Z) + E)
+
+    def first_distance(self) -> float:
+        """The first row's sheet distance: to the line, or to the ray's
+        start when the foot lies behind it."""
+        beta = min(float(self.beta[0]), 0.0)
+        return math.sqrt(float(self.h[0]) + beta * beta / self.a)
+
+    def integral(self, power: int, want_gradient: bool, ceta_xy: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        qs = (power, power + 2) if want_gradient else (power,)
+        J = half_line_integrals(self.a, self.beta, self.h, qs)
+        if not want_gradient:
+            return J[0], None
+        # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))] with
+        # Q Y = L^T Z the part of Q b across m; the first moment K obeys
+        # a K - beta J = gamma^(-p/2) / p
+        m = self.Qm.shape[0]
+        grad = np.empty((self.h.shape[0], m + 2))
+        bound = (self.h + self.beta * self.beta / self.a) ** (-0.5 * power)
+        grad[:, :m] = ((-power * J[1][:, None] * self.Z) @ self.L
+                       + np.outer(bound, self.Qm / self.a))
+        grad[:, m:] = -power * ceta_xy * J[1][:, None]
+        return J[0], grad
+
+
+# the far-edge rule: Gauss-Legendre in the angle chi, used where the
+# integrand's poles chi = +-i asinh(|l| / H) (and their images about pi)
+# lie at least _EDGE_POLE times the edge's angle Theta off the real axis.
+# They then sit outside the rule's Bernstein ellipse of parameter 2.18, so
+# 32 nodes err by less than 2.18^-64 relative.  Nearer poles mean H > |l|,
+# where the difference form loses a few bits at most
+_EDGE_ORDER = 32
+_EDGE_POLE = 0.28
+
+
+def wedge_integrals(e2: tuple[float, float], y: np.ndarray, H2: np.ndarray,
+                    power: int, want_gradient: bool = False
+                    ) -> list[np.ndarray]:
+    """W_q = integral over the wedge between e1 = (1, 0) and
+    e2 = (cos phi, sin phi), 0 < phi < pi, of (H2 + |w - y|^2)^(-q/2) dA(w).
+
+    y is (2, ...) and H2 (...): per element the foot and the squared
+    height, H2 > 0 wherever the foot lies in the closed wedge.  Returns
+    [W_p], or with ``want_gradient`` [W_p, W_(p+2), dW_p/dy], the last one
+    (2, ...); dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.
+    """
+    cphi, sphi = e2
+    shape = H2.shape
+    H2 = H2.reshape(-1)
+    # per edge k (rows): the foot's position s0 along it and its signed
+    # distance l to the edge's line, positive on the wedge's side
+    proj = np.array([[1.0, 0.0], [cphi, sphi], [0.0, 1.0], [sphi, -cphi]]) \
+        @ y.reshape(2, -1)
+    s0, ell = proj[:2], proj[2:]
+    ns = (power - 2, power) if want_gradient else (power - 2,)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
+        n_in = np.count_nonzero(inside)
+        H = np.sqrt(H2)
+        al = np.abs(ell)
+        theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
+        n_rule = 0
+        if n_in < inside.size:
+            # outside the wedge: the Gauss rule where the poles are far enough
+            rule = ~inside & (al >= H * np.sinh(_EDGE_POLE * theta)) & (ell != 0.0)
+            n_rule = np.count_nonzero(rule)
+            if n_rule:
+                gauss = _edge_rule(theta, al, H2, rule if n_rule < rule.size else None,
+                                   ns, want_gradient)
+        if n_rule < ell.size:
+            ahat, S = _edge_ahat(s0, al, H, H2, ns)
+        if n_in < inside.size:
+            minus_sign = -np.sign(ell)
+        out = []
+        for j, n in enumerate(ns):
+            if n_rule < ell.size:
+                Hn = H ** -n
+            if n_in:
+                inner = Hn * (math.atan2(sphi, cphi) + ahat[j][0] + ahat[j][1])
+            if n_in < inside.size:
+                if n_rule < ell.size:
+                    edge = Hn * (theta - ahat[j])
+                    if n_rule:
+                        edge[rule] = gauss[j]
+                    if not H.all():
+                        # a foot in the plane on an edge's line adds 0
+                        edge[ell == 0.0] = 0.0
+                else:
+                    edge = gauss[j]
+                outer = (minus_sign * edge).sum(axis=0)
+            value = inner if n_in == inside.size else (
+                outer if not n_in else np.where(inside, inner, outer))
+            out.append((value / n).reshape(shape))
+        if want_gradient:
+            if n_rule < ell.size:
+                # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
+                # where psi is small the Wallis steps lose digits, and that
+                # routine's betainc branch takes over
+                c2 = H2 + ell * ell
+                J = c2 ** (-0.5 * (ns[0] + 1)) * S
+                small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
+                if n_rule:
+                    small &= ~rule
+                    J[rule] = gauss[-1]
+                if small.any():
+                    J[small] = half_line_integrals(1.0, s0[small], c2[small], (power,))[0]
+            else:
+                J = gauss[-1]
+            # minus the outward normals (0, -1) and (-sin phi, cos phi)
+            # times the half-line integrals along the edges
+            out.append((np.array([[0.0, sphi], [1.0, -cphi]]) @ J).reshape((2,) + shape))
+    return out
+
+
+def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
+               ns: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """ahat_n = (p - 2) H^n A for each edge, n = p - 2 in ``ns``: the edge
+    term of the form for a foot inside the wedge, scaled; and S_(ns[0]).
+
+    With c^2 = H^2 + l^2, kappa = H / c and psi = atan2(c, -s0),
+    ahat_(n+2) = ahat_n + (|l| / c) kappa^n S_n(psi), S_n the integral of
+    sin^n from 0 to psi (upward Wallis steps), from ahat_0 = 0 or
+    ahat_1 = 2 atan(r (1 - tau) / (1 + r^2 tau)), r = |l| / (c + H),
+    tau = -s0 / (c + w), w^2 = c^2 + s0^2 (the half-angle substitution).
+    """
+    c2 = H2 + al * al
+    c = np.sqrt(c2)
+    w = np.sqrt(c2 + s0 * s0)
+    kap, lp = H / c, al / c
+    sin2_psi, cos_psi = c2 / (w * w), -s0 / w
+    n = ns[0] % 2
+    if n:
+        # w + s0 without cancellation
+        w_lo = np.where(s0 < 0.0, c2 / (w - s0), w + s0)
+        r = al / (c + H)
+        cw = c + w
+        ahat = 2.0 * np.arctan(r * (c + w_lo) / (cw - r * r * s0))
+        S = w_lo / w                                  # 1 - cos psi
+        s_pow = sin2_psi                              # sin^(n+1) psi
+        kap_pow = kap
+    else:
+        ahat = np.zeros_like(c)
+        S = np.arctan2(c, -s0)
+        s_pow = np.sqrt(sin2_psi)
+        kap_pow = 1.0
+    kap2 = kap * kap
+    out, S_first = [], None
+    while True:
+        if n in ns:
+            out.append(ahat)
+            if S_first is None:
+                S_first = S
+            if n == ns[-1]:
+                return out, S_first
+        ahat = ahat + lp * kap_pow * S
+        # upward Wallis step
+        S = ((n + 1) * S - s_pow * cos_psi) / (n + 2)
+        s_pow = s_pow * sin2_psi
+        kap_pow = kap_pow * kap2
+        n += 2
+
+
+def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
+               rule: np.ndarray | None, ns: tuple[int, ...],
+               want_gradient: bool) -> list[np.ndarray]:
+    """On the edges in ``rule`` (all of them for None): (p - 2) B, the
+    integral over chi in [0, Theta] of root^n,
+    root^2 = sin^2 chi / (H^2 sin^2 chi + l^2), for each n = p - 2 in
+    ``ns``; with ``want_gradient`` also the half-line integral J_p, the
+    integral of |l| root^n / (H^2 sin^2 chi + l^2)."""
+    t, wt = _unit_rule(_EDGE_ORDER)
+    h2 = H2[:, None]
+    if rule is not None:
+        theta, al, h2 = theta[rule], al[rule], (H2 + 0.0 * al)[rule][:, None]
+    s2 = np.sin(theta[..., None] * t) ** 2
+    den = h2 * s2 + (al * al)[..., None]
+    root2 = s2 / den
+    n = ns[0]
+    rn = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
+    out = [theta * (rn @ wt)]
+    if len(ns) > 1:
+        out.append(theta * ((rn * root2) @ wt))
+    if want_gradient:
+        out.append(theta * al * ((rn / den) @ wt))
+    return out
+
+
+@lru_cache(maxsize=4)
+def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = gauss_rule(order)
+    t, wt = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = False
+    wt.flags.writeable = False
+    return t, wt
+
+
+@dataclass(frozen=True)
+class _Wedge:
+    """The last two cone columns as a planar wedge, per batch row.
+
+    With Q = C C^T and U the orthonormal rows spanning C^T m1 and C^T m2,
+    P = U C^T gives Q-orthonormal coordinates y = P x in the plane,
+    oriented so that m1 runs along e1 = (1, 0) and m2 along
+    e2 = (cos phi, sin phi); L = (1 - U^T U) C^T gives the transverse
+    part, and |x|_Q^2 = |P x|^2 + |L x|^2.  The foot and
+    transverse part of X0 are affine in the swept parameters tau':
+    y0 = y - Py tau' and Z = z - Lz tau'.
+    """
+
+    e2: tuple[float, float]
+    jac: float            # 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
+    P: np.ndarray         # (2, m)
+    L: np.ndarray         # (m, m), or (0, m) when m = 2
+    y: np.ndarray         # (2, B)
+    z: np.ndarray         # (m, B)
+    Py: np.ndarray        # (2, d-2)
+    Lz: np.ndarray        # (m, d-2)
+    E: np.ndarray         # (B,)
+
+    @classmethod
+    def build(cls, Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+              E: np.ndarray) -> "_Wedge":
+        Ct, info = lapack.dpotrf(Q)       # upper: Q = Ct^T Ct
+        if info:
+            raise np.linalg.LinAlgError("the form Q is not positive definite")
+        CM = Ct @ M
+        m1, m2 = CM[:, -2], CM[:, -1]
+        # Gram-Schmidt, reorthogonalized once: r22, the part of m2 across
+        # m1, keeps its relative accuracy for any angle between them
+        r11 = math.sqrt(m1 @ m1)
+        u1 = m1 / r11
+        r12 = float(u1 @ m2)
+        v = m2 - r12 * u1
+        fix = float(u1 @ v)
+        v -= fix * u1
+        r12 += fix
+        r22 = math.sqrt(v @ v)
+        U = np.array([u1, v / r22])
+        P = U @ Ct
+        Py = U @ CM[:, :-2]
+        # the transverse part, kept in the m coordinates of C^T
+        if len(Q) > 2:
+            L = Ct - U.T @ P
+            Lz = CM[:, :-2] - U.T @ Py
+        else:
+            L, Lz = np.zeros((0, 2)), np.zeros((0, M.shape[1] - 2))
+        norm = math.hypot(r12, r22)
+        return cls((r12 / norm, r22 / norm), 1.0 / (r11 * r22),
+                   P, L, P @ b.T, L @ b.T, Py, Lz, E)
+
+    def first_distance(self) -> float:
+        """The first row's sheet distance at tau' = 0: its height over the
+        plane combined with the distance from its foot to the wedge, which
+        is 0 inside, else the nearer of the edge lines (where the foot
+        projects onto the edge itself) and the apex."""
+        x, y = float(self.y[0, 0]), float(self.y[1, 0])
+        z = self.z[:, 0]
+        h2 = float(z @ z) + float(self.E[0])
+        c, s = self.e2
+        l2 = s * x - c * y
+        if y < 0.0 or l2 < 0.0:
+            d2 = x * x + y * y
+            if x > 0.0:
+                d2 = min(d2, y * y)
+            if c * x + s * y > 0.0:
+                d2 = min(d2, l2 * l2)
+            h2 += d2
+        return math.sqrt(h2)
 
 
 def _tensor_grid(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product nodes (len(axes), n) and weights (n,)."""
+    if len(axes) == 1:
+        return axes[0][0][None, :], axes[0][1]
     wts = np.ones(())
     for _, wt in axes:
         wts = np.multiply.outer(wts, wt)
-    if not axes:
-        return np.zeros((0, 1)), wts.reshape(1)
     grids = np.meshgrid(*[nd for nd, _ in axes], indexing="ij")
     return np.stack([g.ravel() for g in grids]), wts.ravel()
 
 
-def _sweep(line: _Line, axes: list[tuple[np.ndarray, np.ndarray]],
+def _closed_wedge(wedge: _Wedge, power: int, want_gradient: bool,
+                  ceta_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The whole integral at d = 2, every row in closed form."""
+    Z = wedge.z
+    W = wedge_integrals(wedge.e2, wedge.y, np.einsum("kb,kb->b", Z, Z) + wedge.E,
+                        power, want_gradient)
+    if not want_gradient:
+        return W[0] * wedge.jac, None
+    # along the plane through dW/dy, across it and in eta through
+    # dW/dH2 = -p W_(p+2) / 2
+    m = wedge.P.shape[1]
+    grad = np.empty((len(wedge.E), m + 2))
+    Wp = (-power * wedge.jac) * W[1]
+    grad[:, :m] = wedge.jac * W[2].T @ wedge.P + (Wp * Z).T @ wedge.L
+    grad[:, m:] = Wp[:, None] * ceta_xy
+    return W[0] * wedge.jac, grad
+
+
+def _sweep(wedge: _Wedge, axes: list[tuple[np.ndarray, np.ndarray]],
            power: int, want_gradient: bool, ceta_xy: np.ndarray, chunk: int
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sweep over the first d - 1 parameters, the last one exact."""
-    B, m = line.beta0.shape[0], line.L.shape[1]
+    """One sweep over the first d - 2 parameters, the last two exact."""
+    B, m = wedge.E.shape[0], wedge.P.shape[1]
     val = np.zeros(B)
     grad = np.zeros((B, m + 2)) if want_gradient else None
-    qs = (power, power + 2) if want_gradient else (power,)
     nodes, weights = _tensor_grid(axes)
     for start in range(0, len(weights), chunk):
         tau = nodes[:, start:start + chunk]
         wts = weights[start:start + chunk]
-        # component-major (m-1, B, n): long inner loops for numpy
-        beta = line.beta0[:, None] - line.u @ tau               # (B, n)
-        Z = line.z0[:, :, None] - (line.G @ tau)[:, None, :]
-        h = np.einsum("kbn,kbn->bn", Z, Z) + line.E[:, None]
-        J = half_line_integrals(line.a, beta, h, qs)
-        val += J[0] @ wts
+        # component-major (k, B, n): long inner loops for numpy
+        y = wedge.y[:, :, None] - (wedge.Py @ tau)[:, None, :]
+        Z = wedge.z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
+        H2 = np.einsum("kbn,kbn->bn", Z, Z) + wedge.E[:, None]
+        W = wedge_integrals(wedge.e2, y, H2, power, want_gradient)
+        val += W[0] @ wts
         if want_gradient:
-            # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))]
-            # with Q Y = L^T Z the part of Q X0 across m; the first moment
-            # K obeys a K - beta J = gamma^(-p/2) / p
-            Jw = J[1] * wts
-            bound = (h + beta * beta / line.a) ** (-0.5 * power) @ wts
-            grad[:, :m] += (-power * np.einsum("bn,kbn->bk", Jw, Z) @ line.L
-                            + np.outer(bound, line.Qm / line.a))
-            grad[:, m:] += -power * ceta_xy * Jw.sum(axis=1)[:, None]
-    return val, grad
+            # as in _closed_wedge, summed over the nodes
+            Ww = W[1] * wts
+            grad[:, :m] += ((W[2] @ wts).T @ wedge.P
+                            - power * np.einsum("bn,kbn->bk", Ww, Z) @ wedge.L)
+            grad[:, m:] += -power * ceta_xy * Ww.sum(axis=1)[:, None]
+    if want_gradient:
+        grad *= wedge.jac
+    return val * wedge.jac, grad
 
 
 def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
@@ -380,12 +710,12 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                           ) -> QuadResult:
     """Evaluate the orthant power integral, batched over base points.
 
-    b may be (m,) or (B, m); eta scalar or (B,).  At d <= 1 every row is a
+    b may be (m,) or (B, m); eta scalar or (B,).  At d <= 2 every row is a
     closed form, so rows may lie at any distance from each other.  At
-    d >= 2 the panel construction is derived from the first row and every
+    d >= 3 the panel construction is derived from the first row and every
     row is swept on it, which holds only for rows within half the first
     row's sheet distance r* of it; ``kernels.alpha_batch`` splits its
-    batches so.  ``sheet`` passes the first row's (tau*, r*) from
+    batches so.  ``sheet`` passes that first row's (tau*, r*) from
     ``sheet_distance`` when the caller has solved it already.
     ``prefactor`` only converts the spec tolerances into raw-integral
     units; the returned values are raw.  Raises QuadratureError when the
@@ -395,51 +725,66 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
     eta_arr = np.full(B, eta, dtype=complex) if np.ndim(eta) == 0 else np.asarray(eta, dtype=complex)
-    eta_xy = np.stack([eta_arr.real, eta_arr.imag], axis=1)
-    E = c_eta * np.abs(eta_arr) ** 2
+    eta_xy = np.ascontiguousarray(eta_arr).view(float).reshape(B, 2)
+    E = c_eta * (eta_xy * eta_xy).sum(axis=1)
     d = M.shape[1]
 
+    ceta_xy = c_eta * eta_xy
+    if d <= 2:
+        # every row is a closed form, and the geometry it builds gives the
+        # first row's sheet distance exactly
+        if d == 0:
+            dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
+            r_star = math.sqrt(float(dist2[0]))
+        elif d == 1:
+            line = _Line.build(Q, M[:, 0], b, E)
+            r_star = line.first_distance()
+        else:
+            wedge = _Wedge.build(Q, M, b, E)
+            r_star = wedge.first_distance()
+        if r_star <= 0.0:
+            raise SingularityProximity("point lies on the kernel's singular sheet")
+        if d == 0:
+            val = dist2 ** (-0.5 * power)
+            grad = None
+            if want_gradient:
+                core = dist2 ** (-0.5 * (power + 2))
+                grad = np.empty((B, m + 2))
+                grad[:, :m] = -power * (b @ Q) * core[:, None]
+                grad[:, m:] = -power * ceta_xy * core[:, None]
+        elif d == 1:
+            val, grad = line.integral(power, want_gradient, ceta_xy)
+        else:
+            val, grad = _closed_wedge(wedge, power, want_gradient, ceta_xy)
+        return QuadResult(val, np.zeros(B), grad, B, True, r_star)
+
     # closest sheet point for the leading row
-    P = M.T @ Q @ M
     if sheet is None:
         sheet = sheet_distance(Q, M, b[0], E[0])
     tau_star, r_star = sheet
-
-    if d == 0:
-        dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
-        val = dist2 ** (-0.5 * power)
-        grad = None
-        if want_gradient:
-            core = dist2 ** (-0.5 * (power + 2))
-            grad = np.empty((B, m + 2))
-            grad[:, :m] = -power * (b @ Q) * core[:, None]
-            grad[:, m] = -power * c_eta * eta_xy[:, 0] * core
-            grad[:, m + 1] = -power * c_eta * eta_xy[:, 1] * core
-        return QuadResult(val, np.zeros(B), grad, B, True, r_star)
-
     if r_star <= 0.0:
         raise SingularityProximity("point lies on the kernel's singular sheet")
-
-    line = _Line.build(Q, M, b, E)
-    ceta_xy = c_eta * eta_xy
-    if d == 1:
-        # nothing is left to sweep: the closed form is the whole integral
-        val, grad = _sweep(line, [], power, want_gradient, ceta_xy, 1)
-        return QuadResult(val, np.zeros(B), grad, B, True, r_star)
-
+    wedge = _Wedge.build(Q, M, b, E)
+    P = M.T @ Q @ M
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
     widths = [max(r_star / math.sqrt(max(P[k, k], 1e-300)), 1e-8)
-              for k in range(d - 1)]
-    if d == 2:
+              for k in range(d - 2)]
+    if d == 3:
         # graded panels on [0, T], then tau = T / s maps [T, inf) onto one
-        # panel s in (0, 1]: the mapped integrand is T^(2-p) s^(p-3) g(s)
+        # panel s in (0, 1]: the mapped integrand is T^(3-p) s^(p-4) g(s)
         # with g analytic, so nothing is truncated.  g is singular only at
-        # the complex zeros of h and gamma along the swept axis; T keeps
-        # them at |s| >= _TAIL_START
-        z0, g = line.z0[:, 0], line.G[:, 0]
-        h0 = float(z0 @ z0) + float(E[0])
-        gamma0 = h0 + float(line.beta0[0]) ** 2 / line.a
-        rho = math.sqrt(max(h0 / float(g @ g), gamma0 / float(P[0, 0])))
+        # the complex zeros, along the swept axis, of H^2, H^2 + l_k^2 and
+        # H^2 + |y0|^2 (the squared distances to the plane, the edge lines
+        # and the apex); T keeps them at |s| >= _TAIL_START
+        cphi, sphi = wedge.e2
+        normals = np.array([[0.0, 1.0], [sphi, -cphi]])
+        z, gz = wedge.z[:, 0], wedge.Lz[:, 0]
+        y0, gy = wedge.y[:, 0], wedge.Py[:, 0]
+        h0, g2 = float(z @ z) + float(E[0]), float(gz @ gz)
+        zeros = [(h0, g2), (h0 + float(y0 @ y0), g2 + float(gy @ gy))]
+        zeros += [(h0 + float(n @ y0) ** 2, g2 + float(n @ gy) ** 2)
+                  for n in normals]
+        rho = math.sqrt(max(c / a for c, a in zeros))
         T = _TAIL_START * max(float(tau_star[0]) + widths[0], rho)
         tail_bound = 0.0
     else:
@@ -455,37 +800,45 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         tail_bound = (surf * 2.0 ** power * lamP ** (-0.5 * power)
                       * T ** (d - power) / (power - d))
 
-    def build_axes(extra_split: int, order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        axes = []
-        for k in range(d - 1):
+    def breakpoints(extra_split: int) -> list[np.ndarray]:
+        out = []
+        for k in range(d - 2):
             br = _axis_breakpoints(float(tau_star[k]), widths[k], T,
                                    fine_levels=3 + extra_split)
             if extra_split:
                 mids = 0.5 * (br[:-1] + br[1:])
                 br = np.sort(np.concatenate([br, mids]))
+            out.append(br)
+        return out
+
+    def axes(breaks: list[np.ndarray], extra_split: int,
+             order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        out = []
+        for br in breaks:
             nodes, wts = panel_nodes(br, order)
-            if d == 2:
+            if d == 3:
                 s, ws = panel_nodes(np.array([0.0, 0.5, 1.0] if extra_split
                                              else [0.0, 1.0]), order)
                 nodes = np.concatenate([nodes, T / s])
                 wts = np.concatenate([wts, ws * T / (s * s)])
-            axes.append((nodes, wts))
-        return axes
+            out.append((nodes, wts))
+        return out
 
     # about 2^14 elements per temporary array, so a chunk stays in cache
-    chunk = max(1 << 10, (1 << 14) // max(B, 1))
+    chunk = max(1 << 8, (1 << 14) // max(B, 1))
     evals = 0
     for attempt in range(spec.refine_levels + 1):
-        hi = build_axes(attempt, spec.order)
-        lo = build_axes(attempt, spec.order_low)
+        breaks = breakpoints(attempt)
+        hi = axes(breaks, attempt, spec.order)
+        lo = axes(breaks, attempt, spec.order_low)
         n_hi = math.prod(len(nd) for nd, _ in hi)
         n_lo = math.prod(len(nd) for nd, _ in lo)
         if n_hi + n_lo > spec.max_evals:
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {spec.max_evals}")
-        v_hi, g_hi = _sweep(line, hi, power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(line, lo, power, False, ceta_xy, chunk)
+        v_hi, g_hi = _sweep(wedge, hi, power, want_gradient, ceta_xy, chunk)
+        v_lo, _ = _sweep(wedge, lo, power, False, ceta_xy, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo) + tail_bound
         tol = np.maximum(abs_raw, spec.rel_tol * np.abs(v_hi))

@@ -94,7 +94,7 @@ def test_first_order_field_basic():
     p = BasePoint(np.array([0.9, -0.6]), 0.7 + 0.2j)
     jet = fld.at(p, want_gradient=True)
     assert jet.spd
-    assert jet.converged
+    assert jet.quad_error <= max(QUAD.abs_tol, QUAD.rel_tol * float(np.max(np.abs(jet.v))))
     # V = A + v with v symmetric positive; W = det A (1 + tr(A^{-1} v))
     v = jet.V - A.entries
     np.testing.assert_allclose(v, v.T, atol=1e-12)
@@ -126,10 +126,11 @@ def _leg_nodes(q0, q1, order=16, panels=8):
 
 
 @pytest.mark.parametrize("N, members", [(2, (0, 1)), (2, (0, 1, 2)),
-                                        (3, (0, 1, 2, 3))])
+                                        (3, (0, 1, 2, 3)), (4, (0, 1, 2, 3, 4))])
 def test_leg_jet_matches_pointwise(N, members, monkeypatch):
     # one batched jet over a whole constant-eta leg equals a jet per node;
-    # at N = 3 every kernel sweeps (d = 2), so the leg is split into
+    # up to N = 3 every kernel is a closed form and takes the leg in one
+    # call, at N = 4 every kernel sweeps (d = 3), so the leg is split into
     # groups that each sweep on their own first row's grid
     import ghlab.kernels as kernels
 
@@ -146,7 +147,7 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
     jets = fld.jet(nodes, want_gradient=False)
     monkeypatch.undo()
     live = 1 if members == (0, 1) else len(members) * (len(members) - 1) // 2
-    if N == 3:
+    if N == 4:
         assert live < len(calls) < live * len(nodes)
     else:
         assert len(calls) == live

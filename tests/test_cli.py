@@ -107,3 +107,25 @@ def test_shipped_configs_load_and_match_experiments():
     for p in cfg_dir.glob("*.json"):
         data = json.loads(p.read_text())
         assert data.get("schema_version") == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"params": {"rel_tl": 1e-3}}, r"param\(s\) rel_tl for"),     # rel_tol
+    ({"params": {"dims": [3], "dim": 3}}, r"param\(s\) dim for"),  # reads dims
+    ({"sed": 5}, r"key\(s\) sed in"),                              # seed
+], ids=["param-typo", "unread-param", "top-level-typo"])
+def test_config_typos_rejected(tmp_path, data, message):
+    # an unknown key would otherwise fall back to its default silently
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=message):
+        main(["harmonicity", "--config", str(cfg), "--n", "1"])
+
+
+def test_shipped_configs_pass_validation():
+    import pathlib
+
+    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    for p in sorted(cfg_dir.glob("*.json")):
+        cfg = ExperimentConfig.load(p.stem, str(p), None, None)
+        assert cfg.params == json.loads(p.read_text()).get("params", {})

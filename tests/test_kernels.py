@@ -232,18 +232,19 @@ def test_alpha_batch_matches_pointwise():
                                    rtol=1e-6, atol=1e-10)
 
 
-def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
-    # rows far apart on a d = 2 kernel: none may be swept on another
-    # row's panel grid, and each must equal its own alpha
+def _far_rows_match_pointwise(N, monkeypatch):
+    """Rows far apart, one kernel batch per label pair: each row must equal
+    its own alpha.  Returns the engine calls per batch."""
     import ghlab.kernels as kernels
 
     rng = np.random.default_rng(47)
-    A = random_spd(rng, 3)
+    A = random_spd(rng, N)
     quad = QuadratureSpec(abs_tol=1e-11)
-    pts = [BasePoint(np.array([0.9, 0.5, -0.7]), 0.6 + 0.4j),
-           BasePoint(np.array([-1.2, 1.6, 0.4]), 1.1 - 0.2j),
-           BasePoint(np.array([2.5, -0.8, 1.9]), 0.3 + 0.9j),
-           BasePoint(np.array([-0.4, -2.2, -1.5]), -0.7 + 0.5j)]
+    pts = [BasePoint(np.array([0.9, 0.5, -0.7, 0.3][:N]), 0.6 + 0.4j),
+           BasePoint(np.array([-1.2, 1.6, 0.4, -0.8][:N]), 1.1 - 0.2j),
+           BasePoint(np.array([2.5, -0.8, 1.9, 1.2][:N]), 0.3 + 0.9j),
+           BasePoint(np.array([-0.4, -2.2, -1.5, 0.6][:N]), -0.7 + 0.5j)]
+    counts = []
     for labels in [(0, 2), (1, 3)]:
         spec = KernelSpec(A, labels)
         calls = []
@@ -252,13 +253,25 @@ def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
                             lambda *a, **k: calls.append(1) or engine(*a, **k))
         vals, grads, errs = alpha_batch(spec, quad, pts, want_gradient=True)
         monkeypatch.undo()
-        assert len(calls) == len(pts)
+        counts.append(len(calls))
         for t, p in enumerate(pts):
             one = alpha_grad(spec, quad, p)
             assert vals[t] == pytest.approx(one.value, rel=1e-12)
             assert errs[t] == pytest.approx(one.error, rel=1e-12)
             np.testing.assert_allclose(grads[t], one.gradient, rtol=1e-12,
                                        atol=1e-12 * float(np.max(np.abs(one.gradient))))
+    return counts
+
+
+def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
+    # N = 3 kernels (d = 2) are closed forms: far rows share one call
+    assert _far_rows_match_pointwise(3, monkeypatch) == [1, 1]
+
+
+def test_alpha_batch_far_rows_match_pointwise_n4(monkeypatch):
+    # N = 4 kernels (d = 3) sweep one axis: no row may be swept on another
+    # row's panel grid
+    assert _far_rows_match_pointwise(4, monkeypatch) == [4, 4]
 
 
 def test_pair_kernels_converge_at_tight_tolerance():
@@ -281,12 +294,12 @@ def test_pair_kernels_converge_at_tight_tolerance():
 
 def test_work_counters_are_pinned():
     # grid nodes per kernel call are deterministic, so they gate regressions:
-    # at N = 3 one axis is swept (graded panels plus the mapped tail), at
-    # N = 4 two axes are swept out to the truncation radius
+    # at N = 3 nothing is swept (a row counts once), at N = 4 one axis is
+    # swept (graded panels plus the mapped tail)
     A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
     p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
-    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 192
-    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 192
+    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 1
+    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 1
     A4 = QuadForm(np.array([
         [1.276341995534779, -0.0065205115731539545, 0.017418387685633682, -0.09057612264627342],
         [-0.0065205115731539545, 1.3118126399967247, -0.031852740053687024, 0.0823851601100817],
@@ -295,7 +308,7 @@ def test_work_counters_are_pinned():
     p4 = BasePoint(np.array([-0.4305473056064981, -0.7928433222219473,
                              -0.6542161649648368, 1.9371148657881885]),
                    0.13944050602891173 - 0.6978434856523438j)
-    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 486_720
+    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 192
 
 
 def test_on_sheet_raises():

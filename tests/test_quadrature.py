@@ -1,6 +1,6 @@
 """Engine checks against oracles that bypass the panel machinery.
 
-The one-dimensional sweep has an elementary antiderivative: for
+The one-dimensional integral has an elementary antiderivative: for
 a t^2 - 2 b t + c with discriminant D = a c - b^2 > 0,
 
     int_0^inf dt / (a t^2 - 2 b t + c)
@@ -13,8 +13,9 @@ is elementary too,
     [pi/2 - atan(a/c) - atan(b/c) + atan(a b / (c sqrt(a^2 + b^2 + c^2)))] / c.
 
 Those formulas, derived by hand and frozen here, plus a scrambled-Sobol
-estimator and 50-digit mpmath quadrature of the half-line integrals, are
-the independent routes the engine must match.
+estimator, 50-digit mpmath quadrature of the half-line integrals and of
+the wedge integrals in polar coordinates about the apex, are the
+independent routes the engine must match.
 """
 
 import math
@@ -140,25 +141,26 @@ def test_singularity_raises():
 
 
 def test_budget_error():
-    # three cone columns: two swept axes of graded panels out to the
+    # four cone columns: two swept axes of graded panels out to the
     # truncation radius need far more than 1000 nodes
-    A = np.eye(4)
-    M = np.eye(4)[:, 1:]
+    A = np.eye(5)
+    M = np.eye(5)[:, 1:]
     with pytest.raises(QuadratureError):
-        power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0, 1.0]]), 0.5 + 0j,
-                              M, 4, QuadratureSpec(max_evals=1000))
+        power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0, 1.0, 1.0]]), 0.5 + 0j,
+                              M, 5, QuadratureSpec(max_evals=1000))
 
 
 def test_unconverged_integral_raises():
-    # N = 3 axis kernel geometry: Gauss orders this coarse miss the
-    # tolerance even after the refinement pass
-    A = np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]])
-    M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    b = np.array([[0.8, -0.5, 0.4]])
+    # N = 4 axis kernel geometry, one swept axis: Gauss orders this coarse
+    # miss the tolerance even after the refinement pass
+    A = np.array([[1.5, 0.2, 0.1, 0.0], [0.2, 1.2, -0.3, 0.1],
+                  [0.1, -0.3, 0.9, 0.05], [0.0, 0.1, 0.05, 1.1]])
+    M = np.eye(4)[:, 1:]
+    b = np.array([[0.8, -0.5, 0.4, 0.3]])
     det_a = float(np.linalg.det(A))
-    power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3, QuadratureSpec())
+    power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
     with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance"):
-        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 3,
+        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4,
                               QuadratureSpec(order=4, order_low=2))
 
 
@@ -178,8 +180,7 @@ def quadrant_oracle(a: float, b: float, c: float) -> float:
     (-3e3, 2.0, 0.3),           # far along one edge
 ])
 def test_engine_matches_quadrant_oracle(a, b, c):
-    # d = 2, p = 3: one swept axis, graded panels and the mapped tail panel,
-    # so nothing is truncated and the value is exact to rounding
+    # d = 2, p = 3: the closed-form wedge, exact to rounding
     M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     res = power_kernel_integral(np.eye(3), 1.0, np.array([c, -a, -b]), 0j, M,
                                 3, QuadratureSpec())
@@ -314,3 +315,104 @@ def test_nonneg_argmin_closed_form_matches_enumeration():
         assert np.all(tau >= 0.0)
         np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-12 * scale)
         assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12 * scale ** 2)
+
+
+def mp_wedge(mpmath, e2, y, H2, powers):
+    """50-digit integrals over the wedge between (1, 0) and e2 of
+    (H2 + |w - y|^2)^(-p/2) dA(w) for each p in ``powers``, in polar
+    coordinates about the apex.
+
+    Along each direction u the radial integral of
+    r (r^2 - 2 beta r + gamma)^(-p/2), beta = u . y, gamma = H2 + |y|^2, is
+    beta J + gamma^(1-p/2) / (p - 2) with the half-line integral
+    J = h^((1-p)/2) S_(p-2)(atan2(sqrt h, -beta)), h = gamma - beta^2; it is
+    formed with extra digits, because beta J cancels against the rest
+    behind the foot.  Over the directions, Gauss-Legendre rules of 24 and
+    48 nodes run on panels split at the foot's direction and its opposite
+    and graded geometrically about them, and must agree to 1e-20.
+    """
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    c, s = (mpmath.mpf(v) for v in e2)
+    x, yy, H2 = mpmath.mpf(y[0]), mpmath.mpf(y[1]), mpmath.mpf(H2)
+    gamma = H2 + x * x + yy * yy
+
+    def radial(a):
+        with mpmath.extradps(60):
+            beta = x * mpmath.cos(a) + yy * mpmath.sin(a)
+            h = H2 + (yy * mpmath.cos(a) - x * mpmath.sin(a)) ** 2
+            phi0 = mpmath.atan2(mpmath.sqrt(h), -beta)
+            sin0, cos0 = mpmath.sin(phi0), mpmath.cos(phi0)
+            S = [phi0, 1 - cos0]
+            for k in range(2, max(powers) - 1):
+                S.append(((k - 1) * S[k - 2] - sin0 ** (k - 1) * cos0) / k)
+            return [beta * h ** (mpmath.mpf(1 - p) / 2) * S[p - 2]
+                    + gamma ** (1 - mpmath.mpf(p) / 2) / (p - 2) for p in powers]
+
+    phi = mpmath.atan2(s, c)
+    foot = mpmath.atan2(yy, x)
+    width = mpmath.sqrt(H2 / (x * x + yy * yy))
+    pts = {mpmath.mpf(0), phi}
+    for centre in (foot - mpmath.pi, foot, foot + mpmath.pi):
+        step = width
+        while step < 4:
+            pts |= {a for a in (centre - step, centre, centre + step) if 0 < a < phi}
+            step *= 4
+    pts = sorted(pts)
+    rules = [GaussLegendre(mpmath.mp).calc_nodes(deg, mpmath.mp.prec) for deg in (4, 5)]
+    sums = []
+    for rule in rules:
+        total = [mpmath.mpf(0)] * len(powers)
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            mid, half = (lo + hi) / 2, (hi - lo) / 2
+            for t, w in rule:
+                total = [acc + half * w * v for acc, v in zip(total, radial(mid + half * t))]
+        sums.append(total)
+    for lo_order, hi_order in zip(*sums):
+        assert abs(lo_order - hi_order) <= mpmath.mpf(10) ** -20 * abs(hi_order)
+    return dict(zip(powers, sums[1]))
+
+
+@pytest.mark.parametrize("phi, foot, H", [
+    (1.1, (0.8, 0.4), 0.6),                 # foot inside
+    (1.1, (0.9, 0.0), 0.5),                 # foot on an edge line
+    (1.1, (0.9, -0.05), 0.5),               # foot just outside, H > |l|
+    (2.0, (-1.2, -0.7), 0.3),               # foot behind the apex
+    (0.34, (-1.34, 0.0), 6e-8),             # ... on an edge line, H tiny
+    (1.1, (3e3, -1e4), 0.7),                # foot far away
+    (1.1, (2.0, -1.5), 2.5e-8),             # H / |y0| = 1e-8, foot outside
+    (1.1, (2.0, 1.0), 2.2e-8),              # H / |y0| = 1e-8, foot inside
+    (1e-3, (1.0, 0.2), 0.3),                # phi near 0
+    (math.pi - 1e-3, (0.4, -0.3), 0.2),     # phi near pi
+], ids=["inside", "on-edge-line", "just-outside", "behind-apex",
+        "behind-apex-on-edge-line", "far", "tiny-height-outside",
+        "tiny-height-inside", "phi-near-0", "phi-near-pi"])
+def test_wedge_matches_mpmath(phi, foot, H, mpmath):
+    # d = 2: with Q = I and unit columns e_2 and (0, cos phi, sin phi) the
+    # quadrant is the wedge of opening phi in the plane x_1 = 0, and
+    # d tau = dA / sin phi.  Value and gradient for p = 3..8, against the
+    # wedge at p and p + 2 and the half-line integrals J_p along the edges
+    e2 = (math.cos(phi), math.sin(phi))
+    M = np.array([[0.0, 0.0], [1.0, e2[0]], [0.0, e2[1]]])
+    # the height splits between the transverse b_1 and the eta mass
+    b = np.array([0.6 * H, foot[0], foot[1]])
+    eta = H * (0.48 + 0.64j)
+    W = mp_wedge(mpmath, e2, foot, mpmath.mpf(H) ** 2, range(3, 11))
+    jac = 1 / mpmath.mpf(e2[1])
+    y = [mpmath.mpf(v) for v in foot]
+    c, s = (mpmath.mpf(v) for v in e2)
+    for p in range(3, 9):
+        res = power_kernel_integral(np.eye(3), 1.0, b, eta, M, p, QuadratureSpec(),
+                                    want_gradient=True)
+        assert res.value[0] == pytest.approx(float(W[p] * jac), rel=1e-12), p
+        assert res.error[0] == 0.0
+        # along the plane: minus the outward normals (0, -1) and
+        # (-sin phi, cos phi) times J_p along the edges
+        J = [mp_half_line(mpmath, 1, s0, s0 * s0 + mpmath.mpf(H) ** 2 + ell * ell, p)
+             for s0, ell in ((y[0], y[1]), (c * y[0] + s * y[1], s * y[0] - c * y[1]))]
+        across = -p * W[p + 2] * jac
+        want = [across * b[0], s * J[1] * jac, (J[0] - c * J[1]) * jac,
+                across * eta.real, across * eta.imag]
+        want = np.array([float(v) for v in want])
+        np.testing.assert_allclose(res.gradient[0], want, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(want))))
