@@ -26,7 +26,7 @@ from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, schur_c
 from .quadrature import (
     QuadratureSpec,
     SingularityProximity,
-    nonneg_argmin_rows,
+    closed_sheet_distances,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
@@ -186,16 +186,6 @@ def _evaluate(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
                        res.evals, res.r_star, grad)
 
 
-def _closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
-                            E: np.ndarray) -> np.ndarray:
-    """Every row's sheet distance when the sheet has at most two cone
-    columns, where the closest sheet parameter tau* is a closed form."""
-    if M.shape[1]:
-        QM = Q @ M
-        b = b - nonneg_argmin_rows(M.T @ QM, b @ QM) @ M.T
-    return np.sqrt(((b @ Q) * b).sum(axis=1) + E)
-
-
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
                 points: list[BasePoint], want_gradient: bool = False
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -222,8 +212,9 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
     E = c_eta * np.abs(eta) ** 2
     floor = _floor(quad, N)
     if M.shape[1] <= 2:
-        groups = [(np.arange(B), None)]
-        r_min = float(np.min(_closed_sheet_distances(Q, M, b, E)))
+        tau, r = closed_sheet_distances(Q, M, b, E)
+        groups = [(np.arange(B), (tau[0], float(r[0])))]
+        r_min = float(np.min(r))
     else:
         groups, r_min = _grid_groups(Q, c_eta, M, b, eta, E, floor)
     if r_min < floor:
@@ -232,13 +223,6 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
             f"is below the resolution floor {floor:.3e}")
     cols = [lab - 1 for lab in S] + [N, N + 1]   # engine gradient columns
     grads = np.zeros((B, N + 2)) if want_gradient else None
-    if len(groups) == 1:
-        res = power_kernel_integral(Q, c_eta, b, eta, M, power, quad,
-                                    want_gradient=want_gradient,
-                                    prefactor=pref, sheet=groups[0][1])
-        if want_gradient:
-            grads[:, cols] = pref * res.gradient
-        return pref * res.value, grads, pref * res.error
     vals = np.empty(B)
     errs = np.empty(B)
     for rows, sheet in groups:

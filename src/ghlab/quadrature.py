@@ -101,6 +101,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "SingularityProximity",
+    "closed_sheet_distances",
     "half_line_integrals",
     "wedge_integrals",
     "nonneg_argmin",
@@ -207,16 +208,18 @@ def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     if P.shape[0] == 1:
         return np.maximum(q / float(P[0, 0]), 0.0)
-    p00, p01, p11 = float(P[0, 0]), float(P[0, 1]), float(P[1, 1])
+    (p00, p01), (_, p11) = P.tolist()
     det = p00 * p11 - p01 * p01
     tau = q @ np.array([[p11, -p01], [-p01, p00]]) / det
     edge = (tau < 0.0).any(axis=1)
     if edge.any():
-        q0, q1 = q[edge, 0], q[edge, 1]
-        e0, e1 = np.maximum(q0 / p00, 0.0), np.maximum(q1 / p11, 0.0)
-        first = q0 * e0 >= q1 * e1
-        tau[edge] = np.stack([np.where(first, e0, 0.0),
-                              np.where(first, 0.0, e1)], axis=1)
+        qe = q[edge]
+        e = np.maximum(qe / np.array([p00, p11]), 0.0)
+        gain = qe * e
+        first = gain[:, 0] >= gain[:, 1]
+        e[first, 1] = 0.0
+        e[~first, 0] = 0.0
+        tau[edge] = e
     return tau
 
 
@@ -254,9 +257,26 @@ def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                    E: float) -> tuple[np.ndarray, float]:
     """Closest sheet parameter tau* >= 0 and the distance
     r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet."""
+    if M.shape[1] <= 2:
+        tau, r = closed_sheet_distances(Q, M, b[None, :], np.array([E]))
+        return tau[0], float(r[0])
     tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
     return tau, math.sqrt(float(x @ Q @ x) + E)
+
+
+def closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
+                           E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's closest sheet parameter tau* (B, d) and sheet distance
+    r* (B,) when the sheet has at most two cone columns, where tau* is the
+    closed form of ``nonneg_argmin_rows``."""
+    if M.shape[1]:
+        QM = Q @ M
+        tau = nonneg_argmin_rows(M.T @ QM, b @ QM)
+        b = b - tau @ M.T
+    else:
+        tau = np.zeros((len(b), 0))
+    return tau, np.sqrt(((b @ Q) * b).sum(axis=1) + E)
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
@@ -373,12 +393,6 @@ class _Line:
         L = vec[:, 1:].T * np.sqrt(np.maximum(lam[1:], 0.0))[:, None]
         Z = b @ L.T
         return cls(a, Qm, L, b @ Qm, Z, np.einsum("bk,bk->b", Z, Z) + E)
-
-    def first_distance(self) -> float:
-        """The first row's sheet distance: to the line, or to the ray's
-        start when the foot lies behind it."""
-        beta = min(float(self.beta[0]), 0.0)
-        return math.sqrt(float(self.h[0]) + beta * beta / self.a)
 
     def integral(self, power: int, want_gradient: bool, ceta_xy: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -624,25 +638,6 @@ class _Wedge:
         return cls((r12 / norm, r22 / norm), 1.0 / (r11 * r22),
                    P, L, P @ b.T, L @ b.T, Py, Lz, E)
 
-    def first_distance(self) -> float:
-        """The first row's sheet distance at tau' = 0: its height over the
-        plane combined with the distance from its foot to the wedge, which
-        is 0 inside, else the nearer of the edge lines (where the foot
-        projects onto the edge itself) and the apex."""
-        x, y = float(self.y[0, 0]), float(self.y[1, 0])
-        z = self.z[:, 0]
-        h2 = float(z @ z) + float(self.E[0])
-        c, s = self.e2
-        l2 = s * x - c * y
-        if y < 0.0 or l2 < 0.0:
-            d2 = x * x + y * y
-            if x > 0.0:
-                d2 = min(d2, y * y)
-            if c * x + s * y > 0.0:
-                d2 = min(d2, l2 * l2)
-            h2 += d2
-        return math.sqrt(h2)
-
 
 def _tensor_grid(axes: list[tuple[np.ndarray, np.ndarray]]
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -730,21 +725,16 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     d = M.shape[1]
 
     ceta_xy = c_eta * eta_xy
+    # closest sheet point for the leading row
+    if sheet is None:
+        sheet = sheet_distance(Q, M, b[0], E[0])
+    tau_star, r_star = sheet
+    if r_star <= 0.0:
+        raise SingularityProximity("point lies on the kernel's singular sheet")
     if d <= 2:
-        # every row is a closed form, and the geometry it builds gives the
-        # first row's sheet distance exactly
+        # every row is a closed form
         if d == 0:
             dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
-            r_star = math.sqrt(float(dist2[0]))
-        elif d == 1:
-            line = _Line.build(Q, M[:, 0], b, E)
-            r_star = line.first_distance()
-        else:
-            wedge = _Wedge.build(Q, M, b, E)
-            r_star = wedge.first_distance()
-        if r_star <= 0.0:
-            raise SingularityProximity("point lies on the kernel's singular sheet")
-        if d == 0:
             val = dist2 ** (-0.5 * power)
             grad = None
             if want_gradient:
@@ -753,17 +743,13 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                 grad[:, :m] = -power * (b @ Q) * core[:, None]
                 grad[:, m:] = -power * ceta_xy * core[:, None]
         elif d == 1:
-            val, grad = line.integral(power, want_gradient, ceta_xy)
+            val, grad = _Line.build(Q, M[:, 0], b, E).integral(
+                power, want_gradient, ceta_xy)
         else:
-            val, grad = _closed_wedge(wedge, power, want_gradient, ceta_xy)
+            val, grad = _closed_wedge(_Wedge.build(Q, M, b, E), power,
+                                      want_gradient, ceta_xy)
         return QuadResult(val, np.zeros(B), grad, B, True, r_star)
 
-    # closest sheet point for the leading row
-    if sheet is None:
-        sheet = sheet_distance(Q, M, b[0], E[0])
-    tau_star, r_star = sheet
-    if r_star <= 0.0:
-        raise SingularityProximity("point lies on the kernel's singular sheet")
     wedge = _Wedge.build(Q, M, b, E)
     P = M.T @ Q @ M
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
@@ -825,7 +811,7 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         return out
 
     # about 2^14 elements per temporary array, so a chunk stays in cache
-    chunk = max(1 << 8, (1 << 14) // max(B, 1))
+    chunk = max(1 << 10, (1 << 14) // max(B, 1))
     evals = 0
     for attempt in range(spec.refine_levels + 1):
         breaks = breakpoints(attempt)

@@ -9,6 +9,7 @@ from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
     _alpha_exact_n2,
+    _assemble,
     RadialBump,
     alpha,
     alpha_batch,
@@ -316,6 +317,28 @@ def test_on_sheet_raises():
     spec = KernelSpec(A, (0, 1))
     with pytest.raises(SingularityProximity):
         alpha(spec, QUAD, BasePoint(np.array([0.0, 1.0]), 0j))
+
+
+@pytest.mark.parametrize("labels", [(0, 2), (1, 3)])
+def test_on_sheet_raises_n3(labels):
+    # N = 3, two cone columns: points M t on the sheet (inside the cone, on
+    # an edge, at the apex) and one within the floor (4.6e-3 here) of it
+    A = random_spd(np.random.default_rng(5), 3)
+    spec = KernelSpec(A, labels)
+    _, _, _, M, _, _ = _assemble(spec)
+    clear = BasePoint(M @ np.array([1.0, 0.5]) + 0.3, 0.2 + 0j)
+    alpha_batch(spec, QUAD, [clear, BasePoint(np.array([-0.5, 1.0, 0.4]), 0j)])
+    for t in ((1.0, 0.5), (1.0, 0.0), (0.0, 0.0)):
+        on = BasePoint(M @ np.array(t), 0j)
+        with pytest.raises(SingularityProximity):
+            alpha(spec, QUAD, on)
+        with pytest.raises(SingularityProximity):
+            alpha_grad(spec, QUAD, on)
+        near = BasePoint(M @ np.array(t), 1e-3j)
+        with pytest.raises(SingularityProximity):
+            alpha(spec, QUAD, near)
+        with pytest.raises(SingularityProximity):
+            alpha_batch(spec, QUAD, [clear, near])
 
 
 def test_batch_checks_every_row_against_the_floor():

@@ -29,6 +29,7 @@ from ghlab.quadrature import (
     SingularityProximity,
     _axis_breakpoints,
     _enumerate_argmin,
+    closed_sheet_distances,
     gauss_rule,
     half_line_integrals,
     nonneg_argmin,
@@ -138,6 +139,59 @@ def test_singularity_raises():
     with pytest.raises(SingularityProximity):
         power_kernel_integral(A, 1.0, np.array([[0.0, 2.0]]), 0j, M, 2,
                               QuadratureSpec())
+    # d = 2: b inside the quadrant, on an edge and at the apex
+    A = np.eye(3)
+    M = np.eye(3)[:, 1:]
+    for b in ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(SingularityProximity):
+            power_kernel_integral(A, 1.0, np.array([b]), 0j, M, 3,
+                                  QuadratureSpec())
+
+
+def _reference_distance(Q, M, b, E):
+    tau, _ = _enumerate_argmin(M.T @ Q @ M, M.T @ (Q @ b))
+    x = b - M @ tau
+    return math.sqrt(float(x @ Q @ x) + E)
+
+
+# cone coordinates t of the foot M t: inside, on and beside each edge
+# line (both sides, before and behind the apex), behind the apex, far off
+_FEET = {
+    1: [(1.0,), (0.0,), (-1.0,), (-40.0,)],
+    2: [(1.0, 2.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0), (1.0, -0.3),
+        (-0.3, 1.0), (-1.0, 0.0), (0.0, -1.0), (-1.0, -1.0), (2.0, -5.0),
+        (-5.0, 2.0), (-0.2, 3.0), (3.0, -0.2), (30.0, -70.0)],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_engine_sheet_distance_matches_enumeration(d):
+    # the engine's r* and the batched closed form against the enumeration
+    # of active sets, for random forms and mixed-sign cone columns, with
+    # the point at a Q-height h over its foot M t in the cone's span
+    rng = np.random.default_rng(40 + d)
+    for m in (d + 1, d + 2):
+        for _ in range(6):
+            root = rng.normal(size=(m, m))
+            Q = root @ root.T + 0.3 * np.eye(m)
+            M = rng.normal(size=(m, d))
+            G = M.T @ Q @ M
+            rows, E, want = [], [], []
+            for t in _FEET[d]:
+                v = rng.normal(size=m)
+                v -= M @ np.linalg.solve(G, M.T @ (Q @ v))   # Q-across M
+                for h, e in ((0.0, 0.3), (0.5, 0.0), (1e-3, 1e-6)):
+                    b = M @ np.array(t) + h * v / math.sqrt(v @ Q @ v)
+                    ref = _reference_distance(Q, M, b, e)
+                    eta = math.sqrt(e / 1.7) + 0j
+                    res = power_kernel_integral(Q, 1.7, b[None, :], eta, M, 3,
+                                                QuadratureSpec())
+                    assert res.r_star == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                    rows.append(b)
+                    E.append(1.7 * abs(eta) ** 2)
+                    want.append(ref)
+            _, r = closed_sheet_distances(Q, M, np.array(rows), np.array(E))
+            np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-14)
 
 
 def test_budget_error():
