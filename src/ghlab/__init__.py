@@ -9,6 +9,7 @@ Subpackages:
     frame       metric assembly, volume and integrability residuals
     holo        holomorphic coordinate surrogates and growth checks
     glue        cutoffs, glue weights, eigenvalue extension profiles
+    checks      acceptance-criterion samplers and residuals (suite and CLI)
 """
 
 from .geometry import (

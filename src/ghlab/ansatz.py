@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm
+from .geometry import BasePoint, IndexSet, QuadForm, anorm, fd_gradient
 from .kernels import KernelSpec, alpha_batch
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
 from .locus import dist_locus
@@ -258,14 +258,13 @@ class PerturbedField:
 class FlatModelField:
     """Exact flat model packaged as a field provider.
 
-    First derivatives are finite differences of the exact values; the flat
-    data is smooth away from the locus so one Richardson level reaches
-    truncation error ~ h^4.
+    First derivatives are ``geometry.fd_gradient`` differences of the exact
+    values; the flat data is smooth away from the locus, so its one
+    Richardson level reaches truncation error ~ h^4.
     """
 
-    def __init__(self, N: int, h_rel: float = 1e-5) -> None:
+    def __init__(self, N: int) -> None:
         self.N = N
-        self.h = h_rel
 
     def _vw(self, p: BasePoint) -> tuple[np.ndarray, float]:
         res = flat_field(None, p)
@@ -284,32 +283,13 @@ class FlatModelField:
         V, W = self._vw(p)
         dV = dV_eta = dW = None
         if want_gradient:
-            scale = max(1.0, float(np.max(np.abs(p.as_vector()))))
-            h = self.h * scale
-            dV = np.zeros((N, N, N))
-            dW = np.zeros(N + 2)
-            dV_xy = np.zeros((N, N, 2))
-            for k in range(N + 2):
-                step = np.zeros(N + 2)
-                step[k] = 1.0
-
-                def shifted(t: float):
-                    return BasePoint.from_vector(p.as_vector() + t * step)
-
-                def diff(hh):
-                    Vp, Wp = self._vw(shifted(hh))
-                    Vm, Wm = self._vw(shifted(-hh))
-                    return (Vp - Vm) / (2 * hh), (Wp - Wm) / (2 * hh)
-
-                (dv1, dw1), (dv2, dw2) = diff(h), diff(h / 2)
-                dv = (4.0 * dv2 - dv1) / 3.0
-                dw = (4.0 * dw2 - dw1) / 3.0
-                if k < N:
-                    dV[:, :, k] = dv
-                else:
-                    dV_xy[:, :, k - N] = dv
-                dW[k] = dw
+            # rows: the entries of V, then W; columns: mu_1..mu_N, Re eta, Im eta
+            J = fd_gradient(lambda x: np.append(*self._vw(BasePoint.from_vector(x))),
+                            p.as_vector())
+            dV = J[:N * N, :N].reshape(N, N, N)
+            dV_xy = J[:N * N, N:].reshape(N, N, 2)
             dV_eta = 0.5 * (dV_xy[:, :, 0] - 1j * dV_xy[:, :, 1])
+            dW = J[N * N]
         eig = np.linalg.eigvalsh(V)
         return FieldJet(p, V, W, V, W, dV, dV_eta, dW,
                         bool(eig[0] > 0 and W > 0), 0.0)

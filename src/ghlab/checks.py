@@ -1,0 +1,295 @@
+"""Acceptance checks, shared by the acceptance suite and the CLI.
+
+Samplers draw from a caller's generator in a fixed order, so a seed fixes
+every input.  Residuals take already-drawn inputs and return the worst
+value over them.  Callers keep only their seeds, sample counts and
+tolerances.  Criterion numbers refer to ``tests/test_acceptance.py``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from . import ansatz, frame, glue, holo, kernels, locus
+from .geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
+from .quadrature import QuadratureSpec
+
+__all__ = [
+    "DECAY_RAYS_N3", "eigen_cases", "flat_volume_gap", "gradient_relations",
+    "kernel_laplacian", "log_sum_gap", "nested_cases", "nested_projection_gap",
+    "off_locus_point", "one_slot_gaps", "plateau_gap", "plateau_points",
+    "product_identity_gap", "profile_piece_gaps", "random_point", "random_spd",
+    "random_subset", "restricted_cases", "restricted_gap", "schur_eigen_violation",
+]
+
+
+# -- samplers -------------------------------------------------------------
+
+def random_spd(rng: np.random.Generator, n: int, lo: float = 0.5,
+               hi: float = 2.5) -> QuadForm:
+    """A random rotation of a diagonal form with entries uniform in [lo, hi]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
+
+
+def random_point(rng: np.random.Generator, N: int, mu_scale: float = 2.0,
+                 eta_lo: float = 0.3, eta_hi: float = 1.5) -> BasePoint:
+    """|eta| uniform in [eta_lo, eta_hi], arg eta uniform, then mu uniform
+    in the cube of half-width mu_scale, drawn in that order."""
+    r = rng.uniform(eta_lo, eta_hi)
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    return BasePoint(rng.uniform(-mu_scale, mu_scale, N),
+                     r * complex(math.cos(th), math.sin(th)))
+
+
+def off_locus_point(rng: np.random.Generator, A: QuadForm, floor: float = 0.5,
+                    mu_scale: float = 2.0) -> BasePoint:
+    """The first of at most 1000 random points farther than ``floor`` from
+    the locus."""
+    for _ in range(1000):
+        p = random_point(rng, A.n, mu_scale=mu_scale)
+        if locus.dist_locus(A, p) > floor:
+            return p
+    raise RuntimeError(f"no point farther than {floor} from the locus in 1000 draws")
+
+
+def random_subset(rng: np.random.Generator, N: int) -> IndexSet:
+    """Label 0 with 1 to N - 1 random labels from 1..N: a proper stratum."""
+    size = int(rng.integers(2, N + 1))
+    return IndexSet((0,) + tuple(sorted(rng.choice(
+        np.arange(1, N + 1), size=size - 1, replace=False).tolist())))
+
+
+def restricted_cases(rng: np.random.Generator, N: int, n: int) -> list:
+    """n draws (A, i, p) for criterion 03, none near the kernel's axis."""
+    cases = []
+    while len(cases) < n:
+        A = random_spd(rng, N)
+        i = int(rng.integers(1, N + 1))
+        p = random_point(rng, N)
+        if not (abs(p.mu[i - 1]) < 0.1 and abs(p.eta) < 0.2):
+            cases.append((A, i, p))
+    return cases
+
+
+def nested_cases(rng: np.random.Generator, n: int) -> list:
+    """n draws (A, I, p) for criterion 07's nested projections, N in 2..4."""
+    cases = []
+    for _ in range(n):
+        N = int(rng.integers(2, 5))
+        A = random_spd(rng, N)
+        p = random_point(rng, N, mu_scale=3.0)
+        cases.append((A, random_subset(rng, N), p))
+    return cases
+
+
+def eigen_cases(rng: np.random.Generator, n: int, N: int = 4) -> list:
+    """n draws (A, I) for criterion 07's eigenvalue interval."""
+    return [(random_spd(rng, N, lo=0.4, hi=3.0), random_subset(rng, N))
+            for _ in range(n)]
+
+
+def plateau_points(rng: np.random.Generator, A: QuadForm, n: int,
+                   kind: str) -> list[BasePoint]:
+    """n points about 1e6 out along mu_3 at N = 3 where the glue weight of
+    stratum (0, 1, 2) is exactly 1 (``kind="core"``) or 0 (``"outer"``)."""
+    consts = locus.RegionConstants()
+    chat = consts.chat(A)
+    pts = []
+    for _ in range(n):
+        nu = 10.0 ** rng.uniform(5.3, 6.3)
+        if kind == "core":
+            d = nu * rng.uniform(0.05, 0.9) / (4.0 * chat * consts.c0)
+        else:
+            d = nu * rng.uniform(1.0 / (2.0 * consts.c0), 0.98 / consts.c0)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        mu = np.array([d * direction[0], d * direction[1], nu])
+        pts.append(BasePoint(mu, complex(d * direction[2] / math.sqrt(A.det), 0.0)))
+    return pts
+
+
+# -- residuals ------------------------------------------------------------
+
+def flat_volume_gap(points) -> float:
+    """Criterion 01: worst |det V - W| of the flat background."""
+    worst = 0.0
+    for p in points:
+        res = ansatz.flat_field(None, p)
+        worst = max(worst, abs(1.0 / float(np.linalg.det(res.V_inv)) - res.W))
+    return worst
+
+
+def one_slot_gaps(A: QuadForm, quad: QuadratureSpec, points
+                  ) -> tuple[float, float, float]:
+    """Criterion 02 at N = 1: worst gaps of the engine kernel to its closed
+    form, of det V to W, and of the volume defect to 0."""
+    fld = ansatz.FirstOrderField(A, quad)
+    spec = kernels.KernelSpec(A, (0, 1))
+    kernel = volume = defect = 0.0
+    for p in points:
+        got = kernels.alpha(spec, quad, p).value
+        kernel = max(kernel, abs(got - kernels.closed_form_axis(A, 1, p)))
+        jet = fld.at(p)
+        volume = max(volume, abs(float(np.linalg.det(jet.V)) - jet.W))
+        defect = max(defect, abs(ansatz.sigma_expansion(A, jet.v).relative_error))
+    return kernel, volume, defect
+
+
+def restricted_gap(cases, quad: QuadratureSpec) -> float:
+    """Criterion 03: worst relative gap of restricted axis kernels to their
+    closed form, over ``restricted_cases``."""
+    worst = 0.0
+    for A, i, p in cases:
+        I = IndexSet((0, i))
+        got = kernels.alpha(kernels.KernelSpec(A, (0, i), restriction=I),
+                            quad, p).value
+        want = kernels.closed_form_axis(A, i, p, restriction=I)
+        worst = max(worst, abs(got - want) / abs(want))
+    return worst
+
+
+def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
+                     p: BasePoint) -> float:
+    """Criterion 04: the kernel's A-Laplacian at p over the scale of its
+    terms, by one differencing level on analytic gradients."""
+    A = spec.A
+    N = A.n
+    h = frame._fd_step(p)
+    pts = frame._stencil(p, h, list(range(N + 2)))
+    _, grads, _ = kernels.alpha_batch(spec, quad, pts, want_gradient=True)
+    hess = np.column_stack([frame._second_from_jets(grads, k, lambda g: g, h)
+                            for k in range(N + 2)])
+    hess = 0.5 * (hess + hess.T)
+    mu_part = float(np.sum(A.inv * hess[:N, :N]))
+    eta_part = (hess[N, N] + hess[N + 1, N + 1]) / A.det
+    scale = max(float(np.max(np.abs(A.inv * hess[:N, :N]))) * N * N,
+                abs(eta_part), 1e-300)
+    return abs(mu_part + eta_part) / scale
+
+
+def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
+                       ) -> tuple[float, float]:
+    """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
+    pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
+    and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij."""
+    N = A.n
+    worst_pair = worst_axis = 0.0
+    for p in points:
+        g = {}
+        for i, j in itertools.combinations(range(N + 1), 2):
+            g[i, j] = g[j, i] = kernels.alpha_grad(
+                kernels.KernelSpec(A, (i, j)), quad, p).gradient
+        scale = max(float(np.max(np.abs(v[:N]))) for v in g.values())
+        for i, j, k in itertools.permutations(range(1, N + 1), 3):
+            worst_pair = max(worst_pair, abs(g[i, j][k - 1] - g[i, k][j - 1]) / scale)
+        for i, j in itertools.permutations(range(1, N + 1), 2):
+            lhs, mid = g[0, i][j - 1], g[0, j][i - 1]
+            rhs = -float(np.sum(g[i, j][:N]))
+            worst_axis = max(worst_axis, abs(lhs - mid) / scale,
+                             abs(lhs - rhs) / scale)
+    return worst_pair, worst_axis
+
+
+# Criterion 06 at N = 3: one ray per stratum depth, with the predicted
+# decay exponent of the volume defect and its window.
+DECAY_RAYS_N3 = (
+    (ansatz.Ray(np.array([1.0, 0.6, -0.8]), base_mu=np.array([0.0, 0.3, 0.0]),
+                base_eta=0.7 + 0.2j, label="generic"), 2.0, 0.2),
+    (ansatz.Ray(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3.0),
+                base_mu=np.array([2.0, -2.0, 0.0]), base_eta=0.5,
+                label="near-pair"), 1.0, 0.2),
+    (ansatz.Ray(np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0),
+                base_mu=np.array([3.0, -3.0, 0.5]), base_eta=0.5,
+                label="deep"), 0.0, 0.1),
+)
+
+
+def nested_projection_gap(cases) -> float:
+    """Criterion 07: worst gap of d_J(p)^2 = d_I(p)^2 + d_J(foot_I)^2, J the
+    full label set, relative to max(1, d_J^2), over ``nested_cases``."""
+    worst = 0.0
+    for A, I, p in cases:
+        J = IndexSet(range(A.n + 1))
+        pr = locus.project(A, I, p)
+        dj = locus.project(A, J, p).dist
+        djf = locus.project(A, J, pr.foot).dist
+        worst = max(worst, abs(dj ** 2 - pr.dist ** 2 - djf ** 2)
+                    / max(1.0, dj ** 2))
+    return worst
+
+
+def schur_eigen_violation(cases) -> float:
+    """Criterion 07: worst excursion of a Schur complement's spectrum from
+    [lam (lam / Lam)^(N - 1), Lam], lam and Lam A's extreme eigenvalues;
+    minus the smallest margin when every spectrum stays inside."""
+    worst = -math.inf
+    for A, I in cases:
+        w = np.linalg.eigvalsh(A.entries)
+        lam, Lam = w[0], w[-1]
+        lo = lam * (lam / Lam) ** (A.n - 1)
+        gw = np.linalg.eigvalsh(schur_complement(A, I).entries)
+        worst = max(worst, lo - gw[0], gw[-1] - Lam)
+    return worst
+
+
+def product_identity_gap(A: QuadForm, quad: QuadratureSpec, points) -> float:
+    """Criterion 09: worst relative gap of |z_0 z_1| = sqrt(D) |eta| for slot
+    1 (D = det of the inactive block), gauged to the exact one-slot moduli."""
+    I = IndexSet((0, 1))
+    G = schur_complement(A, I).entries[0, 0]
+    comp = I.active_complement(A.n)
+    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
+    worst = 0.0
+    for p in points:
+        ref = BasePoint(np.concatenate(([2.0 + abs(p.mu[0])], p.mu[1:])), p.eta)
+        w0r, w1r = holo.taubnut_moduli(G, D, 0.0, ref.mu[0], ref.eta)
+        res = holo.log_z(A, I, quad, p, basepath=[ref, p],
+                         gauge=np.array([math.log(w0r), math.log(w1r)]))
+        want = math.sqrt(D) * abs(p.eta)
+        worst = max(worst, abs(math.exp(res.values[0] + res.values[1]) - want)
+                    / want)
+    return worst
+
+
+def log_sum_gap(A: QuadForm, quad: QuadratureSpec, points,
+                via=lambda p: []) -> float:
+    """Criterion 09, all slots active: worst gap of sum_k log |z_k| to
+    log |eta / eta_ref| on the path from ref (2.5 beyond |mu|) via(p) to p."""
+    I = IndexSet(range(A.n + 1))
+    worst = 0.0
+    for p in points:
+        ref = BasePoint(np.abs(p.mu) + 2.5, 1.0 + 0j)
+        res = holo.log_z(A, I, quad, p, basepath=[ref, *via(p), p])
+        want = math.log(abs(p.eta)) - math.log(abs(ref.eta))
+        worst = max(worst, abs(float(np.sum(res.values)) - want))
+    return worst
+
+
+def plateau_gap(A: QuadForm, points, target: float) -> float:
+    """Criterion 10: worst |w - target| of stratum (0, 1, 2)'s glue weight."""
+    I = IndexSet((0, 1, 2))
+    consts = locus.RegionConstants()
+    return max((abs(glue.glue_weight(A, I, consts, p).value - target)
+                for p in points), default=0.0)
+
+
+def profile_piece_gaps(prof: glue.ExtensionProfile, t_left, t_right
+                       ) -> tuple[float, float, float]:
+    """Criterion 11: worst gaps of h = K and H = K t at ``t_left``, and of
+    h = 2 log 2 K / (g log g) and H = K M + 2 log 2 K log log g (g = t - M + 2)
+    at ``t_right``."""
+    K, M = prof.K, prof.M
+    left = right_h = right_H = 0.0
+    for t in t_left:
+        left = max(left, abs(prof.h(t) - K), abs(prof.H(t) - K * t))
+    for t in t_right:
+        g = t - M + 2.0
+        right_h = max(right_h, abs(prof.h(t) - 2.0 * math.log(2.0) * K
+                                   / (g * math.log(g))))
+        right_H = max(right_H, abs(prof.H(t) - (K * M + 2.0 * math.log(2.0) * K
+                                                * math.log(math.log(g)))))
+    return left, right_h, right_H

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint
+from .geometry import BasePoint, fd_gradient
 
 __all__ = [
     "FramePoint",
@@ -206,18 +206,15 @@ def curvature_F(field, p: BasePoint) -> CurvatureSample:
     return CurvatureSample(coeff1, coeff2, float(np.max(np.abs(expr))), scale, p)
 
 
-def grad_norm(field, u, p: BasePoint, h_rel: float | None = None) -> float:
+def grad_norm(field, u, p: BasePoint) -> float:
     """Pointwise metric norm of the differential of a base function.
 
     Uses the co-metric: V^{-1} on mu-covectors and 1/W on the two real
     eta-covectors.  ``u`` is a callable on BasePoint; its gradient is a
     Richardson central difference.
     """
-    from .geometry import fd_gradient
-
     jet = field.at(p)
-    g = fd_gradient(lambda vec: u(BasePoint.from_vector(vec)), p.as_vector(),
-                    h_rel=h_rel)
+    g = fd_gradient(lambda vec: u(BasePoint.from_vector(vec)), p.as_vector())
     N = p.N
     gm = g[:N]
     quad = float(gm @ np.linalg.solve(jet.V, gm)) + (g[N] ** 2 + g[N + 1] ** 2) / jet.W

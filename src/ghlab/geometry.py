@@ -31,7 +31,8 @@ __all__ = [
     "fd_hessian",
 ]
 
-_EPS = np.finfo(float).eps
+# relative step of the finite-difference helpers: cube root of machine epsilon
+_FD_REL = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -193,34 +194,24 @@ class IndexSet:
 
 # -- finite differences -------------------------------------------------
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                h_rel: float | None = None, richardson: bool = True) -> np.ndarray:
-    """Central-difference gradient with one optional Richardson level; for
-    a vector-valued ``f``, the Jacobian with one column per coordinate."""
+def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with one Richardson level; for a
+    vector-valued ``f``, the Jacobian with one column per coordinate."""
     x = np.asarray(x, dtype=float)
-    h_rel = _EPS ** (1.0 / 3.0) if h_rel is None else h_rel
-    if h_rel < 16 * _EPS:
-        raise ArithmeticError("finite-difference step underflow")
-    h = h_rel * np.maximum(1.0, np.abs(x))
+    h = _FD_REL * np.maximum(1.0, np.abs(x))
     cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h[i]
         d1 = (f(x + e) - f(x - e)) / (2 * h[i])
-        if richardson:
-            d2 = (f(x + 0.5 * e) - f(x - 0.5 * e)) / h[i]
-            d1 = (4 * d2 - d1) / 3.0
-        cols.append(d1)
+        d2 = (f(x + 0.5 * e) - f(x - 0.5 * e)) / h[i]
+        cols.append((4 * d2 - d1) / 3.0)
     return np.array(cols, dtype=float).T
 
 
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
-               h_rel: float | None = None, richardson: bool = True) -> np.ndarray:
-    """Central-difference Hessian, optionally Richardson-extrapolated."""
+def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian with one Richardson level."""
     x = np.asarray(x, dtype=float)
-    h_rel = _EPS ** (1.0 / 3.0) if h_rel is None else h_rel
-    if h_rel < 16 * _EPS:
-        raise ArithmeticError("finite-difference step underflow")
 
     def hess_at(step_rel: float) -> np.ndarray:
         h = step_rel * np.maximum(1.0, np.abs(x))
@@ -239,10 +230,8 @@ def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray,
                 ) / (4 * h[i] * h[j])
         return H
 
-    H1 = hess_at(h_rel)
-    if not richardson:
-        return H1
-    H2 = hess_at(0.5 * h_rel)
+    H1 = hess_at(_FD_REL)
+    H2 = hess_at(0.5 * _FD_REL)
     return (4 * H2 - H1) / 3.0
 
 
@@ -251,19 +240,15 @@ class ScalarField:
 
     value, gradient and hessian act on the real coordinates
     (mu_1..mu_N, Re eta, Im eta).  When analytic derivatives are absent the
-    field falls back to central differences; ``mode`` records which.
+    field falls back to central differences.
     """
 
     def __init__(self, value: Callable[[BasePoint], float],
                  gradient: Callable[[BasePoint], np.ndarray] | None = None,
-                 hessian: Callable[[BasePoint], np.ndarray] | None = None,
-                 h_rel: float | None = None, richardson: bool = True) -> None:
+                 hessian: Callable[[BasePoint], np.ndarray] | None = None) -> None:
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
-        self.h_rel = h_rel
-        self.richardson = richardson
-        self.mode = "analytic" if hessian is not None else "finite-difference"
 
     def value(self, p: BasePoint) -> float:
         return float(self._value(p))
@@ -274,8 +259,7 @@ class ScalarField:
     def gradient(self, p: BasePoint) -> np.ndarray:
         if self._gradient is not None:
             return np.asarray(self._gradient(p), dtype=float)
-        return fd_gradient(self._value_vec, p.as_vector(),
-                           h_rel=self.h_rel, richardson=self.richardson)
+        return fd_gradient(self._value_vec, p.as_vector())
 
     def hessian(self, p: BasePoint) -> np.ndarray:
         if self._hessian is not None:
@@ -284,10 +268,9 @@ class ScalarField:
             # one differencing level on top of the analytic gradient
             J = fd_gradient(lambda v: np.asarray(
                 self._gradient(BasePoint.from_vector(v)), dtype=float),
-                p.as_vector(), h_rel=self.h_rel, richardson=self.richardson)
+                p.as_vector())
             return 0.5 * (J + J.T)
-        return fd_hessian(self._value_vec, p.as_vector(),
-                          h_rel=self.h_rel, richardson=self.richardson)
+        return fd_hessian(self._value_vec, p.as_vector())
 
 
 # -- operations ----------------------------------------------------------

@@ -108,8 +108,7 @@ class GlueWeight:
 
 
 def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
-                p: BasePoint, profile: CutoffProfile | None = None,
-                enforce_domain: bool = False) -> GlueWeight:
+                p: BasePoint, enforce_domain: bool = False) -> GlueWeight:
     """Product of stratum cutoffs localizing the subset's model region.
 
     One factor per deeper subset J: chi(c0 * hull_norm / rho_IJ), where
@@ -119,7 +118,7 @@ def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
     every factor is one.  With enforce_domain the point must lie in the
     subset's covering region with a boundary collar of width c_prime.
     """
-    chi = profile if profile is not None else _default_cutoff()
+    chi = _default_cutoff()
     at, i = _locate(A, I, p)
     hull = float(at.d[i])
     args: dict[tuple[int, ...], float] = {}
@@ -323,33 +322,27 @@ class ConditionReport:
     """Outcome of the slope-versus-growth scan for a profile.
 
     The margin at radius-squared t is h(t) - H(t)^2 / (t d(t)^(2 - 2 eps))
-    with d(t) = max(decay_floor, log(t) / growth_const).  positive means
-    the log-gap stayed positive over the whole scan.
+    with d(t) = max(decay_floor, log(t)).  positive means the log-gap
+    stayed positive over the whole scan.
     """
 
     positive: bool
     min_loggap: float
     argmin_logt: float
     margin_at_argmin: float
-    n_grid: int
 
 
-def profile_condition_check(profile: ExtensionProfile, growth_const: float = 1.0,
-                            u_lo: float | None = None, u_hi: float | None = None,
-                            n_grid: int = 4096) -> ConditionReport:
+def profile_condition_check(profile: ExtensionProfile) -> ConditionReport:
     """Scan the profile condition over the outward range in log space.
 
-    The scan runs in u = log t from the start of the tail regime out to
-    twice growth_const times the decay floor, past the crossover where the
+    The scan takes 4096 points in u = log t from the start of the tail
+    regime out to twice the decay floor, past the crossover where the
     log-proxy lower bound overtakes the floor.  Sign decisions use the gap
     of logarithms, so no overflow occurs for huge radii.
     """
-    if u_lo is None:
-        u_lo = math.log(max(profile.R1, profile.M + 2.0))
-    if u_hi is None:
-        u_hi = max(2.0 * growth_const * profile.R1, u_lo + 1.0)
-    u = np.linspace(u_lo, u_hi, n_grid)
-    floor = np.maximum(profile.R1, u / growth_const)
+    u_lo = math.log(max(profile.R1, profile.M + 2.0))
+    u = np.linspace(u_lo, max(2.0 * profile.R1, u_lo + 1.0), 4096)
+    floor = np.maximum(profile.R1, u)
     log_term = (2.0 * profile.log_H(u) - u
                 - 2.0 * (1.0 - profile.eps) * np.log(floor))
     gap = profile.log_h(u) - log_term
@@ -357,4 +350,4 @@ def profile_condition_check(profile: ExtensionProfile, growth_const: float = 1.0
     lg = float(gap[k])
     lh = float(profile.log_h(u[k : k + 1])[0])
     margin = math.exp(lh) * (1.0 - math.exp(-lg)) if lg > -700 else -math.inf
-    return ConditionReport(bool(lg > 0.0), lg, float(u[k]), margin, n_grid)
+    return ConditionReport(bool(lg > 0.0), lg, float(u[k]), margin)

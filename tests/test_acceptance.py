@@ -2,37 +2,20 @@
 
 Every criterion prints ``ACCEPTANCE nn PASS/FAIL ...`` with its measured
 worst value, tolerance, and wall time, then asserts.  Budgets are generous
-on purpose; the printed time is informational.
+on purpose; the printed time is informational.  The samplers and residuals
+live in ``ghlab.checks``, shared with the CLI; this file holds the seeds,
+sample counts and tolerances.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, schur_complement
-from ghlab import ansatz, frame, glue, holo, kernels, locus
+from ghlab.checks import off_locus_point, random_point, random_spd
+from ghlab.geometry import IndexSet, QuadForm
+from ghlab import ansatz, checks, frame, glue, holo, kernels
 from ghlab.quadrature import QuadratureSpec
-
-
-def random_spd(rng, n, lo=0.5, hi=2.5):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
-
-
-def random_point(rng, N, mu_scale=2.0, eta_lo=0.3, eta_hi=1.5):
-    r = rng.uniform(eta_lo, eta_hi)
-    th = rng.uniform(0.0, 2.0 * math.pi)
-    return BasePoint(rng.uniform(-mu_scale, mu_scale, N),
-                     r * complex(math.cos(th), math.sin(th)))
-
-
-def off_locus_point(rng, A, floor=0.5, mu_scale=2.0):
-    while True:
-        p = random_point(rng, A.n, mu_scale=mu_scale)
-        if locus.dist_locus(A, p) > floor:
-            return p
 
 
 class Verdict:
@@ -55,13 +38,9 @@ def verdict(capsys):
 
 def test_01_flat_background_volume_identity(verdict):
     rng = np.random.default_rng(101)
-    worst = 0.0
-    for N in range(1, 6):
-        for _ in range(1000):
-            p = random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
-            res = ansatz.flat_field(None, p)
-            det_v = 1.0 / float(np.linalg.det(res.V_inv))
-            worst = max(worst, abs(det_v - res.W))
+    worst = checks.flat_volume_gap(
+        [random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
+         for N in range(1, 6) for _ in range(1000)])
     verdict.report(1, worst <= 1e-9,
                    f"flat model volume identity, 5x1000 points: "
                    f"max |det V - W| = {worst:.2e} (tol 1e-9)")
@@ -69,19 +48,9 @@ def test_01_flat_background_volume_identity(verdict):
 
 def test_02_one_slot_model_exact(verdict):
     rng = np.random.default_rng(102)
-    A = QuadForm(np.array([[1.3]]))
-    quad = QuadratureSpec()
-    fld = ansatz.FirstOrderField(A, quad)
-    worst = 0.0
-    for _ in range(100):
-        p = random_point(rng, 1, eta_lo=0.05)
-        got = kernels.alpha(kernels.KernelSpec(A, (0, 1)), quad, p).value
-        want = 1.0 / (2.0 * math.sqrt(p.mu[0] ** 2 + abs(p.eta) ** 2))
-        worst = max(worst, abs(got - want))
-        jet = fld.at(p)
-        worst = max(worst, abs(float(np.linalg.det(jet.V)) - jet.W))
-        se = ansatz.sigma_expansion(A, jet.v)
-        worst = max(worst, abs(se.relative_error))
+    pts = [random_point(rng, 1, eta_lo=0.05) for _ in range(100)]
+    worst = max(checks.one_slot_gaps(QuadForm(np.array([[1.3]])),
+                                     QuadratureSpec(), pts))
     verdict.report(2, worst <= 1e-10,
                    f"one-slot model: kernel closed form, volume identity and "
                    f"vanishing defect, 100 points: max gap = {worst:.2e} "
@@ -90,25 +59,12 @@ def test_02_one_slot_model_exact(verdict):
 
 def test_03_restricted_kernel_closed_form(verdict):
     rng = np.random.default_rng(103)
-    quad = QuadratureSpec()
-    worst = 0.0
-    for N in (2, 3, 4):
-        count = 0
-        while count < 100:
-            A = random_spd(rng, N)
-            i = int(rng.integers(1, N + 1))
-            p = random_point(rng, N)
-            if abs(p.mu[i - 1]) < 0.1 and abs(p.eta) < 0.2:
-                continue
-            I = IndexSet((0, i))
-            got = kernels.alpha(kernels.KernelSpec(A, (0, i), restriction=I),
-                                quad, p).value
-            want = kernels.closed_form_axis(A, i, p, restriction=I)
-            worst = max(worst, abs(got - want) / abs(want))
-            count += 1
+    worst = max(checks.restricted_gap(checks.restricted_cases(rng, N, 100),
+                                      QuadratureSpec())
+                for N in (2, 3, 4))
     verdict.report(3, worst <= 1e-8,
                    f"restricted kernels vs closed form, N in {{2,3,4}} x 100: "
-             f"max rel gap = {worst:.2e} (tol 1e-8)")
+                   f"max rel gap = {worst:.2e} (tol 1e-8)")
 
 
 def test_04_harmonicity_and_gradient_relations(verdict):
@@ -116,31 +72,9 @@ def test_04_harmonicity_and_gradient_relations(verdict):
     A = random_spd(rng, 3)
     quad = QuadratureSpec()
     pts = [off_locus_point(rng, A) for _ in range(50)]
-
-    # second-derivative route: difference the analytic gradients
-    from ghlab.cli import _laplace_of_kernel
-    worst_h = 0.0
-    for labels in [(0, 1), (1, 2)]:
-        spec = kernels.KernelSpec(A, labels)
-        for p in pts:
-            lap, scale = _laplace_of_kernel(spec, quad, p)
-            worst_h = max(worst_h, abs(lap) / scale)
-
-    worst_c = 0.0
-    for p in pts:
-        g = {}
-        scale = 0.0
-        for i in range(0, 4):
-            for j in range(i + 1, 4):
-                kv = kernels.alpha_grad(kernels.KernelSpec(A, (i, j)), quad, p)
-                g[(i, j)] = kv.gradient
-                scale = max(scale, float(np.max(np.abs(kv.gradient[:3]))))
-        worst_c = max(worst_c, abs(g[(1, 2)][2] - g[(1, 3)][1]) / scale)
-        for i, j in [(1, 2), (1, 3), (2, 3)]:
-            lhs, mid = g[(0, i)][j - 1], g[(0, j)][i - 1]
-            rhs = -float(np.sum(g[(i, j)][:3]))
-            worst_c = max(worst_c, abs(lhs - mid) / scale,
-                          abs(lhs - rhs) / scale)
+    worst_h = max(checks.kernel_laplacian(kernels.KernelSpec(A, labels), quad, p)
+                  for labels in [(0, 1), (1, 2)] for p in pts)
+    worst_c = max(checks.gradient_relations(A, quad, pts))
     worst = max(worst_h, worst_c)
     verdict.report(4, worst <= 1e-3,
                    f"kernel harmonicity ({worst_h:.2e}) and gradient "
@@ -168,20 +102,9 @@ def test_05_weak_distributional_charge(verdict):
 def test_06_decay_exponent_windows(verdict):
     quad = QuadratureSpec(abs_tol=1e-12)
     A = QuadForm.identity(3)
-    rays = [
-        (ansatz.Ray(np.array([1.0, 0.6, -0.8]),
-                    base_mu=np.array([0.0, 0.3, 0.0]),
-                    base_eta=0.7 + 0.2j, label="generic"), 2.0, 0.2),
-        (ansatz.Ray(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3.0),
-                    base_mu=np.array([2.0, -2.0, 0.0]), base_eta=0.5,
-                    label="near-pair"), 1.0, 0.2),
-        (ansatz.Ray(np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0),
-                    base_mu=np.array([3.0, -3.0, 0.5]), base_eta=0.5,
-                    label="deep"), 0.0, 0.1),
-    ]
     parts = []
     ok = True
-    for ray, want, win in rays:
+    for ray, want, win in checks.DECAY_RAYS_N3:
         fit = ansatz.decay_scan(A, quad, ray)
         ok = ok and abs(fit.exponent - want) <= win
         parts.append(f"{ray.label}: {fit.exponent:.3f} (want {want}+-{win})")
@@ -191,38 +114,8 @@ def test_06_decay_exponent_windows(verdict):
 
 def test_07_projection_geometry(verdict):
     rng = np.random.default_rng(107)
-    worst_p = 0.0
-    for _ in range(500):
-        N = int(rng.integers(2, 5))
-        A = random_spd(rng, N)
-        p = random_point(rng, N, mu_scale=3.0)
-        size_i = int(rng.integers(2, N + 1))
-        members = (0,) + tuple(sorted(rng.choice(
-            np.arange(1, N + 1), size=size_i - 1, replace=False).tolist()))
-        I = IndexSet(members)
-        rest = tuple(m for m in range(1, N + 1) if m not in members)
-        if not rest:
-            continue
-        J = IndexSet(members + rest)
-        pr = locus.project(A, I, p)
-        dj = locus.project(A, J, p).dist
-        djf = locus.project(A, J, pr.foot).dist
-        worst_p = max(worst_p,
-                      abs(dj ** 2 - pr.dist ** 2 - djf ** 2)
-                      / max(1.0, dj ** 2))
-
-    worst_e = 0.0
-    for _ in range(100):
-        A = random_spd(rng, 4, lo=0.4, hi=3.0)
-        w = np.linalg.eigvalsh(A.entries)
-        lam, Lam = w[0], w[-1]
-        lo = lam * (lam / Lam) ** 3
-        size = int(rng.integers(2, 5))
-        members = (0,) + tuple(sorted(rng.choice(
-            np.arange(1, 5), size=size - 1, replace=False).tolist()))
-        G = schur_complement(A, IndexSet(members))
-        gw = np.linalg.eigvalsh(G.entries)
-        worst_e = max(worst_e, lo - gw[0], gw[-1] - Lam)
+    worst_p = checks.nested_projection_gap(checks.nested_cases(rng, 500))
+    worst_e = max(0.0, checks.schur_eigen_violation(checks.eigen_cases(rng, 100)))
     ok = worst_p <= 1e-10 and worst_e <= 1e-12
     verdict.report(7, ok,
                    f"orthogonal splitting of nested projections "
@@ -250,33 +143,11 @@ def test_08_gamma_sum_identity(verdict):
 def test_09_moduli_product_and_log_sum(verdict):
     rng = np.random.default_rng(109)
     quad = QuadratureSpec(abs_tol=1e-11)
-
-    # one active slot: reconstructed coordinates hit the solvable model
     A = QuadForm(np.array([[1.8, 0.4], [0.4, 1.1]]))
-    I = IndexSet((0, 1))
-    G = schur_complement(A, I).entries[0, 0]
-    D = A.entries[1, 1]
-    worst_prod = 0.0
-    for _ in range(10):
-        p = random_point(rng, 2)
-        ref = BasePoint(np.array([2.0 + abs(p.mu[0]), p.mu[1]]), p.eta)
-        w0r, w1r = holo.taubnut_moduli(G, D, 0.0, ref.mu[0], ref.eta)
-        res = holo.log_z(A, I, quad, p, basepath=[ref, p],
-                         gauge=np.array([math.log(w0r), math.log(w1r)]))
-        got = math.exp(res.values[0] + res.values[1])
-        want = math.sqrt(D) * abs(p.eta)
-        worst_prod = max(worst_prod, abs(got - want) / want)
-
-    # both slots active: the sum of all log moduli tracks log |eta|
-    I2 = IndexSet((0, 1, 2))
-    worst_sum = 0.0
-    for _ in range(3):
-        p = random_point(rng, 2)
-        ref = BasePoint(np.abs(p.mu) + 2.5, 1.0 + 0j)
-        res = holo.log_z(A, I2, quad, p, basepath=[ref, p])
-        got = float(np.sum(res.values))
-        want = math.log(abs(p.eta)) - math.log(abs(ref.eta))
-        worst_sum = max(worst_sum, abs(got - want))
+    worst_prod = checks.product_identity_gap(
+        A, quad, [random_point(rng, 2) for _ in range(10)])
+    worst_sum = checks.log_sum_gap(
+        A, quad, [random_point(rng, 2) for _ in range(3)])
     ok = worst_prod <= 1e-12 and worst_sum <= 1e-6
     verdict.report(9, ok,
                    f"coordinate product identity ({worst_prod:.2e}, tol "
@@ -286,30 +157,10 @@ def test_09_moduli_product_and_log_sum(verdict):
 def test_10_glue_weight_plateaus(verdict):
     rng = np.random.default_rng(110)
     A = QuadForm.identity(3)
-    I = IndexSet((0, 1, 2))
-    consts = locus.RegionConstants()
-    chat = consts.chat(A)
-    worst_core = worst_outer = 0.0
-    n_core = n_outer = 0
-    while n_core < 1000 or n_outer < 1000:
-        nu = 10.0 ** rng.uniform(5.3, 6.3)
-        kind = "core" if n_core < 1000 else "outer"
-        if kind == "core":
-            d = nu * rng.uniform(0.05, 0.9) / (4.0 * chat * consts.c0)
-        else:
-            d = nu * rng.uniform(1.0 / (2.0 * consts.c0),
-                                 0.98 / consts.c0)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        mu = np.array([d * direction[0], d * direction[1], nu])
-        p = BasePoint(mu, complex(d * direction[2], 0.0))
-        w = glue.glue_weight(A, I, consts, p)
-        if kind == "core":
-            worst_core = max(worst_core, abs(w.value - 1.0))
-            n_core += 1
-        else:
-            worst_outer = max(worst_outer, abs(w.value))
-            n_outer += 1
+    worst_core = checks.plateau_gap(
+        A, checks.plateau_points(rng, A, 1000, "core"), 1.0)
+    worst_outer = checks.plateau_gap(
+        A, checks.plateau_points(rng, A, 1000, "outer"), 0.0)
     ok = worst_core == 0.0 and worst_outer == 0.0
     verdict.report(10, ok,
                    f"glue weight exactly 1 on 1000 deep-core points "
@@ -320,15 +171,8 @@ def test_10_glue_weight_plateaus(verdict):
 def test_11_extension_profile(verdict):
     K, M = 1.0, 10.0
     prof = glue.extension_profile(K, M, 1000.0 * M, 0.1)
-    worst = 0.0
-    for t in np.linspace(1.0, M - 1.0, 20):
-        worst = max(worst, abs(prof.h(t) - K), abs(prof.H(t) - K * t))
-    for t in np.linspace(M + 1.0, 400.0, 20):
-        g = t - M + 2.0
-        worst = max(worst,
-                    abs(prof.h(t) - 2.0 * math.log(2.0) * K / (g * math.log(g))),
-                    abs(prof.H(t) - (K * M + 2.0 * math.log(2.0) * K
-                                     * math.log(math.log(g)))))
+    worst = max(checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
+                                          np.linspace(M + 1.0, 400.0, 20)))
     rep = glue.profile_condition_check(prof)
     ok = worst <= 1e-12 and rep.positive
     verdict.report(11, ok,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
     FirstOrderField,
@@ -20,11 +21,6 @@ from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
-
-
-def random_spd(rng, n, lo=0.5, hi=2.5):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
 
 
 class TestFlatModel:

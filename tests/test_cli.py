@@ -109,17 +109,23 @@ def test_shipped_configs_load_and_match_experiments():
         assert data.get("schema_version") == 1
 
 
-@pytest.mark.parametrize("data, message", [
-    ({"params": {"rel_tl": 1e-3}}, r"param\(s\) rel_tl for"),     # rel_tol
-    ({"params": {"dims": [3], "dim": 3}}, r"param\(s\) dim for"),  # reads dims
-    ({"sed": 5}, r"key\(s\) sed in"),                              # seed
-], ids=["param-typo", "unread-param", "top-level-typo"])
-def test_config_typos_rejected(tmp_path, data, message):
+@pytest.mark.parametrize("experiment, data, message", [
+    ("harmonicity", {"params": {"rel_tl": 1e-3}}, r"param\(s\) rel_tl for"),  # rel_tol
+    ("harmonicity", {"params": {"dims": [3], "dim": 3}}, r"param\(s\) dim for"),  # dims
+    ("harmonicity", {"sed": 5}, r"key\(s\) sed in"),                           # seed
+    # rays and plateau sampler exist only for N = 3 and stratum (0, 1, 2);
+    # these keys once crashed or reported a false FAIL
+    ("decay-scan", {"params": {"dim": 4}}, r"param\(s\) dim for"),
+    ("glue-regions", {"params": {"dim": 4}}, r"param\(s\) dim for"),
+    ("glue-regions", {"params": {"subset": [0, 1, 3]}}, r"param\(s\) subset for"),
+], ids=["param-typo", "unread-param", "top-level-typo", "decay-dim", "glue-dim",
+        "glue-subset"])
+def test_config_typos_rejected(tmp_path, experiment, data, message):
     # an unknown key would otherwise fall back to its default silently
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     with pytest.raises(SystemExit, match=message):
-        main(["harmonicity", "--config", str(cfg), "--n", "1"])
+        main([experiment, "--config", str(cfg), "--n", "1"])
 
 
 def test_shipped_configs_pass_validation():
@@ -129,3 +135,12 @@ def test_shipped_configs_pass_validation():
     for p in sorted(cfg_dir.glob("*.json")):
         cfg = ExperimentConfig.load(p.stem, str(p), None, None)
         assert cfg.params == json.loads(p.read_text()).get("params", {})
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_rejected(tmp_path, monkeypatch, value):
+    # checked before any work, so neither value starts a thread
+    monkeypatch.setenv("GHLAB_THREADS", value)
+    with pytest.raises(SystemExit, match="GHLAB_THREADS"):
+        run(tmp_path, "flat-cy", "--n", "1")
+    assert not (tmp_path / "out").exists()

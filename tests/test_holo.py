@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, schur_complement
 from ghlab.holo import (
     GammaSpec,
@@ -20,11 +21,6 @@ from ghlab.holo import (
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec(abs_tol=1e-11)
-
-
-def random_spd(rng, n, lo=0.5, hi=2.5):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
 
 
 def test_gammaspec_requires_leading_block():

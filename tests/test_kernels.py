@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
@@ -24,11 +25,6 @@ from ghlab.quadrature import QuadratureSpec, SingularityProximity
 
 
 QUAD = QuadratureSpec()
-
-
-def random_spd(rng, n, lo=0.5, hi=2.5):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
 
 
 def arctan_oracle(A: QuadForm, labels, p: BasePoint) -> float:

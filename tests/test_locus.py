@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from ghlab import locus
+from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm_diff
 from ghlab.locus import (
     RegionConstants,
@@ -30,11 +31,6 @@ from ghlab.locus import (
     rho_IJ,
     zero_swap,
 )
-
-
-def random_spd(rng, n, lo=0.5, hi=2.5):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return QuadForm(q @ np.diag(rng.uniform(lo, hi, n)) @ q.T)
 
 
 def oracle_closed_dist(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
