@@ -17,7 +17,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm, fd_gradient
+from .geometry import (BasePoint, IndexSet, QuadForm, anorm, richardson_derivative,
+                       richardson_stencil, value_step)
 from .kernels import KernelSpec, alpha_batch
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
 from .locus import dist_locus
@@ -231,15 +232,14 @@ class RestrictedField:
 class PerturbedField:
     """Wrapper adding an explicit smooth perturbation to V; test helper.
 
-    extra(p) returns the matrix added to V, extra_dmu(p)[i, j, k] its
-    mu-gradient, extra_deta(p) its complex eta-derivative.
+    extra(p) returns the matrix added to V, independent of eta, and
+    extra_dmu(p)[i, j, k] its mu-gradient.
     """
 
-    def __init__(self, base, extra, extra_dmu, extra_deta=None) -> None:
+    def __init__(self, base, extra, extra_dmu) -> None:
         self.base = base
         self.extra = extra
         self.extra_dmu = extra_dmu
-        self.extra_deta = extra_deta
 
     def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
         jets = self.base.jet(points, want_gradient)
@@ -247,8 +247,6 @@ class PerturbedField:
             j.V = j.V + self.extra(j.point)
             if want_gradient:
                 j.dV = j.dV + self.extra_dmu(j.point)
-                if self.extra_deta is not None:
-                    j.dV_eta = j.dV_eta + self.extra_deta(j.point)
         return jets
 
     def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
@@ -258,38 +256,40 @@ class PerturbedField:
 class FlatModelField:
     """Exact flat model packaged as a field provider.
 
-    First derivatives are ``geometry.fd_gradient`` differences of the exact
-    values; the flat data is smooth away from the locus, so its one
-    Richardson level reaches truncation error ~ h^4.
+    First derivatives are Richardson differences of the exact values with
+    ``geometry.value_step``, and V and W are the stencil's centre row; the
+    flat data is smooth away from the locus, so the truncation error is
+    ~ h^4.
     """
 
     def __init__(self, N: int) -> None:
         self.N = N
 
-    def _vw(self, p: BasePoint) -> tuple[np.ndarray, float]:
-        res = flat_field(None, p)
+    def _vw(self, x: np.ndarray) -> np.ndarray:
+        """The entries of V, then W, at the real point x."""
+        res = flat_field(None, BasePoint.from_vector(x))
         if res.on_locus:
             raise ValueError("flat field evaluated on the degeneration locus")
-        return res.V, res.W
+        return np.append(res.V, res.W)
 
     def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
-        return [self._jet1(p, want_gradient) for p in points]
+        return [self.at(p, want_gradient) for p in points]
 
     def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        return self._jet1(p, want_gradient)
-
-    def _jet1(self, p: BasePoint, want_gradient: bool) -> FieldJet:
         N = self.N
-        V, W = self._vw(p)
+        x = p.as_vector()
+        h = value_step(x)
+        rows = richardson_stencil(x, h) if want_gradient else [x]
+        vals = np.array([self._vw(r) for r in rows])
+        V, W = vals[0, :N * N].reshape(N, N), float(vals[0, N * N])
         dV = dV_eta = dW = None
         if want_gradient:
-            # rows: the entries of V, then W; columns: mu_1..mu_N, Re eta, Im eta
-            J = fd_gradient(lambda x: np.append(*self._vw(BasePoint.from_vector(x))),
-                            p.as_vector())
-            dV = J[:N * N, :N].reshape(N, N, N)
-            dV_xy = J[:N * N, N:].reshape(N, N, 2)
-            dV_eta = 0.5 * (dV_xy[:, :, 0] - 1j * dV_xy[:, :, 1])
-            dW = J[N * N]
+            # rows: mu_1..mu_N, Re eta, Im eta; columns: the entries of V, then W
+            D = richardson_derivative(vals, h)
+            dV = np.moveaxis(D[:N, :N * N].reshape(N, N, N), 0, -1)
+            dV_xy = D[N:, :N * N].reshape(2, N, N)
+            dV_eta = 0.5 * (dV_xy[0] - 1j * dV_xy[1])
+            dW = D[:, N * N]
         eig = np.linalg.eigvalsh(V)
         return FieldJet(p, V, W, V, W, dV, dV_eta, dW,
                         bool(eig[0] > 0 and W > 0), 0.0)

@@ -13,16 +13,18 @@ import math
 
 import numpy as np
 
-from . import ansatz, frame, glue, holo, kernels, locus
-from .geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
+from . import ansatz, glue, holo, kernels, locus
+from .geometry import (BasePoint, IndexSet, QuadForm, block, gradient_step,
+                       richardson_derivative, richardson_stencil, schur_complement)
 from .quadrature import QuadratureSpec
 
 __all__ = [
-    "DECAY_RAYS_N3", "eigen_cases", "flat_volume_gap", "gradient_relations",
-    "kernel_laplacian", "log_sum_gap", "nested_cases", "nested_projection_gap",
-    "off_locus_point", "one_slot_gaps", "plateau_gap", "plateau_points",
-    "product_identity_gap", "profile_piece_gaps", "random_point", "random_spd",
-    "random_subset", "restricted_cases", "restricted_gap", "schur_eigen_violation",
+    "DECAY_RAYS_N3", "WEAK_BUMPS_N2", "WEAK_FORM_N2", "eigen_cases",
+    "flat_volume_gap", "gradient_relations", "kernel_laplacian", "log_sum_gap",
+    "nested_cases", "nested_projection_gap", "off_locus_point", "one_slot_gaps",
+    "plateau_gap", "plateau_points", "product_identity_gap", "profile_piece_gaps",
+    "random_point", "random_spd", "random_subset", "restricted_cases",
+    "restricted_gap", "schur_eigen_violation",
 ]
 
 
@@ -153,22 +155,27 @@ def restricted_gap(cases, quad: QuadratureSpec) -> float:
 
 
 def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
-                     p: BasePoint) -> float:
-    """Criterion 04: the kernel's A-Laplacian at p over the scale of its
-    terms, by one differencing level on analytic gradients."""
+                     points) -> float:
+    """Criterion 04: worst A-Laplacian of the kernel over the scale of its
+    terms, by one differencing level on analytic gradients; every point's
+    stencil goes into one kernel batch."""
     A = spec.A
     N = A.n
-    h = frame._fd_step(p)
-    pts = frame._stencil(p, h, list(range(N + 2)))
-    _, grads, _ = kernels.alpha_batch(spec, quad, pts, want_gradient=True)
-    hess = np.column_stack([frame._second_from_jets(grads, k, lambda g: g, h)
-                            for k in range(N + 2)])
-    hess = 0.5 * (hess + hess.T)
-    mu_part = float(np.sum(A.inv * hess[:N, :N]))
-    eta_part = (hess[N, N] + hess[N + 1, N + 1]) / A.det
-    scale = max(float(np.max(np.abs(A.inv * hess[:N, :N]))) * N * N,
-                abs(eta_part), 1e-300)
-    return abs(mu_part + eta_part) / scale
+    xs = [p.as_vector() for p in points]
+    hs = [gradient_step(x) for x in xs]
+    rows = [BasePoint.from_vector(r)
+            for x, h in zip(xs, hs) for r in richardson_stencil(x, h)]
+    _, grads, _ = kernels.alpha_batch(spec, quad, rows, want_gradient=True)
+    worst = 0.0
+    for g, h in zip(grads.reshape(len(xs), -1, N + 2), hs):
+        hess = richardson_derivative(g, h)
+        hess = 0.5 * (hess + hess.T)
+        mu_part = float(np.sum(A.inv * hess[:N, :N]))
+        eta_part = (hess[N, N] + hess[N + 1, N + 1]) / A.det
+        scale = max(float(np.max(np.abs(A.inv * hess[:N, :N]))) * N * N,
+                    abs(eta_part), 1e-300)
+        worst = max(worst, abs(mu_part + eta_part) / scale)
+    return worst
 
 
 def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
@@ -205,6 +212,16 @@ DECAY_RAYS_N3 = (
     (ansatz.Ray(np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0),
                 base_mu=np.array([3.0, -3.0, 0.5]), base_eta=0.5,
                 label="deep"), 0.0, 0.1),
+)
+
+
+# Criterion 05 at N = 2: the form, and per bump the kernel labels, centre,
+# mu radius and eta radius; two bumps sit on axis strata, one on a pair.
+WEAK_FORM_N2 = ((1.3, 0.2), (0.2, 0.9))
+WEAK_BUMPS_N2 = (
+    ((0, 1), (0.0, 2.0), 1.5, 1.2),
+    ((0, 2), (2.0, 0.0), 1.5, 1.2),
+    ((1, 2), (-3.0, -3.0), 2.0, 1.5),
 )
 
 

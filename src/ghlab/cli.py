@@ -8,9 +8,7 @@ sidecar with the effective configuration and its hash.  Reruns with the
 same configuration are byte-identical except for the sidecar timestamp.
 The process exits 0 exactly when every row passes.  Samplers and
 residuals that an acceptance criterion shares come from ``ghlab.checks``;
-a runner here reads its config and assembles rows.  GHLAB_THREADS, a
-positive integer, caps worker threads for the per-point loops; results do
-not depend on it.
+a runner here reads its config and assembles rows.
 """
 
 from __future__ import annotations
@@ -19,12 +17,9 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -130,21 +125,6 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
         fh.write("\n")
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("GHLAB_THREADS", "1")
-    if not raw.isdigit() or int(raw) < 1:
-        raise SystemExit(f"GHLAB_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-def _pmap(fn, items):
-    nt = _n_threads()
-    if nt == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=nt) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -208,8 +188,8 @@ def run_harmonicity(cfg: ExperimentConfig) -> list[ResultRow]:
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(n)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
-            lap = partial(checks.kernel_laplacian, kernels.KernelSpec(A, labels), quad)
-            rows.append(_row(cfg, f"N={N}-{kind}", max(_pmap(lap, pts)), tol))
+            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), quad, pts)
+            rows.append(_row(cfg, f"N={N}-{kind}", lap, tol))
     return rows
 
 
@@ -227,20 +207,15 @@ def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
 @_experiment("weak-chern", "A", "placements", "rel_tol")
 def run_weak_chern(cfg: ExperimentConfig) -> list[ResultRow]:
     tol = cfg.params.get("rel_tol", 1e-2)
-    a_entries = cfg.params.get("A", [[1.3, 0.2], [0.2, 0.9]])
-    A = QuadForm(np.array(a_entries, dtype=float))
+    A = QuadForm(np.array(cfg.params.get("A", checks.WEAK_FORM_N2), dtype=float))
     quad = QuadratureSpec(abs_tol=1e-8)
-    placements = cfg.params.get("placements", [
-        {"labels": [0, 1], "center": [0.0, 2.0], "r_mu": 1.5, "r_eta": 1.2},
-        {"labels": [0, 2], "center": [2.0, 0.0], "r_mu": 1.5, "r_eta": 1.2},
-        {"labels": [1, 2], "center": [-3.0, -3.0], "r_mu": 2.0, "r_eta": 1.5},
-    ])
     rows = []
-    for idx, pl in enumerate(placements):
-        bump = kernels.RadialBump(np.array(pl["center"], dtype=float),
-                                  pl["r_mu"], pl["r_eta"])
-        res = kernels.weak_distributional_check(A, tuple(pl["labels"]), bump, quad)
-        rows.append(_row(cfg, f"bump-{idx}-{pl['labels']}", res.rel_gap, tol,
+    # each placement is [labels, centre, r_mu, r_eta]
+    placements = cfg.params.get("placements", checks.WEAK_BUMPS_N2)
+    for idx, (labels, center, r_mu, r_eta) in enumerate(placements):
+        bump = kernels.RadialBump(np.array(center, dtype=float), r_mu, r_eta)
+        res = kernels.weak_distributional_check(A, tuple(labels), bump, quad)
+        rows.append(_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, tol,
                          detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g}"))
     return rows
 
@@ -404,7 +379,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = ExperimentConfig.load(args.experiment, args.config, args.seed, args.n)
-    _n_threads()  # reject a bad GHLAB_THREADS before any work
     rows = sorted(EXPERIMENTS[args.experiment](cfg), key=lambda r: r.case)
     _write_outputs(cfg, rows, Path(args.out))
     for r in rows:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint, fd_gradient
+from .geometry import (BasePoint, fd_gradient, gradient_step,
+                       richardson_derivative, richardson_stencil)
 
 __all__ = [
     "FramePoint",
@@ -79,30 +80,6 @@ def volume_ratio(fp: FramePoint) -> float:
     return float(np.sqrt(np.linalg.det(fp.gram)) / np.linalg.det(fp.V))
 
 
-def _stencil(p: BasePoint, h: float, directions: list[int]) -> list[BasePoint]:
-    """Center, then +/- h and +/- h/2 along each requested coordinate."""
-    pts = [p]
-    base = p.as_vector()
-    for k in directions:
-        for s in (h, -h, h / 2, -h / 2):
-            vec = base.copy()
-            vec[k] += s
-            pts.append(BasePoint.from_vector(vec))
-    return pts
-
-
-def _second_from_jets(jets, k_dir: int, pick, h: float):
-    """Richardson central difference of an analytic first derivative.
-
-    jets layout follows _stencil; pick maps a jet to the differentiated
-    quantity (array or scalar).
-    """
-    i0 = 1 + 4 * k_dir
-    d_h = (pick(jets[i0]) - pick(jets[i0 + 1])) / (2.0 * h)
-    d_h2 = (pick(jets[i0 + 2]) - pick(jets[i0 + 3])) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 @dataclass
 class IntegrabilityResidual:
     """Maximal defects of the two pointwise integrability identities.
@@ -127,52 +104,35 @@ class IntegrabilityResidual:
         return self.second / max(self.second_scale, 1e-300)
 
 
-# Richardson step over the point's largest coordinate.  The stencil's
-# truncation error is O(h^4): at this step the second identity's residual
-# stays below 1e-5 on 768 field-n3 points (7.7e-6 at the worst, 2.0e-3 at
-# 4x the step), far under criterion 12's 1e-3, while the quadrature error
-# divided by h stays far smaller still.
-_FD_STEP_REL = 5e-3
-
-
-def _fd_step(p: BasePoint) -> float:
-    """The one step of every Richardson stencil on analytic gradients."""
-    return _FD_STEP_REL * max(1.0, float(np.max(np.abs(p.as_vector()))))
-
-
-def _stencil_jets(field, p: BasePoint) -> tuple[list, float]:
-    """Gradient jets on the Richardson stencil over every coordinate; row 0
-    is the centre point itself."""
-    h = _fd_step(p)
-    return field.jet(_stencil(p, h, list(range(p.N + 2))), want_gradient=True), h
-
-
-def _second_identity_matrix(jets, N: int, h: float) -> tuple[np.ndarray, float]:
-    """d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy and its scale."""
-    hessW = np.zeros((N, N))
-    for k in range(N):
-        col = _second_from_jets(jets, k, lambda j: j.dW[:N], h)
-        hessW[:, k] = col
-    hessW = 0.5 * (hessW + hessW.T)
-    vxx = _second_from_jets(jets, N, lambda j: 2.0 * j.dV_eta.real, h)
-    vyy = _second_from_jets(jets, N + 1, lambda j: -2.0 * j.dV_eta.imag, h)
-    expr = hessW + vxx + vyy
+def _second_identity(field, p: BasePoint) -> tuple[object, np.ndarray, float]:
+    """The jet at p, and d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy with
+    its scale, from gradient jets on the Richardson stencil at p."""
+    N = p.N
+    x = p.as_vector()
+    h = gradient_step(x)
+    jets = field.jet([BasePoint.from_vector(r) for r in richardson_stencil(x, h)],
+                     want_gradient=True)
+    dW = np.array([j.dW[:N] for j in jets])
+    dV_eta = np.array([j.dV_eta for j in jets])
+    # dW/dmu, then (V_ij)_x = 2 Re dV_ij/deta and (V_ij)_y = -2 Im dV_ij/deta
+    d = richardson_derivative(np.concatenate(
+        [dW[:, None], 2.0 * dV_eta.real, -2.0 * dV_eta.imag], axis=1), h)
+    hessW = 0.5 * (d[:N, 0] + d[:N, 0].T)
+    vxx, vyy = d[N, 1:N + 1], d[N + 1, N + 1:]
     scale = max(float(np.max(np.abs(hessW))), float(np.max(np.abs(vxx + vyy))))
-    return expr, scale
+    return jets[0], hessW + vxx + vyy, scale
 
 
 def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     """Evaluate both integrability identities at a point.
 
     The first identity uses the field's analytic mu-gradient of V directly;
-    the second differences the analytic gradients once (Richardson), with
-    the step of ``_fd_step``.  The centre jet is row 0 of the stencil.
+    the second differences the analytic gradients once on the Richardson
+    stencil, with ``geometry.gradient_step``.
     """
-    jets, h = _stencil_jets(field, p)
-    jet = jets[0]
+    jet, expr, scale = _second_identity(field, p)
     first = float(np.max(np.abs(jet.dV - np.transpose(jet.dV, (0, 2, 1)))))
     first_scale = max(float(np.max(np.abs(jet.dV))), 1e-300)
-    expr, scale = _second_identity_matrix(jets, p.N, h)
     return IntegrabilityResidual(first, float(np.max(np.abs(expr))),
                                  first_scale, scale, p)
 
@@ -197,12 +157,9 @@ class CurvatureSample:
 
 def curvature_F(field, p: BasePoint) -> CurvatureSample:
     """Curvature coefficients and their closure defect."""
-    jets, h = _stencil_jets(field, p)
-    jet = jets[0]
-    N = p.N
-    coeff1 = 0.5 * jet.dW[:N]
+    jet, expr, scale = _second_identity(field, p)
+    coeff1 = 0.5 * jet.dW[:p.N]
     coeff2 = jet.dV_eta.copy()
-    expr, scale = _second_identity_matrix(jets, N, h)
     return CurvatureSample(coeff1, coeff2, float(np.max(np.abs(expr))), scale, p)
 
 
@@ -210,8 +167,8 @@ def grad_norm(field, u, p: BasePoint) -> float:
     """Pointwise metric norm of the differential of a base function.
 
     Uses the co-metric: V^{-1} on mu-covectors and 1/W on the two real
-    eta-covectors.  ``u`` is a callable on BasePoint; its gradient is a
-    Richardson central difference.
+    eta-covectors.  ``u`` is a callable on BasePoint; its gradient is
+    ``geometry.fd_gradient``.
     """
     jet = field.at(p)
     g = fd_gradient(lambda vec: u(BasePoint.from_vector(vec)), p.as_vector())

@@ -5,7 +5,8 @@ definite matrix acting on the moment coordinates ``mu`` together with a
 complex coordinate ``eta``.  This module provides the quadratic-form
 wrapper, base points, index-set bookkeeping, block/Schur algebra, the
 anisotropic norm, and the constant-coefficient Laplacian of that flat
-structure, plus finite-difference fallbacks for derivative access.
+structure, plus the one Richardson stencil behind every derivative and
+its two step rules, ``value_step`` and ``gradient_step``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ __all__ = [
     "laplace_A",
     "ball_volume",
     "block",
+    "value_step",
+    "gradient_step",
+    "richardson_stencil",
+    "richardson_derivative",
     "fd_gradient",
     "fd_hessian",
 ]
-
-# relative step of the finite-difference helpers: cube root of machine epsilon
-_FD_REL = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -194,83 +196,98 @@ class IndexSet:
 
 # -- finite differences -------------------------------------------------
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with one Richardson level; for a
-    vector-valued ``f``, the Jacobian with one column per coordinate."""
+_VALUE_STEP_REL = np.finfo(float).eps ** (1.0 / 3.0)
+# The stencil's truncation error is O(h^4): at this step criterion 12's
+# second identity stays below 1e-5 on 768 field-n3 points (7.7e-6 at the
+# worst, 2.0e-3 at 4x the step), far under its 1e-3, while the quadrature
+# error divided by h stays far smaller still.
+_GRADIENT_STEP_REL = 5e-3
+
+
+def value_step(x: np.ndarray) -> np.ndarray:
+    """Step cbrt(eps) max(1, |x_i|) along coordinate i, for values."""
+    return _VALUE_STEP_REL * np.maximum(1.0, np.abs(x))
+
+
+def gradient_step(x: np.ndarray) -> float:
+    """Step 5e-3 max(1, max_i |x_i|) along every coordinate, for analytic
+    gradients."""
+    return _GRADIENT_STEP_REL * max(1.0, float(np.max(np.abs(x))))
+
+
+def richardson_stencil(x: np.ndarray, h) -> np.ndarray:
+    """Rows (1 + 4n, n): x, then x +/- h_k and x +/- h_k/2 along each
+    coordinate k in turn; ``h`` is a scalar or one step per coordinate."""
     x = np.asarray(x, dtype=float)
-    h = _FD_REL * np.maximum(1.0, np.abs(x))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        d1 = (f(x + e) - f(x - e)) / (2 * h[i])
-        d2 = (f(x + 0.5 * e) - f(x - 0.5 * e)) / h[i]
-        cols.append((4 * d2 - d1) / 3.0)
-    return np.array(cols, dtype=float).T
+    n = x.size
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    steps = np.stack([h, -h, h / 2, -h / 2], axis=1)
+    rows = np.tile(x, (1 + 4 * n, 1))
+    rows[1:][np.arange(4 * n), np.repeat(np.arange(n), 4)] += steps.ravel()
+    return rows
+
+
+def richardson_derivative(values, h) -> np.ndarray:
+    """Derivatives (n, ...) from ``values`` on the rows of
+    ``richardson_stencil(x, h)``: the central differences d_h and d_(h/2)
+    combined as (4 d_(h/2) - d_h) / 3, exact on polynomials of degree 4.
+
+    >>> x = np.array([1.0, -2.0])
+    >>> rows = richardson_stencil(x, 0.1)
+    >>> richardson_derivative(rows[:, 0] ** 3 * rows[:, 1], 0.1).round(12)
+    array([-6.,  1.])
+    """
+    v = np.asarray(values)
+    n = (v.shape[0] - 1) // 4
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,)).reshape(
+        (n,) + (1,) * (v.ndim - 1))
+    q = v[1:].reshape((n, 4) + v.shape[1:])
+    d_h = (q[:, 0] - q[:, 1]) / (2.0 * h)
+    d_h2 = (q[:, 2] - q[:, 3]) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Richardson gradient of values; for a vector-valued ``f``, the
+    Jacobian with one column per coordinate."""
+    x = np.asarray(x, dtype=float)
+    h = value_step(x)
+    vals = np.array([f(r) for r in richardson_stencil(x, h)], dtype=float)
+    return np.moveaxis(richardson_derivative(vals, h), 0, -1)
 
 
 def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian with one Richardson level."""
-    x = np.asarray(x, dtype=float)
-
-    def hess_at(step_rel: float) -> np.ndarray:
-        h = step_rel * np.maximum(1.0, np.abs(x))
-        n = x.size
-        H = np.empty((n, n))
-        f0 = f(x)
-        for i in range(n):
-            ei = np.zeros_like(x)
-            ei[i] = h[i]
-            H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / (h[i] ** 2)
-            for j in range(i + 1, n):
-                ej = np.zeros_like(x)
-                ej[j] = h[j]
-                H[i, j] = H[j, i] = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4 * h[i] * h[j])
-        return H
-
-    H1 = hess_at(_FD_REL)
-    H2 = hess_at(0.5 * _FD_REL)
-    return (4 * H2 - H1) / 3.0
+    """Symmetrized Richardson gradient of the Richardson gradient."""
+    J = fd_gradient(lambda y: fd_gradient(f, y), x)
+    return 0.5 * (J + J.T)
 
 
 class ScalarField:
     """A scalar function on the base with derivative access.
 
     value, gradient and hessian act on the real coordinates
-    (mu_1..mu_N, Re eta, Im eta).  When analytic derivatives are absent the
-    field falls back to central differences.
+    (mu_1..mu_N, Re eta, Im eta).  Without an analytic gradient the field
+    differences its values; the Hessian differences the gradient.
     """
 
     def __init__(self, value: Callable[[BasePoint], float],
-                 gradient: Callable[[BasePoint], np.ndarray] | None = None,
-                 hessian: Callable[[BasePoint], np.ndarray] | None = None) -> None:
+                 gradient: Callable[[BasePoint], np.ndarray] | None = None) -> None:
         self._value = value
         self._gradient = gradient
-        self._hessian = hessian
 
     def value(self, p: BasePoint) -> float:
         return float(self._value(p))
 
-    def _value_vec(self, v: np.ndarray) -> float:
-        return float(self._value(BasePoint.from_vector(v)))
-
     def gradient(self, p: BasePoint) -> np.ndarray:
         if self._gradient is not None:
             return np.asarray(self._gradient(p), dtype=float)
-        return fd_gradient(self._value_vec, p.as_vector())
+        return fd_gradient(lambda v: self.value(BasePoint.from_vector(v)),
+                           p.as_vector())
 
     def hessian(self, p: BasePoint) -> np.ndarray:
-        if self._hessian is not None:
-            return np.asarray(self._hessian(p), dtype=float)
-        if self._gradient is not None:
-            # one differencing level on top of the analytic gradient
-            J = fd_gradient(lambda v: np.asarray(
-                self._gradient(BasePoint.from_vector(v)), dtype=float),
-                p.as_vector())
-            return 0.5 * (J + J.T)
-        return fd_hessian(self._value_vec, p.as_vector())
+        J = fd_gradient(lambda v: self.gradient(BasePoint.from_vector(v)),
+                        p.as_vector())
+        return 0.5 * (J + J.T)
 
 
 # -- operations ----------------------------------------------------------

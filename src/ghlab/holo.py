@@ -103,14 +103,14 @@ def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     return total * np.conj(p.eta)
 
 
-def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint, T: float = 2048.0,
-                  order: int = 16) -> complex:
+def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """Same gamma by truncated ray quadrature with tail extrapolation.
 
     Integrates the eta-derivatives of the restricted diagonal field along
-    the defining ray out to 2T and removes the leading 1/T tail by the
-    two-point extrapolation 2 G(2T) - G(T).  Kept as an independent route
-    for cross-checks; the folded representation is the primary path.
+    the defining ray out to 2T, T = 2048, on 16-node Gauss panels, and
+    removes the leading 1/T tail by the two-point extrapolation
+    2 G(2T) - G(T).  Kept as an independent route for cross-checks; the
+    folded representation is the primary path.
     """
     if p.eta == 0:
         return 0j
@@ -128,6 +128,7 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint, T: float = 2048.0,
             out += 0.5 * (g[p.N] - 1j * g[p.N + 1])
         return out
 
+    T = 2048.0
     s0 = max(1.0, float(np.max(np.abs(p.mu))))
     pts = {0.0, T, 2.0 * T}
     j = 0
@@ -135,7 +136,7 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint, T: float = 2048.0,
         pts.add(s0 * 2.0 ** j)
         j += 1
     breaks = np.array(sorted(pts))
-    nodes, wts = panel_nodes(breaks, order)
+    nodes, wts = panel_nodes(breaks, 16)
     vals = np.array([d_eta_sum(float(u)) for u in nodes])
     half = nodes <= T
     G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
@@ -216,20 +217,22 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
     return rows, gam
 
 
+# path parameters in [0, 1] and weights of one log_z leg
+_LEG_NODES, _LEG_WEIGHTS = panel_nodes(np.arange(9) / 8, 16)
+
+
 def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
           basepath: list[BasePoint] | None = None,
-          gauge: np.ndarray | None = None, order: int = 16,
-          panels: int = 8) -> LogZResult:
+          gauge: np.ndarray | None = None) -> LogZResult:
     """Integrate the model's closed log-derivative one-form to p.
 
     The one-form for label j has mu-part given by the reduced form plus
     the restricted perturbation (row sums negated for label 0) and eta-part
     Re(gamma_j d eta).  The path is piecewise linear through ``basepath``
     (default: one mu-leg from a generic positive reference at p's eta);
-    ``gauge`` fixes the log moduli at the path start.  Each leg takes
-    ``panels`` Gauss panels of ``order`` nodes, and all its nodes go
-    through one restricted field jet call.  Every path node must keep eta
-    nonzero.
+    ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
+    Gauss panels of 16 nodes, and all its nodes go through one restricted
+    field jet call.  Every path node must keep eta nonzero.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")
@@ -248,23 +251,19 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     if vals.shape != (n + 1,):
         raise ValueError("gauge must give one value per subset label")
     G = schur_complement(A, I)
-    x, w = np.polynomial.legendre.leggauss(order)
-    lo = np.arange(panels) / panels
-    hi = np.arange(1, panels + 1) / panels
-    ss = (lo[:, None] + 0.5 * (hi - lo)[:, None] * (x + 1.0)).ravel()
-    ww = (0.5 * (hi - lo)[:, None] * w).ravel()
     for q0, q1 in zip(basepath, basepath[1:]):
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
         need_gamma = d_eta != 0
-        nodes = [BasePoint(q0.mu + s * d_mu_full, q0.eta + s * d_eta) for s in ss]
+        nodes = [BasePoint(q0.mu + s * d_mu_full, q0.eta + s * d_eta)
+                 for s in _LEG_NODES]
         if any(q.eta == 0 for q in nodes):
             raise ValueError("path crosses eta = 0")
         rows, gam = _one_form(A, I, quad, nodes, need_gamma, G)
         # added node by node in path order; a pairwise sum would round
         # otherwise and a leg's value would depend on its batching
-        for w_node, form, g in zip(ww, rows @ d_mu, gam):
+        for w_node, form, g in zip(_LEG_WEIGHTS, rows @ d_mu, gam):
             vals += w_node * form
             if need_gamma:
                 vals += w_node * (g * d_eta).real
@@ -313,8 +312,7 @@ class GrowthFit:
 
 
 def growth_bound_check(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
-                       points: list[BasePoint],
-                       gauge: np.ndarray | None = None) -> list[GrowthFit]:
+                       points: list[BasePoint]) -> list[GrowthFit]:
     """Fit the exponential envelope of the model coordinates on samples.
 
     For each label, regresses log|z_j| minus the log of the model hull
@@ -325,7 +323,7 @@ def growth_bound_check(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
     act = I.active
     xs, ys = [], []
     for p in points:
-        res = log_z(A, I, quad, p, gauge=gauge)
+        res = log_z(A, I, quad, p)
         mu_act = p.mu[[a - 1 for a in act]]
         hull = math.sqrt(float(mu_act @ G.entries @ mu_act)
                          + A.det * abs(p.eta) ** 2)

@@ -324,20 +324,18 @@ def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
 class RadialBump:
     """Smooth compactly supported test function, radial in eta.
 
-    value = amp * psi(|mu - mu0|^2 / r_mu^2) * psi(|eta|^2 / r_eta^2) with
+    value = psi(|mu - mu0|^2 / r_mu^2) * psi(|eta|^2 / r_eta^2) with
     psi(s) = exp(1 - 1/(1 - s)) under 1 and zero beyond.  Radial in eta so
     the fiber integral reduces to one radial variable; the anisotropic
     Laplacian is available in closed form.
     """
 
-    def __init__(self, center_mu: np.ndarray, r_mu: float, r_eta: float,
-                 amplitude: float = 1.0) -> None:
+    def __init__(self, center_mu: np.ndarray, r_mu: float, r_eta: float) -> None:
         self.center = np.asarray(center_mu, dtype=float)
         if r_mu <= 0 or r_eta <= 0:
             raise ValueError("bump radii must be positive")
         self.r_mu = float(r_mu)
         self.r_eta = float(r_eta)
-        self.amplitude = float(amplitude)
 
     @staticmethod
     def _psi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -356,7 +354,7 @@ class RadialBump:
         w = np.asarray(r, dtype=float) ** 2 / self.r_eta ** 2
         pu, _, _ = self._psi(u)
         pw, _, _ = self._psi(w)
-        out = self.amplitude * pu * pw
+        out = pu * pw
         return float(out[0]) if single else out
 
     def laplace_A(self, A: QuadForm, mu: np.ndarray, r: np.ndarray) -> np.ndarray | float:
@@ -371,7 +369,7 @@ class RadialBump:
         mu_part = (4.0 / self.r_mu ** 4 * pu2 * quad_inv
                    + 2.0 / self.r_mu ** 2 * pu1 * np.trace(A.inv))
         eta_part = 4.0 / self.r_eta ** 2 * (w * pw2 + pw1) / A.det
-        out = self.amplitude * (mu_part * pw + pu * eta_part)
+        out = mu_part * pw + pu * eta_part
         return float(out[0]) if single else out
 
 
@@ -411,13 +409,13 @@ def _alpha_exact_n2(A: QuadForm, labels: tuple[int, int], mu: np.ndarray,
     return kernel_prefactor(2, A.det) * integral
 
 
-def _graded_breaks(lo: float, hi: float, special: float | None,
-                   levels: int = 12, plain: int = 8) -> np.ndarray:
-    pts = set(np.linspace(lo, hi, plain + 1).tolist())
+def _graded_breaks(lo: float, hi: float, special: float | None) -> np.ndarray:
+    """8 even panels on [lo, hi], halved 12 times toward ``special``."""
+    pts = set(np.linspace(lo, hi, 9).tolist())
     if special is not None and lo < special < hi:
         pts.add(special)
         scale = hi - lo
-        for j in range(1, levels + 1):
+        for j in range(1, 13):
             step = scale * 2.0 ** (-j)
             for s in (special - step, special + step):
                 if lo < s < hi:
@@ -428,8 +426,8 @@ def _graded_breaks(lo: float, hi: float, special: float | None,
 
 
 def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
-                              bump: RadialBump, quad: QuadratureSpec,
-                              order: int = 16) -> WeakCheckResult:
+                              bump: RadialBump, quad: QuadratureSpec
+                              ) -> WeakCheckResult:
     """Test the kernel's distributional charge against a test function.
 
     lhs: the kernel integrated against the anisotropic Laplacian of the
@@ -469,11 +467,11 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     for k in range(N):
         sp = special_axis0 if k == 0 else None
         br = _graded_breaks(-R, R, sp)
-        nd, wt = panel_nodes(br, order)
+        nd, wt = panel_nodes(br, 16)
         axes_nodes.append(nd)
         axes_wts.append(wt)
     br_r = np.array([0.0] + [bump.r_eta * 2.0 ** (-m) for m in range(12, -1, -1)])
-    r_nodes, r_wts = panel_nodes(br_r, order)
+    r_nodes, r_wts = panel_nodes(br_r, 16)
 
     sizes = [len(a) for a in axes_nodes] + [len(r_nodes)]
     ntot = int(np.prod(sizes))
@@ -511,14 +509,14 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     charge = -2.0 * math.pi * math.sqrt(A.det)
     if i == 0:
         free = [k for k in range(1, N + 1) if k != j]
-        rhs = charge * _cone_integral(bump, free, order=order)
+        rhs = charge * _cone_integral(bump, free)
     else:
-        rhs = charge * _pair_cone_integral(bump, i, j, N, order=order)
+        rhs = charge * _pair_cone_integral(bump, i, j, N)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return WeakCheckResult(lhs, rhs, abs(lhs - rhs) / denom, evals)
 
 
-def _cone_integral(bump: RadialBump, free: list[int], order: int) -> float:
+def _cone_integral(bump: RadialBump, free: list[int]) -> float:
     """bump(iota(t), 0) over t >= 0, the axis stratum cone."""
     axes = []
     for lab in free:
@@ -526,7 +524,7 @@ def _cone_integral(bump: RadialBump, free: list[int], order: int) -> float:
         hi = max(0.0, bump.center[lab - 1] + bump.r_mu)
         if hi <= lo:
             return 0.0
-        nd, wt = panel_nodes(np.linspace(lo, hi, 5), order)
+        nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
         axes.append((lab, nd, wt))
     sizes = [len(nd) for _, nd, _ in axes]
     ntot = int(np.prod(sizes)) if sizes else 1
@@ -541,15 +539,14 @@ def _cone_integral(bump: RadialBump, free: list[int], order: int) -> float:
     return float(np.sum(wts * vals))
 
 
-def _pair_cone_integral(bump: RadialBump, i: int, j: int, N: int,
-                        order: int) -> float:
+def _pair_cone_integral(bump: RadialBump, i: int, j: int, N: int) -> float:
     """bump over the diagonal stratum cone: mu_i = mu_j = -s, mu_k = t_k - s."""
     ci = bump.center[i - 1]
     s_lo = max(0.0, -ci - bump.r_mu)
     s_hi = max(0.0, -ci + bump.r_mu)
     if s_hi <= s_lo:
         return 0.0
-    s_nd, s_wt = panel_nodes(np.linspace(s_lo, s_hi, 5), order)
+    s_nd, s_wt = panel_nodes(np.linspace(s_lo, s_hi, 5), 16)
     free = [k for k in range(1, N + 1) if k not in (i, j)]
     total = 0.0
     for s, ws in zip(s_nd, s_wt):
@@ -562,7 +559,7 @@ def _pair_cone_integral(bump: RadialBump, i: int, j: int, N: int,
                 if hi <= lo:
                     ok = False
                     break
-                nd, wt = panel_nodes(np.linspace(lo, hi, 5), order)
+                nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
                 axes.append((lab, nd, wt))
             if not ok:
                 continue

@@ -72,8 +72,8 @@ def test_04_harmonicity_and_gradient_relations(verdict):
     A = random_spd(rng, 3)
     quad = QuadratureSpec()
     pts = [off_locus_point(rng, A) for _ in range(50)]
-    worst_h = max(checks.kernel_laplacian(kernels.KernelSpec(A, labels), quad, p)
-                  for labels in [(0, 1), (1, 2)] for p in pts)
+    worst_h = max(checks.kernel_laplacian(kernels.KernelSpec(A, labels), quad, pts)
+                  for labels in [(0, 1), (1, 2)])
     worst_c = max(checks.gradient_relations(A, quad, pts))
     worst = max(worst_h, worst_c)
     verdict.report(4, worst <= 1e-3,
@@ -82,15 +82,10 @@ def test_04_harmonicity_and_gradient_relations(verdict):
 
 
 def test_05_weak_distributional_charge(verdict):
-    A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
+    A = QuadForm(np.array(checks.WEAK_FORM_N2))
     quad = QuadratureSpec(abs_tol=1e-8)
-    cases = [
-        ((0, 1), (0.0, 2.0), 1.5, 1.2),
-        ((0, 2), (2.0, 0.0), 1.5, 1.2),
-        ((1, 2), (-3.0, -3.0), 2.0, 1.5),
-    ]
     worst = 0.0
-    for labels, center, r_mu, r_eta in cases:
+    for labels, center, r_mu, r_eta in checks.WEAK_BUMPS_N2:
         bump = kernels.RadialBump(np.array(center), r_mu, r_eta)
         res = kernels.weak_distributional_check(A, labels, bump, quad)
         worst = max(worst, res.rel_gap)

@@ -18,7 +18,7 @@ from ghlab.ansatz import (
     weight_ell,
 )
 from ghlab.locus import all_strata, dist_closed_stratum
-from ghlab.quadrature import QuadratureSpec
+from ghlab.quadrature import QuadratureSpec, panel_nodes
 
 QUAD = QuadratureSpec()
 
@@ -109,16 +109,12 @@ def test_restricted_field_ignores_complement():
     assert j1.W == pytest.approx(j2.W, rel=1e-11)
 
 
-def _leg_nodes(q0, q1, order=16, panels=8):
-    """Gauss nodes of a path leg, laid out as log_z lays them out."""
-    x, _ = np.polynomial.legendre.leggauss(order)
-    out = []
-    for k in range(panels):
-        lo, hi = k / panels, (k + 1) / panels
-        for s in lo + 0.5 * (hi - lo) * (x + 1.0):
-            out.append(BasePoint(q0.mu + s * (q1.mu - q0.mu),
-                                 q0.eta + s * (q1.eta - q0.eta)))
-    return out
+def _leg_nodes(q0, q1):
+    """Gauss nodes of a path leg, laid out as log_z lays them out: 8
+    panels of 16 nodes."""
+    ss, _ = panel_nodes(np.arange(9) / 8, 16)
+    return [BasePoint(q0.mu + s * (q1.mu - q0.mu), q0.eta + s * (q1.eta - q0.eta))
+            for s in ss]
 
 
 @pytest.mark.parametrize("N, members", [(2, (0, 1)), (2, (0, 1, 2)),

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -80,16 +79,6 @@ def test_bad_schema_version(tmp_path):
         main(["flat-cy", "--config", str(cfg)])
 
 
-def test_threads_do_not_change_results(tmp_path, monkeypatch):
-    # harmonicity maps its points over the GHLAB_THREADS worker pool
-    monkeypatch.setenv("GHLAB_THREADS", "1")
-    _, out1 = run(tmp_path / "a", "harmonicity", "--n", "2")
-    monkeypatch.setenv("GHLAB_THREADS", "4")
-    _, out2 = run(tmp_path / "b", "harmonicity", "--n", "2")
-    assert (out1 / "harmonicity.csv").read_bytes() == \
-        (out2 / "harmonicity.csv").read_bytes()
-
-
 def test_config_hash_stability():
     cfg = ExperimentConfig(experiment="flat-cy", seed=1, n=5, params={"a": 1})
     assert cfg.hash == ExperimentConfig(experiment="flat-cy", seed=1, n=5,
@@ -135,12 +124,3 @@ def test_shipped_configs_pass_validation():
     for p in sorted(cfg_dir.glob("*.json")):
         cfg = ExperimentConfig.load(p.stem, str(p), None, None)
         assert cfg.params == json.loads(p.read_text()).get("params", {})
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_thread_count_rejected(tmp_path, monkeypatch, value):
-    # checked before any work, so neither value starts a thread
-    monkeypatch.setenv("GHLAB_THREADS", value)
-    with pytest.raises(SystemExit, match="GHLAB_THREADS"):
-        run(tmp_path, "flat-cy", "--n", "1")
-    assert not (tmp_path / "out").exists()

@@ -16,6 +16,8 @@ from ghlab.geometry import (
     fd_gradient,
     fd_hessian,
     laplace_A,
+    richardson_derivative,
+    richardson_stencil,
     ScalarField,
     schur_complement,
 )
@@ -85,6 +87,30 @@ def test_fd_gradient_on_cubic():
     g = fd_gradient(f, np.array([1.5, -0.5]))
     np.testing.assert_allclose(g, [3 * 1.5 ** 2 - 1.0, 2 * 1.5 + 1.0],
                                rtol=1e-9)
+
+
+@pytest.mark.parametrize("h", [0.1, np.array([0.05, 0.2, 0.1])],
+                         ids=["scalar-step", "per-coordinate-step"])
+def test_richardson_derivative_exact_on_quartics(h):
+    # central differences carry only even powers of h and one Richardson
+    # level cancels h^2, so degree-4 polynomials come out exact to roundoff
+    x = np.array([0.7, -1.3, 0.4])
+    rows = richardson_stencil(x, h)
+    assert rows.shape == (13, 3)
+    np.testing.assert_array_equal(rows[0], x)
+
+    def f(v):
+        a, b, c = v[..., 0], v[..., 1], v[..., 2]
+        return np.stack([a ** 4 - 2.0 * a * b ** 3 + c ** 2,
+                         b ** 2 * c ** 2 + a * c - 3.0 * c ** 4], axis=-1)
+
+    a, b, c = x
+    jac = np.array([[4.0 * a ** 3 - 2.0 * b ** 3, c],
+                    [-6.0 * a * b ** 2, 2.0 * b * c ** 2],
+                    [2.0 * c, 2.0 * b ** 2 * c + a - 12.0 * c ** 3]])
+    got = richardson_derivative(f(rows), h)
+    assert got.shape == (3, 2)
+    np.testing.assert_allclose(got, jac, rtol=1e-12, atol=1e-12)
 
 
 def test_fd_hessian_on_quartic():
