@@ -204,17 +204,15 @@ def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
             _row(cfg, "axis-relations", axis, tol)]
 
 
-@_experiment("weak-chern", "A", "placements", "rel_tol")
+@_experiment("weak-chern", "rel_tol")
 def run_weak_chern(cfg: ExperimentConfig) -> list[ResultRow]:
     tol = cfg.params.get("rel_tol", 1e-2)
-    A = QuadForm(np.array(cfg.params.get("A", checks.WEAK_FORM_N2), dtype=float))
+    A = QuadForm(np.array(checks.WEAK_FORM_N2))
     quad = QuadratureSpec(abs_tol=1e-8)
     rows = []
-    # each placement is [labels, centre, r_mu, r_eta]
-    placements = cfg.params.get("placements", checks.WEAK_BUMPS_N2)
-    for idx, (labels, center, r_mu, r_eta) in enumerate(placements):
-        bump = kernels.RadialBump(np.array(center, dtype=float), r_mu, r_eta)
-        res = kernels.weak_distributional_check(A, tuple(labels), bump, quad)
+    for idx, (labels, center, r_mu, r_eta) in enumerate(checks.WEAK_BUMPS_N2):
+        bump = kernels.RadialBump(np.array(center), r_mu, r_eta)
+        res = kernels.weak_distributional_check(A, labels, bump, quad)
         rows.append(_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, tol,
                          detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g}"))
     return rows

@@ -107,8 +107,11 @@ def test_shipped_configs_load_and_match_experiments():
     ("decay-scan", {"params": {"dim": 4}}, r"param\(s\) dim for"),
     ("glue-regions", {"params": {"dim": 4}}, r"param\(s\) dim for"),
     ("glue-regions", {"params": {"subset": [0, 1, 3]}}, r"param\(s\) subset for"),
+    # criterion 05's form and bumps are fixed data in ghlab.checks
+    ("weak-chern", {"params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}, r"param\(s\) A for"),
+    ("weak-chern", {"params": {"placements": []}}, r"param\(s\) placements for"),
 ], ids=["param-typo", "unread-param", "top-level-typo", "decay-dim", "glue-dim",
-        "glue-subset"])
+        "glue-subset", "weak-A", "weak-placements"])
 def test_config_typos_rejected(tmp_path, experiment, data, message):
     # an unknown key would otherwise fall back to its default silently
     cfg = tmp_path / "cfg.json"
