@@ -18,6 +18,7 @@ from .geometry import (
     QuadForm,
     anorm,
     ball_volume,
+    batch_from_vectors,
     block,
     fd_gradient,
     fd_hessian,

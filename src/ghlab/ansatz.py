@@ -7,10 +7,16 @@ background form A, and the restricted model fields attached to a stratum
 subset.  The first-order data satisfies the linearized equations exactly
 and the nonlinear volume identity up to a controlled error, whose relative
 size is the sigma-expansion tail computed here.
+
+A field's ``jet(mu, eta, want_gradient)`` takes a batch of points as two
+arrays, mu (B, N) and eta (B,), puts the whole batch into one
+``kernels.alpha_batch`` call per kernel, and returns one ``FieldJet`` per
+point; ``at(p)`` is its one-point case for a ``BasePoint``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +116,8 @@ def flat_field(A_trivial: QuadForm | None, p: BasePoint) -> FlatFieldResult:
 
 @dataclass
 class FieldJet:
-    """Values and analytic first derivatives of a coefficient field.
+    """Values and analytic first derivatives of a coefficient field at one
+    point.
 
     dV has layout [i, j, k] = d V_ij / d mu_k; dV_eta is the complex
     eta-derivative taken entrywise; dW runs over (mu_1..mu_N, Re, Im).
@@ -119,7 +126,6 @@ class FieldJet:
     QuadratureError instead of returning a jet.
     """
 
-    point: BasePoint
     V: np.ndarray
     W: float
     v: np.ndarray
@@ -132,22 +138,18 @@ class FieldJet:
 
 
 def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
-    N = A.n
-    out = []
-    for i in range(1, N + 1):
-        out.append(KernelSpec(A, (0, i), restriction))
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            out.append(KernelSpec(A, (i, j), restriction))
-    return out
+    """Every kernel of the field: the axis kernels, then the pairs."""
+    return [KernelSpec(A, labels, restriction)
+            for labels in itertools.combinations(range(A.n + 1), 2)]
 
 
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
-          points: list[BasePoint], want_gradient: bool) -> list[FieldJet]:
-    """Assemble field jets at many points, one kernel batch per kernel;
-    every quantity is stacked over the points until the jets are built."""
+          mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> list[FieldJet]:
+    """Assemble field jets at a batch of points, one kernel batch per
+    kernel; every quantity is stacked over the points until the jets are
+    built."""
     N = A.n
-    B = len(points)
+    B = len(mu)
     v = np.zeros((B, N, N))
     dv = np.zeros((B, N, N, N))
     dv_eta = np.zeros((B, N, N), dtype=complex)
@@ -155,9 +157,9 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     grads: dict[tuple[int, int], np.ndarray] = {}
     err = 0.0
     for spec in _kernel_list(A, restriction):
-        val, g, e = alpha_batch(spec, quad, points, want_gradient=want_gradient)
-        vals[spec.labels], grads[spec.labels] = val, g
-        err = max(err, float(np.max(e)))
+        kv = alpha_batch(spec, quad, mu, eta, want_gradient=want_gradient)
+        vals[spec.labels], grads[spec.labels] = kv.value, kv.gradient
+        err = max(err, float(np.max(kv.error)))
     for i in range(1, N + 1):
         diag = vals[(0, i)].copy()
         diag_g = grads[(0, i)]
@@ -188,26 +190,33 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     out = []
     for t in range(B):
         jet_d = (dv[t], dv_eta[t], dW[t]) if want_gradient else (None, None, None)
-        out.append(FieldJet(points[t], V[t], float(W[t]), v[t], float(w[t]),
-                            *jet_d, bool(spd[t]), err))
+        out.append(FieldJet(V[t], float(W[t]), v[t], float(w[t]), *jet_d,
+                            bool(spd[t]), err))
     return out
 
 
-class FirstOrderField:
+class _Field:
+    """A coefficient field: ``jet(mu, eta, want_gradient)`` takes a batch
+    of points as arrays mu (B, N) and eta (B,) and returns one FieldJet
+    per point; ``at`` is its one-point case."""
+
+    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
+        return self.jet(p.mu[None], np.array([p.eta]), want_gradient)[0]
+
+
+class FirstOrderField(_Field):
     """First-order asymptotic coefficient field over a background form."""
 
     def __init__(self, A: QuadForm, quad: QuadratureSpec) -> None:
         self.A = A
         self.quad = quad
 
-    def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
-        return _jets(self.A, None, self.quad, points, want_gradient)
-
-    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        return self.jet([p], want_gradient)[0]
+    def jet(self, mu: np.ndarray, eta: np.ndarray,
+            want_gradient: bool = True) -> list[FieldJet]:
+        return _jets(self.A, None, self.quad, mu, eta, want_gradient)
 
 
-class RestrictedField:
+class RestrictedField(_Field):
     """Model coefficient field attached to a stratum subset.
 
     Kernels whose labels leave the subset vanish, so V - A is supported on
@@ -222,18 +231,16 @@ class RestrictedField:
         self.I = I
         self.quad = quad
 
-    def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
-        return _jets(self.A, self.I, self.quad, points, want_gradient)
-
-    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        return self.jet([p], want_gradient)[0]
+    def jet(self, mu: np.ndarray, eta: np.ndarray,
+            want_gradient: bool = True) -> list[FieldJet]:
+        return _jets(self.A, self.I, self.quad, mu, eta, want_gradient)
 
 
-class PerturbedField:
+class PerturbedField(_Field):
     """Wrapper adding an explicit smooth perturbation to V; test helper.
 
-    extra(p) returns the matrix added to V, independent of eta, and
-    extra_dmu(p)[i, j, k] its mu-gradient.
+    extra(p) returns the matrix added to V at the BasePoint p, independent
+    of eta, and extra_dmu(p)[i, j, k] its mu-gradient.
     """
 
     def __init__(self, base, extra, extra_dmu) -> None:
@@ -241,19 +248,18 @@ class PerturbedField:
         self.extra = extra
         self.extra_dmu = extra_dmu
 
-    def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
-        jets = self.base.jet(points, want_gradient)
-        for j in jets:
-            j.V = j.V + self.extra(j.point)
+    def jet(self, mu: np.ndarray, eta: np.ndarray,
+            want_gradient: bool = True) -> list[FieldJet]:
+        jets = self.base.jet(mu, eta, want_gradient)
+        for m, e, j in zip(mu, eta, jets):
+            p = BasePoint(m, e)
+            j.V = j.V + self.extra(p)
             if want_gradient:
-                j.dV = j.dV + self.extra_dmu(j.point)
+                j.dV = j.dV + self.extra_dmu(p)
         return jets
 
-    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        return self.jet([p], want_gradient)[0]
 
-
-class FlatModelField:
+class FlatModelField(_Field):
     """Exact flat model packaged as a field provider.
 
     First derivatives are Richardson differences of the exact values with
@@ -272,12 +278,16 @@ class FlatModelField:
             raise ValueError("flat field evaluated on the degeneration locus")
         return np.append(res.V, res.W)
 
-    def jet(self, points: list[BasePoint], want_gradient: bool = True) -> list[FieldJet]:
-        return [self.at(p, want_gradient) for p in points]
+    def jet(self, mu: np.ndarray, eta: np.ndarray,
+            want_gradient: bool = True) -> list[FieldJet]:
+        mu, eta = np.asarray(mu, dtype=float), np.asarray(eta, dtype=complex)
+        if mu.ndim != 2 or mu.shape[1] != self.N:
+            raise ValueError(f"a batch is mu (B, {self.N}), not {mu.shape}")
+        xs = np.column_stack([mu, eta.real, eta.imag])
+        return [self._jet1(x, want_gradient) for x in xs]
 
-    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
+    def _jet1(self, x: np.ndarray, want_gradient: bool) -> FieldJet:
         N = self.N
-        x = p.as_vector()
         h = value_step(x)
         rows = richardson_stencil(x, h) if want_gradient else [x]
         vals = np.array([self._vw(r) for r in rows])
@@ -291,8 +301,7 @@ class FlatModelField:
             dV_eta = 0.5 * (dV_xy[0] - 1j * dV_xy[1])
             dW = D[:, N * N]
         eig = np.linalg.eigvalsh(V)
-        return FieldJet(p, V, W, V, W, dV, dV_eta, dW,
-                        bool(eig[0] > 0 and W > 0), 0.0)
+        return FieldJet(V, W, V, W, dV, dV_eta, dW, bool(eig[0] > 0 and W > 0), 0.0)
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,

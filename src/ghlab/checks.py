@@ -14,8 +14,9 @@ import math
 import numpy as np
 
 from . import ansatz, glue, holo, kernels, locus
-from .geometry import (BasePoint, IndexSet, QuadForm, block, gradient_step,
-                       richardson_derivative, richardson_stencil, schur_complement)
+from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
+                       gradient_step, richardson_derivative, richardson_stencil,
+                       schur_complement)
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -163,9 +164,9 @@ def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
     N = A.n
     xs = [p.as_vector() for p in points]
     hs = [gradient_step(x) for x in xs]
-    rows = [BasePoint.from_vector(r)
-            for x, h in zip(xs, hs) for r in richardson_stencil(x, h)]
-    _, grads, _ = kernels.alpha_batch(spec, quad, rows, want_gradient=True)
+    mu, eta = batch_from_vectors(np.concatenate(
+        [richardson_stencil(x, h) for x, h in zip(xs, hs)]))
+    grads = kernels.alpha_batch(spec, quad, mu, eta, want_gradient=True).gradient
     worst = 0.0
     for g, h in zip(grads.reshape(len(xs), -1, N + 2), hs):
         hess = richardson_derivative(g, h)

@@ -7,7 +7,9 @@ density is therefore the scalar W squared regardless of V, and the
 structure is integrable precisely when the mu-gradients of V are
 symmetric in the lower index pair and the fiber curvature is closed.
 The connection form is never built globally; every check here is a
-pointwise identity on derivatives of (V, W).
+pointwise identity on derivatives of (V, W).  The second identity passes
+the Richardson stencil around a point to the field's ``jet`` as one batch
+of arrays (mu, eta).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (BasePoint, fd_gradient, gradient_step,
+from .geometry import (BasePoint, batch_from_vectors, fd_gradient, gradient_step,
                        richardson_derivative, richardson_stencil)
 
 __all__ = [
@@ -110,8 +112,8 @@ def _second_identity(field, p: BasePoint) -> tuple[object, np.ndarray, float]:
     N = p.N
     x = p.as_vector()
     h = gradient_step(x)
-    jets = field.jet([BasePoint.from_vector(r) for r in richardson_stencil(x, h)],
-                     want_gradient=True)
+    mu, eta = batch_from_vectors(richardson_stencil(x, h))
+    jets = field.jet(mu, eta, want_gradient=True)
     dW = np.array([j.dW[:N] for j in jets])
     dV_eta = np.array([j.dV_eta for j in jets])
     # dW/dmu, then (V_ij)_x = 2 Re dV_ij/deta and (V_ij)_y = -2 Im dV_ij/deta

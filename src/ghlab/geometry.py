@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "QuadForm",
     "BasePoint",
+    "batch_from_vectors",
     "IndexSet",
     "ScalarField",
     "anorm",
@@ -138,6 +139,16 @@ class BasePoint:
     def from_vector(cls, v: Sequence[float]) -> "BasePoint":
         v = np.asarray(v, dtype=float)
         return cls(v[:-2], complex(v[-2], v[-1]))
+
+
+def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch (mu (B, N), eta (B,)) of real coordinate rows (B, N + 2).
+
+    >>> batch_from_vectors(np.array([[1.0, 2.0, 3.0, -4.0]]))
+    (array([[1., 2.]]), array([3.-4.j]))
+    """
+    rows = np.asarray(rows, dtype=float)
+    return rows[:, :-2], np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]
 
 
 class IndexSet:
@@ -267,7 +278,8 @@ class ScalarField:
 
     value, gradient and hessian act on the real coordinates
     (mu_1..mu_N, Re eta, Im eta).  Without an analytic gradient the field
-    differences its values; the Hessian differences the gradient.
+    differences its values; the Hessian differences the gradient with
+    ``gradient_step``.
     """
 
     def __init__(self, value: Callable[[BasePoint], float],
@@ -285,8 +297,10 @@ class ScalarField:
                            p.as_vector())
 
     def hessian(self, p: BasePoint) -> np.ndarray:
-        J = fd_gradient(lambda v: self.gradient(BasePoint.from_vector(v)),
-                        p.as_vector())
+        x = p.as_vector()
+        h = gradient_step(x)
+        J = richardson_derivative([self.gradient(BasePoint.from_vector(v))
+                                   for v in richardson_stencil(x, h)], h)
         return 0.5 * (J + J.T)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
-from .kernels import KernelSpec, alpha_grad, _assemble, _active_mu
+from .kernels import KernelSpec, alpha_grad, _assemble
 from .quadrature import QuadratureSpec, panel_nodes, power_kernel_integral
 
 __all__ = [
@@ -89,18 +89,23 @@ def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     infinity on the mapped tail panel, and only from four slots on does a
     truncation radius enter, with its tail bound in the estimate.
     """
-    if p.eta == 0:
+    return _gamma(spec, i, p.mu, p.eta)
+
+
+def _gamma(spec: GammaSpec, i: int, mu: np.ndarray, eta: complex) -> complex:
+    """gamma_i at the point (mu, eta)."""
+    if eta == 0:
         return 0j
     kernels, col = _gamma_kernels(spec, i)
     total = 0.0
     for ks in kernels:
         Q, c_eta, S, M, n, pref = _assemble(ks)
         M_ext = np.column_stack([M, col]) if M.size else col.reshape(-1, 1)
-        res = power_kernel_integral(Q, c_eta, _active_mu(S, p), p.eta, M_ext,
-                                    n + 2, spec.quad,
-                                    prefactor=n * c_eta * abs(p.eta) * pref)
+        res = power_kernel_integral(Q, c_eta, mu[[lab - 1 for lab in S]], eta,
+                                    M_ext, n + 2, spec.quad,
+                                    prefactor=n * c_eta * abs(eta) * pref)
         total += n * c_eta * pref * float(res.value[0])
-    return total * np.conj(p.eta)
+    return total * np.conj(eta)
 
 
 def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
@@ -151,6 +156,12 @@ def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex
     determinant: gamma_i = (1 - mu_i / r) / (2 eta) and
     gamma_0 = (1 + mu_i / r) / (2 eta).
     """
+    return _gamma_closed(A, I, i, p.mu, p.eta)
+
+
+def _gamma_closed(A: QuadForm, I: IndexSet, i: int, mu: np.ndarray,
+                  eta: complex) -> complex:
+    """Exact gamma_i of a one-slot subset at the point (mu, eta)."""
     act = I.active
     if len(act) != 1:
         raise ValueError("closed form requires exactly one active label")
@@ -159,10 +170,10 @@ def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex
         raise ValueError("label outside the subset")
     comp = I.active_complement(A.n)
     D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
-    mu = p.mu[lab - 1]
-    r = math.sqrt(mu ** 2 + D * abs(p.eta) ** 2)
+    m = mu[lab - 1]
+    r = math.sqrt(m ** 2 + D * abs(eta) ** 2)
     sign = 1.0 if i == 0 else -1.0
-    return (1.0 + sign * mu / r) / (2.0 * p.eta)
+    return (1.0 + sign * m / r) / (2.0 * eta)
 
 
 @dataclass
@@ -192,27 +203,27 @@ class LogZResult:
     path: list[BasePoint]
 
 
-def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
-              nodes: list[BasePoint], need_gamma: bool, G: QuadForm
+def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
+              eta: np.ndarray, need_gamma: bool, G: QuadForm
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of d log|z_j| at every node of a leg: mu rows
+    """Coefficients of d log|z_j| at every node (mu, eta) of a leg: mu rows
     (B, n+1, n) from one restricted field jet, and gammas (B, n+1)."""
     from .ansatz import RestrictedField
 
     act = I.active
     n = len(act)
-    jets = RestrictedField(A, I, quad).jet(nodes, want_gradient=False)
+    jets = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False)
     idx = [a - 1 for a in act]
     P = G.entries + np.stack([j.v for j in jets])[:, idx][:, :, idx]
-    rows = np.empty((len(nodes), n + 1, n))
+    rows = np.empty((len(mu), n + 1, n))
     rows[:, 1:, :] = P
     rows[:, 0, :] = -P.sum(axis=1)
-    gam = np.zeros((len(nodes), n + 1), dtype=complex)
+    gam = np.zeros((len(mu), n + 1), dtype=complex)
     if need_gamma:
         # at n >= 2 each gamma is an engine call of its own per node
         spec = GammaSpec(A, I, quad) if n > 1 else None
-        for t, q in enumerate(nodes):
-            gam[t] = [gamma(spec, lab, q) if spec else gamma_closed_form(A, I, lab, q)
+        for t, (m, e) in enumerate(zip(mu, eta.tolist())):
+            gam[t] = [_gamma(spec, lab, m, e) if spec else _gamma_closed(A, I, lab, m, e)
                       for lab in (0,) + act]
     return rows, gam
 
@@ -231,8 +242,9 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     Re(gamma_j d eta).  The path is piecewise linear through ``basepath``
     (default: one mu-leg from a generic positive reference at p's eta);
     ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
-    Gauss panels of 16 nodes, and all its nodes go through one restricted
-    field jet call.  Every path node must keep eta nonzero.
+    Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
+    nodes go through one restricted field jet call.  Every path node must
+    keep eta nonzero.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")
@@ -256,11 +268,11 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
         need_gamma = d_eta != 0
-        nodes = [BasePoint(q0.mu + s * d_mu_full, q0.eta + s * d_eta)
-                 for s in _LEG_NODES]
-        if any(q.eta == 0 for q in nodes):
+        mu = q0.mu + _LEG_NODES[:, None] * d_mu_full
+        eta = q0.eta + _LEG_NODES * d_eta
+        if np.any(eta == 0):
             raise ValueError("path crosses eta = 0")
-        rows, gam = _one_form(A, I, quad, nodes, need_gamma, G)
+        rows, gam = _one_form(A, I, quad, mu, eta, need_gamma, G)
         # added node by node in path order; a pairwise sum would round
         # otherwise and a leg's value would depend on its batching
         for w_node, form, g in zip(_LEG_WEIGHTS, rows @ d_mu, gam):

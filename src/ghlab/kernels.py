@@ -13,6 +13,12 @@ model space spanned by the I-labelled slots, uses the Schur-reduced
 quadratic form there, and keeps the full determinant as the fiber weight.
 Kernels whose labels are not members of the restriction are identically
 zero by convention.
+
+Every kernel value goes through ``alpha_batch``, which takes a batch of
+points as two arrays, mu (B, N) and eta (B,), and checks every row against
+the resolution floor; ``alpha`` and ``alpha_grad`` are its one-row case
+for a single ``BasePoint``.  Only the weak charge check, whose grid samples
+the integrable singularity inside that floor, calls the engine directly.
 """
 
 from __future__ import annotations
@@ -90,10 +96,12 @@ class KernelSpec:
 
 @dataclass
 class KernelValue:
-    value: float
-    error: float
+    """A kernel at one point (floats), or from ``alpha_batch`` at a batch
+    (arrays, one row per point); evals counts the engine's grid nodes."""
+
+    value: float | np.ndarray
+    error: float | np.ndarray
     evals: int
-    sheet_distance: float
     gradient: np.ndarray | None = None   # d/d(mu_1..mu_N, Re eta, Im eta)
 
 
@@ -133,21 +141,23 @@ def _assemble(spec: KernelSpec) -> tuple[np.ndarray, float, tuple[int, ...],
     return Q, A.det, S, M, n, kernel_prefactor(n, det_q)
 
 
-def _active_mu(S: tuple[int, ...], p: BasePoint) -> np.ndarray:
-    return p.mu[[lab - 1 for lab in S]]
-
-
 def _floor(quad: QuadratureSpec, N: int) -> float:
     return 10.0 * quad.abs_tol ** (1.0 / N)
 
 
+def _first_row(kv: KernelValue) -> KernelValue:
+    grad = None if kv.gradient is None else kv.gradient[0]
+    return KernelValue(float(kv.value[0]), float(kv.error[0]), kv.evals, grad)
+
+
 def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
-    """Kernel value at a base point, with an error estimate.
+    """Kernel value at a base point, with an error estimate: the one-row
+    case of ``alpha_batch``.
 
     Raises SingularityProximity when the point is within the resolution
     floor of the kernel's singular stratum.
     """
-    return _evaluate(spec, quad, p, want_gradient=False)
+    return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta])))
 
 
 def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
@@ -156,40 +166,15 @@ def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelVa
     Derivatives are taken under the integral sign; inactive slots of a
     restricted kernel get exact zeros.
     """
-    return _evaluate(spec, quad, p, want_gradient=True)
+    return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta]),
+                                  want_gradient=True))
 
 
-def _evaluate(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
-              want_gradient: bool) -> KernelValue:
-    N = spec.A.n
-    if p.N != N:
-        raise ValueError("point dimension mismatch")
-    if spec.vanishes:
-        g = np.zeros(N + 2) if want_gradient else None
-        return KernelValue(0.0, 0.0, 0, math.inf, g)
-    Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = _active_mu(S, p)
-    res = power_kernel_integral(Q, c_eta, b, p.eta, M, power, quad,
-                                want_gradient=want_gradient, prefactor=pref)
-    if res.r_star < _floor(quad, N):
-        raise SingularityProximity(
-            f"distance {res.r_star:.3e} to the singular stratum is below "
-            f"the resolution floor {_floor(quad, N):.3e}")
-    grad = None
-    if want_gradient:
-        grad = np.zeros(N + 2)
-        for k, lab in enumerate(S):
-            grad[lab - 1] = pref * res.gradient[0, k]
-        grad[N] = pref * res.gradient[0, len(S)]
-        grad[N + 1] = pref * res.gradient[0, len(S) + 1]
-    return KernelValue(pref * float(res.value[0]), pref * float(res.error[0]),
-                       res.evals, res.r_star, grad)
-
-
-def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
-                points: list[BasePoint], want_gradient: bool = False
-                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Evaluate one kernel at many points in as few engine calls as honest.
+def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
+                eta: np.ndarray, want_gradient: bool = False) -> KernelValue:
+    """Evaluate one kernel at the batch mu (B, N), eta (B,) in as few
+    engine calls as honest; a mu of another width than N raises ValueError,
+    and a row within the resolution floor raises SingularityProximity.
 
     A kernel with at most two cone columns is a closed form, so its rows
     go to one call at any distance from each other, and each row's sheet
@@ -198,18 +183,24 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
     shares that grid only while its (Q, c_eta) offset from the first row
     is within half the first row's sheet distance (a finite-difference
     stencil always is), and farther rows start calls of their own.
-    Returns (values, gradients, prefactor-scaled error estimates), one row
-    per point; gradient rows are (mu..., Re eta, Im eta).
+    Returns a KernelValue of arrays: values and prefactor-scaled error
+    estimates (B,), gradient rows (B, N + 2) as (mu..., Re eta, Im eta),
+    and the grid nodes of every call.
     """
     N = spec.A.n
-    B = len(points)
+    mu = np.asarray(mu, dtype=float)
+    eta = np.asarray(eta, dtype=complex)
+    if mu.ndim != 2 or mu.shape[1] != N or eta.shape != mu.shape[:1]:
+        raise ValueError(f"a batch is mu (B, {N}) and eta (B,), "
+                         f"not {mu.shape} and {eta.shape}")
+    B = len(mu)
     if spec.vanishes:
         g = np.zeros((B, N + 2)) if want_gradient else None
-        return np.zeros(B), g, np.zeros(B)
+        return KernelValue(np.zeros(B), np.zeros(B), 0, g)
     Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = np.array([q.mu for q in points])[:, [lab - 1 for lab in S]]
-    eta = np.array([q.eta for q in points])
-    E = c_eta * np.abs(eta) ** 2
+    b = mu[:, [lab - 1 for lab in S]]
+    # as the engine forms it, so a passed sheet solution is the engine's own
+    E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
     floor = _floor(quad, N)
     if M.shape[1] <= 2:
         tau, r = closed_sheet_distances(Q, M, b, E)
@@ -225,15 +216,17 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec,
     grads = np.zeros((B, N + 2)) if want_gradient else None
     vals = np.empty(B)
     errs = np.empty(B)
+    evals = 0
     for rows, sheet in groups:
         res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M, power,
                                     quad, want_gradient=want_gradient,
                                     prefactor=pref, sheet=sheet)
         vals[rows] = pref * res.value
         errs[rows] = pref * res.error
+        evals += res.evals
         if want_gradient:
             grads[rows[:, None], cols] = pref * res.gradient
-    return vals, grads, errs
+    return KernelValue(vals, errs, evals, grads)
 
 
 def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
@@ -279,8 +272,7 @@ def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
     full = alpha(KernelSpec(A, (i, j)), quad, p)
     part = alpha(KernelSpec(A, (i, j), restriction=I), quad, p)
     return KernelValue(full.value - part.value, full.error + part.error,
-                       full.evals + part.evals,
-                       min(full.sheet_distance, part.sheet_distance))
+                       full.evals + part.evals)
 
 
 def closed_form_axis(A: QuadForm, i: int, p: BasePoint,
@@ -310,7 +302,7 @@ def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
                      ) -> tuple[float, float]:
     """Low-discrepancy estimate of the same kernel, for cross-validation."""
     Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = _active_mu(S, p)
+    b = p.mu[[lab - 1 for lab in S]]
     mean, se = qmc_power_kernel_integral(Q, c_eta, b, p.eta, M, power,
                                          n_pow2=n_pow2, replicates=replicates,
                                          seed=seed)
@@ -381,34 +373,6 @@ class WeakCheckResult:
     alpha_evals: int
 
 
-def _alpha_exact_n2(A: QuadForm, labels: tuple[int, int], mu: np.ndarray,
-                    r: np.ndarray) -> np.ndarray:
-    """Exact full kernel at N = 2: the line integral is an arctan.
-
-    With quadratic in the sweep variable a t^2 - 2 b t + c, the integral
-    over the half line is (pi/2 + arctan(b / sqrt(D))) / sqrt(D) with
-    D = a c - b^2.
-    """
-    Ae = A.entries
-    mu = np.atleast_2d(np.asarray(mu, dtype=float))
-    E = A.det * np.asarray(r, dtype=float) ** 2
-    i, j = labels
-    if i == 0:
-        # axis kernel on slot j: sweep the other slot k
-        k = 2 if j == 1 else 1
-        direction = np.zeros(2)
-        direction[k - 1] = 1.0
-    else:
-        direction = -np.ones(2)
-    a = float(direction @ Ae @ direction)
-    bq = mu @ (Ae @ direction)
-    c = ((mu @ Ae) * mu).sum(axis=1) + E
-    D = a * c - bq ** 2
-    D = np.maximum(D, 1e-300)
-    integral = (0.5 * math.pi + np.arctan(bq / np.sqrt(D))) / np.sqrt(D)
-    return kernel_prefactor(2, A.det) * integral
-
-
 def _graded_breaks(lo: float, hi: float, special: float | None) -> np.ndarray:
     """8 even panels on [lo, hi], halved 12 times toward ``special``."""
     pts = set(np.linspace(lo, hi, 9).tolist())
@@ -435,31 +399,26 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     times the bump integrated over the kernel's closed stratum with its
     cone parametrization.  For a kernel supported away from the bump both
     sides vanish; near the stratum they agree to the quadrature accuracy.
+
+    Built for N = 2, where the kernel is a closed form: each chunk's live
+    grid nodes go to the engine in one call.  The grid samples the
+    integrable singularity well inside ``alpha_batch``'s resolution floor
+    (its nodes come within about 2e-6 of the sheet), so the check calls
+    the engine directly.
     """
     N = A.n
+    if N != 2:
+        raise ValueError("the weak check is built for N = 2")
     i, j = sorted(labels)
-    spec = KernelSpec(A, (i, j))
-    use_exact = (N == 2)
+    Q, c_eta, _, M, power, pref = _assemble(KernelSpec(A, (i, j)))
 
     # frame adapted to the singular sheet: first axis crosses it transversally
     if i == 0:
-        sheet_axis = j - 1
-        U = np.eye(N)
-        U[:, [0, sheet_axis]] = U[:, [sheet_axis, 0]]
+        U = np.eye(N)[:, [j - 1, 2 - j]]   # mu_j first
         special_axis0 = -bump.center[j - 1]  # y offset where mu_j = 0
     else:
-        v1 = np.zeros(N)
-        v1[i - 1] = 1.0 / math.sqrt(2.0)
-        v1[j - 1] = -1.0 / math.sqrt(2.0)
-        basis = [v1]
-        for k in range(N):
-            e = np.zeros(N)
-            e[k] = 1.0
-            w = e - sum((e @ b) * b for b in basis)
-            nw = np.linalg.norm(w)
-            if nw > 1e-10:
-                basis.append(w / nw)
-        U = np.column_stack(basis[:N])
+        # (mu_1 - mu_2) / sqrt(2) crosses the diagonal sheet, the sum runs along it
+        U = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
         special_axis0 = (bump.center[j - 1] - bump.center[i - 1]) / math.sqrt(2.0)
 
     R = bump.r_mu
@@ -492,87 +451,44 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
         live = np.abs(lap) > 0.0
         if not np.any(live):
             continue
-        if use_exact:
-            av = _alpha_exact_n2(A, (i, j), mu[live], r[live])
-            evals += int(np.count_nonzero(live))
-        else:
-            av = np.empty(int(np.count_nonzero(live)))
-            idx = np.nonzero(live)[0]
-            for t, n_idx in enumerate(idx):
-                pt = BasePoint(mu[n_idx], complex(r[n_idx]))
-                av[t] = alpha(spec, quad, pt).value
-                evals += 1
-        lhs += float(np.sum(wts[live] * lap[live] * av))
+        res = power_kernel_integral(Q, c_eta, mu[live], r[live], M, power,
+                                    quad, prefactor=pref)
+        evals += res.evals
+        lhs += float(np.sum(wts[live] * lap[live] * (pref * res.value)))
     lhs *= 2.0 * math.pi * A.det ** 1.5
 
     # rhs: bump over the stratum cone, eta = 0
     charge = -2.0 * math.pi * math.sqrt(A.det)
     if i == 0:
-        free = [k for k in range(1, N + 1) if k != j]
-        rhs = charge * _cone_integral(bump, free)
+        rhs = charge * _cone_integral(bump, 3 - j)
     else:
-        rhs = charge * _pair_cone_integral(bump, i, j, N)
+        rhs = charge * _pair_cone_integral(bump, i, j)
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return WeakCheckResult(lhs, rhs, abs(lhs - rhs) / denom, evals)
 
 
-def _cone_integral(bump: RadialBump, free: list[int]) -> float:
-    """bump(iota(t), 0) over t >= 0, the axis stratum cone."""
-    axes = []
-    for lab in free:
-        lo = max(0.0, bump.center[lab - 1] - bump.r_mu)
-        hi = max(0.0, bump.center[lab - 1] + bump.r_mu)
-        if hi <= lo:
-            return 0.0
-        nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
-        axes.append((lab, nd, wt))
-    sizes = [len(nd) for _, nd, _ in axes]
-    ntot = int(np.prod(sizes)) if sizes else 1
-    multi = np.unravel_index(np.arange(ntot), sizes) if sizes else []
-    Nn = bump.center.size
-    mu = np.zeros((ntot, Nn))
-    wts = np.ones(ntot)
-    for ax, (lab, nd, wt) in enumerate(axes):
-        mu[:, lab - 1] = nd[multi[ax]]
-        wts *= wt[multi[ax]]
-    vals = bump.value(mu, np.zeros(ntot))
-    return float(np.sum(wts * vals))
+def _cone_integral(bump: RadialBump, lab: int) -> float:
+    """bump(iota(t), 0) over t >= 0, the axis stratum cone mu_lab = t at
+    N = 2."""
+    lo = max(0.0, bump.center[lab - 1] - bump.r_mu)
+    hi = max(0.0, bump.center[lab - 1] + bump.r_mu)
+    if hi <= lo:
+        return 0.0
+    nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
+    mu = np.zeros((len(nd), 2))
+    mu[:, lab - 1] = nd
+    return float(np.sum(wt * bump.value(mu, np.zeros(len(nd)))))
 
 
-def _pair_cone_integral(bump: RadialBump, i: int, j: int, N: int) -> float:
-    """bump over the diagonal stratum cone: mu_i = mu_j = -s, mu_k = t_k - s."""
+def _pair_cone_integral(bump: RadialBump, i: int, j: int) -> float:
+    """bump over the diagonal stratum cone mu_i = mu_j = -s at N = 2."""
     ci = bump.center[i - 1]
     s_lo = max(0.0, -ci - bump.r_mu)
     s_hi = max(0.0, -ci + bump.r_mu)
     if s_hi <= s_lo:
         return 0.0
     s_nd, s_wt = panel_nodes(np.linspace(s_lo, s_hi, 5), 16)
-    free = [k for k in range(1, N + 1) if k not in (i, j)]
     total = 0.0
     for s, ws in zip(s_nd, s_wt):
-        if free:
-            axes = []
-            ok = True
-            for lab in free:
-                lo = max(0.0, bump.center[lab - 1] + s - bump.r_mu)
-                hi = max(0.0, bump.center[lab - 1] + s + bump.r_mu)
-                if hi <= lo:
-                    ok = False
-                    break
-                nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
-                axes.append((lab, nd, wt))
-            if not ok:
-                continue
-            sizes = [len(nd) for _, nd, _ in axes]
-            ntot = int(np.prod(sizes))
-            multi = np.unravel_index(np.arange(ntot), sizes)
-            mu = np.full((ntot, N), -s)
-            wts = np.ones(ntot)
-            for ax, (lab, nd, wt) in enumerate(axes):
-                mu[:, lab - 1] = nd[multi[ax]] - s
-                wts *= wt[multi[ax]]
-            total += ws * float(np.sum(wts * bump.value(mu, np.zeros(ntot))))
-        else:
-            mu = np.full((1, N), -s)
-            total += ws * float(bump.value(mu, np.zeros(1))[0])
+        total += ws * float(bump.value(np.full((1, 2), -s), np.zeros(1))[0])
     return total

@@ -721,7 +721,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     B, m = b.shape
     eta_arr = np.full(B, eta, dtype=complex) if np.ndim(eta) == 0 else np.asarray(eta, dtype=complex)
     eta_xy = np.ascontiguousarray(eta_arr).view(float).reshape(B, 2)
-    E = c_eta * (eta_xy * eta_xy).sum(axis=1)
+    x, y = eta_xy[:, 0], eta_xy[:, 1]
+    E = c_eta * (x * x + y * y)
     d = M.shape[1]
 
     ceta_xy = c_eta * eta_xy

@@ -110,11 +110,10 @@ def test_restricted_field_ignores_complement():
 
 
 def _leg_nodes(q0, q1):
-    """Gauss nodes of a path leg, laid out as log_z lays them out: 8
-    panels of 16 nodes."""
+    """Gauss nodes (mu, eta) of a path leg, laid out as log_z lays them
+    out: 8 panels of 16 nodes."""
     ss, _ = panel_nodes(np.arange(9) / 8, 16)
-    return [BasePoint(q0.mu + s * (q1.mu - q0.mu), q0.eta + s * (q1.eta - q0.eta))
-            for s in ss]
+    return q0.mu + ss[:, None] * (q1.mu - q0.mu), q0.eta + ss * (q1.eta - q0.eta)
 
 
 @pytest.mark.parametrize("N, members", [(2, (0, 1)), (2, (0, 1, 2)),
@@ -131,20 +130,20 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
     fld = RestrictedField(A, IndexSet(members), QuadratureSpec(abs_tol=1e-11))
     q1 = BasePoint(rng.uniform(-1.0, 1.0, N), 0.8 + 0.3j)
     q0 = BasePoint(q1.mu + 2.5, q1.eta)
-    nodes = _leg_nodes(q0, q1)
+    mu, eta = _leg_nodes(q0, q1)
     calls = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
-    jets = fld.jet(nodes, want_gradient=False)
+    jets = fld.jet(mu, eta, want_gradient=False)
     monkeypatch.undo()
     live = 1 if members == (0, 1) else len(members) * (len(members) - 1) // 2
     if N == 4:
-        assert live < len(calls) < live * len(nodes)
+        assert live < len(calls) < live * len(mu)
     else:
         assert len(calls) == live
-    for q, jet in zip(nodes, jets):
-        want = fld.at(q)
+    for m, e, jet in zip(mu, eta, jets):
+        want = fld.at(BasePoint(m, e))
         np.testing.assert_allclose(jet.v, want.v, rtol=1e-15,
                                    atol=1e-15 * float(np.max(np.abs(want.v))))
         assert jet.w == pytest.approx(want.w, rel=1e-15)

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ghlab.checks import random_spd
+from ghlab.ansatz import FirstOrderField
+from ghlab.checks import WEAK_FORM_N2, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
-    _alpha_exact_n2,
     _assemble,
     RadialBump,
     alpha,
@@ -21,30 +21,41 @@ from ghlab.kernels import (
     qmc_alpha_oracle,
     weak_distributional_check,
 )
-from ghlab.quadrature import QuadratureSpec, SingularityProximity
+from ghlab.quadrature import QuadratureSpec, SingularityProximity, power_kernel_integral
 
 
 QUAD = QuadratureSpec()
 
 
 def arctan_oracle(A: QuadForm, labels, p: BasePoint) -> float:
-    """Independent full-kernel value at N = 2.
+    """Independent full-kernel value at N = 2, in 60-digit arithmetic
+    (skips the calling test without mpmath).
 
     One sweep variable with integrand (a t^2 - 2 b t + c)^(-1); the
     antiderivative is arctan((a t - b)/sqrt(D))/sqrt(D), D = a c - b^2.
     """
+    mpmath = pytest.importorskip("mpmath")
     i, j = sorted(labels)
     if i == 0:
         k = 2 if j == 1 else 1
         direction = np.eye(2)[k - 1]
     else:
         direction = -np.ones(2)
-    a = float(direction @ A.entries @ direction)
-    b = float(direction @ A.entries @ p.mu)
-    c = float(p.mu @ A.entries @ p.mu) + A.det * abs(p.eta) ** 2
-    D = a * c - b * b
-    val = (0.5 * math.pi + math.atan(b / math.sqrt(D))) / math.sqrt(D)
-    return kernel_prefactor(2, A.det) * val
+    with mpmath.workdps(60):
+        Q = mpmath.matrix(A.entries.tolist())
+        d = mpmath.matrix(direction.tolist())
+        mu = mpmath.matrix(p.mu.tolist())
+        a = (d.T * Q * d)[0]
+        b = (d.T * Q * mu)[0]
+        c = (mu.T * Q * mu)[0] + mpmath.mpf(A.det) * mpmath.mpf(abs(p.eta)) ** 2
+        D = a * c - b * b
+        val = (mpmath.pi / 2 + mpmath.atan(b / mpmath.sqrt(D))) / mpmath.sqrt(D)
+        return float(mpmath.mpf(kernel_prefactor(2, A.det)) * val)
+
+
+def _batch(points):
+    """The batch (mu, eta) of a list of base points."""
+    return np.array([p.mu for p in points]), np.array([p.eta for p in points])
 
 
 def test_prefactor_n1():
@@ -111,16 +122,45 @@ def test_full_kernels_match_arctan_oracle():
 
 def test_engine_is_exact_at_n2():
     # at N = 2 the one cone parameter is integrated in closed form, so the
-    # engine agrees with the weak check's arctan kernel to roundoff
+    # engine agrees with the arctan kernel to roundoff
     rng = np.random.default_rng(17)
     for _ in range(10):
         A = random_spd(rng, 2)
         p = BasePoint(rng.uniform(-2, 2, 2), complex(*rng.uniform(-1.0, 1.0, 2)))
         for labels in [(0, 1), (0, 2), (1, 2)]:
             got = alpha(KernelSpec(A, labels), QUAD, p)
-            want = _alpha_exact_n2(A, labels, p.mu, np.array([abs(p.eta)]))[0]
+            want = arctan_oracle(A, labels, p)
             assert got.value == pytest.approx(want, rel=1e-12)
             assert got.error == 0.0
+
+
+@pytest.mark.parametrize("labels, mu, r", [
+    ((1, 2), (-4.34665933, -4.34666665), 1.9407467666656607e-06),
+    ((0, 2), (3.11460782, 3.88149353e-06), 1.5525974133325284e-06),
+    ((0, 1), (3.88149353e-06, 3.42835180), 1.5525974133325284e-06),
+])
+def test_weak_check_kernel_near_the_sheet(labels, mu, r):
+    # nodes of the weak check's grid about 2e-6 from the sheet, where an
+    # arctan of D = a c - b^2 formed by subtraction loses up to 1.6e-4;
+    # the engine call the check makes stays within rel 1e-9
+    A = QuadForm(np.array(WEAK_FORM_N2))
+    Q, c_eta, _, M, power, pref = _assemble(KernelSpec(A, labels))
+    res = power_kernel_integral(Q, c_eta, np.array([mu]), np.array([r]), M,
+                                power, QuadratureSpec(abs_tol=1e-8), prefactor=pref)
+    want = arctan_oracle(A, labels, BasePoint(np.array(mu), r))
+    assert pref * res.value[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_wrong_width_rows_are_rejected():
+    # a 4-coordinate row against a 3x3 form is an error, not a point on the
+    # first three coordinates
+    A = random_spd(np.random.default_rng(3), 3)
+    p = BasePoint(np.array([0.9, -0.4, 0.6, 1.1]), 0.5 + 0.2j)
+    mu, eta = _batch([p])
+    with pytest.raises(ValueError):
+        alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta)
+    with pytest.raises(ValueError):
+        FirstOrderField(A, QUAD).jet(mu, eta)
 
 
 def test_three_dim_kernel_against_qmc():
@@ -221,7 +261,8 @@ def test_alpha_batch_matches_pointwise():
         v = base.as_vector()
         v[k] += 0.02
         pts.append(BasePoint.from_vector(v))
-    vals, grads, _ = alpha_batch(spec, QUAD, pts, want_gradient=True)
+    kv = alpha_batch(spec, QUAD, *_batch(pts), want_gradient=True)
+    vals, grads = kv.value, kv.gradient
     for t, p in enumerate(pts):
         assert vals[t] == pytest.approx(alpha(spec, QUAD, p).value, rel=1e-9)
         np.testing.assert_allclose(grads[t],
@@ -248,7 +289,8 @@ def _far_rows_match_pointwise(N, monkeypatch):
         engine = kernels.power_kernel_integral
         monkeypatch.setattr(kernels, "power_kernel_integral",
                             lambda *a, **k: calls.append(1) or engine(*a, **k))
-        vals, grads, errs = alpha_batch(spec, quad, pts, want_gradient=True)
+        kv = alpha_batch(spec, quad, *_batch(pts), want_gradient=True)
+        vals, grads, errs = kv.value, kv.gradient, kv.error
         monkeypatch.undo()
         counts.append(len(calls))
         for t, p in enumerate(pts):
@@ -323,7 +365,7 @@ def test_on_sheet_raises_n3(labels):
     spec = KernelSpec(A, labels)
     _, _, _, M, _, _ = _assemble(spec)
     clear = BasePoint(M @ np.array([1.0, 0.5]) + 0.3, 0.2 + 0j)
-    alpha_batch(spec, QUAD, [clear, BasePoint(np.array([-0.5, 1.0, 0.4]), 0j)])
+    alpha_batch(spec, QUAD, *_batch([clear, BasePoint(np.array([-0.5, 1.0, 0.4]), 0j)]))
     for t in ((1.0, 0.5), (1.0, 0.0), (0.0, 0.0)):
         on = BasePoint(M @ np.array(t), 0j)
         with pytest.raises(SingularityProximity):
@@ -334,7 +376,7 @@ def test_on_sheet_raises_n3(labels):
         with pytest.raises(SingularityProximity):
             alpha(spec, QUAD, near)
         with pytest.raises(SingularityProximity):
-            alpha_batch(spec, QUAD, [clear, near])
+            alpha_batch(spec, QUAD, *_batch([clear, near]))
 
 
 def test_batch_checks_every_row_against_the_floor():
@@ -343,9 +385,9 @@ def test_batch_checks_every_row_against_the_floor():
     spec = KernelSpec(QuadForm.identity(2), (0, 1))
     clear = BasePoint(np.array([0.5, 1.0]), 0.1 + 0j)
     close = BasePoint(np.array([1e-6, 1.0]), 0j)
-    alpha_batch(spec, QUAD, [clear, BasePoint(np.array([0.4, 1.1]), 0.1j)])
+    alpha_batch(spec, QUAD, *_batch([clear, BasePoint(np.array([0.4, 1.1]), 0.1j)]))
     with pytest.raises(SingularityProximity):
-        alpha_batch(spec, QUAD, [clear, close])
+        alpha_batch(spec, QUAD, *_batch([clear, close]))
 
 
 def test_harmonicity_of_kernel_n2():
@@ -410,3 +452,11 @@ def test_weak_check_far_bump_both_sides_vanish():
     res = weak_distributional_check(A, (0, 1), bump, QuadratureSpec(abs_tol=1e-8))
     assert abs(res.lhs) < 1e-4
     assert res.rhs == pytest.approx(0.0, abs=1e-12)
+
+
+def test_weak_check_refuses_n3():
+    # the check is built for N = 2, where its kernel is one engine call per
+    # chunk; at N = 3 it would evaluate its grid point by point
+    bump = RadialBump(np.array([0.0, 2.0, 1.0]), 1.5, 1.2)
+    with pytest.raises(ValueError):
+        weak_distributional_check(QuadForm.identity(3), (0, 1), bump, QUAD)
