@@ -82,6 +82,7 @@ from .frame import (
 from .holo import (
     GammaSpec,
     gamma,
+    gamma_batch,
     gamma_closed_form,
     gamma_sum_check,
     gamma_via_ray,

@@ -23,8 +23,9 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .geometry import (BasePoint, IndexSet, QuadForm, anorm, richardson_derivative,
-                       richardson_stencil, value_step)
+from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors,
+                       check_batch, richardson_derivative, richardson_stencil,
+                       value_step)
 from .kernels import KernelSpec, alpha_batch
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
 from .locus import dist_locus
@@ -121,8 +122,8 @@ class FieldJet:
 
     dV has layout [i, j, k] = d V_ij / d mu_k; dV_eta is the complex
     eta-derivative taken entrywise; dW runs over (mu_1..mu_N, Re, Im).
-    quad_error is the largest prefactor-scaled error estimate of the
-    kernel batches; an integral that misses its tolerance raises
+    quad_error is the point's largest prefactor-scaled error estimate over
+    the kernels; an integral that misses its tolerance raises
     QuadratureError instead of returning a jet.
     """
 
@@ -155,11 +156,11 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     dv_eta = np.zeros((B, N, N), dtype=complex)
     vals: dict[tuple[int, int], np.ndarray] = {}
     grads: dict[tuple[int, int], np.ndarray] = {}
-    err = 0.0
+    err = np.zeros(B)
     for spec in _kernel_list(A, restriction):
         kv = alpha_batch(spec, quad, mu, eta, want_gradient=want_gradient)
         vals[spec.labels], grads[spec.labels] = kv.value, kv.gradient
-        err = max(err, float(np.max(kv.error)))
+        err = np.maximum(err, kv.error)
     for i in range(1, N + 1):
         diag = vals[(0, i)].copy()
         diag_g = grads[(0, i)]
@@ -191,7 +192,7 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     for t in range(B):
         jet_d = (dv[t], dv_eta[t], dW[t]) if want_gradient else (None, None, None)
         out.append(FieldJet(V[t], float(W[t]), v[t], float(w[t]), *jet_d,
-                            bool(spd[t]), err))
+                            bool(spd[t]), float(err[t])))
     return out
 
 
@@ -280,9 +281,7 @@ class FlatModelField(_Field):
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
             want_gradient: bool = True) -> list[FieldJet]:
-        mu, eta = np.asarray(mu, dtype=float), np.asarray(eta, dtype=complex)
-        if mu.ndim != 2 or mu.shape[1] != self.N:
-            raise ValueError(f"a batch is mu (B, {self.N}), not {mu.shape}")
+        mu, eta = check_batch(mu, eta, self.N)
         xs = np.column_stack([mu, eta.real, eta.imag])
         return [self._jet1(x, want_gradient) for x in xs]
 
@@ -390,18 +389,18 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray,
     """Measure the decay exponent of the relative volume defect on a ray.
 
     Samples |relative_error| of the first-order field at geometrically
-    spaced radii, measures against the anisotropic distance to the origin,
-    and fits a power law by least squares in log-log.
+    spaced radii, all in one field jet call, measures against the
+    anisotropic distance to the origin, and fits a power law by least
+    squares in log-log.
     """
     if radii is None:
         radii = 8.0 * 2.0 ** (0.5 * np.arange(17))
-    field = FirstOrderField(A, quad)
+    pts = [ray.point(float(r)) for r in radii]
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
+    jets = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
     xs, ys = [], []
-    for r in radii:
-        p = ray.point(float(r))
-        jet = field.at(p)
-        exp = sigma_expansion(A, jet.v)
-        val = abs(exp.relative_error)
+    for p, jet in zip(pts, jets):
+        val = abs(sigma_expansion(A, jet.v).relative_error)
         if val > 0.0 and np.isfinite(val):
             xs.append(anorm(A, p))
             ys.append(val)

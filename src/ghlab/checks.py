@@ -183,14 +183,18 @@ def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
                        ) -> tuple[float, float]:
     """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
     pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
-    and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij."""
+    and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
+    every point goes into one kernel batch per kernel."""
     N = A.n
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    grads = {}
+    for i, j in itertools.combinations(range(N + 1), 2):
+        grads[i, j] = grads[j, i] = kernels.alpha_batch(
+            kernels.KernelSpec(A, (i, j)), quad, mu, eta,
+            want_gradient=True).gradient
     worst_pair = worst_axis = 0.0
-    for p in points:
-        g = {}
-        for i, j in itertools.combinations(range(N + 1), 2):
-            g[i, j] = g[j, i] = kernels.alpha_grad(
-                kernels.KernelSpec(A, (i, j)), quad, p).gradient
+    for t in range(len(points)):
+        g = {key: rows[t] for key, rows in grads.items()}
         scale = max(float(np.max(np.abs(v[:N]))) for v in g.values())
         for i, j, k in itertools.permutations(range(1, N + 1), 3):
             worst_pair = max(worst_pair, abs(g[i, j][k - 1] - g[i, k][j - 1]) / scale)

@@ -21,6 +21,7 @@ __all__ = [
     "QuadForm",
     "BasePoint",
     "batch_from_vectors",
+    "check_batch",
     "IndexSet",
     "ScalarField",
     "anorm",
@@ -149,6 +150,17 @@ def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.asarray(rows, dtype=float)
     return rows[:, :-2], np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]
+
+
+def check_batch(mu: np.ndarray, eta: np.ndarray, N: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """mu and eta as a float (B, N) and a complex (B,) array, or ValueError."""
+    mu = np.asarray(mu, dtype=float)
+    eta = np.asarray(eta, dtype=complex)
+    if mu.ndim != 2 or mu.shape[1] != N or eta.shape != mu.shape[:1]:
+        raise ValueError(f"a batch is mu (B, {N}) and eta (B,), "
+                         f"not {mu.shape} and {eta.shape}")
+    return mu, eta
 
 
 class IndexSet:

@@ -5,26 +5,30 @@ per label, tying the fiber coordinate to the model's holomorphic
 coordinates.  They are primitives of eta-derivatives of the restricted
 kernels along explicit rays; folding the ray parameter into the kernel's
 own cone parameters turns each gamma into a single orthant integral of
-one higher power, which the panel engine evaluates with a controlled
-tail, no truncation parameter.  Their sum telescopes to the reciprocal of
-the fiber coordinate, and the induced closed one-forms integrate to the
-logarithms of the model coordinates.
+one higher power.  ``gamma_batch`` takes a batch mu (B, N), eta (B,) through
+the kernels' engine path, resolution floor included; ``gamma`` is its
+one-row case.  Their sum telescopes to the reciprocal of the fiber
+coordinate, and the induced closed one-forms integrate to the logarithms
+of the model coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
-from .kernels import KernelSpec, alpha_grad, _assemble
-from .quadrature import QuadratureSpec, panel_nodes, power_kernel_integral
+from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
+from .kernels import KernelSpec, KernelValue, alpha_batch, _assemble, _engine_batch
+from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
+from .quadrature import QuadratureSpec, panel_nodes
+from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
     "GammaSpec",
     "gamma",
+    "gamma_batch",
     "gamma_via_ray",
     "gamma_closed_form",
     "GammaSumResult",
@@ -54,10 +58,6 @@ class GammaSpec:
         if self.I.members != tuple(range(len(self.I.members))):
             raise ValueError("gamma subsets must be the leading block {0..n}")
 
-    @property
-    def n(self) -> int:
-        return len(self.I.active)
-
 
 def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarray]:
     """Kernels entering gamma_i and the ray column in active coordinates."""
@@ -78,34 +78,46 @@ def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarra
     return kernels, col
 
 
-def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
-    """gamma_i at a point, via the folded orthant representation.
+def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
+                eta: np.ndarray) -> KernelValue:
+    """gamma_i at the batch mu (B, N), eta (B,): complex values and error
+    estimates (B,), one ``kernels._engine_batch`` per kernel.
 
-    The primitive of the eta-derivative along the defining ray becomes,
-    after swapping the ray parameter into the cone, an orthant integral of
-    the squared-distance power n + 2 with one more cone column.  The engine
-    integrates its last two columns in closed form, so a two-slot gamma
-    (two columns) is exact, a three-slot one sweeps one axis out to
-    infinity on the mapped tail panel, and only from four slots on does a
-    truncation radius enter, with its tail bound in the estimate.
+    Swapping the ray parameter into the cone makes the primitive of the
+    eta-derivative an orthant integral of power n + 2 with the ray as one
+    more cone column, so a two-slot gamma is exact and a three-slot one
+    sweeps one axis.  A row within the resolution floor of that integral's
+    sheet raises SingularityProximity; rows with eta = 0 are 0 and cost no
+    engine call.
     """
-    return _gamma(spec, i, p.mu, p.eta)
-
-
-def _gamma(spec: GammaSpec, i: int, mu: np.ndarray, eta: complex) -> complex:
-    """gamma_i at the point (mu, eta)."""
-    if eta == 0:
-        return 0j
+    mu, eta = check_batch(mu, eta, spec.A.n)
+    if not eta.all():
+        out = KernelValue(np.zeros(len(eta), dtype=complex), np.zeros(len(eta)), 0)
+        if eta.any():
+            live = eta != 0
+            kv = gamma_batch(spec, i, mu[live], eta[live])
+            out.value[live], out.error[live], out.evals = kv.value, kv.error, kv.evals
+        return out
     kernels, col = _gamma_kernels(spec, i)
-    total = 0.0
+    # a row's tolerance scales with its |eta|; the largest is strictest
+    size = np.abs(eta)
+    top = float(size.max())
+    b = mu[:, [lab - 1 for lab in spec.I.active]]
+    total, err, evals = 0.0, 0.0, 0
     for ks in kernels:
-        Q, c_eta, S, M, n, pref = _assemble(ks)
-        M_ext = np.column_stack([M, col]) if M.size else col.reshape(-1, 1)
-        res = power_kernel_integral(Q, c_eta, mu[[lab - 1 for lab in S]], eta,
-                                    M_ext, n + 2, spec.quad,
-                                    prefactor=n * c_eta * abs(eta) * pref)
-        total += n * c_eta * pref * float(res.value[0])
-    return total * np.conj(eta)
+        Q, c_eta, _, M, n, pref = _assemble(ks)
+        scale = n * c_eta * pref
+        raw = _engine_batch(Q, c_eta, np.column_stack([M, col]), n + 2, scale * top,
+                            b, eta, spec.quad, spec.A.n)
+        total = total + scale * raw.value
+        err = err + scale * raw.error
+        evals += raw.evals
+    return KernelValue(total * np.conj(eta), err * size, evals)
+
+
+def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
+    """gamma_i at a base point: the one-row case of ``gamma_batch``."""
+    return complex(gamma_batch(spec, i, p.mu[None], np.array([p.eta])).value[0])
 
 
 def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
@@ -120,19 +132,8 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     if p.eta == 0:
         return 0j
     kernels, col = _gamma_kernels(spec, i)
-    act = spec.I.active
     step_mu = np.zeros(p.N)
-    for a, lab in enumerate(act):
-        step_mu[lab - 1] = -col[a]
-
-    def d_eta_sum(u: float) -> complex:
-        q = BasePoint(p.mu + u * step_mu, p.eta)
-        out = 0j
-        for ks in kernels:
-            g = alpha_grad(ks, spec.quad, q).gradient
-            out += 0.5 * (g[p.N] - 1j * g[p.N + 1])
-        return out
-
+    step_mu[[lab - 1 for lab in spec.I.active]] = -col
     T = 2048.0
     s0 = max(1.0, float(np.max(np.abs(p.mu))))
     pts = {0.0, T, 2.0 * T}
@@ -142,7 +143,13 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
         j += 1
     breaks = np.array(sorted(pts))
     nodes, wts = panel_nodes(breaks, 16)
-    vals = np.array([d_eta_sum(float(u)) for u in nodes])
+    # every ray node in one kernel batch per kernel
+    mu = p.mu + nodes[:, None] * step_mu
+    eta = np.full(len(nodes), p.eta)
+    vals = np.zeros(len(nodes), dtype=complex)
+    for ks in kernels:
+        g = alpha_batch(ks, spec.quad, mu, eta, want_gradient=True).gradient
+        vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
     half = nodes <= T
     G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
     G_2T = -2.0 * complex(np.sum(wts * vals))
@@ -156,12 +163,6 @@ def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex
     determinant: gamma_i = (1 - mu_i / r) / (2 eta) and
     gamma_0 = (1 + mu_i / r) / (2 eta).
     """
-    return _gamma_closed(A, I, i, p.mu, p.eta)
-
-
-def _gamma_closed(A: QuadForm, I: IndexSet, i: int, mu: np.ndarray,
-                  eta: complex) -> complex:
-    """Exact gamma_i of a one-slot subset at the point (mu, eta)."""
     act = I.active
     if len(act) != 1:
         raise ValueError("closed form requires exactly one active label")
@@ -170,10 +171,10 @@ def _gamma_closed(A: QuadForm, I: IndexSet, i: int, mu: np.ndarray,
         raise ValueError("label outside the subset")
     comp = I.active_complement(A.n)
     D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
-    m = mu[lab - 1]
-    r = math.sqrt(m ** 2 + D * abs(eta) ** 2)
+    m = p.mu[lab - 1]
+    r = math.sqrt(m ** 2 + D * abs(p.eta) ** 2)
     sign = 1.0 if i == 0 else -1.0
-    return (1.0 + sign * m / r) / (2.0 * eta)
+    return (1.0 + sign * m / r) / (2.0 * p.eta)
 
 
 @dataclass
@@ -207,7 +208,8 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
               eta: np.ndarray, need_gamma: bool, G: QuadForm
               ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of d log|z_j| at every node (mu, eta) of a leg: mu rows
-    (B, n+1, n) from one restricted field jet, and gammas (B, n+1)."""
+    (B, n+1, n) from one restricted field jet, and gammas (B, n+1) from one
+    gamma batch per label."""
     from .ansatz import RestrictedField
 
     act = I.active
@@ -220,11 +222,9 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
     rows[:, 0, :] = -P.sum(axis=1)
     gam = np.zeros((len(mu), n + 1), dtype=complex)
     if need_gamma:
-        # at n >= 2 each gamma is an engine call of its own per node
-        spec = GammaSpec(A, I, quad) if n > 1 else None
-        for t, (m, e) in enumerate(zip(mu, eta.tolist())):
-            gam[t] = [_gamma(spec, lab, m, e) if spec else _gamma_closed(A, I, lab, m, e)
-                      for lab in (0,) + act]
+        spec = GammaSpec(A, I, quad)
+        for a, lab in enumerate((0,) + act):
+            gam[:, a] = gamma_batch(spec, lab, mu, eta).value
     return rows, gam
 
 
@@ -243,8 +243,9 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     (default: one mu-leg from a generic positive reference at p's eta);
     ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
     Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
-    nodes go through one restricted field jet call.  Every path node must
-    keep eta nonzero.
+    nodes go through one restricted field jet call and, where eta moves,
+    one ``gamma_batch`` per label; the gammas need I to be the leading
+    block {0..n}.  Every path node must keep eta nonzero.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")
@@ -267,18 +268,16 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
-        need_gamma = d_eta != 0
         mu = q0.mu + _LEG_NODES[:, None] * d_mu_full
         eta = q0.eta + _LEG_NODES * d_eta
         if np.any(eta == 0):
             raise ValueError("path crosses eta = 0")
-        rows, gam = _one_form(A, I, quad, mu, eta, need_gamma, G)
-        # added node by node in path order; a pairwise sum would round
-        # otherwise and a leg's value would depend on its batching
-        for w_node, form, g in zip(_LEG_WEIGHTS, rows @ d_mu, gam):
-            vals += w_node * form
-            if need_gamma:
-                vals += w_node * (g * d_eta).real
+        rows, gam = _one_form(A, I, quad, mu, eta, d_eta != 0, G)
+        steps = np.stack([rows @ d_mu, (gam * d_eta).real], axis=1)
+        # added node by node in path order (accumulate is a running sum): a
+        # pairwise sum would make a leg's value depend on its batching
+        steps = (_LEG_WEIGHTS[:, None, None] * steps).reshape(-1, n + 1)
+        vals = np.add.accumulate(np.vstack([vals, steps]))[-1]
     return LogZResult((0,) + act, vals, basepath)
 
 

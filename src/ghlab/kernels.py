@@ -15,10 +15,12 @@ Kernels whose labels are not members of the restriction are identically
 zero by convention.
 
 Every kernel value goes through ``alpha_batch``, which takes a batch of
-points as two arrays, mu (B, N) and eta (B,), and checks every row against
-the resolution floor; ``alpha`` and ``alpha_grad`` are its one-row case
-for a single ``BasePoint``.  Only the weak charge check, whose grid samples
-the integrable singularity inside that floor, calls the engine directly.
+points as two arrays, mu (B, N) and eta (B,); ``alpha`` and ``alpha_grad``
+are its one-row case.  It hands the rows to ``_engine_batch``, which
+checks each against the resolution floor and makes the engine calls; the
+gammas of ``ghlab.holo`` share it.  Only the weak charge check, whose grid
+samples the integrable singularity inside that floor, calls the engine
+directly.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, schur_complement
+from .geometry import (BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch,
+                       schur_complement)
 from .quadrature import (
     QuadratureSpec,
     SingularityProximity,
@@ -96,8 +99,8 @@ class KernelSpec:
 
 @dataclass
 class KernelValue:
-    """A kernel at one point (floats), or from ``alpha_batch`` at a batch
-    (arrays, one row per point); evals counts the engine's grid nodes."""
+    """A kernel (or gamma) at one point (floats) or at a batch (arrays, one
+    row per point); evals counts the engine's grid nodes."""
 
     value: float | np.ndarray
     error: float | np.ndarray
@@ -141,10 +144,6 @@ def _assemble(spec: KernelSpec) -> tuple[np.ndarray, float, tuple[int, ...],
     return Q, A.det, S, M, n, kernel_prefactor(n, det_q)
 
 
-def _floor(quad: QuadratureSpec, N: int) -> float:
-    return 10.0 * quad.abs_tol ** (1.0 / N)
-
-
 def _first_row(kv: KernelValue) -> KernelValue:
     grad = None if kv.gradient is None else kv.gradient[0]
     return KernelValue(float(kv.value[0]), float(kv.error[0]), kv.evals, grad)
@@ -172,60 +171,68 @@ def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelVa
 
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
                 eta: np.ndarray, want_gradient: bool = False) -> KernelValue:
-    """Evaluate one kernel at the batch mu (B, N), eta (B,) in as few
-    engine calls as honest; a mu of another width than N raises ValueError,
-    and a row within the resolution floor raises SingularityProximity.
-
-    A kernel with at most two cone columns is a closed form, so its rows
-    go to one call at any distance from each other, and each row's sheet
-    distance is exact.  With d >= 3 cone columns the engine sweeps every
-    row of a call on a panel grid built for the call's first row; a row
-    shares that grid only while its (Q, c_eta) offset from the first row
-    is within half the first row's sheet distance (a finite-difference
-    stencil always is), and farther rows start calls of their own.
-    Returns a KernelValue of arrays: values and prefactor-scaled error
-    estimates (B,), gradient rows (B, N + 2) as (mu..., Re eta, Im eta),
-    and the grid nodes of every call.
+    """One kernel at the batch mu (B, N), eta (B,) through
+    ``_engine_batch``: values and prefactor-scaled error estimates (B,),
+    gradient rows (B, N + 2) as (mu..., Re eta, Im eta), and the grid nodes
+    of every call.  A mu of another width than N raises ValueError.
     """
     N = spec.A.n
-    mu = np.asarray(mu, dtype=float)
-    eta = np.asarray(eta, dtype=complex)
-    if mu.ndim != 2 or mu.shape[1] != N or eta.shape != mu.shape[:1]:
-        raise ValueError(f"a batch is mu (B, {N}) and eta (B,), "
-                         f"not {mu.shape} and {eta.shape}")
+    mu, eta = check_batch(mu, eta, N)
     B = len(mu)
     if spec.vanishes:
         g = np.zeros((B, N + 2)) if want_gradient else None
         return KernelValue(np.zeros(B), np.zeros(B), 0, g)
     Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = mu[:, [lab - 1 for lab in S]]
+    slots = [lab - 1 for lab in S]
+    raw = _engine_batch(Q, c_eta, M, power, pref, mu[:, slots], eta, quad, N,
+                       want_gradient)
+    grads = np.zeros((B, N + 2)) if want_gradient else None
+    if want_gradient:
+        grads[:, slots + [N, N + 1]] = pref * raw.gradient
+    return KernelValue(pref * raw.value, pref * raw.error, raw.evals, grads)
+
+
+def _engine_batch(Q: np.ndarray, c_eta: float, M: np.ndarray, power: int,
+                 prefactor: float, b: np.ndarray, eta: np.ndarray,
+                 quad: QuadratureSpec, N: int, want_gradient: bool = False
+                 ) -> KernelValue:
+    """The orthant integral of engine data (Q, c_eta, M, power) at rows
+    b (B, m), eta (B,) of the N-dimensional base, in as few engine calls as
+    honest: raw values and error estimates (B,), gradient rows (B, m + 2) as
+    (b..., Re eta, Im eta), and grid nodes.  ``prefactor`` converts the
+    tolerances of ``quad`` to raw units.  A row within the resolution floor
+    of the sheet raises SingularityProximity.
+
+    At most two cone columns make a closed form: all rows go to one call.
+    With d >= 3 the engine sweeps a call's rows on a grid built for its
+    first row, which a row joins only while its (Q, c_eta) offset from that
+    row is within half the row's sheet distance; farther rows start calls.
+    """
     # as the engine forms it, so a passed sheet solution is the engine's own
     E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
-    floor = _floor(quad, N)
+    floor = 10.0 * quad.abs_tol ** (1.0 / N)
     if M.shape[1] <= 2:
         tau, r = closed_sheet_distances(Q, M, b, E)
-        groups = [(np.arange(B), (tau[0], float(r[0])))]
-        r_min = float(np.min(r))
+        groups = [(slice(None), (tau[0], float(r[0])))]
+        r_min = float(r.min())
     else:
         groups, r_min = _grid_groups(Q, c_eta, M, b, eta, E, floor)
     if r_min < floor:
         raise SingularityProximity(
             f"batch row at distance {r_min:.3e} from the singular stratum "
             f"is below the resolution floor {floor:.3e}")
-    cols = [lab - 1 for lab in S] + [N, N + 1]   # engine gradient columns
-    grads = np.zeros((B, N + 2)) if want_gradient else None
-    vals = np.empty(B)
-    errs = np.empty(B)
+    B = len(b)
+    grads = np.empty((B, b.shape[1] + 2)) if want_gradient else None
+    vals, errs = np.empty(B), np.empty(B)
     evals = 0
     for rows, sheet in groups:
         res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M, power,
                                     quad, want_gradient=want_gradient,
-                                    prefactor=pref, sheet=sheet)
-        vals[rows] = pref * res.value
-        errs[rows] = pref * res.error
+                                    prefactor=prefactor, sheet=sheet)
+        vals[rows], errs[rows] = res.value, res.error
         evals += res.evals
         if want_gradient:
-            grads[rows[:, None], cols] = pref * res.gradient
+            grads[rows] = res.gradient
     return KernelValue(vals, errs, evals, grads)
 
 
@@ -458,37 +465,22 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     lhs *= 2.0 * math.pi * A.det ** 1.5
 
     # rhs: bump over the stratum cone, eta = 0
-    charge = -2.0 * math.pi * math.sqrt(A.det)
-    if i == 0:
-        rhs = charge * _cone_integral(bump, 3 - j)
-    else:
-        rhs = charge * _pair_cone_integral(bump, i, j)
+    rhs = -2.0 * math.pi * math.sqrt(A.det) * _cone_integral(bump, M[:, 0])
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return WeakCheckResult(lhs, rhs, abs(lhs - rhs) / denom, evals)
 
 
-def _cone_integral(bump: RadialBump, lab: int) -> float:
-    """bump(iota(t), 0) over t >= 0, the axis stratum cone mu_lab = t at
-    N = 2."""
-    lo = max(0.0, bump.center[lab - 1] - bump.r_mu)
-    hi = max(0.0, bump.center[lab - 1] + bump.r_mu)
+def _cone_integral(bump: RadialBump, m: np.ndarray) -> float:
+    """bump(t m, 0) over t >= 0, the stratum cone of a kernel whose one
+    cone column is m, on 64 Gauss panels over the bump's exact support:
+    the t where |t m - center|^2 < r_mu^2 (32 panels agree to 2e-16)."""
+    mm, mc = float(m @ m), float(m @ bump.center)
+    disc = mc * mc - mm * (float(bump.center @ bump.center) - bump.r_mu ** 2)
+    if disc <= 0.0:
+        return 0.0
+    lo = max(0.0, (mc - math.sqrt(disc)) / mm)
+    hi = (mc + math.sqrt(disc)) / mm
     if hi <= lo:
         return 0.0
-    nd, wt = panel_nodes(np.linspace(lo, hi, 5), 16)
-    mu = np.zeros((len(nd), 2))
-    mu[:, lab - 1] = nd
-    return float(np.sum(wt * bump.value(mu, np.zeros(len(nd)))))
-
-
-def _pair_cone_integral(bump: RadialBump, i: int, j: int) -> float:
-    """bump over the diagonal stratum cone mu_i = mu_j = -s at N = 2."""
-    ci = bump.center[i - 1]
-    s_lo = max(0.0, -ci - bump.r_mu)
-    s_hi = max(0.0, -ci + bump.r_mu)
-    if s_hi <= s_lo:
-        return 0.0
-    s_nd, s_wt = panel_nodes(np.linspace(s_lo, s_hi, 5), 16)
-    total = 0.0
-    for s, ws in zip(s_nd, s_wt):
-        total += ws * float(bump.value(np.full((1, 2), -s), np.zeros(1))[0])
-    return total
+    nd, wt = panel_nodes(np.linspace(lo, hi, 65), 16)
+    return float(np.sum(wt * bump.value(nd[:, None] * m, np.zeros(len(nd)))))

@@ -181,22 +181,6 @@ def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes.ravel(), wts.ravel()
 
 
-def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize tau^T P tau - 2 q^T tau over tau >= 0, exactly.
-
-    P must be SPD.  At d <= 2 the minimizer is the closed form of
-    ``nonneg_argmin_rows``; larger d enumerates active sets.  Returns
-    (tau*, minimum value).
-    """
-    d = P.shape[0]
-    if d == 0:
-        return np.zeros(0), 0.0
-    if d <= 2:
-        tau = nonneg_argmin_rows(P, q[None, :])[0]
-        return tau, -float(q @ tau)
-    return _enumerate_argmin(P, q)
-
-
 def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The minimizers of tau^T P tau - 2 q_b^T tau over tau >= 0, one per
     row q_b of q (B, d), for d <= 2 in closed form.
@@ -223,9 +207,13 @@ def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _enumerate_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """nonneg_argmin by enumerating the 2^d active sets and checking the
-    KKT sign conditions (d is at most 4 or 5 here)."""
+def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize tau^T P tau - 2 q^T tau over tau >= 0, exactly, for SPD P,
+    by enumerating the 2^d active sets and checking the KKT sign
+    conditions (d is at most 4 or 5 here; at d <= 2
+    ``nonneg_argmin_rows`` is the closed form).  Returns (tau*, minimum
+    value).
+    """
     d = P.shape[0]
     scale = max(float(np.max(np.abs(q))), float(np.max(np.abs(P))), 1.0)
     best: tuple[float, np.ndarray] | None = None

@@ -109,6 +109,20 @@ def test_restricted_field_ignores_complement():
     assert j1.W == pytest.approx(j2.W, rel=1e-11)
 
 
+def test_jet_quad_error_is_each_points_own():
+    # N = 4 kernels sweep (d = 3) and carry nonzero error estimates; two
+    # far-apart points jetted together each read the error they read alone
+    rng = np.random.default_rng(41)
+    fld = FirstOrderField(random_spd(rng, 4), QuadratureSpec(abs_tol=1e-11))
+    pts = [BasePoint(np.array([0.6, -0.4, 0.9, 0.3]), 0.7 + 0.2j),
+           BasePoint(np.array([6.0, 5.0, -4.0, 7.0]), 3.0 - 1.0j)]
+    jets = fld.jet(np.array([p.mu for p in pts]),
+                   np.array([p.eta for p in pts]), want_gradient=False)
+    alone = [fld.at(p).quad_error for p in pts]
+    assert alone[0] != alone[1]
+    assert [j.quad_error for j in jets] == alone
+
+
 def _leg_nodes(q0, q1):
     """Gauss nodes (mu, eta) of a path leg, laid out as log_z lays them
     out: 8 panels of 16 nodes."""

@@ -9,8 +9,10 @@ import pytest
 from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, schur_complement
 from ghlab.holo import (
+    _LEG_NODES,
     GammaSpec,
     gamma,
+    gamma_batch,
     gamma_closed_form,
     gamma_sum_check,
     gamma_via_ray,
@@ -18,7 +20,7 @@ from ghlab.holo import (
     log_z,
     taubnut_moduli,
 )
-from ghlab.quadrature import QuadratureSpec
+from ghlab.quadrature import QuadratureSpec, SingularityProximity
 
 QUAD = QuadratureSpec(abs_tol=1e-11)
 
@@ -67,6 +69,61 @@ def test_gamma_vanishes_at_zero_fiber():
     A = QuadForm.identity(2)
     spec = GammaSpec(A, IndexSet((0, 1)), QUAD)
     assert gamma(spec, 0, BasePoint(np.array([1.0, 1.0]), 0j)) == 0j
+
+
+def test_gamma_within_resolution_floor_is_refused():
+    # mu = (1, 1) lies on the cone of gamma_0's (0, 1) integral (columns
+    # e_2 and the ray (1, 1)), so |eta| alone sets the sheet distance,
+    # here far below the floor 10 abs_tol^(1/N) = 3.2e-5
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    with pytest.raises(SingularityProximity):
+        gamma(spec, 0, BasePoint(np.array([1.0, 1.0]), 1e-7j))
+
+
+def _leg(q0, q1):
+    """The Gauss nodes (mu, eta) of the log_z leg from q0 to q1."""
+    return (q0.mu + _LEG_NODES[:, None] * (q1.mu - q0.mu),
+            q0.eta + _LEG_NODES * (q1.eta - q0.eta))
+
+
+def test_moving_eta_leg_makes_one_gamma_call_per_label_and_kernel(monkeypatch):
+    # N = 2, all slots: three labels of two kernels each, so a leg on
+    # which eta moves costs 6 gamma integrals (power n + 2 = 4), not one
+    # per node; rows with eta = 0 cost none
+    import ghlab.holo as holo
+    import ghlab.kernels as kernels
+
+    powers = []
+    engine = kernels.power_kernel_integral
+    counted = lambda *a, **k: powers.append(a[5]) or engine(*a, **k)  # noqa: E731
+    monkeypatch.setattr(kernels, "power_kernel_integral", counted)
+    monkeypatch.setattr(holo, "power_kernel_integral", counted)
+    A = QuadForm(np.array([[1.4, 0.2], [0.2, 0.9]]))
+    p = BasePoint(np.array([0.8, -0.3]), 0.9 + 0.5j)
+    ref = BasePoint(np.array([2.2, 1.7]), 1.0 + 0j)
+    log_z(A, IndexSet((0, 1, 2)), QUAD, p, basepath=[ref, p])
+    assert powers.count(4) == 6
+    spec = GammaSpec(A, IndexSet((0, 1, 2)), QUAD)
+    zero = gamma_batch(spec, 1, np.ones((5, 2)), np.zeros(5))
+    assert powers.count(4) == 6 and not zero.value.any()
+
+
+def test_batched_leg_gammas_match_one_node_calls_n3():
+    # N = 3, all slots: every gamma integral sweeps one axis (d = 3), so
+    # the leg's rows share grids only in groups; a batched row and a lone
+    # row agree within their summed error estimates
+    A = QuadForm(np.array([[1.4, 0.2, 0.1], [0.2, 0.9, -0.1],
+                           [0.1, -0.1, 1.2]]))
+    spec = GammaSpec(A, IndexSet((0, 1, 2, 3)), QUAD)
+    mu, eta = _leg(BasePoint(np.array([2.2, 1.7, 2.5]), 1.0 + 0j),
+                   BasePoint(np.array([0.8, -0.3, 0.4]), 0.9 + 0.5j))
+    for i in (0, 1, 2, 3):
+        batch = gamma_batch(spec, i, mu, eta)
+        assert batch.error.max() > 0.0
+        for t in range(0, len(mu), 8):
+            one = gamma_batch(spec, i, mu[t:t + 1], eta[t:t + 1])
+            gap = abs(batch.value[t] - one.value[0])
+            assert gap <= batch.error[t] + one.error[0], (i, t)
 
 
 def test_gamma_sum_identity():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ghlab.ansatz import FirstOrderField
-from ghlab.checks import WEAK_FORM_N2, random_spd
+from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
     _assemble,
+    _cone_integral,
     RadialBump,
     alpha,
     alpha_batch,
@@ -442,6 +443,26 @@ def test_weak_distributional_charge(labels, center):
     res = weak_distributional_check(A, labels, bump, QuadratureSpec(abs_tol=1e-8))
     assert res.rel_gap < 1e-2
     assert res.lhs != 0.0
+
+
+def test_weak_check_cone_integral_converges():
+    # the rhs integrates the bump along the kernel's own cone column on
+    # the bump's exact support; adaptive quadrature over a wider interval
+    # is the reference, for the shipped bumps, a cone cut at t = 0, one
+    # off-centre pair cone and one that misses the bump
+    from scipy import integrate
+
+    A = QuadForm(np.array(WEAK_FORM_N2))
+    cases = [(labels, center, r_mu) for labels, center, r_mu, _ in WEAK_BUMPS_N2]
+    cases += [((0, 1), (-0.5, 0.3), 1.5), ((1, 2), (-2.0, -1.0), 1.0),
+              ((1, 2), (1.0, 1.5), 1.0)]
+    for labels, center, r_mu in cases:
+        bump = RadialBump(np.array(center), r_mu, 1.0)
+        m = _assemble(KernelSpec(A, labels))[3][:, 0]
+        want = integrate.quad(lambda t: float(bump.value(t * m, 0.0)),
+                              0.0, 20.0, limit=500, epsabs=1e-15,
+                              epsrel=1e-13)[0]
+        assert _cone_integral(bump, m) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_weak_check_far_bump_both_sides_vanish():

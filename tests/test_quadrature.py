@@ -28,11 +28,11 @@ from ghlab.quadrature import (
     QuadratureSpec,
     SingularityProximity,
     _axis_breakpoints,
-    _enumerate_argmin,
     closed_sheet_distances,
     gauss_rule,
     half_line_integrals,
     nonneg_argmin,
+    nonneg_argmin_rows,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
@@ -149,7 +149,7 @@ def test_singularity_raises():
 
 
 def _reference_distance(Q, M, b, E):
-    tau, _ = _enumerate_argmin(M.T @ Q @ M, M.T @ (Q @ b))
+    tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
     return math.sqrt(float(x @ Q @ x) + E)
 
@@ -348,8 +348,9 @@ def test_nonneg_argmin_against_scipy():
 
 
 def test_nonneg_argmin_closed_form_matches_enumeration():
-    # d <= 2 has a closed form; the enumeration of active sets is its
-    # reference, with q inside, on the boundary of and outside the cone
+    # d <= 2 has a closed form; nonneg_argmin, the enumeration of active
+    # sets, is its reference, with q inside, on the boundary of and outside
+    # the cone
     rng = np.random.default_rng(12)
     for _ in range(400):
         d = int(rng.integers(1, 3))
@@ -363,8 +364,9 @@ def test_nonneg_argmin_closed_form_matches_enumeration():
             q = P @ np.array([abs(q[0]), 0.0])  # free minimizer on an edge
         elif kind == 3:
             q[0] = 0.0
-        tau, val = nonneg_argmin(P, q)
-        ref_tau, ref_val = _enumerate_argmin(P, q)
+        tau = nonneg_argmin_rows(P, q[None, :])[0]
+        val = -float(q @ tau)
+        ref_tau, ref_val = nonneg_argmin(P, q)
         scale = 1.0 + float(np.max(np.abs(ref_tau)))
         assert np.all(tau >= 0.0)
         np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-12 * scale)
