@@ -62,7 +62,6 @@ from .ansatz import (
     FirstOrderField,
     FlatFieldResult,
     FlatModelField,
-    PerturbedField,
     Ray,
     RestrictedField,
     decay_scan,
@@ -76,6 +75,7 @@ from .frame import (
     cy_residual,
     frame_at,
     grad_norm,
+    integrability_batch,
     integrability_residual,
     volume_ratio,
 )

@@ -10,8 +10,9 @@ size is the sigma-expansion tail computed here.
 
 A field's ``jet(mu, eta, want_gradient)`` takes a batch of points as two
 arrays, mu (B, N) and eta (B,), puts the whole batch into one
-``kernels.alpha_batch`` call per kernel, and returns one ``FieldJet`` per
-point; ``at(p)`` is its one-point case for a ``BasePoint``.
+``kernels.alpha_batch`` call per kernel, and returns one stacked
+``FieldJet`` whose arrays carry a leading B; ``at(p)`` is its one-point
+case for a ``BasePoint``, the jet's first row.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors,
-                       check_batch, richardson_derivative, richardson_stencil,
-                       value_step)
+                       check_batch, fd_gradient)
 from .kernels import KernelSpec, alpha_batch
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
 from .locus import dist_locus
@@ -37,7 +37,6 @@ __all__ = [
     "FieldJet",
     "FirstOrderField",
     "RestrictedField",
-    "PerturbedField",
     "FlatModelField",
     "restricted_remainders",
     "SigmaExpansion",
@@ -117,25 +116,26 @@ def flat_field(A_trivial: QuadForm | None, p: BasePoint) -> FlatFieldResult:
 
 @dataclass
 class FieldJet:
-    """Values and analytic first derivatives of a coefficient field at one
-    point.
-
-    dV has layout [i, j, k] = d V_ij / d mu_k; dV_eta is the complex
-    eta-derivative taken entrywise; dW runs over (mu_1..mu_N, Re, Im).
-    quad_error is the point's largest prefactor-scaled error estimate over
-    the kernels; an integral that misses its tolerance raises
-    QuadratureError instead of returning a jet.
+    """Values and analytic first derivatives of a coefficient field,
+    stacked over B points: V and v (B, N, N); W, w, spd and quad_error
+    (B,); dV (B, N, N, N) with [b, i, j, k] = d V_ij / d mu_k; dV_eta
+    (B, N, N), the complex eta-derivative entrywise; dW (B, N + 2) over
+    (mu_1..mu_N, Re, Im).  The derivatives are None for a jet taken
+    without them.  quad_error is each point's largest prefactor-scaled
+    error estimate over the kernels; an integral that misses its tolerance
+    raises QuadratureError instead.  ``at(p)`` gives the first row, with
+    scalar W, w, spd and quad_error.
     """
 
     V: np.ndarray
-    W: float
+    W: np.ndarray | float
     v: np.ndarray
-    w: float
-    dV: np.ndarray
-    dV_eta: np.ndarray
-    dW: np.ndarray
-    spd: bool
-    quad_error: float
+    w: np.ndarray | float
+    dV: np.ndarray | None
+    dV_eta: np.ndarray | None
+    dW: np.ndarray | None
+    spd: np.ndarray | bool
+    quad_error: np.ndarray | float
 
 
 def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
@@ -145,10 +145,9 @@ def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
 
 
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
-          mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> list[FieldJet]:
-    """Assemble field jets at a batch of points, one kernel batch per
-    kernel; every quantity is stacked over the points until the jets are
-    built."""
+          mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> FieldJet:
+    """Assemble the stacked field jet at a batch of points, one kernel
+    batch per kernel."""
     N = A.n
     B = len(mu)
     v = np.zeros((B, N, N))
@@ -184,25 +183,24 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     V = A.entries + v
     W = A.det + w
     spd = (np.linalg.eigvalsh(V)[:, 0] > 0.0) & (W > 0.0)
-    if want_gradient:
-        dw_mu = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
-        dw_eta = A.det * (A.inv * dv_eta).reshape(B, -1).sum(axis=1)
-        dW = np.column_stack([dw_mu, 2.0 * dw_eta.real, -2.0 * dw_eta.imag])
-    out = []
-    for t in range(B):
-        jet_d = (dv[t], dv_eta[t], dW[t]) if want_gradient else (None, None, None)
-        out.append(FieldJet(V[t], float(W[t]), v[t], float(w[t]), *jet_d,
-                            bool(spd[t]), float(err[t])))
-    return out
+    if not want_gradient:
+        return FieldJet(V, W, v, w, None, None, None, spd, err)
+    dw_mu = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
+    dw_eta = A.det * (A.inv * dv_eta).reshape(B, -1).sum(axis=1)
+    dW = np.column_stack([dw_mu, 2.0 * dw_eta.real, -2.0 * dw_eta.imag])
+    return FieldJet(V, W, v, w, dv, dv_eta, dW, spd, err)
 
 
 class _Field:
     """A coefficient field: ``jet(mu, eta, want_gradient)`` takes a batch
     of points as arrays mu (B, N) and eta (B,) and returns one FieldJet
-    per point; ``at`` is its one-point case."""
+    stacked over them; ``at`` is its one-point case, the first row."""
 
     def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        return self.jet(p.mu[None], np.array([p.eta]), want_gradient)[0]
+        jet = self.jet(p.mu[None], np.array([p.eta]), want_gradient)
+        d = [None if a is None else a[0] for a in (jet.dV, jet.dV_eta, jet.dW)]
+        return FieldJet(jet.V[0], float(jet.W[0]), jet.v[0], float(jet.w[0]), *d,
+                        bool(jet.spd[0]), float(jet.quad_error[0]))
 
 
 class FirstOrderField(_Field):
@@ -213,7 +211,7 @@ class FirstOrderField(_Field):
         self.quad = quad
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> list[FieldJet]:
+            want_gradient: bool = True) -> FieldJet:
         return _jets(self.A, None, self.quad, mu, eta, want_gradient)
 
 
@@ -233,40 +231,16 @@ class RestrictedField(_Field):
         self.quad = quad
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> list[FieldJet]:
+            want_gradient: bool = True) -> FieldJet:
         return _jets(self.A, self.I, self.quad, mu, eta, want_gradient)
-
-
-class PerturbedField(_Field):
-    """Wrapper adding an explicit smooth perturbation to V; test helper.
-
-    extra(p) returns the matrix added to V at the BasePoint p, independent
-    of eta, and extra_dmu(p)[i, j, k] its mu-gradient.
-    """
-
-    def __init__(self, base, extra, extra_dmu) -> None:
-        self.base = base
-        self.extra = extra
-        self.extra_dmu = extra_dmu
-
-    def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> list[FieldJet]:
-        jets = self.base.jet(mu, eta, want_gradient)
-        for m, e, j in zip(mu, eta, jets):
-            p = BasePoint(m, e)
-            j.V = j.V + self.extra(p)
-            if want_gradient:
-                j.dV = j.dV + self.extra_dmu(p)
-        return jets
 
 
 class FlatModelField(_Field):
     """Exact flat model packaged as a field provider.
 
-    First derivatives are Richardson differences of the exact values with
-    ``geometry.value_step``, and V and W are the stencil's centre row; the
-    flat data is smooth away from the locus, so the truncation error is
-    ~ h^4.
+    First derivatives are ``geometry.fd_gradient`` Richardson differences
+    of the exact values; the flat data is smooth away from the locus, so
+    the truncation error is ~ h^4.
     """
 
     def __init__(self, N: int) -> None:
@@ -280,27 +254,20 @@ class FlatModelField(_Field):
         return np.append(res.V, res.W)
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> list[FieldJet]:
-        mu, eta = check_batch(mu, eta, self.N)
-        xs = np.column_stack([mu, eta.real, eta.imag])
-        return [self._jet1(x, want_gradient) for x in xs]
-
-    def _jet1(self, x: np.ndarray, want_gradient: bool) -> FieldJet:
+            want_gradient: bool = True) -> FieldJet:
         N = self.N
-        h = value_step(x)
-        rows = richardson_stencil(x, h) if want_gradient else [x]
-        vals = np.array([self._vw(r) for r in rows])
-        V, W = vals[0, :N * N].reshape(N, N), float(vals[0, N * N])
-        dV = dV_eta = dW = None
-        if want_gradient:
-            # rows: mu_1..mu_N, Re eta, Im eta; columns: the entries of V, then W
-            D = richardson_derivative(vals, h)
-            dV = np.moveaxis(D[:N, :N * N].reshape(N, N, N), 0, -1)
-            dV_xy = D[N:, :N * N].reshape(2, N, N)
-            dV_eta = 0.5 * (dV_xy[0] - 1j * dV_xy[1])
-            dW = D[:, N * N]
-        eig = np.linalg.eigvalsh(V)
-        return FieldJet(V, W, V, W, dV, dV_eta, dW, bool(eig[0] > 0 and W > 0), 0.0)
+        mu, eta = check_batch(mu, eta, N)
+        xs = np.column_stack([mu, eta.real, eta.imag])
+        vals = np.array([self._vw(x) for x in xs])
+        V, W = vals[:, :N * N].reshape(-1, N, N), vals[:, N * N]
+        spd = (np.linalg.eigvalsh(V)[:, 0] > 0.0) & (W > 0.0)
+        if not want_gradient:
+            return FieldJet(V, W, V, W, None, None, None, spd, np.zeros(len(W)))
+        # per point: rows the entries of V, then W; columns mu_1..mu_N, Re, Im
+        D = np.array([fd_gradient(self._vw, x) for x in xs])
+        dV_eta = 0.5 * (D[:, :N * N, N] - 1j * D[:, :N * N, N + 1])
+        return FieldJet(V, W, V, W, D[:, :N * N, :N].reshape(-1, N, N, N),
+                        dV_eta.reshape(-1, N, N), D[:, N * N], spd, np.zeros(len(W)))
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
@@ -397,10 +364,10 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray,
         radii = 8.0 * 2.0 ** (0.5 * np.arange(17))
     pts = [ray.point(float(r)) for r in radii]
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
-    jets = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
+    jet = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
     xs, ys = [], []
-    for p, jet in zip(pts, jets):
-        val = abs(sigma_expansion(A, jet.v).relative_error)
+    for t, p in enumerate(pts):
+        val = abs(sigma_expansion(A, jet.v[t]).relative_error)
         if val > 0.0 and np.isfinite(val):
             xs.append(anorm(A, p))
             ys.append(val)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import ansatz, glue, holo, kernels, locus
+from . import ansatz, frame, glue, holo, kernels, locus
 from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
                        gradient_step, richardson_derivative, richardson_stencil,
                        schur_complement)
@@ -21,7 +21,8 @@ from .quadrature import QuadratureSpec
 
 __all__ = [
     "DECAY_RAYS_N3", "WEAK_BUMPS_N2", "WEAK_FORM_N2", "eigen_cases",
-    "flat_volume_gap", "gradient_relations", "kernel_laplacian", "log_sum_gap",
+    "flat_volume_gap", "gradient_relations", "integrability_gap",
+    "kernel_laplacian", "log_sum_gap",
     "nested_cases", "nested_projection_gap", "off_locus_point", "one_slot_gaps",
     "plateau_gap", "plateau_points", "product_identity_gap", "profile_piece_gaps",
     "random_point", "random_spd", "random_subset", "restricted_cases",
@@ -315,3 +316,15 @@ def profile_piece_gaps(prof: glue.ExtensionProfile, t_left, t_right
         right_H = max(right_H, abs(prof.H(t) - (K * M + 2.0 * math.log(2.0) * K
                                                 * math.log(math.log(g)))))
     return left, right_h, right_H
+
+
+def integrability_gap(A: QuadForm, quad: QuadratureSpec, points
+                      ) -> tuple[float, float]:
+    """Criterion 12: worst relative residuals of the first-order field's
+    first and second integrability identities; every point's stencil goes
+    into one field jet."""
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    _, res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, quad),
+                                              mu, eta)
+    worst = np.max(res / np.maximum(scale, 1e-300), axis=1)
+    return float(worst[0]), float(worst[1])

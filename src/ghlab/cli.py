@@ -193,6 +193,20 @@ def run_harmonicity(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+@_experiment("integrability", "dims", "rel_tol")
+def run_integrability(cfg: ExperimentConfig) -> list[ResultRow]:
+    rng = np.random.default_rng(cfg.seed)
+    tol = cfg.params.get("rel_tol", 1e-3)
+    rows = []
+    for N in cfg.params.get("dims", [3]):
+        A = checks.random_spd(rng, N)
+        gaps = checks.integrability_gap(A, QuadratureSpec(), [
+            checks.off_locus_point(rng, A) for _ in range(cfg.n or 20)])
+        rows += [_row(cfg, f"N={N}-{kind}", gap, tol)
+                 for kind, gap in zip(("first", "second"), gaps)]
+    return rows
+
+
 @_experiment("commutativity", "dim", "rel_tol")
 def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
     rng = np.random.default_rng(cfg.seed)

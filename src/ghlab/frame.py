@@ -7,9 +7,9 @@ density is therefore the scalar W squared regardless of V, and the
 structure is integrable precisely when the mu-gradients of V are
 symmetric in the lower index pair and the fiber curvature is closed.
 The connection form is never built globally; every check here is a
-pointwise identity on derivatives of (V, W).  The second identity passes
-the Richardson stencil around a point to the field's ``jet`` as one batch
-of arrays (mu, eta).
+pointwise identity on derivatives of (V, W).  ``integrability_batch``
+puts every point's Richardson stencil into one call of the field's
+``jet`` and reads the stacked jet back per point.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "CyResidual",
     "cy_residual",
     "IntegrabilityResidual",
+    "integrability_batch",
     "integrability_residual",
     "CurvatureSample",
     "curvature_F",
@@ -106,37 +107,43 @@ class IntegrabilityResidual:
         return self.second / max(self.second_scale, 1e-300)
 
 
-def _second_identity(field, p: BasePoint) -> tuple[object, np.ndarray, float]:
-    """The jet at p, and d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy with
-    its scale, from gradient jets on the Richardson stencil at p."""
-    N = p.N
-    x = p.as_vector()
-    h = gradient_step(x)
-    mu, eta = batch_from_vectors(richardson_stencil(x, h))
-    jets = field.jet(mu, eta, want_gradient=True)
-    dW = np.array([j.dW[:N] for j in jets])
-    dV_eta = np.array([j.dV_eta for j in jets])
+def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
+                        ) -> tuple[object, np.ndarray, np.ndarray]:
+    """Both integrability identities at the batch mu (B, N), eta (B,): the
+    field's stacked jet on every point's Richardson stencil (point b's own
+    at row b (4N + 9)), and the residuals (2, B) and their scales (2, B).
+    The first identity reads the analytic mu-gradient of V; the second,
+    d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy, differences the analytic
+    gradients once with ``geometry.gradient_step``."""
+    B, N = mu.shape
+    xs = np.column_stack([mu, eta.real, eta.imag])
+    hs = [gradient_step(x) for x in xs]
+    jet = field.jet(*batch_from_vectors(np.concatenate(
+        [richardson_stencil(x, h) for x, h in zip(xs, hs)])), want_gradient=True)
+    R = 1 + 4 * (N + 2)
+    dV = jet.dV[::R]
+    res, scale = np.empty((2, B)), np.empty((2, B))
+    res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).reshape(B, -1).max(axis=1)
+    scale[0] = np.maximum(np.abs(dV).reshape(B, -1).max(axis=1), 1e-300)
+    dV_eta = jet.dV_eta.reshape(B, R, N, N)
     # dW/dmu, then (V_ij)_x = 2 Re dV_ij/deta and (V_ij)_y = -2 Im dV_ij/deta
-    d = richardson_derivative(np.concatenate(
-        [dW[:, None], 2.0 * dV_eta.real, -2.0 * dV_eta.imag], axis=1), h)
-    hessW = 0.5 * (d[:N, 0] + d[:N, 0].T)
-    vxx, vyy = d[N, 1:N + 1], d[N + 1, N + 1:]
-    scale = max(float(np.max(np.abs(hessW))), float(np.max(np.abs(vxx + vyy))))
-    return jets[0], hessW + vxx + vyy, scale
+    rows = np.concatenate([jet.dW[:, :N].reshape(B, R, 1, N),
+                           2.0 * dV_eta.real, -2.0 * dV_eta.imag], axis=2)
+    for b in range(B):
+        d = richardson_derivative(rows[b], hs[b])
+        hessW = 0.5 * (d[:N, 0] + d[:N, 0].T)
+        vxx, vyy = d[N, 1:N + 1], d[N + 1, N + 1:]
+        res[1, b] = np.max(np.abs(hessW + vxx + vyy))
+        scale[1, b] = max(np.max(np.abs(hessW)), np.max(np.abs(vxx + vyy)))
+    return jet, res, scale
 
 
 def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
-    """Evaluate both integrability identities at a point.
-
-    The first identity uses the field's analytic mu-gradient of V directly;
-    the second differences the analytic gradients once on the Richardson
-    stencil, with ``geometry.gradient_step``.
-    """
-    jet, expr, scale = _second_identity(field, p)
-    first = float(np.max(np.abs(jet.dV - np.transpose(jet.dV, (0, 2, 1)))))
-    first_scale = max(float(np.max(np.abs(jet.dV))), 1e-300)
-    return IntegrabilityResidual(first, float(np.max(np.abs(expr))),
-                                 first_scale, scale, p)
+    """Evaluate both integrability identities at a point: the one-row case
+    of ``integrability_batch``."""
+    _, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
+    return IntegrabilityResidual(float(res[0, 0]), float(res[1, 0]),
+                                 float(scale[0, 0]), float(scale[1, 0]), p)
 
 
 @dataclass
@@ -159,10 +166,9 @@ class CurvatureSample:
 
 def curvature_F(field, p: BasePoint) -> CurvatureSample:
     """Curvature coefficients and their closure defect."""
-    jet, expr, scale = _second_identity(field, p)
-    coeff1 = 0.5 * jet.dW[:p.N]
-    coeff2 = jet.dV_eta.copy()
-    return CurvatureSample(coeff1, coeff2, float(np.max(np.abs(expr))), scale, p)
+    jet, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
+    return CurvatureSample(0.5 * jet.dW[0, :p.N], jet.dV_eta[0].copy(),
+                           float(res[1, 0]), float(scale[1, 0]), p)
 
 
 def grad_norm(field, u, p: BasePoint) -> float:

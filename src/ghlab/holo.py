@@ -43,11 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaSpec:
-    """Model-space selection for the gamma family.
-
-    The subset must contain 0 and be the contiguous leading block
-    {0, ..., n}; general subsets reduce to this by relabeling upstream.
-    """
+    """Model-space selection for the gamma family: a form, a stratum
+    subset containing 0, and the quadrature."""
 
     A: QuadForm
     I: IndexSet
@@ -55,8 +52,8 @@ class GammaSpec:
 
     def __post_init__(self) -> None:
         self.I.require_stratum(self.A.n)
-        if self.I.members != tuple(range(len(self.I.members))):
-            raise ValueError("gamma subsets must be the leading block {0..n}")
+        if not self.I.contains_zero:
+            raise ValueError("gamma subsets must contain 0")
 
 
 def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarray]:
@@ -214,9 +211,9 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
 
     act = I.active
     n = len(act)
-    jets = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False)
+    v = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False).v
     idx = [a - 1 for a in act]
-    P = G.entries + np.stack([j.v for j in jets])[:, idx][:, :, idx]
+    P = G.entries + v[:, idx][:, :, idx]
     rows = np.empty((len(mu), n + 1, n))
     rows[:, 1:, :] = P
     rows[:, 0, :] = -P.sum(axis=1)
@@ -244,8 +241,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
     Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
     nodes go through one restricted field jet call and, where eta moves,
-    one ``gamma_batch`` per label; the gammas need I to be the leading
-    block {0..n}.  Every path node must keep eta nonzero.
+    one ``gamma_batch`` per label.  Every path node must keep eta nonzero.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")

@@ -14,7 +14,7 @@ import pytest
 
 from ghlab.checks import off_locus_point, random_point, random_spd
 from ghlab.geometry import IndexSet, QuadForm
-from ghlab import ansatz, checks, frame, glue, holo, kernels
+from ghlab import ansatz, checks, glue, holo, kernels
 from ghlab.quadrature import QuadratureSpec
 
 
@@ -179,14 +179,8 @@ def test_11_extension_profile(verdict):
 def test_12_integrability_residuals(verdict):
     rng = np.random.default_rng(112)
     A = random_spd(rng, 3)
-    quad = QuadratureSpec()
-    fld = ansatz.FirstOrderField(A, quad)
-    worst1 = worst2 = 0.0
-    for _ in range(20):
-        p = off_locus_point(rng, A)
-        res = frame.integrability_residual(fld, p)
-        worst1 = max(worst1, res.first_relative)
-        worst2 = max(worst2, res.second_relative)
+    worst1, worst2 = checks.integrability_gap(
+        A, QuadratureSpec(), [off_locus_point(rng, A) for _ in range(20)])
     worst = max(worst1, worst2)
     verdict.report(12, worst <= 1e-3,
                    f"field integrability, 20 points, N=3: first identity "

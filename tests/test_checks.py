@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ghlab import checks, kernels
+from ghlab import ansatz, checks, frame, kernels
+from ghlab.geometry import batch_from_vectors
 from ghlab.quadrature import QuadratureSpec
 
 
@@ -29,3 +30,35 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
         worst = checks.kernel_laplacian(spec, quad, pts)
         assert calls == [len(pts) * (1 + 4 * (N + 2))]
         assert worst == max(checks.kernel_laplacian(spec, quad, [p]) for p in pts)
+
+
+def _criterion_12_inputs():
+    # criterion 12's draw: seed 112, one form at N = 3, 20 off-locus points
+    rng = np.random.default_rng(112)
+    A = checks.random_spd(rng, 3)
+    return A, [checks.off_locus_point(rng, A) for _ in range(20)]
+
+
+def test_integrability_gap_is_one_engine_call_per_kernel(monkeypatch):
+    # the 20 points' stencils (420 rows) go into one field jet, so each of
+    # the 6 kernels at N = 3 makes one closed-form engine call, not one per
+    # point
+    A, pts = _criterion_12_inputs()
+    calls = []
+    engine = kernels.power_kernel_integral
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    checks.integrability_gap(A, QuadratureSpec(), pts)
+    assert len(calls) == 6
+
+
+def test_integrability_residual_is_a_row_of_the_batch():
+    A, pts = _criterion_12_inputs()
+    fld = ansatz.FirstOrderField(A, QuadratureSpec())
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
+    _, res, scale = frame.integrability_batch(fld, mu, eta)
+    for b, p in enumerate(pts):
+        one = frame.integrability_residual(fld, p)
+        assert one.first_relative == res[0, b] / scale[0, b]
+        assert one.second_relative == pytest.approx(res[1, b] / scale[1, b],
+                                                    rel=1e-9)

@@ -11,7 +11,7 @@ def run(tmp_path, *argv):
 
 
 def test_registry_complete():
-    assert len(EXPERIMENTS) == 14
+    assert len(EXPERIMENTS) == 15
 
 
 def test_flat_cy_writes_csv_and_sidecar(tmp_path):

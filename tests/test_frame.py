@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ghlab import checks
 from ghlab.geometry import BasePoint, QuadForm
-from ghlab.ansatz import FirstOrderField, FlatModelField, PerturbedField
-from ghlab.kernels import KernelSpec, alpha_grad
-from ghlab.locus import dist_locus
+from ghlab.ansatz import FirstOrderField, FlatModelField
 from ghlab.frame import (
     curvature_F,
     cy_residual,
@@ -18,6 +17,24 @@ from ghlab.frame import (
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
+
+
+class PerturbedField:
+    """A field with an explicit smooth perturbation added to V: extra(mu)
+    is the stacked matrix (B, N, N) added at the batch mu, independent of
+    eta, and extra_dmu(mu) its mu-gradient (B, N, N, N)."""
+
+    def __init__(self, base, extra, extra_dmu) -> None:
+        self.base = base
+        self.extra = extra
+        self.extra_dmu = extra_dmu
+
+    def jet(self, mu, eta, want_gradient=True):
+        jet = self.base.jet(mu, eta, want_gradient)
+        jet.V = jet.V + self.extra(mu)
+        if want_gradient:
+            jet.dV = jet.dV + self.extra_dmu(mu)
+        return jet
 
 
 def test_frame_blocks_flat_symmetric_point():
@@ -99,38 +116,12 @@ def test_n4_field_identities():
     # reach: the N = 4 first-order field holds the identities of criteria 12
     # and 04 at their tolerance, at one off-locus point
     rng = np.random.default_rng(404)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    A = QuadForm(q @ np.diag(rng.uniform(0.5, 2.5, 4)) @ q.T)
-    while True:
-        r, th = rng.uniform(0.3, 1.5), rng.uniform(0.0, 2.0 * math.pi)
-        p = BasePoint(rng.uniform(-2.0, 2.0, 4), r * complex(math.cos(th), math.sin(th)))
-        if dist_locus(A, p) > 0.5:
-            break
-    res = integrability_residual(FirstOrderField(A, QUAD), p)
-    assert res.first_relative <= 1e-3
-    assert res.second_relative <= 1e-3
-
-    N = 4
-    g = {(i, j): alpha_grad(KernelSpec(A, (i, j)), QUAD, p).gradient
-         for i in range(N + 1) for j in range(i + 1, N + 1)}
-    scale = max(float(np.max(np.abs(v[:N]))) for v in g.values())
-    worst = 0.0
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j:
-                continue
-            # axis family: d alpha_0i / d mu_j = d alpha_0j / d mu_i
-            #              = - sum_t d alpha_ij / d mu_t
-            lhs, mid = g[(0, i)][j - 1], g[(0, j)][i - 1]
-            rhs = -float(np.sum(g[(min(i, j), max(i, j))][:N]))
-            worst = max(worst, abs(lhs - mid) / scale, abs(lhs - rhs) / scale)
-            # pair family: d alpha_ij / d mu_k symmetric under j <-> k
-            for k in range(1, N + 1):
-                if k not in (i, j):
-                    a = g[(min(i, j), max(i, j))][k - 1]
-                    b = g[(min(i, k), max(i, k))][j - 1]
-                    worst = max(worst, abs(a - b) / scale)
-    assert worst <= 1e-3
+    A = checks.random_spd(rng, 4)
+    p = checks.off_locus_point(rng, A)
+    first, second = checks.integrability_gap(A, QUAD, [p])
+    assert first <= 1e-3
+    assert second <= 1e-3
+    assert max(checks.gradient_relations(A, QUAD, [p])) <= 1e-3
 
 
 def test_perturbed_field_breaks_first_identity():
@@ -138,14 +129,14 @@ def test_perturbed_field_breaks_first_identity():
     A = QuadForm.identity(3)
     base = FirstOrderField(A, QUAD)
 
-    def extra(p):
-        E = np.zeros((3, 3))
-        E[0, 1] = E[1, 0] = p.mu[2]
+    def extra(mu):
+        E = np.zeros((len(mu), 3, 3))
+        E[:, 0, 1] = E[:, 1, 0] = mu[:, 2]
         return E
 
-    def extra_dmu(p):
-        dE = np.zeros((3, 3, 3))
-        dE[0, 1, 2] = dE[1, 0, 2] = 1.0
+    def extra_dmu(mu):
+        dE = np.zeros((len(mu), 3, 3, 3))
+        dE[:, 0, 1, 2] = dE[:, 1, 0, 2] = 1.0
         return dE
 
     bad = PerturbedField(base, extra, extra_dmu)

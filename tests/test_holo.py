@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ghlab.checks import random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, schur_complement
+from ghlab.checks import random_point, random_spd
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
 from ghlab.holo import (
     _LEG_NODES,
     GammaSpec,
@@ -25,10 +25,44 @@ from ghlab.quadrature import QuadratureSpec, SingularityProximity
 QUAD = QuadratureSpec(abs_tol=1e-11)
 
 
-def test_gammaspec_requires_leading_block():
-    A = QuadForm.identity(3)
+def test_gammas_need_no_leading_block():
+    # the folded gammas take any subset containing 0, not only {0..n}
     with pytest.raises(ValueError):
-        GammaSpec(A, IndexSet((0, 2)), QUAD)
+        GammaSpec(QuadForm.identity(3), IndexSet((1, 2)), QUAD)
+    rng = np.random.default_rng(28)
+    I = IndexSet((0, 2))
+    for N in (2, 3):
+        A = random_spd(rng, N)
+        spec = GammaSpec(A, I, QUAD)
+        for _ in range(5):
+            p = random_point(rng, N)
+            for i in (0, 2):
+                want = gamma_closed_form(A, I, i, p)
+                assert abs(gamma(spec, i, p) - want) <= 1e-12 * abs(want)
+    spec = GammaSpec(random_spd(rng, 3), IndexSet((0, 1, 3)), QUAD)
+    for _ in range(3):
+        p = random_point(rng, 3)
+        assert gamma_sum_check(spec, p).scaled_gap <= 1e-12
+        for i in (0, 1, 3):
+            fold = gamma(spec, i, p)
+            assert abs(fold - gamma_via_ray(spec, i, p)) / abs(fold) < 1e-5
+    # a radial eta leg into p, gauged to the exact one-slot moduli at its
+    # start, holds |z_0 z_2| = sqrt(D) |eta| at p
+    for N in (2, 3):
+        A = random_spd(rng, N)
+        G = schur_complement(A, I).entries[0, 0]
+        comp = I.active_complement(N)
+        D = float(np.linalg.det(block(A.entries, comp, comp)))
+        for _ in range(3):
+            p = random_point(rng, N)
+            mu = p.mu.copy()
+            mu[1] = 2.0 + abs(p.mu[1])
+            ref = BasePoint(mu, 1.5 * p.eta)
+            w0, w2 = taubnut_moduli(G, D, 0.0, ref.mu[1], ref.eta)
+            res = log_z(A, I, QUAD, p, basepath=[ref, p],
+                        gauge=np.array([math.log(w0), math.log(w2)]))
+            want = math.sqrt(D) * abs(p.eta)
+            assert abs(math.exp(float(np.sum(res.values))) - want) <= 1e-12 * want
 
 
 def test_gamma_against_closed_form_one_slot():
