@@ -226,7 +226,8 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
 
 
 # path parameters in [0, 1] and weights of one log_z leg
-_LEG_NODES, _LEG_WEIGHTS = panel_nodes(np.arange(9) / 8, 16)
+_LEG_PANELS = 8
+_LEG_NODES, _LEG_WEIGHTS = panel_nodes(np.arange(_LEG_PANELS + 1) / _LEG_PANELS, 16)
 
 
 def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
@@ -241,7 +242,10 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
     Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
     nodes go through one restricted field jet call and, where eta moves,
-    one ``gamma_batch`` per label.  Every path node must keep eta nonzero.
+    one ``gamma_batch`` per label.  Every path node must keep eta nonzero,
+    and a leg on which eta moves is refused with ValueError where it
+    passes closer to eta = 0 than half its panels' eta-length: the gammas
+    carry 1/eta, which the panels would smear there.
     """
     if not I.contains_zero:
         raise ValueError("model coordinates need a subset containing 0")
@@ -264,6 +268,14 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
+        if d_eta:
+            t = min(max(-(q0.eta * d_eta.conjugate()).real / abs(d_eta) ** 2, 0.0), 1.0)
+            closest = abs(q0.eta + t * d_eta)
+            if closest < 0.5 * abs(d_eta) / _LEG_PANELS:
+                raise ValueError(
+                    f"path leg from eta = {q0.eta} to {q1.eta} passes within "
+                    f"{closest:.3e} of eta = 0, within half its panels' "
+                    f"eta-length ({0.5 * abs(d_eta) / _LEG_PANELS:.3e})")
         mu = q0.mu + _LEG_NODES[:, None] * d_mu_full
         eta = q0.eta + _LEG_NODES * d_eta
         if np.any(eta == 0):

@@ -8,7 +8,8 @@ an anisotropic distance,
 optionally together with its derivatives with respect to b and the two real
 components hidden in E = c |eta|^2.  The integrand is smooth but sharply
 peaked where the affine sheet {b - M tau} passes closest to the origin, and
-it decays like |tau|^(-p) with p > d, so the tail carries mass ~ T^(d-p).
+it decays like |tau|^(-p) with p > d, so the mass beyond radius T is
+~ T^(d-p).
 
 The last two cone columns m1, m2 are integrated in closed form.  With
 X0 = b - M' tau' for the first d - 2 parameters, Q-orthonormal coordinates
@@ -56,28 +57,25 @@ recursion where beta >= 0, the incomplete beta function where beta < 0
 and the angle is small), D formed as a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
-0.  The remaining d - 2 parameters are swept by a fixed-construction panel
-scheme: per-axis Gauss-Legendre panels geometrically graded around the
-orthant-projected closest point.  The construction depends only on the
-inputs, never on timing or thread count, so results are bit-reproducible.
-The error estimate compares two Gauss orders on the same panels.
-
-At d = 3 (one swept parameter) nothing is truncated.  The graded panels
-cover [0, R], with R a fixed multiple of the larger of tau*_0 + w_0 and
-the moduli of the complex zeros, along the swept axis, of the squared
-distances from X0 to the plane, to both edge lines and to the apex; one
-more panel covers [R, inf) under tau = R / s, s in (0, 1], weight
-R / s^2.  The mapped integrand is R^(3-p) s^(p-4) g(s) with g analytic for
-|s| < R / (those moduli), so the same two Gauss orders integrate the whole
-half line and the error estimate is the two-order difference alone.
-
-At d >= 4 the corner |tau'| -> inf stays singular under such a map, so
-the panels grow geometrically out to an analytically chosen truncation
-radius T and the estimate adds the bound on the mass beyond |tau| > T; it
-covers the truncated region {tau' outside [0, T]^(d-2)} x [0, inf)^2,
-which lies inside {|tau| > T}.  An integral that misses its tolerance
-after the refinement passes raises QuadratureError; no unconverged value
-is returned.
+0.  For every k = d - 2 >= 1 the other parameters tau'' are swept on one
+grid in polar form tau'' = r omega, r = |tau''|_1, d tau'' = r^(k-1) dr d omega,
+with omega on the simplex by stick-breaking (omega_1 = u_1,
+omega_2 = (1 - u_1) u_2, ..., the stick left last), which maps the cube
+[0, 1]^(k-1) onto it (the Duffy transform: Duffy 1982, SIAM J. Numer.
+Anal. 19:1260).  Gauss-Legendre panels are graded geometrically around
+the orthant-projected closest point tau*: in r on [0, R], in each u_i on
+[0, 1] with breaks at the quarters.  One more panel covers [R, inf) under
+r = R / s, s in (0, 1], weight R / s^2; the integrand decays like r^(2-p)
+along every ray past the closed-form columns, so the mapped integrand is
+R^(k+2-p) s^(p-k-3) g(s, omega) with g analytic for |s| < R / rho, rho
+bounding the complex zeros in r of the squared distances from X0 to the
+plane, to both edge lines and to the apex.  So nothing is truncated at any
+d, and the error estimate is the difference of two Gauss orders on the
+same grid; at k = 1 the grid is the graded half line and its tail panel.
+The construction depends only on the inputs, so results are
+bit-reproducible.  An integral that misses its tolerance after the
+refinement passes raises QuadratureError; no unconverged value is
+returned.
 
 A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
 provided as an independent oracle; it is never the primary path.
@@ -93,8 +91,6 @@ from itertools import combinations
 import numpy as np
 from scipy import special
 from scipy.linalg import lapack
-
-from .geometry import ball_volume
 
 __all__ = [
     "QuadratureSpec",
@@ -127,11 +123,10 @@ class QuadratureSpec:
     """Tolerances and knobs for the panel engine.
 
     abs_tol/rel_tol apply to the final (prefactor-scaled) kernel value;
-    the error they bound is the two-order Gauss difference on the swept
-    d - 2 parameters, plus, at d >= 4 only, the analytic tail bound beyond
-    the truncation radius.  The last two cone parameters are integrated
-    exactly, so at d <= 2 the error is 0, and at d = 3 the mapped tail
-    panel reaches infinity, so it adds no error either.  max_evals bounds
+    the error they bound is the two-order Gauss difference on the radial
+    grid of the swept d - 2 parameters, whose mapped tail panel reaches
+    infinity, so nothing is truncated.  The last two cone parameters are
+    integrated exactly, so at d <= 2 the error is 0.  max_evals bounds
     grid nodes of the swept parameters per batch element; refine_levels is
     the number of extra, finer passes tried before QuadratureError is
     raised.
@@ -154,7 +149,7 @@ class QuadratureSpec:
 @dataclass
 class QuadResult:
     value: np.ndarray          # (B,) raw integral values, no prefactor
-    error: np.ndarray          # (B,) error estimates, raw units
+    error: np.ndarray          # (B,) two-order differences, raw units
     gradient: np.ndarray | None  # (B, dim+2) d/d(b, Re eta, Im eta), raw
     evals: int                 # swept grid nodes times batch rows (rows
                                # alone when nothing is swept)
@@ -268,38 +263,41 @@ def closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
-                      fine_levels: int = 3) -> np.ndarray:
-    """Geometric panel breakpoints on [0, T] clustered around ``center``."""
-    pts = {0.0, T}
+                      fine_levels: int = 3, fixed: tuple[float, ...] = (),
+                      extra_split: int = 0) -> np.ndarray:
+    """Geometric panel breakpoints on [0, T] clustered around ``center``,
+    with the ``fixed`` breaks as well; a refinement pass adds a fine level
+    and halves every panel."""
+    pts = {0.0, T, *fixed}
     c = min(max(center, 0.0), T)
     if 0.0 < c < T:
         pts.add(c)
-    w = width
     # refine below the peak scale, then grow geometrically to the ends
-    for j in range(-fine_levels, 60):
-        step = w * (2.0 ** j)
-        lo, hi = c - step, c + step
-        added = False
-        if 0.0 < lo < T:
-            pts.add(lo)
-            added = True
-        if 0.0 < hi < T:
-            pts.add(hi)
-            added = True
-        if j > 0 and not added:
+    for j in range(-fine_levels - extra_split, 60):
+        step = width * (2.0 ** j)
+        inside = [x for x in (c - step, c + step) if 0.0 < x < T]
+        pts.update(inside)
+        if j > 0 and not inside:
             break
     breaks = np.array(sorted(pts))
     # drop near-duplicates only, relative to the break itself: a threshold
     # relative to T would merge the peak's fine panels once T is large
     keep = np.concatenate([[True], np.diff(breaks) > 1e-13 * breaks[1:]])
-    return breaks[keep]
+    breaks = breaks[keep]
+    if extra_split:
+        breaks = np.sort(np.concatenate([breaks, 0.5 * (breaks[:-1] + breaks[1:])]))
+    return breaks
 
 
-# at d = 3 the graded panels end at this multiple of the swept axis's
+# the graded radial panels end at this multiple of the swept parameters'
 # largest length scale, where the mapped tail panel takes over: the
 # integrand's singularities then sit at |s| >= 4, so an n-point Gauss rule
 # on (0, 1] errs by about 18^(-2n) there
 _TAIL_START = 4.0
+
+# every stick-breaking coordinate keeps these breaks, so no lone coarse
+# panel spans the unit interval away from the peak
+_SIMPLEX_BREAKS = (0.25, 0.5, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +625,6 @@ class _Wedge:
                    P, L, P @ b.T, L @ b.T, Py, Lz, E)
 
 
-def _tensor_grid(axes: list[tuple[np.ndarray, np.ndarray]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product nodes (len(axes), n) and weights (n,)."""
-    if len(axes) == 1:
-        return axes[0][0][None, :], axes[0][1]
-    wts = np.ones(())
-    for _, wt in axes:
-        wts = np.multiply.outer(wts, wt)
-    grids = np.meshgrid(*[nd for nd, _ in axes], indexing="ij")
-    return np.stack([g.ravel() for g in grids]), wts.ravel()
-
-
 def _closed_wedge(wedge: _Wedge, power: int, want_gradient: bool,
                   ceta_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The whole integral at d = 2, every row in closed form."""
@@ -657,14 +643,72 @@ def _closed_wedge(wedge: _Wedge, power: int, want_gradient: bool,
     return W[0] * wedge.jac, grad
 
 
-def _sweep(wedge: _Wedge, axes: list[tuple[np.ndarray, np.ndarray]],
+def _swept_breaks(wedge: _Wedge, E0: float, tau: np.ndarray, r_star: float,
+                  P: np.ndarray, attempt: int) -> tuple[float, list[np.ndarray]]:
+    """The tail start R and one pass's panel breaks, graded around the
+    first row's closest sheet parameter ``tau`` (swept part): for
+    r = |tau''|_1 on [0, R], then for each stick-breaking coordinate.
+
+    Along a ray tau'' = r omega the squared distances from X0 to the plane,
+    to both edge lines and to the apex are quadratics in r whose leading
+    coefficient is at least lam_min(G) / k on the simplex, so their complex
+    zeros have moduli below sqrt(k c / lam_min(G)), c the constant term;
+    R keeps them at |s| >= _TAIL_START.
+    """
+    k = len(tau)
+    width = max(r_star / math.sqrt(max(float(np.max(np.diag(P)[:k])), 1e-300)), 1e-8)
+    z, y0, Lz, Py = wedge.z[:, 0], wedge.y[:, 0], wedge.Lz, wedge.Py
+    h0, Gz = float(z @ z) + E0, Lz.T @ Lz
+    zeros = [(h0, Gz), (h0 + float(y0 @ y0), Gz + Py.T @ Py)]
+    for n in np.array([[0.0, 1.0], [wedge.e2[1], -wedge.e2[0]]]):
+        ny = n @ Py
+        zeros.append((h0 + float(n @ y0) ** 2, Gz + np.outer(ny, ny)))
+    rho = math.sqrt(max(c * k / float(np.linalg.eigvalsh(G)[0]) for c, G in zeros))
+    radius = float(np.sum(tau))
+    R = _TAIL_START * max(radius + width, rho)
+    # r keeps the one-axis sweep's three fine levels; one suffices for a
+    # stick-breaking coordinate u_i = tau_i / (tau_i + ... + tau_(k-1)),
+    # whose first panels [c, c + w/2] see the peak's complex singularities
+    # at c +- i w, w the peak width over the sum left (a move du_i shifts
+    # tau'' by about that sum times du_i)
+    breaks = [_axis_breakpoints(radius, width, R, 3, (), attempt)]
+    rest = np.cumsum(tau[::-1])[::-1]
+    for t, left in zip(tau[:-1].tolist(), rest[:-1].tolist()):
+        c, w = (t / left, width / left) if left > 0.0 else (0.0, math.inf)
+        breaks.append(_axis_breakpoints(c, w, 1.0, 1, _SIMPLEX_BREAKS, attempt))
+    return R, breaks
+
+
+def _swept_grid(R: float, breaks: list[np.ndarray], tail: np.ndarray,
+                order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes tau'' = r omega (k, n) and weights (n,): Gauss panels in r on
+    breaks[0] and the mapped panels r = R / s on the ``tail`` breaks in s,
+    times omega from the stick-breaking coordinates on breaks[1:], with the
+    Jacobian r^(k-1) prod (1 - u_i)^(k-1-i).  At k = 1 omega is 1."""
+    r, wr = panel_nodes(breaks[0], order)
+    s, ws = panel_nodes(tail, order)
+    r = np.concatenate([r, R / s])
+    wr = np.concatenate([wr, ws * R / (s * s)])
+    omega, wo, left = [], np.ones(1), np.ones(1)
+    for br in breaks[1:]:
+        u, wu = panel_nodes(br, order)
+        omega = [np.repeat(c, len(u)) for c in omega] + [np.outer(left, u).ravel()]
+        wo = np.outer(wo * left, wu).ravel()
+        left = np.outer(left, 1.0 - u).ravel()
+    omega = np.array(omega + [left])
+    k = len(omega)
+    return ((omega[:, None, :] * r[None, :, None]).reshape(k, -1),
+            np.outer(wr * r ** (k - 1), wo).ravel())
+
+
+def _sweep(wedge: _Wedge, nodes: np.ndarray, weights: np.ndarray,
            power: int, want_gradient: bool, ceta_xy: np.ndarray, chunk: int
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sweep over the first d - 2 parameters, the last two exact."""
+    """One sweep over the first d - 2 parameters at the ``nodes``
+    (d - 2, n), the last two exact."""
     B, m = wedge.E.shape[0], wedge.P.shape[1]
     val = np.zeros(B)
     grad = np.zeros((B, m + 2)) if want_gradient else None
-    nodes, weights = _tensor_grid(axes)
     for start in range(0, len(weights), chunk):
         tau = nodes[:, start:start + chunk]
         wts = weights[start:start + chunk]
@@ -695,15 +739,15 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
 
     b may be (m,) or (B, m); eta scalar or (B,).  At d <= 2 every row is a
     closed form, so rows may lie at any distance from each other.  At
-    d >= 3 the panel construction is derived from the first row and every
-    row is swept on it, which holds only for rows within half the first
-    row's sheet distance r* of it; ``kernels.alpha_batch`` splits its
-    batches so.  ``sheet`` passes that first row's (tau*, r*) from
+    d >= 3 the radial grid is built for the first row and every row is
+    swept on it, which holds only for rows within half the first row's
+    sheet distance r* of it; ``kernels.alpha_batch`` splits its batches
+    so.  ``sheet`` passes that first row's (tau*, r*) from
     ``sheet_distance`` when the caller has solved it already.
     ``prefactor`` only converts the spec tolerances into raw-integral
-    units; the returned values are raw.  Raises QuadratureError when the
-    grid exceeds the node budget or the refinement passes miss the
-    tolerance.
+    units; the returned values are raw.  Nothing is truncated at any d.
+    Raises QuadratureError when the grid exceeds the node budget or the
+    refinement passes miss the tolerance.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
@@ -740,91 +784,37 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         return QuadResult(val, np.zeros(B), grad, B, True, r_star)
 
     wedge = _Wedge.build(Q, M, b, E)
-    P = M.T @ Q @ M
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
-    widths = [max(r_star / math.sqrt(max(P[k, k], 1e-300)), 1e-8)
-              for k in range(d - 2)]
-    if d == 3:
-        # graded panels on [0, T], then tau = T / s maps [T, inf) onto one
-        # panel s in (0, 1]: the mapped integrand is T^(3-p) s^(p-4) g(s)
-        # with g analytic, so nothing is truncated.  g is singular only at
-        # the complex zeros, along the swept axis, of H^2, H^2 + l_k^2 and
-        # H^2 + |y0|^2 (the squared distances to the plane, the edge lines
-        # and the apex); T keeps them at |s| >= _TAIL_START
-        cphi, sphi = wedge.e2
-        normals = np.array([[0.0, 1.0], [sphi, -cphi]])
-        z, gz = wedge.z[:, 0], wedge.Lz[:, 0]
-        y0, gy = wedge.y[:, 0], wedge.Py[:, 0]
-        h0, g2 = float(z @ z) + float(E[0]), float(gz @ gz)
-        zeros = [(h0, g2), (h0 + float(y0 @ y0), g2 + float(gy @ gy))]
-        zeros += [(h0 + float(n @ y0) ** 2, g2 + float(n @ gy) ** 2)
-                  for n in normals]
-        rho = math.sqrt(max(c / a for c, a in zeros))
-        T = _TAIL_START * max(float(tau_star[0]) + widths[0], rho)
-        tail_bound = 0.0
-    else:
-        # the corner |tau'| -> inf stays singular under such a map, so the
-        # sweep is truncated at T.  The integrand is below
-        # (lamP (|tau| - |tau*|)^2)^(-p/2) out there, and the mass beyond
-        # radius T is below surf 2^p lamP^(-p/2) T^(d-p) / (p - d)
-        lamP = float(np.linalg.eigvalsh(P)[0])
-        surf = d * ball_volume(d) / 2.0 ** d
-        T = (surf * 2.0 ** power * lamP ** (-0.5 * power)
-             / ((power - d) * 0.5 * abs_raw)) ** (1.0 / (power - d))
-        T = max(T, 4.0 * (float(np.linalg.norm(tau_star)) + 1.0), 8.0 * r_star)
-        tail_bound = (surf * 2.0 ** power * lamP ** (-0.5 * power)
-                      * T ** (d - power) / (power - d))
-
-    def breakpoints(extra_split: int) -> list[np.ndarray]:
-        out = []
-        for k in range(d - 2):
-            br = _axis_breakpoints(float(tau_star[k]), widths[k], T,
-                                   fine_levels=3 + extra_split)
-            if extra_split:
-                mids = 0.5 * (br[:-1] + br[1:])
-                br = np.sort(np.concatenate([br, mids]))
-            out.append(br)
-        return out
-
-    def axes(breaks: list[np.ndarray], extra_split: int,
-             order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for br in breaks:
-            nodes, wts = panel_nodes(br, order)
-            if d == 3:
-                s, ws = panel_nodes(np.array([0.0, 0.5, 1.0] if extra_split
-                                             else [0.0, 1.0]), order)
-                nodes = np.concatenate([nodes, T / s])
-                wts = np.concatenate([wts, ws * T / (s * s)])
-            out.append((nodes, wts))
-        return out
-
+    P = M.T @ Q @ M
     # about 2^14 elements per temporary array, so a chunk stays in cache
     chunk = max(1 << 10, (1 << 14) // max(B, 1))
     evals = 0
     for attempt in range(spec.refine_levels + 1):
-        breaks = breakpoints(attempt)
-        hi = axes(breaks, attempt, spec.order)
-        lo = axes(breaks, attempt, spec.order_low)
-        n_hi = math.prod(len(nd) for nd, _ in hi)
-        n_lo = math.prod(len(nd) for nd, _ in lo)
+        R, breaks = _swept_breaks(wedge, float(E[0]), tau_star[:d - 2], r_star, P,
+                                  attempt)
+        tail = np.linspace(0.0, 1.0, 3 if attempt else 2)
+        panels = [len(breaks[0]) + len(tail) - 2] + [len(br) - 1 for br in breaks[1:]]
+        n_hi = math.prod(n * spec.order for n in panels)
+        n_lo = math.prod(n * spec.order_low for n in panels)
         if n_hi + n_lo > spec.max_evals:
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {spec.max_evals}")
-        v_hi, g_hi = _sweep(wedge, hi, power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(wedge, lo, power, False, ceta_xy, chunk)
+        v_hi, g_hi = _sweep(wedge, *_swept_grid(R, breaks, tail, spec.order),
+                            power, want_gradient, ceta_xy, chunk)
+        v_lo, _ = _sweep(wedge, *_swept_grid(R, breaks, tail, spec.order_low),
+                         power, False, ceta_xy, chunk)
         evals += (n_hi + n_lo) * B
-        err = np.abs(v_hi - v_lo) + tail_bound
+        err = np.abs(v_hi - v_lo)
         tol = np.maximum(abs_raw, spec.rel_tol * np.abs(v_hi))
         if np.all(err <= tol):
             return QuadResult(v_hi, err, g_hi, evals, True, r_star)
     row = int(np.argmax(err / tol))
-    shape = " x ".join(str(len(nd)) for nd, _ in hi)
+    shape = " x ".join(str(n * spec.order) for n in panels)
     raise QuadratureError(
         f"no convergence after {spec.refine_levels + 1} passes: r* = "
         f"{r_star:.3e}, grid {shape}, row {row} error {err[row]:.3e} "
-        f"(tail bound {tail_bound:.3e}) against tolerance {tol[row]:.3e}")
+        f"against tolerance {tol[row]:.3e}")
 
 
 def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
@@ -833,9 +823,12 @@ def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                               seed: int = 20240817) -> tuple[float, float]:
     """Scrambled-Sobol oracle for the same integral.
 
-    Maps the orthant through t = u / (1 - u) per axis.  Returns the mean of
-    the replicate estimates and their standard error.  Independent of the
-    panel engine by construction; used only for cross-checks.
+    Maps the cube radially, r = u_0 / (1 - u_0) and tau = r omega with
+    omega on the simplex by stick-breaking, Jacobian
+    (1 + r)^2 r^(d-1) prod (1 - u_i)^(d-1-i): the integrand stays bounded
+    where p >= d + 1, also where every axis is large together.  Returns the
+    mean of the replicate estimates and their standard error; independent
+    of the panel engine by construction, for cross-checks only.
     """
     from scipy.stats import qmc
 
@@ -850,9 +843,14 @@ def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         eng = qmc.Sobol(d, scramble=True, seed=seed + r)
         u = eng.random(2 ** n_pow2)
         u = np.clip(u, 1e-12, 1.0 - 1e-9)
-        t = u / (1.0 - u)
-        jac = np.prod((1.0 - u) ** -2, axis=1)
-        X = b[None, :] - t @ M.T
+        rad = u[:, 0] / (1.0 - u[:, 0])
+        jac = (1.0 + rad) ** 2 * rad ** (d - 1)
+        omega, left = [], 1.0
+        for ui in u[:, 1:].T:
+            omega.append(left * ui)
+            jac = jac * left
+            left = left * (1.0 - ui)
+        X = b[None, :] - (rad[:, None] * np.column_stack(omega + [left])) @ M.T
         dist2 = np.einsum("nm,mk,nk->n", X, Q, X) + E
         estimates.append(float(np.mean(dist2 ** (-0.5 * power) * jac)))
     est = np.array(estimates)

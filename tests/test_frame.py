@@ -112,16 +112,38 @@ def test_second_identity_at_steep_point():
     assert res.second_relative <= 1e-3
 
 
-def test_n4_field_identities():
-    # reach: the N = 4 first-order field holds the identities of criteria 12
-    # and 04 at their tolerance, at one off-locus point
+def _field_identities(N: int, monkeypatch) -> int:
+    """Reach: the N-dimensional first-order field holds the identities of
+    criteria 12 and 04 at their tolerance, at one off-locus point.  Returns
+    the grid nodes that criterion 12 swept there."""
+    import ghlab.kernels as kernels
+
     rng = np.random.default_rng(404)
-    A = checks.random_spd(rng, 4)
+    A = checks.random_spd(rng, N)
     p = checks.off_locus_point(rng, A)
+    engine, nodes = kernels.power_kernel_integral, [0]
+
+    def counted(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        nodes[0] += res.evals
+        return res
+
+    monkeypatch.setattr(kernels, "power_kernel_integral", counted)
     first, second = checks.integrability_gap(A, QUAD, [p])
+    monkeypatch.undo()
     assert first <= 1e-3
     assert second <= 1e-3
     assert max(checks.gradient_relations(A, QUAD, [p])) <= 1e-3
+    return nodes[0]
+
+
+def test_n4_field_identities(monkeypatch):
+    _field_identities(4, monkeypatch)
+
+
+def test_n5_field_identities(monkeypatch):
+    # two swept axes per kernel on the radial grid
+    assert _field_identities(5, monkeypatch) <= 3e7
 
 
 def test_perturbed_field_breaks_first_identity():

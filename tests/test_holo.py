@@ -172,6 +172,15 @@ def test_gamma_sum_identity():
             assert res.scaled_gap < tol
 
 
+def test_gamma_sum_identity_all_slots_n4():
+    # five labels at N = 4: each gamma sweeps two axes on the radial grid
+    rng = np.random.default_rng(77)
+    A = random_spd(rng, 4)
+    spec = GammaSpec(A, IndexSet(range(5)), QUAD)
+    for _ in range(3):
+        assert gamma_sum_check(spec, random_point(rng, 4)).scaled_gap <= 1e-13
+
+
 def test_taubnut_moduli_product():
     # |w0 w1| = sqrt(D) |eta| exactly, any gauge constant
     G, D, C = 1.37, 0.82, 0.3
@@ -241,6 +250,31 @@ def test_log_z_rejects_zero_fiber():
     I = IndexSet((0, 1))
     with pytest.raises(ValueError):
         log_z(A, I, QUAD, BasePoint(np.array([1.0, 1.0]), 0j))
+
+
+def test_log_z_refuses_legs_near_zero_fiber():
+    # a leg on which eta moves is refused where it passes closer to eta = 0
+    # than half its panels' eta-length (0.112 here); at closest |eta| of
+    # 0.006 and 0.036 its panels would smear the one-form's 1/eta into
+    # product-identity gaps of 9e-5 and 2e-8
+    A = QuadForm(np.array([[1.8, 0.4], [0.4, 1.1]]))
+    I = IndexSet((0, 1))
+    G = schur_complement(A, I).entries[0, 0]
+    D = A.entries[1, 1]
+    start = BasePoint(np.array([2.7, -0.4]), 1.0 + 0.5j)
+    w0, w1 = taubnut_moduli(G, D, 0.0, start.mu[0], start.eta)
+    gauge = np.array([math.log(w0), math.log(w1)])
+    for delta in (0.010, 0.058, 0.23):
+        # closest |eta| 0.0062, 0.036 and 0.143
+        eta = (-0.6 + 1j * delta / abs(start.eta)) * start.eta
+        p = BasePoint(np.array([0.7, -0.4]), eta)
+        if delta < 0.1:
+            with pytest.raises(ValueError, match="passes within"):
+                log_z(A, I, QUAD, p, basepath=[start, p], gauge=gauge)
+            continue
+        res = log_z(A, I, QUAD, p, basepath=[start, p], gauge=gauge)
+        want = math.sqrt(D) * abs(eta)
+        assert abs(math.exp(float(np.sum(res.values))) - want) <= 1e-12 * want
 
 
 def test_gauge_shifts_additively():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghlab.ansatz import FirstOrderField
-from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, random_spd
+from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
@@ -315,8 +315,8 @@ def test_alpha_batch_far_rows_match_pointwise_n4(monkeypatch):
 
 
 def test_pair_kernels_converge_at_tight_tolerance():
-    # an ordinary N = 3 point: the pair kernels converge at a tight
-    # tolerance too, where a truncated sweep needs T > 1e12
+    # an ordinary N = 3 point: the pair kernels are closed forms, so a
+    # tight tolerance costs nothing more and still holds
     A = QuadForm(np.array([
         [1.29359001604945, -0.18717469008463872, 0.29165339585813627],
         [-0.18717469008463872, 1.2151395269648109, -0.18511226256092206],
@@ -332,10 +332,17 @@ def test_pair_kernels_converge_at_tight_tolerance():
                                          rel=1e-8)
 
 
+def _reach_point(seed: int, N: int) -> tuple[QuadForm, BasePoint]:
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, N)
+    return A, off_locus_point(rng, A, floor=0.2)
+
+
 def test_work_counters_are_pinned():
     # grid nodes per kernel call are deterministic, so they gate regressions:
     # at N = 3 nothing is swept (a row counts once), at N = 4 one axis is
-    # swept (graded panels plus the mapped tail)
+    # swept (graded panels plus the mapped tail), at N = 5 two (the radial
+    # grid: graded radius and mapped tail times one stick-breaking coordinate)
     A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
     p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
     assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 1
@@ -349,6 +356,49 @@ def test_work_counters_are_pinned():
                              -0.6542161649648368, 1.9371148657881885]),
                    0.13944050602891173 - 0.6978434856523438j)
     assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 192
+    A5, p5 = _reach_point(100, 5)
+    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 12800
+
+
+# N = 5 kernels at the seed-100 point, (value, gradient) as computed at
+# abs_tol 1e-13 by an independent sweep: geometric panels on each swept
+# axis out to a truncation radius, plus an analytic bound on the mass
+# beyond it
+N5_SEED100 = {
+    (0, 1): (0.005356422404220519,
+             [4.245542276857889e-05, 0.0006641831016748265, 0.0016004279305275972,
+              0.0007907378902256199, 0.0013420770448656528, -0.001148507726253987,
+              -0.0006541542746337953]),
+    (1, 2): (0.015647030896647773,
+             [-0.002781690106952236, -0.0049469620530142346, 0.0028528013088624377,
+              0.0012174908500265182, 0.00299417689940267, -0.004992200181894488,
+              -0.0028434019329284903]),
+    (2, 4): (0.014593828595284478,
+             [0.0012174908500265133, -0.003230647791954338, 0.0013198032815327106,
+              -0.001662760870294018, 0.0017320834657976543, -0.00308412985331457,
+              -0.001756624427466209]),
+}
+
+
+def test_n5_kernels_match_truncated_sweep():
+    A, p = _reach_point(100, 5)
+    tight = QuadratureSpec(abs_tol=1e-13)
+    for labels, (value, grad) in N5_SEED100.items():
+        kv = alpha_grad(KernelSpec(A, labels), tight, p)
+        assert kv.value == pytest.approx(value, rel=1e-12), labels
+        np.testing.assert_allclose(kv.gradient, grad, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(grad))))
+
+
+@pytest.mark.parametrize("seed, N", [(202, 5), (300, 6)])
+def test_swept_kernel_against_radial_qmc(seed, N):
+    # two and three swept axes: the radial grid against the radially mapped
+    # oracle, whose integrand stays bounded at every corner of the orthant
+    A, p = _reach_point(seed, N)
+    spec = KernelSpec(A, (0, 1))
+    kv = alpha(spec, QUAD, p)
+    m, se = qmc_alpha_oracle(spec, p, n_pow2=16)
+    assert abs(kv.value - m) < 4.0 * se
 
 
 def test_on_sheet_raises():

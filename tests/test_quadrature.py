@@ -195,8 +195,8 @@ def test_engine_sheet_distance_matches_enumeration(d):
 
 
 def test_budget_error():
-    # four cone columns: two swept axes of graded panels out to the
-    # truncation radius need far more than 1000 nodes
+    # four cone columns: two swept axes, the graded radius with its mapped
+    # tail times one stick-breaking coordinate, need more than 1000 nodes
     A = np.eye(5)
     M = np.eye(5)[:, 1:]
     with pytest.raises(QuadratureError):
@@ -244,9 +244,9 @@ def test_engine_matches_quadrant_oracle(a, b, c):
 
 
 def test_fine_panels_survive_large_radius():
-    # a truncation radius this large (d >= 3 at tight tolerances) keeps the
-    # peak's fine panels: near-duplicates are judged against each break,
-    # not against T
+    # a tail start this large (a point far out along the swept parameters)
+    # keeps the peak's fine panels: near-duplicates are judged against each
+    # break, not against the end of the axis
     c, w = 0.5, 0.1
     for T in (1e2, 4e13):
         br = _axis_breakpoints(c, w, T)
