@@ -69,18 +69,15 @@ class FlatFieldResult:
     W: float | None
 
 
-def flat_field(A_trivial: QuadForm | None, p: BasePoint) -> FlatFieldResult:
+def flat_field(p: BasePoint) -> FlatFieldResult:
     """Flat-model coefficients from the base coordinates.
 
     Solves x * prod(x + 2 mu_i) = |eta|^2 for x = |z_0|^2 and assembles
     V^{-1}_ij = x + delta_ij |z_i|^2 and the pole-free reciprocal
-    W^{-1} = sum_i prod_{j != i} |z_j|^2.  The background form argument
-    only fixes the expected dimension; the flat model does not depend
-    on it.
+    W^{-1} = sum_i prod_{j != i} |z_j|^2.  The flat model depends on no
+    form.
     """
     N = p.N
-    if A_trivial is not None and A_trivial.n != N:
-        raise ValueError("form dimension does not match the point")
     mu = p.mu
     target = abs(p.eta) ** 2
     x_lo = max(0.0, -2.0 * float(np.min(mu)))
@@ -248,7 +245,7 @@ class FlatModelField(_Field):
 
     def _vw(self, x: np.ndarray) -> np.ndarray:
         """The entries of V, then W, at the real point x."""
-        res = flat_field(None, BasePoint.from_vector(x))
+        res = flat_field(BasePoint.from_vector(x))
         if res.on_locus:
             raise ValueError("flat field evaluated on the degeneration locus")
         return np.append(res.V, res.W)

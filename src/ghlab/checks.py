@@ -20,13 +20,13 @@ from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
 from .quadrature import QuadratureSpec
 
 __all__ = [
-    "DECAY_RAYS_N3", "WEAK_BUMPS_N2", "WEAK_FORM_N2", "eigen_cases",
-    "flat_volume_gap", "gradient_relations", "integrability_gap",
-    "kernel_laplacian", "log_sum_gap",
+    "DECAY_RAYS_N3", "WEAK_BUMPS_N2", "WEAK_FORM_N2", "decay_exponents",
+    "eigen_cases", "flat_volume_gap", "gamma_sum_gap", "gradient_relations",
+    "integrability_gap", "kernel_laplacian", "log_sum_gap",
     "nested_cases", "nested_projection_gap", "off_locus_point", "one_slot_gaps",
     "plateau_gap", "plateau_points", "product_identity_gap", "profile_piece_gaps",
     "random_point", "random_spd", "random_subset", "restricted_cases",
-    "restricted_gap", "schur_eigen_violation",
+    "restricted_gap", "schur_eigen_violation", "weak_charge_checks",
 ]
 
 
@@ -122,7 +122,7 @@ def flat_volume_gap(points) -> float:
     """Criterion 01: worst |det V - W| of the flat background."""
     worst = 0.0
     for p in points:
-        res = ansatz.flat_field(None, p)
+        res = ansatz.flat_field(p)
         worst = max(worst, abs(1.0 / float(np.linalg.det(res.V_inv)) - res.W))
     return worst
 
@@ -207,8 +207,8 @@ def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
     return worst_pair, worst_axis
 
 
-# Criterion 06 at N = 3: one ray per stratum depth, with the predicted
-# decay exponent of the volume defect and its window.
+# Criterion 06 at N = 3, on the identity form: one ray per stratum depth,
+# with the predicted decay exponent of the volume defect and its window.
 DECAY_RAYS_N3 = (
     (ansatz.Ray(np.array([1.0, 0.6, -0.8]), base_mu=np.array([0.0, 0.3, 0.0]),
                 base_eta=0.7 + 0.2j, label="generic"), 2.0, 0.2),
@@ -229,6 +229,35 @@ WEAK_BUMPS_N2 = (
     ((0, 2), (2.0, 0.0), 1.5, 1.2),
     ((1, 2), (-3.0, -3.0), 2.0, 1.5),
 )
+
+
+def weak_charge_checks(quad: QuadratureSpec) -> list[kernels.WeakCheckResult]:
+    """Criterion 05: the weak charge check of each of ``WEAK_BUMPS_N2`` on
+    ``WEAK_FORM_N2``, in that order."""
+    A = QuadForm(np.array(WEAK_FORM_N2))
+    return [kernels.weak_distributional_check(
+                A, labels, kernels.RadialBump(np.array(center), r_mu, r_eta), quad)
+            for labels, center, r_mu, r_eta in WEAK_BUMPS_N2]
+
+
+def decay_exponents(quad: QuadratureSpec
+                    ) -> list[tuple[str, float, float, float, bool]]:
+    """Criterion 06 on the identity form: per ray of ``DECAY_RAYS_N3``,
+    (label, measured exponent, predicted exponent, window, whether it lies
+    in the window)."""
+    A = QuadForm.identity(3)
+    out = []
+    for ray, want, win in DECAY_RAYS_N3:
+        got = ansatz.decay_scan(A, quad, ray).exponent
+        out.append((ray.label, got, want, win, abs(got - want) <= win))
+    return out
+
+
+def gamma_sum_gap(spec: holo.GammaSpec, points) -> float:
+    """Criterion 08: worst scaled gap |sum_i gamma_i - 1/eta| |eta| over
+    the points."""
+    return max((holo.gamma_sum_check(spec, p).scaled_gap for p in points),
+               default=0.0)
 
 
 def nested_projection_gap(cases) -> float:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -40,48 +39,46 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
+# the cutoff's plateau edges: it is 1 up to _INNER and 0 from _OUTER on
+_INNER = 0.375
+_OUTER = 0.5
+
+
 class CutoffProfile:
     """Smooth cutoff with exact plateaus: 1 below 3/8, 0 above 1/2.
 
     chi(s) is the normalized integral of the bump
-    exp(-1/((t - inner)(outer - t))) from s to the outer edge, so the
-    plateau values are returned exactly, not to roundoff.
+    exp(-1/((t - 3/8)(1/2 - t))) from s to 1/2, on 32-point Gauss panels,
+    so the plateau values are returned exactly, not to roundoff.
     """
 
-    def __init__(self, inner: float = 0.375, outer: float = 0.5,
-                 order: int = 32) -> None:
-        if not 0.0 < inner < outer:
-            raise ValueError("need 0 < inner < outer")
-        self.inner = inner
-        self.outer = outer
-        self.order = order
-        self._norm = self._integrate(inner, outer)
+    def __init__(self) -> None:
+        self._norm = self._integrate(_INNER, _OUTER)
 
     def _bump(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        inside = (t > self.inner) & (t < self.outer)
-        g = np.where(inside, (t - self.inner) * (self.outer - t), 1.0)
+        inside = (t > _INNER) & (t < _OUTER)
+        g = np.where(inside, (t - _INNER) * (_OUTER - t), 1.0)
         return np.where(inside, np.exp(-1.0 / g), 0.0)
 
     def _integrate(self, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        nodes, wts = panel_nodes(np.linspace(a, b, 5), self.order)
+        # every caller passes _INNER <= a < b <= _OUTER
+        nodes, wts = panel_nodes(np.linspace(a, b, 5), 32)
         return float(np.sum(wts * self._bump(nodes)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         s = np.abs(x)
-        out = np.where(s <= self.inner, 1.0, 0.0)
-        mid = (s > self.inner) & (s < self.outer)
+        out = np.where(s <= _INNER, 1.0, 0.0)
+        mid = (s > _INNER) & (s < _OUTER)
         if np.any(mid):
             # integrate from the nearer plateau so the ramp value can
             # never leave [0, 1] through quadrature noise
-            half = 0.5 * (self.inner + self.outer)
+            half = 0.5 * (_INNER + _OUTER)
             vals = np.array([
-                1.0 - self._integrate(self.inner, float(v)) / self._norm
+                1.0 - self._integrate(_INNER, float(v)) / self._norm
                 if v < half else
-                self._integrate(float(v), self.outer) / self._norm
+                self._integrate(float(v), _OUTER) / self._norm
                 for v in s[mid]])
             out = out.copy()
             out[mid] = np.clip(vals, 0.0, 1.0)
@@ -93,8 +90,11 @@ class CutoffProfile:
         return float(d) if d.ndim == 0 else d
 
     def derivative_bound(self) -> float:
-        grid = np.linspace(self.inner, self.outer, 2001)
+        grid = np.linspace(_INNER, _OUTER, 2001)
         return float(np.max(self._bump(grid))) / self._norm
+
+
+_CHI = CutoffProfile()
 
 
 @dataclass
@@ -108,17 +108,17 @@ class GlueWeight:
 
 
 def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
-                p: BasePoint, enforce_domain: bool = False) -> GlueWeight:
+                p: BasePoint) -> GlueWeight:
     """Product of stratum cutoffs localizing the subset's model region.
 
     One factor per deeper subset J: chi(c0 * hull_norm / rho_IJ), where
     hull_norm is the distance to the subset's affine hull and rho the
     separation scale of J seen from the foot.  A vanishing rho with a
     positive hull norm forces that factor to zero; at the hull itself
-    every factor is one.  With enforce_domain the point must lie in the
-    subset's covering region with a boundary collar of width c_prime.
+    every factor is one.  ``in_domain`` says whether the point lies in
+    the subset's covering region with a boundary collar of width
+    ``consts.cprime()``.
     """
-    chi = _default_cutoff()
     at, i = _locate(A, I, p)
     hull = float(at.d[i])
     args: dict[tuple[int, ...], float] = {}
@@ -131,17 +131,10 @@ def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
             args[K] = math.inf if hull > 1e-300 else 0.0
         else:
             args[K] = consts.c0 * hull / rho
-        value *= float(chi(args[K]))
+        value *= float(_CHI(args[K]))
     d, b = float(at.closed[i]), float(at.boundary[i])
     in_domain = bool(consts.c0 * d < b and b > consts.cprime())
-    if enforce_domain and not in_domain:
-        raise ValueError("point outside the gluing domain for this subset")
     return GlueWeight(value, hull, args, in_domain)
-
-
-@lru_cache(maxsize=None)
-def _default_cutoff() -> CutoffProfile:
-    return CutoffProfile()
 
 
 # ---------------------------------------------------------------------------

@@ -317,16 +317,14 @@ class GrowthFit:
     """Exponential sandwich constants for one model coordinate.
 
     log|z| = slope * |mu_I| + offset within [log k1, log k3], so
-    k1 e^(k2 x) <= |z| / hull_norm <= k3 e^(k4 x) holds on the sample
-    with k2 = k4 = slope.
+    k1 e^(slope x) <= |z| / hull_norm <= k3 e^(slope x) holds on the
+    sample.
     """
 
     label: int
     slope: float
     k1: float
-    k2: float
     k3: float
-    k4: float
     spread: float
 
 
@@ -356,8 +354,6 @@ def growth_bound_check(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
         resid = Y[:, a] - (slope * x + intercept)
         out.append(GrowthFit(lab, float(slope),
                              math.exp(intercept + float(np.min(resid))),
-                             float(slope),
                              math.exp(intercept + float(np.max(resid))),
-                             float(slope),
                              float(np.max(resid) - np.min(resid))))
     return out

@@ -65,47 +65,33 @@ class Projection:
     subset: IndexSet
 
 
-def _chat_default(n: int, cond: float) -> float:
-    # comparison constant for foot-vs-point stratum distances; any valid
-    # upper bound works, a larger one only shrinks the innermost regions
-    return 1.0 + cond ** (0.5 * (n + 2))
-
-
 @dataclass(frozen=True)
 class RegionConstants:
     """Constants steering the covering regions.
 
-    c0 is the main aspect-ratio constant, c_hat the foot-comparison
-    constant (computed from A's condition number when not supplied),
-    c_levels the per-depth separation thresholds, c_prime the collar
-    margin for the gluing cutoff.
+    c0 is the main aspect-ratio constant; the rest follow from it and the
+    form.  ``chat(A)``, the foot-comparison constant, is
+    1 + cond(A)^((N + 2) / 2): any valid upper bound works, and a larger
+    one only shrinks the innermost regions, so it may exceed c0 (57 at
+    N = 3 with condition number 5).  ``level(s)`` = 64 16^(s - 1) is the
+    separation threshold of depth s, and ``cprime()`` = 4 c0^2 the collar
+    margin of the gluing cutoff.
     """
 
     c0: float = 32.0
-    c_hat: float | None = None
-    c_levels: tuple[float, ...] = ()
-    c_prime: float | None = None
 
     def __post_init__(self) -> None:
         if self.c0 <= 1.0:
             raise ValueError("c0 must exceed 1")
-        if self.c_hat is not None and not (1.0 < self.c_hat < self.c0):
-            raise ValueError("need c0 > c_hat > 1")
-        if any(b <= a for a, b in zip(self.c_levels, self.c_levels[1:])):
-            raise ValueError("c_levels must increase")
 
     def chat(self, A: QuadForm) -> float:
-        if self.c_hat is not None:
-            return self.c_hat
-        return _chat_default(A.n, A.condition)
+        return 1.0 + A.condition ** (0.5 * (A.n + 2))
 
     def level(self, s: int) -> float:
-        if self.c_levels:
-            return self.c_levels[min(s - 1, len(self.c_levels) - 1)]
         return 64.0 * 16.0 ** (s - 1)
 
     def cprime(self) -> float:
-        return self.c_prime if self.c_prime is not None else 4.0 * self.c0 ** 2
+        return 4.0 * self.c0 ** 2
 
 
 def all_strata(N: int, min_size: int = 2, max_size: int | None = None) -> list[IndexSet]:
@@ -338,7 +324,7 @@ class RegionReport:
 def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> RegionReport:
     """Evaluate every covering-region inequality at one point.
 
-    near / near_wide / near_core compare c0 (resp. 2 c0, 4 c_hat c0) times
+    near / near_wide / near_core compare c0 (resp. 2 c0, 4 chat(A) c0) times
     the closed-stratum distance against the boundary distance; generic
     compares 2 c0^(N-1) times the locus distance against the distance to
     the origin; far levels require all strata of a given depth to be at

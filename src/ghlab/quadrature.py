@@ -120,30 +120,24 @@ class SingularityProximity(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and knobs for the panel engine.
+    """The tolerance a caller requests from the panel engine.
 
-    abs_tol/rel_tol apply to the final (prefactor-scaled) kernel value;
-    the error they bound is the two-order Gauss difference on the radial
-    grid of the swept d - 2 parameters, whose mapped tail panel reaches
-    infinity, so nothing is truncated.  The last two cone parameters are
-    integrated exactly, so at d <= 2 the error is 0.  max_evals bounds
-    grid nodes of the swept parameters per batch element; refine_levels is
-    the number of extra, finer passes tried before QuadratureError is
-    raised.
+    An integral converges when its error is at most
+    max(abs_tol, rel_tol |v|) in the final (prefactor-scaled) kernel value
+    v.  The error is the two-order Gauss difference on the radial grid of
+    the swept d - 2 parameters, whose mapped tail panel reaches infinity,
+    so nothing is truncated.  The last two cone parameters are integrated
+    exactly, so at d <= 2 the error is 0.  The Gauss orders, the node
+    budget and the refinement passes are the fixed module constants
+    ``_ORDER``, ``_ORDER_LOW``, ``_MAX_EVALS`` and ``_REFINE_PASSES``.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_evals: int = 4_000_000
-    order: int = 16
-    order_low: int = 8
-    refine_levels: int = 1
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_evals < 1000:
-            raise ValueError("max_evals must be at least 1000")
 
 
 @dataclass
@@ -294,6 +288,14 @@ def _axis_breakpoints(center: float, width: float, T: float,
 # integrand's singularities then sit at |s| >= 4, so an n-point Gauss rule
 # on (0, 1] errs by about 18^(-2n) there
 _TAIL_START = 4.0
+
+# the two Gauss orders whose difference estimates the error of a swept
+# integral, the grid nodes per batch row that one pass may take, and the
+# extra, finer passes tried before QuadratureError is raised
+_ORDER = 16
+_ORDER_LOW = 8
+_MAX_EVALS = 4_000_000
+_REFINE_PASSES = 1
 
 # every stick-breaking coordinate keeps these breaks, so no lone coarse
 # panel spans the unit interval away from the peak
@@ -789,20 +791,20 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     # about 2^14 elements per temporary array, so a chunk stays in cache
     chunk = max(1 << 10, (1 << 14) // max(B, 1))
     evals = 0
-    for attempt in range(spec.refine_levels + 1):
+    for attempt in range(_REFINE_PASSES + 1):
         R, breaks = _swept_breaks(wedge, float(E[0]), tau_star[:d - 2], r_star, P,
                                   attempt)
         tail = np.linspace(0.0, 1.0, 3 if attempt else 2)
         panels = [len(breaks[0]) + len(tail) - 2] + [len(br) - 1 for br in breaks[1:]]
-        n_hi = math.prod(n * spec.order for n in panels)
-        n_lo = math.prod(n * spec.order_low for n in panels)
-        if n_hi + n_lo > spec.max_evals:
+        n_hi = math.prod(n * _ORDER for n in panels)
+        n_lo = math.prod(n * _ORDER_LOW for n in panels)
+        if n_hi + n_lo > _MAX_EVALS:
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
-                f"budget is {spec.max_evals}")
-        v_hi, g_hi = _sweep(wedge, *_swept_grid(R, breaks, tail, spec.order),
+                f"budget is {_MAX_EVALS}")
+        v_hi, g_hi = _sweep(wedge, *_swept_grid(R, breaks, tail, _ORDER),
                             power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(wedge, *_swept_grid(R, breaks, tail, spec.order_low),
+        v_lo, _ = _sweep(wedge, *_swept_grid(R, breaks, tail, _ORDER_LOW),
                          power, False, ceta_xy, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo)
@@ -810,9 +812,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         if np.all(err <= tol):
             return QuadResult(v_hi, err, g_hi, evals, True, r_star)
     row = int(np.argmax(err / tol))
-    shape = " x ".join(str(n * spec.order) for n in panels)
+    shape = " x ".join(str(n * _ORDER) for n in panels)
     raise QuadratureError(
-        f"no convergence after {spec.refine_levels + 1} passes: r* = "
+        f"no convergence after {_REFINE_PASSES + 1} passes: r* = "
         f"{r_star:.3e}, grid {shape}, row {row} error {err[row]:.3e} "
         f"against tolerance {tol[row]:.3e}")
 

@@ -14,7 +14,7 @@ import pytest
 
 from ghlab.checks import off_locus_point, random_point, random_spd
 from ghlab.geometry import IndexSet, QuadForm
-from ghlab import ansatz, checks, glue, holo, kernels
+from ghlab import checks, glue, holo, kernels
 from ghlab.quadrature import QuadratureSpec
 
 
@@ -82,29 +82,19 @@ def test_04_harmonicity_and_gradient_relations(verdict):
 
 
 def test_05_weak_distributional_charge(verdict):
-    A = QuadForm(np.array(checks.WEAK_FORM_N2))
-    quad = QuadratureSpec(abs_tol=1e-8)
-    worst = 0.0
-    for labels, center, r_mu, r_eta in checks.WEAK_BUMPS_N2:
-        bump = kernels.RadialBump(np.array(center), r_mu, r_eta)
-        res = kernels.weak_distributional_check(A, labels, bump, quad)
-        worst = max(worst, res.rel_gap)
+    worst = max(res.rel_gap for res in
+                checks.weak_charge_checks(QuadratureSpec(abs_tol=1e-8)))
     verdict.report(5, worst <= 1e-2,
                    f"weak charge identity, two axis bumps and one pair bump: "
                    f"max rel gap = {worst:.2e} (tol 1e-2)")
 
 
 def test_06_decay_exponent_windows(verdict):
-    quad = QuadratureSpec(abs_tol=1e-12)
-    A = QuadForm.identity(3)
-    parts = []
-    ok = True
-    for ray, want, win in checks.DECAY_RAYS_N3:
-        fit = ansatz.decay_scan(A, quad, ray)
-        ok = ok and abs(fit.exponent - want) <= win
-        parts.append(f"{ray.label}: {fit.exponent:.3f} (want {want}+-{win})")
-    verdict.report(6, ok, "volume-defect decay exponents, N=3: "
-                   + "; ".join(parts))
+    rays = checks.decay_exponents(QuadratureSpec(abs_tol=1e-12))
+    parts = [f"{label}: {got:.3f} (want {want}+-{win})"
+             for label, got, want, win, _ in rays]
+    verdict.report(6, all(ok for *_, ok in rays),
+                   "volume-defect decay exponents, N=3: " + "; ".join(parts))
 
 
 def test_07_projection_geometry(verdict):
@@ -126,10 +116,8 @@ def test_08_gamma_sum_identity(verdict):
     for n_act, n_pts, tol in [(1, 10, 1e-3), (2, 3, 1e-2)]:
         A = random_spd(rng, 2)
         spec = holo.GammaSpec(A, IndexSet(tuple(range(n_act + 1))), quad)
-        worst = 0.0
-        for _ in range(n_pts):
-            p = random_point(rng, 2)
-            worst = max(worst, holo.gamma_sum_check(spec, p).scaled_gap)
+        worst = checks.gamma_sum_gap(spec, [random_point(rng, 2)
+                                            for _ in range(n_pts)])
         ok = ok and worst <= tol
         parts.append(f"{n_act} slot(s): {worst:.2e} (tol {tol})")
     verdict.report(8, ok, "fiber derivative sum rule: " + "; ".join(parts))

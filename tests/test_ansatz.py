@@ -25,7 +25,7 @@ QUAD = QuadratureSpec()
 
 class TestFlatModel:
     def test_frozen_symmetric_point(self):
-        res = flat_field(None, BasePoint(np.zeros(2), 1.0 + 0j))
+        res = flat_field(BasePoint(np.zeros(2), 1.0 + 0j))
         np.testing.assert_allclose(res.V_inv, [[2.0, 1.0], [1.0, 2.0]],
                                    atol=1e-12)
         assert res.W == pytest.approx(1.0 / 3.0)
@@ -34,13 +34,13 @@ class TestFlatModel:
     def test_zero_fiber_coordinate(self):
         # eta = 0 with positive moduli: the free variable sits at its
         # lower bound and the inverse potential is diagonal
-        res = flat_field(None, BasePoint(np.array([1.5, 1.5]), 0j))
+        res = flat_field(BasePoint(np.array([1.5, 1.5]), 0j))
         assert res.x == 0.0
         assert res.W == pytest.approx(1.0 / 9.0)
         assert not res.on_locus
 
     def test_on_locus_detection(self):
-        res = flat_field(None, BasePoint(np.array([0.0, 1.0]), 0j))
+        res = flat_field(BasePoint(np.array([0.0, 1.0]), 0j))
         assert res.on_locus
 
     @given(st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
@@ -51,19 +51,19 @@ class TestFlatModel:
         rng = np.random.default_rng(seed)
         mu = rng.uniform(-2, 2, N)
         eta = complex(*rng.normal(size=2))
-        res = flat_field(None, BasePoint(mu, eta))
+        res = flat_field(BasePoint(mu, eta))
         det_v = 1.0 / float(np.linalg.det(res.V_inv))
         assert abs(det_v - res.W) <= 1e-9 * max(1.0, abs(res.W))
 
     def test_defining_polynomial(self):
         p = BasePoint(np.array([0.7, -0.3, 0.2]), 0.9 + 0.4j)
-        res = flat_field(None, p)
+        res = flat_field(p)
         lhs = res.x * float(np.prod(res.x + 2.0 * p.mu))
         assert lhs == pytest.approx(abs(p.eta) ** 2, rel=1e-12)
 
     def test_moduli_squares_consistent(self):
         p = BasePoint(np.array([0.7, -0.3]), 1.1 - 0.2j)
-        res = flat_field(None, p)
+        res = flat_field(p)
         # |z_0|^2 = x, |z_i|^2 = x + 2 mu_i, and the product carries |eta|^2
         assert res.z_squared[0] == pytest.approx(res.x)
         np.testing.assert_allclose(res.z_squared[1:], res.x + 2.0 * p.mu,

@@ -110,14 +110,51 @@ def test_shipped_configs_load_and_match_experiments():
     # criterion 05's form and bumps are fixed data in ghlab.checks
     ("weak-chern", {"params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}, r"param\(s\) A for"),
     ("weak-chern", {"params": {"placements": []}}, r"param\(s\) placements for"),
+    # the decay rays and the plateau sampler are built for the identity form
+    ("decay-scan", {"params": {"A": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+     r"param\(s\) A for"),
+    ("glue-regions", {"params": {"A": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
+     r"param\(s\) A for"),
 ], ids=["param-typo", "unread-param", "top-level-typo", "decay-dim", "glue-dim",
-        "glue-subset", "weak-A", "weak-placements"])
+        "glue-subset", "weak-A", "weak-placements", "decay-A", "glue-A"])
 def test_config_typos_rejected(tmp_path, experiment, data, message):
     # an unknown key would otherwise fall back to its default silently
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     with pytest.raises(SystemExit, match=message):
         main([experiment, "--config", str(cfg), "--n", "1"])
+
+
+@pytest.mark.parametrize("experiment, argv, data, key", [
+    ("flat-cy", ["--n", "-1"], {}, "n"),
+    ("flat-cy", ["--n", "0"], {}, "n"),
+    ("pythagoras", [], {"n": 0}, "n"),
+    ("glue-regions", ["--n", "5"], {"params": {"covering_points": 0}}, "covering_points"),
+    ("logz-growth", [], {"params": {"points_n1": -1}}, "points_n1"),
+    ("logz-growth", [], {"params": {"points_n2": 0}}, "points_n2"),
+    ("gamma-sum", [], {"params": {"cases": [
+        {"N": 2, "n_active": 1, "points": 2, "tol": 1e-3},
+        {"N": 2, "n_active": 2, "points": 0, "tol": 1e-2}]}}, r"cases\[1\]\.points"),
+], ids=["flag-negative", "flag-zero", "config-zero", "covering-points",
+        "points-n1", "points-n2", "gamma-case-points"])
+def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key):
+    # a count below 1 would pass every row over zero samples, or fall back
+    # to the default count while the sidecar records it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=rf"sample count\(s\) {key} below 1"):
+        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_shipped_configs_pass(tmp_path):
+    # weak-chern is left out: ACCEPTANCE 05 runs the same check
+    import pathlib
+
+    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    for p in sorted(cfg_dir.glob("*.json")):
+        if p.stem != "weak-chern":
+            assert main([p.stem, "--config", str(p), "--out", str(tmp_path)]) == 0, p.stem
 
 
 def test_shipped_configs_pass_validation():

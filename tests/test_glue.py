@@ -92,9 +92,6 @@ class TestGlueWeight:
         p_far = BasePoint(np.array([2.0, 2.0, 2.0]), 1.0 + 0j)
         w = glue_weight(self.A, self.I, self.consts, p_far)
         assert not w.in_domain
-        with pytest.raises(ValueError):
-            glue_weight(self.A, self.I, self.consts, p_far,
-                        enforce_domain=True)
 
     def test_swap_handles_subsets_without_zero(self):
         # the subset {1, 2, 3} reaches the same weight through the swap

@@ -295,5 +295,5 @@ def test_growth_bound_fit_reports_envelope():
     fits = growth_bound_check(A, I, QUAD, pts)
     assert len(fits) == 2
     for f in fits:
-        assert np.isfinite([f.k1, f.k2, f.k3, f.k4]).all()
+        assert np.isfinite([f.slope, f.k1, f.k3]).all()
         assert f.k1 <= f.k3

@@ -198,8 +198,6 @@ def test_region_constants_validation():
     RegionConstants()
     with pytest.raises(ValueError):
         RegionConstants(c0=0.5)
-    with pytest.raises(ValueError):
-        RegionConstants(c0=32.0, c_hat=40.0)
     assert RegionConstants().level(1) == pytest.approx(64.0)
     assert RegionConstants().level(2) == pytest.approx(1024.0)
     assert RegionConstants().cprime() == pytest.approx(4096.0)

@@ -23,6 +23,7 @@ import math
 import numpy as np
 import pytest
 
+from ghlab import quadrature
 from ghlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -195,27 +196,30 @@ def test_engine_sheet_distance_matches_enumeration(d):
 
 
 def test_budget_error():
-    # four cone columns: two swept axes, the graded radius with its mapped
-    # tail times one stick-breaking coordinate, need more than 1000 nodes
-    A = np.eye(5)
-    M = np.eye(5)[:, 1:]
-    with pytest.raises(QuadratureError):
-        power_kernel_integral(A, 1.0, np.array([[1.0, 1.0, 1.0, 1.0, 1.0]]), 0.5 + 0j,
-                              M, 5, QuadratureSpec(max_evals=1000))
+    # six cone columns: the graded radius with its mapped tail times three
+    # stick-breaking coordinates need 401,080,320 nodes, far over the fixed
+    # budget, so the grid is refused before any sweep
+    A = np.eye(7)
+    M = np.eye(7)[:, 1:]
+    with pytest.raises(QuadratureError, match=r"needs 401080320 .*budget is 4000000"):
+        power_kernel_integral(A, 1.0, np.ones((1, 7)), 0.5 + 0j, M, 7,
+                              QuadratureSpec())
 
 
-def test_unconverged_integral_raises():
+def test_unconverged_integral_raises(monkeypatch):
     # N = 4 axis kernel geometry, one swept axis: Gauss orders this coarse
-    # miss the tolerance even after the refinement pass
+    # miss the tolerance even after the refinement pass (at the engine's
+    # orders 16/8 this case converges to error 0 at any tolerance)
     A = np.array([[1.5, 0.2, 0.1, 0.0], [0.2, 1.2, -0.3, 0.1],
                   [0.1, -0.3, 0.9, 0.05], [0.0, 0.1, 0.05, 1.1]])
     M = np.eye(4)[:, 1:]
     b = np.array([[0.8, -0.5, 0.4, 0.3]])
     det_a = float(np.linalg.det(A))
     power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
+    monkeypatch.setattr(quadrature, "_ORDER", 4)
+    monkeypatch.setattr(quadrature, "_ORDER_LOW", 2)
     with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance"):
-        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4,
-                              QuadratureSpec(order=4, order_low=2))
+        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
 
 
 def quadrant_oracle(a: float, b: float, c: float) -> float:
