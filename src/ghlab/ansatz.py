@@ -9,15 +9,15 @@ and the nonlinear volume identity up to a controlled error, whose relative
 size is the sigma-expansion tail computed here.
 
 A field's ``jet(mu, eta, want_gradient)`` takes a batch of points as two
-arrays, mu (B, N) and eta (B,), puts the whole batch into one
-``kernels.alpha_batch`` call per kernel, and returns one stacked
-``FieldJet`` whose arrays carry a leading B; ``at(p)`` is its one-point
-case for a ``BasePoint``, the jet's first row.
+arrays, mu (B, N) and eta (B,), puts the whole batch and all the field's
+kernels into one ``kernels.alpha_family`` call (one engine call where the
+kernels are closed forms, N <= 3), and returns one stacked ``FieldJet``
+whose arrays carry a leading B; ``at(p)`` is its one-point case for a
+``BasePoint``, the jet's first row.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,8 @@ from scipy.optimize import brentq
 
 from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors,
                        check_batch, fd_gradient)
-from .kernels import KernelSpec, alpha_batch
+from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
+from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
 from .locus import dist_locus
 from .quadrature import QuadratureSpec
@@ -135,46 +136,28 @@ class FieldJet:
     quad_error: np.ndarray | float
 
 
-def _kernel_list(A: QuadForm, restriction: IndexSet | None) -> list[KernelSpec]:
-    """Every kernel of the field: the axis kernels, then the pairs."""
-    return [KernelSpec(A, labels, restriction)
-            for labels in itertools.combinations(range(A.n + 1), 2)]
-
-
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
           mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> FieldJet:
-    """Assemble the stacked field jet at a batch of points, one kernel
-    batch per kernel."""
+    """Assemble the stacked field jet at a batch of points from one
+    ``kernels.alpha_family`` batch: every kernel that does not vanish, in
+    one engine call where the kernels are closed forms (N <= 3)."""
     N = A.n
-    B = len(mu)
+    labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
+    B = kv.value.shape[1]
+    # kernel (i, j) adds its value times (e_i - e_j)(e_i - e_j)^T, e_0 = 0,
+    # kernel by kernel in label order; a vanishing kernel adds nothing
     v = np.zeros((B, N, N))
-    dv = np.zeros((B, N, N, N))
-    dv_eta = np.zeros((B, N, N), dtype=complex)
-    vals: dict[tuple[int, int], np.ndarray] = {}
-    grads: dict[tuple[int, int], np.ndarray] = {}
-    err = np.zeros(B)
-    for spec in _kernel_list(A, restriction):
-        kv = alpha_batch(spec, quad, mu, eta, want_gradient=want_gradient)
-        vals[spec.labels], grads[spec.labels] = kv.value, kv.gradient
-        err = np.maximum(err, kv.error)
-    for i in range(1, N + 1):
-        diag = vals[(0, i)].copy()
-        diag_g = grads[(0, i)]
-        for j in range(1, N + 1):
-            if j == i:
-                continue
-            key = (min(i, j), max(i, j))
-            v[:, i - 1, j - 1] = -vals[key]
-            diag += vals[key]
-            if want_gradient:
-                g = grads[key]
-                dv[:, i - 1, j - 1, :] = -g[:, :N]
-                dv_eta[:, i - 1, j - 1] = 0.5 * (-g[:, N] + 1j * g[:, N + 1])
-                diag_g = diag_g + g
-        v[:, i - 1, i - 1] = diag
+    dv = np.zeros((B, N, N, N + 2))
+    for k, (i, j) in enumerate(labels):
+        e = np.zeros(N + 1)
+        e[i], e[j] = 1.0, -1.0
+        outer = np.outer(e[1:], e[1:])
+        v += kv.value[k][:, None, None] * outer
         if want_gradient:
-            dv[:, i - 1, i - 1, :] = diag_g[:, :N]
-            dv_eta[:, i - 1, i - 1] = 0.5 * (diag_g[:, N] - 1j * diag_g[:, N + 1])
+            dv += kv.gradient[k][:, None, None, :] * outer[:, :, None]
+    dv_eta = 0.5 * (dv[..., N] - 1j * dv[..., N + 1])
+    dv = dv[..., :N].copy()
+    err = kv.error.max(axis=0)
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(B, -1).sum(axis=1)
     V = A.entries + v

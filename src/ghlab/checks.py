@@ -185,14 +185,13 @@ def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
     """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
     pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
     and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
-    every point goes into one kernel batch per kernel."""
+    every point and every kernel go into one kernel family batch."""
     N = A.n
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    labels, kv = kernels.alpha_family(A, None, quad, mu, eta, want_gradient=True)
     grads = {}
-    for i, j in itertools.combinations(range(N + 1), 2):
-        grads[i, j] = grads[j, i] = kernels.alpha_batch(
-            kernels.KernelSpec(A, (i, j)), quad, mu, eta,
-            want_gradient=True).gradient
+    for (i, j), g in zip(labels, kv.gradient):
+        grads[i, j] = grads[j, i] = g
     worst_pair = worst_axis = 0.0
     for t in range(len(points)):
         g = {key: rows[t] for key, rows in grads.items()}

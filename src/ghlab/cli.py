@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 EXPERIMENTS: dict = {}
 EXPERIMENT_PARAMS: dict[str, frozenset[str]] = {}
 CONFIG_KEYS = frozenset({"schema_version", "seed", "n", "params"})
-# params that count samples; like n, each must be at least 1
+# params that count samples; like n, each must be an integer of at least 1
 COUNT_PARAMS = ("covering_points", "points_n1", "points_n2")
 
 
@@ -75,14 +75,18 @@ class ExperimentConfig:
             cfg.seed = seed
         if n is not None:
             cfg.n = n
-        # a count below 1 would pass every row over zero samples
+        # a count below 1 would pass every row over zero samples, and one
+        # that is no integer (a string, a float, a bool) would fail later
+        # or pass as 1
         counts = {"n": cfg.n, **{k: cfg.params.get(k) for k in COUNT_PARAMS}}
         for i, case in enumerate(cfg.params.get("cases", [])):
             counts[f"cases[{i}].points"] = case.get("points")
-        low = [k for k, v in counts.items() if v is not None and v < 1]
-        if low:
-            raise SystemExit(f"sample count(s) {', '.join(low)} below 1 for "
-                             f"{experiment}")
+        counts = {k: v for k, v in counts.items() if v is not None}
+        for what, bad in (("not an integer", lambda v: type(v) is not int),
+                          ("below 1", lambda v: v < 1)):
+            keys = [k for k, v in counts.items() if bad(v)]
+            if keys:
+                raise SystemExit(f"sample count(s) {', '.join(keys)} {what} for {experiment}")
         return cfg
 
     def canonical(self) -> str:

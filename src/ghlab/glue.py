@@ -84,11 +84,6 @@ class CutoffProfile:
             out[mid] = np.clip(vals, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        d = -self._bump(np.abs(x)) / self._norm * np.sign(x)
-        return float(d) if d.ndim == 0 else d
-
     def derivative_bound(self) -> float:
         grid = np.linspace(_INNER, _OUTER, 2001)
         return float(np.max(self._bump(grid))) / self._norm

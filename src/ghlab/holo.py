@@ -15,14 +15,14 @@ of the model coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
-from .kernels import KernelSpec, KernelValue, alpha_batch, _assemble, _engine_batch
+from .kernels import KernelSpec, KernelValue, alpha_batch, _engine_batch, _family
+from .quadrature import QuadratureSpec, SingularityProximity, cone_frame, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
-from .quadrature import QuadratureSpec, panel_nodes
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -75,17 +75,31 @@ def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarra
     return kernels, col
 
 
+def _gamma_family(spec: GammaSpec, i: int):
+    """gamma_i's kernels as one engine family, kept with the form: the ray
+    joins each cone matrix, the power rises by 2, and the prefactor is the
+    kernels' shared scale n c_eta prefactor."""
+    def build():
+        kernels, col = _gamma_kernels(spec, i)
+        fam = _family(spec.A, spec.I)
+        idx = [fam.labels.index(ks.labels) for ks in kernels]
+        M = np.concatenate([fam.M[idx], np.tile(col[:, None], (len(idx), 1, 1))], axis=2)
+        return replace(fam, labels=tuple(fam.labels[k] for k in idx), M=M, power=fam.power + 2,
+                       prefactor=fam.power * fam.c_eta * fam.prefactor, frame=cone_frame(fam.Q, M))
+    return spec.A.derived(("gamma", spec.I, i), build)
+
+
 def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
                 eta: np.ndarray) -> KernelValue:
     """gamma_i at the batch mu (B, N), eta (B,): complex values and error
-    estimates (B,), one ``kernels._engine_batch`` per kernel.
+    estimates (B,), its kernels in one ``kernels._engine_batch`` family.
 
     Swapping the ray parameter into the cone makes the primitive of the
     eta-derivative an orthant integral of power n + 2 with the ray as one
     more cone column, so a two-slot gamma is exact and a three-slot one
     sweeps one axis.  A row within the resolution floor of that integral's
-    sheet raises SingularityProximity; rows with eta = 0 are 0 and cost no
-    engine call.
+    sheet raises SingularityProximity naming gamma_i, the kernel and the
+    row; rows with eta = 0 are 0 and cost no engine call.
     """
     mu, eta = check_batch(mu, eta, spec.A.n)
     if not eta.all():
@@ -95,21 +109,16 @@ def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
             kv = gamma_batch(spec, i, mu[live], eta[live])
             out.value[live], out.error[live], out.evals = kv.value, kv.error, kv.evals
         return out
-    kernels, col = _gamma_kernels(spec, i)
+    fam = _gamma_family(spec, i)
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta)
-    top = float(size.max())
-    b = mu[:, [lab - 1 for lab in spec.I.active]]
-    total, err, evals = 0.0, 0.0, 0
-    for ks in kernels:
-        Q, c_eta, _, M, n, pref = _assemble(ks)
-        scale = n * c_eta * pref
-        raw = _engine_batch(Q, c_eta, np.column_stack([M, col]), n + 2, scale * top,
-                            b, eta, spec.quad, spec.A.n)
-        total = total + scale * raw.value
-        err = err + scale * raw.error
-        evals += raw.evals
-    return KernelValue(total * np.conj(eta), err * size, evals)
+    try:
+        raw = _engine_batch(fam, mu, eta, spec.quad, tol_scale=float(size.max()))
+    except SingularityProximity as exc:
+        raise SingularityProximity(f"gamma_{i} on {spec.I.members}: {exc}") from None
+    total = (fam.prefactor * raw.value).sum(axis=0)
+    err = (fam.prefactor * raw.error).sum(axis=0)
+    return KernelValue(total * np.conj(eta), err * size, raw.evals)
 
 
 def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:

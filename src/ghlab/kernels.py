@@ -25,8 +25,9 @@ directly.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .quadrature import (
     QuadratureSpec,
     SingularityProximity,
     closed_sheet_distances,
+    cone_frame,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
@@ -49,6 +51,7 @@ __all__ = [
     "alpha",
     "alpha_grad",
     "alpha_batch",
+    "alpha_family",
     "beta",
     "closed_form_axis",
     "RadialBump",
@@ -108,40 +111,47 @@ class KernelValue:
     gradient: np.ndarray | None = None   # d/d(mu_1..mu_N, Re eta, Im eta)
 
 
-def _assemble(spec: KernelSpec) -> tuple[np.ndarray, float, tuple[int, ...],
-                                         np.ndarray, int, float]:
-    """Reduce a kernel to engine data (Q, c_eta, active labels, M, power,
-    prefactor)."""
-    A = spec.A
-    N = A.n
-    if spec.restriction is None:
-        S: tuple[int, ...] = tuple(range(1, N + 1))
-        Q = A.entries
-        det_q = A.det
-    else:
-        S = spec.restriction.active
-        G = schur_complement(A, spec.restriction)
-        Q = G.entries
-        det_q = G.det
-    n = len(S)
-    pos = {lab: k for k, lab in enumerate(S)}
-    cols = []
-    i, j = spec.labels
-    if spec.is_axis:
-        for lab in S:
-            if lab != j:
-                e = np.zeros(n)
-                e[pos[lab]] = 1.0
-                cols.append(e)
-    else:
-        cols.append(-np.ones(n))
-        for lab in S:
-            if lab not in (i, j):
-                e = np.zeros(n)
-                e[pos[lab]] = 1.0
-                cols.append(e)
-    M = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Q, A.det, S, M, n, kernel_prefactor(n, det_q)
+@dataclass
+class _Family:
+    """Engine data of kernels that differ only in their cone matrix M
+    (K, n, d), Q the form or its Schur complement on the restriction."""
+
+    Q: np.ndarray
+    c_eta: float
+    slots: list[int]
+    labels: tuple[tuple[int, int], ...]
+    M: np.ndarray
+    power: int
+    prefactor: float
+    frame: object
+
+
+def _family(A: QuadForm, restriction: IndexSet | None,
+            labels: tuple[int, int] | None = None) -> _Family:
+    """The kernels of A under ``restriction`` that do not vanish, or the
+    one kernel ``labels`` sliced from them, built once and kept with A."""
+    if labels is not None:
+        def one() -> _Family:
+            fam = _family(A, restriction)
+            k = fam.labels.index(labels)
+            return replace(fam, labels=(labels,), M=fam.M[k:k + 1],
+                           frame=None if fam.frame is None else fam.frame[k:k + 1])
+        return A.derived(("kernel", restriction, labels), one)
+
+    def build() -> _Family:
+        if restriction is None:
+            S, G = tuple(range(1, A.n + 1)), A
+        else:
+            S, G = restriction.active, schur_complement(A, restriction)
+        pairs = [(i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
+                 if restriction is None or {i, j} <= set(restriction.members)]
+        # rows of each cone matrix: the diagonal -1 for a pair, then the
+        # axes off the kernel's labels
+        M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
+                       for r in S] for i, j in pairs]).reshape(len(pairs), len(S), -1)
+        return _Family(G.entries, A.det, [lab - 1 for lab in S], tuple(pairs), M, len(S),
+                       kernel_prefactor(len(S), G.det), cone_frame(G.entries, M))
+    return A.derived(("kernels", restriction), build)
 
 
 def _first_row(kv: KernelValue) -> KernelValue:
@@ -171,77 +181,101 @@ def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelVa
 
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
                 eta: np.ndarray, want_gradient: bool = False) -> KernelValue:
-    """One kernel at the batch mu (B, N), eta (B,) through
-    ``_engine_batch``: values and prefactor-scaled error estimates (B,),
+    """One kernel at the batch mu (B, N), eta (B,), the one-kernel case of
+    ``alpha_family``: values and prefactor-scaled error estimates (B,),
     gradient rows (B, N + 2) as (mu..., Re eta, Im eta), and the grid nodes
     of every call.  A mu of another width than N raises ValueError.
     """
-    N = spec.A.n
-    mu, eta = check_batch(mu, eta, N)
-    B = len(mu)
     if spec.vanishes:
-        g = np.zeros((B, N + 2)) if want_gradient else None
-        return KernelValue(np.zeros(B), np.zeros(B), 0, g)
-    Q, c_eta, S, M, power, pref = _assemble(spec)
-    slots = [lab - 1 for lab in S]
-    raw = _engine_batch(Q, c_eta, M, power, pref, mu[:, slots], eta, quad, N,
-                       want_gradient)
-    grads = np.zeros((B, N + 2)) if want_gradient else None
+        mu, _ = check_batch(mu, eta, spec.A.n)
+        g = np.zeros((len(mu), spec.A.n + 2)) if want_gradient else None
+        return KernelValue(np.zeros(len(mu)), np.zeros(len(mu)), 0, g)
+    _, kv = alpha_family(spec.A, spec.restriction, quad, mu, eta, want_gradient,
+                         spec.labels)
+    return KernelValue(kv.value[0], kv.error[0], kv.evals,
+                       None if kv.gradient is None else kv.gradient[0])
+
+
+def alpha_family(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
+                 mu: np.ndarray, eta: np.ndarray, want_gradient: bool = False,
+                 labels: tuple[int, int] | None = None
+                 ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
+    """Every kernel of A under ``restriction`` that does not vanish (or the
+    one kernel ``labels``) at the batch mu (B, N), eta (B,): their labels,
+    and as ``alpha_batch`` but (K, ...) per kernel.  Where the kernels are
+    closed forms (N <= 3) the whole family is one engine call."""
+    N = A.n
+    mu, eta = check_batch(mu, eta, N)
+    fam = _family(A, restriction, labels)
+    raw = _engine_batch(fam, mu, eta, quad, want_gradient)
+    grads = None
     if want_gradient:
-        grads[:, slots + [N, N + 1]] = pref * raw.gradient
-    return KernelValue(pref * raw.value, pref * raw.error, raw.evals, grads)
+        grads = np.zeros(raw.gradient.shape[:2] + (N + 2,))
+        grads[..., fam.slots + [N, N + 1]] = fam.prefactor * raw.gradient
+    return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
+                                   raw.evals, grads)
 
 
-def _engine_batch(Q: np.ndarray, c_eta: float, M: np.ndarray, power: int,
-                 prefactor: float, b: np.ndarray, eta: np.ndarray,
-                 quad: QuadratureSpec, N: int, want_gradient: bool = False
-                 ) -> KernelValue:
-    """The orthant integral of engine data (Q, c_eta, M, power) at rows
-    b (B, m), eta (B,) of the N-dimensional base, in as few engine calls as
-    honest: raw values and error estimates (B,), gradient rows (B, m + 2) as
-    (b..., Re eta, Im eta), and grid nodes.  ``prefactor`` converts the
-    tolerances of ``quad`` to raw units.  A row within the resolution floor
-    of the sheet raises SingularityProximity.
+def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
+                  quad: QuadratureSpec, want_gradient: bool = False,
+                  tol_scale: float = 1.0) -> KernelValue:
+    """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
+    in as few engine calls as honest: raw values and error estimates
+    (K, B), gradient rows (K, B, n + 2) as (active slots..., Re eta,
+    Im eta), and grid nodes; ``fam.prefactor * tol_scale`` converts the
+    tolerances of ``quad`` to raw units.  A (kernel, row) pair within the
+    resolution floor of its sheet raises SingularityProximity naming the
+    kernel, the row and its (mu, eta).
 
-    At most two cone columns make a closed form: all rows go to one call.
-    With d >= 3 the engine sweeps a call's rows on a grid built for its
-    first row, which a row joins only while its (Q, c_eta) offset from that
-    row is within half the row's sheet distance; farther rows start calls.
+    At most two cone columns make a closed form: every pair goes to one
+    call.  With d >= 3 the engine sweeps each kernel's rows on a grid built
+    for a call's first row, which a row joins only while its (Q, c_eta)
+    offset from that row is within half the row's sheet distance.
     """
+    b = mu[:, fam.slots]
+    Q, c_eta, M = fam.Q, fam.c_eta, fam.M
     # as the engine forms it, so a passed sheet solution is the engine's own
     E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
-    floor = 10.0 * quad.abs_tol ** (1.0 / N)
-    if M.shape[1] <= 2:
+    floor = 10.0 * quad.abs_tol ** (1.0 / mu.shape[1])
+    K, B = len(M), len(b)
+    if M.shape[-1] <= 2:
         tau, r = closed_sheet_distances(Q, M, b, E)
-        groups = [(slice(None), (tau[0], float(r[0])))]
-        r_min = float(r.min())
+        calls = [(slice(None), slice(None), (tau[:, 0], float(r[:, 0].min())), fam.frame)]
+        k, row = divmod(int(np.argmin(r)), B)
+        nearest = (float(r[k, row]), k, row)
     else:
-        groups, r_min = _grid_groups(Q, c_eta, M, b, eta, E, floor)
+        calls, nearest = [], (math.inf, 0, 0)
+        for k in range(K):
+            groups, (r_k, row) = _grid_groups(Q, c_eta, M[k], b, eta, E, floor)
+            calls += [(k, rows, sheet, fam.frame[k:k + 1]) for rows, sheet in groups]
+            nearest = min(nearest, (r_k, k, row))
+    r_min, k, row = nearest
     if r_min < floor:
         raise SingularityProximity(
-            f"batch row at distance {r_min:.3e} from the singular stratum "
+            f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
+            f"eta = {eta[row]}): distance {r_min:.3e} from the singular stratum "
             f"is below the resolution floor {floor:.3e}")
-    B = len(b)
-    grads = np.empty((B, b.shape[1] + 2)) if want_gradient else None
-    vals, errs = np.empty(B), np.empty(B)
+    grads = np.empty((K, B, b.shape[1] + 2)) if want_gradient else None
+    vals, errs = np.empty((K, B)), np.empty((K, B))
     evals = 0
-    for rows, sheet in groups:
-        res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M, power,
+    for ks, rows, sheet, frame in calls:
+        res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M[ks], fam.power,
                                     quad, want_gradient=want_gradient,
-                                    prefactor=prefactor, sheet=sheet)
-        vals[rows], errs[rows] = res.value, res.error
+                                    prefactor=fam.prefactor * tol_scale, sheet=sheet,
+                                    frame=frame)
+        vals[ks, rows], errs[ks, rows] = res.value, res.error
         evals += res.evals
         if want_gradient:
-            grads[rows] = res.gradient
+            grads[ks, rows] = res.gradient
     return KernelValue(vals, errs, evals, grads)
 
 
 def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
                  eta: np.ndarray, E: np.ndarray, floor: float
-                 ) -> tuple[list[tuple[np.ndarray, tuple]], float]:
+                 ) -> tuple[list[tuple[np.ndarray, tuple]], tuple[float, int]]:
     """Rows that may share one panel grid, each group with its first row's
     sheet solution (tau*, r*), and a lower bound on every row's sheet
-    distance that is exact wherever it is below ``floor``.
+    distance, exact wherever it is below ``floor``, with its row.
 
     Each group is the first unplaced row plus every unplaced row whose
     (Q, c_eta) offset from it is within half its sheet distance r*.  The
@@ -250,7 +284,7 @@ def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
     solved exactly.
     """
     todo = np.arange(len(b))
-    groups, r_min = [], math.inf
+    groups, nearest = [], (math.inf, 0)
     while todo.size:
         k = todo[0]
         sheet = sheet_distance(Q, M, b[k], E[k])
@@ -260,13 +294,13 @@ def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
                       + c_eta * np.abs(eta[todo] - eta[k]) ** 2)
         near = off <= 0.5 * r_k
         rows = todo[near]
-        bound = r_k - float(np.max(off[near]))
-        if bound < floor:
-            bound = min(sheet_distance(Q, M, b[j], E[j])[1] for j in rows)
+        bound = (r_k - float(np.max(off[near])), int(k))
+        if bound[0] < floor:
+            bound = min((sheet_distance(Q, M, b[j], E[j])[1], int(j)) for j in rows)
         groups.append((rows, sheet))
-        r_min = min(r_min, bound)
+        nearest = min(nearest, bound)
         todo = todo[~near]
-    return groups, r_min
+    return groups, nearest
 
 
 def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
@@ -308,12 +342,11 @@ def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
                      replicates: int = 8, seed: int = 20240817
                      ) -> tuple[float, float]:
     """Low-discrepancy estimate of the same kernel, for cross-validation."""
-    Q, c_eta, S, M, power, pref = _assemble(spec)
-    b = p.mu[[lab - 1 for lab in S]]
-    mean, se = qmc_power_kernel_integral(Q, c_eta, b, p.eta, M, power,
-                                         n_pow2=n_pow2, replicates=replicates,
-                                         seed=seed)
-    return pref * mean, pref * se
+    fam = _family(spec.A, spec.restriction, spec.labels)
+    mean, se = qmc_power_kernel_integral(fam.Q, fam.c_eta, p.mu[fam.slots], p.eta, fam.M[0],
+                                         fam.power, n_pow2=n_pow2,
+                                         replicates=replicates, seed=seed)
+    return fam.prefactor * mean, fam.prefactor * se
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +450,8 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     if N != 2:
         raise ValueError("the weak check is built for N = 2")
     i, j = sorted(labels)
-    Q, c_eta, _, M, power, pref = _assemble(KernelSpec(A, (i, j)))
+    fam = _family(A, None, (i, j))
+    pref = fam.prefactor
 
     # frame adapted to the singular sheet: first axis crosses it transversally
     if i == 0:
@@ -458,14 +492,14 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
         live = np.abs(lap) > 0.0
         if not np.any(live):
             continue
-        res = power_kernel_integral(Q, c_eta, mu[live], r[live], M, power,
-                                    quad, prefactor=pref)
+        res = power_kernel_integral(fam.Q, fam.c_eta, mu[live], r[live], fam.M[0],
+                                    fam.power, quad, prefactor=pref)
         evals += res.evals
         lhs += float(np.sum(wts[live] * lap[live] * (pref * res.value)))
     lhs *= 2.0 * math.pi * A.det ** 1.5
 
     # rhs: bump over the stratum cone, eta = 0
-    rhs = -2.0 * math.pi * math.sqrt(A.det) * _cone_integral(bump, M[:, 0])
+    rhs = -2.0 * math.pi * math.sqrt(A.det) * _cone_integral(bump, fam.M[0, :, 0])
     denom = max(abs(lhs), abs(rhs), 1e-300)
     return WeakCheckResult(lhs, rhs, abs(lhs - rhs) / denom, evals)
 

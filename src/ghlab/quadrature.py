@@ -98,6 +98,7 @@ __all__ = [
     "QuadratureError",
     "SingularityProximity",
     "closed_sheet_distances",
+    "cone_frame",
     "half_line_integrals",
     "wedge_integrals",
     "nonneg_argmin",
@@ -142,14 +143,14 @@ class QuadratureSpec:
 
 @dataclass
 class QuadResult:
-    value: np.ndarray          # (B,) raw integral values, no prefactor
-    error: np.ndarray          # (B,) two-order differences, raw units
-    gradient: np.ndarray | None  # (B, dim+2) d/d(b, Re eta, Im eta), raw
-    evals: int                 # swept grid nodes times batch rows (rows
-                               # alone when nothing is swept)
+    value: np.ndarray          # (B,) or (K, B) raw integral values, no prefactor
+    error: np.ndarray          # (B,) or (K, B) two-order differences, raw units
+    gradient: np.ndarray | None  # (..., B, dim+2) d/d(b, Re eta, Im eta), raw
+    evals: int                 # swept grid nodes times batch rows (kernel
+                               # rows alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
                                # (perfbench/tracing.py reads it)
-    r_star: float              # distance from the sheet to the first point
+    r_star: float              # distance from the nearest sheet to the first point
 
 
 @lru_cache(maxsize=32)
@@ -172,23 +173,23 @@ def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
 
 def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The minimizers of tau^T P tau - 2 q_b^T tau over tau >= 0, one per
-    row q_b of q (B, d), for d <= 2 in closed form.
+    row q_b of q (..., B, d), for d <= 2 in closed form; P is (..., d, d),
+    one form per leading index (a kernel), and so is the result.
 
     At d = 1 tau = max(q / P, 0).  At d = 2 it is the free minimizer
     P^-1 q_b when that lies in the orthant, else the better of the
     minimizers along the two edges, tau_k = max(q_k / P_kk, 0), whose
     minimum is -q_k tau_k.
     """
-    if P.shape[0] == 1:
-        return np.maximum(q / float(P[0, 0]), 0.0)
-    (p00, p01), (_, p11) = P.tolist()
-    det = p00 * p11 - p01 * p01
-    tau = q @ np.array([[p11, -p01], [-p01, p00]]) / det
-    edge = (tau < 0.0).any(axis=1)
+    if P.shape[-1] == 1:
+        return np.maximum(q / P, 0.0)
+    # P^-1 = [[p11, -p01], [-p01, p00]] / det
+    det = P[..., :1, :1] * P[..., 1:, 1:] - P[..., :1, 1:] * P[..., :1, 1:]
+    tau = q @ (P[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / det
+    edge = (tau < 0.0).any(axis=-1)
     if edge.any():
-        qe = q[edge]
-        e = np.maximum(qe / np.array([p00, p11]), 0.0)
-        gain = qe * e
+        e = np.maximum(q / P.diagonal(0, -2, -1)[..., None, :], 0.0)[edge]
+        gain = q[edge] * e
         first = gain[:, 0] >= gain[:, 1]
         e[first, 1] = 0.0
         e[~first, 0] = 0.0
@@ -233,10 +234,11 @@ def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
 def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                    E: float) -> tuple[np.ndarray, float]:
     """Closest sheet parameter tau* >= 0 and the distance
-    r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet."""
-    if M.shape[1] <= 2:
+    r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet; for a
+    stack M (K, m, d <= 2), tau* (K, d) and the nearest kernel's r*."""
+    if M.shape[-1] <= 2:
         tau, r = closed_sheet_distances(Q, M, b[None, :], np.array([E]))
-        return tau[0], float(r[0])
+        return tau[..., 0, :], float(r.min())
     tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
     return tau, math.sqrt(float(x @ Q @ x) + E)
@@ -244,16 +246,19 @@ def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
 
 def closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                            E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's closest sheet parameter tau* (B, d) and sheet distance
-    r* (B,) when the sheet has at most two cone columns, where tau* is the
+    """Every row's closest sheet parameter tau* (..., B, d) and sheet
+    distance r* (..., B) when the sheet has at most two cone columns, for
+    one cone matrix M (m, d) or one per kernel (K, m, d), where tau* is the
     closed form of ``nonneg_argmin_rows``."""
-    if M.shape[1]:
+    if M.shape[-1]:
         QM = Q @ M
-        tau = nonneg_argmin_rows(M.T @ QM, b @ QM)
-        b = b - tau @ M.T
+        Mt = M.swapaxes(-1, -2)
+        tau = nonneg_argmin_rows(Mt @ QM, b @ QM)
+        b = b - tau @ Mt
     else:
-        tau = np.zeros((len(b), 0))
-    return tau, np.sqrt(((b @ Q) * b).sum(axis=1) + E)
+        tau = np.zeros(M.shape[:-2] + (len(b), 0))
+        b = np.broadcast_to(b, M.shape[:-2] + b.shape)
+    return tau, np.sqrt(((b @ Q) * b).sum(axis=-1) + E)
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
@@ -316,7 +321,8 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
 
     h = gamma - beta^2 / a = D / a > 0 is the minimum of the quadratic over
     the real line; it is passed in directly because forming it from gamma
-    cancels near the singular sheet.  The qs ascend in steps of 2 from at
+    cancels near the singular sheet.  a may be an array that broadcasts
+    against beta and h (one per kernel).  The qs ascend in steps of 2 from at
     least 2.  J_q = a^(-1/2) h^((1-q)/2) S_(q-2)(phi0), where
     S_k(phi0) = integral_0^phi0 sin^k and phi0 = atan2(sqrt(D), -beta).
     """
@@ -349,7 +355,7 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
             ak = 0.5 * (k + 1)
             half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
             S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
-    scale = h ** (0.5 * (1 - qs[0])) / math.sqrt(a)
+    scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = []
     for q in qs:
         out.append(S[q - 2] * scale)
@@ -357,46 +363,53 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class _Line:
-    """One cone column m, per batch row: along m the quadratic is
+class _Stack:
+    """Fields with a leading kernel axis: ``frame[k]`` is kernel k's alone."""
+
+    def __getitem__(self, k):
+        return type(self)(*(v[k] for v in vars(self).values()))
+
+
+@dataclass
+class _Line(_Stack):
+    """One cone column m per kernel, K of them: along m the quadratic is
     a t^2 - 2 beta t + gamma with a = m^T Q m and beta = m^T Q b, and
     h = gamma - beta^2 / a = |Z|^2 + E with Z = L b, L^T L = Q - Q m m^T Q / a,
     so h is a Q-distance to the line along m, never a difference."""
 
-    a: float
-    Qm: np.ndarray        # (m,)
-    L: np.ndarray         # (m-1, m)
-    beta: np.ndarray      # (B,)
-    Z: np.ndarray         # (B, m-1)
-    h: np.ndarray         # (B,)
+    a: np.ndarray         # (K, 1)
+    Qm: np.ndarray        # (K, m)
+    L: np.ndarray         # (K, m-1, m)
 
     @classmethod
-    def build(cls, Q: np.ndarray, m_col: np.ndarray, b: np.ndarray,
-              E: np.ndarray) -> "_Line":
-        Qm = Q @ m_col
-        a = float(m_col @ Qm)
+    def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Line":
+        Qm = (Q @ M)[..., 0]
+        a = np.einsum("km,km->k", M[..., 0], Qm)[:, None]
         # the projected form has one null direction (m itself), sorted first
-        lam, vec = np.linalg.eigh(Q - np.outer(Qm, Qm) / a)
-        L = vec[:, 1:].T * np.sqrt(np.maximum(lam[1:], 0.0))[:, None]
-        Z = b @ L.T
-        return cls(a, Qm, L, b @ Qm, Z, np.einsum("bk,bk->b", Z, Z) + E)
+        lam, vec = np.linalg.eigh(Q - Qm[:, :, None] * Qm[:, None, :] / a[:, :, None])
+        L = vec[..., 1:].swapaxes(-1, -2) * np.sqrt(np.maximum(lam[:, 1:], 0.0))[..., None]
+        return cls(a, Qm, L)
 
-    def integral(self, power: int, want_gradient: bool, ceta_xy: np.ndarray
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int,
+                 want_gradient: bool, ceta_xy: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Values (K, B) and gradient rows (K, B, m + 2) at the rows b (B, m)."""
+        beta = self.Qm @ b.T
+        Z = b @ self.L.swapaxes(-1, -2)
+        h = np.einsum("kbj,kbj->kb", Z, Z) + E
         qs = (power, power + 2) if want_gradient else (power,)
-        J = half_line_integrals(self.a, self.beta, self.h, qs)
+        J = half_line_integrals(self.a, beta, h, qs)
         if not want_gradient:
             return J[0], None
         # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))] with
         # Q Y = L^T Z the part of Q b across m; the first moment K obeys
         # a K - beta J = gamma^(-p/2) / p
-        m = self.Qm.shape[0]
-        grad = np.empty((self.h.shape[0], m + 2))
-        bound = (self.h + self.beta * self.beta / self.a) ** (-0.5 * power)
-        grad[:, :m] = ((-power * J[1][:, None] * self.Z) @ self.L
-                       + np.outer(bound, self.Qm / self.a))
-        grad[:, m:] = -power * ceta_xy * J[1][:, None]
+        m = self.Qm.shape[-1]
+        grad = np.empty(h.shape + (m + 2,))
+        bound = (h + beta * beta / self.a) ** (-0.5 * power)
+        grad[..., :m] = ((-power * J[1][..., None] * Z) @ self.L
+                         + bound[..., None] * (self.Qm / self.a)[:, None, :])
+        grad[..., m:] = -power * ceta_xy * J[1][..., None]
         return J[0], grad
 
 
@@ -410,25 +423,23 @@ _EDGE_ORDER = 32
 _EDGE_POLE = 0.28
 
 
-def wedge_integrals(e2: tuple[float, float], y: np.ndarray, H2: np.ndarray,
+def wedge_integrals(e2: tuple, y: np.ndarray, H2: np.ndarray,
                     power: int, want_gradient: bool = False
                     ) -> list[np.ndarray]:
     """W_q = integral over the wedge between e1 = (1, 0) and
     e2 = (cos phi, sin phi), 0 < phi < pi, of (H2 + |w - y|^2)^(-q/2) dA(w).
 
     y is (2, ...) and H2 (...): per element the foot and the squared
-    height, H2 > 0 wherever the foot lies in the closed wedge.  Returns
+    height, H2 > 0 wherever the foot lies in the closed wedge; cos phi and
+    sin phi broadcast against H2 (one wedge per kernel, say).  Returns
     [W_p], or with ``want_gradient`` [W_p, W_(p+2), dW_p/dy], the last one
     (2, ...); dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.
     """
     cphi, sphi = e2
-    shape = H2.shape
-    H2 = H2.reshape(-1)
-    # per edge k (rows): the foot's position s0 along it and its signed
-    # distance l to the edge's line, positive on the wedge's side
-    proj = np.array([[1.0, 0.0], [cphi, sphi], [0.0, 1.0], [sphi, -cphi]]) \
-        @ y.reshape(2, -1)
-    s0, ell = proj[:2], proj[2:]
+    # per edge k (first axis): the foot's position s0 along it and its
+    # signed distance l to the edge's line, positive on the wedge's side
+    s0 = np.concatenate([y[None, 0], (cphi * y[0] + sphi * y[1])[None]])
+    ell = np.concatenate([y[None, 1], (sphi * y[0] - cphi * y[1])[None]])
     ns = (power - 2, power) if want_gradient else (power - 2,)
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
@@ -453,7 +464,7 @@ def wedge_integrals(e2: tuple[float, float], y: np.ndarray, H2: np.ndarray,
             if n_rule < ell.size:
                 Hn = H ** -n
             if n_in:
-                inner = Hn * (math.atan2(sphi, cphi) + ahat[j][0] + ahat[j][1])
+                inner = Hn * (np.arctan2(sphi, cphi) + ahat[j][0] + ahat[j][1])
             if n_in < inside.size:
                 if n_rule < ell.size:
                     edge = Hn * (theta - ahat[j])
@@ -467,7 +478,7 @@ def wedge_integrals(e2: tuple[float, float], y: np.ndarray, H2: np.ndarray,
                 outer = (minus_sign * edge).sum(axis=0)
             value = inner if n_in == inside.size else (
                 outer if not n_in else np.where(inside, inner, outer))
-            out.append((value / n).reshape(shape))
+            out.append(value / n)
         if want_gradient:
             if n_rule < ell.size:
                 # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
@@ -485,7 +496,7 @@ def wedge_integrals(e2: tuple[float, float], y: np.ndarray, H2: np.ndarray,
                 J = gauss[-1]
             # minus the outward normals (0, -1) and (-sin phi, cos phi)
             # times the half-line integrals along the edges
-            out.append((np.array([[0.0, sphi], [1.0, -cphi]]) @ J).reshape((2,) + shape))
+            out.append(np.concatenate([(sphi * J[1])[None], (J[0] - cphi * J[1])[None]]))
     return out
 
 
@@ -546,7 +557,7 @@ def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
     ``ns``; with ``want_gradient`` also the half-line integral J_p, the
     integral of |l| root^n / (H^2 sin^2 chi + l^2)."""
     t, wt = _unit_rule(_EDGE_ORDER)
-    h2 = H2[:, None]
+    h2 = H2[..., None]
     if rule is not None:
         theta, al, h2 = theta[rule], al[rule], (H2 + 0.0 * al)[rule][:, None]
     s2 = np.sin(theta[..., None] * t) ** 2
@@ -572,84 +583,97 @@ def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-@dataclass(frozen=True)
-class _Wedge:
-    """The last two cone columns as a planar wedge, per batch row.
+@dataclass
+class _Wedge(_Stack):
+    """The last two cone columns of each of K cone matrices as a planar
+    wedge: the part that depends on the form and the cone alone.
 
     With Q = C C^T and U the orthonormal rows spanning C^T m1 and C^T m2,
     P = U C^T gives Q-orthonormal coordinates y = P x in the plane,
     oriented so that m1 runs along e1 = (1, 0) and m2 along
     e2 = (cos phi, sin phi); L = (1 - U^T U) C^T gives the transverse
-    part, and |x|_Q^2 = |P x|^2 + |L x|^2.  The foot and
-    transverse part of X0 are affine in the swept parameters tau':
-    y0 = y - Py tau' and Z = z - Lz tau'.
+    part, and |x|_Q^2 = |P x|^2 + |L x|^2.  The foot and transverse part
+    of X0 are affine in the swept parameters tau': y0 = y - Py tau' and
+    Z = z - Lz tau', with y = P b and z = L b for a row b.
     """
 
-    e2: tuple[float, float]
-    jac: float            # 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
-    P: np.ndarray         # (2, m)
-    L: np.ndarray         # (m, m), or (0, m) when m = 2
-    y: np.ndarray         # (2, B)
-    z: np.ndarray         # (m, B)
-    Py: np.ndarray        # (2, d-2)
-    Lz: np.ndarray        # (m, d-2)
-    E: np.ndarray         # (B,)
+    cphi: np.ndarray      # (K,) cos phi
+    sphi: np.ndarray      # (K,) sin phi
+    jac: np.ndarray       # (K,) 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
+    P: np.ndarray         # (K, 2, m)
+    L: np.ndarray         # (K, m, m), or (K, 0, m) when m = 2
+    Py: np.ndarray        # (K, 2, d-2)
+    Lz: np.ndarray        # (K, m, d-2)
 
     @classmethod
-    def build(cls, Q: np.ndarray, M: np.ndarray, b: np.ndarray,
-              E: np.ndarray) -> "_Wedge":
-        Ct, info = lapack.dpotrf(Q)       # upper: Q = Ct^T Ct
+    def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Wedge":
+        Ct, info = lapack.dpotrf(Q)       # upper: Q = Ct^T Ct, once for all K
         if info:
             raise np.linalg.LinAlgError("the form Q is not positive definite")
         CM = Ct @ M
-        m1, m2 = CM[:, -2], CM[:, -1]
+        m1, m2 = CM[..., -2], CM[..., -1]
         # Gram-Schmidt, reorthogonalized once: r22, the part of m2 across
         # m1, keeps its relative accuracy for any angle between them
-        r11 = math.sqrt(m1 @ m1)
-        u1 = m1 / r11
-        r12 = float(u1 @ m2)
-        v = m2 - r12 * u1
-        fix = float(u1 @ v)
-        v -= fix * u1
+        r11 = np.sqrt(np.einsum("km,km->k", m1, m1))
+        u1 = m1 / r11[:, None]
+        r12 = np.einsum("km,km->k", u1, m2)
+        v = m2 - r12[:, None] * u1
+        fix = np.einsum("km,km->k", u1, v)
+        v -= fix[:, None] * u1
         r12 += fix
-        r22 = math.sqrt(v @ v)
-        U = np.array([u1, v / r22])
+        r22 = np.sqrt(np.einsum("km,km->k", v, v))
+        U = np.stack([u1, v / r22[:, None]], axis=1)
         P = U @ Ct
-        Py = U @ CM[:, :-2]
+        Py = U @ CM[..., :-2]
         # the transverse part, kept in the m coordinates of C^T
-        if len(Q) > 2:
-            L = Ct - U.T @ P
-            Lz = CM[:, :-2] - U.T @ Py
+        if len(Ct) > 2:
+            L = Ct - U.swapaxes(-1, -2) @ P
+            Lz = CM[..., :-2] - U.swapaxes(-1, -2) @ Py
         else:
-            L, Lz = np.zeros((0, 2)), np.zeros((0, M.shape[1] - 2))
-        norm = math.hypot(r12, r22)
-        return cls((r12 / norm, r22 / norm), 1.0 / (r11 * r22),
-                   P, L, P @ b.T, L @ b.T, Py, Lz, E)
+            L, Lz = np.zeros((len(M), 0, 2)), np.zeros((len(M), 0, M.shape[-1] - 2))
+        norm = np.hypot(r12, r22)
+        return cls(r12 / norm, r22 / norm, 1.0 / (r11 * r22), P, L, Py, Lz)
 
 
-def _closed_wedge(wedge: _Wedge, power: int, want_gradient: bool,
-                  ceta_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The whole integral at d = 2, every row in closed form."""
-    Z = wedge.z
-    W = wedge_integrals(wedge.e2, wedge.y, np.einsum("kb,kb->b", Z, Z) + wedge.E,
-                        power, want_gradient)
+def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
+    """What the closed forms take from the form Q and the cone matrices
+    M (K, m, d) alone: None at d = 0, a ``_Line`` at d = 1, else a
+    ``_Wedge``; a caller that keeps it for ``power_kernel_integral``
+    builds it once per form."""
+    d = M.shape[-1]
+    return None if d == 0 else _Line.build(Q, M) if d == 1 else _Wedge.build(Q, M)
+
+
+def _closed_wedge(wedge: _Wedge, b: np.ndarray, E: np.ndarray, power: int,
+                  want_gradient: bool, ceta_xy: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The whole integral at d = 2 for every kernel of the stack and every
+    row b (B, m) in one closed form: values (K, B), gradients (K, B, m + 2)."""
+    # component-major (2, K, B) and (m', K, B)
+    y, z = (wedge.P @ b.T).swapaxes(0, 1), (wedge.L @ b.T).swapaxes(0, 1)
+    W = wedge_integrals((wedge.cphi[:, None], wedge.sphi[:, None]), y,
+                        np.einsum("j...,j...->...", z, z) + E, power, want_gradient)
+    jac = wedge.jac[:, None]
     if not want_gradient:
-        return W[0] * wedge.jac, None
+        return W[0] * jac, None
     # along the plane through dW/dy, across it and in eta through
     # dW/dH2 = -p W_(p+2) / 2
-    m = wedge.P.shape[1]
-    grad = np.empty((len(wedge.E), m + 2))
-    Wp = (-power * wedge.jac) * W[1]
-    grad[:, :m] = wedge.jac * W[2].T @ wedge.P + (Wp * Z).T @ wedge.L
-    grad[:, m:] = Wp[:, None] * ceta_xy
-    return W[0] * wedge.jac, grad
+    m = wedge.P.shape[-1]
+    grad = np.empty(W[0].shape + (m + 2,))
+    Wp = (-power * jac) * W[1]
+    grad[..., :m] = (jac[..., None] * W[2].transpose(1, 2, 0) @ wedge.P
+                     + (Wp * z).transpose(1, 2, 0) @ wedge.L)
+    grad[..., m:] = Wp[..., None] * ceta_xy
+    return W[0] * jac, grad
 
 
-def _swept_breaks(wedge: _Wedge, E0: float, tau: np.ndarray, r_star: float,
-                  P: np.ndarray, attempt: int) -> tuple[float, list[np.ndarray]]:
+def _swept_breaks(wedge: _Wedge, y0: np.ndarray, z: np.ndarray, E0: float,
+                  tau: np.ndarray, r_star: float, P: np.ndarray, attempt: int
+                  ) -> tuple[float, list[np.ndarray]]:
     """The tail start R and one pass's panel breaks, graded around the
-    first row's closest sheet parameter ``tau`` (swept part): for
-    r = |tau''|_1 on [0, R], then for each stick-breaking coordinate.
+    first row's foot y0, transverse part z and closest sheet parameter
+    ``tau`` (swept part): for r = |tau''|_1 on [0, R], then for each
+    stick-breaking coordinate.
 
     Along a ray tau'' = r omega the squared distances from X0 to the plane,
     to both edge lines and to the apex are quadratics in r whose leading
@@ -659,10 +683,10 @@ def _swept_breaks(wedge: _Wedge, E0: float, tau: np.ndarray, r_star: float,
     """
     k = len(tau)
     width = max(r_star / math.sqrt(max(float(np.max(np.diag(P)[:k])), 1e-300)), 1e-8)
-    z, y0, Lz, Py = wedge.z[:, 0], wedge.y[:, 0], wedge.Lz, wedge.Py
+    Lz, Py = wedge.Lz, wedge.Py
     h0, Gz = float(z @ z) + E0, Lz.T @ Lz
     zeros = [(h0, Gz), (h0 + float(y0 @ y0), Gz + Py.T @ Py)]
-    for n in np.array([[0.0, 1.0], [wedge.e2[1], -wedge.e2[0]]]):
+    for n in np.array([[0.0, 1.0], [wedge.sphi, -wedge.cphi]]):
         ny = n @ Py
         zeros.append((h0 + float(n @ y0) ** 2, Gz + np.outer(ny, ny)))
     rho = math.sqrt(max(c * k / float(np.linalg.eigvalsh(G)[0]) for c, G in zeros))
@@ -703,22 +727,24 @@ def _swept_grid(R: float, breaks: list[np.ndarray], tail: np.ndarray,
             np.outer(wr * r ** (k - 1), wo).ravel())
 
 
-def _sweep(wedge: _Wedge, nodes: np.ndarray, weights: np.ndarray,
-           power: int, want_gradient: bool, ceta_xy: np.ndarray, chunk: int
+def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
+           nodes: np.ndarray, weights: np.ndarray, power: int,
+           want_gradient: bool, ceta_xy: np.ndarray, chunk: int
            ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One sweep over the first d - 2 parameters at the ``nodes``
-    (d - 2, n), the last two exact."""
-    B, m = wedge.E.shape[0], wedge.P.shape[1]
+    """One sweep of one kernel's ``wedge`` over the first d - 2 parameters
+    at the ``nodes`` (d - 2, n), the last two exact, for the rows whose
+    feet and transverse parts are y (2, B) and z (m', B)."""
+    B, m = E.shape[0], wedge.P.shape[1]
     val = np.zeros(B)
     grad = np.zeros((B, m + 2)) if want_gradient else None
     for start in range(0, len(weights), chunk):
         tau = nodes[:, start:start + chunk]
         wts = weights[start:start + chunk]
         # component-major (k, B, n): long inner loops for numpy
-        y = wedge.y[:, :, None] - (wedge.Py @ tau)[:, None, :]
-        Z = wedge.z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
-        H2 = np.einsum("kbn,kbn->bn", Z, Z) + wedge.E[:, None]
-        W = wedge_integrals(wedge.e2, y, H2, power, want_gradient)
+        y0 = y[:, :, None] - (wedge.Py @ tau)[:, None, :]
+        Z = z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
+        H2 = np.einsum("kbn,kbn->bn", Z, Z) + E[:, None]
+        W = wedge_integrals((wedge.cphi, wedge.sphi), y0, H2, power, want_gradient)
         val += W[0] @ wts
         if want_gradient:
             # as in _closed_wedge, summed over the nodes
@@ -735,21 +761,24 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                           eta: complex | np.ndarray, M: np.ndarray, power: int,
                           spec: QuadratureSpec, want_gradient: bool = False,
                           prefactor: float = 1.0,
-                          sheet: tuple[np.ndarray, float] | None = None
-                          ) -> QuadResult:
+                          sheet: tuple[np.ndarray, float] | None = None,
+                          frame: _Line | _Wedge | None = None) -> QuadResult:
     """Evaluate the orthant power integral, batched over base points.
 
-    b may be (m,) or (B, m); eta scalar or (B,).  At d <= 2 every row is a
-    closed form, so rows may lie at any distance from each other.  At
-    d >= 3 the radial grid is built for the first row and every row is
-    swept on it, which holds only for rows within half the first row's
-    sheet distance r* of it; ``kernels.alpha_batch`` splits its batches
-    so.  ``sheet`` passes that first row's (tau*, r*) from
-    ``sheet_distance`` when the caller has solved it already.
-    ``prefactor`` only converts the spec tolerances into raw-integral
-    units; the returned values are raw.  Nothing is truncated at any d.
-    Raises QuadratureError when the grid exceeds the node budget or the
-    refinement passes miss the tolerance.
+    b may be (m,) or (B, m); eta scalar or (B,).  M is one cone matrix
+    (m, d) or, at d <= 2, a stack (K, m, d) of kernels that share all
+    else, and the results then carry a leading K axis: every (kernel, row)
+    pair is a closed form, all in one evaluation, and rows may lie at any
+    distance from each other.  At d >= 3 the radial
+    grid is built for the first row and every row is swept on it, which
+    holds only for rows within half the first row's sheet distance r* of
+    it; ``kernels._engine_batch`` splits its batches so.  ``sheet`` passes
+    that first row's (tau*, r*) from ``sheet_distance`` when the caller has
+    solved it already, and ``frame`` the ``cone_frame`` of the stack (of
+    M[None] for one matrix).  ``prefactor`` only converts the spec
+    tolerances into raw-integral units; the returned values are raw.
+    Nothing is truncated at any d.  Raises QuadratureError when the grid
+    exceeds the node budget or the refinement passes miss the tolerance.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
@@ -757,7 +786,10 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     eta_xy = np.ascontiguousarray(eta_arr).view(float).reshape(B, 2)
     x, y = eta_xy[:, 0], eta_xy[:, 1]
     E = c_eta * (x * x + y * y)
-    d = M.shape[1]
+    stack = M if M.ndim == 3 else M[None]
+    K, _, d = stack.shape
+    if d > 2 and M.ndim == 3:
+        raise ValueError("a swept integral takes one cone matrix (m, d)")
 
     ceta_xy = c_eta * eta_xy
     # closest sheet point for the leading row
@@ -766,34 +798,37 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     tau_star, r_star = sheet
     if r_star <= 0.0:
         raise SingularityProximity("point lies on the kernel's singular sheet")
+    if frame is None:
+        frame = cone_frame(Q, stack)
     if d <= 2:
-        # every row is a closed form
+        # every (kernel, row) pair is a closed form
         if d == 0:
             dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
-            val = dist2 ** (-0.5 * power)
+            val = np.tile(dist2 ** (-0.5 * power), (K, 1))
             grad = None
             if want_gradient:
                 core = dist2 ** (-0.5 * (power + 2))
-                grad = np.empty((B, m + 2))
-                grad[:, :m] = -power * (b @ Q) * core[:, None]
-                grad[:, m:] = -power * ceta_xy * core[:, None]
+                grad = np.empty((K, B, m + 2))
+                grad[..., :m] = -power * (b @ Q) * core[:, None]
+                grad[..., m:] = -power * ceta_xy * core[:, None]
         elif d == 1:
-            val, grad = _Line.build(Q, M[:, 0], b, E).integral(
-                power, want_gradient, ceta_xy)
+            val, grad = frame.integral(b, E, power, want_gradient, ceta_xy)
         else:
-            val, grad = _closed_wedge(_Wedge.build(Q, M, b, E), power,
-                                      want_gradient, ceta_xy)
-        return QuadResult(val, np.zeros(B), grad, B, True, r_star)
+            val, grad = _closed_wedge(frame, b, E, power, want_gradient, ceta_xy)
+        if M.ndim == 2:
+            val, grad = val[0], None if grad is None else grad[0]
+        return QuadResult(val, np.zeros_like(val), grad, K * B, True, r_star)
 
-    wedge = _Wedge.build(Q, M, b, E)
+    wedge = frame[0]
+    y0, z = wedge.P @ b.T, wedge.L @ b.T
     abs_raw = spec.abs_tol / max(prefactor, 1e-300)
     P = M.T @ Q @ M
     # about 2^14 elements per temporary array, so a chunk stays in cache
     chunk = max(1 << 10, (1 << 14) // max(B, 1))
     evals = 0
     for attempt in range(_REFINE_PASSES + 1):
-        R, breaks = _swept_breaks(wedge, float(E[0]), tau_star[:d - 2], r_star, P,
-                                  attempt)
+        R, breaks = _swept_breaks(wedge, y0[:, 0], z[:, 0], float(E[0]),
+                                  tau_star[:d - 2], r_star, P, attempt)
         tail = np.linspace(0.0, 1.0, 3 if attempt else 2)
         panels = [len(breaks[0]) + len(tail) - 2] + [len(br) - 1 for br in breaks[1:]]
         n_hi = math.prod(n * _ORDER for n in panels)
@@ -802,9 +837,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {_MAX_EVALS}")
-        v_hi, g_hi = _sweep(wedge, *_swept_grid(R, breaks, tail, _ORDER),
+        v_hi, g_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
                             power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(wedge, *_swept_grid(R, breaks, tail, _ORDER_LOW),
+        v_lo, _ = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
                          power, False, ceta_xy, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo)

@@ -39,17 +39,17 @@ def _criterion_12_inputs():
     return A, [checks.off_locus_point(rng, A) for _ in range(20)]
 
 
-def test_integrability_gap_is_one_engine_call_per_kernel(monkeypatch):
-    # the 20 points' stencils (420 rows) go into one field jet, so each of
-    # the 6 kernels at N = 3 makes one closed-form engine call, not one per
-    # point
+def test_integrability_gap_is_one_engine_call(monkeypatch):
+    # the 20 points' stencils (420 rows) go into one field jet, and the 6
+    # kernels at N = 3 share everything but their cone matrix, so all
+    # 2520 (kernel, row) pairs are one closed-form engine call
     A, pts = _criterion_12_inputs()
     calls = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
     checks.integrability_gap(A, QuadratureSpec(), pts)
-    assert len(calls) == 6
+    assert len(calls) == 1
 
 
 def test_integrability_residual_is_a_row_of_the_batch():

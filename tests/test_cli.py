@@ -147,6 +147,26 @@ def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key)
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment, argv, data, key", [
+    ("flat-cy", [], {"n": "5"}, "n"),
+    ("pythagoras", [], {"n": 2.5}, "n"),
+    ("pythagoras", [], {"n": True}, "n"),
+    ("glue-regions", ["--n", "5"], {"params": {"covering_points": 3.0}}, "covering_points"),
+    ("logz-growth", [], {"params": {"points_n1": "2"}}, "points_n1"),
+    ("gamma-sum", [], {"params": {"cases": [
+        {"N": 2, "n_active": 1, "points": 1.5, "tol": 1e-3}]}}, r"cases\[0\]\.points"),
+], ids=["string-n", "float-n", "bool-n", "float-covering-points", "string-points-n1",
+        "float-gamma-case-points"])
+def test_sample_counts_of_the_wrong_type_rejected(tmp_path, experiment, argv, data, key):
+    # a string once ended in a TypeError traceback, a float passed the
+    # check and failed later in range, and True ran as one sample
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=rf"sample count\(s\) {key} not an integer"):
+        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_shipped_configs_pass(tmp_path):
     # weak-chern is left out: ACCEPTANCE 05 runs the same check
     import pathlib

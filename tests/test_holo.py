@@ -114,16 +114,27 @@ def test_gamma_within_resolution_floor_is_refused():
         gamma(spec, 0, BasePoint(np.array([1.0, 1.0]), 1e-7j))
 
 
+def test_gamma_refusal_names_gamma_kernel_and_row():
+    # the refusal above, at row 1 of a batch: the message names gamma_0,
+    # its kernel (0, 1) whose sheet the row meets, the row and its point
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    mu = np.array([[2.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(SingularityProximity, match=r"gamma_0 on \(0, 1, 2\): kernel "
+                       r"\(0, 1\) at batch row 1 \(mu = \[1\.0, 1\.0\], eta = 1e-07j\)"):
+        gamma_batch(spec, 0, mu, np.array([0.5j, 1e-7j]))
+
+
 def _leg(q0, q1):
     """The Gauss nodes (mu, eta) of the log_z leg from q0 to q1."""
     return (q0.mu + _LEG_NODES[:, None] * (q1.mu - q0.mu),
             q0.eta + _LEG_NODES * (q1.eta - q0.eta))
 
 
-def test_moving_eta_leg_makes_one_gamma_call_per_label_and_kernel(monkeypatch):
-    # N = 2, all slots: three labels of two kernels each, so a leg on
-    # which eta moves costs 6 gamma integrals (power n + 2 = 4), not one
-    # per node; rows with eta = 0 cost none
+def test_moving_eta_leg_makes_one_gamma_call_per_label(monkeypatch):
+    # N = 2, all slots: three labels of two kernels each, whose integrals
+    # (power n + 2 = 4) differ only in the cone, so a leg on which eta
+    # moves costs one engine call per label, 3, not one per node or per
+    # kernel; rows with eta = 0 cost none
     import ghlab.holo as holo
     import ghlab.kernels as kernels
 
@@ -136,10 +147,10 @@ def test_moving_eta_leg_makes_one_gamma_call_per_label_and_kernel(monkeypatch):
     p = BasePoint(np.array([0.8, -0.3]), 0.9 + 0.5j)
     ref = BasePoint(np.array([2.2, 1.7]), 1.0 + 0j)
     log_z(A, IndexSet((0, 1, 2)), QUAD, p, basepath=[ref, p])
-    assert powers.count(4) == 6
+    assert powers.count(4) == 3
     spec = GammaSpec(A, IndexSet((0, 1, 2)), QUAD)
     zero = gamma_batch(spec, 1, np.ones((5, 2)), np.zeros(5))
-    assert powers.count(4) == 6 and not zero.value.any()
+    assert powers.count(4) == 3 and not zero.value.any()
 
 
 def test_batched_leg_gammas_match_one_node_calls_n3():

@@ -1,5 +1,6 @@
 """Kernel values against closed forms, QMC, and structural identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,11 +11,12 @@ from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_sp
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.kernels import (
     KernelSpec,
-    _assemble,
+    _family,
     _cone_integral,
     RadialBump,
     alpha,
     alpha_batch,
+    alpha_family,
     alpha_grad,
     beta,
     closed_form_axis,
@@ -52,6 +54,12 @@ def arctan_oracle(A: QuadForm, labels, p: BasePoint) -> float:
         D = a * c - b * b
         val = (mpmath.pi / 2 + mpmath.atan(b / mpmath.sqrt(D))) / mpmath.sqrt(D)
         return float(mpmath.mpf(kernel_prefactor(2, A.det)) * val)
+
+
+def _engine_data(A: QuadForm, labels):
+    """(Q, c_eta, M, power, prefactor) of the full-space kernel ``labels``."""
+    fam = _family(A, None, tuple(labels))
+    return fam.Q, fam.c_eta, fam.M[0], fam.power, fam.prefactor
 
 
 def _batch(points):
@@ -145,7 +153,7 @@ def test_weak_check_kernel_near_the_sheet(labels, mu, r):
     # arctan of D = a c - b^2 formed by subtraction loses up to 1.6e-4;
     # the engine call the check makes stays within rel 1e-9
     A = QuadForm(np.array(WEAK_FORM_N2))
-    Q, c_eta, _, M, power, pref = _assemble(KernelSpec(A, labels))
+    Q, c_eta, M, power, pref = _engine_data(A, labels)
     res = power_kernel_integral(Q, c_eta, np.array([mu]), np.array([r]), M,
                                 power, QuadratureSpec(abs_tol=1e-8), prefactor=pref)
     want = arctan_oracle(A, labels, BasePoint(np.array(mu), r))
@@ -414,7 +422,7 @@ def test_on_sheet_raises_n3(labels):
     # an edge, at the apex) and one within the floor (4.6e-3 here) of it
     A = random_spd(np.random.default_rng(5), 3)
     spec = KernelSpec(A, labels)
-    _, _, _, M, _, _ = _assemble(spec)
+    M = _engine_data(A, labels)[2]
     clear = BasePoint(M @ np.array([1.0, 0.5]) + 0.3, 0.2 + 0j)
     alpha_batch(spec, QUAD, *_batch([clear, BasePoint(np.array([-0.5, 1.0, 0.4]), 0j)]))
     for t in ((1.0, 0.5), (1.0, 0.0), (0.0, 0.0)):
@@ -439,6 +447,72 @@ def test_batch_checks_every_row_against_the_floor():
     alpha_batch(spec, QUAD, *_batch([clear, BasePoint(np.array([0.4, 1.1]), 0.1j)]))
     with pytest.raises(SingularityProximity):
         alpha_batch(spec, QUAD, *_batch([clear, close]))
+
+
+def test_refusal_names_kernel_row_and_point():
+    # the refusing (kernel, row) pair is named with the row's point, in a
+    # one-kernel batch, a field jet's family (N = 2, closed forms) and a
+    # swept batch (N = 4)
+    spec = KernelSpec(QuadForm.identity(2), (0, 1))
+    clear = BasePoint(np.array([0.5, 1.0]), 0.1 + 0j)
+    close = BasePoint(np.array([1e-6, 1.0]), 0j)
+    with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 2 "
+                       r"\(mu = \[1e-06, 1\.0\], eta = 0j\): distance 1\.000e-06"):
+        alpha_batch(spec, QUAD, *_batch([clear, clear, close]))
+    with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "):
+        FirstOrderField(QuadForm.identity(2), QUAD).jet(*_batch([clear, close]))
+    far = BasePoint(np.array([0.5, 1.0, -0.3, 0.2]), 0.4 + 0j)
+    close = BasePoint(np.array([1e-6, 1.0, 1.0, 1.0]), 0j)
+    with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
+                       r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
+        alpha_batch(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD, *_batch([far, close]))
+
+
+@pytest.mark.parametrize("N, members", [(2, None), (2, (0, 1, 2)), (3, None),
+                                        (3, (0, 1, 3)), (3, (0, 2))])
+def test_family_batch_matches_one_kernel_calls(N, members):
+    # the kernels that do not vanish, stacked into one engine call (d = 2,
+    # 1 or 0 here), give what each kernel's own call gives: value and
+    # gradient to roundoff, error and grid nodes exactly
+    rng = np.random.default_rng(61 + N)
+    A = random_spd(rng, N)
+    I = None if members is None else IndexSet(members)
+    mu, eta = _batch([off_locus_point(rng, A) for _ in range(5)])
+    labels, kv = alpha_family(A, I, QUAD, mu, eta, want_gradient=True)
+    assert labels == tuple(ij for ij in itertools.combinations(range(N + 1), 2)
+                           if not KernelSpec(A, ij, I).vanishes)
+    evals = 0
+    for k, ij in enumerate(labels):
+        one = alpha_batch(KernelSpec(A, ij, I), QUAD, mu, eta, want_gradient=True)
+        np.testing.assert_allclose(kv.value[k], one.value, rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(kv.error[k], one.error)
+        np.testing.assert_allclose(kv.gradient[k], one.gradient, rtol=1e-14,
+                                   atol=1e-14 * float(np.max(np.abs(one.gradient))))
+        evals += one.evals
+    assert kv.evals == evals == len(labels) * len(mu)
+
+
+def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
+    # a form's engine data (cone matrices, Cholesky factor, wedge frames)
+    # is built once: a jet builds it, and one-kernel calls on the same
+    # form after it reuse it; another form builds its own
+    from ghlab import quadrature
+
+    built = []
+    build = quadrature._Wedge.build.__func__
+    monkeypatch.setattr(quadrature._Wedge, "build",
+                        classmethod(lambda cls, *a: built.append(1) or build(cls, *a)))
+    rng = np.random.default_rng(71)
+    A = random_spd(rng, 3)
+    p = off_locus_point(rng, A)
+    FirstOrderField(A, QUAD).at(p, want_gradient=True)
+    assert len(built) == 1
+    for ij in itertools.combinations(range(4), 2):
+        alpha_grad(KernelSpec(A, ij), QUAD, p)
+        alpha(KernelSpec(A, ij), QUAD, p)
+    assert len(built) == 1
+    alpha_grad(KernelSpec(QuadForm(A.entries), (0, 1)), QUAD, p)
+    assert len(built) == 2
 
 
 def test_harmonicity_of_kernel_n2():
@@ -508,7 +582,7 @@ def test_weak_check_cone_integral_converges():
               ((1, 2), (1.0, 1.5), 1.0)]
     for labels, center, r_mu in cases:
         bump = RadialBump(np.array(center), r_mu, 1.0)
-        m = _assemble(KernelSpec(A, labels))[3][:, 0]
+        m = _engine_data(A, labels)[2][:, 0]
         want = integrate.quad(lambda t: float(bump.value(t * m, 0.0)),
                               0.0, 20.0, limit=500, epsabs=1e-15,
                               epsrel=1e-13)[0]
