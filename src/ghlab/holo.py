@@ -15,13 +15,13 @@ of the model coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
-from .kernels import KernelSpec, KernelValue, alpha_batch, _engine_batch, _family
-from .quadrature import QuadratureSpec, SingularityProximity, cone_frame, panel_nodes
+from .kernels import KernelSpec, KernelValue, alpha_batch, _build_family, _engine_batch
+from .quadrature import QuadratureSpec, SingularityProximity, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
 
@@ -75,20 +75,6 @@ def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarra
     return kernels, col
 
 
-def _gamma_family(spec: GammaSpec, i: int):
-    """gamma_i's kernels as one engine family, kept with the form: the ray
-    joins each cone matrix, the power rises by 2, and the prefactor is the
-    kernels' shared scale n c_eta prefactor."""
-    def build():
-        kernels, col = _gamma_kernels(spec, i)
-        fam = _family(spec.A, spec.I)
-        idx = [fam.labels.index(ks.labels) for ks in kernels]
-        M = np.concatenate([fam.M[idx], np.tile(col[:, None], (len(idx), 1, 1))], axis=2)
-        return replace(fam, labels=tuple(fam.labels[k] for k in idx), M=M, power=fam.power + 2,
-                       prefactor=fam.power * fam.c_eta * fam.prefactor, frame=cone_frame(fam.Q, M))
-    return spec.A.derived(("gamma", spec.I, i), build)
-
-
 def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
                 eta: np.ndarray) -> KernelValue:
     """gamma_i at the batch mu (B, N), eta (B,): complex values and error
@@ -109,7 +95,10 @@ def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
             kv = gamma_batch(spec, i, mu[live], eta[live])
             out.value[live], out.error[live], out.evals = kv.value, kv.error, kv.evals
         return out
-    fam = _gamma_family(spec, i)
+    kernels, col = _gamma_kernels(spec, i)
+    # built per call: kept with forms that a caller holds by the thousand,
+    # a gamma's frames would cost about 2 KB each
+    fam = _build_family(spec.A, spec.I, [ks.labels for ks in kernels], col)
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta)
     try:

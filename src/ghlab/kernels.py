@@ -137,21 +137,31 @@ def _family(A: QuadForm, restriction: IndexSet | None,
             return replace(fam, labels=(labels,), M=fam.M[k:k + 1],
                            frame=None if fam.frame is None else fam.frame[k:k + 1])
         return A.derived(("kernel", restriction, labels), one)
+    pairs = [(i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
+             if restriction is None or {i, j} <= set(restriction.members)]
+    return A.derived(("kernels", restriction), lambda: _build_family(A, restriction, pairs))
 
-    def build() -> _Family:
-        if restriction is None:
-            S, G = tuple(range(1, A.n + 1)), A
-        else:
-            S, G = restriction.active, schur_complement(A, restriction)
-        pairs = [(i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
-                 if restriction is None or {i, j} <= set(restriction.members)]
-        # rows of each cone matrix: the diagonal -1 for a pair, then the
-        # axes off the kernel's labels
-        M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
-                       for r in S] for i, j in pairs]).reshape(len(pairs), len(S), -1)
-        return _Family(G.entries, A.det, [lab - 1 for lab in S], tuple(pairs), M, len(S),
-                       kernel_prefactor(len(S), G.det), cone_frame(G.entries, M))
-    return A.derived(("kernels", restriction), build)
+
+def _build_family(A: QuadForm, restriction: IndexSet | None,
+                  pairs: list[tuple[int, int]], ray: np.ndarray | None = None) -> _Family:
+    """The kernels ``pairs`` of A under ``restriction`` as one family; with
+    ``ray``, a gamma's: the ray joins each cone matrix, the power rises by
+    2 and the prefactor is the kernels' shared scale n c_eta prefactor."""
+    if restriction is None:
+        S, G = tuple(range(1, A.n + 1)), A
+    else:
+        S, G = restriction.active, schur_complement(A, restriction)
+    n, pref = len(S), kernel_prefactor(len(S), G.det)
+    # rows of each cone matrix: the diagonal -1 for a pair, then the axes
+    # off the kernel's labels
+    M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
+                   for r in S] for i, j in pairs]).reshape(len(pairs), n, -1)
+    power = n
+    if ray is not None:
+        M = np.concatenate([M, np.tile(ray[:, None], (len(pairs), 1, 1))], axis=2)
+        power, pref = n + 2, n * A.det * pref
+    return _Family(G.entries, A.det, [lab - 1 for lab in S], tuple(pairs), M, power, pref,
+                   cone_frame(G.entries, M))
 
 
 def _first_row(kv: KernelValue) -> KernelValue:
