@@ -75,9 +75,8 @@ class ExperimentConfig:
             cfg.seed = seed
         if n is not None:
             cfg.n = n
-        # a count below 1 would pass every row over zero samples, and one
-        # that is no integer (a string, a float, a bool) would fail later
-        # or pass as 1
+        # a count below 1 would pass every row over zero samples; one that is
+        # no integer (a string, a float, a bool) would crash later or run as 1
         counts = {"n": cfg.n, **{k: cfg.params.get(k) for k in COUNT_PARAMS}}
         for i, case in enumerate(cfg.params.get("cases", [])):
             counts[f"cases[{i}].points"] = case.get("points")

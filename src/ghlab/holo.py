@@ -6,8 +6,8 @@ coordinates.  They are primitives of eta-derivatives of the restricted
 kernels along explicit rays; folding the ray parameter into the kernel's
 own cone parameters turns each gamma into a single orthant integral of
 one higher power.  ``gamma_batch`` takes a batch mu (B, N), eta (B,) through
-the kernels' engine path, resolution floor included; ``gamma`` is its
-one-row case.  Their sum telescopes to the reciprocal of the fiber
+the kernels' engine path, resolution floor included, all of a gamma's
+kernels in one family; ``gamma`` is its one-row case.  Their sum telescopes to the reciprocal of the fiber
 coordinate, and the induced closed one-forms integrate to the logarithms
 of the model coordinates.
 """
@@ -96,8 +96,7 @@ def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
             out.value[live], out.error[live], out.evals = kv.value, kv.error, kv.evals
         return out
     kernels, col = _gamma_kernels(spec, i)
-    # built per call: kept with forms that a caller holds by the thousand,
-    # a gamma's frames would cost about 2 KB each
+    # built per call: kept with each of thousands of forms, it costs ~2 KB
     fam = _build_family(spec.A, spec.I, [ks.labels for ks in kernels], col)
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta)

@@ -14,13 +14,16 @@ quadratic form there, and keeps the full determinant as the fiber weight.
 Kernels whose labels are not members of the restriction are identically
 zero by convention.
 
-Every kernel value goes through ``alpha_batch``, which takes a batch of
-points as two arrays, mu (B, N) and eta (B,); ``alpha`` and ``alpha_grad``
-are its one-row case.  It hands the rows to ``_engine_batch``, which
-checks each against the resolution floor and makes the engine calls; the
-gammas of ``ghlab.holo`` share it.  Only the weak charge check, whose grid
-samples the integrable singularity inside that floor, calls the engine
-directly.
+Every kernel value goes through ``alpha_family``: the kernels of a form
+under a restriction at a batch mu (B, N), eta (B,); ``alpha_batch`` is its
+one-kernel case, ``alpha`` and ``alpha_grad`` that one's one-row case.
+The kernels differ only in their cone matrix, so their engine data (with
+``quadrature.cone_frame``) is built once per form, and ``_engine_batch``
+checks each (kernel, row) pair against the resolution floor and makes one
+engine call for closed forms, one per kernel and grid group for swept
+ones; the gammas of ``ghlab.holo`` share it.  Only the weak charge check,
+whose grid samples the integrable singularity inside that floor, calls
+the engine directly.
 """
 
 from __future__ import annotations
@@ -212,8 +215,8 @@ def alpha_family(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec
                  ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
     """Every kernel of A under ``restriction`` that does not vanish (or the
     one kernel ``labels``) at the batch mu (B, N), eta (B,): their labels,
-    and as ``alpha_batch`` but (K, ...) per kernel.  Where the kernels are
-    closed forms (N <= 3) the whole family is one engine call."""
+    and what ``alpha_batch`` returns with a leading kernel axis K.  Where
+    they are closed forms (N <= 3) the whole family is one engine call."""
     N = A.n
     mu, eta = check_batch(mu, eta, N)
     fam = _family(A, restriction, labels)

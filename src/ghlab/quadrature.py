@@ -57,8 +57,11 @@ recursion where beta >= 0, the incomplete beta function where beta < 0
 and the angle is small), D formed as a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
-0.  For every k = d - 2 >= 1 the other parameters tau'' are swept on one
-grid in polar form tau'' = r omega, r = |tau''|_1, d tau'' = r^(k-1) dr d omega,
+0.  They take a stack of cone matrices M (K, m, d) of kernels that share
+Q, c_eta and the power: the form's part (``cone_frame``) carries a leading
+kernel axis, and every (kernel, row) pair is evaluated in one pass.  For
+every k = d - 2 >= 1 the other parameters tau'' are swept on one grid in
+polar form tau'' = r omega, r = |tau''|_1, d tau'' = r^(k-1) dr d omega,
 with omega on the simplex by stick-breaking (omega_1 = u_1,
 omega_2 = (1 - u_1) u_2, ..., the stick left last), which maps the cube
 [0, 1]^(k-1) onto it (the Duffy transform: Duffy 1982, SIAM J. Numer.
@@ -767,12 +770,12 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
 
     b may be (m,) or (B, m); eta scalar or (B,).  M is one cone matrix
     (m, d) or, at d <= 2, a stack (K, m, d) of kernels that share all
-    else, and the results then carry a leading K axis: every (kernel, row)
-    pair is a closed form, all in one evaluation, and rows may lie at any
-    distance from each other.  At d >= 3 the radial
-    grid is built for the first row and every row is swept on it, which
-    holds only for rows within half the first row's sheet distance r* of
-    it; ``kernels._engine_batch`` splits its batches so.  ``sheet`` passes
+    else, whose results carry a leading K axis.  At d <= 2 every (kernel,
+    row) pair is a closed form, all in one evaluation, so rows may lie at
+    any distance from each other.  At d >= 3 the radial grid is built for
+    the first row and every row is swept on it, which holds only for rows
+    within half the first row's sheet distance r* of it;
+    ``kernels._engine_batch`` splits its batches so.  ``sheet`` passes
     that first row's (tau*, r*) from ``sheet_distance`` when the caller has
     solved it already, and ``frame`` the ``cone_frame`` of the stack (of
     M[None] for one matrix).  ``prefactor`` only converts the spec
@@ -788,8 +791,6 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     E = c_eta * (x * x + y * y)
     stack = M if M.ndim == 3 else M[None]
     K, _, d = stack.shape
-    if d > 2 and M.ndim == 3:
-        raise ValueError("a swept integral takes one cone matrix (m, d)")
 
     ceta_xy = c_eta * eta_xy
     # closest sheet point for the leading row
