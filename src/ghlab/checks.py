@@ -2,8 +2,9 @@
 
 Samplers draw from a caller's generator in a fixed order, so a seed fixes
 every input.  Residuals take already-drawn inputs and return the worst
-value over them.  Callers keep only their seeds, sample counts and
-tolerances.  Criterion numbers refer to ``tests/test_acceptance.py``.
+value over them.  Each criterion's tolerances, quadrature specs and
+fixed inputs are constants here; callers keep only their seeds and
+sample counts.  Criterion numbers refer to ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -15,19 +16,59 @@ import numpy as np
 
 from . import ansatz, frame, glue, holo, kernels, locus
 from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
-                       gradient_step, richardson_derivative, richardson_stencil,
-                       schur_complement)
+                       gradient_step, laplace_terms, richardson_derivative,
+                       richardson_stencil, schur_complement)
 from .quadrature import QuadratureSpec
 
-__all__ = [
-    "DECAY_RAYS_N3", "WEAK_BUMPS_N2", "WEAK_FORM_N2", "decay_exponents",
-    "eigen_cases", "flat_volume_gap", "gamma_sum_gap", "gradient_relations",
-    "integrability_gap", "kernel_laplacian", "log_sum_gap",
-    "nested_cases", "nested_projection_gap", "off_locus_point", "one_slot_gaps",
-    "plateau_gap", "plateau_points", "product_identity_gap", "profile_piece_gaps",
-    "random_point", "random_spd", "random_subset", "restricted_cases",
-    "restricted_gap", "schur_eigen_violation", "weak_charge_checks",
-]
+
+# -- what each verdict is held to ----------------------------------------
+# Every criterion's tolerances, quadrature spec and fixed inputs; the suite
+# and the CLI read them here, and no config can change them.
+
+FLAT_VOLUME_TOL = 1e-9                      # 01
+ONE_SLOT_FORM, ONE_SLOT_TOL = 1.3, 1e-10    # 02: the 1 x 1 form's entry, tolerance
+RESTRICTED_TOL = 1e-8                       # 03
+HARMONIC_TOL = 1e-3                         # 04
+WEAK_TOL = 1e-2                             # 05
+PROJECTION_TOL, EIGEN_TOL = 1e-10, 1e-12    # 07: nested projections, eigenvalues
+PRODUCT_TOL, LOG_SUM_TOL = 1e-12, 1e-6      # 09: moduli product, log sum
+PIECE_TOL = 1e-12                           # 11
+INTEGRABILITY_TOL = 1e-3                    # 12
+
+QUAD = QuadratureSpec()                     # 02, 03, 04 and 12
+WEAK_QUAD = QuadratureSpec(abs_tol=1e-8)    # 05
+DECAY_QUAD = QuadratureSpec(abs_tol=1e-12)  # 06
+GAMMA_QUAD = QuadratureSpec(abs_tol=1e-11)  # 08 and 09
+
+# Criterion 05 at N = 2: the form, and per bump the kernel labels, centre,
+# mu radius and eta radius; two bumps sit on axis strata, one on a pair.
+WEAK_FORM_N2 = ((1.3, 0.2), (0.2, 0.9))
+WEAK_BUMPS_N2 = (
+    ((0, 1), (0.0, 2.0), 1.5, 1.2),
+    ((0, 2), (2.0, 0.0), 1.5, 1.2),
+    ((1, 2), (-3.0, -3.0), 2.0, 1.5),
+)
+
+# Criterion 06 at N = 3, on the identity form: one ray per stratum depth,
+# with the predicted decay exponent of the volume defect and its window.
+DECAY_RAYS_N3 = (
+    (ansatz.Ray(np.array([1.0, 0.6, -0.8]), base_mu=np.array([0.0, 0.3, 0.0]),
+                base_eta=0.7 + 0.2j, label="generic"), 2.0, 0.2),
+    (ansatz.Ray(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3.0),
+                base_mu=np.array([2.0, -2.0, 0.0]), base_eta=0.5,
+                label="near-pair"), 1.0, 0.2),
+    (ansatz.Ray(np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0),
+                base_mu=np.array([3.0, -3.0, 0.5]), base_eta=0.5,
+                label="deep"), 0.0, 0.1),
+)
+
+# Criterion 08 at N = 2: per case the active slots, the point count and
+# the tolerance; each case draws its own form.
+GAMMA_CASES_N2 = ((1, 10, 1e-3), (2, 3, 1e-2))
+
+# Criterion 11: the extension profile's slope K, shoulder M, floor 1000 M
+# and eps.
+PROFILE = (1.0, 10.0, 1e4, 0.1)
 
 
 # -- samplers -------------------------------------------------------------
@@ -160,24 +201,21 @@ def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
                      points) -> float:
     """Criterion 04: worst A-Laplacian of the kernel over the scale of its
     terms, by one differencing level on analytic gradients; every point's
-    stencil goes into one kernel batch."""
+    stencil goes into one kernel batch and one difference."""
     A = spec.A
     N = A.n
     xs = [p.as_vector() for p in points]
-    hs = [gradient_step(x) for x in xs]
+    hs = np.array([gradient_step(x) for x in xs])
     mu, eta = batch_from_vectors(np.concatenate(
         [richardson_stencil(x, h) for x, h in zip(xs, hs)]))
     grads = kernels.alpha_batch(spec, quad, mu, eta, want_gradient=True).gradient
-    worst = 0.0
-    for g, h in zip(grads.reshape(len(xs), -1, N + 2), hs):
-        hess = richardson_derivative(g, h)
-        hess = 0.5 * (hess + hess.T)
-        mu_part = float(np.sum(A.inv * hess[:N, :N]))
-        eta_part = (hess[N, N] + hess[N + 1, N + 1]) / A.det
-        scale = max(float(np.max(np.abs(A.inv * hess[:N, :N]))) * N * N,
-                    abs(eta_part), 1e-300)
-        worst = max(worst, abs(mu_part + eta_part) / scale)
-    return worst
+    # hess[b, k, j] = d_k of gradient entry j at point b
+    hess = np.moveaxis(richardson_derivative(
+        np.swapaxes(grads.reshape(len(xs), -1, N + 2), 0, 1), hs[None, :, None]), 1, 0)
+    mu_terms, eta_part = laplace_terms(A, 0.5 * (hess + np.swapaxes(hess, 1, 2)))
+    scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * N * N,
+                                  np.abs(eta_part)), 1e-300)
+    return float(np.max(np.abs(mu_terms.sum(axis=1) + eta_part) / scale, initial=0.0))
 
 
 def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
@@ -206,57 +244,36 @@ def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
     return worst_pair, worst_axis
 
 
-# Criterion 06 at N = 3, on the identity form: one ray per stratum depth,
-# with the predicted decay exponent of the volume defect and its window.
-DECAY_RAYS_N3 = (
-    (ansatz.Ray(np.array([1.0, 0.6, -0.8]), base_mu=np.array([0.0, 0.3, 0.0]),
-                base_eta=0.7 + 0.2j, label="generic"), 2.0, 0.2),
-    (ansatz.Ray(np.array([-1.0, -1.0, 1.0]) / math.sqrt(3.0),
-                base_mu=np.array([2.0, -2.0, 0.0]), base_eta=0.5,
-                label="near-pair"), 1.0, 0.2),
-    (ansatz.Ray(np.array([-1.0, -1.0, -1.0]) / math.sqrt(3.0),
-                base_mu=np.array([3.0, -3.0, 0.5]), base_eta=0.5,
-                label="deep"), 0.0, 0.1),
-)
-
-
-# Criterion 05 at N = 2: the form, and per bump the kernel labels, centre,
-# mu radius and eta radius; two bumps sit on axis strata, one on a pair.
-WEAK_FORM_N2 = ((1.3, 0.2), (0.2, 0.9))
-WEAK_BUMPS_N2 = (
-    ((0, 1), (0.0, 2.0), 1.5, 1.2),
-    ((0, 2), (2.0, 0.0), 1.5, 1.2),
-    ((1, 2), (-3.0, -3.0), 2.0, 1.5),
-)
-
-
-def weak_charge_checks(quad: QuadratureSpec) -> list[kernels.WeakCheckResult]:
+def weak_charge_checks() -> list[kernels.WeakCheckResult]:
     """Criterion 05: the weak charge check of each of ``WEAK_BUMPS_N2`` on
-    ``WEAK_FORM_N2``, in that order."""
+    ``WEAK_FORM_N2`` at ``WEAK_QUAD``, in that order."""
     A = QuadForm(np.array(WEAK_FORM_N2))
     return [kernels.weak_distributional_check(
-                A, labels, kernels.RadialBump(np.array(center), r_mu, r_eta), quad)
+                A, labels, kernels.RadialBump(np.array(center), r_mu, r_eta), WEAK_QUAD)
             for labels, center, r_mu, r_eta in WEAK_BUMPS_N2]
 
 
-def decay_exponents(quad: QuadratureSpec
-                    ) -> list[tuple[str, float, float, float, bool]]:
-    """Criterion 06 on the identity form: per ray of ``DECAY_RAYS_N3``,
-    (label, measured exponent, predicted exponent, window, whether it lies
-    in the window)."""
+def decay_exponents() -> list[tuple[str, float, float, float, bool]]:
+    """Criterion 06 on the identity form at ``DECAY_QUAD``: per ray of
+    ``DECAY_RAYS_N3``, (label, measured exponent, predicted exponent,
+    window, whether it lies in the window)."""
     A = QuadForm.identity(3)
     out = []
     for ray, want, win in DECAY_RAYS_N3:
-        got = ansatz.decay_scan(A, quad, ray).exponent
+        got = ansatz.decay_scan(A, DECAY_QUAD, ray).exponent
         out.append((ray.label, got, want, win, abs(got - want) <= win))
     return out
 
 
-def gamma_sum_gap(spec: holo.GammaSpec, points) -> float:
-    """Criterion 08: worst scaled gap |sum_i gamma_i - 1/eta| |eta| over
-    the points."""
-    return max((holo.gamma_sum_check(spec, p).scaled_gap for p in points),
-               default=0.0)
+def gamma_sum_gaps(rng: np.random.Generator) -> list[float]:
+    """Criterion 08: per case of ``GAMMA_CASES_N2``, on a form and points
+    drawn in that order, the worst scaled gap |sum_i gamma_i - 1/eta| |eta|."""
+    gaps = []
+    for n_act, n_pts, _ in GAMMA_CASES_N2:
+        spec = holo.GammaSpec(random_spd(rng, 2), IndexSet(range(n_act + 1)), GAMMA_QUAD)
+        gaps.append(max(holo.gamma_sum_check(spec, random_point(rng, 2)).scaled_gap
+                        for _ in range(n_pts)))
+    return gaps
 
 
 def nested_projection_gap(cases) -> float:

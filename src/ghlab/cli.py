@@ -6,9 +6,10 @@ Each experiment samples points from a seeded generator, evaluates one of
 the library's identities, and writes a CSV of result rows plus a JSON
 sidecar with the effective configuration and its hash.  Reruns with the
 same configuration are byte-identical except for the sidecar timestamp.
-The process exits 0 exactly when every row passes.  Samplers and
-residuals that an acceptance criterion shares come from ``ghlab.checks``;
-a runner here reads its config and assembles rows.
+The process exits 0 exactly when every row passes.  Samplers, residuals,
+tolerances and quadrature specs that an acceptance criterion shares come
+from ``ghlab.checks``; a config sets only seeds, sample counts and
+dimensions, and a runner here reads it and assembles rows.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random import Generator
 
 from . import checks, glue, holo, kernels, locus
 from .geometry import BasePoint, IndexSet, QuadForm
@@ -54,6 +56,9 @@ class ExperimentConfig:
         if path:
             with open(path) as fh:
                 data = json.load(fh)
+        # a config of the wrong shape would otherwise end in a traceback
+        if type(data) is not dict:
+            raise SystemExit(f"config in {path} is not a JSON object")
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise SystemExit(f"unsupported config schema_version in {path}")
         # a misspelt key would otherwise fall back to its default silently
@@ -62,24 +67,23 @@ class ExperimentConfig:
         if unknown:
             raise SystemExit(f"unknown config key(s) {', '.join(unknown)} in {path}; "
                              f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
+        if type(data.get("params", {})) is not dict:
+            raise SystemExit(f"config key params is not an object in {path}")
         accepted = EXPERIMENT_PARAMS.get(experiment, frozenset())
         unknown = sorted(set(data.get("params", {})) - accepted)
         if unknown:
             raise SystemExit(f"unknown param(s) {', '.join(unknown)} for {experiment} "
                              f"in {path}; accepted: {', '.join(sorted(accepted))}")
-        cfg = cls(experiment=experiment,
-                  seed=data.get("seed", 20240817),
-                  n=data.get("n"),
-                  params=data.get("params", {}))
-        if seed is not None:
-            cfg.seed = seed
-        if n is not None:
-            cfg.n = n
+        cfg = cls(experiment, data.get("seed", cls.seed) if seed is None else seed,
+                  data.get("n") if n is None else n, data.get("params", {}))
+        # numpy reads a bool as a seed and rejects a float, string or
+        # negative one with a traceback
+        if type(cfg.seed) is not int or cfg.seed < 0:
+            raise SystemExit(f"seed {cfg.seed!r} not an integer of at least 0 "
+                             f"for {experiment}")
         # a count below 1 would pass every row over zero samples; one that is
         # no integer (a string, a float, a bool) would crash later or run as 1
         counts = {"n": cfg.n, **{k: cfg.params.get(k) for k in COUNT_PARAMS}}
-        for i, case in enumerate(cfg.params.get("cases", [])):
-            counts[f"cases[{i}].points"] = case.get("points")
         counts = {k: v for k, v in counts.items() if v is not None}
         for what, bad in (("not an integer", lambda v: type(v) is not int),
                           ("below 1", lambda v: v < 1)):
@@ -108,10 +112,6 @@ class ResultRow:
     detail: str = ""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{cfg.experiment}.csv"
@@ -120,9 +120,8 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
         wr.writerow(["experiment", "case", "value", "target", "tol",
                      "passed", "config_hash", "detail"])
         for r in rows:
-            wr.writerow([r.experiment, r.case, _fmt(r.value), _fmt(r.target),
-                         _fmt(r.tol), str(r.passed).lower(), r.config_hash,
-                         r.detail])
+            wr.writerow([r.experiment, r.case, f"{r.value:.17g}", f"{r.target:.17g}",
+                         f"{r.tol:.17g}", str(r.passed).lower(), r.config_hash, r.detail])
     sidecar = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg.experiment,
@@ -143,7 +142,8 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
 
 
 def _experiment(name: str, *params: str):
-    """Register a runner under ``name`` with the params keys it reads."""
+    """Register a runner under ``name`` with the params keys it reads; a
+    runner takes the config and a generator seeded by it."""
     def register(fn):
         EXPERIMENTS[name] = fn
         EXPERIMENT_PARAMS[name] = frozenset(params)
@@ -158,154 +158,123 @@ def _row(cfg: ExperimentConfig, case: str, value: float, tol: float,
                      cfg.hash, detail)
 
 
-@_experiment("flat-cy", "dims", "tol")
-def run_flat_cy(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n or 1000
-    tol = cfg.params.get("tol", 1e-9)
+@_experiment("flat-cy", "dims")
+def run_flat_cy(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.flat_volume_gap(
                 [checks.random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
-                 for _ in range(n)]), tol)
+                 for _ in range(cfg.n or 1000)]), checks.FLAT_VOLUME_TOL)
             for N in cfg.params.get("dims", [1, 2, 3, 4, 5])]
 
 
-@_experiment("taubnut-exact", "a", "tol")
-def run_taubnut_exact(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    tol = cfg.params.get("tol", 1e-10)
-    A = QuadForm(np.array([[cfg.params.get("a", 1.3)]]))
+@_experiment("taubnut-exact")
+def run_taubnut_exact(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
+    A = QuadForm(np.array([[checks.ONE_SLOT_FORM]]))
     pts = [checks.random_point(rng, 1, eta_lo=0.05) for _ in range(cfg.n or 100)]
-    gaps = checks.one_slot_gaps(A, QuadratureSpec(), pts)
-    return [_row(cfg, case, gap, tol) for case, gap in
+    gaps = checks.one_slot_gaps(A, checks.QUAD, pts)
+    return [_row(cfg, case, gap, checks.ONE_SLOT_TOL) for case, gap in
             zip(("alpha-closed-form", "cy-identity", "volume-defect"), gaps)]
 
 
-@_experiment("kernel-closedform", "dims", "rel_tol")
-def run_kernel_closedform(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n or 100
-    tol = cfg.params.get("rel_tol", 1e-8)
-    return [_row(cfg, f"N={N}", checks.restricted_gap(
-                checks.restricted_cases(rng, N, n), QuadratureSpec()), tol)
+@_experiment("kernel-closedform", "dims")
+def run_kernel_closedform(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
+    return [_row(cfg, f"N={N}", checks.restricted_gap(checks.restricted_cases(
+                rng, N, cfg.n or 100), checks.QUAD), checks.RESTRICTED_TOL)
             for N in cfg.params.get("dims", [2, 3, 4])]
 
 
-@_experiment("harmonicity", "abs_tol", "dims", "rel_tol")
-def run_harmonicity(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n or 50
-    tol = cfg.params.get("rel_tol", 1e-3)
-    quad = QuadratureSpec(abs_tol=cfg.params.get("abs_tol", 1e-10))
+@_experiment("harmonicity", "dims")
+def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A) for _ in range(n)]
+        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
-            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), quad, pts)
-            rows.append(_row(cfg, f"N={N}-{kind}", lap, tol))
+            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), checks.QUAD, pts)
+            rows.append(_row(cfg, f"N={N}-{kind}", lap, checks.HARMONIC_TOL))
     return rows
 
 
-@_experiment("integrability", "dims", "rel_tol")
-def run_integrability(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    tol = cfg.params.get("rel_tol", 1e-3)
+@_experiment("integrability", "dims")
+def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
-        gaps = checks.integrability_gap(A, QuadratureSpec(), [
+        gaps = checks.integrability_gap(A, checks.QUAD, [
             checks.off_locus_point(rng, A) for _ in range(cfg.n or 20)])
-        rows += [_row(cfg, f"N={N}-{kind}", gap, tol)
+        rows += [_row(cfg, f"N={N}-{kind}", gap, checks.INTEGRABILITY_TOL)
                  for kind, gap in zip(("first", "second"), gaps)]
     return rows
 
 
-@_experiment("commutativity", "dim", "rel_tol")
-def run_commutativity(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    tol = cfg.params.get("rel_tol", 1e-3)
+@_experiment("commutativity", "dim")
+def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     A = checks.random_spd(rng, cfg.params.get("dim", 3))
     pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
-    pair, axis = checks.gradient_relations(A, QuadratureSpec(), pts)
-    return [_row(cfg, "pair-symmetry", pair, tol),
-            _row(cfg, "axis-relations", axis, tol)]
+    pair, axis = checks.gradient_relations(A, checks.QUAD, pts)
+    return [_row(cfg, "pair-symmetry", pair, checks.HARMONIC_TOL),
+            _row(cfg, "axis-relations", axis, checks.HARMONIC_TOL)]
 
 
-@_experiment("weak-chern", "rel_tol")
-def run_weak_chern(cfg: ExperimentConfig) -> list[ResultRow]:
-    tol = cfg.params.get("rel_tol", 1e-2)
-    results = checks.weak_charge_checks(QuadratureSpec(abs_tol=1e-8))
-    return [_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, tol,
+@_experiment("weak-chern")
+def run_weak_chern(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
+    return [_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, checks.WEAK_TOL,
                  detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g}")
-            for idx, ((labels, *_), res) in enumerate(zip(checks.WEAK_BUMPS_N2, results))]
+            for idx, ((labels, *_), res) in enumerate(zip(checks.WEAK_BUMPS_N2,
+                                                          checks.weak_charge_checks()))]
 
 
-@_experiment("pythagoras", "tol")
-def run_pythagoras(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
+@_experiment("pythagoras")
+def run_pythagoras(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     worst = checks.nested_projection_gap(checks.nested_cases(rng, cfg.n or 500))
-    return [_row(cfg, "nested-hulls", worst, cfg.params.get("tol", 1e-10))]
+    return [_row(cfg, "nested-hulls", worst, checks.PROJECTION_TOL)]
 
 
 @_experiment("eigen-interval", "dim")
-def run_eigen_interval(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
+def run_eigen_interval(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     cases = checks.eigen_cases(rng, cfg.n or 100, cfg.params.get("dim", 4))
     return [_row(cfg, "schur-eigen-interval", checks.schur_eigen_violation(cases),
-                 1e-12)]
+                 checks.EIGEN_TOL)]
 
 
 @_experiment("decay-scan")
-def run_decay_scan(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, f"ray-{label}", got, want, win, ok, cfg.hash)
-            for label, got, want, win, ok in checks.decay_exponents(
-                QuadratureSpec(abs_tol=1e-12))]
+            for label, got, want, win, ok in checks.decay_exponents()]
 
 
-@_experiment("beta-bounds", "C_max", "dims")
-def run_beta_bounds(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.n or 40
-    bound = cfg.params.get("C_max", 10.0)
-    quad = QuadratureSpec()
+# the bound on |beta| times the boundary distance (capped at 50), and the
+# quadrature the remainders are held to
+C_MAX = 10.0
+BETA_QUAD = QuadratureSpec()
+
+
+@_experiment("beta-bounds", "dims")
+def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     I = IndexSet((0, 1))
     rows = []
     for N in cfg.params.get("dims", [2, 3]):
         A = checks.random_spd(rng, N)
         worst = 0.0
-        for _ in range(n):
+        for _ in range(cfg.n or 40):
             p = checks.off_locus_point(rng, A, floor=0.4, mu_scale=3.0)
             b = locus.dist_boundary(A, I, p)
-            val = kernels.beta(A, I, 0, 1, quad, p)
+            val = kernels.beta(A, I, 0, 1, BETA_QUAD, p)
             worst = max(worst, abs(val.value) * min(b, 50.0))
-        rows.append(_row(cfg, f"N={N}-remainder-bound", worst, bound))
+        rows.append(_row(cfg, f"N={N}-remainder-bound", worst, C_MAX))
     return rows
 
 
-@_experiment("gamma-sum", "cases")
-def run_gamma_sum(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
-    quad = QuadratureSpec(abs_tol=1e-11)
-    rows = []
-    for case in cfg.params.get("cases", [
-        {"N": 2, "n_active": 1, "points": 10, "tol": 1e-3},
-        {"N": 2, "n_active": 2, "points": 3, "tol": 1e-2},
-    ]):
-        N, n_act = case["N"], case["n_active"]
-        A = checks.random_spd(rng, N)
-        spec = holo.GammaSpec(A, IndexSet(tuple(range(n_act + 1))), quad)
-        worst = checks.gamma_sum_gap(
-            spec, [checks.random_point(rng, N) for _ in range(case["points"])])
-        rows.append(_row(cfg, f"n={n_act}", worst, case["tol"]))
-    return rows
+@_experiment("gamma-sum")
+def run_gamma_sum(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
+    return [_row(cfg, f"n={n_act}", gap, tol) for (n_act, _, tol), gap in
+            zip(checks.GAMMA_CASES_N2, checks.gamma_sum_gaps(rng))]
 
 
-@_experiment("logz-growth", "dim", "points_n1", "points_n2", "tol_product", "tol_sum")
-def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
-    rng = np.random.default_rng(cfg.seed)
+@_experiment("logz-growth", "dim", "points_n1", "points_n2")
+def run_logz_growth(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     N = cfg.params.get("dim", 2)
     A = checks.random_spd(rng, N)
-    quad = QuadratureSpec(abs_tol=1e-11)
+    quad = checks.GAMMA_QUAD
     prod = checks.product_identity_gap(
         A, quad, [checks.random_point(rng, N)
                   for _ in range(cfg.params.get("points_n1", 10))])
@@ -320,8 +289,8 @@ def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
          for k in range(5)])
     finite = all(np.isfinite([f.slope, f.k1, f.k3]).all() for f in fits)
     return [
-        _row(cfg, "product-identity", prod, cfg.params.get("tol_product", 1e-12)),
-        _row(cfg, "log-sum-identity", total, cfg.params.get("tol_sum", 1e-6)),
+        _row(cfg, "product-identity", prod, checks.PRODUCT_TOL),
+        _row(cfg, "log-sum-identity", total, checks.LOG_SUM_TOL),
         ResultRow(cfg.experiment, "growth-envelope", float(finite), 1.0, 0.0,
                   finite, cfg.hash,
                   detail="; ".join(f"z{f.label}: slope={f.slope:.4f} "
@@ -330,9 +299,8 @@ def run_logz_growth(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 @_experiment("glue-regions", "covering_points")
-def run_glue_regions(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     # the plateau sampler is built for stratum (0, 1, 2) at N = 3
-    rng = np.random.default_rng(cfg.seed)
     n = cfg.n or 1000
     A = QuadForm.identity(3)
     core = checks.plateau_gap(A, checks.plateau_points(rng, A, n, "core"), 1.0)
@@ -347,23 +315,24 @@ def run_glue_regions(cfg: ExperimentConfig) -> list[ResultRow]:
             _row(cfg, "covering", float(uncovered), 0.0)]
 
 
-@_experiment("extension-profile", "eps", "piece_tol", "seam_tol", "shoulder", "slope")
-def run_extension_profile(cfg: ExperimentConfig) -> list[ResultRow]:
-    K = cfg.params.get("slope", 1.0)
-    M = cfg.params.get("shoulder", 10.0)
-    eps = cfg.params.get("eps", 0.1)
-    prof = glue.extension_profile(K, M, 1000.0 * M, eps)
+# the largest jump of h, H, f, f' or f'' across a seam of the profile
+SEAM_TOL = 1e-10
+
+
+@_experiment("extension-profile")
+def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
+    K, M, floor, eps = checks.PROFILE
+    prof = glue.extension_profile(K, M, floor, eps)
     gaps = checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
                                      np.linspace(M + 1.0, 50.0 * M, 20))
-    piece_tol = cfg.params.get("piece_tol", 1e-12)
-    rows = [_row(cfg, case, gap, piece_tol) for case, gap in
+    rows = [_row(cfg, case, gap, checks.PIECE_TOL) for case, gap in
             zip(("piece-left", "piece-right-h", "piece-right-H"), gaps)]
     seam = 0.0
     for t0 in (M - 1.0, M + 1.0):
         lo, hi = np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf)
         for fn in (prof.h, prof.H, prof.f, prof.f_prime, prof.f_second):
             seam = max(seam, abs(fn(lo) - fn(hi)))
-    rows.append(_row(cfg, "seam-continuity", seam, cfg.params.get("seam_tol", 1e-10)))
+    rows.append(_row(cfg, "seam-continuity", seam, SEAM_TOL))
 
     rep_good = glue.profile_condition_check(prof)
     rows.append(ResultRow(cfg.experiment, "margin-wide-floor",
@@ -389,7 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = ExperimentConfig.load(args.experiment, args.config, args.seed, args.n)
-    rows = sorted(EXPERIMENTS[args.experiment](cfg), key=lambda r: r.case)
+    rows = sorted(EXPERIMENTS[args.experiment](cfg, np.random.default_rng(cfg.seed)),
+                  key=lambda r: r.case)
     _write_outputs(cfg, rows, Path(args.out))
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

@@ -117,7 +117,7 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     gradients once with ``geometry.gradient_step``."""
     B, N = mu.shape
     xs = np.column_stack([mu, eta.real, eta.imag])
-    hs = [gradient_step(x) for x in xs]
+    hs = np.array([gradient_step(x) for x in xs])
     jet = field.jet(*batch_from_vectors(np.concatenate(
         [richardson_stencil(x, h) for x, h in zip(xs, hs)])), want_gradient=True)
     R = 1 + 4 * (N + 2)
@@ -129,12 +129,14 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     # dW/dmu, then (V_ij)_x = 2 Re dV_ij/deta and (V_ij)_y = -2 Im dV_ij/deta
     rows = np.concatenate([jet.dW[:, :N].reshape(B, R, 1, N),
                            2.0 * dV_eta.real, -2.0 * dV_eta.imag], axis=2)
-    for b in range(B):
-        d = richardson_derivative(rows[b], hs[b])
-        hessW = 0.5 * (d[:N, 0] + d[:N, 0].T)
-        vxx, vyy = d[N, 1:N + 1], d[N + 1, N + 1:]
-        res[1, b] = np.max(np.abs(hessW + vxx + vyy))
-        scale[1, b] = max(np.max(np.abs(hessW)), np.max(np.abs(vxx + vyy)))
+    # d[b, k] = d_k of point b's rows
+    d = np.moveaxis(richardson_derivative(np.swapaxes(rows, 0, 1),
+                                          hs[None, :, None, None]), 1, 0)
+    hessW = 0.5 * (d[:, :N, 0] + np.swapaxes(d[:, :N, 0], 1, 2))
+    vxx, vyy = d[:, N, 1:N + 1], d[:, N + 1, N + 1:]
+    res[1] = np.abs(hessW + vxx + vyy).reshape(B, -1).max(axis=1)
+    scale[1] = np.maximum(np.abs(hessW).reshape(B, -1).max(axis=1),
+                          np.abs(vxx + vyy).reshape(B, -1).max(axis=1))
     return jet, res, scale
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "schur_complement",
     "schur_blocks",
     "laplace_A",
+    "laplace_terms",
     "ball_volume",
     "block",
     "value_step",
@@ -254,6 +255,9 @@ def richardson_derivative(values, h) -> np.ndarray:
     """Derivatives (n, ...) from ``values`` on the rows of
     ``richardson_stencil(x, h)``: the central differences d_h and d_(h/2)
     combined as (4 d_(h/2) - d_h) / 3, exact on polynomials of degree 4.
+    ``h`` is a scalar, one step per coordinate (n,), or steps of two or more
+    axes that broadcast against the derivatives, as (1, B, 1, ...) for a
+    batch of stencils stacked on axis 1 of ``values``.
 
     >>> x = np.array([1.0, -2.0])
     >>> rows = richardson_stencil(x, 0.1)
@@ -262,8 +266,9 @@ def richardson_derivative(values, h) -> np.ndarray:
     """
     v = np.asarray(values)
     n = (v.shape[0] - 1) // 4
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,)).reshape(
-        (n,) + (1,) * (v.ndim - 1))
+    h = np.asarray(h, dtype=float)
+    if h.ndim < 2:
+        h = np.broadcast_to(h, (n,)).reshape((n,) + (1,) * (v.ndim - 1))
     q = v[1:].reshape((n, 4) + v.shape[1:])
     d_h = (q[:, 0] - q[:, 1]) / (2.0 * h)
     d_h2 = (q[:, 2] - q[:, 3]) / h
@@ -372,11 +377,16 @@ def laplace_A(A: QuadForm, u: ScalarField, p: BasePoint) -> float:
     """
     if A.n != p.N:
         raise ValueError("dimension mismatch between form and point")
-    H = u.hessian(p)
+    mu_terms, eta_part = laplace_terms(A, u.hessian(p))
+    return float(np.sum(mu_terms)) + eta_part
+
+
+def laplace_terms(A: QuadForm, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``laplace_A``'s terms from Hessians H (..., N + 2, N + 2): A^{-1}_ij H_ij
+    (..., N * N), one contiguous row per Hessian, and (H_xx + H_yy) / det A."""
     N = A.n
-    mu_part = float(np.sum(A.inv * H[:N, :N]))
-    eta_part = (H[N, N] + H[N + 1, N + 1]) / A.det
-    return mu_part + eta_part
+    return ((A.inv * H[..., :N, :N]).reshape(H.shape[:-2] + (N * N,)),
+            (H[..., N, N] + H[..., N + 1, N + 1]) / A.det)
 
 
 def ball_volume(k: int) -> float:

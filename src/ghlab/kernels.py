@@ -131,18 +131,17 @@ class _Family:
 
 def _family(A: QuadForm, restriction: IndexSet | None,
             labels: tuple[int, int] | None = None) -> _Family:
-    """The kernels of A under ``restriction`` that do not vanish, or the
-    one kernel ``labels`` sliced from them, built once and kept with A."""
-    if labels is not None:
-        def one() -> _Family:
-            fam = _family(A, restriction)
-            k = fam.labels.index(labels)
-            return replace(fam, labels=(labels,), M=fam.M[k:k + 1],
-                           frame=None if fam.frame is None else fam.frame[k:k + 1])
-        return A.derived(("kernel", restriction, labels), one)
-    pairs = [(i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
-             if restriction is None or {i, j} <= set(restriction.members)]
-    return A.derived(("kernels", restriction), lambda: _build_family(A, restriction, pairs))
+    """The kernels of A under ``restriction`` that do not vanish, built
+    once and kept with A, or the one kernel ``labels`` sliced from them
+    per call."""
+    fam = A.derived(("kernels", restriction), lambda: _build_family(A, restriction, [
+        (i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
+        if restriction is None or {i, j} <= set(restriction.members)]))
+    if labels is None:
+        return fam
+    k = fam.labels.index(labels)
+    return replace(fam, labels=(labels,), M=fam.M[k:k + 1],
+                   frame=None if fam.frame is None else fam.frame[k:k + 1])
 
 
 def _build_family(A: QuadForm, restriction: IndexSet | None,

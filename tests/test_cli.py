@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghlab import checks
 from ghlab.cli import EXPERIMENTS, ExperimentConfig, main
 
 
@@ -57,11 +58,11 @@ def test_config_file_applies(tmp_path):
     assert side["config"]["n"] == 7
 
 
-def test_failure_exit_code(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    # impossible tolerance: the run must report failure through the exit code
-    cfg.write_text(json.dumps({"params": {"tol": 1e-30}}))
-    code, out = run(tmp_path, "pythagoras", "--config", str(cfg), "--n", "10")
+def test_failure_exit_code(tmp_path, monkeypatch):
+    # a residual above its tolerance: the run must report failure through
+    # the exit code
+    monkeypatch.setattr(checks, "nested_projection_gap", lambda cases: 1.0)
+    code, out = run(tmp_path, "pythagoras", "--n", "10")
     assert code == 1
     side = json.loads((out / "pythagoras.json").read_text())
     assert side["all_passed"] is False
@@ -115,8 +116,14 @@ def test_shipped_configs_load_and_match_experiments():
      r"param\(s\) A for"),
     ("glue-regions", {"params": {"A": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
      r"param\(s\) A for"),
+    # tolerances and criterion inputs are fixed in ghlab.checks, so no
+    # config can loosen a verdict
+    ("pythagoras", {"params": {"tol": 1.0}}, r"param\(s\) tol for"),
+    ("integrability", {"params": {"rel_tol": 1e9}}, r"param\(s\) rel_tol for"),
+    ("gamma-sum", {"params": {"cases": []}}, r"param\(s\) cases for"),
 ], ids=["param-typo", "unread-param", "top-level-typo", "decay-dim", "glue-dim",
-        "glue-subset", "weak-A", "weak-placements", "decay-A", "glue-A"])
+        "glue-subset", "weak-A", "weak-placements", "decay-A", "glue-A",
+        "pythagoras-tol", "integrability-rel-tol", "gamma-cases"])
 def test_config_typos_rejected(tmp_path, experiment, data, message):
     # an unknown key would otherwise fall back to its default silently
     cfg = tmp_path / "cfg.json"
@@ -132,11 +139,8 @@ def test_config_typos_rejected(tmp_path, experiment, data, message):
     ("glue-regions", ["--n", "5"], {"params": {"covering_points": 0}}, "covering_points"),
     ("logz-growth", [], {"params": {"points_n1": -1}}, "points_n1"),
     ("logz-growth", [], {"params": {"points_n2": 0}}, "points_n2"),
-    ("gamma-sum", [], {"params": {"cases": [
-        {"N": 2, "n_active": 1, "points": 2, "tol": 1e-3},
-        {"N": 2, "n_active": 2, "points": 0, "tol": 1e-2}]}}, r"cases\[1\]\.points"),
 ], ids=["flag-negative", "flag-zero", "config-zero", "covering-points",
-        "points-n1", "points-n2", "gamma-case-points"])
+        "points-n1", "points-n2"])
 def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key):
     # a count below 1 would pass every row over zero samples, or fall back
     # to the default count while the sidecar records it
@@ -153,10 +157,7 @@ def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key)
     ("pythagoras", [], {"n": True}, "n"),
     ("glue-regions", ["--n", "5"], {"params": {"covering_points": 3.0}}, "covering_points"),
     ("logz-growth", [], {"params": {"points_n1": "2"}}, "points_n1"),
-    ("gamma-sum", [], {"params": {"cases": [
-        {"N": 2, "n_active": 1, "points": 1.5, "tol": 1e-3}]}}, r"cases\[0\]\.points"),
-], ids=["string-n", "float-n", "bool-n", "float-covering-points", "string-points-n1",
-        "float-gamma-case-points"])
+], ids=["string-n", "float-n", "bool-n", "float-covering-points", "string-points-n1"])
 def test_sample_counts_of_the_wrong_type_rejected(tmp_path, experiment, argv, data, key):
     # a string once ended in a TypeError traceback, a float passed the
     # check and failed later in range, and True ran as one sample
@@ -165,6 +166,34 @@ def test_sample_counts_of_the_wrong_type_rejected(tmp_path, experiment, argv, da
     with pytest.raises(SystemExit, match=rf"sample count\(s\) {key} not an integer"):
         main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("data, argv, message", [
+    ([1, 2], [], r"config in .* is not a JSON object"),
+    ({"params": None}, [], r"config key params is not an object"),
+    ({"params": [1]}, [], r"config key params is not an object"),
+    ({"seed": "5"}, [], r"seed '5' not an integer"),
+    ({"seed": 1.5}, [], r"seed 1\.5 not an integer"),
+    ({"seed": True}, [], r"seed True not an integer"),
+    ({}, ["--seed", "-1"], r"seed -1 not an integer of at least 0"),
+], ids=["list-config", "null-params", "list-params", "string-seed", "float-seed",
+        "bool-seed", "negative-seed"])
+def test_configs_of_the_wrong_shape_rejected(tmp_path, data, argv, message):
+    # each once ended in a traceback, and a true seed ran as seed 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=message):
+        main(["pythagoras", "--config", str(cfg), *argv, "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_verdict_params_are_gone():
+    # only dimensions and sample counts are settable
+    from ghlab.cli import EXPERIMENT_PARAMS
+
+    params = sorted(k for keys in EXPERIMENT_PARAMS.values() for k in keys)
+    assert len(params) == 11
+    assert set(params) == {"covering_points", "dim", "dims", "points_n1", "points_n2"}
 
 
 def test_shipped_configs_pass(tmp_path):

@@ -107,9 +107,9 @@ def test_second_identity_at_steep_point():
     p = BasePoint(np.array([1.9397654457940865, 1.5692390520581516,
                             -0.3243191926934874]),
                   -0.23275574166144897 - 0.21821198594112826j)
-    res = integrability_residual(FirstOrderField(A, QUAD), p)
-    assert res.first_relative <= 1e-3
-    assert res.second_relative <= 1e-3
+    res = integrability_residual(FirstOrderField(A, checks.QUAD), p)
+    assert res.first_relative <= checks.INTEGRABILITY_TOL
+    assert res.second_relative <= checks.INTEGRABILITY_TOL
 
 
 def _field_identities(N: int, monkeypatch) -> int:
@@ -129,11 +129,11 @@ def _field_identities(N: int, monkeypatch) -> int:
         return res
 
     monkeypatch.setattr(kernels, "power_kernel_integral", counted)
-    first, second = checks.integrability_gap(A, QUAD, [p])
+    first, second = checks.integrability_gap(A, checks.QUAD, [p])
     monkeypatch.undo()
-    assert first <= 1e-3
-    assert second <= 1e-3
-    assert max(checks.gradient_relations(A, QUAD, [p])) <= 1e-3
+    assert first <= checks.INTEGRABILITY_TOL
+    assert second <= checks.INTEGRABILITY_TOL
+    assert max(checks.gradient_relations(A, checks.QUAD, [p])) <= checks.HARMONIC_TOL
     return nodes[0]
 
 

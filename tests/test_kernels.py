@@ -515,6 +515,20 @@ def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
     assert len(built) == 2
 
 
+def test_one_kernel_calls_keep_one_family_with_the_form():
+    # a one-kernel call slices its kernel from the form's family per call,
+    # so the six kernels at N = 3 leave the one six-kernel family behind
+    from ghlab.kernels import _Family
+
+    rng = np.random.default_rng(72)
+    A = random_spd(rng, 3)
+    p = off_locus_point(rng, A)
+    for ij in itertools.combinations(range(4), 2):
+        alpha_grad(KernelSpec(A, ij), QUAD, p)
+    kept = [fam for fam in A._derived.values() if isinstance(fam, _Family)]
+    assert [len(fam.labels) for fam in kept] == [6]
+
+
 def test_harmonicity_of_kernel_n2():
     # Hessian by differencing analytic gradients; the anisotropic
     # Laplacian must vanish away from the sheet
