@@ -84,6 +84,7 @@ from .holo import (
     gamma,
     gamma_batch,
     gamma_closed_form,
+    gamma_family,
     gamma_sum_check,
     gamma_via_ray,
     growth_bound_check,

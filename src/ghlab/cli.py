@@ -90,6 +90,13 @@ class ExperimentConfig:
             keys = [k for k, v in counts.items() if bad(v)]
             if keys:
                 raise SystemExit(f"sample count(s) {', '.join(keys)} {what} for {experiment}")
+        # no dimension passes over zero rows; one below 1 or no integer crashes
+        dims, dim = cfg.params.get("dims", [1]), cfg.params.get("dim", 1)
+        if type(dims) is not list or not dims or {type(N) for N in dims} != {int} or min(dims) < 1:
+            raise SystemExit(f"param dims {dims!r} not a non-empty list of integers "
+                             f"of at least 1 for {experiment}")
+        if type(dim) is not int or dim < 1:
+            raise SystemExit(f"param dim {dim!r} not an integer of at least 1 for {experiment}")
         return cfg
 
     def canonical(self) -> str:

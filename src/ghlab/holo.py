@@ -5,11 +5,13 @@ per label, tying the fiber coordinate to the model's holomorphic
 coordinates.  They are primitives of eta-derivatives of the restricted
 kernels along explicit rays; folding the ray parameter into the kernel's
 own cone parameters turns each gamma into a single orthant integral of
-one higher power.  ``gamma_batch`` takes a batch mu (B, N), eta (B,) through
-the kernels' engine path, resolution floor included, all of a gamma's
-kernels in one family; ``gamma`` is its one-row case.  Their sum telescopes to the reciprocal of the fiber
-coordinate, and the induced closed one-forms integrate to the logarithms
-of the model coordinates.
+one higher power.  ``gamma_family`` takes any gammas of a subset, which
+differ only in their cone matrices, at a batch mu (B, N), eta (B,) as one
+kernel family in one engine call, resolution floor included;
+``gamma_batch`` is its one-label case, ``gamma`` that one's one-row case.
+Their sum telescopes to the reciprocal of the fiber coordinate, and the
+induced closed one-forms integrate to the logarithms of the model
+coordinates.
 """
 
 from __future__ import annotations
@@ -21,24 +23,9 @@ import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
 from .kernels import KernelSpec, KernelValue, alpha_batch, _build_family, _engine_batch
-from .quadrature import QuadratureSpec, SingularityProximity, panel_nodes
+from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
-
-__all__ = [
-    "GammaSpec",
-    "gamma",
-    "gamma_batch",
-    "gamma_via_ray",
-    "gamma_closed_form",
-    "GammaSumResult",
-    "gamma_sum_check",
-    "LogZResult",
-    "log_z",
-    "taubnut_moduli",
-    "GrowthFit",
-    "growth_bound_check",
-]
 
 
 @dataclass(frozen=True)
@@ -56,57 +43,60 @@ class GammaSpec:
             raise ValueError("gamma subsets must contain 0")
 
 
-def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[KernelSpec], np.ndarray]:
-    """Kernels entering gamma_i and the ray column in active coordinates."""
+def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Labels of the kernels entering gamma_i, and its active ray column."""
     act = spec.I.active
     n = len(act)
     if i == 0:
-        kernels = [KernelSpec(spec.A, (0, k), spec.I) for k in act]
-        col = np.ones(n)
-    else:
-        if i not in act:
-            raise ValueError("label outside the subset")
-        kernels = [KernelSpec(spec.A, (0, i), spec.I)]
-        kernels += [KernelSpec(spec.A, (min(i, k), max(i, k)), spec.I)
-                    for k in act if k != i]
-        pos = {lab: a for a, lab in enumerate(act)}
-        col = np.zeros(n)
-        col[pos[i]] = -1.0
-    return kernels, col
+        return [(0, k) for k in act], np.ones(n)
+    if i not in act:
+        raise ValueError("label outside the subset")
+    col = np.zeros(n)
+    col[act.index(i)] = -1.0
+    return [(0, i)] + [(min(i, k), max(i, k)) for k in act if k != i], col
 
 
-def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray,
-                eta: np.ndarray) -> KernelValue:
-    """gamma_i at the batch mu (B, N), eta (B,): complex values and error
-    estimates (B,), its kernels in one ``kernels._engine_batch`` family.
+def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
+                 eta: np.ndarray) -> KernelValue:
+    """gamma_i for each i of ``labels`` at the batch mu (B, N), eta (B,):
+    complex values and error estimates (L, B), all kernels in one
+    ``kernels._engine_batch`` family, each gamma summed over its own n.
 
     Swapping the ray parameter into the cone makes the primitive of the
     eta-derivative an orthant integral of power n + 2 with the ray as one
-    more cone column, so a two-slot gamma is exact and a three-slot one
-    sweeps one axis.  A row within the resolution floor of that integral's
-    sheet raises SingularityProximity naming gamma_i, the kernel and the
-    row; rows with eta = 0 are 0 and cost no engine call.
+    more cone column, so two slots are exact and three sweep one axis.
+    The engine's refusals name gamma_i, the kernel and the row; rows with
+    eta = 0 are 0 and cost no engine call.
     """
     mu, eta = check_batch(mu, eta, spec.A.n)
     if not eta.all():
-        out = KernelValue(np.zeros(len(eta), dtype=complex), np.zeros(len(eta)), 0)
+        out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
+                          np.zeros((len(labels), len(eta))), 0)
         if eta.any():
             live = eta != 0
-            kv = gamma_batch(spec, i, mu[live], eta[live])
-            out.value[live], out.error[live], out.evals = kv.value, kv.error, kv.evals
+            kv = gamma_family(spec, labels, mu[live], eta[live])
+            out.value[:, live], out.error[:, live], out.evals = kv.value, kv.error, kv.evals
         return out
-    kernels, col = _gamma_kernels(spec, i)
+    n = len(spec.I.active)   # kernels per gamma, each with the gamma's ray
+    pairs, cols = zip(*(_gamma_kernels(spec, i) for i in labels))
     # built per call: kept with each of thousands of forms, it costs ~2 KB
-    fam = _build_family(spec.A, spec.I, [ks.labels for ks in kernels], col)
+    fam = _build_family(spec.A, spec.I, [pq for ps in pairs for pq in ps],
+                        np.repeat(cols, n, axis=0))
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta)
     try:
         raw = _engine_batch(fam, mu, eta, spec.quad, tol_scale=float(size.max()))
-    except SingularityProximity as exc:
-        raise SingularityProximity(f"gamma_{i} on {spec.I.members}: {exc}") from None
-    total = (fam.prefactor * raw.value).sum(axis=0)
-    err = (fam.prefactor * raw.error).sum(axis=0)
+    except (SingularityProximity, QuadratureError) as exc:
+        raise type(exc)(f"gamma_{labels[exc.kernel // n]} on {spec.I.members}: {exc}") from None
+    total = (fam.prefactor * raw.value).reshape(len(labels), n, -1).sum(axis=1)
+    err = (fam.prefactor * raw.error).reshape(len(labels), n, -1).sum(axis=1)
     return KernelValue(total * np.conj(eta), err * size, raw.evals)
+
+
+def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray, eta: np.ndarray) -> KernelValue:
+    """gamma_i at the batch mu (B, N), eta (B,): ``gamma_family`` for one label."""
+    kv = gamma_family(spec, (i,), mu, eta)
+    return KernelValue(kv.value[0], kv.error[0], kv.evals)
 
 
 def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
@@ -125,7 +115,7 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """
     if p.eta == 0:
         return 0j
-    kernels, col = _gamma_kernels(spec, i)
+    pairs, col = _gamma_kernels(spec, i)
     step_mu = np.zeros(p.N)
     step_mu[[lab - 1 for lab in spec.I.active]] = -col
     T = 2048.0
@@ -141,8 +131,9 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     mu = p.mu + nodes[:, None] * step_mu
     eta = np.full(len(nodes), p.eta)
     vals = np.zeros(len(nodes), dtype=complex)
-    for ks in kernels:
-        g = alpha_batch(ks, spec.quad, mu, eta, want_gradient=True).gradient
+    for pair in pairs:
+        g = alpha_batch(KernelSpec(spec.A, pair, spec.I), spec.quad, mu, eta,
+                        want_gradient=True).gradient
         vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
     half = nodes <= T
     G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
@@ -179,8 +170,9 @@ class GammaSumResult:
 
 
 def gamma_sum_check(spec: GammaSpec, p: BasePoint) -> GammaSumResult:
-    """The gammas over all labels of the subset sum to 1/eta."""
-    total = sum(gamma(spec, i, p) for i in (0,) + spec.I.active)
+    """The gammas over all labels of the subset, one family, sum to 1/eta."""
+    gam = gamma_family(spec, (0,) + spec.I.active, p.mu[None], np.array([p.eta]))
+    total = sum(gam.value[:, 0].tolist())
     target = 1.0 / p.eta
     return GammaSumResult(total, target, abs(total - target) * abs(p.eta))
 
@@ -203,7 +195,7 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
               ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of d log|z_j| at every node (mu, eta) of a leg: mu rows
     (B, n+1, n) from one restricted field jet, and gammas (B, n+1) from one
-    gamma batch per label."""
+    gamma family call."""
     from .ansatz import RestrictedField
 
     act = I.active
@@ -214,12 +206,9 @@ def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
     rows = np.empty((len(mu), n + 1, n))
     rows[:, 1:, :] = P
     rows[:, 0, :] = -P.sum(axis=1)
-    gam = np.zeros((len(mu), n + 1), dtype=complex)
-    if need_gamma:
-        spec = GammaSpec(A, I, quad)
-        for a, lab in enumerate((0,) + act):
-            gam[:, a] = gamma_batch(spec, lab, mu, eta).value
-    return rows, gam
+    if not need_gamma:
+        return rows, np.zeros((len(mu), n + 1), dtype=complex)
+    return rows, gamma_family(GammaSpec(A, I, quad), (0,) + act, mu, eta).value.T
 
 
 # path parameters in [0, 1] and weights of one log_z leg
@@ -239,7 +228,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
     Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
     nodes go through one restricted field jet call and, where eta moves,
-    one ``gamma_batch`` per label.  Every path node must keep eta nonzero,
+    one ``gamma_family`` call.  Every path node must keep eta nonzero,
     and a leg on which eta moves is refused with ValueError where it
     passes closer to eta = 0 than half its panels' eta-length: the gammas
     carry 1/eta, which the panels would smear there.

@@ -37,6 +37,7 @@ import numpy as np
 from .geometry import (BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch,
                        schur_complement)
 from .quadrature import (
+    QuadratureError,
     QuadratureSpec,
     SingularityProximity,
     closed_sheet_distances,
@@ -145,10 +146,10 @@ def _family(A: QuadForm, restriction: IndexSet | None,
 
 
 def _build_family(A: QuadForm, restriction: IndexSet | None,
-                  pairs: list[tuple[int, int]], ray: np.ndarray | None = None) -> _Family:
+                  pairs: list[tuple[int, int]], rays: np.ndarray | None = None) -> _Family:
     """The kernels ``pairs`` of A under ``restriction`` as one family; with
-    ``ray``, a gamma's: the ray joins each cone matrix, the power rises by
-    2 and the prefactor is the kernels' shared scale n c_eta prefactor."""
+    ``rays`` (K, n), gamma kernels: each ray joins its kernel's cone matrix,
+    the power rises by 2 and the prefactor is the scale n c_eta prefactor."""
     if restriction is None:
         S, G = tuple(range(1, A.n + 1)), A
     else:
@@ -159,8 +160,8 @@ def _build_family(A: QuadForm, restriction: IndexSet | None,
     M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
                    for r in S] for i, j in pairs]).reshape(len(pairs), n, -1)
     power = n
-    if ray is not None:
-        M = np.concatenate([M, np.tile(ray[:, None], (len(pairs), 1, 1))], axis=2)
+    if rays is not None:
+        M = np.concatenate([M, rays[:, :, None]], axis=2)
         power, pref = n + 2, n * A.det * pref
     return _Family(G.entries, A.det, [lab - 1 for lab in S], tuple(pairs), M, power, pref,
                    cone_frame(G.entries, M))
@@ -236,8 +237,9 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
     (K, B), gradient rows (K, B, n + 2) as (active slots..., Re eta,
     Im eta), and grid nodes; ``fam.prefactor * tol_scale`` converts the
     tolerances of ``quad`` to raw units.  A (kernel, row) pair within the
-    resolution floor of its sheet raises SingularityProximity naming the
-    kernel, the row and its (mu, eta).
+    resolution floor of its sheet raises SingularityProximity, and a swept
+    call that misses its tolerance QuadratureError, naming the kernel and
+    the (first) row with its (mu, eta).
 
     At most two cone columns make a closed form: every pair goes to one
     call.  With d >= 3 the engine sweeps each kernel's rows on a grid built
@@ -263,23 +265,34 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
             nearest = min(nearest, (r_k, k, row))
     r_min, k, row = nearest
     if r_min < floor:
-        raise SingularityProximity(
-            f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
-            f"eta = {eta[row]}): distance {r_min:.3e} from the singular stratum "
-            f"is below the resolution floor {floor:.3e}")
+        raise _refusal(SingularityProximity, fam, k, mu, eta, row,
+                       f"distance {r_min:.3e} from the singular stratum is below "
+                       f"the resolution floor {floor:.3e}")
     grads = np.empty((K, B, b.shape[1] + 2)) if want_gradient else None
     vals, errs = np.empty((K, B)), np.empty((K, B))
     evals = 0
     for ks, rows, sheet, frame in calls:
-        res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M[ks], fam.power,
-                                    quad, want_gradient=want_gradient,
-                                    prefactor=fam.prefactor * tol_scale, sheet=sheet,
-                                    frame=frame)
+        try:
+            res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M[ks], fam.power,
+                                        quad, want_gradient=want_gradient,
+                                        prefactor=fam.prefactor * tol_scale, sheet=sheet,
+                                        frame=frame)
+        except QuadratureError as exc:   # only a swept call, of one kernel ks
+            raise _refusal(QuadratureError, fam, ks, mu, eta, int(rows[0]), exc) from None
         vals[ks, rows], errs[ks, rows] = res.value, res.error
         evals += res.evals
         if want_gradient:
             grads[ks, rows] = res.gradient
     return KernelValue(vals, errs, evals, grads)
+
+
+def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
+             row: int, what: object) -> Exception:
+    """A ``kind`` error naming kernel k (kept as ``kernel``) and row ``row``."""
+    exc = kind(f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
+               f"eta = {eta[row]}): {what}")
+    exc.kernel = k
+    return exc
 
 
 def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,

@@ -151,6 +151,24 @@ def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key)
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("experiment, data, message", [
+    ("flat-cy", {"dims": []}, r"param dims \[\] not a non-empty list"),
+    ("flat-cy", {"dims": [0]}, r"param dims \[0\] not a non-empty list of integers of at least 1"),
+    ("flat-cy", {"dims": "3"}, r"param dims '3' not a non-empty list"),
+    ("harmonicity", {"dims": [3.0]}, r"param dims \[3\.0\] not a non-empty list"),
+    ("commutativity", {"dim": "3"}, r"param dim '3' not an integer of at least 1"),
+    ("logz-growth", {"dim": 0}, r"param dim 0 not an integer of at least 1"),
+], ids=["empty-dims", "zero-dims", "string-dims", "float-dims", "string-dim", "zero-dim"])
+def test_bad_dimensions_rejected(tmp_path, experiment, data, message):
+    # an empty list passed over zero rows; the others ended in a numpy
+    # ValueError or a TypeError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": data}))
+    with pytest.raises(SystemExit, match=message):
+        main([experiment, "--config", str(cfg), "--n", "1", "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("experiment, argv, data, key", [
     ("flat-cy", [], {"n": "5"}, "n"),
     ("pythagoras", [], {"n": 2.5}, "n"),

@@ -14,13 +14,14 @@ from ghlab.holo import (
     gamma,
     gamma_batch,
     gamma_closed_form,
+    gamma_family,
     gamma_sum_check,
     gamma_via_ray,
     growth_bound_check,
     log_z,
     taubnut_moduli,
 )
-from ghlab.quadrature import QuadratureSpec, SingularityProximity
+from ghlab.quadrature import QuadratureError, QuadratureSpec, SingularityProximity
 
 QUAD = QuadratureSpec(abs_tol=1e-11)
 
@@ -130,11 +131,11 @@ def _leg(q0, q1):
             q0.eta + _LEG_NODES * (q1.eta - q0.eta))
 
 
-def test_moving_eta_leg_makes_one_gamma_call_per_label(monkeypatch):
+def test_moving_eta_leg_makes_one_gamma_call(monkeypatch):
     # N = 2, all slots: three labels of two kernels each, whose integrals
     # (power n + 2 = 4) differ only in the cone, so a leg on which eta
-    # moves costs one engine call per label, 3, not one per node or per
-    # kernel; rows with eta = 0 cost none
+    # moves costs one engine call for all labels, not one per label, node
+    # or kernel; rows with eta = 0 cost none
     import ghlab.holo as holo
     import ghlab.kernels as kernels
 
@@ -147,10 +148,80 @@ def test_moving_eta_leg_makes_one_gamma_call_per_label(monkeypatch):
     p = BasePoint(np.array([0.8, -0.3]), 0.9 + 0.5j)
     ref = BasePoint(np.array([2.2, 1.7]), 1.0 + 0j)
     log_z(A, IndexSet((0, 1, 2)), QUAD, p, basepath=[ref, p])
-    assert powers.count(4) == 3
+    assert powers.count(4) == 1
     spec = GammaSpec(A, IndexSet((0, 1, 2)), QUAD)
     zero = gamma_batch(spec, 1, np.ones((5, 2)), np.zeros(5))
-    assert powers.count(4) == 3 and not zero.value.any()
+    assert powers.count(4) == 1 and not zero.value.any()
+
+
+@pytest.mark.parametrize("N, I", [(2, (0, 1)), (2, (0, 1, 2)), (3, (0, 1, 2, 3)),
+                                  (4, (0, 1, 2, 3, 4))],
+                         ids=["n2-one-slot", "n2-two-slots", "n3-all", "n4-all"])
+def test_stacked_gammas_match_one_label_calls(N, I):
+    # one family for every gamma of the subset against one family per
+    # label: closed forms (N = 2) agree to roundoff, and the swept
+    # integrals (d = 3, 4) are the same per-kernel calls, so their errors
+    # and grid nodes agree exactly
+    rng = np.random.default_rng(160 + N)
+    spec = GammaSpec(random_spd(rng, N), IndexSet(I), QUAD)
+    pts = [random_point(rng, N) for _ in range(3 if N < 4 else 2)]
+    mu, eta = np.stack([p.mu for p in pts]), np.array([p.eta for p in pts])
+    stacked = gamma_family(spec, I, mu, eta)
+    ones = [gamma_batch(spec, i, mu, eta) for i in I]
+    assert stacked.value.shape == (len(I), len(pts))
+    for a, one in enumerate(ones):
+        assert np.all(np.abs(stacked.value[a] - one.value) <= 1e-14 * np.abs(one.value))
+        assert np.array_equal(stacked.error[a], one.error)
+    assert stacked.evals == sum(one.evals for one in ones)
+    if N > 2:
+        assert stacked.error.max() > 0.0
+
+
+@pytest.mark.parametrize("N, I", [(2, (0, 1)), (2, (0, 1, 2)), (3, (0, 1, 2, 3))],
+                         ids=["n2-one-slot", "n2-two-slots", "n3-all"])
+def test_gamma_sum_check_makes_one_engine_call(monkeypatch, N, I):
+    import ghlab.holo as holo
+
+    calls = []
+    engine = holo._engine_batch
+    monkeypatch.setattr(holo, "_engine_batch",
+                        lambda *a, **k: calls.append(len(a[0].M)) or engine(*a, **k))
+    rng = np.random.default_rng(170 + N)
+    spec = GammaSpec(random_spd(rng, N), IndexSet(I), QUAD)
+    gamma_sum_check(spec, random_point(rng, N))
+    # every label's kernels, n per label, in the one call
+    n = len(I) - 1
+    assert calls == [n * (n + 1)]
+
+
+def test_stacked_gamma_refusal_names_its_gamma():
+    # mu = (1, -1) lies on the cone of gamma_2's (0, 2) integral (columns
+    # e_1 and the ray -e_2) and off every other gamma's cone, so the
+    # stacked family's refusal names gamma_2, not the family's first gamma
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    mu = np.array([[2.0, -1.0], [1.0, -1.0]])
+    with pytest.raises(SingularityProximity, match=r"gamma_2 on \(0, 1, 2\): kernel "
+                       r"\(0, 2\) at batch row 1 \(mu = \[1\.0, -1\.0\], eta = 1e-07j\)"):
+        gamma_family(spec, (0, 1, 2), mu, np.array([0.5j, 1e-7j]))
+    with pytest.raises(SingularityProximity, match=r"gamma_2 on \(0, 1, 2\)"):
+        gamma_sum_check(spec, BasePoint(mu[1], 1e-7j))
+
+
+def test_swept_gamma_over_budget_names_gamma_kernel_and_row(monkeypatch):
+    # N = 3, all slots: every gamma integral sweeps one axis; a node budget
+    # below one grid refuses the first swept call, gamma_1's first kernel
+    # at its first row, and says so
+    import ghlab.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
+    A = QuadForm(np.array([[1.4, 0.2, 0.1], [0.2, 0.9, -0.1],
+                           [0.1, -0.1, 1.2]]))
+    spec = GammaSpec(A, IndexSet((0, 1, 2, 3)), QUAD)
+    mu = np.array([[0.8, -0.3, 0.4], [0.5, 0.2, 0.1]])
+    with pytest.raises(QuadratureError, match=r"gamma_1 on \(0, 1, 2, 3\): kernel \(0, 1\) "
+                       r"at batch row 0 \(mu = \[0\.8, -0\.3, 0\.4\], eta = \(0\.9\+0\.5j\)\): "
+                       r"panel grid needs \d+ evaluations per point, budget is 100"):
+        gamma_family(spec, (1, 2), mu, np.array([0.9 + 0.5j, 0.7 - 0.2j]))
 
 
 def test_batched_leg_gammas_match_one_node_calls_n3():

@@ -24,7 +24,8 @@ from ghlab.kernels import (
     qmc_alpha_oracle,
     weak_distributional_check,
 )
-from ghlab.quadrature import QuadratureSpec, SingularityProximity, power_kernel_integral
+from ghlab.quadrature import (QuadratureError, QuadratureSpec, SingularityProximity,
+                              power_kernel_integral)
 
 
 QUAD = QuadratureSpec()
@@ -466,6 +467,21 @@ def test_refusal_names_kernel_row_and_point():
     with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
                        r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
         alpha_batch(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD, *_batch([far, close]))
+
+
+def test_over_budget_names_kernel_and_first_row(monkeypatch):
+    # a swept call (N = 4) whose grid exceeds the node budget is refused
+    # naming its kernel and the first row of its grid group, as a floor
+    # refusal is
+    import ghlab.quadrature as quadrature
+
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
+    far = BasePoint(np.array([0.5, 1.0, -0.3, 0.2]), 0.4 + 0j)
+    near = BasePoint(np.array([0.5, 1.0, -0.3, 0.2]), 0.41 + 0j)
+    with pytest.raises(QuadratureError, match=r"kernel \(1, 3\) at batch row 0 "
+                       r"\(mu = \[0\.5, 1\.0, -0\.3, 0\.2\], eta = \(0\.4\+0j\)\): "
+                       r"panel grid needs \d+ evaluations per point, budget is 100"):
+        alpha_batch(KernelSpec(QuadForm.identity(4), (1, 3)), QUAD, *_batch([far, near]))
 
 
 @pytest.mark.parametrize("N, members", [(2, None), (2, (0, 1, 2)), (3, None),
