@@ -1,12 +1,12 @@
 """Numerical laboratory for torus-invariant Calabi-Yau metric ansatz work.
 
 Subpackages:
-    geometry    quadratic forms, base points, index sets, finite differences
+    geometry    quadratic forms, base points, index sets, the Richardson stencil
     quadrature  adaptive orthant integration of singular power kernels
     locus       discriminant strata, projections, region decomposition
     kernels     potential kernels, closed forms, weak-limit checks
     ansatz      flat model, first order field jets, decay scans
-    frame       metric assembly, volume and integrability residuals
+    frame       the two integrability identities of a coefficient field
     holo        holomorphic coordinate surrogates and growth checks
     glue        cutoffs, glue weights, eigenvalue extension profiles
     checks      acceptance-criterion samplers and residuals (suite and CLI)
@@ -20,9 +20,6 @@ from .geometry import (
     ball_volume,
     batch_from_vectors,
     block,
-    fd_gradient,
-    fd_hessian,
-    laplace_A,
     schur_complement,
 )
 from .quadrature import (
@@ -61,7 +58,6 @@ from .ansatz import (
     FieldJet,
     FirstOrderField,
     FlatFieldResult,
-    FlatModelField,
     Ray,
     RestrictedField,
     decay_scan,
@@ -71,13 +67,8 @@ from .ansatz import (
     weight_ell,
 )
 from .frame import (
-    curvature_F,
-    cy_residual,
-    frame_at,
-    grad_norm,
     integrability_batch,
     integrability_residual,
-    volume_ratio,
 )
 from .holo import (
     GammaSpec,

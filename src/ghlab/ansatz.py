@@ -1,19 +1,20 @@
 """Coefficient fields of the generalized ansatz.
 
 Three families of coefficient data (V, W) on the base are provided: the
-exact flat model (the standard structure written in base coordinates), the
-first-order asymptotic field built from the Green kernels on top of a
-background form A, and the restricted model fields attached to a stratum
-subset.  The first-order data satisfies the linearized equations exactly
-and the nonlinear volume identity up to a controlled error, whose relative
-size is the sigma-expansion tail computed here.
+exact flat model (the standard structure written in base coordinates,
+values only, from ``flat_field``), the first-order asymptotic field built
+from the Green kernels on top of a background form A, and the restricted
+model fields attached to a stratum subset.  The first-order data
+satisfies the linearized equations exactly and the nonlinear volume
+identity up to a controlled error, whose relative size is the
+sigma-expansion tail computed here.
 
-A field's ``jet(mu, eta, want_gradient)`` takes a batch of points as two
-arrays, mu (B, N) and eta (B,), puts the whole batch and all the field's
-kernels into one ``kernels.alpha_family`` call (one engine call where the
-kernels are closed forms, N <= 3), and returns one stacked ``FieldJet``
-whose arrays carry a leading B; ``at(p)`` is its one-point case for a
-``BasePoint``, the jet's first row.
+A first-order or restricted field's ``jet(mu, eta, want_gradient)`` takes
+a batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
+batch and all the field's kernels into one ``kernels.alpha_family`` call
+(one engine call where the kernels are closed forms, N <= 3), and returns
+one stacked ``FieldJet`` whose arrays carry a leading B; ``at(p)`` is its
+one-point case for a ``BasePoint``, the jet's first row.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors,
-                       check_batch, fd_gradient)
+from .geometry import BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
@@ -38,7 +38,6 @@ __all__ = [
     "FieldJet",
     "FirstOrderField",
     "RestrictedField",
-    "FlatModelField",
     "restricted_remainders",
     "SigmaExpansion",
     "sigma_expansion",
@@ -213,41 +212,6 @@ class RestrictedField(_Field):
     def jet(self, mu: np.ndarray, eta: np.ndarray,
             want_gradient: bool = True) -> FieldJet:
         return _jets(self.A, self.I, self.quad, mu, eta, want_gradient)
-
-
-class FlatModelField(_Field):
-    """Exact flat model packaged as a field provider.
-
-    First derivatives are ``geometry.fd_gradient`` Richardson differences
-    of the exact values; the flat data is smooth away from the locus, so
-    the truncation error is ~ h^4.
-    """
-
-    def __init__(self, N: int) -> None:
-        self.N = N
-
-    def _vw(self, x: np.ndarray) -> np.ndarray:
-        """The entries of V, then W, at the real point x."""
-        res = flat_field(BasePoint.from_vector(x))
-        if res.on_locus:
-            raise ValueError("flat field evaluated on the degeneration locus")
-        return np.append(res.V, res.W)
-
-    def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> FieldJet:
-        N = self.N
-        mu, eta = check_batch(mu, eta, N)
-        xs = np.column_stack([mu, eta.real, eta.imag])
-        vals = np.array([self._vw(x) for x in xs])
-        V, W = vals[:, :N * N].reshape(-1, N, N), vals[:, N * N]
-        spd = (np.linalg.eigvalsh(V)[:, 0] > 0.0) & (W > 0.0)
-        if not want_gradient:
-            return FieldJet(V, W, V, W, None, None, None, spd, np.zeros(len(W)))
-        # per point: rows the entries of V, then W; columns mu_1..mu_N, Re, Im
-        D = np.array([fd_gradient(self._vw, x) for x in xs])
-        dV_eta = 0.5 * (D[:, :N * N, N] - 1j * D[:, :N * N, N + 1])
-        return FieldJet(V, W, V, W, D[:, :N * N, :N].reshape(-1, N, N, N),
-                        dV_eta.reshape(-1, N, N), D[:, N * N], spd, np.zeros(len(W)))
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,

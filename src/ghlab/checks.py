@@ -32,10 +32,11 @@ HARMONIC_TOL = 1e-3                         # 04
 WEAK_TOL = 1e-2                             # 05
 PROJECTION_TOL, EIGEN_TOL = 1e-10, 1e-12    # 07: nested projections, eigenvalues
 PRODUCT_TOL, LOG_SUM_TOL = 1e-12, 1e-6      # 09: moduli product, log sum
-PIECE_TOL = 1e-12                           # 11
+PIECE_TOL, SEAM_TOL = 1e-12, 1e-10          # 11: profile pieces, seam jumps
 INTEGRABILITY_TOL = 1e-3                    # 12
+C_MAX = 10.0    # beta-bounds: |beta| times the boundary distance (capped at 50)
 
-QUAD = QuadratureSpec()                     # 02, 03, 04 and 12
+QUAD = QuadratureSpec()                     # 02, 03, 04, 12 and beta-bounds
 WEAK_QUAD = QuadratureSpec(abs_tol=1e-8)    # 05
 DECAY_QUAD = QuadratureSpec(abs_tol=1e-12)  # 06
 GAMMA_QUAD = QuadratureSpec(abs_tol=1e-11)  # 08 and 09
@@ -361,6 +362,17 @@ def profile_piece_gaps(prof: glue.ExtensionProfile, t_left, t_right
         right_H = max(right_H, abs(prof.H(t) - (K * M + 2.0 * math.log(2.0) * K
                                                 * math.log(math.log(g)))))
     return left, right_h, right_H
+
+
+def profile_seam_jump(prof: glue.ExtensionProfile) -> float:
+    """Criterion 11: the largest jump of h, H, f, f' and f'' across the
+    seams at M - 1 and M + 1, between the floats on either side."""
+    jump = 0.0
+    for t0 in (prof.M - 1.0, prof.M + 1.0):
+        lo, hi = np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf)
+        for fn in (prof.h, prof.H, prof.f, prof.f_prime, prof.f_second):
+            jump = max(jump, abs(fn(lo) - fn(hi)))
+    return jump
 
 
 def integrability_gap(A: QuadForm, quad: QuadratureSpec, points

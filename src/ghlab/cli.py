@@ -28,7 +28,6 @@ from numpy.random import Generator
 
 from . import checks, glue, holo, kernels, locus
 from .geometry import BasePoint, IndexSet, QuadForm
-from .quadrature import QuadratureSpec
 
 SCHEMA_VERSION = 1
 
@@ -249,12 +248,6 @@ def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             for label, got, want, win, ok in checks.decay_exponents()]
 
 
-# the bound on |beta| times the boundary distance (capped at 50), and the
-# quadrature the remainders are held to
-C_MAX = 10.0
-BETA_QUAD = QuadratureSpec()
-
-
 @_experiment("beta-bounds", "dims")
 def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     I = IndexSet((0, 1))
@@ -265,9 +258,9 @@ def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
         for _ in range(cfg.n or 40):
             p = checks.off_locus_point(rng, A, floor=0.4, mu_scale=3.0)
             b = locus.dist_boundary(A, I, p)
-            val = kernels.beta(A, I, 0, 1, BETA_QUAD, p)
+            val = kernels.beta(A, I, 0, 1, checks.QUAD, p)
             worst = max(worst, abs(val.value) * min(b, 50.0))
-        rows.append(_row(cfg, f"N={N}-remainder-bound", worst, C_MAX))
+        rows.append(_row(cfg, f"N={N}-remainder-bound", worst, checks.C_MAX))
     return rows
 
 
@@ -322,10 +315,6 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             _row(cfg, "covering", float(uncovered), 0.0)]
 
 
-# the largest jump of h, H, f, f' or f'' across a seam of the profile
-SEAM_TOL = 1e-10
-
-
 @_experiment("extension-profile")
 def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     K, M, floor, eps = checks.PROFILE
@@ -334,12 +323,8 @@ def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultR
                                      np.linspace(M + 1.0, 50.0 * M, 20))
     rows = [_row(cfg, case, gap, checks.PIECE_TOL) for case, gap in
             zip(("piece-left", "piece-right-h", "piece-right-H"), gaps)]
-    seam = 0.0
-    for t0 in (M - 1.0, M + 1.0):
-        lo, hi = np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf)
-        for fn in (prof.h, prof.H, prof.f, prof.f_prime, prof.f_second):
-            seam = max(seam, abs(fn(lo) - fn(hi)))
-    rows.append(_row(cfg, "seam-continuity", seam, SEAM_TOL))
+    rows.append(_row(cfg, "seam-continuity", checks.profile_seam_jump(prof),
+                     checks.SEAM_TOL))
 
     rep_good = glue.profile_condition_check(prof)
     rows.append(ResultRow(cfg.experiment, "margin-wide-floor",

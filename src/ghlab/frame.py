@@ -1,15 +1,15 @@
-"""Metric data of the ansatz in an adapted orthogonal frame.
+"""Integrability of the ansatz's metric data in an adapted orthogonal frame.
 
 For coefficient data (V, W) the metric splits into three orthogonal
 blocks: V on the base mu-directions, V^{-1} on the torus fiber, and W
-times the identity on the two horizontal eta-directions.  The volume
-density is therefore the scalar W squared regardless of V, and the
-structure is integrable precisely when the mu-gradients of V are
-symmetric in the lower index pair and the fiber curvature is closed.
-The connection form is never built globally; every check here is a
-pointwise identity on derivatives of (V, W).  ``integrability_batch``
-puts every point's Richardson stencil into one call of the field's
-``jet`` and reads the stacked jet back per point.
+times the identity on the two horizontal eta-directions.  The structure
+is integrable precisely when the mu-gradients of V are symmetric in the
+lower index pair and the fiber curvature is closed; closing the
+curvature is the second identity below.  Neither the frame nor the
+connection form is ever assembled; both checks are pointwise identities
+on derivatives of (V, W).  ``integrability_batch`` puts every point's
+Richardson stencil into one call of the field's ``jet`` and reads the
+stacked jet back per point.
 """
 
 from __future__ import annotations
@@ -18,69 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (BasePoint, batch_from_vectors, fd_gradient, gradient_step,
+from .geometry import (BasePoint, batch_from_vectors, gradient_step,
                        richardson_derivative, richardson_stencil)
 
 __all__ = [
-    "FramePoint",
-    "frame_at",
-    "CyResidual",
-    "cy_residual",
     "IntegrabilityResidual",
     "integrability_batch",
     "integrability_residual",
-    "CurvatureSample",
-    "curvature_F",
-    "grad_norm",
-    "volume_ratio",
 ]
-
-
-@dataclass
-class FramePoint:
-    """Gram matrix of the adapted frame at one point.
-
-    Block order: N mu-directions, N fiber directions, Re eta, Im eta.
-    """
-
-    point: BasePoint
-    V: np.ndarray
-    W: float
-    gram: np.ndarray
-
-    def det_identity_gap(self) -> float:
-        """det(gram) - W^2, which vanishes identically for SPD V."""
-        return float(np.linalg.det(self.gram) - self.W ** 2)
-
-
-def frame_at(field, p: BasePoint) -> FramePoint:
-    """Assemble the frame Gram matrix from the coefficient field."""
-    jet = field.at(p)
-    N = jet.V.shape[0]
-    gram = np.zeros((2 * N + 2, 2 * N + 2))
-    gram[:N, :N] = jet.V
-    gram[N:2 * N, N:2 * N] = np.linalg.inv(jet.V)
-    gram[2 * N, 2 * N] = jet.W
-    gram[2 * N + 1, 2 * N + 1] = jet.W
-    return FramePoint(p, jet.V, jet.W, gram)
-
-
-@dataclass
-class CyResidual:
-    raw: float          # det V - W
-    normalized: float   # det V / W - 1
-
-
-def cy_residual(field, p: BasePoint) -> CyResidual:
-    """Volume identity defect of the coefficient data at one point."""
-    jet = field.at(p)
-    detV = float(np.linalg.det(jet.V))
-    return CyResidual(detV - jet.W, detV / jet.W - 1.0)
-
-
-def volume_ratio(fp: FramePoint) -> float:
-    """sqrt(det gram) / det V; the reciprocal of (1 + normalized defect)."""
-    return float(np.sqrt(np.linalg.det(fp.gram)) / np.linalg.det(fp.V))
 
 
 @dataclass
@@ -146,43 +91,3 @@ def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     _, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
     return IntegrabilityResidual(float(res[0, 0]), float(res[1, 0]),
                                  float(scale[0, 0]), float(scale[1, 0]), p)
-
-
-@dataclass
-class CurvatureSample:
-    """Components of the fiber curvature two-forms at a point.
-
-    For each lower index j: coeff_eta_etabar is the dEta wedge dEtaBar
-    coefficient divided by sqrt(-1), coeff_mu_eta[i] the dMu_i wedge dEta
-    coefficient (its conjugate sits on dMu_i wedge dEtaBar with a sign).
-    closure_residual is the maximal defect of d F_j = 0, which reduces to
-    the same expression as the second integrability identity.
-    """
-
-    coeff_eta_etabar: np.ndarray           # (N,) real: 0.5 dW/dmu_j
-    coeff_mu_eta: np.ndarray               # (N, N) complex: dV_ij/deta
-    closure_residual: float
-    closure_scale: float
-    point: BasePoint
-
-
-def curvature_F(field, p: BasePoint) -> CurvatureSample:
-    """Curvature coefficients and their closure defect."""
-    jet, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
-    return CurvatureSample(0.5 * jet.dW[0, :p.N], jet.dV_eta[0].copy(),
-                           float(res[1, 0]), float(scale[1, 0]), p)
-
-
-def grad_norm(field, u, p: BasePoint) -> float:
-    """Pointwise metric norm of the differential of a base function.
-
-    Uses the co-metric: V^{-1} on mu-covectors and 1/W on the two real
-    eta-covectors.  ``u`` is a callable on BasePoint; its gradient is
-    ``geometry.fd_gradient``.
-    """
-    jet = field.at(p)
-    g = fd_gradient(lambda vec: u(BasePoint.from_vector(vec)), p.as_vector())
-    N = p.N
-    gm = g[:N]
-    quad = float(gm @ np.linalg.solve(jet.V, gm)) + (g[N] ** 2 + g[N + 1] ** 2) / jet.W
-    return float(np.sqrt(max(quad, 0.0)))

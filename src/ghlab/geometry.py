@@ -4,15 +4,15 @@ Everything downstream is phrased in terms of a fixed symmetric positive
 definite matrix acting on the moment coordinates ``mu`` together with a
 complex coordinate ``eta``.  This module provides the quadratic-form
 wrapper, base points, index-set bookkeeping, block/Schur algebra, the
-anisotropic norm, and the constant-coefficient Laplacian of that flat
-structure, plus the one Richardson stencil behind every derivative and
-its two step rules, ``value_step`` and ``gradient_step``.
+anisotropic norm, and the terms of the constant-coefficient Laplacian of
+that flat structure, plus the one Richardson stencil behind every
+derivative and its step rule, ``gradient_step``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,20 +23,15 @@ __all__ = [
     "batch_from_vectors",
     "check_batch",
     "IndexSet",
-    "ScalarField",
     "anorm",
     "schur_complement",
     "schur_blocks",
-    "laplace_A",
     "laplace_terms",
     "ball_volume",
     "block",
-    "value_step",
     "gradient_step",
     "richardson_stencil",
     "richardson_derivative",
-    "fd_gradient",
-    "fd_hessian",
 ]
 
 
@@ -206,10 +201,6 @@ class IndexSet:
         if self.members[-1] > N:
             raise ValueError("index label exceeds the coordinate count")
 
-    def complement(self, N: int) -> tuple[int, ...]:
-        """Complement inside {0, ..., N}."""
-        return tuple(m for m in range(N + 1) if m not in self.members)
-
     def active_complement(self, N: int) -> tuple[int, ...]:
         """Complement inside {1, ..., N}."""
         return tuple(m for m in range(1, N + 1) if m not in self.members)
@@ -220,17 +211,11 @@ class IndexSet:
 
 # -- finite differences -------------------------------------------------
 
-_VALUE_STEP_REL = np.finfo(float).eps ** (1.0 / 3.0)
 # The stencil's truncation error is O(h^4): at this step criterion 12's
 # second identity stays below 1e-5 on 768 field-n3 points (7.7e-6 at the
 # worst, 2.0e-3 at 4x the step), far under its 1e-3, while the quadrature
 # error divided by h stays far smaller still.
 _GRADIENT_STEP_REL = 5e-3
-
-
-def value_step(x: np.ndarray) -> np.ndarray:
-    """Step cbrt(eps) max(1, |x_i|) along coordinate i, for values."""
-    return _VALUE_STEP_REL * np.maximum(1.0, np.abs(x))
 
 
 def gradient_step(x: np.ndarray) -> float:
@@ -275,52 +260,6 @@ def richardson_derivative(values, h) -> np.ndarray:
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Richardson gradient of values; for a vector-valued ``f``, the
-    Jacobian with one column per coordinate."""
-    x = np.asarray(x, dtype=float)
-    h = value_step(x)
-    vals = np.array([f(r) for r in richardson_stencil(x, h)], dtype=float)
-    return np.moveaxis(richardson_derivative(vals, h), 0, -1)
-
-
-def fd_hessian(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Symmetrized Richardson gradient of the Richardson gradient."""
-    J = fd_gradient(lambda y: fd_gradient(f, y), x)
-    return 0.5 * (J + J.T)
-
-
-class ScalarField:
-    """A scalar function on the base with derivative access.
-
-    value, gradient and hessian act on the real coordinates
-    (mu_1..mu_N, Re eta, Im eta).  Without an analytic gradient the field
-    differences its values; the Hessian differences the gradient with
-    ``gradient_step``.
-    """
-
-    def __init__(self, value: Callable[[BasePoint], float],
-                 gradient: Callable[[BasePoint], np.ndarray] | None = None) -> None:
-        self._value = value
-        self._gradient = gradient
-
-    def value(self, p: BasePoint) -> float:
-        return float(self._value(p))
-
-    def gradient(self, p: BasePoint) -> np.ndarray:
-        if self._gradient is not None:
-            return np.asarray(self._gradient(p), dtype=float)
-        return fd_gradient(lambda v: self.value(BasePoint.from_vector(v)),
-                           p.as_vector())
-
-    def hessian(self, p: BasePoint) -> np.ndarray:
-        x = p.as_vector()
-        h = gradient_step(x)
-        J = richardson_derivative([self.gradient(BasePoint.from_vector(v))
-                                   for v in richardson_stencil(x, h)], h)
-        return 0.5 * (J + J.T)
-
-
 # -- operations ----------------------------------------------------------
 
 def anorm(A: QuadForm, p: BasePoint) -> float:
@@ -332,11 +271,6 @@ def anorm(A: QuadForm, p: BasePoint) -> float:
     if A.n != p.N:
         raise ValueError("dimension mismatch between form and point")
     return math.sqrt(float(A.quad(p.mu)) + A.det * abs(p.eta) ** 2)
-
-
-def anorm_diff(A: QuadForm, p: BasePoint, q: BasePoint) -> float:
-    """Distance between two base points in the flat metric of ``A``."""
-    return anorm(A, BasePoint(p.mu - q.mu, p.eta - q.eta))
 
 
 def schur_blocks(M: np.ndarray, S: Sequence[int], Sc: Sequence[int]
@@ -368,22 +302,12 @@ def schur_complement(A: QuadForm, I: IndexSet) -> QuadForm:
     return A.derived(("schur", S), lambda: QuadForm(schur_blocks(A.entries, S, Sc)[1]))
 
 
-def laplace_A(A: QuadForm, u: ScalarField, p: BasePoint) -> float:
-    """Constant-coefficient Laplacian of the flat base structure.
-
-    A^{-1}_{ij} u_{mu_i mu_j} + (det A)^{-1} (u_xx + u_yy) where (x, y) are
-    the real coordinates of eta.  The eta part is one quarter of the usual
-    complex-normal convention absorbed into the flat (x, y) Laplacian.
-    """
-    if A.n != p.N:
-        raise ValueError("dimension mismatch between form and point")
-    mu_terms, eta_part = laplace_terms(A, u.hessian(p))
-    return float(np.sum(mu_terms)) + eta_part
-
-
 def laplace_terms(A: QuadForm, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``laplace_A``'s terms from Hessians H (..., N + 2, N + 2): A^{-1}_ij H_ij
-    (..., N * N), one contiguous row per Hessian, and (H_xx + H_yy) / det A."""
+    """Terms of the constant-coefficient Laplacian of the flat base
+    structure, A^{-1}_ij u_{mu_i mu_j} + (u_xx + u_yy) / det A with (x, y)
+    the real coordinates of eta, from Hessians H (..., N + 2, N + 2): the
+    mu terms A^{-1}_ij H_ij (..., N * N), one contiguous row per Hessian,
+    and the eta part (H_xx + H_yy) / det A."""
     N = A.n
     return ((A.inv * H[..., :N, :N]).reshape(H.shape[:-2] + (N * N,)),
             (H[..., N, N] + H[..., N + 1, N + 1]) / A.det)

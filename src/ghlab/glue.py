@@ -84,10 +84,6 @@ class CutoffProfile:
             out[mid] = np.clip(vals, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def derivative_bound(self) -> float:
-        grid = np.linspace(_INNER, _OUTER, 2001)
-        return float(np.max(self._bump(grid))) / self._norm
-
 
 _CHI = CutoffProfile()
 
@@ -266,10 +262,6 @@ class ExtensionProfile:
             return (self.h(t) * tf - self.H(t)) / tf ** 2
         t = np.asarray(t, dtype=float)
         return (self.h(t) * t - self.H(t)) / t ** 2
-
-    def eigenvalues(self, t) -> tuple[float, float]:
-        """The two curvature eigenvalues (f', f' + t f'') = (H/t, h)."""
-        return self.f_prime(t), self.h(t)
 
     # -- log-space forms for huge radii (u = log t) --
 

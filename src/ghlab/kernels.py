@@ -93,10 +93,6 @@ class KernelSpec:
             self.restriction.require_stratum(self.A.n)
 
     @property
-    def is_axis(self) -> bool:
-        return self.labels[0] == 0
-
-    @property
     def vanishes(self) -> bool:
         """True when the restriction convention makes the kernel zero."""
         if self.restriction is None:
@@ -239,7 +235,8 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
     tolerances of ``quad`` to raw units.  A (kernel, row) pair within the
     resolution floor of its sheet raises SingularityProximity, and a swept
     call that misses its tolerance QuadratureError, naming the kernel and
-    the (first) row with its (mu, eta).
+    the row with its (mu, eta): the row that missed, or for a grid over
+    the node budget the first row of its group.
 
     At most two cone columns make a closed form: every pair goes to one
     call.  With d >= 3 the engine sweeps each kernel's rows on a grid built
@@ -278,7 +275,9 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
                                         prefactor=fam.prefactor * tol_scale, sheet=sheet,
                                         frame=frame)
         except QuadratureError as exc:   # only a swept call, of one kernel ks
-            raise _refusal(QuadratureError, fam, ks, mu, eta, int(rows[0]), exc) from None
+            # a grid over budget was built for the group's first row
+            row = rows[0 if exc.row is None else exc.row]
+            raise _refusal(QuadratureError, fam, ks, mu, eta, int(row), exc) from None
         vals[ks, rows], errs[ks, rows] = res.value, res.error
         evals += res.evals
         if want_gradient:

@@ -115,7 +115,15 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the engine cannot deliver the requested tolerance."""
+    """Raised when the engine cannot deliver the requested tolerance.
+
+    ``row`` is the index, within the call's batch, of the row that missed
+    it, or None when the grid exceeds the node budget before any sweep.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class SingularityProximity(ValueError):
@@ -851,8 +859,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     shape = " x ".join(str(n * _ORDER) for n in panels)
     raise QuadratureError(
         f"no convergence after {_REFINE_PASSES + 1} passes: r* = "
-        f"{r_star:.3e}, grid {shape}, row {row} error {err[row]:.3e} "
-        f"against tolerance {tol[row]:.3e}")
+        f"{r_star:.3e}, grid {shape}, error {err[row]:.3e} "
+        f"against tolerance {tol[row]:.3e}", row)
 
 
 def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
     FirstOrderField,
-    FlatModelField,
     Ray,
     RestrictedField,
     flat_field,
@@ -68,19 +66,6 @@ class TestFlatModel:
         assert res.z_squared[0] == pytest.approx(res.x)
         np.testing.assert_allclose(res.z_squared[1:], res.x + 2.0 * p.mu,
                                    rtol=1e-13)
-
-
-def test_flat_fd_jets_match_first_order_structure():
-    # the flat model is exact; its FD jets satisfy the same first-order
-    # symmetry d V_ij / d mu_k = d V_ik / d mu_j the kernel field does
-    fld = FlatModelField(2)
-    p = BasePoint(np.array([0.4, -0.2]), 0.8 + 0.3j)
-    jet = fld.at(p, want_gradient=True)
-    assert jet.spd
-    gap = float(np.max(np.abs(jet.dV - np.transpose(jet.dV, (0, 2, 1)))))
-    assert gap < 1e-6
-    det_v = float(np.linalg.det(jet.V))
-    assert det_v == pytest.approx(jet.W, rel=1e-10)
 
 
 def test_first_order_field_basic():

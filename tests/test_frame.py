@@ -1,19 +1,9 @@
-import math
-
 import numpy as np
-import pytest
 
 from ghlab import checks
 from ghlab.geometry import BasePoint, QuadForm
-from ghlab.ansatz import FirstOrderField, FlatModelField
-from ghlab.frame import (
-    curvature_F,
-    cy_residual,
-    frame_at,
-    grad_norm,
-    integrability_residual,
-    volume_ratio,
-)
+from ghlab.ansatz import FirstOrderField
+from ghlab.frame import integrability_residual
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
@@ -35,56 +25,6 @@ class PerturbedField:
         if want_gradient:
             jet.dV = jet.dV + self.extra_dmu(mu)
         return jet
-
-
-def test_frame_blocks_flat_symmetric_point():
-    fld = FlatModelField(2)
-    p = BasePoint(np.zeros(2), 1.0 + 0j)
-    fp = frame_at(fld, p)
-    # inverse-potential block is the known flat matrix, fiber block W I_2
-    np.testing.assert_allclose(fp.gram[2:4, 2:4], [[2.0, 1.0], [1.0, 2.0]],
-                               atol=1e-10)
-    np.testing.assert_allclose(fp.gram[4:, 4:], np.eye(2) / 3.0, atol=1e-12)
-    assert fp.det_identity_gap() < 1e-12
-
-
-def test_gram_determinant_is_w_squared():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        n = int(rng.integers(1, 4))
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = QuadForm(q @ np.diag(rng.uniform(0.5, 2.5, n)) @ q.T)
-        fld = FirstOrderField(A, QUAD)
-        p = BasePoint(rng.uniform(-1.5, 1.5, n), complex(*rng.uniform(0.3, 1.2, 2)))
-        fp = frame_at(fld, p)
-        det_g = float(np.linalg.det(fp.gram))
-        assert det_g == pytest.approx(fp.W ** 2, rel=1e-10)
-
-
-def test_cy_residual_flat_exact():
-    fld = FlatModelField(2)
-    p = BasePoint(np.array([0.4, -0.1]), 0.9 + 0.2j)
-    res = cy_residual(fld, p)
-    assert res.normalized < 1e-9
-
-
-def test_volume_ratio_measures_cy_defect():
-    # sqrt(det gram) = W always, so the ratio to det V is exactly the
-    # volume defect 1 + E of the first-order field
-    rng = np.random.default_rng(9)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    A = QuadForm(q @ np.diag([0.8, 1.3, 2.0]) @ q.T)
-    fld = FirstOrderField(A, QUAD)
-    p = BasePoint(np.array([1.0, -0.5, 0.8]), 0.6 + 0.4j)
-    fp = frame_at(fld, p)
-    jet = fld.at(p)
-    from ghlab.ansatz import sigma_expansion
-    se = sigma_expansion(A, jet.v)
-    assert volume_ratio(fp) == pytest.approx(1.0 + se.relative_error, rel=1e-10)
-    # the flat model closes the identity exactly
-    flat = FlatModelField(2)
-    fp2 = frame_at(flat, BasePoint(np.array([0.4, -0.1]), 0.9 + 0.2j))
-    assert volume_ratio(fp2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_integrability_residual_small():
@@ -167,31 +107,3 @@ def test_perturbed_field_breaks_first_identity():
     res_good = integrability_residual(base, p)
     assert res_bad.first_relative > 100.0 * res_good.first_relative
     assert res_bad.first > 0.5
-
-
-def test_curvature_closure_matches_second_identity():
-    A = QuadForm(np.array([[1.6, 0.3], [0.3, 1.1]]))
-    fld = FirstOrderField(A, QUAD)
-    p = BasePoint(np.array([0.7, -0.9]), 0.8 + 0.3j)
-    cur = curvature_F(fld, p)
-    res = integrability_residual(fld, p)
-    # closing the two-form is the same constraint as the second identity
-    assert cur.closure_residual == pytest.approx(res.second, rel=1e-12)
-    assert cur.coeff_eta_etabar.shape == (2,)
-    assert cur.coeff_mu_eta.shape == (2, 2)
-
-
-def test_grad_norm_flat_coordinate():
-    # |d mu_1|_g^2 = (V^{-1})_{11} = 2 at the symmetric flat point
-    fld = FlatModelField(2)
-    p = BasePoint(np.zeros(2), 1.0 + 0j)
-    val = grad_norm(fld, lambda q: q.mu[0], p)
-    assert val == pytest.approx(math.sqrt(2.0), rel=1e-6)
-
-
-def test_grad_norm_fiber_coordinate():
-    # |d Re eta|_g^2 = 1/W = 3 at the symmetric flat point
-    fld = FlatModelField(2)
-    p = BasePoint(np.zeros(2), 1.0 + 0j)
-    val = grad_norm(fld, lambda q: q.eta.real, p)
-    assert val == pytest.approx(math.sqrt(3.0), rel=1e-6)

@@ -224,6 +224,24 @@ def test_swept_gamma_over_budget_names_gamma_kernel_and_row(monkeypatch):
         gamma_family(spec, (1, 2), mu, np.array([0.9 + 0.5j, 0.7 - 0.2j]))
 
 
+def test_swept_gamma_miss_names_the_row_that_missed():
+    # N = 3, all slots, a tolerance no sum can meet: gamma_1's first kernel
+    # sweeps row 0 alone, which converges, then rows 1 and 2 on row 1's
+    # grid, where row 2 misses by most; the refusal names batch row 2, not
+    # its group's first row, and the engine's text names no row of its own
+    A = QuadForm(np.array([[1.4, 0.2, 0.1], [0.2, 0.9, -0.1],
+                           [0.1, -0.1, 1.2]]))
+    spec = GammaSpec(A, IndexSet((0, 1, 2, 3)),
+                     QuadratureSpec(rel_tol=1e-17, abs_tol=1e-17))
+    mu = np.array([[3.0, 2.5, -1.0], [0.8, -0.3, 0.4], [0.7, -0.28, 0.49]])
+    eta = np.array([1.5 + 0.3j, 0.9 + 0.5j, 1.19 + 0.45j])
+    with pytest.raises(QuadratureError, match=r"gamma_1 on \(0, 1, 2, 3\): kernel \(0, 1\) "
+                       r"at batch row 2 \(mu = \[0\.7, -0\.28, 0\.49\], eta = \(1\.19\+0\.45j\)\): "
+                       r"no convergence after \d passes: r\* = \S+, grid \d+, error \S+ "
+                       r"against tolerance"):
+        gamma_family(spec, (1, 2), mu, eta)
+
+
 def test_batched_leg_gammas_match_one_node_calls_n3():
     # N = 3, all slots: every gamma integral sweeps one axis (d = 3), so
     # the leg's rows share grids only in groups; a batched row and a lone

@@ -19,7 +19,7 @@ from scipy import optimize
 
 from ghlab import locus
 from ghlab.checks import random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm_diff
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm
 from ghlab.locus import (
     RegionConstants,
     all_strata,
@@ -84,7 +84,8 @@ def test_projection_foot_on_stratum():
         for lab in I.active:
             assert pr.foot.mu[lab - 1] == pytest.approx(0.0, abs=1e-13)
         assert pr.foot.eta == 0j
-        assert pr.dist == pytest.approx(anorm_diff(A, p, pr.foot), rel=1e-12)
+        assert pr.dist == pytest.approx(
+            anorm(A, BasePoint(p.mu - pr.foot.mu, p.eta - pr.foot.eta)), rel=1e-12)
 
 
 def test_closed_distance_against_scipy():

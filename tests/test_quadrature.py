@@ -201,9 +201,10 @@ def test_budget_error():
     # budget, so the grid is refused before any sweep
     A = np.eye(7)
     M = np.eye(7)[:, 1:]
-    with pytest.raises(QuadratureError, match=r"needs 401080320 .*budget is 4000000"):
+    with pytest.raises(QuadratureError, match=r"needs 401080320 .*budget is 4000000") as exc:
         power_kernel_integral(A, 1.0, np.ones((1, 7)), 0.5 + 0j, M, 7,
                               QuadratureSpec())
+    assert exc.value.row is None
 
 
 def test_unconverged_integral_raises(monkeypatch):
@@ -218,8 +219,9 @@ def test_unconverged_integral_raises(monkeypatch):
     power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
     monkeypatch.setattr(quadrature, "_ORDER", 4)
     monkeypatch.setattr(quadrature, "_ORDER_LOW", 2)
-    with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance"):
+    with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance") as exc:
         power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
+    assert exc.value.row == 0
 
 
 def quadrant_oracle(a: float, b: float, c: float) -> float:
