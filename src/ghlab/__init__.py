@@ -73,7 +73,6 @@ from .frame import (
 from .holo import (
     GammaSpec,
     gamma,
-    gamma_batch,
     gamma_closed_form,
     gamma_family,
     gamma_sum_check,
@@ -83,9 +82,8 @@ from .holo import (
     taubnut_moduli,
 )
 from .glue import (
-    CutoffProfile,
     ExtensionProfile,
-    extension_profile,
+    cutoff,
     glue_weight,
     profile_condition_check,
 )

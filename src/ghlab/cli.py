@@ -318,7 +318,7 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 @_experiment("extension-profile")
 def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     K, M, floor, eps = checks.PROFILE
-    prof = glue.extension_profile(K, M, floor, eps)
+    prof = glue.ExtensionProfile(K, M, floor, eps)
     gaps = checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
                                      np.linspace(M + 1.0, 50.0 * M, 20))
     rows = [_row(cfg, case, gap, checks.PIECE_TOL) for case, gap in
@@ -330,7 +330,7 @@ def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultR
     rows.append(ResultRow(cfg.experiment, "margin-wide-floor",
                           rep_good.min_loggap, 1.0, 0.0, rep_good.positive,
                           cfg.hash, detail=f"argmin log t = {rep_good.argmin_logt:.3g}"))
-    prof_bad = glue.extension_profile(K, M, M + 3.0, eps)
+    prof_bad = glue.ExtensionProfile(K, M, M + 3.0, eps)
     rep_bad = glue.profile_condition_check(prof_bad)
     rows.append(ResultRow(cfg.experiment, "margin-narrow-floor",
                           rep_bad.min_loggap, -1.0, 0.0, not rep_bad.positive,

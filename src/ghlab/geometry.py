@@ -97,9 +97,6 @@ class QuadForm:
             self._derived[key] = build()
         return self._derived[key]
 
-    def cholesky(self) -> np.ndarray:
-        return self.derived("cholesky", lambda: np.linalg.cholesky(self.entries))
-
     def quad(self, x: np.ndarray) -> np.ndarray:
         """x^T A x, broadcast over the leading axes of ``x``."""
         x = np.asarray(x, dtype=float)

@@ -9,9 +9,11 @@ cutoff is built from a compactly supported mollifier integral.  The
 extension profile is the radial profile (h, H, f) used to continue the
 potential outward: linear slope up to a shoulder, a logarithmic tail
 beyond, and a quintic bridge between them keeping two derivatives
-continuous.  The profile condition compares the slope against the squared
-growth of H under the decay floor and is evaluated in log space so that
-astronomically large radii stay finite.
+continuous.  Each piece is written once and evaluated only on its own
+stretch of t; f is in closed form up to the tail, where its logarithmic
+part is one Gauss-panel integral.  The profile condition compares the
+slope against the squared growth of H under the decay floor and is
+evaluated in log space so that astronomically large radii stay finite.
 """
 
 from __future__ import annotations
@@ -21,22 +23,23 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .geometry import BasePoint, IndexSet, QuadForm
 from .locus import RegionConstants, _locate, _rho
 from .quadrature import panel_nodes
 
 __all__ = [
-    "CutoffProfile",
+    "cutoff",
     "GlueWeight",
     "glue_weight",
     "ExtensionProfile",
-    "extension_profile",
     "ConditionReport",
     "profile_condition_check",
 ]
 
 _LOG2 = math.log(2.0)
+_LOG3 = math.log(3.0)
 
 
 # the cutoff's plateau edges: it is 1 up to _INNER and 0 from _OUTER on
@@ -44,57 +47,42 @@ _INNER = 0.375
 _OUTER = 0.5
 
 
-class CutoffProfile:
+def _bump_integral(a, b):
+    """Integral of the bump exp(-1/((t - 3/8)(1/2 - t))) from each a to its
+    b, for _INNER <= a <= b <= _OUTER, on 4 panels of 32 Gauss nodes."""
+    t, w = panel_nodes(np.linspace(a, b, 5, axis=-1), 32)
+    inside = (t > _INNER) & (t < _OUTER)
+    g = np.where(inside, (t - _INNER) * (_OUTER - t), 1.0)
+    return np.sum(w * np.where(inside, np.exp(-1.0 / g), 0.0), axis=-1)
+
+
+_NORM = float(_bump_integral(_INNER, _OUTER))
+
+
+def cutoff(x):
     """Smooth cutoff with exact plateaus: 1 below 3/8, 0 above 1/2.
 
-    chi(s) is the normalized integral of the bump
-    exp(-1/((t - 3/8)(1/2 - t))) from s to 1/2, on 32-point Gauss panels,
-    so the plateau values are returned exactly, not to roundoff.
+    chi(s) is the normalized integral of the bump from |s| to 1/2, so the
+    plateau values are returned exactly, not to roundoff, and cost no
+    integral.  A ramp value is integrated from its nearer plateau, all
+    in one Gauss pass, so quadrature noise can never take it out of [0, 1].
     """
-
-    def __init__(self) -> None:
-        self._norm = self._integrate(_INNER, _OUTER)
-
-    def _bump(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        inside = (t > _INNER) & (t < _OUTER)
-        g = np.where(inside, (t - _INNER) * (_OUTER - t), 1.0)
-        return np.where(inside, np.exp(-1.0 / g), 0.0)
-
-    def _integrate(self, a: float, b: float) -> float:
-        # every caller passes _INNER <= a < b <= _OUTER
-        nodes, wts = panel_nodes(np.linspace(a, b, 5), 32)
-        return float(np.sum(wts * self._bump(nodes)))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.abs(x)
-        out = np.where(s <= _INNER, 1.0, 0.0)
-        mid = (s > _INNER) & (s < _OUTER)
-        if np.any(mid):
-            # integrate from the nearer plateau so the ramp value can
-            # never leave [0, 1] through quadrature noise
-            half = 0.5 * (_INNER + _OUTER)
-            vals = np.array([
-                1.0 - self._integrate(_INNER, float(v)) / self._norm
-                if v < half else
-                self._integrate(float(v), _OUTER) / self._norm
-                for v in s[mid]])
-            out = out.copy()
-            out[mid] = np.clip(vals, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
-
-_CHI = CutoffProfile()
+    s = np.abs(np.asarray(x, dtype=float))
+    out = np.where(s <= _INNER, 1.0, 0.0)
+    mid = (s > _INNER) & (s < _OUTER)
+    if np.any(mid):
+        v = s[mid]
+        low = v < 0.5 * (_INNER + _OUTER)
+        part = _bump_integral(np.where(low, _INNER, v), np.where(low, v, _OUTER)) / _NORM
+        out[mid] = np.clip(np.where(low, 1.0 - part, part), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
 class GlueWeight:
-    """Gluing weight at a point together with its factor arguments."""
+    """Gluing weight at a point, and whether the point is in the domain."""
 
     value: float
-    hull_norm: float
-    arguments: dict[tuple[int, ...], float]
     in_domain: bool
 
 
@@ -112,39 +100,32 @@ def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
     """
     at, i = _locate(A, I, p)
     hull = float(at.d[i])
-    args: dict[tuple[int, ...], float] = {}
     value = 1.0
     comp = at.table.comp[i]
     for K in (K for k in range(1, len(comp) + 1) for K in combinations(comp, k)):
         rho = _rho(at, i, K)
         # a vanishing rho puts the hull itself at 0 and any other point at inf
         if rho <= 1e-300:
-            args[K] = math.inf if hull > 1e-300 else 0.0
+            value *= cutoff(math.inf if hull > 1e-300 else 0.0)
         else:
-            args[K] = consts.c0 * hull / rho
-        value *= float(_CHI(args[K]))
+            value *= cutoff(consts.c0 * hull / rho)
     d, b = float(at.closed[i]), float(at.boundary[i])
-    in_domain = bool(consts.c0 * d < b and b > consts.cprime())
-    return GlueWeight(value, hull, args, in_domain)
+    return GlueWeight(value, bool(consts.c0 * d < b and b > consts.cprime()))
 
 
 # ---------------------------------------------------------------------------
 # extension profile
 
 
-def _hermite_quintic(y0, d0, s0, y1, d1, s1) -> np.ndarray:
-    """Coefficients (ascending) of the quintic on [0, 1] matching value,
-    first and second derivative at both ends."""
-    Mt = np.zeros((6, 6))
-    for j in range(6):
-        Mt[0, j] = 1.0 if j == 0 else 0.0
-        Mt[1, j] = 1.0 if j == 1 else 0.0
-        Mt[2, j] = 2.0 if j == 2 else 0.0
-        Mt[3, j] = 1.0
-        Mt[4, j] = j
-        Mt[5, j] = j * (j - 1)
-    rhs = np.array([y0, d0, s0, y1, d1, s1])
-    return np.linalg.solve(Mt, rhs)
+# value, first and second derivative at s = 0 and at s = 1 of the quintic
+# with ascending coefficients c: the bridge's coefficients solve
+# _QUINTIC c = (y0, d0, s0, y1, d1, s1)
+_QUINTIC = np.array([[1, 0, 0, 0, 0, 0],
+                     [0, 1, 0, 0, 0, 0],
+                     [0, 0, 2, 0, 0, 0],
+                     [1, 1, 1, 1, 1, 1],
+                     [0, 1, 2, 3, 4, 5],
+                     [0, 0, 2, 6, 12, 20]], dtype=float)
 
 
 class ExtensionProfile:
@@ -167,134 +148,98 @@ class ExtensionProfile:
             raise ValueError("decay floor must exceed shoulder + 1")
         if not 0.0 < decay_eps < 1.0:
             raise ValueError("decay exponent margin must be in (0, 1)")
-        self.K = float(slope)
-        self.M = float(shoulder)
-        self.R1 = float(decay_floor)
-        self.eps = float(decay_eps)
+        self.K, self.M = float(slope), float(shoulder)
+        self.R1, self.eps = float(decay_floor), float(decay_eps)
         K, M = self.K, self.M
-        # bridge for H on [M - 1, M + 1], parametrized by s in [0, 1]
-        hL = K
-        hpL = 0.0
-        t_r = M + 1.0
-        g = t_r - M + 2.0            # = 3
-        hR = 2.0 * _LOG2 * K / (g * math.log(g))
-        hpR = -2.0 * _LOG2 * K * (math.log(g) + 1.0) / (g ** 2 * math.log(g) ** 2)
-        HL = K * (M - 1.0)
-        HR = K * M + 2.0 * _LOG2 * K * math.log(math.log(3.0))
-        self._bridge = _hermite_quintic(HL, 2.0 * hL, 4.0 * hpL,
-                                        HR, 2.0 * hR, 4.0 * hpR)
-        self._dbridge = np.polynomial.polynomial.polyder(self._bridge)
-        # f constants: continuous at the bridge ends
-        nodes, wts = panel_nodes(np.linspace(M - 1.0, M + 1.0, 9), 32)
-        self._f_left_end = K * (M - 1.0)
-        bridge_H = self._H_bridge(nodes)
-        f_at_right = self._f_left_end + float(np.sum(wts * bridge_H / nodes))
-        lg = math.log(3.0)
-        self._f_tail_const = f_at_right - (K * M * math.log(M + 1.0)
-                                           + 2.0 * _LOG2 * K * lg * (math.log(lg) - 1.0))
+        self._c = 2.0 * _LOG2 * K          # the tail's h = c / (g log g)
+        # bridge for H on [M - 1, M + 1] in s = (t - M + 1) / 2, s in [0, 1],
+        # matching K t on the left and the tail at g = t - M + 2 = 3
+        g = (M + 1.0) - M + 2.0
+        hR = self._c / (g * math.log(g))
+        hpR = -self._c * (math.log(g) + 1.0) / (g ** 2 * math.log(g) ** 2)
+        HR = K * M + self._c * math.log(math.log(3.0))
+        self._bridge = np.linalg.solve(_QUINTIC, [K * (M - 1.0), 2.0 * K, 0.0,
+                                                  HR, 2.0 * hR, 4.0 * hpR])
+        self._dbridge = P.polyder(self._bridge)
+        # t = 2 (s + a): with H = (s + a) q(s) + r, the integral of H dt/t
+        # from M - 1 is Q(s) + r log1p(s / a), Q the primitive of q at 0
+        self._a = 0.5 * (M - 1.0)
+        q, r = P.polydiv(self._bridge, [self._a, 1.0])
+        self._Q, self._r = P.polyint(q), float(r[0])
+        self._f_seam = float(self._f_bridge(np.array(M + 1.0)))
 
-    # -- piecewise evaluators (vectorized over t) --
+    def _pieces(self, t, left, bridge, right):
+        """Each piece on its own t only: ``left`` for t <= M - 1, ``right``
+        for t >= M + 1, ``bridge`` between; a float for a scalar t."""
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        out = np.empty_like(ts)
+        is_left, is_right = ts <= self.M - 1.0, ts >= self.M + 1.0
+        for piece, mask in ((left, is_left), (bridge, ~(is_left | is_right)),
+                            (right, is_right)):
+            if np.any(mask):
+                out[mask] = piece(ts[mask])
+        return float(out[0]) if t.ndim == 0 else out
 
     def _s(self, t: np.ndarray) -> np.ndarray:
-        return 0.5 * (np.asarray(t, dtype=float) - (self.M - 1.0))
+        return 0.5 * (t - (self.M - 1.0))
 
-    def _H_bridge(self, t: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(self._s(t), self._bridge)
+    def _f_bridge(self, t: np.ndarray) -> np.ndarray:
+        s = self._s(t)
+        return self.K * (self.M - 1.0) + P.polyval(s, self._Q) + self._r * np.log1p(s / self._a)
 
-    def _h_bridge(self, t: np.ndarray) -> np.ndarray:
-        return 0.5 * np.polynomial.polynomial.polyval(self._s(t), self._dbridge)
+    def _tail_panels(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # log(v) e^v / (e^v + M - 2) from each lo to its hi, in v = log g
+        v, w = panel_nodes(np.stack([lo, hi], axis=-1), 16)
+        return np.sum(w * np.log(v) / (1.0 + (self.M - 2.0) * np.exp(-v)), axis=-1)
+
+    def _f_tail(self, t: np.ndarray) -> np.ndarray:
+        # f(M + 1) + K M log(t / (M + 1)) + c times the integral of
+        # log(v) e^v / (e^v + M - 2) dv from log 3 to log g, on unit-width
+        # panels (the integrand is analytic within 1.1 of each): the whole
+        # ones summed once, the last one cut at log g
+        v = np.log(t - self.M + 2.0)
+        k = np.maximum(np.floor(v - _LOG3), 0.0).astype(int)
+        edges = _LOG3 + np.arange(k.max() + 1.0)
+        whole = np.concatenate([[0.0], np.cumsum(self._tail_panels(edges[:-1], edges[1:]))])
+        return (self._f_seam + self.K * self.M * np.log(t / (self.M + 1.0))
+                + self._c * (whole[k] + self._tail_panels(edges[k], v)))
 
     def h(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        K, M = self.K, self.M
-        out = np.empty_like(t)
-        left = t <= M - 1.0
-        right = t >= M + 1.0
-        mid = ~(left | right)
-        out[left] = K
-        g = np.where(right, t - M + 2.0, 3.0)
-        out[right] = (2.0 * _LOG2 * K / (g * np.log(g)))[right]
-        if np.any(mid):
-            out[mid] = self._h_bridge(t[mid])
-        return float(out[0]) if scalar else out
+        return self._pieces(
+            t, lambda t: self.K,
+            lambda t: 0.5 * P.polyval(self._s(t), self._dbridge),
+            lambda t: self._c / ((t - self.M + 2.0) * np.log(t - self.M + 2.0)))
 
     def H(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        K, M = self.K, self.M
-        out = np.empty_like(t)
-        left = t <= M - 1.0
-        right = t >= M + 1.0
-        mid = ~(left | right)
-        out[left] = K * t[left]
-        g = np.where(right, t - M + 2.0, 3.0)
-        out[right] = (K * M + 2.0 * _LOG2 * K * np.log(np.log(g)))[right]
-        if np.any(mid):
-            out[mid] = self._H_bridge(t[mid])
-        return float(out[0]) if scalar else out
+        return self._pieces(
+            t, lambda t: self.K * t,
+            lambda t: P.polyval(self._s(t), self._bridge),
+            lambda t: self.K * self.M + self._c * np.log(np.log(t - self.M + 2.0)))
 
     def f(self, t):
-        scalar = np.ndim(t) == 0
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        K, M = self.K, self.M
-        out = np.empty_like(t)
-        left = t <= M - 1.0
-        right = t >= M + 1.0
-        mid = ~(left | right)
-        out[left] = K * t[left]
-        g = np.where(right, t - M + 2.0, 3.0)
-        lg = np.log(g)
-        out_r = (K * M * np.log(np.where(right, t, 1.0))
-                 + 2.0 * _LOG2 * K * lg * (np.log(lg) - 1.0) + self._f_tail_const)
-        out[right] = out_r[right]
-        for i in np.nonzero(mid)[0]:
-            nodes, wts = panel_nodes(np.linspace(M - 1.0, float(t[i]), 5), 32)
-            out[i] = self._f_left_end + float(np.sum(wts * self._H_bridge(nodes) / nodes))
-        return float(out[0]) if scalar else out
+        return self._pieces(t, lambda t: self.K * t, self._f_bridge, self._f_tail)
 
     def f_prime(self, t):
-        return self.H(t) / np.asarray(t, dtype=float) if np.ndim(t) else self.H(t) / float(t)
+        return self.H(t) / np.asarray(t, dtype=float)
 
     def f_second(self, t):
-        if np.ndim(t) == 0:
-            tf = float(t)
-            return (self.h(t) * tf - self.H(t)) / tf ** 2
         t = np.asarray(t, dtype=float)
         return (self.h(t) * t - self.H(t)) / t ** 2
 
-    # -- log-space forms for huge radii (u = log t) --
+    # -- log-space forms for huge radii (u = log t): past u = 700, where
+    # e^u overflows, t - M + 2 = t (1 + O(e^-u)) to double precision --
 
-    def log_h(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        small = u <= 700.0
-        if np.any(small):
-            out[small] = np.log(self.h(np.exp(u[small])))
-        big = ~small
-        if np.any(big):
-            # t - M + 2 = t (1 + O(e^-u)); corrections below double precision
-            out[big] = (math.log(2.0 * _LOG2 * self.K) - u[big]
-                        - np.log(u[big]))
-        return out
+    def log_h(self, u):
+        u = np.asarray(u, dtype=float)
+        big = np.maximum(u, 700.0)
+        return np.where(u <= 700.0, np.log(self.h(np.exp(np.minimum(u, 700.0)))),
+                        math.log(self._c) - big - np.log(big))
 
-    def log_H(self, u: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u)
-        small = u <= 700.0
-        if np.any(small):
-            out[small] = np.log(self.H(np.exp(u[small])))
-        big = ~small
-        if np.any(big):
-            out[big] = np.log(self.K * self.M
-                              + 2.0 * _LOG2 * self.K * np.log(u[big]))
-        return out
-
-
-def extension_profile(slope: float, shoulder: float, decay_floor: float,
-                      decay_eps: float) -> ExtensionProfile:
-    """Build the radial extension profile; see ExtensionProfile."""
-    return ExtensionProfile(slope, shoulder, decay_floor, decay_eps)
+    def log_H(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u <= 700.0, np.log(self.H(np.exp(np.minimum(u, 700.0)))),
+                        np.log(self.K * self.M + self._c * np.log(np.maximum(u, 700.0))))
 
 
 @dataclass
@@ -309,7 +254,6 @@ class ConditionReport:
     positive: bool
     min_loggap: float
     argmin_logt: float
-    margin_at_argmin: float
 
 
 def profile_condition_check(profile: ExtensionProfile) -> ConditionReport:
@@ -327,7 +271,4 @@ def profile_condition_check(profile: ExtensionProfile) -> ConditionReport:
                 - 2.0 * (1.0 - profile.eps) * np.log(floor))
     gap = profile.log_h(u) - log_term
     k = int(np.argmin(gap))
-    lg = float(gap[k])
-    lh = float(profile.log_h(u[k : k + 1])[0])
-    margin = math.exp(lh) * (1.0 - math.exp(-lg)) if lg > -700 else -math.inf
-    return ConditionReport(bool(lg > 0.0), lg, float(u[k]), margin)
+    return ConditionReport(bool(gap[k] > 0.0), float(gap[k]), float(u[k]))

@@ -7,8 +7,8 @@ kernels along explicit rays; folding the ray parameter into the kernel's
 own cone parameters turns each gamma into a single orthant integral of
 one higher power.  ``gamma_family`` takes any gammas of a subset, which
 differ only in their cone matrices, at a batch mu (B, N), eta (B,) as one
-kernel family in one engine call, resolution floor included;
-``gamma_batch`` is its one-label case, ``gamma`` that one's one-row case.
+kernel family in one engine call, resolution floor included; ``gamma``
+is its one-label, one-row case.
 Their sum telescopes to the reciprocal of the fiber coordinate, and the
 induced closed one-forms integrate to the logarithms of the model
 coordinates.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
-from .kernels import KernelSpec, KernelValue, alpha_batch, _build_family, _engine_batch
+from .kernels import KernelSpec, KernelValue, alpha_batch, _build_family, _engine_batch, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
@@ -69,13 +69,10 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     eta = 0 are 0 and cost no engine call.
     """
     mu, eta = check_batch(mu, eta, spec.A.n)
-    if not eta.all():
-        out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
-                          np.zeros((len(labels), len(eta))), 0)
-        if eta.any():
-            live = eta != 0
-            kv = gamma_family(spec, labels, mu[live], eta[live])
-            out.value[:, live], out.error[:, live], out.evals = kv.value, kv.error, kv.evals
+    out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
+                      np.zeros((len(labels), len(eta))), 0)
+    live = np.flatnonzero(eta)
+    if not len(live):
         return out
     n = len(spec.I.active)   # kernels per gamma, each with the gamma's ray
     pairs, cols = zip(*(_gamma_kernels(spec, i) for i in labels))
@@ -83,25 +80,23 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     fam = _build_family(spec.A, spec.I, [pq for ps in pairs for pq in ps],
                         np.repeat(cols, n, axis=0))
     # a row's tolerance scales with its |eta|; the largest is strictest
-    size = np.abs(eta)
+    size = np.abs(eta[live])
     try:
-        raw = _engine_batch(fam, mu, eta, spec.quad, tol_scale=float(size.max()))
+        raw = _engine_batch(fam, mu[live], eta[live], spec.quad, tol_scale=float(size.max()))
     except (SingularityProximity, QuadratureError) as exc:
+        # the engine counts the live rows only; name the row in the caller's batch
+        exc = _refusal(type(exc), fam, exc.kernel, mu, eta, int(live[exc.row]), exc.what)
         raise type(exc)(f"gamma_{labels[exc.kernel // n]} on {spec.I.members}: {exc}") from None
     total = (fam.prefactor * raw.value).reshape(len(labels), n, -1).sum(axis=1)
     err = (fam.prefactor * raw.error).reshape(len(labels), n, -1).sum(axis=1)
-    return KernelValue(total * np.conj(eta), err * size, raw.evals)
-
-
-def gamma_batch(spec: GammaSpec, i: int, mu: np.ndarray, eta: np.ndarray) -> KernelValue:
-    """gamma_i at the batch mu (B, N), eta (B,): ``gamma_family`` for one label."""
-    kv = gamma_family(spec, (i,), mu, eta)
-    return KernelValue(kv.value[0], kv.error[0], kv.evals)
+    out.value[:, live], out.error[:, live] = total * np.conj(eta[live]), err * size
+    out.evals = raw.evals
+    return out
 
 
 def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
-    """gamma_i at a base point: the one-row case of ``gamma_batch``."""
-    return complex(gamma_batch(spec, i, p.mu[None], np.array([p.eta])).value[0])
+    """gamma_i at a base point: ``gamma_family`` for one label and one row."""
+    return complex(gamma_family(spec, (i,), p.mu[None], np.array([p.eta])).value[0, 0])
 
 
 def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
@@ -164,8 +159,6 @@ def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex
 
 @dataclass
 class GammaSumResult:
-    total: complex
-    target: complex
     scaled_gap: float    # |sum - 1/eta| * |eta|, dimensionless
 
 
@@ -173,8 +166,7 @@ def gamma_sum_check(spec: GammaSpec, p: BasePoint) -> GammaSumResult:
     """The gammas over all labels of the subset, one family, sum to 1/eta."""
     gam = gamma_family(spec, (0,) + spec.I.active, p.mu[None], np.array([p.eta]))
     total = sum(gam.value[:, 0].tolist())
-    target = 1.0 / p.eta
-    return GammaSumResult(total, target, abs(total - target) * abs(p.eta))
+    return GammaSumResult(abs(total - 1.0 / p.eta) * abs(p.eta))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +179,6 @@ class LogZResult:
 
     labels: tuple[int, ...]
     values: np.ndarray
-    path: list[BasePoint]
 
 
 def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
@@ -272,7 +263,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         # pairwise sum would make a leg's value depend on its batching
         steps = (_LEG_WEIGHTS[:, None, None] * steps).reshape(-1, n + 1)
         vals = np.add.accumulate(np.vstack([vals, steps]))[-1]
-    return LogZResult((0,) + act, vals, basepath)
+    return LogZResult((0,) + act, vals)
 
 
 def taubnut_moduli(G: float, D: float, gauge_c: float, mu: float,

@@ -287,10 +287,11 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
 
 def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
              row: int, what: object) -> Exception:
-    """A ``kind`` error naming kernel k (kept as ``kernel``) and row ``row``."""
+    """A ``kind`` error naming kernel k and row ``row``, both kept, with
+    ``what``, so that a caller can name the row in its own batch."""
     exc = kind(f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
                f"eta = {eta[row]}): {what}")
-    exc.kernel = k
+    exc.kernel, exc.row, exc.what = k, row, what
     return exc
 
 

@@ -62,7 +62,6 @@ class Projection:
     interior: bool
     nu: np.ndarray
     dist: float
-    subset: IndexSet
 
 
 @dataclass(frozen=True)
@@ -247,7 +246,7 @@ def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
     # the foot has nu on the transverse labels and 0 on the active ones
     foot = BasePoint(T.frames[j][1][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
     interior = bool(np.all(nu > 0.0))
-    return Projection(foot, interior, nu, float(at.d[j]), I)
+    return Projection(foot, interior, nu, float(at.d[j]))
 
 
 def dist_closed_stratum(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
@@ -301,11 +300,9 @@ class RegionReport:
 
     point: BasePoint
     near: list[IndexSet] = field(default_factory=list)        # B_I
-    near_wide: list[IndexSet] = field(default_factory=list)   # B'_I
     near_core: list[IndexSet] = field(default_factory=list)   # B''_I
     generic: bool = False                                     # B_a
     far_levels: list[int] = field(default_factory=list)       # F_s
-    corridors: list[tuple[IndexSet, IndexSet]] = field(default_factory=list)
     distances: dict[IndexSet, float] = field(default_factory=dict)
 
     def tags(self) -> set[str]:
@@ -324,27 +321,22 @@ class RegionReport:
 def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> RegionReport:
     """Evaluate every covering-region inequality at one point.
 
-    near / near_wide / near_core compare c0 (resp. 2 c0, 4 chat(A) c0) times
-    the closed-stratum distance against the boundary distance; generic
+    near / near_core compare c0 (resp. 4 chat(A) c0) times the
+    closed-stratum distance against the boundary distance; generic
     compares 2 c0^(N-1) times the locus distance against the distance to
     the origin; far levels require all strata of a given depth to be at
-    least the level threshold away; corridors are the intersections
-    B_I with (B_K minus the intermediate wide regions).
+    least the level threshold away.  ``distances`` holds every proper
+    stratum's closed-stratum distance.
     """
     N = A.n
     rep = RegionReport(point=p)
     T, _, _, closed, bound = _pass(A, p)
     inner = T.size <= N
-    near, wide, core = (np.flatnonzero(inner & (c * consts.c0 * closed < bound))
-                        for c in (1.0, 2.0, 4.0 * consts.chat(A)))
-    rep.near, rep.near_wide, rep.near_core = (
-        [T.strata[j] for j in rows] for rows in (near, wide, core))
+    rep.near, rep.near_core = (
+        [T.strata[j] for j in np.flatnonzero(inner & (c * consts.c0 * closed < bound))]
+        for c in (1.0, 4.0 * consts.chat(A)))
     rep.distances = {T.strata[j]: float(closed[j]) for j in np.flatnonzero(inner)}
     rep.generic = 2.0 * consts.c0 ** (N - 1) * float(closed.min()) > anorm(A, p)
     rep.far_levels = [s for s in range(1, N)
                       if np.all(closed[T.size == s + 2] > consts.level(s))]
-    for i in near:
-        for k in near:
-            if T.proper[k, i] and not np.any(T.proper[k, wide] & T.proper[wide, i]):
-                rep.corridors.append((T.strata[k], T.strata[i]))
     return rep

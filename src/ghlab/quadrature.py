@@ -173,13 +173,15 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights for the panels between consecutive breaks."""
+    """Gauss nodes and weights for the panels between consecutive breaks,
+    along the last axis of ``breaks``: one row of nodes per leading index."""
     x, w = gauss_rule(order)
-    a = breaks[:-1]
+    a = breaks[..., :-1]
     h = np.diff(breaks)
-    nodes = a[:, None] + 0.5 * h[:, None] * (x[None, :] + 1.0)
-    wts = 0.5 * h[:, None] * w[None, :]
-    return nodes.ravel(), wts.ravel()
+    nodes = a[..., None] + 0.5 * h[..., None] * (x + 1.0)
+    wts = 0.5 * h[..., None] * w
+    n = (breaks.shape[-1] - 1) * order
+    return nodes.reshape(*breaks.shape[:-1], n), wts.reshape(*breaks.shape[:-1], n)
 
 
 def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:

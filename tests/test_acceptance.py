@@ -147,7 +147,7 @@ def test_10_glue_weight_plateaus(verdict):
 
 
 def test_11_extension_profile(verdict):
-    prof = glue.extension_profile(*checks.PROFILE)
+    prof = glue.ExtensionProfile(*checks.PROFILE)
     M = prof.M
     worst = max(checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
                                           np.linspace(M + 1.0, 400.0, 20)))

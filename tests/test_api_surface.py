@@ -1,5 +1,5 @@
 """No orphan API: every name ``ghlab`` exports is reached by something other
-than its own test.
+than its own test, and every field of a result it exports is read.
 
 A name is reached when a chain of references leads to it from a root: the
 CLI (every top-level definition of ``ghlab.cli``, which runs the
@@ -9,9 +9,18 @@ read from the source: within a module a bare name resolves to that
 module's definition or import, and ``module.name`` to the named module's
 definition.  A definition counts whole, so a class reaches whatever its
 methods use.  Nothing is imported or run but ``ghlab`` itself.
+
+A field of a public dataclass or NamedTuple of a ``ghlab`` module is read
+when ``.field`` is loaded in ``src/ghlab`` outside its class's own dunder
+methods (a class's other methods and properties count, as callers reach
+them), in ``perfbench/``, or it is named in ``KEPT_FIELDS``.  Loading a
+field only to append to it or to store into it is no read.  Fields are
+matched by name, so a field shares the reads of every field so named.
 """
 
 import ast
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -36,6 +45,30 @@ ORACLES = (
     # model field, and the depth weights, per stratum against one pass
     "restricted_remainders",  # test_ansatz.py::test_restricted_remainders_small_near_stratum
     "weight_ell",             # test_ansatz.py::TestWeightExponents::test_one_pass_equals_per_stratum_minimum
+)
+
+# Result fields that no library code or benchmark reads, each beside the
+# test or ROADMAP item that reads it.
+KEPT_FIELDS = (
+    "FlatFieldResult.x",                      # test_ansatz.py::TestFlatModel::test_defining_polynomial
+    "FlatFieldResult.z_squared",              # test_ansatz.py::TestFlatModel::test_moduli_squares_consistent
+    "FlatFieldResult.on_locus",               # test_ansatz.py::TestFlatModel::test_on_locus_detection
+    "SigmaExpansion.sigmas",                  # test_ansatz.py::TestSigmaExpansion::test_sigma1_is_trace_term
+    "SigmaExpansion.relative_error_det_route",  # test_ansatz.py::TestSigmaExpansion::test_two_routes_agree
+    "SigmaExpansion.det_identity_gap",        # test_ansatz.py::TestSigmaExpansion::test_two_routes_agree
+    # the decay fit that ROADMAP item 9 extends into the model/remainder split
+    "DecayFit.intercept",                     # ROADMAP item 9
+    "DecayFit.max_residual",                  # ROADMAP item 9
+    "DecayFit.radii",                         # ROADMAP item 9
+    "DecayFit.scales",                        # ROADMAP item 9
+    # read by asdict into every sidecar's config and config hash
+    "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar
+    "GlueWeight.in_domain",                   # test_glue.py::TestGlueWeight::test_domain_flag_and_enforcement
+    "Projection.interior",                    # test_locus.py::test_project_frozen_example
+    "RegionReport.distances",                 # test_locus.py::test_table_shared_across_threads
+    # node counts and sheet distances for the library counters
+    "WeakCheckResult.alpha_evals",            # ROADMAP item 5
+    "QuadResult.r_star",                      # ROADMAP item 5
 )
 
 
@@ -122,3 +155,64 @@ def test_every_export_is_reached():
 
 def test_oracles_are_exported():
     assert set(ORACLES) <= set(ghlab.__all__)
+
+
+def _reads(tree, imported=frozenset()):
+    """Every attribute name that ``tree`` loads for its value, but from a
+    name in ``imported`` (``sys.path`` reads no field)."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            up = parents.get(node)
+            stored = isinstance(up, ast.Subscript) and not isinstance(up.ctx, ast.Load)
+            appended = isinstance(up, ast.Attribute) and up.attr in ("append", "extend")
+            of_import = isinstance(node.value, ast.Name) and node.value.id in imported
+            if not (stored or appended or of_import):
+                out.add(node.attr)
+    return out
+
+
+def _imported(tree):
+    return frozenset(a.asname or a.name.split(".")[0] for node in tree.body
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names)
+
+
+def _result_fields():
+    """(module, class, field) of every field of a public dataclass or
+    NamedTuple of a ``ghlab`` module."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"ghlab.{path.stem}")
+        for name, cls in vars(mod).items():
+            if (name.startswith("_") or not isinstance(cls, type)
+                    or cls.__module__ != mod.__name__):
+                continue
+            if dataclasses.is_dataclass(cls):
+                out += [(path.stem, name, f.name) for f in dataclasses.fields(cls)]
+            elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                out += [(path.stem, name, f) for f in cls._fields]
+    return out
+
+
+def test_every_result_field_is_read():
+    reads = {}   # per (module, class) the reads of its dunder methods, else None
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            for part in node.body if isinstance(node, ast.ClassDef) else [node]:
+                own = (isinstance(node, ast.ClassDef) and isinstance(part, ast.FunctionDef)
+                       and part.name.startswith("__"))
+                key = (path.stem, node.name) if own else None
+                reads.setdefault(key, set()).update(_reads(part, _imported(tree)))
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        reads[None] |= _reads(tree, _imported(tree))
+    unread = [f"{cls}.{field}" for mod, cls, field in _result_fields()
+              if f"{cls}.{field}" not in KEPT_FIELDS
+              and not any(field in r for key, r in reads.items() if key != (mod, cls))]
+    assert not unread, f"result fields that nothing reads: {unread}"
+
+
+def test_kept_fields_exist():
+    assert set(KEPT_FIELDS) <= {f"{cls}.{field}" for _, cls, field in _result_fields()}

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ghlab import ansatz, checks, frame, kernels
-from ghlab.geometry import batch_from_vectors
+from ghlab import ansatz, checks, frame, glue, kernels
+from ghlab.geometry import QuadForm, batch_from_vectors
 from ghlab.quadrature import QuadratureSpec
 
 
@@ -62,3 +62,44 @@ def test_integrability_residual_is_a_row_of_the_batch():
         assert one.first_relative == res[0, b] / scale[0, b]
         assert one.second_relative == pytest.approx(res[1, b] / scale[1, b],
                                                     rel=1e-9)
+
+
+# Negative controls: each criterion's shared check, fed a defect of
+# stated size, must report a FAIL.
+
+def _criterion_10_points():
+    # criterion 10's draw: seed 110, 1000 core points then 1000 outer ones
+    rng = np.random.default_rng(110)
+    A = QuadForm.identity(3)
+    return A, checks.plateau_points(rng, A, 1000, "core"), checks.plateau_points(rng, A, 1000, "outer")
+
+
+def test_plateau_gap_flags_a_cutoff_scaled_below_one(monkeypatch):
+    A, core, _ = _criterion_10_points()
+    chi = glue.cutoff
+    monkeypatch.setattr(glue, "cutoff", lambda x: (1.0 - 1e-12) * chi(x))
+    assert checks.plateau_gap(A, core, 1.0) > 0.0
+
+
+def test_plateau_gap_flags_a_cutoff_shifted_above_zero(monkeypatch):
+    A, _, outer = _criterion_10_points()
+    chi = glue.cutoff
+    monkeypatch.setattr(glue, "cutoff", lambda x: chi(x) + 1e-12)
+    assert checks.plateau_gap(A, outer, 0.0) > 0.0
+
+
+def test_piece_gaps_flag_a_scaled_left_piece(monkeypatch):
+    # criterion 11's profile and grids, h's left piece scaled by 1 + 1e-11
+    prof = glue.ExtensionProfile(*checks.PROFILE)
+    h, M = prof.h, prof.M
+    monkeypatch.setattr(prof, "h", lambda t: h(t) * (1.0 + 1e-11 * (np.asarray(t) <= M - 1.0)))
+    gaps = checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
+                                     np.linspace(M + 1.0, 400.0, 20))
+    assert max(gaps) > checks.PIECE_TOL
+
+
+def test_seam_jump_flags_a_shifted_bridge(monkeypatch):
+    f_bridge = glue.ExtensionProfile._f_bridge
+    monkeypatch.setattr(glue.ExtensionProfile, "_f_bridge",
+                        lambda self, t: f_bridge(self, t) + 1e-9)
+    assert checks.profile_seam_jump(glue.ExtensionProfile(*checks.PROFILE)) > checks.SEAM_TOL

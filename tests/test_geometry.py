@@ -44,12 +44,6 @@ class TestQuadForm:
         x = np.array([1.0, -2.0])
         assert A.quad(x) == pytest.approx(float(x @ A.entries @ x))
 
-    def test_cholesky_roundtrip(self):
-        rng = np.random.default_rng(7)
-        A = random_spd(rng, 4)
-        L = A.cholesky()
-        np.testing.assert_allclose(L @ L.T, A.entries, atol=1e-12)
-
 
 def test_block_is_one_based():
     M = np.arange(1, 10, dtype=float).reshape(3, 3)

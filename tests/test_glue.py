@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from ghlab import checks
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.glue import (
-    CutoffProfile,
-    extension_profile,
+    ExtensionProfile,
+    cutoff,
     glue_weight,
     profile_condition_check,
 )
@@ -18,30 +18,28 @@ from ghlab.locus import RegionConstants
 
 class TestCutoff:
     def test_plateaus_bit_exact(self):
-        chi = CutoffProfile()
         for x in (0.0, 0.1, 0.375, -0.2):
-            assert chi(x) == 1.0
+            assert cutoff(x) == 1.0
         for x in (0.5, 0.7, 10.0, -0.6):
-            assert chi(x) == 0.0
+            assert cutoff(x) == 0.0
 
     def test_strictly_between_on_ramp(self):
-        chi = CutoffProfile()
-        v = chi(0.44)
+        v = cutoff(0.44)
         assert 0.0 < v < 1.0
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_nonincreasing(self, a, b):
-        chi = CutoffProfile()
         lo, hi = min(a, b), max(a, b)
-        assert chi(lo) >= chi(hi) - 1e-15
+        assert cutoff(lo) >= cutoff(hi) - 1e-15
 
     def test_vector_evaluation(self):
-        chi = CutoffProfile()
         x = np.array([0.0, 0.44, 0.46, 0.6])
-        v = chi(x)
+        v = cutoff(x)
         assert v[0] == 1.0 and v[3] == 0.0
         assert 0.0 < v[2] < v[1] < 1.0
+        # the one-pass ramp equals each value taken alone
+        assert v.tolist() == [cutoff(float(y)) for y in x]
 
 
 class TestGlueWeight:
@@ -55,7 +53,7 @@ class TestGlueWeight:
         return BasePoint(mu, 0j)
 
     def test_core_band_exact_one(self):
-        # c0 |mu_I| / rho below the lower plateau edge for every corridor
+        # c0 |mu_I| / rho below the lower plateau edge for every factor
         nu = 1.0e6
         w = glue_weight(self.A, self.I, self.consts, self.point(nu, 100.0))
         assert w.value == 1.0
@@ -98,17 +96,17 @@ class TestGlueWeight:
 
 class TestExtensionProfile:
     def setup_method(self):
-        self.prof = extension_profile(1.0, 10.0, 1.0e4, 0.1)
+        self.prof = ExtensionProfile(1.0, 10.0, 1.0e4, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            extension_profile(0.0, 10.0, 1e4, 0.1)
+            ExtensionProfile(0.0, 10.0, 1e4, 0.1)
         with pytest.raises(ValueError):
-            extension_profile(1.0, 2.0, 1e4, 0.1)
+            ExtensionProfile(1.0, 2.0, 1e4, 0.1)
         with pytest.raises(ValueError):
-            extension_profile(1.0, 10.0, 10.5, 0.1)
+            ExtensionProfile(1.0, 10.0, 10.5, 0.1)
         with pytest.raises(ValueError):
-            extension_profile(1.0, 10.0, 1e4, 1.2)
+            ExtensionProfile(1.0, 10.0, 1e4, 1.2)
 
     def test_pieces_exact(self):
         K, M = 1.0, 10.0
@@ -135,6 +133,18 @@ class TestExtensionProfile:
             assert (self.prof.f_prime(t) + t * self.prof.f_second(t)
                     == pytest.approx(self.prof.h(t), rel=1e-9, abs=1e-12))
 
+    def test_f_is_the_running_integral_of_H_over_t(self):
+        # a central difference of f against f' = H/t on all three pieces,
+        # and no kink where the bridge meets the tail
+        for t in (9.5, 10.5, 12.0, 30.0, 2000.0):
+            step = 1e-5 * t
+            slope = (self.prof.f(t + step) - self.prof.f(t - step)) / (2.0 * step)
+            assert slope == pytest.approx(self.prof.f_prime(t), rel=1e-7), t
+        t0, step = self.prof.M + 1.0, 1e-6
+        left = (self.prof.f(t0) - self.prof.f(t0 - step)) / step
+        right = (self.prof.f(t0 + step) - self.prof.f(t0)) / step
+        assert right == pytest.approx(left, rel=1e-5)
+
     def test_eigenvalues_positive_far_out(self):
         t = np.array([2.0, 9.5, 10.5, 50.0, 1e5, 1e8])
         # the two curvature eigenvalues f' = H/t and f' + t f'' = h
@@ -155,7 +165,7 @@ class TestExtensionProfile:
         assert rep.min_loggap > 0.5
 
     def test_condition_margin_narrow_floor(self):
-        prof = extension_profile(1.0, 10.0, 13.0, 0.1)
+        prof = ExtensionProfile(1.0, 10.0, 13.0, 0.1)
         rep = profile_condition_check(prof)
         assert not rep.positive
         assert rep.min_loggap < -1.0

@@ -12,7 +12,6 @@ from ghlab.holo import (
     _LEG_NODES,
     GammaSpec,
     gamma,
-    gamma_batch,
     gamma_closed_form,
     gamma_family,
     gamma_sum_check,
@@ -122,7 +121,17 @@ def test_gamma_refusal_names_gamma_kernel_and_row():
     mu = np.array([[2.0, -1.0], [1.0, 1.0]])
     with pytest.raises(SingularityProximity, match=r"gamma_0 on \(0, 1, 2\): kernel "
                        r"\(0, 1\) at batch row 1 \(mu = \[1\.0, 1\.0\], eta = 1e-07j\)"):
-        gamma_batch(spec, 0, mu, np.array([0.5j, 1e-7j]))
+        gamma_family(spec, (0,), mu, np.array([0.5j, 1e-7j]))
+
+
+def test_gamma_refusal_past_an_eta_zero_row_names_the_callers_row():
+    # the rows with eta = 0 never reach the engine, which so counts only
+    # the others; the refusal still names the row in the caller's batch
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    mu = np.array([[2.0, -1.0], [2.0, -1.0], [1.0, -1.0]])
+    with pytest.raises(SingularityProximity, match=r"gamma_2 on \(0, 1, 2\): kernel "
+                       r"\(0, 2\) at batch row 2 \(mu = \[1\.0, -1\.0\], eta = 1e-07j\)"):
+        gamma_family(spec, (0, 1, 2), mu, np.array([0.0, 0.5j, 1e-7j]))
 
 
 def _leg(q0, q1):
@@ -150,7 +159,7 @@ def test_moving_eta_leg_makes_one_gamma_call(monkeypatch):
     log_z(A, IndexSet((0, 1, 2)), QUAD, p, basepath=[ref, p])
     assert powers.count(4) == 1
     spec = GammaSpec(A, IndexSet((0, 1, 2)), QUAD)
-    zero = gamma_batch(spec, 1, np.ones((5, 2)), np.zeros(5))
+    zero = gamma_family(spec, (1,), np.ones((5, 2)), np.zeros(5))
     assert powers.count(4) == 1 and not zero.value.any()
 
 
@@ -167,11 +176,11 @@ def test_stacked_gammas_match_one_label_calls(N, I):
     pts = [random_point(rng, N) for _ in range(3 if N < 4 else 2)]
     mu, eta = np.stack([p.mu for p in pts]), np.array([p.eta for p in pts])
     stacked = gamma_family(spec, I, mu, eta)
-    ones = [gamma_batch(spec, i, mu, eta) for i in I]
+    ones = [gamma_family(spec, (i,), mu, eta) for i in I]
     assert stacked.value.shape == (len(I), len(pts))
     for a, one in enumerate(ones):
-        assert np.all(np.abs(stacked.value[a] - one.value) <= 1e-14 * np.abs(one.value))
-        assert np.array_equal(stacked.error[a], one.error)
+        assert np.all(np.abs(stacked.value[a] - one.value[0]) <= 1e-14 * np.abs(one.value[0]))
+        assert np.array_equal(stacked.error[a], one.error[0])
     assert stacked.evals == sum(one.evals for one in ones)
     if N > 2:
         assert stacked.error.max() > 0.0
@@ -252,12 +261,12 @@ def test_batched_leg_gammas_match_one_node_calls_n3():
     mu, eta = _leg(BasePoint(np.array([2.2, 1.7, 2.5]), 1.0 + 0j),
                    BasePoint(np.array([0.8, -0.3, 0.4]), 0.9 + 0.5j))
     for i in (0, 1, 2, 3):
-        batch = gamma_batch(spec, i, mu, eta)
+        batch = gamma_family(spec, (i,), mu, eta)
         assert batch.error.max() > 0.0
         for t in range(0, len(mu), 8):
-            one = gamma_batch(spec, i, mu[t:t + 1], eta[t:t + 1])
-            gap = abs(batch.value[t] - one.value[0])
-            assert gap <= batch.error[t] + one.error[0], (i, t)
+            one = gamma_family(spec, (i,), mu[t:t + 1], eta[t:t + 1])
+            gap = abs(batch.value[0, t] - one.value[0, 0])
+            assert gap <= batch.error[0, t] + one.error[0, 0], (i, t)
 
 
 def test_gamma_sum_identity():
