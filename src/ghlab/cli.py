@@ -224,7 +224,7 @@ def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 @_experiment("weak-chern")
 def run_weak_chern(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, checks.WEAK_TOL,
-                 detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g}")
+                 detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g} evals={res.alpha_evals}")
             for idx, ((labels, *_), res) in enumerate(zip(checks.WEAK_BUMPS_N2,
                                                           checks.weak_charge_checks()))]
 

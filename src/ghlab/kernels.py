@@ -21,9 +21,9 @@ The kernels differ only in their cone matrix, so their engine data (with
 ``quadrature.cone_frame``) is built once per form, and ``_engine_batch``
 checks each (kernel, row) pair against the resolution floor and makes one
 engine call for closed forms, one per kernel and grid group for swept
-ones; the gammas of ``ghlab.holo`` share it.  Only the weak charge check,
-whose grid samples the integrable singularity inside that floor, calls
-the engine directly.
+ones; the gammas of ``ghlab.holo`` share it.  Only the weak charge check
+calls the engine directly: its polar rule about the sheet, whose measure
+cancels the singularity, puts nodes inside that floor.
 """
 
 from __future__ import annotations
@@ -396,7 +396,6 @@ class RadialBump:
 
     @staticmethod
     def _psi(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = np.asarray(s, dtype=float)
         inside = s < 1.0
         g = np.where(inside, 1.0 - s, 1.0)
         val = np.where(inside, np.exp(1.0 - 1.0 / g), 0.0)
@@ -404,30 +403,24 @@ class RadialBump:
         d2 = np.where(inside, val / g ** 4 - 2.0 * val / g ** 3, 0.0)
         return val, d1, d2
 
-    def value(self, mu: np.ndarray, r: np.ndarray) -> np.ndarray | float:
-        single = np.ndim(mu) == 1
-        mu = np.atleast_2d(mu)
+    def value(self, mu: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The bump at rows mu (B, N) and |eta| = r (B,)."""
         u = np.sum((mu - self.center) ** 2, axis=1) / self.r_mu ** 2
-        w = np.asarray(r, dtype=float) ** 2 / self.r_eta ** 2
-        pu, _, _ = self._psi(u)
-        pw, _, _ = self._psi(w)
-        out = pu * pw
-        return float(out[0]) if single else out
+        w = r ** 2 / self.r_eta ** 2
+        return self._psi(u)[0] * self._psi(w)[0]
 
-    def laplace_A(self, A: QuadForm, mu: np.ndarray, r: np.ndarray) -> np.ndarray | float:
-        single = np.ndim(mu) == 1
-        mu = np.atleast_2d(mu)
+    def laplace_A(self, A: QuadForm, mu: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The bump's anisotropic Laplacian at rows mu (B, N), |eta| = r (B,)."""
         d = mu - self.center
         u = np.sum(d ** 2, axis=1) / self.r_mu ** 2
-        w = np.asarray(r, dtype=float) ** 2 / self.r_eta ** 2
+        w = r ** 2 / self.r_eta ** 2
         pu, pu1, pu2 = self._psi(u)
         pw, pw1, pw2 = self._psi(w)
         quad_inv = ((d @ A.inv) * d).sum(axis=1)
         mu_part = (4.0 / self.r_mu ** 4 * pu2 * quad_inv
                    + 2.0 / self.r_mu ** 2 * pu1 * np.trace(A.inv))
         eta_part = 4.0 / self.r_eta ** 2 * (w * pw2 + pw1) / A.det
-        out = mu_part * pw + pu * eta_part
-        return float(out[0]) if single else out
+        return mu_part * pw + pu * eta_part
 
 
 @dataclass
@@ -438,20 +431,9 @@ class WeakCheckResult:
     alpha_evals: int
 
 
-def _graded_breaks(lo: float, hi: float, special: float | None) -> np.ndarray:
-    """8 even panels on [lo, hi], halved 12 times toward ``special``."""
-    pts = set(np.linspace(lo, hi, 9).tolist())
-    if special is not None and lo < special < hi:
-        pts.add(special)
-        scale = hi - lo
-        for j in range(1, 13):
-            step = scale * 2.0 ** (-j)
-            for s in (special - step, special + step):
-                if lo < s < hi:
-                    pts.add(s)
-    br = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(br) > 1e-14 * max(abs(lo), abs(hi), 1.0)])
-    return br[keep]
+# the weak check's polar rule: Gauss order, and even panels on the y1 axis,
+# on each angular sector and on the radial fraction t
+_WEAK_ORDER, _WEAK_Y1_PANELS, _WEAK_THETA_PANELS, _WEAK_T_PANELS = 24, 6, 2, 4
 
 
 def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
@@ -465,63 +447,53 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     cone parametrization.  For a kernel supported away from the bump both
     sides vanish; near the stratum they agree to the quadrature accuracy.
 
-    Built for N = 2, where the kernel is a closed form: each chunk's live
-    grid nodes go to the engine in one call.  The grid samples the
-    integrable singularity well inside ``alpha_batch``'s resolution floor
-    (its nodes come within about 2e-6 of the sheet), so the check calls
-    the engine directly.
+    Built for N = 2, where the kernel is a closed form.  In a frame (y0,
+    y1) of the mu plane the sheet is y0 = s at r = |eta| = 0.  At each
+    Gauss node y1 the bump's support in (y0, r) is [-a, a] x [0, r_eta],
+    taken in polar coordinates about (c, 0), c = clip(s, -a, a):
+    r dr dy0 = rho^2 sin(theta) drho dtheta cancels the kernel's 1/rho,
+    so no axis is graded.  theta is split at the two corners and
+    rho = t rho_max(theta), t on fixed panels over [0, 1].  Each y1 node is
+    one engine call, direct: its nodes come within ``alpha_batch``'s
+    resolution floor of the sheet.
     """
     N = A.n
     if N != 2:
         raise ValueError("the weak check is built for N = 2")
     i, j = sorted(labels)
     fam = _family(A, None, (i, j))
-    pref = fam.prefactor
 
     # frame adapted to the singular sheet: first axis crosses it transversally
     if i == 0:
         U = np.eye(N)[:, [j - 1, 2 - j]]   # mu_j first
-        special_axis0 = -bump.center[j - 1]  # y offset where mu_j = 0
+        s = -bump.center[j - 1]            # y0 where mu_j = 0
     else:
         # (mu_1 - mu_2) / sqrt(2) crosses the diagonal sheet, the sum runs along it
         U = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        special_axis0 = (bump.center[j - 1] - bump.center[i - 1]) / math.sqrt(2.0)
+        s = (bump.center[j - 1] - bump.center[i - 1]) / math.sqrt(2.0)
 
-    R = bump.r_mu
-    axes_nodes, axes_wts = [], []
-    for k in range(N):
-        sp = special_axis0 if k == 0 else None
-        br = _graded_breaks(-R, R, sp)
-        nd, wt = panel_nodes(br, 16)
-        axes_nodes.append(nd)
-        axes_wts.append(wt)
-    br_r = np.array([0.0] + [bump.r_eta * 2.0 ** (-m) for m in range(12, -1, -1)])
-    r_nodes, r_wts = panel_nodes(br_r, 16)
-
-    sizes = [len(a) for a in axes_nodes] + [len(r_nodes)]
-    ntot = int(np.prod(sizes))
-    lhs = 0.0
-    evals = 0
-    chunk = 1 << 15
-    for start in range(0, ntot, chunk):
-        stop = min(start + chunk, ntot)
-        multi = np.unravel_index(np.arange(start, stop), sizes)
-        y = np.stack([axes_nodes[k][multi[k]] for k in range(N)], axis=1)
-        wts = np.ones(stop - start)
-        for k in range(N):
-            wts = wts * axes_wts[k][multi[k]]
-        r = r_nodes[multi[N]]
-        wts = wts * r_wts[multi[N]] * r
-        mu = bump.center[None, :] + y @ U.T
-        lap = bump.laplace_A(A, mu, r)
-        live = np.abs(lap) > 0.0
-        if not np.any(live):
-            continue
-        res = power_kernel_integral(fam.Q, fam.c_eta, mu[live], r[live], fam.M[0],
-                                    fam.power, quad, prefactor=pref)
+    R, h = bump.r_mu, bump.r_eta
+    t, wt = panel_nodes(np.linspace(0.0, 1.0, _WEAK_T_PANELS + 1), _WEAK_ORDER)
+    lhs, evals = 0.0, 0
+    for y1, w1 in zip(*panel_nodes(np.linspace(-R, R, _WEAK_Y1_PANELS + 1), _WEAK_ORDER)):
+        a = math.sqrt(R * R - y1 * y1)
+        c = min(max(s, -a), a)
+        # sectors where rho ends on the right, the top and the left edge
+        corners = np.array([0.0, math.atan2(h, a - c), math.atan2(h, -a - c), math.pi])
+        th, wth = panel_nodes(np.linspace(corners[:-1], corners[1:], _WEAK_THETA_PANELS + 1,
+                                          axis=1), _WEAK_ORDER)
+        cos, sin = np.cos(th), np.sin(th)
+        rho_max = np.concatenate([(a - c) / cos[0], h / sin[1], -(a + c) / cos[2]])[:, None]
+        cos, sin = cos.ravel()[:, None], sin.ravel()[:, None]
+        rho = rho_max * t                                               # (theta, t)
+        wts = (w1 * wth.ravel()[:, None] * sin * rho_max * wt * rho ** 2).ravel()
+        r = (rho * sin).ravel()
+        mu = bump.center + np.outer(c + rho * cos, U[:, 0]) + y1 * U[:, 1]
+        res = power_kernel_integral(fam.Q, fam.c_eta, mu, r, fam.M[0], fam.power, quad,
+                                    prefactor=fam.prefactor, frame=fam.frame)
         evals += res.evals
-        lhs += float(np.sum(wts[live] * lap[live] * (pref * res.value)))
-    lhs *= 2.0 * math.pi * A.det ** 1.5
+        lhs += float(np.sum(wts * bump.laplace_A(A, mu, r) * res.value))
+    lhs *= 2.0 * math.pi * A.det ** 1.5 * fam.prefactor
 
     # rhs: bump over the stratum cone, eta = 0
     rhs = -2.0 * math.pi * math.sqrt(A.det) * _cone_integral(bump, fam.M[0, :, 0])

@@ -790,8 +790,10 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     solved it already, and ``frame`` the ``cone_frame`` of the stack (of
     M[None] for one matrix).  ``prefactor`` only converts the spec
     tolerances into raw-integral units; the returned values are raw.
-    Nothing is truncated at any d.  Raises QuadratureError when the grid
-    exceeds the node budget or the refinement passes miss the tolerance.
+    Nothing is truncated at any d.  Raises SingularityProximity for the
+    first row on the sheet (at d >= 3 only the first row is checked), and
+    QuadratureError when the grid exceeds the node budget or the
+    refinement passes miss the tolerance.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     B, m = b.shape
@@ -826,6 +828,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             val, grad = frame.integral(b, E, power, want_gradient, ceta_xy)
         else:
             val, grad = _closed_wedge(frame, b, E, power, want_gradient, ceta_xy)
+        if not np.isfinite(val).all():
+            row = int(np.argmax(~np.isfinite(val).all(axis=0)))
+            raise SingularityProximity(f"row {row} lies on the kernel's singular sheet")
         if M.ndim == 2:
             val, grad = val[0], None if grad is None else grad[0]
         return QuadResult(val, np.zeros_like(val), grad, K * B, True, r_star)

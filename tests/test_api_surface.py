@@ -67,7 +67,6 @@ KEPT_FIELDS = (
     "Projection.interior",                    # test_locus.py::test_project_frozen_example
     "RegionReport.distances",                 # test_locus.py::test_table_shared_across_threads
     # node counts and sheet distances for the library counters
-    "WeakCheckResult.alpha_evals",            # ROADMAP item 5
     "QuadResult.r_star",                      # ROADMAP item 5
 )
 

@@ -103,3 +103,25 @@ def test_seam_jump_flags_a_shifted_bridge(monkeypatch):
     monkeypatch.setattr(glue.ExtensionProfile, "_f_bridge",
                         lambda self, t: f_bridge(self, t) + 1e-9)
     assert checks.profile_seam_jump(glue.ExtensionProfile(*checks.PROFILE)) > checks.SEAM_TOL
+
+
+def _scale_prefactor(monkeypatch, scale):
+    # every family built from here on; the ones kept with older forms keep
+    # their prefactor, so each control draws fresh forms
+    pref = kernels.kernel_prefactor
+    monkeypatch.setattr(kernels, "kernel_prefactor", lambda n, det_q: scale * pref(n, det_q))
+
+
+def test_restricted_gap_flags_a_scaled_prefactor(monkeypatch):
+    # criterion 03's draw with every kernel's prefactor scaled by 1 + 1e-7
+    _scale_prefactor(monkeypatch, 1.0 + 1e-7)
+    rng = np.random.default_rng(103)
+    worst = max(checks.restricted_gap(checks.restricted_cases(rng, N, 100), checks.QUAD)
+                for N in (2, 3, 4))
+    assert worst > checks.RESTRICTED_TOL
+
+
+def test_weak_charge_checks_flag_a_scaled_prefactor(monkeypatch):
+    # criterion 05's bumps with the kernel's prefactor scaled by 1.02
+    _scale_prefactor(monkeypatch, 1.02)
+    assert max(res.rel_gap for res in checks.weak_charge_checks()) > checks.WEAK_TOL

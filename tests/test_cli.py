@@ -215,13 +215,11 @@ def test_verdict_params_are_gone():
 
 
 def test_shipped_configs_pass(tmp_path):
-    # weak-chern is left out: ACCEPTANCE 05 runs the same check
     import pathlib
 
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
     for p in sorted(cfg_dir.glob("*.json")):
-        if p.stem != "weak-chern":
-            assert main([p.stem, "--config", str(p), "--out", str(tmp_path)]) == 0, p.stem
+        assert main([p.stem, "--config", str(p), "--out", str(tmp_path)]) == 0, p.stem
 
 
 def test_shipped_configs_pass_validation():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ghlab import checks
+from ghlab import checks, kernels
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
 from ghlab.geometry import (BasePoint, IndexSet, QuadForm, gradient_step, laplace_terms,
@@ -150,9 +150,9 @@ def test_engine_is_exact_at_n2():
     ((0, 1), (3.88149353e-06, 3.42835180), 1.5525974133325284e-06),
 ])
 def test_weak_check_kernel_near_the_sheet(labels, mu, r):
-    # nodes of the weak check's grid about 2e-6 from the sheet, where an
-    # arctan of D = a c - b^2 formed by subtraction loses up to 1.6e-4;
-    # the engine call the check makes stays within rel 1e-9
+    # points about 2e-6 from the sheet, where an arctan of D = a c - b^2
+    # formed by subtraction loses up to 1.6e-4; the direct engine call
+    # that the weak check makes stays within rel 1e-9
     A = QuadForm(np.array(WEAK_FORM_N2))
     Q, c_eta, M, power, pref = _engine_data(A, labels)
     res = power_kernel_integral(Q, c_eta, np.array([mu]), np.array([r]), M,
@@ -574,7 +574,7 @@ def test_bump_laplacian_matches_fd():
         mu = bump.center + rng.uniform(-1, 1, 2)
         r = rng.uniform(0.05, 0.9)
         p = BasePoint(mu, r * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        got = float(bump.laplace_A(A, p.mu, abs(p.eta)))
+        got = bump.laplace_A(A, p.mu[None], np.array([abs(p.eta)]))[0]
         x = p.as_vector()
         want = _fd_laplace_A(A, lambda v: bump.value(v[:, :2], np.hypot(v[:, 2], v[:, 3])),
                              x, gradient_step(x))
@@ -583,20 +583,34 @@ def test_bump_laplacian_matches_fd():
 
 def test_bump_support():
     bump = RadialBump(np.array([1.0, 0.0]), 0.5, 0.5)
-    assert float(bump.value(np.array([2.0, 0.0]), 0.1)) == 0.0
-    assert float(bump.value(np.array([1.1, 0.1]), 0.1)) > 0.0
+    out, inside = bump.value(np.array([[2.0, 0.0], [1.1, 0.1]]), np.array([0.1, 0.1]))
+    assert out == 0.0
+    assert inside > 0.0
 
 
 @pytest.mark.parametrize("labels,center", [
     ((0, 1), (0.0, 2.0)),
     ((1, 2), (-3.0, -3.0)),
+    ((0, 2), (2.0, -1.2)),   # the sheet off centre: clipped to the support's edge
 ])
 def test_weak_distributional_charge(labels, center):
     A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
     bump = RadialBump(np.array(center), 1.5, 1.2)
     res = weak_distributional_check(A, labels, bump, QuadratureSpec(abs_tol=1e-8))
-    assert res.rel_gap < 1e-2
+    assert res.rel_gap < 1e-5
     assert res.lhs != 0.0
+
+
+def test_weak_check_gap_falls_as_the_rule_is_refined(monkeypatch):
+    # the polar rule, not the identity, limits the gap: at order 16 with
+    # half the t panels the worst gap is at least 10 times the shipped
+    # one, so an engine regression near the sheet would show here
+    shipped = max(res.rel_gap for res in checks.weak_charge_checks())
+    monkeypatch.setattr(kernels, "_WEAK_ORDER", 16)
+    monkeypatch.setattr(kernels, "_WEAK_T_PANELS", kernels._WEAK_T_PANELS // 2)
+    coarse = max(res.rel_gap for res in checks.weak_charge_checks())
+    assert shipped <= 1e-6
+    assert coarse >= 10.0 * shipped
 
 
 def test_weak_check_cone_integral_converges():
@@ -613,25 +627,25 @@ def test_weak_check_cone_integral_converges():
     for labels, center, r_mu in cases:
         bump = RadialBump(np.array(center), r_mu, 1.0)
         m = _engine_data(A, labels)[2][:, 0]
-        want = integrate.quad(lambda t: float(bump.value(t * m, 0.0)),
+        want = integrate.quad(lambda t: bump.value((t * m)[None], np.zeros(1))[0],
                               0.0, 20.0, limit=500, epsabs=1e-15,
                               epsrel=1e-13)[0]
         assert _cone_integral(bump, m) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_weak_check_far_bump_both_sides_vanish():
-    # identical grids, no stratum under the bump: the rhs is exactly zero
-    # and the lhs is pure quadrature noise on a cancelling integrand
+    # no stratum under the bump: the rhs is exactly zero and the lhs is
+    # pure quadrature noise on a cancelling integrand
     A = QuadForm.identity(2)
     bump = RadialBump(np.array([40.0, 40.0]), 1.0, 1.0)
     res = weak_distributional_check(A, (0, 1), bump, QuadratureSpec(abs_tol=1e-8))
-    assert abs(res.lhs) < 1e-4
+    assert abs(res.lhs) < 1e-6
     assert res.rhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weak_check_refuses_n3():
     # the check is built for N = 2, where its kernel is one engine call per
-    # chunk; at N = 3 it would evaluate its grid point by point
+    # y1 node; at N = 3 it would evaluate its grid point by point
     bump = RadialBump(np.array([0.0, 2.0, 1.0]), 1.5, 1.2)
     with pytest.raises(ValueError):
         weak_distributional_check(QuadForm.identity(3), (0, 1), bump, QUAD)

@@ -149,6 +149,19 @@ def test_singularity_raises():
                                   QuadratureSpec())
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_sheet_row_after_the_first_raises():
+    # every closed-form row is screened, not only the first: the second
+    # row lies on the sheet (d = 1, then d = 2), the first does not
+    Q = np.array([[1.3, 0.2], [0.2, 0.9]])
+    with pytest.raises(SingularityProximity, match="row 1"):
+        power_kernel_integral(Q, 1.0, np.array([[1.0, 2.0], [0.0, 2.0]]), np.zeros(2),
+                              np.array([[0.0], [1.0]]), 2, QuadratureSpec())
+    with pytest.raises(SingularityProximity, match="row 1"):
+        power_kernel_integral(np.eye(3), 1.0, np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.0]]),
+                              np.zeros(2), np.eye(3)[:, :2], 3, QuadratureSpec())
+
+
 def _reference_distance(Q, M, b, E):
     tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
