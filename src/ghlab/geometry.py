@@ -36,14 +36,16 @@ __all__ = [
 
 
 def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """Submatrix of ``M`` with the given row and column index lists.
+    """Submatrix of ``M`` with the given row and column index lists, taken
+    from every matrix of a stack (..., n, n).
 
     Index lists use 1-based coordinate labels (the label of ``mu_i`` is ``i``),
-    so label ``i`` addresses row ``i-1``.
+    so label ``i`` addresses row ``i-1``.  The result is C-contiguous, so
+    BLAS rounds products of a stack's blocks as it rounds one matrix's.
     """
     r = np.array(rows, dtype=np.intp) - 1
     c = np.array(cols, dtype=np.intp) - 1
-    return M[r[:, None], c]
+    return np.ascontiguousarray(M[..., r[:, None], c])
 
 
 class QuadForm:
@@ -272,10 +274,11 @@ def anorm(A: QuadForm, p: BasePoint) -> float:
 
 def schur_blocks(M: np.ndarray, S: Sequence[int], Sc: Sequence[int]
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, G) for the label lists S and Sc of a symmetric matrix M:
-    P = M_{Sc}^{-1} M_{Sc S} and the Schur block G = M_S - M_{S Sc} P."""
+    """(P, G) for the label lists S and Sc of a symmetric matrix M, or of
+    each matrix of a stack (..., n, n): P = M_{Sc}^{-1} M_{Sc S} and the
+    Schur block G = M_S - M_{S Sc} P."""
     M_SSc = block(M, S, Sc)   # empty when Sc is
-    P = np.linalg.solve(block(M, Sc, Sc), M_SSc.T)
+    P = np.linalg.solve(block(M, Sc, Sc), M_SSc.swapaxes(-1, -2))
     return P, block(M, S, S) - M_SSc @ P
 
 

@@ -455,7 +455,8 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     so no axis is graded.  theta is split at the two corners and
     rho = t rho_max(theta), t on fixed panels over [0, 1].  Each y1 node is
     one engine call, direct: its nodes come within ``alpha_batch``'s
-    resolution floor of the sheet.
+    resolution floor of the sheet.  Where the sheet misses the support at
+    a node, c is clipped to an end and the sector on that side is skipped.
     """
     N = A.n
     if N != 2:
@@ -478,13 +479,16 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     for y1, w1 in zip(*panel_nodes(np.linspace(-R, R, _WEAK_Y1_PANELS + 1), _WEAK_ORDER)):
         a = math.sqrt(R * R - y1 * y1)
         c = min(max(s, -a), a)
-        # sectors where rho ends on the right, the top and the left edge
+        # sectors where rho ends on the right, the top and the left edge;
+        # where c is clipped to an end, the sector on that side is empty
         corners = np.array([0.0, math.atan2(h, a - c), math.atan2(h, -a - c), math.pi])
         th, wth = panel_nodes(np.linspace(corners[:-1], corners[1:], _WEAK_THETA_PANELS + 1,
                                           axis=1), _WEAK_ORDER)
         cos, sin = np.cos(th), np.sin(th)
-        rho_max = np.concatenate([(a - c) / cos[0], h / sin[1], -(a + c) / cos[2]])[:, None]
-        cos, sin = cos.ravel()[:, None], sin.ravel()[:, None]
+        rho_max = np.stack([(a - c) / cos[0], h / sin[1], -(a + c) / cos[2]])
+        keep = np.array([a - c > 0.0, True, a + c > 0.0])
+        rho_max, wth = rho_max[keep].reshape(-1, 1), wth[keep]
+        cos, sin = cos[keep].reshape(-1, 1), sin[keep].reshape(-1, 1)
         rho = rho_max * t                                               # (theta, t)
         wts = (w1 * wth.ravel()[:, None] * sin * rho_max * wt * rho ** 2).ravel()
         r = (rho * sin).ravel()

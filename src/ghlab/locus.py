@@ -14,10 +14,11 @@ for subsets containing 0 and applied after the swap.
 
 Only the point changes between queries.  Each subset's swap S_J, labels
 and supersets depend on N alone and are laid out once per N; each form
-keeps one stratum table, built on first use, with the solves
-P_J = A_cc^{-1} A_cI and Schur blocks G_J.  A query makes one pass over
-the table per point for every stratum's foot coordinates and hull
-distance, which the distances, projections and region tests all read.
+keeps one stratum table, built on first use in one batched pass per
+subset size, with the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J.
+A query makes one pass over the table per point for every stratum's foot
+coordinates and hull distance, which the distances, projections and
+region tests all read.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, anorm, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -129,19 +130,28 @@ def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
 def _layout(N: int) -> SimpleNamespace:
     """The rows of every stratum table on N coordinates; no form changes them.
 
-    Row j is the subset strata[j], with frames[j] = (J', S) and, in the
-    swapped frame, transverse labels comp[j].  CI and Cc stack the rows'
-    selections of S mu on the active and transverse labels; groups lists
-    each subset size's adjacent (rows, CI slice, Cc slice).  above[k, j]
-    says that strata[j] contains strata[k]; proper excludes equality.
+    Row j is the subset strata[j], with swap S[j] (S is (R, N, N)) and, in
+    the swapped frame, transverse labels comp[j].  Indexing a raveled
+    stack (R, N, N) with gather reorders each row's labels as its active
+    ones, then its transverse ones, so all rows of one subset size share
+    one block layout.  CI and Cc stack the rows' selections of S mu on the
+    active and transverse labels; groups lists each subset size's adjacent
+    (rows, CI slice, Cc slice).  above[k, j] says that strata[j] contains
+    strata[k]; proper excludes equality.
     """
     L = SimpleNamespace(strata=all_strata(N, 2))
     L.row = {J.members: j for j, J in enumerate(L.strata)}
     L.size = np.array([len(J) for J in L.strata])
-    L.frames = [_swap_labels(N, J) for J in L.strata]
-    L.comp = [J2.active_complement(N) for J2, _ in L.frames]
-    L.CI = np.vstack([S[[a - 1 for a in J2.active]] for J2, S in L.frames])
-    L.Cc = np.vstack([S[[c - 1 for c in comp]] for (_, S), comp in zip(L.frames, L.comp)])
+    frames = [_swap_labels(N, J) for J in L.strata]
+    L.comp = [J2.active_complement(N) for J2, _ in frames]
+    L.S = np.stack([S for _, S in frames])
+    order = np.array([[m - 1 for m in J2.active + comp]
+                      for (J2, _), comp in zip(frames, L.comp)], dtype=np.intp)
+    flat = N * np.arange(len(L.strata))[:, None] + order   # rows of the raveled stack
+    L.gather = N * flat[:, :, None] + order[:, None, :]
+    S_rows = L.S.reshape(-1, N)[flat]
+    active = np.arange(N) < L.size[:, None] - 1
+    L.CI, L.Cc = S_rows[active], S_rows[~active]
     r_off = np.searchsorted(L.size, np.arange(2, N + 3))
     a_off = np.concatenate([[0], np.cumsum(L.size - 1)])
     L.comp_off = np.concatenate([[0], np.cumsum(N + 1 - L.size)])
@@ -156,18 +166,22 @@ def _layout(N: int) -> SimpleNamespace:
 def _table(A: QuadForm) -> SimpleNamespace:
     """A's stratum table: the layout of its N, plus per row the transverse
     block A_cc and per subset size the stacked solves P = A_cc^{-1} A_cI
-    and Schur blocks G, symmetrized as QuadForm would."""
-    T = SimpleNamespace(**vars(_layout(A.n)), A_cc=[])
-    P, G = [], []
-    for (J2, S), comp in zip(T.frames, T.comp):
-        M = S.T @ A.entries @ S
-        M = 0.5 * (M + M.T)
-        P_J, G_J = schur_blocks(M, J2.active, comp)
-        P.append(P_J)
-        G.append(0.5 * (G_J + G_J.T))
-        T.A_cc.append(block(M, comp, comp))
-    T.P = [np.stack(P[rows]) for rows, _, _ in T.groups]
-    T.G = [np.stack(G[rows]) for rows, _, _ in T.groups]
+    and Schur blocks G, symmetrized as QuadForm would.
+
+    Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
+    order, each subset size's rows make one ``schur_blocks`` call.
+    """
+    T = SimpleNamespace(**vars(_layout(A.n)))
+    M = T.S.swapaxes(-1, -2) @ A.entries @ T.S
+    M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
+    labels = np.arange(1, A.n + 1)
+    T.P, T.G, T.A_cc = [], [], []
+    for rows, _, _ in T.groups:
+        n_act = T.size[rows.start] - 1
+        P, G = schur_blocks(M[rows], labels[:n_act], labels[n_act:])
+        T.P.append(P)
+        T.G.append(0.5 * (G + G.swapaxes(-1, -2)))
+        T.A_cc.extend(M[rows, n_act:, n_act:])
     return T
 
 
@@ -244,7 +258,7 @@ def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
     T = at.table
     nu = at.nu[T.comp_off[j]:T.comp_off[j + 1]]
     # the foot has nu on the transverse labels and 0 on the active ones
-    foot = BasePoint(T.frames[j][1][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
+    foot = BasePoint(T.S[j][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
     interior = bool(np.all(nu > 0.0))
     return Projection(foot, interior, nu, float(at.d[j]))
 

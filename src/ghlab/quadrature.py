@@ -368,7 +368,9 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
             ak = 0.5 * (k + 1)
             half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
             S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
-    scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
+    # h = 0 on the sheet gives inf, which power_kernel_integral refuses
+    with np.errstate(divide="ignore"):
+        scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = []
     for q in qs:
         out.append(S[q - 2] * scale)

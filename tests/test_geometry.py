@@ -17,6 +17,7 @@ from ghlab.geometry import (
     laplace_terms,
     richardson_derivative,
     richardson_stencil,
+    schur_blocks,
     schur_complement,
 )
 
@@ -48,6 +49,21 @@ class TestQuadForm:
 def test_block_is_one_based():
     M = np.arange(1, 10, dtype=float).reshape(3, 3)
     np.testing.assert_array_equal(block(M, [1, 3], [2]), [[2.0], [8.0]])
+
+
+@pytest.mark.parametrize("n, S", [(5, (1,)), (5, (2, 4)), (4, (1, 2, 3)), (3, (1, 2, 3))])
+def test_stacked_schur_blocks_match_each_slice(n, S):
+    # a stack (7, n, n) is bitwise its slices one at a time, with an empty
+    # complement too
+    rng = np.random.default_rng(n + len(S))
+    M = np.stack([random_spd(rng, n).entries for _ in range(7)])
+    Sc = [k for k in range(1, n + 1) if k not in S]
+    P, G = schur_blocks(M, S, Sc)
+    assert P.shape == (7, len(Sc), len(S)) and G.shape == (7, len(S), len(S))
+    for k in range(7):
+        P_k, G_k = schur_blocks(M[k], S, Sc)
+        assert P[k].tobytes() == P_k.tobytes()
+        assert G[k].tobytes() == G_k.tobytes()
 
 
 def test_basepoint_vector_roundtrip():

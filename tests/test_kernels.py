@@ -641,6 +641,9 @@ def test_weak_check_far_bump_both_sides_vanish():
     res = weak_distributional_check(A, (0, 1), bump, QuadratureSpec(abs_tol=1e-8))
     assert abs(res.lhs) < 1e-6
     assert res.rhs == pytest.approx(0.0, abs=1e-12)
+    # the sheet misses the support at every y1 node, so the empty sector
+    # beside it is skipped: 2 of 3 sectors, 144 y1 nodes x 96 angles x 96 t
+    assert res.alpha_evals == 144 * 96 * 96 == 1_327_104
 
 
 def test_weak_check_refuses_n3():

@@ -19,7 +19,7 @@ from scipy import optimize
 
 from ghlab import locus
 from ghlab.checks import random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_blocks
 from ghlab.locus import (
     RegionConstants,
     all_strata,
@@ -270,14 +270,43 @@ def test_stratum_table_is_built_once(monkeypatch):
     A = random_spd(rng, 4)
     consts = RegionConstants()
     region_membership(A, consts, region_point(rng, 4))
-    assert len(calls) == len(all_strata(4, 2))
+    # one stacked call per subset size, 2 to N + 1 labels
+    assert len(calls) == 4
     # later distance queries on the same form add no Schur work
     p = region_point(rng, 4)
     region_membership(A, consts, p)
     dist_locus(A, p)
     dist_boundary(A, IndexSet((1, 3)), p)
     project(A, IndexSet((1, 3)), p)
-    assert len(calls) == len(all_strata(4, 2))
+    assert len(calls) == 4
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_stratum_table_matches_per_subset_schur(N):
+    # the stacked table is bitwise the per-subset build: M = S^T A S and
+    # G symmetrized, then one schur_blocks call per subset, the full label
+    # set (no transverse labels) included
+    rng = np.random.default_rng(300 + N)
+    for _ in range(20):
+        A = random_spd(rng, N)
+        T = locus._table(A)
+        sizes = [len(J) for J in T.strata]
+        assert sizes[-1] == N + 1
+        for j, J in enumerate(T.strata):
+            _, J2, _, S = zero_swap(A, J, BasePoint(np.zeros(N), 0j))
+            comp = J2.active_complement(N)
+            M = S.T @ A.entries @ S
+            M = 0.5 * (M + M.T)
+            P, G = schur_blocks(M, J2.active, comp)
+            g = sizes[j] - 2                   # the group of this subset size
+            k = j - sizes.index(sizes[j])      # the row within that group
+            assert bitwise_equal(T.P[g][k], P)
+            assert bitwise_equal(T.G[g][k], 0.5 * (G + G.T))
+            assert bitwise_equal(T.A_cc[j], block(M, comp, comp))
 
 
 def test_table_shared_across_threads():
