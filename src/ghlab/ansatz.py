@@ -12,9 +12,8 @@ sigma-expansion tail computed here.
 A first-order or restricted field's ``jet(mu, eta, want_gradient)`` takes
 a batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
 batch and all the field's kernels into one ``kernels.alpha_family`` call
-(one engine call where the kernels are closed forms, N <= 3), and returns
-one stacked ``FieldJet`` whose arrays carry a leading B; ``at(p)`` is its
-one-point case for a ``BasePoint``, the jet's first row.
+(one engine call), and returns one stacked ``FieldJet`` whose arrays carry
+a leading B; a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -114,32 +113,28 @@ def flat_field(p: BasePoint) -> FlatFieldResult:
 @dataclass
 class FieldJet:
     """Values and analytic first derivatives of a coefficient field,
-    stacked over B points: V and v (B, N, N); W, w, spd and quad_error
-    (B,); dV (B, N, N, N) with [b, i, j, k] = d V_ij / d mu_k; dV_eta
-    (B, N, N), the complex eta-derivative entrywise; dW (B, N + 2) over
-    (mu_1..mu_N, Re, Im).  The derivatives are None for a jet taken
-    without them.  quad_error is each point's largest prefactor-scaled
-    error estimate over the kernels; an integral that misses its tolerance
-    raises QuadratureError instead.  ``at(p)`` gives the first row, with
-    scalar W, w, spd and quad_error.
+    stacked over B points: V and v (B, N, N); W, w and quad_error (B,);
+    dV (B, N, N, N + 2) with [b, i, j, k] = d V_ij / d x_k and dW
+    (B, N + 2), both over x = (mu_1..mu_N, Re eta, Im eta).  The
+    derivatives are None for a jet taken without them.  quad_error is each
+    point's largest prefactor-scaled error estimate over the kernels; an
+    integral that misses its tolerance raises QuadratureError instead.
     """
 
     V: np.ndarray
-    W: np.ndarray | float
+    W: np.ndarray
     v: np.ndarray
-    w: np.ndarray | float
+    w: np.ndarray
     dV: np.ndarray | None
-    dV_eta: np.ndarray | None
     dW: np.ndarray | None
-    spd: np.ndarray | bool
-    quad_error: np.ndarray | float
+    quad_error: np.ndarray
 
 
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
           mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> FieldJet:
     """Assemble the stacked field jet at a batch of points from one
     ``kernels.alpha_family`` batch: every kernel that does not vanish, in
-    one engine call where the kernels are closed forms (N <= 3)."""
+    one engine call."""
     N = A.n
     labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
     B = kv.value.shape[1]
@@ -154,35 +149,18 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
         v += kv.value[k][:, None, None] * outer
         if want_gradient:
             dv += kv.gradient[k][:, None, None, :] * outer[:, :, None]
-    dv_eta = 0.5 * (dv[..., N] - 1j * dv[..., N + 1])
-    dv = dv[..., :N].copy()
     err = kv.error.max(axis=0)
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(B, -1).sum(axis=1)
     V = A.entries + v
     W = A.det + w
-    spd = (np.linalg.eigvalsh(V)[:, 0] > 0.0) & (W > 0.0)
     if not want_gradient:
-        return FieldJet(V, W, v, w, None, None, None, spd, err)
-    dw_mu = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
-    dw_eta = A.det * (A.inv * dv_eta).reshape(B, -1).sum(axis=1)
-    dW = np.column_stack([dw_mu, 2.0 * dw_eta.real, -2.0 * dw_eta.imag])
-    return FieldJet(V, W, v, w, dv, dv_eta, dW, spd, err)
+        return FieldJet(V, W, v, w, None, None, err)
+    dW = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
+    return FieldJet(V, W, v, w, dv, dW, err)
 
 
-class _Field:
-    """A coefficient field: ``jet(mu, eta, want_gradient)`` takes a batch
-    of points as arrays mu (B, N) and eta (B,) and returns one FieldJet
-    stacked over them; ``at`` is its one-point case, the first row."""
-
-    def at(self, p: BasePoint, want_gradient: bool = False) -> FieldJet:
-        jet = self.jet(p.mu[None], np.array([p.eta]), want_gradient)
-        d = [None if a is None else a[0] for a in (jet.dV, jet.dV_eta, jet.dW)]
-        return FieldJet(jet.V[0], float(jet.W[0]), jet.v[0], float(jet.w[0]), *d,
-                        bool(jet.spd[0]), float(jet.quad_error[0]))
-
-
-class FirstOrderField(_Field):
+class FirstOrderField:
     """First-order asymptotic coefficient field over a background form."""
 
     def __init__(self, A: QuadForm, quad: QuadratureSpec) -> None:
@@ -194,7 +172,7 @@ class FirstOrderField(_Field):
         return _jets(self.A, None, self.quad, mu, eta, want_gradient)
 
 
-class RestrictedField(_Field):
+class RestrictedField:
     """Model coefficient field attached to a stratum subset.
 
     Kernels whose labels leave the subset vanish, so V - A is supported on
@@ -218,11 +196,13 @@ def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
                           p: BasePoint) -> tuple[np.ndarray, float]:
     """Smooth remainder of the field after subtracting the subset model.
 
-    Returns (h_v, h_w) with h_v = v - v_I entrywise and h_w = w - w_I.
+    Returns (h_v, h_w) with h_v = v - v_I entrywise and h_w = w - w_I,
+    from row 0 of each field's jet at p.
     """
-    full = FirstOrderField(A, quad).at(p)
-    part = RestrictedField(A, I, quad).at(p)
-    return full.v - part.v, full.w - part.w
+    mu, eta = p.mu[None], np.array([p.eta])
+    full = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
+    part = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False)
+    return full.v[0] - part.v[0], float(full.w[0] - part.w[0])
 
 
 # ---------------------------------------------------------------------------

@@ -172,16 +172,15 @@ def flat_volume_gap(points) -> float:
 def one_slot_gaps(A: QuadForm, quad: QuadratureSpec, points
                   ) -> tuple[float, float, float]:
     """Criterion 02 at N = 1: worst gaps of the engine kernel to its closed
-    form, of det V to W, and of the volume defect to 0."""
-    fld = ansatz.FirstOrderField(A, quad)
-    spec = kernels.KernelSpec(A, (0, 1))
-    kernel = volume = defect = 0.0
-    for p in points:
-        got = kernels.alpha(spec, quad, p).value
-        kernel = max(kernel, abs(got - kernels.closed_form_axis(A, 1, p)))
-        jet = fld.at(p)
-        volume = max(volume, abs(float(np.linalg.det(jet.V)) - jet.W))
-        defect = max(defect, abs(ansatz.sigma_expansion(A, jet.v).relative_error))
+    form, of det V to W, and of the volume defect to 0, from one kernel
+    batch and one field jet over all the points."""
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    got = kernels.alpha_batch(kernels.KernelSpec(A, (0, 1)), quad, mu, eta).value
+    want = np.array([kernels.closed_form_axis(A, 1, p) for p in points])
+    jet = ansatz.FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
+    kernel = float(np.max(np.abs(got - want)))
+    volume = float(np.max(np.abs(np.linalg.det(jet.V) - jet.W)))
+    defect = max(abs(ansatz.sigma_expansion(A, v).relative_error) for v in jet.v)
     return kernel, volume, defect
 
 
@@ -205,14 +204,12 @@ def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
     stencil goes into one kernel batch and one difference."""
     A = spec.A
     N = A.n
-    xs = [p.as_vector() for p in points]
-    hs = np.array([gradient_step(x) for x in xs])
-    mu, eta = batch_from_vectors(np.concatenate(
-        [richardson_stencil(x, h) for x, h in zip(xs, hs)]))
+    xs = np.array([p.as_vector() for p in points])
+    hs = gradient_step(xs)
+    mu, eta = batch_from_vectors(richardson_stencil(xs, hs).reshape(-1, N + 2))
     grads = kernels.alpha_batch(spec, quad, mu, eta, want_gradient=True).gradient
     # hess[b, k, j] = d_k of gradient entry j at point b
-    hess = np.moveaxis(richardson_derivative(
-        np.swapaxes(grads.reshape(len(xs), -1, N + 2), 0, 1), hs[None, :, None]), 1, 0)
+    hess = richardson_derivative(grads.reshape(len(xs), -1, N + 2), hs)
     mu_terms, eta_part = laplace_terms(A, 0.5 * (hess + np.swapaxes(hess, 1, 2)))
     scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * N * N,
                                   np.abs(eta_part)), 1e-300)

@@ -8,8 +8,9 @@ lower index pair and the fiber curvature is closed; closing the
 curvature is the second identity below.  Neither the frame nor the
 connection form is ever assembled; both checks are pointwise identities
 on derivatives of (V, W).  ``integrability_batch`` puts every point's
-Richardson stencil into one call of the field's ``jet`` and reads the
-stacked jet back per point.
+Richardson stencil into one call of the field's ``jet`` and differences
+the stacked jet for all points at once; ``integrability_residual``, its
+one-point case, remains only for the benchmark, which calls and traces it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class IntegrabilityResidual:
     second: float
     first_scale: float
     second_scale: float
-    point: BasePoint
 
     @property
     def first_relative(self) -> float:
@@ -62,23 +62,19 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     gradients once with ``geometry.gradient_step``."""
     B, N = mu.shape
     xs = np.column_stack([mu, eta.real, eta.imag])
-    hs = np.array([gradient_step(x) for x in xs])
-    jet = field.jet(*batch_from_vectors(np.concatenate(
-        [richardson_stencil(x, h) for x, h in zip(xs, hs)])), want_gradient=True)
+    hs = gradient_step(xs)
     R = 1 + 4 * (N + 2)
-    dV = jet.dV[::R]
+    jet = field.jet(*batch_from_vectors(richardson_stencil(xs, hs).reshape(B * R, N + 2)),
+                    want_gradient=True)
+    dV = jet.dV[::R, ..., :N]
     res, scale = np.empty((2, B)), np.empty((2, B))
     res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).reshape(B, -1).max(axis=1)
     scale[0] = np.maximum(np.abs(dV).reshape(B, -1).max(axis=1), 1e-300)
-    dV_eta = jet.dV_eta.reshape(B, R, N, N)
-    # dW/dmu, then (V_ij)_x = 2 Re dV_ij/deta and (V_ij)_y = -2 Im dV_ij/deta
-    rows = np.concatenate([jet.dW[:, :N].reshape(B, R, 1, N),
-                           2.0 * dV_eta.real, -2.0 * dV_eta.imag], axis=2)
-    # d[b, k] = d_k of point b's rows
-    d = np.moveaxis(richardson_derivative(np.swapaxes(rows, 0, 1),
-                                          hs[None, :, None, None]), 1, 0)
-    hessW = 0.5 * (d[:, :N, 0] + np.swapaxes(d[:, :N, 0], 1, 2))
-    vxx, vyy = d[:, N, 1:N + 1], d[:, N + 1, N + 1:]
+    # d_k of dW/dmu_j at [b, k, j], and of the (x, y) columns of V at [b, k, i, j, :]
+    dW = richardson_derivative(jet.dW[:, :N].reshape(B, R, N), hs)
+    dV_xy = richardson_derivative(jet.dV[..., N:].reshape(B, R, N, N, 2), hs)
+    hessW = 0.5 * (dW[:, :N] + np.swapaxes(dW[:, :N], 1, 2))
+    vxx, vyy = dV_xy[:, N, ..., 0], dV_xy[:, N + 1, ..., 1]
     res[1] = np.abs(hessW + vxx + vyy).reshape(B, -1).max(axis=1)
     scale[1] = np.maximum(np.abs(hessW).reshape(B, -1).max(axis=1),
                           np.abs(vxx + vyy).reshape(B, -1).max(axis=1))
@@ -90,4 +86,4 @@ def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     of ``integrability_batch``."""
     _, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
     return IntegrabilityResidual(float(res[0, 0]), float(res[1, 0]),
-                                 float(scale[0, 0]), float(scale[1, 0]), p)
+                                 float(scale[0, 0]), float(scale[1, 0]))

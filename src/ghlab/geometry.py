@@ -6,7 +6,8 @@ complex coordinate ``eta``.  This module provides the quadratic-form
 wrapper, base points, index-set bookkeeping, block/Schur algebra, the
 anisotropic norm, and the terms of the constant-coefficient Laplacian of
 that flat structure, plus the one Richardson stencil behind every
-derivative and its step rule, ``gradient_step``.
+derivative, laid out over a batch of points, and its step rule,
+``gradient_step``, one step per point.
 """
 
 from __future__ import annotations
@@ -217,45 +218,38 @@ class IndexSet:
 _GRADIENT_STEP_REL = 5e-3
 
 
-def gradient_step(x: np.ndarray) -> float:
-    """Step 5e-3 max(1, max_i |x_i|) along every coordinate, for analytic
-    gradients."""
-    return _GRADIENT_STEP_REL * max(1.0, float(np.max(np.abs(x))))
+def gradient_step(x: np.ndarray) -> np.ndarray:
+    """Steps 5e-3 max(1, max_i |x_i|) over the last axis of x (..., n), one
+    per point, taken along every coordinate, for analytic gradients."""
+    return _GRADIENT_STEP_REL * np.maximum(1.0, np.abs(x).max(axis=-1))
 
 
-def richardson_stencil(x: np.ndarray, h) -> np.ndarray:
-    """Rows (1 + 4n, n): x, then x +/- h_k and x +/- h_k/2 along each
-    coordinate k in turn; ``h`` is a scalar or one step per coordinate."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    steps = np.stack([h, -h, h / 2, -h / 2], axis=1)
-    rows = np.tile(x, (1 + 4 * n, 1))
-    rows[1:][np.arange(4 * n), np.repeat(np.arange(n), 4)] += steps.ravel()
+def richardson_stencil(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Rows (B, 1 + 4n, n) for the points x (B, n) and their steps h (B,):
+    per point x, then x +/- h and x +/- h/2 along each coordinate k in turn."""
+    B, n = x.shape
+    k = np.arange(4 * n)
+    rows = np.repeat(np.asarray(x, dtype=float)[:, None], 1 + 4 * n, axis=1)
+    rows[:, 1 + k, k // 4] += np.tile(np.stack([h, -h, h / 2, -h / 2], axis=-1), n)
     return rows
 
 
-def richardson_derivative(values, h) -> np.ndarray:
-    """Derivatives (n, ...) from ``values`` on the rows of
-    ``richardson_stencil(x, h)``: the central differences d_h and d_(h/2)
-    combined as (4 d_(h/2) - d_h) / 3, exact on polynomials of degree 4.
-    ``h`` is a scalar, one step per coordinate (n,), or steps of two or more
-    axes that broadcast against the derivatives, as (1, B, 1, ...) for a
-    batch of stencils stacked on axis 1 of ``values``.
+def richardson_derivative(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Derivatives (B, n, ...) from ``values`` (B, 1 + 4n, ...) on the rows
+    of ``richardson_stencil(x, h)``: per point, the central differences d_h
+    and d_(h/2) combined as (4 d_(h/2) - d_h) / 3, exact on polynomials of
+    degree 4.
 
-    >>> x = np.array([1.0, -2.0])
-    >>> rows = richardson_stencil(x, 0.1)
-    >>> richardson_derivative(rows[:, 0] ** 3 * rows[:, 1], 0.1).round(12)
-    array([-6.,  1.])
+    >>> rows = richardson_stencil(np.array([[1.0, -2.0]]), np.array([0.1]))
+    >>> richardson_derivative(rows[..., 0] ** 3 * rows[..., 1], np.array([0.1])).round(12)
+    array([[-6.,  1.]])
     """
     v = np.asarray(values)
-    n = (v.shape[0] - 1) // 4
-    h = np.asarray(h, dtype=float)
-    if h.ndim < 2:
-        h = np.broadcast_to(h, (n,)).reshape((n,) + (1,) * (v.ndim - 1))
-    q = v[1:].reshape((n, 4) + v.shape[1:])
-    d_h = (q[:, 0] - q[:, 1]) / (2.0 * h)
-    d_h2 = (q[:, 2] - q[:, 3]) / h
+    B, n = v.shape[0], (v.shape[1] - 1) // 4
+    h = np.asarray(h, dtype=float).reshape((B,) + (1,) * (v.ndim - 1))
+    q = v[:, 1:].reshape((B, n, 4) + v.shape[2:])
+    d_h = (q[:, :, 0] - q[:, :, 1]) / (2.0 * h)
+    d_h2 = (q[:, :, 2] - q[:, :, 3]) / h
     return (4.0 * d_h2 - d_h) / 3.0
 
 

@@ -16,14 +16,16 @@ zero by convention.
 
 Every kernel value goes through ``alpha_family``: the kernels of a form
 under a restriction at a batch mu (B, N), eta (B,); ``alpha_batch`` is its
-one-kernel case, ``alpha`` and ``alpha_grad`` that one's one-row case.
-The kernels differ only in their cone matrix, so their engine data (with
-``quadrature.cone_frame``) is built once per form, and ``_engine_batch``
-checks each (kernel, row) pair against the resolution floor and makes one
-engine call for closed forms, one per kernel and grid group for swept
-ones; the gammas of ``ghlab.holo`` share it.  Only the weak charge check
-calls the engine directly: its polar rule about the sheet, whose measure
-cancels the singularity, puts nodes inside that floor.
+one-kernel case.  The kernels differ only in their cone matrix, so their
+engine data (with ``quadrature.cone_frame``) is built once per form, and
+``_engine_batch`` makes one engine call for the whole family at the
+resolution floor 10 abs_tol^(1/N), naming the refused (kernel, row) by
+its (mu, eta); the gammas of ``ghlab.holo`` share it.  Only the weak
+charge check calls the engine directly, with no floor: its polar rule
+about the sheet, whose measure cancels the singularity, puts nodes inside
+that floor.  ``alpha_grad``, one row of ``alpha_batch``, remains for the
+benchmark, which calls and traces it; ``alpha``, its value, also serves
+``beta`` and criterion 03.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ from .quadrature import (
     QuadratureError,
     QuadratureSpec,
     SingularityProximity,
-    closed_sheet_distances,
     cone_frame,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
-    sheet_distance,
 )
 
 __all__ = [
@@ -229,60 +229,23 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
                   quad: QuadratureSpec, want_gradient: bool = False,
                   tol_scale: float = 1.0) -> KernelValue:
     """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
-    in as few engine calls as honest: raw values and error estimates
-    (K, B), gradient rows (K, B, n + 2) as (active slots..., Re eta,
-    Im eta), and grid nodes; ``fam.prefactor * tol_scale`` converts the
-    tolerances of ``quad`` to raw units.  A (kernel, row) pair within the
-    resolution floor of its sheet raises SingularityProximity, and a swept
-    call that misses its tolerance QuadratureError, naming the kernel and
-    the row with its (mu, eta): the row that missed, or for a grid over
-    the node budget the first row of its group.
-
-    At most two cone columns make a closed form: every pair goes to one
-    call.  With d >= 3 the engine sweeps each kernel's rows on a grid built
-    for a call's first row, which a row joins only while its (Q, c_eta)
-    offset from that row is within half the row's sheet distance.
+    in one engine call: raw values and error estimates (K, B), gradient
+    rows (K, B, n + 2) as (active slots..., Re eta, Im eta), and grid
+    nodes; ``fam.prefactor * tol_scale`` converts the tolerances of
+    ``quad`` to raw units.  A (kernel, row) pair within the resolution
+    floor 10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a
+    swept group that misses its tolerance QuadratureError, naming the
+    kernel and the row with its (mu, eta): the row that missed, or for a
+    grid over the node budget the first row of its group.
     """
-    b = mu[:, fam.slots]
-    Q, c_eta, M = fam.Q, fam.c_eta, fam.M
-    # as the engine forms it, so a passed sheet solution is the engine's own
-    E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
-    floor = 10.0 * quad.abs_tol ** (1.0 / mu.shape[1])
-    K, B = len(M), len(b)
-    if M.shape[-1] <= 2:
-        tau, r = closed_sheet_distances(Q, M, b, E)
-        calls = [(slice(None), slice(None), (tau[:, 0], float(r[:, 0].min())), fam.frame)]
-        k, row = divmod(int(np.argmin(r)), B)
-        nearest = (float(r[k, row]), k, row)
-    else:
-        calls, nearest = [], (math.inf, 0, 0)
-        for k in range(K):
-            groups, (r_k, row) = _grid_groups(Q, c_eta, M[k], b, eta, E, floor)
-            calls += [(k, rows, sheet, fam.frame[k:k + 1]) for rows, sheet in groups]
-            nearest = min(nearest, (r_k, k, row))
-    r_min, k, row = nearest
-    if r_min < floor:
-        raise _refusal(SingularityProximity, fam, k, mu, eta, row,
-                       f"distance {r_min:.3e} from the singular stratum is below "
-                       f"the resolution floor {floor:.3e}")
-    grads = np.empty((K, B, b.shape[1] + 2)) if want_gradient else None
-    vals, errs = np.empty((K, B)), np.empty((K, B))
-    evals = 0
-    for ks, rows, sheet, frame in calls:
-        try:
-            res = power_kernel_integral(Q, c_eta, b[rows], eta[rows], M[ks], fam.power,
-                                        quad, want_gradient=want_gradient,
-                                        prefactor=fam.prefactor * tol_scale, sheet=sheet,
-                                        frame=frame)
-        except QuadratureError as exc:   # only a swept call, of one kernel ks
-            # a grid over budget was built for the group's first row
-            row = rows[0 if exc.row is None else exc.row]
-            raise _refusal(QuadratureError, fam, ks, mu, eta, int(row), exc) from None
-        vals[ks, rows], errs[ks, rows] = res.value, res.error
-        evals += res.evals
-        if want_gradient:
-            grads[ks, rows] = res.gradient
-    return KernelValue(vals, errs, evals, grads)
+    try:
+        res = power_kernel_integral(fam.Q, fam.c_eta, mu[:, fam.slots], eta, fam.M,
+                                    fam.power, quad, want_gradient,
+                                    fam.prefactor * tol_scale,
+                                    10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
+    except (SingularityProximity, QuadratureError) as exc:
+        raise _refusal(type(exc), fam, exc.kernel, mu, eta, exc.row, exc) from None
+    return KernelValue(res.value, res.error, res.evals, res.gradient)
 
 
 def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
@@ -290,42 +253,9 @@ def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
     """A ``kind`` error naming kernel k and row ``row``, both kept, with
     ``what``, so that a caller can name the row in its own batch."""
     exc = kind(f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
-               f"eta = {eta[row]}): {what}")
-    exc.kernel, exc.row, exc.what = k, row, what
+               f"eta = {eta[row]}): {what}", k, row)
+    exc.what = what
     return exc
-
-
-def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
-                 eta: np.ndarray, E: np.ndarray, floor: float
-                 ) -> tuple[list[tuple[np.ndarray, tuple]], tuple[float, int]]:
-    """Rows that may share one panel grid, each group with its first row's
-    sheet solution (tau*, r*), and a lower bound on every row's sheet
-    distance, exact wherever it is below ``floor``, with its row.
-
-    Each group is the first unplaced row plus every unplaced row whose
-    (Q, c_eta) offset from it is within half its sheet distance r*.  The
-    sheet distance is 1-Lipschitz in that norm, so r* less the group's
-    widest offset bounds the group; only below the floor is each row
-    solved exactly.
-    """
-    todo = np.arange(len(b))
-    groups, nearest = [], (math.inf, 0)
-    while todo.size:
-        k = todo[0]
-        sheet = sheet_distance(Q, M, b[k], E[k])
-        r_k = sheet[1]
-        db = b[todo] - b[k]
-        off = np.sqrt(((db @ Q) * db).sum(axis=1)
-                      + c_eta * np.abs(eta[todo] - eta[k]) ** 2)
-        near = off <= 0.5 * r_k
-        rows = todo[near]
-        bound = (r_k - float(np.max(off[near])), int(k))
-        if bound[0] < floor:
-            bound = min((sheet_distance(Q, M, b[j], E[j])[1], int(j)) for j in rows)
-        groups.append((rows, sheet))
-        nearest = min(nearest, bound)
-        todo = todo[~near]
-    return groups, nearest
 
 
 def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
@@ -493,10 +423,10 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
         wts = (w1 * wth.ravel()[:, None] * sin * rho_max * wt * rho ** 2).ravel()
         r = (rho * sin).ravel()
         mu = bump.center + np.outer(c + rho * cos, U[:, 0]) + y1 * U[:, 1]
-        res = power_kernel_integral(fam.Q, fam.c_eta, mu, r, fam.M[0], fam.power, quad,
+        res = power_kernel_integral(fam.Q, fam.c_eta, mu, r, fam.M, fam.power, quad,
                                     prefactor=fam.prefactor, frame=fam.frame)
         evals += res.evals
-        lhs += float(np.sum(wts * bump.laplace_A(A, mu, r) * res.value))
+        lhs += float(np.sum(wts * bump.laplace_A(A, mu, r) * res.value[0]))
     lhs *= 2.0 * math.pi * A.det ** 1.5 * fam.prefactor
 
     # rhs: bump over the stratum cone, eta = 0

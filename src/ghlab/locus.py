@@ -312,7 +312,6 @@ def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
 class RegionReport:
     """Which covering regions contain a given point."""
 
-    point: BasePoint
     near: list[IndexSet] = field(default_factory=list)        # B_I
     near_core: list[IndexSet] = field(default_factory=list)   # B''_I
     generic: bool = False                                     # B_a
@@ -343,7 +342,7 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     stratum's closed-stratum distance.
     """
     N = A.n
-    rep = RegionReport(point=p)
+    rep = RegionReport()
     T, _, _, closed, bound = _pass(A, p)
     inner = T.size <= N
     rep.near, rep.near_core = (

@@ -57,10 +57,11 @@ recursion where beta >= 0, the incomplete beta function where beta < 0
 and the angle is small), D formed as a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
-0.  They take a stack of cone matrices M (K, m, d) of kernels that share
-Q, c_eta and the power: the form's part (``cone_frame``) carries a leading
-kernel axis, and every (kernel, row) pair is evaluated in one pass.  For
-every k = d - 2 >= 1 the other parameters tau'' are swept on one grid in
+0.  The engine takes rows b (B, m), eta (B,) and a stack of cone matrices
+M (K, m, d) of kernels that share Q, c_eta and the power; the form's part
+(``cone_frame``) carries the kernel axis, and every (kernel, row) pair is
+evaluated in one pass.  For every k = d - 2 >= 1 the other parameters
+tau'' of each group of a kernel's rows are swept on one grid in
 polar form tau'' = r omega, r = |tau''|_1, d tau'' = r^(k-1) dr d omega,
 with omega on the simplex by stick-breaking (omega_1 = u_1,
 omega_2 = (1 - u_1) u_2, ..., the stick left last), which maps the cube
@@ -76,9 +77,10 @@ plane, to both edge lines and to the apex.  So nothing is truncated at any
 d, and the error estimate is the difference of two Gauss orders on the
 same grid; at k = 1 the grid is the graded half line and its tail panel.
 The construction depends only on the inputs, so results are
-bit-reproducible.  An integral that misses its tolerance after the
-refinement passes raises QuadratureError; no unconverged value is
-returned.
+bit-reproducible.  A group keeps only rows within half its first row's
+sheet distance of that row, where the grid resolves them too.  An
+integral that misses its tolerance after the refinement passes raises
+QuadratureError; no unconverged value is returned.
 
 A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
 provided as an independent oracle; it is never the primary path.
@@ -114,19 +116,22 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the engine cannot deliver the requested tolerance.
+class _Refusal:
+    """An engine refusal naming its pair: ``kernel`` and ``row`` index M and b."""
 
-    ``row`` is the index, within the call's batch, of the row that missed
-    it, or None when the grid exceeds the node budget before any sweep.
-    """
-
-    def __init__(self, message: str, row: int | None = None) -> None:
+    def __init__(self, message: str, kernel: int | None = None,
+                 row: int | None = None) -> None:
         super().__init__(message)
-        self.row = row
+        self.kernel, self.row = kernel, row
 
 
-class SingularityProximity(ValueError):
+class QuadratureError(_Refusal, RuntimeError):
+    """Raised when the engine cannot deliver the requested tolerance: for a
+    sweep that misses it, the pair that missed; for a grid over the node
+    budget, its kernel and the first row of the group it was built for."""
+
+
+class SingularityProximity(_Refusal, ValueError):
     """Evaluation point too close to the integrand's singular sheet."""
 
 
@@ -154,14 +159,15 @@ class QuadratureSpec:
 
 @dataclass
 class QuadResult:
-    value: np.ndarray          # (B,) or (K, B) raw integral values, no prefactor
-    error: np.ndarray          # (B,) or (K, B) two-order differences, raw units
-    gradient: np.ndarray | None  # (..., B, dim+2) d/d(b, Re eta, Im eta), raw
+    value: np.ndarray          # (K, B) raw integral values, no prefactor
+    error: np.ndarray          # (K, B) two-order differences, raw units
+    gradient: np.ndarray | None  # (K, B, m + 2) d/d(b, Re eta, Im eta), raw
     evals: int                 # swept grid nodes times batch rows (kernel
                                # rows alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
                                # (perfbench/tracing.py reads it)
-    r_star: float              # distance from the nearest sheet to the first point
+    r_star: float              # the smallest sheet distance the call solved;
+                               # inf at d <= 2 with no floor, which solves none
 
 
 @lru_cache(maxsize=32)
@@ -247,31 +253,63 @@ def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
 def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                    E: float) -> tuple[np.ndarray, float]:
     """Closest sheet parameter tau* >= 0 and the distance
-    r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet; for a
-    stack M (K, m, d <= 2), tau* (K, d) and the nearest kernel's r*."""
-    if M.shape[-1] <= 2:
-        tau, r = closed_sheet_distances(Q, M, b[None, :], np.array([E]))
-        return tau[..., 0, :], float(r.min())
+    r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet of one
+    cone matrix M (m, d), by ``nonneg_argmin``; ``closed_sheet_distances``
+    is the batched closed form for d <= 2."""
     tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
     return tau, math.sqrt(float(x @ Q @ x) + E)
 
 
+def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
+                 eta: np.ndarray, E: np.ndarray, floor: float
+                 ) -> tuple[list[tuple[np.ndarray, tuple]], tuple[float, int], float]:
+    """Rows of one kernel (cone matrix M (m, d)) that may share one panel
+    grid, each group with its first row's sheet solution (tau*, r*); a
+    lower bound on every row's sheet distance, exact wherever it is at most
+    ``floor``, with its row; and the smallest distance solved.
+
+    Each group is the first unplaced row plus every unplaced row whose
+    (Q, c_eta) offset from it is within half its sheet distance r*.  The
+    sheet distance is 1-Lipschitz in that norm, so r* less the group's
+    widest offset bounds the group; only at or below the floor is each row
+    solved exactly.
+    """
+    todo = np.arange(len(b))
+    groups, nearest, solved = [], (math.inf, 0), math.inf
+    while todo.size:
+        k = todo[0]
+        sheet = sheet_distance(Q, M, b[k], E[k])
+        r_k = sheet[1]
+        db = b[todo] - b[k]
+        off = np.sqrt(((db @ Q) * db).sum(axis=1)
+                      + c_eta * np.abs(eta[todo] - eta[k]) ** 2)
+        near = off <= 0.5 * r_k
+        rows = todo[near]
+        bound = (r_k - float(np.max(off[near])), int(k))
+        if bound[0] <= floor:
+            bound = min((sheet_distance(Q, M, b[j], E[j])[1], int(j)) for j in rows)
+            solved = min(solved, bound[0])
+        groups.append((rows, sheet))
+        nearest = min(nearest, bound)
+        solved = min(solved, r_k)
+        todo = todo[~near]
+    return groups, nearest, solved
+
+
 def closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
-                           E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's closest sheet parameter tau* (..., B, d) and sheet
-    distance r* (..., B) when the sheet has at most two cone columns, for
-    one cone matrix M (m, d) or one per kernel (K, m, d), where tau* is the
-    closed form of ``nonneg_argmin_rows``."""
+                           E: np.ndarray) -> np.ndarray:
+    """Every row's sheet distance r* (..., B) when the sheet has at most two
+    cone columns, for one cone matrix M (m, d) or one per kernel (K, m, d),
+    from the closest sheet parameter tau* that ``nonneg_argmin_rows``
+    gives in closed form."""
     if M.shape[-1]:
         QM = Q @ M
         Mt = M.swapaxes(-1, -2)
-        tau = nonneg_argmin_rows(Mt @ QM, b @ QM)
-        b = b - tau @ Mt
+        b = b - nonneg_argmin_rows(Mt @ QM, b @ QM) @ Mt
     else:
-        tau = np.zeros(M.shape[:-2] + (len(b), 0))
         b = np.broadcast_to(b, M.shape[:-2] + b.shape)
-    return tau, np.sqrt(((b @ Q) * b).sum(axis=-1) + E)
+    return np.sqrt(((b @ Q) * b).sum(axis=-1) + E)
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
@@ -339,8 +377,6 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     least 2.  J_q = a^(-1/2) h^((1-q)/2) S_(q-2)(phi0), where
     S_k(phi0) = integral_0^phi0 sin^k and phi0 = atan2(sqrt(D), -beta).
     """
-    beta = np.asarray(beta, dtype=float)
-    h = np.asarray(h, dtype=float)
     minus_beta = -beta
     a_gamma = a * h + beta * beta
     x = a * h / a_gamma                     # sin^2(phi0) = D / (a gamma)
@@ -649,6 +685,29 @@ class _Wedge(_Stack):
         norm = np.hypot(r12, r22)
         return cls(r12 / norm, r22 / norm, 1.0 / (r11 * r22), P, L, Py, Lz)
 
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int,
+                 want_gradient: bool, ceta_xy: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The whole integral at d = 2 for every kernel of the stack and
+        every row b (B, m) in one closed form: values (K, B), gradients
+        (K, B, m + 2)."""
+        # component-major (2, K, B) and (m', K, B)
+        y, z = (self.P @ b.T).swapaxes(0, 1), (self.L @ b.T).swapaxes(0, 1)
+        W = wedge_integrals((self.cphi[:, None], self.sphi[:, None]), y,
+                            np.einsum("j...,j...->...", z, z) + E, power, want_gradient)
+        jac = self.jac[:, None]
+        if not want_gradient:
+            return W[0] * jac, None
+        # along the plane through dW/dy, across it and in eta through
+        # dW/dH2 = -p W_(p+2) / 2
+        m = self.P.shape[-1]
+        grad = np.empty(W[0].shape + (m + 2,))
+        Wp = (-power * jac) * W[1]
+        grad[..., :m] = (jac[..., None] * W[2].transpose(1, 2, 0) @ self.P
+                         + (Wp * z).transpose(1, 2, 0) @ self.L)
+        grad[..., m:] = Wp[..., None] * ceta_xy
+        return W[0] * jac, grad
+
 
 def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
     """What the closed forms take from the form Q and the cone matrices
@@ -657,29 +716,6 @@ def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
     builds it once per form."""
     d = M.shape[-1]
     return None if d == 0 else _Line.build(Q, M) if d == 1 else _Wedge.build(Q, M)
-
-
-def _closed_wedge(wedge: _Wedge, b: np.ndarray, E: np.ndarray, power: int,
-                  want_gradient: bool, ceta_xy: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The whole integral at d = 2 for every kernel of the stack and every
-    row b (B, m) in one closed form: values (K, B), gradients (K, B, m + 2)."""
-    # component-major (2, K, B) and (m', K, B)
-    y, z = (wedge.P @ b.T).swapaxes(0, 1), (wedge.L @ b.T).swapaxes(0, 1)
-    W = wedge_integrals((wedge.cphi[:, None], wedge.sphi[:, None]), y,
-                        np.einsum("j...,j...->...", z, z) + E, power, want_gradient)
-    jac = wedge.jac[:, None]
-    if not want_gradient:
-        return W[0] * jac, None
-    # along the plane through dW/dy, across it and in eta through
-    # dW/dH2 = -p W_(p+2) / 2
-    m = wedge.P.shape[-1]
-    grad = np.empty(W[0].shape + (m + 2,))
-    Wp = (-power * jac) * W[1]
-    grad[..., :m] = (jac[..., None] * W[2].transpose(1, 2, 0) @ wedge.P
-                     + (Wp * z).transpose(1, 2, 0) @ wedge.L)
-    grad[..., m:] = Wp[..., None] * ceta_xy
-    return W[0] * jac, grad
 
 
 def _swept_breaks(wedge: _Wedge, y0: np.ndarray, z: np.ndarray, E0: float,
@@ -762,7 +798,7 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
         W = wedge_integrals((wedge.cphi, wedge.sphi), y0, H2, power, want_gradient)
         val += W[0] @ wts
         if want_gradient:
-            # as in _closed_wedge, summed over the nodes
+            # as in _Wedge.integral, summed over the nodes
             Ww = W[1] * wts
             grad[:, :m] += ((W[2] @ wts).T @ wedge.P
                             - power * np.einsum("bn,kbn->bk", Ww, Z) @ wedge.L)
@@ -772,49 +808,96 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
     return val * wedge.jac, grad
 
 
-def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
-                          eta: complex | np.ndarray, M: np.ndarray, power: int,
-                          spec: QuadratureSpec, want_gradient: bool = False,
-                          prefactor: float = 1.0,
-                          sheet: tuple[np.ndarray, float] | None = None,
-                          frame: _Line | _Wedge | None = None) -> QuadResult:
-    """Evaluate the orthant power integral, batched over base points.
-
-    b may be (m,) or (B, m); eta scalar or (B,).  M is one cone matrix
-    (m, d) or, at d <= 2, a stack (K, m, d) of kernels that share all
-    else, whose results carry a leading K axis.  At d <= 2 every (kernel,
-    row) pair is a closed form, all in one evaluation, so rows may lie at
-    any distance from each other.  At d >= 3 the radial grid is built for
-    the first row and every row is swept on it, which holds only for rows
-    within half the first row's sheet distance r* of it;
-    ``kernels._engine_batch`` splits its batches so.  ``sheet`` passes
-    that first row's (tau*, r*) from ``sheet_distance`` when the caller has
-    solved it already, and ``frame`` the ``cone_frame`` of the stack (of
-    M[None] for one matrix).  ``prefactor`` only converts the spec
-    tolerances into raw-integral units; the returned values are raw.
-    Nothing is truncated at any d.  Raises SingularityProximity for the
-    first row on the sheet (at d >= 3 only the first row is checked), and
-    QuadratureError when the grid exceeds the node budget or the
-    refinement passes miss the tolerance.
-    """
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    B, m = b.shape
-    eta_arr = np.full(B, eta, dtype=complex) if np.ndim(eta) == 0 else np.asarray(eta, dtype=complex)
-    eta_xy = np.ascontiguousarray(eta_arr).view(float).reshape(B, 2)
-    x, y = eta_xy[:, 0], eta_xy[:, 1]
-    E = c_eta * (x * x + y * y)
-    stack = M if M.ndim == 3 else M[None]
-    K, _, d = stack.shape
-
-    ceta_xy = c_eta * eta_xy
-    # closest sheet point for the leading row
-    if sheet is None:
-        sheet = sheet_distance(Q, M, b[0], E[0])
+def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
+                 ceta_xy: np.ndarray, sheet: tuple[np.ndarray, float], power: int,
+                 want_gradient: bool, tol: tuple[float, float]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """One kernel's values, errors, gradients and grid nodes at the rows b
+    (B, m) of one group, swept on its first row's grid (``sheet`` that
+    row's (tau*, r*), P = M^T Q M) until the raw (abs, rel) ``tol`` holds;
+    a QuadratureError names the group's row (0 for a grid over budget)."""
     tau_star, r_star = sheet
-    if r_star <= 0.0:
-        raise SingularityProximity("point lies on the kernel's singular sheet")
+    B = len(b)
+    y0, z = wedge.P @ b.T, wedge.L @ b.T
+    # about 2^14 elements per temporary array, so a chunk stays in cache
+    chunk = max(1 << 10, (1 << 14) // B)
+    evals = 0
+    for attempt in range(_REFINE_PASSES + 1):
+        R, breaks = _swept_breaks(wedge, y0[:, 0], z[:, 0], float(E[0]),
+                                  tau_star[:-2], r_star, P, attempt)
+        tail = np.linspace(0.0, 1.0, 3 if attempt else 2)
+        panels = [len(breaks[0]) + len(tail) - 2] + [len(br) - 1 for br in breaks[1:]]
+        n_hi = math.prod(n * _ORDER for n in panels)
+        n_lo = math.prod(n * _ORDER_LOW for n in panels)
+        if n_hi + n_lo > _MAX_EVALS:
+            raise QuadratureError(
+                f"panel grid needs {n_hi + n_lo} evaluations per point, "
+                f"budget is {_MAX_EVALS}", row=0)
+        v_hi, g_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
+                            power, want_gradient, ceta_xy, chunk)
+        v_lo, _ = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
+                         power, False, ceta_xy, chunk)
+        evals += (n_hi + n_lo) * B
+        err = np.abs(v_hi - v_lo)
+        bound = np.maximum(tol[0], tol[1] * np.abs(v_hi))
+        if np.all(err <= bound):
+            return v_hi, err, g_hi, evals
+    row = int(np.argmax(err / bound))
+    shape = " x ".join(str(n * _ORDER) for n in panels)
+    raise QuadratureError(
+        f"no convergence after {_REFINE_PASSES + 1} passes: r* = "
+        f"{r_star:.3e}, grid {shape}, error {err[row]:.3e} "
+        f"against tolerance {bound[row]:.3e}", row=row)
+
+
+def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
+                          eta: np.ndarray, M: np.ndarray, power: int,
+                          spec: QuadratureSpec, want_gradient: bool = False,
+                          prefactor: float = 1.0, floor: float = 0.0,
+                          frame: _Line | _Wedge | None = None) -> QuadResult:
+    """Evaluate the orthant power integrals of a kernel family at a batch.
+
+    b is (B, m) and eta (B,); M (K, m, d) stacks the cone matrices of K
+    kernels that share Q, c_eta and the power.  Values and errors are
+    (K, B), gradient rows (K, B, m + 2) as (b..., Re eta, Im eta).  At
+    d <= 2 every (kernel, row) pair is a closed form, all in one pass; at
+    d >= 3 each group of a kernel's rows (``_grid_groups``) is swept on
+    its first row's grid, so rows may lie at any distance from each other.
+    ``frame`` is the ``cone_frame`` of M, for a caller that keeps it;
+    ``prefactor`` only converts the spec tolerances into raw-integral
+    units, and the returned values are raw.
+
+    Every refusal carries its pair's ``kernel`` and ``row``.
+    SingularityProximity: before anything is evaluated, the nearest pair
+    whose sheet distance is below ``floor`` or 0 (at d <= 2 with no floor
+    nothing is solved, and a row on the sheet is refused by its value,
+    which is not finite).  QuadratureError: a grid over the node budget, or
+    a sweep that misses its tolerance after the refinement passes.
+    """
+    B, m = b.shape
+    K, _, d = M.shape
+    eta = np.ascontiguousarray(eta, dtype=complex)
+    E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
+    ceta_xy = c_eta * eta.view(float).reshape(B, 2)
     if frame is None:
-        frame = cone_frame(Q, stack)
+        frame = cone_frame(Q, M)
+    # the nearest (kernel, row) pair's sheet distance, exact below the floor
+    nearest, groups = (math.inf, 0, 0), []
+    if d <= 2:
+        if floor > 0.0:
+            r = closed_sheet_distances(Q, M, b, E)
+            nearest = (float(r.min()), *divmod(int(np.argmin(r)), B))
+        r_star = nearest[0]
+    else:
+        r_star = math.inf
+        for k in range(K):
+            kernel_groups, (r_k, row), solved = _grid_groups(Q, c_eta, M[k], b, eta, E, floor)
+            groups += [(k, rows, sheet) for rows, sheet in kernel_groups]
+            nearest, r_star = min(nearest, (r_k, k, row)), min(r_star, solved)
+    r, k, row = nearest
+    if r < floor:
+        raise SingularityProximity(f"distance {r:.3e} from the singular stratum is below "
+                                   f"the resolution floor {floor:.3e}", k, row)
     if d <= 2:
         # every (kernel, row) pair is a closed form
         if d == 0:
@@ -826,50 +909,32 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                 grad = np.empty((K, B, m + 2))
                 grad[..., :m] = -power * (b @ Q) * core[:, None]
                 grad[..., m:] = -power * ceta_xy * core[:, None]
-        elif d == 1:
-            val, grad = frame.integral(b, E, power, want_gradient, ceta_xy)
         else:
-            val, grad = _closed_wedge(frame, b, E, power, want_gradient, ceta_xy)
-        if not np.isfinite(val).all():
-            row = int(np.argmax(~np.isfinite(val).all(axis=0)))
-            raise SingularityProximity(f"row {row} lies on the kernel's singular sheet")
-        if M.ndim == 2:
-            val, grad = val[0], None if grad is None else grad[0]
-        return QuadResult(val, np.zeros_like(val), grad, K * B, True, r_star)
+            val, grad = frame.integral(b, E, power, want_gradient, ceta_xy)
+        if np.isfinite(val).all():
+            return QuadResult(val, np.zeros_like(val), grad, K * B, True, r_star)
+        # with no floor nothing was solved: a row on the sheet reads inf
+        row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
+        r = 0.0
+    if r <= 0.0:
+        raise SingularityProximity(f"row {row} lies on the kernel's singular sheet", k, row)
 
-    wedge = frame[0]
-    y0, z = wedge.P @ b.T, wedge.L @ b.T
-    abs_raw = spec.abs_tol / max(prefactor, 1e-300)
-    P = M.T @ Q @ M
-    # about 2^14 elements per temporary array, so a chunk stays in cache
-    chunk = max(1 << 10, (1 << 14) // max(B, 1))
+    tol = (spec.abs_tol / max(prefactor, 1e-300), spec.rel_tol)
+    vals, errs = np.empty((K, B)), np.empty((K, B))
+    grads = np.empty((K, B, m + 2)) if want_gradient else None
     evals = 0
-    for attempt in range(_REFINE_PASSES + 1):
-        R, breaks = _swept_breaks(wedge, y0[:, 0], z[:, 0], float(E[0]),
-                                  tau_star[:d - 2], r_star, P, attempt)
-        tail = np.linspace(0.0, 1.0, 3 if attempt else 2)
-        panels = [len(breaks[0]) + len(tail) - 2] + [len(br) - 1 for br in breaks[1:]]
-        n_hi = math.prod(n * _ORDER for n in panels)
-        n_lo = math.prod(n * _ORDER_LOW for n in panels)
-        if n_hi + n_lo > _MAX_EVALS:
-            raise QuadratureError(
-                f"panel grid needs {n_hi + n_lo} evaluations per point, "
-                f"budget is {_MAX_EVALS}")
-        v_hi, g_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
-                            power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
-                         power, False, ceta_xy, chunk)
-        evals += (n_hi + n_lo) * B
-        err = np.abs(v_hi - v_lo)
-        tol = np.maximum(abs_raw, spec.rel_tol * np.abs(v_hi))
-        if np.all(err <= tol):
-            return QuadResult(v_hi, err, g_hi, evals, True, r_star)
-    row = int(np.argmax(err / tol))
-    shape = " x ".join(str(n * _ORDER) for n in panels)
-    raise QuadratureError(
-        f"no convergence after {_REFINE_PASSES + 1} passes: r* = "
-        f"{r_star:.3e}, grid {shape}, error {err[row]:.3e} "
-        f"against tolerance {tol[row]:.3e}", row)
+    for k, rows, sheet in groups:
+        try:
+            v, e, g, n = _sweep_group(frame[k], M[k].T @ Q @ M[k], b[rows], E[rows],
+                                      ceta_xy[rows], sheet, power, want_gradient, tol)
+        except QuadratureError as exc:
+            exc.kernel, exc.row = k, int(rows[exc.row])
+            raise
+        vals[k, rows], errs[k, rows] = v, e
+        evals += n
+        if want_gradient:
+            grads[k, rows] = g
+    return QuadResult(vals, errs, grads, evals, True, r_star)
 
 
 def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,

@@ -68,19 +68,25 @@ class TestFlatModel:
                                    rtol=1e-13)
 
 
+def _at(fld, p, want_gradient=False):
+    """The field's jet at one point: a batch of one."""
+    return fld.jet(p.mu[None], np.array([p.eta]), want_gradient)
+
+
 def test_first_order_field_basic():
     rng = np.random.default_rng(3)
     A = random_spd(rng, 2)
     fld = FirstOrderField(A, QUAD)
     p = BasePoint(np.array([0.9, -0.6]), 0.7 + 0.2j)
-    jet = fld.at(p, want_gradient=True)
-    assert jet.spd
-    assert jet.quad_error <= max(QUAD.abs_tol, QUAD.rel_tol * float(np.max(np.abs(jet.v))))
+    jet = _at(fld, p, want_gradient=True)
+    assert np.linalg.eigvalsh(jet.V[0])[0] > 0.0 and jet.W[0] > 0.0
+    assert jet.quad_error[0] <= max(QUAD.abs_tol,
+                                    QUAD.rel_tol * float(np.max(np.abs(jet.v[0]))))
     # V = A + v with v symmetric positive; W = det A (1 + tr(A^{-1} v))
-    v = jet.V - A.entries
+    v = jet.V[0] - A.entries
     np.testing.assert_allclose(v, v.T, atol=1e-12)
     want_w = A.det * (1.0 + float(np.sum(A.inv * v)))
-    assert jet.W == pytest.approx(want_w, rel=1e-12)
+    assert jet.W[0] == pytest.approx(want_w, rel=1e-12)
 
 
 def test_restricted_field_ignores_complement():
@@ -89,9 +95,9 @@ def test_restricted_field_ignores_complement():
     fld = RestrictedField(A, IndexSet((0, 1)), QUAD)
     p1 = BasePoint(np.array([0.8, 0.3, -0.5]), 0.6 + 0.1j)
     p2 = BasePoint(np.array([0.8, 4.0, 2.0]), 0.6 + 0.1j)
-    j1, j2 = fld.at(p1), fld.at(p2)
+    j1, j2 = _at(fld, p1), _at(fld, p2)
     np.testing.assert_allclose(j1.V, j2.V, rtol=1e-11)
-    assert j1.W == pytest.approx(j2.W, rel=1e-11)
+    assert j1.W[0] == pytest.approx(j2.W[0], rel=1e-11)
 
 
 def test_jet_quad_error_is_each_points_own():
@@ -103,7 +109,7 @@ def test_jet_quad_error_is_each_points_own():
            BasePoint(np.array([6.0, 5.0, -4.0, 7.0]), 3.0 - 1.0j)]
     jet = fld.jet(np.array([p.mu for p in pts]),
                   np.array([p.eta for p in pts]), want_gradient=False)
-    alone = [fld.at(p).quad_error for p in pts]
+    alone = [_at(fld, p).quad_error[0] for p in pts]
     assert alone[0] != alone[1]
     assert jet.quad_error.tolist() == alone
 
@@ -118,12 +124,13 @@ def _leg_nodes(q0, q1):
 @pytest.mark.parametrize("N, members", [(2, (0, 1)), (2, (0, 1, 2)),
                                         (3, (0, 1, 2, 3)), (4, (0, 1, 2, 3, 4))])
 def test_leg_jet_matches_pointwise(N, members, monkeypatch):
-    # one batched jet over a whole constant-eta leg equals a jet per node;
-    # up to N = 3 every kernel is a closed form, so the whole family takes
-    # the leg in one call; at N = 4 every kernel sweeps (d = 3), so each
-    # kernel splits the leg into groups that each sweep on their own first
-    # row's grid
+    # one batched jet over a whole constant-eta leg equals a jet per node,
+    # and the whole family takes the leg in one engine call; up to N = 3
+    # every kernel is a closed form and nothing is swept; at N = 4 every
+    # kernel sweeps (d = 3), so each kernel splits the leg into groups that
+    # each sweep on their own first row's grid
     import ghlab.kernels as kernels
+    import ghlab.quadrature as quadrature
 
     rng = np.random.default_rng(31 + N)
     A = random_spd(rng, N)
@@ -131,22 +138,25 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
     q1 = BasePoint(rng.uniform(-1.0, 1.0, N), 0.8 + 0.3j)
     q0 = BasePoint(q1.mu + 2.5, q1.eta)
     mu, eta = _leg_nodes(q0, q1)
-    calls = []
-    engine = kernels.power_kernel_integral
+    calls, sweeps = [], []
+    engine, sweep = kernels.power_kernel_integral, quadrature._sweep_group
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
+    monkeypatch.setattr(quadrature, "_sweep_group",
+                        lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
     jet = fld.jet(mu, eta, want_gradient=False)
     monkeypatch.undo()
     live = 1 if members == (0, 1) else len(members) * (len(members) - 1) // 2
+    assert len(calls) == 1
     if N == 4:
-        assert live < len(calls) < live * len(mu)
+        assert live < len(sweeps) < live * len(mu)
     else:
-        assert len(calls) == 1
+        assert not sweeps
     for t, (m, e) in enumerate(zip(mu, eta)):
-        want = fld.at(BasePoint(m, e))
-        np.testing.assert_allclose(jet.v[t], want.v, rtol=1e-15,
+        want = _at(fld, BasePoint(m, e))
+        np.testing.assert_allclose(jet.v[t], want.v[0], rtol=1e-15,
                                    atol=1e-15 * float(np.max(np.abs(want.v))))
-        assert jet.w[t] == pytest.approx(want.w, rel=1e-15)
+        assert jet.w[t] == pytest.approx(want.w[0], rel=1e-15)
 
 
 def test_restricted_remainders_small_near_stratum():

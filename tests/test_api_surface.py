@@ -68,6 +68,8 @@ KEPT_FIELDS = (
     "RegionReport.distances",                 # test_locus.py::test_table_shared_across_threads
     # node counts and sheet distances for the library counters
     "QuadResult.r_star",                      # ROADMAP item 5
+    # the largest quad_error, for the CSV detail column
+    "FieldJet.quad_error",                    # ROADMAP item 5
 )
 
 

@@ -105,6 +105,47 @@ def test_seam_jump_flags_a_shifted_bridge(monkeypatch):
     assert checks.profile_seam_jump(glue.ExtensionProfile(*checks.PROFILE)) > checks.SEAM_TOL
 
 
+def _criterion_04_inputs():
+    # criterion 04's draw: seed 104, one form at N = 3, 50 off-locus points
+    rng = np.random.default_rng(104)
+    A = checks.random_spd(rng, 3)
+    return A, [checks.off_locus_point(rng, A) for _ in range(50)]
+
+
+def test_kernel_laplacian_flags_a_non_harmonic_term(monkeypatch):
+    # criterion 04's draw with eps mu_1^2, eps = 1e-5, added to the axis
+    # kernel's values and gradients: its A-Laplacian is 2 eps (A^-1)_11
+    A, pts = _criterion_04_inputs()
+    batch = kernels.alpha_batch
+
+    def with_term(spec, quad, mu, eta, want_gradient=False):
+        kv = batch(spec, quad, mu, eta, want_gradient)
+        kv.value = kv.value + 1e-5 * mu[:, 0] ** 2
+        if want_gradient:
+            kv.gradient[:, 0] += 2e-5 * mu[:, 0]
+        return kv
+
+    monkeypatch.setattr(kernels, "alpha_batch", with_term)
+    spec = kernels.KernelSpec(A, (0, 1))
+    assert checks.kernel_laplacian(spec, checks.QUAD, pts) > checks.HARMONIC_TOL
+
+
+def test_gradient_relations_flag_a_broken_pair_symmetry(monkeypatch):
+    # criterion 04's draw with d_3 alpha_12 scaled by 1 + 2e-3, so it no
+    # longer equals d_2 alpha_13
+    A, pts = _criterion_04_inputs()
+    family = kernels.alpha_family
+
+    def skewed(*args, **kwargs):
+        labels, kv = family(*args, **kwargs)
+        kv.gradient[labels.index((1, 2)), :, 2] *= 1.0 + 2e-3
+        return labels, kv
+
+    monkeypatch.setattr(kernels, "alpha_family", skewed)
+    pair, _ = checks.gradient_relations(A, checks.QUAD, pts)
+    assert pair > checks.HARMONIC_TOL
+
+
 def _scale_prefactor(monkeypatch, scale):
     # every family built from here on; the ones kept with older forms keep
     # their prefactor, so each control draws fresh forms

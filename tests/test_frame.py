@@ -12,18 +12,19 @@ QUAD = QuadratureSpec()
 class PerturbedField:
     """A field with an explicit smooth perturbation added to V: extra(mu)
     is the stacked matrix (B, N, N) added at the batch mu, independent of
-    eta, and extra_dmu(mu) its mu-gradient (B, N, N, N)."""
+    eta, and extra_grad(mu) its gradient (B, N, N, N + 2) over (mu, Re eta,
+    Im eta), whose eta columns are 0."""
 
-    def __init__(self, base, extra, extra_dmu) -> None:
+    def __init__(self, base, extra, extra_grad) -> None:
         self.base = base
         self.extra = extra
-        self.extra_dmu = extra_dmu
+        self.extra_grad = extra_grad
 
     def jet(self, mu, eta, want_gradient=True):
         jet = self.base.jet(mu, eta, want_gradient)
         jet.V = jet.V + self.extra(mu)
         if want_gradient:
-            jet.dV = jet.dV + self.extra_dmu(mu)
+            jet.dV = jet.dV + self.extra_grad(mu)
         return jet
 
 
@@ -96,12 +97,12 @@ def test_perturbed_field_breaks_first_identity():
         E[:, 0, 1] = E[:, 1, 0] = mu[:, 2]
         return E
 
-    def extra_dmu(mu):
-        dE = np.zeros((len(mu), 3, 3, 3))
+    def extra_grad(mu):
+        dE = np.zeros((len(mu), 3, 3, 5))
         dE[:, 0, 1, 2] = dE[:, 1, 0, 2] = 1.0
         return dE
 
-    bad = PerturbedField(base, extra, extra_dmu)
+    bad = PerturbedField(base, extra, extra_grad)
     p = BasePoint(np.array([1.0, 0.8, 1.2]), 0.7 + 0.1j)
     res_bad = integrability_residual(bad, p)
     res_good = integrability_residual(base, p)

@@ -89,27 +89,28 @@ def test_indexset_basics():
         IndexSet((0, 5)).require_stratum(3)
 
 
-@pytest.mark.parametrize("h", [0.1, np.array([0.05, 0.2, 0.1])],
-                         ids=["scalar-step", "per-coordinate-step"])
-def test_richardson_derivative_exact_on_quartics(h):
+def test_richardson_derivative_exact_on_quartics():
     # central differences carry only even powers of h and one Richardson
-    # level cancels h^2, so degree-4 polynomials come out exact to roundoff
-    x = np.array([0.7, -1.3, 0.4])
+    # level cancels h^2, so degree-4 polynomials come out exact to roundoff;
+    # a batch of three points, each with its own step
+    x = np.array([[0.7, -1.3, 0.4], [-0.2, 0.9, 1.1], [1.5, 0.3, -0.6]])
+    h = np.array([0.1, 0.05, 0.2])
     rows = richardson_stencil(x, h)
-    assert rows.shape == (13, 3)
-    np.testing.assert_array_equal(rows[0], x)
+    assert rows.shape == (3, 13, 3)
+    np.testing.assert_array_equal(rows[:, 0], x)
+    np.testing.assert_array_equal(rows[1, 5:9, 1], x[1, 1] + [0.05, -0.05, 0.025, -0.025])
 
     def f(v):
         a, b, c = v[..., 0], v[..., 1], v[..., 2]
         return np.stack([a ** 4 - 2.0 * a * b ** 3 + c ** 2,
                          b ** 2 * c ** 2 + a * c - 3.0 * c ** 4], axis=-1)
 
-    a, b, c = x
+    a, b, c = x.T
     jac = np.array([[4.0 * a ** 3 - 2.0 * b ** 3, c],
                     [-6.0 * a * b ** 2, 2.0 * b * c ** 2],
-                    [2.0 * c, 2.0 * b ** 2 * c + a - 12.0 * c ** 3]])
+                    [2.0 * c, 2.0 * b ** 2 * c + a - 12.0 * c ** 3]]).transpose(2, 0, 1)
     got = richardson_derivative(f(rows), h)
-    assert got.shape == (3, 2)
+    assert got.shape == (3, 3, 2)
     np.testing.assert_allclose(got, jac, rtol=1e-12, atol=1e-12)
 
 
@@ -154,9 +155,9 @@ def test_hessian_from_analytic_gradient():
     # every verdict uses: exact on a quadratic up to roundoff, and symmetric
     H0 = np.array([[2.0, 1.0, 0.0, 0.5], [1.0, 4.0, -1.0, 0.0],
                    [0.0, -1.0, 6.0, 0.0], [0.5, 0.0, 0.0, -2.0]])
-    x = np.array([0.3, -0.8, 0.2, 0.9])
+    x = np.array([[0.3, -0.8, 0.2, 0.9]])
     h = gradient_step(x)
-    J = richardson_derivative(richardson_stencil(x, h) @ H0.T, h)
+    J = richardson_derivative(richardson_stencil(x, h) @ H0.T, h)[0]
     H = 0.5 * (J + J.T)
     np.testing.assert_allclose(H, H0, atol=1e-8)
     np.testing.assert_array_equal(H, H.T)

@@ -155,10 +155,10 @@ def test_weak_check_kernel_near_the_sheet(labels, mu, r):
     # that the weak check makes stays within rel 1e-9
     A = QuadForm(np.array(WEAK_FORM_N2))
     Q, c_eta, M, power, pref = _engine_data(A, labels)
-    res = power_kernel_integral(Q, c_eta, np.array([mu]), np.array([r]), M,
+    res = power_kernel_integral(Q, c_eta, np.array([mu]), np.array([r]), M[None],
                                 power, QuadratureSpec(abs_tol=1e-8), prefactor=pref)
     want = arctan_oracle(A, labels, BasePoint(np.array(mu), r))
-    assert pref * res.value[0] == pytest.approx(want, rel=1e-9)
+    assert pref * res.value[0, 0] == pytest.approx(want, rel=1e-9)
 
 
 def test_wrong_width_rows_are_rejected():
@@ -282,8 +282,10 @@ def test_alpha_batch_matches_pointwise():
 
 def _far_rows_match_pointwise(N, monkeypatch):
     """Rows far apart, one kernel batch per label pair: each row must equal
-    its own alpha.  Returns the engine calls per batch."""
+    its own alpha.  Returns the engine calls and the group sweeps per
+    batch."""
     import ghlab.kernels as kernels
+    import ghlab.quadrature as quadrature
 
     rng = np.random.default_rng(47)
     A = random_spd(rng, N)
@@ -295,14 +297,16 @@ def _far_rows_match_pointwise(N, monkeypatch):
     counts = []
     for labels in [(0, 2), (1, 3)]:
         spec = KernelSpec(A, labels)
-        calls = []
-        engine = kernels.power_kernel_integral
+        calls, sweeps = [], []
+        engine, sweep = kernels.power_kernel_integral, quadrature._sweep_group
         monkeypatch.setattr(kernels, "power_kernel_integral",
                             lambda *a, **k: calls.append(1) or engine(*a, **k))
+        monkeypatch.setattr(quadrature, "_sweep_group",
+                            lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
         kv = alpha_batch(spec, quad, *_batch(pts), want_gradient=True)
         vals, grads, errs = kv.value, kv.gradient, kv.error
         monkeypatch.undo()
-        counts.append(len(calls))
+        counts.append((len(calls), len(sweeps)))
         for t, p in enumerate(pts):
             one = alpha_grad(spec, quad, p)
             assert vals[t] == pytest.approx(one.value, rel=1e-12)
@@ -313,14 +317,15 @@ def _far_rows_match_pointwise(N, monkeypatch):
 
 
 def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
-    # N = 3 kernels (d = 2) are closed forms: far rows share one call
-    assert _far_rows_match_pointwise(3, monkeypatch) == [1, 1]
+    # N = 3 kernels (d = 2) are closed forms: far rows share one call and
+    # nothing is swept
+    assert _far_rows_match_pointwise(3, monkeypatch) == [(1, 0), (1, 0)]
 
 
 def test_alpha_batch_far_rows_match_pointwise_n4(monkeypatch):
-    # N = 4 kernels (d = 3) sweep one axis: no row may be swept on another
-    # row's panel grid
-    assert _far_rows_match_pointwise(4, monkeypatch) == [4, 4]
+    # N = 4 kernels (d = 3) sweep one axis: still one engine call, but no
+    # row may be swept on another row's panel grid, so each row is a group
+    assert _far_rows_match_pointwise(4, monkeypatch) == [(1, 4), (1, 4)]
 
 
 def test_pair_kernels_converge_at_tight_tolerance():
@@ -521,7 +526,7 @@ def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
     rng = np.random.default_rng(71)
     A = random_spd(rng, 3)
     p = off_locus_point(rng, A)
-    FirstOrderField(A, QUAD).at(p, want_gradient=True)
+    FirstOrderField(A, QUAD).jet(p.mu[None], np.array([p.eta]), want_gradient=True)
     assert len(built) == 1
     for ij in itertools.combinations(range(4), 2):
         alpha_grad(KernelSpec(A, ij), QUAD, p)
@@ -558,10 +563,11 @@ def _fd_laplace_A(A, f, x, h):
     """Finite-difference oracle for the A-Laplacian of the values f (rows of
     real coordinates in, values out) at x: a Richardson Hessian of Richardson
     gradients, both of step h."""
-    outer = richardson_stencil(x, h)
-    vals = f(np.concatenate([richardson_stencil(y, h) for y in outer]))
-    grads = richardson_derivative(vals.reshape(len(outer), -1).T, h)
-    H = richardson_derivative(grads.T, h)
+    outer = richardson_stencil(x[None], np.array([h]))[0]
+    steps = np.full(len(outer), h)
+    vals = f(richardson_stencil(outer, steps).reshape(-1, len(x)))
+    grads = richardson_derivative(vals.reshape(len(outer), -1), steps)
+    H = richardson_derivative(grads[None], np.array([h]))[0]
     mu_terms, eta_part = laplace_terms(A, 0.5 * (H + H.T))
     return float(np.sum(mu_terms)) + eta_part
 

@@ -65,10 +65,10 @@ def test_closed_form_no_sweep():
     # d = 0: value is (b Q b + E)^(-p/2) exactly, no panels involved
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])
     b = np.array([[0.7, -0.4]])
-    res = power_kernel_integral(Q, 1.7, b, 0.5 + 0.5j, np.zeros((2, 0)), 1,
+    res = power_kernel_integral(Q, 1.7, b, np.array([0.5 + 0.5j]), np.zeros((1, 2, 0)), 1,
                                 QuadratureSpec())
     want = (b[0] @ Q @ b[0] + 1.7 * 0.5) ** -0.5
-    assert res.value[0] == pytest.approx(want, rel=1e-15)
+    assert res.value[0, 0] == pytest.approx(want, rel=1e-15)
     assert res.evals == 1
 
 
@@ -87,11 +87,11 @@ def test_engine_matches_line_oracle(mu, eta):
     bq = float(M[:, 0] @ A @ b)
     c = float(b @ A @ b) + det_a * abs(eta) ** 2
     want = line_oracle(a, bq, c)
-    res = power_kernel_integral(A, det_a, b[None, :], eta, M, 2,
+    res = power_kernel_integral(A, det_a, b[None, :], np.array([eta]), M[None], 2,
                                 QuadratureSpec())
     assert res.converged
-    assert res.value[0] == pytest.approx(want, rel=1e-8)
-    assert abs(res.value[0] - want) <= max(res.error[0], 1e-12)
+    assert res.value[0, 0] == pytest.approx(want, rel=1e-8)
+    assert abs(res.value[0, 0] - want) <= max(res.error[0, 0], 1e-12)
 
 
 def test_engine_matches_qmc_two_dim():
@@ -101,11 +101,11 @@ def test_engine_matches_qmc_two_dim():
     M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([1.4, 0.8, -0.6])
     eta = 0.5 + 0.1j
-    res = power_kernel_integral(A, float(np.linalg.det(A)), b[None, :], eta,
-                                M, 3, QuadratureSpec())
+    res = power_kernel_integral(A, float(np.linalg.det(A)), b[None, :], np.array([eta]),
+                                M[None], 3, QuadratureSpec())
     m, se = qmc_power_kernel_integral(A, float(np.linalg.det(A)), b, eta, M,
                                       3, n_pow2=15, replicates=8)
-    assert abs(res.value[0] - m) < 4.0 * se + 1e-9
+    assert abs(res.value[0, 0] - m) < 4.0 * se + 1e-9
 
 
 def test_engine_gradient_matches_differences():
@@ -116,22 +116,22 @@ def test_engine_gradient_matches_differences():
     spec = QuadratureSpec()
 
     def value(b, et):
-        return power_kernel_integral(A, det_a, np.atleast_2d(b), et, M, 2,
-                                     spec).value[0]
+        return power_kernel_integral(A, det_a, b[None], np.array([et]), M[None], 2,
+                                     spec).value[0, 0]
 
     b0 = np.array([0.9, -0.3])
-    res = power_kernel_integral(A, det_a, b0[None, :], eta, M, 2, spec,
+    res = power_kernel_integral(A, det_a, b0[None, :], np.array([eta]), M[None], 2, spec,
                                 want_gradient=True)
     h = 1e-6
     for k in range(2):
         e = np.zeros(2)
         e[k] = h
         fd = (value(b0 + e, eta) - value(b0 - e, eta)) / (2 * h)
-        assert res.gradient[0, k] == pytest.approx(fd, rel=2e-5)
+        assert res.gradient[0, 0, k] == pytest.approx(fd, rel=2e-5)
     fd_x = (value(b0, eta + h) - value(b0, eta - h)) / (2 * h)
     fd_y = (value(b0, eta + 1j * h) - value(b0, eta - 1j * h)) / (2 * h)
-    assert res.gradient[0, 2] == pytest.approx(fd_x, rel=2e-5)
-    assert res.gradient[0, 3] == pytest.approx(fd_y, rel=2e-5)
+    assert res.gradient[0, 0, 2] == pytest.approx(fd_x, rel=2e-5)
+    assert res.gradient[0, 0, 3] == pytest.approx(fd_y, rel=2e-5)
 
 
 def test_singularity_raises():
@@ -139,14 +139,14 @@ def test_singularity_raises():
     M = np.array([[0.0], [1.0]])
     # b on the sweep ray with no eta mass: distance to the sheet is zero
     with pytest.raises(SingularityProximity):
-        power_kernel_integral(A, 1.0, np.array([[0.0, 2.0]]), 0j, M, 2,
+        power_kernel_integral(A, 1.0, np.array([[0.0, 2.0]]), np.zeros(1), M[None], 2,
                               QuadratureSpec())
     # d = 2: b inside the quadrant, on an edge and at the apex
     A = np.eye(3)
     M = np.eye(3)[:, 1:]
     for b in ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]):
         with pytest.raises(SingularityProximity):
-            power_kernel_integral(A, 1.0, np.array([b]), 0j, M, 3,
+            power_kernel_integral(A, 1.0, np.array([b]), np.zeros(1), M[None], 3,
                                   QuadratureSpec())
 
 
@@ -159,10 +159,36 @@ def test_sheet_row_after_the_first_raises():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularityProximity, match="row 1"):
             power_kernel_integral(Q, 1.0, np.array([[1.0, 2.0], [0.0, 2.0]]), np.zeros(2),
-                                  np.array([[0.0], [1.0]]), 2, QuadratureSpec())
+                                  np.array([[[0.0], [1.0]]]), 2, QuadratureSpec())
         with pytest.raises(SingularityProximity, match="row 1"):
             power_kernel_integral(np.eye(3), 1.0, np.array([[1.0, 1.0, 1.0], [0.5, 0.5, 0.0]]),
-                                  np.zeros(2), np.eye(3)[:, :2], 3, QuadratureSpec())
+                                  np.zeros(2), np.eye(3)[None, :, :2], 3, QuadratureSpec())
+
+
+def test_swept_rows_far_apart_match_each_row_alone():
+    # d = 3 (one swept axis): two rows far apart in one call each sweep on
+    # their own grid, so each row's value and error are bitwise what it
+    # gives alone
+    Q, M = np.eye(4), np.eye(4)[None, :, :3]
+    b = np.array([[0.3, -0.2, 0.5, 0.4], [40.0, -30.0, 25.0, 0.05]])
+    eta = np.array([0.4 + 0.1j, 0.02 + 0j])
+    both = power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec())
+    for row in range(2):
+        alone = power_kernel_integral(Q, 1.0, b[row:row + 1], eta[row:row + 1], M, 4,
+                                      QuadratureSpec())
+        assert both.value[0, row] == alone.value[0, 0]
+        assert both.error[0, row] == alone.error[0, 0]
+
+
+def test_swept_row_on_the_sheet_is_refused_by_name():
+    # d = 3: the second row lies on the sheet (b = M (1, 1, 1), eta = 0);
+    # it is refused before any sweep, naming its kernel and row
+    Q, M = np.eye(4), np.eye(4)[None, :, :3]
+    b = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+    with pytest.raises(SingularityProximity, match="row 1 lies on the kernel's singular "
+                                                   "sheet") as exc:
+        power_kernel_integral(Q, 1.0, b, np.array([0.5, 0.0]), M, 4, QuadratureSpec())
+    assert (exc.value.kernel, exc.value.row) == (0, 1)
 
 
 def _reference_distance(Q, M, b, E):
@@ -201,26 +227,28 @@ def test_engine_sheet_distance_matches_enumeration(d):
                     b = M @ np.array(t) + h * v / math.sqrt(v @ Q @ v)
                     ref = _reference_distance(Q, M, b, e)
                     eta = math.sqrt(e / 1.7) + 0j
-                    res = power_kernel_integral(Q, 1.7, b[None, :], eta, M, 3,
-                                                QuadratureSpec())
+                    # any floor makes the engine solve the closed-form distance
+                    res = power_kernel_integral(Q, 1.7, b[None, :], np.array([eta]), M[None],
+                                                3, QuadratureSpec(), floor=1e-300)
                     assert res.r_star == pytest.approx(ref, rel=1e-12, abs=1e-14)
                     rows.append(b)
                     E.append(1.7 * abs(eta) ** 2)
                     want.append(ref)
-            _, r = closed_sheet_distances(Q, M, np.array(rows), np.array(E))
+            r = closed_sheet_distances(Q, M, np.array(rows), np.array(E))
             np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-14)
 
 
 def test_budget_error():
     # six cone columns: the graded radius with its mapped tail times three
     # stick-breaking coordinates need 401,080,320 nodes, far over the fixed
-    # budget, so the grid is refused before any sweep
+    # budget, so the grid is refused before any sweep; the refusal names
+    # the kernel and the first row of the group the grid was built for
     A = np.eye(7)
-    M = np.eye(7)[:, 1:]
+    M = np.eye(7)[None, :, 1:]
     with pytest.raises(QuadratureError, match=r"needs 401080320 .*budget is 4000000") as exc:
-        power_kernel_integral(A, 1.0, np.ones((1, 7)), 0.5 + 0j, M, 7,
+        power_kernel_integral(A, 1.0, np.ones((1, 7)), np.array([0.5 + 0j]), M, 7,
                               QuadratureSpec())
-    assert exc.value.row is None
+    assert (exc.value.kernel, exc.value.row) == (0, 0)
 
 
 def test_unconverged_integral_raises(monkeypatch):
@@ -229,15 +257,16 @@ def test_unconverged_integral_raises(monkeypatch):
     # orders 16/8 this case converges to error 0 at any tolerance)
     A = np.array([[1.5, 0.2, 0.1, 0.0], [0.2, 1.2, -0.3, 0.1],
                   [0.1, -0.3, 0.9, 0.05], [0.0, 0.1, 0.05, 1.1]])
-    M = np.eye(4)[:, 1:]
+    M = np.eye(4)[None, :, 1:]
     b = np.array([[0.8, -0.5, 0.4, 0.3]])
+    eta = np.array([0.6 + 0.2j])
     det_a = float(np.linalg.det(A))
-    power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
+    power_kernel_integral(A, det_a, b, eta, M, 4, QuadratureSpec())
     monkeypatch.setattr(quadrature, "_ORDER", 4)
     monkeypatch.setattr(quadrature, "_ORDER_LOW", 2)
     with pytest.raises(QuadratureError, match=r"r\* = .*grid .*tolerance") as exc:
-        power_kernel_integral(A, det_a, b, 0.6 + 0.2j, M, 4, QuadratureSpec())
-    assert exc.value.row == 0
+        power_kernel_integral(A, det_a, b, eta, M, 4, QuadratureSpec())
+    assert (exc.value.kernel, exc.value.row) == (0, 0)
 
 
 def quadrant_oracle(a: float, b: float, c: float) -> float:
@@ -257,12 +286,12 @@ def quadrant_oracle(a: float, b: float, c: float) -> float:
 ])
 def test_engine_matches_quadrant_oracle(a, b, c):
     # d = 2, p = 3: the closed-form wedge, exact to rounding
-    M = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    res = power_kernel_integral(np.eye(3), 1.0, np.array([c, -a, -b]), 0j, M,
+    M = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    res = power_kernel_integral(np.eye(3), 1.0, np.array([[c, -a, -b]]), np.zeros(1), M,
                                 3, QuadratureSpec())
     want = quadrant_oracle(a, b, c)
-    assert res.value[0] == pytest.approx(want, rel=1e-12)
-    assert res.error[0] <= 1e-8 * want
+    assert res.value[0, 0] == pytest.approx(want, rel=1e-12)
+    assert res.error[0, 0] <= 1e-8 * want
 
 
 def test_fine_panels_survive_large_radius():
@@ -334,8 +363,8 @@ def test_closed_form_axis_gradient_matches_mpmath(p, mpmath):
     # cannot see the 1e8 ratios at rel 1e-12; the helper test covers them
     for ratio in RATIOS[:-2]:
         b = across + ratio * math.sqrt(h / a) * m_col
-        res = power_kernel_integral(Q, c_eta, b, eta, m_col[:, None], p,
-                                    QuadratureSpec(), want_gradient=True)
+        res = power_kernel_integral(Q, c_eta, b[None], np.array([eta]), m_col[None, :, None],
+                                    p, QuadratureSpec(), want_gradient=True)
         bm = mpmath.matrix(b.tolist())
         beta = (Qmp * bm)[1]
         gamma = (bm.T * Qmp * bm)[0] + E
@@ -343,7 +372,7 @@ def test_closed_form_axis_gradient_matches_mpmath(p, mpmath):
         K = mp_half_line(mpmath, Qmp[1, 1], beta, gamma, p + 2, moment=1)
         along = -p * (beta * J - Qmp[1, 1] * K)
         perp = -p * (mpmath.matrix(across.tolist()).T * Qmp * bm)[0] * J
-        g = res.gradient[0]
+        g = res.gradient[0, 0]
         assert float(g[:2] @ m_col) == pytest.approx(float(along), rel=1e-12), ratio
         assert float(g[:2] @ across) == pytest.approx(float(perp), rel=1e-12), ratio
         assert g[2] == pytest.approx(float(-p * c_eta * eta.real * J), rel=1e-12), ratio
@@ -471,7 +500,7 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
     # d tau = dA / sin phi.  Value and gradient for p = 3..8, against the
     # wedge at p and p + 2 and the half-line integrals J_p along the edges
     e2 = (math.cos(phi), math.sin(phi))
-    M = np.array([[0.0, 0.0], [1.0, e2[0]], [0.0, e2[1]]])
+    M = np.array([[[0.0, 0.0], [1.0, e2[0]], [0.0, e2[1]]]])
     # the height splits between the transverse b_1 and the eta mass
     b = np.array([0.6 * H, foot[0], foot[1]])
     eta = H * (0.48 + 0.64j)
@@ -480,10 +509,10 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
     y = [mpmath.mpf(v) for v in foot]
     c, s = (mpmath.mpf(v) for v in e2)
     for p in range(3, 9):
-        res = power_kernel_integral(np.eye(3), 1.0, b, eta, M, p, QuadratureSpec(),
-                                    want_gradient=True)
-        assert res.value[0] == pytest.approx(float(W[p] * jac), rel=1e-12), p
-        assert res.error[0] == 0.0
+        res = power_kernel_integral(np.eye(3), 1.0, b[None], np.array([eta]), M, p,
+                                    QuadratureSpec(), want_gradient=True)
+        assert res.value[0, 0] == pytest.approx(float(W[p] * jac), rel=1e-12), p
+        assert res.error[0, 0] == 0.0
         # along the plane: minus the outward normals (0, -1) and
         # (-sin phi, cos phi) times J_p along the edges
         J = [mp_half_line(mpmath, 1, s0, s0 * s0 + mpmath.mpf(H) ** 2 + ell * ell, p)
@@ -492,5 +521,5 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
         want = [across * b[0], s * J[1] * jac, (J[0] - c * J[1]) * jac,
                 across * eta.real, across * eta.imag]
         want = np.array([float(v) for v in want])
-        np.testing.assert_allclose(res.gradient[0], want, rtol=1e-12,
+        np.testing.assert_allclose(res.gradient[0, 0], want, rtol=1e-12,
                                    atol=1e-12 * float(np.max(np.abs(want))))
