@@ -89,16 +89,19 @@ def test_indexset_basics():
         IndexSet((0, 5)).require_stratum(3)
 
 
-def test_richardson_derivative_exact_on_quartics():
+@pytest.mark.parametrize("h", [np.full(3, 0.1), np.array([0.1, 0.05, 0.2])],
+                         ids=["scalar-step", "per-coordinate-step"])
+def test_richardson_derivative_exact_on_quartics(h):
     # central differences carry only even powers of h and one Richardson
     # level cancels h^2, so degree-4 polynomials come out exact to roundoff;
-    # a batch of three points, each with its own step
+    # a batch of three points sharing one step, or each with its own step
+    # along all of its coordinates
     x = np.array([[0.7, -1.3, 0.4], [-0.2, 0.9, 1.1], [1.5, 0.3, -0.6]])
-    h = np.array([0.1, 0.05, 0.2])
     rows = richardson_stencil(x, h)
     assert rows.shape == (3, 13, 3)
     np.testing.assert_array_equal(rows[:, 0], x)
-    np.testing.assert_array_equal(rows[1, 5:9, 1], x[1, 1] + [0.05, -0.05, 0.025, -0.025])
+    np.testing.assert_array_equal(
+        rows[1, 5:9, 1], x[1, 1] + h[1] * np.array([1.0, -1.0, 0.5, -0.5]))
 
     def f(v):
         a, b, c = v[..., 0], v[..., 1], v[..., 2]
