@@ -85,6 +85,7 @@ from .glue import (
     ExtensionProfile,
     cutoff,
     glue_weight,
+    glue_weight_batch,
     profile_condition_check,
 )
 

@@ -44,9 +44,8 @@ def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray
     so label ``i`` addresses row ``i-1``.  The result is C-contiguous, so
     BLAS rounds products of a stack's blocks as it rounds one matrix's.
     """
-    r = np.array(rows, dtype=np.intp) - 1
-    c = np.array(cols, dtype=np.intp) - 1
-    return np.ascontiguousarray(M[..., r[:, None], c])
+    return (np.take(M, np.asarray(rows, dtype=np.intp) - 1, axis=-2)
+            .take(np.asarray(cols, dtype=np.intp) - 1, axis=-1))
 
 
 class QuadForm:
@@ -131,11 +130,6 @@ class BasePoint:
     def as_vector(self) -> np.ndarray:
         """Real coordinates (mu_1..mu_N, Re eta, Im eta)."""
         return np.concatenate([self.mu, [self.eta.real, self.eta.imag]])
-
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "BasePoint":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:-2], complex(v[-2], v[-1]))
 
 
 def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

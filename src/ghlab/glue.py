@@ -20,19 +20,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .geometry import BasePoint, IndexSet, QuadForm
-from .locus import RegionConstants, _locate, _rho
+from .locus import RegionConstants, _pass, _rho
 from .quadrature import panel_nodes
 
 __all__ = [
     "cutoff",
     "GlueWeight",
     "glue_weight",
+    "glue_weight_batch",
     "ExtensionProfile",
     "ConditionReport",
     "profile_condition_check",
@@ -80,15 +80,16 @@ def cutoff(x):
 
 @dataclass
 class GlueWeight:
-    """Gluing weight at a point, and whether the point is in the domain."""
+    """Gluing weight and whether the point is in the domain; (B,) arrays for a batch."""
 
-    value: float
-    in_domain: bool
+    value: float | np.ndarray
+    in_domain: bool | np.ndarray
 
 
-def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
-                p: BasePoint) -> GlueWeight:
-    """Product of stratum cutoffs localizing the subset's model region.
+def glue_weight_batch(A: QuadForm, I: IndexSet, consts: RegionConstants,
+                      mu: np.ndarray, eta: np.ndarray) -> GlueWeight:
+    """Product of stratum cutoffs localizing the subset's model region at
+    the batch mu (B, N), eta (B,), from one stratum pass.
 
     One factor per deeper subset J: chi(c0 * hull_norm / rho_IJ), where
     hull_norm is the distance to the subset's affine hull and rho the
@@ -98,19 +99,24 @@ def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
     the subset's covering region with a boundary collar of width
     ``consts.cprime()``.
     """
-    at, i = _locate(A, I, p)
-    hull = float(at.d[i])
-    value = 1.0
-    comp = at.table.comp[i]
-    for K in (K for k in range(1, len(comp) + 1) for K in combinations(comp, k)):
-        rho = _rho(at, i, K)
-        # a vanishing rho puts the hull itself at 0 and any other point at inf
-        if rho <= 1e-300:
-            value *= cutoff(math.inf if hull > 1e-300 else 0.0)
-        else:
-            value *= cutoff(consts.c0 * hull / rho)
-    d, b = float(at.closed[i]), float(at.boundary[i])
-    return GlueWeight(value, bool(consts.c0 * d < b and b > consts.cprime()))
+    I.require_stratum(A.n)
+    at = _pass(A, mu, eta)
+    i = at.table.row[I.members]
+    hull, (_, rho) = at.d[:, i, None], _rho(A, at, i)
+    # a vanishing rho puts the hull itself at 0 and any other point at inf
+    live = rho > 1e-300
+    x = np.where(live, consts.c0 * hull / np.where(live, rho, 1.0),
+                 np.where(hull > 1e-300, math.inf, 0.0))
+    d, b = at.closed[:, i], at.boundary[:, i]
+    return GlueWeight(np.multiply.reduce(cutoff(x), axis=1),
+                      (consts.c0 * d < b) & (b > consts.cprime()))
+
+
+def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
+                p: BasePoint) -> GlueWeight:
+    """``glue_weight_batch`` at one point."""
+    w = glue_weight_batch(A, I, consts, p.mu[None], np.array([p.eta]))
+    return GlueWeight(float(w.value[0]), bool(w.in_domain[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -259,14 +259,15 @@ def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
 
 
 def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
-         p: BasePoint) -> KernelValue:
-    """Smooth remainder: full kernel minus its I-restricted model.
+         mu: np.ndarray, eta: np.ndarray) -> KernelValue:
+    """Smooth remainder at the batch mu (B, N), eta (B,): full kernel minus
+    its I-restricted model, one ``alpha_batch`` call each.
 
     When a label falls outside I the restricted part is zero by convention
     and the remainder is the full kernel itself.
     """
-    full = alpha(KernelSpec(A, (i, j)), quad, p)
-    part = alpha(KernelSpec(A, (i, j), restriction=I), quad, p)
+    full = alpha_batch(KernelSpec(A, (i, j)), quad, mu, eta)
+    part = alpha_batch(KernelSpec(A, (i, j), restriction=I), quad, mu, eta)
     return KernelValue(full.value - part.value, full.error + part.error,
                        full.evals + part.evals)
 

@@ -15,15 +15,15 @@ for subsets containing 0 and applied after the swap.
 Only the point changes between queries.  Each subset's swap S_J, labels
 and supersets depend on N alone and are laid out once per N; each form
 keeps one stratum table, built on first use in one batched pass per
-subset size, with the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J.
-A query makes one pass over the table per point for every stratum's foot
-coordinates and hull distance, which the distances, projections and
-region tests all read.
+subset size, with the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J,
+also as one block-diagonal P and G.  A batch of points takes a fixed
+number of array operations for every stratum's foot coordinates and hull
+distance, which distances, projections, regions and glue weights read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, check_batch, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -119,8 +119,6 @@ def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
     det A are preserved; S is the identity when 0 is already a member.
     """
     I.require_stratum(A.n)
-    if p.N != A.n:
-        raise ValueError("point dimension does not match the form")
     I2, S = _swap_labels(A.n, I)
     A2 = A if I2 is I else QuadForm(S.T @ A.entries @ S)
     return A2, I2, BasePoint(S @ p.mu, p.eta), S
@@ -130,16 +128,18 @@ def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
 def _layout(N: int) -> SimpleNamespace:
     """The rows of every stratum table on N coordinates; no form changes them.
 
-    Row j is the subset strata[j], with swap S[j] (S is (R, N, N)) and, in
-    the swapped frame, transverse labels comp[j].  Indexing a raveled
-    stack (R, N, N) with gather reorders each row's labels as its active
-    ones, then its transverse ones, so all rows of one subset size share
-    one block layout.  CI and Cc stack the rows' selections of S mu on the
-    active and transverse labels; groups lists each subset size's adjacent
-    (rows, CI slice, Cc slice).  above[k, j] says that strata[j] contains
-    strata[k]; proper excludes equality.
+    Row j is the subset strata[j] (an object array), with swap S[j] (S is
+    (R, N, N)) and, in the swapped frame, transverse labels comp[j]; rows
+    of size s start at size_off[s - 2].  Indexing a raveled stack (R, N,
+    N) with gather reorders each row's labels as its active ones, then its
+    transverse ones, so all rows of one subset size share one block
+    layout.  C stacks the rows' selections of S mu on the active labels
+    (row j's at act_off[j]:act_off[j + 1]), then on the transverse ones
+    (at sum A + comp_off[j]), then a zero row for a pad; the masks G_at and P_at hold each row's
+    blocks, in order, in the block-diagonal G (sum A x sum A) and P (sum c
+    x sum A).  proper[k, j] says that strata[j] strictly contains strata[k].
     """
-    L = SimpleNamespace(strata=all_strata(N, 2))
+    L = SimpleNamespace(strata=np.fromiter(all_strata(N, 2), dtype=object))
     L.row = {J.members: j for j, J in enumerate(L.strata)}
     L.size = np.array([len(J) for J in L.strata])
     frames = [_swap_labels(N, J) for J in L.strata]
@@ -151,22 +151,23 @@ def _layout(N: int) -> SimpleNamespace:
     L.gather = N * flat[:, :, None] + order[:, None, :]
     S_rows = L.S.reshape(-1, N)[flat]
     active = np.arange(N) < L.size[:, None] - 1
-    L.CI, L.Cc = S_rows[active], S_rows[~active]
-    r_off = np.searchsorted(L.size, np.arange(2, N + 3))
-    a_off = np.concatenate([[0], np.cumsum(L.size - 1)])
+    L.C = np.concatenate([S_rows[active], S_rows[~active], np.zeros((1, N))])
+    L.size_off = np.searchsorted(L.size, np.arange(2, N + 3))
+    L.act_off = np.concatenate([[0], np.cumsum(L.size - 1)])
     L.comp_off = np.concatenate([[0], np.cumsum(N + 1 - L.size)])
-    L.groups = [(slice(r0, r1), slice(a_off[r0], a_off[r1]),
-                 slice(L.comp_off[r0], L.comp_off[r1])) for r0, r1 in zip(r_off, r_off[1:])]
+    # the row owning each active and each transverse position
+    ja, jc = (np.repeat(np.arange(len(L.size)), n) for n in (L.size - 1, N + 1 - L.size))
+    L.G_at, L.P_at = ja[:, None] == ja, jc[:, None] == ja
     bits = np.array([sum(1 << m for m in J) for J in L.strata])
-    L.above = (bits[:, None] & bits[None, :]) == bits[:, None]
-    L.proper = L.above & ~np.eye(len(bits), dtype=bool)
+    L.proper = ((bits[:, None] & bits) == bits[:, None]) & ~np.eye(len(bits), dtype=bool)
     return L
 
 
 def _table(A: QuadForm) -> SimpleNamespace:
     """A's stratum table: the layout of its N, plus per row the transverse
-    block A_cc and per subset size the stacked solves P = A_cc^{-1} A_cI
-    and Schur blocks G, symmetrized as QuadForm would.
+    block A_cc, per subset size the stacked solves P = A_cc^{-1} A_cI and
+    Schur blocks G, symmetrized as QuadForm would, and both scattered into
+    the block-diagonal Pd (sum c x sum A) and Gd (sum A x sum A).
 
     Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
     order, each subset size's rows make one ``schur_blocks`` call.
@@ -176,19 +177,21 @@ def _table(A: QuadForm) -> SimpleNamespace:
     M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
     labels = np.arange(1, A.n + 1)
     T.P, T.G, T.A_cc = [], [], []
-    for rows, _, _ in T.groups:
+    for rows in map(slice, T.size_off[:-1], T.size_off[1:]):
         n_act = T.size[rows.start] - 1
         P, G = schur_blocks(M[rows], labels[:n_act], labels[n_act:])
         T.P.append(P)
         T.G.append(0.5 * (G + G.swapaxes(-1, -2)))
         T.A_cc.extend(M[rows, n_act:, n_act:])
+    T.Gd, T.Pd = np.zeros(T.G_at.shape), np.zeros(T.P_at.shape)
+    T.Gd[T.G_at], T.Pd[T.P_at] = (np.concatenate([X.ravel() for X in Xs]) for Xs in (T.G, T.P))
     return T
 
 
 class _Pass(NamedTuple):
-    """A point's pass over a stratum table: each row's transverse
-    coordinates nu (row j at comp_off[j]:comp_off[j + 1]), hull distance d
-    and least d over its interior supersets (closed) and proper ones."""
+    """A batch's pass over a stratum table: per point (axis 0) each row's
+    transverse coordinates nu (row j at comp_off[j]:comp_off[j + 1]), hull
+    distance d and least d over its interior supersets (closed) and proper ones."""
 
     table: SimpleNamespace
     nu: np.ndarray
@@ -197,51 +200,58 @@ class _Pass(NamedTuple):
     boundary: np.ndarray
 
 
-def _pass(A: QuadForm, p: BasePoint) -> _Pass:
-    """Hull data of every stratum at p, from the form's table.
+def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
+    """Hull data of every stratum at the batch mu (B, N), eta (B,).
 
-    nu_J = (S_J mu)_c + P_J (S_J mu)_I and d_J^2 = (S_J mu)_I^T G_J
-    (S_J mu)_I + det A |eta|^2; a foot is interior when its nu clears
+    y = C_I mu, nu = C_c mu + P y, and d^2 = det A |eta|^2 plus each
+    stratum's segment sum of y G y; a foot is interior when its nu clears
     -1e-12 (1 + max |nu|).  The closure of a stratum is a convex cone
     inside its hull, so the distance to the closed stratum is the smallest
-    hull distance among the supersets with an interior foot.
+    hull distance among the supersets with an interior foot: itself and
+    the proper ones, whose least is the boundary distance.  C mu is exact
+    and P and G meet each point in its own matrix-vector product, so a
+    point's row is bitwise the same in any batch.
     """
-    if p.N != A.n:
-        raise ValueError("point dimension does not match the form")
+    mu, eta = check_batch(mu, eta, A.n)
     T = A.derived("strata", lambda: _table(A))
-    yI, nu, quad = T.CI @ p.mu, T.Cc @ p.mu, []
-    for (_, a, c), P, G in zip(T.groups, T.P, T.G):
-        y = yI[a].reshape(len(G), -1, 1)
-        nu[c] += (P @ y).ravel()
-        # batched, each row rounds as (S mu)_I @ G @ (S mu)_I alone would
-        quad.append((y.transpose(0, 2, 1) @ G @ y)[:, 0, 0])
-    d = np.sqrt(np.maximum(np.concatenate(quad) + A.det * abs(p.eta) ** 2, 0.0))
+    Y = mu @ T.C.T
     # a trailing +inf keeps the full set, without transverse labels, interior
-    pad, cut = np.append(nu, np.inf), T.comp_off[:-1]
-    interior = (np.minimum.reduceat(pad, cut)
-                > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut)))
+    Y[:, -1] = np.inf
+    y, pad, cut = Y[:, :T.act_off[-1]], Y[:, T.act_off[-1]:], T.comp_off[:-1]
+    pad[:, :-1] += (y[:, None] @ T.Pd.T)[:, 0]
+    quad = np.add.reduceat(y * (y[:, None] @ T.Gd)[:, 0], T.act_off[:-1], axis=1)
+    d = np.sqrt(np.maximum(quad + A.det * (np.abs(eta) ** 2)[:, None], 0.0))
+    interior = (np.minimum.reduceat(pad, cut, axis=1)
+                > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut, axis=1)))
     reach = np.where(interior, d, np.inf)
-    return _Pass(T, nu, d, np.where(T.above, reach, np.inf).min(axis=1),
-                 np.where(T.proper, reach, np.inf).min(axis=1))
+    boundary = np.minimum.reduce(np.where(T.proper, reach[:, None], np.inf), axis=2)
+    return _Pass(T, pad[:, :-1], d, np.minimum(reach, boundary), boundary)
 
 
 def _locate(A: QuadForm, I: IndexSet, p: BasePoint) -> tuple[_Pass, int]:
-    """The pass at p and the table row of the stratum I."""
+    """The pass at p, as a batch of one, and the table row of the stratum I."""
     I.require_stratum(A.n)
-    at = _pass(A, p)
-    return at, at.table.row[I.members]
+    return _pass(A, p.mu[None], np.array([p.eta])), _layout(A.n).row[I.members]
 
 
-def _rho(at: _Pass, i: int, K: tuple[int, ...]) -> float:
-    """Separation scale of the transverse labels K of row i at the pass's
-    foot coordinates: the K block of the transverse form, reduced by the
-    other transverse directions, on nu_K."""
-    T = at.table
-    pos = [T.comp[i].index(m) + 1 for m in K]   # labels of the A_cc rows
-    rest = [k for k in range(1, len(T.comp[i]) + 1) if k not in pos]
-    nu_K = at.nu[T.comp_off[i]:T.comp_off[i + 1]][[k - 1 for k in pos]]
-    red = schur_blocks(T.A_cc[i], pos, rest)[1]
-    return float(np.sqrt(max(nu_K @ red @ nu_K, 0.0)))
+def _glue_blocks(T: SimpleNamespace, i: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Each nonempty K of row i's transverse labels, by size, and its block
+    of A_cc reduced by the other transverse labels, zero-padded: (nK, c, c)."""
+    c = len(T.comp[i])
+    Ks = [K for k in range(1, c + 1) for K in combinations(T.comp[i], k)]
+    lab, red = np.arange(1, c + 1), np.zeros((len(Ks), c, c))
+    for r, K in enumerate(Ks):
+        inK = np.isin(T.comp[i], K)   # K's rows of A_cc
+        red[r][np.ix_(inK, inK)] = schur_blocks(T.A_cc[i], lab[inK], lab[~inK])[1]
+    return Ks, red
+
+
+def _rho(A: QuadForm, at: _Pass, i: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Separation scales (B, nK) of each K of ``_glue_blocks``, built once
+    per form and row: one stacked quadratic form in the pass's nu_K."""
+    Ks, red = A.derived(("glue", i), lambda: _glue_blocks(at.table, i))
+    nu = at.nu[:, at.table.comp_off[i]:at.table.comp_off[i + 1]]
+    return Ks, np.sqrt(np.maximum(np.einsum("bk,Kkl,bl->bK", nu, red, nu), 0.0))
 
 
 def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
@@ -256,17 +266,16 @@ def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
     """
     at, j = _locate(A, I, p)
     T = at.table
-    nu = at.nu[T.comp_off[j]:T.comp_off[j + 1]]
+    nu = at.nu[0, T.comp_off[j]:T.comp_off[j + 1]]
     # the foot has nu on the transverse labels and 0 on the active ones
     foot = BasePoint(T.S[j][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
-    interior = bool(np.all(nu > 0.0))
-    return Projection(foot, interior, nu, float(at.d[j]))
+    return Projection(foot, bool(np.all(nu > 0.0)), nu, float(at.d[0, j]))
 
 
 def dist_closed_stratum(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
     """Distance to the closed stratum (the stratum plus its boundary)."""
     at, j = _locate(A, I, p)
-    return float(at.closed[j])
+    return float(at.closed[0, j])
 
 
 def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
@@ -275,7 +284,7 @@ def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
     Top-dimensional corners (|I| = N + 1) have empty boundary: +inf.
     """
     at, j = _locate(A, I, p)
-    return float(at.boundary[j])
+    return float(at.boundary[0, j])
 
 
 def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
@@ -285,8 +294,8 @@ def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
     The closed strata cover that union, so this is the smallest of their
     closed-stratum distances, all read from one pass.
     """
-    at = _pass(A, p)
-    return float(at.closed[at.table.size >= min_size].min())
+    at = _pass(A, p.mu[None], np.array([p.eta]))
+    return float(at.closed[0, at.table.size >= min_size].min())
 
 
 def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
@@ -305,26 +314,18 @@ def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
     # J's labels in I's frame, where label 0 and I's smallest member trade
     swap = {} if I.contains_zero else {0: I.members[0], I.members[0]: 0}
     K = tuple(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i])
-    return _rho(at, i, K)
+    Ks, rho = _rho(A, at, i)
+    return float(rho[0, Ks.index(K)])
 
 
 @dataclass
 class RegionReport:
     """Which covering regions contain a given point."""
 
-    near: list[IndexSet] = field(default_factory=list)        # B_I
-    near_core: list[IndexSet] = field(default_factory=list)   # B''_I
-    generic: bool = False                                     # B_a
-    far_levels: list[int] = field(default_factory=list)       # F_s
-    distances: dict[IndexSet, float] = field(default_factory=dict)
-
-    def tags(self) -> set[str]:
-        out = {f"near:{list(I.members)}" for I in self.near}
-        out |= {f"core:{list(I.members)}" for I in self.near_core}
-        if self.generic:
-            out.add("generic")
-        out |= {f"far:{s}" for s in self.far_levels}
-        return out
+    near: list[IndexSet]         # B_I
+    near_core: list[IndexSet]    # B''_I
+    generic: bool                # B_a
+    far_levels: list[int]        # F_s
 
     @property
     def covered(self) -> bool:
@@ -337,19 +338,16 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     near / near_core compare c0 (resp. 4 chat(A) c0) times the
     closed-stratum distance against the boundary distance; generic
     compares 2 c0^(N-1) times the locus distance against the distance to
-    the origin; far levels require all strata of a given depth to be at
-    least the level threshold away.  ``distances`` holds every proper
-    stratum's closed-stratum distance.
+    the origin, the hull distance of the full label set; far levels
+    require all strata of a given depth to be at least the level
+    threshold away.
     """
-    N = A.n
-    rep = RegionReport()
-    T, _, _, closed, bound = _pass(A, p)
+    T, _, d, closed, bound = _pass(A, p.mu[None], np.array([p.eta]))
+    N, closed, bound = A.n, closed[0], bound[0]
     inner = T.size <= N
-    rep.near, rep.near_core = (
-        [T.strata[j] for j in np.flatnonzero(inner & (c * consts.c0 * closed < bound))]
-        for c in (1.0, 4.0 * consts.chat(A)))
-    rep.distances = {T.strata[j]: float(closed[j]) for j in np.flatnonzero(inner)}
-    rep.generic = 2.0 * consts.c0 ** (N - 1) * float(closed.min()) > anorm(A, p)
-    rep.far_levels = [s for s in range(1, N)
-                      if np.all(closed[T.size == s + 2] > consts.level(s))]
-    return rep
+    least = np.minimum.reduceat(closed, T.size_off[:-1])   # per size 2..N + 1
+    return RegionReport(
+        near=list(T.strata[inner & (consts.c0 * closed < bound)]),
+        near_core=list(T.strata[inner & (4.0 * consts.chat(A) * consts.c0 * closed < bound)]),
+        generic=bool(2.0 * consts.c0 ** (N - 1) * float(closed.min()) > d[0, -1]),
+        far_levels=(np.flatnonzero(least[1:] > consts.level(np.arange(1, N))) + 1).tolist())

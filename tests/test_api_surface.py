@@ -22,6 +22,7 @@ import ast
 import dataclasses
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import ghlab
@@ -47,6 +48,10 @@ ORACLES = (
     "weight_ell",             # test_ansatz.py::TestWeightExponents::test_one_pass_equals_per_stratum_minimum
 )
 
+# Public methods of exported classes that only tests reach, each beside the
+# test that holds a primary path against it.
+ORACLE_METHODS = ()
+
 # Result fields that no library code or benchmark reads, each beside the
 # test or ROADMAP item that reads it.
 KEPT_FIELDS = (
@@ -65,7 +70,9 @@ KEPT_FIELDS = (
     "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar
     "GlueWeight.in_domain",                   # test_glue.py::TestGlueWeight::test_domain_flag_and_enforcement
     "Projection.interior",                    # test_locus.py::test_project_frozen_example
-    "RegionReport.distances",                 # test_locus.py::test_table_shared_across_threads
+    # the inner regions B''_I and far levels F_s, pinned by the covering-tags digest
+    "RegionReport.near_core",                 # test_locus.py::test_region_covering_and_tags
+    "RegionReport.far_levels",                # test_locus.py::test_region_covering_and_tags
     # node counts and sheet distances for the library counters
     "QuadResult.r_star",                      # ROADMAP item 5
     # the largest quad_error, for the CSV detail column
@@ -217,3 +224,30 @@ def test_every_result_field_is_read():
 
 def test_kept_fields_exist():
     assert set(KEPT_FIELDS) <= {f"{cls}.{field}" for _, cls, field in _result_fields()}
+
+
+def _method_reads():
+    """Every attribute name loaded in ``src/ghlab``, counted, and the same
+    count within each method body, per (class, method)."""
+    total, own = Counter(), {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        total.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                own[cls.name, fn.name] = Counter(
+                    n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute))
+    return total, own
+
+
+def test_every_public_method_is_reached():
+    # a public method (or property) of an exported class is reached when
+    # ``.name`` is loaded in src/ghlab outside its own body, when the
+    # benchmark names it, or when ORACLE_METHODS lists it
+    total, own = _method_reads()
+    words = _benchmark_words()
+    exported = {name for name in ghlab.__all__ if isinstance(getattr(ghlab, name), type)}
+    orphans = [f"{cls}.{fn}" for (cls, fn), mine in own.items()
+               if cls in exported and not fn.startswith("_") and fn not in words
+               and f"{cls}.{fn}" not in ORACLE_METHODS and total[fn] == mine[fn]]
+    assert not orphans, f"public methods reached only by tests: {orphans}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghlab import ansatz, checks, frame, glue, kernels
+from ghlab import ansatz, checks, frame, glue, kernels, locus
 from ghlab.geometry import QuadForm, batch_from_vectors
 from ghlab.quadrature import QuadratureSpec
 
@@ -86,6 +86,28 @@ def test_plateau_gap_flags_a_cutoff_shifted_above_zero(monkeypatch):
     chi = glue.cutoff
     monkeypatch.setattr(glue, "cutoff", lambda x: chi(x) + 1e-12)
     assert checks.plateau_gap(A, outer, 0.0) > 0.0
+
+
+@pytest.mark.parametrize("defect", ["scaled", "off-symmetric"])
+def test_nested_projection_gap_flags_a_perturbed_schur_block(monkeypatch, defect):
+    # criterion 07's draw (seed 107, 500 cases), with the full label set's
+    # Schur block (its row of the block-diagonal G that the pass reads)
+    # scaled by 1 + 1e-9, or with 1e-9 added above its diagonal only
+    table = locus._table
+
+    def perturbed(A):
+        T = table(A)
+        a = T.act_off[-2]   # the full set is the last row
+        T.Gd = T.Gd.copy()
+        if defect == "scaled":
+            T.Gd[a:, a:] *= 1.0 + 1e-9
+        else:
+            T.Gd[a, a + 1] += 1e-9
+        return T
+
+    monkeypatch.setattr(locus, "_table", perturbed)
+    cases = checks.nested_cases(np.random.default_rng(107), 500)
+    assert checks.nested_projection_gap(cases) > checks.PROJECTION_TOL
 
 
 def test_piece_gaps_flag_a_scaled_left_piece(monkeypatch):

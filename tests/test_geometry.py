@@ -12,6 +12,7 @@ from ghlab.geometry import (
     QuadForm,
     anorm,
     ball_volume,
+    batch_from_vectors,
     block,
     gradient_step,
     laplace_terms,
@@ -68,9 +69,9 @@ def test_stacked_schur_blocks_match_each_slice(n, S):
 
 def test_basepoint_vector_roundtrip():
     p = BasePoint(np.array([1.0, -2.0]), 0.3 - 0.7j)
-    q = BasePoint.from_vector(p.as_vector())
-    np.testing.assert_array_equal(q.mu, p.mu)
-    assert q.eta == p.eta
+    mu, eta = batch_from_vectors(p.as_vector()[None])
+    np.testing.assert_array_equal(mu[0], p.mu)
+    assert eta[0] == p.eta
 
 
 def test_indexset_basics():

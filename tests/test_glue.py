@@ -11,6 +11,7 @@ from ghlab.glue import (
     ExtensionProfile,
     cutoff,
     glue_weight,
+    glue_weight_batch,
     profile_condition_check,
 )
 from ghlab.locus import RegionConstants
@@ -92,6 +93,24 @@ class TestGlueWeight:
         p = BasePoint(np.array([nu + 50.0, nu, nu]), 0j)
         w = glue_weight(self.A, I2, self.consts, p)
         assert w.value == 1.0
+
+    def test_batch_rows_match_one_point(self):
+        # core, ramp and outer points, on the hull, off the stratum's edge,
+        # and a random form at N = 4: each row is the one-point weight
+        rng = np.random.default_rng(61)
+        for A, I in ((self.A, self.I), (checks.random_spd(rng, 4), IndexSet((1, 3)))):
+            nu = 1.0e6
+            pts = [self.point(nu, c * nu / 32.0) for c in (0.01, 0.4, 0.4375, 0.45, 0.6)]
+            pts = [BasePoint(np.append(p.mu, [2.0] * (A.n - 3)), p.eta) for p in pts]
+            pts += [BasePoint(np.zeros(A.n), 0j), BasePoint(np.arange(A.n) - 1.0, 0j)]
+            pts += [BasePoint(rng.normal(size=A.n) * 10.0, complex(*rng.normal(size=2)))
+                    for _ in range(20)]
+            w = glue_weight_batch(A, I, self.consts, np.array([p.mu for p in pts]),
+                                  np.array([p.eta for p in pts]))
+            assert A is not self.A or 0.0 < w.value[2] < 1.0   # a ramp value
+            for b, p in enumerate(pts):
+                one = glue_weight(A, I, self.consts, p)
+                assert (one.value, one.in_domain) == (w.value[b], w.in_domain[b])
 
 
 class TestExtensionProfile:

@@ -229,11 +229,13 @@ def test_beta_is_full_minus_restricted():
     rng = np.random.default_rng(29)
     A = random_spd(rng, 3)
     I = IndexSet((0, 1))
-    p = BasePoint(np.array([0.9, 1.2, -0.5]), 0.7 + 0.3j)
-    b = beta(A, I, 0, 1, QUAD, p)
-    full = alpha(KernelSpec(A, (0, 1)), QUAD, p).value
-    restr = alpha(KernelSpec(A, (0, 1), restriction=I), QUAD, p).value
-    assert b.value == pytest.approx(full - restr, rel=1e-12)
+    pts = [BasePoint(np.array([0.9, 1.2, -0.5]), 0.7 + 0.3j),
+           BasePoint(np.array([-1.4, 0.3, 2.1]), -0.4 + 0.9j)]
+    b = beta(A, I, 0, 1, QUAD, *_batch(pts))
+    for t, p in enumerate(pts):
+        full = alpha(KernelSpec(A, (0, 1)), QUAD, p).value
+        restr = alpha(KernelSpec(A, (0, 1), restriction=I), QUAD, p).value
+        assert b.value[t] == pytest.approx(full - restr, rel=1e-12)
 
 
 def test_gradient_relations():
@@ -270,7 +272,7 @@ def test_alpha_batch_matches_pointwise():
     for k in range(3):
         v = base.as_vector()
         v[k] += 0.02
-        pts.append(BasePoint.from_vector(v))
+        pts.append(BasePoint(v[:-2], complex(v[-2], v[-1])))
     kv = alpha_batch(spec, QUAD, *_batch(pts), want_gradient=True)
     vals, grads = kv.value, kv.gradient
     for t, p in enumerate(pts):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from ghlab import locus
+from ghlab import glue, locus
 from ghlab.checks import random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_blocks
 from ghlab.locus import (
@@ -213,6 +213,15 @@ def test_chat_for_identity_form():
 COVERING_TAGS_SHA256 = "f730634563e3196ab5fd59047a676e492e3a09cc49c765c127f9e3ded627b334"
 
 
+def tags(rep) -> set[str]:
+    """A region report as strings, one per region it names."""
+    out = {f"near:{list(I.members)}" for I in rep.near}
+    out |= {f"core:{list(I.members)}" for I in rep.near_core}
+    if rep.generic:
+        out.add("generic")
+    return out | {f"far:{s}" for s in rep.far_levels}
+
+
 def region_point(rng, N):
     scale = 10.0 ** rng.uniform(-1, 3)
     return BasePoint(rng.normal(size=N) * scale,
@@ -230,8 +239,7 @@ def test_region_covering_and_tags():
         rep = region_membership(A, consts, region_point(rng, 3))
         if not rep.covered:
             uncovered += 1
-        assert isinstance(rep.tags(), set)
-        digest.update(repr(sorted(rep.tags())).encode())
+        digest.update(repr(sorted(tags(rep))).encode())
     assert uncovered == 0
     assert digest.hexdigest() == COVERING_TAGS_SHA256
 
@@ -279,6 +287,15 @@ def test_stratum_table_is_built_once(monkeypatch):
     dist_boundary(A, IndexSet((1, 3)), p)
     project(A, IndexSet((1, 3)), p)
     assert len(calls) == 4
+    # the reduced glue blocks of a (form, row) are built on its first glue
+    # query, one per set K of its transverse labels: 7 for (0, 1) at N = 4
+    I = IndexSet((0, 1))
+    glue.glue_weight(A, I, consts, p)
+    assert len(calls) == 4 + 7
+    # and every later point reads them
+    glue.glue_weight(A, I, consts, region_point(rng, 4))
+    rho_IJ(A, I, IndexSet((0, 1, 3)), region_point(rng, 4))
+    assert len(calls) == 4 + 7
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -309,23 +326,47 @@ def test_stratum_table_matches_per_subset_schur(N):
             assert bitwise_equal(T.A_cc[j], block(M, comp, comp))
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_batched_pass_rows_match_one_row_passes(N):
+    # a point's row of the pass is bitwise the same in any batch: the
+    # whole batch, sub-batches of 7, and each point alone
+    rng = np.random.default_rng(500 + N)
+    A = random_spd(rng, N)
+    pts = [region_point(rng, N) for _ in range(64)]
+    mu, eta = np.array([p.mu for p in pts]), np.array([p.eta for p in pts])
+    whole = locus._pass(A, mu, eta)
+    for b in range(len(pts)):
+        one = locus._pass(A, mu[b:b + 1], eta[b:b + 1])
+        k = b - b % 7
+        part = locus._pass(A, mu[k:k + 7], eta[k:k + 7])
+        for name in ("nu", "d", "closed", "boundary"):
+            assert bitwise_equal(getattr(whole, name)[b], getattr(one, name)[0]), name
+            assert bitwise_equal(getattr(whole, name)[b], getattr(part, name)[b % 7]), name
+
+
+def _pass_arrays(A, consts, p):
+    at = locus._pass(A, p.mu[None], np.array([p.eta]))
+    return ([a.tobytes() for a in (at.nu, at.d, at.closed, at.boundary)],
+            sorted(tags(region_membership(A, consts, p))))
+
+
 def test_table_shared_across_threads():
     # threads racing to build one form's table at worst build it twice;
-    # every result matches a serial run on a form with equal entries
+    # every pass and region report matches a serial run on a form with
+    # equal entries
     rng = np.random.default_rng(37)
     entries = random_spd(rng, 4).entries
     pts = [region_point(rng, 4) for _ in range(64)]
     consts = RegionConstants()
     serial = QuadForm(entries)
-    want = [region_membership(serial, consts, p).distances for p in pts]
+    want = [_pass_arrays(serial, consts, p) for p in pts]
     shared = QuadForm(entries)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
-            got = list(pool.map(
-                lambda p: region_membership(shared, consts, p).distances, pts,
-                timeout=60))
+            got = list(pool.map(lambda p: _pass_arrays(shared, consts, p), pts,
+                                timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
