@@ -338,8 +338,8 @@ def log_sum_gap(A: QuadForm, quad: QuadratureSpec, points,
 def plateau_gap(A: QuadForm, points, target: float) -> float:
     """Criterion 10: worst |w - target| of stratum (0, 1, 2)'s glue weight, one batch."""
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    w = glue.glue_weight_batch(A, IndexSet((0, 1, 2)), locus.RegionConstants(), mu, eta)
-    return float(np.max(np.abs(w.value - target), initial=0.0))
+    w, _ = glue.glue_weight_batch(A, IndexSet((0, 1, 2)), locus.RegionConstants(), mu, eta)
+    return float(np.max(np.abs(w - target), initial=0.0))
 
 
 def profile_piece_gaps(prof: glue.ExtensionProfile, t_left, t_right

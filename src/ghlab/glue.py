@@ -80,24 +80,23 @@ def cutoff(x):
 
 @dataclass
 class GlueWeight:
-    """Gluing weight and whether the point is in the domain; (B,) arrays for a batch."""
+    """Gluing weight at a point, and whether the point is in the domain."""
 
-    value: float | np.ndarray
-    in_domain: bool | np.ndarray
+    value: float
+    in_domain: bool
 
 
 def glue_weight_batch(A: QuadForm, I: IndexSet, consts: RegionConstants,
-                      mu: np.ndarray, eta: np.ndarray) -> GlueWeight:
-    """Product of stratum cutoffs localizing the subset's model region at
-    the batch mu (B, N), eta (B,), from one stratum pass.
+                      mu: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Products of stratum cutoffs localizing the subset's model region,
+    and in-domain flags, (B,) each at the batch mu (B, N), eta (B,).
 
     One factor per deeper subset J: chi(c0 * hull_norm / rho_IJ), where
     hull_norm is the distance to the subset's affine hull and rho the
     separation scale of J seen from the foot.  A vanishing rho with a
     positive hull norm forces that factor to zero; at the hull itself
-    every factor is one.  ``in_domain`` says whether the point lies in
-    the subset's covering region with a boundary collar of width
-    ``consts.cprime()``.
+    every factor is one.  The flag says whether the point lies in the
+    subset's covering region with a boundary collar of width ``consts.cprime()``.
     """
     I.require_stratum(A.n)
     at = _pass(A, mu, eta)
@@ -108,15 +107,14 @@ def glue_weight_batch(A: QuadForm, I: IndexSet, consts: RegionConstants,
     x = np.where(live, consts.c0 * hull / np.where(live, rho, 1.0),
                  np.where(hull > 1e-300, math.inf, 0.0))
     d, b = at.closed[:, i], at.boundary[:, i]
-    return GlueWeight(np.multiply.reduce(cutoff(x), axis=1),
-                      (consts.c0 * d < b) & (b > consts.cprime()))
+    return np.multiply.reduce(cutoff(x), axis=1), (consts.c0 * d < b) & (b > consts.cprime())
 
 
 def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
                 p: BasePoint) -> GlueWeight:
     """``glue_weight_batch`` at one point."""
-    w = glue_weight_batch(A, I, consts, p.mu[None], np.array([p.eta]))
-    return GlueWeight(float(w.value[0]), bool(w.in_domain[0]))
+    value, in_domain = glue_weight_batch(A, I, consts, p.mu[None], np.array([p.eta]))
+    return GlueWeight(float(value[0]), bool(in_domain[0]))
 
 
 # ---------------------------------------------------------------------------

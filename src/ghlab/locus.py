@@ -15,10 +15,10 @@ for subsets containing 0 and applied after the swap.
 Only the point changes between queries.  Each subset's swap S_J, labels
 and supersets depend on N alone and are laid out once per N; each form
 keeps one stratum table, built on first use in one batched pass per
-subset size, with the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J,
-also as one block-diagonal P and G.  A batch of points takes a fixed
-number of array operations for every stratum's foot coordinates and hull
-distance, which distances, projections, regions and glue weights read.
+subset size: the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J, held
+as the nonzero entries of a block-diagonal P and G.  A batch of points
+takes a fixed number of array operations for all strata's feet and hull
+distances, which distances, projections, regions and glue weights read.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class RegionConstants:
     1 + cond(A)^((N + 2) / 2): any valid upper bound works, and a larger
     one only shrinks the innermost regions, so it may exceed c0 (57 at
     N = 3 with condition number 5).  ``level(s)`` = 64 16^(s - 1) is the
-    separation threshold of depth s, and ``cprime()`` = 4 c0^2 the collar
-    margin of the gluing cutoff.
+    separation threshold of depth s, elementwise for an array of depths,
+    and ``cprime()`` = 4 c0^2 the collar margin of the gluing cutoff.
     """
 
     c0: float = 32.0
@@ -87,7 +87,7 @@ class RegionConstants:
     def chat(self, A: QuadForm) -> float:
         return 1.0 + A.condition ** (0.5 * (A.n + 2))
 
-    def level(self, s: int) -> float:
+    def level(self, s: int | np.ndarray) -> float | np.ndarray:
         return 64.0 * 16.0 ** (s - 1)
 
     def cprime(self) -> float:
@@ -119,6 +119,8 @@ def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
     det A are preserved; S is the identity when 0 is already a member.
     """
     I.require_stratum(A.n)
+    if p.N != A.n:
+        raise ValueError("point dimension does not match the form")
     I2, S = _swap_labels(A.n, I)
     A2 = A if I2 is I else QuadForm(S.T @ A.entries @ S)
     return A2, I2, BasePoint(S @ p.mu, p.eta), S
@@ -135,9 +137,11 @@ def _layout(N: int) -> SimpleNamespace:
     transverse ones, so all rows of one subset size share one block
     layout.  C stacks the rows' selections of S mu on the active labels
     (row j's at act_off[j]:act_off[j + 1]), then on the transverse ones
-    (at sum A + comp_off[j]), then a zero row for a pad; the masks G_at and P_at hold each row's
-    blocks, in order, in the block-diagonal G (sum A x sum A) and P (sum c
-    x sum A).  proper[k, j] says that strata[j] strictly contains strata[k].
+    (at sum A + comp_off[j]), then a zero row for a pad, then the active
+    ones again, one per nonzero entry of the block-diagonal P (sum c x
+    sum A) and G (sum A x sum A), row-major and P first: each row's
+    raveled P block, then each G block, with each row of P and G starting
+    at pg_off.  proper[k, j] is 0 if strata[j] strictly contains strata[k], else +inf.
     """
     L = SimpleNamespace(strata=np.fromiter(all_strata(N, 2), dtype=object))
     L.row = {J.members: j for j, J in enumerate(L.strata)}
@@ -149,25 +153,27 @@ def _layout(N: int) -> SimpleNamespace:
                       for (J2, _), comp in zip(frames, L.comp)], dtype=np.intp)
     flat = N * np.arange(len(L.strata))[:, None] + order   # rows of the raveled stack
     L.gather = N * flat[:, :, None] + order[:, None, :]
-    S_rows = L.S.reshape(-1, N)[flat]
-    active = np.arange(N) < L.size[:, None] - 1
-    L.C = np.concatenate([S_rows[active], S_rows[~active], np.zeros((1, N))])
     L.size_off = np.searchsorted(L.size, np.arange(2, N + 3))
     L.act_off = np.concatenate([[0], np.cumsum(L.size - 1)])
     L.comp_off = np.concatenate([[0], np.cumsum(N + 1 - L.size)])
     # the row owning each active and each transverse position
     ja, jc = (np.repeat(np.arange(len(L.size)), n) for n in (L.size - 1, N + 1 - L.size))
-    L.G_at, L.P_at = ja[:, None] == ja, jc[:, None] == ja
+    pg_row, pg_col = np.nonzero(np.concatenate([jc[:, None] == ja, ja[:, None] == ja]))
+    L.pg_off = np.flatnonzero(np.diff(pg_row, prepend=-1))
+    S_rows = L.S.reshape(-1, N)[flat]
+    active = np.arange(N) < L.size[:, None] - 1
+    L.C = np.concatenate([S_rows[active], S_rows[~active], np.zeros((1, N)),
+                          S_rows[active][pg_col]])
     bits = np.array([sum(1 << m for m in J) for J in L.strata])
-    L.proper = ((bits[:, None] & bits) == bits[:, None]) & ~np.eye(len(bits), dtype=bool)
+    L.proper = np.where((bits[:, None] | bits == bits) & (bits[:, None] < bits), 0.0, np.inf)
     return L
 
 
 def _table(A: QuadForm) -> SimpleNamespace:
     """A's stratum table: the layout of its N, plus per row the transverse
-    block A_cc, per subset size the stacked solves P = A_cc^{-1} A_cI and
-    Schur blocks G, symmetrized as QuadForm would, and both scattered into
-    the block-diagonal Pd (sum c x sum A) and Gd (sum A x sum A).
+    block A_cc, and pg, the nonzero entries of the block-diagonal P and G
+    in the layout's order: per subset size, the stacked solves
+    P = A_cc^{-1} A_cI and Schur blocks G, symmetrized as QuadForm would.
 
     Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
     order, each subset size's rows make one ``schur_blocks`` call.
@@ -175,16 +181,12 @@ def _table(A: QuadForm) -> SimpleNamespace:
     T = SimpleNamespace(**vars(_layout(A.n)))
     M = T.S.swapaxes(-1, -2) @ A.entries @ T.S
     M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
-    labels = np.arange(1, A.n + 1)
-    T.P, T.G, T.A_cc = [], [], []
-    for rows in map(slice, T.size_off[:-1], T.size_off[1:]):
-        n_act = T.size[rows.start] - 1
-        P, G = schur_blocks(M[rows], labels[:n_act], labels[n_act:])
-        T.P.append(P)
-        T.G.append(0.5 * (G + G.swapaxes(-1, -2)))
-        T.A_cc.extend(M[rows, n_act:, n_act:])
-    T.Gd, T.Pd = np.zeros(T.G_at.shape), np.zeros(T.P_at.shape)
-    T.Gd[T.G_at], T.Pd[T.P_at] = (np.concatenate([X.ravel() for X in Xs]) for Xs in (T.G, T.P))
+    labels, n_act = np.arange(1, A.n + 1), T.size - 1
+    T.A_cc = [M[j, a:, a:] for j, a in enumerate(n_act)]
+    PG = [schur_blocks(M[r0:r1], labels[:n_act[r0]], labels[n_act[r0]:])
+          for r0, r1 in zip(T.size_off[:-1], T.size_off[1:])]
+    T.pg = np.concatenate([P.ravel() for P, _ in PG]
+                          + [(0.5 * (G + G.swapaxes(-1, -2))).ravel() for _, G in PG])
     return T
 
 
@@ -208,24 +210,26 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
     -1e-12 (1 + max |nu|).  The closure of a stratum is a convex cone
     inside its hull, so the distance to the closed stratum is the smallest
     hull distance among the supersets with an interior foot: itself and
-    the proper ones, whose least is the boundary distance.  C mu is exact
-    and P and G meet each point in its own matrix-vector product, so a
-    point's row is bitwise the same in any batch.
+    the proper ones, whose least is the boundary distance.  C mu is exact,
+    and P y and G y are segment sums of the nonzero entries times their
+    own rows of C mu, so a point's row is bitwise the same in any batch.
     """
     mu, eta = check_batch(mu, eta, A.n)
     T = A.derived("strata", lambda: _table(A))
-    Y = mu @ T.C.T
+    # points along axis 1, so each segment sum adds whole rows
+    Y, n_a, n_c = T.C @ mu.T, T.act_off[-1], T.comp_off[-1]
     # a trailing +inf keeps the full set, without transverse labels, interior
-    Y[:, -1] = np.inf
-    y, pad, cut = Y[:, :T.act_off[-1]], Y[:, T.act_off[-1]:], T.comp_off[:-1]
-    pad[:, :-1] += (y[:, None] @ T.Pd.T)[:, 0]
-    quad = np.add.reduceat(y * (y[:, None] @ T.Gd)[:, 0], T.act_off[:-1], axis=1)
-    d = np.sqrt(np.maximum(quad + A.det * (np.abs(eta) ** 2)[:, None], 0.0))
-    interior = (np.minimum.reduceat(pad, cut, axis=1)
-                > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut, axis=1)))
+    Y[n_a + n_c] = np.inf
+    y, pad, cut = Y[:n_a], Y[n_a:n_a + n_c + 1], T.comp_off[:-1]
+    PGy = np.add.reduceat(T.pg[:, None] * Y[n_a + n_c + 1:], T.pg_off)
+    pad[:-1] += PGy[:n_c]
+    quad = np.add.reduceat(y * PGy[n_c:], T.act_off[:-1])
+    d = np.sqrt(np.maximum(quad + A.det * np.abs(eta) ** 2, 0.0))
+    interior = (np.minimum.reduceat(pad, cut)
+                > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut)))
     reach = np.where(interior, d, np.inf)
-    boundary = np.minimum.reduce(np.where(T.proper, reach[:, None], np.inf), axis=2)
-    return _Pass(T, pad[:, :-1], d, np.minimum(reach, boundary), boundary)
+    boundary = np.minimum.reduce(reach + T.proper[:, :, None], axis=1)
+    return _Pass(T, pad[:-1].T, d.T, np.minimum(reach, boundary).T, boundary.T)
 
 
 def _locate(A: QuadForm, I: IndexSet, p: BasePoint) -> tuple[_Pass, int]:
@@ -311,9 +315,9 @@ def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
         raise ValueError("need I strictly contained in J")
     J.require_stratum(A.n)
     at, i = _locate(A, I, p)
-    # J's labels in I's frame, where label 0 and I's smallest member trade
+    # J's labels in I's frame (0 and I's least member trade), ascending as in comp
     swap = {} if I.contains_zero else {0: I.members[0], I.members[0]: 0}
-    K = tuple(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i])
+    K = tuple(sorted(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i]))
     Ks, rho = _rho(A, at, i)
     return float(rho[0, Ks.index(K)])
 
@@ -343,8 +347,7 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     threshold away.
     """
     T, _, d, closed, bound = _pass(A, p.mu[None], np.array([p.eta]))
-    N, closed, bound = A.n, closed[0], bound[0]
-    inner = T.size <= N
+    N, closed, bound, inner = A.n, closed[0], bound[0], T.size <= A.n
     least = np.minimum.reduceat(closed, T.size_off[:-1])   # per size 2..N + 1
     return RegionReport(
         near=list(T.strata[inner & (consts.c0 * closed < bound)]),

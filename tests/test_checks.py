@@ -91,18 +91,17 @@ def test_plateau_gap_flags_a_cutoff_shifted_above_zero(monkeypatch):
 @pytest.mark.parametrize("defect", ["scaled", "off-symmetric"])
 def test_nested_projection_gap_flags_a_perturbed_schur_block(monkeypatch, defect):
     # criterion 07's draw (seed 107, 500 cases), with the full label set's
-    # Schur block (its row of the block-diagonal G that the pass reads)
+    # Schur block (the N x N block that ends the entries the pass reads)
     # scaled by 1 + 1e-9, or with 1e-9 added above its diagonal only
     table = locus._table
 
     def perturbed(A):
         T = table(A)
-        a = T.act_off[-2]   # the full set is the last row
-        T.Gd = T.Gd.copy()
+        G = T.pg[-A.n ** 2:].reshape(A.n, A.n)   # the full set is the last row
         if defect == "scaled":
-            T.Gd[a:, a:] *= 1.0 + 1e-9
+            G *= 1.0 + 1e-9
         else:
-            T.Gd[a, a + 1] += 1e-9
+            G[0, 1] += 1e-9
         return T
 
     monkeypatch.setattr(locus, "_table", perturbed)

@@ -105,12 +105,12 @@ class TestGlueWeight:
             pts += [BasePoint(np.zeros(A.n), 0j), BasePoint(np.arange(A.n) - 1.0, 0j)]
             pts += [BasePoint(rng.normal(size=A.n) * 10.0, complex(*rng.normal(size=2)))
                     for _ in range(20)]
-            w = glue_weight_batch(A, I, self.consts, np.array([p.mu for p in pts]),
-                                  np.array([p.eta for p in pts]))
-            assert A is not self.A or 0.0 < w.value[2] < 1.0   # a ramp value
+            value, in_domain = glue_weight_batch(A, I, self.consts, np.array([p.mu for p in pts]),
+                                                 np.array([p.eta for p in pts]))
+            assert A is not self.A or 0.0 < value[2] < 1.0   # a ramp value
             for b, p in enumerate(pts):
                 one = glue_weight(A, I, self.consts, p)
-                assert (one.value, one.in_domain) == (w.value[b], w.in_domain[b])
+                assert (one.value, one.in_domain) == (value[b], in_domain[b])
 
 
 class TestExtensionProfile:

@@ -188,6 +188,32 @@ def test_rho_matches_direct_schur():
     assert rho == pytest.approx(math.sqrt(a22) * abs(nu2), rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [3, 4])
+def test_rho_every_pair_matches_direct_schur(N):
+    # every I strictly inside J, I with or without the label 0: in I's
+    # swapped frame the foot's nu = mu_c + A_cc^-1 A_ca mu_a, and rho is
+    # the K block of A_cc reduced by the other transverse labels, on nu_K
+    rng = np.random.default_rng(41 + N)
+    A = random_spd(rng, N)
+    p = BasePoint(rng.normal(size=N) * 3.0, complex(*rng.normal(size=2)))
+    for I in all_strata(N, 2, N):
+        A2, I2, p2, _ = zero_swap(A, I, p)
+        a = [m - 1 for m in I2.active]
+        c = [m - 1 for m in I2.active_complement(N)]
+        E = A2.entries
+        nu = p2.mu[c] + np.linalg.solve(E[np.ix_(c, c)], E[np.ix_(c, a)] @ p2.mu[a])
+        for J in all_strata(N, len(I) + 1):
+            if not I.issubset(J):
+                continue
+            lo = I.members[0]
+            J2 = {lo if j == 0 else 0 if j == lo else j for j in J.members}
+            inK = np.array([m + 1 in J2 for m in c])
+            k, r = np.array(c)[inK], np.array(c)[~inK]
+            red = E[np.ix_(k, k)] - E[np.ix_(k, r)] @ np.linalg.solve(E[np.ix_(r, r)], E[np.ix_(r, k)])
+            want = math.sqrt(nu[inK] @ red @ nu[inK])
+            assert rho_IJ(A, I, J, p) == pytest.approx(want, rel=1e-10, abs=1e-12), (I, J)
+
+
 def test_rho_requires_proper_subset():
     A = QuadForm.identity(3)
     p = BasePoint(np.ones(3), 0.5 + 0j)
@@ -201,6 +227,7 @@ def test_region_constants_validation():
         RegionConstants(c0=0.5)
     assert RegionConstants().level(1) == pytest.approx(64.0)
     assert RegionConstants().level(2) == pytest.approx(1024.0)
+    assert RegionConstants().level(np.arange(1, 4)).tolist() == [64.0, 1024.0, 16384.0]
     assert RegionConstants().cprime() == pytest.approx(4096.0)
 
 
@@ -306,23 +333,28 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def test_stratum_table_matches_per_subset_schur(N):
     # the stacked table is bitwise the per-subset build: M = S^T A S and
     # G symmetrized, then one schur_blocks call per subset, the full label
-    # set (no transverse labels) included
+    # set (no transverse labels) included; pg holds every row's raveled
+    # P block (c x A), then every row's raveled G block (A x A)
     rng = np.random.default_rng(300 + N)
     for _ in range(20):
         A = random_spd(rng, N)
         T = locus._table(A)
-        sizes = [len(J) for J in T.strata]
+        sizes = np.array([len(J) for J in T.strata])
         assert sizes[-1] == N + 1
+        n_act, n_comp = sizes - 1, N + 1 - sizes
+        p_end = np.cumsum(n_comp * n_act)
+        g_end = p_end[-1] + np.cumsum(n_act ** 2)
+        assert len(T.pg) == g_end[-1]
         for j, J in enumerate(T.strata):
             _, J2, _, S = zero_swap(A, J, BasePoint(np.zeros(N), 0j))
             comp = J2.active_complement(N)
             M = S.T @ A.entries @ S
             M = 0.5 * (M + M.T)
             P, G = schur_blocks(M, J2.active, comp)
-            g = sizes[j] - 2                   # the group of this subset size
-            k = j - sizes.index(sizes[j])      # the row within that group
-            assert bitwise_equal(T.P[g][k], P)
-            assert bitwise_equal(T.G[g][k], 0.5 * (G + G.T))
+            a, c = n_act[j], n_comp[j]
+            assert bitwise_equal(T.pg[p_end[j] - c * a:p_end[j]].reshape(c, a), P)
+            assert bitwise_equal(T.pg[g_end[j] - a * a:g_end[j]].reshape(a, a),
+                                 0.5 * (G + G.T))
             assert bitwise_equal(T.A_cc[j], block(M, comp, comp))
 
 
