@@ -130,6 +130,12 @@ class FieldJet:
     quad_error: np.ndarray
 
 
+def _outers(N: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """(K, N N): kernel (i, j)'s (e_i - e_j)(e_i - e_j)^T, e_0 = 0, raveled."""
+    e = (np.eye(N + 1)[[i for i, _ in labels]] - np.eye(N + 1)[[j for _, j in labels]])[:, 1:]
+    return (e[:, :, None] * e[:, None, :]).reshape(len(labels), N * N)
+
+
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
           mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> FieldJet:
     """Assemble the stacked field jet at a batch of points from one
@@ -137,18 +143,12 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     one engine call."""
     N = A.n
     labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
+    outers = A.derived(("outers", restriction), lambda: _outers(N, labels))
     B = kv.value.shape[1]
-    # kernel (i, j) adds its value times (e_i - e_j)(e_i - e_j)^T, e_0 = 0,
-    # kernel by kernel in label order; a vanishing kernel adds nothing
-    v = np.zeros((B, N, N))
-    dv = np.zeros((B, N, N, N + 2))
-    for k, (i, j) in enumerate(labels):
-        e = np.zeros(N + 1)
-        e[i], e[j] = 1.0, -1.0
-        outer = np.outer(e[1:], e[1:])
-        v += kv.value[k][:, None, None] * outer
-        if want_gradient:
-            dv += kv.gradient[k][:, None, None, :] * outer[:, :, None]
+    # v and dv each as one product against the table of label outers,
+    # summed over the leading kernel axis slice by slice from 0, in label
+    # order, so each point's row is the same in any batch
+    v = (kv.value[:, :, None] * outers[:, None]).sum(axis=0, initial=0.0).reshape(B, N, N)
     err = kv.error.max(axis=0)
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(B, -1).sum(axis=1)
@@ -156,6 +156,8 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     W = A.det + w
     if not want_gradient:
         return FieldJet(V, W, v, w, None, None, err)
+    dv = (kv.gradient[:, :, None] * outers[:, None, :, None]).sum(axis=0, initial=0.0)
+    dv = dv.reshape(B, N, N, N + 2)
     dW = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
     return FieldJet(V, W, v, w, dv, dW, err)
 

@@ -59,7 +59,7 @@ class QuadForm:
         (``lambda_min > 1e-12 * lambda_max``).
     """
 
-    __slots__ = ("entries", "n", "lambda_min", "lambda_max", "det", "inv", "_derived")
+    __slots__ = ("entries", "n", "lambda_min", "lambda_max", "det", "_inv", "_derived")
 
     def __init__(self, entries) -> None:
         M = np.array(entries, dtype=float)
@@ -78,15 +78,22 @@ class QuadForm:
         self.lambda_min = float(w[0])
         self.lambda_max = float(w[-1])
         self.det = float(np.linalg.det(M))
-        inv = np.linalg.inv(M)
-        inv = 0.5 * (inv + inv.T)
-        inv.flags.writeable = False
-        self.inv = inv
+        self._inv: np.ndarray | None = None
         self._derived: dict = {}
 
     @classmethod
     def identity(cls, n: int) -> "QuadForm":
         return cls(np.eye(n))
+
+    @property
+    def inv(self) -> np.ndarray:
+        """A^{-1}, symmetrized, computed on first read: the fields and the
+        Laplacian terms read it, the stratum layer never does."""
+        if self._inv is None:
+            inv = np.linalg.inv(self.entries)
+            self._inv = 0.5 * (inv + inv.T)
+            self._inv.flags.writeable = False
+        return self._inv
 
     @property
     def condition(self) -> float:

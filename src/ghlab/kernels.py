@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .geometry import (BasePoint, IndexSet, QuadForm, ball_volume, block, check_
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
+    QuadResult,
     SingularityProximity,
     cone_frame,
     panel_nodes,
@@ -118,7 +119,7 @@ class _Family:
 
     Q: np.ndarray
     c_eta: float
-    slots: list[int]
+    slots: np.ndarray          # the active slots' columns of mu
     labels: tuple[tuple[int, int], ...]
     M: np.ndarray
     power: int
@@ -137,8 +138,8 @@ def _family(A: QuadForm, restriction: IndexSet | None,
     if labels is None:
         return fam
     k = fam.labels.index(labels)
-    return replace(fam, labels=(labels,), M=fam.M[k:k + 1],
-                   frame=None if fam.frame is None else fam.frame[k:k + 1])
+    return _Family(fam.Q, fam.c_eta, fam.slots, (labels,), fam.M[k:k + 1], fam.power,
+                   fam.prefactor, None if fam.frame is None else fam.frame[k:k + 1])
 
 
 def _build_family(A: QuadForm, restriction: IndexSet | None,
@@ -159,7 +160,7 @@ def _build_family(A: QuadForm, restriction: IndexSet | None,
     if rays is not None:
         M = np.concatenate([M, rays[:, :, None]], axis=2)
         power, pref = n + 2, n * A.det * pref
-    return _Family(G.entries, A.det, [lab - 1 for lab in S], tuple(pairs), M, power, pref,
+    return _Family(G.entries, A.det, np.array(S) - 1, tuple(pairs), M, power, pref,
                    cone_frame(G.entries, M))
 
 
@@ -219,15 +220,19 @@ def alpha_family(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec
     raw = _engine_batch(fam, mu, eta, quad, want_gradient)
     grads = None
     if want_gradient:
-        grads = np.zeros(raw.gradient.shape[:2] + (N + 2,))
-        grads[..., fam.slots + [N, N + 1]] = fam.prefactor * raw.gradient
+        grads = fam.prefactor * raw.gradient
+        if len(fam.slots) < N:
+            # inactive slots of a restricted family get exact zeros
+            full = np.zeros(grads.shape[:2] + (N + 2,))
+            full[..., [*fam.slots, N, N + 1]] = grads
+            grads = full
     return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
                                    raw.evals, grads)
 
 
 def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
                   quad: QuadratureSpec, want_gradient: bool = False,
-                  tol_scale: float = 1.0) -> KernelValue:
+                  tol_scale: float = 1.0) -> QuadResult:
     """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
     in one engine call: raw values and error estimates (K, B), gradient
     rows (K, B, n + 2) as (active slots..., Re eta, Im eta), and grid
@@ -239,13 +244,12 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
     grid over the node budget the first row of its group.
     """
     try:
-        res = power_kernel_integral(fam.Q, fam.c_eta, mu[:, fam.slots], eta, fam.M,
-                                    fam.power, quad, want_gradient,
-                                    fam.prefactor * tol_scale,
-                                    10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
+        return power_kernel_integral(fam.Q, fam.c_eta, mu.take(fam.slots, axis=1), eta,
+                                     fam.M, fam.power, quad, want_gradient,
+                                     fam.prefactor * tol_scale,
+                                     10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
     except (SingularityProximity, QuadratureError) as exc:
         raise _refusal(type(exc), fam, exc.kernel, mu, eta, exc.row, exc) from None
-    return KernelValue(res.value, res.error, res.evals, res.gradient)
 
 
 def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,

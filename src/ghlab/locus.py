@@ -176,7 +176,9 @@ def _table(A: QuadForm) -> SimpleNamespace:
     P = A_cc^{-1} A_cI and Schur blocks G, symmetrized as QuadForm would.
 
     Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
-    order, each subset size's rows make one ``schur_blocks`` call.
+    order, each subset size's rows make one ``schur_blocks`` call, but the
+    full label set's: its row has no transverse labels, so its P is empty
+    and its G is its M, bitwise what ``schur_blocks`` would return.
     """
     T = SimpleNamespace(**vars(_layout(A.n)))
     M = T.S.swapaxes(-1, -2) @ A.entries @ T.S
@@ -184,9 +186,10 @@ def _table(A: QuadForm) -> SimpleNamespace:
     labels, n_act = np.arange(1, A.n + 1), T.size - 1
     T.A_cc = [M[j, a:, a:] for j, a in enumerate(n_act)]
     PG = [schur_blocks(M[r0:r1], labels[:n_act[r0]], labels[n_act[r0]:])
-          for r0, r1 in zip(T.size_off[:-1], T.size_off[1:])]
+          for r0, r1 in zip(T.size_off[:-2], T.size_off[1:-1])]
+    Gs = [G for _, G in PG] + [M[T.size_off[-2]:]]
     T.pg = np.concatenate([P.ravel() for P, _ in PG]
-                          + [(0.5 * (G + G.swapaxes(-1, -2))).ravel() for _, G in PG])
+                          + [(0.5 * (G + G.swapaxes(-1, -2))).ravel() for G in Gs])
     return T
 
 

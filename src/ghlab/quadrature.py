@@ -102,12 +102,10 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "SingularityProximity",
-    "closed_sheet_distances",
     "cone_frame",
     "half_line_integrals",
     "wedge_integrals",
     "nonneg_argmin",
-    "nonneg_argmin_rows",
     "power_kernel_integral",
     "qmc_power_kernel_integral",
     "sheet_distance",
@@ -166,8 +164,8 @@ class QuadResult:
                                # rows alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
                                # (perfbench/tracing.py reads it)
-    r_star: float              # the smallest sheet distance the call solved;
-                               # inf at d <= 2 with no floor, which solves none
+    r_star: float              # the smallest sheet distance the call solved
+                               # (every pair's at d <= 2)
 
 
 @lru_cache(maxsize=32)
@@ -190,38 +188,10 @@ def panel_nodes(breaks: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]
     return nodes.reshape(*breaks.shape[:-1], n), wts.reshape(*breaks.shape[:-1], n)
 
 
-def nonneg_argmin_rows(P: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The minimizers of tau^T P tau - 2 q_b^T tau over tau >= 0, one per
-    row q_b of q (..., B, d), for d <= 2 in closed form; P is (..., d, d),
-    one form per leading index (a kernel), and so is the result.
-
-    At d = 1 tau = max(q / P, 0).  At d = 2 it is the free minimizer
-    P^-1 q_b when that lies in the orthant, else the better of the
-    minimizers along the two edges, tau_k = max(q_k / P_kk, 0), whose
-    minimum is -q_k tau_k.
-    """
-    if P.shape[-1] == 1:
-        return np.maximum(q / P, 0.0)
-    # P^-1 = [[p11, -p01], [-p01, p00]] / det
-    det = P[..., :1, :1] * P[..., 1:, 1:] - P[..., :1, 1:] * P[..., :1, 1:]
-    tau = q @ (P[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / det
-    edge = (tau < 0.0).any(axis=-1)
-    if edge.any():
-        e = np.maximum(q / P.diagonal(0, -2, -1)[..., None, :], 0.0)[edge]
-        gain = q[edge] * e
-        first = gain[:, 0] >= gain[:, 1]
-        e[first, 1] = 0.0
-        e[~first, 0] = 0.0
-        tau[edge] = e
-    return tau
-
-
 def nonneg_argmin(P: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimize tau^T P tau - 2 q^T tau over tau >= 0, exactly, for SPD P,
     by enumerating the 2^d active sets and checking the KKT sign
-    conditions (d is at most 4 or 5 here; at d <= 2
-    ``nonneg_argmin_rows`` is the closed form).  Returns (tau*, minimum
-    value).
+    conditions (d is at most 4 or 5 here).  Returns (tau*, minimum value).
     """
     d = P.shape[0]
     scale = max(float(np.max(np.abs(q))), float(np.max(np.abs(P))), 1.0)
@@ -254,8 +224,8 @@ def sheet_distance(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
                    E: float) -> tuple[np.ndarray, float]:
     """Closest sheet parameter tau* >= 0 and the distance
     r* = sqrt(|b - M tau*|_Q^2 + E) from the point b to the sheet of one
-    cone matrix M (m, d), by ``nonneg_argmin``; ``closed_sheet_distances``
-    is the batched closed form for d <= 2."""
+    cone matrix M (m, d), by ``nonneg_argmin``: the swept path's solver, and
+    the oracle of the distances the closed forms read at d <= 2."""
     tau, _ = nonneg_argmin(M.T @ Q @ M, M.T @ (Q @ b))
     x = b - M @ tau
     return tau, math.sqrt(float(x @ Q @ x) + E)
@@ -295,21 +265,6 @@ def _grid_groups(Q: np.ndarray, c_eta: float, M: np.ndarray, b: np.ndarray,
         solved = min(solved, r_k)
         todo = todo[~near]
     return groups, nearest, solved
-
-
-def closed_sheet_distances(Q: np.ndarray, M: np.ndarray, b: np.ndarray,
-                           E: np.ndarray) -> np.ndarray:
-    """Every row's sheet distance r* (..., B) when the sheet has at most two
-    cone columns, for one cone matrix M (m, d) or one per kernel (K, m, d),
-    from the closest sheet parameter tau* that ``nonneg_argmin_rows``
-    gives in closed form."""
-    if M.shape[-1]:
-        QM = Q @ M
-        Mt = M.swapaxes(-1, -2)
-        b = b - nonneg_argmin_rows(Mt @ QM, b @ QM) @ Mt
-    else:
-        b = np.broadcast_to(b, M.shape[:-2] + b.shape)
-    return np.sqrt(((b @ Q) * b).sum(axis=-1) + E)
 
 
 def _axis_breakpoints(center: float, width: float, T: float,
@@ -405,8 +360,8 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
             half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
             S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
     # h = 0 on the sheet gives inf, which power_kernel_integral refuses
-    with np.errstate(divide="ignore"):
-        scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
+    # (it evaluates the closed forms under np.errstate)
+    scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = []
     for q in qs:
         out.append(S[q - 2] * scale)
@@ -418,7 +373,7 @@ class _Stack:
     """Fields with a leading kernel axis: ``frame[k]`` is kernel k's alone."""
 
     def __getitem__(self, k):
-        return type(self)(*(v[k] for v in vars(self).values()))
+        return type(self)(*[v[k] for v in vars(self).values()])
 
 
 @dataclass
@@ -443,15 +398,19 @@ class _Line(_Stack):
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int,
                  want_gradient: bool, ceta_xy: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Values (K, B) and gradient rows (K, B, m + 2) at the rows b (B, m)."""
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Values (K, B), gradient rows (K, B, m + 2) and squared sheet
+        distances r*^2 (K, B) at the rows b (B, m)."""
         beta = self.Qm @ b.T
         Z = b @ self.L.swapaxes(-1, -2)
         h = np.einsum("kbj,kbj->kb", Z, Z) + E
+        # the sheet distance: to the line where the foot t = beta / a >= 0,
+        # else to the apex, gamma = h + beta^2 / a
+        r2 = h + np.minimum(beta, 0.0) ** 2 / self.a
         qs = (power, power + 2) if want_gradient else (power,)
         J = half_line_integrals(self.a, beta, h, qs)
         if not want_gradient:
-            return J[0], None
+            return J[0], None, r2
         # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))] with
         # Q Y = L^T Z the part of Q b across m; the first moment K obeys
         # a K - beta J = gamma^(-p/2) / p
@@ -461,7 +420,7 @@ class _Line(_Stack):
         grad[..., :m] = ((-power * J[1][..., None] * Z) @ self.L
                          + bound[..., None] * (self.Qm / self.a)[:, None, :])
         grad[..., m:] = -power * ceta_xy * J[1][..., None]
-        return J[0], grad
+        return J[0], grad, r2
 
 
 # the far-edge rule: Gauss-Legendre in the angle chi, used where the
@@ -474,87 +433,99 @@ _EDGE_ORDER = 32
 _EDGE_POLE = 0.28
 
 
-def wedge_integrals(e2: tuple, y: np.ndarray, H2: np.ndarray,
-                    power: int, want_gradient: bool = False
-                    ) -> list[np.ndarray]:
+def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
+    """(s0, l) (2, 2, ...) of the foot y (2, ...), per edge k of the wedge
+    between e1 = (1, 0) and e2 (axis 1): its position s0 along the edge
+    and its signed distance l to the edge's line, positive on the wedge's
+    side."""
+    cphi, sphi = e2
+    edges = np.empty((2,) + y.shape)
+    edges[:, 0] = y
+    np.add(cphi * y[0], sphi * y[1], out=edges[0, 1])
+    np.subtract(sphi * y[0], cphi * y[1], out=edges[1, 1])
+    return edges
+
+
+def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
+                    power: int, want_gradient: bool = False) -> list[np.ndarray]:
     """W_q = integral over the wedge between e1 = (1, 0) and
     e2 = (cos phi, sin phi), 0 < phi < pi, of (H2 + |w - y|^2)^(-q/2) dA(w).
 
-    y is (2, ...) and H2 (...): per element the foot and the squared
-    height, H2 > 0 wherever the foot lies in the closed wedge; cos phi and
-    sin phi broadcast against H2 (one wedge per kernel, say).  Returns
-    [W_p], or with ``want_gradient`` [W_p, W_(p+2), dW_p/dy], the last one
-    (2, ...); dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.
+    The foot y enters through ``_edges``: s0 and l (2, ...), per element;
+    H2 (...) is the squared height, H2 > 0 wherever the foot lies in the
+    closed wedge; cos phi and sin phi broadcast against H2 (one wedge per
+    kernel, say).  Returns [W_p], or with ``want_gradient``
+    [W_p, W_(p+2), dW_p/dy], the last one (2, ...);
+    dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.  A foot on the sheet
+    (H2 = 0 in the wedge) reads inf, so callers evaluate it under
+    np.errstate(divide="ignore", invalid="ignore").
     """
     cphi, sphi = e2
-    # per edge k (first axis): the foot's position s0 along it and its
-    # signed distance l to the edge's line, positive on the wedge's side
-    s0 = np.concatenate([y[None, 0], (cphi * y[0] + sphi * y[1])[None]])
-    ell = np.concatenate([y[None, 1], (sphi * y[0] - cphi * y[1])[None]])
     ns = (power - 2, power) if want_gradient else (power - 2,)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
-        n_in = np.count_nonzero(inside)
-        H = np.sqrt(H2)
-        al = np.abs(ell)
-        theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
-        n_rule = 0
-        if n_in < inside.size:
-            # outside the wedge: the Gauss rule where the poles are far enough
-            rule = ~inside & (al >= H * np.sinh(_EDGE_POLE * theta)) & (ell != 0.0)
-            n_rule = np.count_nonzero(rule)
-            if n_rule:
-                gauss = _edge_rule(theta, al, H2, rule if n_rule < rule.size else None,
-                                   ns, want_gradient)
+    inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
+    n_in = np.count_nonzero(inside)
+    H = np.sqrt(H2)
+    al = np.abs(ell)
+    theta = np.arctan2(al, -s0)           # the angle edge k subtends at y
+    n_rule = 0
+    if n_in < inside.size:
+        # outside the wedge: the Gauss rule where the poles are far enough
+        rule = ~inside & (al >= H * np.sinh(_EDGE_POLE * theta)) & (ell != 0.0)
+        n_rule = np.count_nonzero(rule)
+        if n_rule:
+            gauss = _edge_rule(theta, al, H2, rule if n_rule < rule.size else None,
+                               ns, want_gradient)
+        minus_sign = -np.sign(ell)
+    if n_rule < ell.size:
+        ahat, S, c2 = _edge_ahat(s0, al, H, H2, ns)
+        # a foot in the plane on an edge's line adds 0
+        on_line = (ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size
+                   else None)
+    if n_in:
+        phi = np.arctan2(sphi, cphi)
+    out = []
+    for j, n in enumerate(ns):
         if n_rule < ell.size:
-            ahat, S = _edge_ahat(s0, al, H, H2, ns)
+            Hn = H ** -n
+        if n_in:
+            inner = Hn * (phi + ahat[j][0] + ahat[j][1])
         if n_in < inside.size:
-            minus_sign = -np.sign(ell)
-        out = []
-        for j, n in enumerate(ns):
             if n_rule < ell.size:
-                Hn = H ** -n
-            if n_in:
-                inner = Hn * (np.arctan2(sphi, cphi) + ahat[j][0] + ahat[j][1])
-            if n_in < inside.size:
-                if n_rule < ell.size:
-                    edge = Hn * (theta - ahat[j])
-                    if n_rule:
-                        edge[rule] = gauss[j]
-                    if not H.all():
-                        # a foot in the plane on an edge's line adds 0
-                        edge[ell == 0.0] = 0.0
-                else:
-                    edge = gauss[j]
-                outer = (minus_sign * edge).sum(axis=0)
-            value = inner if n_in == inside.size else (
-                outer if not n_in else np.where(inside, inner, outer))
-            out.append(value / n)
-        if want_gradient:
-            if n_rule < ell.size:
-                # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
-                # where psi is small the Wallis steps lose digits, and that
-                # routine's betainc branch takes over
-                c2 = H2 + ell * ell
-                J = c2 ** (-0.5 * (ns[0] + 1)) * S
-                small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
+                edge = Hn * (theta - ahat[j])
                 if n_rule:
-                    small &= ~rule
-                    J[rule] = gauss[-1]
-                if small.any():
-                    J[small] = half_line_integrals(1.0, s0[small], c2[small], (power,))[0]
+                    edge[rule] = gauss[j]
+                if on_line is not None:
+                    edge[on_line] = 0.0
             else:
-                J = gauss[-1]
-            # minus the outward normals (0, -1) and (-sin phi, cos phi)
-            # times the half-line integrals along the edges
-            out.append(np.concatenate([(sphi * J[1])[None], (J[0] - cphi * J[1])[None]]))
+                edge = gauss[j]
+            outer = minus_sign[0] * edge[0] + minus_sign[1] * edge[1]
+        value = inner if n_in == inside.size else (
+            outer if not n_in else np.where(inside, inner, outer))
+        out.append(value / n)
+    if want_gradient:
+        if n_rule < ell.size:
+            # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
+            # where psi is small the Wallis steps lose digits, and that
+            # routine's betainc branch takes over
+            J = c2 ** (-0.5 * (ns[0] + 1)) * S
+            small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
+            if n_rule:
+                small &= ~rule
+                J[rule] = gauss[-1]
+            if np.count_nonzero(small):
+                J[small] = half_line_integrals(1.0, s0[small], c2[small], (power,))[0]
+        else:
+            J = gauss[-1]
+        # minus the outward normals (0, -1) and (-sin phi, cos phi)
+        # times the half-line integrals along the edges
+        out.append(np.concatenate([(sphi * J[1])[None], (J[0] - cphi * J[1])[None]]))
     return out
 
 
 def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
-               ns: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+               ns: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """ahat_n = (p - 2) H^n A for each edge, n = p - 2 in ``ns``: the edge
-    term of the form for a foot inside the wedge, scaled; and S_(ns[0]).
+    term of the form for a foot inside the wedge, scaled; S_(ns[0]); and c^2.
 
     With c^2 = H^2 + l^2, kappa = H / c and psi = atan2(c, -s0),
     ahat_(n+2) = ahat_n + (|l| / c) kappa^n S_n(psi), S_n the integral of
@@ -566,7 +537,6 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     c = np.sqrt(c2)
     w = np.sqrt(c2 + s0 * s0)
     kap, lp = H / c, al / c
-    sin2_psi, cos_psi = c2 / (w * w), -s0 / w
     n = ns[0] % 2
     if n:
         # w + s0 without cancellation
@@ -575,28 +545,30 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
         cw = c + w
         ahat = 2.0 * np.arctan(r * (c + w_lo) / (cw - r * r * s0))
         S = w_lo / w                                  # 1 - cos psi
-        s_pow = sin2_psi                              # sin^(n+1) psi
         kap_pow = kap
     else:
         ahat = np.zeros_like(c)
         S = np.arctan2(c, -s0)
-        s_pow = np.sqrt(sin2_psi)
         kap_pow = 1.0
-    kap2 = kap * kap
-    out, S_first = [], None
+    out, S_first, s_pow = [], None, None
     while True:
         if n in ns:
             out.append(ahat)
             if S_first is None:
                 S_first = S
             if n == ns[-1]:
-                return out, S_first
+                return out, S_first, c2
         ahat = ahat + lp * kap_pow * S
-        # upward Wallis step
-        S = ((n + 1) * S - s_pow * cos_psi) / (n + 2)
-        s_pow = s_pow * sin2_psi
-        kap_pow = kap_pow * kap2
         n += 2
+        if n < ns[-1]:
+            # upward Wallis step, for the ahat steps still to come, with
+            # s_pow = sin^(n-1) psi
+            if s_pow is None:
+                sin2_psi, cos_psi, kap2 = c2 / (w * w), -s0 / w, kap * kap
+                s_pow = sin2_psi if n % 2 else np.sqrt(sin2_psi)
+            S = ((n - 1) * S - s_pow * cos_psi) / n
+            s_pow = s_pow * sin2_psi
+            kap_pow = kap_pow * kap2
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
@@ -687,17 +659,24 @@ class _Wedge(_Stack):
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int,
                  want_gradient: bool, ceta_xy: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """The whole integral at d = 2 for every kernel of the stack and
         every row b (B, m) in one closed form: values (K, B), gradients
-        (K, B, m + 2)."""
+        (K, B, m + 2) and squared sheet distances r*^2 (K, B)."""
         # component-major (2, K, B) and (m', K, B)
         y, z = (self.P @ b.T).swapaxes(0, 1), (self.L @ b.T).swapaxes(0, 1)
-        W = wedge_integrals((self.cphi[:, None], self.sphi[:, None]), y,
-                            np.einsum("j...,j...->...", z, z) + E, power, want_gradient)
+        H2 = np.einsum("j...,j...->...", z, z) + E
+        e2 = (self.cphi[:, None], self.sphi[:, None])
+        s0, ell = _edges(e2, y)
+        W = wedge_integrals(e2, s0, ell, H2, power, want_gradient)
+        # the sheet distance: the height over a foot in the wedge, else over
+        # the nearer edge ray, along it (s0 >= 0) or at the apex
+        ray2 = ell * ell + np.minimum(s0, 0.0) ** 2
+        r2 = H2 + np.where((ell[0] >= 0.0) & (ell[1] >= 0.0), 0.0,
+                           np.minimum(ray2[0], ray2[1]))
         jac = self.jac[:, None]
         if not want_gradient:
-            return W[0] * jac, None
+            return W[0] * jac, None, r2
         # along the plane through dW/dy, across it and in eta through
         # dW/dH2 = -p W_(p+2) / 2
         m = self.P.shape[-1]
@@ -706,7 +685,7 @@ class _Wedge(_Stack):
         grad[..., :m] = (jac[..., None] * W[2].transpose(1, 2, 0) @ self.P
                          + (Wp * z).transpose(1, 2, 0) @ self.L)
         grad[..., m:] = Wp[..., None] * ceta_xy
-        return W[0] * jac, grad
+        return W[0] * jac, grad, r2
 
 
 def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
@@ -786,6 +765,7 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
     at the ``nodes`` (d - 2, n), the last two exact, for the rows whose
     feet and transverse parts are y (2, B) and z (m', B)."""
     B, m = E.shape[0], wedge.P.shape[1]
+    e2 = (wedge.cphi, wedge.sphi)
     val = np.zeros(B)
     grad = np.zeros((B, m + 2)) if want_gradient else None
     for start in range(0, len(weights), chunk):
@@ -795,7 +775,8 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
         y0 = y[:, :, None] - (wedge.Py @ tau)[:, None, :]
         Z = z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
         H2 = np.einsum("kbn,kbn->bn", Z, Z) + E[:, None]
-        W = wedge_integrals((wedge.cphi, wedge.sphi), y0, H2, power, want_gradient)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            W = wedge_integrals(e2, *_edges(e2, y0), H2, power, want_gradient)
         val += W[0] @ wts
         if want_gradient:
             # as in _Wedge.integral, summed over the nodes
@@ -868,11 +849,12 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     units, and the returned values are raw.
 
     Every refusal carries its pair's ``kernel`` and ``row``.
-    SingularityProximity: before anything is evaluated, the nearest pair
-    whose sheet distance is below ``floor`` or 0 (at d <= 2 with no floor
-    nothing is solved, and a row on the sheet is refused by its value,
-    which is not finite).  QuadratureError: a grid over the node budget, or
-    a sweep that misses its tolerance after the refinement passes.
+    SingularityProximity: the nearest pair (ties go to the first kernel,
+    then row), if its sheet distance is below ``floor`` or 0; at d <= 2
+    each closed form reads every pair's distance from its own coordinates,
+    at d >= 3 the refusal comes before anything is evaluated.
+    QuadratureError: a grid over the node budget, or a sweep that misses
+    its tolerance after the refinement passes.
     """
     B, m = b.shape
     K, _, d = M.shape
@@ -881,41 +863,42 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     ceta_xy = c_eta * eta.view(float).reshape(B, 2)
     if frame is None:
         frame = cone_frame(Q, M)
-    # the nearest (kernel, row) pair's sheet distance, exact below the floor
-    nearest, groups = (math.inf, 0, 0), []
     if d <= 2:
-        if floor > 0.0:
-            r = closed_sheet_distances(Q, M, b, E)
-            nearest = (float(r.min()), *divmod(int(np.argmin(r)), B))
-        r_star = nearest[0]
+        # every (kernel, row) pair is a closed form; one on the sheet reads
+        # inf, and its refusal is the only signal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if d == 0:
+                r2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
+                val = np.tile(r2 ** (-0.5 * power), (K, 1))
+                grad = None
+                if want_gradient:
+                    core = r2 ** (-0.5 * (power + 2))
+                    grad = np.empty((K, B, m + 2))
+                    grad[..., :m] = -power * (b @ Q) * core[:, None]
+                    grad[..., m:] = -power * ceta_xy * core[:, None]
+            else:
+                val, grad, r2 = frame.integral(b, E, power, want_gradient, ceta_xy)
+        i = int(r2.argmin())
+        r = r_star = math.sqrt(float(r2.flat[i]))
+        k, row = divmod(i, B)
+        if r >= floor and r > 0.0:
+            if np.count_nonzero(np.isfinite(val)) == val.size:
+                return QuadResult(val, np.zeros((K, B)), grad, K * B, True, r_star)
+            # off the sheet, a row on the line of a one-column sheet behind
+            # its apex reads nan at E = 0 (h = 0); the first such is refused
+            row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
+            raise SingularityProximity(f"row {row} gives a value that is not finite", k, row)
     else:
-        r_star = math.inf
+        # the nearest (kernel, row) pair's sheet distance, exact below the floor
+        nearest, groups, r_star = (math.inf, 0, 0), [], math.inf
         for k in range(K):
             kernel_groups, (r_k, row), solved = _grid_groups(Q, c_eta, M[k], b, eta, E, floor)
             groups += [(k, rows, sheet) for rows, sheet in kernel_groups]
             nearest, r_star = min(nearest, (r_k, k, row)), min(r_star, solved)
-    r, k, row = nearest
+        r, k, row = nearest
     if r < floor:
         raise SingularityProximity(f"distance {r:.3e} from the singular stratum is below "
                                    f"the resolution floor {floor:.3e}", k, row)
-    if d <= 2:
-        # every (kernel, row) pair is a closed form
-        if d == 0:
-            dist2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
-            val = np.tile(dist2 ** (-0.5 * power), (K, 1))
-            grad = None
-            if want_gradient:
-                core = dist2 ** (-0.5 * (power + 2))
-                grad = np.empty((K, B, m + 2))
-                grad[..., :m] = -power * (b @ Q) * core[:, None]
-                grad[..., m:] = -power * ceta_xy * core[:, None]
-        else:
-            val, grad = frame.integral(b, E, power, want_gradient, ceta_xy)
-        if np.isfinite(val).all():
-            return QuadResult(val, np.zeros_like(val), grad, K * B, True, r_star)
-        # with no floor nothing was solved: a row on the sheet reads inf
-        row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
-        r = 0.0
     if r <= 0.0:
         raise SingularityProximity(f"row {row} lies on the kernel's singular sheet", k, row)
 

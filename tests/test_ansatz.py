@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,49 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
         np.testing.assert_allclose(jet.v[t], want.v[0], rtol=1e-15,
                                    atol=1e-15 * float(np.max(np.abs(want.v))))
         assert jet.w[t] == pytest.approx(want.w[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("N, members", [(3, None), (3, (0, 1, 2)), (5, None)])
+def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
+    # v and dv are one product against the table of label outers, summed
+    # over the kernels in label order from 0: given the kernels' rows, each
+    # point's jet is bitwise the kernel-by-kernel sum (signs of zero
+    # included) and bitwise the same alone as in its batch; at N = 5 the
+    # fifteen kernels outnumber numpy's eight-way pairwise blocks
+    import ghlab.ansatz as ansatz
+    from ghlab.kernels import KernelValue
+
+    rng = np.random.default_rng(70 + N)
+    A = random_spd(rng, N)
+    I = None if members is None else IndexSet(members)
+    labels = tuple(ij for ij in itertools.combinations(range(N + 1), 2)
+                   if I is None or set(ij) <= set(I.members))
+    B = 7
+    mu, eta = rng.normal(size=(B, N)), rng.normal(size=B) + 1j * rng.normal(size=B)
+    value = rng.lognormal(size=(len(labels), B)) * 10.0 ** rng.integers(-8, 9, (len(labels), B))
+    grad = rng.normal(size=(len(labels), B, N + 2)) * 10.0 ** rng.integers(-8, 9, (len(labels), B, N + 2))
+    grad[rng.random(grad.shape) < 0.2] = 0.0
+
+    def family(A_, restriction, quad, m, e, want_gradient):
+        rows = [int(np.flatnonzero((mu == r).all(axis=1))[0]) for r in m]
+        return labels, KernelValue(value[:, rows], np.zeros((len(labels), len(rows))), 0,
+                                   grad[:, rows])
+
+    monkeypatch.setattr(ansatz, "alpha_family", family)
+    fld = FirstOrderField(A, QUAD) if I is None else RestrictedField(A, I, QUAD)
+    jet = fld.jet(mu, eta)
+    v, dv = np.zeros((B, N, N)), np.zeros((B, N, N, N + 2))
+    for k, (i, j) in enumerate(labels):
+        e = np.zeros(N + 1)
+        e[i], e[j] = 1.0, -1.0
+        outer = np.outer(e[1:], e[1:])
+        v += value[k][:, None, None] * outer
+        dv += grad[k][:, None, None, :] * outer[:, :, None]
+    assert jet.v.tobytes() == v.tobytes() and jet.dV.tobytes() == dv.tobytes()
+    for b in range(B):
+        one = fld.jet(mu[b:b + 1], eta[b:b + 1])
+        for x, y in zip((jet.V, jet.W, jet.dV, jet.dW), (one.V, one.W, one.dV, one.dW)):
+            assert x[b:b + 1].tobytes() == y.tobytes()
 
 
 def test_restricted_remainders_small_near_stratum():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghlab import ansatz, checks, frame, glue, kernels, locus
+from ghlab import ansatz, checks, frame, glue, holo, kernels, locus
 from ghlab.geometry import QuadForm, batch_from_vectors
 from ghlab.quadrature import QuadratureSpec
 
@@ -187,3 +187,30 @@ def test_weak_charge_checks_flag_a_scaled_prefactor(monkeypatch):
     # criterion 05's bumps with the kernel's prefactor scaled by 1.02
     _scale_prefactor(monkeypatch, 1.02)
     assert max(res.rel_gap for res in checks.weak_charge_checks()) > checks.WEAK_TOL
+
+
+def _gamma_sum_gaps_with(monkeypatch, defect):
+    # criterion 08's draw (seed 108) with the last gamma of each sum,
+    # gamma_n, passed through ``defect``; these gammas are closed forms
+    family = holo.gamma_family
+
+    def broken(spec, labels, mu, eta):
+        out = family(spec, labels, mu, eta)
+        out.value[-1] = defect(out.value[-1])
+        return out
+
+    monkeypatch.setattr(holo, "gamma_family", broken)
+    return checks.gamma_sum_gaps(np.random.default_rng(108))
+
+
+def test_gamma_sum_gaps_flag_a_dropped_gamma(monkeypatch):
+    gaps = _gamma_sum_gaps_with(monkeypatch, lambda g: 0.0 * g)
+    assert all(gap > tol for gap, (_, _, tol) in zip(gaps, checks.GAMMA_CASES_N2))
+
+
+@pytest.mark.parametrize("case, eps", [(0, 2e-3), (1, 2e-2)])
+def test_gamma_sum_gaps_flag_a_scaled_gamma(monkeypatch, case, eps):
+    # the smallest scalings flagged are about 1.07e-3 for one slot (tol
+    # 1e-3) and 1.10e-2 for two (tol 1e-2): the gap is eps |gamma_n eta|
+    gaps = _gamma_sum_gaps_with(monkeypatch, lambda g: (1.0 + eps) * g)
+    assert gaps[case] > checks.GAMMA_CASES_N2[case][2]

@@ -46,6 +46,15 @@ class TestQuadForm:
         x = np.array([1.0, -2.0])
         assert A.quad(x) == pytest.approx(float(x @ A.entries @ x))
 
+    def test_inverse_is_symmetrized_once(self):
+        # computed on first read, bitwise the symmetrized inverse, read-only
+        # and kept: a second read returns the same array
+        A = spd([[2.0, 0.5, 0.1], [0.5, 1.5, -0.3], [0.1, -0.3, 0.9]])
+        inv = np.linalg.inv(A.entries)
+        assert A.inv.tobytes() == (0.5 * (inv + inv.T)).tobytes()
+        assert not A.inv.flags.writeable
+        assert A.inv is A.inv
+
 
 def test_block_is_one_based():
     M = np.arange(1, 10, dtype=float).reshape(3, 3)

@@ -376,6 +376,32 @@ def test_work_counters_are_pinned():
     assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 12800
 
 
+def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
+    # engine call counts carry no noise either: a closed-form (d <= 2) call
+    # reads every pair's sheet distance from its own coordinates, so it
+    # makes no sheet_distance or nonneg_argmin call, and one field-n3 point
+    # (criterion 12's stencil jet, criterion 04's six gradients) makes
+    # exactly 7 engine calls
+    from ghlab import frame, quadrature
+
+    solves, engine = [], []
+    for name in ("sheet_distance", "nonneg_argmin"):
+        monkeypatch.setattr(quadrature, name, lambda *args, _f=getattr(quadrature, name),
+                            _n=name: solves.append(_n) or _f(*args))
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *args, **kw: engine.append(1) or power_kernel_integral(*args, **kw))
+    A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
+    p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
+    frame.integrability_residual(FirstOrderField(A3, QUAD), p3)
+    for labels in itertools.combinations(range(4), 2):
+        alpha_grad(KernelSpec(A3, labels), QUAD, p3)
+    assert solves == [] and len(engine) == 7
+    # a swept call (N = 4) solves its sheet distances, and the spies see it
+    alpha_grad(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD,
+               BasePoint(np.array([0.5, -0.3, 0.8, 0.2]), 0.4 + 0j))
+    assert "sheet_distance" in solves and "nonneg_argmin" in solves
+
+
 # N = 5 kernels at the seed-100 point, (value, gradient) as computed at
 # abs_tol 1e-13 by an independent sweep: geometric panels on each swept
 # axis out to a truncation radius, plus an analytic bound on the mass

@@ -296,6 +296,19 @@ def test_boundary_distance_against_scipy():
     assert worst < 1e-9
 
 
+def test_region_membership_never_inverts_the_form(monkeypatch):
+    # the stratum layer reads no A^{-1}, so a fresh form, whose inverse is
+    # computed on first read, never computes it in region_membership
+    def no_inverse(self):
+        raise AssertionError("QuadForm.inv was read")
+
+    monkeypatch.setattr(QuadForm, "inv", property(no_inverse))
+    rng = np.random.default_rng(30)
+    for N in (2, 3, 4):
+        for _ in range(5):
+            region_membership(random_spd(rng, N), RegionConstants(), region_point(rng, N))
+
+
 def test_stratum_table_is_built_once(monkeypatch):
     calls = []
     blocks = locus.schur_blocks
@@ -305,24 +318,25 @@ def test_stratum_table_is_built_once(monkeypatch):
     A = random_spd(rng, 4)
     consts = RegionConstants()
     region_membership(A, consts, region_point(rng, 4))
-    # one stacked call per subset size, 2 to N + 1 labels
-    assert len(calls) == 4
+    # one stacked call per subset size with a transverse label, 2 to N
+    # labels: the full label set's G is its own M
+    assert len(calls) == 3
     # later distance queries on the same form add no Schur work
     p = region_point(rng, 4)
     region_membership(A, consts, p)
     dist_locus(A, p)
     dist_boundary(A, IndexSet((1, 3)), p)
     project(A, IndexSet((1, 3)), p)
-    assert len(calls) == 4
+    assert len(calls) == 3
     # the reduced glue blocks of a (form, row) are built on its first glue
     # query, one per set K of its transverse labels: 7 for (0, 1) at N = 4
     I = IndexSet((0, 1))
     glue.glue_weight(A, I, consts, p)
-    assert len(calls) == 4 + 7
+    assert len(calls) == 3 + 7
     # and every later point reads them
     glue.glue_weight(A, I, consts, region_point(rng, 4))
     rho_IJ(A, I, IndexSet((0, 1, 3)), region_point(rng, 4))
-    assert len(calls) == 4 + 7
+    assert len(calls) == 3 + 7
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -30,11 +30,9 @@ from ghlab.quadrature import (
     QuadratureSpec,
     SingularityProximity,
     _axis_breakpoints,
-    closed_sheet_distances,
     gauss_rule,
     half_line_integrals,
     nonneg_argmin,
-    nonneg_argmin_rows,
     panel_nodes,
     power_kernel_integral,
     qmc_power_kernel_integral,
@@ -165,6 +163,20 @@ def test_sheet_row_after_the_first_raises():
                                   np.zeros(2), np.eye(3)[None, :, :2], 3, QuadratureSpec())
 
 
+def test_line_row_behind_the_apex_at_zero_height_is_refused():
+    # d = 1 at eta = 0: row 1 lies on the line through the sheet, behind its
+    # apex, so its distance r* = 1 clears the floor, but the closed form
+    # reads nan at h = 0; it is refused by name, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularityProximity, match="row 1 gives a value that is not "
+                                                       "finite") as exc:
+            power_kernel_integral(np.eye(2), 1.0, np.array([[1.0, 2.0], [0.0, -1.0]]),
+                                  np.zeros(2), np.array([[[0.0], [1.0]]]), 2,
+                                  QuadratureSpec(), floor=0.5)
+    assert (exc.value.kernel, exc.value.row) == (0, 1)
+
+
 def test_swept_rows_far_apart_match_each_row_alone():
     # d = 3 (one swept axis): two rows far apart in one call each sweep on
     # their own grid, so each row's value and error are bitwise what it
@@ -209,33 +221,45 @@ _FEET = {
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_engine_sheet_distance_matches_enumeration(d):
-    # the engine's r* and the batched closed form against the enumeration
-    # of active sets, for random forms and mixed-sign cone columns, with
-    # the point at a Q-height h over its foot M t in the cone's span
+    # the engine's r* against the enumeration of active sets, for random
+    # forms and mixed-sign cone columns, with the point at a Q-height h over
+    # its foot M t in the cone's span: each row alone, then every row of two
+    # kernels' feet in one call, where the nearest (kernel, row) pair is
+    # the one a floor just above r* refuses; the heights grow row by row,
+    # so that pair is unique
     rng = np.random.default_rng(40 + d)
     for m in (d + 1, d + 2):
         for _ in range(6):
             root = rng.normal(size=(m, m))
             Q = root @ root.T + 0.3 * np.eye(m)
-            M = rng.normal(size=(m, d))
-            G = M.T @ Q @ M
-            rows, E, want = [], [], []
-            for t in _FEET[d]:
-                v = rng.normal(size=m)
-                v -= M @ np.linalg.solve(G, M.T @ (Q @ v))   # Q-across M
-                for h, e in ((0.0, 0.3), (0.5, 0.0), (1e-3, 1e-6)):
-                    b = M @ np.array(t) + h * v / math.sqrt(v @ Q @ v)
-                    ref = _reference_distance(Q, M, b, e)
-                    eta = math.sqrt(e / 1.7) + 0j
-                    # any floor makes the engine solve the closed-form distance
-                    res = power_kernel_integral(Q, 1.7, b[None, :], np.array([eta]), M[None],
-                                                3, QuadratureSpec(), floor=1e-300)
-                    assert res.r_star == pytest.approx(ref, rel=1e-12, abs=1e-14)
-                    rows.append(b)
-                    E.append(1.7 * abs(eta) ** 2)
-                    want.append(ref)
-            r = closed_sheet_distances(Q, M, np.array(rows), np.array(E))
-            np.testing.assert_allclose(r, want, rtol=1e-12, atol=1e-14)
+            Ms = rng.normal(size=(2, m, d))
+            rows, etas = [], []
+            for M in Ms:
+                G = M.T @ Q @ M
+                for t in _FEET[d]:
+                    v = rng.normal(size=m)
+                    v -= M @ np.linalg.solve(G, M.T @ (Q @ v))   # Q-across M
+                    for h, e in ((0.0, 0.3), (0.5, 0.0), (1e-3, 1e-6)):
+                        h *= 1.0 + 0.01 * len(rows)
+                        b = M @ np.array(t) + h * v / math.sqrt(v @ Q @ v)
+                        eta = math.sqrt(e / 1.7) + 0j
+                        # any floor makes the engine report the distance
+                        res = power_kernel_integral(Q, 1.7, b[None, :], np.array([eta]),
+                                                    M[None], 3, QuadratureSpec(), floor=1e-300)
+                        ref = _reference_distance(Q, M, b, 1.7 * abs(eta) ** 2)
+                        assert res.r_star == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                        rows.append(b)
+                        etas.append(eta)
+            b, eta = np.array(rows), np.array(etas)
+            want = np.array([[_reference_distance(Q, M, row, 1.7 * abs(e) ** 2)
+                              for row, e in zip(b, eta)] for M in Ms])
+            res = power_kernel_integral(Q, 1.7, b, eta, Ms, 3, QuadratureSpec(), floor=1e-300)
+            assert res.r_star == pytest.approx(want.min(), rel=1e-12, abs=1e-14)
+            with pytest.raises(SingularityProximity, match="below the resolution floor") as exc:
+                power_kernel_integral(Q, 1.7, b, eta, Ms, 3, QuadratureSpec(),
+                                      floor=res.r_star * (1.0 + 1e-9))
+            assert (exc.value.kernel, exc.value.row) == np.unravel_index(want.argmin(),
+                                                                         want.shape)
 
 
 def test_budget_error():
@@ -396,32 +420,6 @@ def test_nonneg_argmin_against_scipy():
             bounds=[(0.0, None)] * d, method="L-BFGS-B",
             options={"ftol": 1e-15, "gtol": 1e-12})
         assert val <= ref.fun + 1e-9 * (1.0 + abs(ref.fun))
-
-
-def test_nonneg_argmin_closed_form_matches_enumeration():
-    # d <= 2 has a closed form; nonneg_argmin, the enumeration of active
-    # sets, is its reference, with q inside, on the boundary of and outside
-    # the cone
-    rng = np.random.default_rng(12)
-    for _ in range(400):
-        d = int(rng.integers(1, 3))
-        root = rng.normal(size=(d, d))
-        P = root @ root.T + 0.05 * np.eye(d)
-        q = 3.0 * rng.normal(size=d)
-        kind = int(rng.integers(0, 4))
-        if kind == 1:
-            q = -np.abs(q)                      # minimum at the origin
-        elif kind == 2 and d == 2:
-            q = P @ np.array([abs(q[0]), 0.0])  # free minimizer on an edge
-        elif kind == 3:
-            q[0] = 0.0
-        tau = nonneg_argmin_rows(P, q[None, :])[0]
-        val = -float(q @ tau)
-        ref_tau, ref_val = nonneg_argmin(P, q)
-        scale = 1.0 + float(np.max(np.abs(ref_tau)))
-        assert np.all(tau >= 0.0)
-        np.testing.assert_allclose(tau, ref_tau, rtol=0, atol=1e-12 * scale)
-        assert val == pytest.approx(ref_val, rel=1e-12, abs=1e-12 * scale ** 2)
 
 
 def mp_wedge(mpmath, e2, y, H2, powers):
