@@ -19,6 +19,7 @@ a leading B; a single point is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -130,10 +131,13 @@ class FieldJet:
     quad_error: np.ndarray
 
 
+@lru_cache(maxsize=64)
 def _outers(N: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """(K, N N): kernel (i, j)'s (e_i - e_j)(e_i - e_j)^T, e_0 = 0, raveled."""
+    """(K, N N), read-only: kernel (i, j)'s (e_i - e_j)(e_i - e_j)^T, e_0 = 0."""
     e = (np.eye(N + 1)[[i for i, _ in labels]] - np.eye(N + 1)[[j for _, j in labels]])[:, 1:]
-    return (e[:, :, None] * e[:, None, :]).reshape(len(labels), N * N)
+    table = (e[:, :, None] * e[:, None, :]).reshape(len(labels), N * N)
+    table.flags.writeable = False
+    return table
 
 
 def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
@@ -143,7 +147,7 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     one engine call."""
     N = A.n
     labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
-    outers = A.derived(("outers", restriction), lambda: _outers(N, labels))
+    outers = _outers(N, labels)
     B = kv.value.shape[1]
     # v and dv each as one product against the table of label outers,
     # summed over the leading kernel axis slice by slice from 0, in label

@@ -87,8 +87,7 @@ class QuadForm:
 
     @property
     def inv(self) -> np.ndarray:
-        """A^{-1}, symmetrized, computed on first read: the fields and the
-        Laplacian terms read it, the stratum layer never does."""
+        """A^{-1}, symmetrized, computed on first read (the stratum layer never does)."""
         if self._inv is None:
             inv = np.linalg.inv(self.entries)
             self._inv = 0.5 * (inv + inv.T)

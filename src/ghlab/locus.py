@@ -176,9 +176,8 @@ def _table(A: QuadForm) -> SimpleNamespace:
     P = A_cc^{-1} A_cI and Schur blocks G, symmetrized as QuadForm would.
 
     Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
-    order, each subset size's rows make one ``schur_blocks`` call, but the
-    full label set's: its row has no transverse labels, so its P is empty
-    and its G is its M, bitwise what ``schur_blocks`` would return.
+    order, each subset size's rows make one ``schur_blocks`` call but the full
+    label set's, whose row has no transverse labels: its G is its own M.
     """
     T = SimpleNamespace(**vars(_layout(A.n)))
     M = T.S.swapaxes(-1, -2) @ A.entries @ T.S

@@ -434,10 +434,9 @@ _EDGE_POLE = 0.28
 
 
 def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
-    """(s0, l) (2, 2, ...) of the foot y (2, ...), per edge k of the wedge
-    between e1 = (1, 0) and e2 (axis 1): its position s0 along the edge
-    and its signed distance l to the edge's line, positive on the wedge's
-    side."""
+    """(s0, l) (2, 2, ...) of the foot y (2, ...) per edge of the wedge
+    between e1 = (1, 0) and e2 (axis 1): its position along the edge and
+    its signed distance to the edge's line, positive on the wedge's side."""
     cphi, sphi = e2
     edges = np.empty((2,) + y.shape)
     edges[:, 0] = y
@@ -479,8 +478,7 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
     if n_rule < ell.size:
         ahat, S, c2 = _edge_ahat(s0, al, H, H2, ns)
         # a foot in the plane on an edge's line adds 0
-        on_line = (ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size
-                   else None)
+        on_line = ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size else None
     if n_in:
         phi = np.arctan2(sphi, cphi)
     out = []

@@ -178,14 +178,14 @@ def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
                    if I is None or set(ij) <= set(I.members))
     B = 7
     mu, eta = rng.normal(size=(B, N)), rng.normal(size=B) + 1j * rng.normal(size=B)
-    value = rng.lognormal(size=(len(labels), B)) * 10.0 ** rng.integers(-8, 9, (len(labels), B))
-    grad = rng.normal(size=(len(labels), B, N + 2)) * 10.0 ** rng.integers(-8, 9, (len(labels), B, N + 2))
+    K = len(labels)
+    value = rng.lognormal(size=(K, B)) * 10.0 ** rng.integers(-8, 9, (K, B))
+    grad = rng.normal(size=(K, B, N + 2)) * 10.0 ** rng.integers(-8, 9, (K, B, N + 2))
     grad[rng.random(grad.shape) < 0.2] = 0.0
 
     def family(A_, restriction, quad, m, e, want_gradient):
         rows = [int(np.flatnonzero((mu == r).all(axis=1))[0]) for r in m]
-        return labels, KernelValue(value[:, rows], np.zeros((len(labels), len(rows))), 0,
-                                   grad[:, rows])
+        return labels, KernelValue(value[:, rows], np.zeros((K, len(rows))), 0, grad[:, rows])
 
     monkeypatch.setattr(ansatz, "alpha_family", family)
     fld = FirstOrderField(A, QUAD) if I is None else RestrictedField(A, I, QUAD)
