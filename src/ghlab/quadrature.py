@@ -463,20 +463,23 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
     ns = (power - 2, power) if want_gradient else (power - 2,)
     inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
     n_in = np.count_nonzero(inside)
-    H = np.sqrt(H2)
+    # H2 and H per edge (axis 0), so that no operation on the edges
+    # broadcasts them: on small batches a broadcast costs more than the work
+    H2_edge = np.empty(ell.shape)
+    H2_edge[...] = H2
+    H = np.sqrt(H2_edge)
     al = np.abs(ell)
-    theta = np.arctan2(al, -s0)           # the angle edge k subtends at y
     n_rule = 0
     if n_in < inside.size:
+        theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
         # outside the wedge: the Gauss rule where the poles are far enough
         rule = ~inside & (al >= H * np.sinh(_EDGE_POLE * theta)) & (ell != 0.0)
         n_rule = np.count_nonzero(rule)
         if n_rule:
-            gauss = _edge_rule(theta, al, H2, rule if n_rule < rule.size else None,
-                               ns, want_gradient)
-        minus_sign = -np.sign(ell)
+            gauss = _edge_rule(theta, al, H2_edge, rule if n_rule < rule.size else None, ns)
+        sign0, sign1 = -np.sign(ell)
     if n_rule < ell.size:
-        ahat, S, c2 = _edge_ahat(s0, al, H, H2, ns)
+        ahat, S, c2 = _edge_ahat(s0, al, H, H2_edge, ns)
         # a foot in the plane on an edge's line adds 0
         on_line = ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size else None
     if n_in:
@@ -486,7 +489,7 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
         if n_rule < ell.size:
             Hn = H ** -n
         if n_in:
-            inner = Hn * (phi + ahat[j][0] + ahat[j][1])
+            inner = Hn[0] * (phi + ahat[j][0] + ahat[j][1])
         if n_in < inside.size:
             if n_rule < ell.size:
                 edge = Hn * (theta - ahat[j])
@@ -496,17 +499,19 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
                     edge[on_line] = 0.0
             else:
                 edge = gauss[j]
-            outer = minus_sign[0] * edge[0] + minus_sign[1] * edge[1]
+            outer = sign0 * edge[0] + sign1 * edge[1]
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
-        out.append(value / n)
+        out.append(value / n if n > 1 else value)
     if want_gradient:
         if n_rule < ell.size:
             # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
             # where psi is small the Wallis steps lose digits, and that
             # routine's betainc branch takes over
             J = c2 ** (-0.5 * (ns[0] + 1)) * S
-            small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
+            small = s0 < 0.0
+            if np.count_nonzero(small):
+                small &= c2 < _BETAINC_X * (c2 + s0 * s0)
             if n_rule:
                 small &= ~rule
                 J[rule] = gauss[-1]
@@ -570,28 +575,28 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
-               rule: np.ndarray | None, ns: tuple[int, ...],
-               want_gradient: bool) -> list[np.ndarray]:
-    """On the edges in ``rule`` (all of them for None): (p - 2) B, the
-    integral over chi in [0, Theta] of root^n,
+               rule: np.ndarray | None, ns: tuple[int, ...]) -> list[np.ndarray]:
+    """On the edges in ``rule`` (all of them for None; H2 is given per
+    edge, as ``al``): (p - 2) B, the integral over chi in [0, Theta] of root^n,
     root^2 = sin^2 chi / (H^2 sin^2 chi + l^2), for each n = p - 2 in
-    ``ns``; with ``want_gradient`` also the half-line integral J_p, the
-    integral of |l| root^n / (H^2 sin^2 chi + l^2)."""
+    ``ns``; with two of them (the gradient's) also the half-line integral
+    J_p, the integral of |l| root^n / (H^2 sin^2 chi + l^2)."""
     t, wt = _unit_rule(_EDGE_ORDER)
     h2 = H2[..., None]
     if rule is not None:
-        theta, al, h2 = theta[rule], al[rule], (H2 + 0.0 * al)[rule][:, None]
+        theta, al, h2 = theta[rule], al[rule], H2[rule][:, None]
     s2 = np.sin(theta[..., None] * t) ** 2
     den = h2 * s2 + (al * al)[..., None]
     root2 = s2 / den
     n = ns[0]
-    rn = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
-    out = [theta * (rn @ wt)]
+    # root^n, then root^(n+2) and root^n / den, stacked for one Gauss sum
+    F = np.empty((2 * len(ns) - 1,) + root2.shape)
+    F[0] = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
     if len(ns) > 1:
-        out.append(theta * ((rn * root2) @ wt))
-    if want_gradient:
-        out.append(theta * al * ((rn / den) @ wt))
-    return out
+        np.multiply(F[0], root2, out=F[1])
+        np.divide(F[0], den, out=F[2])
+    I = F @ wt
+    return [theta * I[0]] if len(ns) == 1 else [theta * I[0], theta * I[1], theta * al * I[2]]
 
 
 @lru_cache(maxsize=4)
@@ -857,7 +862,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     B, m = b.shape
     K, _, d = M.shape
     eta = np.ascontiguousarray(eta, dtype=complex)
-    E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
+    x, y = eta.real, eta.imag
+    E = c_eta * (x * x + y * y)
     ceta_xy = c_eta * eta.view(float).reshape(B, 2)
     if frame is None:
         frame = cone_frame(Q, M)
