@@ -149,9 +149,8 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
     outers = _outers(N, labels)
     B = kv.value.shape[1]
-    # v and dv each as one product against the table of label outers,
-    # summed over the leading kernel axis slice by slice from 0, in label
-    # order, so each point's row is the same in any batch
+    # v and dv: one product with the label outers each, summed over kernels
+    # slice by slice from 0 in label order, so a row is the same in any batch
     v = (kv.value[:, :, None] * outers[:, None]).sum(axis=0, initial=0.0).reshape(B, N, N)
     err = kv.error.max(axis=0)
     # each point's sums reduce one contiguous row, as a lone point's would

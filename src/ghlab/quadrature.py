@@ -360,7 +360,6 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
             half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
             S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
     # h = 0 on the sheet gives inf, which power_kernel_integral refuses
-    # (it evaluates the closed forms under np.errstate)
     scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = []
     for q in qs:
@@ -509,9 +508,7 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
             # where psi is small the Wallis steps lose digits, and that
             # routine's betainc branch takes over
             J = c2 ** (-0.5 * (ns[0] + 1)) * S
-            small = s0 < 0.0
-            if np.count_nonzero(small):
-                small &= c2 < _BETAINC_X * (c2 + s0 * s0)
+            small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
             if n_rule:
                 small &= ~rule
                 J[rule] = gauss[-1]
@@ -868,8 +865,7 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     if frame is None:
         frame = cone_frame(Q, M)
     if d <= 2:
-        # every (kernel, row) pair is a closed form; one on the sheet reads
-        # inf, and its refusal is the only signal
+        # every (kernel, row) pair is a closed form; one on the sheet reads inf
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 0:
                 r2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
