@@ -243,9 +243,8 @@ def test_engine_sheet_distance_matches_enumeration(d):
                         h *= 1.0 + 0.01 * len(rows)
                         b = M @ np.array(t) + h * v / math.sqrt(v @ Q @ v)
                         eta = math.sqrt(e / 1.7) + 0j
-                        # any floor makes the engine report the distance
                         res = power_kernel_integral(Q, 1.7, b[None, :], np.array([eta]),
-                                                    M[None], 3, QuadratureSpec(), floor=1e-300)
+                                                    M[None], 3, QuadratureSpec())
                         ref = _reference_distance(Q, M, b, 1.7 * abs(eta) ** 2)
                         assert res.r_star == pytest.approx(ref, rel=1e-12, abs=1e-14)
                         rows.append(b)
@@ -253,7 +252,7 @@ def test_engine_sheet_distance_matches_enumeration(d):
             b, eta = np.array(rows), np.array(etas)
             want = np.array([[_reference_distance(Q, M, row, 1.7 * abs(e) ** 2)
                               for row, e in zip(b, eta)] for M in Ms])
-            res = power_kernel_integral(Q, 1.7, b, eta, Ms, 3, QuadratureSpec(), floor=1e-300)
+            res = power_kernel_integral(Q, 1.7, b, eta, Ms, 3, QuadratureSpec())
             assert res.r_star == pytest.approx(want.min(), rel=1e-12, abs=1e-14)
             with pytest.raises(SingularityProximity, match="below the resolution floor") as exc:
                 power_kernel_integral(Q, 1.7, b, eta, Ms, 3, QuadratureSpec(),
