@@ -18,12 +18,11 @@ a leading B; a single point is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
 
 from .geometry import BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
@@ -91,7 +90,7 @@ def flat_field(p: BasePoint) -> FlatFieldResult:
         hi = x_lo + max(1.0, target ** (1.0 / (N + 1)), 2.0 * float(np.max(np.abs(mu))))
         while f(hi) < 0.0:
             hi *= 2.0
-        x = brentq(f, x_lo, hi, xtol=1e-300 + 1e-15 * hi, rtol=8.9e-16)
+        x = _flat_root(np.concatenate([[x_lo], x_lo + 2.0 * mu]), target, x_lo, hi)
 
     zsq = np.concatenate([[x], x + 2.0 * mu])
     scale = max(1.0, float(np.max(zsq)))
@@ -105,6 +104,38 @@ def flat_field(p: BasePoint) -> FlatFieldResult:
     for i in range(N + 1):
         w_inv += float(np.prod(np.delete(zsq, i)))
     return FlatFieldResult(x, zsq, False, V_inv, V, 1.0 / w_inv)
+
+
+def _flat_root(z_lo: np.ndarray, target: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] with prod_i (z_lo_i + x - lo) = target, to within
+    1e-300 + 1e-15 hi + 8.9e-16 |x| (brentq's tolerance on that bracket).
+    The factors z_lo_i >= 0 at lo make lo the product's largest root.
+
+    In t = log(x - lo) the log of the product, sum_i log(e^t + z_lo_i), is
+    convex and increasing, with slope between the number of zero z_lo_i
+    and len(z_lo), so Newton's method in t converges fast from anywhere; a
+    step that leaves the bracket bisects it instead.
+    """
+    xtol = 1e-300 + 1e-15 * hi
+    y_lo, y_hi = 0.0, hi - lo
+    y = y_hi
+    for _ in range(100):
+        z = y + z_lo
+        # the log of a ratio near 1, not a difference of large logs
+        g = math.log(float(np.prod(z)) / target)
+        if g == 0.0:
+            return lo + y
+        if g > 0.0:
+            y_hi = y
+        else:
+            y_lo = y
+        y_new = y * math.exp(-g / float(np.sum(y / z)))
+        if abs(y_new - y) <= xtol + 8.9e-16 * abs(lo + y_new):
+            return lo + y_new
+        if not y_lo < y_new < y_hi:
+            y_new = 0.5 * (y_lo + y_hi)
+        y = y_new
+    raise RuntimeError("the flat-model root did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +265,9 @@ def sigma_expansion(A: QuadForm, v: np.ndarray) -> SigmaExpansion:
     v = np.asarray(v, dtype=float)
     if v.shape != (A.n, A.n):
         raise ValueError("perturbation shape mismatch")
-    eigs = scipy.linalg.eigh(0.5 * (v + v.T), A.entries, eigvals_only=True)
+    # the eigenvalues of the pencil (v, A) as those of C^-1 v C^-T, A = C C^T
+    C_inv = A.derived("cholesky_inv", lambda: np.linalg.inv(np.linalg.cholesky(A.entries)))
+    eigs = np.linalg.eigvalsh(C_inv @ (0.5 * (v + v.T)) @ C_inv.T)
     coeffs = np.poly(eigs)          # monic, length N+1
     sigmas = np.array([(-1.0) ** k * coeffs[k] for k in range(1, A.n + 1)])
     total = 1.0 + float(np.sum(sigmas))

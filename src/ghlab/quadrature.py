@@ -53,7 +53,7 @@ eta it is a multiple of the wedge integral at p + 2.  For one cone column
 (d = 1) the integrand along m is (a t^2 - 2 beta t + gamma)^(-p/2), and
 ``half_line_integrals`` evaluates J_p = a^((p-2)/2) D^((1-p)/2) times an
 angle integral of cos^(p-2) without cancellation (an all-positive Wallis
-recursion where beta >= 0, the incomplete beta function where beta < 0
+recursion where beta >= 0, a positive power series in sin^2 where beta < 0
 and the angle is small), D formed as a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
@@ -94,8 +94,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lapack
 
 __all__ = [
     "QuadratureSpec",
@@ -317,15 +315,35 @@ _SIMPLEX_BREAKS = (0.25, 0.5, 0.75)
 # the closed forms: one cone column (a half line) and two (a wedge)
 
 # below this sin^2(phi0), with beta < 0, the Wallis recursion would lose
-# digits to cancellation; the incomplete beta function takes over there
-_BETAINC_X = 0.25
+# digits to cancellation; the power series of _sine_power_sums takes over
+# there, and its terms j < 28 reach 2^-53 at x < 1/4
+_SERIES_X = 0.25
+_SERIES_J = np.arange(28.0)
+_SERIES_C = np.array([math.comb(2 * j, j) / 4.0 ** j for j in range(28)])
+
+
+@lru_cache(maxsize=16)
+def _series_coef(ks: tuple[int, ...]) -> np.ndarray:
+    """binom(2j, j) 4^(-j) / (k + 2j + 1), (terms, len(ks)), read-only."""
+    coef = _SERIES_C[:, None] / (np.array(ks) + 2.0 * _SERIES_J[:, None] + 1.0)
+    coef.flags.writeable = False
+    return coef
+
+
+def _sine_power_sums(x: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
+    """T_k(x) = sum_j binom(2j, j) 4^(-j) x^j / (k + 2j + 1), (len(ks), n),
+    for x (n,) in [0, 1/4), so that S_k(phi0) = s^(k+1) T_k(s^2) with
+    s = sin(phi0) <= 1/2: expanding (1 - s^2)^(-1/2) in
+    S_k = integral_0^s s'^k (1 - s'^2)^(-1/2) ds'.  Every term is positive;
+    one power table and one product sum them."""
+    return (x[:, None] ** _SERIES_J @ _series_coef(ks)).T
 
 
 def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
                         qs: tuple[int, ...]) -> list[np.ndarray]:
     """J_q = integral_0^inf (a t^2 - 2 beta t + gamma)^(-q/2) dt, for q in qs.
 
-    h = gamma - beta^2 / a = D / a > 0 is the minimum of the quadratic over
+    h = gamma - beta^2 / a = D / a >= 0 is the minimum of the quadratic over
     the real line; it is passed in directly because forming it from gamma
     cancels near the singular sheet.  a may be an array that broadcasts
     against beta and h (one per kernel).  The qs ascend in steps of 2 from at
@@ -350,21 +368,23 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
         S_k = ((k - 1) * S_k - s_pow * c) / k
         s_pow = s_pow * x
         S[k] = S_k
-    # small phi0 with beta < 0: substituting x = sin^2 gives
-    # S_k = B((k+1)/2, 1/2) I_x((k+1)/2, 1/2) / 2 for phi0 <= pi/2
-    small = (beta < 0.0) & (x < _BETAINC_X)
-    if np.any(small):
-        xs = x[small]
-        for k in {kmin, kmax}:
-            ak = 0.5 * (k + 1)
-            half_beta = 0.5 * math.gamma(ak) * math.sqrt(math.pi) / math.gamma(ak + 0.5)
-            S[k][small] = half_beta * special.betainc(ak, 0.5, xs)
     # h = 0 on the sheet gives inf, which power_kernel_integral refuses
     scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = []
     for q in qs:
         out.append(S[q - 2] * scale)
         scale = scale / h
+    # small phi0 with beta < 0: s^(q-1) h^((1-q)/2) = a^((q-1)/2) (a gamma)^((1-q)/2),
+    # so J_q = a^(q/2-1) (a gamma)^((1-q)/2) T_(q-2)(x) holds no power of h,
+    # and a row behind the apex at h = 0 reads a^(q/2-1) |beta|^(1-q) / (q-1)
+    small = (beta < 0.0) & (x < _SERIES_X)
+    if np.count_nonzero(small):
+        T = _sine_power_sums(x[small], tuple(ks))
+        a_s, ag = (a * np.ones_like(x))[small], a_gamma[small]
+        scale = a_s ** (0.5 * qs[0] - 1.0) * ag ** (0.5 * (1 - qs[0]))
+        for J, T_k in zip(out, T):
+            J[small] = T_k * scale
+            scale = scale * a_s / ag
     return out
 
 
@@ -506,9 +526,9 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
         if n_rule < ell.size:
             # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
             # where psi is small the Wallis steps lose digits, and that
-            # routine's betainc branch takes over
+            # routine's series branch takes over
             J = c2 ** (-0.5 * (ns[0] + 1)) * S
-            small = (s0 < 0.0) & (c2 < _BETAINC_X * (c2 + s0 * s0))
+            small = (s0 < 0.0) & (c2 < _SERIES_X * (c2 + s0 * s0))
             if n_rule:
                 small &= ~rule
                 J[rule] = gauss[-1]
@@ -630,9 +650,7 @@ class _Wedge(_Stack):
 
     @classmethod
     def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Wedge":
-        Ct, info = lapack.dpotrf(Q)       # upper: Q = Ct^T Ct, once for all K
-        if info:
-            raise np.linalg.LinAlgError("the form Q is not positive definite")
+        Ct = np.linalg.cholesky(Q).T      # upper: Q = Ct^T Ct, once for all K
         CM = Ct @ M
         m1, m2 = CM[..., -2], CM[..., -1]
         # Gram-Schmidt, reorthogonalized once: r22, the part of m2 across
@@ -884,8 +902,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         if r >= floor and r > 0.0:
             if np.count_nonzero(np.isfinite(val)) == val.size:
                 return QuadResult(val, np.zeros((K, B)), grad, K * B, True, r_star)
-            # off the sheet, a row on the line of a one-column sheet behind
-            # its apex reads nan at E = 0 (h = 0); the first such is refused
+            # off the sheet every closed form is finite; should one not be,
+            # the first such pair is refused by name
             row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
             raise SingularityProximity(f"row {row} gives a value that is not finite", k, row)
     else:

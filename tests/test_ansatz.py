@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg, optimize
 
-from ghlab.checks import random_spd
+from ghlab.checks import random_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
     FirstOrderField,
@@ -60,6 +61,45 @@ class TestFlatModel:
         res = flat_field(p)
         lhs = res.x * float(np.prod(res.x + 2.0 * p.mu))
         assert lhs == pytest.approx(abs(p.eta) ** 2, rel=1e-12)
+
+    @staticmethod
+    def _brentq_root(p: BasePoint) -> tuple[float, float]:
+        """The root of x prod(x + 2 mu_i) = |eta|^2 by brentq on the same
+        bracket and tolerances as flat_field, and brentq's tolerance."""
+        mu, target = p.mu, abs(p.eta) ** 2
+        x_lo = max(0.0, -2.0 * float(np.min(mu)))
+        hi = x_lo + max(1.0, target ** (1.0 / (p.N + 1)), 2.0 * float(np.max(np.abs(mu))))
+        while hi * float(np.prod(hi + 2.0 * mu)) < target:
+            hi *= 2.0
+        xtol, rtol = 1e-300 + 1e-15 * hi, 8.9e-16
+        x = optimize.brentq(lambda x: x * float(np.prod(x + 2.0 * mu)) - target,
+                            x_lo, hi, xtol=xtol, rtol=rtol)
+        return x, xtol + rtol * abs(x)
+
+    def test_root_matches_brentq_on_the_acceptance_sampler(self):
+        # criterion 01's sampler: N = 1..5, |eta| uniform in [0, 2]
+        rng = np.random.default_rng(101)
+        for N in range(1, 6):
+            for _ in range(200):
+                p = random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
+                want, tol = self._brentq_root(p)
+                assert abs(flat_field(p).x - want) <= tol, (p.mu, p.eta)
+
+    @pytest.mark.parametrize("N", [1, 3, 6])
+    def test_root_matches_brentq_far_out_and_near_the_lower_bound(self, N):
+        # large |eta|, and tiny |eta| with one or more mu_i at or near the
+        # minimum, so that x + 2 mu_i nearly vanishes at the root
+        rng = np.random.default_rng(500 + N)
+        pts = [BasePoint(rng.uniform(-2.0, 2.0, N), complex(e, 0.3 * e))
+               for e in (1e3, 1e6, 1e12)]
+        for gap in (0.0, 1e-14, 1e-8):
+            for e in (1e-12, 1e-6, 1e-2):
+                mu = rng.uniform(-2.0, 2.0, N)
+                mu[:2] = mu.min() + np.array([0.0, gap])[:min(N, 2)]
+                pts.append(BasePoint(mu, complex(0.0, e)))
+        for p in pts:
+            want, tol = self._brentq_root(p)
+            assert abs(flat_field(p).x - want) <= tol, (p.mu, p.eta)
 
     def test_moduli_squares_consistent(self):
         p = BasePoint(np.array([0.7, -0.3]), 1.1 - 0.2j)
@@ -229,6 +269,21 @@ class TestSigmaExpansion:
             assert se.relative_error == pytest.approx(
                 se.relative_error_det_route, abs=1e-12)
             assert se.det_identity_gap < 1e-12
+
+    def test_sigmas_match_scipy_generalized_eigenvalues(self):
+        # the pencil (v, A) through a Cholesky factor of A against LAPACK's
+        # generalized symmetric solver, on random forms and perturbations
+        # of mixed sign, nonsymmetric ones symmetrized by both routes
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            N = int(rng.integers(1, 7))
+            A = random_spd(rng, N)
+            v = rng.normal(size=(N, N)) * 10.0 ** rng.uniform(-3.0, 0.0)
+            eigs = linalg.eigh(0.5 * (v + v.T), A.entries, eigvals_only=True)
+            want = np.array([(-1.0) ** k * c for k, c in enumerate(np.poly(eigs))][1:])
+            scale = np.max(np.abs(eigs)) ** np.arange(1, N + 1)
+            got = sigma_expansion(A, v).sigmas
+            np.testing.assert_allclose(got / scale, want / scale, rtol=0.0, atol=1e-13)
 
     def test_one_dimensional_tail_vanishes(self):
         # a single eigenvalue leaves nothing beyond first order

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ghlab import ansatz, checks, frame, glue, holo, kernels, locus
-from ghlab.geometry import QuadForm, batch_from_vectors
+from ghlab.geometry import BasePoint, QuadForm, anorm, batch_from_vectors
 from ghlab.quadrature import QuadratureSpec
 
 
@@ -66,6 +68,58 @@ def test_integrability_residual_is_a_row_of_the_batch():
 
 # Negative controls: each criterion's shared check, fed a defect of
 # stated size, must report a FAIL.
+
+def test_flat_volume_gap_flags_a_scaled_w(monkeypatch):
+    # criterion 01's draw (seed 101, 5 x 1000 points) with W scaled by
+    # 1 + 1e-8; the smallest scaling flagged is about 1 + 2.9e-11
+    flat = ansatz.flat_field
+
+    def scaled(p):
+        res = flat(p)
+        res.W *= 1.0 + 1e-8
+        return res
+
+    monkeypatch.setattr(ansatz, "flat_field", scaled)
+    rng = np.random.default_rng(101)
+    pts = [checks.random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
+           for N in range(1, 6) for _ in range(1000)]
+    assert checks.flat_volume_gap(pts) > checks.FLAT_VOLUME_TOL
+
+
+def test_one_slot_gaps_flag_a_scaled_closed_form(monkeypatch):
+    # criterion 02's draw (seed 102, 100 points) with the one-slot closed
+    # form's D scaled by 1 + 1e-9, as |eta| scaled by its square root; the
+    # smallest scaling flagged is about 1 + 8.8e-11
+    closed = kernels.closed_form_axis
+    monkeypatch.setattr(kernels, "closed_form_axis", lambda A, i, p, restriction=None: closed(
+        A, i, BasePoint(p.mu, p.eta * math.sqrt(1.0 + 1e-9)), restriction))
+    rng = np.random.default_rng(102)
+    pts = [checks.random_point(rng, 1, eta_lo=0.05) for _ in range(100)]
+    gaps = checks.one_slot_gaps(QuadForm(np.array([[checks.ONE_SLOT_FORM]])), checks.QUAD, pts)
+    assert max(gaps) > checks.ONE_SLOT_TOL
+
+
+def test_decay_exponents_flag_a_defect_growing_with_the_distance(monkeypatch):
+    # criterion 06's rays with each sampled volume defect multiplied by
+    # (1 + |p|_A), the distance the fit measures against: every exponent
+    # drops by about one.  A factor (1 + |p|_A)^0.114 already takes the
+    # deep ray out of its window
+    norms = []
+    jet, sigma = ansatz.FirstOrderField.jet, ansatz.sigma_expansion
+
+    def recording(self, mu, eta, want_gradient=True):
+        norms[:] = [anorm(self.A, BasePoint(m, e)) for m, e in zip(mu, eta)]
+        return jet(self, mu, eta, want_gradient)
+
+    def grown(A, v):
+        se = sigma(A, v)
+        se.relative_error *= 1.0 + norms.pop(0)
+        return se
+
+    monkeypatch.setattr(ansatz.FirstOrderField, "jet", recording)
+    monkeypatch.setattr(ansatz, "sigma_expansion", grown)
+    assert not any(ok for *_, ok in checks.decay_exponents())
+
 
 def _criterion_10_points():
     # criterion 10's draw: seed 110, 1000 core points then 1000 outer ones

@@ -163,18 +163,34 @@ def test_sheet_row_after_the_first_raises():
                                   np.zeros(2), np.eye(3)[None, :, :2], 3, QuadratureSpec())
 
 
-def test_line_row_behind_the_apex_at_zero_height_is_refused():
+def test_line_row_behind_the_apex_at_zero_height_is_finite(mpmath):
     # d = 1 at eta = 0: row 1 lies on the line through the sheet, behind its
-    # apex, so its distance r* = 1 clears the floor, but the closed form
-    # reads nan at h = 0; it is refused by name, with no RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SingularityProximity, match="row 1 gives a value that is not "
-                                                       "finite") as exc:
-            power_kernel_integral(np.eye(2), 1.0, np.array([[1.0, 2.0], [0.0, -1.0]]),
-                                  np.zeros(2), np.array([[[0.0], [1.0]]]), 2,
-                                  QuadratureSpec(), floor=0.5)
-    assert (exc.value.kernel, exc.value.row) == (0, 1)
+    # apex, so h = 0 while r* = |beta| / sqrt(a) clears the floor.  There
+    # J_p = a^(p/2-1) |beta|^(1-p) / (p-1), and its gradient is
+    # a^(p/2-1) |beta|^(-p) Q m along the plane (the h term has a double
+    # zero) and 0 in eta; no RuntimeWarning on the way
+    Q, m_col = np.diag([1.4, 0.8]), np.array([0.0, 1.0])
+    b = np.array([[1.0, 2.0], [0.0, -1.5]])
+    a, beta = 0.8, -1.2
+    bm, qd = [mpmath.mpf(0), mpmath.mpf("-1.5")], [mpmath.mpf("1.4"), mpmath.mpf("0.8")]
+    for power in (2, 3, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = power_kernel_integral(Q, 1.0, b, np.zeros(2), m_col[None, :, None], power,
+                                        QuadratureSpec(), want_gradient=True, floor=0.5)
+        closed = a ** (0.5 * power - 1) * abs(beta) ** (1 - power) / (power - 1)
+        assert res.value[0, 1] == pytest.approx(closed, rel=2e-15)
+        want = mp_half_line(mpmath, qd[1], mpmath.mpf("-1.2"), mpmath.mpf("1.8"), power)
+        assert res.value[0, 1] == pytest.approx(float(want), rel=1e-15)
+        grad_closed = np.concatenate([a ** (0.5 * power - 1) * abs(beta) ** -power
+                                      * (Q @ m_col), np.zeros(2)])
+        np.testing.assert_allclose(res.gradient[0, 1], grad_closed, rtol=2e-15, atol=0.0)
+        # d/db of the integrand ((b - t m)^T Q (b - t m))^(-p/2), at 50 digits
+        for j in range(2):
+            g = mpmath.quad(lambda t: -power * qd[j] * (bm[j] - t * m_col[j])
+                            * (qd[0] * bm[0] ** 2 + qd[1] * (bm[1] - t) ** 2)
+                            ** (-mpmath.mpf(power) / 2 - 1), [0, 1, 10, mpmath.inf])
+            assert res.gradient[0, 1, j] == pytest.approx(float(g), rel=1e-15, abs=1e-300)
 
 
 def test_swept_rows_far_apart_match_each_row_alone():
@@ -367,6 +383,27 @@ def test_half_line_integrals_match_mpmath(q, mpmath):
         got = half_line_integrals(1.7, np.array([float(beta)]),
                                   np.array([float(D / a)]), (q,))[0][0]
         assert got == pytest.approx(float(want), rel=1e-13), ratio
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_small_angle_series_matches_betainc_and_mpmath(k, mpmath):
+    # S_k(phi0) = s^(k+1) T_k(s^2), s = sin(phi0), over x = s^2 in (0, 1/4)
+    # and every k the engine reaches at N <= 6 (q - 2 up to 8 for the
+    # line's gradient); against the incomplete beta function
+    # S_k = B((k+1)/2, 1/2) I_x((k+1)/2, 1/2) / 2 in scipy and at 60 digits
+    from scipy import special
+    x = np.concatenate([np.geomspace(1e-12, 1e-2, 8), np.linspace(1e-2, 0.25, 24)[:-1],
+                        [np.nextafter(0.25, 0.0)]])
+    T = quadrature._sine_power_sums(x, (k,))[0]
+    a = 0.5 * (k + 1)
+    S = x ** a * T
+    with mpmath.workdps(60):
+        want_T = np.array([float(mpmath.betainc(a, 0.5, 0, mpmath.mpf(xi)) / 2
+                                 / mpmath.mpf(xi) ** a) for xi in x])
+    np.testing.assert_allclose(T, want_T, rtol=4 * 2.0 ** -52, atol=0.0)
+    half_beta = 0.5 * math.gamma(a) * math.sqrt(math.pi) / math.gamma(a + 0.5)
+    np.testing.assert_allclose(S, half_beta * special.betainc(a, 0.5, x),
+                               rtol=10 * 2.0 ** -52, atol=0.0)
 
 
 @pytest.mark.parametrize("p", range(2, 7))
