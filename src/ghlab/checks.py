@@ -303,8 +303,10 @@ def schur_eigen_violation(cases) -> float:
 
 
 def product_identity_gap(A: QuadForm, quad: QuadratureSpec, points) -> float:
-    """Criterion 09: worst relative gap of |z_0 z_1| = sqrt(D) |eta| for slot
-    1 (D = det of the inactive block), gauged to the exact one-slot moduli."""
+    """Criterion 09: worst gap |log |z_j| - log |w_j|| over j = 0, 1 of slot
+    1's coordinates to the exact one-slot moduli w_j at p (D = det of the
+    inactive block), gauged to them at the path start; it bounds the gap
+    of the product |z_0 z_1| = sqrt(D) |eta| too."""
     I = IndexSet((0, 1))
     G = schur_complement(A, I).entries[0, 0]
     comp = I.active_complement(A.n)
@@ -312,12 +314,10 @@ def product_identity_gap(A: QuadForm, quad: QuadratureSpec, points) -> float:
     worst = 0.0
     for p in points:
         ref = BasePoint(np.concatenate(([2.0 + abs(p.mu[0])], p.mu[1:])), p.eta)
-        w0r, w1r = holo.taubnut_moduli(G, D, 0.0, ref.mu[0], ref.eta)
-        res = holo.log_z(A, I, quad, p, basepath=[ref, p],
-                         gauge=np.array([math.log(w0r), math.log(w1r)]))
-        want = math.sqrt(D) * abs(p.eta)
-        worst = max(worst, abs(math.exp(res.values[0] + res.values[1]) - want)
-                    / want)
+        gauge = np.log(holo.taubnut_moduli(G, D, 0.0, ref.mu[0], ref.eta))
+        res = holo.log_z(A, I, quad, p, basepath=[ref, p], gauge=gauge)
+        want = np.log(holo.taubnut_moduli(G, D, 0.0, p.mu[0], p.eta))
+        worst = max(worst, float(np.max(np.abs(res.values - want))))
     return worst
 
 

@@ -25,7 +25,7 @@ charge check calls the engine directly, with no floor: its polar rule
 about the sheet, whose measure cancels the singularity, puts nodes inside
 that floor.  ``alpha_grad``, one row of ``alpha_batch``, remains for the
 benchmark, which calls and traces it; ``alpha``, its value, also serves
-``beta`` and criterion 03.
+criterion 03.
 """
 
 from __future__ import annotations

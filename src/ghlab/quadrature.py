@@ -29,13 +29,13 @@ IEEE Trans. Antennas Propag. 32:276; Newman 1986, J. Eng. Math. 20:113)
 where A_k >= 0 integrates Phi over the angle Theta_k that edge k subtends
 at y0, and l_k is the signed distance from y0 to edge k's line, positive
 on the wedge's side.  ``wedge_integrals`` uses this form where y0 lies in
-W: every term is positive.  Per edge, with c^2 = H^2 + l^2, kappa = H / c
-and n = p - 2, the scaled term (p - 2) H^n A_k grows from n to n + 2 by
-(|l| / c) kappa^n times the Wallis integral of sin^n from 0 to
-atan2(c, -s0), s0 the foot's position along the edge, starting from 0
-(n even) or an arctangent (n odd).  Outside W the terms of size H^(2-p)
-add up to the winding angle 0, so they are dropped and
-int_W = -sum_k sign(l_k) B_k with
+W: every term is positive.  Per edge, with n = p - 2, the scaled term
+(p - 2) H^n A_k grows from n to n + 2 by |l| H^n J_(n+2), J_q the
+half-line integral of ((t - s0)^2 + c^2)^(-q/2) along the edge, s0 the
+foot's position along it and c^2 = H^2 + l^2, starting from 0 (n even)
+or an arctangent (n odd); the gradient's J_p is the last step's.  Outside
+W the terms of size H^(2-p) add up to the winding angle 0, so they are
+dropped and int_W = -sum_k sign(l_k) B_k with
 
     B_k = integral_0^Theta_k (H^2 + l_k^2 / sin^2 chi)^((2-p)/2) d chi / (p - 2)
         = Theta_k H^(2-p) / (p - 2) - A_k.
@@ -399,21 +399,23 @@ class _Stack:
 class _Line(_Stack):
     """One cone column m per kernel, K of them: along m the quadratic is
     a t^2 - 2 beta t + gamma with a = m^T Q m and beta = m^T Q b, and
-    h = gamma - beta^2 / a = |Z|^2 + E with Z = L b, L^T L = Q - Q m m^T Q / a,
-    so h is a Q-distance to the line along m, never a difference."""
+    h = gamma - beta^2 / a = |Z|^2 + E with Z = L b, so h is a Q-distance
+    to the line along m, never a difference.  With Q = C C^T and
+    u = C^T m / r11, r11 = |C^T m|: a = r11^2, Q m = r11 C u and
+    L = (1 - u u^T) C^T, so L^T L = Q - Q m m^T Q / a."""
 
     a: np.ndarray         # (K, 1)
     Qm: np.ndarray        # (K, m)
-    L: np.ndarray         # (K, m-1, m)
+    L: np.ndarray         # (K, m, m)
 
     @classmethod
     def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Line":
-        Qm = (Q @ M)[..., 0]
-        a = np.einsum("km,km->k", M[..., 0], Qm)[:, None]
-        # the projected form has one null direction (m itself), sorted first
-        lam, vec = np.linalg.eigh(Q - Qm[:, :, None] * Qm[:, None, :] / a[:, :, None])
-        L = vec[..., 1:].swapaxes(-1, -2) * np.sqrt(np.maximum(lam[:, 1:], 0.0))[..., None]
-        return cls(a, Qm, L)
+        Ct = np.linalg.cholesky(Q).T      # upper: Q = Ct^T Ct, once for all K
+        Cm = (Ct @ M)[..., 0]
+        r11 = np.sqrt(np.einsum("km,km->k", Cm, Cm))[:, None]
+        u = Cm / r11
+        P = u @ Ct
+        return cls(r11 * r11, r11 * P, Ct - u[:, :, None] * P[:, None, :])
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int,
                  want_gradient: bool, ceta_xy: np.ndarray
@@ -498,7 +500,7 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
             gauss = _edge_rule(theta, al, H2_edge, rule if n_rule < rule.size else None, ns)
         sign0, sign1 = -np.sign(ell)
     if n_rule < ell.size:
-        ahat, S, c2 = _edge_ahat(s0, al, H, H2_edge, ns)
+        ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
         # a foot in the plane on an edge's line adds 0
         on_line = ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size else None
     if n_in:
@@ -524,16 +526,9 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
         out.append(value / n if n > 1 else value)
     if want_gradient:
         if n_rule < ell.size:
-            # J_p = c^(1-p) S_(p-2)(psi), as in half_line_integrals;
-            # where psi is small the Wallis steps lose digits, and that
-            # routine's series branch takes over
-            J = c2 ** (-0.5 * (ns[0] + 1)) * S
-            small = (s0 < 0.0) & (c2 < _SERIES_X * (c2 + s0 * s0))
+            J = J[-1]                     # J_p, the last step's
             if n_rule:
-                small &= ~rule
                 J[rule] = gauss[-1]
-            if np.count_nonzero(small):
-                J[small] = half_line_integrals(1.0, s0[small], c2[small], (power,))[0]
         else:
             J = gauss[-1]
         # minus the outward normals (0, -1) and (-sin phi, cos phi)
@@ -543,52 +538,41 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
 
 
 def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
-               ns: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+               ns: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """ahat_n = (p - 2) H^n A for each edge, n = p - 2 in ``ns``: the edge
-    term of the form for a foot inside the wedge, scaled; S_(ns[0]); and c^2.
+    term of the form for a foot inside the wedge, scaled; and the half-line
+    integrals J_q along the edge that its steps took, the last one J_p
+    where ``ns`` ends at p.
 
-    With c^2 = H^2 + l^2, kappa = H / c and psi = atan2(c, -s0),
-    ahat_(n+2) = ahat_n + (|l| / c) kappa^n S_n(psi), S_n the integral of
-    sin^n from 0 to psi (upward Wallis steps), from ahat_0 = 0 or
+    Along the edge the quadratic is (t - s0)^2 + c^2, c^2 = H^2 + l^2, and
+    ahat_(n+2) = ahat_n + |l| H^n J_(n+2), from ahat_0 = 0 or
     ahat_1 = 2 atan(r (1 - tau) / (1 + r^2 tau)), r = |l| / (c + H),
     tau = -s0 / (c + w), w^2 = c^2 + s0^2 (the half-angle substitution).
+    The first step's J is formed here, J_2 = psi / c with psi = atan2(c, -s0)
+    or J_3 = (1 - cos psi) / c^2 = 1 / (w (w - s0)); later ones come from
+    ``half_line_integrals``.
     """
     c2 = H2 + al * al
     c = np.sqrt(c2)
     w = np.sqrt(c2 + s0 * s0)
-    kap, lp = H / c, al / c
     n = ns[0] % 2
     if n:
-        # w + s0 without cancellation
-        w_lo = np.where(s0 < 0.0, c2 / (w - s0), w + s0)
+        # 1 / (w - s0) = (w + s0) / c^2 without cancellation
+        inv = np.where(s0 < 0.0, 1.0 / (w - s0), (w + s0) / c2)
         r = al / (c + H)
-        cw = c + w
-        ahat = 2.0 * np.arctan(r * (c + w_lo) / (cw - r * r * s0))
-        S = w_lo / w                                  # 1 - cos psi
-        kap_pow = kap
+        ahat = [2.0 * np.arctan(r * (c + c2 * inv) / (c + w - r * r * s0))]
     else:
-        ahat = np.zeros_like(c)
-        S = np.arctan2(c, -s0)
-        kap_pow = 1.0
-    out, S_first, s_pow = [], None, None
-    while True:
-        if n in ns:
-            out.append(ahat)
-            if S_first is None:
-                S_first = S
-            if n == ns[-1]:
-                return out, S_first, c2
-        ahat = ahat + lp * kap_pow * S
-        n += 2
-        if n < ns[-1]:
-            # upward Wallis step, for the ahat steps still to come, with
-            # s_pow = sin^(n-1) psi
-            if s_pow is None:
-                sin2_psi, cos_psi, kap2 = c2 / (w * w), -s0 / w, kap * kap
-                s_pow = sin2_psi if n % 2 else np.sqrt(sin2_psi)
-            S = ((n - 1) * S - s_pow * cos_psi) / n
-            s_pow = s_pow * sin2_psi
-            kap_pow = kap_pow * kap2
+        ahat = [np.zeros_like(c)]
+    J = []
+    if ns[-1] > n:
+        J.append(inv / w if n else np.arctan2(c, -s0) / c)
+        if ns[-1] > n + 2:
+            J += half_line_integrals(1.0, s0, c2, tuple(range(n + 4, ns[-1] + 1, 2)))
+    Hn = H if n else 1.0
+    for J_q in J:
+        ahat.append(ahat[-1] + al * Hn * J_q)
+        Hn = Hn * H2
+    return ahat[-len(ns):], J
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,

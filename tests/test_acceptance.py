@@ -127,7 +127,7 @@ def test_09_moduli_product_and_log_sum(verdict):
         A, checks.GAMMA_QUAD, [random_point(rng, 2) for _ in range(3)])
     ok = worst_prod <= checks.PRODUCT_TOL and worst_sum <= checks.LOG_SUM_TOL
     verdict.report(9, ok,
-                   f"coordinate product identity ({worst_prod:.2e}, tol "
+                   f"one-slot moduli, hence their product ({worst_prod:.2e}, tol "
                    f"{checks.PRODUCT_TOL:g}) and log-sum identity ({worst_sum:.2e}, "
                    f"tol {checks.LOG_SUM_TOL:g})")
 

@@ -268,3 +268,44 @@ def test_gamma_sum_gaps_flag_a_scaled_gamma(monkeypatch, case, eps):
     # 1e-3) and 1.10e-2 for two (tol 1e-2): the gap is eps |gamma_n eta|
     gaps = _gamma_sum_gaps_with(monkeypatch, lambda g: (1.0 + eps) * g)
     assert gaps[case] > checks.GAMMA_CASES_N2[case][2]
+
+
+def _criterion_09_gaps(monkeypatch, v_scale=1.0, gamma_scale=1.0):
+    # criterion 09's draw (seed 109, the fixed N = 2 form, 10 product points
+    # then 3 log-sum points), with the model field's v and the last gamma
+    # of each family call scaled; these are closed forms
+    jet, family = ansatz.RestrictedField.jet, holo.gamma_family
+
+    def scaled_jet(self, mu, eta, want_gradient=True):
+        out = jet(self, mu, eta, want_gradient)
+        out.v = v_scale * out.v
+        return out
+
+    def scaled_family(spec, labels, mu, eta):
+        out = family(spec, labels, mu, eta)
+        out.value[-1] = gamma_scale * out.value[-1]
+        return out
+
+    monkeypatch.setattr(ansatz.RestrictedField, "jet", scaled_jet)
+    monkeypatch.setattr(holo, "gamma_family", scaled_family)
+    rng = np.random.default_rng(109)
+    A = QuadForm(np.array([[1.8, 0.4], [0.4, 1.1]]))
+    prod = checks.product_identity_gap(
+        A, checks.GAMMA_QUAD, [checks.random_point(rng, 2) for _ in range(10)])
+    total = checks.log_sum_gap(
+        A, checks.GAMMA_QUAD, [checks.random_point(rng, 2) for _ in range(3)])
+    return prod, total
+
+
+def test_product_identity_gap_flags_a_scaled_model_field(monkeypatch):
+    # along a fixed-eta leg the rows of the one-form sum to zero, so only
+    # each modulus alone sees v: the gap is about 2 eps, flagged from
+    # eps = 5.0e-13 (tol 1e-12)
+    prod, _ = _criterion_09_gaps(monkeypatch, v_scale=1.0 + 1e-6)
+    assert prod > checks.PRODUCT_TOL
+
+
+def test_log_sum_gap_flags_a_scaled_gamma(monkeypatch):
+    # the gap is about 0.47 eps, flagged from eps = 2.1e-6 (tol 1e-6)
+    _, total = _criterion_09_gaps(monkeypatch, gamma_scale=1.0 + 1e-4)
+    assert total > checks.LOG_SUM_TOL

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -500,6 +501,38 @@ def test_refusal_names_kernel_row_and_point():
     with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
                        r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
         alpha_batch(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD, *_batch([far, close]))
+
+
+def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
+    # off the sheet every closed form is finite, so no input reaches this
+    # refusal: a nan is planted at one (kernel, row) pair of an N = 3
+    # family whose rows all clear the floor.  The engine refuses that
+    # pair, and alpha_family names the kernel's labels and the batch row
+    import ghlab.quadrature as quadrature
+
+    rng = np.random.default_rng(26)
+    A = random_spd(rng, 3)
+    mu, eta = _batch([off_locus_point(rng, A) for _ in range(3)])
+    fam = _family(A, None, None)
+    k, row = 4, 1
+    wedge = quadrature.wedge_integrals
+
+    def planted(*args, **kwargs):
+        out = wedge(*args, **kwargs)
+        out[0][k, row] = np.nan
+        return out
+
+    monkeypatch.setattr(quadrature, "wedge_integrals", planted)
+    with pytest.raises(SingularityProximity, match=f"row {row} gives a value that is "
+                                                   "not finite") as exc:
+        power_kernel_integral(fam.Q, fam.c_eta, mu, eta, fam.M, fam.power, QUAD,
+                              floor=1e-3)
+    assert (exc.value.kernel, exc.value.row) == (k, row)
+    labels = re.escape(str(fam.labels[k]))
+    with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
+                       r".*not finite") as exc:
+        alpha_family(A, None, QUAD, mu, eta, want_gradient=True)
+    assert (exc.value.kernel, exc.value.row) == (k, row)
 
 
 def test_over_budget_names_kernel_and_first_row(monkeypatch):

@@ -24,7 +24,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ghlab import quadrature
+from ghlab import ansatz, checks, holo, quadrature
+from ghlab.geometry import IndexSet, batch_from_vectors, richardson_stencil
 from ghlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -557,3 +558,55 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
         want = np.array([float(v) for v in want])
         np.testing.assert_allclose(res.gradient[0, 0], want, rtol=1e-12,
                                    atol=1e-12 * float(np.max(np.abs(want))))
+
+
+@pytest.mark.parametrize("phi", [0.5 * math.pi, 2.0, 0.4, 3.0])
+def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
+    # d = 2, m = 2 (no transverse part), eta = 0: the row lies on the first
+    # edge's line behind the apex, so that edge's c^2 = H^2 + l^2 is 0
+    # while r* = 1.3.  Along it J_p = 1.3^(1-p) / (p - 1) is finite, and
+    # the in-plane gradient is minus the outward normals (0, -1) and
+    # (-sin phi, cos phi) times J_p along the edges, over sin phi (d tau =
+    # dA / sin phi); no RuntimeWarning
+    e2 = (math.cos(phi), math.sin(phi))
+    M = np.array([[[1.0, e2[0]], [0.0, e2[1]]]])
+    b = np.array([[-1.3, 0.0]])
+    c, s = (mpmath.mpf(v) for v in e2)
+    y0 = mpmath.mpf("-1.3")
+    for p in range(3, 9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = power_kernel_integral(np.eye(2), 1.0, b, np.zeros(1), M, p,
+                                        QuadratureSpec(), want_gradient=True)
+        assert np.isfinite(res.value).all() and np.isfinite(res.gradient).all(), p
+        J = [mp_half_line(mpmath, 1, s0, y0 * y0, p) for s0 in (y0, c * y0)]
+        want = np.array([float(v / s) for v in (s * J[1], J[0] - c * J[1])])
+        np.testing.assert_allclose(res.gradient[0, 0, :2], want, rtol=1e-12, atol=0.0)
+        assert np.all(res.gradient[0, 0, 2:] == 0.0)
+
+
+def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
+    # the one-step edge terms are formed inline: an N = 3 stencil jet with
+    # gradients (p = 3) and a two-slot N = 2 gamma sum (p = 4, values) call
+    # no half_line_integrals; a wedge at p = 5 with its gradient takes
+    # J_5 from exactly one call
+    calls = []
+    half_line = quadrature.half_line_integrals
+    monkeypatch.setattr(quadrature, "half_line_integrals",
+                        lambda *a, **k: calls.append(a[3]) or half_line(*a, **k))
+    rng = np.random.default_rng(25)
+    A = checks.random_spd(rng, 3)
+    xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(50)])
+    rows = richardson_stencil(xs, np.full(50, 1e-3)).reshape(-1, 5)
+    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(rows))
+    for _ in range(50):
+        spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
+        holo.gamma_sum_check(spec, checks.random_point(rng, 2))
+    assert calls == []
+    # the foot (0.5, 0.4) lies inside the wedge of opening acos(0.3)
+    cphi = 0.3
+    sphi = math.sqrt(1.0 - cphi * cphi)
+    s0 = np.array([[0.5], [cphi * 0.5 + sphi * 0.4]])
+    ell = np.array([[0.4], [sphi * 0.5 - cphi * 0.4]])
+    quadrature.wedge_integrals((cphi, sphi), s0, ell, np.array([0.25]), 5, want_gradient=True)
+    assert calls == [(5,)]
