@@ -40,11 +40,16 @@ dropped and int_W = -sum_k sign(l_k) B_k with
     B_k = integral_0^Theta_k (H^2 + l_k^2 / sin^2 chi)^((2-p)/2) d chi / (p - 2)
         = Theta_k H^(2-p) / (p - 2) - A_k.
 
-The difference is used only where H > |l_k|, so it loses a few bits at
-most; elsewhere a Gauss rule in chi evaluates B_k to rounding, because the
-integrand's poles chi = +-i asinh(|l_k| / H) then lie outside the rule's
-Bernstein ellipse.  The worst conditioning left is about 1/phi, for thin
-wedges seen from the side.
+The difference keeps the fraction r = (p - 2) H^(p-2) B_k / Theta_k of
+its terms, the mean over chi of (1 + lambda^2 / sin^2 chi)^((2-p)/2) with
+lambda = |l_k| / H.  For small Theta_k and lambda >> Theta_k it is about
+(Theta_k / lambda)^(p-2) / (p - 1), so H > |l_k| does not bound the bits
+the difference loses.  It serves where r >= 2^-4, at most 4 bits lost,
+which holds a budget of 1e-14 relative per edge term; elsewhere a Gauss
+rule in chi evaluates B_k to rounding, because the integrand's poles
+chi = +-i asinh(lambda) then lie outside the rule's Bernstein ellipse.
+The worst conditioning left is about 1/phi, for thin wedges seen from the
+side.
 
 The gradient needs no new integral.  Along the plane, by the divergence
 theorem in y, it is minus the sum over the edges of the outward normal
@@ -444,14 +449,23 @@ class _Line(_Stack):
         return J[0], grad, r2
 
 
-# the far-edge rule: Gauss-Legendre in the angle chi, used where the
-# integrand's poles chi = +-i asinh(|l| / H) (and their images about pi)
-# lie at least _EDGE_POLE times the edge's angle Theta off the real axis.
-# They then sit outside the rule's Bernstein ellipse of parameter 2.18, so
-# 32 nodes err by less than 2.18^-64 relative.  Nearer poles mean H > |l|,
-# where the difference form loses a few bits at most
+# The far-edge gate.  An outer edge term H^-n (Theta - ahat_n) keeps the
+# fraction r = (Theta - ahat_n) / Theta of its terms, whose rounding adds
+# up to at most _EDGE_ROUNDING Theta (the worst over 1,500 random edges at
+# n = 1..8, against 50-digit mpmath), so it errs by _EDGE_ROUNDING / r
+# relative.  Held to _EDGE_BUDGET relative per edge term, the difference
+# serves where r >= _EDGE_CANCEL = 2^-k, k = floor(log2(budget / rounding))
+# = 4; elsewhere a Gauss-Legendre rule in the angle chi takes over.  Up to
+# n = 8 those edges have the integrand's poles chi = +-i asinh(|l| / H)
+# (and their images about pi) at least 0.224 Theta off the real axis; the
+# rule asks for _EDGE_POLE Theta, outside its Bernstein ellipse of
+# parameter 1.98, where 32 nodes err by rounding alone (within 1.6e-15 of
+# mpmath, n <= 10)
 _EDGE_ORDER = 32
-_EDGE_POLE = 0.28
+_EDGE_BUDGET = 1e-14
+_EDGE_ROUNDING = 2.2 * 2.0 ** -52
+_EDGE_CANCEL = 2.0 ** -math.floor(math.log2(_EDGE_BUDGET / _EDGE_ROUNDING))
+_EDGE_POLE = 0.22
 
 
 def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
@@ -479,6 +493,12 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
     dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.  A foot on the sheet
     (H2 = 0 in the wedge) reads inf, so callers evaluate it under
     np.errstate(divide="ignore", invalid="ignore").
+
+    Every edge takes ``_edge_ahat``.  An edge outside takes the complement
+    H^-n (Theta - ahat_n), unless the last n's complement cancels,
+    Theta - ahat_n < _EDGE_CANCEL Theta (2^-4, from the budget of 1e-14
+    relative per edge term), and the poles are far: there ``_edge_rule``
+    overwrites its terms and J_p.
     """
     cphi, sphi = e2
     ns = (power - 2, power) if want_gradient else (power - 2,)
@@ -490,47 +510,42 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
     H2_edge[...] = H2
     H = np.sqrt(H2_edge)
     al = np.abs(ell)
-    n_rule = 0
+    ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
     if n_in < inside.size:
         theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
-        # outside the wedge: the Gauss rule where the poles are far enough
-        rule = ~inside & (al >= H * np.sinh(_EDGE_POLE * theta)) & (ell != 0.0)
+        # outside the wedge: the Gauss rule where the last complement
+        # cancels (never on an edge's line, l = 0) and the poles are far
+        rule = ~inside & (theta - ahat[-1] < _EDGE_CANCEL * theta)
         n_rule = np.count_nonzero(rule)
         if n_rule:
-            gauss = _edge_rule(theta, al, H2_edge, rule if n_rule < rule.size else None, ns)
-        sign0, sign1 = -np.sign(ell)
-    if n_rule < ell.size:
-        ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
+            rule &= al >= H * np.sinh(_EDGE_POLE * theta)
+            n_rule = np.count_nonzero(rule)
+        if n_rule:
+            gauss = _edge_rule(theta[rule], al[rule], H2_edge[rule], ns)
         # a foot in the plane on an edge's line adds 0
-        on_line = ell == 0.0 if n_in < inside.size and np.count_nonzero(H) < H.size else None
+        on_line = ell == 0.0 if np.count_nonzero(H) < H.size else None
+        sign0, sign1 = -np.sign(ell)
     if n_in:
         phi = np.arctan2(sphi, cphi)
     out = []
     for j, n in enumerate(ns):
-        if n_rule < ell.size:
-            Hn = H ** -n
+        Hn = H ** -n
         if n_in:
             inner = Hn[0] * (phi + ahat[j][0] + ahat[j][1])
         if n_in < inside.size:
-            if n_rule < ell.size:
-                edge = Hn * (theta - ahat[j])
-                if n_rule:
-                    edge[rule] = gauss[j]
-                if on_line is not None:
-                    edge[on_line] = 0.0
-            else:
-                edge = gauss[j]
+            edge = Hn * (theta - ahat[j])
+            if n_rule:
+                edge[rule] = gauss[j]
+            if on_line is not None:
+                edge[on_line] = 0.0
             outer = sign0 * edge[0] + sign1 * edge[1]
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
         out.append(value / n if n > 1 else value)
     if want_gradient:
-        if n_rule < ell.size:
-            J = J[-1]                     # J_p, the last step's
-            if n_rule:
-                J[rule] = gauss[-1]
-        else:
-            J = gauss[-1]
+        J = J[-1]                         # J_p, the last step's
+        if n_in < inside.size and n_rule:
+            J[rule] = gauss[-1]
         # minus the outward normals (0, -1) and (-sin phi, cos phi)
         # times the half-line integrals along the edges
         out.append(np.concatenate([(sphi * J[1])[None], (J[0] - cphi * J[1])[None]]))
@@ -554,9 +569,9 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     """
     c2 = H2 + al * al
     c = np.sqrt(c2)
-    w = np.sqrt(c2 + s0 * s0)
     n = ns[0] % 2
     if n:
+        w = np.sqrt(c2 + s0 * s0)
         # 1 / (w - s0) = (w + s0) / c^2 without cancellation
         inv = np.where(s0 < 0.0, 1.0 / (w - s0), (w + s0) / c2)
         r = al / (c + H)
@@ -576,18 +591,15 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
-               rule: np.ndarray | None, ns: tuple[int, ...]) -> list[np.ndarray]:
-    """On the edges in ``rule`` (all of them for None; H2 is given per
-    edge, as ``al``): (p - 2) B, the integral over chi in [0, Theta] of root^n,
-    root^2 = sin^2 chi / (H^2 sin^2 chi + l^2), for each n = p - 2 in
-    ``ns``; with two of them (the gradient's) also the half-line integral
-    J_p, the integral of |l| root^n / (H^2 sin^2 chi + l^2)."""
+               ns: tuple[int, ...]) -> list[np.ndarray]:
+    """(p - 2) B for each n = p - 2 in ``ns``, at the edges whose Theta, |l|
+    and H^2 the 1-d arrays give: the integral over chi in [0, Theta] of root^n,
+    root^2 = sin^2 chi / (H^2 sin^2 chi + l^2); with two of them (the
+    gradient's) also the half-line integral J_p, the integral of
+    |l| root^n / (H^2 sin^2 chi + l^2)."""
     t, wt = _unit_rule(_EDGE_ORDER)
-    h2 = H2[..., None]
-    if rule is not None:
-        theta, al, h2 = theta[rule], al[rule], H2[rule][:, None]
-    s2 = np.sin(theta[..., None] * t) ** 2
-    den = h2 * s2 + (al * al)[..., None]
+    s2 = np.sin(theta[:, None] * t) ** 2
+    den = H2[:, None] * s2 + (al * al)[:, None]
     root2 = s2 / den
     n = ns[0]
     # root^n, then root^(n+2) and root^n / den, stacked for one Gauss sum

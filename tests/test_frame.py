@@ -53,29 +53,36 @@ def test_second_identity_at_steep_point():
     assert res.second_relative <= checks.INTEGRABILITY_TOL
 
 
-def _field_identities(N: int, monkeypatch) -> int:
+def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
     """Reach: the N-dimensional first-order field holds the identities of
     criteria 12 and 04 at their tolerance, at one off-locus point.  Returns
-    the grid nodes that criterion 12 swept there."""
+    the grid nodes that criterion 12 swept there and the wedge edges it
+    sent to the far-edge rule."""
     import ghlab.kernels as kernels
+    import ghlab.quadrature as quadrature
 
     rng = np.random.default_rng(404)
     A = checks.random_spd(rng, N)
     p = checks.off_locus_point(rng, A)
-    engine, nodes = kernels.power_kernel_integral, [0]
+    engine, rule, nodes, edges = kernels.power_kernel_integral, quadrature._edge_rule, [0], [0]
 
     def counted(*args, **kwargs):
         res = engine(*args, **kwargs)
         nodes[0] += res.evals
         return res
 
+    def ruled(theta, *args):
+        edges[0] += theta.size
+        return rule(theta, *args)
+
     monkeypatch.setattr(kernels, "power_kernel_integral", counted)
+    monkeypatch.setattr(quadrature, "_edge_rule", ruled)
     first, second = checks.integrability_gap(A, checks.QUAD, [p])
     monkeypatch.undo()
     assert first <= checks.INTEGRABILITY_TOL
     assert second <= checks.INTEGRABILITY_TOL
     assert max(checks.gradient_relations(A, checks.QUAD, [p])) <= checks.HARMONIC_TOL
-    return nodes[0]
+    return nodes[0], edges[0]
 
 
 def test_n4_field_identities(monkeypatch):
@@ -83,8 +90,11 @@ def test_n4_field_identities(monkeypatch):
 
 
 def test_n5_field_identities(monkeypatch):
-    # two swept axes per kernel on the radial grid
-    assert _field_identities(5, monkeypatch) <= 3e7
+    # two swept axes per kernel on the radial grid; only edges whose
+    # difference would cancel reach the far-edge rule
+    nodes, edges = _field_identities(5, monkeypatch)
+    assert nodes <= 3e7
+    assert edges == 662706
 
 
 def test_perturbed_field_breaks_first_identity():

@@ -13,9 +13,10 @@ is elementary too,
     [pi/2 - atan(a/c) - atan(b/c) + atan(a b / (c sqrt(a^2 + b^2 + c^2)))] / c.
 
 Those formulas, derived by hand and frozen here, plus a scrambled-Sobol
-estimator, 50-digit mpmath quadrature of the half-line integrals and of
-the wedge integrals in polar coordinates about the apex, are the
-independent routes the engine must match.
+estimator, 50-digit mpmath quadrature of the half-line integrals, of the
+wedge integrals in polar coordinates about the apex and of each wedge edge
+term in the angle the edge subtends, are the independent routes the engine
+must match.
 """
 
 import math
@@ -560,6 +561,82 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
                                    atol=1e-12 * float(np.max(np.abs(want))))
 
 
+def mp_edge_term(mpmath, s0, ell, H, n):
+    """50-digit B = integral_0^Theta (H^2 + l^2 / sin^2 chi)^(-n/2) d chi / n
+    and Theta = atan2(|l|, -s0): an edge's term for a foot outside the
+    wedge.  The integrand turns where H sin chi passes |l|, so the panels
+    split there; the quadrature's own error estimate must be below 1e-30."""
+    s0, al, H = mpmath.mpf(s0), abs(mpmath.mpf(ell)), mpmath.mpf(H)
+    theta = mpmath.atan2(al, -s0)
+    pts = {mpmath.mpf(0), theta}
+    if al < H:
+        turn = mpmath.asin(al / H)
+        pts |= {x for t in (turn / 8, turn, 8 * turn) for x in (t, mpmath.pi - t)
+                if 0 < x < theta}
+    B, err = mpmath.quad(lambda chi: (H * H + (al / mpmath.sin(chi)) ** 2)
+                         ** (-mpmath.mpf(n) / 2), sorted(pts), error=True)
+    assert err <= mpmath.mpf(10) ** -30 * B
+    return B / n, theta
+
+
+def mp_edge_half_line(mpmath, s0, c2, q):
+    """50-digit J_q = integral_0^inf ((t - s0)^2 + c^2)^(-q/2) dt, along
+    t - s0 = -c cot psi: c^(1-q) times the integral of sin^(q-2) over
+    [0, atan2(c, -s0)]."""
+    c = mpmath.sqrt(c2)
+    J, err = mpmath.quad(lambda psi: mpmath.sin(psi) ** (q - 2),
+                         [0, mpmath.atan2(c, -s0)], error=True)
+    assert err <= mpmath.mpf(10) ** -30 * J
+    return c ** (1 - q) * J
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+def test_wedge_edge_terms_hold_the_budget(p, mpmath):
+    # the swept path's feet: openings 0.02 to pi - 0.02, feet at radius 1e-3
+    # to 1e3 and H^2 from 1e-8 to 1e2, one in four near the sheet with H
+    # from 1e-6 to 1e-4; then feet just outside beside an edge, which it
+    # subtends at nearly pi, with |l| / H from 1/2 to 2, where the far-edge
+    # rule's poles come nearest.  W_p, W_(p+2) and dW/dy hold the budget per
+    # edge term against 50-digit mpmath: inside, relative to W (every term
+    # is positive); outside, to the sum of the edges' B; dW/dy, to the sum
+    # of the magnitudes of its two J_p terms
+    rng = np.random.default_rng(2600 + p)
+    count, corner = 12, 4
+    phi = rng.uniform(0.02, math.pi - 0.02, count)
+    radius = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    angle = rng.uniform(-math.pi, math.pi, count)
+    y = radius * np.array([np.cos(angle), np.sin(angle)])
+    H2 = 10.0 ** np.where(np.arange(count) % 4 == 0, rng.uniform(-12.0, -8.0, count),
+                          rng.uniform(-8.0, 2.0, count))
+    t = 10.0 ** rng.uniform(-3.0, -0.5, corner)
+    y[:, :corner] = radius[:corner] * np.array([np.ones(corner), -t])
+    H2[:corner] = (radius[:corner] * t * 10.0 ** rng.uniform(-0.3, 0.3, corner)) ** 2
+    e2 = (np.cos(phi), np.sin(phi))
+    s0, ell = quadrature._edges(e2, y)
+    W = quadrature.wedge_integrals(e2, s0, ell, H2, p, want_gradient=True)
+    budget = quadrature._EDGE_BUDGET
+    for i in range(count):
+        H = mpmath.sqrt(mpmath.mpf(H2[i]))
+        inside = ell[0, i] >= 0.0 and ell[1, i] >= 0.0
+        for q, got in ((p, W[0][i]), (p + 2, W[1][i])):
+            n = q - 2
+            terms = [mp_edge_term(mpmath, s0[k, i], ell[k, i], H, n) for k in (0, 1)]
+            if inside:
+                want = scale = (mpmath.mpf(phi[i]) * H ** -n / n
+                                + sum(theta * H ** -n / n - B for B, theta in terms))
+            else:
+                want = -sum(math.copysign(1.0, ell[k, i]) * terms[k][0] for k in (0, 1))
+                scale = terms[0][0] + terms[1][0]
+            assert abs(got - want) <= budget * scale, (i, q)
+        J = [mp_edge_half_line(mpmath, mpmath.mpf(s0[k, i]),
+                               H * H + mpmath.mpf(ell[k, i]) ** 2, p) for k in (0, 1)]
+        c, s = mpmath.mpf(e2[0][i]), mpmath.mpf(e2[1][i])
+        want = [s * J[1], J[0] - c * J[1]]
+        scale = [s * J[1], J[0] + abs(c) * J[1]]
+        for j in (0, 1):
+            assert abs(W[2][j, i] - want[j]) <= budget * scale[j], (i, j)
+
+
 @pytest.mark.parametrize("phi", [0.5 * math.pi, 2.0, 0.4, 3.0])
 def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
     # d = 2, m = 2 (no transverse part), eta = 0: the row lies on the first
@@ -610,3 +687,20 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     ell = np.array([[0.4], [sphi * 0.5 - cphi * 0.4]])
     quadrature.wedge_integrals((cphi, sphi), s0, ell, np.array([0.25]), 5, want_gradient=True)
     assert calls == [(5,)]
+
+
+def test_far_edge_rule_elements_are_pinned(monkeypatch):
+    # the edges sent to the far-edge rule carry no noise, so their number
+    # gates the cancellation test: over one N = 3 stencil jet with
+    # gradients (p = 3, 20 points) only edges whose difference would cancel
+    # reach the rule
+    elements = []
+    rule = quadrature._edge_rule
+    monkeypatch.setattr(quadrature, "_edge_rule",
+                        lambda theta, *a: elements.append(theta.size) or rule(theta, *a))
+    rng = np.random.default_rng(26)
+    A = checks.random_spd(rng, 3)
+    xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(20)])
+    rows = richardson_stencil(xs, np.full(20, 1e-3)).reshape(-1, 5)
+    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(rows))
+    assert sum(elements) == 902
