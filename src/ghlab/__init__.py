@@ -39,8 +39,6 @@ from .locus import (
     dist_locus,
     project,
     region_membership,
-    rho_IJ,
-    zero_swap,
 )
 from .kernels import (
     KernelSpec,
@@ -73,10 +71,8 @@ from .frame import (
 from .holo import (
     GammaSpec,
     gamma,
-    gamma_closed_form,
     gamma_family,
     gamma_sum_check,
-    gamma_via_ray,
     growth_bound_check,
     log_z,
     taubnut_moduli,

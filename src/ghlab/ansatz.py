@@ -286,18 +286,17 @@ def sigma_expansion(A: QuadForm, v: np.ndarray) -> SigmaExpansion:
 
 @dataclass(frozen=True)
 class Ray:
-    """Straight sampling ray p(r) = (base_mu + r * dir_mu, base_eta + r * dir_eta)."""
+    """Straight sampling ray p(r) = (base_mu + r * dir_mu, base_eta) at a
+    fixed fiber coordinate."""
 
     dir_mu: np.ndarray
-    dir_eta: complex = 0j
     base_mu: np.ndarray | None = None
     base_eta: complex = 0j
     label: str = "ray"
 
     def point(self, r: float) -> BasePoint:
         base = self.base_mu if self.base_mu is not None else np.zeros_like(self.dir_mu)
-        return BasePoint(base + r * np.asarray(self.dir_mu, dtype=float),
-                         self.base_eta + r * self.dir_eta)
+        return BasePoint(base + r * np.asarray(self.dir_mu, dtype=float), self.base_eta)
 
 
 @dataclass
@@ -313,17 +312,15 @@ class DecayFit:
     label: str
 
 
-def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray,
-               radii: np.ndarray | None = None) -> DecayFit:
+def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
     """Measure the decay exponent of the relative volume defect on a ray.
 
-    Samples |relative_error| of the first-order field at geometrically
-    spaced radii, all in one field jet call, measures against the
+    Samples |relative_error| of the first-order field at the 17 radii
+    8 * 2^(k/2), k = 0..16, all in one field jet call, measures against the
     anisotropic distance to the origin, and fits a power law by least
     squares in log-log.
     """
-    if radii is None:
-        radii = 8.0 * 2.0 ** (0.5 * np.arange(17))
+    radii = 8.0 * 2.0 ** (0.5 * np.arange(17))
     pts = [ray.point(float(r)) for r in radii]
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
     jet = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
@@ -338,7 +335,7 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray,
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return DecayFit(-float(slope), float(intercept), resid,
-                    np.asarray(radii, dtype=float), np.exp(x), np.exp(y), ray.label)
+                    radii, np.exp(x), np.exp(y), ray.label)
 
 
 def weight_ell(A: QuadForm, i: int, p: BasePoint) -> float:

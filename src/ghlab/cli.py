@@ -9,7 +9,8 @@ same configuration are byte-identical except for the sidecar timestamp.
 The process exits 0 exactly when every row passes.  Samplers, residuals,
 tolerances and quadrature specs that an acceptance criterion shares come
 from ``ghlab.checks``; a config sets only seeds, sample counts and
-dimensions, and a runner here reads it and assembles rows.
+dimensions, and a runner here reads it and assembles rows.  A seed or a
+sample count that the experiment's runner does not read is rejected.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from .geometry import BasePoint, IndexSet, QuadForm, batch_from_vectors
 
 SCHEMA_VERSION = 1
 
-# experiment name -> runner, and the params keys each runner reads; both
-# are filled by @_experiment next to the runner
+# experiment name -> runner, the params keys each runner reads, and which of
+# the settings n and seed it reads; all are filled by @_experiment next to
+# the runner
 EXPERIMENTS: dict = {}
 EXPERIMENT_PARAMS: dict[str, frozenset[str]] = {}
+EXPERIMENT_SETTINGS: dict[str, frozenset[str]] = {}
 CONFIG_KEYS = frozenset({"schema_version", "seed", "n", "params"})
 # params that count samples; like n, each must be an integer of at least 1
 COUNT_PARAMS = ("covering_points", "points_n1", "points_n2")
@@ -96,6 +99,14 @@ class ExperimentConfig:
                              f"of at least 1 for {experiment}")
         if type(dim) is not int or dim < 1:
             raise SystemExit(f"param dim {dim!r} not an integer of at least 1 for {experiment}")
+        # a seed or count the runner never reads would change the config hash
+        # and nothing else
+        reads = EXPERIMENT_SETTINGS.get(experiment, frozenset())
+        given = {"n": cfg.n is not None, "seed": seed is not None or "seed" in data}
+        unread = sorted(k for k, v in given.items() if v and k not in reads)
+        if unread:
+            raise SystemExit(f"setting(s) {', '.join(unread)} unread by {experiment}; "
+                             f"it reads: {', '.join(sorted(reads)) or 'neither'}")
         return cfg
 
     def canonical(self) -> str:
@@ -147,12 +158,14 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
 # experiments
 
 
-def _experiment(name: str, *params: str):
-    """Register a runner under ``name`` with the params keys it reads; a
-    runner takes the config and a generator seeded by it."""
+def _experiment(name: str, *params: str, settings: tuple[str, ...] = ("n", "seed")):
+    """Register a runner under ``name`` with the params keys and the
+    settings (``n``, the sample count, and ``seed``) it reads; a runner
+    takes the config and a generator seeded by it."""
     def register(fn):
         EXPERIMENTS[name] = fn
         EXPERIMENT_PARAMS[name] = frozenset(params)
+        EXPERIMENT_SETTINGS[name] = frozenset(settings)
         return fn
     return register
 
@@ -221,7 +234,7 @@ def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             _row(cfg, "axis-relations", axis, checks.HARMONIC_TOL)]
 
 
-@_experiment("weak-chern")
+@_experiment("weak-chern", settings=())
 def run_weak_chern(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, checks.WEAK_TOL,
                  detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g} evals={res.alpha_evals}")
@@ -242,7 +255,7 @@ def run_eigen_interval(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]
                  checks.EIGEN_TOL)]
 
 
-@_experiment("decay-scan")
+@_experiment("decay-scan", settings=())
 def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, f"ray-{label}", got, want, win, ok, cfg.hash)
             for label, got, want, win, ok in checks.decay_exponents()]
@@ -264,13 +277,13 @@ def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return rows
 
 
-@_experiment("gamma-sum")
+@_experiment("gamma-sum", settings=("seed",))
 def run_gamma_sum(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"n={n_act}", gap, tol) for (n_act, _, tol), gap in
             zip(checks.GAMMA_CASES_N2, checks.gamma_sum_gaps(rng))]
 
 
-@_experiment("logz-growth", "dim", "points_n1", "points_n2")
+@_experiment("logz-growth", "dim", "points_n1", "points_n2", settings=("seed",))
 def run_logz_growth(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     N = cfg.params.get("dim", 2)
     A = checks.random_spd(rng, N)
@@ -315,7 +328,7 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             _row(cfg, "covering", float(uncovered), 0.0)]
 
 
-@_experiment("extension-profile")
+@_experiment("extension-profile", settings=())
 def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     K, M, floor, eps = checks.PROFILE
     prof = glue.ExtensionProfile(K, M, floor, eps)

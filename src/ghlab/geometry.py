@@ -100,7 +100,8 @@ class QuadForm:
 
     def derived(self, key, build: Callable[[], object]):
         """Data computed from this read-only form, built on first use and
-        kept with it; threads racing on one key at worst build it twice."""
+        kept with it.  The library runs on one thread; should a caller's
+        threads race on one key, each builds the same data and one is kept."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
@@ -204,9 +205,6 @@ class IndexSet:
     def active_complement(self, N: int) -> tuple[int, ...]:
         """Complement inside {1, ..., N}."""
         return tuple(m for m in range(1, N + 1) if m not in self.members)
-
-    def issubset(self, other: "IndexSet") -> bool:
-        return set(self.members) <= set(other.members)
 
 
 # -- finite differences -------------------------------------------------

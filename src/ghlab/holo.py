@@ -8,7 +8,9 @@ own cone parameters turns each gamma into a single orthant integral of
 one higher power.  ``gamma_family`` takes any gammas of a subset, which
 differ only in their cone matrices, at a batch mu (B, N), eta (B,) as one
 kernel family in one engine call, resolution floor included; ``gamma``
-is its one-label, one-row case.
+is its one-label, one-row case.  The tests hold the folded gammas against
+the ray quadrature they fold away and the one-slot closed form, both in
+``tests/oracles.py``.
 Their sum telescopes to the reciprocal of the fiber coordinate, and the
 induced closed one-forms integrate to the logarithms of the model
 coordinates.
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
-from .kernels import KernelSpec, KernelValue, alpha_batch, _build_family, _engine_batch, _refusal
+from .geometry import BasePoint, IndexSet, QuadForm, check_batch, schur_complement
+from .kernels import KernelValue, _build_family, _engine_batch, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
@@ -97,64 +99,6 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
 def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """gamma_i at a base point: ``gamma_family`` for one label and one row."""
     return complex(gamma_family(spec, (i,), p.mu[None], np.array([p.eta])).value[0, 0])
-
-
-def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
-    """Same gamma by truncated ray quadrature with tail extrapolation.
-
-    Integrates the eta-derivatives of the restricted diagonal field along
-    the defining ray out to 2T, T = 2048, on 16-node Gauss panels, and
-    removes the leading 1/T tail by the two-point extrapolation
-    2 G(2T) - G(T).  Kept as an independent route for cross-checks; the
-    folded representation is the primary path.
-    """
-    if p.eta == 0:
-        return 0j
-    pairs, col = _gamma_kernels(spec, i)
-    step_mu = np.zeros(p.N)
-    step_mu[[lab - 1 for lab in spec.I.active]] = -col
-    T = 2048.0
-    s0 = max(1.0, float(np.max(np.abs(p.mu))))
-    pts = {0.0, T, 2.0 * T}
-    j = 0
-    while s0 * 2.0 ** j < 2.0 * T:
-        pts.add(s0 * 2.0 ** j)
-        j += 1
-    breaks = np.array(sorted(pts))
-    nodes, wts = panel_nodes(breaks, 16)
-    # every ray node in one kernel batch per kernel
-    mu = p.mu + nodes[:, None] * step_mu
-    eta = np.full(len(nodes), p.eta)
-    vals = np.zeros(len(nodes), dtype=complex)
-    for pair in pairs:
-        g = alpha_batch(KernelSpec(spec.A, pair, spec.I), spec.quad, mu, eta,
-                        want_gradient=True).gradient
-        vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
-    half = nodes <= T
-    G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
-    G_2T = -2.0 * complex(np.sum(wts * vals))
-    return 2.0 * G_2T - G_T
-
-
-def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex:
-    """Exact gamma for a single-active-slot subset.
-
-    With r = sqrt(mu_i^2 + D |eta|^2), D the complementary block
-    determinant: gamma_i = (1 - mu_i / r) / (2 eta) and
-    gamma_0 = (1 + mu_i / r) / (2 eta).
-    """
-    act = I.active
-    if len(act) != 1:
-        raise ValueError("closed form requires exactly one active label")
-    lab = act[0]
-    if i not in (0, lab):
-        raise ValueError("label outside the subset")
-    comp = I.active_complement(A.n)
-    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
-    m = p.mu[lab - 1]
-    r = math.sqrt(m ** 2 + D * abs(p.eta) ** 2)
-    sign = 1.0 if i == 0 else -1.0
-    return (1.0 + sign * m / r) / (2.0 * p.eta)
 
 
 @dataclass

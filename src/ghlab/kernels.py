@@ -25,7 +25,8 @@ charge check calls the engine directly, with no floor: its polar rule
 about the sheet, whose measure cancels the singularity, puts nodes inside
 that floor.  ``alpha_grad``, one row of ``alpha_batch``, remains for the
 benchmark, which calls and traces it; ``alpha``, its value, also serves
-criterion 03.
+criterion 03.  The tests hold these kernels against closed forms and a
+scrambled-Sobol estimate, ``tests/oracles.py``'s ``qmc_alpha_oracle``.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .quadrature import (
     cone_frame,
     panel_nodes,
     power_kernel_integral,
-    qmc_power_kernel_integral,
 )
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "RadialBump",
     "WeakCheckResult",
     "weak_distributional_check",
-    "qmc_alpha_oracle",
 ]
 
 
@@ -296,17 +295,6 @@ def closed_form_axis(A: QuadForm, i: int, p: BasePoint,
     D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
     mu_i = p.mu[i - 1]
     return 1.0 / (2.0 * math.sqrt(mu_i ** 2 + D * abs(p.eta) ** 2))
-
-
-def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
-                     replicates: int = 8, seed: int = 20240817
-                     ) -> tuple[float, float]:
-    """Low-discrepancy estimate of the same kernel, for cross-validation."""
-    fam = _family(spec.A, spec.restriction, spec.labels)
-    mean, se = qmc_power_kernel_integral(fam.Q, fam.c_eta, p.mu[fam.slots], p.eta, fam.M[0],
-                                         fam.power, n_pow2=n_pow2,
-                                         replicates=replicates, seed=seed)
-    return fam.prefactor * mean, fam.prefactor * se
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -38,13 +38,11 @@ __all__ = [
     "Projection",
     "RegionConstants",
     "RegionReport",
-    "zero_swap",
     "project",
     "dist_closed_stratum",
     "dist_boundary",
     "dist_locus",
     "region_membership",
-    "rho_IJ",
     "all_strata",
 ]
 
@@ -78,11 +76,7 @@ class RegionConstants:
     and ``cprime()`` = 4 c0^2 the collar margin of the gluing cutoff.
     """
 
-    c0: float = 32.0
-
-    def __post_init__(self) -> None:
-        if self.c0 <= 1.0:
-            raise ValueError("c0 must exceed 1")
+    c0: ClassVar[float] = 32.0
 
     def chat(self, A: QuadForm) -> float:
         return 1.0 + A.condition ** (0.5 * (A.n + 2))
@@ -94,10 +88,9 @@ class RegionConstants:
         return 4.0 * self.c0 ** 2
 
 
-def all_strata(N: int, min_size: int = 2, max_size: int | None = None) -> list[IndexSet]:
-    """Every stratum index subset of {0..N} within the given size range."""
-    hi = N + 1 if max_size is None else max_size
-    return [IndexSet(members) for k in range(min_size, hi + 1)
+def all_strata(N: int) -> list[IndexSet]:
+    """Every stratum index subset of {0..N}: at least two labels, by size."""
+    return [IndexSet(members) for k in range(2, N + 2)
             for members in combinations(range(N + 1), k)]
 
 
@@ -108,22 +101,6 @@ def _swap_labels(N: int, I: IndexSet) -> tuple[IndexSet, np.ndarray]:
         return I, S
     S[:, I.members[0] - 1] = -1.0
     return IndexSet((0,) + I.members[1:]), S
-
-
-def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
-              ) -> tuple[QuadForm, IndexSet, BasePoint, np.ndarray]:
-    """Normalize so the subset contains label 0.
-
-    Returns (A', I', p', S) where S is the involutive matrix with
-    mu' = S mu, A' = S^T A S and I' containing 0.  Distances to strata and
-    det A are preserved; S is the identity when 0 is already a member.
-    """
-    I.require_stratum(A.n)
-    if p.N != A.n:
-        raise ValueError("point dimension does not match the form")
-    I2, S = _swap_labels(A.n, I)
-    A2 = A if I2 is I else QuadForm(S.T @ A.entries @ S)
-    return A2, I2, BasePoint(S @ p.mu, p.eta), S
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +120,7 @@ def _layout(N: int) -> SimpleNamespace:
     raveled P block, then each G block, with each row of P and G starting
     at pg_off.  proper[k, j] is 0 if strata[j] strictly contains strata[k], else +inf.
     """
-    L = SimpleNamespace(strata=np.fromiter(all_strata(N, 2), dtype=object))
+    L = SimpleNamespace(strata=np.fromiter(all_strata(N), dtype=object))
     L.row = {J.members: j for j, J in enumerate(L.strata)}
     L.size = np.array([len(J) for J in L.strata])
     frames = [_swap_labels(N, J) for J in L.strata]
@@ -302,26 +279,6 @@ def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
     """
     at = _pass(A, p.mu[None], np.array([p.eta]))
     return float(at.closed[0, at.table.size >= min_size].min())
-
-
-def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
-    """Separation scale between a stratum and a deeper one through the foot.
-
-    Requires I a proper subset of J.  Computed from the transverse
-    coordinates of the foot on I's hull: the K = J \\ I block of the
-    complement form, reduced by the remaining transverse directions,
-    evaluated on those coordinates.  Comparable to the foot's distance to
-    the deeper stratum within explicit constants.
-    """
-    if not (I.issubset(J) and len(I) < len(J)):
-        raise ValueError("need I strictly contained in J")
-    J.require_stratum(A.n)
-    at, i = _locate(A, I, p)
-    # J's labels in I's frame (0 and I's least member trade), ascending as in comp
-    swap = {} if I.contains_zero else {0: I.members[0], I.members[0]: 0}
-    K = tuple(sorted(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i]))
-    Ks, rho = _rho(A, at, i)
-    return float(rho[0, Ks.index(K)])
 
 
 @dataclass

@@ -87,8 +87,9 @@ sheet distance of that row, where the grid resolves them too.  An
 integral that misses its tolerance after the refinement passes raises
 QuadratureError; no unconverged value is returned.
 
-A scrambled-Sobol quasi-Monte-Carlo evaluator of the same integral is
-provided as an independent oracle; it is never the primary path.
+The independent scrambled-Sobol quasi-Monte-Carlo evaluator of the same
+integral, which the tests hold this engine against, is
+``tests/oracles.py``'s ``qmc_power_kernel_integral``.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ __all__ = [
     "wedge_integrals",
     "nonneg_argmin",
     "power_kernel_integral",
-    "qmc_power_kernel_integral",
     "sheet_distance",
     "gauss_rule",
     "panel_nodes",
@@ -141,21 +141,21 @@ class QuadratureSpec:
     """The tolerance a caller requests from the panel engine.
 
     An integral converges when its error is at most
-    max(abs_tol, rel_tol |v|) in the final (prefactor-scaled) kernel value
-    v.  The error is the two-order Gauss difference on the radial grid of
-    the swept d - 2 parameters, whose mapped tail panel reaches infinity,
-    so nothing is truncated.  The last two cone parameters are integrated
-    exactly, so at d <= 2 the error is 0.  The Gauss orders, the node
-    budget and the refinement passes are the fixed module constants
-    ``_ORDER``, ``_ORDER_LOW``, ``_MAX_EVALS`` and ``_REFINE_PASSES``.
+    max(abs_tol, _REL_TOL |v|) in the final (prefactor-scaled) kernel
+    value v.  The error is the two-order Gauss difference on the radial
+    grid of the swept d - 2 parameters, whose mapped tail panel reaches
+    infinity, so nothing is truncated.  The last two cone parameters are integrated
+    exactly, so at d <= 2 the error is 0.  The relative tolerance, the
+    Gauss orders, the node budget and the refinement passes are the fixed
+    module constants ``_REL_TOL``, ``_ORDER``, ``_ORDER_LOW``,
+    ``_MAX_EVALS`` and ``_REFINE_PASSES``.
     """
 
-    rel_tol: float = 1e-8
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
 
 
 @dataclass
@@ -303,9 +303,11 @@ def _axis_breakpoints(center: float, width: float, T: float,
 # on (0, 1] errs by about 18^(-2n) there
 _TAIL_START = 4.0
 
-# the two Gauss orders whose difference estimates the error of a swept
-# integral, the grid nodes per batch row that one pass may take, and the
-# extra, finer passes tried before QuadratureError is raised
+# the relative tolerance every converged value meets beside its spec's
+# abs_tol, the two Gauss orders whose difference estimates the error of a
+# swept integral, the grid nodes per batch row that one pass may take, and
+# the extra, finer passes tried before QuadratureError is raised
+_REL_TOL = 1e-8
 _ORDER = 16
 _ORDER_LOW = 8
 _MAX_EVALS = 4_000_000
@@ -916,7 +918,7 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     if r <= 0.0:
         raise SingularityProximity(f"row {row} lies on the kernel's singular sheet", k, row)
 
-    tol = (spec.abs_tol / max(prefactor, 1e-300), spec.rel_tol)
+    tol = (spec.abs_tol / max(prefactor, 1e-300), _REL_TOL)
     vals, errs = np.empty((K, B)), np.empty((K, B))
     grads = np.empty((K, B, m + 2)) if want_gradient else None
     evals = 0
@@ -932,45 +934,3 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         if want_gradient:
             grads[k, rows] = g
     return QuadResult(vals, errs, grads, evals, True, r_star)
-
-
-def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
-                              eta: complex, M: np.ndarray, power: int,
-                              n_pow2: int = 17, replicates: int = 8,
-                              seed: int = 20240817) -> tuple[float, float]:
-    """Scrambled-Sobol oracle for the same integral.
-
-    Maps the cube radially, r = u_0 / (1 - u_0) and tau = r omega with
-    omega on the simplex by stick-breaking, Jacobian
-    (1 + r)^2 r^(d-1) prod (1 - u_i)^(d-1-i): the integrand stays bounded
-    where p >= d + 1, also where every axis is large together.  Returns the
-    mean of the replicate estimates and their standard error; independent
-    of the panel engine by construction, for cross-checks only.
-    """
-    from scipy.stats import qmc
-
-    b = np.asarray(b, dtype=float)
-    d = M.shape[1]
-    E = c_eta * abs(eta) ** 2
-    if d == 0:
-        val = float((b @ Q @ b + E) ** (-0.5 * power))
-        return val, 0.0
-    estimates = []
-    for r in range(replicates):
-        eng = qmc.Sobol(d, scramble=True, seed=seed + r)
-        u = eng.random(2 ** n_pow2)
-        u = np.clip(u, 1e-12, 1.0 - 1e-9)
-        rad = u[:, 0] / (1.0 - u[:, 0])
-        jac = (1.0 + rad) ** 2 * rad ** (d - 1)
-        omega, left = [], 1.0
-        for ui in u[:, 1:].T:
-            omega.append(left * ui)
-            jac = jac * left
-            left = left * (1.0 - ui)
-        X = b[None, :] - (rad[:, None] * np.column_stack(omega + [left])) @ M.T
-        dist2 = np.einsum("nm,mk,nk->n", X, Q, X) + E
-        estimates.append(float(np.mean(dist2 ** (-0.5 * power) * jac)))
-    est = np.array(estimates)
-    mean = float(est.mean())
-    se = float(est.std(ddof=1) / math.sqrt(replicates))
-    return mean, se

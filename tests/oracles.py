@@ -1,0 +1,169 @@
+"""Independent evaluation routes that the tests hold the library against.
+
+Each route reaches its quantity another way than the library's primary
+path: a scrambled-Sobol estimate of the orthant integrals and kernels, the
+gammas by quadrature along their defining ray and in closed form for one
+active slot, the explicit swap of label 0, and the glue scale rho_IJ of
+one stratum pair.  None of them runs in a verdict, a CLI experiment or the
+benchmark, so they live here rather than in ``ghlab``; scipy, which the
+Sobol sequence needs, is a test dependency only.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from ghlab import kernels, locus
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, block
+from ghlab.holo import GammaSpec, _gamma_kernels
+from ghlab.kernels import KernelSpec, alpha_batch
+from ghlab.quadrature import panel_nodes
+
+
+def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
+                              eta: complex, M: np.ndarray, power: int,
+                              n_pow2: int = 17, replicates: int = 8,
+                              seed: int = 20240817) -> tuple[float, float]:
+    """Scrambled-Sobol oracle for ``quadrature.power_kernel_integral``.
+
+    Maps the cube radially, r = u_0 / (1 - u_0) and tau = r omega with
+    omega on the simplex by stick-breaking, Jacobian
+    (1 + r)^2 r^(d-1) prod (1 - u_i)^(d-1-i): the integrand stays bounded
+    where p >= d + 1, also where every axis is large together.  Returns the
+    mean of the replicate estimates and their standard error; independent
+    of the panel engine by construction.
+    """
+    from scipy.stats import qmc
+
+    b = np.asarray(b, dtype=float)
+    d = M.shape[1]
+    E = c_eta * abs(eta) ** 2
+    if d == 0:
+        val = float((b @ Q @ b + E) ** (-0.5 * power))
+        return val, 0.0
+    estimates = []
+    for r in range(replicates):
+        eng = qmc.Sobol(d, scramble=True, seed=seed + r)
+        u = eng.random(2 ** n_pow2)
+        u = np.clip(u, 1e-12, 1.0 - 1e-9)
+        rad = u[:, 0] / (1.0 - u[:, 0])
+        jac = (1.0 + rad) ** 2 * rad ** (d - 1)
+        omega, left = [], 1.0
+        for ui in u[:, 1:].T:
+            omega.append(left * ui)
+            jac = jac * left
+            left = left * (1.0 - ui)
+        X = b[None, :] - (rad[:, None] * np.column_stack(omega + [left])) @ M.T
+        dist2 = np.einsum("nm,mk,nk->n", X, Q, X) + E
+        estimates.append(float(np.mean(dist2 ** (-0.5 * power) * jac)))
+    est = np.array(estimates)
+    mean = float(est.mean())
+    se = float(est.std(ddof=1) / math.sqrt(replicates))
+    return mean, se
+
+
+def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
+                     replicates: int = 8, seed: int = 20240817
+                     ) -> tuple[float, float]:
+    """Low-discrepancy estimate of one kernel, for cross-validation."""
+    fam = kernels._family(spec.A, spec.restriction, spec.labels)
+    mean, se = qmc_power_kernel_integral(fam.Q, fam.c_eta, p.mu[fam.slots], p.eta, fam.M[0],
+                                         fam.power, n_pow2=n_pow2,
+                                         replicates=replicates, seed=seed)
+    return fam.prefactor * mean, fam.prefactor * se
+
+
+def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
+    """gamma_i by truncated ray quadrature with tail extrapolation.
+
+    Integrates the eta-derivatives of the restricted diagonal field along
+    the defining ray out to 2T, T = 2048, on 16-node Gauss panels, and
+    removes the leading 1/T tail by the two-point extrapolation
+    2 G(2T) - G(T).  ``holo.gamma_family``, the primary path, folds the
+    ray into the kernels' cones instead.
+    """
+    if p.eta == 0:
+        return 0j
+    pairs, col = _gamma_kernels(spec, i)
+    step_mu = np.zeros(p.N)
+    step_mu[[lab - 1 for lab in spec.I.active]] = -col
+    T = 2048.0
+    s0 = max(1.0, float(np.max(np.abs(p.mu))))
+    pts = {0.0, T, 2.0 * T}
+    j = 0
+    while s0 * 2.0 ** j < 2.0 * T:
+        pts.add(s0 * 2.0 ** j)
+        j += 1
+    breaks = np.array(sorted(pts))
+    nodes, wts = panel_nodes(breaks, 16)
+    # every ray node in one kernel batch per kernel
+    mu = p.mu + nodes[:, None] * step_mu
+    eta = np.full(len(nodes), p.eta)
+    vals = np.zeros(len(nodes), dtype=complex)
+    for pair in pairs:
+        g = alpha_batch(KernelSpec(spec.A, pair, spec.I), spec.quad, mu, eta,
+                        want_gradient=True).gradient
+        vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
+    half = nodes <= T
+    G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
+    G_2T = -2.0 * complex(np.sum(wts * vals))
+    return 2.0 * G_2T - G_T
+
+
+def gamma_closed_form(A: QuadForm, I: IndexSet, i: int, p: BasePoint) -> complex:
+    """Exact gamma for a single-active-slot subset.
+
+    With r = sqrt(mu_i^2 + D |eta|^2), D the complementary block
+    determinant: gamma_i = (1 - mu_i / r) / (2 eta) and
+    gamma_0 = (1 + mu_i / r) / (2 eta).
+    """
+    act = I.active
+    if len(act) != 1:
+        raise ValueError("closed form requires exactly one active label")
+    lab = act[0]
+    if i not in (0, lab):
+        raise ValueError("label outside the subset")
+    comp = I.active_complement(A.n)
+    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
+    m = p.mu[lab - 1]
+    r = math.sqrt(m ** 2 + D * abs(p.eta) ** 2)
+    sign = 1.0 if i == 0 else -1.0
+    return (1.0 + sign * m / r) / (2.0 * p.eta)
+
+
+def zero_swap(A: QuadForm, I: IndexSet, p: BasePoint
+              ) -> tuple[QuadForm, IndexSet, BasePoint, np.ndarray]:
+    """Normalize so the subset contains label 0.
+
+    Returns (A', I', p', S) where S is the involutive matrix with
+    mu' = S mu, A' = S^T A S and I' containing 0.  Distances to strata and
+    det A are preserved; S is the identity when 0 is already a member.
+    """
+    I.require_stratum(A.n)
+    if p.N != A.n:
+        raise ValueError("point dimension does not match the form")
+    I2, S = locus._swap_labels(A.n, I)
+    A2 = A if I2 is I else QuadForm(S.T @ A.entries @ S)
+    return A2, I2, BasePoint(S @ p.mu, p.eta), S
+
+
+def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
+    """Separation scale between a stratum and a deeper one through the foot.
+
+    Requires I a proper subset of J.  Computed from the transverse
+    coordinates of the foot on I's hull: the K = J \\ I block of the
+    complement form, reduced by the remaining transverse directions,
+    evaluated on those coordinates.  Comparable to the foot's distance to
+    the deeper stratum within explicit constants.
+    """
+    if not set(I) < set(J):
+        raise ValueError("need I strictly contained in J")
+    J.require_stratum(A.n)
+    at, i = locus._locate(A, I, p)
+    # J's labels in I's frame (0 and I's least member trade), ascending as in comp
+    swap = {} if I.contains_zero else {0: I.members[0], I.members[0]: 0}
+    K = tuple(sorted(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i]))
+    Ks, rho = locus._rho(A, at, i)
+    return float(rho[0, Ks.index(K)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, optimize
 
+from ghlab import quadrature
 from ghlab.checks import random_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
@@ -123,7 +124,7 @@ def test_first_order_field_basic():
     jet = _at(fld, p, want_gradient=True)
     assert np.linalg.eigvalsh(jet.V[0])[0] > 0.0 and jet.W[0] > 0.0
     assert jet.quad_error[0] <= max(QUAD.abs_tol,
-                                    QUAD.rel_tol * float(np.max(np.abs(jet.v[0]))))
+                                    quadrature._REL_TOL * float(np.max(np.abs(jet.v[0]))))
     # V = A + v with v symmetric positive; W = det A (1 + tr(A^{-1} v))
     v = jet.V[0] - A.entries
     np.testing.assert_allclose(v, v.T, atol=1e-12)
@@ -300,12 +301,12 @@ class TestSigmaExpansion:
 
 
 def test_decay_scan_smoke():
-    # short two-point scan: the fitted exponent of the relative error is
-    # near 2 along a generic ray (full scan lives in the acceptance suite)
+    # the fitted exponent of the relative error is near 2 along a generic
+    # ray at N = 2 (the N = 3 rays live in the acceptance suite)
     A = QuadForm.identity(2)
     ray = Ray(np.array([1.0, 0.7]), base_eta=0.5 + 0.2j)
     from ghlab.ansatz import decay_scan
-    fit = decay_scan(A, QUAD, ray, radii=[8.0, 16.0, 32.0, 64.0])
+    fit = decay_scan(A, QUAD, ray)
     assert 1.5 < fit.exponent < 2.5
 
 
@@ -336,5 +337,5 @@ class TestWeightExponents:
                               complex(*rng.normal(size=2)))
                 for i in range(1, N + 1):
                     want = min(dist_closed_stratum(A, J, p)
-                               for J in all_strata(N, i + 1, i + 1))
+                               for J in all_strata(N) if len(J) == i + 1)
                     assert weight_ell(A, i, p) == 1.0 + want

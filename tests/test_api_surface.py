@@ -16,11 +16,22 @@ methods (a class's other methods and properties count, as callers reach
 them), in ``perfbench/``, or it is named in ``KEPT_FIELDS``.  Loading a
 field only to append to it or to store into it is no read.  Fields are
 matched by name, so a field shares the reads of every field so named.
+
+A defaulted parameter of a public function or method, or a defaulted field
+of a public dataclass or NamedTuple, is settable; it is passed when a call
+in ``src/ghlab`` outside its own definition, or in ``perfbench/``, gives it
+by keyword or by position, or it is named in ``KEPT_PARAMS``.  Calls are
+matched by the name they call (a constructor by its class name, or ``cls``
+within the class), so a parameter shares the calls of every function,
+method or class so named; a starred argument may fill any later position
+and a ``**`` argument any keyword.
 """
 
 import ast
 import dataclasses
+import functools
 import importlib
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -31,17 +42,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ghlab"
 
 # Exported names that only tests reach, each beside the test that holds a
-# primary path against it.
+# primary path against it.  The independent routes themselves live in
+# tests/oracles.py; these two wait for ROADMAP item 9 to use or drop them.
 ORACLES = (
-    # the one-slot closed form of the folded gammas
-    "gamma_closed_form",      # test_holo.py::test_gamma_against_closed_form_one_slot
-    # the gammas by quadrature along the ray, not folded into the cone
-    "gamma_via_ray",          # test_holo.py::test_gamma_two_routes_agree_two_slots
-    # the glue scale that glue_weight reads through locus._rho
-    "rho_IJ",                 # test_locus.py::test_rho_matches_direct_schur
-    # the exact swap of label 0, inside the scipy oracle that the one-pass
-    # stratum distances are held against
-    "zero_swap",              # test_locus.py::test_closed_distance_against_scipy
     # the stratum split of the volume defect: the remainder of a stratum's
     # model field, and the depth weights, per stratum against one pass
     "restricted_remainders",  # test_ansatz.py::test_restricted_remainders_small_near_stratum
@@ -77,6 +80,15 @@ KEPT_FIELDS = (
     "QuadResult.r_star",                      # ROADMAP item 5
     # the largest quad_error, for the CSV detail column
     "FieldJet.quad_error",                    # ROADMAP item 5
+)
+
+# Settable values that no library code or benchmark passes, each beside the
+# reason it stays settable.
+KEPT_PARAMS = (
+    # the console script calls main() and argparse reads sys.argv
+    "main.argv",                              # test_cli.py::run
+    # every sidecar records the schema its config was read under
+    "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar
 )
 
 
@@ -251,3 +263,108 @@ def test_every_public_method_is_reached():
                if cls in exported and not fn.startswith("_") and fn not in words
                and f"{cls}.{fn}" not in ORACLE_METHODS and total[fn] == mine[fn]]
     assert not orphans, f"public methods reached only by tests: {orphans}"
+
+
+def _settables():
+    """(callee, owner.param, position, excluded) of every defaulted
+    parameter of a public function or method, and every defaulted field of
+    a public dataclass or NamedTuple, in ``src/ghlab``.  ``callee`` is the
+    name a call uses, ``position`` the index of a positional argument that
+    sets it (None when keyword-only), ``excluded`` the definitions whose
+    own calls do not count."""
+    out = []
+    for path, tree in _trees().items():
+        if path.parent != SRC:
+            continue
+        mod = importlib.import_module(f"ghlab.{path.stem}")
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                out += [(node.name, f"{node.name}.{arg}", pos, {node})
+                        for arg, pos in _defaulted(node.args)]
+            elif isinstance(node, ast.ClassDef):
+                dunders = {fn for fn in node.body if isinstance(fn, ast.FunctionDef)
+                           and fn.name.startswith("__")}
+                cls = getattr(mod, node.name)
+                if dataclasses.is_dataclass(cls):
+                    fields = [f for f in dataclasses.fields(cls) if f.init]
+                    out += [(node.name, f"{node.name}.{f.name}", pos, dunders)
+                            for pos, f in enumerate(fields)
+                            if f.default is not dataclasses.MISSING
+                            or f.default_factory is not dataclasses.MISSING]
+                elif issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                    out += [(node.name, f"{node.name}.{f}", cls._fields.index(f), dunders)
+                            for f in cls._field_defaults]
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list)
+                        callee = node.name if fn.name == "__init__" else fn.name
+                        out += [(callee, f"{node.name}.{fn.name}.{arg}",
+                                 None if pos is None else pos - (not static), {fn})
+                                for arg, pos in _defaulted(fn.args)]
+    return out
+
+
+def _defaulted(args):
+    """(name, position) of each defaulted parameter, position None for a
+    keyword-only one."""
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(a.arg, i) for i, a in enumerate(positional) if i >= first]
+            + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+@functools.lru_cache(maxsize=None)
+def _trees():
+    """The parsed modules of ``src/ghlab`` and ``perfbench/``, parsed once
+    so that a call's enclosing definitions are the settables' own nodes."""
+    return {path: ast.parse(path.read_text())
+            for path in [*sorted(SRC.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]}
+
+
+def _calls():
+    """(callee, positional count, keywords, enclosing definitions) of every
+    call in ``src/ghlab`` and ``perfbench/``; a starred argument counts as
+    every position, a ``**`` argument as the keyword ``**``."""
+    out = []
+
+    def visit(node, enclosing, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "cls" and cls is not None:
+                    name = cls
+                npos = (math.inf if any(isinstance(a, ast.Starred) for a in child.args)
+                        else len(child.args))
+                out.append((name, npos, {k.arg or "**" for k in child.keywords}, enclosing))
+            inner = enclosing | {child} if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else enclosing
+            visit(child, inner, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    for tree in _trees().values():
+        visit(tree, frozenset(), None)
+    return out
+
+
+def test_every_settable_value_is_set():
+    # a default that no caller but the tests ever overrides is a constant
+    by_name = {}
+    for name, npos, kws, enclosing in _calls():
+        by_name.setdefault(name, []).append((npos, kws, enclosing))
+    unset = [label for callee, label, pos, excluded in _settables()
+             if label not in KEPT_PARAMS
+             and not any(not (enclosing & excluded)
+                         and (label.rsplit(".", 1)[-1] in kws or "**" in kws
+                              or (pos is not None and npos > pos))
+                         for npos, kws, enclosing in by_name.get(callee, ()))]
+    assert not unset, f"settable values that only tests set: {unset}"
+
+
+def test_kept_params_exist():
+    assert set(KEPT_PARAMS) <= {label for _, label, _, _ in _settables()}

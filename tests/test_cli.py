@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 
@@ -203,6 +206,36 @@ def test_configs_of_the_wrong_shape_rejected(tmp_path, data, argv, message):
     with pytest.raises(SystemExit, match=message):
         main(["pythagoras", "--config", str(cfg), *argv, "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, argv, data, unread", [
+    ("extension-profile", ["--n", "3", "--seed", "7"], {}, "n, seed"),
+    ("weak-chern", ["--seed", "7"], {}, "seed"),
+    ("decay-scan", [], {"seed": 20240817}, "seed"),
+    ("gamma-sum", ["--n", "3"], {}, "n"),
+    ("logz-growth", [], {"n": 3}, "n"),
+], ids=["profile-flags", "weak-seed-flag", "decay-seed-config", "gamma-n-flag",
+        "logz-n-config"])
+def test_unread_settings_rejected(tmp_path, experiment, argv, data, unread):
+    # each was once ignored: the run wrote the values of a run without it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(SystemExit, match=rf"setting\(s\) {unread} unread by {experiment}"):
+        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_declared_settings_are_what_each_runner_reads():
+    # a runner reads the sample count as cfg.n and the seed through rng
+    from ghlab.cli import EXPERIMENT_SETTINGS
+
+    for name, fn in EXPERIMENTS.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        cfg_reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        want = {"n"} & cfg_reads | ({"seed"} if "rng" in names else set())
+        assert EXPERIMENT_SETTINGS[name] == want, name
 
 
 def test_verdict_params_are_gone():

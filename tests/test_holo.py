@@ -6,21 +6,21 @@ import math
 import numpy as np
 import pytest
 
+from ghlab import quadrature
 from ghlab.checks import random_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
 from ghlab.holo import (
     _LEG_NODES,
     GammaSpec,
     gamma,
-    gamma_closed_form,
     gamma_family,
     gamma_sum_check,
-    gamma_via_ray,
     growth_bound_check,
     log_z,
     taubnut_moduli,
 )
 from ghlab.quadrature import QuadratureError, QuadratureSpec, SingularityProximity
+from oracles import gamma_closed_form, gamma_via_ray
 
 QUAD = QuadratureSpec(abs_tol=1e-11)
 
@@ -233,15 +233,15 @@ def test_swept_gamma_over_budget_names_gamma_kernel_and_row(monkeypatch):
         gamma_family(spec, (1, 2), mu, np.array([0.9 + 0.5j, 0.7 - 0.2j]))
 
 
-def test_swept_gamma_miss_names_the_row_that_missed():
+def test_swept_gamma_miss_names_the_row_that_missed(monkeypatch):
     # N = 3, all slots, a tolerance no sum can meet: gamma_1's first kernel
     # sweeps row 0 alone, which converges, then rows 1 and 2 on row 1's
     # grid, where row 2 misses by most; the refusal names batch row 2, not
     # its group's first row, and the engine's text names no row of its own
     A = QuadForm(np.array([[1.4, 0.2, 0.1], [0.2, 0.9, -0.1],
                            [0.1, -0.1, 1.2]]))
-    spec = GammaSpec(A, IndexSet((0, 1, 2, 3)),
-                     QuadratureSpec(rel_tol=1e-17, abs_tol=1e-17))
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-17)
+    spec = GammaSpec(A, IndexSet((0, 1, 2, 3)), QuadratureSpec(abs_tol=1e-17))
     mu = np.array([[3.0, 2.5, -1.0], [0.8, -0.3, 0.4], [0.7, -0.28, 0.49]])
     eta = np.array([1.5 + 0.3j, 0.9 + 0.5j, 1.19 + 0.45j])
     with pytest.raises(QuadratureError, match=r"gamma_1 on \(0, 1, 2, 3\): kernel \(0, 1\) "

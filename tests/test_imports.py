@@ -1,5 +1,6 @@
-"""Importing the library needs numpy alone: scipy serves only the QMC
-oracle, behind a function-level import, and the tests."""
+"""Importing the library and running an experiment need numpy alone: scipy
+is a test dependency, for the oracles in tests/oracles.py and the brute-force
+checks of the suite."""
 
 import os
 import subprocess
@@ -8,14 +9,36 @@ from pathlib import Path
 
 import ghlab
 
+# run in a fresh interpreter: refuse scipy at the import system, so nothing
+# the suite imported counts and nothing has to be uninstalled
+BLOCKED_RUN = """
+import sys
 
-def test_import_loads_no_scipy_module():
-    # a fresh interpreter, so nothing the suite imported counts
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+
+import ghlab, ghlab.cli
+code = ghlab.cli.main(["flat-cy", "--n", "20", "--out", sys.argv[1]])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+try:
+    import scipy
+except ImportError:
+    print("blocked")
+sys.exit(code)
+"""
+
+
+def test_import_loads_no_scipy_module(tmp_path):
     src = str(Path(ghlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, ghlab, ghlab.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", BLOCKED_RUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    # the last lines: no scipy module loaded, and the finder did refuse it
+    assert out.stdout.splitlines()[-2:] == ["[]", "blocked"]
+    assert (tmp_path / "flat-cy.csv").exists()

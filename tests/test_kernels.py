@@ -24,11 +24,11 @@ from ghlab.kernels import (
     beta,
     closed_form_axis,
     kernel_prefactor,
-    qmc_alpha_oracle,
     weak_distributional_check,
 )
 from ghlab.quadrature import (QuadratureError, QuadratureSpec, SingularityProximity,
                               power_kernel_integral)
+from oracles import qmc_alpha_oracle
 
 
 QUAD = QuadratureSpec()

@@ -37,8 +37,8 @@ from ghlab.quadrature import (
     nonneg_argmin,
     panel_nodes,
     power_kernel_integral,
-    qmc_power_kernel_integral,
 )
+from oracles import qmc_power_kernel_integral
 
 
 def line_oracle(a: float, b: float, c: float) -> float:
