@@ -1,10 +1,10 @@
-"""Acceptance checks, shared by the acceptance suite and the CLI.
+"""Acceptance checks: the samplers and residuals of the CLI's runners.
 
 Samplers draw from a caller's generator in a fixed order, so a seed fixes
-every input.  Residuals take already-drawn inputs and return the worst
-value over them.  Each criterion's tolerances, quadrature specs and
-fixed inputs are constants here; callers keep only their seeds and
-sample counts.  Criterion numbers refer to ``tests/test_acceptance.py``.
+every input.  Residuals take already-drawn inputs, read their criterion's
+quadrature spec and fixed inputs from the constants here, and return the
+worst value.  Criterion numbers refer to the table of CLI runs, seeds and
+sample counts in ``tests/test_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .quadrature import QuadratureSpec
 
 
 # -- what each verdict is held to ----------------------------------------
-# Every criterion's tolerances, quadrature spec and fixed inputs; the suite
-# and the CLI read them here, and no config can change them.
+# Every criterion's tolerances, quadrature spec and fixed inputs; the CLI's
+# runners read them here, and no config can change them.
 
 FLAT_VOLUME_TOL = 1e-9                      # 01
 ONE_SLOT_FORM, ONE_SLOT_TOL = 1.3, 1e-10    # 02: the 1 x 1 form's entry, tolerance
@@ -67,9 +67,14 @@ DECAY_RAYS_N3 = (
 # the tolerance; each case draws its own form.
 GAMMA_CASES_N2 = ((1, 10, 1e-3), (2, 3, 1e-2))
 
+# Criterion 09 at N = 2: the form of the moduli and the log-sum paths.
+LOGZ_FORM_N2 = ((1.8, 0.4), (0.4, 1.1))
+
 # Criterion 11: the extension profile's slope K, shoulder M, floor 1000 M
-# and eps.
+# and eps, and the 20 t on each outer piece at which its formulas are held.
 PROFILE = (1.0, 10.0, 1e4, 0.1)
+PROFILE_T_LEFT = np.linspace(1.0, PROFILE[1] - 1.0, 20)
+PROFILE_T_RIGHT = np.linspace(PROFILE[1] + 1.0, 400.0, 20)
 
 
 # -- samplers -------------------------------------------------------------
@@ -138,6 +143,18 @@ def eigen_cases(rng: np.random.Generator, n: int, N: int = 4) -> list:
             for _ in range(n)]
 
 
+def log_sum_point(rng: np.random.Generator) -> BasePoint:
+    """The first of at most 1000 random points at N = 2 whose two
+    ``log_sum_path``s keep as far from eta = 0 as ``holo.log_z`` asks."""
+    for _ in range(1000):
+        p = random_point(rng, 2)
+        paths = (log_sum_path(p), log_sum_path(p, detour=True))
+        if all(closest >= least for path in paths for closest, least in
+               (holo.leg_clearance(a.eta, b.eta) for a, b in zip(path, path[1:]))):
+            return p
+    raise RuntimeError("no point with log-sum paths clear of eta = 0 in 1000 draws")
+
+
 def plateau_points(rng: np.random.Generator, A: QuadForm, n: int,
                    kind: str) -> list[BasePoint]:
     """n points about 1e6 out along mu_3 at N = 3 where the glue weight of
@@ -169,36 +186,35 @@ def flat_volume_gap(points) -> float:
     return worst
 
 
-def one_slot_gaps(A: QuadForm, quad: QuadratureSpec, points
-                  ) -> tuple[float, float, float]:
-    """Criterion 02 at N = 1: worst gaps of the engine kernel to its closed
-    form, of det V to W, and of the volume defect to 0, from one kernel
-    batch and one field jet over all the points."""
+def one_slot_gaps(points) -> tuple[float, float, float]:
+    """Criterion 02 at N = 1 on ``ONE_SLOT_FORM``: worst gaps of the engine
+    kernel to its closed form, of det V to W, and of the volume defect to
+    0, from one kernel batch and one field jet over all the points."""
+    A = QuadForm(np.array([[ONE_SLOT_FORM]]))
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    got = kernels.alpha_batch(kernels.KernelSpec(A, (0, 1)), quad, mu, eta).value
+    got = kernels.alpha_batch(kernels.KernelSpec(A, (0, 1)), QUAD, mu, eta).value
     want = np.array([kernels.closed_form_axis(A, 1, p) for p in points])
-    jet = ansatz.FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
+    jet = ansatz.FirstOrderField(A, QUAD).jet(mu, eta, want_gradient=False)
     kernel = float(np.max(np.abs(got - want)))
     volume = float(np.max(np.abs(np.linalg.det(jet.V) - jet.W)))
     defect = max(abs(ansatz.sigma_expansion(A, v).relative_error) for v in jet.v)
     return kernel, volume, defect
 
 
-def restricted_gap(cases, quad: QuadratureSpec) -> float:
+def restricted_gap(cases) -> float:
     """Criterion 03: worst relative gap of restricted axis kernels to their
     closed form, over ``restricted_cases``."""
     worst = 0.0
     for A, i, p in cases:
         I = IndexSet((0, i))
         got = kernels.alpha(kernels.KernelSpec(A, (0, i), restriction=I),
-                            quad, p).value
+                            QUAD, p).value
         want = kernels.closed_form_axis(A, i, p, restriction=I)
         worst = max(worst, abs(got - want) / abs(want))
     return worst
 
 
-def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
-                     points) -> float:
+def kernel_laplacian(spec: kernels.KernelSpec, points) -> float:
     """Criterion 04: worst A-Laplacian of the kernel over the scale of its
     terms, by one differencing level on analytic gradients; every point's
     stencil goes into one kernel batch and one difference."""
@@ -207,7 +223,7 @@ def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
     xs = np.array([p.as_vector() for p in points])
     hs = gradient_step(xs)
     mu, eta = batch_from_vectors(richardson_stencil(xs, hs).reshape(-1, N + 2))
-    grads = kernels.alpha_batch(spec, quad, mu, eta, want_gradient=True).gradient
+    grads = kernels.alpha_batch(spec, QUAD, mu, eta, want_gradient=True).gradient
     # hess[b, k, j] = d_k of gradient entry j at point b
     hess = richardson_derivative(grads.reshape(len(xs), -1, N + 2), hs)
     mu_terms, eta_part = laplace_terms(A, 0.5 * (hess + np.swapaxes(hess, 1, 2)))
@@ -216,15 +232,14 @@ def kernel_laplacian(spec: kernels.KernelSpec, quad: QuadratureSpec,
     return float(np.max(np.abs(mu_terms.sum(axis=1) + eta_part) / scale, initial=0.0))
 
 
-def gradient_relations(A: QuadForm, quad: QuadratureSpec, points
-                       ) -> tuple[float, float]:
+def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
     """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
     pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
     and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
     every point and every kernel go into one kernel family batch."""
     N = A.n
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    labels, kv = kernels.alpha_family(A, None, quad, mu, eta, want_gradient=True)
+    labels, kv = kernels.alpha_family(A, None, QUAD, mu, eta, want_gradient=True)
     grads = {}
     for (i, j), g in zip(labels, kv.gradient):
         grads[i, j] = grads[j, i] = g
@@ -302,12 +317,12 @@ def schur_eigen_violation(cases) -> float:
     return worst
 
 
-def product_identity_gap(A: QuadForm, quad: QuadratureSpec, points) -> float:
-    """Criterion 09: worst gap |log |z_j| - log |w_j|| over j = 0, 1 of slot
-    1's coordinates to the exact one-slot moduli w_j at p (D = det of the
-    inactive block), gauged to them at the path start; it bounds the gap
-    of the product |z_0 z_1| = sqrt(D) |eta| too."""
-    I = IndexSet((0, 1))
+def product_identity_gap(points) -> float:
+    """Criterion 09 on ``LOGZ_FORM_N2``: worst gap |log |z_j| - log |w_j||
+    over j = 0, 1 of slot 1's coordinates to the exact one-slot moduli w_j
+    at p (D = det of the inactive block), gauged to them at the path start;
+    it bounds the gap of the product |z_0 z_1| = sqrt(D) |eta| too."""
+    A, I = QuadForm(np.array(LOGZ_FORM_N2)), IndexSet((0, 1))
     G = schur_complement(A, I).entries[0, 0]
     comp = I.active_complement(A.n)
     D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
@@ -315,22 +330,28 @@ def product_identity_gap(A: QuadForm, quad: QuadratureSpec, points) -> float:
     for p in points:
         ref = BasePoint(np.concatenate(([2.0 + abs(p.mu[0])], p.mu[1:])), p.eta)
         gauge = np.log(holo.taubnut_moduli(G, D, 0.0, ref.mu[0], ref.eta))
-        res = holo.log_z(A, I, quad, p, basepath=[ref, p], gauge=gauge)
+        res = holo.log_z(A, I, GAMMA_QUAD, p, basepath=[ref, p], gauge=gauge)
         want = np.log(holo.taubnut_moduli(G, D, 0.0, p.mu[0], p.eta))
         worst = max(worst, float(np.max(np.abs(res.values - want))))
     return worst
 
 
-def log_sum_gap(A: QuadForm, quad: QuadratureSpec, points,
-                via=lambda p: []) -> float:
-    """Criterion 09, all slots active: worst gap of sum_k log |z_k| to
-    log |eta / eta_ref| on the path from ref (2.5 beyond |mu|) via(p) to p."""
-    I = IndexSet(range(A.n + 1))
+def log_sum_path(p: BasePoint, detour: bool = False) -> list[BasePoint]:
+    """Criterion 09's path to p: from ref (2.5 beyond |mu|, eta = 1), with
+    ``detour`` through one point off the straight line, to p."""
+    ref = BasePoint(np.abs(p.mu) + 2.5, 1.0 + 0j)
+    return [ref, BasePoint(p.mu + 1.5, p.eta * 1.4 + 0.3), p] if detour else [ref, p]
+
+
+def log_sum_gap(points, detour: bool = False) -> float:
+    """Criterion 09 on ``LOGZ_FORM_N2``, all slots active: worst gap of
+    sum_k log |z_k| to log |eta / eta_ref| along ``log_sum_path``."""
+    A, I = QuadForm(np.array(LOGZ_FORM_N2)), IndexSet((0, 1, 2))
     worst = 0.0
     for p in points:
-        ref = BasePoint(np.abs(p.mu) + 2.5, 1.0 + 0j)
-        res = holo.log_z(A, I, quad, p, basepath=[ref, *via(p), p])
-        want = math.log(abs(p.eta)) - math.log(abs(ref.eta))
+        path = log_sum_path(p, detour)
+        res = holo.log_z(A, I, GAMMA_QUAD, p, basepath=path)
+        want = math.log(abs(p.eta)) - math.log(abs(path[0].eta))
         worst = max(worst, abs(float(np.sum(res.values)) - want))
     return worst
 
@@ -342,22 +363,15 @@ def plateau_gap(A: QuadForm, points, target: float) -> float:
     return float(np.max(np.abs(w - target), initial=0.0))
 
 
-def profile_piece_gaps(prof: glue.ExtensionProfile, t_left, t_right
-                       ) -> tuple[float, float, float]:
-    """Criterion 11: worst gaps of h = K and H = K t at ``t_left``, and of
-    h = 2 log 2 K / (g log g) and H = K M + 2 log 2 K log log g (g = t - M + 2)
-    at ``t_right``."""
-    K, M = prof.K, prof.M
-    left = right_h = right_H = 0.0
-    for t in t_left:
-        left = max(left, abs(prof.h(t) - K), abs(prof.H(t) - K * t))
-    for t in t_right:
-        g = t - M + 2.0
-        right_h = max(right_h, abs(prof.h(t) - 2.0 * math.log(2.0) * K
-                                   / (g * math.log(g))))
-        right_H = max(right_H, abs(prof.H(t) - (K * M + 2.0 * math.log(2.0) * K
-                                                * math.log(math.log(g)))))
-    return left, right_h, right_H
+def profile_piece_gaps(prof: glue.ExtensionProfile) -> tuple[float, float, float]:
+    """Criterion 11: worst gaps of h = K and H = K t at ``PROFILE_T_LEFT``,
+    and of h = c / (g log g) and H = K M + c log log g (c = 2 log 2 K,
+    g = t - M + 2) at ``PROFILE_T_RIGHT``."""
+    K, M, t, u = prof.K, prof.M, PROFILE_T_LEFT, PROFILE_T_RIGHT
+    c, g = 2.0 * math.log(2.0) * K, u - M + 2.0
+    return (float(max(np.max(np.abs(prof.h(t) - K)), np.max(np.abs(prof.H(t) - K * t)))),
+            float(np.max(np.abs(prof.h(u) - c / (g * np.log(g))))),
+            float(np.max(np.abs(prof.H(u) - (K * M + c * np.log(np.log(g)))))))
 
 
 def profile_seam_jump(prof: glue.ExtensionProfile) -> float:
@@ -371,13 +385,11 @@ def profile_seam_jump(prof: glue.ExtensionProfile) -> float:
     return jump
 
 
-def integrability_gap(A: QuadForm, quad: QuadratureSpec, points
-                      ) -> tuple[float, float]:
+def integrability_gap(A: QuadForm, points) -> tuple[float, float]:
     """Criterion 12: worst relative residuals of the first-order field's
     first and second integrability identities; every point's stencil goes
     into one field jet."""
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    _, res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, quad),
-                                              mu, eta)
+    res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
     worst = np.max(res / np.maximum(scale, 1e-300), axis=1)
     return float(worst[0]), float(worst[1])

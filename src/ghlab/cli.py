@@ -6,11 +6,11 @@ Each experiment samples points from a seeded generator, evaluates one of
 the library's identities, and writes a CSV of result rows plus a JSON
 sidecar with the effective configuration and its hash.  Reruns with the
 same configuration are byte-identical except for the sidecar timestamp.
-The process exits 0 exactly when every row passes.  Samplers, residuals,
-tolerances and quadrature specs that an acceptance criterion shares come
-from ``ghlab.checks``; a config sets only seeds, sample counts and
-dimensions, and a runner here reads it and assembles rows.  A seed or a
-sample count that the experiment's runner does not read is rejected.
+The process exits 0 exactly when every row passes.  A runner here is the
+only code that draws a criterion's inputs with ``ghlab.checks`` samplers
+and holds its residuals to their tolerances; the acceptance suite runs it
+at its seed and counts.  A config sets only seeds, sample counts and
+dimensions; a seed or count that the runner does not read is rejected.
 """
 
 from __future__ import annotations
@@ -128,6 +128,11 @@ class ResultRow:
     config_hash: str
     detail: str = ""
 
+    def __str__(self) -> str:
+        target = f" target={self.target:.6g}" if self.target else ""
+        return (f"{'PASS' if self.passed else 'FAIL'} {self.experiment}/{self.case}: "
+                f"value={self.value:.6g}{target} tol={self.tol:.3g} {self.detail}").rstrip()
+
 
 def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -187,9 +192,8 @@ def run_flat_cy(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 
 @_experiment("taubnut-exact")
 def run_taubnut_exact(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    A = QuadForm(np.array([[checks.ONE_SLOT_FORM]]))
-    pts = [checks.random_point(rng, 1, eta_lo=0.05) for _ in range(cfg.n or 100)]
-    gaps = checks.one_slot_gaps(A, checks.QUAD, pts)
+    gaps = checks.one_slot_gaps([checks.random_point(rng, 1, eta_lo=0.05)
+                                 for _ in range(cfg.n or 100)])
     return [_row(cfg, case, gap, checks.ONE_SLOT_TOL) for case, gap in
             zip(("alpha-closed-form", "cy-identity", "volume-defect"), gaps)]
 
@@ -197,7 +201,7 @@ def run_taubnut_exact(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 @_experiment("kernel-closedform", "dims")
 def run_kernel_closedform(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.restricted_gap(checks.restricted_cases(
-                rng, N, cfg.n or 100), checks.QUAD), checks.RESTRICTED_TOL)
+                rng, N, cfg.n or 100)), checks.RESTRICTED_TOL)
             for N in cfg.params.get("dims", [2, 3, 4])]
 
 
@@ -208,7 +212,7 @@ def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
-            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), checks.QUAD, pts)
+            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), pts)
             rows.append(_row(cfg, f"N={N}-{kind}", lap, checks.HARMONIC_TOL))
     return rows
 
@@ -218,7 +222,7 @@ def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
-        gaps = checks.integrability_gap(A, checks.QUAD, [
+        gaps = checks.integrability_gap(A, [
             checks.off_locus_point(rng, A) for _ in range(cfg.n or 20)])
         rows += [_row(cfg, f"N={N}-{kind}", gap, checks.INTEGRABILITY_TOL)
                  for kind, gap in zip(("first", "second"), gaps)]
@@ -229,7 +233,7 @@ def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     A = checks.random_spd(rng, cfg.params.get("dim", 3))
     pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
-    pair, axis = checks.gradient_relations(A, checks.QUAD, pts)
+    pair, axis = checks.gradient_relations(A, pts)
     return [_row(cfg, "pair-symmetry", pair, checks.HARMONIC_TOL),
             _row(cfg, "axis-relations", axis, checks.HARMONIC_TOL)]
 
@@ -283,27 +287,19 @@ def run_gamma_sum(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             zip(checks.GAMMA_CASES_N2, checks.gamma_sum_gaps(rng))]
 
 
-@_experiment("logz-growth", "dim", "points_n1", "points_n2", settings=("seed",))
+@_experiment("logz-growth", "points_n1", "points_n2", settings=("seed",))
 def run_logz_growth(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    N = cfg.params.get("dim", 2)
-    A = checks.random_spd(rng, N)
-    quad = checks.GAMMA_QUAD
-    prod = checks.product_identity_gap(
-        A, quad, [checks.random_point(rng, N)
-                  for _ in range(cfg.params.get("points_n1", 10))])
-    # the log-sum path detours through one intermediate point
-    total = checks.log_sum_gap(
-        A, quad, [checks.random_point(rng, N)
-                  for _ in range(cfg.params.get("points_n2", 2))],
-        via=lambda p: [BasePoint(p.mu + 1.5, p.eta * 1.4 + 0.3)])
+    prod = checks.product_identity_gap([checks.random_point(rng, 2)
+                                        for _ in range(cfg.params.get("points_n1", 10))])
+    pts = [checks.log_sum_point(rng) for _ in range(cfg.params.get("points_n2", 3))]
     fits = holo.growth_bound_check(
-        A, IndexSet((0, 1)), quad,
-        [BasePoint(np.array([3.0 + 2.0 * k] + [0.5] * (N - 1)), 0.8 + 0.1j)
-         for k in range(5)])
+        QuadForm(np.array(checks.LOGZ_FORM_N2)), IndexSet((0, 1)), checks.GAMMA_QUAD,
+        [BasePoint(np.array([3.0 + 2.0 * k, 0.5]), 0.8 + 0.1j) for k in range(5)])
     finite = all(np.isfinite([f.slope, f.k1, f.k3]).all() for f in fits)
     return [
         _row(cfg, "product-identity", prod, checks.PRODUCT_TOL),
-        _row(cfg, "log-sum-identity", total, checks.LOG_SUM_TOL),
+        _row(cfg, "log-sum-identity", checks.log_sum_gap(pts), checks.LOG_SUM_TOL),
+        _row(cfg, "log-sum-detour", checks.log_sum_gap(pts, detour=True), checks.LOG_SUM_TOL),
         ResultRow(cfg.experiment, "growth-envelope", float(finite), 1.0, 0.0,
                   finite, cfg.hash,
                   detail="; ".join(f"z{f.label}: slope={f.slope:.4f} "
@@ -318,10 +314,8 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     A = QuadForm.identity(3)
     core = checks.plateau_gap(A, checks.plateau_points(rng, A, n, "core"), 1.0)
     outer = checks.plateau_gap(A, checks.plateau_points(rng, A, n, "outer"), 0.0)
-    consts = locus.RegionConstants()
-    uncovered = sum(
-        not locus.region_membership(
-            A, consts, checks.random_point(rng, 3, mu_scale=5.0)).covered
+    uncovered = sum(not locus.region_membership(
+        A, locus.RegionConstants(), checks.random_point(rng, 3, mu_scale=5.0)).covered
         for _ in range(cfg.params.get("covering_points", 300)))
     return [_row(cfg, "core-weight-one", core, 0.0),
             _row(cfg, "outer-weight-zero", outer, 0.0),
@@ -330,25 +324,28 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 
 @_experiment("extension-profile", settings=())
 def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    K, M, floor, eps = checks.PROFILE
-    prof = glue.ExtensionProfile(K, M, floor, eps)
-    gaps = checks.profile_piece_gaps(prof, np.linspace(1.0, M - 1.0, 20),
-                                     np.linspace(M + 1.0, 50.0 * M, 20))
+    prof = glue.ExtensionProfile(*checks.PROFILE)
     rows = [_row(cfg, case, gap, checks.PIECE_TOL) for case, gap in
-            zip(("piece-left", "piece-right-h", "piece-right-H"), gaps)]
+            zip(("piece-left", "piece-right-h", "piece-right-H"),
+                checks.profile_piece_gaps(prof))]
     rows.append(_row(cfg, "seam-continuity", checks.profile_seam_jump(prof),
                      checks.SEAM_TOL))
-
     rep_good = glue.profile_condition_check(prof)
     rows.append(ResultRow(cfg.experiment, "margin-wide-floor",
                           rep_good.min_loggap, 1.0, 0.0, rep_good.positive,
                           cfg.hash, detail=f"argmin log t = {rep_good.argmin_logt:.3g}"))
-    prof_bad = glue.ExtensionProfile(K, M, M + 3.0, eps)
-    rep_bad = glue.profile_condition_check(prof_bad)
+    rep_bad = glue.profile_condition_check(
+        glue.ExtensionProfile(prof.K, prof.M, prof.M + 3.0, prof.eps))
     rows.append(ResultRow(cfg.experiment, "margin-narrow-floor",
                           rep_bad.min_loggap, -1.0, 0.0, not rep_bad.positive,
                           cfg.hash))
     return rows
+
+
+def run(cfg: ExperimentConfig) -> list[ResultRow]:
+    """The experiment's rows, sorted by case, drawn from ``cfg.seed``."""
+    return sorted(EXPERIMENTS[cfg.experiment](cfg, np.random.default_rng(cfg.seed)),
+                  key=lambda r: r.case)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,13 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = ExperimentConfig.load(args.experiment, args.config, args.seed, args.n)
-    rows = sorted(EXPERIMENTS[args.experiment](cfg, np.random.default_rng(cfg.seed)),
-                  key=lambda r: r.case)
+    rows = run(cfg)
     _write_outputs(cfg, rows, Path(args.out))
-    for r in rows:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.experiment}/{r.case}: value={r.value:.6g} "
-              f"tol={r.tol:.3g} {r.detail}")
+    print("\n".join(map(str, rows)))
     ok = all(r.passed for r in rows)
     print(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in rows)}/{len(rows)} rows passed")
     return 0 if ok else 1

@@ -53,13 +53,13 @@ class IntegrabilityResidual:
 
 
 def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
-                        ) -> tuple[object, np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Both integrability identities at the batch mu (B, N), eta (B,): the
-    field's stacked jet on every point's Richardson stencil (point b's own
-    at row b (4N + 9)), and the residuals (2, B) and their scales (2, B).
-    The first identity reads the analytic mu-gradient of V; the second,
-    d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy, differences the analytic
-    gradients once with ``geometry.gradient_step``."""
+    residuals (2, B) and their scales (2, B), from one field jet over every
+    point's Richardson stencil.  The first identity reads the analytic
+    mu-gradient of V; the second, d^2 W / dmu_i dmu_j + (V_ij)_xx +
+    (V_ij)_yy, differences the analytic gradients once with
+    ``geometry.gradient_step``."""
     B, N = mu.shape
     xs = np.column_stack([mu, eta.real, eta.imag])
     hs = gradient_step(xs)
@@ -78,12 +78,12 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     res[1] = np.abs(hessW + vxx + vyy).reshape(B, -1).max(axis=1)
     scale[1] = np.maximum(np.abs(hessW).reshape(B, -1).max(axis=1),
                           np.abs(vxx + vyy).reshape(B, -1).max(axis=1))
-    return jet, res, scale
+    return res, scale
 
 
 def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     """Evaluate both integrability identities at a point: the one-row case
     of ``integrability_batch``."""
-    _, res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
+    res, scale = integrability_batch(field, p.mu[None], np.array([p.eta]))
     return IntegrabilityResidual(float(res[0, 0]), float(res[1, 0]),
                                  float(scale[0, 0]), float(scale[1, 0]))

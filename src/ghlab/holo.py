@@ -151,6 +151,14 @@ _LEG_PANELS = 8
 _LEG_NODES, _LEG_WEIGHTS = panel_nodes(np.arange(_LEG_PANELS + 1) / _LEG_PANELS, 16)
 
 
+def leg_clearance(eta0: complex, eta1: complex) -> tuple[float, float]:
+    """How close a straight leg from eta0 to eta1 passes to eta = 0, and the
+    least distance ``log_z`` accepts there: half its panels' eta-length."""
+    d = eta1 - eta0
+    t = min(max(-(eta0 * d.conjugate()).real / max(abs(d) ** 2, 1e-300), 0.0), 1.0)
+    return abs(eta0 + t * d), 0.5 * abs(d) / _LEG_PANELS
+
+
 def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
           basepath: list[BasePoint] | None = None,
           gauge: np.ndarray | None = None) -> LogZResult:
@@ -189,14 +197,11 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
         d_eta = q1.eta - q0.eta
-        if d_eta:
-            t = min(max(-(q0.eta * d_eta.conjugate()).real / abs(d_eta) ** 2, 0.0), 1.0)
-            closest = abs(q0.eta + t * d_eta)
-            if closest < 0.5 * abs(d_eta) / _LEG_PANELS:
-                raise ValueError(
-                    f"path leg from eta = {q0.eta} to {q1.eta} passes within "
-                    f"{closest:.3e} of eta = 0, within half its panels' "
-                    f"eta-length ({0.5 * abs(d_eta) / _LEG_PANELS:.3e})")
+        closest, least = leg_clearance(q0.eta, q1.eta)
+        if closest < least:
+            raise ValueError(f"path leg from eta = {q0.eta} to {q1.eta} passes within "
+                             f"{closest:.3e} of eta = 0, within half its panels' "
+                             f"eta-length ({least:.3e})")
         mu = q0.mu + _LEG_NODES[:, None] * d_mu_full
         eta = q0.eta + _LEG_NODES * d_eta
         if np.any(eta == 0):

@@ -462,8 +462,9 @@ class _Line(_Stack):
 # (and their images about pi) at least 0.224 Theta off the real axis; the
 # rule asks for _EDGE_POLE Theta, outside its Bernstein ellipse of
 # parameter 1.98, where 32 nodes err by rounding alone (within 1.6e-15 of
-# mpmath, n <= 10)
+# mpmath, n <= 10); its nodes and weights on [0, 1]
 _EDGE_ORDER = 32
+_EDGE_NODES, _EDGE_WEIGHTS = panel_nodes(np.array([0.0, 1.0]), _EDGE_ORDER)
 _EDGE_BUDGET = 1e-14
 _EDGE_ROUNDING = 2.2 * 2.0 ** -52
 _EDGE_CANCEL = 2.0 ** -math.floor(math.log2(_EDGE_BUDGET / _EDGE_ROUNDING))
@@ -599,8 +600,7 @@ def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
     root^2 = sin^2 chi / (H^2 sin^2 chi + l^2); with two of them (the
     gradient's) also the half-line integral J_p, the integral of
     |l| root^n / (H^2 sin^2 chi + l^2)."""
-    t, wt = _unit_rule(_EDGE_ORDER)
-    s2 = np.sin(theta[:, None] * t) ** 2
+    s2 = np.sin(theta[:, None] * _EDGE_NODES) ** 2
     den = H2[:, None] * s2 + (al * al)[:, None]
     root2 = s2 / den
     n = ns[0]
@@ -610,18 +610,8 @@ def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
     if len(ns) > 1:
         np.multiply(F[0], root2, out=F[1])
         np.divide(F[0], den, out=F[2])
-    I = F @ wt
+    I = F @ _EDGE_WEIGHTS
     return [theta * I[0]] if len(ns) == 1 else [theta * I[0], theta * I[1], theta * al * I[2]]
-
-
-@lru_cache(maxsize=4)
-def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = gauss_rule(order)
-    t, wt = 0.5 * (x + 1.0), 0.5 * w
-    t.flags.writeable = False
-    wt.flags.writeable = False
-    return t, wt
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import ast
+import csv
 import inspect
 import json
 import textwrap
@@ -7,6 +8,7 @@ import pytest
 
 from ghlab import checks
 from ghlab.cli import EXPERIMENTS, ExperimentConfig, main
+from test_acceptance import command, criterion, criterion_rows
 
 
 def run(tmp_path, *argv):
@@ -29,6 +31,16 @@ def test_flat_cy_writes_csv_and_sidecar(tmp_path):
     assert side["all_passed"] is True
     assert side["n_rows"] == 5
     assert "created_unix" in side
+
+
+def test_printed_command_writes_the_acceptance_rows(tmp_path):
+    # ACCEPTANCE 12 prints this command beside each row: its CSV holds the
+    # rows' values to the last digit
+    argv = command("integrability", criterion("12")["integrability"]).split()[1:]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "integrability.csv") as fh:
+        got = {row["case"]: row["value"] for row in csv.DictReader(fh)}
+    assert got == {r.case: f"{r.value:.17g}" for r in criterion_rows("12").values()}
 
 
 def test_rerun_is_deterministic(tmp_path):
@@ -160,7 +172,7 @@ def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key)
     ("flat-cy", {"dims": "3"}, r"param dims '3' not a non-empty list"),
     ("harmonicity", {"dims": [3.0]}, r"param dims \[3\.0\] not a non-empty list"),
     ("commutativity", {"dim": "3"}, r"param dim '3' not an integer of at least 1"),
-    ("logz-growth", {"dim": 0}, r"param dim 0 not an integer of at least 1"),
+    ("commutativity", {"dim": 0}, r"param dim 0 not an integer of at least 1"),
 ], ids=["empty-dims", "zero-dims", "string-dims", "float-dims", "string-dim", "zero-dim"])
 def test_bad_dimensions_rejected(tmp_path, experiment, data, message):
     # an empty list passed over zero rows; the others ended in a numpy
@@ -243,7 +255,7 @@ def test_verdict_params_are_gone():
     from ghlab.cli import EXPERIMENT_PARAMS
 
     params = sorted(k for keys in EXPERIMENT_PARAMS.values() for k in keys)
-    assert len(params) == 11
+    assert len(params) == 10
     assert set(params) == {"covering_points", "dim", "dims", "points_n1", "points_n2"}
 
 

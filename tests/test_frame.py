@@ -77,11 +77,11 @@ def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
 
     monkeypatch.setattr(kernels, "power_kernel_integral", counted)
     monkeypatch.setattr(quadrature, "_edge_rule", ruled)
-    first, second = checks.integrability_gap(A, checks.QUAD, [p])
+    first, second = checks.integrability_gap(A, [p])
     monkeypatch.undo()
     assert first <= checks.INTEGRABILITY_TOL
     assert second <= checks.INTEGRABILITY_TOL
-    assert max(checks.gradient_relations(A, checks.QUAD, [p])) <= checks.HARMONIC_TOL
+    assert max(checks.gradient_relations(A, [p])) <= checks.HARMONIC_TOL
     return nodes[0], edges[0]
 
 

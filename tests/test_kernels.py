@@ -617,7 +617,7 @@ def test_harmonicity_of_kernel_n2():
     A = QuadForm(np.array([[1.4, 0.3], [0.3, 1.0]]))
     spec = KernelSpec(A, (0, 1))
     p = BasePoint(np.array([0.8, -0.6]), 0.7 + 0.2j)
-    assert checks.kernel_laplacian(spec, QUAD, [p]) < 1e-4
+    assert checks.kernel_laplacian(spec, [p]) < 1e-4
 
 
 def _fd_laplace_A(A, f, x, h):
