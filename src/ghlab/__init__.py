@@ -7,7 +7,7 @@ Subpackages:
     kernels     potential kernels, closed forms, weak-limit checks
     ansatz      flat model, first order field jets, decay scans
     frame       the two integrability identities of a coefficient field
-    holo        holomorphic coordinate surrogates and growth checks
+    holo        holomorphic coordinate surrogates and their log moduli
     glue        cutoffs, glue weights, eigenvalue extension profiles
     checks      acceptance-criterion samplers and residuals (suite and CLI)
 """
@@ -73,7 +73,6 @@ from .holo import (
     gamma,
     gamma_family,
     gamma_sum_check,
-    growth_bound_check,
     log_z,
     taubnut_moduli,
 )

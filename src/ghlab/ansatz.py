@@ -2,12 +2,13 @@
 
 Three families of coefficient data (V, W) on the base are provided: the
 exact flat model (the standard structure written in base coordinates,
-values only, from ``flat_field``), the first-order asymptotic field built
-from the Green kernels on top of a background form A, and the restricted
-model fields attached to a stratum subset.  The first-order data
-satisfies the linearized equations exactly and the nonlinear volume
-identity up to a controlled error, whose relative size is the
-sigma-expansion tail computed here.
+V^{-1} and W values only, from ``flat_field``), the first-order
+asymptotic field built from the Green kernels on top of a background form
+A, and the restricted model fields attached to a stratum subset.  The
+first-order data satisfies the linearized equations exactly and the
+nonlinear volume identity up to a controlled error, whose relative size
+is the sigma-expansion tail computed here from the eigenvalues of
+A^{-1} v; its route through det(A + v) is a test oracle.
 
 A first-order or restricted field's ``jet(mu, eta, want_gradient)`` takes
 a batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
@@ -57,14 +58,13 @@ class FlatFieldResult:
 
     z_squared lists the squared moduli of the upstairs coordinates,
     index 0 first.  On the degeneration locus (two or more vanishing
-    moduli) the coefficients are singular and V, W are None.
+    moduli) the coefficients are singular and V_inv, W are None.
     """
 
     x: float
     z_squared: np.ndarray
     on_locus: bool
     V_inv: np.ndarray | None
-    V: np.ndarray | None
     W: float | None
 
 
@@ -96,14 +96,13 @@ def flat_field(p: BasePoint) -> FlatFieldResult:
     scale = max(1.0, float(np.max(zsq)))
     n_zero = int(np.sum(zsq <= 1e-13 * scale))
     if n_zero >= 2:
-        return FlatFieldResult(x, zsq, True, None, None, None)
+        return FlatFieldResult(x, zsq, True, None, None)
 
     V_inv = np.full((N, N), x) + np.diag(zsq[1:])
-    V = np.linalg.inv(V_inv)
     w_inv = 0.0
     for i in range(N + 1):
         w_inv += float(np.prod(np.delete(zsq, i)))
-    return FlatFieldResult(x, zsq, False, V_inv, V, 1.0 / w_inv)
+    return FlatFieldResult(x, zsq, False, V_inv, 1.0 / w_inv)
 
 
 def _flat_root(z_lo: np.ndarray, target: float, lo: float, hi: float) -> float:
@@ -185,7 +184,7 @@ def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
     v = (kv.value[:, :, None] * outers[:, None]).sum(axis=0, initial=0.0).reshape(B, N, N)
     err = kv.error.max(axis=0)
     # each point's sums reduce one contiguous row, as a lone point's would
-    w = A.det * (A.inv * v).reshape(B, -1).sum(axis=1)
+    w = A.det * (A.inv * v).reshape(B, N * N).sum(axis=1)
     V = A.entries + v
     W = A.det + w
     if not want_gradient:
@@ -251,14 +250,12 @@ class SigmaExpansion:
 
     sigmas[k-1] is the k-th elementary symmetric function of the
     eigenvalues of A^{-1} v; relative_error is the normalized volume
-    defect -sum_{k>=2} sigma_k / (1 + sum_k sigma_k); the two error routes
-    (through w and through det) agree to roundoff.
+    defect -sum_{k>=2} sigma_k / (1 + sum_k sigma_k).  The tests hold it
+    against the route through det(A + v) in ``tests/oracles.py``.
     """
 
     sigmas: np.ndarray
     relative_error: float
-    relative_error_det_route: float
-    det_identity_gap: float
 
 
 def sigma_expansion(A: QuadForm, v: np.ndarray) -> SigmaExpansion:
@@ -272,12 +269,7 @@ def sigma_expansion(A: QuadForm, v: np.ndarray) -> SigmaExpansion:
     sigmas = np.array([(-1.0) ** k * coeffs[k] for k in range(1, A.n + 1)])
     total = 1.0 + float(np.sum(sigmas))
     tail = float(np.sum(sigmas[1:])) if A.n >= 2 else 0.0
-    rel = -tail / total
-    detV = float(np.linalg.det(A.entries + v))
-    w = A.det * float(np.sum(A.inv * v))
-    rel_det = -(detV - A.det - w) / detV
-    gap = abs(detV / A.det - total)
-    return SigmaExpansion(sigmas, rel, rel_det, gap)
+    return SigmaExpansion(sigmas, -tail / total)
 
 
 # ---------------------------------------------------------------------------
@@ -306,22 +298,23 @@ class DecayFit:
     exponent: float
     intercept: float
     max_residual: float
-    radii: np.ndarray
     scales: np.ndarray
     values: np.ndarray
     label: str
+
+
+_DECAY_RADII = 8.0 * 2.0 ** (0.5 * np.arange(17))
 
 
 def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
     """Measure the decay exponent of the relative volume defect on a ray.
 
     Samples |relative_error| of the first-order field at the 17 radii
-    8 * 2^(k/2), k = 0..16, all in one field jet call, measures against the
-    anisotropic distance to the origin, and fits a power law by least
-    squares in log-log.
+    ``_DECAY_RADII`` = 8 * 2^(k/2), k = 0..16, all in one field jet call,
+    measures against the anisotropic distance to the origin, and fits a
+    power law by least squares in log-log.
     """
-    radii = 8.0 * 2.0 ** (0.5 * np.arange(17))
-    pts = [ray.point(float(r)) for r in radii]
+    pts = [ray.point(float(r)) for r in _DECAY_RADII]
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
     jet = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
     xs, ys = [], []
@@ -335,7 +328,7 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return DecayFit(-float(slope), float(intercept), resid,
-                    radii, np.exp(x), np.exp(y), ray.label)
+                    np.exp(x), np.exp(y), ray.label)
 
 
 def weight_ell(A: QuadForm, i: int, p: BasePoint) -> float:

@@ -12,8 +12,9 @@ is its one-label, one-row case.  The tests hold the folded gammas against
 the ray quadrature they fold away and the one-slot closed form, both in
 ``tests/oracles.py``.
 Their sum telescopes to the reciprocal of the fiber coordinate, and the
-induced closed one-forms integrate to the logarithms of the model
-coordinates.
+induced closed one-forms integrate, along a path the caller gives from a
+gauged start (``log_z``), to the logarithms of the model coordinates;
+``taubnut_moduli`` gives those of the one-slot model exactly.
 """
 
 from __future__ import annotations
@@ -160,18 +161,16 @@ def leg_clearance(eta0: complex, eta1: complex) -> tuple[float, float]:
 
 
 def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
-          basepath: list[BasePoint] | None = None,
-          gauge: np.ndarray | None = None) -> LogZResult:
+          basepath: list[BasePoint], gauge: np.ndarray | None = None) -> LogZResult:
     """Integrate the model's closed log-derivative one-form to p.
 
     The one-form for label j has mu-part given by the reduced form plus
     the restricted perturbation (row sums negated for label 0) and eta-part
     Re(gamma_j d eta).  The path is piecewise linear through ``basepath``
-    (default: one mu-leg from a generic positive reference at p's eta);
-    ``gauge`` fixes the log moduli at the path start.  Each leg takes 8
-    Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
-    nodes go through one restricted field jet call and, where eta moves,
-    one ``gamma_family`` call.  Every path node must keep eta nonzero,
+    and on to p; ``gauge`` fixes the log moduli at the path start.  Each
+    leg takes 8 Gauss panels of 16 nodes, laid out as arrays (mu, eta), and
+    all its nodes go through one restricted field jet call and, where eta
+    moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
     and a leg on which eta moves is refused with ValueError where it
     passes closer to eta = 0 than half its panels' eta-length: the gammas
     carry 1/eta, which the panels would smear there.
@@ -181,12 +180,6 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     I.require_stratum(A.n)
     act = I.active
     n = len(act)
-    if basepath is None:
-        mu_ref = p.mu.copy()
-        s = 2.0 + float(np.max(np.abs(p.mu[[a - 1 for a in act]]), initial=0.0))
-        for a in act:
-            mu_ref[a - 1] = s
-        basepath = [BasePoint(mu_ref, p.eta), p]
     if np.max(np.abs(basepath[-1].as_vector() - p.as_vector())) > 0:
         basepath = basepath + [p]
     vals = np.zeros(n + 1) if gauge is None else np.asarray(gauge, dtype=float).copy()
@@ -236,50 +229,3 @@ def taubnut_moduli(G: float, D: float, gauge_c: float, mu: float,
     w0 = math.sqrt(math.exp(-gauge_c - 2.0 * G * mu) * r_minus)
     w1 = math.sqrt(math.exp(gauge_c + 2.0 * G * mu) * r_plus)
     return w0, w1
-
-
-@dataclass
-class GrowthFit:
-    """Exponential sandwich constants for one model coordinate.
-
-    log|z| = slope * |mu_I| + offset within [log k1, log k3], so
-    k1 e^(slope x) <= |z| / hull_norm <= k3 e^(slope x) holds on the
-    sample.
-    """
-
-    label: int
-    slope: float
-    k1: float
-    k3: float
-    spread: float
-
-
-def growth_bound_check(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
-                       points: list[BasePoint]) -> list[GrowthFit]:
-    """Fit the exponential envelope of the model coordinates on samples.
-
-    For each label, regresses log|z_j| minus the log of the model hull
-    norm against the Euclidean size of the subset slots and reports the
-    sandwich constants realized by the residual range.
-    """
-    G = schur_complement(A, I)
-    act = I.active
-    xs, ys = [], []
-    for p in points:
-        res = log_z(A, I, quad, p)
-        mu_act = p.mu[[a - 1 for a in act]]
-        hull = math.sqrt(float(mu_act @ G.entries @ mu_act)
-                         + A.det * abs(p.eta) ** 2)
-        xs.append(float(np.linalg.norm(mu_act)))
-        ys.append(res.values - math.log(hull))
-    x = np.array(xs)
-    Y = np.stack(ys)
-    out = []
-    for a, lab in enumerate((0,) + act):
-        slope, intercept = np.polyfit(x, Y[:, a], 1)
-        resid = Y[:, a] - (slope * x + intercept)
-        out.append(GrowthFit(lab, float(slope),
-                             math.exp(intercept + float(np.min(resid))),
-                             math.exp(intercept + float(np.max(resid))),
-                             float(np.max(resid) - np.min(resid))))
-    return out

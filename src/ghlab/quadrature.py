@@ -852,7 +852,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     its first row's grid, so rows may lie at any distance from each other.
     ``frame`` is the ``cone_frame`` of M, for a caller that keeps it;
     ``prefactor`` only converts the spec tolerances into raw-integral
-    units, and the returned values are raw.
+    units, and the returned values are raw.  A batch of no rows (B = 0)
+    returns empty arrays, 0 evals and r_star inf.
 
     Every refusal carries its pair's ``kernel`` and ``row``.
     SingularityProximity: the nearest pair (ties go to the first kernel,
@@ -864,6 +865,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     """
     B, m = b.shape
     K, _, d = M.shape
+    if B == 0:
+        grad = np.zeros((K, 0, m + 2)) if want_gradient else None
+        return QuadResult(np.zeros((K, 0)), np.zeros((K, 0)), grad, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
     x, y = eta.real, eta.imag
     E = c_eta * (x * x + y * y)

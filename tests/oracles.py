@@ -3,8 +3,9 @@
 Each route reaches its quantity another way than the library's primary
 path: a scrambled-Sobol estimate of the orthant integrals and kernels, the
 gammas by quadrature along their defining ray and in closed form for one
-active slot, the explicit swap of label 0, and the glue scale rho_IJ of
-one stratum pair.  None of them runs in a verdict, a CLI experiment or the
+active slot, the explicit swap of label 0, the glue scale rho_IJ of one
+stratum pair, and the relative volume defect through det(A + v).  None of
+them runs in a verdict, a CLI experiment or the
 benchmark, so they live here rather than in ``ghlab``; scipy, which the
 Sobol sequence needs, is a test dependency only.
 """
@@ -167,3 +168,16 @@ def rho_IJ(A: QuadForm, I: IndexSet, J: IndexSet, p: BasePoint) -> float:
     K = tuple(sorted(m for m in (swap.get(j, j) for j in J) if m in at.table.comp[i]))
     Ks, rho = locus._rho(A, at, i)
     return float(rho[0, Ks.index(K)])
+
+
+def sigma_det_route(A: QuadForm, v: np.ndarray) -> tuple[float, float]:
+    """The relative volume defect of V = A + v through det V, and
+    det V / det A, for ``ansatz.sigma_expansion``'s route through the
+    eigenvalues of A^{-1} v.
+
+    With w = det A tr(A^{-1} v) the defect is -(det V - det A - w) / det V,
+    and det V / det A = 1 + sum_k sigma_k.
+    """
+    detV = float(np.linalg.det(A.entries + v))
+    w = A.det * float(np.sum(A.inv * v))
+    return -(detV - A.det - w) / detV, detV / A.det

@@ -19,8 +19,10 @@ from ghlab.ansatz import (
     sigma_expansion,
     weight_ell,
 )
+from ghlab.kernels import KernelSpec, alpha_batch
 from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec, panel_nodes
+from oracles import sigma_det_route
 from test_acceptance import criterion
 
 QUAD = QuadratureSpec()
@@ -158,6 +160,25 @@ def test_jet_quad_error_is_each_points_own():
     assert jet.quad_error.tolist() == alone
 
 
+@pytest.mark.parametrize("want_gradient", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_empty_batch_gives_empty_arrays(N, want_gradient):
+    # a batch of no points passes check_batch; the closed forms (N <= 3)
+    # return empty arrays for it, as the sweep (N = 4) does
+    A = random_spd(np.random.default_rng(5), N)
+    mu, eta = np.zeros((0, N)), np.zeros(0, dtype=complex)
+    kv = alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta, want_gradient)
+    assert kv.value.shape == kv.error.shape == (0,) and kv.evals == 0
+    jet = FirstOrderField(A, QUAD).jet(mu, eta, want_gradient)
+    assert jet.V.shape == jet.v.shape == (0, N, N)
+    assert jet.W.shape == jet.w.shape == jet.quad_error.shape == (0,)
+    if want_gradient:
+        assert kv.gradient.shape == jet.dW.shape == (0, N + 2)
+        assert jet.dV.shape == (0, N, N, N + 2)
+    else:
+        assert kv.gradient is None and jet.dV is None and jet.dW is None
+
+
 def _leg_nodes(q0, q1):
     """Gauss nodes (mu, eta) of a path leg, laid out as log_z lays them
     out: 8 panels of 16 nodes."""
@@ -268,9 +289,9 @@ class TestSigmaExpansion:
             root = rng.normal(size=(N, N)) * 0.1
             v = root @ root.T
             se = sigma_expansion(A, v)
-            assert se.relative_error == pytest.approx(
-                se.relative_error_det_route, abs=1e-12)
-            assert se.det_identity_gap < 1e-12
+            rel_det, det_ratio = sigma_det_route(A, v)
+            assert se.relative_error == pytest.approx(rel_det, abs=1e-12)
+            assert abs(det_ratio - (1.0 + float(np.sum(se.sigmas)))) < 1e-12
 
     def test_sigmas_match_scipy_generalized_eigenvalues(self):
         # the pencil (v, A) through a Cholesky factor of A against LAPACK's

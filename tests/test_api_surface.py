@@ -62,12 +62,9 @@ KEPT_FIELDS = (
     "FlatFieldResult.z_squared",              # test_ansatz.py::TestFlatModel::test_moduli_squares_consistent
     "FlatFieldResult.on_locus",               # test_ansatz.py::TestFlatModel::test_on_locus_detection
     "SigmaExpansion.sigmas",                  # test_ansatz.py::TestSigmaExpansion::test_sigma1_is_trace_term
-    "SigmaExpansion.relative_error_det_route",  # test_ansatz.py::TestSigmaExpansion::test_two_routes_agree
-    "SigmaExpansion.det_identity_gap",        # test_ansatz.py::TestSigmaExpansion::test_two_routes_agree
     # the decay fit that ROADMAP item 9 extends into the model/remainder split
     "DecayFit.intercept",                     # ROADMAP item 9
     "DecayFit.max_residual",                  # ROADMAP item 9
-    "DecayFit.radii",                         # ROADMAP item 9
     "DecayFit.scales",                        # ROADMAP item 9
     # read by asdict into every sidecar's config and config hash
     "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar

@@ -187,7 +187,7 @@ def test_gradient_relations_flag_a_broken_pair_symmetry(monkeypatch):
         return labels, kv
 
     monkeypatch.setattr(kernels, "alpha_family", skewed)
-    assert "commutativity/pair-symmetry" in failed("04")
+    assert "commutativity/N=3-pair-symmetry" in failed("04")
 
 
 def _scale_prefactor(monkeypatch, scale):

@@ -171,8 +171,9 @@ def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key)
     ("flat-cy", {"dims": [0]}, r"param dims \[0\] not a non-empty list of integers of at least 1"),
     ("flat-cy", {"dims": "3"}, r"param dims '3' not a non-empty list"),
     ("harmonicity", {"dims": [3.0]}, r"param dims \[3\.0\] not a non-empty list"),
-    ("commutativity", {"dim": "3"}, r"param dim '3' not an integer of at least 1"),
-    ("commutativity", {"dim": 0}, r"param dim 0 not an integer of at least 1"),
+    # dims is the one dimension param: dim is unknown everywhere
+    ("commutativity", {"dim": "3"}, r"param\(s\) dim for commutativity"),
+    ("eigen-interval", {"dim": 0}, r"param\(s\) dim for eigen-interval"),
 ], ids=["empty-dims", "zero-dims", "string-dims", "float-dims", "string-dim", "zero-dim"])
 def test_bad_dimensions_rejected(tmp_path, experiment, data, message):
     # an empty list passed over zero rows; the others ended in a numpy
@@ -256,7 +257,7 @@ def test_verdict_params_are_gone():
 
     params = sorted(k for keys in EXPERIMENT_PARAMS.values() for k in keys)
     assert len(params) == 10
-    assert set(params) == {"covering_points", "dim", "dims", "points_n1", "points_n2"}
+    assert set(params) == {"covering_points", "dims", "points_n1", "points_n2"}
 
 
 def test_shipped_configs_pass(tmp_path):

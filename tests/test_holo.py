@@ -15,7 +15,6 @@ from ghlab.holo import (
     gamma,
     gamma_family,
     gamma_sum_check,
-    growth_bound_check,
     log_z,
     taubnut_moduli,
 )
@@ -357,8 +356,9 @@ def test_log_z_full_subset_sum_tracks_fiber():
 def test_log_z_rejects_zero_fiber():
     A = QuadForm.identity(2)
     I = IndexSet((0, 1))
-    with pytest.raises(ValueError):
-        log_z(A, I, QUAD, BasePoint(np.array([1.0, 1.0]), 0j))
+    p = BasePoint(np.array([1.0, 1.0]), 0j)
+    with pytest.raises(ValueError, match="path crosses eta = 0"):
+        log_z(A, I, QUAD, p, basepath=[BasePoint(np.array([3.0, 1.0]), 0j), p])
 
 
 def test_log_z_refuses_legs_near_zero_fiber():
@@ -390,19 +390,8 @@ def test_gauge_shifts_additively():
     A = QuadForm(np.array([[1.8, 0.4], [0.4, 1.1]]))
     I = IndexSet((0, 1))
     p = BasePoint(np.array([0.6, -1.1]), 0.7 + 0.4j)
+    path = [BasePoint(np.array([2.6, -1.1]), p.eta), p]
     shift = np.array([0.25, -0.4])
-    r0 = log_z(A, I, QUAD, p)
-    r1 = log_z(A, I, QUAD, p, gauge=shift)
+    r0 = log_z(A, I, QUAD, p, basepath=path)
+    r1 = log_z(A, I, QUAD, p, basepath=path, gauge=shift)
     np.testing.assert_allclose(r1.values, r0.values + shift, atol=1e-12)
-
-
-def test_growth_bound_fit_reports_envelope():
-    A = QuadForm(np.array([[1.8, 0.4], [0.4, 1.1]]))
-    I = IndexSet((0, 1))
-    pts = [BasePoint(np.array([3.0 + 2.0 * k, 0.5]), 0.8 + 0.1j)
-           for k in range(5)]
-    fits = growth_bound_check(A, I, QUAD, pts)
-    assert len(fits) == 2
-    for f in fits:
-        assert np.isfinite([f.slope, f.k1, f.k3]).all()
-        assert f.k1 <= f.k3
