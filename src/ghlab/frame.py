@@ -59,7 +59,7 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     point's Richardson stencil.  The first identity reads the analytic
     mu-gradient of V; the second, d^2 W / dmu_i dmu_j + (V_ij)_xx +
     (V_ij)_yy, differences the analytic gradients once with
-    ``geometry.gradient_step``."""
+    ``geometry.gradient_step``.  A batch of no points gives (2, 0) arrays."""
     B, N = mu.shape
     xs = np.column_stack([mu, eta.real, eta.imag])
     hs = gradient_step(xs)
@@ -68,16 +68,15 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
                     want_gradient=True)
     dV = jet.dV[::R, ..., :N]
     res, scale = np.empty((2, B)), np.empty((2, B))
-    res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).reshape(B, -1).max(axis=1)
-    scale[0] = np.maximum(np.abs(dV).reshape(B, -1).max(axis=1), 1e-300)
+    res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).max(axis=(1, 2, 3))
+    scale[0] = np.maximum(np.abs(dV).max(axis=(1, 2, 3)), 1e-300)
     # d_k of dW/dmu_j at [b, k, j], and of the (x, y) columns of V at [b, k, i, j, :]
     dW = richardson_derivative(jet.dW[:, :N].reshape(B, R, N), hs)
     dV_xy = richardson_derivative(jet.dV[..., N:].reshape(B, R, N, N, 2), hs)
     hessW = 0.5 * (dW[:, :N] + np.swapaxes(dW[:, :N], 1, 2))
     vxx, vyy = dV_xy[:, N, ..., 0], dV_xy[:, N + 1, ..., 1]
-    res[1] = np.abs(hessW + vxx + vyy).reshape(B, -1).max(axis=1)
-    scale[1] = np.maximum(np.abs(hessW).reshape(B, -1).max(axis=1),
-                          np.abs(vxx + vyy).reshape(B, -1).max(axis=1))
+    res[1] = np.abs(hessW + vxx + vyy).max(axis=(1, 2))
+    scale[1] = np.maximum(np.abs(hessW).max(axis=(1, 2)), np.abs(vxx + vyy).max(axis=(1, 2)))
     return res, scale
 
 

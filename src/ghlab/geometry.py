@@ -54,8 +54,8 @@ class QuadForm:
     Parameters
     ----------
     entries : array_like
-        Symmetric real matrix.  Symmetry is enforced to a 1e-14 relative
-        tolerance and the matrix must be positive definite
+        Finite symmetric real matrix.  Symmetry is enforced to a 1e-14
+        relative tolerance and the matrix must be positive definite
         (``lambda_min > 1e-12 * lambda_max``).
     """
 
@@ -65,8 +65,10 @@ class QuadForm:
         M = np.array(entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("quadratic form must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if np.max(np.abs(M - M.T)) > 1e-14 * scale:
+        scale = float(np.max(np.abs(M)))   # nan or inf if any entry is
+        if not math.isfinite(scale):
+            raise ValueError("quadratic form has non-finite entries")
+        if np.max(np.abs(M - M.T)) > 1e-14 * max(1.0, scale):
             raise ValueError("matrix is not symmetric to 1e-14")
         M = 0.5 * (M + M.T)
         w = np.linalg.eigvalsh(M)
@@ -264,14 +266,13 @@ def anorm(A: QuadForm, p: BasePoint) -> float:
     return math.sqrt(float(A.quad(p.mu)) + A.det * abs(p.eta) ** 2)
 
 
-def schur_blocks(M: np.ndarray, S: Sequence[int], Sc: Sequence[int]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, G) for the label lists S and Sc of a symmetric matrix M, or of
-    each matrix of a stack (..., n, n): P = M_{Sc}^{-1} M_{Sc S} and the
-    Schur block G = M_S - M_{S Sc} P."""
-    M_SSc = block(M, S, Sc)   # empty when Sc is
-    P = np.linalg.solve(block(M, Sc, Sc), M_SSc.swapaxes(-1, -2))
-    return P, block(M, S, S) - M_SSc @ P
+def schur_blocks(M: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, G) of a symmetric matrix M, or of each matrix of a stack
+    (..., n, n), ordered active-first and split at its active count a:
+    P = M_cc^{-1} M_ca, G = M_aa - M_ac P, M_ac C-contiguous (see ``block``)."""
+    M_ac = np.ascontiguousarray(M[..., :a, a:])   # empty when c is
+    P = np.linalg.solve(M[..., a:, a:], M_ac.swapaxes(-1, -2))
+    return P, M[..., :a, :a] - M_ac @ P
 
 
 def schur_complement(A: QuadForm, I: IndexSet) -> QuadForm:
@@ -290,8 +291,9 @@ def schur_complement(A: QuadForm, I: IndexSet) -> QuadForm:
 
     if len(S) == A.n:
         return A   # nothing to eliminate
-    Sc = [j for j in range(1, A.n + 1) if j not in S]
-    return A.derived(("schur", S), lambda: QuadForm(schur_blocks(A.entries, S, Sc)[1]))
+    order = S + tuple(j for j in range(1, A.n + 1) if j not in S)
+    return A.derived(("schur", S),
+                     lambda: QuadForm(schur_blocks(block(A.entries, order, order), len(S))[1]))
 
 
 def laplace_terms(A: QuadForm, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

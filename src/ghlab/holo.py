@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, check_batch, schur_complement
-from .kernels import KernelValue, _build_family, _engine_batch, _refusal
+from .kernels import KernelValue, _build_family, _engine_batch, _layout, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
@@ -46,17 +47,28 @@ class GammaSpec:
             raise ValueError("gamma subsets must contain 0")
 
 
-def _gamma_kernels(spec: GammaSpec, i: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Labels of the kernels entering gamma_i, and its active ray column."""
-    act = spec.I.active
-    n = len(act)
+def _gamma_kernels(I: IndexSet, i: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Labels of the kernels entering gamma_i on I, and its active ray column."""
+    act = I.active
     if i == 0:
-        return [(0, k) for k in act], np.ones(n)
+        return [(0, k) for k in act], np.ones(len(act))
     if i not in act:
         raise ValueError("label outside the subset")
-    col = np.zeros(n)
-    col[act.index(i)] = -1.0
-    return [(0, i)] + [(min(i, k), max(i, k)) for k in act if k != i], col
+    return ([(0, i)] + [(min(i, k), max(i, k)) for k in act if k != i],
+            np.where(np.array(act) == i, -1.0, 0.0))
+
+
+@lru_cache(maxsize=64)
+def _gamma_layout(N: int, I: IndexSet, labels: tuple[int, ...]) -> tuple:
+    """``kernels._layout`` of I's kernels in the gammas ``labels``, gamma by
+    gamma, each cone matrix with its gamma's ray as its last column."""
+    slots, family, M = _layout(N, I)
+    pairs, cols = zip(*(_gamma_kernels(I, i) for i in labels))
+    pairs = tuple(pq for ps in pairs for pq in ps)
+    M = np.concatenate([M[[family.index(pq) for pq in pairs]],
+                        np.repeat(cols, len(slots), axis=0)[:, :, None]], axis=2)
+    M.flags.writeable = False
+    return slots, pairs, M
 
 
 def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
@@ -69,19 +81,17 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     eta-derivative an orthant integral of power n + 2 with the ray as one
     more cone column, so two slots are exact and three sweep one axis.
     The engine's refusals name gamma_i, the kernel and the row; rows with
-    eta = 0 are 0 and cost no engine call.
+    eta = 0 are 0 and cost no engine call, and so does an empty ``labels``.
     """
     mu, eta = check_batch(mu, eta, spec.A.n)
     out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
                       np.zeros((len(labels), len(eta))), 0)
     live = np.flatnonzero(eta)
-    if not len(live):
+    if not len(live) or not len(labels):
         return out
     n = len(spec.I.active)   # kernels per gamma, each with the gamma's ray
-    pairs, cols = zip(*(_gamma_kernels(spec, i) for i in labels))
-    # built per call: kept with each of thousands of forms, it costs ~2 KB
-    fam = _build_family(spec.A, spec.I, [pq for ps in pairs for pq in ps],
-                        np.repeat(cols, n, axis=0))
+    # per call only the cone frame is built: kept per form, it would cost ~1 KB
+    fam = _build_family(spec.A, spec.I, _gamma_layout(spec.A.n, spec.I, tuple(labels)))
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta[live])
     try:

@@ -16,11 +16,11 @@ zero by convention.
 
 Every kernel value goes through ``alpha_family``: the kernels of a form
 under a restriction at a batch mu (B, N), eta (B,); ``alpha_batch`` is its
-one-kernel case.  The kernels differ only in their cone matrix, so their
-engine data (with ``quadrature.cone_frame``) is built once per form, and
-``_engine_batch`` makes one engine call for the whole family at the
-resolution floor 10 abs_tol^(1/N), naming the refused (kernel, row) by
-its (mu, eta); the gammas of ``ghlab.holo`` share it.  Only the weak
+one-kernel case.  The kernels differ only in their cone matrix, laid out
+once per N; Q, the prefactor and ``quadrature.cone_frame`` are built once
+per form, and ``_engine_batch`` makes one engine call for the whole family
+at the resolution floor 10 abs_tol^(1/N), naming the refused (kernel, row)
+by its (mu, eta); the gammas of ``ghlab.holo`` share it.  Only the weak
 charge check calls the engine directly, with no floor: its polar rule
 about the sheet, whose measure cancels the singularity, puts nodes inside
 that floor.  ``alpha_grad``, one row of ``alpha_batch``, remains for the
@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,9 +132,8 @@ def _family(A: QuadForm, restriction: IndexSet | None,
     """The kernels of A under ``restriction`` that do not vanish, built
     once and kept with A, or the one kernel ``labels`` sliced from them
     per call."""
-    fam = A.derived(("kernels", restriction), lambda: _build_family(A, restriction, [
-        (i, j) for i, j in itertools.combinations(range(A.n + 1), 2)
-        if restriction is None or {i, j} <= set(restriction.members)]))
+    fam = A.derived(("kernels", restriction),
+                    lambda: _build_family(A, restriction, _layout(A.n, restriction)))
     if labels is None:
         return fam
     k = fam.labels.index(labels)
@@ -141,26 +141,32 @@ def _family(A: QuadForm, restriction: IndexSet | None,
                    fam.prefactor, None if fam.frame is None else fam.frame[k:k + 1])
 
 
-def _build_family(A: QuadForm, restriction: IndexSet | None,
-                  pairs: list[tuple[int, int]], rays: np.ndarray | None = None) -> _Family:
-    """The kernels ``pairs`` of A under ``restriction`` as one family; with
-    ``rays`` (K, n), gamma kernels: each ray joins its kernel's cone matrix,
-    the power rises by 2 and the prefactor is the scale n c_eta prefactor."""
-    if restriction is None:
-        S, G = tuple(range(1, A.n + 1)), A
-    else:
-        S, G = restriction.active, schur_complement(A, restriction)
-    n, pref = len(S), kernel_prefactor(len(S), G.det)
+@lru_cache(maxsize=None)
+def _layout(N: int, restriction: IndexSet | None) -> tuple:
+    """(slots, pairs, M), read-only, of the kernels on N coordinates under
+    ``restriction`` that do not vanish: the active slots' columns of mu,
+    the label pairs and their cone matrices (K, n, n - 1)."""
+    members = range(N + 1) if restriction is None else restriction.members
+    S, pairs = tuple(m for m in members if m), tuple(itertools.combinations(members, 2))
     # rows of each cone matrix: the diagonal -1 for a pair, then the axes
     # off the kernel's labels
     M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
-                   for r in S] for i, j in pairs]).reshape(len(pairs), n, -1)
-    power = n
-    if rays is not None:
-        M = np.concatenate([M, rays[:, :, None]], axis=2)
-        power, pref = n + 2, n * A.det * pref
-    return _Family(G.entries, A.det, np.array(S) - 1, tuple(pairs), M, power, pref,
-                   cone_frame(G.entries, M))
+                   for r in S] for i, j in pairs]).reshape(len(pairs), len(S), -1)
+    slots = np.array(S) - 1
+    slots.flags.writeable = M.flags.writeable = False
+    return slots, pairs, M
+
+
+def _build_family(A: QuadForm, restriction: IndexSet | None, layout: tuple) -> _Family:
+    """The kernels of a ``_layout`` as one family of A under
+    ``restriction``: per form only Q, c_eta, the prefactor and the cone
+    frame.  Cone matrices with a ray column (d = n) are gamma kernels: the
+    power rises by 2 and the prefactor is the scale n c_eta prefactor."""
+    slots, pairs, M = layout
+    G = A if restriction is None else schur_complement(A, restriction)
+    n, ray = len(slots), M.shape[2] == len(slots)
+    pref = kernel_prefactor(n, G.det) * (n * A.det if ray else 1.0)
+    return _Family(G.entries, A.det, slots, pairs, M, n + 2 * ray, pref, cone_frame(G.entries, M))
 
 
 def _first_row(kv: KernelValue) -> KernelValue:

@@ -12,11 +12,11 @@ change of basis that swaps label 0 with the smallest member; the change
 preserves A-distances and determinants, so every formula below is stated
 for subsets containing 0 and applied after the swap.
 
-Only the point changes between queries.  Each subset's swap S_J, labels
-and supersets depend on N alone and are laid out once per N; each form
-keeps one stratum table, built on first use in one batched pass per
-subset size: the solves P_J = A_cc^{-1} A_cI and Schur blocks G_J, held
-as the nonzero entries of a block-diagonal P and G.  A batch of points
+Only the point changes between queries.  Each subset's swap S_J, labels,
+supersets and active-first order are laid out once per N; per form only
+the stratum table is built, on first use: the gathered S_J^T A S_J and, by
+one ``schur_blocks`` call per subset size, the solves P_J and Schur blocks
+G_J, as nonzero entries of a block-diagonal P and G.  A batch of points
 takes a fixed number of array operations for all strata's feet and hull
 distances, which distances, projections, regions and glue weights read.
 """
@@ -31,7 +31,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, check_batch, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -105,7 +105,7 @@ def _swap_labels(N: int, I: IndexSet) -> tuple[IndexSet, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _layout(N: int) -> SimpleNamespace:
-    """The rows of every stratum table on N coordinates; no form changes them.
+    """The read-only rows of every stratum table on N; no form changes them.
 
     Row j is the subset strata[j] (an object array), with swap S[j] (S is
     (R, N, N)) and, in the swapped frame, transverse labels comp[j]; rows
@@ -143,25 +143,26 @@ def _layout(N: int) -> SimpleNamespace:
                           S_rows[active][pg_col]])
     bits = np.array([sum(1 << m for m in J) for J in L.strata])
     L.proper = np.where((bits[:, None] | bits == bits) & (bits[:, None] < bits), 0.0, np.inf)
+    for a in vars(L).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
     return L
 
 
 def _table(A: QuadForm) -> SimpleNamespace:
-    """A's stratum table: the layout of its N, plus per row the transverse
-    block A_cc, and pg, the nonzero entries of the block-diagonal P and G
-    in the layout's order: per subset size, the stacked solves
+    """A's stratum table: the layout of its N, plus each row's
+    M_J = S_J^T A S_J, and pg, the nonzero entries of the block-diagonal P
+    and G in the layout's order: per subset size, the stacked solves
     P = A_cc^{-1} A_cI and Schur blocks G, symmetrized as QuadForm would.
 
-    Every M_J = S_J^T A S_J comes from one stacked matmul; gathered into
-    order, each subset size's rows make one ``schur_blocks`` call but the full
-    label set's, whose row has no transverse labels: its G is its own M.
+    The M_J are one stacked matmul, symmetrized and gathered active-first;
+    each subset size's slice of them makes one ``schur_blocks`` call but the
+    full label set's, whose row has no transverse labels: its G is its M.
     """
     T = SimpleNamespace(**vars(_layout(A.n)))
     M = T.S.swapaxes(-1, -2) @ A.entries @ T.S
-    M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
-    labels, n_act = np.arange(1, A.n + 1), T.size - 1
-    T.A_cc = [M[j, a:, a:] for j, a in enumerate(n_act)]
-    PG = [schur_blocks(M[r0:r1], labels[:n_act[r0]], labels[n_act[r0]:])
+    T.M = M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
+    PG = [schur_blocks(M[r0:r1], T.size[r0] - 1)
           for r0, r1 in zip(T.size_off[:-2], T.size_off[1:-1])]
     Gs = [G for _, G in PG] + [M[T.size_off[-2]:]]
     T.pg = np.concatenate([P.ravel() for P, _ in PG]
@@ -222,10 +223,12 @@ def _glue_blocks(T: SimpleNamespace, i: int) -> tuple[list[tuple[int, ...]], np.
     of A_cc reduced by the other transverse labels, zero-padded: (nK, c, c)."""
     c = len(T.comp[i])
     Ks = [K for k in range(1, c + 1) for K in combinations(T.comp[i], k)]
-    lab, red = np.arange(1, c + 1), np.zeros((len(Ks), c, c))
+    # A_cc is the last c rows of the table's M_J
+    lab, red = np.arange(T.size[i], T.size[i] + c), np.zeros((len(Ks), c, c))
     for r, K in enumerate(Ks):
         inK = np.isin(T.comp[i], K)   # K's rows of A_cc
-        red[r][np.ix_(inK, inK)] = schur_blocks(T.A_cc[i], lab[inK], lab[~inK])[1]
+        order = [*lab[inK], *lab[~inK]]
+        red[r][np.ix_(inK, inK)] = schur_blocks(block(T.M[i], order, order), len(K))[1]
     return Ks, red
 
 
@@ -312,4 +315,4 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
         near=list(T.strata[inner & (consts.c0 * closed < bound)]),
         near_core=list(T.strata[inner & (4.0 * consts.chat(A) * consts.c0 * closed < bound)]),
         generic=bool(2.0 * consts.c0 ** (N - 1) * float(closed.min()) > d[0, -1]),
-        far_levels=(np.flatnonzero(least[1:] > consts.level(np.arange(1, N))) + 1).tolist())
+        far_levels=[s for s in range(1, N) if least[s] > consts.level(s)])

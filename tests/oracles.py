@@ -87,7 +87,7 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """
     if p.eta == 0:
         return 0j
-    pairs, col = _gamma_kernels(spec, i)
+    pairs, col = _gamma_kernels(spec.I, i)
     step_mu = np.zeros(p.N)
     step_mu[[lab - 1 for lab in spec.I.active]] = -col
     T = 2048.0

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from ghlab import checks
 from ghlab.geometry import BasePoint, QuadForm
 from ghlab.ansatz import FirstOrderField
-from ghlab.frame import integrability_residual
+from ghlab.frame import integrability_batch, integrability_residual
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
@@ -26,6 +27,15 @@ class PerturbedField:
         if want_gradient:
             jet.dV = jet.dV + self.extra_grad(mu)
         return jet
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_empty_batch_gives_empty_residuals(N):
+    # a batch of no points gives (2, 0) residuals and scales, as the field
+    # jet it differences gives empty arrays
+    fld = FirstOrderField(checks.random_spd(np.random.default_rng(N), N), QUAD)
+    res, scale = integrability_batch(fld, np.zeros((0, N)), np.zeros(0, dtype=complex))
+    assert res.shape == scale.shape == (2, 0)
 
 
 def test_integrability_residual_small():

@@ -36,6 +36,14 @@ class TestQuadForm:
         with pytest.raises(ValueError):
             QuadForm(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entries", [[[math.nan]], [[1.0, math.nan], [math.nan, 1.0]],
+                                         [[math.inf]]], ids=["nan", "nan-off-diagonal", "inf"])
+    def test_rejects_non_finite(self, entries):
+        # refused before any arithmetic: the suite turns a RuntimeWarning
+        # into an error, and a NaN passes every comparison it meets
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadForm(entries)
+
     def test_identity(self):
         A = QuadForm.identity(3)
         assert A.det == pytest.approx(1.0)
@@ -63,17 +71,23 @@ def test_block_is_one_based():
 
 @pytest.mark.parametrize("n, S", [(5, (1,)), (5, (2, 4)), (4, (1, 2, 3)), (3, (1, 2, 3))])
 def test_stacked_schur_blocks_match_each_slice(n, S):
-    # a stack (7, n, n) is bitwise its slices one at a time, with an empty
-    # complement too
+    # a stack (7, n, n) gathered active-first with block is bitwise its
+    # slices one at a time, with an empty complement too, and each slice's
+    # split is bitwise the explicit blocks: P = M_cc^-1 M_cS solved and
+    # G = M_S - M_Sc P
     rng = np.random.default_rng(n + len(S))
     M = np.stack([random_spd(rng, n).entries for _ in range(7)])
     Sc = [k for k in range(1, n + 1) if k not in S]
-    P, G = schur_blocks(M, S, Sc)
+    order = [*S, *Sc]
+    P, G = schur_blocks(block(M, order, order), len(S))
     assert P.shape == (7, len(Sc), len(S)) and G.shape == (7, len(S), len(S))
     for k in range(7):
-        P_k, G_k = schur_blocks(M[k], S, Sc)
+        P_k, G_k = schur_blocks(block(M[k], order, order), len(S))
         assert P[k].tobytes() == P_k.tobytes()
         assert G[k].tobytes() == G_k.tobytes()
+        want_P = np.linalg.solve(block(M[k], Sc, Sc), block(M[k], Sc, S))
+        assert P_k.tobytes() == want_P.tobytes()
+        assert G_k.tobytes() == (block(M[k], S, S) - block(M[k], S, Sc) @ want_P).tobytes()
 
 
 def test_basepoint_vector_roundtrip():

@@ -162,6 +162,13 @@ def test_moving_eta_leg_makes_one_gamma_call(monkeypatch):
     assert powers.count(4) == 1 and not zero.value.any()
 
 
+def test_no_labels_give_empty_rows():
+    # an empty label tuple gives (0, B), as B = 0 gives (L, 0)
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    out = gamma_family(spec, (), np.ones((3, 2)), np.full(3, 0.5j))
+    assert out.value.shape == out.error.shape == (0, 3) and out.evals == 0
+
+
 @pytest.mark.parametrize("N, I", [(2, (0, 1)), (2, (0, 1, 2)), (3, (0, 1, 2, 3)),
                                   (4, (0, 1, 2, 3, 4))],
                          ids=["n2-one-slot", "n2-two-slots", "n3-all", "n4-all"])

@@ -611,6 +611,74 @@ def test_one_kernel_calls_keep_one_family_with_the_form():
     assert [len(fam.labels) for fam in kept] == [6]
 
 
+def test_layouts_are_built_once_per_n():
+    # what a family, a gamma family or a stratum table takes from N, the
+    # subset and the labels alone is laid out for the first form of an N
+    # and read by every later one, and no caller can write it
+    from ghlab import holo, locus
+
+    caches = [kernels._layout, holo._gamma_layout, locus._layout]
+    for cache in caches:
+        cache.cache_clear()
+    rng = np.random.default_rng(73)
+    I = IndexSet((0, 1, 3))
+
+    def build(A):
+        p = off_locus_point(rng, A)
+        mu, eta = p.mu[None], np.array([p.eta])
+        FirstOrderField(A, QUAD).jet(mu, eta)
+        alpha_family(A, I, QUAD, mu, eta)
+        holo.gamma_family(holo.GammaSpec(A, I, QUAD), (0, 1, 3), mu, eta)
+        locus.region_membership(A, locus.RegionConstants(), p)
+        return [cache.cache_info() for cache in caches]
+
+    first = build(random_spd(rng, 3))
+    assert all(info.misses > 0 for info in first)
+    second = build(random_spd(rng, 3))
+    assert [info.misses for info in second] == [info.misses for info in first]
+    assert all(b.hits > a.hits for a, b in zip(first, second))
+    cached = [*kernels._layout(3, None), *kernels._layout(3, I),
+              *holo._gamma_layout(3, I, (0, 1, 3)), *vars(locus._layout(3)).values()]
+    arrays = [a for a in cached if isinstance(a, np.ndarray)]
+    assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_cached_cone_matrices_match_a_per_pair_construction(N):
+    # on the active slots S, kernel (i, j) has the cone column -(1, ..., 1)
+    # when i > 0, then the unit vector of each slot off {i, j}; gamma_0's
+    # kernels are (0, k) for k in S with the ray (1, ..., 1), gamma_i's are
+    # (0, i) and (i, k) for k != i in S with the ray -e_i
+    from ghlab import holo
+    from ghlab.locus import all_strata
+
+    def cone(S, i, j, ray=()):
+        E = np.eye(len(S))
+        cols = [-np.ones(len(S))] * (i > 0) + [E[S.index(c)] for c in S if c not in (i, j)]
+        return np.array(cols + list(ray)).reshape(-1, len(S)).T.tolist()
+
+    for I in [None] + [J for J in all_strata(N) if J.contains_zero]:
+        members = tuple(range(N + 1)) if I is None else I.members
+        S = members[1:]
+        slots, pairs, M = kernels._layout(N, I)
+        assert slots.tolist() == [s - 1 for s in S]
+        assert pairs == tuple((i, j) for i in range(N + 1) for j in range(i + 1, N + 1)
+                              if i in members and j in members)
+        assert [M[k].tolist() for k in range(len(pairs))] == [cone(S, *ij) for ij in pairs]
+        if I is None:
+            continue
+        want_pairs, want_M = [], []
+        for g in (0,) + S:
+            ray = np.ones(len(S)) if g == 0 else -np.eye(len(S))[S.index(g)]
+            ks = ([(0, k) for k in S] if g == 0
+                  else [(0, g)] + [(min(g, k), max(g, k)) for k in S if k != g])
+            want_pairs += ks
+            want_M += [cone(S, *ij, ray=[ray]) for ij in ks]
+        g_slots, g_pairs, g_M = holo._gamma_layout(N, I, (0,) + S)
+        assert g_slots.tolist() == slots.tolist() and list(g_pairs) == want_pairs
+        assert [m.tolist() for m in g_M] == want_M
+
+
 def test_harmonicity_of_kernel_n2():
     # criterion 04's stencil: the anisotropic Laplacian of the kernel must
     # vanish away from the sheet

@@ -317,8 +317,12 @@ def test_stratum_table_is_built_once(monkeypatch):
     consts = RegionConstants()
     region_membership(A, consts, region_point(rng, 4))
     # one stacked call per subset size with a transverse label, 2 to N
-    # labels: the full label set's G is its own M
-    assert len(calls) == 3
+    # labels, on a slice of the table's stack split at the size's active
+    # count: the full label set's G is its own M
+    assert [(M.shape, a) for M, a in calls] == [((10, 4, 4), 1), ((10, 4, 4), 2),
+                                                ((5, 4, 4), 3)]
+    T = locus._pass(A, np.zeros((0, 4)), np.zeros(0)).table
+    assert all(np.shares_memory(M, T.M) for M, _ in calls)
     # later distance queries on the same form add no Schur work
     p = region_point(rng, 4)
     region_membership(A, consts, p)
@@ -343,8 +347,9 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_stratum_table_matches_per_subset_schur(N):
-    # the stacked table is bitwise the per-subset build: M = S^T A S and
-    # G symmetrized, then one schur_blocks call per subset, the full label
+    # the stacked table is bitwise the per-subset build: M = S^T A S,
+    # symmetrized and ordered active-first (the table keeps it), and G
+    # symmetrized, then one schur_blocks call per subset, the full label
     # set (no transverse labels) included; pg holds every row's raveled
     # P block (c x A), then every row's raveled G block (A x A)
     rng = np.random.default_rng(300 + N)
@@ -362,12 +367,13 @@ def test_stratum_table_matches_per_subset_schur(N):
             comp = J2.active_complement(N)
             M = S.T @ A.entries @ S
             M = 0.5 * (M + M.T)
-            P, G = schur_blocks(M, J2.active, comp)
+            M = block(M, J2.active + comp, J2.active + comp)
             a, c = n_act[j], n_comp[j]
+            P, G = schur_blocks(M, a)
             assert bitwise_equal(T.pg[p_end[j] - c * a:p_end[j]].reshape(c, a), P)
             assert bitwise_equal(T.pg[g_end[j] - a * a:g_end[j]].reshape(a, a),
                                  0.5 * (G + G.T))
-            assert bitwise_equal(T.A_cc[j], block(M, comp, comp))
+            assert bitwise_equal(T.M[j], M)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
