@@ -6,13 +6,15 @@ make it, each with the config it runs at: the seed, the sample count
 the inputs and hold the ``ghlab.checks`` residuals to their tolerances;
 this file holds only that table.  Every row prints as ``ACCEPTANCE nn
 PASS/FAIL ...`` with its value, tolerance and the ``ghlab`` command that
-writes it, and every row must pass.  ``criterion_rows`` runs one entry
+writes it, and every row must pass and match its row in the verdict
+ledger, ``tests/ledger.json``, exactly.  ``criterion_rows`` runs one entry
 for the negative controls in ``test_checks.py``.
 """
 
 import json
 import time
 
+import ledger
 from ghlab.cli import ExperimentConfig, run
 
 ACCEPTANCE = {
@@ -57,16 +59,20 @@ def criterion_rows(num: str) -> dict:
 
 def _criterion_test(name):
     def test(capsys):
-        failed = []
+        failed, moved = [], []
         for exp, config in ACCEPTANCE[name].items():
             t0 = time.time()
-            for r in run(ExperimentConfig(exp, **config)):
+            rows = run(ExperimentConfig(exp, **config))
+            for r in rows:
                 with capsys.disabled():
                     print(f"ACCEPTANCE {name[:2]} {r} [{time.time() - t0:.1f}s] "
                           f"<- {command(exp, config)}")
                 if not r.passed:
                     failed.append(f"{exp}/{r.case}")
+            key = f"acceptance/{name}/{exp}"
+            moved += ledger.moves(key, ledger.load().get(key), ledger.entry(rows))
         assert not failed, failed
+        assert not moved, ledger.MOVED + "\n".join(moved)
     test.__name__ = f"test_{name}"
     return test
 

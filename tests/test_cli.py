@@ -4,6 +4,7 @@ import inspect
 import json
 import textwrap
 
+import ledger
 import pytest
 
 from ghlab import checks
@@ -261,11 +262,18 @@ def test_verdict_params_are_gone():
 
 
 def test_shipped_configs_pass(tmp_path):
+    # every shipped config exits 0, and the rows of its CSV are those of
+    # the verdict ledger, tests/ledger.json
     import pathlib
 
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    moved = []
     for p in sorted(cfg_dir.glob("*.json")):
         assert main([p.stem, "--config", str(p), "--out", str(tmp_path)]) == 0, p.stem
+        key = f"configs/{p.stem}"
+        moved += ledger.moves(key, ledger.load().get(key),
+                              ledger.csv_entry(tmp_path / f"{p.stem}.csv"))
+    assert not moved, ledger.MOVED + "\n".join(moved)
 
 
 def test_shipped_configs_pass_validation():
