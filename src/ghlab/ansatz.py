@@ -4,14 +4,14 @@ Three families of coefficient data (V, W) on the base are provided: the
 exact flat model (the standard structure written in base coordinates,
 V^{-1} and W values only, from ``flat_field``), the first-order
 asymptotic field built from the Green kernels on top of a background form
-A, and the restricted model fields attached to a stratum subset.  The
-first-order data satisfies the linearized equations exactly and the
+A, and the model field of a stratum subset, that of its reduced form.
+The first-order data satisfies the linearized equations exactly and the
 nonlinear volume identity up to a controlled error, whose relative size
 is the sigma-expansion tail computed here from the eigenvalues of
 A^{-1} v; its route through det(A + v) is a test oracle.
 
-A first-order or restricted field's ``jet(mu, eta, want_gradient)`` takes
-a batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
+A first-order or model field's ``jet(mu, eta, want_gradient)`` takes a
+batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
 batch and all the field's kernels into one ``kernels.alpha_family`` call
 (one engine call), and returns one stacked ``FieldJet`` whose arrays carry
 a leading B; a single point is a batch of one.
@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors
+from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors, check_batch,
+                       reduction)
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
@@ -170,29 +171,33 @@ def _outers(N: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
     return table
 
 
-def _jets(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
-          mu: np.ndarray, eta: np.ndarray, want_gradient: bool) -> FieldJet:
+def _jets(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
+          want_gradient: bool) -> FieldJet:
     """Assemble the stacked field jet at a batch of points from one
-    ``kernels.alpha_family`` batch: every kernel that does not vanish, in
-    one engine call."""
+    ``kernels.alpha_family`` batch: every kernel of A in one engine call."""
     N = A.n
-    labels, kv = alpha_family(A, restriction, quad, mu, eta, want_gradient)
+    labels, kv = alpha_family(A, quad, mu, eta, want_gradient)
     outers = _outers(N, labels)
     B = kv.value.shape[1]
     # v and dv: one product with the label outers each, summed over kernels
     # slice by slice from 0 in label order, so a row is the same in any batch
     v = (kv.value[:, :, None] * outers[:, None]).sum(axis=0, initial=0.0).reshape(B, N, N)
-    err = kv.error.max(axis=0)
+    dv = None
+    if want_gradient:
+        dv = (kv.gradient[:, :, None] * outers[:, None, :, None]).sum(axis=0, initial=0.0)
+        dv = dv.reshape(B, N, N, N + 2)
+    return _field_jet(A, v, dv, kv.error.max(axis=0))
+
+
+def _field_jet(A: QuadForm, v: np.ndarray, dv: np.ndarray | None,
+               err: np.ndarray) -> FieldJet:
+    """The jet of V = A + v and W = det A + w, w = det A tr(A^{-1} v), from
+    v (B, N, N) and dv (B, N, N, N + 2) or None."""
+    N = A.n
     # each point's sums reduce one contiguous row, as a lone point's would
-    w = A.det * (A.inv * v).reshape(B, N * N).sum(axis=1)
-    V = A.entries + v
-    W = A.det + w
-    if not want_gradient:
-        return FieldJet(V, W, v, w, None, None, err)
-    dv = (kv.gradient[:, :, None] * outers[:, None, :, None]).sum(axis=0, initial=0.0)
-    dv = dv.reshape(B, N, N, N + 2)
-    dW = A.det * np.einsum("ij,bijk->bk", A.inv, dv)
-    return FieldJet(V, W, v, w, dv, dW, err)
+    w = A.det * (A.inv * v).reshape(len(v), N * N).sum(axis=1)
+    dW = None if dv is None else A.det * np.einsum("ij,bijk->bk", A.inv, dv)
+    return FieldJet(A.entries + v, A.det + w, v, w, dv, dW, err)
 
 
 class FirstOrderField:
@@ -204,27 +209,34 @@ class FirstOrderField:
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
             want_gradient: bool = True) -> FieldJet:
-        return _jets(self.A, None, self.quad, mu, eta, want_gradient)
+        return _jets(self.A, self.quad, mu, eta, want_gradient)
 
 
 class RestrictedField:
-    """Model coefficient field attached to a stratum subset.
-
-    Kernels whose labels leave the subset vanish, so V - A is supported on
-    the subset's block and depends only on the subset slots and eta.
-    """
+    """Model coefficient field attached to a stratum subset I: V - A is
+    the first-order v of I's reduction G at (mu_I, s eta), placed in I's
+    block, and W is formed against A."""
 
     def __init__(self, A: QuadForm, I: IndexSet, quad: QuadratureSpec) -> None:
         I.require_stratum(A.n)
         if not I.contains_zero:
             raise ValueError("restricted fields are built for subsets containing 0")
-        self.A = A
-        self.I = I
-        self.quad = quad
+        self.A, self.I, self.quad = A, I, quad
 
     def jet(self, mu: np.ndarray, eta: np.ndarray,
             want_gradient: bool = True) -> FieldJet:
-        return _jets(self.A, self.I, self.quad, mu, eta, want_gradient)
+        N, red = self.A.n, reduction(self.A, self.I)
+        mu, eta = check_batch(mu, eta, N)
+        jet = _jets(red.G, self.quad, *red.batch(mu, eta), want_gradient)
+        # G's v and dv placed in I's block, d/d eta = s d/d(s eta)
+        v = np.zeros((len(mu), N, N))
+        v[(slice(None),) + np.ix_(red.slots, red.slots)] = jet.v
+        dv = None
+        if want_gradient:
+            jet.dV[..., -2:] *= red.s
+            dv = np.zeros(v.shape + (N + 2,))
+            dv[(slice(None),) + np.ix_(red.slots, red.slots, [*red.slots, N, N + 1])] = jet.dV
+        return _field_jet(self.A, v, dv, jet.quad_error)
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,

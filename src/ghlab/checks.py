@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ansatz, frame, glue, holo, kernels, locus
 from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
-                       gradient_step, laplace_terms, richardson_derivative,
+                       gradient_step, laplace_terms, reduction, richardson_derivative,
                        richardson_stencil, schur_complement)
 from .quadrature import QuadratureSpec
 
@@ -202,14 +202,15 @@ def one_slot_gaps(points) -> tuple[float, float, float]:
 
 
 def restricted_gap(cases) -> float:
-    """Criterion 03: worst relative gap of restricted axis kernels to their
+    """Criterion 03: worst relative gap of the axis kernel of the model of
+    {0, i}, the N' = 1 kernel of its reduction at (mu_i, s eta), to its
     closed form, over ``restricted_cases``."""
     worst = 0.0
     for A, i, p in cases:
-        I = IndexSet((0, i))
-        got = kernels.alpha(kernels.KernelSpec(A, (0, i), restriction=I),
-                            QUAD, p).value
-        want = kernels.closed_form_axis(A, i, p, restriction=I)
+        red = reduction(A, IndexSet((0, i)))
+        got = kernels.alpha(kernels.KernelSpec(red.G, (0, 1)), QUAD,
+                            BasePoint(p.mu[red.slots], red.s * p.eta)).value
+        want = kernels.closed_form_axis(A, i, p)
         worst = max(worst, abs(got - want) / abs(want))
     return worst
 
@@ -239,7 +240,7 @@ def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
     every point and every kernel go into one kernel family batch."""
     N = A.n
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    labels, kv = kernels.alpha_family(A, None, QUAD, mu, eta, want_gradient=True)
+    labels, kv = kernels.alpha_family(A, QUAD, mu, eta, want_gradient=True)
     grads = {}
     for (i, j), g in zip(labels, kv.gradient):
         grads[i, j] = grads[j, i] = g

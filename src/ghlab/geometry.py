@@ -3,18 +3,19 @@
 Everything downstream is phrased in terms of a fixed symmetric positive
 definite matrix acting on the moment coordinates ``mu`` together with a
 complex coordinate ``eta``.  This module provides the quadratic-form
-wrapper, base points, index-set bookkeeping, block/Schur algebra, the
-anisotropic norm, and the terms of the constant-coefficient Laplacian of
-that flat structure, plus the one Richardson stencil behind every
-derivative, laid out over a batch of points, and its step rule,
-``gradient_step``, one step per point.
+wrapper, base points, index-set bookkeeping, block/Schur algebra with a
+stratum subset's reduction to a lower-N form, the anisotropic norm, and
+the terms of the constant-coefficient Laplacian of that flat structure,
+plus the one Richardson stencil behind every derivative, laid out over a
+batch of points, and its step rule, ``gradient_step``, one step per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
     "anorm",
     "schur_complement",
     "schur_blocks",
+    "Reduction",
+    "reduction",
     "laplace_terms",
     "ball_volume",
     "block",
@@ -65,6 +68,8 @@ class QuadForm:
         M = np.array(entries, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("quadratic form must be a square matrix")
+        if not M.size:
+            raise ValueError("quadratic form is empty")
         scale = float(np.max(np.abs(M)))   # nan or inf if any entry is
         if not math.isfinite(scale):
             raise ValueError("quadratic form has non-finite entries")
@@ -276,24 +281,54 @@ def schur_blocks(M: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def schur_complement(A: QuadForm, I: IndexSet) -> QuadForm:
-    """Effective transverse form of ``A`` for the index set ``I``.
+    """A_S - A_{SS'} A_{S'}^{-1} A_{S'S}, S the active labels of I and S'
+    the rest, the G of I's ``reduction``.  Its inverse is the S block of
+    A^{-1}, so by Cauchy interlacing its eigenvalues lie in [lambda,
+    Lambda], A's extreme eigenvalues."""
+    return reduction(A, I).G
 
-    The label 0 is dropped; with ``S`` the active labels of ``I`` and ``S'``
-    the remaining labels, returns A_S - A_{SS'} A_{S'}^{-1} A_{S'S}.
-    All eigenvalues lie in [lambda (lambda/Lambda)^(N-1), Lambda].  Built
-    once per form and active label set.
-    """
+
+class Reduction(NamedTuple):
+    """A stratum subset I as a lower-N form: G = ``schur_complement(A, I)``
+    on I's active slots ``slots`` (N' of them), and s = sqrt(det A / det G),
+    sqrt(det A_cc) of A's block off I.  I's model on A at (mu, eta) is G's
+    at ``batch(mu, eta)`` = (mu_I, s eta): its kernels, s times its
+    gammas, and its field, whose eta derivatives carry a factor s."""
+
+    G: QuadForm
+    s: float
+    slots: np.ndarray
+
+    def batch(self, mu: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G's batch (mu_I (B, N'), s eta (B,)) of the batch mu (B, N), eta (B,)."""
+        return mu.take(self.slots, axis=1), self.s * eta
+
+
+@lru_cache(maxsize=None)
+def _slots(S: tuple[int, ...]) -> np.ndarray:
+    """The columns of mu of the active labels S, read-only."""
+    slots = np.array(S) - 1
+    slots.flags.writeable = False
+    return slots
+
+
+def reduction(A: QuadForm, I: IndexSet) -> Reduction:
+    """I's ``Reduction`` of A, built once per form and active label set;
+    with every label active it is A itself, s = 1, and nothing is kept."""
     S = I.active
     if not S:
         raise ValueError("index set has no active labels")
     if max(S) > A.n:
         raise ValueError("index label exceeds the form's dimension")
-
     if len(S) == A.n:
-        return A   # nothing to eliminate
-    order = S + tuple(j for j in range(1, A.n + 1) if j not in S)
-    return A.derived(("schur", S),
-                     lambda: QuadForm(schur_blocks(block(A.entries, order, order), len(S))[1]))
+        return Reduction(A, 1.0, _slots(S))
+
+    def build() -> Reduction:
+        order = S + tuple(j for j in range(1, A.n + 1) if j not in S)
+        G = QuadForm(schur_blocks(block(A.entries, order, order), len(S))[1])
+        return Reduction(G, math.sqrt(A.det / G.det), _slots(S))
+
+    return A.derived(("reduction", S), build)
 
 
 def laplace_terms(A: QuadForm, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

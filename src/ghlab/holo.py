@@ -2,13 +2,15 @@
 
 Each stratum model carries meromorphic coefficient functions gamma_j, one
 per label, tying the fiber coordinate to the model's holomorphic
-coordinates.  They are primitives of eta-derivatives of the restricted
+coordinates.  They are primitives of eta-derivatives of the model's
 kernels along explicit rays; folding the ray parameter into the kernel's
 own cone parameters turns each gamma into a single orthant integral of
-one higher power.  ``gamma_family`` takes any gammas of a subset, which
-differ only in their cone matrices, at a batch mu (B, N), eta (B,) as one
-kernel family in one engine call, resolution floor included; ``gamma``
-is its one-label, one-row case.  The tests hold the folded gammas against
+one higher power.  A subset I's gammas are s times those of its reduced
+form G (``geometry.reduction``) over all of G's labels at (mu_I, s eta).
+``gamma_family`` takes any gammas of a subset, which differ only in their
+cone matrices, at a batch mu (B, N), eta (B,) as one kernel family of G
+in one engine call, resolution floor included; ``gamma`` is its
+one-label, one-row case.  The tests hold the folded gammas against
 the ray quadrature they fold away and the one-slot closed form, both in
 ``tests/oracles.py``.
 Their sum telescopes to the reciprocal of the fiber coordinate, and the
@@ -25,9 +27,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, check_batch, schur_complement
+from .ansatz import FirstOrderField
+from .geometry import BasePoint, IndexSet, QuadForm, check_batch, reduction
 from .kernels import KernelValue, _build_family, _engine_batch, _layout, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
+from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_grad  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import power_kernel_integral  # noqa: F401  perfbench/tracing.py patches it here
 
@@ -47,62 +51,65 @@ class GammaSpec:
             raise ValueError("gamma subsets must contain 0")
 
 
-def _gamma_kernels(I: IndexSet, i: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Labels of the kernels entering gamma_i on I, and its active ray column."""
-    act = I.active
-    if i == 0:
-        return [(0, k) for k in act], np.ones(len(act))
-    if i not in act:
-        raise ValueError("label outside the subset")
-    return ([(0, i)] + [(min(i, k), max(i, k)) for k in act if k != i],
-            np.where(np.array(act) == i, -1.0, 0.0))
-
-
 @lru_cache(maxsize=64)
-def _gamma_layout(N: int, I: IndexSet, labels: tuple[int, ...]) -> tuple:
-    """``kernels._layout`` of I's kernels in the gammas ``labels``, gamma by
-    gamma, each cone matrix with its gamma's ray as its last column."""
-    slots, family, M = _layout(N, I)
-    pairs, cols = zip(*(_gamma_kernels(I, i) for i in labels))
-    pairs = tuple(pq for ps in pairs for pq in ps)
+def _gamma_layout(N: int, labels: tuple[int, ...]) -> tuple:
+    """``kernels._layout`` of the kernels in the gammas ``labels`` on
+    {0..N}, gamma by gamma: gamma_0's are (0, k) for every k, with the ray
+    (1, ..., 1), and gamma_i's (0, i) and (i, k) for k != i, with the ray
+    -e_i, each cone matrix with its gamma's ray as its last column."""
+    family, M = _layout(N)
+    S = range(1, N + 1)
+    pairs = tuple(pq for i in labels for pq in ([(0, k) for k in S] if i == 0 else
+                  [(0, i)] + [(min(i, k), max(i, k)) for k in S if k != i]))
+    rays = [np.ones(N) if i == 0 else -np.eye(N)[i - 1] for i in labels]
     M = np.concatenate([M[[family.index(pq) for pq in pairs]],
-                        np.repeat(cols, len(slots), axis=0)[:, :, None]], axis=2)
+                        np.repeat(rays, N, axis=0)[:, :, None]], axis=2)
     M.flags.writeable = False
-    return slots, pairs, M
+    return pairs, M
 
 
 def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
                  eta: np.ndarray) -> KernelValue:
     """gamma_i for each i of ``labels`` at the batch mu (B, N), eta (B,):
-    complex values and error estimates (L, B), all kernels in one
+    complex values and error estimates (L, B), s times the gammas of I's
+    reduction G at (mu_I, s eta), all G's kernels in one
     ``kernels._engine_batch`` family, each gamma summed over its own n.
 
     Swapping the ray parameter into the cone makes the primitive of the
     eta-derivative an orthant integral of power n + 2 with the ray as one
     more cone column, so two slots are exact and three sweep one axis.
-    The engine's refusals name gamma_i, the kernel and the row; rows with
+    The tolerance holds the returned gammas.  Refusals name gamma_i and
+    the kernel by I's labels and the row of the caller's batch; rows with
     eta = 0 are 0 and cost no engine call, and so does an empty ``labels``.
     """
     mu, eta = check_batch(mu, eta, spec.A.n)
+    members = spec.I.members
+    if not set(labels) <= set(members):
+        raise ValueError("label outside the subset")
     out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
                       np.zeros((len(labels), len(eta))), 0)
     live = np.flatnonzero(eta)
     if not len(live) or not len(labels):
         return out
-    n = len(spec.I.active)   # kernels per gamma, each with the gamma's ray
+    red = reduction(spec.A, spec.I)
+    n = red.G.n   # kernels per gamma, each with the gamma's ray
     # per call only the cone frame is built: kept per form, it would cost ~1 KB
-    fam = _build_family(spec.A, spec.I, _gamma_layout(spec.A.n, spec.I, tuple(labels)))
+    fam = _build_family(red.G, _gamma_layout(n, tuple(members.index(i) for i in labels)))
+    mu_G, eta_G = red.batch(mu[live], eta[live])
     # a row's tolerance scales with its |eta|; the largest is strictest
-    size = np.abs(eta[live])
+    size = np.abs(eta_G)
     try:
-        raw = _engine_batch(fam, mu[live], eta[live], spec.quad, tol_scale=float(size.max()))
+        raw = _engine_batch(fam, mu_G, eta_G, spec.quad, tol_scale=red.s * float(size.max()))
     except (SingularityProximity, QuadratureError) as exc:
         # the engine counts the live rows only; name the row in the caller's batch
-        exc = _refusal(type(exc), fam, exc.kernel, mu, eta, int(live[exc.row]), exc.what)
-        raise type(exc)(f"gamma_{labels[exc.kernel // n]} on {spec.I.members}: {exc}") from None
+        k = exc.kernel
+        exc = _refusal(type(exc), tuple(members[m] for m in fam.labels[k]), k, mu, eta,
+                       int(live[exc.row]), exc.what)
+        raise type(exc)(f"gamma_{labels[k // n]} on {members}: {exc}") from None
     total = (fam.prefactor * raw.value).reshape(len(labels), n, -1).sum(axis=1)
     err = (fam.prefactor * raw.error).reshape(len(labels), n, -1).sum(axis=1)
-    out.value[:, live], out.error[:, live] = total * np.conj(eta[live]), err * size
+    out.value[:, live] = red.s * total * np.conj(eta_G)
+    out.error[:, live] = red.s * err * size
     out.evals = raw.evals
     return out
 
@@ -136,25 +143,21 @@ class LogZResult:
     values: np.ndarray
 
 
-def _one_form(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
-              eta: np.ndarray, need_gamma: bool, G: QuadForm
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _one_form(spec: GammaSpec, mu: np.ndarray, eta: np.ndarray,
+              need_gamma: bool) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of d log|z_j| at every node (mu, eta) of a leg: mu rows
-    (B, n+1, n) from one restricted field jet, and gammas (B, n+1) from one
-    gamma family call."""
-    from .ansatz import RestrictedField
-
-    act = I.active
-    n = len(act)
-    v = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False).v
-    idx = [a - 1 for a in act]
-    P = G.entries + v[:, idx][:, :, idx]
+    (B, n+1, n) from one field jet of the subset's reduced form G, and
+    gammas (B, n+1) from one gamma family call."""
+    red = reduction(spec.A, spec.I)
+    n = red.G.n
+    P = red.G.entries + FirstOrderField(red.G, spec.quad).jet(*red.batch(mu, eta),
+                                                             want_gradient=False).v
     rows = np.empty((len(mu), n + 1, n))
     rows[:, 1:, :] = P
     rows[:, 0, :] = -P.sum(axis=1)
     if not need_gamma:
         return rows, np.zeros((len(mu), n + 1), dtype=complex)
-    return rows, gamma_family(GammaSpec(A, I, quad), (0,) + act, mu, eta).value.T
+    return rows, gamma_family(spec, spec.I.members, mu, eta).value.T
 
 
 # path parameters in [0, 1] and weights of one log_z leg
@@ -174,20 +177,18 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
           basepath: list[BasePoint], gauge: np.ndarray | None = None) -> LogZResult:
     """Integrate the model's closed log-derivative one-form to p.
 
-    The one-form for label j has mu-part given by the reduced form plus
-    the restricted perturbation (row sums negated for label 0) and eta-part
-    Re(gamma_j d eta).  The path is piecewise linear through ``basepath``
-    and on to p; ``gauge`` fixes the log moduli at the path start.  Each
-    leg takes 8 Gauss panels of 16 nodes, laid out as arrays (mu, eta), and
-    all its nodes go through one restricted field jet call and, where eta
-    moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
+    The one-form for label j has mu-part given by the reduced form G plus
+    its first-order perturbation (row sums negated for label 0) and
+    eta-part Re(gamma_j d eta).  The path is piecewise linear through
+    ``basepath`` and on to p; ``gauge`` fixes the log moduli at the path
+    start.  Each leg takes 8 Gauss panels of 16 nodes, laid out as arrays
+    (mu, eta), and all its nodes go through one field jet call of G and,
+    where eta moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
     and a leg on which eta moves is refused with ValueError where it
     passes closer to eta = 0 than half its panels' eta-length: the gammas
     carry 1/eta, which the panels would smear there.
     """
-    if not I.contains_zero:
-        raise ValueError("model coordinates need a subset containing 0")
-    I.require_stratum(A.n)
+    spec = GammaSpec(A, I, quad)   # the model coordinates need a subset containing 0
     act = I.active
     n = len(act)
     if np.max(np.abs(basepath[-1].as_vector() - p.as_vector())) > 0:
@@ -195,7 +196,6 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     vals = np.zeros(n + 1) if gauge is None else np.asarray(gauge, dtype=float).copy()
     if vals.shape != (n + 1,):
         raise ValueError("gauge must give one value per subset label")
-    G = schur_complement(A, I)
     for q0, q1 in zip(basepath, basepath[1:]):
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]
@@ -209,7 +209,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
         eta = q0.eta + _LEG_NODES * d_eta
         if np.any(eta == 0):
             raise ValueError("path crosses eta = 0")
-        rows, gam = _one_form(A, I, quad, mu, eta, d_eta != 0, G)
+        rows, gam = _one_form(spec, mu, eta, d_eta != 0)
         steps = np.stack([rows @ d_mu, (gam * d_eta).real], axis=1)
         # added node by node in path order (accumulate is a running sum): a
         # pairwise sum would make a leg's value depend on its batching

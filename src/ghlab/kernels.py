@@ -8,25 +8,23 @@ kernel, integrating the fundamental solution over the stratum's positive
 cone in N-1 parameters; a pair of nonzero labels adds one more parameter
 sweeping the diagonal direction.
 
-A kernel may be restricted to a subset I: the restriction lives on the
-model space spanned by the I-labelled slots, uses the Schur-reduced
-quadratic form there, and keeps the full determinant as the fiber weight.
-Kernels whose labels are not members of the restriction are identically
-zero by convention.
+A stratum model's kernels are those of a lower-N form, its
+``geometry.reduction`` G at (mu_I, s eta); ``beta`` subtracts them.
 
-Every kernel value goes through ``alpha_family``: the kernels of a form
-under a restriction at a batch mu (B, N), eta (B,); ``alpha_batch`` is its
-one-kernel case.  The kernels differ only in their cone matrix, laid out
-once per N; Q, the prefactor and ``quadrature.cone_frame`` are built once
-per form, and ``_engine_batch`` makes one engine call for the whole family
-at the resolution floor 10 abs_tol^(1/N), naming the refused (kernel, row)
-by its (mu, eta); the gammas of ``ghlab.holo`` share it.  Only the weak
-charge check calls the engine directly, with no floor: its polar rule
-about the sheet, whose measure cancels the singularity, puts nodes inside
-that floor.  ``alpha_grad``, one row of ``alpha_batch``, remains for the
-benchmark, which calls and traces it; ``alpha``, its value, also serves
-criterion 03.  The tests hold these kernels against closed forms and a
-scrambled-Sobol estimate, ``tests/oracles.py``'s ``qmc_alpha_oracle``.
+Every kernel value goes through ``alpha_family``: the kernels of a form at
+a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  The
+kernels differ only in their cone matrix, laid out once per N; Q, the
+prefactor and ``quadrature.cone_frame`` are built once per form, and
+``_engine_batch`` makes one engine call for the whole family at the
+resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
+refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo``
+share it.  Only the weak charge check calls the engine directly, with no
+floor: its polar rule about the sheet, whose measure cancels the
+singularity, puts nodes inside that floor.  ``alpha_grad``, one row of
+``alpha_batch``, remains for the benchmark, which calls and traces it;
+``alpha``, its value, also serves criterion 03.  The tests hold these
+kernels against closed forms and a scrambled-Sobol estimate,
+``tests/oracles.py``'s ``qmc_alpha_oracle``.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch,
-                       schur_complement)
+                       reduction)
+from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -73,15 +72,11 @@ def kernel_prefactor(n: int, det_q: float) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One kernel: a quadratic form, a label pair, an optional restriction.
-
-    labels are two distinct members of {0..N}; a zero member selects the
-    axis family.  ``restriction`` of None means the full-space kernel.
-    """
+    """One kernel: a quadratic form and a label pair, two distinct members
+    of {0..N}; a zero member selects the axis family."""
 
     A: QuadForm
     labels: tuple[int, int]
-    restriction: IndexSet | None = None
 
     def __post_init__(self) -> None:
         i, j = sorted(self.labels)
@@ -90,15 +85,6 @@ class KernelSpec:
             raise ValueError("kernel labels must be distinct")
         if not (0 <= i and j <= self.A.n):
             raise ValueError("kernel labels out of range")
-        if self.restriction is not None:
-            self.restriction.require_stratum(self.A.n)
-
-    @property
-    def vanishes(self) -> bool:
-        """True when the restriction convention makes the kernel zero."""
-        if self.restriction is None:
-            return False
-        return not set(self.labels) <= set(self.restriction.members)
 
 
 @dataclass
@@ -114,12 +100,11 @@ class KernelValue:
 
 @dataclass
 class _Family:
-    """Engine data of kernels that differ only in their cone matrix M
-    (K, n, d), Q the form or its Schur complement on the restriction."""
+    """Engine data of kernels of one form that differ only in their cone
+    matrix M (K, N, d)."""
 
     Q: np.ndarray
     c_eta: float
-    slots: np.ndarray          # the active slots' columns of mu
     labels: tuple[tuple[int, int], ...]
     M: np.ndarray
     power: int
@@ -127,46 +112,39 @@ class _Family:
     frame: object
 
 
-def _family(A: QuadForm, restriction: IndexSet | None,
-            labels: tuple[int, int] | None = None) -> _Family:
-    """The kernels of A under ``restriction`` that do not vanish, built
-    once and kept with A, or the one kernel ``labels`` sliced from them
-    per call."""
-    fam = A.derived(("kernels", restriction),
-                    lambda: _build_family(A, restriction, _layout(A.n, restriction)))
+def _family(A: QuadForm, labels: tuple[int, int] | None = None) -> _Family:
+    """The kernels of A, built once and kept with A, or the one kernel
+    ``labels`` sliced from them per call."""
+    fam = A.derived("kernels", lambda: _build_family(A, _layout(A.n)))
     if labels is None:
         return fam
     k = fam.labels.index(labels)
-    return _Family(fam.Q, fam.c_eta, fam.slots, (labels,), fam.M[k:k + 1], fam.power,
+    return _Family(fam.Q, fam.c_eta, (labels,), fam.M[k:k + 1], fam.power,
                    fam.prefactor, None if fam.frame is None else fam.frame[k:k + 1])
 
 
 @lru_cache(maxsize=None)
-def _layout(N: int, restriction: IndexSet | None) -> tuple:
-    """(slots, pairs, M), read-only, of the kernels on N coordinates under
-    ``restriction`` that do not vanish: the active slots' columns of mu,
-    the label pairs and their cone matrices (K, n, n - 1)."""
-    members = range(N + 1) if restriction is None else restriction.members
-    S, pairs = tuple(m for m in members if m), tuple(itertools.combinations(members, 2))
+def _layout(N: int) -> tuple:
+    """(pairs, M), read-only, of the kernels on N coordinates: the label
+    pairs and their cone matrices (K, N, N - 1)."""
+    pairs = tuple(itertools.combinations(range(N + 1), 2))
     # rows of each cone matrix: the diagonal -1 for a pair, then the axes
     # off the kernel's labels
-    M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)]
-                   for r in S] for i, j in pairs]).reshape(len(pairs), len(S), -1)
-    slots = np.array(S) - 1
-    slots.flags.writeable = M.flags.writeable = False
-    return slots, pairs, M
+    M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in range(1, N + 1) if c not in (i, j)]
+                   for r in range(1, N + 1)] for i, j in pairs]).reshape(len(pairs), N, -1)
+    M.flags.writeable = False
+    return pairs, M
 
 
-def _build_family(A: QuadForm, restriction: IndexSet | None, layout: tuple) -> _Family:
-    """The kernels of a ``_layout`` as one family of A under
-    ``restriction``: per form only Q, c_eta, the prefactor and the cone
-    frame.  Cone matrices with a ray column (d = n) are gamma kernels: the
-    power rises by 2 and the prefactor is the scale n c_eta prefactor."""
-    slots, pairs, M = layout
-    G = A if restriction is None else schur_complement(A, restriction)
-    n, ray = len(slots), M.shape[2] == len(slots)
-    pref = kernel_prefactor(n, G.det) * (n * A.det if ray else 1.0)
-    return _Family(G.entries, A.det, slots, pairs, M, n + 2 * ray, pref, cone_frame(G.entries, M))
+def _build_family(A: QuadForm, layout: tuple) -> _Family:
+    """The kernels of a ``_layout`` as one family of A: per form only Q,
+    c_eta, the prefactor and the cone frame.  Cone matrices with a ray
+    column (d = N) are gamma kernels: the power rises by 2 and the
+    prefactor is the scale N det A prefactor."""
+    pairs, M = layout
+    n, ray = A.n, M.shape[2] == A.n
+    pref = kernel_prefactor(n, A.det) * (n * A.det if ray else 1.0)
+    return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, cone_frame(A.entries, M))
 
 
 def _first_row(kv: KernelValue) -> KernelValue:
@@ -176,20 +154,14 @@ def _first_row(kv: KernelValue) -> KernelValue:
 
 def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
     """Kernel value at a base point, with an error estimate: the one-row
-    case of ``alpha_batch``.
-
-    Raises SingularityProximity when the point is within the resolution
-    floor of the kernel's singular stratum.
-    """
+    case of ``alpha_batch``, which refuses a point within the resolution
+    floor of the kernel's sheet with SingularityProximity."""
     return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta])))
 
 
 def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
-    """Kernel value and full-space gradient (mu slots, Re eta, Im eta).
-
-    Derivatives are taken under the integral sign; inactive slots of a
-    restricted kernel get exact zeros.
-    """
+    """Kernel value and gradient (mu slots, Re eta, Im eta), the
+    derivatives taken under the integral sign."""
     return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta]),
                                   want_gradient=True))
 
@@ -201,36 +173,22 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
     gradient rows (B, N + 2) as (mu..., Re eta, Im eta), and the grid nodes
     of every call.  A mu of another width than N raises ValueError.
     """
-    if spec.vanishes:
-        mu, _ = check_batch(mu, eta, spec.A.n)
-        g = np.zeros((len(mu), spec.A.n + 2)) if want_gradient else None
-        return KernelValue(np.zeros(len(mu)), np.zeros(len(mu)), 0, g)
-    _, kv = alpha_family(spec.A, spec.restriction, quad, mu, eta, want_gradient,
-                         spec.labels)
+    _, kv = alpha_family(spec.A, quad, mu, eta, want_gradient, spec.labels)
     return KernelValue(kv.value[0], kv.error[0], kv.evals,
                        None if kv.gradient is None else kv.gradient[0])
 
 
-def alpha_family(A: QuadForm, restriction: IndexSet | None, quad: QuadratureSpec,
-                 mu: np.ndarray, eta: np.ndarray, want_gradient: bool = False,
-                 labels: tuple[int, int] | None = None
+def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
+                 want_gradient: bool = False, labels: tuple[int, int] | None = None
                  ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
-    """Every kernel of A under ``restriction`` that does not vanish (or the
-    one kernel ``labels``) at the batch mu (B, N), eta (B,): their labels,
-    and what ``alpha_batch`` returns with a leading kernel axis K.  Where
-    they are closed forms (N <= 3) the whole family is one engine call."""
-    N = A.n
-    mu, eta = check_batch(mu, eta, N)
-    fam = _family(A, restriction, labels)
+    """Every kernel of A (or the one kernel ``labels``) at the batch
+    mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
+    with a leading kernel axis K.  Where they are closed forms (N <= 3)
+    the whole family is one engine call."""
+    mu, eta = check_batch(mu, eta, A.n)
+    fam = _family(A, labels)
     raw = _engine_batch(fam, mu, eta, quad, want_gradient)
-    grads = None
-    if want_gradient:
-        grads = fam.prefactor * raw.gradient
-        if len(fam.slots) < N:
-            # inactive slots of a restricted family get exact zeros
-            full = np.zeros(grads.shape[:2] + (N + 2,))
-            full[..., [*fam.slots, N, N + 1]] = grads
-            grads = full
+    grads = fam.prefactor * raw.gradient if want_gradient else None
     return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
                                    raw.evals, grads)
 
@@ -240,28 +198,29 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
                   tol_scale: float = 1.0) -> QuadResult:
     """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
     in one engine call: raw values and error estimates (K, B), gradient
-    rows (K, B, n + 2) as (active slots..., Re eta, Im eta), and grid
-    nodes; ``fam.prefactor * tol_scale`` converts the tolerances of
-    ``quad`` to raw units.  A (kernel, row) pair within the resolution
-    floor 10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a
-    swept group that misses its tolerance QuadratureError, naming the
-    kernel and the row with its (mu, eta): the row that missed, or for a
-    grid over the node budget the first row of its group.
+    rows (K, B, N + 2) as (mu..., Re eta, Im eta), and grid nodes;
+    ``fam.prefactor * tol_scale`` converts the tolerances of ``quad`` to
+    raw units.  A (kernel, row) pair within the resolution floor
+    10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a swept
+    group that misses its tolerance QuadratureError, naming the kernel and
+    the row with its (mu, eta): the row that missed, or for a grid over
+    the node budget the first row of its group.
     """
     try:
-        return power_kernel_integral(fam.Q, fam.c_eta, mu.take(fam.slots, axis=1), eta,
-                                     fam.M, fam.power, quad, want_gradient,
-                                     fam.prefactor * tol_scale,
+        return power_kernel_integral(fam.Q, fam.c_eta, np.ascontiguousarray(mu), eta, fam.M,
+                                     fam.power, quad, want_gradient, fam.prefactor * tol_scale,
                                      10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
     except (SingularityProximity, QuadratureError) as exc:
-        raise _refusal(type(exc), fam, exc.kernel, mu, eta, exc.row, exc) from None
+        raise _refusal(type(exc), fam.labels[exc.kernel], exc.kernel, mu, eta, exc.row,
+                       exc) from None
 
 
-def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
-             row: int, what: object) -> Exception:
-    """A ``kind`` error naming kernel k and row ``row``, both kept, with
-    ``what``, so that a caller can name the row in its own batch."""
-    exc = kind(f"kernel {fam.labels[k]} at batch row {row} (mu = {mu[row].tolist()}, "
+def _refusal(kind: type, labels: tuple[int, int], k: int, mu: np.ndarray,
+             eta: np.ndarray, row: int, what: object) -> Exception:
+    """A ``kind`` error naming kernel k by its ``labels`` and row ``row``,
+    both kept, with ``what``, so that a caller can name the row in its own
+    batch."""
+    exc = kind(f"kernel {labels} at batch row {row} (mu = {mu[row].tolist()}, "
                f"eta = {eta[row]}): {what}", k, row)
     exc.what = what
     return exc
@@ -269,38 +228,30 @@ def _refusal(kind: type, fam: _Family, k: int, mu: np.ndarray, eta: np.ndarray,
 
 def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
          mu: np.ndarray, eta: np.ndarray) -> KernelValue:
-    """Smooth remainder at the batch mu (B, N), eta (B,): full kernel minus
-    its I-restricted model, one ``alpha_batch`` call each.
+    """Smooth remainder at the batch mu (B, N), eta (B,): the full kernel
+    minus I's model kernel, that of I's reduction at (mu_I, s eta), one
+    ``alpha_batch`` call each.
 
-    When a label falls outside I the restricted part is zero by convention
+    When a label falls outside I the model kernel is zero by convention
     and the remainder is the full kernel itself.
     """
     full = alpha_batch(KernelSpec(A, (i, j)), quad, mu, eta)
-    part = alpha_batch(KernelSpec(A, (i, j), restriction=I), quad, mu, eta)
+    if not {i, j} <= set(I.members):
+        return full
+    red = reduction(A, I)
+    labels = tuple(((0,) + I.active).index(m) for m in (i, j))
+    part = alpha_batch(KernelSpec(red.G, labels), quad, *red.batch(*check_batch(mu, eta, A.n)))
     return KernelValue(full.value - part.value, full.error + part.error,
                        full.evals + part.evals)
 
 
-def closed_form_axis(A: QuadForm, i: int, p: BasePoint,
-                     restriction: IndexSet | None = None) -> float:
-    """Exact value of an axis kernel with a single active slot.
-
-    Valid for N = 1, or for a restriction whose only nonzero member is i.
-    Equals 1 / (2 sqrt(mu_i^2 + D |eta|^2)) with D the determinant of the
-    complementary block of A.
-    """
-    N = A.n
-    if restriction is None:
-        if N != 1:
-            raise ValueError("unrestricted closed form needs N = 1")
-        comp: tuple[int, ...] = ()
-    else:
-        if restriction.active != (i,):
-            raise ValueError("restriction must have i as its only active label")
-        comp = restriction.active_complement(N)
-    D = float(np.linalg.det(block(A.entries, comp, comp))) if comp else 1.0
-    mu_i = p.mu[i - 1]
-    return 1.0 / (2.0 * math.sqrt(mu_i ** 2 + D * abs(p.eta) ** 2))
+def closed_form_axis(A: QuadForm, i: int, p: BasePoint) -> float:
+    """Exact value 1 / (2 sqrt(mu_i^2 + D |eta|^2)) of the axis kernel
+    (0, i) of the model of {0, i}, D the determinant of A's block off i (1
+    at N = 1), read from A, not through its reduction."""
+    comp = IndexSet((0, i)).active_complement(A.n)
+    D = float(np.linalg.det(block(A.entries, comp, comp)))   # 1 for an empty block
+    return 1.0 / (2.0 * math.sqrt(p.mu[i - 1] ** 2 + D * abs(p.eta) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +342,7 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     if N != 2:
         raise ValueError("the weak check is built for N = 2")
     i, j = sorted(labels)
-    fam = _family(A, None, (i, j))
+    fam = _family(A, (i, j))
 
     # frame adapted to the singular sheet: first axis crosses it transversally
     if i == 0:

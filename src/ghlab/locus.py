@@ -72,8 +72,8 @@ class RegionConstants:
     1 + cond(A)^((N + 2) / 2): any valid upper bound works, and a larger
     one only shrinks the innermost regions, so it may exceed c0 (57 at
     N = 3 with condition number 5).  ``level(s)`` = 64 16^(s - 1) is the
-    separation threshold of depth s, elementwise for an array of depths,
-    and ``cprime()`` = 4 c0^2 the collar margin of the gluing cutoff.
+    separation threshold of the depth s, an int, and ``cprime()`` = 4 c0^2
+    the collar margin of the gluing cutoff.
     """
 
     c0: ClassVar[float] = 32.0
@@ -81,7 +81,7 @@ class RegionConstants:
     def chat(self, A: QuadForm) -> float:
         return 1.0 + A.condition ** (0.5 * (A.n + 2))
 
-    def level(self, s: int | np.ndarray) -> float | np.ndarray:
+    def level(self, s: int) -> float:
         return 64.0 * 16.0 ** (s - 1)
 
     def cprime(self) -> float:

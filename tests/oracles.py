@@ -1,10 +1,12 @@
 """Independent evaluation routes that the tests hold the library against.
 
 Each route reaches its quantity another way than the library's primary
-path: a scrambled-Sobol estimate of the orthant integrals and kernels, the
-gammas by quadrature along their defining ray and in closed form for one
-active slot, the explicit swap of label 0, the glue scale rho_IJ of one
-stratum pair, and the relative volume defect through det(A + v).  None of
+path: a scrambled-Sobol estimate of the orthant integrals and kernels, a
+stratum model's kernels, field and gammas on A's own coordinates (the
+library takes them from the reduced form instead), the gammas by
+quadrature along their defining ray and in closed form for one active
+slot, the explicit swap of label 0, the glue scale rho_IJ of one stratum
+pair, and the relative volume defect through det(A + v).  None of
 them runs in a verdict, a CLI experiment or the
 benchmark, so they live here rather than in ``ghlab``; scipy, which the
 Sobol sequence needs, is a test dependency only.
@@ -16,11 +18,13 @@ import math
 
 import numpy as np
 
+import itertools
+
 from ghlab import kernels, locus
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, block
-from ghlab.holo import GammaSpec, _gamma_kernels
-from ghlab.kernels import KernelSpec, alpha_batch
-from ghlab.quadrature import panel_nodes
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_complement
+from ghlab.holo import GammaSpec
+from ghlab.kernels import KernelSpec, KernelValue, kernel_prefactor
+from ghlab.quadrature import QuadratureSpec, cone_frame, panel_nodes, power_kernel_integral
 
 
 def qmc_power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
@@ -69,27 +73,113 @@ def qmc_alpha_oracle(spec: KernelSpec, p: BasePoint, n_pow2: int = 17,
                      replicates: int = 8, seed: int = 20240817
                      ) -> tuple[float, float]:
     """Low-discrepancy estimate of one kernel, for cross-validation."""
-    fam = kernels._family(spec.A, spec.restriction, spec.labels)
-    mean, se = qmc_power_kernel_integral(fam.Q, fam.c_eta, p.mu[fam.slots], p.eta, fam.M[0],
+    fam = kernels._family(spec.A, spec.labels)
+    mean, se = qmc_power_kernel_integral(fam.Q, fam.c_eta, p.mu, p.eta, fam.M[0],
                                          fam.power, n_pow2=n_pow2,
                                          replicates=replicates, seed=seed)
     return fam.prefactor * mean, fam.prefactor * se
 
 
+# -- a stratum model on A's own coordinates --------------------------------
+# The model of a subset I takes every kernel whose labels lie in I, as an
+# integral over I's slots with the Schur complement G of A for Q and det A
+# for the fiber weight, the cone matrices laid out on I's labels, and the
+# inactive slots of every gradient exact zeros.  The library evaluates the
+# same kernels as those of G itself at (mu_I, s eta); this route never
+# forms s.  Each call makes one engine call, at the floor of A's N.
+
+def _restricted_layout(I: IndexSet, rays: dict | None = None) -> tuple:
+    """(pairs, M) of I's kernels, or with ``rays`` {gamma label: ray
+    column} the kernels of each gamma in turn, its ray as a last column."""
+    S = I.active
+
+    def cone(i, j):
+        return [[-1.0] * bool(i) + [float(r == c) for c in S if c not in (i, j)] for r in S]
+
+    if rays is None:
+        pairs = list(itertools.combinations(I.members, 2))
+        return pairs, np.array([cone(*ij) for ij in pairs]).reshape(len(pairs), len(S), -1)
+    pairs, M = [], []
+    for g, ray in rays.items():
+        ks = ([(0, k) for k in S] if g == 0
+              else [(0, g)] + [(min(g, k), max(g, k)) for k in S if k != g])
+        pairs += ks
+        M += [np.column_stack([np.array(cone(*ij)).reshape(len(S), -1), ray]) for ij in ks]
+    return pairs, np.array(M)
+
+
+def _restricted_engine(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu, eta, M,
+                       power: int, pref: float, want_gradient: bool, tol_scale: float = 1.0):
+    G = schur_complement(A, I)
+    slots = [a - 1 for a in I.active]
+    return power_kernel_integral(G.entries, A.det, np.ascontiguousarray(mu[:, slots]), eta,
+                                 M, power, quad, want_gradient, pref * tol_scale,
+                                 10.0 * quad.abs_tol ** (1.0 / A.n), cone_frame(G.entries, M))
+
+
+def restricted_kernels(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
+                       eta: np.ndarray, want_gradient: bool = False
+                       ) -> tuple[list[tuple[int, int]], KernelValue]:
+    """The labels of I's model kernels and their values, error estimates
+    and gradients (K, B, N + 2) at the batch mu (B, N), eta (B,)."""
+    mu, eta = check_batch(mu, eta, A.n)
+    N, n = A.n, len(I.active)
+    pairs, M = _restricted_layout(I)
+    pref = kernel_prefactor(n, schur_complement(A, I).det)
+    raw = _restricted_engine(A, I, quad, mu, eta, M, n, pref, want_gradient)
+    grads = None
+    if want_gradient:
+        grads = np.zeros((len(pairs), len(mu), N + 2))
+        grads[..., [a - 1 for a in I.active] + [N, N + 1]] = pref * raw.gradient
+    return pairs, KernelValue(pref * raw.value, pref * raw.error, raw.evals, grads)
+
+
+def restricted_jet(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
+                   eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v (B, N, N) and dV (B, N, N, N + 2) of I's model field: each kernel
+    (i, j) times (e_i - e_j)(e_i - e_j)^T, e_0 = 0, summed."""
+    pairs, kv = restricted_kernels(A, I, quad, mu, eta, want_gradient=True)
+    E = np.vstack([np.zeros(A.n), np.eye(A.n)])
+    outers = np.array([np.outer(E[i] - E[j], E[i] - E[j]) for i, j in pairs])
+    return (np.einsum("kb,kij->bij", kv.value, outers),
+            np.einsum("kbx,kij->bijx", kv.gradient, outers))
+
+
+def restricted_gammas(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
+                      eta: np.ndarray) -> KernelValue:
+    """gamma_i for each i of ``labels``, values and error estimates
+    (L, B), at a batch whose rows all have eta != 0: each gamma's n
+    kernels of power n + 2, their ray as a last cone column, prefactor
+    n det A kernel_prefactor(n, det G), summed and times conj(eta)."""
+    A, I, quad = spec.A, spec.I, spec.quad
+    mu, eta = check_batch(mu, eta, A.n)
+    n = len(I.active)
+    rays = {i: np.ones(n) if i == 0 else -np.eye(n)[I.active.index(i)] for i in labels}
+    _, M = _restricted_layout(I, rays)
+    pref = kernel_prefactor(n, schur_complement(A, I).det) * n * A.det
+    size = np.abs(eta)
+    raw = _restricted_engine(A, I, quad, mu, eta, M, n + 2, pref, False, float(size.max()))
+    total = (pref * raw.value).reshape(len(labels), n, -1).sum(axis=1)
+    err = (pref * raw.error).reshape(len(labels), n, -1).sum(axis=1)
+    return KernelValue(total * np.conj(eta), err * size, raw.evals)
+
+
 def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """gamma_i by truncated ray quadrature with tail extrapolation.
 
-    Integrates the eta-derivatives of the restricted diagonal field along
-    the defining ray out to 2T, T = 2048, on 16-node Gauss panels, and
-    removes the leading 1/T tail by the two-point extrapolation
-    2 G(2T) - G(T).  ``holo.gamma_family``, the primary path, folds the
-    ray into the kernels' cones instead.
+    Integrates the eta-derivatives of the model's kernels along the
+    defining ray out to 2T, T = 2048, on 16-node Gauss panels, and removes
+    the leading 1/T tail by the two-point extrapolation 2 G(2T) - G(T).
+    ``holo.gamma_family``, the primary path, folds the ray into the
+    kernels' cones instead.
     """
     if p.eta == 0:
         return 0j
-    pairs, col = _gamma_kernels(spec.I, i)
+    act = spec.I.active
+    pairs = ([(0, k) for k in act] if i == 0
+             else [(0, i)] + [(min(i, k), max(i, k)) for k in act if k != i])
     step_mu = np.zeros(p.N)
-    step_mu[[lab - 1 for lab in spec.I.active]] = -col
+    step_mu[[lab - 1 for lab in act]] = -1.0 if i == 0 else np.eye(len(act))[act.index(i)]
     T = 2048.0
     s0 = max(1.0, float(np.max(np.abs(p.mu))))
     pts = {0.0, T, 2.0 * T}
@@ -103,9 +193,9 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     mu = p.mu + nodes[:, None] * step_mu
     eta = np.full(len(nodes), p.eta)
     vals = np.zeros(len(nodes), dtype=complex)
+    labels, kv = restricted_kernels(spec.A, spec.I, spec.quad, mu, eta, want_gradient=True)
     for pair in pairs:
-        g = alpha_batch(KernelSpec(spec.A, pair, spec.I), spec.quad, mu, eta,
-                        want_gradient=True).gradient
+        g = kv.gradient[labels.index(pair)]
         vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
     half = nodes <= T
     G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))

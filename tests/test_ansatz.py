@@ -9,7 +9,7 @@ from scipy import linalg, optimize
 
 from ghlab import quadrature
 from ghlab.checks import random_point, random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, reduction
 from ghlab.ansatz import (
     FirstOrderField,
     Ray,
@@ -230,37 +230,49 @@ def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
     # over the kernels in label order from 0: given the kernels' rows, each
     # point's jet is bitwise the kernel-by-kernel sum (signs of zero
     # included) and bitwise the same alone as in its batch; at N = 5 the
-    # fifteen kernels outnumber numpy's eight-way pairwise blocks
+    # fifteen kernels outnumber numpy's eight-way pairwise blocks.  A model
+    # field's kernels are its reduction's, and its sums are placed in its
+    # block, the eta columns of dv times s
     import ghlab.ansatz as ansatz
     from ghlab.kernels import KernelValue
 
     rng = np.random.default_rng(70 + N)
     A = random_spd(rng, N)
     I = None if members is None else IndexSet(members)
-    labels = tuple(ij for ij in itertools.combinations(range(N + 1), 2)
-                   if I is None or set(ij) <= set(I.members))
+    slots = list(range(N)) if I is None else [a - 1 for a in I.active]
+    n = len(slots)
+    labels = tuple(itertools.combinations(range(n + 1), 2))
     B = 7
     mu, eta = rng.normal(size=(B, N)), rng.normal(size=B) + 1j * rng.normal(size=B)
     K = len(labels)
     value = rng.lognormal(size=(K, B)) * 10.0 ** rng.integers(-8, 9, (K, B))
-    grad = rng.normal(size=(K, B, N + 2)) * 10.0 ** rng.integers(-8, 9, (K, B, N + 2))
+    grad = rng.normal(size=(K, B, n + 2)) * 10.0 ** rng.integers(-8, 9, (K, B, n + 2))
     grad[rng.random(grad.shape) < 0.2] = 0.0
 
-    def family(A_, restriction, quad, m, e, want_gradient):
-        rows = [int(np.flatnonzero((mu == r).all(axis=1))[0]) for r in m]
+    def family(A_, quad, m, e, want_gradient):
+        rows = [int(np.flatnonzero((mu[:, slots] == r).all(axis=1))[0]) for r in m]
         return labels, KernelValue(value[:, rows], np.zeros((K, len(rows))), 0, grad[:, rows])
 
     monkeypatch.setattr(ansatz, "alpha_family", family)
     fld = FirstOrderField(A, QUAD) if I is None else RestrictedField(A, I, QUAD)
     jet = fld.jet(mu, eta)
-    v, dv = np.zeros((B, N, N)), np.zeros((B, N, N, N + 2))
+    v, dv = np.zeros((B, n, n)), np.zeros((B, n, n, n + 2))
     for k, (i, j) in enumerate(labels):
-        e = np.zeros(N + 1)
+        e = np.zeros(n + 1)
         e[i], e[j] = 1.0, -1.0
         outer = np.outer(e[1:], e[1:])
         v += value[k][:, None, None] * outer
         dv += grad[k][:, None, None, :] * outer[:, :, None]
-    assert jet.v.tobytes() == v.tobytes() and jet.dV.tobytes() == dv.tobytes()
+    got_v, got_dv = jet.v, jet.dV
+    if I is not None:
+        dv[..., -2:] *= reduction(A, I).s
+        inside = np.zeros((N, N), dtype=bool)
+        inside[np.ix_(slots, slots)] = True
+        assert not got_v[:, ~inside].any() and not got_dv[:, ~inside].any()
+        assert not got_dv[..., [k for k in range(N) if k not in slots]].any()
+        at = np.ix_(slots, slots)
+        got_v, got_dv = got_v[:, at[0], at[1]], got_dv[:, at[0], at[1]][..., slots + [N, N + 1]]
+    assert got_v.tobytes() == v.tobytes() and got_dv.tobytes() == dv.tobytes()
     for b in range(B):
         one = fld.jet(mu[b:b + 1], eta[b:b + 1])
         for x, y in zip((jet.V, jet.W, jet.dV, jet.dW), (one.V, one.W, one.dV, one.dW)):

@@ -86,8 +86,8 @@ def test_one_slot_gaps_flag_a_scaled_closed_form(monkeypatch):
     # the one-slot closed form's D scaled by 1 + 1e-9, as |eta| scaled by
     # its square root; the smallest scaling flagged is about 1 + 8.8e-11
     closed = kernels.closed_form_axis
-    monkeypatch.setattr(kernels, "closed_form_axis", lambda A, i, p, restriction=None: closed(
-        A, i, BasePoint(p.mu, p.eta * math.sqrt(1.0 + 1e-9)), restriction))
+    monkeypatch.setattr(kernels, "closed_form_axis", lambda A, i, p: closed(
+        A, i, BasePoint(p.mu, p.eta * math.sqrt(1.0 + 1e-9))))
     assert failed("02") == {"taubnut-exact/alpha-closed-form"}
 
 
@@ -238,9 +238,9 @@ def test_gamma_sum_gaps_flag_a_scaled_gamma(monkeypatch, case, eps):
 
 
 def _criterion_09_failures(monkeypatch, v_scale=1.0, gamma_scale=1.0):
-    # the model field's v and the last gamma of each family call scaled;
-    # these are closed forms
-    jet, family = ansatz.RestrictedField.jet, holo.gamma_family
+    # the model field's v, the first-order field of the reduced form, and
+    # the last gamma of each family call scaled; these are closed forms
+    jet, family = ansatz.FirstOrderField.jet, holo.gamma_family
 
     def scaled_jet(self, mu, eta, want_gradient=True):
         out = jet(self, mu, eta, want_gradient)
@@ -252,7 +252,7 @@ def _criterion_09_failures(monkeypatch, v_scale=1.0, gamma_scale=1.0):
         out.value[-1] = gamma_scale * out.value[-1]
         return out
 
-    monkeypatch.setattr(ansatz.RestrictedField, "jet", scaled_jet)
+    monkeypatch.setattr(ansatz.FirstOrderField, "jet", scaled_jet)
     monkeypatch.setattr(holo, "gamma_family", scaled_family)
     return failed("09")
 

@@ -44,6 +44,12 @@ class TestQuadForm:
         with pytest.raises(ValueError, match="non-finite"):
             QuadForm(entries)
 
+    def test_rejects_an_empty_matrix(self):
+        # refused by name before the scale reduction, which has no identity
+        # on no entries and would raise numpy's own error
+        with pytest.raises(ValueError, match="quadratic form is empty"):
+            QuadForm(np.zeros((0, 0)))
+
     def test_identity(self):
         A = QuadForm.identity(3)
         assert A.det == pytest.approx(1.0)

@@ -11,7 +11,7 @@ from ghlab import checks, kernels
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
 from ghlab.geometry import (BasePoint, IndexSet, QuadForm, gradient_step, laplace_terms,
-                            richardson_derivative, richardson_stencil)
+                            reduction, richardson_derivative, richardson_stencil)
 from ghlab.kernels import (
     KernelSpec,
     _family,
@@ -28,7 +28,7 @@ from ghlab.kernels import (
 )
 from ghlab.quadrature import (QuadratureError, QuadratureSpec, SingularityProximity,
                               power_kernel_integral)
-from oracles import qmc_alpha_oracle
+from oracles import qmc_alpha_oracle, restricted_kernels
 
 
 QUAD = QuadratureSpec()
@@ -62,7 +62,7 @@ def arctan_oracle(A: QuadForm, labels, p: BasePoint) -> float:
 
 def _engine_data(A: QuadForm, labels):
     """(Q, c_eta, M, power, prefactor) of the full-space kernel ``labels``."""
-    fam = _family(A, None, tuple(labels))
+    fam = _family(A, tuple(labels))
     return fam.Q, fam.c_eta, fam.M[0], fam.power, fam.prefactor
 
 
@@ -87,13 +87,19 @@ def test_spec_validation():
 
 
 def test_vanishing_convention():
-    A = QuadForm.identity(3)
-    spec = KernelSpec(A, (1, 2), restriction=IndexSet((0, 1)))
-    assert spec.vanishes
-    kv = alpha(spec, QUAD, BasePoint(np.ones(3), 1.0 + 0j))
-    assert kv.value == 0.0
-    kg = alpha_grad(spec, QUAD, BasePoint(np.ones(3), 1.0 + 0j))
-    assert np.all(kg.gradient == 0.0)
+    # a kernel whose labels leave I has no part in I's model: the model
+    # field is zero off I's block, and beta leaves that kernel whole
+    from ghlab.ansatz import RestrictedField
+
+    A = random_spd(np.random.default_rng(9), 3)
+    I, p = IndexSet((0, 1)), BasePoint(np.ones(3), 1.0 + 0j)
+    jet = RestrictedField(A, I, QUAD).jet(p.mu[None], np.array([p.eta]))
+    off = np.ones((3, 3), dtype=bool)
+    off[0, 0] = False
+    assert not jet.v[0][off].any() and not jet.dV[0][off].any()
+    assert not jet.dV[0, 0, 0, 1:3].any()
+    b = beta(A, I, 1, 2, QUAD, p.mu[None], np.array([p.eta]))
+    assert b.value[0] == alpha(KernelSpec(A, (1, 2)), QUAD, p).value
 
 
 def test_axis_closed_form_n1_exact():
@@ -113,9 +119,10 @@ def test_restricted_closed_form(N):
         i = int(rng.integers(1, N + 1))
         I = IndexSet((0, i))
         p = BasePoint(rng.uniform(-2, 2, N), complex(*rng.uniform(0.3, 1.5, 2)))
-        spec = KernelSpec(A, (0, i), restriction=I)
-        got = alpha(spec, QUAD, p).value
-        want = closed_form_axis(A, i, p, restriction=I)
+        red = reduction(A, I)
+        mu, eta = red.batch(p.mu[None], np.array([p.eta]))
+        got = alpha_batch(KernelSpec(red.G, (0, 1)), QUAD, mu, eta).value[0]
+        want = closed_form_axis(A, i, p)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -215,28 +222,35 @@ def test_permutation_equivariance():
 
 
 def test_restricted_ignores_complement_coordinates():
+    # the model of I reads mu only on I's slots, in the library's reduced
+    # route and in the oracle's route on A's coordinates alike
     rng = np.random.default_rng(21)
     A = random_spd(rng, 3)
     I = IndexSet((0, 1))
-    spec = KernelSpec(A, (0, 1), restriction=I)
-    p = BasePoint(np.array([0.7, 0.4, -0.9]), 0.6 + 0.2j)
-    v1 = alpha(spec, QUAD, p).value
-    p2 = BasePoint(np.array([0.7, 5.0, 3.0]), 0.6 + 0.2j)
-    v2 = alpha(spec, QUAD, p2).value
-    assert v2 == pytest.approx(v1, rel=1e-12)
+    mu = np.array([[0.7, 0.4, -0.9], [0.7, 5.0, 3.0]])
+    eta = np.full(2, 0.6 + 0.2j)
+    b = beta(A, I, 0, 1, QUAD, mu, eta)
+    full = alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta).value
+    model = full - b.value
+    assert model[1] == pytest.approx(model[0], rel=1e-12)
+    _, kv = restricted_kernels(A, I, QUAD, mu, eta)
+    assert kv.value[0, 1] == pytest.approx(kv.value[0, 0], rel=1e-12)
 
 
 def test_beta_is_full_minus_restricted():
+    # against the model kernel on A's own coordinates (tests/oracles.py)
     rng = np.random.default_rng(29)
     A = random_spd(rng, 3)
-    I = IndexSet((0, 1))
+    I = IndexSet((0, 1, 3))
     pts = [BasePoint(np.array([0.9, 1.2, -0.5]), 0.7 + 0.3j),
            BasePoint(np.array([-1.4, 0.3, 2.1]), -0.4 + 0.9j)]
-    b = beta(A, I, 0, 1, QUAD, *_batch(pts))
-    for t, p in enumerate(pts):
-        full = alpha(KernelSpec(A, (0, 1)), QUAD, p).value
-        restr = alpha(KernelSpec(A, (0, 1), restriction=I), QUAD, p).value
-        assert b.value[t] == pytest.approx(full - restr, rel=1e-12)
+    labels, model = restricted_kernels(A, I, QUAD, *_batch(pts))
+    for ij in [(0, 1), (1, 3)]:
+        b = beta(A, I, *ij, QUAD, *_batch(pts))
+        for t, p in enumerate(pts):
+            full = alpha(KernelSpec(A, ij), QUAD, p).value
+            want = full - model.value[labels.index(ij), t]
+            assert b.value[t] == pytest.approx(want, rel=1e-12)
 
 
 def test_gradient_relations():
@@ -513,7 +527,7 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     rng = np.random.default_rng(26)
     A = random_spd(rng, 3)
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(3)])
-    fam = _family(A, None, None)
+    fam = _family(A)
     k, row = 4, 1
     wedge = quadrature.wedge_integrals
 
@@ -531,7 +545,7 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     labels = re.escape(str(fam.labels[k]))
     with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
                        r".*not finite") as exc:
-        alpha_family(A, None, QUAD, mu, eta, want_gradient=True)
+        alpha_family(A, QUAD, mu, eta, want_gradient=True)
     assert (exc.value.kernel, exc.value.row) == (k, row)
 
 
@@ -553,19 +567,21 @@ def test_over_budget_names_kernel_and_first_row(monkeypatch):
 @pytest.mark.parametrize("N, members", [(2, None), (2, (0, 1, 2)), (3, None),
                                         (3, (0, 1, 3)), (3, (0, 2))])
 def test_family_batch_matches_one_kernel_calls(N, members):
-    # the kernels that do not vanish, stacked into one engine call (d = 2,
-    # 1 or 0 here), give what each kernel's own call gives: value and
-    # gradient to roundoff, error and grid nodes exactly
+    # a form's kernels, stacked into one engine call (d = 2, 1 or 0 here),
+    # give what each kernel's own call gives: value and gradient to
+    # roundoff, error and grid nodes exactly; with ``members`` the form is
+    # that subset's reduction, at its batch
     rng = np.random.default_rng(61 + N)
     A = random_spd(rng, N)
-    I = None if members is None else IndexSet(members)
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(5)])
-    labels, kv = alpha_family(A, I, QUAD, mu, eta, want_gradient=True)
-    assert labels == tuple(ij for ij in itertools.combinations(range(N + 1), 2)
-                           if not KernelSpec(A, ij, I).vanishes)
+    if members is not None:
+        red = reduction(A, IndexSet(members))
+        A, (mu, eta) = red.G, red.batch(mu, eta)
+    labels, kv = alpha_family(A, QUAD, mu, eta, want_gradient=True)
+    assert labels == tuple(itertools.combinations(range(A.n + 1), 2))
     evals = 0
     for k, ij in enumerate(labels):
-        one = alpha_batch(KernelSpec(A, ij, I), QUAD, mu, eta, want_gradient=True)
+        one = alpha_batch(KernelSpec(A, ij), QUAD, mu, eta, want_gradient=True)
         np.testing.assert_allclose(kv.value[k], one.value, rtol=1e-14, atol=0)
         np.testing.assert_array_equal(kv.error[k], one.error)
         np.testing.assert_allclose(kv.gradient[k], one.gradient, rtol=1e-14,
@@ -612,9 +628,9 @@ def test_one_kernel_calls_keep_one_family_with_the_form():
 
 
 def test_layouts_are_built_once_per_n():
-    # what a family, a gamma family or a stratum table takes from N, the
-    # subset and the labels alone is laid out for the first form of an N
-    # and read by every later one, and no caller can write it
+    # what a family, a gamma family or a stratum table takes from N and the
+    # labels alone is laid out for the first form of an N and read by every
+    # later one, and no caller can write it
     from ghlab import holo, locus
 
     caches = [kernels._layout, holo._gamma_layout, locus._layout]
@@ -627,7 +643,7 @@ def test_layouts_are_built_once_per_n():
         p = off_locus_point(rng, A)
         mu, eta = p.mu[None], np.array([p.eta])
         FirstOrderField(A, QUAD).jet(mu, eta)
-        alpha_family(A, I, QUAD, mu, eta)
+        alpha_family(A, QUAD, mu, eta)
         holo.gamma_family(holo.GammaSpec(A, I, QUAD), (0, 1, 3), mu, eta)
         locus.region_membership(A, locus.RegionConstants(), p)
         return [cache.cache_info() for cache in caches]
@@ -637,46 +653,41 @@ def test_layouts_are_built_once_per_n():
     second = build(random_spd(rng, 3))
     assert [info.misses for info in second] == [info.misses for info in first]
     assert all(b.hits > a.hits for a, b in zip(first, second))
-    cached = [*kernels._layout(3, None), *kernels._layout(3, I),
-              *holo._gamma_layout(3, I, (0, 1, 3)), *vars(locus._layout(3)).values()]
+    cached = [*kernels._layout(3), *kernels._layout(2),
+              *holo._gamma_layout(2, (0, 1, 2)), *vars(locus._layout(3)).values()]
     arrays = [a for a in cached if isinstance(a, np.ndarray)]
     assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_cached_cone_matrices_match_a_per_pair_construction(N):
-    # on the active slots S, kernel (i, j) has the cone column -(1, ..., 1)
-    # when i > 0, then the unit vector of each slot off {i, j}; gamma_0's
-    # kernels are (0, k) for k in S with the ray (1, ..., 1), gamma_i's are
-    # (0, i) and (i, k) for k != i in S with the ray -e_i
+    # on the slots S = (1..N), kernel (i, j) has the cone column
+    # -(1, ..., 1) when i > 0, then the unit vector of each slot off
+    # {i, j}; gamma_0's kernels are (0, k) for k in S with the ray
+    # (1, ..., 1), gamma_i's are (0, i) and (i, k) for k != i in S with the
+    # ray -e_i.  A subset's kernels and gammas are those of its reduction,
+    # laid out at N' < N.
     from ghlab import holo
-    from ghlab.locus import all_strata
 
     def cone(S, i, j, ray=()):
         E = np.eye(len(S))
         cols = [-np.ones(len(S))] * (i > 0) + [E[S.index(c)] for c in S if c not in (i, j)]
         return np.array(cols + list(ray)).reshape(-1, len(S)).T.tolist()
 
-    for I in [None] + [J for J in all_strata(N) if J.contains_zero]:
-        members = tuple(range(N + 1)) if I is None else I.members
-        S = members[1:]
-        slots, pairs, M = kernels._layout(N, I)
-        assert slots.tolist() == [s - 1 for s in S]
-        assert pairs == tuple((i, j) for i in range(N + 1) for j in range(i + 1, N + 1)
-                              if i in members and j in members)
-        assert [M[k].tolist() for k in range(len(pairs))] == [cone(S, *ij) for ij in pairs]
-        if I is None:
-            continue
-        want_pairs, want_M = [], []
-        for g in (0,) + S:
-            ray = np.ones(len(S)) if g == 0 else -np.eye(len(S))[S.index(g)]
-            ks = ([(0, k) for k in S] if g == 0
-                  else [(0, g)] + [(min(g, k), max(g, k)) for k in S if k != g])
-            want_pairs += ks
-            want_M += [cone(S, *ij, ray=[ray]) for ij in ks]
-        g_slots, g_pairs, g_M = holo._gamma_layout(N, I, (0,) + S)
-        assert g_slots.tolist() == slots.tolist() and list(g_pairs) == want_pairs
-        assert [m.tolist() for m in g_M] == want_M
+    S = tuple(range(1, N + 1))
+    pairs, M = kernels._layout(N)
+    assert pairs == tuple((i, j) for i in range(N + 1) for j in range(i + 1, N + 1))
+    assert [M[k].tolist() for k in range(len(pairs))] == [cone(S, *ij) for ij in pairs]
+    want_pairs, want_M = [], []
+    for g in (0,) + S:
+        ray = np.ones(N) if g == 0 else -np.eye(N)[g - 1]
+        ks = ([(0, k) for k in S] if g == 0
+              else [(0, g)] + [(min(g, k), max(g, k)) for k in S if k != g])
+        want_pairs += ks
+        want_M += [cone(S, *ij, ray=[ray]) for ij in ks]
+    g_pairs, g_M = holo._gamma_layout(N, (0,) + S)
+    assert list(g_pairs) == want_pairs
+    assert [m.tolist() for m in g_M] == want_M
 
 
 def test_harmonicity_of_kernel_n2():

@@ -224,7 +224,7 @@ def test_region_constants_validation():
     assert RegionConstants().c0 == 32.0
     assert RegionConstants().level(1) == pytest.approx(64.0)
     assert RegionConstants().level(2) == pytest.approx(1024.0)
-    assert RegionConstants().level(np.arange(1, 4)).tolist() == [64.0, 1024.0, 16384.0]
+    assert RegionConstants().level(3) == 16384.0
     assert RegionConstants().cprime() == pytest.approx(4096.0)
 
 
