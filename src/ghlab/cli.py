@@ -8,9 +8,10 @@ sidecar with the effective configuration and its hash.  Reruns with the
 same configuration are byte-identical except for the sidecar timestamp.
 The process exits 0 exactly when every row passes.  A runner here is the
 only code that draws a criterion's inputs with ``ghlab.checks`` samplers
-and holds its residuals to their tolerances; the acceptance suite runs it
-at its seed and counts.  A config sets only seeds, sample counts and
-dimensions; a seed or count that the runner does not read is rejected.
+and holds its residuals to their tolerances; ``ghlab <experiment>`` with
+no flags runs it at its registered seed and count, the acceptance run.  A
+config sets only seeds, sample counts and dimensions, and a seed or count
+that the runner does not read is rejected.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import Generator
@@ -32,32 +34,35 @@ from .geometry import IndexSet, QuadForm, batch_from_vectors
 
 SCHEMA_VERSION = 1
 
-# experiment name -> runner, the params keys each runner reads, and which of
-# the settings n and seed it reads; all are filled by @_experiment next to
-# the runner
-EXPERIMENTS: dict = {}
-EXPERIMENT_PARAMS: dict[str, frozenset[str]] = {}
-EXPERIMENT_SETTINGS: dict[str, frozenset[str]] = {}
 CONFIG_KEYS = frozenset({"schema_version", "seed", "n", "params"})
 # params that count samples; like n, each must be an integer of at least 1
 COUNT_PARAMS = ("covering_points", "points_n1", "points_n2")
 
 
+class Experiment(NamedTuple):
+    run: Callable
+    params: frozenset[str]
+    seed: int | None
+    n: int | None
+
+
+# experiment name -> its runner, the params keys it reads, and its acceptance
+# run's seed and sample count (None where unread); filled by @_experiment
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
-    seed: int = 20240817
-    n: int | None = None
-    params: dict = field(default_factory=dict)
+    seed: int | None
+    n: int | None
+    params: dict
     schema_version: int = SCHEMA_VERSION
 
     @classmethod
     def load(cls, experiment: str, path: str | None, seed: int | None,
              n: int | None) -> "ExperimentConfig":
-        data: dict = {}
-        if path:
-            with open(path) as fh:
-                data = json.load(fh)
+        data = json.loads(Path(path).read_text()) if path else {}
         # a config of the wrong shape would otherwise end in a traceback
         if type(data) is not dict:
             raise SystemExit(f"config in {path} is not a JSON object")
@@ -71,18 +76,26 @@ class ExperimentConfig:
                              f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
         if type(data.get("params", {})) is not dict:
             raise SystemExit(f"config key params is not an object in {path}")
-        accepted = EXPERIMENT_PARAMS.get(experiment, frozenset())
-        unknown = sorted(set(data.get("params", {})) - accepted)
+        exp = EXPERIMENTS[experiment]
+        unknown = sorted(set(data.get("params", {})) - exp.params)
         if unknown:
             raise SystemExit(f"unknown param(s) {', '.join(unknown)} for {experiment} "
-                             f"in {path}; accepted: {', '.join(sorted(accepted))}")
-        cfg = cls(experiment, data.get("seed", cls.seed) if seed is None else seed,
-                  data.get("n") if n is None else n, data.get("params", {}))
+                             f"in {path}; accepted: {', '.join(sorted(exp.params))}")
+        # a seed or count the runner never reads would change the config hash
+        # and nothing else
+        given = {"n": data.get("n") if n is None else n,
+                 "seed": data.get("seed") if seed is None else seed}
+        reads = [k for k in ("n", "seed") if getattr(exp, k) is not None]
+        unread = [k for k, v in given.items() if v is not None and k not in reads]
+        if unread:
+            raise SystemExit(f"setting(s) {', '.join(unread)} unread by {experiment}; "
+                             f"it reads: {', '.join(reads) or 'neither'}")
+        cfg = cls(experiment, *(getattr(exp, k) if given[k] is None else given[k]
+                                for k in ("seed", "n")), data.get("params", {}))
         # numpy reads a bool as a seed and rejects a float, string or
         # negative one with a traceback
-        if type(cfg.seed) is not int or cfg.seed < 0:
-            raise SystemExit(f"seed {cfg.seed!r} not an integer of at least 0 "
-                             f"for {experiment}")
+        if "seed" in reads and (type(cfg.seed) is not int or cfg.seed < 0):
+            raise SystemExit(f"seed {cfg.seed!r} not an integer of at least 0 for {experiment}")
         # a count below 1 would pass every row over zero samples; one that is
         # no integer (a string, a float, a bool) would crash later or run as 1
         counts = {"n": cfg.n, **{k: cfg.params.get(k) for k in COUNT_PARAMS}}
@@ -97,14 +110,6 @@ class ExperimentConfig:
         if type(dims) is not list or not dims or {type(N) for N in dims} != {int} or min(dims) < 1:
             raise SystemExit(f"param dims {dims!r} not a non-empty list of integers "
                              f"of at least 1 for {experiment}")
-        # a seed or count the runner never reads would change the config hash
-        # and nothing else
-        reads = EXPERIMENT_SETTINGS.get(experiment, frozenset())
-        given = {"n": cfg.n is not None, "seed": seed is not None or "seed" in data}
-        unread = sorted(k for k, v in given.items() if v and k not in reads)
-        if unread:
-            raise SystemExit(f"setting(s) {', '.join(unread)} unread by {experiment}; "
-                             f"it reads: {', '.join(sorted(reads)) or 'neither'}")
         return cfg
 
     def canonical(self) -> str:
@@ -134,8 +139,7 @@ class ResultRow:
 
 def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{cfg.experiment}.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(out_dir / f"{cfg.experiment}.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["experiment", "case", "value", "target", "tol",
                      "passed", "config_hash", "detail"])
@@ -161,14 +165,12 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
 # experiments
 
 
-def _experiment(name: str, *params: str, settings: tuple[str, ...] = ("n", "seed")):
-    """Register a runner under ``name`` with the params keys and the
-    settings (``n``, the sample count, and ``seed``) it reads; a runner
-    takes the config and a generator seeded by it."""
+def _experiment(name: str, *params: str, seed: int | None = None, n: int | None = None):
+    """Register a runner under ``name`` with the params keys it reads and
+    the seed and sample count of ``ghlab <name>`` with no flags, none where
+    it reads none.  A runner takes the config and a generator seeded by it."""
     def register(fn):
-        EXPERIMENTS[name] = fn
-        EXPERIMENT_PARAMS[name] = frozenset(params)
-        EXPERIMENT_SETTINGS[name] = frozenset(settings)
+        EXPERIMENTS[name] = Experiment(fn, frozenset(params), seed, n)
         return fn
     return register
 
@@ -180,66 +182,66 @@ def _row(cfg: ExperimentConfig, case: str, value: float, tol: float,
                      cfg.hash, detail)
 
 
-@_experiment("flat-cy", "dims")
+@_experiment("flat-cy", "dims", seed=101, n=1000)
 def run_flat_cy(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.flat_volume_gap(
                 [checks.random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
-                 for _ in range(cfg.n or 1000)]), checks.FLAT_VOLUME_TOL)
+                 for _ in range(cfg.n)]), checks.FLAT_VOLUME_TOL)
             for N in cfg.params.get("dims", [1, 2, 3, 4, 5])]
 
 
-@_experiment("taubnut-exact")
+@_experiment("taubnut-exact", seed=102, n=100)
 def run_taubnut_exact(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     gaps = checks.one_slot_gaps([checks.random_point(rng, 1, eta_lo=0.05)
-                                 for _ in range(cfg.n or 100)])
+                                 for _ in range(cfg.n)])
     return [_row(cfg, case, gap, checks.ONE_SLOT_TOL) for case, gap in
             zip(("alpha-closed-form", "cy-identity", "volume-defect"), gaps)]
 
 
-@_experiment("kernel-closedform", "dims")
+@_experiment("kernel-closedform", "dims", seed=103, n=100)
 def run_kernel_closedform(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.restricted_gap(checks.restricted_cases(
-                rng, N, cfg.n or 100)), checks.RESTRICTED_TOL)
+                rng, N, cfg.n)), checks.RESTRICTED_TOL)
             for N in cfg.params.get("dims", [2, 3, 4])]
 
 
-@_experiment("harmonicity", "dims")
+@_experiment("harmonicity", "dims", seed=104, n=50)
 def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
+        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
             lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), pts)
             rows.append(_row(cfg, f"N={N}-{kind}", lap, checks.HARMONIC_TOL))
     return rows
 
 
-@_experiment("integrability", "dims")
+@_experiment("integrability", "dims", seed=112, n=20)
 def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
         gaps = checks.integrability_gap(A, [
-            checks.off_locus_point(rng, A) for _ in range(cfg.n or 20)])
+            checks.off_locus_point(rng, A) for _ in range(cfg.n)])
         rows += [_row(cfg, f"N={N}-{kind}", gap, checks.INTEGRABILITY_TOL)
                  for kind, gap in zip(("first", "second"), gaps)]
     return rows
 
 
-@_experiment("commutativity", "dims")
+@_experiment("commutativity", "dims", seed=104, n=50)
 def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
     for N in cfg.params.get("dims", [3]):
         A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n or 50)]
+        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         pair, axis = checks.gradient_relations(A, pts)
         rows += [_row(cfg, f"N={N}-pair-symmetry", pair, checks.HARMONIC_TOL),
                  _row(cfg, f"N={N}-axis-relations", axis, checks.HARMONIC_TOL)]
     return rows
 
 
-@_experiment("weak-chern", settings=())
+@_experiment("weak-chern")
 def run_weak_chern(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"bump-{idx}-{list(labels)}", res.rel_gap, checks.WEAK_TOL,
                  detail=f"lhs={res.lhs:.6g} rhs={res.rhs:.6g} evals={res.alpha_evals}")
@@ -247,33 +249,33 @@ def run_weak_chern(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
                                                           checks.weak_charge_checks()))]
 
 
-@_experiment("pythagoras")
+@_experiment("pythagoras", seed=107, n=500)
 def run_pythagoras(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    worst = checks.nested_projection_gap(checks.nested_cases(rng, cfg.n or 500))
+    worst = checks.nested_projection_gap(checks.nested_cases(rng, cfg.n))
     return [_row(cfg, "nested-hulls", worst, checks.PROJECTION_TOL)]
 
 
-@_experiment("eigen-interval", "dims")
+@_experiment("eigen-interval", "dims", seed=107, n=100)
 def run_eigen_interval(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}-schur-eigen-interval", checks.schur_eigen_violation(
-                checks.eigen_cases(rng, cfg.n or 100, N)), checks.EIGEN_TOL)
+                checks.eigen_cases(rng, cfg.n, N)), checks.EIGEN_TOL)
             for N in cfg.params.get("dims", [4])]
 
 
-@_experiment("decay-scan", settings=())
+@_experiment("decay-scan")
 def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, f"ray-{label}", got, want, win, ok, cfg.hash)
             for label, got, want, win, ok in checks.decay_exponents()]
 
 
-@_experiment("beta-bounds", "dims")
+@_experiment("beta-bounds", "dims", seed=20240817, n=40)
 def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     I = IndexSet((0, 1))
     rows = []
     for N in cfg.params.get("dims", [2, 3]):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A, floor=0.4, mu_scale=3.0)
-               for _ in range(cfg.n or 40)]
+               for _ in range(cfg.n)]
         b = np.array([locus.dist_boundary(A, I, p) for p in pts])
         val = kernels.beta(A, I, 0, 1, checks.QUAD,
                            *batch_from_vectors(np.array([p.as_vector() for p in pts])))
@@ -282,31 +284,28 @@ def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return rows
 
 
-@_experiment("gamma-sum", settings=("seed",))
+@_experiment("gamma-sum", seed=108)
 def run_gamma_sum(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"n={n_act}", gap, tol) for (n_act, _, tol), gap in
             zip(checks.GAMMA_CASES_N2, checks.gamma_sum_gaps(rng))]
 
 
-@_experiment("logz-growth", "points_n1", "points_n2", settings=("seed",))
+@_experiment("logz-growth", "points_n1", "points_n2", seed=109)
 def run_logz_growth(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     prod = checks.product_identity_gap([checks.random_point(rng, 2)
                                         for _ in range(cfg.params.get("points_n1", 10))])
     pts = [checks.log_sum_point(rng) for _ in range(cfg.params.get("points_n2", 3))]
-    return [
-        _row(cfg, "product-identity", prod, checks.PRODUCT_TOL),
-        _row(cfg, "log-sum-identity", checks.log_sum_gap(pts), checks.LOG_SUM_TOL),
-        _row(cfg, "log-sum-detour", checks.log_sum_gap(pts, detour=True), checks.LOG_SUM_TOL),
-    ]
+    return [_row(cfg, "product-identity", prod, checks.PRODUCT_TOL),
+            _row(cfg, "log-sum-identity", checks.log_sum_gap(pts), checks.LOG_SUM_TOL),
+            _row(cfg, "log-sum-detour", checks.log_sum_gap(pts, detour=True), checks.LOG_SUM_TOL)]
 
 
-@_experiment("glue-regions", "covering_points")
+@_experiment("glue-regions", "covering_points", seed=110, n=1000)
 def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     # the plateau sampler is built for stratum (0, 1, 2) at N = 3
-    n = cfg.n or 1000
     A = QuadForm.identity(3)
-    core = checks.plateau_gap(A, checks.plateau_points(rng, A, n, "core"), 1.0)
-    outer = checks.plateau_gap(A, checks.plateau_points(rng, A, n, "outer"), 0.0)
+    core = checks.plateau_gap(A, checks.plateau_points(rng, A, cfg.n, "core"), 1.0)
+    outer = checks.plateau_gap(A, checks.plateau_points(rng, A, cfg.n, "outer"), 0.0)
     uncovered = sum(not locus.region_membership(
         A, locus.RegionConstants(), checks.random_point(rng, 3, mu_scale=5.0)).covered
         for _ in range(cfg.params.get("covering_points", 300)))
@@ -315,7 +314,7 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             _row(cfg, "covering", float(uncovered), 0.0)]
 
 
-@_experiment("extension-profile", settings=())
+@_experiment("extension-profile")
 def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     prof = glue.ExtensionProfile(*checks.PROFILE)
     rows = [_row(cfg, case, gap, checks.PIECE_TOL) for case, gap in
@@ -337,7 +336,7 @@ def run_extension_profile(cfg: ExperimentConfig, rng: Generator) -> list[ResultR
 
 def run(cfg: ExperimentConfig) -> list[ResultRow]:
     """The experiment's rows, sorted by case, drawn from ``cfg.seed``."""
-    return sorted(EXPERIMENTS[cfg.experiment](cfg, np.random.default_rng(cfg.seed)),
+    return sorted(EXPERIMENTS[cfg.experiment].run(cfg, np.random.default_rng(cfg.seed)),
                   key=lambda r: r.case)
 
 

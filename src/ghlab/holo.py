@@ -188,6 +188,8 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     passes closer to eta = 0 than half its panels' eta-length: the gammas
     carry 1/eta, which the panels would smear there.
     """
+    if not basepath:
+        raise ValueError("basepath is empty: the path needs a start point")
     spec = GammaSpec(A, I, quad)   # the model coordinates need a subset containing 0
     act = I.active
     n = len(act)

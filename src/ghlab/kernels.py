@@ -79,12 +79,14 @@ class KernelSpec:
     labels: tuple[int, int]
 
     def __post_init__(self) -> None:
+        if len(self.labels) != 2:
+            raise ValueError(f"kernel labels {self.labels} are not a pair")
         i, j = sorted(self.labels)
         object.__setattr__(self, "labels", (i, j))
         if i == j:
-            raise ValueError("kernel labels must be distinct")
+            raise ValueError(f"kernel labels {self.labels} must be distinct")
         if not (0 <= i and j <= self.A.n):
-            raise ValueError("kernel labels out of range")
+            raise ValueError(f"kernel labels {self.labels} out of range 0..{self.A.n}")
 
 
 @dataclass
@@ -249,6 +251,8 @@ def closed_form_axis(A: QuadForm, i: int, p: BasePoint) -> float:
     """Exact value 1 / (2 sqrt(mu_i^2 + D |eta|^2)) of the axis kernel
     (0, i) of the model of {0, i}, D the determinant of A's block off i (1
     at N = 1), read from A, not through its reduction."""
+    if not 1 <= i <= A.n:
+        raise ValueError(f"axis label {i} out of range 1..{A.n}")
     comp = IndexSet((0, i)).active_complement(A.n)
     D = float(np.linalg.det(block(A.entries, comp, comp)))   # 1 for an empty block
     return 1.0 / (2.0 * math.sqrt(p.mu[i - 1] ** 2 + D * abs(p.eta) ** 2))

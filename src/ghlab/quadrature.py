@@ -364,8 +364,9 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     ks = [q - 2 for q in qs]
     kmin, kmax = min(ks), max(ks)
     # upward Wallis recursion S_k = ((k-1) S_(k-2) - sin^(k-1) cos) / k:
-    # both terms are positive where beta >= 0 (phi0 >= pi/2), and above
-    # sin^2(phi0) = 1/4 the cancellation costs a few bits at most
+    # both terms are positive where beta >= 0 (phi0 >= pi/2); where beta < 0
+    # each step loses about log2(1/sin^2(phi0)) bits, 2 bits a step just
+    # above the switch at 1/4, about 7 bits by q = 8
     k = kmin % 2
     S_k = np.arctan2(np.sqrt(a * h), minus_beta) if k == 0 else 1.0 - c
     s_pow = np.sqrt(x) if k == 0 else x     # sin^(k+1)(phi0)

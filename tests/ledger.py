@@ -1,12 +1,10 @@
-"""The verdict ledger: every row that the acceptance suite and the shipped
-configs print, as committed in ``ledger.json``.
+"""The verdict ledger: every row of each experiment's acceptance run,
+``ghlab <experiment>`` with no flags, as committed in ``ledger.json``.
 
-Per entry (``acceptance/<criterion>/<experiment>`` for a row of the
-acceptance table, ``configs/<experiment>`` for a shipped config) the file
-holds each row's case, its value, target and tolerance as ``repr``, its
-verdict and its config hash.  The acceptance tests and
-``test_shipped_configs_pass`` hold the rows they already run to it
-exactly, so a moved value or a moved tolerance fails tier-1 by name.
+Per experiment the file holds each row's case, its value, target and
+tolerance as ``repr``, its verdict and its config hash.  The tests of
+``test_acceptance.py`` hold the rows of the runs they make to it exactly,
+so a moved value or a moved tolerance fails tier-1 by name.
 
 After a change that moves rows on purpose, run from the repository root
 
@@ -18,7 +16,6 @@ which runs every entry, rewrites the file and prints each moved field old
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -27,7 +24,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 LEDGER = HERE / "ledger.json"
-CONFIGS = HERE.parent / "configs"
 FIELDS = ("value", "target", "tol", "passed", "config_hash")
 MOVED = "rows moved from tests/ledger.json (python -m tests.ledger --write rewrites it):\n"
 
@@ -37,16 +33,6 @@ def entry(rows) -> list[dict]:
     return [{"case": r.case, "value": repr(float(r.value)), "target": repr(float(r.target)),
              "tol": repr(float(r.tol)), "passed": bool(r.passed),
              "config_hash": r.config_hash} for r in rows]
-
-
-def csv_entry(path: Path) -> list[dict]:
-    """The ledger rows of a CSV that the CLI wrote: its 17 significant
-    digits read back to the same float."""
-    with open(path, newline="") as fh:
-        return [{"case": r["case"], "value": repr(float(r["value"])),
-                 "target": repr(float(r["target"])), "tol": repr(float(r["tol"])),
-                 "passed": r["passed"] == "true", "config_hash": r["config_hash"]}
-                for r in csv.DictReader(fh)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,28 +68,20 @@ def moves(key: str, old: list[dict] | None, new: list[dict]) -> list[str]:
 
 
 def collect() -> dict:
-    """Every entry's rows, run afresh: the acceptance table's, then each
-    shipped config's, as ``test_shipped_configs_pass`` runs it."""
-    from ghlab.cli import ExperimentConfig, run
-    from test_acceptance import ACCEPTANCE
+    """Every registered experiment's rows, run afresh as ``ghlab
+    <experiment>`` with no flags runs them."""
+    from ghlab.cli import EXPERIMENTS, ExperimentConfig, run
 
-    out = {}
-    for name, entries in ACCEPTANCE.items():
-        for exp, config in entries.items():
-            out[f"acceptance/{name}/{exp}"] = entry(run(ExperimentConfig(exp, **config)))
-    for path in sorted(CONFIGS.glob("*.json")):
-        cfg = ExperimentConfig.load(path.stem, str(path), None, None)
-        out[f"configs/{path.stem}"] = entry(run(cfg))
-    return out
+    return {exp: entry(run(ExperimentConfig.load(exp, None, None, None)))
+            for exp in sorted(EXPERIMENTS)}
 
 
 def main(argv: list[str]) -> int:
     if argv != ["--write"]:
         print("usage: python -m tests.ledger --write", file=sys.stderr)
         return 2
-    for p in (HERE.parent / "src", HERE):
-        if str(p) not in sys.path:
-            sys.path.insert(0, str(p))
+    if str(HERE.parent / "src") not in sys.path:
+        sys.path.insert(0, str(HERE.parent / "src"))
     old, new = load(), collect()
     moved = [line for key in sorted(set(old) | set(new))
              for line in (moves(key, old.get(key), new[key]) if key in new

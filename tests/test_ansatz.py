@@ -9,6 +9,7 @@ from scipy import linalg, optimize
 
 from ghlab import quadrature
 from ghlab.checks import random_point, random_spd
+from ghlab.cli import EXPERIMENTS
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, reduction
 from ghlab.ansatz import (
     FirstOrderField,
@@ -23,7 +24,6 @@ from ghlab.kernels import KernelSpec, alpha_batch
 from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec, panel_nodes
 from oracles import sigma_det_route
-from test_acceptance import criterion
 
 QUAD = QuadratureSpec()
 
@@ -82,7 +82,7 @@ class TestFlatModel:
 
     def test_root_matches_brentq_on_the_acceptance_sampler(self):
         # criterion 01's sampler at its seed: N = 1..5, |eta| uniform in [0, 2]
-        rng = np.random.default_rng(criterion("01")["flat-cy"]["seed"])
+        rng = np.random.default_rng(EXPERIMENTS["flat-cy"].seed)
         for N in range(1, 6):
             for _ in range(200):
                 p = random_point(rng, N, eta_lo=0.0, eta_hi=2.0)

@@ -1,15 +1,12 @@
 import ast
-import csv
 import inspect
 import json
 import textwrap
 
-import ledger
 import pytest
 
 from ghlab import checks
 from ghlab.cli import EXPERIMENTS, ExperimentConfig, main
-from test_acceptance import command, criterion, criterion_rows
 
 
 def run(tmp_path, *argv):
@@ -34,16 +31,6 @@ def test_flat_cy_writes_csv_and_sidecar(tmp_path):
     assert "created_unix" in side
 
 
-def test_printed_command_writes_the_acceptance_rows(tmp_path):
-    # ACCEPTANCE 12 prints this command beside each row: its CSV holds the
-    # rows' values to the last digit
-    argv = command("integrability", criterion("12")["integrability"]).split()[1:]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "integrability.csv") as fh:
-        got = {row["case"]: row["value"] for row in csv.DictReader(fh)}
-    assert got == {r.case: f"{r.value:.17g}" for r in criterion_rows("12").values()}
-
-
 def test_rerun_is_deterministic(tmp_path):
     _, out1 = run(tmp_path / "a", "pythagoras", "--n", "30")
     _, out2 = run(tmp_path / "b", "pythagoras", "--n", "30")
@@ -66,12 +53,26 @@ def test_seed_changes_hash_and_samples(tmp_path):
 
 def test_config_file_applies(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 1, "seed": 5, "n": 7}))
+    cfg.write_text(json.dumps({"schema_version": 1, "seed": 5, "n": 7,
+                               "params": {"dims": [3]}}))
     code, out = run(tmp_path, "eigen-interval", "--config", str(cfg))
     assert code == 0
     side = json.loads((out / "eigen-interval.json").read_text())
     assert side["config"]["seed"] == 5
     assert side["config"]["n"] == 7
+    assert side["config"]["params"] == {"dims": [3]}
+    assert "N=3-schur-eigen-interval" in (out / "eigen-interval.csv").read_text()
+
+
+def test_unset_settings_fall_back_to_the_registered_ones(tmp_path):
+    # --n alone keeps the acceptance run's seed; a runner that reads no
+    # seed records none
+    _, out = run(tmp_path, "flat-cy", "--n", "3")
+    side = json.loads((out / "flat-cy.json").read_text())
+    assert (side["config"]["seed"], side["config"]["n"]) == (EXPERIMENTS["flat-cy"].seed, 3)
+    _, out = run(tmp_path, "extension-profile")
+    side = json.loads((out / "extension-profile.json").read_text())
+    assert (side["config"]["seed"], side["config"]["n"]) == (None, None)
 
 
 def test_failure_exit_code(tmp_path, monkeypatch):
@@ -102,17 +103,6 @@ def test_config_hash_stability():
                                         params={"a": 1}).hash
     assert cfg.hash != ExperimentConfig(experiment="flat-cy", seed=2, n=5,
                                         params={"a": 1}).hash
-
-
-def test_shipped_configs_load_and_match_experiments():
-    import pathlib
-
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    found = {p.stem for p in cfg_dir.glob("*.json")}
-    assert found == set(EXPERIMENTS)
-    for p in cfg_dir.glob("*.json"):
-        data = json.loads(p.read_text())
-        assert data.get("schema_version") == 1
 
 
 @pytest.mark.parametrize("experiment, data, message", [
@@ -240,46 +230,19 @@ def test_unread_settings_rejected(tmp_path, experiment, argv, data, unread):
 
 
 def test_declared_settings_are_what_each_runner_reads():
-    # a runner reads the sample count as cfg.n and the seed through rng
-    from ghlab.cli import EXPERIMENT_SETTINGS
-
-    for name, fn in EXPERIMENTS.items():
-        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    # a runner reads the sample count as cfg.n and the seed through rng;
+    # it registers a default for exactly those
+    for name, exp in EXPERIMENTS.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(exp.run)))
         cfg_reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                      and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         want = {"n"} & cfg_reads | ({"seed"} if "rng" in names else set())
-        assert EXPERIMENT_SETTINGS[name] == want, name
+        assert {k for k in ("n", "seed") if getattr(exp, k) is not None} == want, name
 
 
 def test_verdict_params_are_gone():
     # only dimensions and sample counts are settable
-    from ghlab.cli import EXPERIMENT_PARAMS
-
-    params = sorted(k for keys in EXPERIMENT_PARAMS.values() for k in keys)
+    params = sorted(k for exp in EXPERIMENTS.values() for k in exp.params)
     assert len(params) == 10
     assert set(params) == {"covering_points", "dims", "points_n1", "points_n2"}
-
-
-def test_shipped_configs_pass(tmp_path):
-    # every shipped config exits 0, and the rows of its CSV are those of
-    # the verdict ledger, tests/ledger.json
-    import pathlib
-
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    moved = []
-    for p in sorted(cfg_dir.glob("*.json")):
-        assert main([p.stem, "--config", str(p), "--out", str(tmp_path)]) == 0, p.stem
-        key = f"configs/{p.stem}"
-        moved += ledger.moves(key, ledger.load().get(key),
-                              ledger.csv_entry(tmp_path / f"{p.stem}.csv"))
-    assert not moved, ledger.MOVED + "\n".join(moved)
-
-
-def test_shipped_configs_pass_validation():
-    import pathlib
-
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    for p in sorted(cfg_dir.glob("*.json")):
-        cfg = ExperimentConfig.load(p.stem, str(p), None, None)
-        assert cfg.params == json.loads(p.read_text()).get("params", {})

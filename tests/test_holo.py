@@ -368,6 +368,14 @@ def test_log_z_rejects_zero_fiber():
         log_z(A, I, QUAD, p, basepath=[BasePoint(np.array([3.0, 1.0]), 0j), p])
 
 
+def test_log_z_refuses_an_empty_path():
+    # once an IndexError from basepath[-1]
+    A = QuadForm.identity(2)
+    p = BasePoint(np.array([1.0, 1.0]), 0.5 + 0.5j)
+    with pytest.raises(ValueError, match="basepath is empty"):
+        log_z(A, IndexSet((0, 1)), QUAD, p, basepath=[])
+
+
 def test_log_z_refuses_legs_near_zero_fiber():
     # a leg on which eta moves is refused where it passes closer to eta = 0
     # than half its panels' eta-length (0.112 here); at closest |eta| of

@@ -86,6 +86,22 @@ def test_spec_validation():
     assert s.labels == (0, 2)
 
 
+def test_spec_refuses_labels_that_are_no_pair():
+    # once "too many values to unpack" from the sort
+    with pytest.raises(ValueError, match=r"kernel labels \(0, 1, 2\) are not a pair"):
+        KernelSpec(QuadForm.identity(3), (0, 1, 2))
+
+
+@pytest.mark.parametrize("i", [0, 3], ids=["label-0", "label-N+1"])
+def test_closed_form_axis_refuses_labels_off_the_axes(i):
+    # label 0 once read mu[-1] and returned 0.602; label N + 1 raised a
+    # bare IndexError
+    A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
+    p = BasePoint(np.array([0.5, -0.3]), 0.7 + 0.2j)
+    with pytest.raises(ValueError, match=rf"axis label {i} out of range 1\.\.2"):
+        closed_form_axis(A, i, p)
+
+
 def test_vanishing_convention():
     # a kernel whose labels leave I has no part in I's model: the model
     # field is zero off I's block, and beta leaves that kernel whole

@@ -349,8 +349,10 @@ def test_fine_panels_survive_large_radius():
         assert np.all(np.diff(br) > 0.0)
 
 
-# beta / sqrt(D) from on-axis through both far sides of the half line
-RATIOS = [0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0, 1e4, -1e4, 1e8, -1e8]
+# beta / sqrt(D) from on-axis through both far sides of the half line, then
+# the Wallis recursion's worst case: x = sin^2(phi0) = 1 / (1 + ratio^2) is
+# 0.2500 and 0.257, just above the series switch at 1/4
+RATIOS = [0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0, 1e4, -1e4, 1e8, -1e8, -1.732, -1.7]
 
 
 @pytest.fixture
@@ -423,7 +425,8 @@ def test_closed_form_axis_gradient_matches_mpmath(p, mpmath):
     E = mpmath.mpf(c_eta) * (mpmath.mpf(eta.real) ** 2 + mpmath.mpf(eta.imag) ** 2)
     # a float b resolves its part across m only to eps |b|, so the engine
     # cannot see the 1e8 ratios at rel 1e-12; the helper test covers them
-    for ratio in RATIOS[:-2]:
+    # and the Wallis ratios after them
+    for ratio in RATIOS[:-4]:
         b = across + ratio * math.sqrt(h / a) * m_col
         res = power_kernel_integral(Q, c_eta, b[None], np.array([eta]), m_col[None, :, None],
                                     p, QuadratureSpec(), want_gradient=True)
