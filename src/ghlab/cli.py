@@ -1,6 +1,6 @@
 """Command line interface: reproducible verification experiments.
 
-Usage: ghlab <experiment> [--config FILE] [--out DIR] [--seed S] [--n N]
+Usage: ghlab <experiment> [--out DIR] [--seed S] [--n N]
 
 Each experiment samples points from a seeded generator, evaluates one of
 the library's identities, and writes a CSV of result rows plus a JSON
@@ -9,9 +9,10 @@ same configuration are byte-identical except for the sidecar timestamp.
 The process exits 0 exactly when every row passes.  A runner here is the
 only code that draws a criterion's inputs with ``ghlab.checks`` samplers
 and holds its residuals to their tolerances; ``ghlab <experiment>`` with
-no flags runs it at its registered seed and count, the acceptance run.  A
-config sets only seeds, sample counts and dimensions, and a seed or count
-that the runner does not read is rejected.
+no flags runs it at its registered seed and count, the acceptance run.
+Dimensions and every other count are literals in each runner; only the
+seed and the sample count are settable, and one that the runner does not
+read is rejected.
 """
 
 from __future__ import annotations
@@ -32,22 +33,17 @@ from numpy.random import Generator
 from . import checks, glue, kernels, locus
 from .geometry import IndexSet, QuadForm, batch_from_vectors
 
-SCHEMA_VERSION = 1
-
-CONFIG_KEYS = frozenset({"schema_version", "seed", "n", "params"})
-# params that count samples; like n, each must be an integer of at least 1
-COUNT_PARAMS = ("covering_points", "points_n1", "points_n2")
+SCHEMA_VERSION = 2
 
 
 class Experiment(NamedTuple):
     run: Callable
-    params: frozenset[str]
     seed: int | None
     n: int | None
 
 
-# experiment name -> its runner, the params keys it reads, and its acceptance
-# run's seed and sample count (None where unread); filled by @_experiment
+# experiment name -> its runner and its acceptance run's seed and sample
+# count (None where unread); filled by @_experiment
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
@@ -56,60 +52,27 @@ class ExperimentConfig:
     experiment: str
     seed: int | None
     n: int | None
-    params: dict
-    schema_version: int = SCHEMA_VERSION
 
     @classmethod
-    def load(cls, experiment: str, path: str | None, seed: int | None,
-             n: int | None) -> "ExperimentConfig":
-        data = json.loads(Path(path).read_text()) if path else {}
-        # a config of the wrong shape would otherwise end in a traceback
-        if type(data) is not dict:
-            raise SystemExit(f"config in {path} is not a JSON object")
-        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise SystemExit(f"unsupported config schema_version in {path}")
-        # a misspelt key would otherwise fall back to its default silently
-        # while still changing the config hash
-        unknown = sorted(set(data) - CONFIG_KEYS)
-        if unknown:
-            raise SystemExit(f"unknown config key(s) {', '.join(unknown)} in {path}; "
-                             f"accepted: {', '.join(sorted(CONFIG_KEYS))}")
-        if type(data.get("params", {})) is not dict:
-            raise SystemExit(f"config key params is not an object in {path}")
+    def load(cls, experiment: str, seed: int | None, n: int | None) -> "ExperimentConfig":
+        """The config of ``ghlab <experiment>`` with the given seed and count,
+        each unset one at its registered value, or SystemExit."""
         exp = EXPERIMENTS[experiment]
-        unknown = sorted(set(data.get("params", {})) - exp.params)
-        if unknown:
-            raise SystemExit(f"unknown param(s) {', '.join(unknown)} for {experiment} "
-                             f"in {path}; accepted: {', '.join(sorted(exp.params))}")
         # a seed or count the runner never reads would change the config hash
         # and nothing else
-        given = {"n": data.get("n") if n is None else n,
-                 "seed": data.get("seed") if seed is None else seed}
+        given = {"n": n, "seed": seed}
         reads = [k for k in ("n", "seed") if getattr(exp, k) is not None]
         unread = [k for k, v in given.items() if v is not None and k not in reads]
         if unread:
             raise SystemExit(f"setting(s) {', '.join(unread)} unread by {experiment}; "
                              f"it reads: {', '.join(reads) or 'neither'}")
-        cfg = cls(experiment, *(getattr(exp, k) if given[k] is None else given[k]
-                                for k in ("seed", "n")), data.get("params", {}))
-        # numpy reads a bool as a seed and rejects a float, string or
-        # negative one with a traceback
-        if "seed" in reads and (type(cfg.seed) is not int or cfg.seed < 0):
-            raise SystemExit(f"seed {cfg.seed!r} not an integer of at least 0 for {experiment}")
-        # a count below 1 would pass every row over zero samples; one that is
-        # no integer (a string, a float, a bool) would crash later or run as 1
-        counts = {"n": cfg.n, **{k: cfg.params.get(k) for k in COUNT_PARAMS}}
-        counts = {k: v for k, v in counts.items() if v is not None}
-        for what, bad in (("not an integer", lambda v: type(v) is not int),
-                          ("below 1", lambda v: v < 1)):
-            keys = [k for k, v in counts.items() if bad(v)]
-            if keys:
-                raise SystemExit(f"sample count(s) {', '.join(keys)} {what} for {experiment}")
-        # no dimension passes over zero rows; one below 1 or no integer crashes
-        dims = cfg.params.get("dims", [1])
-        if type(dims) is not list or not dims or {type(N) for N in dims} != {int} or min(dims) < 1:
-            raise SystemExit(f"param dims {dims!r} not a non-empty list of integers "
-                             f"of at least 1 for {experiment}")
+        cfg = cls(experiment, exp.seed if seed is None else seed, exp.n if n is None else n)
+        # numpy rejects a negative seed with a traceback, and a count below 1
+        # would pass every row over zero samples
+        if cfg.seed is not None and cfg.seed < 0:
+            raise SystemExit(f"seed {cfg.seed} below 0 for {experiment}")
+        if cfg.n is not None and cfg.n < 1:
+            raise SystemExit(f"sample count n {cfg.n} below 1 for {experiment}")
         return cfg
 
     def canonical(self) -> str:
@@ -165,12 +128,12 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[ResultRow], out_dir: Path) 
 # experiments
 
 
-def _experiment(name: str, *params: str, seed: int | None = None, n: int | None = None):
-    """Register a runner under ``name`` with the params keys it reads and
-    the seed and sample count of ``ghlab <name>`` with no flags, none where
-    it reads none.  A runner takes the config and a generator seeded by it."""
+def _experiment(name: str, seed: int | None = None, n: int | None = None):
+    """Register a runner under ``name`` with the seed and sample count of
+    ``ghlab <name>`` with no flags, none where it reads none.  A runner
+    takes the config and a generator seeded by it."""
     def register(fn):
-        EXPERIMENTS[name] = Experiment(fn, frozenset(params), seed, n)
+        EXPERIMENTS[name] = Experiment(fn, seed, n)
         return fn
     return register
 
@@ -182,12 +145,12 @@ def _row(cfg: ExperimentConfig, case: str, value: float, tol: float,
                      cfg.hash, detail)
 
 
-@_experiment("flat-cy", "dims", seed=101, n=1000)
+@_experiment("flat-cy", seed=101, n=1000)
 def run_flat_cy(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.flat_volume_gap(
                 [checks.random_point(rng, N, eta_lo=0.0, eta_hi=2.0)
                  for _ in range(cfg.n)]), checks.FLAT_VOLUME_TOL)
-            for N in cfg.params.get("dims", [1, 2, 3, 4, 5])]
+            for N in (1, 2, 3, 4, 5)]
 
 
 @_experiment("taubnut-exact", seed=102, n=100)
@@ -198,17 +161,17 @@ def run_taubnut_exact(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             zip(("alpha-closed-form", "cy-identity", "volume-defect"), gaps)]
 
 
-@_experiment("kernel-closedform", "dims", seed=103, n=100)
+@_experiment("kernel-closedform", seed=103, n=100)
 def run_kernel_closedform(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}", checks.restricted_gap(checks.restricted_cases(
                 rng, N, cfg.n)), checks.RESTRICTED_TOL)
-            for N in cfg.params.get("dims", [2, 3, 4])]
+            for N in (2, 3, 4)]
 
 
-@_experiment("harmonicity", "dims", seed=104, n=50)
+@_experiment("harmonicity", seed=104, n=50)
 def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in cfg.params.get("dims", [3]):
+    for N in (3,):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
@@ -217,10 +180,10 @@ def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return rows
 
 
-@_experiment("integrability", "dims", seed=112, n=20)
+@_experiment("integrability", seed=112, n=20)
 def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in cfg.params.get("dims", [3]):
+    for N in (3,):
         A = checks.random_spd(rng, N)
         gaps = checks.integrability_gap(A, [
             checks.off_locus_point(rng, A) for _ in range(cfg.n)])
@@ -229,10 +192,10 @@ def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return rows
 
 
-@_experiment("commutativity", "dims", seed=104, n=50)
+@_experiment("commutativity", seed=104, n=50)
 def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in cfg.params.get("dims", [3]):
+    for N in (3,):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         pair, axis = checks.gradient_relations(A, pts)
@@ -255,11 +218,11 @@ def run_pythagoras(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, "nested-hulls", worst, checks.PROJECTION_TOL)]
 
 
-@_experiment("eigen-interval", "dims", seed=107, n=100)
+@_experiment("eigen-interval", seed=107, n=100)
 def run_eigen_interval(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [_row(cfg, f"N={N}-schur-eigen-interval", checks.schur_eigen_violation(
                 checks.eigen_cases(rng, cfg.n, N)), checks.EIGEN_TOL)
-            for N in cfg.params.get("dims", [4])]
+            for N in (4,)]
 
 
 @_experiment("decay-scan")
@@ -268,11 +231,11 @@ def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             for label, got, want, win, ok in checks.decay_exponents()]
 
 
-@_experiment("beta-bounds", "dims", seed=20240817, n=40)
+@_experiment("beta-bounds", seed=20240817, n=40)
 def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     I = IndexSet((0, 1))
     rows = []
-    for N in cfg.params.get("dims", [2, 3]):
+    for N in (2, 3):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A, floor=0.4, mu_scale=3.0)
                for _ in range(cfg.n)]
@@ -290,17 +253,16 @@ def run_gamma_sum(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             zip(checks.GAMMA_CASES_N2, checks.gamma_sum_gaps(rng))]
 
 
-@_experiment("logz-growth", "points_n1", "points_n2", seed=109)
+@_experiment("logz-growth", seed=109)
 def run_logz_growth(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    prod = checks.product_identity_gap([checks.random_point(rng, 2)
-                                        for _ in range(cfg.params.get("points_n1", 10))])
-    pts = [checks.log_sum_point(rng) for _ in range(cfg.params.get("points_n2", 3))]
+    prod = checks.product_identity_gap([checks.random_point(rng, 2) for _ in range(10)])
+    pts = [checks.log_sum_point(rng) for _ in range(3)]
     return [_row(cfg, "product-identity", prod, checks.PRODUCT_TOL),
             _row(cfg, "log-sum-identity", checks.log_sum_gap(pts), checks.LOG_SUM_TOL),
             _row(cfg, "log-sum-detour", checks.log_sum_gap(pts, detour=True), checks.LOG_SUM_TOL)]
 
 
-@_experiment("glue-regions", "covering_points", seed=110, n=1000)
+@_experiment("glue-regions", seed=110, n=1000)
 def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     # the plateau sampler is built for stratum (0, 1, 2) at N = 3
     A = QuadForm.identity(3)
@@ -308,7 +270,7 @@ def run_glue_regions(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     outer = checks.plateau_gap(A, checks.plateau_points(rng, A, cfg.n, "outer"), 0.0)
     uncovered = sum(not locus.region_membership(
         A, locus.RegionConstants(), checks.random_point(rng, 3, mu_scale=5.0)).covered
-        for _ in range(cfg.params.get("covering_points", 300)))
+        for _ in range(300))
     return [_row(cfg, "core-weight-one", core, 0.0),
             _row(cfg, "outer-weight-zero", outer, 0.0),
             _row(cfg, "covering", float(uncovered), 0.0)]
@@ -345,13 +307,12 @@ def main(argv: list[str] | None = None) -> int:
         prog="ghlab",
         description="verification experiments for the asymptotic geometry library")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="ghlab-out", help="output directory")
     parser.add_argument("--seed", type=int, help="override the sampling seed")
     parser.add_argument("--n", type=int, help="override the sample count")
     args = parser.parse_args(argv)
 
-    cfg = ExperimentConfig.load(args.experiment, args.config, args.seed, args.n)
+    cfg = ExperimentConfig.load(args.experiment, args.seed, args.n)
     rows = run(cfg)
     _write_outputs(cfg, rows, Path(args.out))
     print("\n".join(map(str, rows)))

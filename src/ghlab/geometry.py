@@ -12,6 +12,7 @@ batch of points, and its step rule, ``gradient_step``, one step per point.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -158,12 +159,19 @@ def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_batch(mu: np.ndarray, eta: np.ndarray, N: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """mu and eta as a float (B, N) and a complex (B,) array, or ValueError."""
+    """mu and eta as a float (B, N) and a complex (B,) array of finite
+    rows, or ValueError naming the first row that is not."""
     mu = np.asarray(mu, dtype=float)
     eta = np.asarray(eta, dtype=complex)
     if mu.ndim != 2 or mu.shape[1] != N or eta.shape != mu.shape[:1]:
         raise ValueError(f"a batch is mu (B, {N}) and eta (B,), "
                          f"not {mu.shape} and {eta.shape}")
+    # a sum of squares is finite only if every entry is; one that overflows
+    # on finite entries falls through to the exact test
+    if not cmath.isfinite(np.vdot(mu, mu) + np.vdot(eta, eta)):
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(eta)
+        if not finite.all():
+            raise ValueError(f"batch row {int(np.argmin(finite))} has non-finite entries")
     return mu, eta
 
 

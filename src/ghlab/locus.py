@@ -280,6 +280,8 @@ def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
     The closed strata cover that union, so this is the smallest of their
     closed-stratum distances, all read from one pass.
     """
+    if not 2 <= min_size <= A.n + 1:
+        raise ValueError(f"min_size {min_size} outside 2..{A.n + 1}")
     at = _pass(A, p.mu[None], np.array([p.eta]))
     return float(at.closed[0, at.table.size >= min_size].min())
 

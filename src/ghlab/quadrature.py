@@ -860,7 +860,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     SingularityProximity: the nearest pair (ties go to the first kernel,
     then row), if its sheet distance is below ``floor`` or 0; at d <= 2
     each closed form reads every pair's distance from its own coordinates,
-    at d >= 3 the refusal comes before anything is evaluated.
+    and a pair whose distance is not a number is refused as well; at
+    d >= 3 the refusal comes before anything is evaluated.
     QuadratureError: a grid over the node budget, or a sweep that misses
     its tolerance after the refinement passes.
     """
@@ -899,6 +900,10 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             # the first such pair is refused by name
             row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
             raise SingularityProximity(f"row {row} gives a value that is not finite", k, row)
+        # a non-finite coordinate leaves no distance for the refusals below
+        if math.isnan(r):
+            raise SingularityProximity(f"row {row} has a sheet distance that is not a number",
+                                       k, row)
     else:
         # the nearest (kernel, row) pair's sheet distance, exact below the floor
         nearest, groups, r_star = (math.inf, 0, 0), [], math.inf

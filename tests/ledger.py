@@ -72,7 +72,7 @@ def collect() -> dict:
     <experiment>`` with no flags runs them."""
     from ghlab.cli import EXPERIMENTS, ExperimentConfig, run
 
-    return {exp: entry(run(ExperimentConfig.load(exp, None, None, None)))
+    return {exp: entry(run(ExperimentConfig.load(exp, None, None)))
             for exp in sorted(EXPERIMENTS)}
 
 

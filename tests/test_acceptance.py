@@ -43,7 +43,7 @@ def criterion_rows(num: str) -> dict:
     ``experiment/case``."""
     (entry,) = [v for k, v in ACCEPTANCE.items() if k[:2] == num]
     return {f"{r.experiment}/{r.case}": r for exp in entry
-            for r in run(ExperimentConfig.load(exp, None, None, None))}
+            for r in run(ExperimentConfig.load(exp, None, None))}
 
 
 def acceptance_run(exp: str, out_dir) -> tuple[int, list[ResultRow], list[str]]:

@@ -66,8 +66,6 @@ KEPT_FIELDS = (
     "DecayFit.intercept",                     # ROADMAP item 9
     "DecayFit.max_residual",                  # ROADMAP item 9
     "DecayFit.scales",                        # ROADMAP item 9
-    # read by asdict into every sidecar's config and config hash
-    "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar
     "GlueWeight.in_domain",                   # test_glue.py::TestGlueWeight::test_domain_flag_and_enforcement
     "Projection.interior",                    # test_locus.py::test_project_frozen_example
     # the inner regions B''_I and far levels F_s, pinned by the covering-tags digest
@@ -84,8 +82,6 @@ KEPT_FIELDS = (
 KEPT_PARAMS = (
     # the console script calls main() and argparse reads sys.argv
     "main.argv",                              # test_cli.py::run
-    # every sidecar records the schema its config was read under
-    "ExperimentConfig.schema_version",        # test_cli.py::test_flat_cy_writes_csv_and_sidecar
 )
 
 

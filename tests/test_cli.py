@@ -14,6 +14,12 @@ def run(tmp_path, *argv):
     return main([*argv, "--out", str(out)]), out
 
 
+def _refused_flags(capsys, experiment, argv):
+    with pytest.raises(SystemExit):
+        main([experiment, *argv])
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+
 def test_registry_complete():
     assert len(EXPERIMENTS) == 15
 
@@ -25,7 +31,8 @@ def test_flat_cy_writes_csv_and_sidecar(tmp_path):
     assert csv_text.splitlines()[0].startswith("experiment,case,value")
     assert csv_text.count("true") == 5
     side = json.loads((out / "flat-cy.json").read_text())
-    assert side["schema_version"] == 1
+    assert side["schema_version"] == 2
+    assert side["config"] == {"experiment": "flat-cy", "seed": 101, "n": 20}
     assert side["all_passed"] is True
     assert side["n_rows"] == 5
     assert "created_unix" in side
@@ -49,19 +56,6 @@ def test_seed_changes_hash_and_samples(tmp_path):
     r1 = (out1 / "pythagoras.csv").read_text().splitlines()[1]
     r2 = (out2 / "pythagoras.csv").read_text().splitlines()[1]
     assert r1 != r2
-
-
-def test_config_file_applies(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 1, "seed": 5, "n": 7,
-                               "params": {"dims": [3]}}))
-    code, out = run(tmp_path, "eigen-interval", "--config", str(cfg))
-    assert code == 0
-    side = json.loads((out / "eigen-interval.json").read_text())
-    assert side["config"]["seed"] == 5
-    assert side["config"]["n"] == 7
-    assert side["config"]["params"] == {"dims": [3]}
-    assert "N=3-schur-eigen-interval" in (out / "eigen-interval.csv").read_text()
 
 
 def test_unset_settings_fall_back_to_the_registered_ones(tmp_path):
@@ -90,159 +84,132 @@ def test_unknown_experiment_rejected():
         main(["no-such-thing"])
 
 
-def test_bad_schema_version(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(SystemExit):
-        main(["flat-cy", "--config", str(cfg)])
+def test_bad_schema_version(capsys):
+    # the schema 1 config file is gone; a script that still passes one
+    # fails loudly instead of running the acceptance run
+    _refused_flags(capsys, "flat-cy", ["--config", "x.json"])
 
 
 def test_config_hash_stability():
-    cfg = ExperimentConfig(experiment="flat-cy", seed=1, n=5, params={"a": 1})
-    assert cfg.hash == ExperimentConfig(experiment="flat-cy", seed=1, n=5,
-                                        params={"a": 1}).hash
-    assert cfg.hash != ExperimentConfig(experiment="flat-cy", seed=2, n=5,
-                                        params={"a": 1}).hash
+    cfg = ExperimentConfig(experiment="flat-cy", seed=1, n=5)
+    assert cfg.hash == ExperimentConfig(experiment="flat-cy", seed=1, n=5).hash
+    assert cfg.hash != ExperimentConfig(experiment="flat-cy", seed=2, n=5).hash
+    assert cfg.hash != ExperimentConfig(experiment="flat-cy", seed=1, n=6).hash
+    assert cfg.hash != ExperimentConfig(experiment="pythagoras", seed=1, n=5).hash
 
 
-@pytest.mark.parametrize("experiment, data, message", [
-    ("harmonicity", {"params": {"rel_tl": 1e-3}}, r"param\(s\) rel_tl for"),  # rel_tol
-    ("harmonicity", {"params": {"dims": [3], "dim": 3}}, r"param\(s\) dim for"),  # dims
-    ("harmonicity", {"sed": 5}, r"key\(s\) sed in"),                           # seed
+@pytest.mark.parametrize("experiment, argv", [
+    ("harmonicity", ["--rel-tl", "1e-3"]),
+    ("harmonicity", ["--dim", "3"]),
+    ("harmonicity", ["--sed", "5"]),
     # rays and plateau sampler exist only for N = 3 and stratum (0, 1, 2);
     # these keys once crashed or reported a false FAIL
-    ("decay-scan", {"params": {"dim": 4}}, r"param\(s\) dim for"),
-    ("glue-regions", {"params": {"dim": 4}}, r"param\(s\) dim for"),
-    ("glue-regions", {"params": {"subset": [0, 1, 3]}}, r"param\(s\) subset for"),
+    ("decay-scan", ["--dim", "4"]),
+    ("glue-regions", ["--dim", "4"]),
+    ("glue-regions", ["--subset", "0,1,3"]),
     # criterion 05's form and bumps are fixed data in ghlab.checks
-    ("weak-chern", {"params": {"A": [[1.0, 0.0], [0.0, 1.0]]}}, r"param\(s\) A for"),
-    ("weak-chern", {"params": {"placements": []}}, r"param\(s\) placements for"),
+    ("weak-chern", ["--A", "[[1,0],[0,1]]"]),
+    ("weak-chern", ["--placements", "[]"]),
     # the decay rays and the plateau sampler are built for the identity form
-    ("decay-scan", {"params": {"A": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
-     r"param\(s\) A for"),
-    ("glue-regions", {"params": {"A": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}},
-     r"param\(s\) A for"),
+    ("decay-scan", ["--A", "[[2,0,0],[0,1,0],[0,0,1]]"]),
+    ("glue-regions", ["--A", "[[2,0,0],[0,1,0],[0,0,1]]"]),
     # tolerances and criterion inputs are fixed in ghlab.checks, so no
-    # config can loosen a verdict
-    ("pythagoras", {"params": {"tol": 1.0}}, r"param\(s\) tol for"),
-    ("integrability", {"params": {"rel_tol": 1e9}}, r"param\(s\) rel_tol for"),
-    ("gamma-sum", {"params": {"cases": []}}, r"param\(s\) cases for"),
+    # flag can loosen a verdict
+    ("pythagoras", ["--tol", "1.0"]),
+    ("integrability", ["--rel_tol", "1e9"]),
+    ("gamma-sum", ["--cases", "[]"]),
 ], ids=["param-typo", "unread-param", "top-level-typo", "decay-dim", "glue-dim",
         "glue-subset", "weak-A", "weak-placements", "decay-A", "glue-A",
         "pythagoras-tol", "integrability-rel-tol", "gamma-cases"])
-def test_config_typos_rejected(tmp_path, experiment, data, message):
-    # an unknown key would otherwise fall back to its default silently
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    with pytest.raises(SystemExit, match=message):
-        main([experiment, "--config", str(cfg), "--n", "1"])
+def test_config_typos_rejected(capsys, experiment, argv):
+    # --out, --seed and --n are the only flags: a misspelt one, or a knob
+    # the config file once held, is refused rather than ignored
+    _refused_flags(capsys, experiment, argv)
 
 
-@pytest.mark.parametrize("experiment, argv, data, key", [
-    ("flat-cy", ["--n", "-1"], {}, "n"),
-    ("flat-cy", ["--n", "0"], {}, "n"),
-    ("pythagoras", [], {"n": 0}, "n"),
-    ("glue-regions", ["--n", "5"], {"params": {"covering_points": 0}}, "covering_points"),
-    ("logz-growth", [], {"params": {"points_n1": -1}}, "points_n1"),
-    ("logz-growth", [], {"params": {"points_n2": 0}}, "points_n2"),
-], ids=["flag-negative", "flag-zero", "config-zero", "covering-points",
-        "points-n1", "points-n2"])
-def test_sample_counts_below_one_rejected(tmp_path, experiment, argv, data, key):
-    # a count below 1 would pass every row over zero samples, or fall back
-    # to the default count while the sidecar records it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    with pytest.raises(SystemExit, match=rf"sample count\(s\) {key} below 1"):
-        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
-    assert not list(tmp_path.glob("*.csv"))
-
-
-@pytest.mark.parametrize("experiment, data, message", [
-    ("flat-cy", {"dims": []}, r"param dims \[\] not a non-empty list"),
-    ("flat-cy", {"dims": [0]}, r"param dims \[0\] not a non-empty list of integers of at least 1"),
-    ("flat-cy", {"dims": "3"}, r"param dims '3' not a non-empty list"),
-    ("harmonicity", {"dims": [3.0]}, r"param dims \[3\.0\] not a non-empty list"),
-    # dims is the one dimension param: dim is unknown everywhere
-    ("commutativity", {"dim": "3"}, r"param\(s\) dim for commutativity"),
-    ("eigen-interval", {"dim": 0}, r"param\(s\) dim for eigen-interval"),
+@pytest.mark.parametrize("experiment, argv", [
+    ("flat-cy", ["--dims"]),
+    ("flat-cy", ["--dims", "0"]),
+    ("flat-cy", ["--dims", "3"]),
+    ("harmonicity", ["--dims", "3.0"]),
+    ("commutativity", ["--dim", "3"]),
+    ("eigen-interval", ["--dim", "0"]),
 ], ids=["empty-dims", "zero-dims", "string-dims", "float-dims", "string-dim", "zero-dim"])
-def test_bad_dimensions_rejected(tmp_path, experiment, data, message):
-    # an empty list passed over zero rows; the others ended in a numpy
-    # ValueError or a TypeError traceback
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": data}))
-    with pytest.raises(SystemExit, match=message):
-        main([experiment, "--config", str(cfg), "--n", "1", "--out", str(tmp_path)])
+def test_bad_dimensions_rejected(capsys, experiment, argv):
+    # each runner's dimensions are literals in its body; no flag sets one
+    _refused_flags(capsys, experiment, argv)
+
+
+@pytest.mark.parametrize("argv", [["--n", "-1"], ["--n", "0"]],
+                         ids=["flag-negative", "flag-zero"])
+def test_sample_counts_below_one_rejected(tmp_path, argv):
+    # a count below 1 would pass every row over zero samples
+    with pytest.raises(SystemExit, match=r"sample count n -?\d below 1 for flat-cy"):
+        main(["flat-cy", *argv, "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("experiment, argv, data, key", [
-    ("flat-cy", [], {"n": "5"}, "n"),
-    ("pythagoras", [], {"n": 2.5}, "n"),
-    ("pythagoras", [], {"n": True}, "n"),
-    ("glue-regions", ["--n", "5"], {"params": {"covering_points": 3.0}}, "covering_points"),
-    ("logz-growth", [], {"params": {"points_n1": "2"}}, "points_n1"),
-], ids=["string-n", "float-n", "bool-n", "float-covering-points", "string-points-n1"])
-def test_sample_counts_of_the_wrong_type_rejected(tmp_path, experiment, argv, data, key):
-    # a string once ended in a TypeError traceback, a float passed the
-    # check and failed later in range, and True ran as one sample
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    with pytest.raises(SystemExit, match=rf"sample count\(s\) {key} not an integer"):
-        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
+@pytest.mark.parametrize("value", ["five", "2.5"], ids=["string-n", "float-n"])
+def test_sample_counts_of_the_wrong_type_rejected(tmp_path, capsys, value):
+    # argparse refuses a count that is no integer before anything runs
+    with pytest.raises(SystemExit):
+        main(["pythagoras", "--n", value, "--out", str(tmp_path)])
+    assert f"argument --n: invalid int value: '{value}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("data, argv, message", [
-    ([1, 2], [], r"config in .* is not a JSON object"),
-    ({"params": None}, [], r"config key params is not an object"),
-    ({"params": [1]}, [], r"config key params is not an object"),
-    ({"seed": "5"}, [], r"seed '5' not an integer"),
-    ({"seed": 1.5}, [], r"seed 1\.5 not an integer"),
-    ({"seed": True}, [], r"seed True not an integer"),
-    ({}, ["--seed", "-1"], r"seed -1 not an integer of at least 0"),
-], ids=["list-config", "null-params", "list-params", "string-seed", "float-seed",
-        "bool-seed", "negative-seed"])
-def test_configs_of_the_wrong_shape_rejected(tmp_path, data, argv, message):
-    # each once ended in a traceback, and a true seed ran as seed 1
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    with pytest.raises(SystemExit, match=message):
-        main(["pythagoras", "--config", str(cfg), *argv, "--out", str(tmp_path)])
+@pytest.mark.parametrize("value, message", [
+    ("five", "argument --seed: invalid int value: 'five'"),
+    ("1.5", "argument --seed: invalid int value: '1.5'"),
+    ("-1", "seed -1 below 0 for pythagoras"),
+], ids=["string-seed", "float-seed", "negative-seed"])
+def test_configs_of_the_wrong_shape_rejected(tmp_path, capsys, value, message):
+    # a seed that is no integer, or a negative one, once ended in numpy's
+    # traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["pythagoras", "--seed", value, "--out", str(tmp_path)])
+    assert message in f"{exc.value.code}{capsys.readouterr().err}"
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("experiment, argv, data, unread", [
-    ("extension-profile", ["--n", "3", "--seed", "7"], {}, "n, seed"),
-    ("weak-chern", ["--seed", "7"], {}, "seed"),
-    ("decay-scan", [], {"seed": 20240817}, "seed"),
-    ("gamma-sum", ["--n", "3"], {}, "n"),
-    ("logz-growth", [], {"n": 3}, "n"),
-], ids=["profile-flags", "weak-seed-flag", "decay-seed-config", "gamma-n-flag",
-        "logz-n-config"])
-def test_unread_settings_rejected(tmp_path, experiment, argv, data, unread):
+@pytest.mark.parametrize("experiment, argv, unread", [
+    ("extension-profile", ["--n", "3", "--seed", "7"], "n, seed"),
+    ("weak-chern", ["--seed", "7"], "seed"),
+    ("decay-scan", ["--seed", "20240817"], "seed"),
+    ("gamma-sum", ["--n", "3"], "n"),
+    ("logz-growth", ["--n", "3"], "n"),
+], ids=["profile-flags", "weak-seed-flag", "decay-seed-flag", "gamma-n-flag",
+        "logz-n-flag"])
+def test_unread_settings_rejected(tmp_path, experiment, argv, unread):
     # each was once ignored: the run wrote the values of a run without it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
     with pytest.raises(SystemExit, match=rf"setting\(s\) {unread} unread by {experiment}"):
-        main([experiment, "--config", str(cfg), *argv, "--out", str(tmp_path)])
+        main([experiment, *argv, "--out", str(tmp_path)])
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _runner_tree(exp):
+    return ast.parse(textwrap.dedent(inspect.getsource(exp.run)))
+
+
+def _cfg_reads(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
 
 
 def test_declared_settings_are_what_each_runner_reads():
     # a runner reads the sample count as cfg.n and the seed through rng;
     # it registers a default for exactly those
     for name, exp in EXPERIMENTS.items():
-        tree = ast.parse(textwrap.dedent(inspect.getsource(exp.run)))
-        cfg_reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                     and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+        tree = _runner_tree(exp)
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        want = {"n"} & cfg_reads | ({"seed"} if "rng" in names else set())
+        want = {"n"} & _cfg_reads(tree) | ({"seed"} if "rng" in names else set())
         assert {k for k in ("n", "seed") if getattr(exp, k) is not None} == want, name
 
 
 def test_verdict_params_are_gone():
-    # only dimensions and sample counts are settable
-    params = sorted(k for exp in EXPERIMENTS.values() for k in exp.params)
-    assert len(params) == 10
-    assert set(params) == {"covering_points", "dims", "points_n1", "points_n2"}
+    # no knob returns: a registration holds only its runner and its
+    # acceptance run's seed and count, and a runner reads of its config only
+    # the count and what labels its rows
+    for name, exp in EXPERIMENTS.items():
+        assert exp._fields == ("run", "seed", "n"), name
+        assert _cfg_reads(_runner_tree(exp)) <= {"n", "experiment", "hash"}, name

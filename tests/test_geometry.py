@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghlab import kernels
+from ghlab.ansatz import FirstOrderField
 from ghlab.checks import random_spd
+from ghlab.glue import glue_weight_batch
+from ghlab.holo import GammaSpec, gamma_family
+from ghlab.locus import RegionConstants
+from ghlab.quadrature import QuadratureSpec, power_kernel_integral
 from ghlab.geometry import (
     BasePoint,
     IndexSet,
@@ -14,6 +20,7 @@ from ghlab.geometry import (
     ball_volume,
     batch_from_vectors,
     block,
+    check_batch,
     gradient_step,
     laplace_terms,
     richardson_derivative,
@@ -101,6 +108,45 @@ def test_basepoint_vector_roundtrip():
     mu, eta = batch_from_vectors(p.as_vector()[None])
     np.testing.assert_array_equal(mu[0], p.mu)
     assert eta[0] == p.eta
+
+
+_QUAD = QuadratureSpec()
+_GAMMA_2 = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), _QUAD)
+_GAMMA_3 = GammaSpec(QuadForm.identity(3), IndexSet((0, 1, 2)), _QUAD)
+_FAMILY_3 = kernels._family(QuadForm.identity(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("N, call", [
+    (3, lambda mu, eta: kernels.alpha_family(QuadForm.identity(3), _QUAD, mu, eta)),
+    (4, lambda mu, eta: kernels.alpha_family(QuadForm.identity(4), _QUAD, mu, eta)),
+    (2, lambda mu, eta: FirstOrderField(QuadForm.identity(2), _QUAD).jet(mu, eta)),
+    (3, lambda mu, eta: FirstOrderField(QuadForm.identity(3), _QUAD).jet(mu, eta)),
+    (2, lambda mu, eta: gamma_family(_GAMMA_2, (1, 2), mu, eta)),
+    (3, lambda mu, eta: gamma_family(_GAMMA_3, (1, 2), mu, eta)),
+    (3, lambda mu, eta: glue_weight_batch(QuadForm.identity(3), IndexSet((0, 1, 2)),
+                                          RegionConstants(), mu, eta)),
+    # the engine's own refusal, for a caller that skips check_batch
+    (3, lambda mu, eta: power_kernel_integral(_FAMILY_3.Q, _FAMILY_3.c_eta, mu, eta,
+                                              _FAMILY_3.M, _FAMILY_3.power, _QUAD)),
+], ids=["alpha-n3", "alpha-n4", "jet-n2", "jet-n3", "gamma-n2", "gamma-n3", "glue-n3",
+        "engine-n3"])
+def test_non_finite_batch_rows_are_refused_by_row(N, call, bad):
+    # each once ended in an UnboundLocalError or a numpy reduction error,
+    # and the glue weight of a nan row read 1.0
+    mu = np.full((3, N), 0.7)
+    eta = np.full(3, 0.3 + 0.2j)
+    mu[1, 0] = bad
+    with pytest.raises(ValueError, match=r"row 1 has (non-finite entries|a sheet distance "
+                                         r"that is not a number)"):
+        call(mu, eta)
+
+
+def test_check_batch_passes_finite_rows_whose_squares_overflow():
+    # the sum of squares overflows here; the exact test then finds every
+    # entry finite
+    mu, eta = check_batch(np.full((2, 2), 1e200), np.full(2, -1e200j), 2)
+    assert mu[1, 1] == 1e200 and eta[1] == -1e200j
 
 
 def test_indexset_basics():
