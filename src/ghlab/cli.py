@@ -171,7 +171,7 @@ def run_kernel_closedform(cfg: ExperimentConfig, rng: Generator) -> list[ResultR
 @_experiment("harmonicity", seed=104, n=50)
 def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in (3,):
+    for N in (3, 4):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
@@ -183,7 +183,7 @@ def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 @_experiment("integrability", seed=112, n=20)
 def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in (3,):
+    for N in (3, 4):
         A = checks.random_spd(rng, N)
         gaps = checks.integrability_gap(A, [
             checks.off_locus_point(rng, A) for _ in range(cfg.n)])
@@ -195,7 +195,7 @@ def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
 @_experiment("commutativity", seed=104, n=50)
 def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     rows = []
-    for N in (3,):
+    for N in (3, 4):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
         pair, axis = checks.gradient_relations(A, pts)
@@ -304,7 +304,7 @@ def run(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="ghlab",
+        prog="ghlab", allow_abbrev=False,
         description="verification experiments for the asymptotic geometry library")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--out", default="ghlab-out", help="output directory")

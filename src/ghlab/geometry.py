@@ -71,10 +71,10 @@ class QuadForm:
             raise ValueError("quadratic form must be a square matrix")
         if not M.size:
             raise ValueError("quadratic form is empty")
-        scale = float(np.max(np.abs(M)))   # nan or inf if any entry is
+        scale = float(np.abs(M).max())   # nan or inf if any entry is
         if not math.isfinite(scale):
             raise ValueError("quadratic form has non-finite entries")
-        if np.max(np.abs(M - M.T)) > 1e-14 * max(1.0, scale):
+        if np.abs(M - M.T).max() > 1e-14 * max(1.0, scale):
             raise ValueError("matrix is not symmetric to 1e-14")
         M = 0.5 * (M + M.T)
         w = np.linalg.eigvalsh(M)
@@ -123,6 +123,14 @@ class QuadForm:
         return f"QuadForm(n={self.n}, cond={self.condition:.3g})"
 
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.  A sum of squares is finite
+    only if every entry is; one that overflows on finite entries falls
+    through to the exact test.  ``np.vdot`` sums without the overflow
+    warning that ``@`` and ``np.dot`` raise."""
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 @dataclass(frozen=True)
 class BasePoint:
     """A point (mu, eta) of the base R^N x C."""
@@ -134,8 +142,9 @@ class BasePoint:
         mu = np.array(self.mu, dtype=float)
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", complex(self.eta))
-        if not (np.all(np.isfinite(mu)) and np.isfinite(self.eta)):
+        eta = complex(self.eta)
+        object.__setattr__(self, "eta", eta)
+        if not (_finite(mu) and cmath.isfinite(eta)):
             raise ValueError("base point has non-finite entries")
 
     @property
@@ -166,12 +175,9 @@ def check_batch(mu: np.ndarray, eta: np.ndarray, N: int
     if mu.ndim != 2 or mu.shape[1] != N or eta.shape != mu.shape[:1]:
         raise ValueError(f"a batch is mu (B, {N}) and eta (B,), "
                          f"not {mu.shape} and {eta.shape}")
-    # a sum of squares is finite only if every entry is; one that overflows
-    # on finite entries falls through to the exact test
-    if not cmath.isfinite(np.vdot(mu, mu) + np.vdot(eta, eta)):
+    if not (_finite(mu) and _finite(eta)):
         finite = np.isfinite(mu).all(axis=1) & np.isfinite(eta)
-        if not finite.all():
-            raise ValueError(f"batch row {int(np.argmin(finite))} has non-finite entries")
+        raise ValueError(f"batch row {int(np.argmin(finite))} has non-finite entries")
     return mu, eta
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .geometry import BasePoint, IndexSet, QuadForm
-from .locus import RegionConstants, _pass, _rho
+from .geometry import BasePoint, IndexSet, QuadForm, check_batch
+from .locus import RegionConstants, _pass, _rho, _row
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -98,6 +98,12 @@ def glue_weight_batch(A: QuadForm, I: IndexSet, consts: RegionConstants,
     every factor is one.  The flag says whether the point lies in the
     subset's covering region with a boundary collar of width ``consts.cprime()``.
     """
+    return _glue(A, I, consts, *check_batch(mu, eta, A.n))
+
+
+def _glue(A: QuadForm, I: IndexSet, consts: RegionConstants,
+          mu: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``glue_weight_batch`` on rows already held finite."""
     I.require_stratum(A.n)
     at = _pass(A, mu, eta)
     i = at.table.row[I.members]
@@ -113,7 +119,7 @@ def glue_weight_batch(A: QuadForm, I: IndexSet, consts: RegionConstants,
 def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,
                 p: BasePoint) -> GlueWeight:
     """``glue_weight_batch`` at one point."""
-    value, in_domain = glue_weight_batch(A, I, consts, p.mu[None], np.array([p.eta]))
+    value, in_domain = _glue(A, I, consts, *_row(A, p))
     return GlueWeight(float(value[0]), bool(in_domain[0]))
 
 

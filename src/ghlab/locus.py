@@ -31,7 +31,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, block, check_batch, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, block, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -183,7 +183,8 @@ class _Pass(NamedTuple):
 
 
 def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
-    """Hull data of every stratum at the batch mu (B, N), eta (B,).
+    """Hull data of every stratum at the batch mu (B, N), eta (B,), whose
+    rows its caller has held finite (``check_batch`` or a ``BasePoint``).
 
     y = C_I mu, nu = C_c mu + P y, and d^2 = det A |eta|^2 plus each
     stratum's segment sum of y G y; a foot is interior when its nu clears
@@ -194,7 +195,6 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
     and P y and G y are segment sums of the nonzero entries times their
     own rows of C mu, so a point's row is bitwise the same in any batch.
     """
-    mu, eta = check_batch(mu, eta, A.n)
     T = A.derived("strata", lambda: _table(A))
     # points along axis 1, so each segment sum adds whole rows
     Y, n_a, n_c = T.C @ mu.T, T.act_off[-1], T.comp_off[-1]
@@ -212,10 +212,18 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
     return _Pass(T, pad[:-1].T, d.T, np.minimum(reach, boundary).T, boundary.T)
 
 
+def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
+    """p as a batch of one: a ``BasePoint`` is finite, so only its
+    dimension is checked."""
+    if p.N != A.n:
+        raise ValueError("dimension mismatch between form and point")
+    return p.mu[None], np.array([p.eta])
+
+
 def _locate(A: QuadForm, I: IndexSet, p: BasePoint) -> tuple[_Pass, int]:
     """The pass at p, as a batch of one, and the table row of the stratum I."""
     I.require_stratum(A.n)
-    return _pass(A, p.mu[None], np.array([p.eta])), _layout(A.n).row[I.members]
+    return _pass(A, *_row(A, p)), _layout(A.n).row[I.members]
 
 
 def _glue_blocks(T: SimpleNamespace, i: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -282,7 +290,7 @@ def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
     """
     if not 2 <= min_size <= A.n + 1:
         raise ValueError(f"min_size {min_size} outside 2..{A.n + 1}")
-    at = _pass(A, p.mu[None], np.array([p.eta]))
+    at = _pass(A, *_row(A, p))
     return float(at.closed[0, at.table.size >= min_size].min())
 
 
@@ -310,7 +318,7 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     require all strata of a given depth to be at least the level
     threshold away.
     """
-    T, _, d, closed, bound = _pass(A, p.mu[None], np.array([p.eta]))
+    T, _, d, closed, bound = _pass(A, *_row(A, p))
     N, closed, bound, inner = A.n, closed[0], bound[0], T.size <= A.n
     least = np.minimum.reduceat(closed, T.size_off[:-1])   # per size 2..N + 1
     return RegionReport(

@@ -34,15 +34,15 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
 
 
 def test_integrability_gap_is_one_engine_call(monkeypatch):
-    # criterion 12's 20 points' stencils (420 rows) go into one field jet,
-    # and the 6 kernels at N = 3 share everything but their cone matrix, so
-    # all 2520 (kernel, row) pairs are one closed-form engine call
-    calls = []
+    # per N, criterion 12's 20 points' stencils (420 rows at N = 3, 500 at
+    # N = 4) go into one field jet, and the N's kernels share everything but
+    # their cone matrix, so all its (kernel, row) pairs are one engine call
+    rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
-                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+                        lambda *a, **k: rows.append(len(a[2])) or engine(*a, **k))
     criterion_rows("12")
-    assert len(calls) == 1
+    assert rows == [420, 500]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
@@ -52,13 +52,14 @@ def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
     monkeypatch.setattr(frame, "integrability_batch", lambda *a: seen.append(a) or batch(*a))
     criterion_rows("12")
     monkeypatch.undo()
-    [(fld, mu, eta)] = seen
-    res, scale = frame.integrability_batch(fld, mu, eta)
-    for b in range(len(mu)):
-        one = frame.integrability_residual(fld, BasePoint(mu[b], eta[b]))
-        assert one.first_relative == res[0, b] / scale[0, b]
-        assert one.second_relative == pytest.approx(res[1, b] / scale[1, b],
-                                                    rel=1e-9)
+    assert [fld.A.n for fld, _, _ in seen] == [3, 4]
+    for fld, mu, eta in seen:
+        res, scale = frame.integrability_batch(fld, mu, eta)
+        for b in range(len(mu)):
+            one = frame.integrability_residual(fld, BasePoint(mu[b], eta[b]))
+            assert one.first_relative == res[0, b] / scale[0, b]
+            assert one.second_relative == pytest.approx(res[1, b] / scale[1, b],
+                                                        rel=1e-9)
 
 
 # Negative controls: each runs its criterion's acceptance entry with a

@@ -84,6 +84,17 @@ def test_unknown_experiment_rejected():
         main(["no-such-thing"])
 
 
+def test_a_prefix_of_a_flag_is_refused(tmp_path, capsys):
+    # argparse reads a prefix as the flag it starts unless told not to:
+    # --se 5 once ran with seed 5
+    with pytest.raises(SystemExit):
+        main(["pythagoras", "--se", "5", "--out", str(tmp_path)])
+    assert "unrecognized arguments: --se 5" in capsys.readouterr().err
+    code, out = run(tmp_path, "pythagoras", "--seed", "5", "--n", "3")
+    assert code == 0
+    assert json.loads((out / "pythagoras.json").read_text())["config"]["seed"] == 5
+
+
 def test_bad_schema_version(capsys):
     # the schema 1 config file is gone; a script that still passes one
     # fails loudly instead of running the acceptance run

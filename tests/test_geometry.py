@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ def test_check_batch_passes_finite_rows_whose_squares_overflow():
     # entry finite
     mu, eta = check_batch(np.full((2, 2), 1e200), np.full(2, -1e200j), 2)
     assert mu[1, 1] == 1e200 and eta[1] == -1e200j
+
+
+@pytest.mark.parametrize("mu, eta, refused", [
+    ([math.nan, 1.0], 0.5j, True),
+    ([1.0, -math.inf], 0.5j, True),
+    ([1.0, 2.0], complex(math.nan, 0.5), True),
+    ([1.0, 2.0], complex(0.5, math.inf), True),
+    ([1e200, 1e200], 1e200j, False),
+], ids=["nan-mu", "inf-mu", "nan-eta", "inf-eta", "squares-overflow"])
+def test_base_point_refuses_non_finite_entries(mu, eta, refused):
+    # a point is checked once, at construction; its finite-entry test is
+    # check_batch's, so finite entries whose squares overflow pass without
+    # a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused:
+            with pytest.raises(ValueError, match="base point has non-finite entries"):
+                BasePoint(np.array(mu), eta)
+        else:
+            p = BasePoint(np.array(mu), eta)
+            assert p.mu.tolist() == mu and p.eta == eta
 
 
 def test_indexset_basics():

@@ -19,7 +19,8 @@ from scipy import optimize
 
 from ghlab import glue, locus
 from ghlab.checks import random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, anorm, block, schur_blocks
+from ghlab.geometry import (BasePoint, IndexSet, QuadForm, anorm, block, check_batch,
+                            schur_blocks)
 from ghlab.locus import (
     RegionConstants,
     all_strata,
@@ -402,6 +403,43 @@ def test_batched_pass_rows_match_one_row_passes(N):
         for name in ("nu", "d", "closed", "boundary"):
             assert bitwise_equal(getattr(whole, name)[b], getattr(one, name)[0]), name
             assert bitwise_equal(getattr(whole, name)[b], getattr(part, name)[b % 7]), name
+
+
+_CHECKED_ONCE = [
+    ("region_membership", 0, lambda A, I, p: region_membership(A, RegionConstants(), p)),
+    ("dist_locus", 0, lambda A, I, p: dist_locus(A, p)),
+    ("project", 0, lambda A, I, p: project(A, I, p)),
+    ("dist_closed_stratum", 0, lambda A, I, p: dist_closed_stratum(A, I, p)),
+    ("dist_boundary", 0, lambda A, I, p: dist_boundary(A, I, p)),
+    ("glue_weight", 0, lambda A, I, p: glue.glue_weight(A, I, RegionConstants(), p)),
+    ("glue_weight_batch", 1, lambda A, I, p: glue.glue_weight_batch(
+        A, I, RegionConstants(), p.mu[None], np.array([p.eta]))),
+]
+
+
+@pytest.mark.parametrize("name, checks, call", _CHECKED_ONCE,
+                         ids=[c[0] for c in _CHECKED_ONCE])
+def test_each_input_is_checked_once(monkeypatch, name, checks, call):
+    # a BasePoint is held finite at construction and a batch at its entry,
+    # so the stratum pass reads its rows unchecked: the one-point functions
+    # check nothing again, and the batch entry checks its rows once
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return check_batch(*args)
+
+    for module in (locus, glue):
+        monkeypatch.setattr(module, "check_batch", spy, raising=False)
+    call(QuadForm.identity(3), IndexSet((0, 1, 2)), BasePoint(np.array([0.7, 0.2, 0.9]), 0.3j))
+    assert len(calls) == checks, name
+
+
+@pytest.mark.parametrize("call", [c[2] for c in _CHECKED_ONCE[:-1]],
+                         ids=[c[0] for c in _CHECKED_ONCE[:-1]])
+def test_a_point_of_another_dimension_is_refused(call):
+    with pytest.raises(ValueError, match="dimension mismatch between form and point"):
+        call(QuadForm.identity(3), IndexSet((0, 1, 2)), BasePoint(np.array([0.7, 0.2]), 0.3j))
 
 
 def _pass_arrays(A, consts, p):

@@ -707,3 +707,66 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
     rows = richardson_stencil(xs, np.full(20, 1e-3)).reshape(-1, 5)
     ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(rows))
     assert sum(elements) == 902
+
+
+# -- the swept engine against its faces ------------------------------------
+#
+# Let K = {M tau : tau >= 0} be a cone of d columns in R^m, y0 the Q-foot of
+# a row b in span M and H^2 its squared Q-height plus c_eta |eta|^2, and let
+# V_q be the integral over K of (H^2 + |y - y0|_Q^2)^(-q/2) in K's plane
+# measure: the engine's tau-integral times sqrt(det M^T Q M).  With f_q that
+# integrand, the divergence theorem on the field (y - y0) f_q, whose
+# divergence is (d - q) f_q + q H^2 f_(q+2), gives
+#   (I)  (q - d) V_q = q H^2 V_(q+2) - sum_F l_F V_q^F,
+# F the faces (column j dropped), V_q^F the face's own (d - 1)-parameter
+# integral, n_F its outward Q-unit normal within span M and
+# l_F = -n_F^T Q b; and, moving y0 along a column m_k,
+#   (II) m_k . grad_b V_q = -sum_F (n_F^T Q m_k) V_q^F = V_q^(F_k) |w_k|_Q^-1,
+# w_k = M G^-1 e_k the dual column, G = M^T Q M.  Both tie every swept
+# integral to its faces, and those down to the d = 2 closed forms.
+#
+# Each engine value carries an error of at most max(abs_tol, 1e-8 |v|), by
+# its two-order estimate; a gradient shares its value's grid and is held to
+# the same form.  A residual is held to _FACE_FACTOR times the sum of its
+# terms' bounds: 10, for an estimate that is a difference of two Gauss
+# orders rather than a bound.
+_FACE_FACTOR = 10.0
+_FACE_SPEC = QuadratureSpec()
+
+
+def _bound(raw: np.ndarray) -> np.ndarray:
+    return np.maximum(_FACE_SPEC.abs_tol, quadrature._REL_TOL * np.abs(raw))
+
+
+@pytest.mark.parametrize("m, d, q", [(4, 3, 4), (4, 3, 6), (5, 4, 5)],
+                         ids=["d3-q4", "d3-q6", "d4-q5"])
+def test_swept_integrals_obey_their_face_identities(m, d, q):
+    rng = np.random.default_rng(16 * d + q)
+    for _ in range(3):
+        Q = checks.random_spd(rng, m).entries
+        M = rng.normal(size=(m, d))
+        b = rng.normal(size=(3, m))
+        eta = rng.uniform(0.3, 1.0, 3) * np.exp(2j * math.pi * rng.uniform(size=3))
+        faces = np.stack([np.delete(M, j, axis=1) for j in range(d)])
+        full = power_kernel_integral(Q, 1.0, b, eta, M[None], q, _FACE_SPEC,
+                                     want_gradient=True)
+        up = power_kernel_integral(Q, 1.0, b, eta, M[None], q + 2, _FACE_SPEC).value[0]
+        face = power_kernel_integral(Q, 1.0, b, eta, faces, q, _FACE_SPEC).value
+        s, s_F = (np.sqrt(np.linalg.det(C.swapaxes(-1, -2) @ Q @ C)) for C in (M, faces))
+        G = M.T @ Q @ M
+        tau0 = np.linalg.solve(G, M.T @ Q @ b.T)     # the foot y0 = M tau0, (d, B)
+        perp = b.T - M @ tau0
+        H2 = np.einsum("mb,mn,nb->b", perp, Q, perp) + np.abs(eta) ** 2
+        w = 1.0 / np.sqrt(np.diag(np.linalg.inv(G)))  # 1 / |w_k|_Q
+        ell = w[:, None] * tau0
+        V, V_F = s * full.value[0], s_F[:, None] * face
+        # (I)
+        res = (q - d) * V - q * H2 * s * up + np.sum(ell * V_F, axis=0)
+        tol = (s * ((q - d) * _bound(full.value[0]) + q * H2 * _bound(up))
+               + np.sum(np.abs(ell) * s_F[:, None] * _bound(face), axis=0))
+        assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (res, tol)
+        # (II), along every column
+        dV = full.gradient[0, :, :m] @ M
+        res = s * dV - (w[:, None] * V_F).T
+        tol = s * _bound(dV) + (w[:, None] * s_F[:, None] * _bound(face)).T
+        assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (res, tol)
