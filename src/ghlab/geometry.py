@@ -80,7 +80,7 @@ class QuadForm:
         w = np.linalg.eigvalsh(M)
         if w[0] <= 1e-12 * w[-1] or w[0] <= 0.0:
             raise ValueError("matrix is not positive definite")
-        M.flags.writeable = False
+        M.setflags(write=False)
         self.entries = M
         self.n = M.shape[0]
         self.lambda_min = float(w[0])
@@ -131,21 +131,21 @@ def _finite(a: np.ndarray) -> bool:
     return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BasePoint:
-    """A point (mu, eta) of the base R^N x C."""
+    """A point (mu, eta) of the base R^N x C, ``mu`` a read-only copy."""
 
     mu: np.ndarray
     eta: complex
 
-    def __post_init__(self) -> None:
-        mu = np.array(self.mu, dtype=float)
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        eta = complex(self.eta)
-        object.__setattr__(self, "eta", eta)
+    def __init__(self, mu, eta) -> None:
+        mu = np.array(mu, dtype=float)
+        mu.setflags(write=False)
+        eta = complex(eta)
         if not (_finite(mu) and cmath.isfinite(eta)):
             raise ValueError("base point has non-finite entries")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "eta", eta)
 
     @property
     def N(self) -> int:

@@ -214,8 +214,8 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
 
 def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
     """p as a batch of one: a ``BasePoint`` is finite, so only its
-    dimension is checked."""
-    if p.N != A.n:
+    shape is checked."""
+    if p.mu.shape != (A.n,):
         raise ValueError("dimension mismatch between form and point")
     return p.mu[None], np.array([p.eta])
 
