@@ -55,7 +55,8 @@ def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
     assert [fld.A.n for fld, _, _ in seen] == [3, 4]
     for fld, mu, eta in seen:
         res, scale = frame.integrability_batch(fld, mu, eta)
-        for b in range(len(mu)):
+        # every row at N = 3; at N = 4, where each one-row call sweeps, three
+        for b in range(len(mu) if fld.A.n == 3 else 3):
             one = frame.integrability_residual(fld, BasePoint(mu[b], eta[b]))
             assert one.first_relative == res[0, b] / scale[0, b]
             assert one.second_relative == pytest.approx(res[1, b] / scale[1, b],
@@ -188,7 +189,7 @@ def test_gradient_relations_flag_a_broken_pair_symmetry(monkeypatch):
         return labels, kv
 
     monkeypatch.setattr(kernels, "alpha_family", skewed)
-    assert "commutativity/N=3-pair-symmetry" in failed("04")
+    assert {"commutativity/N=3-pair-symmetry", "commutativity/N=4-pair-symmetry"} <= failed("04")
 
 
 def _scale_prefactor(monkeypatch, scale):
