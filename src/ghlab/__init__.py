@@ -47,7 +47,6 @@ from .kernels import (
     alpha,
     alpha_batch,
     alpha_grad,
-    beta,
     closed_form_axis,
     kernel_prefactor,
     weak_distributional_check,

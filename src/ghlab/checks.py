@@ -34,9 +34,8 @@ PROJECTION_TOL, EIGEN_TOL = 1e-10, 1e-12    # 07: nested projections, eigenvalue
 PRODUCT_TOL, LOG_SUM_TOL = 1e-12, 1e-6      # 09: moduli product, log sum
 PIECE_TOL, SEAM_TOL = 1e-12, 1e-10          # 11: profile pieces, seam jumps
 INTEGRABILITY_TOL = 1e-3                    # 12
-C_MAX = 10.0    # beta-bounds: |beta| times the boundary distance (capped at 50)
 
-QUAD = QuadratureSpec()                     # 02, 03, 04, 12 and beta-bounds
+QUAD = QuadratureSpec()                     # 02, 03, 04 and 12
 WEAK_QUAD = QuadratureSpec(abs_tol=1e-8)    # 05
 DECAY_QUAD = QuadratureSpec(abs_tol=1e-12)  # 06
 GAMMA_QUAD = QuadratureSpec(abs_tol=1e-11)  # 08 and 09
@@ -96,15 +95,14 @@ def random_point(rng: np.random.Generator, N: int, mu_scale: float = 2.0,
                      r * complex(math.cos(th), math.sin(th)))
 
 
-def off_locus_point(rng: np.random.Generator, A: QuadForm, floor: float = 0.5,
-                    mu_scale: float = 2.0) -> BasePoint:
-    """The first of at most 1000 random points farther than ``floor`` from
-    the locus."""
+def off_locus_point(rng: np.random.Generator, A: QuadForm) -> BasePoint:
+    """The first of at most 1000 random points farther than 0.5 from the
+    locus."""
     for _ in range(1000):
-        p = random_point(rng, A.n, mu_scale=mu_scale)
-        if locus.dist_locus(A, p) > floor:
+        p = random_point(rng, A.n)
+        if locus.dist_locus(A, p) > 0.5:
             return p
-    raise RuntimeError(f"no point farther than {floor} from the locus in 1000 draws")
+    raise RuntimeError("no point farther than 0.5 from the locus in 1000 draws")
 
 
 def random_subset(rng: np.random.Generator, N: int) -> IndexSet:

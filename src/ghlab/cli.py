@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import Generator
 
 from . import checks, glue, kernels, locus
-from .geometry import IndexSet, QuadForm, batch_from_vectors
+from .geometry import QuadForm
 
 SCHEMA_VERSION = 2
 
@@ -177,6 +177,9 @@ def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
         for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
             lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), pts)
             rows.append(_row(cfg, f"N={N}-{kind}", lap, checks.HARMONIC_TOL))
+        pair, axis = checks.gradient_relations(A, pts)
+        rows += [_row(cfg, f"N={N}-pair-symmetry", pair, checks.HARMONIC_TOL),
+                 _row(cfg, f"N={N}-axis-relations", axis, checks.HARMONIC_TOL)]
     return rows
 
 
@@ -189,18 +192,6 @@ def run_integrability(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
             checks.off_locus_point(rng, A) for _ in range(cfg.n)])
         rows += [_row(cfg, f"N={N}-{kind}", gap, checks.INTEGRABILITY_TOL)
                  for kind, gap in zip(("first", "second"), gaps)]
-    return rows
-
-
-@_experiment("commutativity", seed=104, n=50)
-def run_commutativity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    rows = []
-    for N in (3, 4):
-        A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
-        pair, axis = checks.gradient_relations(A, pts)
-        rows += [_row(cfg, f"N={N}-pair-symmetry", pair, checks.HARMONIC_TOL),
-                 _row(cfg, f"N={N}-axis-relations", axis, checks.HARMONIC_TOL)]
     return rows
 
 
@@ -229,22 +220,6 @@ def run_eigen_interval(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]
 def run_decay_scan(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     return [ResultRow(cfg.experiment, f"ray-{label}", got, want, win, ok, cfg.hash)
             for label, got, want, win, ok in checks.decay_exponents()]
-
-
-@_experiment("beta-bounds", seed=20240817, n=40)
-def run_beta_bounds(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
-    I = IndexSet((0, 1))
-    rows = []
-    for N in (2, 3):
-        A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A, floor=0.4, mu_scale=3.0)
-               for _ in range(cfg.n)]
-        b = np.array([locus.dist_boundary(A, I, p) for p in pts])
-        val = kernels.beta(A, I, 0, 1, checks.QUAD,
-                           *batch_from_vectors(np.array([p.as_vector() for p in pts])))
-        worst = float(np.max(np.abs(val.value) * np.minimum(b, 50.0)))
-        rows.append(_row(cfg, f"N={N}-remainder-bound", worst, checks.C_MAX))
-    return rows
 
 
 @_experiment("gamma-sum", seed=108)

@@ -140,6 +140,8 @@ class BasePoint:
 
     def __init__(self, mu, eta) -> None:
         mu = np.array(mu, dtype=float)
+        if mu.ndim != 1 or not mu.size:
+            raise ValueError(f"base point mu is not a non-empty 1-D array: shape {mu.shape}")
         mu.setflags(write=False)
         eta = complex(eta)
         if not (_finite(mu) and cmath.isfinite(eta)):

@@ -190,6 +190,8 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     """
     if not basepath:
         raise ValueError("basepath is empty: the path needs a start point")
+    if any(q.N != A.n for q in basepath + [p]):
+        raise ValueError("dimension mismatch between form and point")
     spec = GammaSpec(A, I, quad)   # the model coordinates need a subset containing 0
     act = I.active
     n = len(act)

@@ -9,7 +9,7 @@ cone in N-1 parameters; a pair of nonzero labels adds one more parameter
 sweeping the diagonal direction.
 
 A stratum model's kernels are those of a lower-N form, its
-``geometry.reduction`` G at (mu_I, s eta); ``beta`` subtracts them.
+``geometry.reduction`` G at (mu_I, s eta).
 
 Every kernel value goes through ``alpha_family``: the kernels of a form at
 a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  The
@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch,
-                       reduction)
+from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import (
     QuadratureError,
@@ -57,7 +56,6 @@ __all__ = [
     "alpha_grad",
     "alpha_batch",
     "alpha_family",
-    "beta",
     "closed_form_axis",
     "RadialBump",
     "WeakCheckResult",
@@ -228,31 +226,14 @@ def _refusal(kind: type, labels: tuple[int, int], k: int, mu: np.ndarray,
     return exc
 
 
-def beta(A: QuadForm, I: IndexSet, i: int, j: int, quad: QuadratureSpec,
-         mu: np.ndarray, eta: np.ndarray) -> KernelValue:
-    """Smooth remainder at the batch mu (B, N), eta (B,): the full kernel
-    minus I's model kernel, that of I's reduction at (mu_I, s eta), one
-    ``alpha_batch`` call each.
-
-    When a label falls outside I the model kernel is zero by convention
-    and the remainder is the full kernel itself.
-    """
-    full = alpha_batch(KernelSpec(A, (i, j)), quad, mu, eta)
-    if not {i, j} <= set(I.members):
-        return full
-    red = reduction(A, I)
-    labels = tuple(((0,) + I.active).index(m) for m in (i, j))
-    part = alpha_batch(KernelSpec(red.G, labels), quad, *red.batch(*check_batch(mu, eta, A.n)))
-    return KernelValue(full.value - part.value, full.error + part.error,
-                       full.evals + part.evals)
-
-
 def closed_form_axis(A: QuadForm, i: int, p: BasePoint) -> float:
     """Exact value 1 / (2 sqrt(mu_i^2 + D |eta|^2)) of the axis kernel
     (0, i) of the model of {0, i}, D the determinant of A's block off i (1
     at N = 1), read from A, not through its reduction."""
     if not 1 <= i <= A.n:
         raise ValueError(f"axis label {i} out of range 1..{A.n}")
+    if p.N != A.n:
+        raise ValueError("dimension mismatch between form and point")
     comp = IndexSet((0, i)).active_complement(A.n)
     D = float(np.linalg.det(block(A.entries, comp, comp)))   # 1 for an empty block
     return 1.0 / (2.0 * math.sqrt(p.mu[i - 1] ** 2 + D * abs(p.eta) ** 2))

@@ -8,10 +8,8 @@ tolerances, and this file holds only the table.  Each test makes its runs
 through ``cli.main``, once each, and every row of the CSVs they write
 prints as ``ACCEPTANCE nn PASS/FAIL ...`` with its value, tolerance and
 command, must pass and must match its row in the verdict ledger,
-``tests/ledger.json``, exactly.  ``beta-bounds``, the one experiment
-outside the table, is held to the ledger the same way.  ``criterion_rows``
-runs one criterion in process for the negative controls in
-``test_checks.py``.
+``tests/ledger.json``, exactly.  ``criterion_rows`` runs one criterion in
+process for the negative controls in ``test_checks.py``.
 """
 
 import csv
@@ -24,7 +22,7 @@ ACCEPTANCE = {
     "01_flat_background_volume_identity": ("flat-cy",),
     "02_one_slot_model_exact": ("taubnut-exact",),
     "03_restricted_kernel_closed_form": ("kernel-closedform",),
-    "04_harmonicity_and_gradient_relations": ("harmonicity", "commutativity"),
+    "04_harmonicity_and_gradient_relations": ("harmonicity",),
     "05_weak_distributional_charge": ("weak-chern",),
     "06_decay_exponent_windows": ("decay-scan",),
     "07_projection_geometry": ("pythagoras", "eigen-interval"),
@@ -34,8 +32,6 @@ ACCEPTANCE = {
     "11_extension_profile": ("extension-profile",),
     "12_integrability_residuals": ("integrability",),
 }
-# its remainder bound has no criterion yet (ROADMAP item 22)
-OUTSIDE = ("beta-bounds",)
 
 
 def criterion_rows(num: str) -> dict:
@@ -81,16 +77,10 @@ for _name in ACCEPTANCE:
     globals()[f"test_{_name}"] = _criterion_test(_name)
 
 
-def test_beta_bounds_run_matches_the_ledger(tmp_path):
-    code, rows, moved = acceptance_run("beta-bounds", tmp_path)
-    assert code == 0
-    assert not moved, ledger.MOVED + "\n".join(moved)
-
-
 def test_every_experiment_has_one_ledger_run():
     # the tests above run each registered experiment once, and the ledger
     # holds those runs and nothing else
-    runs = [exp for entry in ACCEPTANCE.values() for exp in entry] + list(OUTSIDE)
+    runs = [exp for entry in ACCEPTANCE.values() for exp in entry]
     assert sorted(runs) == sorted(EXPERIMENTS) == sorted(ledger.load())
 
 
@@ -99,11 +89,11 @@ def test_n4_field_rows_pass_with_headroom():
     # run at N = 4 too, on the swept path; predicted before their first
     # run: each N = 4 row passes at under 1e-4 of its tolerance (the
     # draws at N = 4 alone read 1.55e-9, 3.32e-9 and 4.30e-8 against 1e-3)
-    rows = {f"{exp}/{r['case']}": r for exp in ("harmonicity", "commutativity", "integrability")
+    rows = {f"{exp}/{r['case']}": r for exp in ("harmonicity", "integrability")
             for r in ledger.load()[exp] if r["case"].startswith("N=4-")}
     assert sorted(rows) == [
-        "commutativity/N=4-axis-relations", "commutativity/N=4-pair-symmetry",
-        "harmonicity/N=4-axis", "harmonicity/N=4-pair",
+        "harmonicity/N=4-axis", "harmonicity/N=4-axis-relations",
+        "harmonicity/N=4-pair", "harmonicity/N=4-pair-symmetry",
         "integrability/N=4-first", "integrability/N=4-second"]
     for key, r in rows.items():
         assert r["passed"] and float(r["value"]) < 1e-4 * float(r["tol"]), (key, r)

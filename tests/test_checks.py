@@ -189,7 +189,30 @@ def test_gradient_relations_flag_a_broken_pair_symmetry(monkeypatch):
         return labels, kv
 
     monkeypatch.setattr(kernels, "alpha_family", skewed)
-    assert {"commutativity/N=3-pair-symmetry", "commutativity/N=4-pair-symmetry"} <= failed("04")
+    assert {"harmonicity/N=3-pair-symmetry", "harmonicity/N=4-pair-symmetry"} <= failed("04")
+
+
+def test_criterion_04_draws_its_inputs_once(monkeypatch):
+    # the Laplacian rows and the gradient relations of one N read the same
+    # form and the same list of points, not a second draw of equal values
+    seen = {"lap": [], "rel": []}
+    laplacian, relations = checks.kernel_laplacian, checks.gradient_relations
+
+    def spy_lap(spec, pts):
+        seen["lap"].append((spec.A, pts))
+        return laplacian(spec, pts)
+
+    def spy_rel(A, pts):
+        seen["rel"].append((A, pts))
+        return relations(A, pts)
+
+    monkeypatch.setattr(checks, "kernel_laplacian", spy_lap)
+    monkeypatch.setattr(checks, "gradient_relations", spy_rel)
+    criterion_rows("04")
+    assert [A.n for A, _ in seen["rel"]] == [3, 4] and len(seen["lap"]) == 4
+    for k, (A, pts) in enumerate(seen["rel"]):
+        for A_lap, pts_lap in seen["lap"][2 * k:2 * k + 2]:
+            assert A_lap is A and pts_lap is pts
 
 
 def _scale_prefactor(monkeypatch, scale):

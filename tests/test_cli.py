@@ -21,7 +21,7 @@ def _refused_flags(capsys, experiment, argv):
 
 
 def test_registry_complete():
-    assert len(EXPERIMENTS) == 15
+    assert len(EXPERIMENTS) == 13
 
 
 def test_flat_cy_writes_csv_and_sidecar(tmp_path):
@@ -143,7 +143,7 @@ def test_config_typos_rejected(capsys, experiment, argv):
     ("flat-cy", ["--dims", "0"]),
     ("flat-cy", ["--dims", "3"]),
     ("harmonicity", ["--dims", "3.0"]),
-    ("commutativity", ["--dim", "3"]),
+    ("integrability", ["--dim", "3"]),
     ("eigen-interval", ["--dim", "0"]),
 ], ids=["empty-dims", "zero-dims", "string-dims", "float-dims", "string-dim", "zero-dim"])
 def test_bad_dimensions_rejected(capsys, experiment, argv):

@@ -171,6 +171,14 @@ def test_base_point_refuses_non_finite_entries(mu, eta, refused):
             assert p.mu.tolist() == mu and p.eta == eta
 
 
+@pytest.mark.parametrize("mu", [[[1.0, 2.0]], 3.0, []], ids=["2-d", "scalar", "empty"])
+def test_base_point_refuses_mu_of_the_wrong_shape(mu):
+    # each was once accepted, and flat_field then failed in numpy's
+    # concatenate, with an IndexError or on an empty reduction
+    with pytest.raises(ValueError, match="base point mu is not a non-empty 1-D array"):
+        BasePoint(mu, 0.5)
+
+
 def test_indexset_basics():
     I = IndexSet((2, 0, 1))
     assert I.members == (0, 1, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghlab import quadrature
-from ghlab.checks import random_point, random_spd
+from ghlab.checks import LOGZ_FORM_N2, random_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
 from ghlab.holo import (
     _LEG_NODES,
@@ -374,6 +374,18 @@ def test_log_z_refuses_an_empty_path():
     p = BasePoint(np.array([1.0, 1.0]), 0.5 + 0.5j)
     with pytest.raises(ValueError, match="basepath is empty"):
         log_z(A, IndexSet((0, 1)), QUAD, p, basepath=[])
+
+
+@pytest.mark.parametrize("n_ref, n_p", [(3, 3), (3, 2), (2, 1)],
+                         ids=["path-n3", "start-n3", "end-n1"])
+def test_log_z_refuses_points_of_another_dimension(n_ref, n_p):
+    # on a leg at fixed eta no gammas are called, so an N = 3 path on the
+    # N = 2 form once read the N = 2 answer
+    A = QuadForm(np.array(LOGZ_FORM_N2))
+    ref = BasePoint([2.5, -0.2, 5.0][:n_ref], 0.8 + 0.3j)
+    p = BasePoint([0.3, -0.2, 5.0][:n_p], 0.8 + 0.3j)
+    with pytest.raises(ValueError, match="dimension mismatch between form and point"):
+        log_z(A, IndexSet((0, 1)), QUAD, p, basepath=[ref, p])
 
 
 def test_log_z_refuses_legs_near_zero_fiber():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from ghlab import checks, kernels
+from ghlab import checks, kernels, locus
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
 from ghlab.geometry import (BasePoint, IndexSet, QuadForm, gradient_step, laplace_terms,
@@ -21,7 +21,6 @@ from ghlab.kernels import (
     alpha_batch,
     alpha_family,
     alpha_grad,
-    beta,
     closed_form_axis,
     kernel_prefactor,
     weak_distributional_check,
@@ -102,9 +101,18 @@ def test_closed_form_axis_refuses_labels_off_the_axes(i):
         closed_form_axis(A, i, p)
 
 
+@pytest.mark.parametrize("mu", [[0.5, -0.3, 9.0], [0.5]], ids=["N=3", "N=1"])
+def test_closed_form_axis_refuses_points_of_another_dimension(mu):
+    # an N = 3 point once read the N = 2 value 0.5864, and an N = 1 point
+    # raised a bare IndexError
+    A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
+    with pytest.raises(ValueError, match="dimension mismatch between form and point"):
+        closed_form_axis(A, 1, BasePoint(mu, 0.7 + 0.2j))
+
+
 def test_vanishing_convention():
     # a kernel whose labels leave I has no part in I's model: the model
-    # field is zero off I's block, and beta leaves that kernel whole
+    # field is zero off I's block
     from ghlab.ansatz import RestrictedField
 
     A = random_spd(np.random.default_rng(9), 3)
@@ -114,8 +122,6 @@ def test_vanishing_convention():
     off[0, 0] = False
     assert not jet.v[0][off].any() and not jet.dV[0][off].any()
     assert not jet.dV[0, 0, 0, 1:3].any()
-    b = beta(A, I, 1, 2, QUAD, p.mu[None], np.array([p.eta]))
-    assert b.value[0] == alpha(KernelSpec(A, (1, 2)), QUAD, p).value
 
 
 def test_axis_closed_form_n1_exact():
@@ -245,28 +251,11 @@ def test_restricted_ignores_complement_coordinates():
     I = IndexSet((0, 1))
     mu = np.array([[0.7, 0.4, -0.9], [0.7, 5.0, 3.0]])
     eta = np.full(2, 0.6 + 0.2j)
-    b = beta(A, I, 0, 1, QUAD, mu, eta)
-    full = alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta).value
-    model = full - b.value
+    red = reduction(A, I)
+    model = alpha_batch(KernelSpec(red.G, (0, 1)), QUAD, *red.batch(mu, eta)).value
     assert model[1] == pytest.approx(model[0], rel=1e-12)
     _, kv = restricted_kernels(A, I, QUAD, mu, eta)
     assert kv.value[0, 1] == pytest.approx(kv.value[0, 0], rel=1e-12)
-
-
-def test_beta_is_full_minus_restricted():
-    # against the model kernel on A's own coordinates (tests/oracles.py)
-    rng = np.random.default_rng(29)
-    A = random_spd(rng, 3)
-    I = IndexSet((0, 1, 3))
-    pts = [BasePoint(np.array([0.9, 1.2, -0.5]), 0.7 + 0.3j),
-           BasePoint(np.array([-1.4, 0.3, 2.1]), -0.4 + 0.9j)]
-    labels, model = restricted_kernels(A, I, QUAD, *_batch(pts))
-    for ij in [(0, 1), (1, 3)]:
-        b = beta(A, I, *ij, QUAD, *_batch(pts))
-        for t, p in enumerate(pts):
-            full = alpha(KernelSpec(A, ij), QUAD, p).value
-            want = full - model.value[labels.index(ij), t]
-            assert b.value[t] == pytest.approx(want, rel=1e-12)
 
 
 def test_gradient_relations():
@@ -382,7 +371,10 @@ def test_pair_kernels_converge_at_tight_tolerance():
 def _reach_point(seed: int, N: int) -> tuple[QuadForm, BasePoint]:
     rng = np.random.default_rng(seed)
     A = random_spd(rng, N)
-    return A, off_locus_point(rng, A, floor=0.2)
+    while True:
+        p = checks.random_point(rng, N)
+        if locus.dist_locus(A, p) > 0.2:
+            return A, p
 
 
 def test_work_counters_are_pinned():
