@@ -131,9 +131,13 @@ def _finite(a: np.ndarray) -> bool:
     return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class BasePoint:
-    """A point (mu, eta) of the base R^N x C, ``mu`` a read-only copy."""
+    """A point (mu, eta) of the base R^N x C, ``mu`` a read-only copy.
+
+    Slotted, so a point holds no ``__dict__``.  A copy or an unpickled
+    point is built by ``__init__`` again, so it is checked and its ``mu``
+    is read-only too."""
 
     mu: np.ndarray
     eta: complex
@@ -149,6 +153,9 @@ class BasePoint:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "eta", eta)
 
+    def __reduce__(self):
+        return BasePoint, (self.mu, self.eta)
+
     @property
     def N(self) -> int:
         return self.mu.shape[0]
@@ -156,6 +163,14 @@ class BasePoint:
     def as_vector(self) -> np.ndarray:
         """Real coordinates (mu_1..mu_N, Re eta, Im eta)."""
         return np.concatenate([self.mu, [self.eta.real, self.eta.imag]])
+
+
+def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
+    """p as a batch of one for the form A: a ``BasePoint`` is finite, so
+    only its shape is checked."""
+    if p.mu.shape != (A.n,):
+        raise ValueError("dimension mismatch between form and point")
+    return p.mu[None], np.array([p.eta])
 
 
 def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .geometry import BasePoint, IndexSet, QuadForm, check_batch
-from .locus import RegionConstants, _pass, _rho, _row
+from .geometry import BasePoint, IndexSet, QuadForm, _row, check_batch
+from .locus import RegionConstants, _pass, _rho
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -168,14 +167,15 @@ class ExtensionProfile:
         hR = self._c / (g * math.log(g))
         hpR = -self._c * (math.log(g) + 1.0) / (g ** 2 * math.log(g) ** 2)
         HR = K * M + self._c * math.log(math.log(3.0))
+        # highest degree first, as numpy's ``polyval`` takes them
         self._bridge = np.linalg.solve(_QUINTIC, [K * (M - 1.0), 2.0 * K, 0.0,
-                                                  HR, 2.0 * hR, 4.0 * hpR])
-        self._dbridge = P.polyder(self._bridge)
+                                                  HR, 2.0 * hR, 4.0 * hpR])[::-1]
+        self._dbridge = np.polyder(self._bridge)
         # t = 2 (s + a): with H = (s + a) q(s) + r, the integral of H dt/t
         # from M - 1 is Q(s) + r log1p(s / a), Q the primitive of q at 0
         self._a = 0.5 * (M - 1.0)
-        q, r = P.polydiv(self._bridge, [self._a, 1.0])
-        self._Q, self._r = P.polyint(q), float(r[0])
+        q, r = np.polydiv(self._bridge, [1.0, self._a])
+        self._Q, self._r = np.polyint(q), float(r[0])
         self._f_seam = float(self._f_bridge(np.array(M + 1.0)))
 
     def _pieces(self, t, left, bridge, right):
@@ -196,7 +196,7 @@ class ExtensionProfile:
 
     def _f_bridge(self, t: np.ndarray) -> np.ndarray:
         s = self._s(t)
-        return self.K * (self.M - 1.0) + P.polyval(s, self._Q) + self._r * np.log1p(s / self._a)
+        return self.K * (self.M - 1.0) + np.polyval(self._Q, s) + self._r * np.log1p(s / self._a)
 
     def _tail_panels(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         # log(v) e^v / (e^v + M - 2) from each lo to its hi, in v = log g
@@ -218,13 +218,13 @@ class ExtensionProfile:
     def h(self, t):
         return self._pieces(
             t, lambda t: self.K,
-            lambda t: 0.5 * P.polyval(self._s(t), self._dbridge),
+            lambda t: 0.5 * np.polyval(self._dbridge, self._s(t)),
             lambda t: self._c / ((t - self.M + 2.0) * np.log(t - self.M + 2.0)))
 
     def H(self, t):
         return self._pieces(
             t, lambda t: self.K * t,
-            lambda t: P.polyval(self._s(t), self._bridge),
+            lambda t: np.polyval(self._bridge, self._s(t)),
             lambda t: self.K * self.M + self._c * np.log(np.log(t - self.M + 2.0)))
 
     def f(self, t):

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import FirstOrderField
-from .geometry import BasePoint, IndexSet, QuadForm, check_batch, reduction
+from .geometry import BasePoint, IndexSet, QuadForm, _row, check_batch, reduction
 from .kernels import KernelValue, _build_family, _engine_batch, _layout, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
@@ -82,7 +82,12 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     the kernel by I's labels and the row of the caller's batch; rows with
     eta = 0 are 0 and cost no engine call, and so does an empty ``labels``.
     """
-    mu, eta = check_batch(mu, eta, spec.A.n)
+    return _gamma_family(spec, labels, *check_batch(mu, eta, spec.A.n))
+
+
+def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
+                  eta: np.ndarray) -> KernelValue:
+    """``gamma_family`` on rows already held finite."""
     members = spec.I.members
     if not set(labels) <= set(members):
         raise ValueError("label outside the subset")
@@ -116,7 +121,7 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
 
 def gamma(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     """gamma_i at a base point: ``gamma_family`` for one label and one row."""
-    return complex(gamma_family(spec, (i,), p.mu[None], np.array([p.eta])).value[0, 0])
+    return complex(_gamma_family(spec, (i,), *_row(spec.A, p)).value[0, 0])
 
 
 @dataclass
@@ -126,7 +131,7 @@ class GammaSumResult:
 
 def gamma_sum_check(spec: GammaSpec, p: BasePoint) -> GammaSumResult:
     """The gammas over all labels of the subset, one family, sum to 1/eta."""
-    gam = gamma_family(spec, (0,) + spec.I.active, p.mu[None], np.array([p.eta]))
+    gam = _gamma_family(spec, (0,) + spec.I.active, *_row(spec.A, p))
     total = sum(gam.value[:, 0].tolist())
     return GammaSumResult(abs(total - 1.0 / p.eta) * abs(p.eta))
 

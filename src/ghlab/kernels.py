@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, ball_volume, block, check_batch
+from .geometry import BasePoint, IndexSet, QuadForm, _row, ball_volume, block, check_batch
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import (
     QuadratureError,
@@ -147,23 +147,26 @@ def _build_family(A: QuadForm, layout: tuple) -> _Family:
     return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, cone_frame(A.entries, M))
 
 
-def _first_row(kv: KernelValue) -> KernelValue:
-    grad = None if kv.gradient is None else kv.gradient[0]
-    return KernelValue(float(kv.value[0]), float(kv.error[0]), kv.evals, grad)
+def _one_row(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
+             want_gradient: bool) -> KernelValue:
+    """The kernel ``spec`` at p, through the family core: a ``BasePoint``
+    is finite, so only its dimension is checked."""
+    _, kv = _alpha_family(spec.A, quad, *_row(spec.A, p), want_gradient, spec.labels)
+    grad = None if kv.gradient is None else kv.gradient[0, 0]
+    return KernelValue(float(kv.value[0, 0]), float(kv.error[0, 0]), kv.evals, grad)
 
 
 def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
     """Kernel value at a base point, with an error estimate: the one-row
     case of ``alpha_batch``, which refuses a point within the resolution
     floor of the kernel's sheet with SingularityProximity."""
-    return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta])))
+    return _one_row(spec, quad, p, False)
 
 
 def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
     """Kernel value and gradient (mu slots, Re eta, Im eta), the
     derivatives taken under the integral sign."""
-    return _first_row(alpha_batch(spec, quad, p.mu[None], np.array([p.eta]),
-                                  want_gradient=True))
+    return _one_row(spec, quad, p, True)
 
 
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
@@ -185,7 +188,13 @@ def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndar
     mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
     with a leading kernel axis K.  Where they are closed forms (N <= 3)
     the whole family is one engine call."""
-    mu, eta = check_batch(mu, eta, A.n)
+    return _alpha_family(A, quad, *check_batch(mu, eta, A.n), want_gradient, labels)
+
+
+def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
+                  want_gradient: bool, labels: tuple[int, int] | None
+                  ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
+    """``alpha_family`` on rows already held finite."""
     fam = _family(A, labels)
     raw = _engine_batch(fam, mu, eta, quad, want_gradient)
     grads = fam.prefactor * raw.gradient if want_gradient else None

@@ -31,7 +31,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, block, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, _row, block, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 
 __all__ = [
@@ -210,14 +210,6 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
     reach = np.where(interior, d, np.inf)
     boundary = np.minimum.reduce(reach + T.proper[:, :, None], axis=1)
     return _Pass(T, pad[:-1].T, d.T, np.minimum(reach, boundary).T, boundary.T)
-
-
-def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
-    """p as a batch of one: a ``BasePoint`` is finite, so only its
-    shape is checked."""
-    if p.mu.shape != (A.n,):
-        raise ValueError("dimension mismatch between form and point")
-    return p.mu[None], np.array([p.eta])
 
 
 def _locate(A: QuadForm, I: IndexSet, p: BasePoint) -> tuple[_Pass, int]:

@@ -236,16 +236,16 @@ def test_weak_charge_checks_flag_a_scaled_prefactor(monkeypatch):
 
 
 def _gamma_sum_failures(monkeypatch, defect):
-    # the last gamma of each sum, gamma_n, passed through ``defect``; these
-    # gammas are closed forms
-    family = holo.gamma_family
+    # the last gamma of each sum, gamma_n, passed through ``defect`` in the
+    # family core that ``gamma_sum_check`` calls; these gammas are closed forms
+    family = holo._gamma_family
 
     def broken(spec, labels, mu, eta):
         out = family(spec, labels, mu, eta)
         out.value[-1] = defect(out.value[-1])
         return out
 
-    monkeypatch.setattr(holo, "gamma_family", broken)
+    monkeypatch.setattr(holo, "_gamma_family", broken)
     return failed("08")
 
 

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghlab import kernels
+from ghlab import geometry, holo, kernels
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import random_spd
 from ghlab.glue import glue_weight_batch
@@ -109,6 +112,29 @@ def test_basepoint_vector_roundtrip():
     mu, eta = batch_from_vectors(p.as_vector()[None])
     np.testing.assert_array_equal(mu[0], p.mu)
     assert eta[0] == p.eta
+
+
+def test_base_point_has_no_dict():
+    # slotted: a pool of 16,384 N = 4 points took 241 B a point with a
+    # __dict__ and takes 200 B without
+    p = BasePoint(np.array([1.0, -2.0]), 0.5j)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p.eta = 1.0
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_base_point_keeps_its_invariant(clone):
+    # a deepcopy or an unpickled point once had a writable mu, so a NaN
+    # written into it reached glue_weight, which read weight 1.0 for it
+    p = BasePoint([0.1, 0.2, 1e6], 0.3 - 0.1j)
+    q = clone(p)
+    assert type(q) is BasePoint
+    assert q.mu.tolist() == p.mu.tolist() and q.eta == p.eta
+    assert not q.mu.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        q.mu[0] = math.nan
 
 
 _QUAD = QuadratureSpec()
@@ -305,3 +331,43 @@ def test_ball_volume_known_values():
     assert ball_volume(2) == pytest.approx(math.pi)
     assert ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
     assert ball_volume(4) == pytest.approx(math.pi ** 2 / 2.0)
+
+
+_KERNEL_3 = kernels.KernelSpec(QuadForm.identity(3), (1, 2))
+_P3 = BasePoint(np.array([0.7, -0.4, 1.1]), 0.3 + 0.2j)
+_P2 = BasePoint(np.array([0.7, -0.4]), 0.3 + 0.2j)
+
+
+def test_one_row_names_check_their_point_once(monkeypatch):
+    # a BasePoint is checked at construction; alpha_grad and gamma_sum_check
+    # once passed its row through check_batch a second time
+    original, calls = geometry.check_batch, []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghlab") and getattr(module, "check_batch", None) is original:
+            monkeypatch.setattr(module, "check_batch", spy)
+    kv = kernels.alpha_grad(_KERNEL_3, _QUAD, _P3)
+    gap = holo.gamma_sum_check(_GAMMA_2, _P2).scaled_gap
+    assert calls == []
+    # the same numbers as the checked batch names
+    batch = kernels.alpha_batch(_KERNEL_3, _QUAD, _P3.mu[None], np.array([_P3.eta]),
+                                want_gradient=True)
+    assert kv.value == batch.value[0] and kv.gradient.tolist() == batch.gradient[0].tolist()
+    gam = gamma_family(_GAMMA_2, (0, 1, 2), _P2.mu[None], np.array([_P2.eta]))
+    assert gap == abs(sum(gam.value[:, 0].tolist()) - 1.0 / _P2.eta) * abs(_P2.eta)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: kernels.alpha(_KERNEL_3, _QUAD, p),
+    lambda p: kernels.alpha_grad(_KERNEL_3, _QUAD, p),
+    lambda p: holo.gamma(_GAMMA_3, 1, p),
+    lambda p: holo.gamma_sum_check(_GAMMA_3, p),
+], ids=["alpha", "alpha_grad", "gamma", "gamma_sum_check"])
+def test_one_row_names_refuse_a_point_of_another_dimension(call):
+    with pytest.raises(ValueError, match="dimension mismatch between form and point"):
+        call(_P2)
