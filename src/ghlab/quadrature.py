@@ -188,7 +188,7 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     weights are 2 / ((1 - x^2) P_n'(x)^2) at the last nodes (Hale and
     Townsend 2013, SIAM J. Sci. Comput. 35:A652).  Nodes and weights are
     then made symmetric and the weights scaled to sum to 2.  Against a
-    40-digit rule at orders 8 to 32 the nodes are within 1e-16 and the
+    50-digit rule at orders 8 to 32 the nodes are within 1e-16 and the
     weights within 1.1e-14 relative, where an eigensolver's rule (numpy's
     ``leggauss``) reads 1.2e-13; no LAPACK call is made.
     """
@@ -197,7 +197,8 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.cos(np.pi * (np.arange(order, 0, -1) - 0.25) / (order + 0.5))
     # quadratic convergence: 4 or 5 steps at the orders the engine uses
     for _ in range(100):
-        step = np.divide(*_legendre(order, x))
+        p, dp = _legendre(order, x)
+        step = p / dp
         x -= step
         if np.abs(step).max() <= 1e-15:
             break
