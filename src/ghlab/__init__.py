@@ -1,10 +1,10 @@
 """Numerical laboratory for torus-invariant Calabi-Yau metric ansatz work.
 
 Subpackages:
-    geometry    quadratic forms, base points, index sets, the Richardson stencil
+    geometry    quadratic forms, base points, index sets, Schur reductions
     quadrature  adaptive orthant integration of singular power kernels
     locus       discriminant strata, projections, region decomposition
-    kernels     potential kernels, closed forms, weak-limit checks
+    kernels     potential kernels, their exact Hessians, closed forms, weak checks
     ansatz      flat model, first order field jets, decay scans
     frame       the two integrability identities of a coefficient field
     holo        holomorphic coordinate surrogates and their log moduli

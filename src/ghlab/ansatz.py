@@ -146,9 +146,9 @@ def _flat_root(z_lo: np.ndarray, target: float, lo: float, hi: float) -> float:
 class FieldJet:
     """Values and analytic first derivatives of a coefficient field,
     stacked over B points: V and v (B, N, N); W, w and quad_error (B,);
-    dV (B, N, N, N + 2) with [b, i, j, k] = d V_ij / d x_k and dW
-    (B, N + 2), both over x = (mu_1..mu_N, Re eta, Im eta).  The
-    derivatives are None for a jet taken without them.  quad_error is each
+    dV (B, N, N, N + 2) with [b, i, j, k] = d V_ij / d x_k over
+    x = (mu_1..mu_N, Re eta, Im eta), or None for a jet taken without
+    derivatives.  quad_error is each
     point's largest prefactor-scaled error estimate over the kernels; an
     integral that misses its tolerance raises QuadratureError instead.
     """
@@ -158,7 +158,6 @@ class FieldJet:
     v: np.ndarray
     w: np.ndarray
     dV: np.ndarray | None
-    dW: np.ndarray | None
     quad_error: np.ndarray
 
 
@@ -196,8 +195,7 @@ def _field_jet(A: QuadForm, v: np.ndarray, dv: np.ndarray | None,
     N = A.n
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(len(v), N * N).sum(axis=1)
-    dW = None if dv is None else A.det * np.einsum("ij,bijk->bk", A.inv, dv)
-    return FieldJet(A.entries + v, A.det + w, v, w, dv, dW, err)
+    return FieldJet(A.entries + v, A.det + w, v, w, dv, err)
 
 
 class FirstOrderField:

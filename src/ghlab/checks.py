@@ -16,8 +16,7 @@ import numpy as np
 
 from . import ansatz, frame, glue, holo, kernels, locus
 from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
-                       gradient_step, laplace_terms, reduction, richardson_derivative,
-                       richardson_stencil, schur_complement)
+                       laplace_terms, reduction, schur_complement)
 from .quadrature import QuadratureSpec
 
 
@@ -215,18 +214,12 @@ def restricted_gap(cases) -> float:
 
 def kernel_laplacian(spec: kernels.KernelSpec, points) -> float:
     """Criterion 04: worst A-Laplacian of the kernel over the scale of its
-    terms, by one differencing level on analytic gradients; every point's
-    stencil goes into one kernel batch and one difference."""
+    terms, from its Hessians at every point in one ``alpha_hessian`` call."""
     A = spec.A
-    N = A.n
-    xs = np.array([p.as_vector() for p in points])
-    hs = gradient_step(xs)
-    mu, eta = batch_from_vectors(richardson_stencil(xs, hs).reshape(-1, N + 2))
-    grads = kernels.alpha_batch(spec, QUAD, mu, eta, want_gradient=True).gradient
-    # hess[b, k, j] = d_k of gradient entry j at point b
-    hess = richardson_derivative(grads.reshape(len(xs), -1, N + 2), hs)
-    mu_terms, eta_part = laplace_terms(A, 0.5 * (hess + np.swapaxes(hess, 1, 2)))
-    scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * N * N,
+    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    _, _, hess = kernels.alpha_hessian(A, QUAD, mu, eta, spec.labels)
+    mu_terms, eta_part = laplace_terms(A, hess[0])
+    scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * A.n * A.n,
                                   np.abs(eta_part)), 1e-300)
     return float(np.max(np.abs(mu_terms.sum(axis=1) + eta_part) / scale, initial=0.0))
 
@@ -386,8 +379,8 @@ def profile_seam_jump(prof: glue.ExtensionProfile) -> float:
 
 def integrability_gap(A: QuadForm, points) -> tuple[float, float]:
     """Criterion 12: worst relative residuals of the first-order field's
-    first and second integrability identities; every point's stencil goes
-    into one field jet."""
+    first and second integrability identities; every point goes into one
+    ``frame.integrability_batch``."""
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
     res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
     worst = np.max(res / np.maximum(scale, 1e-300), axis=1)

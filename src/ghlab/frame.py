@@ -7,10 +7,9 @@ is integrable precisely when the mu-gradients of V are symmetric in the
 lower index pair and the fiber curvature is closed; closing the
 curvature is the second identity below.  Neither the frame nor the
 connection form is ever assembled; both checks are pointwise identities
-on derivatives of (V, W).  ``integrability_batch`` puts every point's
-Richardson stencil into one call of the field's ``jet`` and differences
-the stacked jet for all points at once; ``integrability_residual``, its
-one-point case, remains only for the benchmark, which calls and traces it.
+on first and second derivatives of (V, W), which ``integrability_batch``
+reads exactly from the kernels' ``alpha_hessian``; its one-point case
+``integrability_residual`` remains for the benchmark, which traces it.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (BasePoint, batch_from_vectors, gradient_step,
-                       richardson_derivative, richardson_stencil)
+from .ansatz import _outers
+from .geometry import BasePoint
+from .kernels import alpha_hessian
 
 __all__ = [
     "IntegrabilityResidual",
@@ -54,29 +54,29 @@ class IntegrabilityResidual:
 
 def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Both integrability identities at the batch mu (B, N), eta (B,): the
-    residuals (2, B) and their scales (2, B), from one field jet over every
-    point's Richardson stencil.  The first identity reads the analytic
-    mu-gradient of V; the second, d^2 W / dmu_i dmu_j + (V_ij)_xx +
-    (V_ij)_yy, differences the analytic gradients once with
-    ``geometry.gradient_step``.  A batch of no points gives (2, 0) arrays."""
-    B, N = mu.shape
-    xs = np.column_stack([mu, eta.real, eta.imag])
-    hs = gradient_step(xs)
-    R = 1 + 4 * (N + 2)
-    jet = field.jet(*batch_from_vectors(richardson_stencil(xs, hs).reshape(B * R, N + 2)),
-                    want_gradient=True)
-    dV = jet.dV[::R, ..., :N]
+    """Both integrability identities of the first-order ``field`` (its form
+    and quadrature) at the batch mu (B, N), eta (B,): the residuals (2, B)
+    and their scales (2, B), from one ``kernels.alpha_hessian`` call, in
+    which V = A + sum_k alpha_k e_k e_k^T and W = det A tr(A^-1 V) are
+    linear.  The first identity reads the mu-gradient of V; the second is
+    d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy.  A batch of no points gives
+    (2, 0) arrays."""
+    A = field.A
+    N = A.n
+    labels, grad, hess = alpha_hessian(A, field.quad, mu, eta)
+    B, outers = grad.shape[1], _outers(N, labels)              # (K, N N)
+    w = A.det * (outers @ A.inv.ravel())                        # W's weight per kernel
+    # sums over the kernels slice by slice, so a row is the same in any batch
+    dV = (grad[:, :, None, :N] * outers[:, None, :, None]).sum(axis=0).reshape(B, N, N, N)
+    hessW = (w[:, None, None, None] * hess[..., :N, :N]).sum(axis=0)
+    v_eta = (outers[:, None] * (hess[..., N, N] + hess[..., N + 1, N + 1])[..., None]
+             ).sum(axis=0).reshape(B, N, N)
     res, scale = np.empty((2, B)), np.empty((2, B))
     res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).max(axis=(1, 2, 3))
     scale[0] = np.maximum(np.abs(dV).max(axis=(1, 2, 3)), 1e-300)
-    # d_k of dW/dmu_j at [b, k, j], and of the (x, y) columns of V at [b, k, i, j, :]
-    dW = richardson_derivative(jet.dW[:, :N].reshape(B, R, N), hs)
-    dV_xy = richardson_derivative(jet.dV[..., N:].reshape(B, R, N, N, 2), hs)
-    hessW = 0.5 * (dW[:, :N] + np.swapaxes(dW[:, :N], 1, 2))
-    vxx, vyy = dV_xy[:, N, ..., 0], dV_xy[:, N + 1, ..., 1]
-    res[1] = np.abs(hessW + vxx + vyy).max(axis=(1, 2))
-    scale[1] = np.maximum(np.abs(hessW).max(axis=(1, 2)), np.abs(vxx + vyy).max(axis=(1, 2)))
+    res[1] = np.abs(hessW + v_eta).max(axis=(1, 2))
+    scale[1] = np.maximum(np.abs(hessW).max(axis=(1, 2)),
+                          np.abs(v_eta).max(axis=(1, 2)))
     return res, scale
 
 

@@ -5,15 +5,14 @@ definite matrix acting on the moment coordinates ``mu`` together with a
 complex coordinate ``eta``.  This module provides the quadratic-form
 wrapper, base points, index-set bookkeeping, block/Schur algebra with a
 stratum subset's reduction to a lower-N form, the anisotropic norm, and
-the terms of the constant-coefficient Laplacian of that flat structure,
-plus the one Richardson stencil behind every derivative, laid out over a
-batch of points, and its step rule, ``gradient_step``, one step per point.
+the terms of the constant-coefficient Laplacian of that flat structure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -34,9 +33,6 @@ __all__ = [
     "laplace_terms",
     "ball_volume",
     "block",
-    "gradient_step",
-    "richardson_stencil",
-    "richardson_derivative",
 ]
 
 
@@ -131,13 +127,14 @@ def _finite(a: np.ndarray) -> bool:
     return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class BasePoint:
     """A point (mu, eta) of the base R^N x C, ``mu`` a read-only copy.
 
     Slotted, so a point holds no ``__dict__``.  A copy or an unpickled
     point is built by ``__init__`` again, so it is checked and its ``mu``
-    is read-only too."""
+    is read-only too.  Points are equal when their mu and eta are, and
+    hash by mu's floats and eta, so that 0.0 and -0.0 hash alike."""
 
     mu: np.ndarray
     eta: complex
@@ -155,6 +152,14 @@ class BasePoint:
 
     def __reduce__(self):
         return BasePoint, (self.mu, self.eta)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BasePoint):
+            return NotImplemented
+        return self.eta == other.eta and np.array_equal(self.mu, other.mu)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.mu.tolist()), self.eta))
 
     @property
     def N(self) -> int:
@@ -208,7 +213,7 @@ class IndexSet:
     __slots__ = ("members", "contains_zero", "active")
 
     def __init__(self, members: Iterable[int]) -> None:
-        ms = tuple(sorted(set(int(m) for m in members)))
+        ms = tuple(sorted(set(map(operator.index, members))))
         if any(m < 0 for m in ms):
             raise ValueError("index labels must be non-negative")
         self.members = ms
@@ -243,50 +248,6 @@ class IndexSet:
     def active_complement(self, N: int) -> tuple[int, ...]:
         """Complement inside {1, ..., N}."""
         return tuple(m for m in range(1, N + 1) if m not in self.members)
-
-
-# -- finite differences -------------------------------------------------
-
-# The stencil's truncation error is O(h^4): at this step criterion 12's
-# second identity stays below 1e-5 on 768 field-n3 points (7.7e-6 at the
-# worst, 2.0e-3 at 4x the step), far under its 1e-3, while the quadrature
-# error divided by h stays far smaller still.
-_GRADIENT_STEP_REL = 5e-3
-
-
-def gradient_step(x: np.ndarray) -> np.ndarray:
-    """Steps 5e-3 max(1, max_i |x_i|) over the last axis of x (..., n), one
-    per point, taken along every coordinate, for analytic gradients."""
-    return _GRADIENT_STEP_REL * np.maximum(1.0, np.abs(x).max(axis=-1))
-
-
-def richardson_stencil(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rows (B, 1 + 4n, n) for the points x (B, n) and their steps h (B,):
-    per point x, then x +/- h and x +/- h/2 along each coordinate k in turn."""
-    B, n = x.shape
-    k = np.arange(4 * n)
-    rows = np.repeat(np.asarray(x, dtype=float)[:, None], 1 + 4 * n, axis=1)
-    rows[:, 1 + k, k // 4] += np.tile(np.stack([h, -h, h / 2, -h / 2], axis=-1), n)
-    return rows
-
-
-def richardson_derivative(values: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Derivatives (B, n, ...) from ``values`` (B, 1 + 4n, ...) on the rows
-    of ``richardson_stencil(x, h)``: per point, the central differences d_h
-    and d_(h/2) combined as (4 d_(h/2) - d_h) / 3, exact on polynomials of
-    degree 4.
-
-    >>> rows = richardson_stencil(np.array([[1.0, -2.0]]), np.array([0.1]))
-    >>> richardson_derivative(rows[..., 0] ** 3 * rows[..., 1], np.array([0.1])).round(12)
-    array([[-6.,  1.]])
-    """
-    v = np.asarray(values)
-    B, n = v.shape[0], (v.shape[1] - 1) // 4
-    h = np.asarray(h, dtype=float).reshape((B,) + (1,) * (v.ndim - 1))
-    q = v[:, 1:].reshape((B, n, 4) + v.shape[2:])
-    d_h = (q[:, :, 0] - q[:, :, 1]) / (2.0 * h)
-    d_h2 = (q[:, :, 2] - q[:, :, 3]) / h
-    return (4.0 * d_h2 - d_h) / 3.0
 
 
 # -- operations ----------------------------------------------------------

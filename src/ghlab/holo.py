@@ -200,7 +200,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     spec = GammaSpec(A, I, quad)   # the model coordinates need a subset containing 0
     act = I.active
     n = len(act)
-    if np.max(np.abs(basepath[-1].as_vector() - p.as_vector())) > 0:
+    if basepath[-1] != p:
         basepath = basepath + [p]
     vals = np.zeros(n + 1) if gauge is None else np.asarray(gauge, dtype=float).copy()
     if vals.shape != (n + 1,):

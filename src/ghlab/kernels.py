@@ -12,7 +12,9 @@ A stratum model's kernels are those of a lower-N form, its
 ``geometry.reduction`` G at (mu_I, s eta).
 
 Every kernel value goes through ``alpha_family``: the kernels of a form at
-a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  The
+a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case, and
+``alpha_hessian`` gives their second derivatives exactly, from the
+family's faces and its cones at two powers higher.  The
 kernels differ only in their cone matrix, laid out once per N; Q, the
 prefactor and ``quadrature.cone_frame`` are built once per form, and
 ``_engine_batch`` makes one engine call for the whole family at the
@@ -20,8 +22,8 @@ resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo``
 share it.  Only the weak charge check calls the engine directly, with no
 floor: its polar rule about the sheet, whose measure cancels the
-singularity, puts nodes inside that floor.  ``alpha_grad``, one row of
-``alpha_batch``, remains for the benchmark, which calls and traces it;
+singularity, puts nodes inside that floor.  ``alpha_grad``, one row of the
+family with its gradient, remains for the benchmark, which traces it;
 ``alpha``, its value, also serves criterion 03.  The tests hold these
 kernels against closed forms and a scrambled-Sobol estimate,
 ``tests/oracles.py``'s ``qmc_alpha_oracle``.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +59,7 @@ __all__ = [
     "alpha_grad",
     "alpha_batch",
     "alpha_family",
+    "alpha_hessian",
     "closed_form_axis",
     "RadialBump",
     "WeakCheckResult",
@@ -79,7 +83,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if len(self.labels) != 2:
             raise ValueError(f"kernel labels {self.labels} are not a pair")
-        i, j = sorted(self.labels)
+        i, j = sorted(map(operator.index, self.labels))
         object.__setattr__(self, "labels", (i, j))
         if i == j:
             raise ValueError(f"kernel labels {self.labels} must be distinct")
@@ -170,15 +174,14 @@ def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelVa
 
 
 def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
-                eta: np.ndarray, want_gradient: bool = False) -> KernelValue:
-    """One kernel at the batch mu (B, N), eta (B,), the one-kernel case of
-    ``alpha_family``: values and prefactor-scaled error estimates (B,),
-    gradient rows (B, N + 2) as (mu..., Re eta, Im eta), and the grid nodes
-    of every call.  A mu of another width than N raises ValueError.
+                eta: np.ndarray) -> KernelValue:
+    """One kernel's values at the batch mu (B, N), eta (B,), the one-kernel
+    case of ``alpha_family``: values and prefactor-scaled error estimates
+    (B,), and the grid nodes of every call.  A mu of another width than N
+    raises ValueError.
     """
-    _, kv = alpha_family(spec.A, quad, mu, eta, want_gradient, spec.labels)
-    return KernelValue(kv.value[0], kv.error[0], kv.evals,
-                       None if kv.gradient is None else kv.gradient[0])
+    _, kv = alpha_family(spec.A, quad, mu, eta, False, spec.labels)
+    return KernelValue(kv.value[0], kv.error[0], kv.evals)
 
 
 def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
@@ -200,6 +203,54 @@ def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     grads = fam.prefactor * raw.gradient if want_gradient else None
     return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
                                    raw.evals, grads)
+
+
+def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
+                  labels: tuple[int, int] | None = None
+                  ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Every kernel of A (or the one kernel ``labels``) at the batch
+    mu (B, N), eta (B,): their labels, gradients (K, B, N + 2) and Hessians
+    (K, B, N + 2, N + 2) over x = (mu, Re eta, Im eta), with no difference.
+    With Q' = diag(A, det A I_2), M' = (M; 0), G = M^T A M, R = Q' M' G^-1
+    and S = Q' - R M'^T Q', a derivative along cone column k integrates to
+    the face V^F_k, the cone less that column, so that
+
+        grad V_p = R V^F - p S x V_(p+2),
+        hess V_p = R grad V^F - p S V_(p+2) - p S x grad V_(p+2)^T:
+
+    two engine calls, all K d faces at power p (none at N = 1) and the
+    cones at p + 2, which share the kernels' sheets and refusals.  Each
+    meets ``quad`` in its own prefactor-scaled values, exactly at d <= 2
+    (the faces up to N = 4, the cones at p + 2 up to N = 3)."""
+    mu, eta = check_batch(mu, eta, A.n)
+    fam = _family(A, labels)
+    K, N, d = fam.M.shape
+    p = fam.power
+    # R and -p S from the form alone, prefactor included
+    AM = fam.Q @ fam.M
+    R = np.zeros((K, N + 2, d))
+    R[:, :N] = np.linalg.solve(fam.M.swapaxes(1, 2) @ AM, AM.swapaxes(1, 2)).swapaxes(1, 2)
+    S = np.zeros((K, N + 2, N + 2))
+    S[:, :N, :N] = (-p * fam.prefactor) * (fam.Q - R[:, :N] @ AM.swapaxes(1, 2))
+    S[:, N, N] = S[:, N + 1, N + 1] = -p * fam.prefactor * fam.c_eta
+    R *= fam.prefactor
+    Sx = (S[:, None] * np.column_stack([mu, eta.real, eta.imag])[:, None]).sum(axis=-1)
+    plus = _engine_batch(_Family(fam.Q, fam.c_eta, fam.labels, fam.M, p + 2, fam.prefactor,
+                                 fam.frame), mu, eta, quad, True)
+    grad = Sx * plus.value[..., None]
+    hess = (S[:, None] * plus.value[..., None, None]
+            + Sx[..., None] * plus.gradient[..., None, :])
+    if d:
+        # face j K + k is kernel k less its column j; summed face by face,
+        # so a row is the same in any batch
+        drop = np.array([[i for i in range(d) if i != j] for j in range(d)], dtype=int)
+        MF = fam.M[:, :, drop].transpose(2, 0, 1, 3).reshape(d * K, N, d - 1)
+        faces = _engine_batch(_Family(fam.Q, fam.c_eta, fam.labels * d, MF, p, fam.prefactor,
+                                      cone_frame(fam.Q, MF)), mu, eta, quad, True)
+        for j in range(d):
+            grad += R[:, None, :, j] * faces.value[j * K:(j + 1) * K, :, None]
+            hess += R[:, None, :, j, None] * faces.gradient[j * K:(j + 1) * K, :, None]
+    return fam.labels, grad, hess
 
 
 def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,

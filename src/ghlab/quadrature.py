@@ -62,8 +62,12 @@ recursion where beta >= 0, a positive power series in sin^2 where beta < 0
 and the angle is small), D formed as a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
-0.  The engine takes rows b (B, m), eta (B,) and a stack of cone matrices
-M (K, m, d) of kernels that share Q, c_eta and the power; the form's part
+0.  Each contraction of a closed form's rows is an ``np.einsum``, which
+sums every entry in one order, and the tests hold each row to the same
+bits alone and in any batch; a BLAS product picks its kernel, and with it
+the rounding, by the batch's shape (one row or more).  The engine takes
+rows b (B, m), eta (B,) and a stack of cone matrices M (K, m, d) of
+kernels that share Q, c_eta and the power; the form's part
 (``cone_frame``) carries the kernel axis, and every (kernel, row) pair is
 evaluated in one pass.  For every k = d - 2 >= 1 the other parameters
 tau'' of each group of a kernel's rows are swept on one grid in
@@ -154,8 +158,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise ValueError(f"abs_tol must be positive and finite, not {self.abs_tol}")
 
 
 @dataclass
@@ -375,7 +379,7 @@ def _sine_power_sums(x: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     s = sin(phi0) <= 1/2: expanding (1 - s^2)^(-1/2) in
     S_k = integral_0^s s'^k (1 - s'^2)^(-1/2) ds'.  Every term is positive;
     one power table and one product sum them."""
-    return (x[:, None] ** _SERIES_J @ _series_coef(ks)).T
+    return np.einsum("nj,jk->kn", x[:, None] ** _SERIES_J, _series_coef(ks))
 
 
 def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
@@ -462,8 +466,8 @@ class _Line(_Stack):
                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Values (K, B), gradient rows (K, B, m + 2) and squared sheet
         distances r*^2 (K, B) at the rows b (B, m)."""
-        beta = self.Qm @ b.T
-        Z = b @ self.L.swapaxes(-1, -2)
+        beta = np.einsum("km,bm->kb", self.Qm, b)
+        Z = np.einsum("kij,bj->kbi", self.L, b)
         h = np.einsum("kbj,kbj->kb", Z, Z) + E
         # the sheet distance: to the line where the foot t = beta / a >= 0,
         # else to the apex, gamma = h + beta^2 / a
@@ -478,7 +482,7 @@ class _Line(_Stack):
         m = self.Qm.shape[-1]
         grad = np.empty(h.shape + (m + 2,))
         bound = (h + beta * beta / self.a) ** (-0.5 * power)
-        grad[..., :m] = ((-power * J[1][..., None] * Z) @ self.L
+        grad[..., :m] = (np.einsum("kbi,kij->kbj", -power * J[1][..., None] * Z, self.L)
                          + bound[..., None] * (self.Qm / self.a)[:, None, :])
         grad[..., m:] = -power * ceta_xy * J[1][..., None]
         return J[0], grad, r2
@@ -643,7 +647,7 @@ def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
     if len(ns) > 1:
         np.multiply(F[0], root2, out=F[1])
         np.divide(F[0], den, out=F[2])
-    I = F @ _EDGE_WEIGHTS
+    I = np.einsum("...n,n->...", F, _EDGE_WEIGHTS)
     return [theta * I[0]] if len(ns) == 1 else [theta * I[0], theta * I[1], theta * al * I[2]]
 
 
@@ -702,9 +706,10 @@ class _Wedge(_Stack):
         """The whole integral at d = 2 for every kernel of the stack and
         every row b (B, m) in one closed form: values (K, B), gradients
         (K, B, m + 2) and squared sheet distances r*^2 (K, B)."""
-        # component-major (2, K, B) and (m', K, B)
-        y, z = (self.P @ b.T).swapaxes(0, 1), (self.L @ b.T).swapaxes(0, 1)
-        H2 = np.einsum("j...,j...->...", z, z) + E
+        # the foot component-major (2, K, B), the transverse part (K, B, m')
+        y = np.einsum("kcm,bm->ckb", self.P, b)
+        z = np.einsum("kim,bm->kbi", self.L, b)
+        H2 = np.einsum("kbi,kbi->kb", z, z) + E
         e2 = (self.cphi[:, None], self.sphi[:, None])
         s0, ell = _edges(e2, y)
         W = wedge_integrals(e2, s0, ell, H2, power, want_gradient)
@@ -721,8 +726,8 @@ class _Wedge(_Stack):
         m = self.P.shape[-1]
         grad = np.empty(W[0].shape + (m + 2,))
         Wp = (-power * jac) * W[1]
-        grad[..., :m] = (jac[..., None] * W[2].transpose(1, 2, 0) @ self.P
-                         + (Wp * z).transpose(1, 2, 0) @ self.L)
+        grad[..., :m] = (np.einsum("ckb,kcm->kbm", jac * W[2], self.P)
+                         + np.einsum("kbi,kim->kbm", Wp[..., None] * z, self.L))
         grad[..., m:] = Wp[..., None] * ceta_xy
         return W[0] * jac, grad, r2
 
@@ -912,13 +917,14 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         # every (kernel, row) pair is a closed form; one on the sheet reads inf
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 0:
-                r2 = np.einsum("bm,mk,bk->b", b, Q, b) + E
+                bQ = np.einsum("bm,mk->bk", b, Q)
+                r2 = np.einsum("bk,bk->b", bQ, b) + E
                 val = np.tile(r2 ** (-0.5 * power), (K, 1))
                 grad = None
                 if want_gradient:
                     core = r2 ** (-0.5 * (power + 2))
                     grad = np.empty((K, B, m + 2))
-                    grad[..., :m] = -power * (b @ Q) * core[:, None]
+                    grad[..., :m] = -power * bQ * core[:, None]
                     grad[..., m:] = -power * ceta_xy * core[:, None]
             else:
                 val, grad, r2 = frame.integral(b, E, power, want_gradient, ceta_xy)

@@ -6,7 +6,8 @@ stratum model's kernels, field and gammas on A's own coordinates (the
 library takes them from the reduced form instead), the gammas by
 quadrature along their defining ray and in closed form for one active
 slot, the explicit swap of label 0, the glue scale rho_IJ of one stratum
-pair, and the relative volume defect through det(A + v).  None of
+pair, the relative volume defect through det(A + v), and a central
+difference for derivatives the library takes exactly.  None of
 them runs in a verdict, a CLI experiment or the
 benchmark, so they live here rather than in ``ghlab``; scipy, which the
 Sobol sequence needs, is a test dependency only.
@@ -271,3 +272,14 @@ def sigma_det_route(A: QuadForm, v: np.ndarray) -> tuple[float, float]:
     detV = float(np.linalg.det(A.entries + v))
     w = A.det * float(np.sum(A.inv * v))
     return -(detV - A.det - w) / detV, detV / A.det
+
+
+def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
+    """(f(x + h e_k) - f(x - h e_k)) / (2 h) for each coordinate k of
+    x (n,), stacked on a new first axis: f takes the 2 n rows (2 n, n) at
+    once to values (2 n, ...).  Its error is h^2 / 6 times a third
+    derivative, so it serves as a second-order reference for an exact
+    derivative, such as ``kernels.alpha_hessian``'s of the engine's gradient."""
+    steps = h * np.eye(len(x))
+    values = f(np.concatenate([x + steps, x - steps]))
+    return (values[:len(x)] - values[len(x):]) / (2.0 * h)

@@ -20,7 +20,7 @@ from ghlab.ansatz import (
     sigma_expansion,
     weight_ell,
 )
-from ghlab.kernels import KernelSpec, alpha_batch
+from ghlab.kernels import alpha_family
 from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec, panel_nodes
 from oracles import sigma_det_route
@@ -167,16 +167,16 @@ def test_empty_batch_gives_empty_arrays(N, want_gradient):
     # return empty arrays for it, as the sweep (N = 4) does
     A = random_spd(np.random.default_rng(5), N)
     mu, eta = np.zeros((0, N)), np.zeros(0, dtype=complex)
-    kv = alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta, want_gradient)
-    assert kv.value.shape == kv.error.shape == (0,) and kv.evals == 0
+    _, kv = alpha_family(A, QUAD, mu, eta, want_gradient, (0, 1))
+    assert kv.value.shape == kv.error.shape == (1, 0) and kv.evals == 0
     jet = FirstOrderField(A, QUAD).jet(mu, eta, want_gradient)
     assert jet.V.shape == jet.v.shape == (0, N, N)
     assert jet.W.shape == jet.w.shape == jet.quad_error.shape == (0,)
     if want_gradient:
-        assert kv.gradient.shape == jet.dW.shape == (0, N + 2)
+        assert kv.gradient.shape == (1, 0, N + 2)
         assert jet.dV.shape == (0, N, N, N + 2)
     else:
-        assert kv.gradient is None and jet.dV is None and jet.dW is None
+        assert kv.gradient is None and jet.dV is None
 
 
 def _leg_nodes(q0, q1):
@@ -275,7 +275,7 @@ def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
     assert got_v.tobytes() == v.tobytes() and got_dv.tobytes() == dv.tobytes()
     for b in range(B):
         one = fld.jet(mu[b:b + 1], eta[b:b + 1])
-        for x, y in zip((jet.V, jet.W, jet.dV, jet.dW), (one.V, one.W, one.dV, one.dW)):
+        for x, y in zip((jet.V, jet.W, jet.dV), (one.V, one.W, one.dV)):
             assert x[b:b + 1].tobytes() == y.tobytes()
 
 

@@ -10,39 +10,45 @@ from test_acceptance import criterion_rows
 
 @pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
 def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
-    # every point's stencil goes into one kernel batch.  At N = 3 each row
-    # is a closed form; at N = 4 these points lie farther apart than half
-    # a sheet distance, so the batch splits into the per-point grids.
-    # Either way the worst value is bitwise the per-point worst.
+    # every point goes into one Hessian batch of the kernel, two engine
+    # calls of one row per point: its cone at p + 2 and its d faces.  At
+    # N = 3 each row is a closed form; at N = 4 these points lie farther
+    # apart than half a sheet distance, so the swept cone splits into the
+    # per-point grids.  Either way the worst value is bitwise the
+    # per-point worst.
     rng = np.random.default_rng(seed)
     A = checks.random_spd(rng, N)
     pts = [checks.off_locus_point(rng, A) for _ in range(4)]
-    calls = []
-    batch = kernels.alpha_batch
+    calls, rows = [], []
+    hessian, engine = kernels.alpha_hessian, kernels.power_kernel_integral
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
-        return batch(*args, **kwargs)
+        return hessian(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "alpha_batch", counted)
+    monkeypatch.setattr(kernels, "alpha_hessian", counted)
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     for labels in [(0, 1), (1, 2)]:
         spec = kernels.KernelSpec(A, labels)
         calls.clear()
+        rows.clear()
         worst = checks.kernel_laplacian(spec, pts)
-        assert calls == [len(pts) * (1 + 4 * (N + 2))]
+        assert calls == [len(pts)] and rows == [(1, len(pts)), (N - 1, len(pts))]
         assert worst == max(checks.kernel_laplacian(spec, [p]) for p in pts)
 
 
-def test_integrability_gap_is_one_engine_call(monkeypatch):
-    # per N, criterion 12's 20 points' stencils (420 rows at N = 3, 500 at
-    # N = 4) go into one field jet, and the N's kernels share everything but
-    # their cone matrix, so all its (kernel, row) pairs are one engine call
+def test_integrability_gap_is_one_hessian_call(monkeypatch):
+    # per N, criterion 12's 20 points go into one Hessian batch of the
+    # field's kernels, which share everything but their cone matrix: one
+    # engine call for the K cones at p + 2 and one for their K (N - 1)
+    # faces, each of the 20 rows
     rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
-                        lambda *a, **k: rows.append(len(a[2])) or engine(*a, **k))
+                        lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("12")
-    assert rows == [420, 500]
+    assert rows == [(6, 20), (12, 20), (10, 20), (30, 20)]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
@@ -163,18 +169,18 @@ def test_seam_jump_flags_a_shifted_bridge(monkeypatch):
 
 
 def test_kernel_laplacian_flags_a_non_harmonic_term(monkeypatch):
-    # eps mu_1^2, eps = 1e-5, added to every kernel's values and
-    # gradients: the axis kernel's A-Laplacian is 2 eps (A^-1)_11
-    batch = kernels.alpha_batch
+    # eps mu_1^2, eps = 1e-5, added to every kernel: its gradients gain
+    # 2 eps mu_1 and its Hessians 2 eps at (mu_1, mu_1), so the axis
+    # kernel's A-Laplacian is 2 eps (A^-1)_11
+    hessian = kernels.alpha_hessian
 
-    def with_term(spec, quad, mu, eta, want_gradient=False):
-        kv = batch(spec, quad, mu, eta, want_gradient)
-        kv.value = kv.value + 1e-5 * mu[:, 0] ** 2
-        if want_gradient:
-            kv.gradient[:, 0] += 2e-5 * mu[:, 0]
-        return kv
+    def with_term(A, quad, mu, eta, labels=None):
+        labels, grad, hess = hessian(A, quad, mu, eta, labels)
+        grad[..., 0] += 2e-5 * mu[:, 0]
+        hess[..., 0, 0] += 2e-5
+        return labels, grad, hess
 
-    monkeypatch.setattr(kernels, "alpha_batch", with_term)
+    monkeypatch.setattr(kernels, "alpha_hessian", with_term)
     assert "harmonicity/N=3-axis" in failed("04")
 
 
@@ -294,3 +300,19 @@ def test_log_sum_gap_flags_a_scaled_gamma(monkeypatch):
     # the gap is about 0.47 eps, flagged from eps = 2.1e-6 (tol 1e-6)
     assert "logz-growth/log-sum-identity" in _criterion_09_failures(
         monkeypatch, gamma_scale=1.0 + 1e-4)
+
+
+def test_integrability_gap_flags_a_scaled_eta_block(monkeypatch):
+    # every kernel Hessian's eta-eta block scaled by 1 + eps, eps = 1e-2, so
+    # the horizontal Laplacian of V no longer cancels the mu-Hessian of W:
+    # each row reads eps / (1 + eps), flagged from eps = 1.001e-3 at N = 3
+    # and 4 (tol 1e-3)
+    hessian = frame.alpha_hessian
+
+    def scaled(*args):
+        labels, grad, hess = hessian(*args)
+        hess[..., -2:, -2:] *= 1.0 + 1e-2
+        return labels, grad, hess
+
+    monkeypatch.setattr(frame, "alpha_hessian", scaled)
+    assert failed("12") == {"integrability/N=3-second", "integrability/N=4-second"}

@@ -1,32 +1,13 @@
 import numpy as np
 import pytest
 
-from ghlab import checks
+from ghlab import checks, frame
 from ghlab.geometry import BasePoint, QuadForm
 from ghlab.ansatz import FirstOrderField
 from ghlab.frame import integrability_batch, integrability_residual
 from ghlab.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
-
-
-class PerturbedField:
-    """A field with an explicit smooth perturbation added to V: extra(mu)
-    is the stacked matrix (B, N, N) added at the batch mu, independent of
-    eta, and extra_grad(mu) its gradient (B, N, N, N + 2) over (mu, Re eta,
-    Im eta), whose eta columns are 0."""
-
-    def __init__(self, base, extra, extra_grad) -> None:
-        self.base = base
-        self.extra = extra
-        self.extra_grad = extra_grad
-
-    def jet(self, mu, eta, want_gradient=True):
-        jet = self.base.jet(mu, eta, want_gradient)
-        jet.V = jet.V + self.extra(mu)
-        if want_gradient:
-            jet.dV = jet.dV + self.extra_grad(mu)
-        return jet
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -43,14 +24,14 @@ def test_integrability_residual_small():
     fld = FirstOrderField(A, QUAD)
     p = BasePoint(np.array([0.7, -0.9]), 0.8 + 0.3j)
     res = integrability_residual(fld, p)
-    assert res.first_relative < 1e-10
-    assert res.second_relative < 1e-4
+    assert res.first_relative < 1e-13
+    assert res.second_relative < 1e-13
 
 
 def test_second_identity_at_steep_point():
-    # criterion 12's tolerance at the field-n3 point (seed 941, pool entry
-    # 91) where a Richardson step four times larger left a residual of
-    # 1.99e-3: the truncation error is O(h^4), the quadrature noise far less
+    # the field-n3 point (seed 941, pool entry 91) where a Richardson
+    # stencil of analytic gradients read 7.7e-6, and 1.99e-3 at four times
+    # its step, all of it truncation error: the exact Hessians read roundoff
     A = QuadForm(np.array([
         [1.308218426976135, -0.37032655691394134, 0.10135071913064905],
         [-0.37032655691394134, 1.766972205417877, -0.1313999995645675],
@@ -59,8 +40,8 @@ def test_second_identity_at_steep_point():
                             -0.3243191926934874]),
                   -0.23275574166144897 - 0.21821198594112826j)
     res = integrability_residual(FirstOrderField(A, checks.QUAD), p)
-    assert res.first_relative <= checks.INTEGRABILITY_TOL
-    assert res.second_relative <= checks.INTEGRABILITY_TOL
+    assert res.first_relative <= 1e-13
+    assert res.second_relative <= 1e-13
 
 
 def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
@@ -100,31 +81,31 @@ def test_n4_field_identities(monkeypatch):
 
 
 def test_n5_field_identities(monkeypatch):
-    # two swept axes per kernel on the radial grid; only edges whose
-    # difference would cancel reach the far-edge rule
+    # criterion 12 sweeps two axes per kernel for the 15 cones at p + 2 and
+    # one for their 60 faces, each one row; only edges whose difference
+    # would cancel reach the far-edge rule.  The stencil's 29 rows took
+    # 13,511,680 nodes and sent 662,706 edges to the rule
     nodes, edges = _field_identities(5, monkeypatch)
-    assert nodes <= 3e7
-    assert edges == 662706
+    assert nodes == 481256
+    assert edges == 87663
 
 
-def test_perturbed_field_breaks_first_identity():
-    # corrupt V_12 by mu_3: the mu-gradient symmetry fails at order one
+def test_perturbed_field_breaks_first_identity(monkeypatch):
+    # corrupt the kernel alpha_12 by -mu_3, so V_12 gains mu_3 (and V_11,
+    # V_22 lose it), a term linear in mu with no Hessian: the mu-gradient
+    # symmetry fails at order one
     A = QuadForm.identity(3)
-    base = FirstOrderField(A, QUAD)
-
-    def extra(mu):
-        E = np.zeros((len(mu), 3, 3))
-        E[:, 0, 1] = E[:, 1, 0] = mu[:, 2]
-        return E
-
-    def extra_grad(mu):
-        dE = np.zeros((len(mu), 3, 3, 5))
-        dE[:, 0, 1, 2] = dE[:, 1, 0, 2] = 1.0
-        return dE
-
-    bad = PerturbedField(base, extra, extra_grad)
+    fld = FirstOrderField(A, QUAD)
     p = BasePoint(np.array([1.0, 0.8, 1.2]), 0.7 + 0.1j)
-    res_bad = integrability_residual(bad, p)
-    res_good = integrability_residual(base, p)
+    res_good = integrability_residual(fld, p)
+    hessian = frame.alpha_hessian
+
+    def perturbed(*args):
+        labels, grad, hess = hessian(*args)
+        grad[labels.index((1, 2)), :, 2] -= 1.0
+        return labels, grad, hess
+
+    monkeypatch.setattr(frame, "alpha_hessian", perturbed)
+    res_bad = integrability_residual(fld, p)
     assert res_bad.first_relative > 100.0 * res_good.first_relative
     assert res_bad.first > 0.5

@@ -25,10 +25,7 @@ from ghlab.geometry import (
     batch_from_vectors,
     block,
     check_batch,
-    gradient_step,
     laplace_terms,
-    richardson_derivative,
-    richardson_stencil,
     schur_blocks,
     schur_complement,
 )
@@ -205,6 +202,25 @@ def test_base_point_refuses_mu_of_the_wrong_shape(mu):
         BasePoint(mu, 0.5)
 
 
+def test_base_points_compare_and_hash_by_value():
+    # the generated __eq__ once compared mu as arrays, a ValueError for
+    # N >= 2, and hash failed on the ndarray field
+    p, q = BasePoint([1.0, 2.0], 0.5j), BasePoint([1.0, 2.0], 0.5j)
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != BasePoint([1.0, 2.5], 0.5j) and p != BasePoint([1.0, 2.0], 0.5)
+    assert p != BasePoint([1.0, 2.0, 0.0], 0.5j) and p != "p"
+    # -0.0 == 0.0, so the points are equal and hash alike
+    z, w = BasePoint([0.0, -0.0], complex(-0.0, 0.0)), BasePoint([-0.0, 0.0], 0j)
+    assert z == w and hash(z) == hash(w)
+
+
+def test_indexset_refuses_a_label_that_is_not_an_integer():
+    # IndexSet((0, 1.7)) once became (0, 1)
+    with pytest.raises(TypeError):
+        IndexSet((0, 1.7))
+    assert IndexSet((np.int64(2), 0)).members == (0, 2)
+
+
 def test_indexset_basics():
     I = IndexSet((2, 0, 1))
     assert I.members == (0, 1, 2)
@@ -218,34 +234,6 @@ def test_indexset_basics():
         IndexSet((0,)).require_stratum(3)
     with pytest.raises(ValueError):
         IndexSet((0, 5)).require_stratum(3)
-
-
-@pytest.mark.parametrize("h", [np.full(3, 0.1), np.array([0.1, 0.05, 0.2])],
-                         ids=["scalar-step", "per-coordinate-step"])
-def test_richardson_derivative_exact_on_quartics(h):
-    # central differences carry only even powers of h and one Richardson
-    # level cancels h^2, so degree-4 polynomials come out exact to roundoff;
-    # a batch of three points sharing one step, or each with its own step
-    # along all of its coordinates
-    x = np.array([[0.7, -1.3, 0.4], [-0.2, 0.9, 1.1], [1.5, 0.3, -0.6]])
-    rows = richardson_stencil(x, h)
-    assert rows.shape == (3, 13, 3)
-    np.testing.assert_array_equal(rows[:, 0], x)
-    np.testing.assert_array_equal(
-        rows[1, 5:9, 1], x[1, 1] + h[1] * np.array([1.0, -1.0, 0.5, -0.5]))
-
-    def f(v):
-        a, b, c = v[..., 0], v[..., 1], v[..., 2]
-        return np.stack([a ** 4 - 2.0 * a * b ** 3 + c ** 2,
-                         b ** 2 * c ** 2 + a * c - 3.0 * c ** 4], axis=-1)
-
-    a, b, c = x.T
-    jac = np.array([[4.0 * a ** 3 - 2.0 * b ** 3, c],
-                    [-6.0 * a * b ** 2, 2.0 * b * c ** 2],
-                    [2.0 * c, 2.0 * b ** 2 * c + a - 12.0 * c ** 3]]).transpose(2, 0, 1)
-    got = richardson_derivative(f(rows), h)
-    assert got.shape == (3, 3, 2)
-    np.testing.assert_allclose(got, jac, rtol=1e-12, atol=1e-12)
 
 
 @given(st.floats(0.1, 10.0), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
@@ -282,19 +270,6 @@ def test_schur_complement_is_built_once_per_active_set():
     # a form with equal entries has its own cache, with equal values
     np.testing.assert_array_equal(
         schur_complement(spd(A.entries), IndexSet((0, 2))).entries, G.entries)
-
-
-def test_hessian_from_analytic_gradient():
-    # one differencing level on top of an analytic gradient, at the step
-    # every verdict uses: exact on a quadratic up to roundoff, and symmetric
-    H0 = np.array([[2.0, 1.0, 0.0, 0.5], [1.0, 4.0, -1.0, 0.0],
-                   [0.0, -1.0, 6.0, 0.0], [0.5, 0.0, 0.0, -2.0]])
-    x = np.array([[0.3, -0.8, 0.2, 0.9]])
-    h = gradient_step(x)
-    J = richardson_derivative(richardson_stencil(x, h) @ H0.T, h)[0]
-    H = 0.5 * (J + J.T)
-    np.testing.assert_allclose(H, H0, atol=1e-8)
-    np.testing.assert_array_equal(H, H.T)
 
 
 @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
@@ -354,9 +329,9 @@ def test_one_row_names_check_their_point_once(monkeypatch):
     gap = holo.gamma_sum_check(_GAMMA_2, _P2).scaled_gap
     assert calls == []
     # the same numbers as the checked batch names
-    batch = kernels.alpha_batch(_KERNEL_3, _QUAD, _P3.mu[None], np.array([_P3.eta]),
-                                want_gradient=True)
-    assert kv.value == batch.value[0] and kv.gradient.tolist() == batch.gradient[0].tolist()
+    _, batch = kernels.alpha_family(_KERNEL_3.A, _QUAD, _P3.mu[None], np.array([_P3.eta]),
+                                    True, _KERNEL_3.labels)
+    assert kv.value == batch.value[0, 0] and kv.gradient.tolist() == batch.gradient[0, 0].tolist()
     gam = gamma_family(_GAMMA_2, (0, 1, 2), _P2.mu[None], np.array([_P2.eta]))
     assert gap == abs(sum(gam.value[:, 0].tolist()) - 1.0 / _P2.eta) * abs(_P2.eta)
     assert len(calls) == 2

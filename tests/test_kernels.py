@@ -10,8 +10,9 @@ import pytest
 from ghlab import checks, kernels, locus
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
-from ghlab.geometry import (BasePoint, IndexSet, QuadForm, gradient_step, laplace_terms,
-                            reduction, richardson_derivative, richardson_stencil)
+from ghlab.geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, laplace_terms,
+                            reduction)
+from ghlab.holo import GammaSpec, gamma_family
 from ghlab.kernels import (
     KernelSpec,
     _family,
@@ -21,13 +22,14 @@ from ghlab.kernels import (
     alpha_batch,
     alpha_family,
     alpha_grad,
+    alpha_hessian,
     closed_form_axis,
     kernel_prefactor,
     weak_distributional_check,
 )
 from ghlab.quadrature import (QuadratureError, QuadratureSpec, SingularityProximity,
                               power_kernel_integral)
-from oracles import qmc_alpha_oracle, restricted_kernels
+from oracles import central_difference, qmc_alpha_oracle, restricted_kernels
 
 
 QUAD = QuadratureSpec()
@@ -83,6 +85,12 @@ def test_spec_validation():
         KernelSpec(A, (0, 4))
     s = KernelSpec(A, (2, 0))
     assert s.labels == (0, 2)
+
+
+def test_spec_refuses_a_label_that_is_not_an_integer():
+    # (0, 1.5) was once kept, and failed later inside tuple.index
+    with pytest.raises(TypeError):
+        KernelSpec(QuadForm.identity(3), (0, 1.5))
 
 
 def test_spec_refuses_labels_that_are_no_pair():
@@ -293,8 +301,8 @@ def test_alpha_batch_matches_pointwise():
         v = base.as_vector()
         v[k] += 0.02
         pts.append(BasePoint(v[:-2], complex(v[-2], v[-1])))
-    kv = alpha_batch(spec, QUAD, *_batch(pts), want_gradient=True)
-    vals, grads = kv.value, kv.gradient
+    _, kv = alpha_family(A, QUAD, *_batch(pts), True, spec.labels)
+    vals, grads = kv.value[0], kv.gradient[0]
     for t, p in enumerate(pts):
         assert vals[t] == pytest.approx(alpha(spec, QUAD, p).value, rel=1e-9)
         np.testing.assert_allclose(grads[t],
@@ -325,8 +333,8 @@ def _far_rows_match_pointwise(N, monkeypatch):
                             lambda *a, **k: calls.append(1) or engine(*a, **k))
         monkeypatch.setattr(quadrature, "_sweep_group",
                             lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
-        kv = alpha_batch(spec, quad, *_batch(pts), want_gradient=True)
-        vals, grads, errs = kv.value, kv.gradient, kv.error
+        _, kv = alpha_family(A, quad, *_batch(pts), True, labels)
+        vals, grads, errs = kv.value[0], kv.gradient[0], kv.error[0]
         monkeypatch.undo()
         counts.append((len(calls), len(sweeps)))
         for t, p in enumerate(pts):
@@ -403,8 +411,8 @@ def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     # engine call counts carry no noise either: a closed-form (d <= 2) call
     # reads every pair's sheet distance from its own coordinates, so it
     # makes no sheet_distance or nonneg_argmin call, and one field-n3 point
-    # (criterion 12's stencil jet, criterion 04's six gradients) makes
-    # exactly 7 engine calls
+    # (criterion 12's two Hessian calls, the cones at p + 2 and their faces,
+    # and criterion 04's six gradients) makes exactly 8 engine calls
     from ghlab import frame, quadrature
 
     solves, engine = [], []
@@ -418,7 +426,7 @@ def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     frame.integrability_residual(FirstOrderField(A3, QUAD), p3)
     for labels in itertools.combinations(range(4), 2):
         alpha_grad(KernelSpec(A3, labels), QUAD, p3)
-    assert solves == [] and len(engine) == 7
+    assert solves == [] and len(engine) == 8
     # a swept call (N = 4) solves its sheet distances, and the spies see it
     alpha_grad(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD,
                BasePoint(np.array([0.5, -0.3, 0.8, 0.2]), 0.4 + 0j))
@@ -589,10 +597,10 @@ def test_family_batch_matches_one_kernel_calls(N, members):
     assert labels == tuple(itertools.combinations(range(A.n + 1), 2))
     evals = 0
     for k, ij in enumerate(labels):
-        one = alpha_batch(KernelSpec(A, ij), QUAD, mu, eta, want_gradient=True)
-        np.testing.assert_allclose(kv.value[k], one.value, rtol=1e-14, atol=0)
-        np.testing.assert_array_equal(kv.error[k], one.error)
-        np.testing.assert_allclose(kv.gradient[k], one.gradient, rtol=1e-14,
+        _, one = alpha_family(A, QUAD, mu, eta, True, ij)
+        np.testing.assert_allclose(kv.value[k], one.value[0], rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(kv.error[k], one.error[0])
+        np.testing.assert_allclose(kv.gradient[k], one.gradient[0], rtol=1e-14,
                                    atol=1e-14 * float(np.max(np.abs(one.gradient))))
         evals += one.evals
     assert kv.evals == evals == len(labels) * len(mu)
@@ -698,40 +706,121 @@ def test_cached_cone_matrices_match_a_per_pair_construction(N):
     assert [m.tolist() for m in g_M] == want_M
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_closed_form_rows_do_not_depend_on_their_batch(N):
+    # each closed-form row (values, gradients and Hessians of the family,
+    # and the gammas at N = 2) is bitwise the row computed alone: every
+    # contraction with a row sums in one order, where a BLAS product picks
+    # its kernel, and so its rounding, by the batch's shape
+    for seed in range(20):
+        rng = np.random.default_rng(1000 * N + seed)
+        A = random_spd(rng, N)
+        mu, eta = _batch([checks.random_point(rng, N) for _ in range(5)])
+        _, kv = alpha_family(A, QUAD, mu, eta, True)
+        _, grad, hess = alpha_hessian(A, QUAD, mu, eta)
+        gam = None
+        if N == 2:
+            spec = GammaSpec(A, IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
+            gam = gamma_family(spec, (0, 1, 2), mu, eta).value
+        for b in range(5):
+            row = slice(b, b + 1)
+            _, one = alpha_family(A, QUAD, mu[row], eta[row], True)
+            _, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row])
+            for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
+                         (hess, h1)):
+                assert x[:, row].tobytes() == y.tobytes()
+            if gam is not None:
+                assert gam[:, row].tobytes() == gamma_family(spec, (0, 1, 2), mu[row],
+                                                             eta[row]).value.tobytes()
+
+
 def test_harmonicity_of_kernel_n2():
-    # criterion 04's stencil: the anisotropic Laplacian of the kernel must
-    # vanish away from the sheet
+    # criterion 04's residual on the exact Hessians: the anisotropic
+    # Laplacian of the kernel vanishes away from the sheet, to roundoff
     A = QuadForm(np.array([[1.4, 0.3], [0.3, 1.0]]))
     spec = KernelSpec(A, (0, 1))
     p = BasePoint(np.array([0.8, -0.6]), 0.7 + 0.2j)
-    assert checks.kernel_laplacian(spec, [p]) < 1e-4
+    assert checks.kernel_laplacian(spec, [p]) < 1e-13
 
 
-def _fd_laplace_A(A, f, x, h):
-    """Finite-difference oracle for the A-Laplacian of the values f (rows of
-    real coordinates in, values out) at x: a Richardson Hessian of Richardson
-    gradients, both of step h."""
-    outer = richardson_stencil(x[None], np.array([h]))[0]
-    steps = np.full(len(outer), h)
-    vals = f(richardson_stencil(outer, steps).reshape(-1, len(x)))
-    grads = richardson_derivative(vals.reshape(len(outer), -1), steps)
-    H = richardson_derivative(grads[None], np.array([h]))[0]
-    mu_terms, eta_part = laplace_terms(A, 0.5 * (H + H.T))
-    return float(np.sum(mu_terms)) + eta_part
+def _hessian_case(N, seed):
+    """A form of N coordinates and one off-locus point from ``seed``, as
+    the criteria draw them, with the point as a row x (N + 2,)."""
+    rng = np.random.default_rng(seed)
+    A = random_spd(rng, N)
+    return A, off_locus_point(rng, A).as_vector()
+
+
+# the suite's reach seed (test_frame.py's N = 4 and 5 points) and 20 more
+HESSIAN_SEEDS = (404,) + tuple(range(900, 920))
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_alpha_hessian_identities(N):
+    # every kernel of a form is V_p of homogeneity d - p = -1 in x, harmonic
+    # for Q'^-1 = diag(A^-1, I_2 / det A); so its exact Hessian H is
+    # symmetric, H x = -2 grad V (Euler) and tr(Q'^-1 H) = 0, each to
+    # roundoff of the largest term of its row (a swept gradient's error is
+    # normwise, not per entry).  Any of the three assembly terms of H
+    # scaled by 1 + 1e-9 reads 1e-9 or more in one identity at each N
+    worst = np.zeros(3)
+    for seed in HESSIAN_SEEDS:
+        A, x = _hessian_case(N, seed)
+        labels, grad, hess = alpha_hessian(A, QUAD, *batch_from_vectors(x[None]))
+        assert labels == _family(A).labels and hess.shape == (len(labels), 1, N + 2, N + 2)
+        H, g = hess[:, 0], grad[:, 0]
+        mu_terms, eta_part = laplace_terms(A, H)
+        euler_scale = np.maximum(np.abs(H * x).max(axis=(1, 2)), np.abs(g).max(axis=1))
+        worst = np.maximum(worst, [
+            (np.abs(H - H.swapaxes(1, 2)).max(axis=(1, 2)) / np.abs(H).max(axis=(1, 2))).max(),
+            (np.abs(H @ x + 2.0 * g).max(axis=1) / euler_scale).max(),
+            (np.abs(mu_terms.sum(axis=1) + eta_part)
+             / np.maximum(np.abs(mu_terms).max(axis=1), np.abs(eta_part))).max()])
+    assert worst.max() <= 1e-13, worst
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("labels", [(0, 1), (1, 2)], ids=["axis", "pair"])
+def test_alpha_hessian_matches_central_difference(N, labels):
+    # the gradient of the face route is the engine's to roundoff, and the
+    # central difference of the engine's gradient at steps h and h / 2
+    # errs by about h^2 / 6 and h^2 / 24 times a third derivative, so
+    # |D_h - D_(h/2)|, about three times the error of D_(h/2), bounds it
+    A, x = _hessian_case(N, HESSIAN_SEEDS[0])
+    h = 1e-3 * max(1.0, np.abs(x).max())
+
+    def gradients(rows):
+        return alpha_family(A, QUAD, *batch_from_vectors(rows), True, labels)[1].gradient[0]
+
+    _, grad, hess = alpha_hessian(A, QUAD, *batch_from_vectors(x[None]), labels)
+    g = gradients(x[None])[0]
+    assert np.abs(grad[0, 0] - g).max() <= 1e-13 * np.abs(g).max()
+    H = hess[0, 0].T                       # [k, j] = d_k of gradient entry j
+    D_h, D_h2 = (central_difference(gradients, x, step) for step in (h, 0.5 * h))
+    err, bound = np.abs(H - D_h2).max(), np.abs(D_h - D_h2).max()
+    assert err <= bound <= 1e-4 * np.abs(H).max()
 
 
 def test_bump_laplacian_matches_fd():
+    # the bump's closed-form Laplacian against a central difference of
+    # central differences of its values, whose error is O(h^2)
     A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
     bump = RadialBump(np.array([0.3, -1.2]), 1.7, 1.1)
     rng = np.random.default_rng(0)
+
+    def values(v):
+        return bump.value(v[:, :2], np.hypot(v[:, 2], v[:, 3]))
+
     for _ in range(10):
         mu = bump.center + rng.uniform(-1, 1, 2)
         r = rng.uniform(0.05, 0.9)
         p = BasePoint(mu, r * np.exp(1j * rng.uniform(0, 2 * math.pi)))
         got = bump.laplace_A(A, p.mu[None], np.array([abs(p.eta)]))[0]
-        x = p.as_vector()
-        want = _fd_laplace_A(A, lambda v: bump.value(v[:, :2], np.hypot(v[:, 2], v[:, 3])),
-                             x, gradient_step(x))
+        H = central_difference(
+            lambda rows: np.stack([central_difference(values, v, 1e-3) for v in rows]),
+            p.as_vector(), 1e-3)
+        mu_terms, eta_part = laplace_terms(A, H)
+        want = float(np.sum(mu_terms)) + eta_part
         assert got == pytest.approx(want, abs=5e-4 * max(1.0, abs(want)))
 
 

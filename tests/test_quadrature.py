@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from ghlab import ansatz, checks, holo, quadrature
-from ghlab.geometry import IndexSet, batch_from_vectors, richardson_stencil
+from ghlab.geometry import IndexSet, batch_from_vectors
 from ghlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -122,6 +122,15 @@ def test_engine_matches_qmc_two_dim():
     m, se = qmc_power_kernel_integral(A, float(np.linalg.det(A)), b, eta, M,
                                       3, n_pow2=15, replicates=8)
     assert abs(res.value[0, 0] - m) < 4.0 * se + 1e-9
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, math.inf], ids=["nan", "inf"])
+def test_spec_refuses_a_non_finite_abs_tol(abs_tol):
+    # a NaN floor once passed every refusal at d <= 2 and sent a call into
+    # the sweep loop with no groups (UnboundLocalError); an infinite one
+    # refused every point as below the resolution floor inf
+    with pytest.raises(ValueError, match="abs_tol must be positive and finite"):
+        QuadratureSpec(abs_tol=abs_tol)
 
 
 def test_engine_gradient_matches_differences():
@@ -681,9 +690,18 @@ def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
         assert np.all(res.gradient[0, 0, 2:] == 0.0)
 
 
+def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
+    """Each point of xs (B, 5), then the point moved by h, -h, h / 2 and
+    -h / 2 along each coordinate in turn: 21 rows per point, as the rows
+    of one jet over points and their close neighbours."""
+    steps = np.eye(5)[:, None] * np.array([h, -h, 0.5 * h, -0.5 * h])[:, None]
+    return (xs[:, None] + np.vstack([np.zeros(5), steps.reshape(-1, 5)])).reshape(-1, 5)
+
+
 def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
-    # the one-step edge terms are formed inline: an N = 3 stencil jet with
-    # gradients (p = 3) and a two-slot N = 2 gamma sum (p = 4, values) call
+    # the one-step edge terms are formed inline: an N = 3 jet with
+    # gradients (p = 3) over 50 points and their neighbours
+    # (``_neighbour_rows``) and a two-slot N = 2 gamma sum (p = 4, values) call
     # no half_line_integrals; a wedge at p = 5 with its gradient takes
     # J_5 from exactly one call
     calls = []
@@ -693,8 +711,7 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     rng = np.random.default_rng(25)
     A = checks.random_spd(rng, 3)
     xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(50)])
-    rows = richardson_stencil(xs, np.full(50, 1e-3)).reshape(-1, 5)
-    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(rows))
+    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(_neighbour_rows(xs, 1e-3)))
     for _ in range(50):
         spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
         holo.gamma_sum_check(spec, checks.random_point(rng, 2))
@@ -710,9 +727,9 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
 
 def test_far_edge_rule_elements_are_pinned(monkeypatch):
     # the edges sent to the far-edge rule carry no noise, so their number
-    # gates the cancellation test: over one N = 3 stencil jet with
-    # gradients (p = 3, 20 points) only edges whose difference would cancel
-    # reach the rule
+    # gates the cancellation test: over one N = 3 jet with gradients
+    # (p = 3, 20 points and their neighbours) only edges whose difference
+    # would cancel reach the rule
     elements = []
     rule = quadrature._edge_rule
     monkeypatch.setattr(quadrature, "_edge_rule",
@@ -720,8 +737,7 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
     rng = np.random.default_rng(26)
     A = checks.random_spd(rng, 3)
     xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(20)])
-    rows = richardson_stencil(xs, np.full(20, 1e-3)).reshape(-1, 5)
-    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(rows))
+    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(_neighbour_rows(xs, 1e-3)))
     assert sum(elements) == 902
 
 
