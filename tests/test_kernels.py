@@ -517,7 +517,8 @@ def test_batch_checks_every_row_against_the_floor():
 def test_refusal_names_kernel_row_and_point():
     # the refusing (kernel, row) pair is named with the row's point, in a
     # one-kernel batch, a field jet's family (N = 2, closed forms) and a
-    # swept batch (N = 4)
+    # swept batch (N = 4), and so do the Hessians, whose cones at p + 2
+    # share the kernels' sheets
     spec = KernelSpec(QuadForm.identity(2), (0, 1))
     clear = BasePoint(np.array([0.5, 1.0]), 0.1 + 0j)
     close = BasePoint(np.array([1e-6, 1.0]), 0j)
@@ -526,11 +527,16 @@ def test_refusal_names_kernel_row_and_point():
         alpha_batch(spec, QUAD, *_batch([clear, clear, close]))
     with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "):
         FirstOrderField(QuadForm.identity(2), QUAD).jet(*_batch([clear, close]))
+    with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "):
+        alpha_hessian(QuadForm.identity(2), QUAD, *_batch([clear, close]))
     far = BasePoint(np.array([0.5, 1.0, -0.3, 0.2]), 0.4 + 0j)
     close = BasePoint(np.array([1e-6, 1.0, 1.0, 1.0]), 0j)
     with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
                        r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
         alpha_batch(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD, *_batch([far, close]))
+    with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
+                       r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
+        alpha_hessian(QuadForm.identity(4), QUAD, *_batch([far, close]), (0, 1))
 
 
 def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
