@@ -10,11 +10,13 @@ nonlinear volume identity up to a controlled error, whose relative size
 is the sigma-expansion tail computed here from the eigenvalues of
 A^{-1} v; its route through det(A + v) is a test oracle.
 
-A first-order or model field's ``jet(mu, eta, want_gradient)`` takes a
-batch of points as two arrays, mu (B, N) and eta (B,), puts the whole
-batch and all the field's kernels into one ``kernels.alpha_family`` call
-(one engine call), and returns one stacked ``FieldJet`` whose arrays carry
-a leading B; a single point is a batch of one.
+A first-order or model field's ``jet(mu, eta)`` takes a batch of points
+as two arrays, mu (B, N) and eta (B,), puts the whole batch and all the
+field's kernels into one ``kernels.alpha_family`` call (one engine call),
+and returns one stacked ``FieldJet`` of values whose arrays carry a
+leading B; a single point is a batch of one.  The first-order field's
+derivatives are its kernels' ``kernels.alpha_hessian``, which
+``ghlab.frame`` reads.
 """
 
 from __future__ import annotations
@@ -144,20 +146,16 @@ def _flat_root(z_lo: np.ndarray, target: float, lo: float, hi: float) -> float:
 
 @dataclass
 class FieldJet:
-    """Values and analytic first derivatives of a coefficient field,
-    stacked over B points: V and v (B, N, N); W, w and quad_error (B,);
-    dV (B, N, N, N + 2) with [b, i, j, k] = d V_ij / d x_k over
-    x = (mu_1..mu_N, Re eta, Im eta), or None for a jet taken without
-    derivatives.  quad_error is each
-    point's largest prefactor-scaled error estimate over the kernels; an
-    integral that misses its tolerance raises QuadratureError instead.
+    """Values of a coefficient field, stacked over B points: V and v
+    (B, N, N); W, w and quad_error (B,).  quad_error is each point's
+    largest prefactor-scaled error estimate over the kernels; an integral
+    that misses its tolerance raises QuadratureError instead.
     """
 
     V: np.ndarray
     W: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    dV: np.ndarray | None
     quad_error: np.ndarray
 
 
@@ -170,32 +168,25 @@ def _outers(N: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
     return table
 
 
-def _jets(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
-          want_gradient: bool) -> FieldJet:
+def _jets(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray) -> FieldJet:
     """Assemble the stacked field jet at a batch of points from one
     ``kernels.alpha_family`` batch: every kernel of A in one engine call."""
     N = A.n
-    labels, kv = alpha_family(A, quad, mu, eta, want_gradient)
-    outers = _outers(N, labels)
+    labels, kv = alpha_family(A, quad, mu, eta)
     B = kv.value.shape[1]
-    # v and dv: one product with the label outers each, summed over kernels
-    # slice by slice from 0 in label order, so a row is the same in any batch
-    v = (kv.value[:, :, None] * outers[:, None]).sum(axis=0, initial=0.0).reshape(B, N, N)
-    dv = None
-    if want_gradient:
-        dv = (kv.gradient[:, :, None] * outers[:, None, :, None]).sum(axis=0, initial=0.0)
-        dv = dv.reshape(B, N, N, N + 2)
-    return _field_jet(A, v, dv, kv.error.max(axis=0))
+    # v: one product with the label outers, summed over kernels slice by
+    # slice from 0 in label order, so a row is the same in any batch
+    v = (kv.value[:, :, None] * _outers(N, labels)[:, None]).sum(axis=0, initial=0.0)
+    return _field_jet(A, v.reshape(B, N, N), kv.error.max(axis=0))
 
 
-def _field_jet(A: QuadForm, v: np.ndarray, dv: np.ndarray | None,
-               err: np.ndarray) -> FieldJet:
+def _field_jet(A: QuadForm, v: np.ndarray, err: np.ndarray) -> FieldJet:
     """The jet of V = A + v and W = det A + w, w = det A tr(A^{-1} v), from
-    v (B, N, N) and dv (B, N, N, N + 2) or None."""
+    v (B, N, N)."""
     N = A.n
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(len(v), N * N).sum(axis=1)
-    return FieldJet(A.entries + v, A.det + w, v, w, dv, err)
+    return FieldJet(A.entries + v, A.det + w, v, w, err)
 
 
 class FirstOrderField:
@@ -205,9 +196,8 @@ class FirstOrderField:
         self.A = A
         self.quad = quad
 
-    def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> FieldJet:
-        return _jets(self.A, self.quad, mu, eta, want_gradient)
+    def jet(self, mu: np.ndarray, eta: np.ndarray) -> FieldJet:
+        return _jets(self.A, self.quad, mu, eta)
 
 
 class RestrictedField:
@@ -221,20 +211,14 @@ class RestrictedField:
             raise ValueError("restricted fields are built for subsets containing 0")
         self.A, self.I, self.quad = A, I, quad
 
-    def jet(self, mu: np.ndarray, eta: np.ndarray,
-            want_gradient: bool = True) -> FieldJet:
+    def jet(self, mu: np.ndarray, eta: np.ndarray) -> FieldJet:
         N, red = self.A.n, reduction(self.A, self.I)
         mu, eta = check_batch(mu, eta, N)
-        jet = _jets(red.G, self.quad, *red.batch(mu, eta), want_gradient)
-        # G's v and dv placed in I's block, d/d eta = s d/d(s eta)
+        jet = _jets(red.G, self.quad, *red.batch(mu, eta))
+        # G's v placed in I's block
         v = np.zeros((len(mu), N, N))
         v[(slice(None),) + np.ix_(red.slots, red.slots)] = jet.v
-        dv = None
-        if want_gradient:
-            jet.dV[..., -2:] *= red.s
-            dv = np.zeros(v.shape + (N + 2,))
-            dv[(slice(None),) + np.ix_(red.slots, red.slots, [*red.slots, N, N + 1])] = jet.dV
-        return _field_jet(self.A, v, dv, jet.quad_error)
+        return _field_jet(self.A, v, jet.quad_error)
 
 
 def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
@@ -245,8 +229,8 @@ def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
     from row 0 of each field's jet at p.
     """
     mu, eta = p.mu[None], np.array([p.eta])
-    full = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
-    part = RestrictedField(A, I, quad).jet(mu, eta, want_gradient=False)
+    full = FirstOrderField(A, quad).jet(mu, eta)
+    part = RestrictedField(A, I, quad).jet(mu, eta)
     return full.v[0] - part.v[0], float(full.w[0] - part.w[0])
 
 
@@ -326,7 +310,7 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
     """
     pts = [ray.point(float(r)) for r in _DECAY_RADII]
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
-    jet = FirstOrderField(A, quad).jet(mu, eta, want_gradient=False)
+    jet = FirstOrderField(A, quad).jet(mu, eta)
     xs, ys = [], []
     for t, p in enumerate(pts):
         val = abs(sigma_expansion(A, jet.v[t]).relative_error)

@@ -191,7 +191,7 @@ def one_slot_gaps(points) -> tuple[float, float, float]:
     mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
     got = kernels.alpha_batch(kernels.KernelSpec(A, (0, 1)), QUAD, mu, eta).value
     want = np.array([kernels.closed_form_axis(A, 1, p) for p in points])
-    jet = ansatz.FirstOrderField(A, QUAD).jet(mu, eta, want_gradient=False)
+    jet = ansatz.FirstOrderField(A, QUAD).jet(mu, eta)
     kernel = float(np.max(np.abs(got - want)))
     volume = float(np.max(np.abs(np.linalg.det(jet.V) - jet.W)))
     defect = max(abs(ansatz.sigma_expansion(A, v).relative_error) for v in jet.v)

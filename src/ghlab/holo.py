@@ -155,8 +155,7 @@ def _one_form(spec: GammaSpec, mu: np.ndarray, eta: np.ndarray,
     gammas (B, n+1) from one gamma family call."""
     red = reduction(spec.A, spec.I)
     n = red.G.n
-    P = red.G.entries + FirstOrderField(red.G, spec.quad).jet(*red.batch(mu, eta),
-                                                             want_gradient=False).v
+    P = red.G.entries + FirstOrderField(red.G, spec.quad).jet(*red.batch(mu, eta)).v
     rows = np.empty((len(mu), n + 1, n))
     rows[:, 1:, :] = P
     rows[:, 0, :] = -P.sum(axis=1)

@@ -136,14 +136,13 @@ def restricted_kernels(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.nd
 
 
 def restricted_jet(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
-                   eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """v (B, N, N) and dV (B, N, N, N + 2) of I's model field: each kernel
-    (i, j) times (e_i - e_j)(e_i - e_j)^T, e_0 = 0, summed."""
-    pairs, kv = restricted_kernels(A, I, quad, mu, eta, want_gradient=True)
+                   eta: np.ndarray) -> np.ndarray:
+    """v (B, N, N) of I's model field: each kernel (i, j) times
+    (e_i - e_j)(e_i - e_j)^T, e_0 = 0, summed."""
+    pairs, kv = restricted_kernels(A, I, quad, mu, eta)
     E = np.vstack([np.zeros(A.n), np.eye(A.n)])
     outers = np.array([np.outer(E[i] - E[j], E[i] - E[j]) for i, j in pairs])
-    return (np.einsum("kb,kij->bij", kv.value, outers),
-            np.einsum("kbx,kij->bijx", kv.gradient, outers))
+    return np.einsum("kb,kij->bij", kv.value, outers)
 
 
 def restricted_gammas(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,

@@ -10,7 +10,7 @@ from scipy import linalg, optimize
 from ghlab import quadrature
 from ghlab.checks import random_point, random_spd
 from ghlab.cli import EXPERIMENTS
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, reduction
+from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
     FirstOrderField,
     Ray,
@@ -114,9 +114,9 @@ class TestFlatModel:
                                    rtol=1e-13)
 
 
-def _at(fld, p, want_gradient=False):
+def _at(fld, p):
     """The field's jet at one point: a batch of one."""
-    return fld.jet(p.mu[None], np.array([p.eta]), want_gradient)
+    return fld.jet(p.mu[None], np.array([p.eta]))
 
 
 def test_first_order_field_basic():
@@ -124,7 +124,7 @@ def test_first_order_field_basic():
     A = random_spd(rng, 2)
     fld = FirstOrderField(A, QUAD)
     p = BasePoint(np.array([0.9, -0.6]), 0.7 + 0.2j)
-    jet = _at(fld, p, want_gradient=True)
+    jet = _at(fld, p)
     assert np.linalg.eigvalsh(jet.V[0])[0] > 0.0 and jet.W[0] > 0.0
     assert jet.quad_error[0] <= max(QUAD.abs_tol,
                                     quadrature._REL_TOL * float(np.max(np.abs(jet.v[0]))))
@@ -153,8 +153,7 @@ def test_jet_quad_error_is_each_points_own():
     fld = FirstOrderField(random_spd(rng, 4), QuadratureSpec(abs_tol=1e-11))
     pts = [BasePoint(np.array([0.6, -0.4, 0.9, 0.3]), 0.7 + 0.2j),
            BasePoint(np.array([6.0, 5.0, -4.0, 7.0]), 3.0 - 1.0j)]
-    jet = fld.jet(np.array([p.mu for p in pts]),
-                  np.array([p.eta for p in pts]), want_gradient=False)
+    jet = fld.jet(np.array([p.mu for p in pts]), np.array([p.eta for p in pts]))
     alone = [_at(fld, p).quad_error[0] for p in pts]
     assert alone[0] != alone[1]
     assert jet.quad_error.tolist() == alone
@@ -169,14 +168,13 @@ def test_empty_batch_gives_empty_arrays(N, want_gradient):
     mu, eta = np.zeros((0, N)), np.zeros(0, dtype=complex)
     _, kv = alpha_family(A, QUAD, mu, eta, want_gradient, (0, 1))
     assert kv.value.shape == kv.error.shape == (1, 0) and kv.evals == 0
-    jet = FirstOrderField(A, QUAD).jet(mu, eta, want_gradient)
+    jet = FirstOrderField(A, QUAD).jet(mu, eta)
     assert jet.V.shape == jet.v.shape == (0, N, N)
     assert jet.W.shape == jet.w.shape == jet.quad_error.shape == (0,)
     if want_gradient:
         assert kv.gradient.shape == (1, 0, N + 2)
-        assert jet.dV.shape == (0, N, N, N + 2)
     else:
-        assert kv.gradient is None and jet.dV is None
+        assert kv.gradient is None
 
 
 def _leg_nodes(q0, q1):
@@ -209,7 +207,7 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
     monkeypatch.setattr(quadrature, "_sweep_group",
                         lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
-    jet = fld.jet(mu, eta, want_gradient=False)
+    jet = fld.jet(mu, eta)
     monkeypatch.undo()
     live = 1 if members == (0, 1) else len(members) * (len(members) - 1) // 2
     assert len(calls) == 1
@@ -226,13 +224,13 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
 
 @pytest.mark.parametrize("N, members", [(3, None), (3, (0, 1, 2)), (5, None)])
 def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
-    # v and dv are one product against the table of label outers, summed
+    # v is one product against the table of label outers, summed
     # over the kernels in label order from 0: given the kernels' rows, each
     # point's jet is bitwise the kernel-by-kernel sum (signs of zero
     # included) and bitwise the same alone as in its batch; at N = 5 the
     # fifteen kernels outnumber numpy's eight-way pairwise blocks.  A model
     # field's kernels are its reduction's, and its sums are placed in its
-    # block, the eta columns of dv times s
+    # block
     import ghlab.ansatz as ansatz
     from ghlab.kernels import KernelValue
 
@@ -246,36 +244,30 @@ def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
     mu, eta = rng.normal(size=(B, N)), rng.normal(size=B) + 1j * rng.normal(size=B)
     K = len(labels)
     value = rng.lognormal(size=(K, B)) * 10.0 ** rng.integers(-8, 9, (K, B))
-    grad = rng.normal(size=(K, B, n + 2)) * 10.0 ** rng.integers(-8, 9, (K, B, n + 2))
-    grad[rng.random(grad.shape) < 0.2] = 0.0
+    value[rng.random(value.shape) < 0.2] = 0.0
 
-    def family(A_, quad, m, e, want_gradient):
+    def family(A_, quad, m, e):
         rows = [int(np.flatnonzero((mu[:, slots] == r).all(axis=1))[0]) for r in m]
-        return labels, KernelValue(value[:, rows], np.zeros((K, len(rows))), 0, grad[:, rows])
+        return labels, KernelValue(value[:, rows], np.zeros((K, len(rows))), 0)
 
     monkeypatch.setattr(ansatz, "alpha_family", family)
     fld = FirstOrderField(A, QUAD) if I is None else RestrictedField(A, I, QUAD)
     jet = fld.jet(mu, eta)
-    v, dv = np.zeros((B, n, n)), np.zeros((B, n, n, n + 2))
+    v = np.zeros((B, n, n))
     for k, (i, j) in enumerate(labels):
         e = np.zeros(n + 1)
         e[i], e[j] = 1.0, -1.0
-        outer = np.outer(e[1:], e[1:])
-        v += value[k][:, None, None] * outer
-        dv += grad[k][:, None, None, :] * outer[:, :, None]
-    got_v, got_dv = jet.v, jet.dV
+        v += value[k][:, None, None] * np.outer(e[1:], e[1:])
+    got_v = jet.v
     if I is not None:
-        dv[..., -2:] *= reduction(A, I).s
         inside = np.zeros((N, N), dtype=bool)
         inside[np.ix_(slots, slots)] = True
-        assert not got_v[:, ~inside].any() and not got_dv[:, ~inside].any()
-        assert not got_dv[..., [k for k in range(N) if k not in slots]].any()
-        at = np.ix_(slots, slots)
-        got_v, got_dv = got_v[:, at[0], at[1]], got_dv[:, at[0], at[1]][..., slots + [N, N + 1]]
-    assert got_v.tobytes() == v.tobytes() and got_dv.tobytes() == dv.tobytes()
+        assert not got_v[:, ~inside].any()
+        got_v = got_v[:, slots][:, :, slots]
+    assert got_v.tobytes() == v.tobytes()
     for b in range(B):
         one = fld.jet(mu[b:b + 1], eta[b:b + 1])
-        for x, y in zip((jet.V, jet.W, jet.dV), (one.V, one.W, one.dV)):
+        for x, y in zip((jet.V, jet.W), (one.V, one.W)):
             assert x[b:b + 1].tobytes() == y.tobytes()
 
 

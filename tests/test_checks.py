@@ -106,9 +106,9 @@ def test_decay_exponents_flag_a_defect_growing_with_the_distance(monkeypatch):
     norms = []
     jet, sigma = ansatz.FirstOrderField.jet, ansatz.sigma_expansion
 
-    def recording(self, mu, eta, want_gradient=True):
+    def recording(self, mu, eta):
         norms[:] = [anorm(self.A, BasePoint(m, e)) for m, e in zip(mu, eta)]
-        return jet(self, mu, eta, want_gradient)
+        return jet(self, mu, eta)
 
     def grown(A, v):
         se = sigma(A, v)
@@ -273,8 +273,8 @@ def _criterion_09_failures(monkeypatch, v_scale=1.0, gamma_scale=1.0):
     # the last gamma of each family call scaled; these are closed forms
     jet, family = ansatz.FirstOrderField.jet, holo.gamma_family
 
-    def scaled_jet(self, mu, eta, want_gradient=True):
-        out = jet(self, mu, eta, want_gradient)
+    def scaled_jet(self, mu, eta):
+        out = jet(self, mu, eta)
         out.v = v_scale * out.v
         return out
 

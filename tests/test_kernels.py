@@ -128,8 +128,7 @@ def test_vanishing_convention():
     jet = RestrictedField(A, I, QUAD).jet(p.mu[None], np.array([p.eta]))
     off = np.ones((3, 3), dtype=bool)
     off[0, 0] = False
-    assert not jet.v[0][off].any() and not jet.dV[0][off].any()
-    assert not jet.dV[0, 0, 0, 1:3].any()
+    assert not jet.v[0][off].any()
 
 
 def test_axis_closed_form_n1_exact():
@@ -625,7 +624,7 @@ def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
     rng = np.random.default_rng(71)
     A = random_spd(rng, 3)
     p = off_locus_point(rng, A)
-    FirstOrderField(A, QUAD).jet(p.mu[None], np.array([p.eta]), want_gradient=True)
+    FirstOrderField(A, QUAD).jet(p.mu[None], np.array([p.eta]))
     assert len(built) == 1
     for ij in itertools.combinations(range(4), 2):
         alpha_grad(KernelSpec(A, ij), QUAD, p)

@@ -25,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ghlab import ansatz, checks, holo, quadrature
+from ghlab import checks, holo, kernels, quadrature
 from ghlab.geometry import IndexSet, batch_from_vectors
 from ghlab.quadrature import (
     QuadratureError,
@@ -693,13 +693,13 @@ def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
 def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
     """Each point of xs (B, 5), then the point moved by h, -h, h / 2 and
     -h / 2 along each coordinate in turn: 21 rows per point, as the rows
-    of one jet over points and their close neighbours."""
+    of one call over points and their close neighbours."""
     steps = np.eye(5)[:, None] * np.array([h, -h, 0.5 * h, -0.5 * h])[:, None]
     return (xs[:, None] + np.vstack([np.zeros(5), steps.reshape(-1, 5)])).reshape(-1, 5)
 
 
 def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
-    # the one-step edge terms are formed inline: an N = 3 jet with
+    # the one-step edge terms are formed inline: an N = 3 kernel family with
     # gradients (p = 3) over 50 points and their neighbours
     # (``_neighbour_rows``) and a two-slot N = 2 gamma sum (p = 4, values) call
     # no half_line_integrals; a wedge at p = 5 with its gradient takes
@@ -711,7 +711,7 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     rng = np.random.default_rng(25)
     A = checks.random_spd(rng, 3)
     xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(50)])
-    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(_neighbour_rows(xs, 1e-3)))
+    kernels.alpha_family(A, checks.QUAD, *batch_from_vectors(_neighbour_rows(xs, 1e-3)), True)
     for _ in range(50):
         spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
         holo.gamma_sum_check(spec, checks.random_point(rng, 2))
@@ -727,9 +727,9 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
 
 def test_far_edge_rule_elements_are_pinned(monkeypatch):
     # the edges sent to the far-edge rule carry no noise, so their number
-    # gates the cancellation test: over one N = 3 jet with gradients
-    # (p = 3, 20 points and their neighbours) only edges whose difference
-    # would cancel reach the rule
+    # gates the cancellation test: over one N = 3 kernel family with
+    # gradients (p = 3, 20 points and their neighbours) only edges whose
+    # difference would cancel reach the rule
     elements = []
     rule = quadrature._edge_rule
     monkeypatch.setattr(quadrature, "_edge_rule",
@@ -737,7 +737,7 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
     rng = np.random.default_rng(26)
     A = checks.random_spd(rng, 3)
     xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(20)])
-    ansatz.FirstOrderField(A, checks.QUAD).jet(*batch_from_vectors(_neighbour_rows(xs, 1e-3)))
+    kernels.alpha_family(A, checks.QUAD, *batch_from_vectors(_neighbour_rows(xs, 1e-3)), True)
     assert sum(elements) == 902
 
 
