@@ -57,8 +57,8 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     """Both integrability identities of the first-order ``field`` (its form
     and quadrature) at the batch mu (B, N), eta (B,): the residuals (2, B)
     and their scales (2, B), from one ``kernels.alpha_hessian`` call, in
-    which V = A + sum_k alpha_k e_k e_k^T and W = det A tr(A^-1 V) are
-    linear.  The first identity reads the mu-gradient of V; the second is
+    which V = A + sum_k alpha_k e_k e_k^T and W = det A (1 + tr(A^-1 (V - A)))
+    are linear.  The first identity reads the mu-gradient of V; the second is
     d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy.  A batch of no points gives
     (2, 0) arrays."""
     A = field.A
