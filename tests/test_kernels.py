@@ -504,7 +504,7 @@ def test_on_sheet_raises_n3(labels):
 
 def test_batch_checks_every_row_against_the_floor():
     # row 0 sits clear of the sheet, row 1 within the resolution floor
-    # (1e-4 here): the batch must refuse the stencil, not only row 0
+    # (1e-4 here): the call must check every row, not only row 0
     spec = KernelSpec(QuadForm.identity(2), (0, 1))
     clear = BasePoint(np.array([0.5, 1.0]), 0.1 + 0j)
     close = BasePoint(np.array([1e-6, 1.0]), 0j)
