@@ -149,6 +149,10 @@ class ExtensionProfile:
 
     def __init__(self, slope: float, shoulder: float, decay_floor: float,
                  decay_eps: float) -> None:
+        for name, v in (("slope", slope), ("shoulder", shoulder), ("decay floor", decay_floor),
+                        ("decay exponent margin", decay_eps)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, not {v}")
         if shoulder <= 2.0:
             raise ValueError("shoulder must exceed 2")
         if slope <= 0.0:

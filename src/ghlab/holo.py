@@ -57,7 +57,7 @@ def _gamma_layout(N: int, labels: tuple[int, ...]) -> tuple:
     {0..N}, gamma by gamma: gamma_0's are (0, k) for every k, with the ray
     (1, ..., 1), and gamma_i's (0, i) and (i, k) for k != i, with the ray
     -e_i, each cone matrix with its gamma's ray as its last column."""
-    family, M = _layout(N)
+    family, M, _ = _layout(N, 2)
     S = range(1, N + 1)
     pairs = tuple(pq for i in labels for pq in ([(0, k) for k in S] if i == 0 else
                   [(0, i)] + [(min(i, k), max(i, k)) for k in S if k != i]))
@@ -130,7 +130,11 @@ class GammaSumResult:
 
 
 def gamma_sum_check(spec: GammaSpec, p: BasePoint) -> GammaSumResult:
-    """The gammas over all labels of the subset, one family, sum to 1/eta."""
+    """The gammas over all labels of the subset, one family, sum to 1/eta;
+    a point at eta = 0, where that sum is not defined, is refused by name."""
+    if p.eta == 0:
+        raise ValueError(f"gamma sum at mu = {p.mu.tolist()}, eta = 0: the rule 1/eta "
+                         "is not defined there")
     gam = _gamma_family(spec, (0,) + spec.I.active, *_row(spec.A, p))
     total = sum(gam.value[:, 0].tolist())
     return GammaSumResult(abs(total - 1.0 / p.eta) * abs(p.eta))

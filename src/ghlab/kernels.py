@@ -13,20 +13,19 @@ A stratum model's kernels are those of a lower-N form, its
 
 Every kernel value goes through ``alpha_family``: the kernels of a form at
 a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case, and
-``alpha_hessian`` gives their second derivatives exactly, from the
-family's faces and its cones at two powers higher.  The
-kernels differ only in their cone matrix, laid out once per N; Q, the
-prefactor and ``quadrature.cone_frame`` are built once per form, and
-``_engine_batch`` makes one engine call for the whole family at the
-resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
-refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo``
-share it.  Only the weak charge check calls the engine directly, with no
-floor: its polar rule about the sheet, whose measure cancels the
-singularity, puts nodes inside that floor.  ``alpha_grad``, one row of the
-family with its gradient, remains for the benchmark, which traces it;
-``alpha``, its value, also serves criterion 03.  The tests hold these
-kernels against closed forms and a scrambled-Sobol estimate,
-``tests/oracles.py``'s ``qmc_alpha_oracle``.
+``alpha_hessian`` gives their second derivatives exactly, from their cones
+at two powers higher and their faces, the triple strata's cones, each
+evaluated once per call.  Cones differ only in their matrix, laid out once
+per N; Q, the prefactor and ``quadrature.cone_frame`` are built once per
+form, and ``_engine_batch`` makes one engine call for the whole family at
+the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
+refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
+it.  Only the weak charge check calls the engine directly, with no floor:
+its polar rule about the sheet, whose measure cancels the singularity, puts
+nodes inside that floor.  ``alpha_grad``, one row of the family with its
+gradient, remains for the benchmark, which traces it; ``alpha``, its value,
+also serves criterion 03.  The tests hold them against closed forms and
+``tests/oracles.py``'s scrambled-Sobol ``qmc_alpha_oracle``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -81,14 +80,20 @@ class KernelSpec:
     labels: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != 2:
-            raise ValueError(f"kernel labels {self.labels} are not a pair")
-        i, j = sorted(map(operator.index, self.labels))
-        object.__setattr__(self, "labels", (i, j))
-        if i == j:
-            raise ValueError(f"kernel labels {self.labels} must be distinct")
-        if not (0 <= i and j <= self.A.n):
-            raise ValueError(f"kernel labels {self.labels} out of range 0..{self.A.n}")
+        object.__setattr__(self, "labels", _pair(self.labels, self.A.n))
+
+
+def _pair(labels: tuple[int, int], n: int) -> tuple[int, int]:
+    """``labels`` sorted, or a ValueError naming them unless they are two
+    distinct labels in 0..n."""
+    if len(labels) != 2:
+        raise ValueError(f"kernel labels {labels} are not a pair")
+    i, j = sorted(map(operator.index, labels))
+    if i == j:
+        raise ValueError(f"kernel labels {labels} must be distinct")
+    if not (0 <= i and j <= n):
+        raise ValueError(f"kernel labels {labels} out of range 0..{n}")
+    return i, j
 
 
 @dataclass
@@ -119,7 +124,7 @@ class _Family:
 def _family(A: QuadForm, labels: tuple[int, int] | None = None) -> _Family:
     """The kernels of A, built once and kept with A, or the one kernel
     ``labels`` sliced from them per call."""
-    fam = A.derived("kernels", lambda: _build_family(A, _layout(A.n)))
+    fam = A.derived("kernels", lambda: _build_family(A, _layout(A.n, 2)))
     if labels is None:
         return fam
     k = fam.labels.index(labels)
@@ -128,16 +133,18 @@ def _family(A: QuadForm, labels: tuple[int, int] | None = None) -> _Family:
 
 
 @lru_cache(maxsize=None)
-def _layout(N: int) -> tuple:
-    """(pairs, M), read-only, of the kernels on N coordinates: the label
-    pairs and their cone matrices (K, N, N - 1)."""
-    pairs = tuple(itertools.combinations(range(N + 1), 2))
-    # rows of each cone matrix: the diagonal -1 for a pair, then the axes
-    # off the kernel's labels
-    M = np.array([[[-1.0] * bool(i) + [float(r == c) for c in range(1, N + 1) if c not in (i, j)]
-                   for r in range(1, N + 1)] for i, j in pairs]).reshape(len(pairs), N, -1)
-    M.flags.writeable = False
-    return pairs, M
+def _layout(N: int, size: int) -> tuple:
+    """(strata, M, up), read-only: the strata of ``size`` labels on N
+    coordinates (pairs: kernels; triples: their faces), their cone matrices
+    (C, N, N + 1 - size), a column per label off the stratum (the diagonal
+    -1 for 0, else its axis), and up, the index of each cone less a column."""
+    strata, above = (tuple(itertools.combinations(range(N + 1), n)) for n in (size, size + 1))
+    off = np.array([[l for l in range(N + 1) if l not in s] for s in strata], dtype=int)
+    M = np.ascontiguousarray(np.vstack([-np.ones(N), np.eye(N)])[off].swapaxes(1, 2))
+    up = np.array([[above.index(tuple(sorted(s + (l,)))) for l in row]
+                   for s, row in zip(strata, off.tolist())], dtype=int)
+    M.flags.writeable = up.flags.writeable = False
+    return strata, M, up
 
 
 def _build_family(A: QuadForm, layout: tuple) -> _Family:
@@ -145,7 +152,7 @@ def _build_family(A: QuadForm, layout: tuple) -> _Family:
     c_eta, the prefactor and the cone frame.  Cone matrices with a ray
     column (d = N) are gamma kernels: the power rises by 2 and the
     prefactor is the scale N det A prefactor."""
-    pairs, M = layout
+    pairs, M = layout[:2]
     n, ray = A.n, M.shape[2] == A.n
     pref = kernel_prefactor(n, A.det) * (n * A.det if ray else 1.0)
     return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, cone_frame(A.entries, M))
@@ -190,7 +197,9 @@ def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndar
     """Every kernel of A (or the one kernel ``labels``) at the batch
     mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
     with a leading kernel axis K.  Where they are closed forms (N <= 3)
-    the whole family is one engine call."""
+    the whole family is one engine call.  ``labels`` are held as
+    ``KernelSpec`` holds them."""
+    labels = None if labels is None else _pair(labels, A.n)
     return _alpha_family(A, quad, *check_batch(mu, eta, A.n), want_gradient, labels)
 
 
@@ -212,18 +221,19 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     mu (B, N), eta (B,): their labels, gradients (K, B, N + 2) and Hessians
     (K, B, N + 2, N + 2) over x = (mu, Re eta, Im eta), with no difference.
     With Q' = diag(A, det A I_2), M' = (M; 0), G = M^T A M, R = Q' M' G^-1
-    and S = Q' - R M'^T Q', a derivative along cone column k integrates to
-    the face V^F_k, the cone less that column, so that
+    and S = Q' - R M'^T Q', a derivative along pair {i, j}'s column for
+    label l integrates to the face V^F, the cone less that column, which is
+    the triple stratum {i, j, l}'s cone, so that
 
         grad V_p = R V^F - p S x V_(p+2),
         hess V_p = R grad V^F - p S V_(p+2) - p S x grad V_(p+2)^T:
 
-    two engine calls, all K d faces at power p (none at N = 1) and the
-    cones at p + 2, which share the kernels' sheets and refusals.  Each
-    meets ``quad`` in its own prefactor-scaled values, exactly at d <= 2
-    (the faces up to N = 4, the cones at p + 2 up to N = 3)."""
+    two engine calls: each distinct face once at p (C(N + 1, 3) for the
+    family, N - 1 for one kernel; a refusal names the triple) and the cones
+    at p + 2, sharing the kernels' sheets and refusals, each held to ``quad``
+    in its prefactor-scaled values, exact at d <= 2 (faces to N = 4, cones 3)."""
     mu, eta = check_batch(mu, eta, A.n)
-    fam = _family(A, labels)
+    fam = _family(A, None if labels is None else _pair(labels, A.n))
     K, N, d = fam.M.shape
     p = fam.power
     # R and -p S from the form alone, prefactor included
@@ -235,21 +245,19 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     S[:, N, N] = S[:, N + 1, N + 1] = -p * fam.prefactor * fam.c_eta
     R *= fam.prefactor
     Sx = (S[:, None] * np.column_stack([mu, eta.real, eta.imag])[:, None]).sum(axis=-1)
-    plus = _engine_batch(_Family(fam.Q, fam.c_eta, fam.labels, fam.M, p + 2, fam.prefactor,
-                                 fam.frame), mu, eta, quad, True)
+    plus = _engine_batch(replace(fam, power=p + 2), mu, eta, quad, True)
     grad = Sx * plus.value[..., None]
-    hess = (S[:, None] * plus.value[..., None, None]
-            + Sx[..., None] * plus.gradient[..., None, :])
+    hess = S[:, None] * plus.value[..., None, None] + Sx[..., None] * plus.gradient[..., None, :]
     if d:
-        # face j K + k is kernel k less its column j; summed face by face,
-        # so a row is the same in any batch
-        drop = np.array([[i for i in range(d) if i != j] for j in range(d)], dtype=int)
-        MF = fam.M[:, :, drop].transpose(2, 0, 1, 3).reshape(d * K, N, d - 1)
-        faces = _engine_batch(_Family(fam.Q, fam.c_eta, fam.labels * d, MF, p, fam.prefactor,
-                                      cone_frame(fam.Q, MF)), mu, eta, quad, True)
-        for j in range(d):
-            grad += R[:, None, :, j] * faces.value[j * K:(j + 1) * K, :, None]
-            hess += R[:, None, :, j, None] * faces.gradient[j * K:(j + 1) * K, :, None]
+        # kernel k less column j is face up[k, j]; summed per column, so a row reads as alone
+        (pairs, _, up), faces = _layout(N, 2), _layout(N, 3)
+        if labels is not None:
+            rows, up = up[pairs.index(fam.labels[0])], np.arange(d)[None]
+            faces = [faces[0][t] for t in rows], faces[1][rows]
+        faces = _engine_batch(_build_family(A, faces), mu, eta, quad, True)
+        for j, cols in enumerate(up.T):
+            grad += R[:, None, :, j] * faces.value[cols, :, None]
+            hess += R[:, None, :, j, None] * faces.gradient[cols, :, None]
     return fam.labels, grad, hess
 
 
@@ -314,8 +322,11 @@ class RadialBump:
 
     def __init__(self, center_mu: np.ndarray, r_mu: float, r_eta: float) -> None:
         self.center = np.asarray(center_mu, dtype=float)
-        if r_mu <= 0 or r_eta <= 0:
-            raise ValueError("bump radii must be positive")
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"bump centre {self.center.tolist()} must be finite")
+        for name, r in (("r_mu", r_mu), ("r_eta", r_eta)):
+            if not (math.isfinite(r) and r > 0):
+                raise ValueError(f"bump radius {name} must be positive and finite, not {r}")
         self.r_mu = float(r_mu)
         self.r_eta = float(r_eta)
 
@@ -386,7 +397,7 @@ def weak_distributional_check(A: QuadForm, labels: tuple[int, int],
     N = A.n
     if N != 2:
         raise ValueError("the weak check is built for N = 2")
-    i, j = sorted(labels)
+    i, j = _pair(labels, N)
     fam = _family(A, (i, j))
 
     # frame adapted to the singular sheet: first axis crosses it transversally

@@ -89,7 +89,9 @@ The construction depends only on the inputs, so results are
 bit-reproducible.  A group keeps only rows within half its first row's
 sheet distance of that row, where the grid resolves them too.  An
 integral that misses its tolerance after the refinement passes raises
-QuadratureError; no unconverged value is returned.
+QuadratureError; no unconverged value is returned.  The tolerance holds
+values only: the two orders' values are compared and the low order takes
+no gradient, so a swept gradient is the high-order grid's, unchecked.
 
 The independent scrambled-Sobol quasi-Monte-Carlo evaluator of the same
 integral, which the tests hold this engine against, is
@@ -164,6 +166,10 @@ class QuadratureSpec:
 
 @dataclass
 class QuadResult:
+    """An engine call's raw results.  The tolerance holds the values
+    only: a swept gradient is the order-``_ORDER`` grid's, with no error
+    estimate, since the low order is swept without one."""
+
     value: np.ndarray          # (K, B) raw integral values, no prefactor
     error: np.ndarray          # (K, B) two-order differences, raw units
     gradient: np.ndarray | None  # (K, B, m + 2) d/d(b, Re eta, Im eta), raw
@@ -900,7 +906,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     and a pair whose distance is not a number is refused as well; at
     d >= 3 the refusal comes before anything is evaluated.
     QuadratureError: a grid over the node budget, or a sweep that misses
-    its tolerance after the refinement passes.
+    its tolerance after the refinement passes.  The tolerance holds the
+    values only: a swept gradient is the order-``_ORDER`` grid's, with no
+    error estimate.
     """
     B, m = b.shape
     K, _, d = M.shape

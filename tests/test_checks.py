@@ -41,14 +41,14 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
     # per N, criterion 12's 20 points go into one Hessian batch of the
     # field's kernels, which share everything but their cone matrix: one
-    # engine call for the K cones at p + 2 and one for their K (N - 1)
-    # faces, each of the 20 rows
+    # engine call for the K cones at p + 2 and one for their C(N + 1, 3)
+    # distinct faces, the triple strata's cones, each of the 20 rows
     rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("12")
-    assert rows == [(6, 20), (12, 20), (10, 20), (30, 20)]
+    assert rows == [(6, 20), (4, 20), (10, 20), (10, 20)]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):

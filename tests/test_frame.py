@@ -82,12 +82,12 @@ def test_n4_field_identities(monkeypatch):
 
 def test_n5_field_identities(monkeypatch):
     # criterion 12 sweeps two axes per kernel for the 15 cones at p + 2 and
-    # one for their 60 faces, each one row; only edges whose difference
-    # would cancel reach the far-edge rule.  The stencil's 29 rows took
-    # 13,511,680 nodes and sent 662,706 edges to the rule
+    # one for their 20 distinct faces, each one row; only edges whose
+    # difference would cancel reach the far-edge rule.  The stencil's 29
+    # rows took 13,511,680 nodes and sent 662,706 edges to the rule
     nodes, edges = _field_identities(5, monkeypatch)
-    assert nodes == 481256
-    assert edges == 87663
+    assert nodes == 471032
+    assert edges == 87213
 
 
 def test_perturbed_field_breaks_first_identity(monkeypatch):

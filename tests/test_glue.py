@@ -127,6 +127,19 @@ class TestExtensionProfile:
         with pytest.raises(ValueError):
             ExtensionProfile(1.0, 10.0, 1e4, 1.2)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 10.0, 1e4, 0.1), "slope"),
+        ((math.inf, 10.0, 1e4, 0.1), "slope"),
+        ((1.0, math.nan, 1e4, 0.1), "shoulder"),
+        ((1.0, 10.0, math.inf, 0.1), "decay floor"),
+        ((1.0, 10.0, 1e4, math.nan), "decay exponent margin"),
+    ])
+    def test_refuses_non_finite_parameters(self, args, name):
+        # a NaN slope or shoulder once built a profile whose h is nan, and
+        # an inf floor or slope surfaced only as a RuntimeWarning in a scan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExtensionProfile(*args)
+
     def test_pieces_exact(self):
         K, M = 1.0, 10.0
         for t in np.linspace(1.0, M - 1.0, 20):

@@ -104,6 +104,13 @@ def test_gamma_vanishes_at_zero_fiber():
     assert gamma(spec, 0, BasePoint(np.array([1.0, 1.0]), 0j)) == 0j
 
 
+def test_gamma_sum_check_refuses_eta_zero():
+    # the sum rule is 1/eta; at eta = 0 it raised ZeroDivisionError
+    spec = GammaSpec(QuadForm.identity(2), IndexSet((0, 1, 2)), QUAD)
+    with pytest.raises(ValueError, match=r"gamma sum at mu = \[1\.0, 1\.0\], eta = 0"):
+        gamma_sum_check(spec, BasePoint(np.array([1.0, 1.0]), 0j))
+
+
 def test_gamma_within_resolution_floor_is_refused():
     # mu = (1, 1) lies on the cone of gamma_0's (0, 1) integral (columns
     # e_2 and the ray (1, 1)), so |eta| alone sets the sheet distance,

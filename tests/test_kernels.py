@@ -99,6 +99,42 @@ def test_spec_refuses_labels_that_are_no_pair():
         KernelSpec(QuadForm.identity(3), (0, 1, 2))
 
 
+_BAD_LABELS = [((0, 5), r"\(0, 5\) out of range 0\.\.2"),
+               ((2, 2), r"\(2, 2\) must be distinct"),
+               ((0, 1, 2), r"\(0, 1, 2\) are not a pair")]
+_BAD_IDS = ["out-of-range", "repeated", "no-pair"]
+
+
+@pytest.mark.parametrize("labels, msg", _BAD_LABELS, ids=_BAD_IDS)
+def test_alpha_family_refuses_bad_labels_by_name(labels, msg):
+    # (0, 5) at N = 2 raised "tuple.index(x): x not in tuple"
+    mu, eta = np.array([[0.5, -0.3]]), np.array([0.7 + 0.2j])
+    with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
+        alpha_family(QuadForm.identity(2), QUAD, mu, eta, labels=labels)
+
+
+def test_alpha_hessian_takes_labels_as_a_spec_does():
+    # (1, 0) raised "tuple.index(x): x not in tuple"; as in KernelSpec, a
+    # pair in either order is the kernel, and a bad pair is named
+    A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
+    mu, eta = np.array([[0.5, -0.3]]), np.array([0.7 + 0.2j])
+    labels, grad, hess = alpha_hessian(A, QUAD, mu, eta, (1, 0))
+    want = alpha_hessian(A, QUAD, mu, eta, (0, 1))
+    assert labels == want[0] == ((0, 1),)
+    assert grad.tobytes() == want[1].tobytes() and hess.tobytes() == want[2].tobytes()
+    for bad, msg in _BAD_LABELS:
+        with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
+            alpha_hessian(A, QUAD, mu, eta, bad)
+
+
+@pytest.mark.parametrize("labels, msg", _BAD_LABELS, ids=_BAD_IDS)
+def test_weak_check_refuses_bad_labels_by_name(labels, msg):
+    # (0, 3) at N = 2 raised "tuple.index(x): x not in tuple"
+    bump = RadialBump(np.array([0.0, 2.0]), 1.5, 1.2)
+    with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
+        weak_distributional_check(QuadForm.identity(2), labels, bump, QUAD)
+
+
 @pytest.mark.parametrize("i", [0, 3], ids=["label-0", "label-N+1"])
 def test_closed_form_axis_refuses_labels_off_the_axes(i):
     # label 0 once read mu[-1] and returned 0.602; label N + 1 raised a
@@ -585,6 +621,26 @@ def test_over_budget_names_kernel_and_first_row(monkeypatch):
         alpha_batch(KernelSpec(QuadForm.identity(4), (1, 3)), QUAD, *_batch([far, near]))
 
 
+def test_face_refusal_names_its_triple_and_row(monkeypatch):
+    # at N = 5 the faces are swept; a face that misses its tolerance is
+    # named by its triple stratum and the batch row, as a kernel is.  The
+    # miss is planted at the third face of kernel (0, 1), its cone less
+    # label 4's column
+    engine = kernels.power_kernel_integral
+
+    def missed(Q, c_eta, b, eta, M, *args, **kwargs):
+        if M.shape[2] == 3:
+            raise QuadratureError("planted miss", kernel=2, row=1)
+        return engine(Q, c_eta, b, eta, M, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "power_kernel_integral", missed)
+    rng = np.random.default_rng(74)
+    A = random_spd(rng, 5)
+    mu, eta = _batch([off_locus_point(rng, A) for _ in range(2)])
+    with pytest.raises(QuadratureError, match=r"kernel \(0, 1, 4\) at batch row 1 .*planted"):
+        alpha_hessian(A, QUAD, mu, eta, (0, 1))
+
+
 @pytest.mark.parametrize("N, members", [(2, None), (2, (0, 1, 2)), (3, None),
                                         (3, (0, 1, 3)), (3, (0, 2))])
 def test_family_batch_matches_one_kernel_calls(N, members):
@@ -665,6 +721,7 @@ def test_layouts_are_built_once_per_n():
         mu, eta = p.mu[None], np.array([p.eta])
         FirstOrderField(A, QUAD).jet(mu, eta)
         alpha_family(A, QUAD, mu, eta)
+        alpha_hessian(A, QUAD, mu, eta)
         holo.gamma_family(holo.GammaSpec(A, I, QUAD), (0, 1, 3), mu, eta)
         locus.region_membership(A, locus.RegionConstants(), p)
         return [cache.cache_info() for cache in caches]
@@ -674,7 +731,11 @@ def test_layouts_are_built_once_per_n():
     second = build(random_spd(rng, 3))
     assert [info.misses for info in second] == [info.misses for info in first]
     assert all(b.hits > a.hits for a, b in zip(first, second))
-    cached = [*kernels._layout(3), *kernels._layout(2),
+    # the triples, the faces of the Hessians, are laid out with the pairs
+    misses = kernels._layout.cache_info().misses
+    kernels._layout(3, 3)
+    assert kernels._layout.cache_info().misses == misses
+    cached = [*kernels._layout(3, 2), *kernels._layout(3, 3), *kernels._layout(2, 2),
               *holo._gamma_layout(2, (0, 1, 2)), *vars(locus._layout(3)).values()]
     arrays = [a for a in cached if isinstance(a, np.ndarray)]
     assert len(arrays) > 10 and not any(a.flags.writeable for a in arrays)
@@ -696,7 +757,7 @@ def test_cached_cone_matrices_match_a_per_pair_construction(N):
         return np.array(cols + list(ray)).reshape(-1, len(S)).T.tolist()
 
     S = tuple(range(1, N + 1))
-    pairs, M = kernels._layout(N)
+    pairs, M, _ = kernels._layout(N, 2)
     assert pairs == tuple((i, j) for i in range(N + 1) for j in range(i + 1, N + 1))
     assert [M[k].tolist() for k in range(len(pairs))] == [cone(S, *ij) for ij in pairs]
     want_pairs, want_M = [], []
@@ -709,6 +770,20 @@ def test_cached_cone_matrices_match_a_per_pair_construction(N):
     g_pairs, g_M = holo._gamma_layout(N, (0,) + S)
     assert list(g_pairs) == want_pairs
     assert [m.tolist() for m in g_M] == want_M
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_kernel_faces_are_the_triple_strata_cones(N):
+    # pair {i, j}'s cone less its column for label l is, column for column,
+    # the cone of the triple stratum {i, j, l}, and up names that triple
+    pairs, M, up = kernels._layout(N, 2)
+    triples, MT, _ = kernels._layout(N, 3)
+    assert MT.shape == (math.comb(N + 1, 3), N, N - 2)
+    for k, ij in enumerate(pairs):
+        for c, l in enumerate(l for l in range(N + 1) if l not in ij):
+            t = triples.index(tuple(sorted(ij + (l,))))
+            assert up[k, c] == t
+            assert np.delete(M[k], c, axis=1).tolist() == MT[t].tolist()
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -827,6 +902,20 @@ def test_bump_laplacian_matches_fd():
         mu_terms, eta_part = laplace_terms(A, H)
         want = float(np.sum(mu_terms)) + eta_part
         assert got == pytest.approx(want, abs=5e-4 * max(1.0, abs(want)))
+
+
+@pytest.mark.parametrize("center, r_mu, r_eta, msg", [
+    ((math.nan, 0.0), 1.5, 1.2, "bump centre"),
+    ((0.0, math.inf), 1.5, 1.2, "bump centre"),
+    ((0.0, 0.0), math.nan, 1.2, "bump radius r_mu"),
+    ((0.0, 0.0), math.inf, 1.2, "bump radius r_mu"),
+    ((0.0, 0.0), 1.5, math.nan, "bump radius r_eta"),
+])
+def test_bump_refuses_non_finite_parameters(center, r_mu, r_eta, msg):
+    # a NaN r_mu made the bump 0 everywhere, and a NaN centre surfaced only
+    # as a SingularityProximity about a sheet distance
+    with pytest.raises(ValueError, match=msg):
+        RadialBump(np.array(center), r_mu, r_eta)
 
 
 def test_bump_support():
