@@ -16,9 +16,7 @@ from .geometry import (
     BasePoint,
     IndexSet,
     QuadForm,
-    anorm,
     ball_volume,
-    batch_from_vectors,
     block,
     schur_complement,
 )

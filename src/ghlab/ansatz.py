@@ -27,8 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (BasePoint, IndexSet, QuadForm, anorm, batch_from_vectors, check_batch,
-                       reduction)
+from .geometry import BasePoint, IndexSet, QuadForm, check_batch, reduction
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
@@ -280,10 +279,6 @@ class Ray:
     base_eta: complex = 0j
     label: str = "ray"
 
-    def point(self, r: float) -> BasePoint:
-        base = self.base_mu if self.base_mu is not None else np.zeros_like(self.dir_mu)
-        return BasePoint(base + r * np.asarray(self.dir_mu, dtype=float), self.base_eta)
-
 
 @dataclass
 class DecayFit:
@@ -305,18 +300,25 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
 
     Samples |relative_error| of the first-order field at the 17 radii
     ``_DECAY_RADII`` = 8 * 2^(k/2), k = 0..16, all in one field jet call,
-    measures against the anisotropic distance to the origin, and fits a
-    power law by least squares in log-log.
+    measures each against its anisotropic distance to the origin,
+    sqrt(mu^T A mu + det A |eta|^2), and fits a power law by least squares
+    in log-log.  A ray with fewer than two nonzero finite defects, where no
+    line can be fitted, is refused with ValueError naming it.
     """
-    pts = [ray.point(float(r)) for r in _DECAY_RADII]
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in pts]))
-    jet = FirstOrderField(A, quad).jet(mu, eta)
+    base = 0.0 if ray.base_mu is None else ray.base_mu
+    mu = base + _DECAY_RADII[:, None] * ray.dir_mu
+    eta = complex(ray.base_eta)
+    jet = FirstOrderField(A, quad).jet(mu, np.full(len(mu), eta))
     xs, ys = [], []
-    for t, p in enumerate(pts):
-        val = abs(sigma_expansion(A, jet.v[t]).relative_error)
+    for m, v in zip(mu, jet.v):
+        val = abs(sigma_expansion(A, v).relative_error)
         if val > 0.0 and np.isfinite(val):
-            xs.append(anorm(A, p))
+            xs.append(math.sqrt(float(np.einsum("i,ij,j", m, A.entries, m))
+                                + A.det * abs(eta) ** 2))
             ys.append(val)
+    if len(xs) < 2:
+        raise ValueError(f"decay scan of ray {ray.label!r}: {len(xs)} of {len(mu)} radii have a "
+                         "nonzero finite volume defect, and a fit needs two")
     x = np.log(np.array(xs))
     y = np.log(np.array(ys))
     slope, intercept = np.polyfit(x, y, 1)

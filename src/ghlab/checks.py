@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from . import ansatz, frame, glue, holo, kernels, locus
-from .geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, block,
-                       laplace_terms, reduction, schur_complement)
+from .geometry import (BasePoint, IndexSet, QuadForm, _row, block, laplace_terms, reduction,
+                       schur_complement)
 from .quadrature import QuadratureSpec
 
 
@@ -174,6 +174,11 @@ def plateau_points(rng: np.random.Generator, A: QuadForm, n: int,
 
 # -- residuals ------------------------------------------------------------
 
+def _batch(points) -> tuple[np.ndarray, np.ndarray]:
+    """The batch (mu (B, N), eta (B,)) of a list of base points."""
+    return np.array([p.mu for p in points]), np.array([p.eta for p in points], dtype=complex)
+
+
 def flat_volume_gap(points) -> float:
     """Criterion 01: worst |det V - W| of the flat background."""
     worst = 0.0
@@ -186,13 +191,12 @@ def flat_volume_gap(points) -> float:
 def one_slot_gaps(points) -> tuple[float, float, float]:
     """Criterion 02 at N = 1 on ``ONE_SLOT_FORM``: worst gaps of the engine
     kernel to its closed form, of det V to W, and of the volume defect to
-    0, from one kernel batch and one field jet over all the points."""
+    0, from one field jet over all the points: at N = 1 its v is the one
+    kernel (0, 1)."""
     A = QuadForm(np.array([[ONE_SLOT_FORM]]))
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
-    got = kernels.alpha_batch(kernels.KernelSpec(A, (0, 1)), QUAD, mu, eta).value
+    jet = ansatz.FirstOrderField(A, QUAD).jet(*_batch(points))
     want = np.array([kernels.closed_form_axis(A, 1, p) for p in points])
-    jet = ansatz.FirstOrderField(A, QUAD).jet(mu, eta)
-    kernel = float(np.max(np.abs(got - want)))
+    kernel = float(np.max(np.abs(jet.v[:, 0, 0] - want)))
     volume = float(np.max(np.abs(np.linalg.det(jet.V) - jet.W)))
     defect = max(abs(ansatz.sigma_expansion(A, v).relative_error) for v in jet.v)
     return kernel, volume, defect
@@ -205,8 +209,8 @@ def restricted_gap(cases) -> float:
     worst = 0.0
     for A, i, p in cases:
         red = reduction(A, IndexSet((0, i)))
-        got = kernels.alpha(kernels.KernelSpec(red.G, (0, 1)), QUAD,
-                            BasePoint(p.mu[red.slots], red.s * p.eta)).value
+        got = kernels.alpha_batch(kernels.KernelSpec(red.G, (0, 1)), QUAD,
+                                  *red.batch(*_row(A, p))).value[0]
         want = kernels.closed_form_axis(A, i, p)
         worst = max(worst, abs(got - want) / abs(want))
     return worst
@@ -216,7 +220,7 @@ def kernel_laplacian(spec: kernels.KernelSpec, points) -> float:
     """Criterion 04: worst A-Laplacian of the kernel over the scale of its
     terms, from its Hessians at every point in one ``alpha_hessian`` call."""
     A = spec.A
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    mu, eta = _batch(points)
     _, _, hess = kernels.alpha_hessian(A, QUAD, mu, eta, spec.labels)
     mu_terms, eta_part = laplace_terms(A, hess[0])
     scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * A.n * A.n,
@@ -230,7 +234,7 @@ def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
     and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
     every point and every kernel go into one kernel family batch."""
     N = A.n
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    mu, eta = _batch(points)
     labels, kv = kernels.alpha_family(A, QUAD, mu, eta, want_gradient=True)
     grads = {}
     for (i, j), g in zip(labels, kv.gradient):
@@ -350,7 +354,7 @@ def log_sum_gap(points, detour: bool = False) -> float:
 
 def plateau_gap(A: QuadForm, points, target: float) -> float:
     """Criterion 10: worst |w - target| of stratum (0, 1, 2)'s glue weight, one batch."""
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    mu, eta = _batch(points)
     w, _ = glue.glue_weight_batch(A, IndexSet((0, 1, 2)), locus.RegionConstants(), mu, eta)
     return float(np.max(np.abs(w - target), initial=0.0))
 
@@ -381,7 +385,7 @@ def integrability_gap(A: QuadForm, points) -> tuple[float, float]:
     """Criterion 12: worst relative residuals of the first-order field's
     first and second integrability identities; every point goes into one
     ``frame.integrability_batch``."""
-    mu, eta = batch_from_vectors(np.array([p.as_vector() for p in points]))
+    mu, eta = _batch(points)
     res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
     worst = np.max(res / np.maximum(scale, 1e-300), axis=1)
     return float(worst[0]), float(worst[1])

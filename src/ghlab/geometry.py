@@ -4,8 +4,8 @@ Everything downstream is phrased in terms of a fixed symmetric positive
 definite matrix acting on the moment coordinates ``mu`` together with a
 complex coordinate ``eta``.  This module provides the quadratic-form
 wrapper, base points, index-set bookkeeping, block/Schur algebra with a
-stratum subset's reduction to a lower-N form, the anisotropic norm, and
-the terms of the constant-coefficient Laplacian of that flat structure.
+stratum subset's reduction to a lower-N form, and the terms of the
+constant-coefficient Laplacian of that flat structure.
 """
 
 from __future__ import annotations
@@ -22,10 +22,8 @@ import numpy as np
 __all__ = [
     "QuadForm",
     "BasePoint",
-    "batch_from_vectors",
     "check_batch",
     "IndexSet",
-    "anorm",
     "schur_complement",
     "schur_blocks",
     "Reduction",
@@ -110,11 +108,6 @@ class QuadForm:
             self._derived[key] = build()
         return self._derived[key]
 
-    def quad(self, x: np.ndarray) -> np.ndarray:
-        """x^T A x, broadcast over the leading axes of ``x``."""
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.entries, x)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuadForm(n={self.n}, cond={self.condition:.3g})"
 
@@ -165,10 +158,6 @@ class BasePoint:
     def N(self) -> int:
         return self.mu.shape[0]
 
-    def as_vector(self) -> np.ndarray:
-        """Real coordinates (mu_1..mu_N, Re eta, Im eta)."""
-        return np.concatenate([self.mu, [self.eta.real, self.eta.imag]])
-
 
 def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
     """p as a batch of one for the form A: a ``BasePoint`` is finite, so
@@ -176,16 +165,6 @@ def _row(A: QuadForm, p: BasePoint) -> tuple[np.ndarray, np.ndarray]:
     if p.mu.shape != (A.n,):
         raise ValueError("dimension mismatch between form and point")
     return p.mu[None], np.array([p.eta])
-
-
-def batch_from_vectors(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The batch (mu (B, N), eta (B,)) of real coordinate rows (B, N + 2).
-
-    >>> batch_from_vectors(np.array([[1.0, 2.0, 3.0, -4.0]]))
-    (array([[1., 2.]]), array([3.-4.j]))
-    """
-    rows = np.asarray(rows, dtype=float)
-    return rows[:, :-2], np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]
 
 
 def check_batch(mu: np.ndarray, eta: np.ndarray, N: int
@@ -251,17 +230,6 @@ class IndexSet:
 
 
 # -- operations ----------------------------------------------------------
-
-def anorm(A: QuadForm, p: BasePoint) -> float:
-    """Anisotropic norm sqrt(mu^T A mu + det(A) |eta|^2) of a base point.
-
-    >>> anorm(QuadForm.identity(2), BasePoint([3.0, 4.0], 0.0))
-    5.0
-    """
-    if A.n != p.N:
-        raise ValueError("dimension mismatch between form and point")
-    return math.sqrt(float(A.quad(p.mu)) + A.det * abs(p.eta) ** 2)
-
 
 def schur_blocks(M: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, G) of a symmetric matrix M, or of each matrix of a stack

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ansatz import FirstOrderField
-from .geometry import BasePoint, IndexSet, QuadForm, _row, check_batch, reduction
+from .geometry import BasePoint, IndexSet, QuadForm, _finite, _row, check_batch, reduction
 from .kernels import KernelValue, _build_family, _engine_batch, _layout, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
@@ -79,7 +79,8 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     eta-derivative an orthant integral of power n + 2 with the ray as one
     more cone column, so two slots are exact and three sweep one axis.
     The tolerance holds the returned gammas.  Refusals name gamma_i and
-    the kernel by I's labels and the row of the caller's batch; rows with
+    the kernel by I's labels and the row of the caller's batch, and keep
+    the kernel's index, that row and ``what`` as ``kernels`` does; rows with
     eta = 0 are 0 and cost no engine call, and so does an empty ``labels``.
     """
     return _gamma_family(spec, labels, *check_batch(mu, eta, spec.A.n))
@@ -110,7 +111,8 @@ def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
         k = exc.kernel
         exc = _refusal(type(exc), tuple(members[m] for m in fam.labels[k]), k, mu, eta,
                        int(live[exc.row]), exc.what)
-        raise type(exc)(f"gamma_{labels[k // n]} on {members}: {exc}") from None
+        exc.args = (f"gamma_{labels[k // n]} on {members}: {exc}",)
+        raise exc from None
     total = (fam.prefactor * raw.value).reshape(len(labels), n, -1).sum(axis=1)
     err = (fam.prefactor * raw.error).reshape(len(labels), n, -1).sum(axis=1)
     out.value[:, live] = red.s * total * np.conj(eta_G)
@@ -188,7 +190,7 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     The one-form for label j has mu-part given by the reduced form G plus
     its first-order perturbation (row sums negated for label 0) and
     eta-part Re(gamma_j d eta).  The path is piecewise linear through
-    ``basepath`` and on to p; ``gauge`` fixes the log moduli at the path
+    ``basepath`` and on to p; a finite ``gauge`` fixes the log moduli at the path
     start.  Each leg takes 8 Gauss panels of 16 nodes, laid out as arrays
     (mu, eta), and all its nodes go through one field jet call of G and,
     where eta moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
@@ -208,6 +210,8 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
     vals = np.zeros(n + 1) if gauge is None else np.asarray(gauge, dtype=float).copy()
     if vals.shape != (n + 1,):
         raise ValueError("gauge must give one value per subset label")
+    if not _finite(vals):
+        raise ValueError(f"gauge must be finite, not {vals.tolist()}")
     for q0, q1 in zip(basepath, basepath[1:]):
         d_mu_full = q1.mu - q0.mu
         d_mu = d_mu_full[[a - 1 for a in act]]

@@ -22,9 +22,9 @@ the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
 it.  Only the weak charge check calls the engine directly, with no floor:
 its polar rule about the sheet, whose measure cancels the singularity, puts
-nodes inside that floor.  ``alpha_grad``, one row of the family with its
-gradient, remains for the benchmark, which traces it; ``alpha``, its value,
-also serves criterion 03.  The tests hold them against closed forms and
+nodes inside that floor.  ``alpha`` and ``alpha_grad``, one row of the
+family with its value or its gradient too, remain for the benchmark, which
+traces them.  The tests hold them against closed forms and
 ``tests/oracles.py``'s scrambled-Sobol ``qmc_alpha_oracle``.
 """
 

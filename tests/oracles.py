@@ -7,7 +7,9 @@ library takes them from the reduced form instead), the gammas by
 quadrature along their defining ray and in closed form for one active
 slot, the explicit swap of label 0, the glue scale rho_IJ of one stratum
 pair, the relative volume defect through det(A + v), and a central
-difference for derivatives the library takes exactly.  None of
+difference for derivatives the library takes exactly, over real
+coordinate rows (mu, Re eta, Im eta) that ``coordinate_row`` and
+``batch_of_rows`` carry to and from the library's batches.  None of
 them runs in a verdict, a CLI experiment or the
 benchmark, so they live here rather than in ``ghlab``; scipy, which the
 Sobol sequence needs, is a test dependency only.
@@ -282,3 +284,14 @@ def central_difference(f, x: np.ndarray, h: float) -> np.ndarray:
     steps = h * np.eye(len(x))
     values = f(np.concatenate([x + steps, x - steps]))
     return (values[:len(x)] - values[len(x):]) / (2.0 * h)
+
+
+def coordinate_row(p: BasePoint) -> np.ndarray:
+    """The real coordinates (mu_1..mu_N, Re eta, Im eta) of a base point."""
+    return np.concatenate([p.mu, [p.eta.real, p.eta.imag]])
+
+
+def batch_of_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch (mu (B, N), eta (B,)) of real coordinate rows (B, N + 2)."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[:, :-2], np.ascontiguousarray(rows[:, -2:]).view(complex)[:, 0]

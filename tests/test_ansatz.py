@@ -8,19 +8,21 @@ from hypothesis import strategies as st
 from scipy import linalg, optimize
 
 from ghlab import quadrature
-from ghlab.checks import random_point, random_spd
+from ghlab.checks import ONE_SLOT_FORM, random_point, random_spd
 from ghlab.cli import EXPERIMENTS
 from ghlab.geometry import BasePoint, IndexSet, QuadForm
 from ghlab.ansatz import (
+    _DECAY_RADII,
     FirstOrderField,
     Ray,
     RestrictedField,
+    decay_scan,
     flat_field,
     restricted_remainders,
     sigma_expansion,
     weight_ell,
 )
-from ghlab.kernels import alpha_family
+from ghlab.kernels import KernelSpec, alpha_batch, alpha_family
 from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec, panel_nodes
 from oracles import sigma_det_route
@@ -331,9 +333,44 @@ def test_decay_scan_smoke():
     # ray at N = 2 (the N = 3 rays live in the acceptance suite)
     A = QuadForm.identity(2)
     ray = Ray(np.array([1.0, 0.7]), base_eta=0.5 + 0.2j)
-    from ghlab.ansatz import decay_scan
     fit = decay_scan(A, QUAD, ray)
     assert 1.5 < fit.exponent < 2.5
+
+
+@pytest.mark.parametrize("form", ["identity", "random"])
+def test_decay_scales_are_each_rows_anisotropic_norm(form):
+    # row k is mu = base_mu + r_k dir_mu (base 0 when none is given) at
+    # eta = base_eta, measured by sqrt(mu^T A mu + det A |eta|^2): on the
+    # identity form sqrt(|mu|^2 + |eta|^2), on another eta weighs det A
+    if form == "identity":
+        A, ray = QuadForm.identity(2), Ray(np.array([1.0, 0.7]), base_eta=0.5 + 0.2j)
+        mu = _DECAY_RADII[:, None] * ray.dir_mu
+        want = np.sqrt((mu * mu).sum(axis=1) + abs(ray.base_eta) ** 2)
+    else:
+        A = random_spd(np.random.default_rng(61), 2)
+        ray = Ray(np.array([1.0, 0.7]), base_mu=np.array([0.5, -0.3]), base_eta=0.5 + 0.2j)
+        mu = ray.base_mu + _DECAY_RADII[:, None] * ray.dir_mu
+        want = np.sqrt(np.einsum("bi,ij,bj->b", mu, A.entries, mu)
+                       + A.det * abs(ray.base_eta) ** 2)
+    np.testing.assert_allclose(decay_scan(A, QUAD, ray).scales, want, rtol=1e-14, atol=0)
+
+
+def test_decay_scan_refuses_a_ray_it_cannot_fit():
+    # at N = 1 the volume defect is 0 at every radius, so no radius is
+    # kept, and np.polyfit once raised TypeError on the empty fit
+    with pytest.raises(ValueError, match="decay scan of ray 'flat': 0 of 17 radii"):
+        decay_scan(QuadForm.identity(1), QUAD, Ray(np.array([1.0]), base_eta=0.5, label="flat"))
+
+
+def test_one_slot_field_v_is_its_kernel():
+    # at N = 1 the field's one kernel is (0, 1) and v is its value, bit for
+    # bit, so criterion 02 reads the kernel from the field's jet
+    A = QuadForm(np.array([[ONE_SLOT_FORM]]))
+    rng = np.random.default_rng(2)
+    pts = [random_point(rng, 1) for _ in range(20)]
+    mu, eta = np.array([p.mu for p in pts]), np.array([p.eta for p in pts])
+    v = FirstOrderField(A, QUAD).jet(mu, eta).v[:, 0, 0]
+    assert v.tobytes() == alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta).value.tobytes()
 
 
 class TestWeightExponents:

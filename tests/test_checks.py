@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ghlab import ansatz, checks, frame, glue, holo, kernels, locus
-from ghlab.geometry import BasePoint, anorm
+from ghlab.geometry import BasePoint
 from test_acceptance import criterion_rows
 
 
@@ -101,13 +101,15 @@ def test_one_slot_gaps_flag_a_scaled_closed_form(monkeypatch):
 
 def test_decay_exponents_flag_a_defect_growing_with_the_distance(monkeypatch):
     # each sampled volume defect multiplied by (1 + |p|_A), the distance
-    # the fit measures against: every exponent drops by about one.  A
-    # factor (1 + |p|_A)^0.114 already takes the deep ray out of its window
+    # sqrt(mu^T A mu + det A |eta|^2) the fit measures against: every
+    # exponent drops by about one.  A factor (1 + |p|_A)^0.114 already
+    # takes the deep ray out of its window
     norms = []
     jet, sigma = ansatz.FirstOrderField.jet, ansatz.sigma_expansion
 
     def recording(self, mu, eta):
-        norms[:] = [anorm(self.A, BasePoint(m, e)) for m, e in zip(mu, eta)]
+        norms[:] = np.sqrt(np.einsum("bi,ij,bj->b", mu, self.A.entries, mu)
+                           + self.A.det * np.abs(eta) ** 2).tolist()
         return jet(self, mu, eta)
 
     def grown(A, v):

@@ -20,9 +20,7 @@ from ghlab.geometry import (
     BasePoint,
     IndexSet,
     QuadForm,
-    anorm,
     ball_volume,
-    batch_from_vectors,
     block,
     check_batch,
     laplace_terms,
@@ -63,11 +61,6 @@ class TestQuadForm:
         assert A.det == pytest.approx(1.0)
         assert A.condition == pytest.approx(1.0)
 
-    def test_quad_matches_direct(self):
-        A = spd([[2.0, 0.5], [0.5, 1.5]])
-        x = np.array([1.0, -2.0])
-        assert A.quad(x) == pytest.approx(float(x @ A.entries @ x))
-
     def test_inverse_is_symmetrized_once(self):
         # computed on first read, bitwise the symmetrized inverse, read-only
         # and kept: a second read returns the same array
@@ -102,13 +95,6 @@ def test_stacked_schur_blocks_match_each_slice(n, S):
         want_P = np.linalg.solve(block(M[k], Sc, Sc), block(M[k], Sc, S))
         assert P_k.tobytes() == want_P.tobytes()
         assert G_k.tobytes() == (block(M[k], S, S) - block(M[k], S, Sc) @ want_P).tobytes()
-
-
-def test_basepoint_vector_roundtrip():
-    p = BasePoint(np.array([1.0, -2.0]), 0.3 - 0.7j)
-    mu, eta = batch_from_vectors(p.as_vector()[None])
-    np.testing.assert_array_equal(mu[0], p.mu)
-    assert eta[0] == p.eta
 
 
 def test_base_point_has_no_dict():
@@ -234,24 +220,6 @@ def test_indexset_basics():
         IndexSet((0,)).require_stratum(3)
     with pytest.raises(ValueError):
         IndexSet((0, 5)).require_stratum(3)
-
-
-@given(st.floats(0.1, 10.0), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_anorm_scales_linearly(lam, n, seed):
-    # |lam p|_A = lam |p|_A; eta carries weight sqrt(det A) through the
-    # norm so the fiber coordinate scales like mu
-    rng = np.random.default_rng(seed)
-    A = random_spd(rng, n)
-    p = BasePoint(rng.normal(size=n), complex(*rng.normal(size=2)))
-    scaled = BasePoint(lam * p.mu, lam * p.eta)
-    assert anorm(A, scaled) == pytest.approx(lam * anorm(A, p), rel=1e-12)
-
-
-def test_anorm_identity_form():
-    p = BasePoint(np.array([3.0, 4.0]), 1.0j)
-    # mu part 25, eta part det(I) * 1
-    assert anorm(QuadForm.identity(2), p) == pytest.approx(math.sqrt(26.0))
 
 
 def test_schur_complement_frozen_example():

@@ -18,6 +18,7 @@ from ghlab.holo import (
     log_z,
     taubnut_moduli,
 )
+from ghlab.kernels import alpha_family
 from ghlab.quadrature import QuadratureError, QuadratureSpec, SingularityProximity
 from oracles import gamma_closed_form, gamma_via_ray
 
@@ -138,6 +139,21 @@ def test_gamma_refusal_past_an_eta_zero_row_names_the_callers_row():
     with pytest.raises(SingularityProximity, match=r"gamma_2 on \(0, 1, 2\): kernel "
                        r"\(0, 2\) at batch row 2 \(mu = \[1\.0, -1\.0\], eta = 1e-07j\)"):
         gamma_family(spec, (0, 1, 2), mu, np.array([0.0, 0.5j, 1e-7j]))
+
+
+def test_gamma_refusal_keeps_its_kernel_row_and_cause():
+    # as a kernel family's refusal does, so that a caller can name the row
+    # in its own batch: once rebuilt from its message, with kernel and row
+    # None and no ``what``
+    A, mu, eta = QuadForm.identity(2), np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([0.5, 1e-9])
+    with pytest.raises(SingularityProximity) as kernel:
+        alpha_family(A, QuadratureSpec(), mu, eta)
+    with pytest.raises(SingularityProximity, match=r"gamma_0 on \(0, 1, 2\): kernel \(0, 1\) "
+                       r"at batch row 1") as gam:
+        gamma_family(GammaSpec(A, IndexSet((0, 1, 2)), QuadratureSpec()), (0, 1, 2), mu, eta)
+    assert (gam.value.kernel, gam.value.row) == (kernel.value.kernel, kernel.value.row) == (0, 1)
+    assert str(gam.value.what) == str(kernel.value.what)
+    assert "below the resolution floor" in str(gam.value.what)
 
 
 def _leg(q0, q1):
@@ -373,6 +389,16 @@ def test_log_z_rejects_zero_fiber():
     p = BasePoint(np.array([1.0, 1.0]), 0j)
     with pytest.raises(ValueError, match="path crosses eta = 0"):
         log_z(A, I, QUAD, p, basepath=[BasePoint(np.array([3.0, 1.0]), 0j), p])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_log_z_refuses_a_non_finite_gauge(bad):
+    # once returned as the log modulus of slot 0, beside a finite slot 1
+    A, I = QuadForm(np.array(LOGZ_FORM_N2)), IndexSet((0, 1))
+    p = BasePoint([0.3, -0.2], 0.7 + 0.1j)
+    ref = BasePoint([2.3, -0.2], 0.7 + 0.1j)
+    with pytest.raises(ValueError, match=rf"gauge must be finite, not \[{bad}, 0\.0\]"):
+        log_z(A, I, QUAD, p, basepath=[ref, p], gauge=np.array([bad, 0.0]))
 
 
 def test_log_z_refuses_an_empty_path():

@@ -10,8 +10,7 @@ import pytest
 from ghlab import checks, kernels, locus
 from ghlab.ansatz import FirstOrderField
 from ghlab.checks import WEAK_BUMPS_N2, WEAK_FORM_N2, off_locus_point, random_spd
-from ghlab.geometry import (BasePoint, IndexSet, QuadForm, batch_from_vectors, laplace_terms,
-                            reduction)
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, laplace_terms, reduction
 from ghlab.holo import GammaSpec, gamma_family
 from ghlab.kernels import (
     KernelSpec,
@@ -29,7 +28,8 @@ from ghlab.kernels import (
 )
 from ghlab.quadrature import (QuadratureError, QuadratureSpec, SingularityProximity,
                               power_kernel_integral)
-from oracles import central_difference, qmc_alpha_oracle, restricted_kernels
+from oracles import (batch_of_rows, central_difference, coordinate_row, qmc_alpha_oracle,
+                     restricted_kernels)
 
 
 QUAD = QuadratureSpec()
@@ -333,7 +333,7 @@ def test_alpha_batch_matches_pointwise():
     base = BasePoint(np.array([1.0, 0.5, -0.7]), 0.6 + 0.4j)
     pts = [base]
     for k in range(3):
-        v = base.as_vector()
+        v = coordinate_row(base)
         v[k] += 0.02
         pts.append(BasePoint(v[:-2], complex(v[-2], v[-1])))
     _, kv = alpha_family(A, QUAD, *_batch(pts), True, spec.labels)
@@ -828,7 +828,7 @@ def _hessian_case(N, seed):
     the criteria draw them, with the point as a row x (N + 2,)."""
     rng = np.random.default_rng(seed)
     A = random_spd(rng, N)
-    return A, off_locus_point(rng, A).as_vector()
+    return A, coordinate_row(off_locus_point(rng, A))
 
 
 # the suite's reach seed (test_frame.py's N = 4 and 5 points) and 20 more
@@ -846,7 +846,7 @@ def test_alpha_hessian_identities(N):
     worst = np.zeros(3)
     for seed in HESSIAN_SEEDS:
         A, x = _hessian_case(N, seed)
-        labels, grad, hess = alpha_hessian(A, QUAD, *batch_from_vectors(x[None]))
+        labels, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]))
         assert labels == _family(A).labels and hess.shape == (len(labels), 1, N + 2, N + 2)
         H, g = hess[:, 0], grad[:, 0]
         mu_terms, eta_part = laplace_terms(A, H)
@@ -870,9 +870,9 @@ def test_alpha_hessian_matches_central_difference(N, labels):
     h = 1e-3 * max(1.0, np.abs(x).max())
 
     def gradients(rows):
-        return alpha_family(A, QUAD, *batch_from_vectors(rows), True, labels)[1].gradient[0]
+        return alpha_family(A, QUAD, *batch_of_rows(rows), True, labels)[1].gradient[0]
 
-    _, grad, hess = alpha_hessian(A, QUAD, *batch_from_vectors(x[None]), labels)
+    _, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]), labels)
     g = gradients(x[None])[0]
     assert np.abs(grad[0, 0] - g).max() <= 1e-13 * np.abs(g).max()
     H = hess[0, 0].T                       # [k, j] = d_k of gradient entry j
@@ -898,7 +898,7 @@ def test_bump_laplacian_matches_fd():
         got = bump.laplace_A(A, p.mu[None], np.array([abs(p.eta)]))[0]
         H = central_difference(
             lambda rows: np.stack([central_difference(values, v, 1e-3) for v in rows]),
-            p.as_vector(), 1e-3)
+            coordinate_row(p), 1e-3)
         mu_terms, eta_part = laplace_terms(A, H)
         want = float(np.sum(mu_terms)) + eta_part
         assert got == pytest.approx(want, abs=5e-4 * max(1.0, abs(want)))

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from ghlab import checks, holo, kernels, quadrature
-from ghlab.geometry import IndexSet, batch_from_vectors
+from ghlab.geometry import IndexSet
 from ghlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -38,7 +38,7 @@ from ghlab.quadrature import (
     panel_nodes,
     power_kernel_integral,
 )
-from oracles import qmc_power_kernel_integral
+from oracles import batch_of_rows, coordinate_row, qmc_power_kernel_integral
 
 
 def line_oracle(a: float, b: float, c: float) -> float:
@@ -710,8 +710,8 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
                         lambda *a, **k: calls.append(a[3]) or half_line(*a, **k))
     rng = np.random.default_rng(25)
     A = checks.random_spd(rng, 3)
-    xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(50)])
-    kernels.alpha_family(A, checks.QUAD, *batch_from_vectors(_neighbour_rows(xs, 1e-3)), True)
+    xs = np.array([coordinate_row(checks.off_locus_point(rng, A)) for _ in range(50)])
+    kernels.alpha_family(A, checks.QUAD, *batch_of_rows(_neighbour_rows(xs, 1e-3)), True)
     for _ in range(50):
         spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
         holo.gamma_sum_check(spec, checks.random_point(rng, 2))
@@ -736,8 +736,8 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
                         lambda theta, *a: elements.append(theta.size) or rule(theta, *a))
     rng = np.random.default_rng(26)
     A = checks.random_spd(rng, 3)
-    xs = np.array([checks.off_locus_point(rng, A).as_vector() for _ in range(20)])
-    kernels.alpha_family(A, checks.QUAD, *batch_from_vectors(_neighbour_rows(xs, 1e-3)), True)
+    xs = np.array([coordinate_row(checks.off_locus_point(rng, A)) for _ in range(20)])
+    kernels.alpha_family(A, checks.QUAD, *batch_of_rows(_neighbour_rows(xs, 1e-3)), True)
     assert sum(elements) == 902
 
 
