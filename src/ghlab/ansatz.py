@@ -167,16 +167,23 @@ def _outers(N: int, labels: tuple[tuple[int, int], ...]) -> np.ndarray:
     return table
 
 
-def _jets(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray) -> FieldJet:
-    """Assemble the stacked field jet at a batch of points from one
-    ``kernels.alpha_family`` batch: every kernel of A in one engine call."""
+def _first_order_v(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The first-order v (B, N, N) at a batch of points and its kernels'
+    error estimates (K, B), from one ``kernels.alpha_family`` batch: every
+    kernel of A in one engine call."""
     N = A.n
     labels, kv = alpha_family(A, quad, mu, eta)
-    B = kv.value.shape[1]
-    # v: one product with the label outers, summed over kernels slice by
+    # one product with the label outers, summed over kernels slice by
     # slice from 0 in label order, so a row is the same in any batch
     v = (kv.value[:, :, None] * _outers(N, labels)[:, None]).sum(axis=0, initial=0.0)
-    return _field_jet(A, v.reshape(B, N, N), kv.error.max(axis=0))
+    return v.reshape(-1, N, N), kv.error
+
+
+def _jets(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray) -> FieldJet:
+    """The stacked field jet at a batch of points, from ``_first_order_v``."""
+    v, err = _first_order_v(A, quad, mu, eta)
+    return _field_jet(A, v, err.max(axis=0))
 
 
 def _field_jet(A: QuadForm, v: np.ndarray, err: np.ndarray) -> FieldJet:

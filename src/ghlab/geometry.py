@@ -149,7 +149,7 @@ class BasePoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BasePoint):
             return NotImplemented
-        return self.eta == other.eta and np.array_equal(self.mu, other.mu)
+        return self.eta == other.eta and self.mu.tolist() == other.mu.tolist()
 
     def __hash__(self) -> int:
         return hash((tuple(self.mu.tolist()), self.eta))
@@ -265,11 +265,12 @@ class Reduction(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _slots(S: tuple[int, ...]) -> np.ndarray:
-    """The columns of mu of the active labels S, read-only."""
-    slots = np.array(S) - 1
-    slots.flags.writeable = False
-    return slots
+def _slots(N: int, S: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of mu of the active labels S, and all N columns ordered
+    S first, read-only."""
+    order = np.array(S + tuple(j for j in range(1, N + 1) if j not in S)) - 1
+    order.flags.writeable = False
+    return order[:len(S)], order
 
 
 def reduction(A: QuadForm, I: IndexSet) -> Reduction:
@@ -280,13 +281,13 @@ def reduction(A: QuadForm, I: IndexSet) -> Reduction:
         raise ValueError("index set has no active labels")
     if max(S) > A.n:
         raise ValueError("index label exceeds the form's dimension")
+    slots, order = _slots(A.n, S)
     if len(S) == A.n:
-        return Reduction(A, 1.0, _slots(S))
+        return Reduction(A, 1.0, slots)
 
     def build() -> Reduction:
-        order = S + tuple(j for j in range(1, A.n + 1) if j not in S)
-        G = QuadForm(schur_blocks(block(A.entries, order, order), len(S))[1])
-        return Reduction(G, math.sqrt(A.det / G.det), _slots(S))
+        G = QuadForm(schur_blocks(A.entries[order[:, None], order], len(S))[1])
+        return Reduction(G, math.sqrt(A.det / G.det), slots)
 
     return A.derived(("reduction", S), build)
 

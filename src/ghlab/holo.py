@@ -15,19 +15,22 @@ the ray quadrature they fold away and the one-slot closed form, both in
 ``tests/oracles.py``.
 Their sum telescopes to the reciprocal of the fiber coordinate, and the
 induced closed one-forms integrate, along a path the caller gives from a
-gauged start (``log_z``), to the logarithms of the model coordinates;
-``taubnut_moduli`` gives those of the one-slot model exactly.
+gauged start (``log_z``: per leg G's first-order v, and the gammas where
+eta moves), to the logarithms of the model coordinates; ``taubnut_moduli``
+gives those of the one-slot model exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .ansatz import FirstOrderField
+from .ansatz import _first_order_v
 from .geometry import BasePoint, IndexSet, QuadForm, _finite, _row, check_batch, reduction
 from .kernels import KernelValue, _build_family, _engine_batch, _layout, _refusal
 from .quadrature import QuadratureError, QuadratureSpec, SingularityProximity, panel_nodes
@@ -82,6 +85,7 @@ def gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     the kernel by I's labels and the row of the caller's batch, and keep
     the kernel's index, that row and ``what`` as ``kernels`` does; rows with
     eta = 0 are 0 and cost no engine call, and so does an empty ``labels``.
+    Labels are integers, held as ``kernels.KernelSpec`` holds its pair.
     """
     return _gamma_family(spec, labels, *check_batch(mu, eta, spec.A.n))
 
@@ -90,18 +94,21 @@ def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
                   eta: np.ndarray) -> KernelValue:
     """``gamma_family`` on rows already held finite."""
     members = spec.I.members
+    labels = tuple(map(operator.index, labels))
     if not set(labels) <= set(members):
         raise ValueError("label outside the subset")
-    out = KernelValue(np.zeros((len(labels), len(eta)), dtype=complex),
-                      np.zeros((len(labels), len(eta))), 0)
-    live = np.flatnonzero(eta)
-    if not len(live) or not len(labels):
-        return out
+    L, B = len(labels), len(eta)
+    live = eta.nonzero()[0]
+    if not len(live) or not L:
+        return KernelValue(np.zeros((L, B), dtype=complex), np.zeros((L, B)), 0)
     red = reduction(spec.A, spec.I)
     n = red.G.n   # kernels per gamma, each with the gamma's ray
     # per call only the cone frame is built: kept per form, it would cost ~1 KB
-    fam = _build_family(red.G, _gamma_layout(n, tuple(members.index(i) for i in labels)))
-    mu_G, eta_G = red.batch(mu[live], eta[live])
+    fam = _build_family(red.G, _gamma_layout(n, tuple(map(members.index, labels))))
+    # the engine takes the live rows; the outputs are built from its rows
+    # directly, and scattered only into a batch that has rows at eta = 0
+    whole = len(live) == B
+    mu_G, eta_G = red.batch(mu, eta) if whole else red.batch(mu[live], eta[live])
     # a row's tolerance scales with its |eta|; the largest is strictest
     size = np.abs(eta_G)
     try:
@@ -113,11 +120,13 @@ def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
                        int(live[exc.row]), exc.what)
         exc.args = (f"gamma_{labels[k // n]} on {members}: {exc}",)
         raise exc from None
-    total = (fam.prefactor * raw.value).reshape(len(labels), n, -1).sum(axis=1)
-    err = (fam.prefactor * raw.error).reshape(len(labels), n, -1).sum(axis=1)
-    out.value[:, live] = red.s * total * np.conj(eta_G)
-    out.error[:, live] = red.s * err * size
-    out.evals = raw.evals
+    total = (fam.prefactor * raw.value).reshape(L, n, -1).sum(axis=1)
+    err = (fam.prefactor * raw.error).reshape(L, n, -1).sum(axis=1)
+    value, error = red.s * total * np.conj(eta_G), red.s * err * size
+    if whole:
+        return KernelValue(value, error, raw.evals)
+    out = KernelValue(np.zeros((L, B), dtype=complex), np.zeros((L, B)), raw.evals)
+    out.value[:, live], out.error[:, live] = value, error
     return out
 
 
@@ -154,22 +163,6 @@ class LogZResult:
     values: np.ndarray
 
 
-def _one_form(spec: GammaSpec, mu: np.ndarray, eta: np.ndarray,
-              need_gamma: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of d log|z_j| at every node (mu, eta) of a leg: mu rows
-    (B, n+1, n) from one field jet of the subset's reduced form G, and
-    gammas (B, n+1) from one gamma family call."""
-    red = reduction(spec.A, spec.I)
-    n = red.G.n
-    P = red.G.entries + FirstOrderField(red.G, spec.quad).jet(*red.batch(mu, eta)).v
-    rows = np.empty((len(mu), n + 1, n))
-    rows[:, 1:, :] = P
-    rows[:, 0, :] = -P.sum(axis=1)
-    if not need_gamma:
-        return rows, np.zeros((len(mu), n + 1), dtype=complex)
-    return rows, gamma_family(spec, spec.I.members, mu, eta).value.T
-
-
 # path parameters in [0, 1] and weights of one log_z leg
 _LEG_PANELS = 8
 _LEG_NODES, _LEG_WEIGHTS = panel_nodes(np.arange(_LEG_PANELS + 1) / _LEG_PANELS, 16)
@@ -184,37 +177,39 @@ def leg_clearance(eta0: complex, eta1: complex) -> tuple[float, float]:
 
 
 def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
-          basepath: list[BasePoint], gauge: np.ndarray | None = None) -> LogZResult:
+          basepath: Sequence[BasePoint], gauge: np.ndarray | None = None) -> LogZResult:
     """Integrate the model's closed log-derivative one-form to p.
 
     The one-form for label j has mu-part given by the reduced form G plus
     its first-order perturbation (row sums negated for label 0) and
     eta-part Re(gamma_j d eta).  The path is piecewise linear through
     ``basepath`` and on to p; a finite ``gauge`` fixes the log moduli at the path
-    start.  Each leg takes 8 Gauss panels of 16 nodes, laid out as arrays
-    (mu, eta), and all its nodes go through one field jet call of G and,
-    where eta moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
+    start, and ``basepath`` may be any sequence of points.  Each leg takes 8
+    Gauss panels of 16 nodes, laid out as arrays (mu, eta), and all its
+    nodes go through one engine call for G's first-order v and, where eta
+    moves, one ``gamma_family`` call.  Every path node must keep eta nonzero,
     and a leg on which eta moves is refused with ValueError where it
     passes closer to eta = 0 than half its panels' eta-length: the gammas
     carry 1/eta, which the panels would smear there.
     """
-    if not basepath:
+    path = [*basepath, p]
+    if len(path) < 2:
         raise ValueError("basepath is empty: the path needs a start point")
-    if any(q.N != A.n for q in basepath + [p]):
+    if any(q.N != A.n for q in path):
         raise ValueError("dimension mismatch between form and point")
     spec = GammaSpec(A, I, quad)   # the model coordinates need a subset containing 0
-    act = I.active
+    red, act = reduction(A, I), I.active
     n = len(act)
-    if basepath[-1] != p:
-        basepath = basepath + [p]
+    if path[-2] == p:
+        path.pop()
     vals = np.zeros(n + 1) if gauge is None else np.asarray(gauge, dtype=float).copy()
     if vals.shape != (n + 1,):
         raise ValueError("gauge must give one value per subset label")
     if not _finite(vals):
         raise ValueError(f"gauge must be finite, not {vals.tolist()}")
-    for q0, q1 in zip(basepath, basepath[1:]):
+    for q0, q1 in zip(path, path[1:]):
         d_mu_full = q1.mu - q0.mu
-        d_mu = d_mu_full[[a - 1 for a in act]]
+        d_mu = d_mu_full[red.slots]
         d_eta = q1.eta - q0.eta
         closest, least = leg_clearance(q0.eta, q1.eta)
         if closest < least:
@@ -223,14 +218,24 @@ def log_z(A: QuadForm, I: IndexSet, quad: QuadratureSpec, p: BasePoint,
                              f"eta-length ({least:.3e})")
         mu = q0.mu + _LEG_NODES[:, None] * d_mu_full
         eta = q0.eta + _LEG_NODES * d_eta
-        if np.any(eta == 0):
+        if np.count_nonzero(eta) < len(eta):
             raise ValueError("path crosses eta = 0")
-        rows, gam = _one_form(spec, mu, eta, d_eta != 0)
-        steps = np.stack([rows @ d_mu, (gam * d_eta).real], axis=1)
-        # added node by node in path order (accumulate is a running sum): a
+        # the mu rows (B, n+1, n) of d log|z_j| at every node: G + v, with
+        # the row sums negated for label 0
+        P = red.G.entries + _first_order_v(red.G, quad, *red.batch(mu, eta))[0]
+        rows = np.empty((len(mu), n + 1, n))
+        rows[:, 1:, :] = P
+        rows[:, 0, :] = -P.sum(axis=1)
+        # after vals, each node's mu step, then its eta step (0.0 where eta
+        # is fixed), added in path order (accumulate is a running sum): a
         # pairwise sum would make a leg's value depend on its batching
-        steps = (_LEG_WEIGHTS[:, None, None] * steps).reshape(-1, n + 1)
-        vals = np.add.accumulate(np.vstack([vals, steps]))[-1]
+        steps = np.zeros((2 * len(mu) + 1, n + 1))
+        steps[0] = vals
+        steps[1::2] = _LEG_WEIGHTS[:, None] * (rows @ d_mu)
+        if d_eta != 0:
+            gam = gamma_family(spec, spec.I.members, mu, eta).value.T
+            steps[2::2] = _LEG_WEIGHTS[:, None] * (gam * d_eta).real
+        vals = np.add.accumulate(steps, out=steps)[-1]
     return LogZResult((0,) + act, vals)
 
 

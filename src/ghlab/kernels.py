@@ -162,9 +162,11 @@ def _one_row(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
              want_gradient: bool) -> KernelValue:
     """The kernel ``spec`` at p, through the family core: a ``BasePoint``
     is finite, so only its dimension is checked."""
-    _, kv = _alpha_family(spec.A, quad, *_row(spec.A, p), want_gradient, spec.labels)
-    grad = None if kv.gradient is None else kv.gradient[0, 0]
-    return KernelValue(float(kv.value[0, 0]), float(kv.error[0, 0]), kv.evals, grad)
+    fam = _family(spec.A, spec.labels)
+    raw = _engine_batch(fam, *_row(spec.A, p), quad, want_gradient)
+    grad = None if raw.gradient is None else fam.prefactor * raw.gradient[0, 0]
+    return KernelValue(float(fam.prefactor * raw.value[0, 0]),
+                       float(fam.prefactor * raw.error[0, 0]), raw.evals, grad)
 
 
 def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:

@@ -399,9 +399,9 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     least 2.  J_q = a^(-1/2) h^((1-q)/2) S_(q-2)(phi0), where
     S_k(phi0) = integral_0^phi0 sin^k and phi0 = atan2(sqrt(D), -beta).
     """
-    minus_beta = -beta
-    a_gamma = a * h + beta * beta
-    x = a * h / a_gamma                     # sin^2(phi0) = D / (a gamma)
+    minus_beta, ah = -beta, a * h
+    a_gamma = ah + beta * beta
+    x = ah / a_gamma                        # sin^2(phi0) = D / (a gamma)
     c = minus_beta / np.sqrt(a_gamma)       # cos(phi0)
     ks = [q - 2 for q in qs]
     kmin, kmax = min(ks), max(ks)
@@ -410,7 +410,7 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     # each step loses about log2(1/sin^2(phi0)) bits, 2 bits a step just
     # above the switch at 1/4, about 7 bits by q = 8
     k = kmin % 2
-    S_k = np.arctan2(np.sqrt(a * h), minus_beta) if k == 0 else 1.0 - c
+    S_k = np.arctan2(np.sqrt(ah), minus_beta) if k == 0 else 1.0 - c
     s_pow = np.sqrt(x) if k == 0 else x     # sin^(k+1)(phi0)
     S = {k: S_k}
     while k < kmax:
@@ -420,10 +420,10 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
         S[k] = S_k
     # h = 0 on the sheet gives inf, which power_kernel_integral refuses
     scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
-    out = []
-    for q in qs:
-        out.append(S[q - 2] * scale)
+    out = [S[qs[0] - 2] * scale]
+    for q in qs[1:]:
         scale = scale / h
+        out.append(S[q - 2] * scale)
     # small phi0 with beta < 0: s^(q-1) h^((1-q)/2) = a^((q-1)/2) (a gamma)^((1-q)/2),
     # so J_q = a^(q/2-1) (a gamma)^((1-q)/2) T_(q-2)(x) holds no power of h,
     # and a row behind the apex at h = 0 reads a^(q/2-1) |beta|^(1-q) / (q-1)
@@ -546,9 +546,17 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
     relative per edge term), and the poles are far: there ``_edge_rule``
     overwrites its terms and J_p.
     """
+    return _wedge_terms(e2, np.arctan2(e2[1], e2[0]), s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0),
+                        H2, power, want_gradient)
+
+
+def _wedge_terms(e2: tuple, phi: np.ndarray, s0: np.ndarray, ell: np.ndarray,
+                 inside: np.ndarray, H2: np.ndarray, power: int,
+                 want_gradient: bool) -> list[np.ndarray]:
+    """``wedge_integrals`` with the opening angle phi and the mask of feet
+    inside the wedge given, as ``_Wedge`` keeps the one and forms the other."""
     cphi, sphi = e2
     ns = (power - 2, power) if want_gradient else (power - 2,)
-    inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
     n_in = np.count_nonzero(inside)
     # H2 and H per edge (axis 0), so that no operation on the edges
     # broadcasts them: on small batches a broadcast costs more than the work
@@ -571,8 +579,6 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
         # a foot in the plane on an edge's line adds 0
         on_line = ell == 0.0 if np.count_nonzero(H) < H.size else None
         sign0, sign1 = -np.sign(ell)
-    if n_in:
-        phi = np.arctan2(sphi, cphi)
     out = []
     for j, n in enumerate(ns):
         Hn = H ** -n
@@ -594,7 +600,10 @@ def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
             J[rule] = gauss[-1]
         # minus the outward normals (0, -1) and (-sin phi, cos phi)
         # times the half-line integrals along the edges
-        out.append(np.concatenate([(sphi * J[1])[None], (J[0] - cphi * J[1])[None]]))
+        dW = np.empty(J.shape)
+        np.multiply(sphi, J[1], out=dW[0])
+        np.subtract(J[0], cphi * J[1], out=dW[1])
+        out.append(dW)
     return out
 
 
@@ -671,19 +680,20 @@ class _Wedge(_Stack):
     Z = z - Lz tau', with y = P b and z = L b for a row b.
     """
 
-    cphi: np.ndarray      # (K,) cos phi
-    sphi: np.ndarray      # (K,) sin phi
-    jac: np.ndarray       # (K,) 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
+    cphi: np.ndarray      # (K, 1) cos phi
+    sphi: np.ndarray      # (K, 1) sin phi
+    phi: np.ndarray       # (K, 1) the opening angle
+    jac: np.ndarray       # (K, 1) 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
     P: np.ndarray         # (K, 2, m)
     L: np.ndarray         # (K, m, m), or (K, 0, m) when m = 2
-    Py: np.ndarray        # (K, 2, d-2)
-    Lz: np.ndarray        # (K, m, d-2)
+    Py: np.ndarray        # (K, 2, d-2), read by the sweep alone
+    Lz: np.ndarray        # (K, m, d-2), read by the sweep alone
 
     @classmethod
     def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Wedge":
         Ct = np.linalg.cholesky(Q).T      # upper: Q = Ct^T Ct, once for all K
         CM = Ct @ M
-        m1, m2 = CM[..., -2], CM[..., -1]
+        (K, m, d), m1, m2 = M.shape, CM[..., -2], CM[..., -1]
         # Gram-Schmidt, reorthogonalized once: r22, the part of m2 across
         # m1, keeps its relative accuracy for any angle between them
         r11 = np.sqrt(np.einsum("km,km->k", m1, m1))
@@ -694,17 +704,20 @@ class _Wedge(_Stack):
         v -= fix[:, None] * u1
         r12 += fix
         r22 = np.sqrt(np.einsum("km,km->k", v, v))
-        U = np.stack([u1, v / r22[:, None]], axis=1)
+        U = np.empty((K, 2, m))
+        U[:, 0] = u1
+        np.divide(v, r22[:, None], out=U[:, 1])
         P = U @ Ct
-        Py = U @ CM[..., :-2]
+        Py = U @ CM[..., :-2] if d > 2 else np.empty((K, 2, 0))
         # the transverse part, kept in the m coordinates of C^T
-        if len(Ct) > 2:
+        if m > 2:
             L = Ct - U.swapaxes(-1, -2) @ P
-            Lz = CM[..., :-2] - U.swapaxes(-1, -2) @ Py
+            Lz = CM[..., :-2] - U.swapaxes(-1, -2) @ Py if d > 2 else np.empty((K, m, 0))
         else:
-            L, Lz = np.zeros((len(M), 0, 2)), np.zeros((len(M), 0, M.shape[-1] - 2))
-        norm = np.hypot(r12, r22)
-        return cls(r12 / norm, r22 / norm, 1.0 / (r11 * r22), P, L, Py, Lz)
+            L, Lz = np.zeros((K, 0, 2)), np.zeros((K, 0, d - 2))
+        norm = np.hypot(r12, r22)[:, None]
+        cphi, sphi = r12[:, None] / norm, r22[:, None] / norm
+        return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None], P, L, Py, Lz)
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int,
                  want_gradient: bool, ceta_xy: np.ndarray
@@ -716,15 +729,15 @@ class _Wedge(_Stack):
         y = np.einsum("kcm,bm->ckb", self.P, b)
         z = np.einsum("kim,bm->kbi", self.L, b)
         H2 = np.einsum("kbi,kbi->kb", z, z) + E
-        e2 = (self.cphi[:, None], self.sphi[:, None])
+        e2 = (self.cphi, self.sphi)
         s0, ell = _edges(e2, y)
-        W = wedge_integrals(e2, s0, ell, H2, power, want_gradient)
+        inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
+        W = _wedge_terms(e2, self.phi, s0, ell, inside, H2, power, want_gradient)
         # the sheet distance: the height over a foot in the wedge, else over
         # the nearer edge ray, along it (s0 >= 0) or at the apex
         ray2 = ell * ell + np.minimum(s0, 0.0) ** 2
-        r2 = H2 + np.where((ell[0] >= 0.0) & (ell[1] >= 0.0), 0.0,
-                           np.minimum(ray2[0], ray2[1]))
-        jac = self.jac[:, None]
+        r2 = H2 + np.where(inside, 0.0, np.minimum(ray2[0], ray2[1]))
+        jac = self.jac
         if not want_gradient:
             return W[0] * jac, None, r2
         # along the plane through dW/dy, across it and in eta through
@@ -766,7 +779,7 @@ def _swept_breaks(wedge: _Wedge, y0: np.ndarray, z: np.ndarray, E0: float,
     Lz, Py = wedge.Lz, wedge.Py
     h0, Gz = float(z @ z) + E0, Lz.T @ Lz
     zeros = [(h0, Gz), (h0 + float(y0 @ y0), Gz + Py.T @ Py)]
-    for n in np.array([[0.0, 1.0], [wedge.sphi, -wedge.cphi]]):
+    for n in np.array([[0.0, 1.0], [wedge.sphi[0], -wedge.cphi[0]]]):
         ny = n @ Py
         zeros.append((h0 + float(n @ y0) ** 2, Gz + np.outer(ny, ny)))
     rho = math.sqrt(max(c * k / float(np.linalg.eigvalsh(G)[0]) for c, G in zeros))
@@ -916,9 +929,10 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         grad = np.zeros((K, 0, m + 2)) if want_gradient else None
         return QuadResult(np.zeros((K, 0)), np.zeros((K, 0)), grad, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
-    x, y = eta.real, eta.imag
-    E = c_eta * (x * x + y * y)
-    ceta_xy = c_eta * eta.view(float).reshape(B, 2)
+    xy = eta.view(float).reshape(B, 2)
+    sq = xy * xy
+    E = c_eta * (sq[:, 0] + sq[:, 1])
+    ceta_xy = c_eta * xy
     if frame is None:
         frame = cone_frame(Q, M)
     if d <= 2:
@@ -927,7 +941,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             if d == 0:
                 bQ = np.einsum("bm,mk->bk", b, Q)
                 r2 = np.einsum("bk,bk->b", bQ, b) + E
-                val = np.tile(r2 ** (-0.5 * power), (K, 1))
+                val = np.empty((K, B))
+                val[...] = r2 ** (-0.5 * power)
                 grad = None
                 if want_gradient:
                     core = r2 ** (-0.5 * (power + 2))

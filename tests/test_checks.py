@@ -271,21 +271,21 @@ def test_gamma_sum_gaps_flag_a_scaled_gamma(monkeypatch, case, eps):
 
 
 def _criterion_09_failures(monkeypatch, v_scale=1.0, gamma_scale=1.0):
-    # the model field's v, the first-order field of the reduced form, and
-    # the last gamma of each family call scaled; these are closed forms
-    jet, family = ansatz.FirstOrderField.jet, holo.gamma_family
+    # the model field's v, the first-order v of the reduced form that each
+    # log_z leg reads, and the last gamma of each family call scaled; these
+    # are closed forms
+    first_order_v, family = holo._first_order_v, holo.gamma_family
 
-    def scaled_jet(self, mu, eta):
-        out = jet(self, mu, eta)
-        out.v = v_scale * out.v
-        return out
+    def scaled_v(*args):
+        v, err = first_order_v(*args)
+        return v_scale * v, err
 
     def scaled_family(spec, labels, mu, eta):
         out = family(spec, labels, mu, eta)
         out.value[-1] = gamma_scale * out.value[-1]
         return out
 
-    monkeypatch.setattr(ansatz.FirstOrderField, "jet", scaled_jet)
+    monkeypatch.setattr(holo, "_first_order_v", scaled_v)
     monkeypatch.setattr(holo, "gamma_family", scaled_family)
     return failed("09")
 

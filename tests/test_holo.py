@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from ghlab import quadrature
+from ghlab.ansatz import FirstOrderField
 from ghlab.checks import LOGZ_FORM_N2, random_point, random_spd
-from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, schur_complement
+from ghlab.geometry import BasePoint, IndexSet, QuadForm, block, reduction, schur_complement
 from ghlab.holo import (
     _LEG_NODES,
     GammaSpec,
@@ -18,7 +19,7 @@ from ghlab.holo import (
     log_z,
     taubnut_moduli,
 )
-from ghlab.kernels import alpha_family
+from ghlab.kernels import KernelSpec, alpha_family
 from ghlab.quadrature import QuadratureError, QuadratureSpec, SingularityProximity
 from oracles import gamma_closed_form, gamma_via_ray
 
@@ -183,6 +184,49 @@ def test_moving_eta_leg_makes_one_gamma_call(monkeypatch):
     spec = GammaSpec(A, IndexSet((0, 1, 2)), QUAD)
     zero = gamma_family(spec, (1,), np.ones((5, 2)), np.zeros(5))
     assert powers.count(4) == 1 and not zero.value.any()
+
+
+def test_gamma_labels_must_be_integers():
+    # a float label once read as the integer it equals, (1.0,) giving
+    # gamma_1, where KernelSpec refuses it; labels are held as integers
+    A = QuadForm([[1.4, 0.3], [0.3, 1.0]])
+    spec = GammaSpec(A, IndexSet((0, 1, 2)), QuadratureSpec())
+    with pytest.raises(TypeError):
+        gamma_family(spec, (1.0,), [[0.1, 0.2]], [0.5j])
+    with pytest.raises(TypeError):
+        KernelSpec(A, (0, 1.0))
+    one = gamma_family(spec, (np.int64(1),), [[0.1, 0.2]], [0.5j])
+    assert one.value.tobytes() == gamma_family(spec, (1,), [[0.1, 0.2]], [0.5j]).value.tobytes()
+
+
+def test_fixed_eta_leg_reads_only_the_first_order_v(monkeypatch):
+    # a leg at fixed eta makes one engine call, for G's first-order v, and
+    # no gamma call; it forms no W or w, so it never reads an inverse form
+    import ghlab.holo as holo
+    import ghlab.kernels as kernels
+
+    A, I = QuadForm(np.array(LOGZ_FORM_N2)), IndexSet((0, 1))
+    p = BasePoint(np.array([0.6, -1.1]), 0.7 + 0.4j)
+    ref = BasePoint(np.array([2.6, -1.1]), p.eta)
+    red = reduction(A, I)
+    # the field jet of a copy of G, so that G itself is fresh
+    want = FirstOrderField(QuadForm(red.G.entries), QUAD).jet(*red.batch(*_leg(ref, p))).v
+    engine, first_order_v = kernels.power_kernel_integral, holo._first_order_v
+    calls, vs = [], []
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    for name in ("gamma_family", "_gamma_family"):
+        monkeypatch.setattr(holo, name, lambda *a: pytest.fail("a gamma call"))
+
+    def no_inverse(form):
+        raise AssertionError("an inverse form was read")
+
+    monkeypatch.setattr(QuadForm, "inv", property(no_inverse))
+    monkeypatch.setattr(holo, "_first_order_v",
+                        lambda *a: vs.append(first_order_v(*a)) or vs[-1])
+    log_z(A, I, QUAD, p, basepath=[ref, p])
+    assert len(calls) == 1 and len(vs) == 1
+    assert vs[0][0].tobytes() == want.tobytes()
 
 
 def test_no_labels_give_empty_rows():
@@ -399,6 +443,18 @@ def test_log_z_refuses_a_non_finite_gauge(bad):
     ref = BasePoint([2.3, -0.2], 0.7 + 0.1j)
     with pytest.raises(ValueError, match=rf"gauge must be finite, not \[{bad}, 0\.0\]"):
         log_z(A, I, QUAD, p, basepath=[ref, p], gauge=np.array([bad, 0.0]))
+
+
+def test_log_z_takes_any_sequence_as_basepath():
+    # a tuple once raised TypeError at ``basepath + [p]``
+    A, I = QuadForm(np.array(LOGZ_FORM_N2)), IndexSet((0, 1))
+    p = BasePoint(np.array([0.6, -1.1]), 0.7 + 0.4j)
+    ref = BasePoint(np.array([2.6, -1.1]), p.eta)
+    detour = BasePoint(np.array([1.9, 0.4]), 1.1 - 0.6j)
+    for path in ([ref, p], [ref], [ref, detour]):
+        want = log_z(A, I, QUAD, p, basepath=path).values
+        assert log_z(A, I, QUAD, p, basepath=tuple(path)).values.tobytes() == want.tobytes()
+    assert log_z(A, I, QUAD, p, basepath=(ref, p)).labels == (0, 1)
 
 
 def test_log_z_refuses_an_empty_path():

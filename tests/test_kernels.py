@@ -586,14 +586,14 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(3)])
     fam = _family(A)
     k, row = 4, 1
-    wedge = quadrature.wedge_integrals
+    wedge = quadrature._wedge_terms   # the wedge closed form's terms
 
     def planted(*args, **kwargs):
         out = wedge(*args, **kwargs)
         out[0][k, row] = np.nan
         return out
 
-    monkeypatch.setattr(quadrature, "wedge_integrals", planted)
+    monkeypatch.setattr(quadrature, "_wedge_terms", planted)
     with pytest.raises(SingularityProximity, match=f"row {row} gives a value that is "
                                                    "not finite") as exc:
         power_kernel_integral(fam.Q, fam.c_eta, mu, eta, fam.M, fam.power, QUAD,
@@ -789,19 +789,22 @@ def test_kernel_faces_are_the_triple_strata_cones(N):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_closed_form_rows_do_not_depend_on_their_batch(N):
     # each closed-form row (values, gradients and Hessians of the family,
-    # and the gammas at N = 2) is bitwise the row computed alone: every
-    # contraction with a row sums in one order, where a BLAS product picks
-    # its kernel, and so its rounding, by the batch's shape
+    # and at N = 2 the one- and two-slot gammas, d = 1 and 2) is bitwise
+    # the row computed alone: every contraction with a row sums in one
+    # order, where a BLAS product picks its kernel, and so its rounding, by
+    # the batch's shape.  A gamma batch with rows at eta = 0 mixed in keeps
+    # the others' bits, and reads exactly 0 there
     for seed in range(20):
         rng = np.random.default_rng(1000 * N + seed)
         A = random_spd(rng, N)
         mu, eta = _batch([checks.random_point(rng, N) for _ in range(5)])
         _, kv = alpha_family(A, QUAD, mu, eta, True)
         _, grad, hess = alpha_hessian(A, QUAD, mu, eta)
-        gam = None
-        if N == 2:
-            spec = GammaSpec(A, IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
-            gam = gamma_family(spec, (0, 1, 2), mu, eta).value
+        specs = [GammaSpec(A, IndexSet(I), checks.GAMMA_QUAD)
+                 for I in ((0, 1), (0, 1, 2)) if N == 2]
+        gams = [gamma_family(spec, spec.I.members, mu, eta).value for spec in specs]
+        eta_mixed = np.where(np.arange(5) % 2 == 1, 0j, eta)
+        mixed = [gamma_family(spec, spec.I.members, mu, eta_mixed).value for spec in specs]
         for b in range(5):
             row = slice(b, b + 1)
             _, one = alpha_family(A, QUAD, mu[row], eta[row], True)
@@ -809,9 +812,11 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N):
             for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
                          (hess, h1)):
                 assert x[:, row].tobytes() == y.tobytes()
-            if gam is not None:
-                assert gam[:, row].tobytes() == gamma_family(spec, (0, 1, 2), mu[row],
-                                                             eta[row]).value.tobytes()
+            for spec, gam, mix in zip(specs, gams, mixed):
+                alone = gamma_family(spec, spec.I.members, mu[row], eta[row]).value
+                assert gam[:, row].tobytes() == alone.tobytes()
+                want = np.zeros_like(alone) if eta_mixed[b] == 0 else alone
+                assert mix[:, row].tobytes() == want.tobytes()
 
 
 def test_harmonicity_of_kernel_n2():
