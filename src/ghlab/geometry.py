@@ -281,11 +281,11 @@ def reduction(A: QuadForm, I: IndexSet) -> Reduction:
         raise ValueError("index set has no active labels")
     if max(S) > A.n:
         raise ValueError("index label exceeds the form's dimension")
-    slots, order = _slots(A.n, S)
     if len(S) == A.n:
-        return Reduction(A, 1.0, slots)
+        return Reduction(A, 1.0, _slots(A.n, S)[0])
 
     def build() -> Reduction:
+        slots, order = _slots(A.n, S)
         G = QuadForm(schur_blocks(A.entries[order[:, None], order], len(S))[1])
         return Reduction(G, math.sqrt(A.det / G.det), slots)
 
