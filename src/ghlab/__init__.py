@@ -57,9 +57,7 @@ from .ansatz import (
     RestrictedField,
     decay_scan,
     flat_field,
-    restricted_remainders,
     sigma_expansion,
-    weight_ell,
 )
 from .frame import (
     integrability_batch,

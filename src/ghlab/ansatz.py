@@ -31,7 +31,6 @@ from .geometry import BasePoint, IndexSet, QuadForm, check_batch, reduction
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
-from .locus import dist_locus
 from .quadrature import QuadratureSpec
 
 __all__ = [
@@ -40,13 +39,11 @@ __all__ = [
     "FieldJet",
     "FirstOrderField",
     "RestrictedField",
-    "restricted_remainders",
     "SigmaExpansion",
     "sigma_expansion",
     "Ray",
     "DecayFit",
     "decay_scan",
-    "weight_ell",
 ]
 
 
@@ -146,7 +143,7 @@ def _flat_root(z_lo: np.ndarray, target: float, lo: float, hi: float) -> float:
 @dataclass
 class FieldJet:
     """Values of a coefficient field, stacked over B points: V and v
-    (B, N, N); W, w and quad_error (B,).  quad_error is each point's
+    (B, N, N); W and quad_error (B,).  quad_error is each point's
     largest prefactor-scaled error estimate over the kernels; an integral
     that misses its tolerance raises QuadratureError instead.
     """
@@ -154,7 +151,6 @@ class FieldJet:
     V: np.ndarray
     W: np.ndarray
     v: np.ndarray
-    w: np.ndarray
     quad_error: np.ndarray
 
 
@@ -192,7 +188,7 @@ def _field_jet(A: QuadForm, v: np.ndarray, err: np.ndarray) -> FieldJet:
     N = A.n
     # each point's sums reduce one contiguous row, as a lone point's would
     w = A.det * (A.inv * v).reshape(len(v), N * N).sum(axis=1)
-    return FieldJet(A.entries + v, A.det + w, v, w, err)
+    return FieldJet(A.entries + v, A.det + w, v, err)
 
 
 class FirstOrderField:
@@ -225,19 +221,6 @@ class RestrictedField:
         v = np.zeros((len(mu), N, N))
         v[(slice(None),) + np.ix_(red.slots, red.slots)] = jet.v
         return _field_jet(self.A, v, jet.quad_error)
-
-
-def restricted_remainders(A: QuadForm, I: IndexSet, quad: QuadratureSpec,
-                          p: BasePoint) -> tuple[np.ndarray, float]:
-    """Smooth remainder of the field after subtracting the subset model.
-
-    Returns (h_v, h_w) with h_v = v - v_I entrywise and h_w = w - w_I,
-    from row 0 of each field's jet at p.
-    """
-    mu, eta = p.mu[None], np.array([p.eta])
-    full = FirstOrderField(A, quad).jet(mu, eta)
-    part = RestrictedField(A, I, quad).jet(mu, eta)
-    return full.v[0] - part.v[0], float(full.w[0] - part.w[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +316,3 @@ def decay_scan(A: QuadForm, quad: QuadratureSpec, ray: Ray) -> DecayFit:
     return DecayFit(-float(slope), float(intercept), resid,
                     np.exp(x), np.exp(y), ray.label)
 
-
-def weight_ell(A: QuadForm, i: int, p: BasePoint) -> float:
-    """Depth-i weight: one plus the distance to the nearest stratum with
-    i + 1 labels.
-
-    The family shrinks as i grows, so the weights increase in i; the
-    depth-1 weight is exactly 1 on any two-label stratum.
-    """
-    if not 1 <= i <= A.n:
-        raise ValueError("depth out of range")
-    return 1.0 + dist_locus(A, p, i + 1)

@@ -33,6 +33,11 @@ PROJECTION_TOL, EIGEN_TOL = 1e-10, 1e-12    # 07: nested projections, eigenvalue
 PRODUCT_TOL, LOG_SUM_TOL = 1e-12, 1e-6      # 09: moduli product, log sum
 PIECE_TOL, SEAM_TOL = 1e-12, 1e-10          # 11: profile pieces, seam jumps
 INTEGRABILITY_TOL = 1e-3                    # 12
+# 12's Euler rows: roundoff at N = 3; at N = 4 the kernels (p = 4) and the
+# cones at p + 2, which enter as p H^2 alpha_(p+2) <= p alpha, are swept
+# and held to 1e-8 (QUAD's abs_tol is about that for kernels near 1e-2):
+# (1 + p) 1e-8 of a row's scale, times 10 for a two-order estimate
+EULER_TOL = {3: 1e-12, 4: 1e-12 + 10 * (1 + 4) * 1e-8}
 
 QUAD = QuadratureSpec()                     # 02, 03, 04 and 12
 WEAK_QUAD = QuadratureSpec(abs_tol=1e-8)    # 05
@@ -381,11 +386,19 @@ def profile_seam_jump(prof: glue.ExtensionProfile) -> float:
     return jump
 
 
-def integrability_gap(A: QuadForm, points) -> tuple[float, float]:
+def integrability_gap(A: QuadForm, points) -> tuple[float, float, float]:
     """Criterion 12: worst relative residuals of the first-order field's
-    first and second integrability identities; every point goes into one
-    ``frame.integrability_batch``."""
+    first and second integrability identities, every point in one
+    ``frame.integrability_batch``, and of its kernels' Euler relation
+    x . grad alpha = (d - p) alpha = -alpha, x = (mu, Re eta, Im eta): the
+    batch's gradients (faces and cones at p + 2) against one
+    ``alpha_family`` call's values, each row over its largest term.  The
+    first identity holds by construction; a face or cone error fails Euler's."""
     mu, eta = _batch(points)
-    res, scale = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
+    res, scale, grad = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
+    _, kv = kernels.alpha_family(A, QUAD, mu, eta)
+    terms = grad * np.column_stack([mu, eta.real, eta.imag])
+    euler = np.abs(terms.sum(axis=-1) + kv.value) / np.maximum(np.abs(terms).max(axis=-1),
+                                                                np.abs(kv.value))
     worst = np.max(res / np.maximum(scale, 1e-300), axis=1)
-    return float(worst[0]), float(worst[1])
+    return float(worst[0]), float(worst[1]), float(np.max(euler, initial=0.0))

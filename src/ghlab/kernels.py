@@ -12,12 +12,14 @@ A stratum model's kernels are those of a lower-N form, its
 ``geometry.reduction`` G at (mu_I, s eta).
 
 Every kernel value goes through ``alpha_family``: the kernels of a form at
-a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case, and
-``alpha_hessian`` gives their second derivatives exactly, from their cones
-at two powers higher and their faces, the triple strata's cones, each
-evaluated once per call.  Cones differ only in their matrix, laid out once
-per N; Q, the prefactor and ``quadrature.cone_frame`` are built once per
-form, and ``_engine_batch`` makes one engine call for the whole family at
+a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  Every
+derivative comes from values, by one face identity: with
+``alpha_family``'s gradients ``alpha_hessian`` gives the second
+derivatives too, from the cones two and four powers up, their faces (the
+triple strata's cones) and the faces' faces, each family evaluated once
+per call.  Cones differ only in their matrix, laid out once per N; Q, the
+prefactor, ``quadrature.cone_frame`` and each family's R and S are built
+once per form, and ``_engine_batch`` makes one engine call for a family at
 the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
 it.  Only the weak charge check calls the engine directly, with no floor:
@@ -114,11 +116,16 @@ class _Family:
 
     Q: np.ndarray
     c_eta: float
-    labels: tuple[tuple[int, int], ...]
+    labels: tuple[tuple[int, ...], ...]
     M: np.ndarray
     power: int
     prefactor: float
     frame: object
+
+    def take(self, rows: slice) -> "_Family":
+        """The kernels ``rows`` of this family."""
+        return _Family(self.Q, self.c_eta, self.labels[rows], self.M[rows], self.power,
+                       self.prefactor, None if self.frame is None else self.frame[rows])
 
 
 def _family(A: QuadForm, labels: tuple[int, int] | None = None) -> _Family:
@@ -128,8 +135,7 @@ def _family(A: QuadForm, labels: tuple[int, int] | None = None) -> _Family:
     if labels is None:
         return fam
     k = fam.labels.index(labels)
-    return _Family(fam.Q, fam.c_eta, (labels,), fam.M[k:k + 1], fam.power,
-                   fam.prefactor, None if fam.frame is None else fam.frame[k:k + 1])
+    return fam.take(slice(k, k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -158,15 +164,63 @@ def _build_family(A: QuadForm, layout: tuple) -> _Family:
     return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, cone_frame(A.entries, M))
 
 
+def _levels(A: QuadForm) -> tuple:
+    """A's kernels, their faces (the triple strata) and the four-label
+    strata, each while the one before has columns, kept with A: per level
+    the family and, but for the last, R = Q' M' G^-1 (K, N + 2, d),
+    S = Q' - R M'^T Q' with Q' = diag(A, det A I_2), M' = (M; 0) and
+    G = M^T A M, and up, each cone less a column as a row of the next."""
+    def build():
+        out = []
+        for size in range(2, min(A.n, 3) + 2):
+            layout = _layout(A.n, size)
+            fam = _family(A) if size == 2 else _build_family(A, layout)
+            if size == 4:
+                return (*out, (fam,))
+            K, N, d = fam.M.shape
+            AM = fam.Q @ fam.M
+            R = np.zeros((K, N + 2, d))
+            R[:, :N] = np.linalg.solve(fam.M.swapaxes(1, 2) @ AM, AM.swapaxes(1, 2)).swapaxes(1, 2)
+            S = np.zeros((K, N + 2, N + 2))
+            S[:, :N, :N] = fam.Q - R[:, :N] @ AM.swapaxes(1, 2)
+            S[:, N, N] = S[:, N + 1, N + 1] = fam.c_eta
+            out.append((fam, R, S, layout[2]))
+        return tuple(out)
+
+    return A.derived("levels", build)
+
+
+def _chain(A: QuadForm, labels: tuple[int, int] | None, depth: int) -> tuple:
+    """The first ``depth`` levels of A, with its one kernel ``labels``
+    alone in the first: every face is one call's row either way."""
+    levels = _levels(A)[:depth]
+    if labels is None:
+        return levels
+    fam, R, S, up = levels[0]
+    k = fam.labels.index(labels)
+    return ((fam.take(slice(k, k + 1)), R[k:k + 1], S[k:k + 1], up[k:k + 1]),) + levels[1:]
+
+
+def _gradient(level: tuple, q: int, x: np.ndarray, faces: np.ndarray | None,
+              plus: np.ndarray) -> np.ndarray:
+    """grad V_q = R V^F_q - q S x V_(q+2) of a level's cones at the rows
+    x (B, N + 2), from faces (F, B), the next level's values at q, and
+    plus (K, B), the cones' own at q + 2; each sum runs over a last axis,
+    in one order, so a row reads as it does alone."""
+    _, R, S, up = level
+    grad = (S[:, None] * x[:, None]).sum(axis=-1) * (-q * plus)[..., None]
+    if up.shape[1]:
+        grad += (R[:, None] * faces[up].swapaxes(1, 2)[:, :, None]).sum(axis=-1)
+    return grad
+
+
 def _one_row(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
              want_gradient: bool) -> KernelValue:
     """The kernel ``spec`` at p, through the family core: a ``BasePoint``
     is finite, so only its dimension is checked."""
-    fam = _family(spec.A, spec.labels)
-    raw = _engine_batch(fam, *_row(spec.A, p), quad, want_gradient)
-    grad = None if raw.gradient is None else fam.prefactor * raw.gradient[0, 0]
-    return KernelValue(float(fam.prefactor * raw.value[0, 0]),
-                       float(fam.prefactor * raw.error[0, 0]), raw.evals, grad)
+    _, kv = _alpha_family(spec.A, quad, *_row(spec.A, p), want_gradient, spec.labels)
+    return KernelValue(float(kv.value[0, 0]), float(kv.error[0, 0]), kv.evals,
+                       None if kv.gradient is None else kv.gradient[0, 0])
 
 
 def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
@@ -177,8 +231,8 @@ def alpha(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
 
 
 def alpha_grad(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint) -> KernelValue:
-    """Kernel value and gradient (mu slots, Re eta, Im eta), the
-    derivatives taken under the integral sign."""
+    """Kernel value and gradient (mu slots, Re eta, Im eta): the one-row
+    case of ``alpha_family`` with its gradient."""
     return _one_row(spec, quad, p, True)
 
 
@@ -199,8 +253,9 @@ def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndar
     """Every kernel of A (or the one kernel ``labels``) at the batch
     mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
     with a leading kernel axis K.  Where they are closed forms (N <= 3)
-    the whole family is one engine call.  ``labels`` are held as
-    ``KernelSpec`` holds them."""
+    the whole family is one engine call; ``want_gradient`` adds the faces'
+    call and the values at p + 2 (``alpha_hessian``'s gradients, whose
+    nodes evals counts too).  ``labels`` are held as ``KernelSpec`` holds them."""
     labels = None if labels is None else _pair(labels, A.n)
     return _alpha_family(A, quad, *check_batch(mu, eta, A.n), want_gradient, labels)
 
@@ -209,11 +264,21 @@ def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
                   want_gradient: bool, labels: tuple[int, int] | None
                   ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
     """``alpha_family`` on rows already held finite."""
-    fam = _family(A, labels)
-    raw = _engine_batch(fam, mu, eta, quad, want_gradient)
-    grads = fam.prefactor * raw.gradient if want_gradient else None
-    return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
-                                   raw.evals, grads)
+    if not want_gradient:
+        fam = _family(A, labels)
+        raw = _engine_batch(fam, mu, eta, quad)
+        return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
+                                       raw.evals)
+    kern, *below = _chain(A, labels, 2)
+    fam, c = kern[0], kern[0].prefactor
+    raw = _engine_batch(fam, mu, eta, quad, True)
+    faces, evals = None, raw.evals
+    if below:
+        low = _engine_batch(below[0][0], mu, eta, quad)
+        faces, evals = low.value, evals + low.evals
+    grad = c * _gradient(kern, fam.power, np.column_stack([mu, eta.real, eta.imag]), faces,
+                         raw.plus_two)
+    return fam.labels, KernelValue(c * raw.value, c * raw.error, evals, grad)
 
 
 def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
@@ -221,64 +286,55 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
                   ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
     """Every kernel of A (or the one kernel ``labels``) at the batch
     mu (B, N), eta (B,): their labels, gradients (K, B, N + 2) and Hessians
-    (K, B, N + 2, N + 2) over x = (mu, Re eta, Im eta), with no difference.
-    With Q' = diag(A, det A I_2), M' = (M; 0), G = M^T A M, R = Q' M' G^-1
-    and S = Q' - R M'^T Q', a derivative along pair {i, j}'s column for
-    label l integrates to the face V^F, the cone less that column, which is
-    the triple stratum {i, j, l}'s cone, so that
+    (K, B, N + 2, N + 2) over x = (mu, Re eta, Im eta), from values alone.
+    With R and S of ``_levels``, a derivative along pair {i, j}'s column
+    for label l integrates to the face V^F, the cone less that column,
+    which is the triple stratum {i, j, l}'s cone, so that
 
-        grad V_p = R V^F - p S x V_(p+2),
-        hess V_p = R grad V^F - p S V_(p+2) - p S x grad V_(p+2)^T:
+        grad V_p = R V^F_p - p S x V_(p+2),
+        hess V_p = R grad V^F_p - p S V_(p+2) - p S x grad V_(p+2)^T,
 
-    two engine calls: each distinct face once at p (C(N + 1, 3) for the
-    family, N - 1 for one kernel; a refusal names the triple) and the cones
-    at p + 2, sharing the kernels' sheets and refusals, each held to ``quad``
-    in its prefactor-scaled values, exact at d <= 2 (faces to N = 4, cones 3)."""
+    grad V^F_p and grad V_(p+2) being the same identity a level down and
+    two powers up: three engine calls, the kernels at p + 2 and p + 4, all
+    faces at p and p + 2 (a refusal names the triple) and the four-label
+    strata at p, each held to ``quad`` in its prefactor-scaled values."""
     mu, eta = check_batch(mu, eta, A.n)
-    fam = _family(A, None if labels is None else _pair(labels, A.n))
-    K, N, d = fam.M.shape
-    p = fam.power
-    # R and -p S from the form alone, prefactor included
-    AM = fam.Q @ fam.M
-    R = np.zeros((K, N + 2, d))
-    R[:, :N] = np.linalg.solve(fam.M.swapaxes(1, 2) @ AM, AM.swapaxes(1, 2)).swapaxes(1, 2)
-    S = np.zeros((K, N + 2, N + 2))
-    S[:, :N, :N] = (-p * fam.prefactor) * (fam.Q - R[:, :N] @ AM.swapaxes(1, 2))
-    S[:, N, N] = S[:, N + 1, N + 1] = -p * fam.prefactor * fam.c_eta
-    R *= fam.prefactor
-    Sx = (S[:, None] * np.column_stack([mu, eta.real, eta.imag])[:, None]).sum(axis=-1)
+    kern, *below = _chain(A, None if labels is None else _pair(labels, A.n), 3)
+    fam, c, p = kern[0], kern[0].prefactor, kern[0].power
+    x = np.column_stack([mu, eta.real, eta.imag])
     plus = _engine_batch(replace(fam, power=p + 2), mu, eta, quad, True)
-    grad = Sx * plus.value[..., None]
-    hess = S[:, None] * plus.value[..., None, None] + Sx[..., None] * plus.gradient[..., None, :]
-    if d:
-        # kernel k less column j is face up[k, j]; summed per column, so a row reads as alone
-        (pairs, _, up), faces = _layout(N, 2), _layout(N, 3)
-        if labels is not None:
-            rows, up = up[pairs.index(fam.labels[0])], np.arange(d)[None]
-            faces = [faces[0][t] for t in rows], faces[1][rows]
-        faces = _engine_batch(_build_family(A, faces), mu, eta, quad, True)
-        for j, cols in enumerate(up.T):
-            grad += R[:, None, :, j] * faces.value[cols, :, None]
-            hess += R[:, None, :, j, None] * faces.gradient[cols, :, None]
-    return fam.labels, grad, hess
+    F0 = F2 = dF = None
+    if below:
+        faces = _engine_batch(below[0][0], mu, eta, quad, True)
+        F0, F2 = faces.value, faces.plus_two
+        FF = _engine_batch(below[1][0], mu, eta, quad).value if below[1:] else None
+        dF = _gradient(below[0], p, x, FF, F2)
+    _, R, S, up = kern
+    grad2 = _gradient(kern, p + 2, x, F2, plus.plus_two)
+    Sx = (S[:, None] * x[:, None]).sum(axis=-1)
+    hess = -p * (S[:, None] * plus.value[..., None, None] + Sx[..., None] * grad2[..., None, :])
+    if up.shape[1]:
+        # kernel k less column j is face up[k, j]
+        hess += (R[:, None, :, None] * dF[up].transpose(0, 2, 3, 1)[:, :, None]).sum(axis=-1)
+    return fam.labels, c * _gradient(kern, p, x, F0, plus.value), c * hess
 
 
 def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
-                  quad: QuadratureSpec, want_gradient: bool = False,
+                  quad: QuadratureSpec, plus_two: bool = False,
                   tol_scale: float = 1.0) -> QuadResult:
     """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
-    in one engine call: raw values and error estimates (K, B), gradient
-    rows (K, B, N + 2) as (mu..., Re eta, Im eta), and grid nodes;
+    in one engine call: raw values and error estimates (K, B), with
+    ``plus_two`` the values at power + 2 too, and grid nodes;
     ``fam.prefactor * tol_scale`` converts the tolerances of ``quad`` to
-    raw units.  A (kernel, row) pair within the resolution floor
-    10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a swept
-    group that misses its tolerance QuadratureError, naming the kernel and
-    the row with its (mu, eta): the row that missed, or for a grid over
-    the node budget the first row of its group.
+    raw units, at both powers.  A (kernel, row) pair within the resolution
+    floor 10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a
+    swept group that misses its tolerance QuadratureError, naming the
+    kernel and the row with its (mu, eta): the row that missed, or for a
+    grid over the node budget the first row of its group.
     """
     try:
         return power_kernel_integral(fam.Q, fam.c_eta, np.ascontiguousarray(mu), eta, fam.M,
-                                     fam.power, quad, want_gradient, fam.prefactor * tol_scale,
+                                     fam.power, quad, plus_two, fam.prefactor * tol_scale,
                                      10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
     except (SingularityProximity, QuadratureError) as exc:
         raise _refusal(type(exc), fam.labels[exc.kernel], exc.kernel, mu, eta, exc.row,

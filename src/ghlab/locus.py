@@ -273,17 +273,13 @@ def dist_boundary(A: QuadForm, I: IndexSet, p: BasePoint) -> float:
     return float(at.boundary[0, j])
 
 
-def dist_locus(A: QuadForm, p: BasePoint, min_size: int = 2) -> float:
-    """Distance to the union of the strata with at least ``min_size``
-    labels; the default 2 gives the whole degeneration locus.
+def dist_locus(A: QuadForm, p: BasePoint) -> float:
+    """Distance to the degeneration locus, the union of the strata.
 
     The closed strata cover that union, so this is the smallest of their
     closed-stratum distances, all read from one pass.
     """
-    if not 2 <= min_size <= A.n + 1:
-        raise ValueError(f"min_size {min_size} outside 2..{A.n + 1}")
-    at = _pass(A, *_row(A, p))
-    return float(at.closed[0, at.table.size >= min_size].min())
+    return float(_pass(A, *_row(A, p)).closed[0].min())
 
 
 @dataclass

@@ -5,11 +5,10 @@ an anisotropic distance,
 
     integral over tau in R_+^d of ((b - M tau)^T Q (b - M tau) + E)^(-p/2),
 
-optionally together with its derivatives with respect to b and the two real
-components hidden in E = c |eta|^2.  The integrand is smooth but sharply
-peaked where the affine sheet {b - M tau} passes closest to the origin, and
-it decays like |tau|^(-p) with p > d, so the mass beyond radius T is
-~ T^(d-p).
+E = c |eta|^2, optionally together with the same integral at power p + 2
+from the same pass.  The integrand is smooth but sharply peaked where the
+affine sheet {b - M tau} passes closest to the origin, and it decays like
+|tau|^(-p) with p > d, so the mass beyond radius T is ~ T^(d-p).
 
 The last two cone columns m1, m2 are integrated in closed form.  With
 X0 = b - M' tau' for the first d - 2 parameters, Q-orthonormal coordinates
@@ -33,7 +32,7 @@ W: every term is positive.  Per edge, with n = p - 2, the scaled term
 (p - 2) H^n A_k grows from n to n + 2 by |l| H^n J_(n+2), J_q the
 half-line integral of ((t - s0)^2 + c^2)^(-q/2) along the edge, s0 the
 foot's position along it and c^2 = H^2 + l^2, starting from 0 (n even)
-or an arctangent (n odd); the gradient's J_p is the last step's.  Outside
+or an arctangent (n odd), so W_(p+2) is one more step.  Outside
 W the terms of size H^(2-p) add up to the winding angle 0, so they are
 dropped and int_W = -sum_k sign(l_k) B_k with
 
@@ -51,15 +50,12 @@ chi = +-i asinh(lambda) then lie outside the rule's Bernstein ellipse.
 The worst conditioning left is about 1/phi, for thin wedges seen from the
 side.
 
-The gradient needs no new integral.  Along the plane, by the divergence
-theorem in y, it is minus the sum over the edges of the outward normal
-times the half-line integral J_p along the edge; across the plane and in
-eta it is a multiple of the wedge integral at p + 2.  For one cone column
-(d = 1) the integrand along m is (a t^2 - 2 beta t + gamma)^(-p/2), and
-``half_line_integrals`` evaluates J_p = a^((p-2)/2) D^((1-p)/2) times an
-angle integral of cos^(p-2) without cancellation (an all-positive Wallis
-recursion where beta >= 0, a positive power series in sin^2 where beta < 0
-and the angle is small), D formed as a times a Q-distance to the line.
+For one cone column (d = 1) the integrand along m is
+(a t^2 - 2 beta t + gamma)^(-p/2), and ``half_line_integrals`` evaluates
+J_p = a^((p-2)/2) D^((1-p)/2) times an angle integral of cos^(p-2) without
+cancellation (an all-positive Wallis recursion where beta >= 0, a positive
+power series in sin^2 where beta < 0 and the angle is small), D formed as
+a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
 0.  Each contraction of a closed form's rows is an ``np.einsum``, which
@@ -89,9 +85,10 @@ The construction depends only on the inputs, so results are
 bit-reproducible.  A group keeps only rows within half its first row's
 sheet distance of that row, where the grid resolves them too.  An
 integral that misses its tolerance after the refinement passes raises
-QuadratureError; no unconverged value is returned.  The tolerance holds
-values only: the two orders' values are compared and the low order takes
-no gradient, so a swept gradient is the high-order grid's, unchecked.
+QuadratureError; no unconverged value is returned.  A call that asks for
+power p + 2 too gets it from every node of the same grids, and the
+two-order check holds both powers.  The engine returns no derivative:
+``ghlab.kernels`` takes them from these values and the cones' faces.
 
 The independent scrambled-Sobol quasi-Monte-Carlo evaluator of the same
 integral, which the tests hold this engine against, is
@@ -166,13 +163,11 @@ class QuadratureSpec:
 
 @dataclass
 class QuadResult:
-    """An engine call's raw results.  The tolerance holds the values
-    only: a swept gradient is the order-``_ORDER`` grid's, with no error
-    estimate, since the low order is swept without one."""
+    """An engine call's raw results."""
 
     value: np.ndarray          # (K, B) raw integral values, no prefactor
     error: np.ndarray          # (K, B) two-order differences, raw units
-    gradient: np.ndarray | None  # (K, B, m + 2) d/d(b, Re eta, Im eta), raw
+    plus_two: np.ndarray | None  # (K, B) raw values at power + 2, if asked
     evals: int                 # swept grid nodes times batch rows (kernel
                                # rows alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
@@ -467,31 +462,18 @@ class _Line(_Stack):
         P = u @ Ct
         return cls(r11 * r11, r11 * P, Ct - u[:, :, None] * P[:, None, :])
 
-    def integral(self, b: np.ndarray, E: np.ndarray, power: int,
-                 want_gradient: bool, ceta_xy: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Values (K, B), gradient rows (K, B, m + 2) and squared sheet
-        distances r*^2 (K, B) at the rows b (B, m)."""
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Values (K, B) at the power, and with ``plus_two`` at power + 2,
+        and squared sheet distances r*^2 (K, B) at the rows b (B, m)."""
         beta = np.einsum("km,bm->kb", self.Qm, b)
         Z = np.einsum("kij,bj->kbi", self.L, b)
         h = np.einsum("kbj,kbj->kb", Z, Z) + E
         # the sheet distance: to the line where the foot t = beta / a >= 0,
         # else to the apex, gamma = h + beta^2 / a
         r2 = h + np.minimum(beta, 0.0) ** 2 / self.a
-        qs = (power, power + 2) if want_gradient else (power,)
-        J = half_line_integrals(self.a, beta, h, qs)
-        if not want_gradient:
-            return J[0], None, r2
-        # d/db = -p [J_(p+2) Q Y - Q m (beta J_(p+2) / a - K_(p+2))] with
-        # Q Y = L^T Z the part of Q b across m; the first moment K obeys
-        # a K - beta J = gamma^(-p/2) / p
-        m = self.Qm.shape[-1]
-        grad = np.empty(h.shape + (m + 2,))
-        bound = (h + beta * beta / self.a) ** (-0.5 * power)
-        grad[..., :m] = (np.einsum("kbi,kij->kbj", -power * J[1][..., None] * Z, self.L)
-                         + bound[..., None] * (self.Qm / self.a)[:, None, :])
-        grad[..., m:] = -power * ceta_xy * J[1][..., None]
-        return J[0], grad, r2
+        qs = (power, power + 2) if plus_two else (power,)
+        return half_line_integrals(self.a, beta, h, qs), r2
 
 
 # The far-edge gate.  An outer edge term H^-n (Theta - ahat_n) keeps the
@@ -526,37 +508,26 @@ def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
     return edges
 
 
-def wedge_integrals(e2: tuple, s0: np.ndarray, ell: np.ndarray, H2: np.ndarray,
-                    power: int, want_gradient: bool = False) -> list[np.ndarray]:
+def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np.ndarray,
+                    H2: np.ndarray, power: int, plus_two: bool = False) -> list[np.ndarray]:
     """W_q = integral over the wedge between e1 = (1, 0) and
     e2 = (cos phi, sin phi), 0 < phi < pi, of (H2 + |w - y|^2)^(-q/2) dA(w).
 
-    The foot y enters through ``_edges``: s0 and l (2, ...), per element;
-    H2 (...) is the squared height, H2 > 0 wherever the foot lies in the
-    closed wedge; cos phi and sin phi broadcast against H2 (one wedge per
-    kernel, say).  Returns [W_p], or with ``want_gradient``
-    [W_p, W_(p+2), dW_p/dy], the last one (2, ...);
-    dW_p/dH2 = -p W_(p+2) / 2.  p must be at least 3.  A foot on the sheet
-    (H2 = 0 in the wedge) reads inf, so callers evaluate it under
+    The foot y enters through ``_edges``: s0 and l (2, ...), per element,
+    and ``inside``, where both l >= 0; H2 (...) is the squared height,
+    H2 > 0 wherever the foot lies in the closed wedge; phi broadcasts
+    against H2 (one wedge per kernel, say).  Returns [W_p], or with
+    ``plus_two`` [W_p, W_(p+2)].  p must be at least 3.  A foot on the
+    sheet (H2 = 0 in the wedge) reads inf, so callers evaluate it under
     np.errstate(divide="ignore", invalid="ignore").
 
     Every edge takes ``_edge_ahat``.  An edge outside takes the complement
     H^-n (Theta - ahat_n), unless the last n's complement cancels,
     Theta - ahat_n < _EDGE_CANCEL Theta (2^-4, from the budget of 1e-14
     relative per edge term), and the poles are far: there ``_edge_rule``
-    overwrites its terms and J_p.
+    overwrites its terms.
     """
-    return _wedge_terms(e2, np.arctan2(e2[1], e2[0]), s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0),
-                        H2, power, want_gradient)
-
-
-def _wedge_terms(e2: tuple, phi: np.ndarray, s0: np.ndarray, ell: np.ndarray,
-                 inside: np.ndarray, H2: np.ndarray, power: int,
-                 want_gradient: bool) -> list[np.ndarray]:
-    """``wedge_integrals`` with the opening angle phi and the mask of feet
-    inside the wedge given, as ``_Wedge`` keeps the one and forms the other."""
-    cphi, sphi = e2
-    ns = (power - 2, power) if want_gradient else (power - 2,)
+    ns = (power - 2, power) if plus_two else (power - 2,)
     n_in = np.count_nonzero(inside)
     # H2 and H per edge (axis 0), so that no operation on the edges
     # broadcasts them: on small batches a broadcast costs more than the work
@@ -564,7 +535,7 @@ def _wedge_terms(e2: tuple, phi: np.ndarray, s0: np.ndarray, ell: np.ndarray,
     H2_edge[...] = H2
     H = np.sqrt(H2_edge)
     al = np.abs(ell)
-    ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
+    ahat = _edge_ahat(s0, al, H, H2_edge, ns)
     if n_in < inside.size:
         theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
         # outside the wedge: the Gauss rule where the last complement
@@ -594,32 +565,21 @@ def _wedge_terms(e2: tuple, phi: np.ndarray, s0: np.ndarray, ell: np.ndarray,
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
         out.append(value / n if n > 1 else value)
-    if want_gradient:
-        J = J[-1]                         # J_p, the last step's
-        if n_in < inside.size and n_rule:
-            J[rule] = gauss[-1]
-        # minus the outward normals (0, -1) and (-sin phi, cos phi)
-        # times the half-line integrals along the edges
-        dW = np.empty(J.shape)
-        np.multiply(sphi, J[1], out=dW[0])
-        np.subtract(J[0], cphi * J[1], out=dW[1])
-        out.append(dW)
     return out
 
 
 def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
-               ns: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+               ns: tuple[int, ...]) -> list[np.ndarray]:
     """ahat_n = (p - 2) H^n A for each edge, n = p - 2 in ``ns``: the edge
-    term of the form for a foot inside the wedge, scaled; and the half-line
-    integrals J_q along the edge that its steps took, the last one J_p
-    where ``ns`` ends at p.
+    term of the form for a foot inside the wedge, scaled.
 
     Along the edge the quadratic is (t - s0)^2 + c^2, c^2 = H^2 + l^2, and
     ahat_(n+2) = ahat_n + |l| H^n J_(n+2), from ahat_0 = 0 or
     ahat_1 = 2 atan(r (1 - tau) / (1 + r^2 tau)), r = |l| / (c + H),
-    tau = -s0 / (c + w), w^2 = c^2 + s0^2 (the half-angle substitution).
-    The first step's J is formed here, J_2 = psi / c with psi = atan2(c, -s0)
-    or J_3 = (1 - cos psi) / c^2 = 1 / (w (w - s0)); later ones come from
+    tau = -s0 / (c + w), w^2 = c^2 + s0^2 (the half-angle substitution),
+    J_q the half-line integral along the edge.  The first step's J is
+    formed here, J_2 = psi / c with psi = atan2(c, -s0) or
+    J_3 = (1 - cos psi) / c^2 = 1 / (w (w - s0)); later ones come from
     ``half_line_integrals``.
     """
     c2 = H2 + al * al
@@ -642,28 +602,23 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     for J_q in J:
         ahat.append(ahat[-1] + al * Hn * J_q)
         Hn = Hn * H2
-    return ahat[-len(ns):], J
+    return ahat[-len(ns):]
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
                ns: tuple[int, ...]) -> list[np.ndarray]:
-    """(p - 2) B for each n = p - 2 in ``ns``, at the edges whose Theta, |l|
-    and H^2 the 1-d arrays give: the integral over chi in [0, Theta] of root^n,
-    root^2 = sin^2 chi / (H^2 sin^2 chi + l^2); with two of them (the
-    gradient's) also the half-line integral J_p, the integral of
-    |l| root^n / (H^2 sin^2 chi + l^2)."""
+    """(p - 2) B for each n = p - 2 in ``ns`` (one or two, ascending by 2),
+    at the edges whose Theta, |l| and H^2 the 1-d arrays give: the integral
+    over chi in [0, Theta] of root^n, root^2 = sin^2 chi / (H^2 sin^2 chi + l^2)."""
     s2 = np.sin(theta[:, None] * _EDGE_NODES) ** 2
-    den = H2[:, None] * s2 + (al * al)[:, None]
-    root2 = s2 / den
+    root2 = s2 / (H2[:, None] * s2 + (al * al)[:, None])
     n = ns[0]
-    # root^n, then root^(n+2) and root^n / den, stacked for one Gauss sum
-    F = np.empty((2 * len(ns) - 1,) + root2.shape)
+    # root^n, then root^(n+2), stacked for one Gauss sum
+    F = np.empty((len(ns),) + root2.shape)
     F[0] = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
     if len(ns) > 1:
         np.multiply(F[0], root2, out=F[1])
-        np.divide(F[0], den, out=F[2])
-    I = np.einsum("...n,n->...", F, _EDGE_WEIGHTS)
-    return [theta * I[0]] if len(ns) == 1 else [theta * I[0], theta * I[1], theta * al * I[2]]
+    return list(theta * np.einsum("...n,n->...", F, _EDGE_WEIGHTS))
 
 
 @dataclass
@@ -719,36 +674,24 @@ class _Wedge(_Stack):
         cphi, sphi = r12[:, None] / norm, r22[:, None] / norm
         return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None], P, L, Py, Lz)
 
-    def integral(self, b: np.ndarray, E: np.ndarray, power: int,
-                 want_gradient: bool, ceta_xy: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
         """The whole integral at d = 2 for every kernel of the stack and
-        every row b (B, m) in one closed form: values (K, B), gradients
-        (K, B, m + 2) and squared sheet distances r*^2 (K, B)."""
+        every row b (B, m) in one closed form: values (K, B) at the power,
+        and with ``plus_two`` at power + 2, and squared sheet distances
+        r*^2 (K, B)."""
         # the foot component-major (2, K, B), the transverse part (K, B, m')
         y = np.einsum("kcm,bm->ckb", self.P, b)
         z = np.einsum("kim,bm->kbi", self.L, b)
         H2 = np.einsum("kbi,kbi->kb", z, z) + E
-        e2 = (self.cphi, self.sphi)
-        s0, ell = _edges(e2, y)
+        s0, ell = _edges((self.cphi, self.sphi), y)
         inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
-        W = _wedge_terms(e2, self.phi, s0, ell, inside, H2, power, want_gradient)
+        W = wedge_integrals(self.phi, s0, ell, inside, H2, power, plus_two)
         # the sheet distance: the height over a foot in the wedge, else over
         # the nearer edge ray, along it (s0 >= 0) or at the apex
         ray2 = ell * ell + np.minimum(s0, 0.0) ** 2
         r2 = H2 + np.where(inside, 0.0, np.minimum(ray2[0], ray2[1]))
-        jac = self.jac
-        if not want_gradient:
-            return W[0] * jac, None, r2
-        # along the plane through dW/dy, across it and in eta through
-        # dW/dH2 = -p W_(p+2) / 2
-        m = self.P.shape[-1]
-        grad = np.empty(W[0].shape + (m + 2,))
-        Wp = (-power * jac) * W[1]
-        grad[..., :m] = (np.einsum("ckb,kcm->kbm", jac * W[2], self.P)
-                         + np.einsum("kbi,kim->kbm", Wp[..., None] * z, self.L))
-        grad[..., m:] = Wp[..., None] * ceta_xy
-        return W[0] * jac, grad, r2
+        return [w * self.jac for w in W], r2
 
 
 def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
@@ -821,16 +764,14 @@ def _swept_grid(R: float, breaks: list[np.ndarray], tail: np.ndarray,
 
 
 def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
-           nodes: np.ndarray, weights: np.ndarray, power: int,
-           want_gradient: bool, ceta_xy: np.ndarray, chunk: int
-           ) -> tuple[np.ndarray, np.ndarray | None]:
+           nodes: np.ndarray, weights: np.ndarray, power: int, plus_two: bool,
+           chunk: int) -> np.ndarray:
     """One sweep of one kernel's ``wedge`` over the first d - 2 parameters
     at the ``nodes`` (d - 2, n), the last two exact, for the rows whose
-    feet and transverse parts are y (2, B) and z (m', B)."""
-    B, m = E.shape[0], wedge.P.shape[1]
+    feet and transverse parts are y (2, B) and z (m', B): values (1, B) at
+    the power, or (2, B) with those at power + 2."""
     e2 = (wedge.cphi, wedge.sphi)
-    val = np.zeros(B)
-    grad = np.zeros((B, m + 2)) if want_gradient else None
+    val = np.zeros((1 + plus_two, E.shape[0]))
     for start in range(0, len(weights), chunk):
         tau = nodes[:, start:start + chunk]
         wts = weights[start:start + chunk]
@@ -838,28 +779,23 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
         y0 = y[:, :, None] - (wedge.Py @ tau)[:, None, :]
         Z = z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
         H2 = np.einsum("kbn,kbn->bn", Z, Z) + E[:, None]
+        s0, ell = _edges(e2, y0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            W = wedge_integrals(e2, *_edges(e2, y0), H2, power, want_gradient)
-        val += W[0] @ wts
-        if want_gradient:
-            # as in _Wedge.integral, summed over the nodes
-            Ww = W[1] * wts
-            grad[:, :m] += ((W[2] @ wts).T @ wedge.P
-                            - power * np.einsum("bn,kbn->bk", Ww, Z) @ wedge.L)
-            grad[:, m:] += -power * ceta_xy * Ww.sum(axis=1)[:, None]
-    if want_gradient:
-        grad *= wedge.jac
-    return val * wedge.jac, grad
+            W = wedge_integrals(wedge.phi, s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0), H2,
+                                power, plus_two)
+        for v, w in zip(val, W):
+            v += w @ wts
+    return val * wedge.jac
 
 
 def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
-                 ceta_xy: np.ndarray, sheet: tuple[np.ndarray, float], power: int,
-                 want_gradient: bool, tol: tuple[float, float]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """One kernel's values, errors, gradients and grid nodes at the rows b
-    (B, m) of one group, swept on its first row's grid (``sheet`` that
-    row's (tau*, r*), P = M^T Q M) until the raw (abs, rel) ``tol`` holds;
-    a QuadratureError names the group's row (0 for a grid over budget)."""
+                 sheet: tuple[np.ndarray, float], power: int, plus_two: bool,
+                 tol: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, int]:
+    """One kernel's values and errors at the rows b (B, m) of one group,
+    (1, B) or with ``plus_two`` (2, B), and its grid nodes, swept on its
+    first row's grid (``sheet`` that row's (tau*, r*), P = M^T Q M) until
+    the raw (abs, rel) ``tol`` holds at every power; a QuadratureError
+    names the power and the group's row (0 for a grid over budget)."""
     tau_star, r_star = sheet
     B = len(b)
     y0, z = wedge.P @ b.T, wedge.L @ b.T
@@ -877,40 +813,41 @@ def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
             raise QuadratureError(
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {_MAX_EVALS}", row=0)
-        v_hi, g_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
-                            power, want_gradient, ceta_xy, chunk)
-        v_lo, _ = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
-                         power, False, ceta_xy, chunk)
+        v_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
+                      power, plus_two, chunk)
+        v_lo = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
+                      power, plus_two, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo)
         bound = np.maximum(tol[0], tol[1] * np.abs(v_hi))
         if np.all(err <= bound):
-            return v_hi, err, g_hi, evals
-    row = int(np.argmax(err / bound))
+            return v_hi, err, evals
+    j, row = divmod(int(np.argmax(err / bound)), B)
     shape = " x ".join(str(n * _ORDER) for n in panels)
     raise QuadratureError(
-        f"no convergence after {_REFINE_PASSES + 1} passes: r* = "
-        f"{r_star:.3e}, grid {shape}, error {err[row]:.3e} "
-        f"against tolerance {bound[row]:.3e}", row=row)
+        f"no convergence after {_REFINE_PASSES + 1} passes: r* = {r_star:.3e}, grid "
+        f"{shape}, error {err[j, row]:.3e} against tolerance {bound[j, row]:.3e} "
+        f"at power {power + 2 * j}", row=row)
 
 
 def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                           eta: np.ndarray, M: np.ndarray, power: int,
-                          spec: QuadratureSpec, want_gradient: bool = False,
+                          spec: QuadratureSpec, plus_two: bool = False,
                           prefactor: float = 1.0, floor: float = 0.0,
                           frame: _Line | _Wedge | None = None) -> QuadResult:
     """Evaluate the orthant power integrals of a kernel family at a batch.
 
     b is (B, m) and eta (B,); M (K, m, d) stacks the cone matrices of K
     kernels that share Q, c_eta and the power.  Values and errors are
-    (K, B), gradient rows (K, B, m + 2) as (b..., Re eta, Im eta).  At
-    d <= 2 every (kernel, row) pair is a closed form, all in one pass; at
-    d >= 3 each group of a kernel's rows (``_grid_groups``) is swept on
-    its first row's grid, so rows may lie at any distance from each other.
-    ``frame`` is the ``cone_frame`` of M, for a caller that keeps it;
-    ``prefactor`` only converts the spec tolerances into raw-integral
-    units, and the returned values are raw.  A batch of no rows (B = 0)
-    returns empty arrays, 0 evals and r_star inf.
+    (K, B), and with ``plus_two`` the values at power + 2 too, from the
+    same pass and held to the same tolerance.  At d <= 2 every
+    (kernel, row) pair is a closed form, all in one pass; at d >= 3 each
+    group of a kernel's rows (``_grid_groups``) is swept on its first row's
+    grid, so rows may lie at any distance from each other.  ``frame`` is
+    the ``cone_frame`` of M, for a caller that keeps it; ``prefactor``
+    only converts the spec tolerances into raw-integral units, and the
+    returned values are raw.  A batch of no rows (B = 0) returns empty
+    arrays, 0 evals and r_star inf.
 
     Every refusal carries its pair's ``kernel`` and ``row``.
     SingularityProximity: the nearest pair (ties go to the first kernel,
@@ -919,20 +856,16 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     and a pair whose distance is not a number is refused as well; at
     d >= 3 the refusal comes before anything is evaluated.
     QuadratureError: a grid over the node budget, or a sweep that misses
-    its tolerance after the refinement passes.  The tolerance holds the
-    values only: a swept gradient is the order-``_ORDER`` grid's, with no
-    error estimate.
+    its tolerance at either power after the refinement passes.
     """
     B, m = b.shape
     K, _, d = M.shape
     if B == 0:
-        grad = np.zeros((K, 0, m + 2)) if want_gradient else None
-        return QuadResult(np.zeros((K, 0)), np.zeros((K, 0)), grad, 0, True, math.inf)
+        empty = np.zeros((K, 0))
+        return QuadResult(empty, empty, empty if plus_two else None, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
-    xy = eta.view(float).reshape(B, 2)
-    sq = xy * xy
+    sq = eta.view(float).reshape(B, 2) ** 2
     E = c_eta * (sq[:, 0] + sq[:, 1])
-    ceta_xy = c_eta * xy
     if frame is None:
         frame = cone_frame(Q, M)
     if d <= 2:
@@ -941,26 +874,21 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             if d == 0:
                 bQ = np.einsum("bm,mk->bk", b, Q)
                 r2 = np.einsum("bk,bk->b", bQ, b) + E
-                val = np.empty((K, B))
-                val[...] = r2 ** (-0.5 * power)
-                grad = None
-                if want_gradient:
-                    core = r2 ** (-0.5 * (power + 2))
-                    grad = np.empty((K, B, m + 2))
-                    grad[..., :m] = -power * bQ * core[:, None]
-                    grad[..., m:] = -power * ceta_xy * core[:, None]
+                vals = [np.repeat(r2[None] ** (-0.5 * power - j), K, axis=0)
+                        for j in range(1 + plus_two)]
             else:
-                val, grad, r2 = frame.integral(b, E, power, want_gradient, ceta_xy)
-        i = int(r2.argmin())
-        r = r_star = math.sqrt(float(r2.flat[i]))
-        k, row = divmod(i, B)
+                vals, r2 = frame.integral(b, E, power, plus_two)
+        val = vals[0]
+        r = r_star = math.sqrt(float(r2.min()))
         if r >= floor and r > 0.0:
             if np.count_nonzero(np.isfinite(val)) == val.size:
-                return QuadResult(val, np.zeros((K, B)), grad, K * B, True, r_star)
+                return QuadResult(val, np.zeros((K, B)), vals[1] if plus_two else None,
+                                  K * B, True, r_star)
             # off the sheet every closed form is finite; should one not be,
             # the first such pair is refused by name
             row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
             raise SingularityProximity(f"row {row} gives a value that is not finite", k, row)
+        k, row = divmod(int(r2.argmin()), B)
         # a non-finite coordinate leaves no distance for the refusals below
         if math.isnan(r):
             raise SingularityProximity(f"row {row} has a sheet distance that is not a number",
@@ -980,18 +908,15 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         raise SingularityProximity(f"row {row} lies on the kernel's singular sheet", k, row)
 
     tol = (spec.abs_tol / max(prefactor, 1e-300), _REL_TOL)
-    vals, errs = np.empty((K, B)), np.empty((K, B))
-    grads = np.empty((K, B, m + 2)) if want_gradient else None
+    vals, errs = np.empty((1 + plus_two, K, B)), np.empty((K, B))
     evals = 0
     for k, rows, sheet in groups:
         try:
-            v, e, g, n = _sweep_group(frame[k], M[k].T @ Q @ M[k], b[rows], E[rows],
-                                      ceta_xy[rows], sheet, power, want_gradient, tol)
+            v, e, n = _sweep_group(frame[k], M[k].T @ Q @ M[k], b[rows], E[rows], sheet,
+                                   power, plus_two, tol)
         except QuadratureError as exc:
             exc.kernel, exc.row = k, int(rows[exc.row])
             raise
-        vals[k, rows], errs[k, rows] = v, e
+        vals[:, k, rows], errs[k, rows] = v, e[0]
         evals += n
-        if want_gradient:
-            grads[k, rows] = g
-    return QuadResult(vals, errs, grads, evals, True, r_star)
+    return QuadResult(vals[0], errs, vals[1] if plus_two else None, evals, True, r_star)

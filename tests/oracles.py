@@ -112,29 +112,24 @@ def _restricted_layout(I: IndexSet, rays: dict | None = None) -> tuple:
 
 
 def _restricted_engine(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu, eta, M,
-                       power: int, pref: float, want_gradient: bool, tol_scale: float = 1.0):
+                       power: int, pref: float, plus_two: bool, tol_scale: float = 1.0):
     G = schur_complement(A, I)
     slots = [a - 1 for a in I.active]
     return power_kernel_integral(G.entries, A.det, np.ascontiguousarray(mu[:, slots]), eta,
-                                 M, power, quad, want_gradient, pref * tol_scale,
+                                 M, power, quad, plus_two, pref * tol_scale,
                                  10.0 * quad.abs_tol ** (1.0 / A.n), cone_frame(G.entries, M))
 
 
 def restricted_kernels(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
-                       eta: np.ndarray, want_gradient: bool = False
-                       ) -> tuple[list[tuple[int, int]], KernelValue]:
-    """The labels of I's model kernels and their values, error estimates
-    and gradients (K, B, N + 2) at the batch mu (B, N), eta (B,)."""
+                       eta: np.ndarray) -> tuple[list[tuple[int, int]], KernelValue]:
+    """The labels of I's model kernels and their values and error
+    estimates (K, B) at the batch mu (B, N), eta (B,)."""
     mu, eta = check_batch(mu, eta, A.n)
-    N, n = A.n, len(I.active)
+    n = len(I.active)
     pairs, M = _restricted_layout(I)
     pref = kernel_prefactor(n, schur_complement(A, I).det)
-    raw = _restricted_engine(A, I, quad, mu, eta, M, n, pref, want_gradient)
-    grads = None
-    if want_gradient:
-        grads = np.zeros((len(pairs), len(mu), N + 2))
-        grads[..., [a - 1 for a in I.active] + [N, N + 1]] = pref * raw.gradient
-    return pairs, KernelValue(pref * raw.value, pref * raw.error, raw.evals, grads)
+    raw = _restricted_engine(A, I, quad, mu, eta, M, n, pref, False)
+    return pairs, KernelValue(pref * raw.value, pref * raw.error, raw.evals)
 
 
 def restricted_jet(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.ndarray,
@@ -195,10 +190,14 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     mu = p.mu + nodes[:, None] * step_mu
     eta = np.full(len(nodes), p.eta)
     vals = np.zeros(len(nodes), dtype=complex)
-    labels, kv = restricted_kernels(spec.A, spec.I, spec.quad, mu, eta, want_gradient=True)
+    # (d/d(Re eta) - i d/d(Im eta)) / 2 of each kernel of power n, taken
+    # under the integral sign: -n det A conj(eta) / 2 times its power n + 2
+    n = len(act)
+    labels, M = _restricted_layout(spec.I)
+    pref = kernel_prefactor(n, schur_complement(spec.A, spec.I).det)
+    up = _restricted_engine(spec.A, spec.I, spec.quad, mu, eta, M, n, pref, True).plus_two
     for pair in pairs:
-        g = kv.gradient[labels.index(pair)]
-        vals += 0.5 * (g[:, p.N] - 1j * g[:, p.N + 1])
+        vals -= 0.5 * n * spec.A.det * pref * np.conj(eta) * up[labels.index(pair)]
     half = nodes <= T
     G_T = -2.0 * complex(np.sum(wts[half] * vals[half]))
     G_2T = -2.0 * complex(np.sum(wts * vals))

@@ -94,6 +94,32 @@ def test_n4_field_rows_pass_with_headroom():
     assert sorted(rows) == [
         "harmonicity/N=4-axis", "harmonicity/N=4-axis-relations",
         "harmonicity/N=4-pair", "harmonicity/N=4-pair-symmetry",
-        "integrability/N=4-first", "integrability/N=4-second"]
+        "integrability/N=4-euler", "integrability/N=4-first", "integrability/N=4-second"]
     for key, r in rows.items():
         assert r["passed"] and float(r["value"]) < 1e-4 * float(r["tol"]), (key, r)
+
+
+def test_n4_field_runs_sweep_pinned_nodes(monkeypatch):
+    # the swept engine evals (grid nodes times rows, summed over the
+    # sweeps of quadrature._sweep_group) carry no noise, so they gate the
+    # cost of the N = 4 rows of 04 and 12 (nothing sweeps at N = 3).  04:
+    # the two Hessians' kernels at p + 2 and p + 4 (50 rows each) and the
+    # relations' 10 kernels at p and p + 2 (500 rows), each on one grid;
+    # 12: its Hessians' 10 kernels at p + 2 and p + 4 and the Euler rows'
+    # 10 kernels at p (200 rows each), on the same grids
+    import ghlab.quadrature as quadrature
+
+    sweep, seen = quadrature._sweep_group, []
+
+    def counted(wedge, P, b, *args):
+        out = sweep(wedge, P, b, *args)
+        seen.append((len(b), out[-1]))
+        return out
+
+    monkeypatch.setattr(quadrature, "_sweep_group", counted)
+    pins = {}
+    for num in ("04", "12"):
+        seen.clear()
+        criterion_rows(num)
+        pins[num] = (sum(n for _, n in seen), sum(rows for rows, _ in seen))
+    assert pins == {"04": (150792, 600), "12": (96816, 400)}

@@ -18,12 +18,9 @@ from ghlab.ansatz import (
     RestrictedField,
     decay_scan,
     flat_field,
-    restricted_remainders,
     sigma_expansion,
-    weight_ell,
 )
 from ghlab.kernels import KernelSpec, alpha_batch, alpha_family
-from ghlab.locus import all_strata, dist_closed_stratum
 from ghlab.quadrature import QuadratureSpec, panel_nodes
 from oracles import sigma_det_route
 
@@ -172,7 +169,7 @@ def test_empty_batch_gives_empty_arrays(N, want_gradient):
     assert kv.value.shape == kv.error.shape == (1, 0) and kv.evals == 0
     jet = FirstOrderField(A, QUAD).jet(mu, eta)
     assert jet.V.shape == jet.v.shape == (0, N, N)
-    assert jet.W.shape == jet.w.shape == jet.quad_error.shape == (0,)
+    assert jet.W.shape == jet.quad_error.shape == (0,)
     if want_gradient:
         assert kv.gradient.shape == (1, 0, N + 2)
     else:
@@ -221,7 +218,7 @@ def test_leg_jet_matches_pointwise(N, members, monkeypatch):
         want = _at(fld, BasePoint(m, e))
         np.testing.assert_allclose(jet.v[t], want.v[0], rtol=1e-15,
                                    atol=1e-15 * float(np.max(np.abs(want.v))))
-        assert jet.w[t] == pytest.approx(want.w[0], rel=1e-15)
+        assert jet.W[t] == pytest.approx(want.W[0], rel=1e-15)
 
 
 @pytest.mark.parametrize("N, members", [(3, None), (3, (0, 1, 2)), (5, None)])
@@ -271,19 +268,6 @@ def test_jet_rows_are_label_order_sums_in_any_batch(N, members, monkeypatch):
         one = fld.jet(mu[b:b + 1], eta[b:b + 1])
         for x, y in zip((jet.V, jet.W), (one.V, one.W)):
             assert x[b:b + 1].tobytes() == y.tobytes()
-
-
-def test_restricted_remainders_small_near_stratum():
-    rng = np.random.default_rng(13)
-    A = random_spd(rng, 3)
-    I = IndexSet((0, 1))
-    # close to the stratum of I, far from the others: the remainder is
-    # controlled by the other strata and stays modest
-    p_near = BasePoint(np.array([0.05, 3.0, 3.0]), 0.05 + 0.02j)
-    h_v, h_w = restricted_remainders(A, I, QUAD, p_near)
-    p_far = BasePoint(np.array([0.05, 0.4, 0.4]), 0.05 + 0.02j)
-    g_v, g_w = restricted_remainders(A, I, QUAD, p_far)
-    assert float(np.max(np.abs(h_v))) < float(np.max(np.abs(g_v)))
 
 
 class TestSigmaExpansion:
@@ -371,34 +355,3 @@ def test_one_slot_field_v_is_its_kernel():
     mu, eta = np.array([p.mu for p in pts]), np.array([p.eta for p in pts])
     v = FirstOrderField(A, QUAD).jet(mu, eta).v[:, 0, 0]
     assert v.tobytes() == alpha_batch(KernelSpec(A, (0, 1)), QUAD, mu, eta).value.tobytes()
-
-
-class TestWeightExponents:
-    def test_floor_and_chain(self):
-        rng = np.random.default_rng(23)
-        A = random_spd(rng, 3)
-        p = BasePoint(np.array([2.0, 1.0, 0.5]), 0.3 + 0.1j)
-        ells = [weight_ell(A, i, p) for i in range(1, 4)]
-        assert all(e >= 1.0 for e in ells)
-        # deeper strata are smaller sets, so the minimum distance grows
-        assert ells[0] <= ells[1] + 1e-12
-        assert ells[1] <= ells[2] + 1e-12
-
-    def test_on_stratum_value_one(self):
-        A = QuadForm.identity(3)
-        p = BasePoint(np.array([0.0, 0.0, 3.0]), 0j)
-        assert weight_ell(A, 1, p) == pytest.approx(1.0)
-
-    def test_one_pass_equals_per_stratum_minimum(self):
-        # the depth weight reads one stratum-table pass; it must equal
-        # the minimum over the depth's strata taken one at a time
-        rng = np.random.default_rng(29)
-        for N in (2, 3, 4):
-            for _ in range(10):
-                A = random_spd(rng, N)
-                p = BasePoint(rng.normal(size=N) * 2.0,
-                              complex(*rng.normal(size=2)))
-                for i in range(1, N + 1):
-                    want = min(dist_closed_stratum(A, J, p)
-                               for J in all_strata(N) if len(J) == i + 1)
-                    assert weight_ell(A, i, p) == 1.0 + want

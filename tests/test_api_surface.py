@@ -3,8 +3,8 @@ than its own test, and every field of a result it exports is read.
 
 A name is reached when a chain of references leads to it from a root: the
 CLI (every top-level definition of ``ghlab.cli``, which runs the
-experiments and, through ``ghlab.checks``, the acceptance criteria), the
-benchmark under ``perfbench/``, or an entry of ``ORACLES``.  References are
+experiments and, through ``ghlab.checks``, the acceptance criteria) or the
+benchmark under ``perfbench/``.  References are
 read from the source: within a module a bare name resolves to that
 module's definition or import, and ``module.name`` to the named module's
 definition.  A definition counts whole, so a class reaches whatever its
@@ -40,16 +40,6 @@ import ghlab
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ghlab"
-
-# Exported names that only tests reach, each beside the test that holds a
-# primary path against it.  The independent routes themselves live in
-# tests/oracles.py; these two wait for ROADMAP item 9 to use or drop them.
-ORACLES = (
-    # the stratum split of the volume defect: the remainder of a stratum's
-    # model field, and the depth weights, per stratum against one pass
-    "restricted_remainders",  # test_ansatz.py::test_restricted_remainders_small_near_stratum
-    "weight_ell",             # test_ansatz.py::TestWeightExponents::test_one_pass_equals_per_stratum_minimum
-)
 
 # Public methods of exported classes that only tests reach, each beside the
 # test that holds a primary path against it.
@@ -146,7 +136,7 @@ def _benchmark_words():
 
 def _reached():
     graph = _module_graph()
-    words = _benchmark_words() | set(ORACLES)
+    words = _benchmark_words()
     todo = [key for key in graph if key[0] == "cli" or key[1] in words]
     seen = set()
     while todo:
@@ -164,10 +154,6 @@ def test_every_export_is_reached():
     orphans = [name for name in exports
                if (getattr(ghlab, name).__module__.rsplit(".", 1)[-1], name) not in reached]
     assert not orphans, f"exported, but reached only by tests: {orphans}"
-
-
-def test_oracles_are_exported():
-    assert set(ORACLES) <= set(ghlab.__all__)
 
 
 def _reads(tree, imported=frozenset()):

@@ -10,8 +10,10 @@ from test_acceptance import criterion_rows
 
 @pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
 def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
-    # every point goes into one Hessian batch of the kernel, two engine
-    # calls of one row per point: its cone at p + 2 and its d faces.  At
+    # every point goes into one Hessian batch of the kernel, three engine
+    # calls of one row per point: its cone at p + 2 and p + 4, the form's
+    # C(N + 1, 3) faces at p and p + 2 and its C(N + 1, 4) four-label
+    # strata, each family once, as the field's Hessians take them.  At
     # N = 3 each row is a closed form; at N = 4 these points lie farther
     # apart than half a sheet distance, so the swept cone splits into the
     # per-point grids.  Either way the worst value is bitwise the
@@ -34,21 +36,25 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
         calls.clear()
         rows.clear()
         worst = checks.kernel_laplacian(spec, pts)
-        assert calls == [len(pts)] and rows == [(1, len(pts)), (N - 1, len(pts))]
+        assert calls == [len(pts)]
+        assert rows == [(1, len(pts)), (math.comb(N + 1, 3), len(pts)),
+                        (math.comb(N + 1, 4), len(pts))]
         assert worst == max(checks.kernel_laplacian(spec, [p]) for p in pts)
 
 
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
     # per N, criterion 12's 20 points go into one Hessian batch of the
     # field's kernels, which share everything but their cone matrix: one
-    # engine call for the K cones at p + 2 and one for their C(N + 1, 3)
-    # distinct faces, the triple strata's cones, each of the 20 rows
+    # engine call for the K cones at p + 2 and p + 4, one for their
+    # C(N + 1, 3) distinct faces, the triple strata's cones, and one for the
+    # C(N + 1, 4) four-label strata, each of the 20 rows; then one for the
+    # Euler rows' K kernel values
     rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("12")
-    assert rows == [(6, 20), (4, 20), (10, 20), (10, 20)]
+    assert rows == [(6, 20), (4, 20), (1, 20), (6, 20), (10, 20), (10, 20), (5, 20), (10, 20)]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
@@ -60,7 +66,7 @@ def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
     monkeypatch.undo()
     assert [fld.A.n for fld, _, _ in seen] == [3, 4]
     for fld, mu, eta in seen:
-        res, scale = frame.integrability_batch(fld, mu, eta)
+        res, scale, _ = frame.integrability_batch(fld, mu, eta)
         # every row at N = 3; at N = 4, where each one-row call sweeps, three
         for b in range(len(mu) if fld.A.n == 3 else 3):
             one = frame.integrability_residual(fld, BasePoint(mu[b], eta[b]))
@@ -318,3 +324,27 @@ def test_integrability_gap_flags_a_scaled_eta_block(monkeypatch):
 
     monkeypatch.setattr(frame, "alpha_hessian", scaled)
     assert failed("12") == {"integrability/N=3-second", "integrability/N=4-second"}
+
+
+@pytest.mark.parametrize("kind", ["face", "cone", "value"])
+def test_euler_rows_flag_a_scaled_face_cone_or_value(monkeypatch, kind):
+    # row 0 of one engine output scaled by 1 + 1e-6: the faces' (at p and
+    # p + 2), the kernels' at p + 2 (alpha_hessian's cones) or the kernels'
+    # values at p (alpha_family's).  The first identity compares each face
+    # with itself and the second ignores face errors, so only the Euler
+    # rows read them: the face at 0.81 and 0.76 eps (N = 3 and 4), the cone
+    # at 1.36 and 1.43 eps, the value at eps, against 1e-12 and 5e-7
+    engine = kernels._engine_batch
+
+    def scaled(fam, mu, eta, quad, plus_two=False, tol_scale=1.0):
+        raw = engine(fam, mu, eta, quad, plus_two, tol_scale)
+        N, d = mu.shape[1], fam.M.shape[2]
+        if {"face": d == N - 2 and plus_two, "cone": d == N - 1 and fam.power == N + 2,
+                "value": d == N - 1 and fam.power == N and not plus_two}[kind]:
+            raw.value[0] *= 1.0 + 1e-6
+            if kind == "face":
+                raw.plus_two[0] *= 1.0 + 1e-6
+        return raw
+
+    monkeypatch.setattr(kernels, "_engine_batch", scaled)
+    assert failed("12") == {"integrability/N=3-euler", "integrability/N=4-euler"}

@@ -15,8 +15,8 @@ def test_empty_batch_gives_empty_residuals(N):
     # a batch of no points gives (2, 0) residuals and scales, as the field
     # jet it differences gives empty arrays
     fld = FirstOrderField(checks.random_spd(np.random.default_rng(N), N), QUAD)
-    res, scale = integrability_batch(fld, np.zeros((0, N)), np.zeros(0, dtype=complex))
-    assert res.shape == scale.shape == (2, 0)
+    res, scale, grad = integrability_batch(fld, np.zeros((0, N)), np.zeros(0, dtype=complex))
+    assert res.shape == scale.shape == (2, 0) and grad.shape == (N * (N + 1) // 2, 0, N + 2)
 
 
 def test_integrability_residual_small():
@@ -47,8 +47,8 @@ def test_second_identity_at_steep_point():
 def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
     """Reach: the N-dimensional first-order field holds the identities of
     criteria 12 and 04 at their tolerance, at one off-locus point.  Returns
-    the grid nodes that criterion 12 swept there and the wedge edges it
-    sent to the far-edge rule."""
+    the grid nodes of criterion 12's engine calls there and the wedge edges
+    they sent to the far-edge rule."""
     import ghlab.kernels as kernels
     import ghlab.quadrature as quadrature
 
@@ -68,10 +68,11 @@ def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
 
     monkeypatch.setattr(kernels, "power_kernel_integral", counted)
     monkeypatch.setattr(quadrature, "_edge_rule", ruled)
-    first, second = checks.integrability_gap(A, [p])
+    first, second, euler = checks.integrability_gap(A, [p])
     monkeypatch.undo()
     assert first <= checks.INTEGRABILITY_TOL
     assert second <= checks.INTEGRABILITY_TOL
+    assert euler <= 1e-12          # roundoff, far under the swept terms' budget
     assert max(checks.gradient_relations(A, [p])) <= checks.HARMONIC_TOL
     return nodes[0], edges[0]
 
@@ -81,13 +82,17 @@ def test_n4_field_identities(monkeypatch):
 
 
 def test_n5_field_identities(monkeypatch):
-    # criterion 12 sweeps two axes per kernel for the 15 cones at p + 2 and
-    # one for their 20 distinct faces, each one row; only edges whose
-    # difference would cancel reach the far-edge rule.  The stencil's 29
-    # rows took 13,511,680 nodes and sent 662,706 edges to the rule
+    # criterion 12 sweeps two axes per kernel for the 15 cones at p + 2
+    # and p + 4 (465,920 nodes) and for the Euler row's 15 kernels at p, on
+    # the same grids (465,920), and one axis for their 20 distinct faces at
+    # p and p + 2 (5,112); the 15 four-label strata are closed forms (15),
+    # each one row; only edges whose difference would cancel reach the
+    # far-edge rule.  The stencil's 29 rows took 13,511,680 nodes and sent
+    # 662,706 edges to the rule; the engine's gradients took 471,032 nodes
+    # and 87,213 edges, without the Euler row
     nodes, edges = _field_identities(5, monkeypatch)
-    assert nodes == 471032
-    assert edges == 87213
+    assert nodes == 936967
+    assert edges == 101865
 
 
 def test_perturbed_field_breaks_first_identity(monkeypatch):

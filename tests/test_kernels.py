@@ -347,8 +347,8 @@ def test_alpha_batch_matches_pointwise():
 
 def _far_rows_match_pointwise(N, monkeypatch):
     """Rows far apart, one kernel batch per label pair: each row must equal
-    its own alpha.  Returns the engine calls and the group sweeps per
-    batch."""
+    its own alpha.  Returns the engine calls (the kernel with its values at
+    p + 2, then its faces) and the group sweeps per batch."""
     import ghlab.kernels as kernels
     import ghlab.quadrature as quadrature
 
@@ -382,15 +382,16 @@ def _far_rows_match_pointwise(N, monkeypatch):
 
 
 def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
-    # N = 3 kernels (d = 2) are closed forms: far rows share one call and
-    # nothing is swept
-    assert _far_rows_match_pointwise(3, monkeypatch) == [(1, 0), (1, 0)]
+    # N = 3 kernels (d = 2) and their faces (d = 1) are closed forms: far
+    # rows share one call each and nothing is swept
+    assert _far_rows_match_pointwise(3, monkeypatch) == [(2, 0), (2, 0)]
 
 
 def test_alpha_batch_far_rows_match_pointwise_n4(monkeypatch):
     # N = 4 kernels (d = 3) sweep one axis: still one engine call, but no
-    # row may be swept on another row's panel grid, so each row is a group
-    assert _far_rows_match_pointwise(4, monkeypatch) == [(1, 4), (1, 4)]
+    # row may be swept on another row's panel grid, so each row is a group;
+    # their faces (d = 2) are closed forms
+    assert _far_rows_match_pointwise(4, monkeypatch) == [(2, 4), (2, 4)]
 
 
 def test_pair_kernels_converge_at_tight_tolerance():
@@ -422,13 +423,16 @@ def _reach_point(seed: int, N: int) -> tuple[QuadForm, BasePoint]:
 
 def test_work_counters_are_pinned():
     # grid nodes per kernel call are deterministic, so they gate regressions:
-    # at N = 3 nothing is swept (a row counts once), at N = 4 one axis is
-    # swept (graded panels plus the mapped tail), at N = 5 two (the radial
-    # grid: graded radius and mapped tail times one stick-breaking coordinate)
+    # at N = 3 nothing is swept (a row counts once, and the gradient adds
+    # the form's 4 faces), at N = 4 one axis is swept (graded panels plus
+    # the mapped tail; 192 nodes for p and p + 2 on one grid, and 10 closed
+    # faces), at N = 5 two (the radial grid: graded radius and mapped tail
+    # times one stick-breaking coordinate; 12,800 nodes, and 4,896 for the
+    # 20 faces, each sweeping one axis)
     A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
     p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
-    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 1
-    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 1
+    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 5
+    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 5
     A4 = QuadForm(np.array([
         [1.276341995534779, -0.0065205115731539545, 0.017418387685633682, -0.09057612264627342],
         [-0.0065205115731539545, 1.3118126399967247, -0.031852740053687024, 0.0823851601100817],
@@ -437,17 +441,19 @@ def test_work_counters_are_pinned():
     p4 = BasePoint(np.array([-0.4305473056064981, -0.7928433222219473,
                              -0.6542161649648368, 1.9371148657881885]),
                    0.13944050602891173 - 0.6978434856523438j)
-    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 192
+    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 202
     A5, p5 = _reach_point(100, 5)
-    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 12800
+    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 17696
 
 
 def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     # engine call counts carry no noise either: a closed-form (d <= 2) call
     # reads every pair's sheet distance from its own coordinates, so it
     # makes no sheet_distance or nonneg_argmin call, and one field-n3 point
-    # (criterion 12's two Hessian calls, the cones at p + 2 and their faces,
-    # and criterion 04's six gradients) makes exactly 8 engine calls
+    # (criterion 12's three Hessian calls: the kernels at p + 2 and p + 4,
+    # their faces at p and p + 2 and the four-label stratum at p; and
+    # criterion 04's six gradients, two calls each: the kernel at p and
+    # p + 2, and the form's faces) makes exactly 15 engine calls
     from ghlab import frame, quadrature
 
     solves, engine = [], []
@@ -461,7 +467,7 @@ def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     frame.integrability_residual(FirstOrderField(A3, QUAD), p3)
     for labels in itertools.combinations(range(4), 2):
         alpha_grad(KernelSpec(A3, labels), QUAD, p3)
-    assert solves == [] and len(engine) == 8
+    assert solves == [] and len(engine) == 15
     # a swept call (N = 4) solves its sheet distances, and the spies see it
     alpha_grad(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD,
                BasePoint(np.array([0.5, -0.3, 0.8, 0.2]), 0.4 + 0j))
@@ -586,14 +592,14 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(3)])
     fam = _family(A)
     k, row = 4, 1
-    wedge = quadrature._wedge_terms   # the wedge closed form's terms
+    wedge = quadrature.wedge_integrals   # the wedge closed form's terms
 
     def planted(*args, **kwargs):
         out = wedge(*args, **kwargs)
         out[0][k, row] = np.nan
         return out
 
-    monkeypatch.setattr(quadrature, "_wedge_terms", planted)
+    monkeypatch.setattr(quadrature, "wedge_integrals", planted)
     with pytest.raises(SingularityProximity, match=f"row {row} gives a value that is "
                                                    "not finite") as exc:
         power_kernel_integral(fam.Q, fam.c_eta, mu, eta, fam.M, fam.power, QUAD,
@@ -624,8 +630,8 @@ def test_over_budget_names_kernel_and_first_row(monkeypatch):
 def test_face_refusal_names_its_triple_and_row(monkeypatch):
     # at N = 5 the faces are swept; a face that misses its tolerance is
     # named by its triple stratum and the batch row, as a kernel is.  The
-    # miss is planted at the third face of kernel (0, 1), its cone less
-    # label 4's column
+    # miss is planted at the form's third face, (0, 1, 4): kernel (0, 1)'s
+    # cone less label 4's column
     engine = kernels.power_kernel_integral
 
     def missed(Q, c_eta, b, eta, M, *args, **kwargs):
@@ -646,8 +652,9 @@ def test_face_refusal_names_its_triple_and_row(monkeypatch):
 def test_family_batch_matches_one_kernel_calls(N, members):
     # a form's kernels, stacked into one engine call (d = 2, 1 or 0 here),
     # give what each kernel's own call gives: value and gradient to
-    # roundoff, error and grid nodes exactly; with ``members`` the form is
-    # that subset's reduction, at its batch
+    # roundoff, error and grid nodes exactly; the gradients add one call
+    # for the C(n + 1, 3) faces, each a row per point; with ``members`` the
+    # form is that subset's reduction, at its batch
     rng = np.random.default_rng(61 + N)
     A = random_spd(rng, N)
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(5)])
@@ -663,8 +670,9 @@ def test_family_batch_matches_one_kernel_calls(N, members):
         np.testing.assert_array_equal(kv.error[k], one.error[0])
         np.testing.assert_allclose(kv.gradient[k], one.gradient[0], rtol=1e-14,
                                    atol=1e-14 * float(np.max(np.abs(one.gradient))))
-        evals += one.evals
-    assert kv.evals == evals == len(labels) * len(mu)
+        evals += alpha_family(A, QUAD, mu, eta, False, ij)[1].evals
+    assert alpha_family(A, QUAD, mu, eta)[1].evals == evals == len(labels) * len(mu)
+    assert kv.evals == evals + math.comb(A.n + 1, 3) * len(mu)
 
 
 def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
@@ -789,8 +797,9 @@ def test_kernel_faces_are_the_triple_strata_cones(N):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_closed_form_rows_do_not_depend_on_their_batch(N):
     # each closed-form row (values, gradients and Hessians of the family,
-    # and at N = 2 the one- and two-slot gammas, d = 1 and 2) is bitwise
-    # the row computed alone: every contraction with a row sums in one
+    # the engine's values at p and p + 2 from one call, d = N - 1, and at
+    # N = 2 the one- and two-slot gammas, d = 1 and 2) is bitwise the row
+    # computed alone: every contraction with a row sums in one
     # order, where a BLAS product picks its kernel, and so its rounding, by
     # the batch's shape.  A gamma batch with rows at eta = 0 mixed in keeps
     # the others' bits, and reads exactly 0 there
@@ -800,6 +809,7 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N):
         mu, eta = _batch([checks.random_point(rng, N) for _ in range(5)])
         _, kv = alpha_family(A, QUAD, mu, eta, True)
         _, grad, hess = alpha_hessian(A, QUAD, mu, eta)
+        both = kernels._engine_batch(_family(A), mu, eta, QUAD, True)
         specs = [GammaSpec(A, IndexSet(I), checks.GAMMA_QUAD)
                  for I in ((0, 1), (0, 1, 2)) if N == 2]
         gams = [gamma_family(spec, spec.I.members, mu, eta).value for spec in specs]
@@ -809,8 +819,10 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N):
             row = slice(b, b + 1)
             _, one = alpha_family(A, QUAD, mu[row], eta[row], True)
             _, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row])
+            alone = kernels._engine_batch(_family(A), mu[row], eta[row], QUAD, True)
             for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
-                         (hess, h1)):
+                         (hess, h1), (both.value, alone.value),
+                         (both.plus_two, alone.plus_two)):
                 assert x[:, row].tobytes() == y.tobytes()
             for spec, gam, mix in zip(specs, gams, mixed):
                 alone = gamma_family(spec, spec.I.members, mu[row], eta[row]).value
@@ -867,23 +879,30 @@ def test_alpha_hessian_identities(N):
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 @pytest.mark.parametrize("labels", [(0, 1), (1, 2)], ids=["axis", "pair"])
 def test_alpha_hessian_matches_central_difference(N, labels):
-    # the gradient of the face route is the engine's to roundoff, and the
-    # central difference of the engine's gradient at steps h and h / 2
-    # errs by about h^2 / 6 and h^2 / 24 times a third derivative, so
-    # |D_h - D_(h/2)|, about three times the error of D_(h/2), bounds it
+    # the face route's gradients (alpha_hessian's, alpha_family's and
+    # alpha_grad's) and Hessian against central differences of the
+    # kernel's values alone, and of those differences for the Hessian: at
+    # steps h and h / 2 they err by about h^2 / 6 and h^2 / 24 times a
+    # higher derivative, so |D_h - D_(h/2)|, about three times the error
+    # of D_(h/2), bounds it
     A, x = _hessian_case(N, HESSIAN_SEEDS[0])
     h = 1e-3 * max(1.0, np.abs(x).max())
 
-    def gradients(rows):
-        return alpha_family(A, QUAD, *batch_of_rows(rows), True, labels)[1].gradient[0]
+    def values(rows):
+        return alpha_family(A, QUAD, *batch_of_rows(rows), False, labels)[1].value[0]
 
     _, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]), labels)
-    g = gradients(x[None])[0]
-    assert np.abs(grad[0, 0] - g).max() <= 1e-13 * np.abs(g).max()
-    H = hess[0, 0].T                       # [k, j] = d_k of gradient entry j
-    D_h, D_h2 = (central_difference(gradients, x, step) for step in (h, 0.5 * h))
-    err, bound = np.abs(H - D_h2).max(), np.abs(D_h - D_h2).max()
-    assert err <= bound <= 1e-4 * np.abs(H).max()
+    _, kv = alpha_family(A, QUAD, *batch_of_rows(x[None]), True, labels)
+    p = BasePoint(x[:-2], complex(*x[-2:]))
+    grads = [grad[0, 0], kv.gradient[0, 0], alpha_grad(KernelSpec(A, labels), QUAD, p).gradient]
+    (g_h, H_h), (g_h2, H_h2) = [
+        (central_difference(values, x, step),
+         central_difference(lambda rows: np.stack([central_difference(values, r, step)
+                                                   for r in rows]), x, step))
+        for step in (h, 0.5 * h)]
+    for got, D_h, D_h2 in [(g, g_h, g_h2) for g in grads] + [(hess[0, 0], H_h, H_h2)]:
+        err, bound = np.abs(got - D_h2).max(), np.abs(D_h - D_h2).max()
+        assert err <= bound <= 1e-4 * np.abs(got).max()
 
 
 def test_bump_laplacian_matches_fd():

@@ -116,16 +116,6 @@ def test_dist_locus_is_min_over_pairs():
         assert d == pytest.approx(min(pairs), rel=1e-12)
 
 
-@pytest.mark.parametrize("min_size", [0, 1, 5])
-def test_dist_locus_refuses_min_size_outside_the_strata(min_size):
-    # strata of N = 3 have 2..4 labels; above 4 numpy once raised on the
-    # empty minimum, and below 2 the size filter passed silently
-    p = BasePoint(np.array([0.5, 0.5, 0.5]), 0.1)
-    with pytest.raises(ValueError, match=rf"min_size {min_size} outside 2\.\.4"):
-        dist_locus(QuadForm.identity(3), p, min_size)
-    assert dist_locus(QuadForm.identity(3), p, 4) >= dist_locus(QuadForm.identity(3), p, 2)
-
-
 @given(st.integers(0, 2 ** 31 - 1), st.floats(0.2, 5.0))
 @settings(max_examples=50, deadline=None)
 def test_distance_scale_invariance(seed, lam):

@@ -133,32 +133,6 @@ def test_spec_refuses_a_non_finite_abs_tol(abs_tol):
         QuadratureSpec(abs_tol=abs_tol)
 
 
-def test_engine_gradient_matches_differences():
-    A = np.array([[1.5, 0.2], [0.2, 1.0]])
-    det_a = float(np.linalg.det(A))
-    M = np.array([[0.0], [1.0]])
-    eta = 0.4 + 0.3j
-    spec = QuadratureSpec()
-
-    def value(b, et):
-        return power_kernel_integral(A, det_a, b[None], np.array([et]), M[None], 2,
-                                     spec).value[0, 0]
-
-    b0 = np.array([0.9, -0.3])
-    res = power_kernel_integral(A, det_a, b0[None, :], np.array([eta]), M[None], 2, spec,
-                                want_gradient=True)
-    h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = h
-        fd = (value(b0 + e, eta) - value(b0 - e, eta)) / (2 * h)
-        assert res.gradient[0, 0, k] == pytest.approx(fd, rel=2e-5)
-    fd_x = (value(b0, eta + h) - value(b0, eta - h)) / (2 * h)
-    fd_y = (value(b0, eta + 1j * h) - value(b0, eta - 1j * h)) / (2 * h)
-    assert res.gradient[0, 0, 2] == pytest.approx(fd_x, rel=2e-5)
-    assert res.gradient[0, 0, 3] == pytest.approx(fd_y, rel=2e-5)
-
-
 def test_singularity_raises():
     A = np.eye(2)
     M = np.array([[0.0], [1.0]])
@@ -193,31 +167,22 @@ def test_sheet_row_after_the_first_raises():
 def test_line_row_behind_the_apex_at_zero_height_is_finite(mpmath):
     # d = 1 at eta = 0: row 1 lies on the line through the sheet, behind its
     # apex, so h = 0 while r* = |beta| / sqrt(a) clears the floor.  There
-    # J_p = a^(p/2-1) |beta|^(1-p) / (p-1), and its gradient is
-    # a^(p/2-1) |beta|^(-p) Q m along the plane (the h term has a double
-    # zero) and 0 in eta; no RuntimeWarning on the way
+    # J_q = a^(q/2-1) |beta|^(1-q) / (q-1), at q = p and at p + 2, which
+    # the same call returns; no RuntimeWarning on the way
     Q, m_col = np.diag([1.4, 0.8]), np.array([0.0, 1.0])
     b = np.array([[1.0, 2.0], [0.0, -1.5]])
     a, beta = 0.8, -1.2
-    bm, qd = [mpmath.mpf(0), mpmath.mpf("-1.5")], [mpmath.mpf("1.4"), mpmath.mpf("0.8")]
+    qd = mpmath.mpf("0.8")
     for power in (2, 3, 4):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = power_kernel_integral(Q, 1.0, b, np.zeros(2), m_col[None, :, None], power,
-                                        QuadratureSpec(), want_gradient=True, floor=0.5)
-        closed = a ** (0.5 * power - 1) * abs(beta) ** (1 - power) / (power - 1)
-        assert res.value[0, 1] == pytest.approx(closed, rel=2e-15)
-        want = mp_half_line(mpmath, qd[1], mpmath.mpf("-1.2"), mpmath.mpf("1.8"), power)
-        assert res.value[0, 1] == pytest.approx(float(want), rel=1e-15)
-        grad_closed = np.concatenate([a ** (0.5 * power - 1) * abs(beta) ** -power
-                                      * (Q @ m_col), np.zeros(2)])
-        np.testing.assert_allclose(res.gradient[0, 1], grad_closed, rtol=2e-15, atol=0.0)
-        # d/db of the integrand ((b - t m)^T Q (b - t m))^(-p/2), at 50 digits
-        for j in range(2):
-            g = mpmath.quad(lambda t: -power * qd[j] * (bm[j] - t * m_col[j])
-                            * (qd[0] * bm[0] ** 2 + qd[1] * (bm[1] - t) ** 2)
-                            ** (-mpmath.mpf(power) / 2 - 1), [0, 1, 10, mpmath.inf])
-            assert res.gradient[0, 1, j] == pytest.approx(float(g), rel=1e-15, abs=1e-300)
+                                        QuadratureSpec(), plus_two=True, floor=0.5)
+        for q, got in ((power, res.value[0, 1]), (power + 2, res.plus_two[0, 1])):
+            closed = a ** (0.5 * q - 1) * abs(beta) ** (1 - q) / (q - 1)
+            assert got == pytest.approx(closed, rel=2e-15), q
+            want = mp_half_line(mpmath, qd, mpmath.mpf("-1.2"), mpmath.mpf("1.8"), q)
+            assert got == pytest.approx(float(want), rel=1e-15), q
 
 
 def test_swept_rows_far_apart_match_each_row_alone():
@@ -418,7 +383,7 @@ def test_half_line_integrals_match_mpmath(q, mpmath):
 def test_small_angle_series_matches_betainc_and_mpmath(k, mpmath):
     # S_k(phi0) = s^(k+1) T_k(s^2), s = sin(phi0), over x = s^2 in (0, 1/4)
     # and every k the engine reaches at N <= 6 (q - 2 up to 8 for the
-    # line's gradient); against the incomplete beta function
+    # values two powers up); against the incomplete beta function
     # S_k = B((k+1)/2, 1/2) I_x((k+1)/2, 1/2) / 2 in scipy and at 60 digits
     from scipy import special
     x = np.concatenate([np.geomspace(1e-12, 1e-2, 8), np.linspace(1e-2, 0.25, 24)[:-1],
@@ -433,40 +398,6 @@ def test_small_angle_series_matches_betainc_and_mpmath(k, mpmath):
     half_beta = 0.5 * math.gamma(a) * math.sqrt(math.pi) / math.gamma(a + 0.5)
     np.testing.assert_allclose(S, half_beta * special.betainc(a, 0.5, x),
                                rtol=10 * 2.0 ** -52, atol=0.0)
-
-
-@pytest.mark.parametrize("p", range(2, 7))
-def test_closed_form_axis_gradient_matches_mpmath(p, mpmath):
-    # d = 1: the engine is the closed form alone.  Its gradient along the
-    # cone column m is -p (beta J - a K) with the first moment K = K_(p+2);
-    # across m and in eta it is a multiple of J = J_(p+2)
-    Q = np.array([[1.4, 0.3], [0.3, 0.8]])
-    m_col = np.array([0.0, 1.0])
-    c_eta, eta = 0.7, 0.5 - 0.4j
-    a = float(m_col @ Q @ m_col)
-    across = np.array([1.0, -Q[0, 1] / Q[1, 1]])      # Q-orthogonal to m
-    h = float(across @ Q @ across) + c_eta * abs(eta) ** 2
-    Qmp = mpmath.matrix(Q.tolist())
-    E = mpmath.mpf(c_eta) * (mpmath.mpf(eta.real) ** 2 + mpmath.mpf(eta.imag) ** 2)
-    # a float b resolves its part across m only to eps |b|, so the engine
-    # cannot see the 1e8 ratios at rel 1e-12; the helper test covers them
-    # and the Wallis ratios after them
-    for ratio in RATIOS[:-4]:
-        b = across + ratio * math.sqrt(h / a) * m_col
-        res = power_kernel_integral(Q, c_eta, b[None], np.array([eta]), m_col[None, :, None],
-                                    p, QuadratureSpec(), want_gradient=True)
-        bm = mpmath.matrix(b.tolist())
-        beta = (Qmp * bm)[1]
-        gamma = (bm.T * Qmp * bm)[0] + E
-        J = mp_half_line(mpmath, Qmp[1, 1], beta, gamma, p + 2)
-        K = mp_half_line(mpmath, Qmp[1, 1], beta, gamma, p + 2, moment=1)
-        along = -p * (beta * J - Qmp[1, 1] * K)
-        perp = -p * (mpmath.matrix(across.tolist()).T * Qmp * bm)[0] * J
-        g = res.gradient[0, 0]
-        assert float(g[:2] @ m_col) == pytest.approx(float(along), rel=1e-12), ratio
-        assert float(g[:2] @ across) == pytest.approx(float(perp), rel=1e-12), ratio
-        assert g[2] == pytest.approx(float(-p * c_eta * eta.real * J), rel=1e-12), ratio
-        assert g[3] == pytest.approx(float(-p * c_eta * eta.imag * J), rel=1e-12), ratio
 
 
 def test_nonneg_argmin_against_scipy():
@@ -561,8 +492,8 @@ def mp_wedge(mpmath, e2, y, H2, powers):
 def test_wedge_matches_mpmath(phi, foot, H, mpmath):
     # d = 2: with Q = I and unit columns e_2 and (0, cos phi, sin phi) the
     # quadrant is the wedge of opening phi in the plane x_1 = 0, and
-    # d tau = dA / sin phi.  Value and gradient for p = 3..8, against the
-    # wedge at p and p + 2 and the half-line integrals J_p along the edges
+    # d tau = dA / sin phi.  Values at p = 3..8 and, from the same call,
+    # at p + 2, against the wedge at both powers
     e2 = (math.cos(phi), math.sin(phi))
     M = np.array([[[0.0, 0.0], [1.0, e2[0]], [0.0, e2[1]]]])
     # the height splits between the transverse b_1 and the eta mass
@@ -570,23 +501,12 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
     eta = H * (0.48 + 0.64j)
     W = mp_wedge(mpmath, e2, foot, mpmath.mpf(H) ** 2, range(3, 11))
     jac = 1 / mpmath.mpf(e2[1])
-    y = [mpmath.mpf(v) for v in foot]
-    c, s = (mpmath.mpf(v) for v in e2)
     for p in range(3, 9):
         res = power_kernel_integral(np.eye(3), 1.0, b[None], np.array([eta]), M, p,
-                                    QuadratureSpec(), want_gradient=True)
+                                    QuadratureSpec(), plus_two=True)
         assert res.value[0, 0] == pytest.approx(float(W[p] * jac), rel=1e-12), p
+        assert res.plus_two[0, 0] == pytest.approx(float(W[p + 2] * jac), rel=1e-12), p
         assert res.error[0, 0] == 0.0
-        # along the plane: minus the outward normals (0, -1) and
-        # (-sin phi, cos phi) times J_p along the edges
-        J = [mp_half_line(mpmath, 1, s0, s0 * s0 + mpmath.mpf(H) ** 2 + ell * ell, p)
-             for s0, ell in ((y[0], y[1]), (c * y[0] + s * y[1], s * y[0] - c * y[1]))]
-        across = -p * W[p + 2] * jac
-        want = [across * b[0], s * J[1] * jac, (J[0] - c * J[1]) * jac,
-                across * eta.real, across * eta.imag]
-        want = np.array([float(v) for v in want])
-        np.testing.assert_allclose(res.gradient[0, 0], want, rtol=1e-12,
-                                   atol=1e-12 * float(np.max(np.abs(want))))
 
 
 def mp_edge_term(mpmath, s0, ell, H, n):
@@ -607,27 +527,15 @@ def mp_edge_term(mpmath, s0, ell, H, n):
     return B / n, theta
 
 
-def mp_edge_half_line(mpmath, s0, c2, q):
-    """50-digit J_q = integral_0^inf ((t - s0)^2 + c^2)^(-q/2) dt, along
-    t - s0 = -c cot psi: c^(1-q) times the integral of sin^(q-2) over
-    [0, atan2(c, -s0)]."""
-    c = mpmath.sqrt(c2)
-    J, err = mpmath.quad(lambda psi: mpmath.sin(psi) ** (q - 2),
-                         [0, mpmath.atan2(c, -s0)], error=True)
-    assert err <= mpmath.mpf(10) ** -30 * J
-    return c ** (1 - q) * J
-
-
 @pytest.mark.parametrize("p", range(3, 9))
 def test_wedge_edge_terms_hold_the_budget(p, mpmath):
     # the swept path's feet: openings 0.02 to pi - 0.02, feet at radius 1e-3
     # to 1e3 and H^2 from 1e-8 to 1e2, one in four near the sheet with H
     # from 1e-6 to 1e-4; then feet just outside beside an edge, which it
     # subtends at nearly pi, with |l| / H from 1/2 to 2, where the far-edge
-    # rule's poles come nearest.  W_p, W_(p+2) and dW/dy hold the budget per
-    # edge term against 50-digit mpmath: inside, relative to W (every term
-    # is positive); outside, to the sum of the edges' B; dW/dy, to the sum
-    # of the magnitudes of its two J_p terms
+    # rule's poles come nearest.  W_p and W_(p+2), from one call, hold the
+    # budget per edge term against 50-digit mpmath: inside, relative to W
+    # (every term is positive); outside, to the sum of the edges' B
     rng = np.random.default_rng(2600 + p)
     count, corner = 12, 4
     phi = rng.uniform(0.02, math.pi - 0.02, count)
@@ -641,7 +549,8 @@ def test_wedge_edge_terms_hold_the_budget(p, mpmath):
     H2[:corner] = (radius[:corner] * t * 10.0 ** rng.uniform(-0.3, 0.3, corner)) ** 2
     e2 = (np.cos(phi), np.sin(phi))
     s0, ell = quadrature._edges(e2, y)
-    W = quadrature.wedge_integrals(e2, s0, ell, H2, p, want_gradient=True)
+    W = quadrature.wedge_integrals(phi, s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0), H2, p,
+                                   plus_two=True)
     budget = quadrature._EDGE_BUDGET
     for i in range(count):
         H = mpmath.sqrt(mpmath.mpf(H2[i]))
@@ -656,38 +565,32 @@ def test_wedge_edge_terms_hold_the_budget(p, mpmath):
                 want = -sum(math.copysign(1.0, ell[k, i]) * terms[k][0] for k in (0, 1))
                 scale = terms[0][0] + terms[1][0]
             assert abs(got - want) <= budget * scale, (i, q)
-        J = [mp_edge_half_line(mpmath, mpmath.mpf(s0[k, i]),
-                               H * H + mpmath.mpf(ell[k, i]) ** 2, p) for k in (0, 1)]
-        c, s = mpmath.mpf(e2[0][i]), mpmath.mpf(e2[1][i])
-        want = [s * J[1], J[0] - c * J[1]]
-        scale = [s * J[1], J[0] + abs(c) * J[1]]
-        for j in (0, 1):
-            assert abs(W[2][j, i] - want[j]) <= budget * scale[j], (i, j)
 
 
 @pytest.mark.parametrize("phi", [0.5 * math.pi, 2.0, 0.4, 3.0])
 def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
     # d = 2, m = 2 (no transverse part), eta = 0: the row lies on the first
-    # edge's line behind the apex, so that edge's c^2 = H^2 + l^2 is 0
-    # while r* = 1.3.  Along it J_p = 1.3^(1-p) / (p - 1) is finite, and
-    # the in-plane gradient is minus the outward normals (0, -1) and
-    # (-sin phi, cos phi) times J_p along the edges, over sin phi (d tau =
-    # dA / sin phi); no RuntimeWarning
+    # edge's line behind the apex, at y = (-D, 0), D = 1.3, so that edge's
+    # c^2 = H^2 + l^2 is 0 while r* = D.  Seen from y, the ray at angle
+    # theta in (0, phi) enters the wedge across the second edge at
+    # rho = D sin phi / sin(phi - theta) and stays inside, so
+    # W_q = (D sin phi)^(2-q) / (q - 2) times the integral of sin^(q-2)
+    # over [0, phi], and d tau = dA / sin phi; the values at p and p + 2
+    # are finite and hold it, with no RuntimeWarning
     e2 = (math.cos(phi), math.sin(phi))
     M = np.array([[[1.0, e2[0]], [0.0, e2[1]]]])
     b = np.array([[-1.3, 0.0]])
-    c, s = (mpmath.mpf(v) for v in e2)
-    y0 = mpmath.mpf("-1.3")
+    sphi = mpmath.sin(mpmath.mpf(phi))
+    c = mpmath.mpf("1.3") * sphi
     for p in range(3, 9):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = power_kernel_integral(np.eye(2), 1.0, b, np.zeros(1), M, p,
-                                        QuadratureSpec(), want_gradient=True)
-        assert np.isfinite(res.value).all() and np.isfinite(res.gradient).all(), p
-        J = [mp_half_line(mpmath, 1, s0, y0 * y0, p) for s0 in (y0, c * y0)]
-        want = np.array([float(v / s) for v in (s * J[1], J[0] - c * J[1])])
-        np.testing.assert_allclose(res.gradient[0, 0, :2], want, rtol=1e-12, atol=0.0)
-        assert np.all(res.gradient[0, 0, 2:] == 0.0)
+                                        QuadratureSpec(), plus_two=True)
+        for q, got in ((p, res.value[0, 0]), (p + 2, res.plus_two[0, 0])):
+            S = mpmath.quad(lambda t: mpmath.sin(t) ** (q - 2), [0, mpmath.mpf(phi)])
+            assert got == pytest.approx(float(c ** (2 - q) / (q - 2) * S / sphi),
+                                        rel=1e-12), (p, q)
 
 
 def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
@@ -699,11 +602,11 @@ def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
 
 
 def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
-    # the one-step edge terms are formed inline: an N = 3 kernel family with
-    # gradients (p = 3) over 50 points and their neighbours
-    # (``_neighbour_rows``) and a two-slot N = 2 gamma sum (p = 4, values) call
-    # no half_line_integrals; a wedge at p = 5 with its gradient takes
-    # J_5 from exactly one call
+    # the one-step edge terms are formed inline: an N = 3 kernel family's
+    # wedges at p = 3 and p + 2 over 50 points and their neighbours
+    # (``_neighbour_rows``) and a two-slot N = 2 gamma sum (p = 4, values)
+    # call no half_line_integrals; a wedge at p = 5 with its p + 2 takes J_5
+    # from exactly one call
     calls = []
     half_line = quadrature.half_line_integrals
     monkeypatch.setattr(quadrature, "half_line_integrals",
@@ -711,7 +614,8 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     rng = np.random.default_rng(25)
     A = checks.random_spd(rng, 3)
     xs = np.array([coordinate_row(checks.off_locus_point(rng, A)) for _ in range(50)])
-    kernels.alpha_family(A, checks.QUAD, *batch_of_rows(_neighbour_rows(xs, 1e-3)), True)
+    kernels._engine_batch(kernels._family(A), *batch_of_rows(_neighbour_rows(xs, 1e-3)),
+                          checks.QUAD, True)
     for _ in range(50):
         spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
         holo.gamma_sum_check(spec, checks.random_point(rng, 2))
@@ -721,15 +625,16 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     sphi = math.sqrt(1.0 - cphi * cphi)
     s0 = np.array([[0.5], [cphi * 0.5 + sphi * 0.4]])
     ell = np.array([[0.4], [sphi * 0.5 - cphi * 0.4]])
-    quadrature.wedge_integrals((cphi, sphi), s0, ell, np.array([0.25]), 5, want_gradient=True)
+    quadrature.wedge_integrals(np.arccos(cphi), s0, ell, np.array([True]), np.array([0.25]), 5,
+                               plus_two=True)
     assert calls == [(5,)]
 
 
 def test_far_edge_rule_elements_are_pinned(monkeypatch):
     # the edges sent to the far-edge rule carry no noise, so their number
     # gates the cancellation test: over one N = 3 kernel family with
-    # gradients (p = 3, 20 points and their neighbours) only edges whose
-    # difference would cancel reach the rule
+    # gradients (its wedges at p = 3 and p + 2, 20 points and their
+    # neighbours) only edges whose difference would cancel reach the rule
     elements = []
     rule = quadrature._edge_rule
     monkeypatch.setattr(quadrature, "_edge_rule",
@@ -755,13 +660,16 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
 # l_F = -n_F^T Q b; and, moving y0 along a column m_k,
 #   (II) m_k . grad_b V_q = -sum_F (n_F^T Q m_k) V_q^F = V_q^(F_k) |w_k|_Q^-1,
 # w_k = M G^-1 e_k the dual column, G = M^T Q M.  Both tie every swept
-# integral to its faces, and those down to the d = 2 closed forms.
+# integral to its faces, and those down to the d = 2 closed forms.  In the
+# engine's tau-integrals (II) reads m_k . grad_b V_q = V_q^(F_k), so it
+# holds on values along a segment: V_q(b + t m_k) - V_q(b) is the integral
+# over s in [0, t] of the face's V_q^(F_k)(b + s m_k), taken here by Gauss
+# panels in s, whose error is rounding on this smooth integrand.
 #
 # Each engine value carries an error of at most max(abs_tol, 1e-8 |v|), by
-# its two-order estimate; a gradient shares its value's grid and is held to
-# the same form.  A residual is held to _FACE_FACTOR times the sum of its
-# terms' bounds: 10, for an estimate that is a difference of two Gauss
-# orders rather than a bound.
+# its two-order estimate, at p and at p + 2 alike.  A residual is held to
+# _FACE_FACTOR times the sum of its terms' bounds: 10, for an estimate
+# that is a difference of two Gauss orders rather than a bound.
 _FACE_FACTOR = 10.0
 _FACE_SPEC = QuadratureSpec()
 
@@ -774,15 +682,14 @@ def _bound(raw: np.ndarray) -> np.ndarray:
                          ids=["d3-q4", "d3-q6", "d4-q5"])
 def test_swept_integrals_obey_their_face_identities(m, d, q):
     rng = np.random.default_rng(16 * d + q)
+    s_nodes, s_wts = panel_nodes(np.linspace(0.0, 0.5, 3), 16)   # s over [0, t = 0.5]
     for _ in range(3):
         Q = checks.random_spd(rng, m).entries
         M = rng.normal(size=(m, d))
         b = rng.normal(size=(3, m))
         eta = rng.uniform(0.3, 1.0, 3) * np.exp(2j * math.pi * rng.uniform(size=3))
         faces = np.stack([np.delete(M, j, axis=1) for j in range(d)])
-        full = power_kernel_integral(Q, 1.0, b, eta, M[None], q, _FACE_SPEC,
-                                     want_gradient=True)
-        up = power_kernel_integral(Q, 1.0, b, eta, M[None], q + 2, _FACE_SPEC).value[0]
+        full = power_kernel_integral(Q, 1.0, b, eta, M[None], q, _FACE_SPEC, plus_two=True)
         face = power_kernel_integral(Q, 1.0, b, eta, faces, q, _FACE_SPEC).value
         s, s_F = (np.sqrt(np.linalg.det(C.swapaxes(-1, -2) @ Q @ C)) for C in (M, faces))
         G = M.T @ Q @ M
@@ -791,14 +698,48 @@ def test_swept_integrals_obey_their_face_identities(m, d, q):
         H2 = np.einsum("mb,mn,nb->b", perp, Q, perp) + np.abs(eta) ** 2
         w = 1.0 / np.sqrt(np.diag(np.linalg.inv(G)))  # 1 / |w_k|_Q
         ell = w[:, None] * tau0
-        V, V_F = s * full.value[0], s_F[:, None] * face
+        V, up, V_F = s * full.value[0], s * full.plus_two[0], s_F[:, None] * face
         # (I)
-        res = (q - d) * V - q * H2 * s * up + np.sum(ell * V_F, axis=0)
-        tol = (s * ((q - d) * _bound(full.value[0]) + q * H2 * _bound(up))
+        res = (q - d) * V - q * H2 * up + np.sum(ell * V_F, axis=0)
+        tol = (s * ((q - d) * _bound(full.value[0]) + q * H2 * _bound(full.plus_two[0]))
                + np.sum(np.abs(ell) * s_F[:, None] * _bound(face), axis=0))
         assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (res, tol)
-        # (II), along every column
-        dV = full.gradient[0, :, :m] @ M
-        res = s * dV - (w[:, None] * V_F).T
-        tol = s * _bound(dV) + (w[:, None] * s_F[:, None] * _bound(face)).T
-        assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (res, tol)
+        # (II), along every column, on the engine's values
+        for k in range(d):
+            moved = power_kernel_integral(Q, 1.0, b + 0.5 * M[:, k], eta, M[None], q,
+                                          _FACE_SPEC).value[0]
+            rows = (b[:, None] + s_nodes[:, None] * M[:, k]).reshape(-1, m)
+            along = power_kernel_integral(Q, 1.0, rows, np.repeat(eta, len(s_nodes)),
+                                          faces[k:k + 1], q, _FACE_SPEC).value[0]
+            along = along.reshape(3, -1)
+            res = moved - full.value[0] - along @ s_wts
+            tol = _bound(moved) + _bound(full.value[0]) + _bound(along) @ s_wts
+            assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (k, res, tol)
+
+
+def test_swept_miss_at_the_higher_power_is_named(monkeypatch):
+    # N = 4 axis kernel geometry, one swept axis, at p = 4 and p + 2: the low
+    # order's values at p + 2 are planted 1e-3 off, so the power p
+    # converges while p + 2 misses on both passes, and the refusal names
+    # power 6 with the kernel and row; a call at p alone still converges
+    Q = np.array([[1.5, 0.2, 0.1, 0.0], [0.2, 1.2, -0.3, 0.1],
+                  [0.1, -0.3, 0.9, 0.05], [0.0, 0.1, 0.05, 1.1]])
+    M = np.eye(4)[None, :, 1:]
+    b = np.array([[0.8, -0.5, 0.4, 0.3], [-0.6, 0.9, 1.1, -0.2]])
+    eta = np.array([0.6 + 0.2j, 0.4 - 0.3j])
+    power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), plus_two=True)
+    sweep, calls = quadrature._sweep, []
+
+    def planted(*args):
+        out = sweep(*args)
+        calls.append(1)
+        if len(calls) % 2 == 0 and len(out) > 1:   # each pass: the high order, then the low
+            out[1] *= 1.0 + 1e-3
+        return out
+
+    monkeypatch.setattr(quadrature, "_sweep", planted)
+    with pytest.raises(QuadratureError, match=r"no convergence after 2 passes: .* "
+                                              r"against tolerance \S+ at power 6") as exc:
+        power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), plus_two=True)
+    assert (exc.value.kernel, exc.value.row) == (0, 0)
+    power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec())

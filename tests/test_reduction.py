@@ -15,7 +15,8 @@ from ghlab.geometry import BasePoint, IndexSet, block, reduction
 from ghlab.holo import GammaSpec
 from ghlab.kernels import KernelSpec, alpha_batch, alpha_family, closed_form_axis
 from ghlab.quadrature import QuadratureSpec, SingularityProximity
-from oracles import restricted_gammas, restricted_jet, restricted_kernels
+from oracles import (batch_of_rows, central_difference, coordinate_row, restricted_gammas,
+                     restricted_jet, restricted_kernels)
 
 QUAD = QuadratureSpec(abs_tol=1e-11)
 
@@ -39,14 +40,16 @@ CASES = ([(3, I) for I in _subsets(3)] + [(4, I) for I in _subsets(4)]
 @pytest.mark.parametrize("N, members", CASES, ids=[f"n{N}-{''.join(map(str, I))}"
                                                    for N, I in CASES])
 def test_reduced_route_is_the_model_on_a(N, members):
-    # kernels with their gradients, the field's v and dV, and the gammas of
-    # I's model on A, taken through G = schur_complement(A, I) at
-    # (mu_I, s eta), against the same quantities integrated on A's
-    # coordinates with det A as the fiber weight.  Up to n = 3 active
-    # labels the kernels are closed forms; at n = 4 they sweep, as the
-    # gammas do from n = 3.  A swept pair lies within both routes' error
-    # estimates, and as both take the same grids (the same node counts)
-    # everything agrees to 1e-14 here (at most 9e-16 when written)
+    # kernels, the field's v and the gammas of I's model on A, taken
+    # through G = schur_complement(A, I) at (mu_I, s eta), against the same
+    # quantities integrated on A's coordinates with det A as the fiber
+    # weight.  Up to n = 3 active labels the kernels are closed forms; at
+    # n = 4 they sweep, as the gammas do from n = 3.  A swept pair lies
+    # within both routes' error estimates, and as both take the same grids
+    # (the same node counts) everything agrees to 1e-14 here (at most
+    # 9e-16 when written).  The kernels' gradients, placed in A's
+    # coordinates, hold against central differences of the model on A at
+    # steps h and h / 2, as test_kernels.py's Hessians do
     rng = np.random.default_rng(400 + 10 * N + len(members))
     A = random_spd(rng, N)
     I = IndexSet(members)
@@ -54,17 +57,25 @@ def test_reduced_route_is_the_model_on_a(N, members):
     pts = [off_locus_point(rng, A) for _ in range(2 if N == 5 else 3)]
     mu, eta = np.array([p.mu for p in pts]), np.array([p.eta for p in pts])
 
-    labels, kv = alpha_family(red.G, QUAD, *red.batch(mu, eta), want_gradient=True)
-    want_labels, want = restricted_kernels(A, I, QUAD, mu, eta, want_gradient=True)
+    labels, kv = alpha_family(red.G, QUAD, *red.batch(mu, eta))
+    want_labels, want = restricted_kernels(A, I, QUAD, mu, eta)
     assert [(members[i], members[j]) for i, j in labels] == want_labels
-    grad = np.zeros_like(want.gradient)
-    grad[..., [*red.slots, N, N + 1]] = kv.gradient
-    grad[..., N:] *= red.s
     assert kv.evals == want.evals
     swept = kv.error > 0
     assert np.all(np.abs(kv.value - want.value)[swept] <= (kv.error + want.error)[swept])
     assert _gap(kv.value, want.value, ()) <= 1e-14
-    assert _gap(grad, want.gradient, axis=2) <= 1e-14
+
+    grad = np.zeros((len(labels), len(pts), N + 2))
+    grad[..., [*red.slots, N, N + 1]] = alpha_family(red.G, QUAD, *red.batch(mu, eta),
+                                                     True)[1].gradient
+    grad[..., N:] *= red.s
+    for b, p in enumerate(pts):
+        x = coordinate_row(p)
+        D_h, D_h2 = (central_difference(
+            lambda rows: restricted_kernels(A, I, QUAD, *batch_of_rows(rows))[1].value.T,
+            x, step) for step in (1e-3, 5e-4))
+        err, bound = np.abs(grad[:, b].T - D_h2).max(), np.abs(D_h - D_h2).max()
+        assert err <= bound <= 1e-4 * np.abs(grad[:, b]).max()
 
     jet = RestrictedField(A, I, QUAD).jet(mu, eta)
     assert _gap(jet.v, restricted_jet(A, I, QUAD, mu, eta)) <= 1e-14
