@@ -237,7 +237,8 @@ def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
     """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
     pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
     and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
-    every point and every kernel go into one kernel family batch."""
+    every point and every kernel go into one kernel family batch.  On the
+    face route both hold by construction (12's Euler rows read face errors)."""
     N = A.n
     mu, eta = _batch(points)
     labels, kv = kernels.alpha_family(A, QUAD, mu, eta, want_gradient=True)

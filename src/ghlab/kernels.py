@@ -167,7 +167,7 @@ def _build_family(A: QuadForm, layout: tuple) -> _Family:
 def _levels(A: QuadForm) -> tuple:
     """A's kernels, their faces (the triple strata) and the four-label
     strata, each while the one before has columns, kept with A: per level
-    the family and, but for the last, R = Q' M' G^-1 (K, N + 2, d),
+    the family and, but for the four labels, R = Q' M' G^-1 (K, N + 2, d),
     S = Q' - R M'^T Q' with Q' = diag(A, det A I_2), M' = (M; 0) and
     G = M^T A M, and up, each cone less a column as a row of the next."""
     def build():
@@ -192,7 +192,7 @@ def _levels(A: QuadForm) -> tuple:
 
 def _chain(A: QuadForm, labels: tuple[int, int] | None, depth: int) -> tuple:
     """The first ``depth`` levels of A, with its one kernel ``labels``
-    alone in the first: every face is one call's row either way."""
+    alone in the first; the levels of faces stay whole either way."""
     levels = _levels(A)[:depth]
     if labels is None:
         return levels

@@ -88,8 +88,7 @@ def test_n5_field_identities(monkeypatch):
     # p and p + 2 (5,112); the 15 four-label strata are closed forms (15),
     # each one row; only edges whose difference would cancel reach the
     # far-edge rule.  The stencil's 29 rows took 13,511,680 nodes and sent
-    # 662,706 edges to the rule; the engine's gradients took 471,032 nodes
-    # and 87,213 edges, without the Euler row
+    # 662,706 edges to the rule
     nodes, edges = _field_identities(5, monkeypatch)
     assert nodes == 936967
     assert edges == 101865
