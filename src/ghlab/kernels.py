@@ -16,8 +16,10 @@ a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  Every
 derivative comes from values, by one face identity: with
 ``alpha_family``'s gradients ``alpha_hessian`` gives the second
 derivatives too, from the cones two and four powers up, their faces (the
-triple strata's cones) and the faces' faces, each family evaluated once
-per call.  Cones differ only in their matrix, laid out once per N; Q, the
+triple strata's cones) and the faces' faces.  A closed-form call (d <= 2)
+returns its cones' faces from its own pass; only above a swept cone does a
+level's faces take a call of their own, and a one-kernel call's only
+those the kernel reads.  Cones differ only in their matrix, laid out once per N; Q, the
 prefactor, ``quadrature.cone_frame`` and each family's R and S are built
 once per form, and ``_engine_batch`` makes one engine call for a family at
 the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
@@ -122,9 +124,11 @@ class _Family:
     prefactor: float
     frame: object
 
-    def take(self, rows: slice) -> "_Family":
-        """The kernels ``rows`` of this family."""
-        return _Family(self.Q, self.c_eta, self.labels[rows], self.M[rows], self.power,
+    def take(self, rows: slice | np.ndarray) -> "_Family":
+        """The kernels ``rows`` (a slice or indices) of this family."""
+        labels = (self.labels[rows] if isinstance(rows, slice)
+                  else tuple(self.labels[r] for r in rows))
+        return _Family(self.Q, self.c_eta, labels, self.M[rows], self.power,
                        self.prefactor, None if self.frame is None else self.frame[rows])
 
 
@@ -191,26 +195,45 @@ def _levels(A: QuadForm) -> tuple:
 
 
 def _chain(A: QuadForm, labels: tuple[int, int] | None, depth: int) -> tuple:
-    """The first ``depth`` levels of A, with its one kernel ``labels``
-    alone in the first; the levels of faces stay whole either way."""
+    """The first ``depth`` levels of A, or those of its one kernel
+    ``labels``: that kernel alone, then in each level only the cones that
+    the one before reads, its up renumbered to index them."""
     levels = _levels(A)[:depth]
     if labels is None:
         return levels
-    fam, R, S, up = levels[0]
-    k = fam.labels.index(labels)
-    return ((fam.take(slice(k, k + 1)), R[k:k + 1], S[k:k + 1], up[k:k + 1]),) + levels[1:]
+    k = levels[0][0].labels.index(labels)
+    rows, out = slice(k, k + 1), []
+    for fam, *rest in levels:
+        if out:
+            *head, up = out[-1]
+            rows = np.unique(up)
+            out[-1] = (*head, np.searchsorted(rows, up))
+        out.append((fam.take(rows), *(a[rows] for a in rest)))
+    return tuple(out)
+
+
+def _faces(A: QuadForm, labels: tuple[int, int] | None, i: int, res: QuadResult,
+           mu: np.ndarray, eta: np.ndarray, quad: QuadratureSpec) -> tuple[np.ndarray, int]:
+    """Level i's faces (K, d, B) of ``_chain`` at the power of its call
+    ``res``, and their grid nodes: those ``res`` returned, else one call on
+    level i + 1, gathered by up."""
+    if res.faces is not None:
+        return res.faces, 0
+    level, below = _chain(A, labels, i + 2)[i:]
+    low = _engine_batch(below[0], mu, eta, quad)
+    return low.value[level[3]], low.evals
 
 
 def _gradient(level: tuple, q: int, x: np.ndarray, faces: np.ndarray | None,
               plus: np.ndarray) -> np.ndarray:
     """grad V_q = R V^F_q - q S x V_(q+2) of a level's cones at the rows
-    x (B, N + 2), from faces (F, B), the next level's values at q, and
-    plus (K, B), the cones' own at q + 2; each sum runs over a last axis,
-    in one order, so a row reads as it does alone."""
-    _, R, S, up = level
+    x (B, N + 2), from faces (K, d, B), ``_faces`` at q, and plus (K, B),
+    the cones' own values at q + 2; each sum runs over a last axis, in one
+    order, so a row reads as it does alone."""
+    _, R, S, _ = level
     grad = (S[:, None] * x[:, None]).sum(axis=-1) * (-q * plus)[..., None]
-    if up.shape[1]:
-        grad += (R[:, None] * faces[up].swapaxes(1, 2)[:, :, None]).sum(axis=-1)
+    if R.shape[2]:
+        grad += (R[:, None] * faces.swapaxes(1, 2)[:, :, None]).sum(axis=-1)
     return grad
 
 
@@ -253,9 +276,10 @@ def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndar
     """Every kernel of A (or the one kernel ``labels``) at the batch
     mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
     with a leading kernel axis K.  Where they are closed forms (N <= 3)
-    the whole family is one engine call; ``want_gradient`` adds the faces'
-    call and the values at p + 2 (``alpha_hessian``'s gradients, whose
-    nodes evals counts too).  ``labels`` are held as ``KernelSpec`` holds them."""
+    the whole family is one engine call, which ``want_gradient`` asks for
+    the values at p + 2 and the faces too (``alpha_hessian``'s gradients);
+    above N = 3 the faces take a second call, whose nodes evals counts
+    too.  ``labels`` are held as ``KernelSpec`` holds them."""
     labels = None if labels is None else _pair(labels, A.n)
     return _alpha_family(A, quad, *check_batch(mu, eta, A.n), want_gradient, labels)
 
@@ -269,16 +293,13 @@ def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
         raw = _engine_batch(fam, mu, eta, quad)
         return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
                                        raw.evals)
-    kern, *below = _chain(A, labels, 2)
+    kern = _chain(A, labels, 1)[0]
     fam, c = kern[0], kern[0].prefactor
     raw = _engine_batch(fam, mu, eta, quad, True)
-    faces, evals = None, raw.evals
-    if below:
-        low = _engine_batch(below[0][0], mu, eta, quad)
-        faces, evals = low.value, evals + low.evals
+    faces, evals = _faces(A, labels, 0, raw, mu, eta, quad)
     grad = c * _gradient(kern, fam.power, np.column_stack([mu, eta.real, eta.imag]), faces,
                          raw.plus_two)
-    return fam.labels, KernelValue(c * raw.value, c * raw.error, evals, grad)
+    return fam.labels, KernelValue(c * raw.value, c * raw.error, raw.evals + evals, grad)
 
 
 def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
@@ -295,21 +316,24 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
         hess V_p = R grad V^F_p - p S V_(p+2) - p S x grad V_(p+2)^T,
 
     grad V^F_p and grad V_(p+2) being the same identity a level down and
-    two powers up: three engine calls, the kernels at p + 2 and p + 4, all
-    faces at p and p + 2 (a refusal names the triple) and the four-label
-    strata at p, each held to ``quad`` in its prefactor-scaled values."""
+    two powers up: two engine calls, the kernels at p + 2 and p + 4 and
+    their faces at p and p + 2 (a refusal names the triple), whose call
+    returns the four-label strata at p as the faces' faces where the faces
+    are closed forms (N <= 4), and above that a third call for them; each
+    family is held to ``quad`` in its prefactor-scaled values."""
     mu, eta = check_batch(mu, eta, A.n)
-    kern, *below = _chain(A, None if labels is None else _pair(labels, A.n), 3)
+    labels = None if labels is None else _pair(labels, A.n)
+    kern, *below = _chain(A, labels, 2)
     fam, c, p = kern[0], kern[0].prefactor, kern[0].power
     x = np.column_stack([mu, eta.real, eta.imag])
     plus = _engine_batch(replace(fam, power=p + 2), mu, eta, quad, True)
+    _, R, S, up = kern
     F0 = F2 = dF = None
     if below:
         faces = _engine_batch(below[0][0], mu, eta, quad, True)
-        F0, F2 = faces.value, faces.plus_two
-        FF = _engine_batch(below[1][0], mu, eta, quad).value if below[1:] else None
-        dF = _gradient(below[0], p, x, FF, F2)
-    _, R, S, up = kern
+        F0, F2 = faces.value[up], faces.plus_two[up]
+        dF = _gradient(below[0], p, x, _faces(A, labels, 1, faces, mu, eta, quad)[0],
+                       faces.plus_two)
     grad2 = _gradient(kern, p + 2, x, F2, plus.plus_two)
     Sx = (S[:, None] * x[:, None]).sum(axis=-1)
     hess = -p * (S[:, None] * plus.value[..., None, None] + Sx[..., None] * grad2[..., None, :])

@@ -88,7 +88,8 @@ integral that misses its tolerance after the refinement passes raises
 QuadratureError; no unconverged value is returned.  A call that asks for
 power p + 2 too gets it from every node of the same grids, and the
 two-order check holds both powers.  The engine returns no derivative:
-``ghlab.kernels`` takes them from these values and the cones' faces.
+``ghlab.kernels`` takes them from these values and the cones' faces,
+which a closed-form call returns from its own pass.
 
 The independent scrambled-Sobol quasi-Monte-Carlo evaluator of the same
 integral, which the tests hold this engine against, is
@@ -168,6 +169,8 @@ class QuadResult:
     value: np.ndarray          # (K, B) raw integral values, no prefactor
     error: np.ndarray          # (K, B) two-order differences, raw units
     plus_two: np.ndarray | None  # (K, B) raw values at power + 2, if asked
+    faces: np.ndarray | None   # (K, d, B) raw values of the faces at the power,
+                               # column j: the cone less column j (plus_two, d <= 2)
     evals: int                 # swept grid nodes times batch rows (kernel
                                # rows alone when nothing is swept)
     converged: bool            # always True: a miss raises QuadratureError
@@ -463,9 +466,10 @@ class _Line(_Stack):
         return cls(r11 * r11, r11 * P, Ct - u[:, :, None] * P[:, None, :])
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
+                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
         """Values (K, B) at the power, and with ``plus_two`` at power + 2,
-        and squared sheet distances r*^2 (K, B) at the rows b (B, m)."""
+        squared sheet distances r*^2 (K, B) at the rows b (B, m), and with
+        ``plus_two`` the faces (K, 1, B): each line's apex value at the power."""
         beta = np.einsum("km,bm->kb", self.Qm, b)
         Z = np.einsum("kij,bj->kbi", self.L, b)
         h = np.einsum("kbj,kbj->kb", Z, Z) + E
@@ -473,7 +477,8 @@ class _Line(_Stack):
         # else to the apex, gamma = h + beta^2 / a
         r2 = h + np.minimum(beta, 0.0) ** 2 / self.a
         qs = (power, power + 2) if plus_two else (power,)
-        return half_line_integrals(self.a, beta, h, qs), r2
+        faces = (h + beta * beta / self.a)[:, None] ** (-0.5 * power) if plus_two else None
+        return half_line_integrals(self.a, beta, h, qs), r2, faces
 
 
 # The far-edge gate.  An outer edge term H^-n (Theta - ahat_n) keeps the
@@ -517,8 +522,10 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
     and ``inside``, where both l >= 0; H2 (...) is the squared height,
     H2 > 0 wherever the foot lies in the closed wedge; phi broadcasts
     against H2 (one wedge per kernel, say).  Returns [W_p], or with
-    ``plus_two`` [W_p, W_(p+2)].  p must be at least 3.  A foot on the
-    sheet (H2 = 0 in the wedge) reads inf, so callers evaluate it under
+    ``plus_two`` [W_p, W_(p+2), J_p], J_p (2, ...) the half-line integral
+    of (H2 + |w - y|^2)^(-p/2) along each edge, the wedge's faces but for
+    their columns' lengths.  p must be at least 3.  A foot on the sheet
+    (H2 = 0 in the wedge) reads inf, so callers evaluate it under
     np.errstate(divide="ignore", invalid="ignore").
 
     Every edge takes ``_edge_ahat``.  An edge outside takes the complement
@@ -535,7 +542,7 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
     H2_edge[...] = H2
     H = np.sqrt(H2_edge)
     al = np.abs(ell)
-    ahat = _edge_ahat(s0, al, H, H2_edge, ns)
+    ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
     if n_in < inside.size:
         theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
         # outside the wedge: the Gauss rule where the last complement
@@ -565,7 +572,7 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
         out.append(value / n if n > 1 else value)
-    return out
+    return out + J[-1:] if plus_two else out
 
 
 def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
@@ -580,7 +587,8 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     J_q the half-line integral along the edge.  The first step's J is
     formed here, J_2 = psi / c with psi = atan2(c, -s0) or
     J_3 = (1 - cos psi) / c^2 = 1 / (w (w - s0)); later ones come from
-    ``half_line_integrals``.
+    ``half_line_integrals``.  Returns the ahat_n and every J_q formed,
+    the last J_(max ns) where max ns > 1.
     """
     c2 = H2 + al * al
     c = np.sqrt(c2)
@@ -602,7 +610,7 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     for J_q in J:
         ahat.append(ahat[-1] + al * Hn * J_q)
         Hn = Hn * H2
-    return ahat[-len(ns):]
+    return ahat[-len(ns):], J
 
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
@@ -639,6 +647,7 @@ class _Wedge(_Stack):
     sphi: np.ndarray      # (K, 1) sin phi
     phi: np.ndarray       # (K, 1) the opening angle
     jac: np.ndarray       # (K, 1) 1 / sqrt(det G): d tau_1 d tau_2 = jac dA
+    inv_len: np.ndarray   # (K, 2, 1) 1 / |m2|_Q, 1 / |m1|_Q: faces 0, 1 run along them
     P: np.ndarray         # (K, 2, m)
     L: np.ndarray         # (K, m, m), or (K, 0, m) when m = 2
     Py: np.ndarray        # (K, 2, d-2), read by the sweep alone
@@ -672,14 +681,16 @@ class _Wedge(_Stack):
             L, Lz = np.zeros((K, 0, 2)), np.zeros((K, 0, d - 2))
         norm = np.hypot(r12, r22)[:, None]
         cphi, sphi = r12[:, None] / norm, r22[:, None] / norm
-        return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None], P, L, Py, Lz)
+        return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None],
+                   1.0 / np.stack([norm[:, 0], r11], axis=1)[..., None], P, L, Py, Lz)
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
-                 ) -> tuple[list[np.ndarray], np.ndarray]:
+                 ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
         """The whole integral at d = 2 for every kernel of the stack and
         every row b (B, m) in one closed form: values (K, B) at the power,
-        and with ``plus_two`` at power + 2, and squared sheet distances
-        r*^2 (K, B)."""
+        and with ``plus_two`` at power + 2, squared sheet distances
+        r*^2 (K, B), and with ``plus_two`` the faces (K, 2, B) at the power,
+        each edge's half-line integral over its column's Q-length."""
         # the foot component-major (2, K, B), the transverse part (K, B, m')
         y = np.einsum("kcm,bm->ckb", self.P, b)
         z = np.einsum("kim,bm->kbi", self.L, b)
@@ -691,7 +702,8 @@ class _Wedge(_Stack):
         # the nearer edge ray, along it (s0 >= 0) or at the apex
         ray2 = ell * ell + np.minimum(s0, 0.0) ** 2
         r2 = H2 + np.where(inside, 0.0, np.minimum(ray2[0], ray2[1]))
-        return [w * self.jac for w in W], r2
+        faces = W.pop()[::-1].swapaxes(0, 1) * self.inv_len if plus_two else None
+        return [w * self.jac for w in W], r2, faces
 
 
 def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
@@ -841,7 +853,10 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     kernels that share Q, c_eta and the power.  Values and errors are
     (K, B), and with ``plus_two`` the values at power + 2 too, from the
     same pass and held to the same tolerance.  At d <= 2 every
-    (kernel, row) pair is a closed form, all in one pass; at d >= 3 each
+    (kernel, row) pair is a closed form, all in one pass, and with
+    ``plus_two`` the pass returns each cone's faces at the power too,
+    ``QuadResult.faces`` (K, d, B): a wedge's edges' half-line integrals,
+    which its edge terms form anyway, and a line's apex value; at d >= 3 each
     group of a kernel's rows (``_grid_groups``) is swept on its first row's
     grid, so rows may lie at any distance from each other.  ``frame`` is
     the ``cone_frame`` of M, for a caller that keeps it; ``prefactor``
@@ -853,8 +868,9 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     SingularityProximity: the nearest pair (ties go to the first kernel,
     then row), if its sheet distance is below ``floor`` or 0; at d <= 2
     each closed form reads every pair's distance from its own coordinates,
-    and a pair whose distance is not a number is refused as well; at
-    d >= 3 the refusal comes before anything is evaluated.
+    and a pair whose distance is not a number, or whose value or face is
+    not finite, is refused as well; at d >= 3 the refusal comes before
+    anything is evaluated.
     QuadratureError: a grid over the node budget, or a sweep that misses
     its tolerance at either power after the refinement passes.
     """
@@ -862,7 +878,8 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     K, _, d = M.shape
     if B == 0:
         empty = np.zeros((K, 0))
-        return QuadResult(empty, empty, empty if plus_two else None, 0, True, math.inf)
+        return QuadResult(empty, empty, empty if plus_two else None,
+                          np.zeros((K, d, 0)) if plus_two and d <= 2 else None, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
     sq = eta.view(float).reshape(B, 2) ** 2
     E = c_eta * (sq[:, 0] + sq[:, 1])
@@ -876,18 +893,23 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                 r2 = np.einsum("bk,bk->b", bQ, b) + E
                 vals = [np.repeat(r2[None] ** (-0.5 * power - j), K, axis=0)
                         for j in range(1 + plus_two)]
+                faces = np.empty((K, 0, B)) if plus_two else None
             else:
-                vals, r2 = frame.integral(b, E, power, plus_two)
+                vals, r2, faces = frame.integral(b, E, power, plus_two)
         val = vals[0]
         r = r_star = math.sqrt(float(r2.min()))
         if r >= floor and r > 0.0:
-            if np.count_nonzero(np.isfinite(val)) == val.size:
-                return QuadResult(val, np.zeros((K, B)), vals[1] if plus_two else None,
+            finite = np.isfinite(val)
+            if faces is not None:
+                finite &= np.isfinite(faces).all(axis=1)
+            if np.count_nonzero(finite) == val.size:
+                return QuadResult(val, np.zeros((K, B)), vals[1] if plus_two else None, faces,
                                   K * B, True, r_star)
-            # off the sheet every closed form is finite; should one not be,
-            # the first such pair is refused by name
-            row, k = divmod(int(np.argmax(~np.isfinite(val.T))), K)
-            raise SingularityProximity(f"row {row} gives a value that is not finite", k, row)
+            # off the sheet every closed form and face is finite; should one
+            # not be, the first such pair is refused by name
+            row, k = divmod(int(np.argmax(~finite.T)), K)
+            what = "face" if np.isfinite(val[k, row]) else "value"
+            raise SingularityProximity(f"row {row} gives a {what} that is not finite", k, row)
         k, row = divmod(int(r2.argmin()), B)
         # a non-finite coordinate leaves no distance for the refusals below
         if math.isnan(r):
@@ -919,4 +941,4 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
             raise
         vals[:, k, rows], errs[k, rows] = v, e[0]
         evals += n
-    return QuadResult(vals[0], errs, vals[1] if plus_two else None, evals, True, r_star)
+    return QuadResult(vals[0], errs, vals[1] if plus_two else None, None, evals, True, r_star)

@@ -10,11 +10,11 @@ from test_acceptance import criterion_rows
 
 @pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
 def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
-    # every point goes into one Hessian batch of the kernel, three engine
-    # calls of one row per point: its cone at p + 2 and p + 4, the form's
-    # C(N + 1, 3) faces at p and p + 2 and its C(N + 1, 4) four-label
-    # strata, each family once, as the field's Hessians take them.  At
-    # N = 3 each row is a closed form; at N = 4 these points lie farther
+    # every point goes into one Hessian batch of the kernel, two engine
+    # calls of one row per point: its cone at p + 2 and p + 4, and its own
+    # N - 1 faces at p and p + 2, whose closed forms (d <= 2) return the
+    # four-label strata, their faces, as the field's Hessians take them.
+    # At N = 3 each row is a closed form; at N = 4 these points lie farther
     # apart than half a sheet distance, so the swept cone splits into the
     # per-point grids.  Either way the worst value is bitwise the
     # per-point worst.
@@ -37,24 +37,23 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
         rows.clear()
         worst = checks.kernel_laplacian(spec, pts)
         assert calls == [len(pts)]
-        assert rows == [(1, len(pts)), (math.comb(N + 1, 3), len(pts)),
-                        (math.comb(N + 1, 4), len(pts))]
+        assert rows == [(1, len(pts)), (N - 1, len(pts))]
         assert worst == max(checks.kernel_laplacian(spec, [p]) for p in pts)
 
 
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
     # per N, criterion 12's 20 points go into one Hessian batch of the
     # field's kernels, which share everything but their cone matrix: one
-    # engine call for the K cones at p + 2 and p + 4, one for their
-    # C(N + 1, 3) distinct faces, the triple strata's cones, and one for the
-    # C(N + 1, 4) four-label strata, each of the 20 rows; then one for the
-    # Euler rows' K kernel values
+    # engine call for the K cones at p + 2 and p + 4 and one for their
+    # C(N + 1, 3) distinct faces, the triple strata's cones, whose closed
+    # forms (d <= 2 at N = 3 and 4) return the four-label strata, each of
+    # the 20 rows; then one for the Euler rows' K kernel values
     rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("12")
-    assert rows == [(6, 20), (4, 20), (1, 20), (6, 20), (10, 20), (10, 20), (5, 20), (10, 20)]
+    assert rows == [(6, 20), (4, 20), (6, 20), (10, 20), (10, 20), (10, 20)]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):

@@ -348,7 +348,8 @@ def test_alpha_batch_matches_pointwise():
 def _far_rows_match_pointwise(N, monkeypatch):
     """Rows far apart, one kernel batch per label pair: each row must equal
     its own alpha.  Returns the engine calls (the kernel with its values at
-    p + 2, then its faces) and the group sweeps per batch."""
+    p + 2, then its faces unless that call returned them) and the group
+    sweeps per batch."""
     import ghlab.kernels as kernels
     import ghlab.quadrature as quadrature
 
@@ -382,9 +383,9 @@ def _far_rows_match_pointwise(N, monkeypatch):
 
 
 def test_alpha_batch_far_rows_match_pointwise(monkeypatch):
-    # N = 3 kernels (d = 2) and their faces (d = 1) are closed forms: far
-    # rows share one call each and nothing is swept
-    assert _far_rows_match_pointwise(3, monkeypatch) == [(2, 0), (2, 0)]
+    # N = 3 kernels (d = 2) are closed forms whose call returns their faces
+    # (d = 1): far rows share one call and nothing is swept
+    assert _far_rows_match_pointwise(3, monkeypatch) == [(1, 0), (1, 0)]
 
 
 def test_alpha_batch_far_rows_match_pointwise_n4(monkeypatch):
@@ -423,16 +424,16 @@ def _reach_point(seed: int, N: int) -> tuple[QuadForm, BasePoint]:
 
 def test_work_counters_are_pinned():
     # grid nodes per kernel call are deterministic, so they gate regressions:
-    # at N = 3 nothing is swept (a row counts once, and the gradient adds
-    # the form's 4 faces), at N = 4 one axis is swept (graded panels plus
-    # the mapped tail; 192 nodes for p and p + 2 on one grid, and 10 closed
-    # faces), at N = 5 two (the radial grid: graded radius and mapped tail
-    # times one stick-breaking coordinate; 12,800 nodes, and 4,896 for the
-    # 20 faces, each sweeping one axis)
+    # at N = 3 nothing is swept (a row counts once, and the wedge's call
+    # returns its faces), at N = 4 one axis is swept (graded panels plus
+    # the mapped tail; 192 nodes for p and p + 2 on one grid, and the
+    # kernel's 3 closed faces), at N = 5 two (the radial grid: graded radius
+    # and mapped tail times one stick-breaking coordinate; 12,800 nodes, and
+    # 912 for the kernel's 4 faces, each sweeping one axis)
     A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
     p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
-    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 5
-    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 5
+    assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 1
+    assert alpha_grad(KernelSpec(A3, (1, 2)), QUAD, p3).evals == 1
     A4 = QuadForm(np.array([
         [1.276341995534779, -0.0065205115731539545, 0.017418387685633682, -0.09057612264627342],
         [-0.0065205115731539545, 1.3118126399967247, -0.031852740053687024, 0.0823851601100817],
@@ -441,19 +442,20 @@ def test_work_counters_are_pinned():
     p4 = BasePoint(np.array([-0.4305473056064981, -0.7928433222219473,
                              -0.6542161649648368, 1.9371148657881885]),
                    0.13944050602891173 - 0.6978434856523438j)
-    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 202
+    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 195
     A5, p5 = _reach_point(100, 5)
-    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 17696
+    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 13712
 
 
 def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     # engine call counts carry no noise either: a closed-form (d <= 2) call
     # reads every pair's sheet distance from its own coordinates, so it
     # makes no sheet_distance or nonneg_argmin call, and one field-n3 point
-    # (criterion 12's three Hessian calls: the kernels at p + 2 and p + 4,
-    # their faces at p and p + 2 and the four-label stratum at p; and
-    # criterion 04's six gradients, two calls each: the kernel at p and
-    # p + 2, and the form's faces) makes exactly 15 engine calls
+    # (criterion 12's two Hessian calls: the kernels at p + 2 and p + 4,
+    # and their faces at p and p + 2, whose call returns the four-label
+    # stratum as their faces; and criterion 04's six gradients, one call
+    # each: the kernel at p and p + 2 with its faces) makes exactly 8 engine
+    # calls
     from ghlab import frame, quadrature
 
     solves, engine = [], []
@@ -467,7 +469,7 @@ def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
     frame.integrability_residual(FirstOrderField(A3, QUAD), p3)
     for labels in itertools.combinations(range(4), 2):
         alpha_grad(KernelSpec(A3, labels), QUAD, p3)
-    assert solves == [] and len(engine) == 15
+    assert solves == [] and len(engine) == 8
     # a swept call (N = 4) solves its sheet distances, and the spies see it
     alpha_grad(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD,
                BasePoint(np.array([0.5, -0.3, 0.8, 0.2]), 0.4 + 0j))
@@ -612,6 +614,38 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     assert (exc.value.kernel, exc.value.row) == (k, row)
 
 
+def test_non_finite_face_is_refused_by_name(monkeypatch):
+    # a closed form's faces are held as its values are: a nan planted in
+    # one edge's half-line integral at one (kernel, row) pair of an N = 3
+    # family, the face less that pair's second column, is refused by the
+    # engine and named by alpha_family, never read into a gradient
+    import ghlab.quadrature as quadrature
+
+    rng = np.random.default_rng(26)
+    A = random_spd(rng, 3)
+    mu, eta = _batch([off_locus_point(rng, A) for _ in range(3)])
+    fam = _family(A)
+    k, row = 4, 1
+    wedge = quadrature.wedge_integrals
+
+    def planted(*args, **kwargs):
+        out = wedge(*args, **kwargs)
+        out[-1][0, k, row] = np.nan      # with plus_two: J_p along edge 0
+        return out
+
+    monkeypatch.setattr(quadrature, "wedge_integrals", planted)
+    with pytest.raises(SingularityProximity, match=f"row {row} gives a face that is "
+                                                   "not finite") as exc:
+        power_kernel_integral(fam.Q, fam.c_eta, mu, eta, fam.M, fam.power, QUAD,
+                              plus_two=True, floor=1e-3)
+    assert (exc.value.kernel, exc.value.row) == (k, row)
+    labels = re.escape(str(fam.labels[k]))
+    with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
+                       r".*face that is not finite") as exc:
+        alpha_family(A, QUAD, mu, eta, want_gradient=True)
+    assert (exc.value.kernel, exc.value.row) == (k, row)
+
+
 def test_over_budget_names_kernel_and_first_row(monkeypatch):
     # a swept call (N = 4) whose grid exceeds the node budget is refused
     # naming its kernel and the first row of its grid group, as a floor
@@ -652,8 +686,8 @@ def test_face_refusal_names_its_triple_and_row(monkeypatch):
 def test_family_batch_matches_one_kernel_calls(N, members):
     # a form's kernels, stacked into one engine call (d = 2, 1 or 0 here),
     # give what each kernel's own call gives: value and gradient to
-    # roundoff, error and grid nodes exactly; the gradients add one call
-    # for the C(n + 1, 3) faces, each a row per point; with ``members`` the
+    # roundoff, error and grid nodes exactly; the gradients' call returns
+    # the faces too, so their nodes are the values'; with ``members`` the
     # form is that subset's reduction, at its batch
     rng = np.random.default_rng(61 + N)
     A = random_spd(rng, N)
@@ -672,7 +706,7 @@ def test_family_batch_matches_one_kernel_calls(N, members):
                                    atol=1e-14 * float(np.max(np.abs(one.gradient))))
         evals += alpha_family(A, QUAD, mu, eta, False, ij)[1].evals
     assert alpha_family(A, QUAD, mu, eta)[1].evals == evals == len(labels) * len(mu)
-    assert kv.evals == evals + math.comb(A.n + 1, 3) * len(mu)
+    assert kv.evals == evals
 
 
 def test_alpha_grad_after_a_jet_builds_no_frame(monkeypatch):
@@ -795,14 +829,25 @@ def test_kernel_faces_are_the_triple_strata_cones(N):
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_closed_form_rows_do_not_depend_on_their_batch(N):
+def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
     # each closed-form row (values, gradients and Hessians of the family,
-    # the engine's values at p and p + 2 from one call, d = N - 1, and at
-    # N = 2 the one- and two-slot gammas, d = 1 and 2) is bitwise the row
-    # computed alone: every contraction with a row sums in one
-    # order, where a BLAS product picks its kernel, and so its rounding, by
-    # the batch's shape.  A gamma batch with rows at eta = 0 mixed in keeps
-    # the others' bits, and reads exactly 0 there
+    # the engine's values at p and p + 2 and its faces from one call,
+    # d = N - 1, and at N = 2 the one- and two-slot gammas, d = 1 and 2) is
+    # bitwise the row computed alone: every contraction with a row sums in
+    # one order, where a BLAS product picks its kernel, and so its
+    # rounding, by the batch's shape.  A gamma batch with rows at eta = 0
+    # mixed in keeps the others' bits, and reads exactly 0 there.  A batch
+    # of no rows has empty faces, and its gradients make no second call
+    calls = []
+    engine = kernels.power_kernel_integral
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    A = random_spd(np.random.default_rng(1000 * N), N)
+    empty = kernels._engine_batch(_family(A), np.zeros((0, N)), np.zeros(0, complex), QUAD, True)
+    assert empty.faces.shape == (math.comb(N + 1, 2), N - 1, 0)
+    calls.clear()
+    _, kv = alpha_family(A, QUAD, np.zeros((0, N)), np.zeros(0, complex), True)
+    assert len(calls) == 1 and kv.gradient.shape == (math.comb(N + 1, 2), 0, N + 2)
     for seed in range(20):
         rng = np.random.default_rng(1000 * N + seed)
         A = random_spd(rng, N)
@@ -824,6 +869,7 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N):
                          (hess, h1), (both.value, alone.value),
                          (both.plus_two, alone.plus_two)):
                 assert x[:, row].tobytes() == y.tobytes()
+            assert both.faces[..., row].tobytes() == alone.faces.tobytes()
             for spec, gam, mix in zip(specs, gams, mixed):
                 alone = gamma_family(spec, spec.I.members, mu[row], eta[row]).value
                 assert gam[:, row].tobytes() == alone.tobytes()

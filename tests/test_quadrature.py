@@ -21,6 +21,7 @@ must match.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -475,7 +476,8 @@ def mp_wedge(mpmath, e2, y, H2, powers):
     return dict(zip(powers, sums[1]))
 
 
-@pytest.mark.parametrize("phi, foot, H", [
+# wedges of opening phi with a foot and a height H
+WEDGE_FEET = [
     (1.1, (0.8, 0.4), 0.6),                 # foot inside
     (1.1, (0.9, 0.0), 0.5),                 # foot on an edge line
     (1.1, (0.9, -0.05), 0.5),               # foot just outside, H > |l|
@@ -486,19 +488,28 @@ def mp_wedge(mpmath, e2, y, H2, powers):
     (1.1, (2.0, 1.0), 2.2e-8),              # H / |y0| = 1e-8, foot inside
     (1e-3, (1.0, 0.2), 0.3),                # phi near 0
     (math.pi - 1e-3, (0.4, -0.3), 0.2),     # phi near pi
-], ids=["inside", "on-edge-line", "just-outside", "behind-apex",
-        "behind-apex-on-edge-line", "far", "tiny-height-outside",
-        "tiny-height-inside", "phi-near-0", "phi-near-pi"])
+]
+WEDGE_FEET_IDS = ["inside", "on-edge-line", "just-outside", "behind-apex",
+                  "behind-apex-on-edge-line", "far", "tiny-height-outside",
+                  "tiny-height-inside", "phi-near-0", "phi-near-pi"]
+
+
+def wedge_row(phi, foot, H):
+    """With Q = I and unit columns e_2 and (0, cos phi, sin phi) the
+    quadrant is the wedge of opening phi in the plane x_1 = 0: its cone
+    matrix (1, 3, 2) and a row b (3,), eta whose foot is ``foot`` at
+    height H, split between the transverse b_1 and the eta mass."""
+    M = np.array([[[0.0, 0.0], [1.0, math.cos(phi)], [0.0, math.sin(phi)]]])
+    return M, np.array([0.6 * H, foot[0], foot[1]]), H * (0.48 + 0.64j)
+
+
+@pytest.mark.parametrize("phi, foot, H", WEDGE_FEET, ids=WEDGE_FEET_IDS)
 def test_wedge_matches_mpmath(phi, foot, H, mpmath):
-    # d = 2: with Q = I and unit columns e_2 and (0, cos phi, sin phi) the
-    # quadrant is the wedge of opening phi in the plane x_1 = 0, and
-    # d tau = dA / sin phi.  Values at p = 3..8 and, from the same call,
-    # at p + 2, against the wedge at both powers
+    # d = 2: the wedge of ``wedge_row``, where d tau = dA / sin phi.
+    # Values at p = 3..8 and, from the same call, at p + 2, against the
+    # wedge at both powers
     e2 = (math.cos(phi), math.sin(phi))
-    M = np.array([[[0.0, 0.0], [1.0, e2[0]], [0.0, e2[1]]]])
-    # the height splits between the transverse b_1 and the eta mass
-    b = np.array([0.6 * H, foot[0], foot[1]])
-    eta = H * (0.48 + 0.64j)
+    M, b, eta = wedge_row(phi, foot, H)
     W = mp_wedge(mpmath, e2, foot, mpmath.mpf(H) ** 2, range(3, 11))
     jac = 1 / mpmath.mpf(e2[1])
     for p in range(3, 9):
@@ -591,6 +602,56 @@ def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
             S = mpmath.quad(lambda t: mpmath.sin(t) ** (q - 2), [0, mpmath.mpf(phi)])
             assert got == pytest.approx(float(c ** (2 - q) / (q - 2) * S / sphi),
                                         rel=1e-12), (p, q)
+
+
+def test_closed_form_faces_match_their_own_family(monkeypatch):
+    # a closed-form call (d <= 2) with plus_two returns the raw values of
+    # each cone's faces at its power, column j the cone less column j: a
+    # wedge's are its edges' half-line integrals over their columns'
+    # Q-lengths, a line's its apex value.  Each must read what the face's
+    # own call gives within 1e-14 relative, a bound written before the
+    # first run: neither side cancels.  Held for every (kernel, column)
+    # through up on the kernels and faces of forms at N = 2, 3 and 4, at p
+    # and p + 2, and on the wedge tests' edge cases: feet on an edge's
+    # line, rows behind the apex on an edge line at zero height (a line's
+    # too), and feet just outside beside an edge, whose far edge the
+    # far-edge rule takes
+    rule, ruled = quadrature._edge_rule, []
+    monkeypatch.setattr(quadrature, "_edge_rule",
+                        lambda theta, *a: ruled.append(theta.size) or rule(theta, *a))
+
+    def check(Q, b, eta, M, power):
+        res = power_kernel_integral(Q, 1.0, b, eta, M, power, QuadratureSpec(), plus_two=True)
+        assert res.faces.shape == (len(M), M.shape[2], len(b))
+        for j in range(M.shape[2]):
+            face = power_kernel_integral(Q, 1.0, b, eta, np.delete(M, j, axis=2), power,
+                                         QuadratureSpec())
+            np.testing.assert_allclose(res.faces[:, j], face.value, rtol=1e-14, atol=0)
+
+    for N in (2, 3, 4):
+        rng = np.random.default_rng(4300 + N)
+        A = checks.random_spd(rng, N)
+        mu, eta = batch_of_rows([coordinate_row(checks.off_locus_point(rng, A))
+                                 for _ in range(6)])
+        levels = kernels._levels(A)
+        for (fam, _, _, up), (faces, *_) in zip(levels, levels[1:]):
+            for q in (fam.power, fam.power + 2) if fam.M.shape[2] <= 2 else ():
+                res = kernels._engine_batch(replace(fam, power=q), mu, eta, checks.QUAD, True)
+                want = kernels._engine_batch(replace(faces, power=q), mu, eta, checks.QUAD)
+                np.testing.assert_allclose(res.faces, want.value[up], rtol=1e-14, atol=0)
+    for p in range(3, 9):
+        for phi, foot, H in WEDGE_FEET:
+            M, b, eta = wedge_row(phi, foot, H)
+            check(np.eye(3), b[None], np.array([eta]), M, p)
+        for phi in (0.5 * math.pi, 2.0, 0.4, 3.0):
+            M = np.array([[[1.0, math.cos(phi)], [0.0, math.sin(phi)]]])
+            check(np.eye(2), np.array([[-1.3, 0.0]]), np.zeros(1), M, p)
+        check(np.diag([1.4, 0.8]), np.array([[1.0, 2.0], [0.0, -1.5]]), np.zeros(2),
+              np.array([[[0.0], [1.0]]]), p)
+        for t in (1e-3, 1e-2, 0.1):
+            M, b, eta = wedge_row(1.1, (1.0, -t), t)
+            check(np.eye(3), b[None], np.array([eta]), M, p)
+    assert ruled
 
 
 def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
