@@ -72,12 +72,10 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
     hessW = (w[:, None, None, None] * hess[..., :N, :N]).sum(axis=0)
     v_eta = (outers[:, None] * (hess[..., N, N] + hess[..., N + 1, N + 1])[..., None]
              ).sum(axis=0).reshape(B, N, N)
-    res, scale = np.empty((2, B)), np.empty((2, B))
-    res[0] = np.abs(dV - np.swapaxes(dV, 2, 3)).max(axis=(1, 2, 3))
-    scale[0] = np.maximum(np.abs(dV).max(axis=(1, 2, 3)), 1e-300)
-    res[1] = np.abs(hessW + v_eta).max(axis=(1, 2))
-    scale[1] = np.maximum(np.abs(hessW).max(axis=(1, 2)),
-                          np.abs(v_eta).max(axis=(1, 2)))
+    res = np.array([np.abs(dV - np.swapaxes(dV, 2, 3)).max(axis=(1, 2, 3)),
+                    np.abs(hessW + v_eta).max(axis=(1, 2))])
+    scale = np.array([np.maximum(np.abs(dV).max(axis=(1, 2, 3)), 1e-300),
+                      np.maximum(np.abs(hessW).max(axis=(1, 2)), np.abs(v_eta).max(axis=(1, 2)))])
     return res, scale, grad
 
 

@@ -120,9 +120,10 @@ def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
                        int(live[exc.row]), exc.what)
         exc.args = (f"gamma_{labels[k // n]} on {members}: {exc}",)
         raise exc from None
-    total = (fam.prefactor * raw.value).reshape(L, n, -1).sum(axis=1)
-    err = (fam.prefactor * raw.error).reshape(L, n, -1).sum(axis=1)
-    value, error = red.s * total * np.conj(eta_G), red.s * err * size
+    value = red.s * (fam.prefactor * raw.value).reshape(L, n, -1).sum(axis=1) * np.conj(eta_G)
+    # a closed form (d <= 2) errs by 0; only a sweep's errors are summed
+    error = (red.s * (fam.prefactor * raw.error).reshape(L, n, -1).sum(axis=1) * size
+             if fam.M.shape[2] > 2 else np.zeros(value.shape))
     if whole:
         return KernelValue(value, error, raw.evals)
     out = KernelValue(np.zeros((L, B), dtype=complex), np.zeros((L, B)), raw.evals)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -224,17 +224,23 @@ def _faces(A: QuadForm, labels: tuple[int, int] | None, i: int, res: QuadResult,
     return low.value[level[3]], low.evals
 
 
-def _gradient(level: tuple, q: int, x: np.ndarray, faces: np.ndarray | None,
+def _gradient(level: tuple, q: int, Sx: np.ndarray, faces: np.ndarray | None,
               plus: np.ndarray) -> np.ndarray:
-    """grad V_q = R V^F_q - q S x V_(q+2) of a level's cones at the rows
-    x (B, N + 2), from faces (K, d, B), ``_faces`` at q, and plus (K, B),
-    the cones' own values at q + 2; each sum runs over a last axis, in one
-    order, so a row reads as it does alone."""
-    _, R, S, _ = level
-    grad = (S[:, None] * x[:, None]).sum(axis=-1) * (-q * plus)[..., None]
+    """grad V_q = R V^F_q - q S x V_(q+2) of a level's cones, from Sx (``_sx``),
+    faces (K, d, B) at q (``_faces``) and plus (K, B), the cones' values at
+    q + 2; each sum runs over a last axis in one order: a row reads as alone."""
+    R = level[1]
+    grad = Sx * (-q * plus)[..., None]
     if R.shape[2]:
         grad += (R[:, None] * faces.swapaxes(1, 2)[:, :, None]).sum(axis=-1)
     return grad
+
+
+def _sx(levels: list, mu: np.ndarray, eta: np.ndarray) -> list[np.ndarray]:
+    """S x (K, B, N + 2) of each level at the rows x = (mu, Re eta, Im eta)."""
+    x = np.empty((len(mu), mu.shape[1] + 2))
+    x[:, :-2], x[:, -2], x[:, -1] = mu, eta.real, eta.imag
+    return [(level[2][:, None] * x[:, None]).sum(axis=-1) for level in levels]
 
 
 def _one_row(spec: KernelSpec, quad: QuadratureSpec, p: BasePoint,
@@ -297,8 +303,7 @@ def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     fam, c = kern[0], kern[0].prefactor
     raw = _engine_batch(fam, mu, eta, quad, True)
     faces, evals = _faces(A, labels, 0, raw, mu, eta, quad)
-    grad = c * _gradient(kern, fam.power, np.column_stack([mu, eta.real, eta.imag]), faces,
-                         raw.plus_two)
+    grad = c * _gradient(kern, fam.power, _sx([kern], mu, eta)[0], faces, raw.plus_two)
     return fam.labels, KernelValue(c * raw.value, c * raw.error, raw.evals + evals, grad)
 
 
@@ -325,22 +330,21 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     labels = None if labels is None else _pair(labels, A.n)
     kern, *below = _chain(A, labels, 2)
     fam, c, p = kern[0], kern[0].prefactor, kern[0].power
-    x = np.column_stack([mu, eta.real, eta.imag])
-    plus = _engine_batch(replace(fam, power=p + 2), mu, eta, quad, True)
+    Sx, *SxF = _sx([kern, *below], mu, eta)
+    plus = _engine_batch(_Family(**{**vars(fam), "power": p + 2}), mu, eta, quad, True)
     _, R, S, up = kern
     F0 = F2 = dF = None
     if below:
         faces = _engine_batch(below[0][0], mu, eta, quad, True)
         F0, F2 = faces.value[up], faces.plus_two[up]
-        dF = _gradient(below[0], p, x, _faces(A, labels, 1, faces, mu, eta, quad)[0],
+        dF = _gradient(below[0], p, SxF[0], _faces(A, labels, 1, faces, mu, eta, quad)[0],
                        faces.plus_two)
-    grad2 = _gradient(kern, p + 2, x, F2, plus.plus_two)
-    Sx = (S[:, None] * x[:, None]).sum(axis=-1)
+    grad2 = _gradient(kern, p + 2, Sx, F2, plus.plus_two)
     hess = -p * (S[:, None] * plus.value[..., None, None] + Sx[..., None] * grad2[..., None, :])
     if up.shape[1]:
         # kernel k less column j is face up[k, j]
         hess += (R[:, None, :, None] * dF[up].transpose(0, 2, 3, 1)[:, :, None]).sum(axis=-1)
-    return fam.labels, c * _gradient(kern, p, x, F0, plus.value), c * hess
+    return fam.labels, c * _gradient(kern, p, Sx, F0, plus.value), c * hess
 
 
 def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,

@@ -105,6 +105,10 @@ from itertools import combinations
 
 import numpy as np
 
+from .geometry import _finite
+
+_einsum = np.einsum.__wrapped__   # np.einsum less its dispatch, about a small contraction's cost
+
 __all__ = [
     "QuadratureSpec",
     "QuadResult",
@@ -383,7 +387,7 @@ def _sine_power_sums(x: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
     s = sin(phi0) <= 1/2: expanding (1 - s^2)^(-1/2) in
     S_k = integral_0^s s'^k (1 - s'^2)^(-1/2) ds'.  Every term is positive;
     one power table and one product sum them."""
-    return np.einsum("nj,jk->kn", x[:, None] ** _SERIES_J, _series_coef(ks))
+    return _einsum("nj,jk->kn", x[:, None] ** _SERIES_J, _series_coef(ks))
 
 
 def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
@@ -413,9 +417,8 @@ def half_line_integrals(a: float, beta: np.ndarray, h: np.ndarray,
     S = {k: S_k}
     while k < kmax:
         k += 2
-        S_k = ((k - 1) * S_k - s_pow * c) / k
-        s_pow = s_pow * x
-        S[k] = S_k
+        S[k] = S_k = ((k - 1) * S_k - s_pow * c) / k
+        s_pow = s_pow * x if k < kmax else None
     # h = 0 on the sheet gives inf, which power_kernel_integral refuses
     scale = h ** (0.5 * (1 - qs[0])) / np.sqrt(a)
     out = [S[qs[0] - 2] * scale]
@@ -457,10 +460,9 @@ class _Line(_Stack):
     L: np.ndarray         # (K, m, m)
 
     @classmethod
-    def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Line":
-        Ct = np.linalg.cholesky(Q).T      # upper: Q = Ct^T Ct, once for all K
+    def build(cls, Ct: np.ndarray, M: np.ndarray) -> "_Line":
         Cm = (Ct @ M)[..., 0]
-        r11 = np.sqrt(np.einsum("km,km->k", Cm, Cm))[:, None]
+        r11 = np.sqrt(_einsum("km,km->k", Cm, Cm))[:, None]
         u = Cm / r11
         P = u @ Ct
         return cls(r11 * r11, r11 * P, Ct - u[:, :, None] * P[:, None, :])
@@ -470,9 +472,9 @@ class _Line(_Stack):
         """Values (K, B) at the power, and with ``plus_two`` at power + 2,
         squared sheet distances r*^2 (K, B) at the rows b (B, m), and with
         ``plus_two`` the faces (K, 1, B): each line's apex value at the power."""
-        beta = np.einsum("km,bm->kb", self.Qm, b)
-        Z = np.einsum("kij,bj->kbi", self.L, b)
-        h = np.einsum("kbj,kbj->kb", Z, Z) + E
+        beta = _einsum("km,bm->kb", self.Qm, b)
+        Z = _einsum("kij,bj->kbi", self.L, b)
+        h = _einsum("kbj,kbj->kb", Z, Z) + E
         # the sheet distance: to the line where the foot t = beta / a >= 0,
         # else to the apex, gamma = h + beta^2 / a
         r2 = h + np.minimum(beta, 0.0) ** 2 / self.a
@@ -505,11 +507,11 @@ def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
     """(s0, l) (2, 2, ...) of the foot y (2, ...) per edge of the wedge
     between e1 = (1, 0) and e2 (axis 1): its position along the edge and
     its signed distance to the edge's line, positive on the wedge's side."""
-    cphi, sphi = e2
+    (cphi, sphi), (y0, y1) = e2, y
     edges = np.empty((2,) + y.shape)
     edges[:, 0] = y
-    np.add(cphi * y[0], sphi * y[1], out=edges[0, 1])
-    np.subtract(sphi * y[0], cphi * y[1], out=edges[1, 1])
+    np.add(cphi * y0, sphi * y1, out=edges[0, 1])
+    np.subtract(sphi * y0, cphi * y1, out=edges[1, 1])
     return edges
 
 
@@ -528,11 +530,9 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
     (H2 = 0 in the wedge) reads inf, so callers evaluate it under
     np.errstate(divide="ignore", invalid="ignore").
 
-    Every edge takes ``_edge_ahat``.  An edge outside takes the complement
-    H^-n (Theta - ahat_n), unless the last n's complement cancels,
-    Theta - ahat_n < _EDGE_CANCEL Theta (2^-4, from the budget of 1e-14
-    relative per edge term), and the poles are far: there ``_edge_rule``
-    overwrites its terms.
+    Every edge takes ``_edge_ahat``; an edge outside takes the complement
+    H^-n (Theta - ahat_n), or ``_edge_rule``'s terms where the far-edge gate
+    above sends it.
     """
     ns = (power - 2, power) if plus_two else (power - 2,)
     n_in = np.count_nonzero(inside)
@@ -545,9 +545,10 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
     ahat, J = _edge_ahat(s0, al, H, H2_edge, ns)
     if n_in < inside.size:
         theta = np.arctan2(al, -s0)       # the angle edge k subtends at y
+        gap = [theta - a for a in ahat]
         # outside the wedge: the Gauss rule where the last complement
         # cancels (never on an edge's line, l = 0) and the poles are far
-        rule = ~inside & (theta - ahat[-1] < _EDGE_CANCEL * theta)
+        rule = (gap[-1] < _EDGE_CANCEL * theta) & (~inside if n_in else True)
         n_rule = np.count_nonzero(rule)
         if n_rule:
             rule &= al >= H * np.sinh(_EDGE_POLE * theta)
@@ -556,19 +557,19 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
             gauss = _edge_rule(theta[rule], al[rule], H2_edge[rule], ns)
         # a foot in the plane on an edge's line adds 0
         on_line = ell == 0.0 if np.count_nonzero(H) < H.size else None
-        sign0, sign1 = -np.sign(ell)
+        sign = -np.sign(ell)
     out = []
     for j, n in enumerate(ns):
         Hn = H ** -n
         if n_in:
             inner = Hn[0] * (phi + ahat[j][0] + ahat[j][1])
         if n_in < inside.size:
-            edge = Hn * (theta - ahat[j])
+            edge = Hn * gap[j]
             if n_rule:
                 edge[rule] = gauss[j]
             if on_line is not None:
                 edge[on_line] = 0.0
-            outer = sign0 * edge[0] + sign1 * edge[1]
+            outer = np.add.reduce(sign * edge)
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
         out.append(value / n if n > 1 else value)
@@ -584,32 +585,29 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
     ahat_(n+2) = ahat_n + |l| H^n J_(n+2), from ahat_0 = 0 or
     ahat_1 = 2 atan(r (1 - tau) / (1 + r^2 tau)), r = |l| / (c + H),
     tau = -s0 / (c + w), w^2 = c^2 + s0^2 (the half-angle substitution),
-    J_q the half-line integral along the edge.  The first step's J is
-    formed here, J_2 = psi / c with psi = atan2(c, -s0) or
-    J_3 = (1 - cos psi) / c^2 = 1 / (w (w - s0)); later ones come from
-    ``half_line_integrals``.  Returns the ahat_n and every J_q formed,
-    the last J_(max ns) where max ns > 1.
+    J_q the half-line integral along the edge.  J_3 = (1 - cos psi) / c^2
+    = 1 / (w (w - s0)), psi = atan2(c, -s0), is formed here, and so is
+    J_2 = psi / c where no J follows; else ``half_line_integrals`` gives J_2
+    on, forming psi once.  Returns the ahat_n and every J_q formed, ascending.
     """
     c2 = H2 + al * al
-    c = np.sqrt(c2)
-    n = ns[0] % 2
-    if n:
-        w = np.sqrt(c2 + s0 * s0)
+    if ns[0] % 2:
+        c, w = np.sqrt(c2), np.sqrt(c2 + s0 * s0)
         # 1 / (w - s0) = (w + s0) / c^2 without cancellation
         inv = np.where(s0 < 0.0, 1.0 / (w - s0), (w + s0) / c2)
         r = al / (c + H)
-        ahat = [2.0 * np.arctan(r * (c + c2 * inv) / (c + w - r * r * s0))]
+        ahat, Hn = [2.0 * np.arctan(r * (c + c2 * inv) / (c + w - r * r * s0))], H
+        J = [inv / w] if ns[-1] > 1 else []
+        if ns[-1] > 3:
+            J += half_line_integrals(1.0, s0, c2, tuple(range(5, ns[-1] + 1, 2)))
+        steps = J
     else:
-        ahat = [np.zeros_like(c)]
-    J = []
-    if ns[-1] > n:
-        J.append(inv / w if n else np.arctan2(c, -s0) / c)
-        if ns[-1] > n + 2:
-            J += half_line_integrals(1.0, s0, c2, tuple(range(n + 4, ns[-1] + 1, 2)))
-    Hn = H if n else 1.0
-    for J_q in J:
+        J = ([np.arctan2(c := np.sqrt(c2), -s0) / c] if ns[-1] == 2 else
+             half_line_integrals(1.0, s0, c2, tuple(range(2, ns[-1] + 1, 2))))
+        ahat, Hn, steps = [al * J[0]], H2, J[1:]     # ahat_2 from ahat_0 = 0
+    for i, J_q in enumerate(steps):
+        Hn = Hn * H2 if i else Hn
         ahat.append(ahat[-1] + al * Hn * J_q)
-        Hn = Hn * H2
     return ahat[-len(ns):], J
 
 
@@ -626,7 +624,7 @@ def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
     F[0] = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
     if len(ns) > 1:
         np.multiply(F[0], root2, out=F[1])
-    return list(theta * np.einsum("...n,n->...", F, _EDGE_WEIGHTS))
+    return theta * _einsum("...n,n->...", F, _EDGE_WEIGHTS)
 
 
 @dataclass
@@ -654,20 +652,19 @@ class _Wedge(_Stack):
     Lz: np.ndarray        # (K, m, d-2), read by the sweep alone
 
     @classmethod
-    def build(cls, Q: np.ndarray, M: np.ndarray) -> "_Wedge":
-        Ct = np.linalg.cholesky(Q).T      # upper: Q = Ct^T Ct, once for all K
+    def build(cls, Ct: np.ndarray, M: np.ndarray) -> "_Wedge":
         CM = Ct @ M
         (K, m, d), m1, m2 = M.shape, CM[..., -2], CM[..., -1]
         # Gram-Schmidt, reorthogonalized once: r22, the part of m2 across
         # m1, keeps its relative accuracy for any angle between them
-        r11 = np.sqrt(np.einsum("km,km->k", m1, m1))
+        r11 = np.sqrt(_einsum("km,km->k", m1, m1))
         u1 = m1 / r11[:, None]
-        r12 = np.einsum("km,km->k", u1, m2)
+        r12 = _einsum("km,km->k", u1, m2)
         v = m2 - r12[:, None] * u1
-        fix = np.einsum("km,km->k", u1, v)
+        fix = _einsum("km,km->k", u1, v)
         v -= fix[:, None] * u1
         r12 += fix
-        r22 = np.sqrt(np.einsum("km,km->k", v, v))
+        r22 = np.sqrt(_einsum("km,km->k", v, v))
         U = np.empty((K, 2, m))
         U[:, 0] = u1
         np.divide(v, r22[:, None], out=U[:, 1])
@@ -682,26 +679,29 @@ class _Wedge(_Stack):
         norm = np.hypot(r12, r22)[:, None]
         cphi, sphi = r12[:, None] / norm, r22[:, None] / norm
         return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None],
-                   1.0 / np.stack([norm[:, 0], r11], axis=1)[..., None], P, L, Py, Lz)
+                   1.0 / np.concatenate([norm, r11[:, None]], axis=1)[..., None], P, L, Py, Lz)
 
     def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
         """The whole integral at d = 2 for every kernel of the stack and
         every row b (B, m) in one closed form: values (K, B) at the power,
-        and with ``plus_two`` at power + 2, squared sheet distances
-        r*^2 (K, B), and with ``plus_two`` the faces (K, 2, B) at the power,
-        each edge's half-line integral over its column's Q-length."""
-        # the foot component-major (2, K, B), the transverse part (K, B, m')
-        y = np.einsum("kcm,bm->ckb", self.P, b)
-        z = np.einsum("kim,bm->kbi", self.L, b)
-        H2 = np.einsum("kbi,kbi->kb", z, z) + E
+        and with ``plus_two`` at power + 2, squared sheet distances r*^2
+        (K, B), or E (B,) at m = 2 when every foot lies in its wedge, and
+        with ``plus_two`` the faces (K, 2, B) at the power, each edge's
+        half-line integral over its column's Q-length."""
+        # the foot component-major (2, K, B), the transverse part (K, B, m'), none at m = 2
+        y = _einsum("kcm,bm->ckb", self.P, b)
+        z = _einsum("kim,bm->kbi", self.L, b) if self.L.shape[1] else None
+        H2 = E if z is None else _einsum("kbi,kbi->kb", z, z) + E
         s0, ell = _edges((self.cphi, self.sphi), y)
         inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
         W = wedge_integrals(self.phi, s0, ell, inside, H2, power, plus_two)
         # the sheet distance: the height over a foot in the wedge, else over
         # the nearer edge ray, along it (s0 >= 0) or at the apex
-        ray2 = ell * ell + np.minimum(s0, 0.0) ** 2
-        r2 = H2 + np.where(inside, 0.0, np.minimum(ray2[0], ray2[1]))
+        r2, n_in = H2, np.count_nonzero(inside)
+        if n_in < inside.size:
+            near = np.minimum.reduce(ell * ell + np.minimum(s0, 0.0) ** 2)
+            r2 = H2 + (np.where(inside, 0.0, near) if n_in else near)
         faces = W.pop()[::-1].swapaxes(0, 1) * self.inv_len if plus_two else None
         return [w * self.jac for w in W], r2, faces
 
@@ -712,7 +712,7 @@ def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
     ``_Wedge``; a caller that keeps it for ``power_kernel_integral``
     builds it once per form."""
     d = M.shape[-1]
-    return None if d == 0 else _Line.build(Q, M) if d == 1 else _Wedge.build(Q, M)
+    return None if d == 0 else (_Line if d == 1 else _Wedge).build(np.linalg.cholesky(Q).T, M)
 
 
 def _swept_breaks(wedge: _Wedge, y0: np.ndarray, z: np.ndarray, E0: float,
@@ -790,7 +790,7 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
         # component-major (k, B, n): long inner loops for numpy
         y0 = y[:, :, None] - (wedge.Py @ tau)[:, None, :]
         Z = z[:, :, None] - (wedge.Lz @ tau)[:, None, :]
-        H2 = np.einsum("kbn,kbn->bn", Z, Z) + E[:, None]
+        H2 = _einsum("kbn,kbn->bn", Z, Z) + E[:, None]
         s0, ell = _edges(e2, y0)
         with np.errstate(divide="ignore", invalid="ignore"):
             W = wedge_integrals(wedge.phi, s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0), H2,
@@ -881,16 +881,15 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         return QuadResult(empty, empty, empty if plus_two else None,
                           np.zeros((K, d, 0)) if plus_two and d <= 2 else None, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
-    sq = eta.view(float).reshape(B, 2) ** 2
-    E = c_eta * (sq[:, 0] + sq[:, 1])
+    E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
     if frame is None:
         frame = cone_frame(Q, M)
     if d <= 2:
         # every (kernel, row) pair is a closed form; one on the sheet reads inf
         with np.errstate(divide="ignore", invalid="ignore"):
             if d == 0:
-                bQ = np.einsum("bm,mk->bk", b, Q)
-                r2 = np.einsum("bk,bk->b", bQ, b) + E
+                bQ = _einsum("bm,mk->bk", b, Q)
+                r2 = _einsum("bk,bk->b", bQ, b) + E
                 vals = [np.repeat(r2[None] ** (-0.5 * power - j), K, axis=0)
                         for j in range(1 + plus_two)]
                 faces = np.empty((K, 0, B)) if plus_two else None
@@ -899,14 +898,12 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         val = vals[0]
         r = r_star = math.sqrt(float(r2.min()))
         if r >= floor and r > 0.0:
-            finite = np.isfinite(val)
-            if faces is not None:
-                finite &= np.isfinite(faces).all(axis=1)
-            if np.count_nonzero(finite) == val.size:
+            if _finite(val) and (faces is None or _finite(faces)):
                 return QuadResult(val, np.zeros((K, B)), vals[1] if plus_two else None, faces,
                                   K * B, True, r_star)
             # off the sheet every closed form and face is finite; should one
             # not be, the first such pair is refused by name
+            finite = np.isfinite(val) & (True if faces is None else np.isfinite(faces).all(axis=1))
             row, k = divmod(int(np.argmax(~finite.T)), K)
             what = "face" if np.isfinite(val[k, row]) else "value"
             raise SingularityProximity(f"row {row} gives a {what} that is not finite", k, row)

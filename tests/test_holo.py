@@ -259,6 +259,24 @@ def test_stacked_gammas_match_one_label_calls(N, I):
         assert stacked.error.max() > 0.0
 
 
+def test_gamma_errors_are_summed_only_where_swept():
+    # closed-form gammas (two slots: d = 2) err by exactly 0 and sum no
+    # errors; three-slot gammas (d = 3) sum the sweep's two-order errors,
+    # pinned as they read
+    rng = np.random.default_rng(44)
+    A2 = random_spd(rng, 2)
+    pts = [random_point(rng, 2) for _ in range(3)]
+    two = gamma_family(GammaSpec(A2, IndexSet((0, 1, 2)), QUAD), (0, 1, 2),
+                       np.stack([p.mu for p in pts]), np.array([p.eta for p in pts]))
+    assert two.error.tobytes() == np.zeros((3, 3)).tobytes()
+    A3 = random_spd(rng, 3)
+    pts = [random_point(rng, 3) for _ in range(2)]
+    three = gamma_family(GammaSpec(A3, IndexSet((0, 1, 2, 3)), QUAD), (0, 2),
+                         np.stack([p.mu for p in pts]), np.array([p.eta for p in pts]))
+    assert three.error.tolist() == [[1.2455475699835502e-14, 1.001610565219846e-14],
+                                    [1.8839495730242767e-14, 4.630727489430708e-15]]
+
+
 @pytest.mark.parametrize("N, I", [(2, (0, 1)), (2, (0, 1, 2)), (3, (0, 1, 2, 3))],
                          ids=["n2-one-slot", "n2-two-slots", "n3-all"])
 def test_gamma_sum_check_makes_one_engine_call(monkeypatch, N, I):

@@ -837,7 +837,9 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
     # one order, where a BLAS product picks its kernel, and so its
     # rounding, by the batch's shape.  A gamma batch with rows at eta = 0
     # mixed in keeps the others' bits, and reads exactly 0 there.  A batch
-    # of no rows has empty faces, and its gradients make no second call
+    # of no rows has empty faces, and its gradients make no second call.
+    # One-kernel calls (alpha_family with the gradient, alpha_hessian, and
+    # alpha_grad at one point) read each row as their batch call does
     calls = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
@@ -875,6 +877,19 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
                 assert gam[:, row].tobytes() == alone.tobytes()
                 want = np.zeros_like(alone) if eta_mixed[b] == 0 else alone
                 assert mix[:, row].tobytes() == want.tobytes()
+        for ij in kernels._layout(N, 2)[0] if seed < 4 else ():
+            _, kv = alpha_family(A, QUAD, mu, eta, True, ij)
+            _, grad, hess = alpha_hessian(A, QUAD, mu, eta, ij)
+            for b in range(5):
+                row = slice(b, b + 1)
+                _, one = alpha_family(A, QUAD, mu[row], eta[row], True, ij)
+                _, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row], ij)
+                kg = alpha_grad(KernelSpec(A, ij), QUAD, BasePoint(mu[b], eta[b]))
+                for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
+                             (hess, h1)):
+                    assert x[:, row].tobytes() == y.tobytes()
+                assert (kg.value, kg.gradient.tobytes()) == (kv.value[0, b],
+                                                             kv.gradient[0, b].tobytes())
 
 
 def test_harmonicity_of_kernel_n2():
