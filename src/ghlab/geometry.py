@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "QuadForm",
@@ -71,15 +72,16 @@ class QuadForm:
         if np.abs(M - M.T).max() > 1e-14 * max(1.0, scale):
             raise ValueError("matrix is not symmetric to 1e-14")
         M = 0.5 * (M + M.T)
-        w = np.linalg.eigvalsh(M)
-        if w[0] <= 1e-12 * w[-1] or w[0] <= 0.0:
+        # LAPACK's eigenvalues and determinant less np.linalg's checks of this checked
+        # matrix, which cost more than a 3 x 3 form's LAPACK work; not > rejects a nan
+        w = _umath_linalg.eigvalsh_lo(M, signature="d->d").tolist()
+        if not (w[0] > 1e-12 * w[-1] and w[0] > 0.0):
             raise ValueError("matrix is not positive definite")
         M.setflags(write=False)
         self.entries = M
         self.n = M.shape[0]
-        self.lambda_min = float(w[0])
-        self.lambda_max = float(w[-1])
-        self.det = float(np.linalg.det(M))
+        self.lambda_min, self.lambda_max = w[0], w[-1]
+        self.det = float(_umath_linalg.det(M, signature="d->d"))
         self._inv: np.ndarray | None = None
         self._derived: dict = {}
 

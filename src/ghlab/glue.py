@@ -67,10 +67,10 @@ def cutoff(x):
     in one Gauss pass, so quadrature noise can never take it out of [0, 1].
     """
     s = np.abs(np.asarray(x, dtype=float))
-    out = np.where(s <= _INNER, 1.0, 0.0)
-    mid = (s > _INNER) & (s < _OUTER)
-    if np.any(mid):
-        v = s[mid]
+    core, mid = s <= _INNER, s < _OUTER
+    mid ^= core   # the open ramp (3/8, 1/2)
+    out, v = np.array(core, dtype=float), s[mid]
+    if v.size:
         low = v < 0.5 * (_INNER + _OUTER)
         part = _bump_integral(np.where(low, _INNER, v), np.where(low, v, _OUTER)) / _NORM
         out[mid] = np.clip(np.where(low, 1.0 - part, part), 0.0, 1.0)
@@ -107,12 +107,13 @@ def _glue(A: QuadForm, I: IndexSet, consts: RegionConstants,
     at = _pass(A, mu, eta)
     i = at.table.row[I.members]
     hull, (_, rho) = at.d[:, i, None], _rho(A, at, i)
-    # a vanishing rho puts the hull itself at 0 and any other point at inf
-    live = rho > 1e-300
-    x = np.where(live, consts.c0 * hull / np.where(live, rho, 1.0),
-                 np.where(hull > 1e-300, math.inf, 0.0))
-    d, b = at.closed[:, i], at.boundary[:, i]
-    return np.multiply.reduce(cutoff(x), axis=1), (consts.c0 * d < b) & (b > consts.cprime())
+    # c0 hull / rho; a vanishing rho puts the hull itself at 0 and any other point at inf
+    live, c0_hull = rho > 1e-300, consts.c0 * hull
+    x = c0_hull / rho if live.all() else np.divide(
+        c0_hull, rho, where=live, out=np.where(hull > 1e-300, math.inf, np.zeros_like(rho)))
+    # c0 d < b and cprime < b, d and b the closed-stratum and boundary distances
+    in_domain = np.maximum(consts.c0 * at.closed[:, i], consts.cprime()) < at.boundary[:, i]
+    return np.multiply.reduce(cutoff(x), axis=1), in_domain
 
 
 def glue_weight(A: QuadForm, I: IndexSet, consts: RegionConstants,

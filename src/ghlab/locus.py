@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from types import SimpleNamespace
 from typing import ClassVar, NamedTuple
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .geometry import BasePoint, IndexSet, QuadForm, _row, block, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
+from .quadrature import _einsum
 
 __all__ = [
     "Projection",
@@ -107,21 +108,26 @@ def _swap_labels(N: int, I: IndexSet) -> tuple[IndexSet, np.ndarray]:
 def _layout(N: int) -> SimpleNamespace:
     """The read-only rows of every stratum table on N; no form changes them.
 
-    Row j is the subset strata[j] (an object array), with swap S[j] (S is
-    (R, N, N)) and, in the swapped frame, transverse labels comp[j]; rows
-    of size s start at size_off[s - 2].  Indexing a raveled stack (R, N,
-    N) with gather reorders each row's labels as its active ones, then its
-    transverse ones, so all rows of one subset size share one block
-    layout.  C stacks the rows' selections of S mu on the active labels
-    (row j's at act_off[j]:act_off[j + 1]), then on the transverse ones
-    (at sum A + comp_off[j]), then a zero row for a pad, then the active
-    ones again, one per nonzero entry of the block-diagonal P (sum c x
-    sum A) and G (sum A x sum A), row-major and P first: each row's
-    raveled P block, then each G block, with each row of P and G starting
-    at pg_off.  proper[k, j] is 0 if strata[j] strictly contains strata[k], else +inf.
+    Row j is the subset strata[j] (an object array; inner, a tuple, has
+    all but the last, the full label set), with swap S[j] (S is (R, N, N))
+    and, in the swapped frame, transverse labels comp[j]; rows of size s
+    start at size_cut[s - 2], and sizes holds each size with a transverse
+    label as (first row, end row, active count).  Indexing a raveled stack
+    (R, N, N) with gather reorders each row's labels as its active ones,
+    then its transverse ones, so all rows of one subset size share one
+    block layout.  C stacks the rows' selections of S mu on the active
+    labels (n_a, row j's from act_cut[j]), then on the transverse ones
+    (n_c, row j's at nu_at[j] of them), then a zero row for a pad, then the
+    active ones again, one per nonzero entry of the block-diagonal P
+    (sum c x sum A) and G (sum A x sum A), row-major and P first: each
+    row's raveled P block, then each G block, with each row of P and G
+    starting at pg_off.  proper[k, j, 0] is 0 if strata[j] strictly
+    contains strata[k], else +inf.  n_a, n_c, sizes and nu_at hold Python
+    ints, so no call indexes with a numpy scalar.
     """
     L = SimpleNamespace(strata=np.fromiter(all_strata(N), dtype=object))
     L.row = {J.members: j for j, J in enumerate(L.strata)}
+    L.inner = tuple(L.strata[:-1])
     L.size = np.array([len(J) for J in L.strata])
     frames = [_swap_labels(N, J) for J in L.strata]
     L.comp = [J2.active_complement(N) for J2, _ in frames]
@@ -130,19 +136,23 @@ def _layout(N: int) -> SimpleNamespace:
                       for (J2, _), comp in zip(frames, L.comp)], dtype=np.intp)
     flat = N * np.arange(len(L.strata))[:, None] + order   # rows of the raveled stack
     L.gather = N * flat[:, :, None] + order[:, None, :]
-    L.size_off = np.searchsorted(L.size, np.arange(2, N + 3))
-    L.act_off = np.concatenate([[0], np.cumsum(L.size - 1)])
-    L.comp_off = np.concatenate([[0], np.cumsum(N + 1 - L.size)])
+    size_off = np.searchsorted(L.size, np.arange(2, N + 3))
+    L.size_cut, r = size_off[:-1], size_off.tolist()
+    L.sizes = tuple((r[s], r[s + 1], s + 1) for s in range(N - 1))   # sizes 2 to N
+    act_off, comp_off = (np.concatenate([[0], np.cumsum(n)]) for n in (L.size - 1, N + 1 - L.size))
+    L.act_cut, L.comp_cut = act_off[:-1], comp_off[:-1]
+    L.nu_at = tuple(map(slice, comp_off[:-1].tolist(), comp_off[1:].tolist()))
     # the row owning each active and each transverse position
     ja, jc = (np.repeat(np.arange(len(L.size)), n) for n in (L.size - 1, N + 1 - L.size))
+    L.n_a, L.n_c = len(ja), len(jc)
     pg_row, pg_col = np.nonzero(np.concatenate([jc[:, None] == ja, ja[:, None] == ja]))
     L.pg_off = np.flatnonzero(np.diff(pg_row, prepend=-1))
     S_rows = L.S.reshape(-1, N)[flat]
     active = np.arange(N) < L.size[:, None] - 1
     L.C = np.concatenate([S_rows[active], S_rows[~active], np.zeros((1, N)),
                           S_rows[active][pg_col]])
-    bits = np.array([sum(1 << m for m in J) for J in L.strata])
-    L.proper = np.where((bits[:, None] | bits == bits) & (bits[:, None] < bits), 0.0, np.inf)
+    b = np.array([sum(1 << m for m in J) for J in L.strata])   # each subset's label bits
+    L.proper = np.where((b[:, None] | b == b) & (b[:, None] < b), 0.0, np.inf)[..., None]
     for a in vars(L).values():
         if isinstance(a, np.ndarray):
             a.flags.writeable = False
@@ -157,22 +167,21 @@ def _table(A: QuadForm) -> SimpleNamespace:
 
     The M_J are one stacked matmul, symmetrized and gathered active-first;
     each subset size's slice of them makes one ``schur_blocks`` call but the
-    full label set's, whose row has no transverse labels: its G is its M.
+    full label set's, whose row has no transverse labels: its G is its M,
+    symmetric already.
     """
     T = SimpleNamespace(**vars(_layout(A.n)))
     M = T.S.swapaxes(-1, -2) @ A.entries @ T.S
     T.M = M = (0.5 * (M + M.swapaxes(-1, -2))).reshape(-1)[T.gather]
-    PG = [schur_blocks(M[r0:r1], T.size[r0] - 1)
-          for r0, r1 in zip(T.size_off[:-2], T.size_off[1:-1])]
-    Gs = [G for _, G in PG] + [M[T.size_off[-2]:]]
-    T.pg = np.concatenate([P.ravel() for P, _ in PG]
-                          + [(0.5 * (G + G.swapaxes(-1, -2))).ravel() for G in Gs])
+    PG = [schur_blocks(M[r0:r1], a) for r0, r1, a in T.sizes]
+    T.pg = np.concatenate([P for P, _ in PG] + [0.5 * (G + G.swapaxes(-1, -2)) for _, G in PG]
+                          + [M[-1]], axis=None)
     return T
 
 
 class _Pass(NamedTuple):
     """A batch's pass over a stratum table: per point (axis 0) each row's
-    transverse coordinates nu (row j at comp_off[j]:comp_off[j + 1]), hull
+    transverse coordinates nu (row j's at nu_at[j]), hull
     distance d and least d over its interior supersets (closed) and proper ones."""
 
     table: SimpleNamespace
@@ -197,18 +206,19 @@ def _pass(A: QuadForm, mu: np.ndarray, eta: np.ndarray) -> _Pass:
     """
     T = A.derived("strata", lambda: _table(A))
     # points along axis 1, so each segment sum adds whole rows
-    Y, n_a, n_c = T.C @ mu.T, T.act_off[-1], T.comp_off[-1]
+    Y, n_a, n_c = T.C @ mu.T, T.n_a, T.n_c
     # a trailing +inf keeps the full set, without transverse labels, interior
     Y[n_a + n_c] = np.inf
-    y, pad, cut = Y[:n_a], Y[n_a:n_a + n_c + 1], T.comp_off[:-1]
+    y, pad, cut = Y[:n_a], Y[n_a:n_a + n_c + 1], T.comp_cut
     PGy = np.add.reduceat(T.pg[:, None] * Y[n_a + n_c + 1:], T.pg_off)
     pad[:-1] += PGy[:n_c]
-    quad = np.add.reduceat(y * PGy[n_c:], T.act_off[:-1])
-    d = np.sqrt(np.maximum(quad + A.det * np.abs(eta) ** 2, 0.0))
+    d = np.add.reduceat(y * PGy[n_c:], T.act_cut)
+    d += A.det * np.square(np.abs(eta))
+    np.sqrt(np.maximum(d, 0.0, out=d), out=d)
     interior = (np.minimum.reduceat(pad, cut)
                 > -1e-12 * (1.0 + np.maximum.reduceat(np.abs(pad), cut)))
     reach = np.where(interior, d, np.inf)
-    boundary = np.minimum.reduce(reach + T.proper[:, :, None], axis=1)
+    boundary = np.minimum.reduce(reach + T.proper, axis=1)
     return _Pass(T, pad[:-1].T, d.T, np.minimum(reach, boundary).T, boundary.T)
 
 
@@ -236,8 +246,9 @@ def _rho(A: QuadForm, at: _Pass, i: int) -> tuple[list[tuple[int, ...]], np.ndar
     """Separation scales (B, nK) of each K of ``_glue_blocks``, built once
     per form and row: one stacked quadratic form in the pass's nu_K."""
     Ks, red = A.derived(("glue", i), lambda: _glue_blocks(at.table, i))
-    nu = at.nu[:, at.table.comp_off[i]:at.table.comp_off[i + 1]]
-    return Ks, np.sqrt(np.maximum(np.einsum("bk,Kkl,bl->bK", nu, red, nu), 0.0))
+    nu = at.nu[:, at.table.nu_at[i]]
+    rho = _einsum("bk,Kkl,bl->bK", nu, red, nu)
+    return Ks, np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)
 
 
 def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
@@ -252,7 +263,7 @@ def project(A: QuadForm, I: IndexSet, p: BasePoint) -> Projection:
     """
     at, j = _locate(A, I, p)
     T = at.table
-    nu = at.nu[0, T.comp_off[j]:T.comp_off[j + 1]]
+    nu = at.nu[0, T.nu_at[j]]
     # the foot has nu on the transverse labels and 0 on the active ones
     foot = BasePoint(T.S[j][:, [c - 1 for c in T.comp[j]]] @ nu, 0j)
     return Projection(foot, bool(np.all(nu > 0.0)), nu, float(at.d[0, j]))
@@ -307,10 +318,11 @@ def region_membership(A: QuadForm, consts: RegionConstants, p: BasePoint) -> Reg
     threshold away.
     """
     T, _, d, closed, bound = _pass(A, *_row(A, p))
-    N, closed, bound, inner = A.n, closed[0], bound[0], T.size <= A.n
-    least = np.minimum.reduceat(closed, T.size_off[:-1])   # per size 2..N + 1
+    N, c0, closed, bound = A.n, consts.c0, closed[0], bound[0]
+    least = np.minimum.reduceat(closed, T.size_cut).tolist()   # per size 2..N + 1
+    # compress stops at T.inner's end: the full label set has no B_I
     return RegionReport(
-        near=list(T.strata[inner & (consts.c0 * closed < bound)]),
-        near_core=list(T.strata[inner & (4.0 * consts.chat(A) * consts.c0 * closed < bound)]),
-        generic=bool(2.0 * consts.c0 ** (N - 1) * float(closed.min()) > d[0, -1]),
+        near=list(compress(T.inner, (c0 * closed < bound).tolist())),
+        near_core=list(compress(T.inner, (4.0 * consts.chat(A) * c0 * closed < bound).tolist())),
+        generic=2.0 * c0 ** (N - 1) * min(least) > float(d[0, -1]),
         far_levels=[s for s in range(1, N) if least[s] > consts.level(s)])

@@ -7,9 +7,10 @@ side by side (ghlab imports itself relatively, so a copy loads under any
 name), times each layer on both trees alternately, round by round, and
 prints per layer each tree's min and median time per call, the ratio of
 the other's median to this one's, and whether the two trees' outputs are
-bitwise equal.  Without LAYER names every layer runs.  Speed from one run
-to the next on a shared box swings by more than a small change's effect;
-two timings taken a moment apart in one process do not.
+bitwise equal; it exits 1 if any layer's are not.  Without LAYER names
+every layer runs.  Speed from one run to the next on a shared box swings
+by more than a small change's effect; two timings taken a moment apart in
+one process do not.
 
 Layers: ``field-n3`` and ``holo-n2`` are perfbench's point bundles on fresh
 forms (each round draws new ``QuadForm`` objects of the same entries, so a
@@ -17,7 +18,15 @@ point pays for its form's derived data, as in the benchmark); ``wedge`` is
 one N = 3 kernel's engine call with plus_two, ``alpha_grad``,
 ``alpha_hessian`` (the whole family) and ``integrability_residual`` are
 one-row calls on a form whose derived data is built, and ``levels`` is
-``kernels._levels`` on a fresh N = 3 form.
+``kernels._levels`` on a fresh N = 3 form.  ``strata-n4`` is perfbench's
+point bundle: ``region_membership`` on a shared N = 4 form and on a fresh
+N = 3 form that the point builds from its entries, then two criterion 10
+``glue_weight`` calls on the identity form (the shared forms are new each
+round, their derived data built before the timing, as a benchmark run
+builds it on its first point); ``region_membership`` and ``glue_weight``
+are those one-point calls on a form whose derived data is built, and
+``table`` is ``locus._table`` on a fresh N = 3 form.  A region report
+compares by its strata's members, not by its ``IndexSet`` objects.
 """
 
 from __future__ import annotations
@@ -168,6 +177,113 @@ def _levels(g, count: int):
     return prepare, run, count
 
 
+def _region_points(rng: np.random.Generator, N: int, count: int) -> list[tuple]:
+    """perfbench's region covering sampler: a log-uniform scale."""
+    out = []
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-1, 3)
+        out.append((rng.normal(size=N) * scale, complex(*rng.normal(size=2)) * scale))
+    return out
+
+
+def _plateau_points(rng: np.random.Generator, count: int, lo: float, hi: float) -> list[tuple]:
+    """perfbench's criterion 10 sampler: hull distance nu U(lo, hi) from the
+    stratum (0, 1, 2) at N = 3."""
+    out = []
+    for _ in range(count):
+        nu = 10.0 ** rng.uniform(5.3, 6.3)
+        d = nu * rng.uniform(lo, hi)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        out.append((np.array([d * u[0], d * u[1], nu]), complex(d * u[2], 0.0)))
+    return out
+
+
+def _report(rep) -> list:
+    """A region report's numbers: each stratum by its members."""
+    return [[J.members for J in rep.near], [J.members for J in rep.near_core],
+            rep.generic, rep.far_levels]
+
+
+def _criterion_10(g, count: int):
+    """The identity form at N = 3, the stratum (0, 1, 2), and ``count`` core
+    and ``count`` outer plateau points of criterion 10."""
+    consts = g.RegionConstants()
+    chat, c0 = consts.chat(g.QuadForm.identity(3)), consts.c0
+    rng = np.random.default_rng(4510)
+    core = _plateau_points(rng, count, 0.05 / (4 * chat * c0), 0.9 / (4 * chat * c0))
+    outer = _plateau_points(rng, count, 1.0 / (2 * c0), 0.98 / c0)
+    return consts, g.IndexSet((0, 1, 2)), [g.BasePoint(*pt) for pt in core + outer]
+
+
+def _strata_n4(g, count: int):
+    """``count`` perfbench strata-n4 points: a region report on a shared
+    N = 4 form and on a fresh N = 3 form, then a core and an outer glue weight."""
+    rng = np.random.default_rng(4501)
+    a4, a3 = _spd(rng, 4), [_spd(rng, 3) for _ in range(count)]
+    pts4 = [g.BasePoint(*pt) for pt in _region_points(rng, 4, count)]
+    pts3 = [g.BasePoint(*pt) for pt in _region_points(rng, 3, count)]
+    consts, I, plateau = _criterion_10(g, count)
+
+    def prepare():
+        A4, Aid = g.QuadForm(a4), g.QuadForm.identity(3)
+        g.region_membership(A4, consts, pts4[0])
+        g.glue_weight(Aid, I, consts, plateau[0])
+        return A4, Aid
+
+    def run(forms):
+        A4, Aid = forms
+        out = []
+        for k in range(count):
+            out.append(_report(g.region_membership(A4, consts, pts4[k])))
+            out.append(_report(g.region_membership(g.QuadForm(a3[k]), consts, pts3[k])))
+            for p in (plateau[k], plateau[count + k]):
+                w = g.glue_weight(Aid, I, consts, p)
+                out.append([w.value, w.in_domain])
+        return out
+    return prepare, run, count
+
+
+def _region_membership(g, count: int):
+    rng = np.random.default_rng(4502)
+    A = g.QuadForm(_spd(rng, 4))
+    pts = [g.BasePoint(*pt) for pt in _region_points(rng, 4, count)]
+    consts = g.RegionConstants()
+    g.region_membership(A, consts, pts[0])
+
+    def prepare():
+        return None
+
+    def run(_):
+        return [_report(g.region_membership(A, consts, p)) for p in pts]
+    return prepare, run, count
+
+
+def _glue_weight(g, count: int):
+    consts, I, plateau = _criterion_10(g, count // 2)
+    A = g.QuadForm.identity(3)
+    g.glue_weight(A, I, consts, plateau[0])
+
+    def prepare():
+        return None
+
+    def run(_):
+        return [vars(g.glue_weight(A, I, consts, p)) for p in plateau]
+    return prepare, run, len(plateau)
+
+
+def _table(g, count: int):
+    rng = np.random.default_rng(4503)
+    forms = [_spd(rng, 3) for _ in range(count)]
+
+    def prepare():
+        return [g.QuadForm(a) for a in forms]
+
+    def run(fresh):
+        return [[T.M, T.pg] for T in map(g.locus._table, fresh)]
+    return prepare, run, count
+
+
 # name: (builder, calls per round)
 LAYERS = {
     "field-n3": (_field_n3, 16),
@@ -177,15 +293,19 @@ LAYERS = {
     "alpha_hessian": (_alpha_hessian, 50),
     "integrability_residual": (_residual, 50),
     "levels": (_levels, 50),
+    "strata-n4": (_strata_n4, 32),
+    "region_membership": (_region_membership, 100),
+    "glue_weight": (_glue_weight, 100),
+    "table": (_table, 50),
 }
 
 
 def _bytes(out) -> bytes:
-    """Every number of an output, as bytes, in order."""
+    """Every number of an output, as bytes, in order, each list led by its length."""
     if isinstance(out, dict):
         out = list(out.values())
     if isinstance(out, (list, tuple)):
-        return b"".join(_bytes(o) for o in out)
+        return b"".join([np.int64(len(out)).tobytes(), *map(_bytes, out)])
     return np.asarray(out).tobytes()
 
 
@@ -222,13 +342,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(f"{'layer':24} {'this min/med us':>20} {'other min/med us':>20} "
           f"{'other/this':>10}  bitwise")
-    for name, rep in probe(Path(args[0]), layers).items():
+    report = probe(Path(args[0]), layers)
+    for name, rep in report.items():
         a, b = rep["this"], rep["other"]
         print(f"{name:24} {min(a) * 1e6:9.1f} {statistics.median(a) * 1e6:9.1f} "
               f"{min(b) * 1e6:10.1f} {statistics.median(b) * 1e6:9.1f} "
               f"{statistics.median(b) / statistics.median(a):10.3f}  "
               f"{'equal' if rep['equal'] else 'DIFFER'}")
-    return 0
+    # outputs that differ fail the run, so the probe can gate a bitwise claim
+    return 0 if all(rep["equal"] for rep in report.values()) else 1
 
 
 if __name__ == "__main__":

@@ -96,18 +96,23 @@ class TestGlueWeight:
 
     def test_batch_rows_match_one_point(self):
         # core, ramp and outer points, on the hull, off the stratum's edge,
-        # and a random form at N = 4: each row is the one-point weight
+        # off the hull with a vanishing rho, and a random form at N = 4:
+        # each row is the one-point weight
         rng = np.random.default_rng(61)
         for A, I in ((self.A, self.I), (checks.random_spd(rng, 4), IndexSet((1, 3)))):
             nu = 1.0e6
             pts = [self.point(nu, c * nu / 32.0) for c in (0.01, 0.4, 0.4375, 0.45, 0.6)]
             pts = [BasePoint(np.append(p.mu, [2.0] * (A.n - 3)), p.eta) for p in pts]
-            pts += [BasePoint(np.zeros(A.n), 0j), BasePoint(np.arange(A.n) - 1.0, 0j)]
+            pts += [BasePoint(np.zeros(A.n), 0j), BasePoint(np.arange(A.n) - 1.0, 0j),
+                    BasePoint(np.append([5.0, -3.0], np.zeros(A.n - 2)), 0j)]
             pts += [BasePoint(rng.normal(size=A.n) * 10.0, complex(*rng.normal(size=2)))
                     for _ in range(20)]
             value, in_domain = glue_weight_batch(A, I, self.consts, np.array([p.mu for p in pts]),
                                                  np.array([p.eta for p in pts]))
-            assert A is not self.A or 0.0 < value[2] < 1.0   # a ramp value
+            # a ramp value, and rho = 0 on the hull (weight 1) and off it
+            # (hull distance 5.83, weight 0) beside live rows
+            assert A is not self.A or (0.0 < value[2] < 1.0 and value[5] == 1.0
+                                       and value[7] == 0.0)
             for b, p in enumerate(pts):
                 one = glue_weight(A, I, self.consts, p)
                 assert (one.value, one.in_domain) == (value[b], in_domain[b])

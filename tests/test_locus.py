@@ -342,6 +342,30 @@ def test_stratum_table_is_built_once(monkeypatch):
     assert len(calls) == 3 + 7
 
 
+def test_glue_blocks_are_built_once_per_form_and_row(monkeypatch):
+    calls = []
+    blocks = locus.schur_blocks
+    monkeypatch.setattr(locus, "schur_blocks",
+                        lambda *args: calls.append(args) or blocks(*args))
+    rng = np.random.default_rng(31)
+    A = random_spd(rng, 3)
+    consts = RegionConstants()
+    I, p = IndexSet((0, 1, 2)), region_point(rng, 3)
+    # a fresh form's first glue weight builds its table, then the reduced
+    # block of the row's one K: its one transverse label
+    glue.glue_weight(A, I, consts, p)
+    assert [(M.shape, a) for M, a in calls] == [((6, 3, 3), 1), ((4, 3, 3), 2), ((1, 1), 1)]
+    # the same weight again, a region report and a locus distance add none
+    glue.glue_weight(A, I, consts, p)
+    region_membership(A, consts, p)
+    dist_locus(A, p)
+    assert len(calls) == 3
+    # another row builds one block per K of its transverse labels: {2},
+    # {3} and {2, 3} for (0, 1)
+    glue.glue_weight(A, IndexSet((0, 1)), consts, region_point(rng, 3))
+    assert [(M.shape, a) for M, a in calls[3:]] == [((2, 2), 1), ((2, 2), 1), ((2, 2), 2)]
+
+
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
