@@ -72,8 +72,8 @@ class QuadForm:
         if np.abs(M - M.T).max() > 1e-14 * max(1.0, scale):
             raise ValueError("matrix is not symmetric to 1e-14")
         M = 0.5 * (M + M.T)
-        # LAPACK's eigenvalues and determinant less np.linalg's checks of this checked
-        # matrix, which cost more than a 3 x 3 form's LAPACK work; not > rejects a nan
+        # LAPACK's eigenvalues and determinant without np.linalg's wrappers, whose checks of
+        # this checked matrix cost more than a 3 x 3 form's LAPACK work; not > rejects nan
         w = _umath_linalg.eigvalsh_lo(M, signature="d->d").tolist()
         if not (w[0] > 1e-12 * w[-1] and w[0] > 0.0):
             raise ValueError("matrix is not positive definite")

@@ -181,8 +181,8 @@ def _table(A: QuadForm) -> SimpleNamespace:
 
 class _Pass(NamedTuple):
     """A batch's pass over a stratum table: per point (axis 0) each row's
-    transverse coordinates nu (row j's at nu_at[j]), hull
-    distance d and least d over its interior supersets (closed) and proper ones."""
+    transverse coordinates nu (row j's at nu_at[j]), hull distance d and
+    least d over its interior supersets (closed) and proper ones."""
 
     table: SimpleNamespace
     nu: np.ndarray
