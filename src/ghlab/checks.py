@@ -226,7 +226,7 @@ def kernel_laplacian(spec: kernels.KernelSpec, points) -> float:
     terms, from its Hessians at every point in one ``alpha_hessian`` call."""
     A = spec.A
     mu, eta = _batch(points)
-    _, _, hess = kernels.alpha_hessian(A, QUAD, mu, eta, spec.labels)
+    *_, hess = kernels.alpha_hessian(A, QUAD, mu, eta, spec.labels)
     mu_terms, eta_part = laplace_terms(A, hess[0])
     scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * A.n * A.n,
                                   np.abs(eta_part)), 1e-300)
@@ -391,15 +391,13 @@ def integrability_gap(A: QuadForm, points) -> tuple[float, float, float]:
     """Criterion 12: worst relative residuals of the first-order field's
     first and second integrability identities, every point in one
     ``frame.integrability_batch``, and of its kernels' Euler relation
-    x . grad alpha = (d - p) alpha = -alpha, x = (mu, Re eta, Im eta): the
-    batch's gradients (faces and cones at p + 2) against one
-    ``alpha_family`` call's values, each row over its largest term.  The
-    first identity holds by construction; a face or cone error fails Euler's."""
+    x . grad alpha = (d - p) alpha = -alpha, x = ``kernels._x``: the batch's
+    gradients (faces, cones at p + 2) against its values (their own power
+    on the same nodes), each row over its largest term.  The first identity
+    holds by construction; a face, cone or value error fails Euler's."""
     mu, eta = _batch(points)
-    res, scale, grad = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
-    _, kv = kernels.alpha_family(A, QUAD, mu, eta)
-    terms = grad * np.column_stack([mu, eta.real, eta.imag])
-    euler = np.abs(terms.sum(axis=-1) + kv.value) / np.maximum(np.abs(terms).max(axis=-1),
-                                                                np.abs(kv.value))
+    res, scale, V, grad = frame.integrability_batch(ansatz.FirstOrderField(A, QUAD), mu, eta)
+    terms = grad * kernels._x(mu, eta)
+    euler = np.abs(terms.sum(axis=-1) + V) / np.maximum(np.abs(terms).max(axis=-1), np.abs(V))
     worst = np.max(res / np.maximum(scale, 1e-300), axis=1)
     return float(worst[0]), float(worst[1]), float(np.max(euler, initial=0.0))

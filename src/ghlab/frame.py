@@ -53,18 +53,18 @@ class IntegrabilityResidual:
 
 
 def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Both integrability identities of the first-order ``field`` (its form
     and quadrature) at the batch mu (B, N), eta (B,): the residuals and
-    their scales (2, B), and the kernels' gradients (K, B, N + 2), from one
-    ``kernels.alpha_hessian`` call, in which V = A + sum_k alpha_k e_k e_k^T
-    and W = det A (1 + tr(A^-1 (V - A))) are linear.  The first identity
-    reads the mu-gradient of V; the second is
-    d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy.  A batch of no points gives
-    (2, 0) arrays."""
+    their scales (2, B), and the kernels' values (K, B) and gradients
+    (K, B, N + 2), from one ``kernels.alpha_hessian`` call, in which
+    V = A + sum_k alpha_k e_k e_k^T and W = det A (1 + tr(A^-1 (V - A)))
+    are linear.  The first identity reads the mu-gradient of V; the second
+    is d^2 W / dmu_i dmu_j + (V_ij)_xx + (V_ij)_yy.  A batch of no points
+    gives (2, 0) arrays."""
     A = field.A
     N = A.n
-    labels, grad, hess = alpha_hessian(A, field.quad, mu, eta)
+    labels, values, grad, hess = alpha_hessian(A, field.quad, mu, eta)
     B, outers = grad.shape[1], _outers(N, labels)              # (K, N N)
     w = A.det * (outers @ A.inv.ravel())                        # W's weight per kernel
     # sums over the kernels slice by slice, so a row is the same in any batch
@@ -76,12 +76,11 @@ def integrability_batch(field, mu: np.ndarray, eta: np.ndarray
                     np.abs(hessW + v_eta).max(axis=(1, 2))])
     scale = np.array([np.maximum(np.abs(dV).max(axis=(1, 2, 3)), 1e-300),
                       np.maximum(np.abs(hessW).max(axis=(1, 2)), np.abs(v_eta).max(axis=(1, 2)))])
-    return res, scale, grad
+    return res, scale, values, grad
 
 
 def integrability_residual(field, p: BasePoint) -> IntegrabilityResidual:
     """Evaluate both integrability identities at a point: the one-row case
     of ``integrability_batch``."""
-    res, scale, _ = integrability_batch(field, p.mu[None], np.array([p.eta]))
-    return IntegrabilityResidual(float(res[0, 0]), float(res[1, 0]),
-                                 float(scale[0, 0]), float(scale[1, 0]))
+    res, scale, *_ = integrability_batch(field, p.mu[None], np.array([p.eta]))
+    return IntegrabilityResidual(*res[:, 0].tolist(), *scale[:, 0].tolist())

@@ -11,17 +11,17 @@ sweeping the diagonal direction.
 A stratum model's kernels are those of a lower-N form, its
 ``geometry.reduction`` G at (mu_I, s eta).
 
-Every kernel value goes through ``alpha_family``: the kernels of a form at
-a batch mu (B, N), eta (B,); ``alpha_batch`` is its one-kernel case.  Every
-derivative comes from values, by one face identity: with
-``alpha_family``'s gradients ``alpha_hessian`` gives the second
-derivatives too, from the cones two and four powers up, their faces (the
-triple strata's cones) and the faces' faces.  A closed-form call (d <= 2)
-returns its cones' faces from its own pass; only above a swept cone does a
-level's faces take a call of their own, and a one-kernel call's only
-those the kernel reads.  Cones differ only in their matrix, laid out once per N; Q, the
-prefactor, ``quadrature.cone_frame`` and each family's R and S are built
-once per form, and ``_engine_batch`` makes one engine call for a family at
+``alpha_family`` gives the kernels of a form at a batch mu (B, N), eta (B,),
+with their gradients if asked, and ``alpha_batch`` one kernel's values.
+Every derivative comes from values, by one face identity: ``alpha_hessian``
+gives values, gradients and Hessians from the cones at p, p + 2 and p + 4
+(one pass), their faces (the triple strata's cones) and the faces' faces.
+A call of two or more powers at d <= 2 returns its cones' faces from its
+own pass; only above a swept cone does a level's faces take a call of
+their own, and a one-kernel call's only those the kernel reads.  Cones
+differ only in their matrix, laid out once per N; Q, the prefactor,
+``quadrature.cone_frame`` and each family's R and S are built once per
+form, and ``_engine_batch`` makes one engine call for a family at
 the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
 it.  Only the weak charge check calls the engine directly, with no floor:
@@ -236,10 +236,16 @@ def _gradient(level: tuple, q: int, Sx: np.ndarray, faces: np.ndarray | None,
     return grad
 
 
-def _sx(levels: list, mu: np.ndarray, eta: np.ndarray) -> list[np.ndarray]:
-    """S x (K, B, N + 2) of each level at the rows x = (mu, Re eta, Im eta)."""
+def _x(mu: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The rows x = (mu, Re eta, Im eta) (B, N + 2) of a batch."""
     x = np.empty((len(mu), mu.shape[1] + 2))
     x[:, :-2], x[:, -2], x[:, -1] = mu, eta.real, eta.imag
+    return x
+
+
+def _sx(levels: list, mu: np.ndarray, eta: np.ndarray) -> list[np.ndarray]:
+    """S x (K, B, N + 2) of each level at the rows ``_x``."""
+    x = _x(mu, eta)
     return [(level[2][:, None] * x[:, None]).sum(axis=-1) for level in levels]
 
 
@@ -301,18 +307,18 @@ def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
                                        raw.evals)
     kern = _chain(A, labels, 1)[0]
     fam, c = kern[0], kern[0].prefactor
-    raw = _engine_batch(fam, mu, eta, quad, True)
+    raw = _engine_batch(fam, mu, eta, quad, 2)
     faces, evals = _faces(A, labels, 0, raw, mu, eta, quad)
-    grad = c * _gradient(kern, fam.power, _sx([kern], mu, eta)[0], faces, raw.plus_two)
+    grad = c * _gradient(kern, fam.power, _sx([kern], mu, eta)[0], faces, raw.higher[0])
     return fam.labels, KernelValue(c * raw.value, c * raw.error, raw.evals + evals, grad)
 
 
 def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
                   labels: tuple[int, int] | None = None
-                  ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+                  ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray]:
     """Every kernel of A (or the one kernel ``labels``) at the batch
-    mu (B, N), eta (B,): their labels, gradients (K, B, N + 2) and Hessians
-    (K, B, N + 2, N + 2) over x = (mu, Re eta, Im eta), from values alone.
+    mu (B, N), eta (B,): their labels, values (K, B), gradients (K, B, N + 2)
+    and Hessians (K, B, N + 2, N + 2) over x = ``_x``, from values alone.
     With R and S of ``_levels``, a derivative along pair {i, j}'s column
     for label l integrates to the face V^F, the cone less that column,
     which is the triple stratum {i, j, l}'s cone, so that
@@ -321,40 +327,42 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
         hess V_p = R grad V^F_p - p S V_(p+2) - p S x grad V_(p+2)^T,
 
     grad V^F_p and grad V_(p+2) being the same identity a level down and
-    two powers up: two engine calls, the kernels at p + 2 and p + 4 and
-    their faces at p and p + 2 (a refusal names the triple), whose call
-    returns the four-label strata at p as the faces' faces where the faces
-    are closed forms (N <= 4), and above that a third call for them; each
-    family is held to ``quad`` in its prefactor-scaled values."""
+    two powers up: two engine calls, the kernels at p, p + 2 and p + 4
+    (the values at p from their own integrand) and their faces at p and
+    p + 2 (a refusal names the triple), whose call returns the four-label
+    strata at p as the faces' faces where the faces are closed forms
+    (N <= 4), and above that a third call for them; each family is held to
+    ``quad`` in its prefactor-scaled values."""
     mu, eta = check_batch(mu, eta, A.n)
     labels = None if labels is None else _pair(labels, A.n)
     kern, *below = _chain(A, labels, 2)
     fam, c, p = kern[0], kern[0].prefactor, kern[0].power
     Sx, *SxF = _sx([kern, *below], mu, eta)
-    plus = _engine_batch(_Family(**{**vars(fam), "power": p + 2}), mu, eta, quad, True)
+    raw = _engine_batch(fam, mu, eta, quad, 3)
+    plus, plus2 = raw.higher
     _, R, S, up = kern
     F0 = F2 = dF = None
     if below:
-        faces = _engine_batch(below[0][0], mu, eta, quad, True)
-        F0, F2 = faces.value[up], faces.plus_two[up]
+        faces = _engine_batch(below[0][0], mu, eta, quad, 2)
+        F0, F2 = faces.value[up], faces.higher[0][up]
         dF = _gradient(below[0], p, SxF[0], _faces(A, labels, 1, faces, mu, eta, quad)[0],
-                       faces.plus_two)
-    grad2 = _gradient(kern, p + 2, Sx, F2, plus.plus_two)
-    hess = -p * (S[:, None] * plus.value[..., None, None] + Sx[..., None] * grad2[..., None, :])
+                       faces.higher[0])
+    grad2 = _gradient(kern, p + 2, Sx, F2, plus2)
+    hess = -p * (S[:, None] * plus[..., None, None] + Sx[..., None] * grad2[..., None, :])
     if up.shape[1]:
         # kernel k less column j is face up[k, j]
         hess += (R[:, None, :, None] * dF[up].transpose(0, 2, 3, 1)[:, :, None]).sum(axis=-1)
-    return fam.labels, c * _gradient(kern, p, Sx, F0, plus.value), c * hess
+    return fam.labels, c * raw.value, c * _gradient(kern, p, Sx, F0, plus), c * hess
 
 
 def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
-                  quad: QuadratureSpec, plus_two: bool = False,
+                  quad: QuadratureSpec, powers: int = 1,
                   tol_scale: float = 1.0) -> QuadResult:
     """The orthant integrals of a kernel family at rows mu (B, N), eta (B,)
     in one engine call: raw values and error estimates (K, B), with
-    ``plus_two`` the values at power + 2 too, and grid nodes;
+    ``powers`` > 1 the values at power + 2, ... too, and grid nodes;
     ``fam.prefactor * tol_scale`` converts the tolerances of ``quad`` to
-    raw units, at both powers.  A (kernel, row) pair within the resolution
+    raw units, at every power.  A (kernel, row) pair within the resolution
     floor 10 abs_tol^(1/N) of its sheet raises SingularityProximity, and a
     swept group that misses its tolerance QuadratureError, naming the
     kernel and the row with its (mu, eta): the row that missed, or for a
@@ -362,7 +370,7 @@ def _engine_batch(fam: _Family, mu: np.ndarray, eta: np.ndarray,
     """
     try:
         return power_kernel_integral(fam.Q, fam.c_eta, np.ascontiguousarray(mu), eta, fam.M,
-                                     fam.power, quad, plus_two, fam.prefactor * tol_scale,
+                                     fam.power, quad, powers, fam.prefactor * tol_scale,
                                      10.0 * quad.abs_tol ** (1.0 / mu.shape[1]), fam.frame)
     except (SingularityProximity, QuadratureError) as exc:
         raise _refusal(type(exc), fam.labels[exc.kernel], exc.kernel, mu, eta, exc.row,

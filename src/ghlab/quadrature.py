@@ -5,7 +5,7 @@ an anisotropic distance,
 
     integral over tau in R_+^d of ((b - M tau)^T Q (b - M tau) + E)^(-p/2),
 
-E = c |eta|^2, optionally together with the same integral at power p + 2
+E = c |eta|^2, optionally with the same integral at p + 2, p + 4, ...
 from the same pass.  The integrand is smooth but sharply peaked where the
 affine sheet {b - M tau} passes closest to the origin, and it decays like
 |tau|^(-p) with p > d, so the mass beyond radius T is ~ T^(d-p).
@@ -86,8 +86,8 @@ bit-reproducible.  A group keeps only rows within half its first row's
 sheet distance of that row, where the grid resolves them too.  An
 integral that misses its tolerance after the refinement passes raises
 QuadratureError; no unconverged value is returned.  A call that asks for
-power p + 2 too gets it from every node of the same grids, and the
-two-order check holds both powers.  The engine returns no derivative:
+several powers p, p + 2, ... gets each from every node of the same grids,
+and the two-order check holds every one.  The engine returns no derivative:
 ``ghlab.kernels`` takes them from these values and the cones' faces,
 which a closed-form call returns from its own pass.
 
@@ -170,17 +170,14 @@ class QuadratureSpec:
 class QuadResult:
     """An engine call's raw results."""
 
-    value: np.ndarray          # (K, B) raw integral values, no prefactor
-    error: np.ndarray          # (K, B) two-order differences, raw units
-    plus_two: np.ndarray | None  # (K, B) raw values at power + 2, if asked
-    faces: np.ndarray | None   # (K, d, B) raw values of the faces at the power,
-                               # column j: the cone less column j (plus_two, d <= 2)
-    evals: int                 # swept grid nodes times batch rows (kernel
-                               # rows alone when nothing is swept)
-    converged: bool            # always True: a miss raises QuadratureError
-                               # (perfbench/tracing.py reads it)
-    r_star: float              # the smallest sheet distance the call solved
-                               # (every pair's at d <= 2)
+    value: np.ndarray          # (K, B) raw integral values at the power, no prefactor
+    error: np.ndarray          # (K, B) two-order differences at the power, raw units
+    higher: list[np.ndarray]   # (K, B) each: raw values at power + 2, + 4, ..., as asked
+    faces: np.ndarray | None   # (K, d, B) raw values of the faces at the power, column
+                               # j: the cone less column j (two or more powers, d <= 2)
+    evals: int                 # swept grid nodes times rows (kernel rows if none swept)
+    converged: bool            # always True, a miss raises (perfbench/tracing.py reads it)
+    r_star: float              # the least sheet distance solved (every pair's at d <= 2)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,19 +464,19 @@ class _Line(_Stack):
         P = u @ Ct
         return cls(r11 * r11, r11 * P, Ct - u[:, :, None] * P[:, None, :])
 
-    def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int, powers: int
                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
-        """Values (K, B) at the power, and with ``plus_two`` at power + 2,
-        squared sheet distances r*^2 (K, B) at the rows b (B, m), and with
-        ``plus_two`` the faces (K, 1, B): each line's apex value at the power."""
+        """Values (K, B) at ``powers`` powers from the power up by 2, squared
+        sheet distances r*^2 (K, B) at the rows b (B, m), and for two or more
+        powers the faces (K, 1, B): each line's apex value at the power."""
         beta = _einsum("km,bm->kb", self.Qm, b)
         Z = _einsum("kij,bj->kbi", self.L, b)
         h = _einsum("kbj,kbj->kb", Z, Z) + E
         # the sheet distance: to the line where the foot t = beta / a >= 0,
         # else to the apex, gamma = h + beta^2 / a
         r2 = h + np.minimum(beta, 0.0) ** 2 / self.a
-        qs = (power, power + 2) if plus_two else (power,)
-        faces = (h + beta * beta / self.a)[:, None] ** (-0.5 * power) if plus_two else None
+        qs = tuple(range(power, power + 2 * powers, 2))
+        faces = (h + beta * beta / self.a)[:, None] ** (-0.5 * power) if powers > 1 else None
         return half_line_integrals(self.a, beta, h, qs), r2, faces
 
 
@@ -516,25 +513,25 @@ def _edges(e2: tuple, y: np.ndarray) -> np.ndarray:
 
 
 def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np.ndarray,
-                    H2: np.ndarray, power: int, plus_two: bool = False) -> list[np.ndarray]:
+                    H2: np.ndarray, power: int, powers: int = 1) -> list[np.ndarray]:
     """W_q = integral over the wedge between e1 = (1, 0) and
     e2 = (cos phi, sin phi), 0 < phi < pi, of (H2 + |w - y|^2)^(-q/2) dA(w).
 
     The foot y enters through ``_edges``: s0 and l (2, ...), per element,
     and ``inside``, where both l >= 0; H2 (...) is the squared height,
     H2 > 0 wherever the foot lies in the closed wedge; phi broadcasts
-    against H2 (one wedge per kernel, say).  Returns [W_p], or with
-    ``plus_two`` [W_p, W_(p+2), J_p], J_p (2, ...) the half-line integral
-    of (H2 + |w - y|^2)^(-p/2) along each edge, the wedge's faces but for
-    their columns' lengths.  p must be at least 3.  A foot on the sheet
-    (H2 = 0 in the wedge) reads inf, so callers evaluate it under
-    np.errstate(divide="ignore", invalid="ignore").
+    against H2 (one wedge per kernel, say).  Returns [W_p, W_(p+2), ...],
+    ``powers`` of them, and for two or more J_p (2, ...) after them, the
+    half-line integral of (H2 + |w - y|^2)^(-p/2) along each edge, the
+    wedge's faces but for their columns' lengths.  p must be at least 3.
+    A foot on the sheet (H2 = 0 in the wedge) reads inf, so callers
+    evaluate it under np.errstate(divide="ignore", invalid="ignore").
 
     Every edge takes ``_edge_ahat``; an edge outside takes the complement
     H^-n (Theta - ahat_n), or ``_edge_rule``'s terms where the far-edge gate
     above sends it.
     """
-    ns = (power - 2, power) if plus_two else (power - 2,)
+    ns = tuple(range(power - 2, power - 2 + 2 * powers, 2))
     n_in = np.count_nonzero(inside)
     # H2 and H per edge (axis 0), so that no operation on the edges
     # broadcasts them: on small batches a broadcast costs more than the work
@@ -573,7 +570,7 @@ def wedge_integrals(phi: np.ndarray, s0: np.ndarray, ell: np.ndarray, inside: np
         value = inner if n_in == inside.size else (
             outer if not n_in else np.where(inside, inner, outer))
         out.append(value / n if n > 1 else value)
-    return out + J[-1:] if plus_two else out
+    return out + [J[(power - 2) // 2]] if powers > 1 else out   # J ascends from J_2 or J_3
 
 
 def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
@@ -613,17 +610,17 @@ def _edge_ahat(s0: np.ndarray, al: np.ndarray, H: np.ndarray, H2: np.ndarray,
 
 def _edge_rule(theta: np.ndarray, al: np.ndarray, H2: np.ndarray,
                ns: tuple[int, ...]) -> list[np.ndarray]:
-    """(p - 2) B for each n = p - 2 in ``ns`` (one or two, ascending by 2),
-    at the edges whose Theta, |l| and H^2 the 1-d arrays give: the integral
-    over chi in [0, Theta] of root^n, root^2 = sin^2 chi / (H^2 sin^2 chi + l^2)."""
+    """(p - 2) B for each n = p - 2 in ``ns`` (ascending by 2), at the
+    edges whose Theta, |l| and H^2 the 1-d arrays give: the integral over
+    chi in [0, Theta] of root^n, root^2 = sin^2 chi / (H^2 sin^2 chi + l^2)."""
     s2 = np.sin(theta[:, None] * _EDGE_NODES) ** 2
     root2 = s2 / (H2[:, None] * s2 + (al * al)[:, None])
-    n = ns[0]
-    # root^n, then root^(n+2), stacked for one Gauss sum
+    # each root^n a power but the last of several, root^2 times the one below
     F = np.empty((len(ns),) + root2.shape)
-    F[0] = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
+    for f, n in zip(F, ns[:-1] or ns):
+        f[...] = (np.sqrt(root2) ** n if n > 1 else np.sqrt(root2)) if n % 2 else root2 ** (n // 2)
     if len(ns) > 1:
-        np.multiply(F[0], root2, out=F[1])
+        np.multiply(F[-2], root2, out=F[-1])
     return theta * _einsum("...n,n->...", F, _EDGE_WEIGHTS)
 
 
@@ -681,28 +678,27 @@ class _Wedge(_Stack):
         return cls(cphi, sphi, np.arctan2(sphi, cphi), 1.0 / (r11 * r22)[:, None],
                    1.0 / np.concatenate([norm, r11[:, None]], axis=1)[..., None], P, L, Py, Lz)
 
-    def integral(self, b: np.ndarray, E: np.ndarray, power: int, plus_two: bool
+    def integral(self, b: np.ndarray, E: np.ndarray, power: int, powers: int
                  ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
         """The whole integral at d = 2 for every kernel of the stack and
-        every row b (B, m) in one closed form: values (K, B) at the power,
-        and with ``plus_two`` at power + 2, squared sheet distances r*^2
-        (K, B), or E (B,) at m = 2 when every foot lies in its wedge, and
-        with ``plus_two`` the faces (K, 2, B) at the power, each edge's
-        half-line integral over its column's Q-length."""
+        every row b (B, m) in one closed form, as ``_Line.integral`` gives
+        it, but r*^2 is E (B,) at m = 2 when every foot lies in its wedge
+        and the faces (K, 2, B) are its edges' half-line integrals over
+        their columns' Q-lengths."""
         # the foot component-major (2, K, B), the transverse part (K, B, m'), none at m = 2
         y = _einsum("kcm,bm->ckb", self.P, b)
         z = _einsum("kim,bm->kbi", self.L, b) if self.L.shape[1] else None
         H2 = E if z is None else _einsum("kbi,kbi->kb", z, z) + E
         s0, ell = _edges((self.cphi, self.sphi), y)
         inside = (ell[0] >= 0.0) & (ell[1] >= 0.0)
-        W = wedge_integrals(self.phi, s0, ell, inside, H2, power, plus_two)
+        W = wedge_integrals(self.phi, s0, ell, inside, H2, power, powers)
         # the sheet distance: the height over a foot in the wedge, else over
         # the nearer edge ray, along it (s0 >= 0) or at the apex
         r2, n_in = H2, np.count_nonzero(inside)
         if n_in < inside.size:
             near = np.minimum.reduce(ell * ell + np.minimum(s0, 0.0) ** 2)
             r2 = H2 + (np.where(inside, 0.0, near) if n_in else near)
-        faces = W.pop()[::-1].swapaxes(0, 1) * self.inv_len if plus_two else None
+        faces = W.pop()[::-1].swapaxes(0, 1) * self.inv_len if powers > 1 else None
         return [w * self.jac for w in W], r2, faces
 
 
@@ -776,14 +772,14 @@ def _swept_grid(R: float, breaks: list[np.ndarray], tail: np.ndarray,
 
 
 def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
-           nodes: np.ndarray, weights: np.ndarray, power: int, plus_two: bool,
+           nodes: np.ndarray, weights: np.ndarray, power: int, powers: int,
            chunk: int) -> np.ndarray:
     """One sweep of one kernel's ``wedge`` over the first d - 2 parameters
     at the ``nodes`` (d - 2, n), the last two exact, for the rows whose
-    feet and transverse parts are y (2, B) and z (m', B): values (1, B) at
-    the power, or (2, B) with those at power + 2."""
+    feet and transverse parts are y (2, B) and z (m', B): values
+    (powers, B) at the power, power + 2, ..."""
     e2 = (wedge.cphi, wedge.sphi)
-    val = np.zeros((1 + plus_two, E.shape[0]))
+    val = np.zeros((powers, E.shape[0]))
     for start in range(0, len(weights), chunk):
         tau = nodes[:, start:start + chunk]
         wts = weights[start:start + chunk]
@@ -794,17 +790,17 @@ def _sweep(wedge: _Wedge, y: np.ndarray, z: np.ndarray, E: np.ndarray,
         s0, ell = _edges(e2, y0)
         with np.errstate(divide="ignore", invalid="ignore"):
             W = wedge_integrals(wedge.phi, s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0), H2,
-                                power, plus_two)
+                                power, powers)
         for v, w in zip(val, W):
             v += w @ wts
     return val * wedge.jac
 
 
 def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
-                 sheet: tuple[np.ndarray, float], power: int, plus_two: bool,
+                 sheet: tuple[np.ndarray, float], power: int, powers: int,
                  tol: tuple[float, float]) -> tuple[np.ndarray, np.ndarray, int]:
-    """One kernel's values and errors at the rows b (B, m) of one group,
-    (1, B) or with ``plus_two`` (2, B), and its grid nodes, swept on its
+    """One kernel's values (powers, B) at the power, power + 2, ..., their
+    errors and its grid nodes at the rows b (B, m) of one group, swept on its
     first row's grid (``sheet`` that row's (tau*, r*), P = M^T Q M) until
     the raw (abs, rel) ``tol`` holds at every power; a QuadratureError
     names the power and the group's row (0 for a grid over budget)."""
@@ -826,9 +822,9 @@ def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
                 f"panel grid needs {n_hi + n_lo} evaluations per point, "
                 f"budget is {_MAX_EVALS}", row=0)
         v_hi = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER),
-                      power, plus_two, chunk)
+                      power, powers, chunk)
         v_lo = _sweep(wedge, y0, z, E, *_swept_grid(R, breaks, tail, _ORDER_LOW),
-                      power, plus_two, chunk)
+                      power, powers, chunk)
         evals += (n_hi + n_lo) * B
         err = np.abs(v_hi - v_lo)
         bound = np.maximum(tol[0], tol[1] * np.abs(v_hi))
@@ -844,17 +840,17 @@ def _sweep_group(wedge: _Wedge, P: np.ndarray, b: np.ndarray, E: np.ndarray,
 
 def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                           eta: np.ndarray, M: np.ndarray, power: int,
-                          spec: QuadratureSpec, plus_two: bool = False,
+                          spec: QuadratureSpec, powers: int = 1,
                           prefactor: float = 1.0, floor: float = 0.0,
                           frame: _Line | _Wedge | None = None) -> QuadResult:
     """Evaluate the orthant power integrals of a kernel family at a batch.
 
     b is (B, m) and eta (B,); M (K, m, d) stacks the cone matrices of K
     kernels that share Q, c_eta and the power.  Values and errors are
-    (K, B), and with ``plus_two`` the values at power + 2 too, from the
-    same pass and held to the same tolerance.  At d <= 2 every
-    (kernel, row) pair is a closed form, all in one pass, and with
-    ``plus_two`` the pass returns each cone's faces at the power too,
+    (K, B) at the power, and ``powers`` of two or more adds power + 2, ...
+    (``QuadResult.higher``), from the same pass and to the same tolerance.
+    At d <= 2 every (kernel, row) pair is a closed form, all in one pass,
+    and with two or more powers it returns each cone's faces at the power,
     ``QuadResult.faces`` (K, d, B): a wedge's edges' half-line integrals,
     which its edge terms form anyway, and a line's apex value; at d >= 3 each
     group of a kernel's rows (``_grid_groups``) is swept on its first row's
@@ -872,14 +868,14 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
     not finite, is refused as well; at d >= 3 the refusal comes before
     anything is evaluated.
     QuadratureError: a grid over the node budget, or a sweep that misses
-    its tolerance at either power after the refinement passes.
+    its tolerance at any of its powers after the refinement passes.
     """
     B, m = b.shape
     K, _, d = M.shape
     if B == 0:
         empty = np.zeros((K, 0))
-        return QuadResult(empty, empty, empty if plus_two else None,
-                          np.zeros((K, d, 0)) if plus_two and d <= 2 else None, 0, True, math.inf)
+        faces = np.zeros((K, d, 0)) if powers > 1 and d <= 2 else None
+        return QuadResult(empty, empty, [empty] * (powers - 1), faces, 0, True, math.inf)
     eta = np.ascontiguousarray(eta, dtype=complex)
     E = c_eta * (eta.real * eta.real + eta.imag * eta.imag)
     if frame is None:
@@ -891,16 +887,15 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
                 bQ = _einsum("bm,mk->bk", b, Q)
                 r2 = _einsum("bk,bk->b", bQ, b) + E
                 vals = [np.repeat(r2[None] ** (-0.5 * power - j), K, axis=0)
-                        for j in range(1 + plus_two)]
-                faces = np.empty((K, 0, B)) if plus_two else None
+                        for j in range(powers)]
+                faces = np.empty((K, 0, B)) if powers > 1 else None
             else:
-                vals, r2, faces = frame.integral(b, E, power, plus_two)
+                vals, r2, faces = frame.integral(b, E, power, powers)
         val = vals[0]
         r = r_star = math.sqrt(float(r2.min()))
         if r >= floor and r > 0.0:
             if _finite(val) and (faces is None or _finite(faces)):
-                return QuadResult(val, np.zeros((K, B)), vals[1] if plus_two else None, faces,
-                                  K * B, True, r_star)
+                return QuadResult(val, np.zeros((K, B)), vals[1:], faces, K * B, True, r_star)
             # off the sheet every closed form and face is finite; should one
             # not be, the first such pair is refused by name
             finite = np.isfinite(val) & (True if faces is None else np.isfinite(faces).all(axis=1))
@@ -927,15 +922,15 @@ def power_kernel_integral(Q: np.ndarray, c_eta: float, b: np.ndarray,
         raise SingularityProximity(f"row {row} lies on the kernel's singular sheet", k, row)
 
     tol = (spec.abs_tol / max(prefactor, 1e-300), _REL_TOL)
-    vals, errs = np.empty((1 + plus_two, K, B)), np.empty((K, B))
+    vals, errs = np.empty((powers, K, B)), np.empty((K, B))
     evals = 0
     for k, rows, sheet in groups:
         try:
             v, e, n = _sweep_group(frame[k], M[k].T @ Q @ M[k], b[rows], E[rows], sheet,
-                                   power, plus_two, tol)
+                                   power, powers, tol)
         except QuadratureError as exc:
             exc.kernel, exc.row = k, int(rows[exc.row])
             raise
         vals[:, k, rows], errs[k, rows] = v, e[0]
         evals += n
-    return QuadResult(vals[0], errs, vals[1] if plus_two else None, None, evals, True, r_star)
+    return QuadResult(vals[0], errs, list(vals[1:]), None, evals, True, r_star)

@@ -15,10 +15,14 @@ one process do not.
 Layers: ``field-n3`` and ``holo-n2`` are perfbench's point bundles on fresh
 forms (each round draws new ``QuadForm`` objects of the same entries, so a
 point pays for its form's derived data, as in the benchmark); ``wedge`` is
-one N = 3 kernel's engine call with plus_two, ``alpha_grad``,
-``alpha_hessian`` (the whole family) and ``integrability_residual`` are
-one-row calls on a form whose derived data is built, and ``levels`` is
-``kernels._levels`` on a fresh N = 3 form.  ``strata-n4`` is perfbench's
+one N = 3 kernel's engine call for the powers p and p + 2, asked in each
+tree's own terms, ``alpha_grad``, ``alpha_hessian`` (the whole family, its
+gradients and Hessians) and ``integrability_residual`` are one-row calls
+on a form whose derived data is built, and ``levels`` is
+``kernels._levels`` on a fresh N = 3 form.  ``criterion-12`` is
+``checks.integrability_gap`` at N = 4, the swept path that no benchmark
+workload reaches, on a fixed random form (fresh each round) and 10
+off-locus points.  ``strata-n4`` is perfbench's
 point bundle: ``region_membership`` on a shared N = 4 form and on a fresh
 N = 3 form that the point builds from its entries, then two criterion 10
 ``glue_weight`` calls on the identity form (the shared forms are new each
@@ -31,6 +35,7 @@ compares by its strata's members, not by its ``IndexSet`` objects.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import math
 import statistics
@@ -141,9 +146,12 @@ def _wedge(g, reps: int):
     fam = g.kernels._family(A, (1, 2))
     mu, eta = p.mu[None], np.array([p.eta])
 
+    # a tree whose engine takes a flag for p + 2, not a count of powers
+    flag = "plus_two" in g.quadrature.QuadResult.__dataclass_fields__
+
     def call():
-        res = g.kernels._engine_batch(fam, mu, eta, quad, True)
-        return [res.value, res.plus_two, res.faces]
+        res = g.kernels._engine_batch(fam, mu, eta, quad, True if flag else 2)
+        return [res.value, res.plus_two if flag else res.higher[0], res.faces]
     return _repeat(call, reps)
 
 
@@ -156,13 +164,29 @@ def _alpha_grad(g, reps: int):
 def _alpha_hessian(g, reps: int):
     A, p, quad = _warm_n3(g)
     mu, eta = p.mu[None], np.array([p.eta])
-    return _repeat(lambda: g.kernels.alpha_hessian(A, quad, mu, eta)[1:], reps)
+    return _repeat(lambda: g.kernels.alpha_hessian(A, quad, mu, eta)[-2:], reps)
 
 
 def _residual(g, reps: int):
     A, p, quad = _warm_n3(g)
     field = g.FirstOrderField(A, quad)
     return _repeat(lambda: vars(g.integrability_residual(field, p)), reps)
+
+
+def _criterion_12(g, count: int):
+    """``count`` calls of criterion 12's residuals at N = 4, each on a
+    fresh form of the same entries and the same 10 off-locus points."""
+    checks = importlib.import_module(f"{g.__name__}.checks")
+    rng = np.random.default_rng(4612)
+    A = checks.random_spd(rng, 4)
+    points = [checks.off_locus_point(rng, A) for _ in range(10)]
+
+    def prepare():
+        return [g.QuadForm(A.entries) for _ in range(count)]
+
+    def run(fresh):
+        return [checks.integrability_gap(B, points) for B in fresh]
+    return prepare, run, count
 
 
 def _levels(g, count: int):
@@ -292,6 +316,7 @@ LAYERS = {
     "alpha_grad": (_alpha_grad, 100),
     "alpha_hessian": (_alpha_hessian, 50),
     "integrability_residual": (_residual, 50),
+    "criterion-12": (_criterion_12, 1),
     "levels": (_levels, 50),
     "strata-n4": (_strata_n4, 32),
     "region_membership": (_region_membership, 100),

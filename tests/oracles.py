@@ -112,11 +112,11 @@ def _restricted_layout(I: IndexSet, rays: dict | None = None) -> tuple:
 
 
 def _restricted_engine(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu, eta, M,
-                       power: int, pref: float, plus_two: bool, tol_scale: float = 1.0):
+                       power: int, pref: float, powers: int, tol_scale: float = 1.0):
     G = schur_complement(A, I)
     slots = [a - 1 for a in I.active]
     return power_kernel_integral(G.entries, A.det, np.ascontiguousarray(mu[:, slots]), eta,
-                                 M, power, quad, plus_two, pref * tol_scale,
+                                 M, power, quad, powers, pref * tol_scale,
                                  10.0 * quad.abs_tol ** (1.0 / A.n), cone_frame(G.entries, M))
 
 
@@ -128,7 +128,7 @@ def restricted_kernels(A: QuadForm, I: IndexSet, quad: QuadratureSpec, mu: np.nd
     n = len(I.active)
     pairs, M = _restricted_layout(I)
     pref = kernel_prefactor(n, schur_complement(A, I).det)
-    raw = _restricted_engine(A, I, quad, mu, eta, M, n, pref, False)
+    raw = _restricted_engine(A, I, quad, mu, eta, M, n, pref, 1)
     return pairs, KernelValue(pref * raw.value, pref * raw.error, raw.evals)
 
 
@@ -155,7 +155,7 @@ def restricted_gammas(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
     _, M = _restricted_layout(I, rays)
     pref = kernel_prefactor(n, schur_complement(A, I).det) * n * A.det
     size = np.abs(eta)
-    raw = _restricted_engine(A, I, quad, mu, eta, M, n + 2, pref, False, float(size.max()))
+    raw = _restricted_engine(A, I, quad, mu, eta, M, n + 2, pref, 1, float(size.max()))
     total = (pref * raw.value).reshape(len(labels), n, -1).sum(axis=1)
     err = (pref * raw.error).reshape(len(labels), n, -1).sum(axis=1)
     return KernelValue(total * np.conj(eta), err * size, raw.evals)
@@ -195,7 +195,7 @@ def gamma_via_ray(spec: GammaSpec, i: int, p: BasePoint) -> complex:
     n = len(act)
     labels, M = _restricted_layout(spec.I)
     pref = kernel_prefactor(n, schur_complement(spec.A, spec.I).det)
-    up = _restricted_engine(spec.A, spec.I, spec.quad, mu, eta, M, n, pref, True).plus_two
+    up = _restricted_engine(spec.A, spec.I, spec.quad, mu, eta, M, n, pref, 2).higher[0]
     for pair in pairs:
         vals -= 0.5 * n * spec.A.det * pref * np.conj(eta) * up[labels.index(pair)]
     half = nodes <= T

@@ -103,10 +103,10 @@ def test_n4_field_runs_sweep_pinned_nodes(monkeypatch):
     # the swept engine evals (grid nodes times rows, summed over the
     # sweeps of quadrature._sweep_group) carry no noise, so they gate the
     # cost of the N = 4 rows of 04 and 12 (nothing sweeps at N = 3).  04:
-    # the two Hessians' kernels at p + 2 and p + 4 (50 rows each) and the
+    # the two Hessians' kernels at p, p + 2 and p + 4 (50 rows each) and the
     # relations' 10 kernels at p and p + 2 (500 rows), each on one grid;
-    # 12: its Hessians' 10 kernels at p + 2 and p + 4 and the Euler rows'
-    # 10 kernels at p (200 rows each), on the same grids
+    # 12: its Hessians' 10 kernels at p, p + 2 and p + 4 (200 rows), the
+    # Euler rows' values at p among them, on one grid each
     import ghlab.quadrature as quadrature
 
     sweep, seen = quadrature._sweep_group, []
@@ -122,4 +122,4 @@ def test_n4_field_runs_sweep_pinned_nodes(monkeypatch):
         seen.clear()
         criterion_rows(num)
         pins[num] = (sum(n for _, n in seen), sum(rows for rows, _ in seen))
-    assert pins == {"04": (150792, 600), "12": (96816, 400)}
+    assert pins == {"04": (150792, 600), "12": (48408, 200)}

@@ -52,10 +52,10 @@ KEPT_FIELDS = (
     "FlatFieldResult.z_squared",              # test_ansatz.py::TestFlatModel::test_moduli_squares_consistent
     "FlatFieldResult.on_locus",               # test_ansatz.py::TestFlatModel::test_on_locus_detection
     "SigmaExpansion.sigmas",                  # test_ansatz.py::TestSigmaExpansion::test_sigma1_is_trace_term
-    # the decay fit that ROADMAP item 9 extends into the model/remainder split
-    "DecayFit.intercept",                     # ROADMAP item 9
-    "DecayFit.max_residual",                  # ROADMAP item 9
-    "DecayFit.scales",                        # ROADMAP item 9
+    # the decay fit that ROADMAP item 30 extends into the model/remainder split
+    "DecayFit.intercept",                     # ROADMAP item 30
+    "DecayFit.max_residual",                  # ROADMAP item 30
+    "DecayFit.scales",                        # ROADMAP item 30
     "GlueWeight.in_domain",                   # test_glue.py::TestGlueWeight::test_domain_flag_and_enforcement
     "Projection.interior",                    # test_locus.py::test_project_frozen_example
     # the inner regions B''_I and far levels F_s, pinned by the covering-tags digest

@@ -11,7 +11,7 @@ from test_acceptance import criterion_rows
 @pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
 def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
     # every point goes into one Hessian batch of the kernel, two engine
-    # calls of one row per point: its cone at p + 2 and p + 4, and its own
+    # calls of one row per point: its cone at p, p + 2 and p + 4, and its own
     # N - 1 faces at p and p + 2, whose closed forms (d <= 2) return the
     # four-label strata, their faces, as the field's Hessians take them.
     # At N = 3 each row is a closed form; at N = 4 these points lie farther
@@ -44,16 +44,16 @@ def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
     # per N, criterion 12's 20 points go into one Hessian batch of the
     # field's kernels, which share everything but their cone matrix: one
-    # engine call for the K cones at p + 2 and p + 4 and one for their
-    # C(N + 1, 3) distinct faces, the triple strata's cones, whose closed
-    # forms (d <= 2 at N = 3 and 4) return the four-label strata, each of
-    # the 20 rows; then one for the Euler rows' K kernel values
+    # engine call for the K cones at p, p + 2 and p + 4, whose values at p
+    # the Euler rows read, and one for their C(N + 1, 3) distinct faces,
+    # the triple strata's cones, whose closed forms (d <= 2 at N = 3 and
+    # 4) return the four-label strata, each of the 20 rows
     rows = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("12")
-    assert rows == [(6, 20), (4, 20), (6, 20), (10, 20), (10, 20), (10, 20)]
+    assert rows == [(6, 20), (4, 20), (10, 20), (10, 20)]
 
 
 def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
@@ -65,7 +65,7 @@ def test_integrability_residual_is_a_row_of_the_batch(monkeypatch):
     monkeypatch.undo()
     assert [fld.A.n for fld, _, _ in seen] == [3, 4]
     for fld, mu, eta in seen:
-        res, scale, _ = frame.integrability_batch(fld, mu, eta)
+        res, scale, *_ = frame.integrability_batch(fld, mu, eta)
         # every row at N = 3; at N = 4, where each one-row call sweeps, three
         for b in range(len(mu) if fld.A.n == 3 else 3):
             one = frame.integrability_residual(fld, BasePoint(mu[b], eta[b]))
@@ -182,10 +182,10 @@ def test_kernel_laplacian_flags_a_non_harmonic_term(monkeypatch):
     hessian = kernels.alpha_hessian
 
     def with_term(A, quad, mu, eta, labels=None):
-        labels, grad, hess = hessian(A, quad, mu, eta, labels)
+        labels, V, grad, hess = hessian(A, quad, mu, eta, labels)
         grad[..., 0] += 2e-5 * mu[:, 0]
         hess[..., 0, 0] += 2e-5
-        return labels, grad, hess
+        return labels, V, grad, hess
 
     monkeypatch.setattr(kernels, "alpha_hessian", with_term)
     assert "harmonicity/N=3-axis" in failed("04")
@@ -317,9 +317,9 @@ def test_integrability_gap_flags_a_scaled_eta_block(monkeypatch):
     hessian = frame.alpha_hessian
 
     def scaled(*args):
-        labels, grad, hess = hessian(*args)
+        labels, V, grad, hess = hessian(*args)
         hess[..., -2:, -2:] *= 1.0 + 1e-2
-        return labels, grad, hess
+        return labels, V, grad, hess
 
     monkeypatch.setattr(frame, "alpha_hessian", scaled)
     assert failed("12") == {"integrability/N=3-second", "integrability/N=4-second"}
@@ -327,22 +327,23 @@ def test_integrability_gap_flags_a_scaled_eta_block(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["face", "cone", "value"])
 def test_euler_rows_flag_a_scaled_face_cone_or_value(monkeypatch, kind):
-    # row 0 of one engine output scaled by 1 + 1e-6: the faces' (at p and
-    # p + 2), the kernels' at p + 2 (alpha_hessian's cones) or the kernels'
-    # values at p (alpha_family's).  The first identity compares each face
-    # with itself and the second ignores face errors, so only the Euler
-    # rows read them: the face at 0.81 and 0.76 eps (N = 3 and 4), the cone
-    # at 1.36 and 1.43 eps, the value at eps, against 1e-12 and 5e-7
+    # row 0 of one output of alpha_hessian's engine calls scaled by
+    # 1 + 1e-6: the faces' (at p and p + 2), or of the kernels' one call at
+    # p, p + 2 and p + 4 only the cones at p + 2 or only the values at p.
+    # The first identity compares each face with itself and the second
+    # ignores face errors, so only the Euler rows read them: the face at
+    # 0.81 and 0.76 eps (N = 3 and 4), the cone at 1.36 and 1.43 eps, the
+    # value at eps, against 1e-12 and 5e-7
     engine = kernels._engine_batch
 
-    def scaled(fam, mu, eta, quad, plus_two=False, tol_scale=1.0):
-        raw = engine(fam, mu, eta, quad, plus_two, tol_scale)
+    def scaled(fam, mu, eta, quad, powers=1, tol_scale=1.0):
+        raw = engine(fam, mu, eta, quad, powers, tol_scale)
         N, d = mu.shape[1], fam.M.shape[2]
-        if {"face": d == N - 2 and plus_two, "cone": d == N - 1 and fam.power == N + 2,
-                "value": d == N - 1 and fam.power == N and not plus_two}[kind]:
+        if d == N - 2 and powers == 2 and kind == "face":
             raw.value[0] *= 1.0 + 1e-6
-            if kind == "face":
-                raw.plus_two[0] *= 1.0 + 1e-6
+            raw.higher[0][0] *= 1.0 + 1e-6
+        elif d == N - 1 and powers == 3 and kind != "face":
+            (raw.value if kind == "value" else raw.higher[0])[0] *= 1.0 + 1e-6
         return raw
 
     monkeypatch.setattr(kernels, "_engine_batch", scaled)

@@ -15,8 +15,9 @@ def test_empty_batch_gives_empty_residuals(N):
     # a batch of no points gives (2, 0) residuals and scales, as the field
     # jet it differences gives empty arrays
     fld = FirstOrderField(checks.random_spd(np.random.default_rng(N), N), QUAD)
-    res, scale, grad = integrability_batch(fld, np.zeros((0, N)), np.zeros(0, dtype=complex))
-    assert res.shape == scale.shape == (2, 0) and grad.shape == (N * (N + 1) // 2, 0, N + 2)
+    res, scale, V, grad = integrability_batch(fld, np.zeros((0, N)), np.zeros(0, dtype=complex))
+    assert res.shape == scale.shape == (2, 0) and V.shape == (N * (N + 1) // 2, 0)
+    assert grad.shape == (N * (N + 1) // 2, 0, N + 2)
 
 
 def test_integrability_residual_small():
@@ -82,15 +83,15 @@ def test_n4_field_identities(monkeypatch):
 
 
 def test_n5_field_identities(monkeypatch):
-    # criterion 12 sweeps two axes per kernel for the 15 cones at p + 2
-    # and p + 4 (465,920 nodes) and for the Euler row's 15 kernels at p, on
-    # the same grids (465,920), and one axis for their 20 distinct faces at
-    # p and p + 2 (5,112); the 15 four-label strata are closed forms (15),
+    # criterion 12 sweeps two axes per kernel for the 15 cones at p,
+    # p + 2 and p + 4, the Euler row's values at p among them, on one grid
+    # each (465,920 nodes), and one axis for their 20 distinct faces at p
+    # and p + 2 (5,112); the 15 four-label strata are closed forms (15),
     # each one row; only edges whose difference would cancel reach the
     # far-edge rule.  The stencil's 29 rows took 13,511,680 nodes and sent
     # 662,706 edges to the rule
     nodes, edges = _field_identities(5, monkeypatch)
-    assert nodes == 936967
+    assert nodes == 471047
     assert edges == 101865
 
 
@@ -105,9 +106,9 @@ def test_perturbed_field_breaks_first_identity(monkeypatch):
     hessian = frame.alpha_hessian
 
     def perturbed(*args):
-        labels, grad, hess = hessian(*args)
+        labels, V, grad, hess = hessian(*args)
         grad[labels.index((1, 2)), :, 2] -= 1.0
-        return labels, grad, hess
+        return labels, V, grad, hess
 
     monkeypatch.setattr(frame, "alpha_hessian", perturbed)
     res_bad = integrability_residual(fld, p)

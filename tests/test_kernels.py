@@ -118,10 +118,10 @@ def test_alpha_hessian_takes_labels_as_a_spec_does():
     # pair in either order is the kernel, and a bad pair is named
     A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
     mu, eta = np.array([[0.5, -0.3]]), np.array([0.7 + 0.2j])
-    labels, grad, hess = alpha_hessian(A, QUAD, mu, eta, (1, 0))
+    labels, V, grad, hess = alpha_hessian(A, QUAD, mu, eta, (1, 0))
     want = alpha_hessian(A, QUAD, mu, eta, (0, 1))
     assert labels == want[0] == ((0, 1),)
-    assert grad.tobytes() == want[1].tobytes() and hess.tobytes() == want[2].tobytes()
+    assert [V.tobytes(), grad.tobytes(), hess.tobytes()] == [a.tobytes() for a in want[1:]]
     for bad, msg in _BAD_LABELS:
         with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
             alpha_hessian(A, QUAD, mu, eta, bad)
@@ -630,14 +630,14 @@ def test_non_finite_face_is_refused_by_name(monkeypatch):
 
     def planted(*args, **kwargs):
         out = wedge(*args, **kwargs)
-        out[-1][0, k, row] = np.nan      # with plus_two: J_p along edge 0
+        out[-1][0, k, row] = np.nan      # with two powers: J_p along edge 0
         return out
 
     monkeypatch.setattr(quadrature, "wedge_integrals", planted)
     with pytest.raises(SingularityProximity, match=f"row {row} gives a face that is "
                                                    "not finite") as exc:
         power_kernel_integral(fam.Q, fam.c_eta, mu, eta, fam.M, fam.power, QUAD,
-                              plus_two=True, floor=1e-3)
+                              powers=2, floor=1e-3)
     assert (exc.value.kernel, exc.value.row) == (k, row)
     labels = re.escape(str(fam.labels[k]))
     with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
@@ -845,7 +845,7 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
     A = random_spd(np.random.default_rng(1000 * N), N)
-    empty = kernels._engine_batch(_family(A), np.zeros((0, N)), np.zeros(0, complex), QUAD, True)
+    empty = kernels._engine_batch(_family(A), np.zeros((0, N)), np.zeros(0, complex), QUAD, 2)
     assert empty.faces.shape == (math.comb(N + 1, 2), N - 1, 0)
     calls.clear()
     _, kv = alpha_family(A, QUAD, np.zeros((0, N)), np.zeros(0, complex), True)
@@ -855,8 +855,8 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
         A = random_spd(rng, N)
         mu, eta = _batch([checks.random_point(rng, N) for _ in range(5)])
         _, kv = alpha_family(A, QUAD, mu, eta, True)
-        _, grad, hess = alpha_hessian(A, QUAD, mu, eta)
-        both = kernels._engine_batch(_family(A), mu, eta, QUAD, True)
+        _, V, grad, hess = alpha_hessian(A, QUAD, mu, eta)
+        both = kernels._engine_batch(_family(A), mu, eta, QUAD, 2)
         specs = [GammaSpec(A, IndexSet(I), checks.GAMMA_QUAD)
                  for I in ((0, 1), (0, 1, 2)) if N == 2]
         gams = [gamma_family(spec, spec.I.members, mu, eta).value for spec in specs]
@@ -865,11 +865,11 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
         for b in range(5):
             row = slice(b, b + 1)
             _, one = alpha_family(A, QUAD, mu[row], eta[row], True)
-            _, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row])
-            alone = kernels._engine_batch(_family(A), mu[row], eta[row], QUAD, True)
-            for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
+            _, V1, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row])
+            alone = kernels._engine_batch(_family(A), mu[row], eta[row], QUAD, 2)
+            for x, y in ((kv.value, one.value), (V, V1), (kv.gradient, one.gradient), (grad, g1),
                          (hess, h1), (both.value, alone.value),
-                         (both.plus_two, alone.plus_two)):
+                         (both.higher[0], alone.higher[0])):
                 assert x[:, row].tobytes() == y.tobytes()
             assert both.faces[..., row].tobytes() == alone.faces.tobytes()
             for spec, gam, mix in zip(specs, gams, mixed):
@@ -879,11 +879,11 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
                 assert mix[:, row].tobytes() == want.tobytes()
         for ij in kernels._layout(N, 2)[0] if seed < 4 else ():
             _, kv = alpha_family(A, QUAD, mu, eta, True, ij)
-            _, grad, hess = alpha_hessian(A, QUAD, mu, eta, ij)
+            *_, grad, hess = alpha_hessian(A, QUAD, mu, eta, ij)
             for b in range(5):
                 row = slice(b, b + 1)
                 _, one = alpha_family(A, QUAD, mu[row], eta[row], True, ij)
-                _, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row], ij)
+                *_, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row], ij)
                 kg = alpha_grad(KernelSpec(A, ij), QUAD, BasePoint(mu[b], eta[b]))
                 for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
                              (hess, h1)):
@@ -924,7 +924,7 @@ def test_alpha_hessian_identities(N):
     worst = np.zeros(3)
     for seed in HESSIAN_SEEDS:
         A, x = _hessian_case(N, seed)
-        labels, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]))
+        labels, _, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]))
         assert labels == _family(A).labels and hess.shape == (len(labels), 1, N + 2, N + 2)
         H, g = hess[:, 0], grad[:, 0]
         mu_terms, eta_part = laplace_terms(A, H)
@@ -952,7 +952,7 @@ def test_alpha_hessian_matches_central_difference(N, labels):
     def values(rows):
         return alpha_family(A, QUAD, *batch_of_rows(rows), False, labels)[1].value[0]
 
-    _, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]), labels)
+    *_, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]), labels)
     _, kv = alpha_family(A, QUAD, *batch_of_rows(x[None]), True, labels)
     p = BasePoint(x[:-2], complex(*x[-2:]))
     grads = [grad[0, 0], kv.gradient[0, 0], alpha_grad(KernelSpec(A, labels), QUAD, p).gradient]

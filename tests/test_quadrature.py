@@ -178,8 +178,8 @@ def test_line_row_behind_the_apex_at_zero_height_is_finite(mpmath):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = power_kernel_integral(Q, 1.0, b, np.zeros(2), m_col[None, :, None], power,
-                                        QuadratureSpec(), plus_two=True, floor=0.5)
-        for q, got in ((power, res.value[0, 1]), (power + 2, res.plus_two[0, 1])):
+                                        QuadratureSpec(), powers=2, floor=0.5)
+        for q, got in ((power, res.value[0, 1]), (power + 2, res.higher[0][0, 1])):
             closed = a ** (0.5 * q - 1) * abs(beta) ** (1 - q) / (q - 1)
             assert got == pytest.approx(closed, rel=2e-15), q
             want = mp_half_line(mpmath, qd, mpmath.mpf("-1.2"), mpmath.mpf("1.8"), q)
@@ -514,9 +514,9 @@ def test_wedge_matches_mpmath(phi, foot, H, mpmath):
     jac = 1 / mpmath.mpf(e2[1])
     for p in range(3, 9):
         res = power_kernel_integral(np.eye(3), 1.0, b[None], np.array([eta]), M, p,
-                                    QuadratureSpec(), plus_two=True)
+                                    QuadratureSpec(), powers=2)
         assert res.value[0, 0] == pytest.approx(float(W[p] * jac), rel=1e-12), p
-        assert res.plus_two[0, 0] == pytest.approx(float(W[p + 2] * jac), rel=1e-12), p
+        assert res.higher[0][0, 0] == pytest.approx(float(W[p + 2] * jac), rel=1e-12), p
         assert res.error[0, 0] == 0.0
 
 
@@ -561,7 +561,7 @@ def test_wedge_edge_terms_hold_the_budget(p, mpmath):
     e2 = (np.cos(phi), np.sin(phi))
     s0, ell = quadrature._edges(e2, y)
     W = quadrature.wedge_integrals(phi, s0, ell, (ell[0] >= 0.0) & (ell[1] >= 0.0), H2, p,
-                                   plus_two=True)
+                                   powers=2)
     budget = quadrature._EDGE_BUDGET
     for i in range(count):
         H = mpmath.sqrt(mpmath.mpf(H2[i]))
@@ -597,15 +597,15 @@ def test_wedge_row_behind_the_apex_on_an_edge_line_at_zero_height(phi, mpmath):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = power_kernel_integral(np.eye(2), 1.0, b, np.zeros(1), M, p,
-                                        QuadratureSpec(), plus_two=True)
-        for q, got in ((p, res.value[0, 0]), (p + 2, res.plus_two[0, 0])):
+                                        QuadratureSpec(), powers=2)
+        for q, got in ((p, res.value[0, 0]), (p + 2, res.higher[0][0, 0])):
             S = mpmath.quad(lambda t: mpmath.sin(t) ** (q - 2), [0, mpmath.mpf(phi)])
             assert got == pytest.approx(float(c ** (2 - q) / (q - 2) * S / sphi),
                                         rel=1e-12), (p, q)
 
 
 def test_closed_form_faces_match_their_own_family(monkeypatch):
-    # a closed-form call (d <= 2) with plus_two returns the raw values of
+    # a closed-form call (d <= 2) of two powers returns the raw values of
     # each cone's faces at its power, column j the cone less column j: a
     # wedge's are its edges' half-line integrals over their columns'
     # Q-lengths, a line's its apex value.  Each must read what the face's
@@ -621,7 +621,7 @@ def test_closed_form_faces_match_their_own_family(monkeypatch):
                         lambda theta, *a: ruled.append(theta.size) or rule(theta, *a))
 
     def check(Q, b, eta, M, power):
-        res = power_kernel_integral(Q, 1.0, b, eta, M, power, QuadratureSpec(), plus_two=True)
+        res = power_kernel_integral(Q, 1.0, b, eta, M, power, QuadratureSpec(), powers=2)
         assert res.faces.shape == (len(M), M.shape[2], len(b))
         for j in range(M.shape[2]):
             face = power_kernel_integral(Q, 1.0, b, eta, np.delete(M, j, axis=2), power,
@@ -636,22 +636,63 @@ def test_closed_form_faces_match_their_own_family(monkeypatch):
         levels = kernels._levels(A)
         for (fam, _, _, up), (faces, *_) in zip(levels, levels[1:]):
             for q in (fam.power, fam.power + 2) if fam.M.shape[2] <= 2 else ():
-                res = kernels._engine_batch(replace(fam, power=q), mu, eta, checks.QUAD, True)
+                res = kernels._engine_batch(replace(fam, power=q), mu, eta, checks.QUAD, 2)
                 want = kernels._engine_batch(replace(faces, power=q), mu, eta, checks.QUAD)
                 np.testing.assert_allclose(res.faces, want.value[up], rtol=1e-14, atol=0)
+    for case in _closed_form_cases():
+        check(*case)
+    assert ruled
+
+
+def _closed_form_cases():
+    """(Q, b, eta, M, p) of closed-form calls at p = 3..8: the wedge tests'
+    feet (inside, outside, on an edge's line), rows behind the apex on an
+    edge line at zero height, feet just outside beside an edge, whose far
+    edge the far-edge rule takes, and a line's rows with the foot ahead,
+    behind at a wide angle (Wallis) and behind at a small one (the series)."""
     for p in range(3, 9):
         for phi, foot, H in WEDGE_FEET:
             M, b, eta = wedge_row(phi, foot, H)
-            check(np.eye(3), b[None], np.array([eta]), M, p)
+            yield np.eye(3), b[None], np.array([eta]), M, p
         for phi in (0.5 * math.pi, 2.0, 0.4, 3.0):
             M = np.array([[[1.0, math.cos(phi)], [0.0, math.sin(phi)]]])
-            check(np.eye(2), np.array([[-1.3, 0.0]]), np.zeros(1), M, p)
-        check(np.diag([1.4, 0.8]), np.array([[1.0, 2.0], [0.0, -1.5]]), np.zeros(2),
-              np.array([[[0.0], [1.0]]]), p)
+            yield np.eye(2), np.array([[-1.3, 0.0]]), np.zeros(1), M, p
+        yield (np.diag([1.4, 0.8]), np.array([[1.0, 2.0], [0.0, -1.5], [1.0, -0.5], [0.05, -2.0]]),
+               np.zeros(4), np.array([[[0.0], [1.0]]]), p)
         for t in (1e-3, 1e-2, 0.1):
             M, b, eta = wedge_row(1.1, (1.0, -t), t)
-            check(np.eye(3), b[None], np.array([eta]), M, p)
-    assert ruled
+            yield np.eye(3), b[None], np.array([eta]), M, p
+
+
+def test_closed_form_powers_read_as_calls_of_one_power(monkeypatch):
+    # a closed-form call (d <= 2) of three powers, p, p + 2 and p + 4,
+    # reads each as the call of that power alone within 1e-14 relative
+    # times the wedge's conditioning 1 / sin phi (1 for a line): the three
+    # share the edge chain and the far-edge gate of the highest, where a
+    # call alone takes its own, and the edge terms of a thin wedge seen
+    # from the side cancel by about 1 / phi (at phi = 1e-3, p = 4 the two
+    # read 2.6e-14 apart, 5.2e-14 and 7.8e-14 off 50-digit mpmath).  Its
+    # faces read as the two-power call's at p within 1e-14 (the half-line
+    # series sums its powers in one contraction, 3.4e-16 apart at most),
+    # and at a wedge its two higher powers bitwise as the two-power call's
+    # at p + 2, whose chain and gate are the same
+    rule, ruled = quadrature._edge_rule, []
+    monkeypatch.setattr(quadrature, "_edge_rule",
+                        lambda theta, *a: ruled.append(len(a[-1])) or rule(theta, *a))
+    for Q, b, eta, M, p in _closed_form_cases():
+        G = M[0].T @ Q @ M[0]
+        cond = math.sqrt(G[0, 0] * G[1, 1] / np.linalg.det(G)) if len(G) == 2 else 1.0
+        res = power_kernel_integral(Q, 1.0, b, eta, M, p, QuadratureSpec(), powers=3)
+        for j, got in enumerate([res.value, *res.higher]):
+            alone = power_kernel_integral(Q, 1.0, b, eta, M, p + 2 * j, QuadratureSpec())
+            np.testing.assert_allclose(got, alone.value, rtol=1e-14 * cond, atol=0)
+        two = [power_kernel_integral(Q, 1.0, b, eta, M, q, QuadratureSpec(), powers=2)
+               for q in (p, p + 2)]
+        np.testing.assert_allclose(res.faces, two[0].faces, rtol=1e-14, atol=0)
+        if M.shape[2] == 2:
+            assert [v.tobytes() for v in res.higher] == [two[1].value.tobytes(),
+                                                         two[1].higher[0].tobytes()]
+    assert 3 in ruled
 
 
 def _neighbour_rows(xs: np.ndarray, h: float) -> np.ndarray:
@@ -676,7 +717,7 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     A = checks.random_spd(rng, 3)
     xs = np.array([coordinate_row(checks.off_locus_point(rng, A)) for _ in range(50)])
     kernels._engine_batch(kernels._family(A), *batch_of_rows(_neighbour_rows(xs, 1e-3)),
-                          checks.QUAD, True)
+                          checks.QUAD, 2)
     for _ in range(50):
         spec = holo.GammaSpec(checks.random_spd(rng, 2), IndexSet((0, 1, 2)), checks.GAMMA_QUAD)
         holo.gamma_sum_check(spec, checks.random_point(rng, 2))
@@ -687,7 +728,7 @@ def test_closed_form_hot_calls_take_no_half_line_call(monkeypatch):
     s0 = np.array([[0.5], [cphi * 0.5 + sphi * 0.4]])
     ell = np.array([[0.4], [sphi * 0.5 - cphi * 0.4]])
     quadrature.wedge_integrals(np.arccos(cphi), s0, ell, np.array([True]), np.array([0.25]), 5,
-                               plus_two=True)
+                               powers=2)
     assert calls == [(5,)]
 
 
@@ -750,8 +791,9 @@ def test_swept_integrals_obey_their_face_identities(m, d, q):
         b = rng.normal(size=(3, m))
         eta = rng.uniform(0.3, 1.0, 3) * np.exp(2j * math.pi * rng.uniform(size=3))
         faces = np.stack([np.delete(M, j, axis=1) for j in range(d)])
-        full = power_kernel_integral(Q, 1.0, b, eta, M[None], q, _FACE_SPEC, plus_two=True)
-        face = power_kernel_integral(Q, 1.0, b, eta, faces, q, _FACE_SPEC).value
+        # three powers of the cone and two of its faces from one pass each
+        full = power_kernel_integral(Q, 1.0, b, eta, M[None], q, _FACE_SPEC, powers=3)
+        face = power_kernel_integral(Q, 1.0, b, eta, faces, q, _FACE_SPEC, powers=2)
         s, s_F = (np.sqrt(np.linalg.det(C.swapaxes(-1, -2) @ Q @ C)) for C in (M, faces))
         G = M.T @ Q @ M
         tau0 = np.linalg.solve(G, M.T @ Q @ b.T)     # the foot y0 = M tau0, (d, B)
@@ -759,12 +801,15 @@ def test_swept_integrals_obey_their_face_identities(m, d, q):
         H2 = np.einsum("mb,mn,nb->b", perp, Q, perp) + np.abs(eta) ** 2
         w = 1.0 / np.sqrt(np.diag(np.linalg.inv(G)))  # 1 / |w_k|_Q
         ell = w[:, None] * tau0
-        V, up, V_F = s * full.value[0], s * full.plus_two[0], s_F[:, None] * face
-        # (I)
-        res = (q - d) * V - q * H2 * up + np.sum(ell * V_F, axis=0)
-        tol = (s * ((q - d) * _bound(full.value[0]) + q * H2 * _bound(full.plus_two[0]))
-               + np.sum(np.abs(ell) * s_F[:, None] * _bound(face), axis=0))
-        assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (res, tol)
+        cone = [full.value[0]] + [v[0] for v in full.higher]
+        # (I) at q and at q + 2
+        for j, (raw_F, low, high) in enumerate(zip([face.value, face.higher[0]], cone, cone[1:])):
+            qj = q + 2 * j
+            res = ((qj - d) * s * low - qj * H2 * s * high
+                   + np.sum(ell * s_F[:, None] * raw_F, axis=0))
+            tol = (s * ((qj - d) * _bound(low) + qj * H2 * _bound(high))
+                   + np.sum(np.abs(ell) * s_F[:, None] * _bound(raw_F), axis=0))
+            assert np.all(np.abs(res) <= _FACE_FACTOR * tol), (qj, res, tol)
         # (II), along every column, on the engine's values
         for k in range(d):
             moved = power_kernel_integral(Q, 1.0, b + 0.5 * M[:, k], eta, M[None], q,
@@ -788,7 +833,7 @@ def test_swept_miss_at_the_higher_power_is_named(monkeypatch):
     M = np.eye(4)[None, :, 1:]
     b = np.array([[0.8, -0.5, 0.4, 0.3], [-0.6, 0.9, 1.1, -0.2]])
     eta = np.array([0.6 + 0.2j, 0.4 - 0.3j])
-    power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), plus_two=True)
+    power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), powers=2)
     sweep, calls = quadrature._sweep, []
 
     def planted(*args):
@@ -801,6 +846,6 @@ def test_swept_miss_at_the_higher_power_is_named(monkeypatch):
     monkeypatch.setattr(quadrature, "_sweep", planted)
     with pytest.raises(QuadratureError, match=r"no convergence after 2 passes: .* "
                                               r"against tolerance \S+ at power 6") as exc:
-        power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), plus_two=True)
+        power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec(), powers=2)
     assert (exc.value.kernel, exc.value.row) == (0, 0)
     power_kernel_integral(Q, 1.0, b, eta, M, 4, QuadratureSpec())
