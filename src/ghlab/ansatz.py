@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, check_batch, reduction
+from .geometry import BasePoint, IndexSet, QuadForm, _inv, check_batch, reduction
 from .kernels import alpha_batch  # noqa: F401  perfbench/tracing.py patches it here
 from .kernels import alpha_family
 from .locus import dist_closed_stratum  # noqa: F401  perfbench/tracing.py patches it here
@@ -246,7 +246,7 @@ def sigma_expansion(A: QuadForm, v: np.ndarray) -> SigmaExpansion:
     if v.shape != (A.n, A.n):
         raise ValueError("perturbation shape mismatch")
     # the eigenvalues of the pencil (v, A) as those of C^-1 v C^-T, A = C C^T
-    C_inv = A.derived("cholesky_inv", lambda: np.linalg.inv(np.linalg.cholesky(A.entries)))
+    C_inv = A.derived("cholesky_inv", lambda: _inv(A._factor()))
     eigs = np.linalg.eigvalsh(C_inv @ (0.5 * (v + v.T)) @ C_inv.T)
     coeffs = np.poly(eigs)          # monic, length N+1
     sigmas = np.array([(-1.0) ** k * coeffs[k] for k in range(1, A.n + 1)])

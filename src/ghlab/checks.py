@@ -311,11 +311,8 @@ def schur_eigen_violation(cases) -> float:
     minus the smallest margin when every spectrum stays inside."""
     worst = -math.inf
     for A, I in cases:
-        w = np.linalg.eigvalsh(A.entries)
-        lam, Lam = w[0], w[-1]
-        lo = lam * (lam / Lam) ** (A.n - 1)
-        gw = np.linalg.eigvalsh(schur_complement(A, I).entries)
-        worst = max(worst, lo - gw[0], gw[-1] - Lam)
+        lam, Lam, G = A.lambda_min, A.lambda_max, schur_complement(A, I)
+        worst = max(worst, lam * (lam / Lam) ** (A.n - 1) - G.lambda_min, G.lambda_max - Lam)
     return worst
 
 

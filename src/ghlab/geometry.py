@@ -14,7 +14,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,6 +33,20 @@ __all__ = [
     "ball_volume",
     "block",
 ]
+
+# -- small dense linear algebra: numpy's internals, bound once -----------
+# np.einsum less its dispatch, and np.linalg's LAPACK gufuncs less the
+# wrappers' checks, which cost more than a small form's LAPACK work: the same
+# routines give the same bits, on checked input alone (a QuadForm's entries,
+# its kept Cholesky factor, their blocks).  np.linalg stays on other data:
+# nonneg_argmin's solve (a LinAlgError skips an active set), the eigvalsh of a
+# swept group's Gram matrices and of sigma_expansion's v (a caller's), glue's
+# quintic solve (once a profile), and the checks module's samplers and oracle
+# residuals (qr, norm, det).
+_einsum = np.einsum.__wrapped__
+_solve = partial(_umath_linalg.solve, signature="dd->d")
+_eigvalsh, _det, _cholesky, _inv = (partial(f, signature="d->d") for f in (
+    _umath_linalg.eigvalsh_lo, _umath_linalg.det, _umath_linalg.cholesky_lo, _umath_linalg.inv))
 
 
 def block(M: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -72,16 +86,14 @@ class QuadForm:
         if np.abs(M - M.T).max() > 1e-14 * max(1.0, scale):
             raise ValueError("matrix is not symmetric to 1e-14")
         M = 0.5 * (M + M.T)
-        # LAPACK's eigenvalues and determinant without np.linalg's wrappers, whose checks of
-        # this checked matrix cost more than a 3 x 3 form's LAPACK work; not > rejects nan
-        w = _umath_linalg.eigvalsh_lo(M, signature="d->d").tolist()
+        w = _eigvalsh(M).tolist()   # not > rejects nan
         if not (w[0] > 1e-12 * w[-1] and w[0] > 0.0):
             raise ValueError("matrix is not positive definite")
         M.setflags(write=False)
         self.entries = M
         self.n = M.shape[0]
         self.lambda_min, self.lambda_max = w[0], w[-1]
-        self.det = float(_umath_linalg.det(M, signature="d->d"))
+        self.det = float(_det(M))
         self._inv: np.ndarray | None = None
         self._derived: dict = {}
 
@@ -93,10 +105,14 @@ class QuadForm:
     def inv(self) -> np.ndarray:
         """A^{-1}, symmetrized, computed on first read (the stratum layer never does)."""
         if self._inv is None:
-            inv = np.linalg.inv(self.entries)
+            inv = _inv(self.entries)
             self._inv = 0.5 * (inv + inv.T)
             self._inv.flags.writeable = False
         return self._inv
+
+    def _factor(self) -> np.ndarray:
+        """The lower Cholesky factor C of A = C C^T, built once and kept with A."""
+        return self.derived("cholesky", lambda: _cholesky(self.entries))
 
     @property
     def condition(self) -> float:
@@ -238,7 +254,11 @@ def schur_blocks(M: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     (..., n, n), ordered active-first and split at its active count a:
     P = M_cc^{-1} M_ca, G = M_aa - M_ac P, M_ac C-contiguous (see ``block``)."""
     M_ac = np.ascontiguousarray(M[..., :a, a:])   # empty when c is
-    P = np.linalg.solve(M[..., a:, a:], M_ac.swapaxes(-1, -2))
+    try:
+        with np.errstate(invalid="raise"):   # a singular block's solve is invalid
+            P = _solve(M[..., a:, a:], M_ac.swapaxes(-1, -2))
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
     return P, M[..., :a, :a] - M_ac @ P
 
 

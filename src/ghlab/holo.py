@@ -103,7 +103,7 @@ def _gamma_family(spec: GammaSpec, labels: tuple[int, ...], mu: np.ndarray,
         return KernelValue(np.zeros((L, B), dtype=complex), np.zeros((L, B)), 0)
     red = reduction(spec.A, spec.I)
     n = red.G.n   # kernels per gamma, each with the gamma's ray
-    # per call only the cone frame is built: kept per form, it would cost ~1 KB
+    # per call only the cone frame is built, from G's kept factor: kept, it would cost ~1 KB
     fam = _build_family(red.G, _gamma_layout(n, tuple(map(members.index, labels))))
     # the engine takes the live rows; the outputs are built from its rows
     # directly, and scattered only into a batch that has rows at eta = 0

@@ -19,9 +19,9 @@ gives values, gradients and Hessians from the cones at p, p + 2 and p + 4
 A call of two or more powers at d <= 2 returns its cones' faces from its
 own pass; only above a swept cone does a level's faces take a call of
 their own, and a one-kernel call's only those the kernel reads.  Cones
-differ only in their matrix, laid out once per N; Q, the prefactor,
-``quadrature.cone_frame`` and each family's R and S are built once per
-form, and ``_engine_batch`` makes one engine call for a family at
+differ only in their matrix, laid out once per N; Q, the prefactor, each
+cone frame (from Q's one kept Cholesky factor) and each family's R and S are
+built once per form, and ``_engine_batch`` makes one engine call for a family at
 the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
 it.  Only the weak charge check calls the engine directly, with no floor:
@@ -42,14 +42,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, _row, ball_volume, block, check_batch
+from .geometry import (BasePoint, IndexSet, QuadForm, _det, _row, _solve, ball_volume, block,
+                       check_batch)
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
 from .quadrature import (
     QuadratureError,
     QuadratureSpec,
     QuadResult,
     SingularityProximity,
-    cone_frame,
+    _frame,
     panel_nodes,
     power_kernel_integral,
 )
@@ -165,7 +166,7 @@ def _build_family(A: QuadForm, layout: tuple) -> _Family:
     pairs, M = layout[:2]
     n, ray = A.n, M.shape[2] == A.n
     pref = kernel_prefactor(n, A.det) * (n * A.det if ray else 1.0)
-    return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, cone_frame(A.entries, M))
+    return _Family(A.entries, A.det, pairs, M, n + 2 * ray, pref, _frame(A._factor(), M))
 
 
 def _levels(A: QuadForm) -> tuple:
@@ -184,7 +185,7 @@ def _levels(A: QuadForm) -> tuple:
             K, N, d = fam.M.shape
             AM = fam.Q @ fam.M
             R = np.zeros((K, N + 2, d))
-            R[:, :N] = np.linalg.solve(fam.M.swapaxes(1, 2) @ AM, AM.swapaxes(1, 2)).swapaxes(1, 2)
+            R[:, :N] = _solve(fam.M.swapaxes(1, 2) @ AM, AM.swapaxes(1, 2)).swapaxes(1, 2)
             S = np.zeros((K, N + 2, N + 2))
             S[:, :N, :N] = fam.Q - R[:, :N] @ AM.swapaxes(1, 2)
             S[:, N, N] = S[:, N + 1, N + 1] = fam.c_eta
@@ -397,7 +398,7 @@ def closed_form_axis(A: QuadForm, i: int, p: BasePoint) -> float:
     if p.N != A.n:
         raise ValueError("dimension mismatch between form and point")
     comp = IndexSet((0, i)).active_complement(A.n)
-    D = float(np.linalg.det(block(A.entries, comp, comp)))   # 1 for an empty block
+    D = float(_det(block(A.entries, comp, comp)))   # 1 for an empty block
     return 1.0 / (2.0 * math.sqrt(p.mu[i - 1] ** 2 + D * abs(p.eta) ** 2))
 
 

@@ -31,9 +31,8 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import BasePoint, IndexSet, QuadForm, _row, block, schur_blocks
+from .geometry import BasePoint, IndexSet, QuadForm, _einsum, _row, block, schur_blocks
 from .geometry import schur_complement  # noqa: F401  perfbench/tracing.py patches it here
-from .quadrature import _einsum
 
 __all__ = [
     "Projection",

@@ -58,10 +58,10 @@ power series in sin^2 where beta < 0 and the angle is small), D formed as
 a times a Q-distance to the line.
 
 So at d <= 2 nothing is swept and every row is a closed form with error
-0.  Each contraction of a closed form's rows is an ``np.einsum``, which
-sums every entry in one order, and the tests hold each row to the same
-bits alone and in any batch; a BLAS product picks its kernel, and with it
-the rounding, by the batch's shape (one row or more).  The engine takes
+0.  Each contraction of a closed form's rows is ``geometry``'s np.einsum
+less its dispatch, which sums every entry in one order: each row reads the
+same bits alone and in any batch (as the tests hold), where a BLAS product
+picks its kernel and rounding by the batch's shape.  The engine takes
 rows b (B, m), eta (B,) and a stack of cone matrices M (K, m, d) of
 kernels that share Q, c_eta and the power; the form's part
 (``cone_frame``) carries the kernel axis, and every (kernel, row) pair is
@@ -105,9 +105,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import _finite
-
-_einsum = np.einsum.__wrapped__   # np.einsum less its dispatch, about a small contraction's cost
+from .geometry import _cholesky, _einsum, _finite
 
 __all__ = [
     "QuadratureSpec",
@@ -706,9 +704,14 @@ def cone_frame(Q: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
     """What the closed forms take from the form Q and the cone matrices
     M (K, m, d) alone: None at d = 0, a ``_Line`` at d = 1, else a
     ``_Wedge``; a caller that keeps it for ``power_kernel_integral``
-    builds it once per form."""
+    builds it once per form, from a kept factor by ``_frame``."""
+    return _frame(_cholesky(Q), M)
+
+
+def _frame(C: np.ndarray, M: np.ndarray) -> _Line | _Wedge | None:
+    """``cone_frame`` from Q's lower Cholesky factor C, Q = C C^T."""
     d = M.shape[-1]
-    return None if d == 0 else (_Line if d == 1 else _Wedge).build(np.linalg.cholesky(Q).T, M)
+    return None if d == 0 else (_Line if d == 1 else _Wedge).build(C.T, M)
 
 
 def _swept_breaks(wedge: _Wedge, y0: np.ndarray, z: np.ndarray, E0: float,

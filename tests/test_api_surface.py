@@ -347,3 +347,12 @@ def test_every_settable_value_is_set():
 
 def test_kept_params_exist():
     assert set(KEPT_PARAMS) <= {label for _, label, _, _ in _settables()}
+
+
+def test_numpy_internals_are_bound_in_geometry_alone():
+    # geometry's small dense linear algebra section binds each private numpy
+    # name once; every other module reads its bindings
+    found = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py")) if path.name != "geometry.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if "_umath_linalg" in line or "__wrapped__" in line]
+    assert not found, f"numpy internals named outside geometry.py: {found}"

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghlab import geometry, holo, kernels
-from ghlab.ansatz import FirstOrderField
-from ghlab.checks import random_spd
+from ghlab import geometry, holo, kernels, locus
+from ghlab.ansatz import FirstOrderField, sigma_expansion
+from ghlab.checks import off_locus_point, random_spd
 from ghlab.glue import glue_weight_batch
 from ghlab.holo import GammaSpec, gamma_family
 from ghlab.locus import RegionConstants
@@ -24,6 +24,7 @@ from ghlab.geometry import (
     block,
     check_batch,
     laplace_terms,
+    reduction,
     schur_blocks,
     schur_complement,
 )
@@ -95,6 +96,78 @@ def test_stacked_schur_blocks_match_each_slice(n, S):
         want_P = np.linalg.solve(block(M[k], Sc, Sc), block(M[k], Sc, S))
         assert P_k.tobytes() == want_P.tobytes()
         assert G_k.tobytes() == (block(M[k], S, S) - block(M[k], S, Sc) @ want_P).tobytes()
+
+
+@pytest.mark.parametrize("M, a", [
+    (np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]), 1),
+    (np.stack([np.eye(3), np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])]), 1),
+    (np.zeros((4, 4)), 2),
+], ids=["one", "stack", "zero"])
+def test_schur_blocks_refuse_a_singular_transverse_block(M, a):
+    # np.linalg.solve's refusal is public behaviour; the bare LAPACK solve
+    # would read nan and warn, which the suite turns into an error
+    with pytest.raises(np.linalg.LinAlgError):
+        schur_blocks(M, a)
+
+
+def _record(monkeypatch, name: str) -> list:
+    """The arguments of every call of geometry's bound ``name``, at every
+    ghlab module that binds it."""
+    bound, calls = getattr(geometry, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return bound(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("ghlab") and getattr(module, name, None) is bound:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+_PUBLIC = {"_eigvalsh": np.linalg.eigvalsh, "_det": np.linalg.det, "_cholesky": np.linalg.cholesky,
+           "_solve": np.linalg.solve, "_inv": np.linalg.inv}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_bound_linalg_calls_are_numpys_bits(monkeypatch, N):
+    # every call that a fresh form of N makes to the bound gufuncs (its
+    # spectrum, determinant, inverse and factor, the kernels' levels with
+    # N = 2's empty (K, 0, 0) solve, the stratum table's per-size stacks,
+    # a reduction, an axis kernel's block determinant, the sigma expansion's
+    # inverse factor) reads bitwise what the public np.linalg function returns
+    bound = {name: getattr(geometry, name) for name in _PUBLIC}
+    calls = {name: _record(monkeypatch, name) for name in _PUBLIC}
+    A = random_spd(np.random.default_rng(4700 + N), N)
+    A.inv
+    kernels._levels(A)
+    locus._table(A)
+    reduction(A, IndexSet((0, 1)))
+    kernels.closed_form_axis(A, 1, BasePoint(np.ones(N), 0.5j))
+    sigma_expansion(A, np.zeros((N, N)))
+    for name, public in _PUBLIC.items():
+        assert calls[name], name
+        for args in calls[name]:
+            got, want = np.asarray(bound[name](*args)), np.asarray(public(*args))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, args)
+    if N == 2:
+        assert ((1, 0, 0), (1, 0, 2)) in [tuple(a.shape for a in args) for args in calls["_solve"]]
+
+
+def test_a_fresh_form_is_factored_once(monkeypatch):
+    # its kernels' and faces' frames, two gamma families on the form itself
+    # and the sigma expansion all read the one factor kept with the form
+    factored = _record(monkeypatch, "_cholesky")
+    public = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda *a, **k: factored.append(a) or public(*a, **k))
+    A = random_spd(np.random.default_rng(4711), 3)
+    kernels._levels(A)
+    spec, p = GammaSpec(A, IndexSet(range(4)), QuadratureSpec()), off_locus_point(
+        np.random.default_rng(4712), A)
+    for labels in ((0,), (1, 2)):
+        gamma_family(spec, labels, p.mu[None], np.array([p.eta]))
+    sigma_expansion(A, np.eye(3))
+    assert len(factored) == 1
 
 
 def test_base_point_has_no_dict():
