@@ -221,29 +221,27 @@ def restricted_gap(cases) -> float:
     return worst
 
 
-def kernel_laplacian(spec: kernels.KernelSpec, points) -> float:
-    """Criterion 04: worst A-Laplacian of the kernel over the scale of its
-    terms, from its Hessians at every point in one ``alpha_hessian`` call."""
-    A = spec.A
-    mu, eta = _batch(points)
-    *_, hess = kernels.alpha_hessian(A, QUAD, mu, eta, spec.labels)
-    mu_terms, eta_part = laplace_terms(A, hess[0])
-    scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * A.n * A.n,
-                                  np.abs(eta_part)), 1e-300)
-    return float(np.max(np.abs(mu_terms.sum(axis=1) + eta_part) / scale, initial=0.0))
-
-
-def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
-    """Criterion 04: worst gaps, over the largest mu-gradient entry, of the
-    pair symmetry d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N)
-    and the axis relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij;
-    every point and every kernel go into one kernel family batch.  On the
-    face route both hold by construction (12's Euler rows read face errors)."""
+def harmonicity_gaps(A: QuadForm, points) -> tuple[float, float, float, float]:
+    """Criterion 04 from one ``alpha_hessian`` call over every kernel and
+    point: the worst A-Laplacians of the axis kernel (0, 1) and the pair
+    kernel (1, 2) over the scale of their terms, then the worst gaps, over
+    the largest mu-gradient entry, of the pair symmetry
+    d_k alpha_ij = d_j alpha_ik (i, j, k distinct in 1..N) and the axis
+    relations d_j alpha_0i = d_i alpha_0j = -sum_t d_t alpha_ij.  On the
+    face route both relations hold by construction (12's Euler rows read
+    face errors)."""
     N = A.n
     mu, eta = _batch(points)
-    labels, kv = kernels.alpha_family(A, QUAD, mu, eta, want_gradient=True)
+    labels, _, grad, hess = kernels.alpha_hessian(A, QUAD, mu, eta)
+    laplacians = []
+    for ij in ((0, 1), (1, 2)):
+        mu_terms, eta_part = laplace_terms(A, hess[labels.index(ij)])
+        scale = np.maximum(np.maximum(np.abs(mu_terms).max(axis=1) * N * N,
+                                      np.abs(eta_part)), 1e-300)
+        laplacians.append(float(np.max(np.abs(mu_terms.sum(axis=1) + eta_part) / scale,
+                                       initial=0.0)))
     grads = {}
-    for (i, j), g in zip(labels, kv.gradient):
+    for (i, j), g in zip(labels, grad):
         grads[i, j] = grads[j, i] = g
     worst_pair = worst_axis = 0.0
     for t in range(len(points)):
@@ -256,7 +254,7 @@ def gradient_relations(A: QuadForm, points) -> tuple[float, float]:
             rhs = -float(np.sum(g[i, j][:N]))
             worst_axis = max(worst_axis, abs(lhs - mid) / scale,
                              abs(lhs - rhs) / scale)
-    return worst_pair, worst_axis
+    return (*laplacians, worst_pair, worst_axis)
 
 
 def weak_charge_checks() -> list[kernels.WeakCheckResult]:

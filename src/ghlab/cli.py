@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.random import Generator
 
-from . import checks, glue, kernels, locus
+from . import checks, glue, locus
 from .geometry import QuadForm
 
 SCHEMA_VERSION = 2
@@ -174,12 +174,9 @@ def run_harmonicity(cfg: ExperimentConfig, rng: Generator) -> list[ResultRow]:
     for N in (3, 4):
         A = checks.random_spd(rng, N)
         pts = [checks.off_locus_point(rng, A) for _ in range(cfg.n)]
-        for kind, labels in (("axis", (0, 1)), ("pair", (1, 2))):
-            lap = checks.kernel_laplacian(kernels.KernelSpec(A, labels), pts)
-            rows.append(_row(cfg, f"N={N}-{kind}", lap, checks.HARMONIC_TOL))
-        pair, axis = checks.gradient_relations(A, pts)
-        rows += [_row(cfg, f"N={N}-pair-symmetry", pair, checks.HARMONIC_TOL),
-                 _row(cfg, f"N={N}-axis-relations", axis, checks.HARMONIC_TOL)]
+        rows += [_row(cfg, f"N={N}-{kind}", gap, checks.HARMONIC_TOL) for kind, gap in
+                 zip(("axis", "pair", "pair-symmetry", "axis-relations"),
+                     checks.harmonicity_gaps(A, pts))]
     return rows
 
 

@@ -12,13 +12,13 @@ A stratum model's kernels are those of a lower-N form, its
 ``geometry.reduction`` G at (mu_I, s eta).
 
 ``alpha_family`` gives the kernels of a form at a batch mu (B, N), eta (B,),
-with their gradients if asked, and ``alpha_batch`` one kernel's values.
-Every derivative comes from values, by one face identity: ``alpha_hessian``
-gives values, gradients and Hessians from the cones at p, p + 2 and p + 4
-(one pass), their faces (the triple strata's cones) and the faces' faces.
-A call of two or more powers at d <= 2 returns its cones' faces from its
-own pass; only above a swept cone does a level's faces take a call of
-their own, and a one-kernel call's only those the kernel reads.  Cones
+and ``alpha_batch`` one kernel's values.  Every derivative comes from
+values, by one face identity: ``alpha_hessian`` gives the family's values,
+gradients and Hessians from the cones at p, p + 2 and p + 4 (one pass),
+their faces (the triple strata's cones) and the faces' faces.  A call of
+two or more powers at d <= 2 returns its cones' faces from its own pass;
+only above a swept cone does a level's faces take a call of their own, on
+the whole next level.  Cones
 differ only in their matrix, laid out once per N; Q, the prefactor, each
 cone frame (from Q's one kept Cholesky factor) and each family's R and S are
 built once per form, and ``_engine_batch`` makes one engine call for a family at
@@ -26,9 +26,9 @@ the resolution floor 10 abs_tol^(1/N), N the width of its batch, naming the
 refused (kernel, row) by its (mu, eta); the gammas of ``ghlab.holo`` share
 it.  Only the weak charge check calls the engine directly, with no floor:
 its polar rule about the sheet, whose measure cancels the singularity, puts
-nodes inside that floor.  ``alpha`` and ``alpha_grad``, one row of the
-family with its value or its gradient too, remain for the benchmark, which
-traces them.  The tests hold them against closed forms and
+nodes inside that floor.  ``alpha`` and ``alpha_grad``, one row of one
+kernel with its value or its gradient too (the one path to a one-kernel
+derivative), remain for the benchmark, which traces them.  The tests hold them against closed forms and
 ``tests/oracles.py``'s scrambled-Sobol ``qmc_alpha_oracle``.
 """
 
@@ -125,11 +125,9 @@ class _Family:
     prefactor: float
     frame: object
 
-    def take(self, rows: slice | np.ndarray) -> "_Family":
-        """The kernels ``rows`` (a slice or indices) of this family."""
-        labels = (self.labels[rows] if isinstance(rows, slice)
-                  else tuple(self.labels[r] for r in rows))
-        return _Family(self.Q, self.c_eta, labels, self.M[rows], self.power,
+    def take(self, rows: slice) -> "_Family":
+        """The kernels ``rows`` of this family."""
+        return _Family(self.Q, self.c_eta, self.labels[rows], self.M[rows], self.power,
                        self.prefactor, None if self.frame is None else self.frame[rows])
 
 
@@ -195,34 +193,15 @@ def _levels(A: QuadForm) -> tuple:
     return A.derived("levels", build)
 
 
-def _chain(A: QuadForm, labels: tuple[int, int] | None, depth: int) -> tuple:
-    """The first ``depth`` levels of A, or those of its one kernel
-    ``labels``: that kernel alone, then in each level only the cones that
-    the one before reads, its up renumbered to index them."""
-    levels = _levels(A)[:depth]
-    if labels is None:
-        return levels
-    k = levels[0][0].labels.index(labels)
-    rows, out = slice(k, k + 1), []
-    for fam, *rest in levels:
-        if out:
-            *head, up = out[-1]
-            rows = np.unique(up)
-            out[-1] = (*head, np.searchsorted(rows, up))
-        out.append((fam.take(rows), *(a[rows] for a in rest)))
-    return tuple(out)
-
-
-def _faces(A: QuadForm, labels: tuple[int, int] | None, i: int, res: QuadResult,
-           mu: np.ndarray, eta: np.ndarray, quad: QuadratureSpec) -> tuple[np.ndarray, int]:
-    """Level i's faces (K, d, B) of ``_chain`` at the power of its call
-    ``res``, and their grid nodes: those ``res`` returned, else one call on
-    level i + 1, gathered by up."""
+def _faces(A: QuadForm, i: int, up: np.ndarray, res: QuadResult, mu: np.ndarray,
+           eta: np.ndarray, quad: QuadratureSpec) -> tuple[np.ndarray, int]:
+    """The faces (K, d, B) of the cones whose call is ``res``, at its power,
+    and their grid nodes: those ``res`` returned, else one call on the whole
+    level i of ``_levels``, gathered by the cones' ``up``."""
     if res.faces is not None:
         return res.faces, 0
-    level, below = _chain(A, labels, i + 2)[i:]
-    low = _engine_batch(below[0], mu, eta, quad)
-    return low.value[level[3]], low.evals
+    low = _engine_batch(_levels(A)[i][0], mu, eta, quad)
+    return low.value[up], low.evals
 
 
 def _gradient(level: tuple, q: int, Sx: np.ndarray, faces: np.ndarray | None,
@@ -279,50 +258,52 @@ def alpha_batch(spec: KernelSpec, quad: QuadratureSpec, mu: np.ndarray,
     (B,), and the grid nodes of every call.  A mu of another width than N
     raises ValueError.
     """
-    _, kv = alpha_family(spec.A, quad, mu, eta, False, spec.labels)
+    _, kv = alpha_family(spec.A, quad, mu, eta, spec.labels)
     return KernelValue(kv.value[0], kv.error[0], kv.evals)
 
 
 def alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
-                 want_gradient: bool = False, labels: tuple[int, int] | None = None
+                 labels: tuple[int, int] | None = None
                  ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
     """Every kernel of A (or the one kernel ``labels``) at the batch
     mu (B, N), eta (B,): their labels, and what ``alpha_batch`` returns
-    with a leading kernel axis K.  Where they are closed forms (N <= 3)
-    the whole family is one engine call, which ``want_gradient`` asks for
-    the values at p + 2 and the faces too (``alpha_hessian``'s gradients);
-    above N = 3 the faces take a second call, whose nodes evals counts
-    too.  ``labels`` are held as ``KernelSpec`` holds them."""
+    with a leading kernel axis K, from one engine call.  ``labels`` are
+    held as ``KernelSpec`` holds them."""
     labels = None if labels is None else _pair(labels, A.n)
-    return _alpha_family(A, quad, *check_batch(mu, eta, A.n), want_gradient, labels)
+    return _alpha_family(A, quad, *check_batch(mu, eta, A.n), False, labels)
 
 
 def _alpha_family(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
                   want_gradient: bool, labels: tuple[int, int] | None
                   ) -> tuple[tuple[tuple[int, int], ...], KernelValue]:
-    """``alpha_family`` on rows already held finite."""
+    """``alpha_family`` on rows already held finite, with the gradients
+    (``alpha_grad``'s) if ``want_gradient``: one call for the values at p
+    and p + 2 and, where they are closed forms (N <= 3), the faces; above
+    N = 3 the faces take a call on every triple, whose nodes evals counts
+    too."""
+    fam = _family(A, labels)
+    c = fam.prefactor
     if not want_gradient:
-        fam = _family(A, labels)
         raw = _engine_batch(fam, mu, eta, quad)
-        return fam.labels, KernelValue(fam.prefactor * raw.value, fam.prefactor * raw.error,
-                                       raw.evals)
-    kern = _chain(A, labels, 1)[0]
-    fam, c = kern[0], kern[0].prefactor
+        return fam.labels, KernelValue(c * raw.value, c * raw.error, raw.evals)
+    kern = _levels(A)[0]
+    if labels is not None:
+        k = kern[0].labels.index(labels)
+        kern = (fam, *(a[k:k + 1] for a in kern[1:]))
     raw = _engine_batch(fam, mu, eta, quad, 2)
-    faces, evals = _faces(A, labels, 0, raw, mu, eta, quad)
+    faces, evals = _faces(A, 1, kern[3], raw, mu, eta, quad)
     grad = c * _gradient(kern, fam.power, _sx([kern], mu, eta)[0], faces, raw.higher[0])
     return fam.labels, KernelValue(c * raw.value, c * raw.error, raw.evals + evals, grad)
 
 
-def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray,
-                  labels: tuple[int, int] | None = None
+def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.ndarray
                   ) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Every kernel of A (or the one kernel ``labels``) at the batch
-    mu (B, N), eta (B,): their labels, values (K, B), gradients (K, B, N + 2)
-    and Hessians (K, B, N + 2, N + 2) over x = ``_x``, from values alone.
-    With R and S of ``_levels``, a derivative along pair {i, j}'s column
-    for label l integrates to the face V^F, the cone less that column,
-    which is the triple stratum {i, j, l}'s cone, so that
+    """Every kernel of A at the batch mu (B, N), eta (B,): their labels,
+    values (K, B), gradients (K, B, N + 2) and Hessians
+    (K, B, N + 2, N + 2) over x = ``_x``, from values alone.  With R and S
+    of ``_levels``, a derivative along pair {i, j}'s column for label l
+    integrates to the face V^F, the cone less that column, which is the
+    triple stratum {i, j, l}'s cone, so that
 
         grad V_p = R V^F_p - p S x V_(p+2),
         hess V_p = R grad V^F_p - p S V_(p+2) - p S x grad V_(p+2)^T,
@@ -335,8 +316,7 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     (N <= 4), and above that a third call for them; each family is held to
     ``quad`` in its prefactor-scaled values."""
     mu, eta = check_batch(mu, eta, A.n)
-    labels = None if labels is None else _pair(labels, A.n)
-    kern, *below = _chain(A, labels, 2)
+    kern, *below = _levels(A)[:2]
     fam, c, p = kern[0], kern[0].prefactor, kern[0].power
     Sx, *SxF = _sx([kern, *below], mu, eta)
     raw = _engine_batch(fam, mu, eta, quad, 3)
@@ -346,7 +326,7 @@ def alpha_hessian(A: QuadForm, quad: QuadratureSpec, mu: np.ndarray, eta: np.nda
     if below:
         faces = _engine_batch(below[0][0], mu, eta, quad, 2)
         F0, F2 = faces.value[up], faces.higher[0][up]
-        dF = _gradient(below[0], p, SxF[0], _faces(A, labels, 1, faces, mu, eta, quad)[0],
+        dF = _gradient(below[0], p, SxF[0], _faces(A, 2, below[0][3], faces, mu, eta, quad)[0],
                        faces.higher[0])
     grad2 = _gradient(kern, p + 2, Sx, F2, plus2)
     hess = -p * (S[:, None] * plus[..., None, None] + Sx[..., None] * grad2[..., None, :])

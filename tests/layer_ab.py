@@ -22,7 +22,8 @@ on a form whose derived data is built, and ``levels`` is
 ``kernels._levels`` on a fresh N = 3 form.  ``criterion-12`` is
 ``checks.integrability_gap`` at N = 4, the swept path that no benchmark
 workload reaches, on a fixed random form (fresh each round) and 10
-off-locus points.  ``strata-n4`` is perfbench's
+off-locus points; ``criterion-04`` is criterion 04's residuals on such a
+form and points, asked in each tree's own terms.  ``strata-n4`` is perfbench's
 point bundle: ``region_membership`` on a shared N = 4 form and on a fresh
 N = 3 form that the point builds from its entries, then two criterion 10
 ``glue_weight`` calls on the identity form (the shared forms are new each
@@ -189,6 +190,30 @@ def _criterion_12(g, count: int):
     return prepare, run, count
 
 
+def _criterion_04(g, count: int):
+    """``count`` calls of criterion 04's residuals at N = 4, each on a
+    fresh form of the same entries and the same 10 off-locus points: one
+    residual, or in a tree without it the two Laplacians and the gradient
+    relations as residuals of their own."""
+    checks = importlib.import_module(f"{g.__name__}.checks")
+    rng = np.random.default_rng(4904)
+    A = checks.random_spd(rng, 4)
+    points = [checks.off_locus_point(rng, A) for _ in range(10)]
+
+    def gaps(B):
+        if hasattr(checks, "harmonicity_gaps"):
+            return checks.harmonicity_gaps(B, points)
+        return (*[checks.kernel_laplacian(g.KernelSpec(B, ij), points) for ij in [(0, 1), (1, 2)]],
+                *checks.gradient_relations(B, points))
+
+    def prepare():
+        return [g.QuadForm(A.entries) for _ in range(count)]
+
+    def run(fresh):
+        return [gaps(B) for B in fresh]
+    return prepare, run, count
+
+
 def _levels(g, count: int):
     rng = np.random.default_rng(7)
     forms = [_spd(rng, 3) for _ in range(count)]
@@ -317,6 +342,7 @@ LAYERS = {
     "alpha_hessian": (_alpha_hessian, 50),
     "integrability_residual": (_residual, 50),
     "criterion-12": (_criterion_12, 1),
+    "criterion-04": (_criterion_04, 1),
     "levels": (_levels, 50),
     "strata-n4": (_strata_n4, 32),
     "region_membership": (_region_membership, 100),

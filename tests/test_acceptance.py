@@ -102,11 +102,10 @@ def test_n4_field_rows_pass_with_headroom():
 def test_n4_field_runs_sweep_pinned_nodes(monkeypatch):
     # the swept engine evals (grid nodes times rows, summed over the
     # sweeps of quadrature._sweep_group) carry no noise, so they gate the
-    # cost of the N = 4 rows of 04 and 12 (nothing sweeps at N = 3).  04:
-    # the two Hessians' kernels at p, p + 2 and p + 4 (50 rows each) and the
-    # relations' 10 kernels at p and p + 2 (500 rows), each on one grid;
-    # 12: its Hessians' 10 kernels at p, p + 2 and p + 4 (200 rows), the
-    # Euler rows' values at p among them, on one grid each
+    # cost of the N = 4 rows of 04 and 12 (nothing sweeps at N = 3).  Each
+    # reads one family Hessian: its 10 kernels at p, p + 2 and p + 4, on one
+    # grid each, 500 rows for 04 (the Laplacians and relations alike) and
+    # 200 for 12 (the Euler rows' values at p among them)
     import ghlab.quadrature as quadrature
 
     sweep, seen = quadrature._sweep_group, []
@@ -122,4 +121,4 @@ def test_n4_field_runs_sweep_pinned_nodes(monkeypatch):
         seen.clear()
         criterion_rows(num)
         pins[num] = (sum(n for _, n in seen), sum(rows for rows, _ in seen))
-    assert pins == {"04": (150792, 600), "12": (48408, 200)}
+    assert pins == {"04": (126216, 500), "12": (48408, 200)}

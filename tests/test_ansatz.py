@@ -20,7 +20,7 @@ from ghlab.ansatz import (
     flat_field,
     sigma_expansion,
 )
-from ghlab.kernels import KernelSpec, alpha_batch, alpha_family
+from ghlab.kernels import KernelSpec, _alpha_family, alpha_batch, alpha_family
 from ghlab.quadrature import QuadratureSpec, panel_nodes
 from oracles import sigma_det_route
 
@@ -165,7 +165,7 @@ def test_empty_batch_gives_empty_arrays(N, want_gradient):
     # return empty arrays for it, as the sweep (N = 4) does
     A = random_spd(np.random.default_rng(5), N)
     mu, eta = np.zeros((0, N)), np.zeros(0, dtype=complex)
-    _, kv = alpha_family(A, QUAD, mu, eta, want_gradient, (0, 1))
+    _, kv = _alpha_family(A, QUAD, mu, eta, want_gradient, (0, 1))
     assert kv.value.shape == kv.error.shape == (1, 0) and kv.evals == 0
     jet = FirstOrderField(A, QUAD).jet(mu, eta)
     assert jet.V.shape == jet.v.shape == (0, N, N)

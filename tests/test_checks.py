@@ -8,37 +8,29 @@ from ghlab.geometry import BasePoint
 from test_acceptance import criterion_rows
 
 
-@pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
-def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
-    # every point goes into one Hessian batch of the kernel, two engine
-    # calls of one row per point: its cone at p, p + 2 and p + 4, and its own
-    # N - 1 faces at p and p + 2, whose closed forms (d <= 2) return the
-    # four-label strata, their faces, as the field's Hessians take them.
-    # At N = 3 each row is a closed form; at N = 4 these points lie farther
-    # apart than half a sheet distance, so the swept cone splits into the
-    # per-point grids.  Either way the worst value is bitwise the
-    # per-point worst.
-    rng = np.random.default_rng(seed)
-    A = checks.random_spd(rng, N)
-    pts = [checks.off_locus_point(rng, A) for _ in range(4)]
-    calls, rows = [], []
-    hessian, engine = kernels.alpha_hessian, kernels.power_kernel_integral
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[2]))
-        return hessian(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "alpha_hessian", counted)
+def test_criterion_04_is_one_hessian_call_per_n(monkeypatch):
+    # per N, criterion 04's 50 points go into one Hessian batch of every
+    # kernel, from which the Laplacian rows read kernels (0, 1) and (1, 2)
+    # and the relations every gradient: one engine call for the K cones at
+    # p, p + 2 and p + 4, and one for their C(N + 1, 3) distinct faces,
+    # whose closed forms (d <= 2 at N = 3 and 4) return the four-label
+    # strata.  At N = 3 each row is a closed form; at N = 4 the points below
+    # lie farther apart than half a sheet distance, so the swept cones split
+    # into per-point grids.  Either way each worst value is bitwise the
+    # worst over one-point calls.
+    rows = []
+    engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
-    for labels in [(0, 1), (1, 2)]:
-        spec = kernels.KernelSpec(A, labels)
-        calls.clear()
-        rows.clear()
-        worst = checks.kernel_laplacian(spec, pts)
-        assert calls == [len(pts)]
-        assert rows == [(1, len(pts)), (N - 1, len(pts))]
-        assert worst == max(checks.kernel_laplacian(spec, [p]) for p in pts)
+    criterion_rows("04")
+    assert rows == [(6, 50), (4, 50), (10, 50), (10, 50)]
+    monkeypatch.undo()
+    for N, seed in [(3, 401), (4, 402)]:
+        rng = np.random.default_rng(seed)
+        A = checks.random_spd(rng, N)
+        pts = [checks.off_locus_point(rng, A) for _ in range(4)]
+        alone = [checks.harmonicity_gaps(A, [p]) for p in pts]
+        assert checks.harmonicity_gaps(A, pts) == tuple(map(max, zip(*alone)))
 
 
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
@@ -181,8 +173,8 @@ def test_kernel_laplacian_flags_a_non_harmonic_term(monkeypatch):
     # kernel's A-Laplacian is 2 eps (A^-1)_11
     hessian = kernels.alpha_hessian
 
-    def with_term(A, quad, mu, eta, labels=None):
-        labels, V, grad, hess = hessian(A, quad, mu, eta, labels)
+    def with_term(A, quad, mu, eta):
+        labels, V, grad, hess = hessian(A, quad, mu, eta)
         grad[..., 0] += 2e-5 * mu[:, 0]
         hess[..., 0, 0] += 2e-5
         return labels, V, grad, hess
@@ -193,39 +185,15 @@ def test_kernel_laplacian_flags_a_non_harmonic_term(monkeypatch):
 
 def test_gradient_relations_flag_a_broken_pair_symmetry(monkeypatch):
     # d_3 alpha_12 scaled by 1 + 2e-3, so it no longer equals d_2 alpha_13
-    family = kernels.alpha_family
+    hessian = kernels.alpha_hessian
 
-    def skewed(*args, **kwargs):
-        labels, kv = family(*args, **kwargs)
-        if (1, 2) in labels:
-            kv.gradient[labels.index((1, 2)), :, 2] *= 1.0 + 2e-3
-        return labels, kv
+    def skewed(A, quad, mu, eta):
+        labels, V, grad, hess = hessian(A, quad, mu, eta)
+        grad[labels.index((1, 2)), :, 2] *= 1.0 + 2e-3
+        return labels, V, grad, hess
 
-    monkeypatch.setattr(kernels, "alpha_family", skewed)
+    monkeypatch.setattr(kernels, "alpha_hessian", skewed)
     assert {"harmonicity/N=3-pair-symmetry", "harmonicity/N=4-pair-symmetry"} <= failed("04")
-
-
-def test_criterion_04_draws_its_inputs_once(monkeypatch):
-    # the Laplacian rows and the gradient relations of one N read the same
-    # form and the same list of points, not a second draw of equal values
-    seen = {"lap": [], "rel": []}
-    laplacian, relations = checks.kernel_laplacian, checks.gradient_relations
-
-    def spy_lap(spec, pts):
-        seen["lap"].append((spec.A, pts))
-        return laplacian(spec, pts)
-
-    def spy_rel(A, pts):
-        seen["rel"].append((A, pts))
-        return relations(A, pts)
-
-    monkeypatch.setattr(checks, "kernel_laplacian", spy_lap)
-    monkeypatch.setattr(checks, "gradient_relations", spy_rel)
-    criterion_rows("04")
-    assert [A.n for A, _ in seen["rel"]] == [3, 4] and len(seen["lap"]) == 4
-    for k, (A, pts) in enumerate(seen["rel"]):
-        for A_lap, pts_lap in seen["lap"][2 * k:2 * k + 2]:
-            assert A_lap is A and pts_lap is pts
 
 
 def _scale_prefactor(monkeypatch, scale):

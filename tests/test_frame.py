@@ -74,7 +74,7 @@ def _field_identities(N: int, monkeypatch) -> tuple[int, int]:
     assert first <= checks.INTEGRABILITY_TOL
     assert second <= checks.INTEGRABILITY_TOL
     assert euler <= 1e-12          # roundoff, far under the swept terms' budget
-    assert max(checks.gradient_relations(A, [p])) <= checks.HARMONIC_TOL
+    assert max(checks.harmonicity_gaps(A, [p])) <= checks.HARMONIC_TOL
     return nodes[0], edges[0]
 
 

@@ -370,9 +370,10 @@ def test_one_row_names_check_their_point_once(monkeypatch):
     gap = holo.gamma_sum_check(_GAMMA_2, _P2).scaled_gap
     assert calls == []
     # the same numbers as the checked batch names
-    _, batch = kernels.alpha_family(_KERNEL_3.A, _QUAD, _P3.mu[None], np.array([_P3.eta]),
-                                    True, _KERNEL_3.labels)
-    assert kv.value == batch.value[0, 0] and kv.gradient.tolist() == batch.gradient[0, 0].tolist()
+    labels, V, grad, _ = kernels.alpha_hessian(_KERNEL_3.A, _QUAD, _P3.mu[None],
+                                               np.array([_P3.eta]))
+    k = labels.index(_KERNEL_3.labels)
+    assert kv.value == V[k, 0] and kv.gradient.tolist() == grad[k, 0].tolist()
     gam = gamma_family(_GAMMA_2, (0, 1, 2), _P2.mu[None], np.array([_P2.eta]))
     assert gap == abs(sum(gam.value[:, 0].tolist()) - 1.0 / _P2.eta) * abs(_P2.eta)
     assert len(calls) == 2

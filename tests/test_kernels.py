@@ -14,6 +14,7 @@ from ghlab.geometry import BasePoint, IndexSet, QuadForm, laplace_terms, reducti
 from ghlab.holo import GammaSpec, gamma_family
 from ghlab.kernels import (
     KernelSpec,
+    _alpha_family,
     _family,
     _cone_integral,
     RadialBump,
@@ -111,20 +112,6 @@ def test_alpha_family_refuses_bad_labels_by_name(labels, msg):
     mu, eta = np.array([[0.5, -0.3]]), np.array([0.7 + 0.2j])
     with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
         alpha_family(QuadForm.identity(2), QUAD, mu, eta, labels=labels)
-
-
-def test_alpha_hessian_takes_labels_as_a_spec_does():
-    # (1, 0) raised "tuple.index(x): x not in tuple"; as in KernelSpec, a
-    # pair in either order is the kernel, and a bad pair is named
-    A = QuadForm(np.array([[1.3, 0.2], [0.2, 0.9]]))
-    mu, eta = np.array([[0.5, -0.3]]), np.array([0.7 + 0.2j])
-    labels, V, grad, hess = alpha_hessian(A, QUAD, mu, eta, (1, 0))
-    want = alpha_hessian(A, QUAD, mu, eta, (0, 1))
-    assert labels == want[0] == ((0, 1),)
-    assert [V.tobytes(), grad.tobytes(), hess.tobytes()] == [a.tobytes() for a in want[1:]]
-    for bad, msg in _BAD_LABELS:
-        with pytest.raises(ValueError, match=rf"kernel labels {msg}"):
-            alpha_hessian(A, QUAD, mu, eta, bad)
 
 
 @pytest.mark.parametrize("labels, msg", _BAD_LABELS, ids=_BAD_IDS)
@@ -336,7 +323,7 @@ def test_alpha_batch_matches_pointwise():
         v = coordinate_row(base)
         v[k] += 0.02
         pts.append(BasePoint(v[:-2], complex(v[-2], v[-1])))
-    _, kv = alpha_family(A, QUAD, *_batch(pts), True, spec.labels)
+    _, kv = _alpha_family(A, QUAD, *_batch(pts), True, spec.labels)
     vals, grads = kv.value[0], kv.gradient[0]
     for t, p in enumerate(pts):
         assert vals[t] == pytest.approx(alpha(spec, QUAD, p).value, rel=1e-9)
@@ -369,7 +356,7 @@ def _far_rows_match_pointwise(N, monkeypatch):
                             lambda *a, **k: calls.append(1) or engine(*a, **k))
         monkeypatch.setattr(quadrature, "_sweep_group",
                             lambda *a, **k: sweeps.append(1) or sweep(*a, **k))
-        _, kv = alpha_family(A, quad, *_batch(pts), True, labels)
+        _, kv = _alpha_family(A, quad, *_batch(pts), True, labels)
         vals, grads, errs = kv.value[0], kv.gradient[0], kv.error[0]
         monkeypatch.undo()
         counts.append((len(calls), len(sweeps)))
@@ -427,9 +414,10 @@ def test_work_counters_are_pinned():
     # at N = 3 nothing is swept (a row counts once, and the wedge's call
     # returns its faces), at N = 4 one axis is swept (graded panels plus
     # the mapped tail; 192 nodes for p and p + 2 on one grid, and the
-    # kernel's 3 closed faces), at N = 5 two (the radial grid: graded radius
-    # and mapped tail times one stick-breaking coordinate; 12,800 nodes, and
-    # 912 for the kernel's 4 faces, each sweeping one axis)
+    # form's 10 closed faces, of which the kernel reads 3), at N = 5 two
+    # (the radial grid: graded radius and mapped tail times one
+    # stick-breaking coordinate; 12,800 nodes, and 4,896 for the form's 20
+    # faces, of which the kernel reads 4, each sweeping one axis)
     A3 = QuadForm(np.array([[1.5, 0.2, 0.1], [0.2, 1.2, -0.3], [0.1, -0.3, 0.9]]))
     p3 = BasePoint(np.array([0.8, -0.5, 0.4]), 0.6 + 0.2j)
     assert alpha_grad(KernelSpec(A3, (0, 1)), QUAD, p3).evals == 1
@@ -442,9 +430,9 @@ def test_work_counters_are_pinned():
     p4 = BasePoint(np.array([-0.4305473056064981, -0.7928433222219473,
                              -0.6542161649648368, 1.9371148657881885]),
                    0.13944050602891173 - 0.6978434856523438j)
-    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 195
+    assert alpha_grad(KernelSpec(A4, (0, 1)), QUAD, p4).evals == 202
     A5, p5 = _reach_point(100, 5)
-    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 13712
+    assert alpha_grad(KernelSpec(A5, (0, 1)), QUAD, p5).evals == 17696
 
 
 def test_closed_form_calls_solve_no_sheet_distance(monkeypatch):
@@ -579,14 +567,15 @@ def test_refusal_names_kernel_row_and_point():
         alpha_batch(KernelSpec(QuadForm.identity(4), (0, 1)), QUAD, *_batch([far, close]))
     with pytest.raises(SingularityProximity, match=r"kernel \(0, 1\) at batch row 1 "
                        r"\(mu = \[1e-06, 1\.0, 1\.0, 1\.0\], eta = 0j\)"):
-        alpha_hessian(QuadForm.identity(4), QUAD, *_batch([far, close]), (0, 1))
+        alpha_hessian(QuadForm.identity(4), QUAD, *_batch([far, close]))
 
 
 def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     # off the sheet every closed form is finite, so no input reaches this
     # refusal: a nan is planted at one (kernel, row) pair of an N = 3
     # family whose rows all clear the floor.  The engine refuses that
-    # pair, and alpha_family names the kernel's labels and the batch row
+    # pair, and the family's gradient call names the kernel's labels and
+    # the batch row
     import ghlab.quadrature as quadrature
 
     rng = np.random.default_rng(26)
@@ -610,7 +599,7 @@ def test_non_finite_closed_form_is_refused_by_name(monkeypatch):
     labels = re.escape(str(fam.labels[k]))
     with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
                        r".*not finite") as exc:
-        alpha_family(A, QUAD, mu, eta, want_gradient=True)
+        _alpha_family(A, QUAD, mu, eta, True, None)
     assert (exc.value.kernel, exc.value.row) == (k, row)
 
 
@@ -618,7 +607,8 @@ def test_non_finite_face_is_refused_by_name(monkeypatch):
     # a closed form's faces are held as its values are: a nan planted in
     # one edge's half-line integral at one (kernel, row) pair of an N = 3
     # family, the face less that pair's second column, is refused by the
-    # engine and named by alpha_family, never read into a gradient
+    # engine and named by the family's gradient call, never read into a
+    # gradient
     import ghlab.quadrature as quadrature
 
     rng = np.random.default_rng(26)
@@ -642,7 +632,7 @@ def test_non_finite_face_is_refused_by_name(monkeypatch):
     labels = re.escape(str(fam.labels[k]))
     with pytest.raises(SingularityProximity, match=rf"kernel {labels} at batch row {row} "
                        r".*face that is not finite") as exc:
-        alpha_family(A, QUAD, mu, eta, want_gradient=True)
+        _alpha_family(A, QUAD, mu, eta, True, None)
     assert (exc.value.kernel, exc.value.row) == (k, row)
 
 
@@ -662,7 +652,8 @@ def test_over_budget_names_kernel_and_first_row(monkeypatch):
 
 
 def test_face_refusal_names_its_triple_and_row(monkeypatch):
-    # at N = 5 the faces are swept; a face that misses its tolerance is
+    # at N = 5 the faces are swept, and a one-kernel gradient takes them
+    # from one call on every triple; a face that misses its tolerance is
     # named by its triple stratum and the batch row, as a kernel is.  The
     # miss is planted at the form's third face, (0, 1, 4): kernel (0, 1)'s
     # cone less label 4's column
@@ -678,7 +669,7 @@ def test_face_refusal_names_its_triple_and_row(monkeypatch):
     A = random_spd(rng, 5)
     mu, eta = _batch([off_locus_point(rng, A) for _ in range(2)])
     with pytest.raises(QuadratureError, match=r"kernel \(0, 1, 4\) at batch row 1 .*planted"):
-        alpha_hessian(A, QUAD, mu, eta, (0, 1))
+        _alpha_family(A, QUAD, mu, eta, True, (0, 1))
 
 
 @pytest.mark.parametrize("N, members", [(2, None), (2, (0, 1, 2)), (3, None),
@@ -695,16 +686,16 @@ def test_family_batch_matches_one_kernel_calls(N, members):
     if members is not None:
         red = reduction(A, IndexSet(members))
         A, (mu, eta) = red.G, red.batch(mu, eta)
-    labels, kv = alpha_family(A, QUAD, mu, eta, want_gradient=True)
+    labels, kv = _alpha_family(A, QUAD, mu, eta, True, None)
     assert labels == tuple(itertools.combinations(range(A.n + 1), 2))
     evals = 0
     for k, ij in enumerate(labels):
-        _, one = alpha_family(A, QUAD, mu, eta, True, ij)
+        _, one = _alpha_family(A, QUAD, mu, eta, True, ij)
         np.testing.assert_allclose(kv.value[k], one.value[0], rtol=1e-14, atol=0)
         np.testing.assert_array_equal(kv.error[k], one.error[0])
         np.testing.assert_allclose(kv.gradient[k], one.gradient[0], rtol=1e-14,
                                    atol=1e-14 * float(np.max(np.abs(one.gradient))))
-        evals += alpha_family(A, QUAD, mu, eta, False, ij)[1].evals
+        evals += alpha_family(A, QUAD, mu, eta, ij)[1].evals
     assert alpha_family(A, QUAD, mu, eta)[1].evals == evals == len(labels) * len(mu)
     assert kv.evals == evals
 
@@ -838,8 +829,8 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
     # rounding, by the batch's shape.  A gamma batch with rows at eta = 0
     # mixed in keeps the others' bits, and reads exactly 0 there.  A batch
     # of no rows has empty faces, and its gradients make no second call.
-    # One-kernel calls (alpha_family with the gradient, alpha_hessian, and
-    # alpha_grad at one point) read each row as their batch call does
+    # One-kernel gradients (the family core's, and alpha_grad at one point)
+    # read each row as their batch call does
     calls = []
     engine = kernels.power_kernel_integral
     monkeypatch.setattr(kernels, "power_kernel_integral",
@@ -848,13 +839,13 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
     empty = kernels._engine_batch(_family(A), np.zeros((0, N)), np.zeros(0, complex), QUAD, 2)
     assert empty.faces.shape == (math.comb(N + 1, 2), N - 1, 0)
     calls.clear()
-    _, kv = alpha_family(A, QUAD, np.zeros((0, N)), np.zeros(0, complex), True)
+    _, kv = _alpha_family(A, QUAD, np.zeros((0, N)), np.zeros(0, complex), True, None)
     assert len(calls) == 1 and kv.gradient.shape == (math.comb(N + 1, 2), 0, N + 2)
     for seed in range(20):
         rng = np.random.default_rng(1000 * N + seed)
         A = random_spd(rng, N)
         mu, eta = _batch([checks.random_point(rng, N) for _ in range(5)])
-        _, kv = alpha_family(A, QUAD, mu, eta, True)
+        _, kv = _alpha_family(A, QUAD, mu, eta, True, None)
         _, V, grad, hess = alpha_hessian(A, QUAD, mu, eta)
         both = kernels._engine_batch(_family(A), mu, eta, QUAD, 2)
         specs = [GammaSpec(A, IndexSet(I), checks.GAMMA_QUAD)
@@ -864,7 +855,7 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
         mixed = [gamma_family(spec, spec.I.members, mu, eta_mixed).value for spec in specs]
         for b in range(5):
             row = slice(b, b + 1)
-            _, one = alpha_family(A, QUAD, mu[row], eta[row], True)
+            _, one = _alpha_family(A, QUAD, mu[row], eta[row], True, None)
             _, V1, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row])
             alone = kernels._engine_batch(_family(A), mu[row], eta[row], QUAD, 2)
             for x, y in ((kv.value, one.value), (V, V1), (kv.gradient, one.gradient), (grad, g1),
@@ -878,15 +869,12 @@ def test_closed_form_rows_do_not_depend_on_their_batch(N, monkeypatch):
                 want = np.zeros_like(alone) if eta_mixed[b] == 0 else alone
                 assert mix[:, row].tobytes() == want.tobytes()
         for ij in kernels._layout(N, 2)[0] if seed < 4 else ():
-            _, kv = alpha_family(A, QUAD, mu, eta, True, ij)
-            *_, grad, hess = alpha_hessian(A, QUAD, mu, eta, ij)
+            _, kv = _alpha_family(A, QUAD, mu, eta, True, ij)
             for b in range(5):
                 row = slice(b, b + 1)
-                _, one = alpha_family(A, QUAD, mu[row], eta[row], True, ij)
-                *_, g1, h1 = alpha_hessian(A, QUAD, mu[row], eta[row], ij)
+                _, one = _alpha_family(A, QUAD, mu[row], eta[row], True, ij)
                 kg = alpha_grad(KernelSpec(A, ij), QUAD, BasePoint(mu[b], eta[b]))
-                for x, y in ((kv.value, one.value), (kv.gradient, one.gradient), (grad, g1),
-                             (hess, h1)):
+                for x, y in ((kv.value, one.value), (kv.gradient, one.gradient)):
                     assert x[:, row].tobytes() == y.tobytes()
                 assert (kg.value, kg.gradient.tobytes()) == (kv.value[0, b],
                                                              kv.gradient[0, b].tobytes())
@@ -896,9 +884,9 @@ def test_harmonicity_of_kernel_n2():
     # criterion 04's residual on the exact Hessians: the anisotropic
     # Laplacian of the kernel vanishes away from the sheet, to roundoff
     A = QuadForm(np.array([[1.4, 0.3], [0.3, 1.0]]))
-    spec = KernelSpec(A, (0, 1))
     p = BasePoint(np.array([0.8, -0.6]), 0.7 + 0.2j)
-    assert checks.kernel_laplacian(spec, [p]) < 1e-13
+    axis, pair, *_ = checks.harmonicity_gaps(A, [p])
+    assert max(axis, pair) < 1e-13
 
 
 def _hessian_case(N, seed):
@@ -940,7 +928,7 @@ def test_alpha_hessian_identities(N):
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 @pytest.mark.parametrize("labels", [(0, 1), (1, 2)], ids=["axis", "pair"])
 def test_alpha_hessian_matches_central_difference(N, labels):
-    # the face route's gradients (alpha_hessian's, alpha_family's and
+    # the face route's gradients (alpha_hessian's, the family core's and
     # alpha_grad's) and Hessian against central differences of the
     # kernel's values alone, and of those differences for the Hessian: at
     # steps h and h / 2 they err by about h^2 / 6 and h^2 / 24 times a
@@ -950,18 +938,19 @@ def test_alpha_hessian_matches_central_difference(N, labels):
     h = 1e-3 * max(1.0, np.abs(x).max())
 
     def values(rows):
-        return alpha_family(A, QUAD, *batch_of_rows(rows), False, labels)[1].value[0]
+        return alpha_family(A, QUAD, *batch_of_rows(rows), labels)[1].value[0]
 
-    *_, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]), labels)
-    _, kv = alpha_family(A, QUAD, *batch_of_rows(x[None]), True, labels)
+    family, _, grad, hess = alpha_hessian(A, QUAD, *batch_of_rows(x[None]))
+    k = family.index(labels)
+    _, kv = _alpha_family(A, QUAD, *batch_of_rows(x[None]), True, labels)
     p = BasePoint(x[:-2], complex(*x[-2:]))
-    grads = [grad[0, 0], kv.gradient[0, 0], alpha_grad(KernelSpec(A, labels), QUAD, p).gradient]
+    grads = [grad[k, 0], kv.gradient[0, 0], alpha_grad(KernelSpec(A, labels), QUAD, p).gradient]
     (g_h, H_h), (g_h2, H_h2) = [
         (central_difference(values, x, step),
          central_difference(lambda rows: np.stack([central_difference(values, r, step)
                                                    for r in rows]), x, step))
         for step in (h, 0.5 * h)]
-    for got, D_h, D_h2 in [(g, g_h, g_h2) for g in grads] + [(hess[0, 0], H_h, H_h2)]:
+    for got, D_h, D_h2 in [(g, g_h, g_h2) for g in grads] + [(hess[k, 0], H_h, H_h2)]:
         err, bound = np.abs(got - D_h2).max(), np.abs(D_h - D_h2).max()
         assert err <= bound <= 1e-4 * np.abs(got).max()
 

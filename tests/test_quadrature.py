@@ -744,7 +744,8 @@ def test_far_edge_rule_elements_are_pinned(monkeypatch):
     rng = np.random.default_rng(26)
     A = checks.random_spd(rng, 3)
     xs = np.array([coordinate_row(checks.off_locus_point(rng, A)) for _ in range(20)])
-    kernels.alpha_family(A, checks.QUAD, *batch_of_rows(_neighbour_rows(xs, 1e-3)), True)
+    kernels._alpha_family(A, checks.QUAD, *batch_of_rows(_neighbour_rows(xs, 1e-3)), True,
+                          None)
     assert sum(elements) == 902
 
 

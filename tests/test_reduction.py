@@ -13,7 +13,8 @@ from ghlab.ansatz import RestrictedField
 from ghlab.checks import off_locus_point, random_point, random_spd
 from ghlab.geometry import BasePoint, IndexSet, block, reduction
 from ghlab.holo import GammaSpec
-from ghlab.kernels import KernelSpec, alpha_batch, alpha_family, closed_form_axis
+from ghlab.kernels import (KernelSpec, _alpha_family, alpha_batch, alpha_family,
+                           closed_form_axis)
 from ghlab.quadrature import QuadratureSpec, SingularityProximity
 from oracles import (batch_of_rows, central_difference, coordinate_row, restricted_gammas,
                      restricted_jet, restricted_kernels)
@@ -66,8 +67,8 @@ def test_reduced_route_is_the_model_on_a(N, members):
     assert _gap(kv.value, want.value, ()) <= 1e-14
 
     grad = np.zeros((len(labels), len(pts), N + 2))
-    grad[..., [*red.slots, N, N + 1]] = alpha_family(red.G, QUAD, *red.batch(mu, eta),
-                                                     True)[1].gradient
+    grad[..., [*red.slots, N, N + 1]] = _alpha_family(red.G, QUAD, *red.batch(mu, eta),
+                                                      True, None)[1].gradient
     grad[..., N:] *= red.s
     for b, p in enumerate(pts):
         x = coordinate_row(p)
