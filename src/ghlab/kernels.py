@@ -28,8 +28,9 @@ it.  Only the weak charge check calls the engine directly, with no floor:
 its polar rule about the sheet, whose measure cancels the singularity, puts
 nodes inside that floor.  ``alpha`` and ``alpha_grad``, one row of one
 kernel with its value or its gradient too (the one path to a one-kernel
-derivative), remain for the benchmark, which traces them.  The tests hold them against closed forms and
-``tests/oracles.py``'s scrambled-Sobol ``qmc_alpha_oracle``.
+derivative), remain for the benchmark, which traces them.  The tests hold
+them against closed forms and ``tests/oracles.py``'s scrambled-Sobol
+``qmc_alpha_oracle``.
 """
 
 from __future__ import annotations
