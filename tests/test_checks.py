@@ -8,29 +8,53 @@ from ghlab.geometry import BasePoint
 from test_acceptance import criterion_rows
 
 
-def test_criterion_04_is_one_hessian_call_per_n(monkeypatch):
+@pytest.mark.parametrize("N, seed", [(3, 401), (4, 402)])
+def test_kernel_laplacian_is_one_batch_per_kernel(monkeypatch, N, seed):
+    # every point goes into one Hessian batch of every kernel, from which
+    # the Laplacian rows read kernels (0, 1) and (1, 2): one engine call for
+    # the K cones at p, p + 2 and p + 4, and one for their C(N + 1, 3)
+    # distinct faces, whose closed forms (d <= 2 at N = 3 and 4) return the
+    # four-label strata.  At N = 3 each row is a closed form; at N = 4 these
+    # points lie farther apart than half a sheet distance, so the swept
+    # cones split into per-point grids.  Either way each worst value is
+    # bitwise the per-point worst.
+    rng = np.random.default_rng(seed)
+    A = checks.random_spd(rng, N)
+    pts = [checks.off_locus_point(rng, A) for _ in range(4)]
+    calls, rows = [], []
+    hessian, engine = kernels.alpha_hessian, kernels.power_kernel_integral
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return hessian(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "alpha_hessian", counted)
+    monkeypatch.setattr(kernels, "power_kernel_integral",
+                        lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
+    gaps = checks.harmonicity_gaps(A, pts)
+    assert calls == [len(pts)]
+    assert rows == [(math.comb(N + 1, 2), len(pts)), (math.comb(N + 1, 3), len(pts))]
+    alone = [checks.harmonicity_gaps(A, [p]) for p in pts]
+    assert gaps == tuple(map(max, zip(*alone)))
+
+
+def test_criterion_04_draws_its_inputs_once(monkeypatch):
     # per N, criterion 04's 50 points go into one Hessian batch of every
-    # kernel, from which the Laplacian rows read kernels (0, 1) and (1, 2)
-    # and the relations every gradient: one engine call for the K cones at
-    # p, p + 2 and p + 4, and one for their C(N + 1, 3) distinct faces,
-    # whose closed forms (d <= 2 at N = 3 and 4) return the four-label
-    # strata.  At N = 3 each row is a closed form; at N = 4 the points below
-    # lie farther apart than half a sheet distance, so the swept cones split
-    # into per-point grids.  Either way each worst value is bitwise the
-    # worst over one-point calls.
-    rows = []
-    engine = kernels.power_kernel_integral
+    # kernel on one form, from which the Laplacian rows and the gradient
+    # relations both read, not a second draw of equal values
+    seen, rows = [], []
+    hessian, engine = kernels.alpha_hessian, kernels.power_kernel_integral
+
+    def spy(A, quad, mu, eta):
+        seen.append((A, mu, eta))
+        return hessian(A, quad, mu, eta)
+
+    monkeypatch.setattr(kernels, "alpha_hessian", spy)
     monkeypatch.setattr(kernels, "power_kernel_integral",
                         lambda *a, **k: rows.append((len(a[4]), len(a[2]))) or engine(*a, **k))
     criterion_rows("04")
+    assert [(A.n, len(mu), len(eta)) for A, mu, eta in seen] == [(3, 50, 50), (4, 50, 50)]
     assert rows == [(6, 50), (4, 50), (10, 50), (10, 50)]
-    monkeypatch.undo()
-    for N, seed in [(3, 401), (4, 402)]:
-        rng = np.random.default_rng(seed)
-        A = checks.random_spd(rng, N)
-        pts = [checks.off_locus_point(rng, A) for _ in range(4)]
-        alone = [checks.harmonicity_gaps(A, [p]) for p in pts]
-        assert checks.harmonicity_gaps(A, pts) == tuple(map(max, zip(*alone)))
 
 
 def test_integrability_gap_is_one_hessian_call(monkeypatch):
